@@ -52,7 +52,6 @@ pub fn pebblesdb_single(env: Arc<SimEnv>, dir: &str) -> LsmClient {
     o.concurrent_memtable = false;
     o.pipelined_write = false;
     o.has_multiget = false;
-    o.read_pool_threads = 0;
     LsmClient {
         db: Arc::new(Db::open(o, dir).expect("open pebblesdb baseline")),
     }
@@ -64,7 +63,6 @@ pub fn leveldb_single(env: Arc<SimEnv>, dir: &str) -> LsmClient {
     o.concurrent_memtable = false;
     o.pipelined_write = false;
     o.has_multiget = false;
-    o.read_pool_threads = 0;
     LsmClient {
         db: Arc::new(Db::open(o, dir).expect("open leveldb baseline")),
     }
@@ -109,7 +107,6 @@ pub fn p2kvs_over_leveldb(env: Arc<SimEnv>, dir: &str, workers: usize) -> P2Clie
     o.concurrent_memtable = false;
     o.pipelined_write = false;
     o.has_multiget = false;
-    o.read_pool_threads = 0;
     let factory = LsmFactory::new(o);
     P2Client {
         store: P2Kvs::open(factory, dir, P2KvsOptions::paper_layout(workers))

@@ -451,12 +451,14 @@ impl RequestQueue {
     }
 
     /// Blocks for the next request, then drains consecutive same-class
-    /// requests into `batch` up to `max` total (Algorithm 1), reusing
-    /// `batch`'s allocation. The run may interleave shards — the worker
-    /// splits it into per-shard engine calls after dequeue, so stopping
-    /// at a shard boundary here would only shrink merge windows for
-    /// workers owning several shards. Returns `false` when the queue is
-    /// closed and fully drained (`batch` is left empty).
+    /// requests into `batch` up to `max` keys in total (Algorithm 1),
+    /// reusing `batch`'s allocation. A request weighs its
+    /// [`Op::keys`](crate::types::Op::keys); the first is taken whatever
+    /// it weighs. The run may interleave shards — the worker splits it
+    /// into per-shard engine calls after dequeue, so stopping at a shard
+    /// boundary here would only shrink merge windows for workers owning
+    /// several shards. Returns `false` when the queue is closed and fully
+    /// drained (`batch` is left empty).
     pub fn pop_batch_into(&self, max: usize, batch: &mut Vec<Request>) -> bool {
         batch.clear();
         let _guard = self.consumer_guard();
@@ -465,13 +467,16 @@ impl RequestQueue {
             None => return false,
         };
         let class = first.op.class();
+        let mut keys = first.op.keys();
         batch.push(first);
         if class != OpClass::Solo {
-            while batch.len() < max {
-                let next_same =
-                    matches!(self.ring.peek(|r| r.op.class() == class), Some(true));
-                if !next_same {
-                    break;
+            while keys < max {
+                let next = self
+                    .ring
+                    .peek(|r| (r.op.class() == class).then(|| r.op.keys()));
+                match next {
+                    Some(Some(k)) if keys + k <= max => keys += k,
+                    _ => break,
                 }
                 let req = self.ring.try_pop().expect("peeked element is consumable");
                 batch.push(req);
@@ -809,6 +814,26 @@ mod tests {
         let b = q.pop_batch(32).unwrap();
         assert_eq!(b.len(), 32, "batch capped at M");
         assert_eq!(q.len(), 68);
+    }
+
+    #[test]
+    fn batch_bound_counts_keys_not_entries() {
+        let multiget = |n: usize| {
+            let keys = (0..n).map(|i| vec![i as u8]).collect();
+            Request::sync(Op::MultiGet { keys }).0
+        };
+        let q = RequestQueue::new();
+        for n in [3, 4, 2, 40, 1] {
+            q.push(multiget(n)).ok().unwrap();
+        }
+        q.push(get("k")).ok().unwrap();
+        let sizes = |b: Vec<Request>| b.iter().map(|r| r.op.keys()).collect::<Vec<_>>();
+        // 3 + 4 fit a bound of 8, the 2 after them would not.
+        assert_eq!(sizes(q.pop_batch(8).unwrap()), vec![3, 4]);
+        assert_eq!(sizes(q.pop_batch(8).unwrap()), vec![2]);
+        // An entry over the bound is served, alone.
+        assert_eq!(sizes(q.pop_batch(8).unwrap()), vec![40]);
+        assert_eq!(sizes(q.pop_batch(8).unwrap()), vec![1, 1]);
     }
 
     #[test]

@@ -5,11 +5,11 @@ use std::time::Duration;
 /// Snapshot of one worker's counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerSnapshot {
-    /// Requests completed.
+    /// Requests completed, in keys (a multi-key read counts each key).
     pub ops: u64,
     /// Engine calls issued.
     pub batches: u64,
-    /// Requests that rode in multi-request batches.
+    /// Requests (in keys) that rode in multi-request batches.
     pub merged_ops: u64,
     /// Streaming scans opened.
     pub scans: u64,

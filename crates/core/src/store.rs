@@ -28,7 +28,7 @@ use crate::scan::StoreIter;
 use crate::shard::{HashPartitioner, MapCell, Partitioner, ShardMap};
 use crate::stats::{ShardSnapshot, StoreSnapshot, WorkerSnapshot};
 use crate::txn::TxnManager;
-use crate::types::{Op, Request, Response, WriteOp};
+use crate::types::{CompletionSlot, Op, Request, Response, SyncWaiter, WriteOp};
 use crate::worker::ShardRuntime;
 
 /// How SCAN sizes the opening per-shard quota (§4.4).
@@ -204,6 +204,16 @@ std::thread_local! {
 }
 
 impl P2KvsOptions {
+    /// The OBM batch bound in force, in keys: `batch_max`, or 1 with
+    /// OBM switched off.
+    fn obm_bound(&self) -> usize {
+        if self.obm {
+            self.batch_max.max(1)
+        } else {
+            1
+        }
+    }
+
     /// Convenience: `n` workers, everything else default (so `4n`
     /// shards and no balancer).
     pub fn with_workers(n: usize) -> P2KvsOptions {
@@ -846,7 +856,7 @@ impl<E: KvsEngine> P2Kvs<E> {
             queues,
             SpawnSpec {
                 config: crate::worker::WorkerConfig {
-                    batch_max: if opts.obm { opts.batch_max } else { 1 },
+                    batch_max: opts.obm_bound(),
                     queue_capacity: opts.queue_capacity,
                     pin: opts.pin_workers,
                     scan_chunk_entries: opts.scan_chunk_entries,
@@ -1138,64 +1148,103 @@ impl<E: KvsEngine> P2Kvs<E> {
     }
 
     /// Batched lookups with a partial-hit fast path: cached keys are
-    /// served immediately on the calling thread, and only the misses
-    /// are enqueued — all under one map pin, so a concurrent migration
-    /// cannot split the batch across epochs. The enqueued remainder is
-    /// then awaited, so OBM can still merge it per worker.
+    /// served immediately on the calling thread, and the misses are
+    /// enqueued as one [`Op::MultiGet`] ring entry per shard they touch
+    /// (split at the OBM bound) — all under one map pin, so a concurrent
+    /// migration cannot split the batch across epochs. The caller then
+    /// waits once, for whichever entry is answered last.
     pub fn get_many(&self, keys: &[Vec<u8>]) -> Result<Vec<Option<Vec<u8>>>> {
+        /// The replies of one call, gathered from the workers.
+        struct Gather {
+            results: Vec<Option<Vec<u8>>>,
+            err: Option<Error>,
+            /// Entries not answered yet; answering the last wakes the caller.
+            pending: usize,
+            done: Option<Arc<CompletionSlot>>,
+        }
+
         let cache = self.runtime.cache.as_deref();
-        // `results[i]` is `Some` once key `i` is resolved (cache hit or
-        // completed miss); misses park their completion with the index.
-        let mut results: Vec<Option<Option<Vec<u8>>>> = vec![None; keys.len()];
-        let mut completions = Vec::with_capacity(keys.len());
-        let mut push_err = None;
-        {
-            let pin = self.runtime.map.pin();
-            for (i, key) in keys.iter().enumerate() {
-                let shard = self.partitioner.shard_of(key);
-                if let Some(c) = cache {
-                    if let Some(v) = c.lookup(shard as u32, key) {
-                        results[i] = Some(Some(v));
-                        continue;
-                    }
-                }
-                let (req, done) = Request::sync(Op::Get { key: key.clone() });
-                match self.runtime.queues.push_to(
-                    pin.owner(shard),
-                    req.on_shard(shard as u64).traced(self.next_trace()),
-                ) {
-                    Ok(()) => completions.push((i, done)),
-                    Err(_) => {
-                        push_err = Some(Error::Closed);
-                        break;
-                    }
+        let mut results: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
+        // The missed keys of each shard, with their positions in `keys`.
+        let mut misses: Vec<(Vec<usize>, Vec<Vec<u8>>)> = vec![Default::default(); self.shards()];
+        let pin = self.runtime.map.pin();
+        for (i, key) in keys.iter().enumerate() {
+            let shard = self.partitioner.shard_of(key);
+            match cache.and_then(|c| c.lookup(shard as u32, key)) {
+                Some(v) => results[i] = Some(v),
+                None => {
+                    misses[shard].0.push(i);
+                    misses[shard].1.push(key.clone());
                 }
             }
         }
-        // Wait for every enqueued miss even when something failed:
-        // already-enqueued requests hold pooled completion slots, and
-        // abandoning them would recycle slots a worker is about to
-        // fulfill. The first failure is reported after the drain.
-        let mut first_err = push_err;
-        for (i, done) in completions {
-            match done.wait() {
-                Ok(Response::Value(v)) => results[i] = Some(v),
-                Ok(other) => {
-                    let e = Error::Engine(format!("unexpected response {other:?}"));
-                    first_err.get_or_insert(e);
-                }
-                Err(e) => {
-                    first_err.get_or_insert(e);
+        let chunk = self.opts.obm_bound();
+        let entries: usize = misses.iter().map(|(at, _)| at.len().div_ceil(chunk)).sum();
+        if entries == 0 {
+            return Ok(results);
+        }
+        let (done, waiter) = SyncWaiter::pair();
+        let gather = Arc::new(parking_lot::Mutex::new(Gather {
+            results,
+            err: None,
+            pending: entries,
+            done: Some(done),
+        }));
+        // After a push fails the rest of the call is failed without
+        // being enqueued, through the same callback, so that the count
+        // still reaches zero and what was enqueued is still awaited.
+        let mut closed = false;
+        for (shard, (mut at, mut keys)) in misses.into_iter().enumerate() {
+            while !at.is_empty() {
+                let rest_at = at.split_off(at.len().min(chunk));
+                let rest_keys = keys.split_off(keys.len().min(chunk));
+                let gather = gather.clone();
+                let req = Request::asynchronous(
+                    Op::MultiGet { keys },
+                    Box::new(move |reply| {
+                        let mut g = gather.lock();
+                        match reply {
+                            Ok(Response::Values(values)) if values.len() == at.len() => {
+                                for (i, v) in at.into_iter().zip(values) {
+                                    g.results[i] = v;
+                                }
+                            }
+                            Ok(other) => {
+                                let e = Error::Engine(format!("unexpected response {other:?}"));
+                                g.err.get_or_insert(e);
+                            }
+                            Err(e) => {
+                                g.err.get_or_insert(e);
+                            }
+                        }
+                        g.pending -= 1;
+                        if g.pending == 0 {
+                            let done = g.done.take().expect("the last answer comes once");
+                            drop(g);
+                            done.fulfill(Ok(Response::Done));
+                        }
+                    }),
+                )
+                .on_shard(shard as u64)
+                .traced(self.next_trace());
+                (at, keys) = (rest_at, rest_keys);
+                if closed {
+                    req.finish_err(&Error::Closed);
+                } else if let Err(req) = self.runtime.queues.push_to(pin.owner(shard), req) {
+                    closed = true;
+                    req.finish_err(&Error::Closed);
                 }
             }
         }
-        if let Some(e) = first_err {
-            return Err(e);
+        // Pinned only across the pushes: the pin is the epoch fence, and
+        // parking it across the wait would stall migrations.
+        drop(pin);
+        waiter.wait()?;
+        let mut g = gather.lock();
+        match g.err.take() {
+            Some(e) => Err(e),
+            None => Ok(std::mem::take(&mut g.results)),
         }
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("every key is either a cache hit or an awaited miss"))
-            .collect())
     }
 
     /// Applies `ops` atomically across shards (§4.5).
@@ -1850,6 +1899,76 @@ mod tests {
         // cached key still hits.
         assert_eq!(store.get(&k_cached).unwrap().as_deref(), Some(&b"cached"[..]));
         assert_eq!(store.get(&k_live).unwrap().as_deref(), Some(&b"live"[..]));
+    }
+
+    #[test]
+    fn get_many_serves_empty_single_duplicate_and_oversized_batches() {
+        // Over an engine with `multiget` and one without; no cache, so
+        // every key reaches a worker, and an OBM bound small enough that
+        // one shard's share of a call exceeds it.
+        let env: p2kvs_storage::EnvRef = Arc::new(p2kvs_storage::MemEnv::new());
+        for engine in [
+            lsmkv::Options::for_test(),
+            lsmkv::Options::leveldb_like(env),
+        ] {
+            let mut opts = P2KvsOptions::with_workers(2);
+            opts.pin_workers = false;
+            opts.cache_capacity = 0;
+            opts.batch_max = 4;
+            let store = P2Kvs::open(LsmFactory::new(engine), "store-many", opts).unwrap();
+            let key = |i: u32| format!("many-{i}").into_bytes();
+            let value = |i: u32| Some(format!("v{i}").into_bytes());
+            for i in 0..300 {
+                store.put(&key(i), &value(i).unwrap()).unwrap();
+            }
+            let worker_counts = |store: &P2Kvs<lsmkv::Db>| {
+                let snap = store.snapshot();
+                (
+                    snap.workers.iter().map(|w| w.ops).sum::<u64>(),
+                    snap.workers.iter().map(|w| w.batches).sum::<u64>(),
+                )
+            };
+
+            assert_eq!(store.get_many(&[]).unwrap(), Vec::<Option<Vec<u8>>>::new());
+            assert_eq!(store.get_many(&[key(7)]).unwrap(), vec![value(7)]);
+            assert_eq!(
+                store.get_many(&[b"many-absent".to_vec()]).unwrap(),
+                vec![None]
+            );
+            assert_eq!(
+                store
+                    .get_many(&[key(1), key(2), key(1), key(1), key(2)])
+                    .unwrap(),
+                vec![value(1), value(2), value(1), value(1), value(2)]
+            );
+            let everything: Vec<Vec<u8>> = (0..300).map(key).collect();
+            assert_eq!(
+                store.get_many(&everything).unwrap(),
+                (0..300).map(value).collect::<Vec<_>>()
+            );
+
+            // Eleven keys of one shard against a bound of four: counted
+            // as eleven keys, and no engine call carried more than four.
+            let one_shard: Vec<u32> = (0..300)
+                .filter(|&i| store.partitioner.shard_of(&key(i)) == 0)
+                .take(11)
+                .collect();
+            assert_eq!(one_shard.len(), 11);
+            let (ops, batches) = worker_counts(&store);
+            assert_eq!(
+                store
+                    .get_many(&one_shard.iter().map(|&i| key(i)).collect::<Vec<_>>())
+                    .unwrap(),
+                one_shard.iter().map(|&i| value(i)).collect::<Vec<_>>()
+            );
+            let (ops_after, batches_after) = worker_counts(&store);
+            assert_eq!(ops_after - ops, 11);
+            assert!(
+                batches_after - batches >= 3,
+                "{} calls",
+                batches_after - batches
+            );
+        }
     }
 
     #[test]

@@ -54,6 +54,11 @@ pub enum Op {
     Delete { key: Vec<u8> },
     /// Point lookup.
     Get { key: Vec<u8> },
+    /// Point lookups of several keys of one shard in one ring entry (what
+    /// `P2Kvs::get_many` submits per shard it touches). The reply is
+    /// [`Response::Values`], in key order. Merges with neighbouring reads
+    /// like a run of [`Op::Get`]s would.
+    MultiGet { keys: Vec<Vec<u8>> },
     /// Opens a streaming scan over keys in `[start, end)` (`end = None`
     /// leaves it open-ended) and returns the first chunk of at most
     /// `limit` entries / `max_bytes` payload bytes. The reply is
@@ -135,7 +140,7 @@ impl Op {
     pub fn class(&self) -> OpClass {
         match self {
             Op::Put { .. } | Op::Delete { .. } => OpClass::Write,
-            Op::Get { .. } => OpClass::Read,
+            Op::Get { .. } | Op::MultiGet { .. } => OpClass::Read,
             Op::ScanOpen { .. }
             | Op::ScanNext { .. }
             | Op::ScanClose { .. }
@@ -143,6 +148,16 @@ impl Op {
             | Op::HandoffOut { .. }
             | Op::ShardInstall { .. }
             | Op::BackupFreeze { .. } => OpClass::Solo,
+        }
+    }
+
+    /// How many keys the request carries. OBM's batch bound and the
+    /// workers' `ops` / `merged_ops` counters are in keys, so a
+    /// [`Op::MultiGet`] weighs what the `Get`s it replaces would.
+    pub fn keys(&self) -> usize {
+        match self {
+            Op::MultiGet { keys } => keys.len(),
+            _ => 1,
         }
     }
 }
@@ -154,6 +169,8 @@ pub enum Response {
     Done,
     /// GET result.
     Value(Option<Vec<u8>>),
+    /// [`Op::MultiGet`] result, one entry per key in key order.
+    Values(Vec<Option<Vec<u8>>>),
     /// One chunk of a streaming scan. `cursor` names the worker-side
     /// cursor to pass to [`Op::ScanNext`] for more data; `None` means the
     /// scan is exhausted (or fit entirely in this chunk).
@@ -293,6 +310,17 @@ pub struct SyncWaiter {
 }
 
 impl SyncWaiter {
+    /// A (pooled) completion slot and its waiter half. Whoever holds the
+    /// slot must [`CompletionSlot::fulfill`] it exactly once.
+    pub(crate) fn pair() -> (Arc<CompletionSlot>, SyncWaiter) {
+        let slot = SLOT_POOL
+            .try_with(|pool| pool.borrow_mut().pop())
+            .ok()
+            .flatten()
+            .unwrap_or_default();
+        (slot.clone(), SyncWaiter { slot })
+    }
+
     /// Blocks (spin, then park) until the worker fulfills the request.
     pub fn wait(self) -> Result<Response> {
         let SyncWaiter { slot } = self;
@@ -355,20 +383,16 @@ impl Request {
     /// Builds a synchronous request, returning it with the waiter half of
     /// its (pooled) completion slot.
     pub fn sync(op: Op) -> (Request, SyncWaiter) {
-        let slot = SLOT_POOL
-            .try_with(|pool| pool.borrow_mut().pop())
-            .ok()
-            .flatten()
-            .unwrap_or_default();
+        let (slot, waiter) = SyncWaiter::pair();
         (
             Request {
                 op,
-                completion: Completion::Sync(slot.clone()),
+                completion: Completion::Sync(slot),
                 shard: 0,
                 enqueued: std::time::Instant::now(),
                 trace: p2kvs_obs::TraceCtx::NONE,
             },
-            SyncWaiter { slot },
+            waiter,
         )
     }
 
@@ -432,6 +456,12 @@ mod tests {
         );
         assert_eq!(Op::Delete { key: vec![] }.class(), OpClass::Write);
         assert_eq!(Op::Get { key: vec![] }.class(), OpClass::Read);
+        let multi = Op::MultiGet {
+            keys: vec![vec![1], vec![2], vec![3]],
+        };
+        assert_eq!(multi.class(), OpClass::Read);
+        assert_eq!(multi.keys(), 3);
+        assert_eq!(Op::Get { key: vec![] }.keys(), 1);
         assert_eq!(
             Op::ScanOpen {
                 start: vec![],

@@ -7,8 +7,9 @@
 //! per-shard groups (a stable split — per-key order is per-shard, so
 //! regrouping across shards is invisible to callers), then execute each
 //! group as one engine call — `write_batch` for writes, `multiget` for
-//! reads — falling back to per-request calls when the engine lacks the
-//! capability or the group has a single element. With one shard per
+//! reads (single-key `Get`s and the per-shard `MultiGet` entries of a
+//! `get_many` alike) — falling back to per-request calls when the engine
+//! lacks the capability or the group holds a single key. With one shard per
 //! worker this is exactly the paper's layout.
 //!
 //! **Ownership migration** (DESIGN.md §9): two control markers ride the
@@ -25,9 +26,10 @@
 //!
 //! The steady-state loop performs **no per-iteration heap allocation**:
 //! the batch `Vec`, the lifecycle queue-wait scratch, and the merged-call
-//! scratch buffers all live across iterations (only the engine-owned
-//! key/value copies inside a merged call allocate, and those belong to
-//! the engine API, not the loop). The queue side is a lock-free ring with
+//! scratch buffers all live across iterations (a merged write copies its
+//! keys and values into the engine's batch type; a merged read moves its
+//! keys into the scratch and allocates only the values the engine
+//! returns). The queue side is a lock-free ring with
 //! a spin-then-park idle loop — see [`crate::queue`].
 //!
 //! **Scans are cooperative**: a worker never runs a scan longer than one
@@ -58,11 +60,12 @@ use crate::types::{Op, OpClass, Request, Response, WriteOp};
 pub struct WorkerStats {
     /// Useful processing time.
     pub busy: BusyClock,
-    /// Requests completed.
+    /// Requests completed, in keys: a multi-key read counts each of its
+    /// keys, as the single-key requests it stands for would.
     pub ops: AtomicU64,
     /// Engine calls issued (batched or not).
     pub batches: AtomicU64,
-    /// Requests that were merged into multi-request batches.
+    /// Requests (in keys, like `ops`) that rode a merged engine call.
     pub merged_ops: AtomicU64,
     /// Streaming scans opened (`ScanOpen` requests served).
     pub scans_opened: AtomicU64,
@@ -89,7 +92,7 @@ pub struct WorkerStats {
 }
 
 impl WorkerStats {
-    /// Mean requests per engine call.
+    /// Mean requests (in keys) per engine call.
     pub fn avg_batch_size(&self) -> f64 {
         let b = self.batches.load(Ordering::Relaxed);
         if b == 0 {
@@ -103,7 +106,7 @@ impl WorkerStats {
 /// Per-worker configuration (split out of the spawn signature).
 #[derive(Debug, Clone, Copy)]
 pub struct WorkerConfig {
-    /// OBM batch bound `M` (1 disables merging).
+    /// OBM batch bound `M`, in keys (1 disables merging).
     pub batch_max: usize,
     /// Request ring capacity (rounded up to a power of two; full queues
     /// apply backpressure to producers — see [`crate::queue`]).
@@ -357,7 +360,7 @@ impl WorkerHandle {
                         // in one OBM batch complete together).
                         let dequeued = Instant::now();
                         let class = group[0].op.class();
-                        let n = group.len() as u64;
+                        let n = keys_in(&group);
                         // "Scan active" means a parked cursor exists
                         // *before* this batch: these are the point ops
                         // whose latency a concurrent scan could have
@@ -446,7 +449,7 @@ impl WorkerHandle {
                         // gauge that was actually incremented instead of
                         // underflowing to u64::MAX.
                         s.scans_active.fetch_add(scans.len() as u64, Ordering::Relaxed);
-                        s.ops.fetch_add(reqs.len() as u64, Ordering::Relaxed);
+                        s.ops.fetch_add(keys_in(&reqs), Ordering::Relaxed);
                         s.batches.fetch_add(reqs.len() as u64, Ordering::Relaxed);
                         for req in reqs {
                             execute_one(
@@ -558,9 +561,11 @@ fn install_shard<E: KvsEngine>(
     rt.depot.complete(shard);
     if let Some(reqs) = stash.remove(&shard) {
         let started = Instant::now();
-        let n = reqs.len() as u64;
+        let n = keys_in(&reqs);
         stats.ops.fetch_add(n, Ordering::Relaxed);
-        stats.batches.fetch_add(n, Ordering::Relaxed);
+        stats
+            .batches
+            .fetch_add(reqs.len() as u64, Ordering::Relaxed);
         let engine = &rt.engines[shard as usize];
         let scans = owned.get_mut(&shard).expect("just installed");
         for req in reqs {
@@ -713,7 +718,7 @@ fn execute_batch<E: KvsEngine>(
     journal: Option<&Journal>,
     cache: Option<&crate::cache::ReadCache>,
 ) {
-    let n = batch.len() as u64;
+    let n = keys_in(batch);
     stats.ops.fetch_add(n, Ordering::Relaxed);
     stats.batches.fetch_add(1, Ordering::Relaxed);
     let shard = batch[0].shard as u32;
@@ -762,30 +767,52 @@ fn execute_batch<E: KvsEngine>(
                 }
             }
         }
-        OpClass::Read if batch.len() > 1 && caps.multiget => {
+        OpClass::Read if n > 1 && caps.multiget => {
             stats.merged_ops.fetch_add(n, Ordering::Relaxed);
-            // Merge the run into one multiget (Fig 10b).
+            // Merge the run into one multiget (Fig 10b). The keys move
+            // out of the requests; a `MultiGet` keeps its (now empty)
+            // slots, so it still knows how many values are its own.
             scratch.keys.clear();
-            scratch.keys.extend(batch.iter().map(|r| match &r.op {
-                Op::Get { key } => key.clone(),
-                other => unreachable!("non-read op {other:?} in read batch"),
-            }));
+            for req in batch.iter_mut() {
+                match &mut req.op {
+                    Op::Get { key } => scratch.keys.push(std::mem::take(key)),
+                    Op::MultiGet { keys } => {
+                        scratch.keys.extend(keys.iter_mut().map(std::mem::take))
+                    }
+                    other => unreachable!("non-read op {other:?} in read batch"),
+                }
+            }
             // Fill-on-miss version snapshot: taken before the engine
             // read so any write that lands in between bumps it and the
             // fill self-evicts instead of installing stale data.
-            let seen_version = cache.map(|c| c.version(shard));
-            let outcome = engine.multiget(&scratch.keys);
+            let cache = cache.map(|c| (c, c.version(shard)));
+            let outcome = engine.multiget(&scratch.keys).and_then(|values| {
+                if values.len() == scratch.keys.len() {
+                    Ok(values)
+                } else {
+                    Err(Error::Engine(format!(
+                        "multiget answered {} of {} keys",
+                        values.len(),
+                        scratch.keys.len()
+                    )))
+                }
+            });
             match outcome {
                 Ok(values) => {
-                    for (req, v) in batch.drain(..).zip(values) {
-                        if let (Some(c), Some(val)) = (cache, &v) {
-                            if let Op::Get { key } = &req.op {
-                                if c.admit(shard, key) {
-                                    c.fill(shard, key, val, seen_version.unwrap_or(0));
-                                }
-                            }
+                    if let Some((c, seen_version)) = cache {
+                        for (key, v) in scratch.keys.iter().zip(&values) {
+                            fill_cache(c, shard, key, v.as_deref(), seen_version);
                         }
-                        req.finish(Ok(Response::Value(v)));
+                    }
+                    let mut values = values.into_iter();
+                    for req in batch.drain(..) {
+                        let reply = match &req.op {
+                            Op::MultiGet { keys } => {
+                                Response::Values(values.by_ref().take(keys.len()).collect())
+                            }
+                            _ => Response::Value(values.next().expect("one value per key")),
+                        };
+                        req.finish(Ok(reply));
                     }
                 }
                 Err(e) => {
@@ -901,6 +928,44 @@ fn execute_scan<E: KvsEngine>(
     }
 }
 
+/// Keys carried by `reqs`: the unit of the `ops` counters and of OBM's
+/// batch bound.
+fn keys_in(reqs: &[Request]) -> u64 {
+    reqs.iter().map(|r| r.op.keys() as u64).sum()
+}
+
+/// Offers a value the engine just returned for `key` to the read cache.
+/// `seen_version` is the shard's invalidation version from before the
+/// engine read.
+fn fill_cache(
+    cache: &crate::cache::ReadCache,
+    shard: u32,
+    key: &[u8],
+    value: Option<&[u8]>,
+    seen_version: u64,
+) {
+    if let Some(v) = value {
+        if cache.admit(shard, key) {
+            cache.fill(shard, key, v, seen_version);
+        }
+    }
+}
+
+/// One unbatched engine `get`, with the cache fill of a miss.
+fn get_and_fill<E: KvsEngine>(
+    engine: &E,
+    cache: Option<&crate::cache::ReadCache>,
+    shard: u32,
+    key: &[u8],
+) -> crate::error::Result<Option<Vec<u8>>> {
+    let cache = cache.map(|c| (c, c.version(shard)));
+    let value = engine.get(key)?;
+    if let Some((c, seen_version)) = cache {
+        fill_cache(c, shard, key, value.as_deref(), seen_version);
+    }
+    Ok(value)
+}
+
 /// Executes one request without batching.
 fn execute_one<E: KvsEngine>(
     engine: &E,
@@ -927,16 +992,12 @@ fn execute_one<E: KvsEngine>(
             }
             r
         }
-        Op::Get { key } => {
-            let seen_version = cache.map(|c| c.version(shard as u32));
-            let r = engine.get(&key);
-            if let (Some(c), Ok(Some(v))) = (cache, &r) {
-                if c.admit(shard as u32, &key) {
-                    c.fill(shard as u32, &key, v, seen_version.unwrap_or(0));
-                }
-            }
-            r.map(Response::Value)
-        }
+        Op::Get { key } => get_and_fill(engine, cache, shard as u32, &key).map(Response::Value),
+        Op::MultiGet { keys } => keys
+            .iter()
+            .map(|key| get_and_fill(engine, cache, shard as u32, key))
+            .collect::<crate::error::Result<_>>()
+            .map(Response::Values),
         op @ (Op::ScanOpen { .. } | Op::ScanNext { .. } | Op::ScanClose { .. }) => {
             execute_scan(engine, op, shard, stats, scans, config, journal)
         }
@@ -1231,6 +1292,60 @@ mod tests {
         // A single-request batch is never a merge.
         execute_batch(&engine, &mut put_batch(1), &stats, &mut scratch, &mut scans, &test_config(), None, None);
         assert_eq!(stats.merged_ops.load(Ordering::Relaxed), 5);
+    }
+
+    #[test]
+    fn a_read_run_of_gets_and_multigets_is_one_call_and_each_gets_its_own_values() {
+        fn run<E: KvsEngine>(engine: &E, merged: u64) {
+            for i in 0..4 {
+                engine
+                    .put(format!("k{i}").as_bytes(), format!("v{i}").as_bytes())
+                    .unwrap();
+            }
+            let key = |s: &str| s.as_bytes().to_vec();
+            let (mut batch, waiters): (Vec<_>, Vec<_>) = [
+                Op::Get { key: key("k0") },
+                Op::MultiGet {
+                    keys: vec![key("k1"), key("absent"), key("k2")],
+                },
+                Op::Get { key: key("k3") },
+                Op::MultiGet {
+                    keys: vec![key("k0")],
+                },
+            ]
+            .into_iter()
+            .map(Request::sync)
+            .unzip();
+            let stats = WorkerStats::default();
+            execute_batch(
+                engine,
+                &mut batch,
+                &stats,
+                &mut BatchScratch::default(),
+                &mut ScanTable::default(),
+                &test_config(),
+                None,
+                None,
+            );
+            let value = |s: &str| Some(s.as_bytes().to_vec());
+            let replies: Vec<Response> = waiters.into_iter().map(|w| w.wait().unwrap()).collect();
+            assert_eq!(
+                replies,
+                vec![
+                    Response::Value(value("v0")),
+                    Response::Values(vec![value("v1"), None, value("v2")]),
+                    Response::Value(value("v3")),
+                    Response::Values(vec![value("v0")]),
+                ]
+            );
+            // Counted in keys: six of them, in one batch.
+            assert_eq!(stats.ops.load(Ordering::Relaxed), 6);
+            assert_eq!(stats.batches.load(Ordering::Relaxed), 1);
+            assert_eq!(stats.merged_ops.load(Ordering::Relaxed), merged);
+        }
+        let factory = LsmFactory::new(lsmkv::Options::for_test());
+        run(&factory.open(Path::new("w-reads"), None).unwrap(), 6);
+        run(&NoCapsEngine::new(), 0);
     }
 
     #[test]

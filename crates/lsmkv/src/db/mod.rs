@@ -10,7 +10,6 @@
 //! Fig 6 breakdown are collected here.
 
 pub mod iter;
-pub mod read_pool;
 pub mod write_queue;
 
 use std::collections::{BTreeMap, VecDeque};
@@ -35,7 +34,6 @@ use crate::version::table_cache::TableCache;
 use crate::version::{GetOutcome, Version, VersionSet};
 use crate::wal::{LogReader, LogWriter};
 pub use iter::DbIterator;
-use read_pool::ReadPool;
 use write_queue::{form_group, GroupSync, Phase, SignaledPhase, WriterSlot};
 
 /// Predicate deciding whether a WAL batch with the given GSN tag should be
@@ -109,7 +107,6 @@ struct DbInner {
     /// Active snapshot sequences with reference counts.
     snapshots: Mutex<BTreeMap<u64, usize>>,
     shutdown: AtomicBool,
-    read_pool: Option<ReadPool>,
     file_counter: Arc<AtomicU64>,
     /// Output files of in-flight background jobs: not yet in any version,
     /// but must not be garbage-collected (LevelDB's `pending_outputs_`).
@@ -230,8 +227,6 @@ impl Db {
         state.versions.last_sequence.store(max_seq, Ordering::Relaxed);
         state.versions.log_and_apply(edit)?;
 
-        let read_pool =
-            (opts.read_pool_threads > 0).then(|| ReadPool::new(opts.read_pool_threads));
         let n_bg = opts.compaction_threads.max(1) + 1;
         let inner = Arc::new(DbInner {
             stats,
@@ -250,7 +245,6 @@ impl Db {
             publish_cv: Condvar::new(),
             snapshots: Mutex::new(BTreeMap::new()),
             shutdown: AtomicBool::new(false),
-            read_pool,
             file_counter,
             pending_outputs: Arc::new(Mutex::new(std::collections::HashSet::new())),
             recovered_max_gsn: AtomicU64::new(max_gsn),
@@ -396,15 +390,18 @@ impl Db {
             .snapshot
             .unwrap_or_else(|| self.inner.visible_seq.load(Ordering::Acquire));
         let (mem, imms, version) = self.inner.read_refs();
-        let result = DbInner::get_in_refs(
-            &self.inner,
-            &mem,
-            &imms,
-            &version,
-            key,
-            snapshot,
-            opts.skip_cache,
-        );
+        let result = match self.inner.get_in_memtables(&mem, &imms, key, snapshot) {
+            Some(decided) => Ok(decided),
+            None => version
+                .get(
+                    key,
+                    snapshot,
+                    &self.inner.table_cache,
+                    opts.skip_cache,
+                    Some(&self.inner.stats),
+                )
+                .map(GetOutcome::into_value),
+        };
         self.inner
             .stats
             .read_path
@@ -413,7 +410,9 @@ impl Db {
     }
 
     /// Batched point lookups (RocksDB `MultiGet` analogue). Results are in
-    /// key order; lookups may proceed in parallel on the read pool.
+    /// key order and equal a [`Db::get`] of each key against one view of
+    /// the tree; the block reads of keys that miss the caches are
+    /// submitted to the device together (see [`Version::get_many`]).
     pub fn multiget(&self, keys: &[Vec<u8>]) -> Result<Vec<Option<Vec<u8>>>> {
         self.multiget_with(&ReadOptions::default(), keys)
     }
@@ -434,70 +433,32 @@ impl Db {
             .snapshot
             .unwrap_or_else(|| self.inner.visible_seq.load(Ordering::Acquire));
         let (mem, imms, version) = self.inner.read_refs();
-        let pool = self.inner.read_pool.as_ref();
-        let result = match pool {
-            Some(pool) if keys.len() >= 4 => {
-                let shared_keys: Arc<Vec<Vec<u8>>> = Arc::new(keys.to_vec());
-                let results: Arc<Vec<Mutex<std::result::Result<Option<Vec<u8>>, String>>>> = Arc::new(
-                    (0..keys.len()).map(|_| Mutex::new(Ok(None))).collect(),
-                );
-                let threads = pool.threads().max(1);
-                let chunk = keys.len().div_ceil(threads);
-                let mut jobs: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
-                for c in 0..threads {
-                    let lo = c * chunk;
-                    let hi = ((c + 1) * chunk).min(keys.len());
-                    if lo >= hi {
-                        break;
-                    }
-                    let inner = self.inner.clone();
-                    let mem = mem.clone();
-                    let imms = imms.clone();
-                    let version = version.clone();
-                    let keys = shared_keys.clone();
-                    let results = results.clone();
-                    let skip_cache = opts.skip_cache;
-                    jobs.push(Box::new(move || {
-                        for i in lo..hi {
-                            let r = DbInner::get_in_refs(
-                                &inner, &mem, &imms, &version, &keys[i], snapshot, skip_cache,
-                            );
-                            *results[i].lock() = r.map_err(|e| e.to_string());
-                        }
-                    }));
-                }
-                pool.run_all(jobs);
-                let results = Arc::try_unwrap(results).unwrap_or_else(|arc| {
-                    // Jobs all completed (run_all waits); contention-free.
-                    (0..arc.len())
-                        .map(|i| Mutex::new(arc[i].lock().clone()))
-                        .collect()
-                });
-                results
-                    .into_iter()
-                    .map(|m| m.into_inner().map_err(Error::InvalidState))
-                    .collect()
+        let mut results: Vec<Option<Vec<u8>>> = Vec::with_capacity(keys.len());
+        // Positions of the keys no memtable decides.
+        let mut below: Vec<usize> = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            let decided = self.inner.get_in_memtables(&mem, &imms, key, snapshot);
+            if decided.is_none() {
+                below.push(i);
             }
-            _ => keys
-                .iter()
-                .map(|k| {
-                    DbInner::get_in_refs(
-                        &self.inner,
-                        &mem,
-                        &imms,
-                        &version,
-                        k,
-                        snapshot,
-                        opts.skip_cache,
-                    )
-                })
-                .collect(),
-        };
+            results.push(decided.flatten());
+        }
+        let ukeys: Vec<&[u8]> = below.iter().map(|&i| keys[i].as_slice()).collect();
+        let outcomes = version.get_many(
+            &ukeys,
+            snapshot,
+            &self.inner.table_cache,
+            opts.skip_cache,
+            Some(&self.inner.stats),
+        );
         self.inner
             .stats
             .read_path
             .record(t_read.elapsed().as_nanos() as u64);
-        result
+        for (i, outcome) in below.into_iter().zip(outcomes?) {
+            results[i] = outcome.into_value();
+        }
+        Ok(results)
     }
 
     /// A forward iterator over live keys at the latest visible sequence.
@@ -730,44 +691,27 @@ impl DbInner {
         (state.mem.clone(), imms, state.versions.current())
     }
 
-    /// Point lookup against an already-captured set of references.
-    fn get_in_refs(
-        inner: &Arc<DbInner>,
-        mem: &Arc<MemTable>,
+    /// What the memtables say about `key` as of `snapshot`, newest first:
+    /// `Some(answer)` when one of them holds a visible value or tombstone,
+    /// `None` when the tables below decide.
+    fn get_in_memtables(
+        &self,
+        mem: &MemTable,
         imms: &[Arc<MemTable>],
-        version: &Arc<Version>,
         key: &[u8],
         snapshot: SequenceNumber,
-        skip_cache: bool,
-    ) -> Result<Option<Vec<u8>>> {
-        match mem.get(key, snapshot) {
-            MemGet::Found(v) => {
-                DbStats::bump(&inner.stats.memtable_hits, 1);
-                return Ok(Some(v));
-            }
-            MemGet::Deleted => return Ok(None),
-            MemGet::NotFound => {}
-        }
-        for imm in imms {
-            match imm.get(key, snapshot) {
+    ) -> Option<Option<Vec<u8>>> {
+        for table in std::iter::once(mem).chain(imms.iter().map(|m| &**m)) {
+            match table.get(key, snapshot) {
                 MemGet::Found(v) => {
-                    DbStats::bump(&inner.stats.memtable_hits, 1);
-                    return Ok(Some(v));
+                    DbStats::bump(&self.stats.memtable_hits, 1);
+                    return Some(Some(v));
                 }
-                MemGet::Deleted => return Ok(None),
+                MemGet::Deleted => return Some(None),
                 MemGet::NotFound => {}
             }
         }
-        match version.get(
-            key,
-            snapshot,
-            &inner.table_cache,
-            skip_cache,
-            Some(&inner.stats),
-        )? {
-            GetOutcome::Found(v) => Ok(Some(v)),
-            GetOutcome::Deleted | GetOutcome::NotFound => Ok(None),
-        }
+        None
     }
 
     /// Runs one write group with the calling slot as leader.

@@ -100,8 +100,6 @@ pub struct Options {
     /// across queues starting after this one. `None` uses the ambient
     /// thread queue / file-hash placement.
     pub io_queue: Option<usize>,
-    /// Size of the read pool serving `multiget` (0 = sequential multiget).
-    pub read_pool_threads: usize,
     /// Whether the engine exposes `multiget` (RocksDB yes, LevelDB no).
     pub has_multiget: bool,
     /// Benchmark-only: skip MemTable insertion entirely to isolate the WAL
@@ -139,7 +137,6 @@ impl Options {
             compaction_threads: 1,
             subcompactions: 1,
             io_queue: None,
-            read_pool_threads: 4,
             has_multiget: true,
             bench_skip_memtable: false,
         }
@@ -152,7 +149,6 @@ impl Options {
             concurrent_memtable: false,
             pipelined_write: false,
             has_multiget: false,
-            read_pool_threads: 0,
             ..Options::rocksdb_like(env)
         }
     }

@@ -7,6 +7,13 @@
 
 use p2kvs_util::hash::bloom_hash;
 
+#[cfg(test)]
+thread_local! {
+    /// Filter probes this thread has made: lets tests assert that a lookup
+    /// probes each candidate table's filter exactly once.
+    pub(crate) static PROBES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Builds and probes bloom filters with `bits_per_key` bits per key.
 #[derive(Debug, Clone, Copy)]
 pub struct BloomPolicy {
@@ -44,6 +51,8 @@ impl BloomPolicy {
 
     /// Whether `key` may be in the filter (`false` = definitely absent).
     pub fn key_may_match(key: &[u8], filter: &[u8]) -> bool {
+        #[cfg(test)]
+        PROBES.with(|p| p.set(p.get() + 1));
         if filter.len() < 2 {
             return true;
         }

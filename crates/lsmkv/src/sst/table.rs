@@ -256,10 +256,16 @@ impl TableReader {
         })
     }
 
-    /// Reads and verifies a block's bytes (no cache).
-    fn read_block_raw(file: &dyn RandomAccessFile, handle: BlockHandle) -> Result<Vec<u8>> {
+    /// Reads a block and its trailer off the device, unverified.
+    fn read_unverified(file: &dyn RandomAccessFile, handle: BlockHandle) -> Result<Vec<u8>> {
         let mut buf = vec![0u8; handle.size as usize + BLOCK_TRAILER_SIZE];
         file.read_at(handle.offset, &mut buf)?;
+        Ok(buf)
+    }
+
+    /// Checks `buf` (block plus trailer) against its CRC and strips the
+    /// trailer.
+    fn verify(mut buf: Vec<u8>, handle: BlockHandle) -> Result<Vec<u8>> {
         let (contents, trailer) = buf.split_at(handle.size as usize);
         let stored = u32::from_le_bytes(trailer[1..5].try_into().expect("4 bytes"));
         let actual = crc32c::mask(crc32c::extend(crc32c::crc32c(contents), &trailer[..1]));
@@ -269,29 +275,23 @@ impl TableReader {
                 handle.offset
             )));
         }
-        let mut out = buf;
-        out.truncate(handle.size as usize);
-        Ok(out)
+        buf.truncate(handle.size as usize);
+        Ok(buf)
     }
 
-    /// Loads a data block, via the cache when one is configured.
-    fn read_block(&self, handle: BlockHandle, skip_cache: bool) -> Result<Arc<Block>> {
-        let key = (self.table_id, handle.offset);
+    /// Reads and verifies a block's bytes (no cache).
+    fn read_block_raw(file: &dyn RandomAccessFile, handle: BlockHandle) -> Result<Vec<u8>> {
+        Self::verify(Self::read_unverified(file, handle)?, handle)
+    }
+
+    /// Loads the data block at `handle`, via the cache unless `skip_cache`.
+    pub fn read_block(&self, handle: BlockHandle, skip_cache: bool) -> Result<Arc<Block>> {
         if !skip_cache {
-            if let Some(cache) = &self.cache {
-                if let Some(block) = cache.get(&key) {
-                    return Ok(block);
-                }
+            if let Some(block) = self.cached_block(handle) {
+                return Ok(block);
             }
         }
-        let bytes = Self::read_block_raw(&*self.file, handle)?;
-        let block = Arc::new(Block::new(Arc::new(bytes))?);
-        if !skip_cache {
-            if let Some(cache) = &self.cache {
-                cache.insert(key, block.clone());
-            }
-        }
-        Ok(block)
+        self.admit_block(handle, self.fetch_block(handle)?, skip_cache)
     }
 
     /// Whether the bloom filter rules out `ukey`.
@@ -302,18 +302,56 @@ impl TableReader {
         }
     }
 
-    /// Point lookup: the first entry with internal key `>= ikey`, if it is
-    /// in this table. The caller checks user-key equality and visibility.
-    pub fn get(&self, ikey: &[u8], skip_cache: bool) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
-        if !self.may_contain(user_key(ikey)) {
-            return Ok(None);
-        }
+    /// The data block that holds the first entry `>= ikey`, if the table
+    /// has one (an index seek; no device IO).
+    pub fn locate(&self, ikey: &[u8]) -> Option<BlockHandle> {
         let mut index_iter = self.index.iter();
         index_iter.seek(ikey);
-        if !index_iter.valid() {
-            return Ok(None);
+        index_iter
+            .valid()
+            .then(|| BlockHandle::decode(index_iter.value()))
+    }
+
+    /// Block-cache probe for the data block at `handle`.
+    pub fn cached_block(&self, handle: BlockHandle) -> Option<Arc<Block>> {
+        self.cache.as_ref()?.get(&(self.table_id, handle.offset))
+    }
+
+    /// The device half of a data-block load: the block's bytes as read,
+    /// not yet verified. The only step of a lookup that waits on the
+    /// device, so a batched lookup issues it for many blocks under one
+    /// [`p2kvs_storage::IoPlug`] and hands each result to
+    /// [`TableReader::admit_block`] after the unplug.
+    pub fn fetch_block(&self, handle: BlockHandle) -> Result<Vec<u8>> {
+        Self::read_unverified(&*self.file, handle)
+    }
+
+    /// The host half of a data-block load: verifies and parses bytes
+    /// obtained from [`TableReader::fetch_block`], and caches the block
+    /// unless `skip_cache`.
+    pub fn admit_block(
+        &self,
+        handle: BlockHandle,
+        fetched: Vec<u8>,
+        skip_cache: bool,
+    ) -> Result<Arc<Block>> {
+        let block = Arc::new(Block::new(Arc::new(Self::verify(fetched, handle)?))?);
+        if !skip_cache {
+            if let Some(cache) = &self.cache {
+                cache.insert((self.table_id, handle.offset), block.clone());
+            }
         }
-        let handle = BlockHandle::decode(index_iter.value());
+        Ok(block)
+    }
+
+    /// Point lookup: the first entry with internal key `>= ikey`, if it is
+    /// in this table. The caller checks user-key equality and visibility,
+    /// and consults [`TableReader::may_contain`] first if it wants the
+    /// filter: this does not probe it again.
+    pub fn get(&self, ikey: &[u8], skip_cache: bool) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
+        let Some(handle) = self.locate(ikey) else {
+            return Ok(None);
+        };
         let block = self.read_block(handle, skip_cache)?;
         let mut it = block.iter();
         it.seek(ikey);

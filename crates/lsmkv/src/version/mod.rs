@@ -17,12 +17,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use p2kvs_storage::EnvRef;
+use p2kvs_storage::{EnvRef, IoPlug};
 
 use crate::error::{Error, Result};
 use crate::iterator::InternalIterator;
 use crate::options::{CompactionStyle, Options};
-use crate::sst::TableIterator;
+use crate::sst::{Block, BlockHandle, TableIterator, TableReader};
 use crate::types::{
     file_path, internal_cmp, seq_and_type, user_key, FileKind, SequenceNumber, ValueType,
     CURRENT_FILE,
@@ -40,6 +40,25 @@ pub enum GetOutcome {
     Deleted,
     /// No visible entry.
     NotFound,
+}
+
+impl GetOutcome {
+    /// The live value, if the lookup found one.
+    pub fn into_value(self) -> Option<Vec<u8>> {
+        match self {
+            GetOutcome::Found(v) => Some(v),
+            GetOutcome::Deleted | GetOutcome::NotFound => None,
+        }
+    }
+}
+
+/// Where a point lookup stands in its walk over the candidate tables (see
+/// `Version::next_candidate`): the level being searched and how far into
+/// it the walk has come.
+#[derive(Default)]
+struct CandidateCursor {
+    level: usize,
+    pos: usize,
 }
 
 /// An immutable snapshot of the file layout.
@@ -111,25 +130,48 @@ impl Version {
             .collect()
     }
 
-    /// The candidate files for a point lookup of `ukey` in `level`, in the
-    /// order they must be searched.
-    fn candidates(&self, level: usize, ukey: &[u8]) -> Vec<FileRef> {
-        if self.level_overlaps(level) {
-            // Newest first (invariant: sorted by number descending).
-            self.levels[level]
-                .iter()
-                .filter(|f| Self::file_covers(f, ukey))
-                .cloned()
-                .collect()
-        } else {
-            // Binary search the disjoint level.
-            let files = &self.levels[level];
-            let idx = files.partition_point(|f| user_key(&f.largest) < ukey);
-            match files.get(idx) {
-                Some(f) if Self::file_covers(f, ukey) => vec![f.clone()],
-                _ => Vec::new(),
+    /// The next table a point lookup of `ukey` must search after the ones
+    /// `cursor` already yielded: every covering file of an overlapping
+    /// level newest first, the one covering file of a disjoint level (a
+    /// binary search), levels in order.
+    fn next_candidate(&self, ukey: &[u8], cursor: &mut CandidateCursor) -> Option<&FileRef> {
+        while let Some(files) = self.levels.get(cursor.level) {
+            if self.level_overlaps(cursor.level) {
+                // Newest first (invariant: sorted by number descending).
+                while let Some(f) = files.get(cursor.pos) {
+                    cursor.pos += 1;
+                    if Self::file_covers(f, ukey) {
+                        return Some(f);
+                    }
+                }
+            } else if cursor.pos == 0 {
+                cursor.pos = 1;
+                let idx = files.partition_point(|f| user_key(&f.largest) < ukey);
+                if let Some(f) = files.get(idx).filter(|f| Self::file_covers(f, ukey)) {
+                    return Some(f);
+                }
             }
+            *cursor = CandidateCursor {
+                level: cursor.level + 1,
+                pos: 0,
+            };
         }
+        None
+    }
+
+    /// What `block` says about `ukey` as of the snapshot encoded in
+    /// `lookup`: `None` when its first entry `>= lookup` belongs to another
+    /// user key, so the search goes on to the next table.
+    fn outcome_in_block(block: &Arc<Block>, lookup: &[u8], ukey: &[u8]) -> Option<GetOutcome> {
+        let mut it = block.iter();
+        it.seek(lookup);
+        if !it.valid() || user_key(it.key()) != ukey {
+            return None;
+        }
+        Some(match seq_and_type(it.key()).1 {
+            ValueType::Value => GetOutcome::Found(it.value().to_vec()),
+            ValueType::Deletion => GetOutcome::Deleted,
+        })
     }
 
     /// Looks up `ukey` as of `snapshot` through all levels.
@@ -142,26 +184,148 @@ impl Version {
         stats: Option<&crate::stats::DbStats>,
     ) -> Result<GetOutcome> {
         let lookup = crate::types::make_internal_key(ukey, snapshot, ValueType::Value);
-        for level in 0..self.levels.len() {
-            for file in self.candidates(level, ukey) {
-                let reader = cache.get(file.number, file.size)?;
-                if !reader.may_contain(ukey) {
-                    if let Some(s) = stats {
-                        crate::stats::DbStats::bump(&s.bloom_skips, 1);
-                    }
-                    continue;
+        let mut cursor = CandidateCursor::default();
+        while let Some(file) = self.next_candidate(ukey, &mut cursor) {
+            let reader = cache.get(file.number, file.size)?;
+            if !reader.may_contain(ukey) {
+                if let Some(s) = stats {
+                    crate::stats::DbStats::bump(&s.bloom_skips, 1);
                 }
-                if let Some((ikey, value)) = reader.get(&lookup, skip_block_cache)? {
-                    if user_key(&ikey) == ukey {
-                        return Ok(match seq_and_type(&ikey).1 {
-                            ValueType::Value => GetOutcome::Found(value),
-                            ValueType::Deletion => GetOutcome::Deleted,
-                        });
-                    }
-                }
+                continue;
+            }
+            let Some(handle) = reader.locate(&lookup) else {
+                continue;
+            };
+            let block = reader.read_block(handle, skip_block_cache)?;
+            if let Some(outcome) = Self::outcome_in_block(&block, &lookup, ukey) {
+                return Ok(outcome);
             }
         }
         Ok(GetOutcome::NotFound)
+    }
+
+    /// Looks up every key of `ukeys` as of `snapshot`; outcomes are in key
+    /// order and equal what [`Version::get`] returns for each key alone.
+    ///
+    /// The lookup runs in rounds. A round walks each unresolved key
+    /// through its candidate tables (bloom probe, index seek, block-cache
+    /// probe) until it is answered or needs a block from the device, then
+    /// reads the *distinct* blocks the round needs as one plugged batch
+    /// ([`IoPlug`]), and only after the unplug verifies, parses and
+    /// searches them. A key whose block did not hold it continues in the
+    /// next round, so a read that depends on another's result never
+    /// shares its plug, and no byte of a plugged read is looked at before
+    /// the wait for it is paid.
+    pub fn get_many(
+        &self,
+        ukeys: &[&[u8]],
+        snapshot: SequenceNumber,
+        cache: &TableCache,
+        skip_block_cache: bool,
+        stats: Option<&crate::stats::DbStats>,
+    ) -> Result<Vec<GetOutcome>> {
+        /// One key still searching.
+        struct Probe {
+            /// Position in `ukeys`.
+            slot: usize,
+            lookup: Vec<u8>,
+            cursor: CandidateCursor,
+        }
+        /// One block the current round must read, and who waits for it
+        /// (positions in the round's `waiting`).
+        struct Fetch {
+            reader: Arc<TableReader>,
+            handle: BlockHandle,
+            waiters: Vec<usize>,
+        }
+
+        let mut outcomes: Vec<GetOutcome> = ukeys.iter().map(|_| GetOutcome::NotFound).collect();
+        let mut active: Vec<Probe> = ukeys
+            .iter()
+            .enumerate()
+            .map(|(slot, ukey)| Probe {
+                slot,
+                lookup: crate::types::make_internal_key(ukey, snapshot, ValueType::Value),
+                cursor: CandidateCursor::default(),
+            })
+            .collect();
+        let mut waiting: Vec<Probe> = Vec::with_capacity(active.len());
+        let mut fetches: Vec<Fetch> = Vec::new();
+        while !active.is_empty() {
+            for mut probe in active.drain(..) {
+                let ukey = ukeys[probe.slot];
+                while let Some(file) = self.next_candidate(ukey, &mut probe.cursor) {
+                    let reader = cache.get(file.number, file.size)?;
+                    if !reader.may_contain(ukey) {
+                        if let Some(s) = stats {
+                            crate::stats::DbStats::bump(&s.bloom_skips, 1);
+                        }
+                        continue;
+                    }
+                    let Some(handle) = reader.locate(&probe.lookup) else {
+                        continue;
+                    };
+                    let cached = if skip_block_cache {
+                        None
+                    } else {
+                        reader.cached_block(handle)
+                    };
+                    if let Some(block) = cached {
+                        match Self::outcome_in_block(&block, &probe.lookup, ukey) {
+                            Some(outcome) => {
+                                outcomes[probe.slot] = outcome;
+                                break;
+                            }
+                            None => continue,
+                        }
+                    }
+                    let fetch = fetches
+                        .iter()
+                        .position(|f| Arc::ptr_eq(&f.reader, &reader) && f.handle == handle)
+                        .unwrap_or_else(|| {
+                            fetches.push(Fetch {
+                                reader,
+                                handle,
+                                waiters: Vec::new(),
+                            });
+                            fetches.len() - 1
+                        });
+                    fetches[fetch].waiters.push(waiting.len());
+                    waiting.push(probe);
+                    break;
+                }
+            }
+            let fetched: Vec<Result<Vec<u8>>> = {
+                let _plug = IoPlug::enter();
+                fetches
+                    .iter()
+                    .map(|f| f.reader.fetch_block(f.handle))
+                    .collect()
+            };
+            let mut answered = vec![false; waiting.len()];
+            for (fetch, bytes) in fetches.drain(..).zip(fetched) {
+                let block = fetch
+                    .reader
+                    .admit_block(fetch.handle, bytes?, skip_block_cache)?;
+                for w in fetch.waiters {
+                    let probe = &waiting[w];
+                    if let Some(outcome) =
+                        Self::outcome_in_block(&block, &probe.lookup, ukeys[probe.slot])
+                    {
+                        outcomes[probe.slot] = outcome;
+                        answered[w] = true;
+                    }
+                }
+            }
+            // Whoever read a block that did not hold its key searches on.
+            active.extend(
+                waiting
+                    .drain(..)
+                    .zip(answered)
+                    .filter_map(|(probe, done)| (!done).then_some(probe)),
+            );
+        }
+        Ok(outcomes)
     }
 
     /// Builds the internal iterators covering all levels.
@@ -731,6 +895,16 @@ mod tests {
         }
     }
 
+    /// File numbers a lookup of `ukey` searches, in order.
+    fn candidates(v: &Version, ukey: &[u8]) -> Vec<u64> {
+        let mut cursor = CandidateCursor::default();
+        let mut out = Vec::new();
+        while let Some(f) = v.next_candidate(ukey, &mut cursor) {
+            out.push(f.number);
+        }
+        out
+    }
+
     #[test]
     fn apply_add_delete_sorts_levels() {
         let v = Version::empty(7, CompactionStyle::Leveled);
@@ -781,14 +955,12 @@ mod tests {
         e.added.push((1, meta(2, "a", "c")));
         e.added.push((1, meta(3, "d", "f")));
         let v = v.apply(&e);
-        let c0 = v.candidates(0, b"m");
-        assert_eq!(c0.iter().map(|f| f.number).collect::<Vec<_>>(), vec![4, 1]);
-        let c1 = v.candidates(1, b"e");
-        assert_eq!(c1.len(), 1);
-        assert_eq!(c1[0].number, 3);
-        assert!(v.candidates(1, b"x").is_empty());
-        // Key between files (gap).
-        assert!(v.candidates(1, b"cc").is_empty());
+        // L0 newest first, then the one L1 file the binary search finds.
+        assert_eq!(candidates(&v, b"e"), vec![4, 1, 3]);
+        assert_eq!(candidates(&v, b"m"), vec![4, 1]);
+        assert_eq!(candidates(&v, b"b"), vec![4, 1, 2]);
+        // Key between L1 files (gap).
+        assert_eq!(candidates(&v, b"cc"), vec![4, 1]);
     }
 
     #[test]
@@ -798,8 +970,95 @@ mod tests {
         e.added.push((2, meta(10, "a", "m")));
         e.added.push((2, meta(12, "c", "z")));
         let v = v.apply(&e);
-        let c = v.candidates(2, b"d");
-        assert_eq!(c.iter().map(|f| f.number).collect::<Vec<_>>(), vec![12, 10]);
+        assert_eq!(candidates(&v, b"d"), vec![12, 10]);
+        assert_eq!(candidates(&v, b"b"), vec![10]);
+    }
+
+    #[test]
+    fn lookups_probe_each_filter_once_and_count_every_skip() {
+        use crate::sst::bloom::PROBES;
+        use crate::sst::{TableBuilder, TableConfig};
+        use crate::stats::DbStats;
+
+        // Three tables over the same key range, each with one key of its
+        // own: #4 and #3 in L0 (searched in that order), #2 in L1.
+        let env: EnvRef = Arc::new(p2kvs_storage::MemEnv::new());
+        let dir = PathBuf::from("db");
+        let config = TableConfig {
+            block_size: 4096,
+            restart_interval: 16,
+            bloom_bits_per_key: 10,
+        };
+        let mut edit = VersionEdit::default();
+        for (level, number, own) in [(0, 4, "four"), (0, 3, "three"), (1, 2, "two")] {
+            let path = file_path(&dir, number, FileKind::Table);
+            let mut b = TableBuilder::new(env.new_writable(&path).unwrap(), config);
+            for k in ["a", own, "z"] {
+                b.add(
+                    &make_internal_key(k.as_bytes(), number, ValueType::Value),
+                    own.as_bytes(),
+                )
+                .unwrap();
+            }
+            let t = b.finish().unwrap();
+            edit.added.push((
+                level,
+                FileMetaData {
+                    number,
+                    size: t.file_size,
+                    smallest: t.smallest,
+                    largest: t.largest,
+                    entries: t.entries,
+                },
+            ));
+        }
+        let v = Version::empty(7, CompactionStyle::Leveled).apply(&edit);
+        let cache = TableCache::new(env, dir, None);
+        let found = |s: &str| GetOutcome::Found(s.as_bytes().to_vec());
+        let counted = |lookup: &dyn Fn(&DbStats) -> Vec<GetOutcome>| {
+            let stats = DbStats::default();
+            let before = PROBES.with(|p| p.get());
+            let outcomes = lookup(&stats);
+            (
+                outcomes,
+                PROBES.with(|p| p.get()) - before,
+                stats.bloom_skips.load(Ordering::Relaxed),
+            )
+        };
+        let snapshot = u64::MAX >> 8;
+        // "two": #4 and #3 say no, #2 holds it. "none": all three say no.
+        // "a": #4 holds it and nothing else is asked.
+        for (ukey, outcome, probes, skips) in [
+            ("two", found("two"), 3, 2),
+            ("none", GetOutcome::NotFound, 3, 3),
+            ("a", found("four"), 1, 0),
+        ] {
+            let got = counted(&|stats| {
+                vec![v
+                    .get(ukey.as_bytes(), snapshot, &cache, false, Some(stats))
+                    .unwrap()]
+            });
+            assert_eq!(got, (vec![outcome], probes, skips), "get({ukey})");
+        }
+        let got = counted(&|stats| {
+            v.get_many(
+                &[b"two", b"none", b"a"],
+                snapshot,
+                &cache,
+                false,
+                Some(stats),
+            )
+            .unwrap()
+        });
+        assert_eq!(
+            got,
+            (
+                vec![found("two"), GetOutcome::NotFound, found("four")],
+                7,
+                5
+            ),
+            "get_many"
+        );
     }
 
     fn test_opts() -> Options {

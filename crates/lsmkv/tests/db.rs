@@ -340,25 +340,210 @@ fn snapshot_survives_flush_and_compaction() {
     assert_eq!(db.get(b"pinned").unwrap().unwrap(), b"v2");
 }
 
+/// `multiget` must answer exactly what a `get` of each key answers.
+fn assert_multiget_matches_get(db: &Db, opts: &ReadOptions, keys: &[Vec<u8>]) {
+    let batch = db.multiget_with(opts, keys).unwrap();
+    assert_eq!(batch.len(), keys.len());
+    for (key, got) in keys.iter().zip(&batch) {
+        let single = db.get_with(opts, key).unwrap();
+        assert_eq!(
+            *got,
+            single,
+            "mismatch for {:?}",
+            String::from_utf8_lossy(key)
+        );
+    }
+}
+
+fn key(i: usize) -> Vec<u8> {
+    format!("k{i:05}").into_bytes()
+}
+
 #[test]
-fn multiget_matches_get() {
+fn multiget_matches_get_across_memtable_l0_and_deep_levels() {
+    // Without filters every covering table is read, so a key that L0 does
+    // not hold goes through one round per level.
+    for bloom_bits_per_key in [10, 0] {
+        multiget_matches_get_across_the_tree(bloom_bits_per_key);
+    }
+}
+
+fn multiget_matches_get_across_the_tree(bloom_bits_per_key: usize) {
     let env: EnvRef = Arc::new(MemEnv::new());
-    let db = Db::open(small_opts(env), "db").unwrap();
+    let mut opts = small_opts(env);
+    opts.bloom_bits_per_key = bloom_bits_per_key;
+    let db = Db::open(opts, "db").unwrap();
+    // Generation 0 settles into the deep levels.
     for i in 0..4000 {
-        db.put(&wo(), format!("k{i:05}").as_bytes(), format!("v{i}").as_bytes())
+        db.put(&wo(), &key(i), format!("deep{i}").as_bytes())
             .unwrap();
     }
     db.flush().unwrap();
-    let keys: Vec<Vec<u8>> = (0..4000)
-        .step_by(7)
-        .map(|i| format!("k{i:05}").into_bytes())
-        .chain(std::iter::once(b"absent".to_vec()))
-        .collect();
-    let batch_results = db.multiget(&keys).unwrap();
-    assert_eq!(batch_results.len(), keys.len());
-    for (key, got) in keys.iter().zip(&batch_results) {
-        assert_eq!(*got, db.get(key).unwrap(), "mismatch for {key:?}");
+    db.wait_idle().unwrap();
+    assert!(
+        db.level_sizes()[1..].iter().sum::<u64>() > 0,
+        "nothing below L0"
+    );
+    let snap = db.snapshot();
+    // Generation 1 shadows part of it from L0: overwrites and tombstones.
+    for i in (0..4000).step_by(5) {
+        db.put(&wo(), &key(i), format!("l0-{i}").as_bytes())
+            .unwrap();
     }
+    for i in (0..4000).step_by(11) {
+        db.delete(&wo(), &key(i)).unwrap();
+    }
+    db.flush().unwrap();
+    // Generation 2 stays in the memtable.
+    for i in (0..4000).step_by(13) {
+        db.put(&wo(), &key(i), format!("mem{i}").as_bytes())
+            .unwrap();
+    }
+    for i in (0..4000).step_by(17) {
+        db.delete(&wo(), &key(i)).unwrap();
+    }
+
+    // Every third key (all generations, live and deleted), keys never
+    // written, and one key several times over.
+    let mut keys: Vec<Vec<u8>> = (0..4000).step_by(3).map(key).collect();
+    keys.extend([b"absent".to_vec(), b"k".to_vec(), b"zzz".to_vec()]);
+    keys.extend([key(1), key(55), key(1), key(55), key(1)]);
+    let latest = ReadOptions::default();
+    assert_multiget_matches_get(&db, &latest, &keys);
+    assert_eq!(
+        db.multiget(&[key(1), key(55)]).unwrap()[0].as_deref(),
+        Some(&b"deep1"[..])
+    );
+    assert_eq!(
+        db.multiget(&[key(55)]).unwrap()[0],
+        None,
+        "tombstone in L0 hides the deep value"
+    );
+    assert!(db.multiget(&[]).unwrap().is_empty());
+    // The same keys through the other read options.
+    let uncached = ReadOptions {
+        skip_cache: true,
+        ..latest
+    };
+    assert_multiget_matches_get(&db, &uncached, &keys);
+    let pinned = ReadOptions {
+        snapshot: Some(snap.sequence()),
+        ..latest
+    };
+    assert_multiget_matches_get(&db, &pinned, &keys);
+    assert_eq!(
+        db.multiget_with(&pinned, &[key(55)]).unwrap()[0].as_deref(),
+        Some(&b"deep55"[..]),
+        "the snapshot predates the tombstone"
+    );
+}
+
+#[test]
+fn multiget_reads_an_immutable_memtable() {
+    // A flush that cannot finish leaves its memtable immutable for good:
+    // the one way to hold an imm still while reading it.
+    let faulty = Arc::new(p2kvs_storage::FaultyEnv::over_mem());
+    let db = Db::open(small_opts(faulty.clone()), "db").unwrap();
+    for i in 0..200 {
+        db.put(&wo(), &key(i), b"flushed").unwrap();
+    }
+    db.flush().unwrap();
+    db.wait_idle().unwrap();
+    for i in (0..200).step_by(2) {
+        db.put(&wo(), &key(i), b"imm").unwrap();
+    }
+    db.delete(&wo(), &key(4)).unwrap();
+    faulty.set_plan(p2kvs_storage::FaultPlan {
+        fail_sync: Some(faulty.sync_points() + 1),
+        ..Default::default()
+    });
+    db.flush().expect_err("the flush's table sync was failed");
+    let keys: Vec<Vec<u8>> = (0..210).map(key).collect();
+    let got = db.multiget(&keys).unwrap();
+    assert_eq!(got[2].as_deref(), Some(&b"imm"[..]));
+    assert_eq!(got[3].as_deref(), Some(&b"flushed"[..]));
+    assert_eq!(got[4], None);
+    assert_eq!(got[205], None);
+    assert_multiget_matches_get(&db, &ReadOptions::default(), &keys);
+}
+
+#[test]
+fn multiget_reads_a_block_two_keys_share_once() {
+    let env: EnvRef = Arc::new(MemEnv::new());
+    let db = Db::open(small_opts(env.clone()), "db").unwrap();
+    for i in 0..2000 {
+        db.put(&wo(), &key(i), b"value").unwrap();
+    }
+    db.flush().unwrap();
+    db.wait_idle().unwrap();
+    // Bypassing the block cache makes every lookup need its block from
+    // the device; the first call also opens the tables.
+    let uncached = ReadOptions {
+        skip_cache: true,
+        ..ReadOptions::default()
+    };
+    db.multiget_with(&uncached, &[key(10), key(1990)]).unwrap();
+    let reads = |keys: &[Vec<u8>]| {
+        let before = env.io_stats().read_ops;
+        let got = db.multiget_with(&uncached, keys).unwrap();
+        assert!(got.iter().all(|v| v.as_deref() == Some(&b"value"[..])));
+        env.io_stats().read_ops - before
+    };
+    assert_eq!(reads(&[key(10)]), 1);
+    assert_eq!(reads(&[key(10), key(11)]), 1, "neighbours share a block");
+    assert_eq!(
+        reads(&[key(10), key(10), key(10)]),
+        1,
+        "duplicates share a block"
+    );
+    assert_eq!(reads(&[key(10), key(1990)]), 2);
+}
+
+#[test]
+fn multiget_fails_on_a_read_error_or_a_damaged_block() {
+    let faulty = Arc::new(p2kvs_storage::FaultyEnv::over_mem());
+    let mut opts = small_opts(faulty.clone());
+    opts.block_cache_size = 0;
+    let db = Db::open(opts, "db").unwrap();
+    for i in 0..2000 {
+        db.put(&wo(), &key(i), format!("v{i}").as_bytes()).unwrap();
+    }
+    db.flush().unwrap();
+    db.wait_idle().unwrap();
+    let keys: Vec<Vec<u8>> = (0..2000).step_by(50).map(key).collect();
+    let expected: Vec<Option<Vec<u8>>> = (0..2000)
+        .step_by(50)
+        .map(|i| Some(format!("v{i}").into_bytes()))
+        .collect();
+    assert_eq!(db.multiget(&keys).unwrap(), expected);
+
+    // A failed read in the middle of the batch fails the call; it does not
+    // turn into a missing key.
+    faulty.set_plan(p2kvs_storage::FaultPlan {
+        fail_read: Some(faulty.reads() + 5),
+        ..Default::default()
+    });
+    let err = db.multiget(&keys).unwrap_err();
+    assert!(err.to_string().contains("injected fault"), "{err}");
+    assert_eq!(
+        db.multiget(&keys).unwrap(),
+        expected,
+        "the fault was one-shot"
+    );
+
+    // One flipped byte in the first data block of every table: the batch
+    // that touches it reports corruption, never a value.
+    let dir = std::path::Path::new("db");
+    for name in faulty.list_dir(dir).unwrap() {
+        if name.to_string_lossy().ends_with(".sst") {
+            let path = dir.join(name);
+            let mut bytes = p2kvs_storage::env::read_all(&*faulty, &path).unwrap();
+            bytes[10] ^= 0x40;
+            p2kvs_storage::env::write_all(&*faulty, &path, &bytes).unwrap();
+        }
+    }
+    let err = db.multiget(&keys).unwrap_err();
+    assert!(matches!(err, lsmkv::Error::Corruption(_)), "{err}");
 }
 
 #[test]
@@ -410,7 +595,6 @@ fn pebblesdb_mode_compacts_with_lower_write_amp() {
     let run = |env: EnvRef, style: CompactionStyle| -> (u64, u64) {
         let mut opts = small_opts(env.clone());
         opts.compaction_style = style;
-        opts.read_pool_threads = 0;
         let db = Db::open(opts, "db").unwrap();
         for pass in 0..4 {
             for i in 0..4000u64 {

@@ -35,11 +35,24 @@
 //! thread — and (b) letting concurrent waits from different threads overlap
 //! in wall time.
 //!
+//! # Plugged submission
+//!
+//! A caller about to issue several *independent* reads holds an
+//! [`IoPlug`] across them (the block layer's plug/unplug): each read still
+//! reserves its queue's timeline exactly as above — same occupancy, same
+//! accounting — but its completion time is recorded instead of charged,
+//! and dropping the outermost guard charges the thread once for the latest
+//! completion. One thread thereby reaches the queue depth that would
+//! otherwise take one blocked thread per outstanding read. Data returned
+//! by a plugged read is only "on the host" once the guard is dropped:
+//! reads that depend on it belong after the unplug.
+//!
 //! Profiles are calibrated to the paper's testbed (§5.1): HDD ≈ 0.2 GB/s
 //! and ~8 ms seeks; SATA SSD ≈ 0.5 GB/s; Optane 905p ≈ 2.2 GB/s write /
 //! 2.6 GB/s read with ~10 µs access latency.
 
 use std::cell::Cell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -190,6 +203,50 @@ thread_local! {
     /// Signed per-thread sleep debt in nanoseconds. Positive = owed wait;
     /// negative = credit from oversleeping (OS timers overshoot).
     static SLEEP_DEBT: Cell<i64> = const { Cell::new(0) };
+    /// Live [`IoPlug`] guards on this thread.
+    static PLUG_DEPTH: Cell<u32> = const { Cell::new(0) };
+    /// Latest completion among the reads submitted under the current plug.
+    static PLUG_DEADLINE: Cell<Option<Instant>> = const { Cell::new(None) };
+}
+
+/// A thread-scoped submission batch. While one is held, [`DeviceModel::read`]
+/// on this thread submits without waiting; dropping the outermost guard
+/// waits once, for the read that completes last. Guards nest (an inner
+/// guard neither waits nor resets the batch) and are ambient like
+/// [`crate::QueueScope`]: code between the caller and the device needs no
+/// plumbing. Environments without a device model ignore it.
+///
+/// Nothing derived from a plugged read may leave the caller before the
+/// guard is dropped, or the wait it models would be skipped.
+pub struct IoPlug {
+    /// Tied to the thread whose batch it opened.
+    _thread: PhantomData<*const ()>,
+}
+
+impl IoPlug {
+    /// Opens (or joins) the calling thread's submission batch.
+    pub fn enter() -> IoPlug {
+        PLUG_DEPTH.with(|d| d.set(d.get() + 1));
+        IoPlug {
+            _thread: PhantomData,
+        }
+    }
+}
+
+impl Drop for IoPlug {
+    fn drop(&mut self) {
+        let depth = PLUG_DEPTH.with(|d| {
+            d.set(d.get() - 1);
+            d.get()
+        });
+        if depth > 0 {
+            return;
+        }
+        if let Some(deadline) = PLUG_DEADLINE.with(Cell::take) {
+            let wait = deadline.saturating_duration_since(Instant::now());
+            DeviceModel::charge_wait(wait.as_nanos() as i64);
+        }
+    }
 }
 
 /// Debt is slept off once it exceeds this (≈ 3–4 OS timer grains).
@@ -289,16 +346,16 @@ impl DeviceModel {
         }
     }
 
-    /// Reserves `service` worth of work on queue `queue` and charges the
-    /// caller the resulting wait. Contention is per-queue: only IOs on the
-    /// same queue push this one's start time out. Returns the model service
-    /// time (for busy accounting).
-    fn occupy(&self, queue: QueueId, service: Duration) -> Duration {
+    /// Reserves `service` worth of work on queue `queue`. Contention is
+    /// per-queue: only IOs on the same queue push this one's start time
+    /// out. Returns `(now, completion)` in ns since the model's epoch, or
+    /// `None` when the service time is zero.
+    fn reserve(&self, queue: QueueId, service: Duration) -> Option<(u64, u64)> {
         let qs = &self.queues[queue % self.queues.len()];
         qs.submitted.fetch_add(1, Ordering::Relaxed);
         let svc = self.scaled(service);
         if svc.is_zero() {
-            return service;
+            return None;
         }
         qs.busy_ns
             .fetch_add(service.as_nanos() as u64, Ordering::Relaxed);
@@ -322,10 +379,16 @@ impl DeviceModel {
                 Err(actual) => cur = actual,
             }
         }
-        // The IO completes at start + svc; the caller owes the difference.
-        let completes = start + svc.as_nanos() as u64;
-        let wait_ns = completes.saturating_sub(now_ns) as i64;
-        Self::charge_wait(wait_ns);
+        // The IO completes at start + svc.
+        Some((now_ns, start + svc.as_nanos() as u64))
+    }
+
+    /// Reserves `service` on `queue` and charges the caller the resulting
+    /// wait. Returns the model service time (for busy accounting).
+    fn occupy(&self, queue: QueueId, service: Duration) -> Duration {
+        if let Some((now_ns, completes)) = self.reserve(queue, service) {
+            Self::charge_wait(completes.saturating_sub(now_ns) as i64);
+        }
         service
     }
 
@@ -381,12 +444,19 @@ impl DeviceModel {
     }
 
     /// Charges a read of `bytes` at (`file`, `offset`) on `queue`; returns
-    /// model time.
+    /// model time. Under an [`IoPlug`] the wait is deferred to the unplug.
     pub fn read(&self, file: u64, offset: u64, bytes: u64, queue: QueueId) -> Duration {
         let svc = self.profile.read_latency
             + DeviceProfile::transfer(bytes, self.profile.read_bw)
             + self.seek_cost(file, offset, bytes);
-        self.occupy(queue, svc)
+        if PLUG_DEPTH.with(Cell::get) == 0 {
+            return self.occupy(queue, svc);
+        }
+        if let Some((_, completes)) = self.reserve(queue, svc) {
+            let done = self.epoch + Duration::from_nanos(completes);
+            PLUG_DEADLINE.with(|d| d.set(Some(d.get().map_or(done, |cur| cur.max(done)))));
+        }
+        svc
     }
 
     /// Charges a durability barrier on `queue`; returns model time.
@@ -575,6 +645,103 @@ mod tests {
         assert!(q0.backlog_ns <= q0.busy_ns, "{q0:?}");
         // Settle the debt this thread accumulated.
         DeviceModel::charge_wait(DEBT_SLEEP_NS);
+    }
+
+    #[test]
+    fn plugged_reads_charge_the_latest_completion_once() {
+        // 4 KiB on the Optane profile: 9.5 µs of service, 1.19 µs of
+        // occupancy on the depth-8 queue.
+        const N: u64 = 8;
+        const SVC_NS: i64 = 9_502;
+        const OCCUPANCY_NS: i64 = SVC_NS / 8;
+        let run = |plugged: bool| {
+            std::thread::spawn(move || {
+                let m = no_scale(DeviceProfile::nvme_optane());
+                {
+                    let _plug = plugged.then(IoPlug::enter);
+                    for i in 0..N {
+                        m.read(3, i * 4096, 4096, 0);
+                    }
+                    if plugged {
+                        assert_eq!(
+                            DeviceModel::thread_debt_ns(),
+                            0,
+                            "charged before the unplug"
+                        );
+                    }
+                }
+                (DeviceModel::thread_debt_ns(), m.queue_snapshot(0))
+            })
+            .join()
+            .unwrap()
+        };
+        let (serial_debt, serial_q) = run(false);
+        let (plugged_debt, plugged_q) = run(true);
+        // Unplugged, every read owes at least its own service time.
+        assert!(serial_debt >= N as i64 * SVC_NS, "{serial_debt}");
+        // Plugged, the thread owes what is left of the last completion:
+        // at most the queue's backlog plus one service time.
+        assert!(
+            plugged_debt <= SVC_NS + (N as i64 - 1) * OCCUPANCY_NS,
+            "{plugged_debt}"
+        );
+        // The device saw the same submissions either way.
+        assert_eq!(plugged_q.submitted, serial_q.submitted);
+        assert_eq!(plugged_q.busy_ns, serial_q.busy_ns);
+    }
+
+    #[test]
+    fn nested_plugs_wait_once_at_the_outermost_drop() {
+        let mut profile = DeviceProfile::nvme_optane();
+        profile.read_latency = Duration::from_millis(5);
+        profile.read_bw = u64::MAX;
+        std::thread::spawn(move || {
+            let m = no_scale(profile);
+            let t0 = Instant::now();
+            let outer = IoPlug::enter();
+            m.read(1, 0, 64, 0);
+            {
+                let _inner = IoPlug::enter();
+                m.read(1, 64, 64, 0);
+                m.read(1, 128, 64, 0);
+            }
+            assert_eq!(DeviceModel::thread_debt_ns(), 0, "inner drop must not wait");
+            drop(outer);
+            // 15 ms of service overlapped on the depth-8 queue: one wait
+            // of about one service time, slept off at the unplug.
+            assert!(
+                t0.elapsed() >= Duration::from_micros(4_500),
+                "{:?}",
+                t0.elapsed()
+            );
+            assert!(DeviceModel::thread_debt_ns() < DEBT_SLEEP_NS);
+            // The batch is closed: the next read is charged on the spot.
+            m.read(1, 192, 64, 0);
+            assert!(
+                t0.elapsed() >= Duration::from_micros(9_500),
+                "{:?}",
+                t0.elapsed()
+            );
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn plug_is_a_noop_on_the_instant_device() {
+        std::thread::spawn(|| {
+            let m = no_scale(DeviceProfile::instant());
+            {
+                let _plug = IoPlug::enter();
+                for i in 0..100 {
+                    m.read(1, i * 4096, 4096, 0);
+                }
+            }
+            assert_eq!(DeviceModel::thread_debt_ns(), 0);
+            assert_eq!(m.queue_snapshot(0).submitted, 100);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

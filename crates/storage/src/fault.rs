@@ -599,6 +599,36 @@ mod tests {
     }
 
     #[test]
+    fn fail_read_keeps_its_number_inside_a_plug() {
+        let sim = Arc::new(crate::SimEnv::with_profile(
+            crate::DeviceProfile::nvme_optane(),
+        ));
+        let env = FaultyEnv::new(sim.clone(), sim.fs().clone());
+        write_all(&env, Path::new("f"), &[1u8; 4096]).unwrap();
+        let file = env.new_random_access(Path::new("f")).unwrap();
+        let first = env.reads() + 1;
+        env.set_plan(FaultPlan {
+            fail_read: Some(first + 2),
+            ..Default::default()
+        });
+        let mut buf = [0u8; 512];
+        let outcomes: Vec<bool> = {
+            let _plug = crate::IoPlug::enter();
+            (0..5)
+                .map(|i| file.read_at(i * 512, &mut buf).is_ok())
+                .collect()
+        };
+        assert_eq!(outcomes, [true, true, false, true, true]);
+        assert_eq!(
+            env.events(),
+            vec![FaultEvent::FailedRead {
+                n: first + 2,
+                path: PathBuf::from("f")
+            }]
+        );
+    }
+
+    #[test]
     fn crash_at_sync_freezes_env_until_heal() {
         let env = FaultyEnv::over_mem();
         write_all(&env, Path::new("old"), b"durable").unwrap(); // sync #1

@@ -249,6 +249,36 @@ mod tests {
     }
 
     #[test]
+    fn plugged_reads_account_like_unplugged_ones() {
+        // The plug changes when the caller waits, never what the device or
+        // the env counted.
+        let run = |plugged: bool| {
+            let env = SimEnv::with_profile(DeviceProfile::nvme_optane().with_queues(2));
+            write_all(&env, Path::new("t.sst"), &[7u8; 64 << 10]).unwrap();
+            let file = env.new_random_access(Path::new("t.sst")).unwrap();
+            let before = env.io_stats();
+            let mut buf = [0u8; 4096];
+            {
+                let _plug = plugged.then(crate::IoPlug::enter);
+                for i in 0..8u64 {
+                    file.read_at(i * 8192, &mut buf).unwrap();
+                    assert_eq!(buf, [7u8; 4096], "plugged reads return their data");
+                }
+            }
+            let queues = [env.queue_snapshot(0), env.queue_snapshot(1)];
+            (
+                env.io_stats().delta(&before),
+                queues.map(|q| (q.submitted, q.busy_ns)),
+            )
+        };
+        let (serial_io, serial_q) = run(false);
+        let (plugged_io, plugged_q) = run(true);
+        assert_eq!(plugged_io, serial_io);
+        assert_eq!(plugged_io.read_ops, 8);
+        assert_eq!(plugged_q, serial_q);
+    }
+
+    #[test]
     fn power_failure_applies_through_sim_env() {
         let env = SimEnv::with_profile(DeviceProfile::instant());
         let mut w = env.new_writable(Path::new("wal.log")).unwrap();

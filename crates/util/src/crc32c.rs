@@ -1,9 +1,11 @@
 //! CRC-32C (Castagnoli) checksums.
 //!
 //! Used to protect WAL records and SST blocks against torn writes and
-//! corruption, exactly where RocksDB/LevelDB use it. The implementation is a
-//! table-driven, slicing-by-4 software CRC — fast enough that checksum time
-//! does not distort the write-path latency breakdown (Fig 6).
+//! corruption, exactly where RocksDB/LevelDB use it. On x86-64 with SSE4.2
+//! the `crc32` instruction does the work (≈ 0.1 ns/byte: every block a read
+//! verifies and every flushed, compacted or logged byte passes through
+//! here); elsewhere a table-driven, slicing-by-4 software CRC, which is
+//! also the reference the hardware path is tested against.
 
 /// Castagnoli polynomial, reversed representation.
 const POLY: u32 = 0x82f6_3b78;
@@ -44,6 +46,38 @@ pub fn crc32c(data: &[u8]) -> u32 {
 
 /// Extends a running CRC-32C `crc` with `data`.
 pub fn extend(crc: u32, data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sse4.2") {
+        // SAFETY: SSE4.2 was detected on the running CPU just above.
+        return unsafe { extend_sse42(crc, data) };
+    }
+    extend_table(crc, data)
+}
+
+/// [`extend`] on the `crc32` instruction, eight bytes at a time.
+///
+/// # Safety
+///
+/// The running CPU must support SSE4.2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+unsafe fn extend_sse42(crc: u32, data: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let mut wide = u64::from(!crc);
+    let mut chunks = data.chunks_exact(8);
+    for w in &mut chunks {
+        let word = u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]);
+        wide = _mm_crc32_u64(wide, word);
+    }
+    let mut crc = wide as u32;
+    for &b in chunks.remainder() {
+        crc = _mm_crc32_u8(crc, b);
+    }
+    !crc
+}
+
+/// [`extend`] in software: slicing-by-4 over [`TABLES`].
+fn extend_table(crc: u32, data: &[u8]) -> u32 {
     let mut crc = !crc;
     let mut chunks = data.chunks_exact(4);
     for w in &mut chunks {
@@ -87,6 +121,39 @@ mod tests {
         let ascending: Vec<u8> = (0u8..32).collect();
         assert_eq!(crc32c(&ascending), 0x46dd_794e);
         assert_eq!(crc32c(b"123456789"), 0xe306_9283);
+    }
+
+    #[test]
+    fn table_path_passes_the_known_vectors() {
+        assert_eq!(extend_table(0, &[0u8; 32]), 0x8a91_36aa);
+        assert_eq!(extend_table(0, &[0xffu8; 32]), 0x62a8_ab43);
+        assert_eq!(extend_table(0, b"123456789"), 0xe306_9283);
+    }
+
+    #[test]
+    fn dispatched_path_equals_the_table_at_every_length_and_alignment() {
+        // On a CPU without SSE4.2 both sides are the table and this is
+        // trivially true; with it, it is the hardware path's whole proof.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let data: Vec<u8> = (0..4100 + 8)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        for align in 0..8 {
+            for len in 0..=4100 {
+                let slice = &data[align..align + len];
+                let seed = (len as u32).wrapping_mul(0x0101_0101) ^ align as u32;
+                assert_eq!(
+                    extend(seed, slice),
+                    extend_table(seed, slice),
+                    "len {len} at alignment {align}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -220,7 +220,6 @@ pub fn engine_options(env: EnvRef) -> lsmkv::Options {
     o.l0_slowdown_trigger = 50;
     o.l0_stop_trigger = 100;
     o.compaction_threads = 1;
-    o.read_pool_threads = 0;
     o
 }
 
