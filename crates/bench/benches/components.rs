@@ -169,9 +169,9 @@ fn bench_obm_queue(c: &mut Criterion) {
 }
 
 fn bench_accessing(c: &mut Criterion) {
-    use p2kvs::queue::{MutexQueue, RequestQueue};
+    use p2kvs::queue::RequestQueue;
     use p2kvs::types::{Op, Request, Response};
-    use p2kvs_bench::accessing::{fan_in, QueueImpl};
+    use p2kvs_bench::accessing::{fan_in, MutexQueue, QueueImpl};
     use std::thread;
 
     // Single-thread enqueue → completion round trip against a dedicated

@@ -8,9 +8,8 @@
 //!
 //! * `ring` — the production lock-free bounded MPSC ring
 //!   ([`p2kvs::queue::RequestQueue`]);
-//! * `mutex` — the previous Mutex + Condvar queue, kept as
-//!   [`p2kvs::queue::MutexQueue`] precisely so this comparison cannot
-//!   rot.
+//! * `mutex` — the previous Mutex + Condvar queue, kept here as
+//!   [`MutexQueue`] precisely so this comparison cannot rot.
 //!
 //! The consumer side is an echo worker: it drains OBM batches with the
 //! production `pop_batch_into` semantics and completes every request
@@ -18,14 +17,15 @@
 //! [`run_default_sweep`] entry point emits the `BENCH_accessing.json`
 //! artifact consumed by CI and `EXPERIMENTS.md`.
 
+use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Instant;
 
-use p2kvs::queue::{MutexQueue, RequestQueue};
-use p2kvs::types::{Op, Request, Response};
+use p2kvs::queue::RequestQueue;
+use p2kvs::types::{Op, OpClass, Request, Response};
 
 /// Which queue implementation a run drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,6 +43,71 @@ impl QueueImpl {
             QueueImpl::Ring => "ring",
             QueueImpl::Mutex => "mutex",
         }
+    }
+}
+
+/// The framework's original Mutex + Condvar queue, the baseline the ring
+/// is measured against: unbounded, one lock acquisition plus one notify
+/// per push.
+#[derive(Default)]
+pub struct MutexQueue {
+    inner: Mutex<MutexQueueInner>,
+    cv: Condvar,
+}
+
+#[derive(Default)]
+struct MutexQueueInner {
+    queue: VecDeque<Request>,
+    closed: bool,
+}
+
+impl MutexQueue {
+    /// Creates an empty queue.
+    pub fn new() -> MutexQueue {
+        MutexQueue::default()
+    }
+
+    /// Enqueues `req`; `Err(req)` if closed.
+    pub fn push(&self, req: Request) -> Result<(), Request> {
+        let mut inner = self.inner.lock().expect("mutex queue");
+        if inner.closed {
+            return Err(req);
+        }
+        inner.queue.push_back(req);
+        drop(inner);
+        self.cv.notify_one();
+        Ok(())
+    }
+
+    /// Blocking batch pop with the same OBM semantics as
+    /// [`RequestQueue::pop_batch_into`].
+    pub fn pop_batch_into(&self, max: usize, batch: &mut Vec<Request>) -> bool {
+        batch.clear();
+        let mut inner = self.inner.lock().expect("mutex queue");
+        loop {
+            if let Some(first) = inner.queue.pop_front() {
+                let class = first.op.class();
+                batch.push(first);
+                if class != OpClass::Solo {
+                    while batch.len() < max
+                        && inner.queue.front().is_some_and(|r| r.op.class() == class)
+                    {
+                        batch.push(inner.queue.pop_front().expect("front just checked"));
+                    }
+                }
+                return true;
+            }
+            if inner.closed {
+                return false;
+            }
+            inner = self.cv.wait(inner).expect("mutex queue");
+        }
+    }
+
+    /// Closes the queue: waiting consumers drain what is left and stop.
+    pub fn close(&self) {
+        self.inner.lock().expect("mutex queue").closed = true;
+        self.cv.notify_all();
     }
 }
 
@@ -419,6 +484,31 @@ pub fn run_default_sweep(path: &Path) -> std::io::Result<Vec<FanInResult>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mutex_queue_baseline_matches_semantics() {
+        let put = |k: &str| {
+            let op = Op::Put {
+                key: k.as_bytes().to_vec(),
+                value: b"v".to_vec(),
+            };
+            Request::sync(op).0
+        };
+        let q = MutexQueue::new();
+        q.push(put("1")).ok().unwrap();
+        q.push(put("2")).ok().unwrap();
+        q.push(Request::sync(Op::Get { key: b"3".to_vec() }).0)
+            .ok()
+            .unwrap();
+        let mut batch = Vec::new();
+        assert!(q.pop_batch_into(32, &mut batch));
+        assert_eq!(batch.len(), 2, "the write run, not the read behind it");
+        assert!(q.pop_batch_into(32, &mut batch));
+        assert_eq!(batch.len(), 1);
+        q.close();
+        assert!(q.push(put("rejected")).is_err());
+        assert!(!q.pop_batch_into(32, &mut batch), "closed and drained");
+    }
 
     #[test]
     fn fan_in_completes_and_reports() {

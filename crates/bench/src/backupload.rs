@@ -77,14 +77,6 @@ fn value_of(key: &[u8]) -> Vec<u8> {
     v
 }
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
-
 /// One phase × round measurement.
 #[derive(Debug, Clone)]
 pub struct BackupLoadResult {
@@ -265,10 +257,10 @@ pub fn measure(
         ops: ops_done,
         wall_secs,
         throughput_ops_sec: ops_done as f64 / wall_secs.max(1e-9),
-        p50_get_ns: percentile(&gets, 0.50),
-        p99_get_ns: percentile(&gets, 0.99),
-        p50_put_ns: percentile(&puts, 0.50),
-        p99_put_ns: percentile(&puts, 0.99),
+        p50_get_ns: crate::percentile(&gets, 0.50),
+        p99_get_ns: crate::percentile(&gets, 0.99),
+        p50_put_ns: crate::percentile(&puts, 0.50),
+        p99_put_ns: crate::percentile(&puts, 0.99),
         cut_at_op,
         backup_entries,
         backup_wall_secs,

@@ -84,14 +84,6 @@ fn value_of(key: &[u8]) -> Vec<u8> {
     v
 }
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
-
 fn open_store(name: &str, cache_capacity: usize) -> P2Kvs<lsmkv::Db> {
     let env: p2kvs_storage::EnvRef = Arc::new(SimEnv::with_profile(DeviceProfile::nvme_optane()));
     let mut lsm = lsmkv::Options::rocksdb_like(env);
@@ -230,8 +222,8 @@ pub fn measure_hitrate(
         wall_secs,
         throughput_ops_sec: ops as f64 / wall_secs.max(1e-9),
         hit_rate: hits as f64 / ((hits + misses) as f64).max(1.0),
-        p50_get_ns: percentile(&lat, 0.50),
-        p99_get_ns: percentile(&lat, 0.99),
+        p50_get_ns: crate::percentile(&lat, 0.50),
+        p99_get_ns: crate::percentile(&lat, 0.99),
         hits,
         misses,
         evictions,

@@ -115,14 +115,6 @@ fn value_of(key: &[u8]) -> Vec<u8> {
     v
 }
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
-
 fn fnv(h: u64, bytes: &[u8]) -> u64 {
     let mut h = h;
     for b in bytes {
@@ -370,12 +362,12 @@ pub fn measure(spec: ConfigSpec, round: usize, keys: u64, ops: u64, seed: u64) -
         ops: ops_done,
         wall_secs,
         throughput_ops_sec: ops_done as f64 / wall_secs.max(1e-9),
-        p50_put_ns: percentile(&puts, 0.50),
-        p95_put_ns: percentile(&puts, 0.95),
-        p99_put_ns: percentile(&puts, 0.99),
+        p50_put_ns: crate::percentile(&puts, 0.50),
+        p95_put_ns: crate::percentile(&puts, 0.95),
+        p99_put_ns: crate::percentile(&puts, 0.99),
         max_put_ns: puts.last().copied().unwrap_or(0),
-        p50_get_ns: percentile(&gets, 0.50),
-        p99_get_ns: percentile(&gets, 0.99),
+        p50_get_ns: crate::percentile(&gets, 0.50),
+        p99_get_ns: crate::percentile(&gets, 0.99),
         stall_secs: stall_ns / 1e9,
         compaction_bytes,
         queues_active,

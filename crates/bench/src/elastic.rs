@@ -91,14 +91,6 @@ fn value_of(key: &[u8]) -> Vec<u8> {
     v
 }
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
-
 /// One phase of one configuration.
 #[derive(Debug, Clone)]
 pub struct PhaseResult {
@@ -280,8 +272,8 @@ pub fn measure(
             ops: phase_ops,
             wall_secs,
             throughput_ops_sec: phase_ops as f64 / wall_secs.max(1e-9),
-            p50_get_ns: percentile(&last_round_lat, 0.50),
-            p99_get_ns: percentile(&last_round_lat, 0.99),
+            p50_get_ns: crate::percentile(&last_round_lat, 0.50),
+            p99_get_ns: crate::percentile(&last_round_lat, 0.99),
         });
     }
     let sample = readback(&store, keys);

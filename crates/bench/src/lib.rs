@@ -31,6 +31,16 @@ pub fn scaled(n: u64) -> u64 {
     ((n as f64 * scale) as u64).max(1)
 }
 
+/// The `p`-quantile (`0.0..=1.0`) of an ascending-sorted sample, by
+/// nearest rank; 0 for an empty sample.
+pub fn percentile(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
+    sorted[idx]
+}
+
 /// Simple fixed-width table printer used by every figure.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
@@ -75,6 +85,16 @@ mod tests {
     #[test]
     fn scaled_respects_min() {
         assert!(super::scaled(10) >= 1);
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank_and_total() {
+        let sample: Vec<u64> = (1..=100).collect();
+        assert_eq!(super::percentile(&sample, 0.0), 1);
+        assert_eq!(super::percentile(&sample, 0.50), 51);
+        assert_eq!(super::percentile(&sample, 0.99), 99);
+        assert_eq!(super::percentile(&sample, 1.0), 100);
+        assert_eq!(super::percentile(&[], 0.99), 0);
     }
 
     #[test]

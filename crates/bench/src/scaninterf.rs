@@ -112,14 +112,6 @@ fn load(store: &P2Kvs<lsmkv::Db>, entries: u64, value_bytes: usize) {
     }
 }
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
-
 /// Synchronous point GETs of existing keys for `window`, returning the
 /// sorted latency samples.
 fn get_loop(store: &P2Kvs<lsmkv::Db>, entries: u64, window: Duration) -> Vec<u64> {
@@ -186,10 +178,10 @@ pub fn measure(
     let result = InterfResult {
         config,
         chunk_entries,
-        p50_get_idle_ns: percentile(&idle, 0.50),
-        p99_get_idle_ns: percentile(&idle, 0.99),
-        p50_get_scan_ns: percentile(&during, 0.50),
-        p99_get_scan_ns: percentile(&during, 0.99),
+        p50_get_idle_ns: crate::percentile(&idle, 0.50),
+        p99_get_idle_ns: crate::percentile(&idle, 0.99),
+        p50_get_scan_ns: crate::percentile(&during, 0.50),
+        p99_get_scan_ns: crate::percentile(&during, 0.99),
         gets_during_scan: during.len() as u64,
         scans_completed: scans_done.load(Ordering::Relaxed),
         scan_entries_per_sec: entries_streamed.load(Ordering::Relaxed) as f64

@@ -92,7 +92,9 @@ pub fn p2kvs_with(opts: Options, dir: &str, workers: usize, obm: bool) -> P2Clie
     // The paper's static layout: one shard per worker, no balancer —
     // figures reproduce the published configuration byte-for-byte.
     let mut popts = P2KvsOptions::paper_layout(workers);
-    popts.obm = obm;
+    if !obm {
+        popts.batch_max = 1;
+    }
     // Adaptive SCAN quotas: exact results with far less read amplification
     // (see the `repro ablate` scan-strategy table).
     popts.scan_strategy = p2kvs::ScanStrategy::Adaptive;

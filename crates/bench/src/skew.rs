@@ -160,14 +160,6 @@ fn value_of(key: &[u8]) -> Vec<u8> {
     v
 }
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
-
 fn spread(deltas: &[u64]) -> f64 {
     let max = deltas.iter().copied().max().unwrap_or(0).max(1) as f64;
     let min = deltas.iter().copied().min().unwrap_or(0).max(1) as f64;
@@ -373,8 +365,8 @@ pub fn measure_cached(
         ops,
         wall_secs,
         throughput_ops_sec: ops as f64 / wall_secs.max(1e-9),
-        p50_get_ns: percentile(&lat, 0.50),
-        p99_get_ns: percentile(&lat, 0.99),
+        p50_get_ns: crate::percentile(&lat, 0.50),
+        p99_get_ns: crate::percentile(&lat, 0.99),
         ops_spread: spread(&worker_ops),
         busy_spread: spread(&worker_busy),
         worker_ops,

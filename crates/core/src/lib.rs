@@ -51,7 +51,7 @@
 //!   multiget (§4.6).
 //! * **Observability** — every worker records queue-wait and service
 //!   latency histograms per request class into a `p2kvs-obs` metrics
-//!   registry, slow requests land in a bounded trace ring, and
+//!   registry, slow groups keep their spans in the span ring, and
 //!   [`P2Kvs::metrics_snapshot`](store::P2Kvs::metrics_snapshot) samples
 //!   queue depths and engine internals (`engine_*`) into one
 //!   Prometheus/JSON-renderable snapshot.
@@ -102,5 +102,5 @@ pub use types::{Op, Response, WriteOp};
 pub use p2kvs_obs as obs;
 pub use p2kvs_obs::{
     Journal, JournalKind, JournalRecord, MetricsRegistry, MetricsSnapshot, SpanKind, SpanRecord,
-    SpanRing, TraceCtx, TraceEvent,
+    SpanRing, TraceCtx,
 };

@@ -83,15 +83,6 @@ impl QueueTable {
         self.get(w).map(|q| q.len()).unwrap_or(0)
     }
 
-    /// Total queued requests across live slots.
-    pub fn total_len(&self) -> usize {
-        self.slots
-            .read()
-            .iter()
-            .map(|s| s.as_ref().map(|q| q.len()).unwrap_or(0))
-            .sum()
-    }
-
     /// Number of slots ever provisioned (live + retired).
     pub fn slot_count(&self) -> usize {
         self.slots.read().len()

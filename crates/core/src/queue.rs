@@ -634,113 +634,6 @@ fn backpressure_backoff(_rounds: &mut u32) {
     sync::yield_now();
 }
 
-// ---------------------------------------------------------------------------
-// MutexQueue: the pre-ring implementation, kept as the benchmark baseline
-// ---------------------------------------------------------------------------
-
-/// The original Mutex + Condvar queue (on std primitives), kept **only**
-/// as the baseline for the accessing-layer micro-benchmarks — every
-/// framework worker uses [`RequestQueue`]. Unbounded, one lock
-/// acquisition plus one notify per push.
-pub struct MutexQueue {
-    inner: std::sync::Mutex<MutexQueueInner>,
-    cv: std::sync::Condvar,
-}
-
-struct MutexQueueInner {
-    queue: std::collections::VecDeque<Request>,
-    closed: bool,
-}
-
-impl Default for MutexQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl MutexQueue {
-    /// Creates an empty queue.
-    pub fn new() -> MutexQueue {
-        MutexQueue {
-            inner: std::sync::Mutex::new(MutexQueueInner {
-                queue: std::collections::VecDeque::new(),
-                closed: false,
-            }),
-            cv: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Enqueues `req`; `Err(req)` if closed.
-    pub fn push(&self, req: Request) -> Result<(), Request> {
-        let mut inner = self.inner.lock().expect("mutex queue");
-        if inner.closed {
-            return Err(req);
-        }
-        inner.queue.push_back(req);
-        drop(inner);
-        self.cv.notify_one();
-        Ok(())
-    }
-
-    /// Blocking batch pop with the same OBM semantics as
-    /// [`RequestQueue::pop_batch_into`].
-    pub fn pop_batch_into(&self, max: usize, batch: &mut Vec<Request>) -> bool {
-        batch.clear();
-        let mut inner = self.inner.lock().expect("mutex queue");
-        loop {
-            if let Some(first) = inner.queue.pop_front() {
-                let class = first.op.class();
-                batch.push(first);
-                if class != OpClass::Solo {
-                    while batch.len() < max {
-                        let next_same = inner
-                            .queue
-                            .front()
-                            .map(|r| r.op.class() == class)
-                            .unwrap_or(false);
-                        if !next_same {
-                            break;
-                        }
-                        batch.push(inner.queue.pop_front().expect("front just checked"));
-                    }
-                }
-                return true;
-            }
-            if inner.closed {
-                return false;
-            }
-            inner = self.cv.wait(inner).expect("mutex queue");
-        }
-    }
-
-    /// Allocating wrapper over [`MutexQueue::pop_batch_into`].
-    pub fn pop_batch(&self, max: usize) -> Option<Vec<Request>> {
-        let mut batch = Vec::new();
-        if self.pop_batch_into(max, &mut batch) {
-            Some(batch)
-        } else {
-            None
-        }
-    }
-
-    /// Closes the queue: waiting consumers drain what is left and stop.
-    pub fn close(&self) {
-        self.inner.lock().expect("mutex queue").closed = true;
-        self.cv.notify_all();
-    }
-
-    /// Current depth (takes the lock — this is the contention the ring's
-    /// relaxed gauge removes).
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("mutex queue").queue.len()
-    }
-
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(all(test, not(feature = "loom")))]
 mod tests {
     use super::*;
@@ -987,20 +880,6 @@ mod tests {
             q.push(put(&i.to_string())).ok().unwrap();
         }
         drop(q);
-    }
-
-    #[test]
-    fn mutex_queue_baseline_matches_semantics() {
-        let q = MutexQueue::new();
-        q.push(put("1")).ok().unwrap();
-        q.push(put("2")).ok().unwrap();
-        q.push(get("3")).ok().unwrap();
-        assert_eq!(q.pop_batch(32).unwrap().len(), 2);
-        assert_eq!(q.pop_batch(32).unwrap().len(), 1);
-        q.close();
-        assert!(q.push(put("rejected")).is_err());
-        assert!(q.pop_batch(32).is_none());
-        assert!(q.is_empty());
     }
 }
 

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use p2kvs_obs::{
     labeled, parse_journal, Journal, JournalKind, JournalRecord, MetricsRegistry, MetricsSnapshot,
-    PeriodicTask, SpanKind, SpanRecord, SpanRing, TraceCtx, TraceEvent, TraceRing, WorkerLifecycle,
+    PeriodicTask, SpanKind, SpanRecord, SpanRing, TraceCtx, WorkerLifecycle,
 };
 
 use crate::balance::{plan_moves, BalancePolicy, ScalePolicy};
@@ -81,7 +81,7 @@ pub struct P2KvsOptions {
     pub balance_interval: Option<Duration>,
     /// Tunables for the rebalancing decision.
     pub balance: BalancePolicy,
-    /// OBM batch bound `M` (32 in the paper); 1 disables merging.
+    /// OBM batch bound `M` (32 in the paper); 1 switches OBM off.
     pub batch_max: usize,
     /// Capacity of each worker's request ring, rounded up to a power of
     /// two (default 1024). A full ring **blocks the pushing user thread**
@@ -89,8 +89,6 @@ pub struct P2KvsOptions {
     /// bounded-memory backpressure rather than unbounded queueing; see
     /// `crate::queue` for the full policy.
     pub queue_capacity: usize,
-    /// Whether OBM is enabled at all (ablation switch).
-    pub obm: bool,
     /// Pin worker threads to cores.
     pub pin_workers: bool,
     /// SCAN strategy.
@@ -103,27 +101,24 @@ pub struct P2KvsOptions {
     /// Hard per-chunk payload-byte bound (same clamping).
     pub scan_chunk_bytes: usize,
     /// Record per-request queue-wait/service latencies into the metrics
-    /// registry (the registry itself always exists; this gates the
-    /// per-request recording).
+    /// registry and keep the spans of slow groups (the registry itself
+    /// always exists; this gates the per-request recording).
     pub metrics: bool,
-    /// Requests slower end-to-end than this leave a trace event in the
-    /// slow-request ring.
+    /// Tail sampling: a group whose slowest request (queue wait +
+    /// service) reaches this always leaves its `queue_wait` +
+    /// `obm_batch` spans in the span ring, head-sampled or not, and
+    /// counts in `p2kvs_slow_requests_total`.
     pub slow_request_threshold: Duration,
-    /// Capacity of the slow-request ring buffer.
-    pub trace_capacity: usize,
     /// When set, a background reporter thread logs a one-line metrics
     /// summary to stderr at this interval.
     pub report_interval: Option<Duration>,
-    /// Causal-trace sampling rate: one in `trace_sample` requests
-    /// carries a trace id from enqueue through the worker, the engine
-    /// call, and device I/O, leaving a completed span tree in the span
-    /// ring (see [`P2Kvs::export_trace`]). `0` disables tracing
-    /// entirely; sampled requests cost a handful of clock reads, the
-    /// rest pay one branch.
+    /// Head sampling rate: one in `trace_sample` requests carries a
+    /// trace id from enqueue through the worker, the engine call, and
+    /// device I/O, leaving a completed span tree in the span ring (see
+    /// [`P2Kvs::export_trace`]). `0` switches head sampling off (slow
+    /// groups are still kept, see `slow_request_threshold`); sampled
+    /// requests cost a handful of clock reads, the rest pay one branch.
     pub trace_sample: u64,
-    /// Capacity of the completed-span ring (oldest spans are
-    /// overwritten).
-    pub trace_span_capacity: usize,
     /// Whether the flight recorder runs: a monotonically sequenced
     /// journal of control-plane events (handoffs, balancer moves,
     /// flush/compaction, fault firings, scan lifecycle) persisted to
@@ -131,9 +126,6 @@ pub struct P2KvsOptions {
     /// across restarts and crashes. Independent of `metrics`: the
     /// recorder documents *what the store did*, not how fast.
     pub flight_recorder: bool,
-    /// In-memory ring capacity of the flight recorder (the persisted
-    /// log is unbounded within the store's lifetime).
-    pub flight_recorder_capacity: usize,
     /// Byte budget of the lock-free hot-record read cache consulted in
     /// [`P2Kvs::get`]/[`P2Kvs::get_many`] before any queue submit
     /// (DESIGN.md §11). `0` disables the cache entirely —
@@ -174,19 +166,15 @@ impl Default for P2KvsOptions {
             balance: BalancePolicy::default(),
             batch_max: 32,
             queue_capacity: crate::queue::DEFAULT_QUEUE_CAPACITY,
-            obm: true,
             pin_workers: true,
             scan_strategy: ScanStrategy::ParallelFull,
             scan_chunk_entries: crate::worker::DEFAULT_SCAN_CHUNK_ENTRIES,
             scan_chunk_bytes: crate::worker::DEFAULT_SCAN_CHUNK_BYTES,
             metrics: true,
             slow_request_threshold: Duration::from_millis(1),
-            trace_capacity: 256,
             report_interval: None,
             trace_sample: 64,
-            trace_span_capacity: 4096,
             flight_recorder: true,
-            flight_recorder_capacity: 256,
             cache_capacity: 16 << 20,
             queue_affinity: true,
             scale: None,
@@ -204,16 +192,6 @@ std::thread_local! {
 }
 
 impl P2KvsOptions {
-    /// The OBM batch bound in force, in keys: `batch_max`, or 1 with
-    /// OBM switched off.
-    fn obm_bound(&self) -> usize {
-        if self.obm {
-            self.batch_max.max(1)
-        } else {
-            1
-        }
-    }
-
     /// Convenience: `n` workers, everything else default (so `4n`
     /// shards and no balancer).
     pub fn with_workers(n: usize) -> P2KvsOptions {
@@ -238,77 +216,107 @@ impl P2KvsOptions {
     }
 }
 
-/// Everything the metrics exposition needs, shared with the optional
-/// reporter thread.
+/// Everything the statistics and metrics exposition needs, shared with
+/// the optional reporter thread.
 struct ObsShared<E: KvsEngine> {
     registry: Arc<MetricsRegistry>,
-    trace: Arc<TraceRing>,
     runtime: Arc<ShardRuntime<E>>,
     pool: Arc<WorkerPool>,
     opened: Instant,
 }
 
 impl<E: KvsEngine> ObsShared<E> {
-    /// Samples everything that is not recorded inline — worker counters,
-    /// queue depths, per-shard gauges, engine-internal metrics — into
-    /// the registry, then snapshots it.
-    fn snapshot(&self) -> MetricsSnapshot {
-        let reg = &self.registry;
+    /// The one place the worker and shard atomics are read.
+    /// [`P2Kvs::snapshot`] returns this as is; the registry series
+    /// ([`ObsShared::render`]) and [`P2Kvs::introspect`]'s worker views
+    /// are rendered from it, so the three can never disagree about a
+    /// counter they share.
+    fn read(&self) -> StoreSnapshot {
         let ordering = Ordering::Relaxed;
-        // Walk every slot the pool ever provisioned: retired slots keep
-        // their final counters, so scraped series end at their true
-        // values instead of freezing mid-interval or vanishing.
-        for (i, (stats, live)) in self.pool.slots_view().into_iter().enumerate() {
-            let w = i.to_string();
-            let l = |base: &str| labeled(base, &[("worker", &w)]);
-            reg.counter(&l("p2kvs_worker_ops_total"))
-                .store(stats.ops.load(ordering));
-            reg.counter(&l("p2kvs_worker_batches_total"))
-                .store(stats.batches.load(ordering));
-            reg.counter(&l("p2kvs_worker_merged_ops_total"))
-                .store(stats.merged_ops.load(ordering));
-            reg.counter(&l("p2kvs_worker_scans_total"))
-                .store(stats.scans_opened.load(ordering));
-            reg.counter(&l("p2kvs_worker_scan_chunks_total"))
-                .store(stats.scan_chunks.load(ordering));
-            reg.counter(&l("p2kvs_worker_scan_resumes_total"))
-                .store(stats.scan_resumes.load(ordering));
-            reg.counter(&l("p2kvs_worker_handoffs_out_total"))
-                .store(stats.handoffs_out.load(ordering));
-            reg.counter(&l("p2kvs_worker_handoffs_in_total"))
-                .store(stats.handoffs_in.load(ordering));
-            reg.counter(&l("p2kvs_worker_stashed_total"))
-                .store(stats.stashed.load(ordering));
-            reg.counter(&l("p2kvs_worker_rerouted_total"))
-                .store(stats.rerouted.load(ordering));
-            reg.set_gauge(
-                &l("p2kvs_active_scans"),
-                stats.scans_active.load(ordering) as f64,
-            );
-            reg.set_gauge(
-                &l("p2kvs_shards_owned"),
-                stats.shards_owned.load(ordering) as f64,
-            );
-            reg.set_gauge(
-                &l("p2kvs_worker_busy_seconds"),
-                stats.busy.busy().as_secs_f64(),
-            );
-            // The live queue depth gauge reads the ring's relaxed atomic
-            // counter — sampling never locks or contends with the data
-            // path. A retired slot reads 0: its ring is gone.
-            reg.set_gauge(&l("p2kvs_queue_depth"), self.runtime.queues.len_of(i) as f64);
-            reg.set_gauge(&l("p2kvs_worker_live"), if live { 1.0 } else { 0.0 });
+        StoreSnapshot {
+            // Every slot the pool ever provisioned: retired slots keep
+            // their final counters, so scraped series end at their true
+            // values instead of freezing mid-interval or vanishing.
+            workers: self
+                .pool
+                .slots_view()
+                .into_iter()
+                .enumerate()
+                .map(|(i, (stats, live))| WorkerSnapshot {
+                    ops: stats.ops.load(ordering),
+                    batches: stats.batches.load(ordering),
+                    merged_ops: stats.merged_ops.load(ordering),
+                    scans: stats.scans_opened.load(ordering),
+                    scan_chunks: stats.scan_chunks.load(ordering),
+                    scan_resumes: stats.scan_resumes.load(ordering),
+                    active_scans: stats.scans_active.load(ordering),
+                    shards_owned: stats.shards_owned.load(ordering),
+                    handoffs_out: stats.handoffs_out.load(ordering),
+                    handoffs_in: stats.handoffs_in.load(ordering),
+                    stashed: stats.stashed.load(ordering),
+                    rerouted: stats.rerouted.load(ordering),
+                    busy: stats.busy.busy(),
+                    // The ring's relaxed atomic counter — sampling never
+                    // locks or contends with the data path. A retired
+                    // slot reads 0: its ring is gone.
+                    queue_depth: self.runtime.queues.len_of(i),
+                    live,
+                })
+                .collect(),
+            shards: self
+                .runtime
+                .shard_stats
+                .iter()
+                .map(|s| ShardSnapshot {
+                    ops: s.ops.load(ordering),
+                    busy: Duration::from_nanos(s.busy_ns.load(ordering)),
+                    owner: s.owner.load(ordering),
+                })
+                .collect(),
+            migrations: self.runtime.depot.installed(),
+            uptime: self.opened.elapsed(),
+            mem_usage: self.runtime.engines.iter().map(|e| e.mem_usage()).sum(),
         }
-        for (s, stats) in self.runtime.shard_stats.iter().enumerate() {
+    }
+
+    /// Mirrors `stats` and everything else that is not recorded inline —
+    /// engine-internal metrics, device counters, the obs subsystems' own
+    /// state — into the registry, then snapshots it.
+    fn render(&self, stats: &StoreSnapshot) -> MetricsSnapshot {
+        let reg = &self.registry;
+        for (i, w) in stats.workers.iter().enumerate() {
+            let id = i.to_string();
+            let l = |base: &str| labeled(base, &[("worker", &id)]);
+            reg.counter(&l("p2kvs_worker_ops_total")).store(w.ops);
+            reg.counter(&l("p2kvs_worker_batches_total"))
+                .store(w.batches);
+            reg.counter(&l("p2kvs_worker_merged_ops_total"))
+                .store(w.merged_ops);
+            reg.counter(&l("p2kvs_worker_scans_total")).store(w.scans);
+            reg.counter(&l("p2kvs_worker_scan_chunks_total"))
+                .store(w.scan_chunks);
+            reg.counter(&l("p2kvs_worker_scan_resumes_total"))
+                .store(w.scan_resumes);
+            reg.counter(&l("p2kvs_worker_handoffs_out_total"))
+                .store(w.handoffs_out);
+            reg.counter(&l("p2kvs_worker_handoffs_in_total"))
+                .store(w.handoffs_in);
+            reg.counter(&l("p2kvs_worker_stashed_total"))
+                .store(w.stashed);
+            reg.counter(&l("p2kvs_worker_rerouted_total"))
+                .store(w.rerouted);
+            reg.set_gauge(&l("p2kvs_active_scans"), w.active_scans as f64);
+            reg.set_gauge(&l("p2kvs_shards_owned"), w.shards_owned as f64);
+            reg.set_gauge(&l("p2kvs_worker_busy_seconds"), w.busy.as_secs_f64());
+            reg.set_gauge(&l("p2kvs_queue_depth"), w.queue_depth as f64);
+            reg.set_gauge(&l("p2kvs_worker_live"), if w.live { 1.0 } else { 0.0 });
+        }
+        for (s, shard) in stats.shards.iter().enumerate() {
             let sh = s.to_string();
             let l = |base: &str| labeled(base, &[("shard", &sh)]);
-            reg.counter(&l("p2kvs_shard_ops_total"))
-                .store(stats.ops.load(ordering));
-            reg.set_gauge(
-                &l("p2kvs_shard_busy_seconds"),
-                stats.busy_ns.load(ordering) as f64 / 1e9,
-            );
-            reg.set_gauge(&l("p2kvs_shard_owner"), stats.owner.load(ordering) as f64);
+            reg.counter(&l("p2kvs_shard_ops_total")).store(shard.ops);
+            reg.set_gauge(&l("p2kvs_shard_busy_seconds"), shard.busy.as_secs_f64());
+            reg.set_gauge(&l("p2kvs_shard_owner"), shard.owner as f64);
         }
         for (i, engine) in self.runtime.engines.iter().enumerate() {
             let inst = i.to_string();
@@ -316,24 +324,16 @@ impl<E: KvsEngine> ObsShared<E> {
                 reg.set_gauge(&labeled(&name, &[("instance", &inst)]), value);
             }
         }
-        reg.set_gauge("p2kvs_workers", self.pool.live_count() as f64);
-        reg.set_gauge("p2kvs_shards", self.runtime.engines.len() as f64);
+        let live = stats.workers.iter().filter(|w| w.live).count();
+        reg.set_gauge("p2kvs_workers", live as f64);
+        reg.set_gauge("p2kvs_shards", stats.shards.len() as f64);
         reg.set_gauge("p2kvs_map_epoch", self.runtime.map.epoch() as f64);
         reg.counter("p2kvs_migrations_total")
-            .store(self.runtime.depot.installed());
+            .store(stats.migrations);
         reg.counter("p2kvs_handoffs_aborted_total")
             .store(self.runtime.depot.aborted());
-        reg.set_gauge("p2kvs_uptime_seconds", self.opened.elapsed().as_secs_f64());
-        reg.set_gauge(
-            "p2kvs_mem_usage_bytes",
-            self.runtime
-                .engines
-                .iter()
-                .map(|e| e.mem_usage())
-                .sum::<usize>() as f64,
-        );
-        reg.counter("p2kvs_slow_requests_total")
-            .store(self.trace.total_recorded());
+        reg.set_gauge("p2kvs_uptime_seconds", stats.uptime.as_secs_f64());
+        reg.set_gauge("p2kvs_mem_usage_bytes", stats.mem_usage as f64);
         // Device-level counters mirrored from the storage env, so the
         // whole stack — framework, engines, device — reads out of one
         // registry (and one Prometheus scrape).
@@ -375,12 +375,11 @@ impl<E: KvsEngine> ObsShared<E> {
                 }
             }
         }
-        if let Some(ring) = &self.runtime.spans {
-            reg.counter("p2kvs_trace_spans_total")
-                .store(ring.total_recorded());
-        }
+        reg.counter("p2kvs_trace_spans_total")
+            .store(self.runtime.spans.total_recorded());
         if let Some(j) = &self.runtime.journal {
-            reg.counter("p2kvs_flight_records_total").store(j.last_seq());
+            reg.counter("p2kvs_flight_records_total")
+                .store(j.last_seq());
         }
         if let Some(c) = &self.runtime.cache {
             let s = c.counters();
@@ -395,15 +394,9 @@ impl<E: KvsEngine> ObsShared<E> {
     }
 
     /// One-line summary for the periodic reporter.
-    fn summary_line(&self, snapshot: &MetricsSnapshot) -> String {
-        let ops: u64 = self
-            .pool
-            .slots_view()
-            .iter()
-            .map(|(s, _)| s.ops.load(Ordering::Relaxed))
-            .sum();
-        let depth = self.runtime.queues.total_len();
-        let write_p99 = snapshot
+    fn summary_line(&self, stats: &StoreSnapshot, metrics: &MetricsSnapshot) -> String {
+        let depth: usize = stats.workers.iter().map(|w| w.queue_depth).sum();
+        let write_p99 = metrics
             .histograms_of("p2kvs_service_ns")
             .iter()
             .filter(|(n, _)| n.contains("class=\"write\""))
@@ -412,11 +405,11 @@ impl<E: KvsEngine> ObsShared<E> {
             .unwrap_or(0);
         format!(
             "[p2kvs-obs] uptime={:.1}s ops={} queue_depth={} migrations={} slow_events={} worst_write_service_p99={:.1}us",
-            self.opened.elapsed().as_secs_f64(),
-            ops,
+            stats.uptime.as_secs_f64(),
+            stats.total_ops(),
             depth,
-            self.runtime.depot.installed(),
-            self.trace.total_recorded(),
+            stats.migrations,
+            metrics.counter("p2kvs_slow_requests_total").unwrap_or(0),
             write_p99 as f64 / 1e3,
         )
     }
@@ -619,7 +612,7 @@ pub struct StoreIntrospection {
     pub last_sample_busy_ns: Vec<u64>,
     /// Device service-capacity utilization, when the env models one.
     pub device_utilization: Option<f64>,
-    /// Completed causal-trace spans recorded so far.
+    /// Spans recorded so far (head-sampled trees and tail-kept pairs).
     pub trace_spans_recorded: u64,
     /// Highest flight-recorder sequence number assigned.
     pub flight_last_seq: u64,
@@ -660,7 +653,6 @@ pub struct P2Kvs<E: KvsEngine> {
     opts: P2KvsOptions,
     /// The store directory (backup streams the flight journal from it).
     dir: PathBuf,
-    opened: Instant,
     /// Monotone submission counter driving 1-in-N trace sampling.
     trace_seq: AtomicU64,
     /// Flight-recorder records recovered from `FLIGHT.log` at open.
@@ -711,7 +703,9 @@ impl<E: KvsEngine> P2Kvs<E> {
             Arc::new(move |gsn| recovered.should_replay(gsn))
         };
         let registry = Arc::new(MetricsRegistry::new());
-        let trace = Arc::new(TraceRing::new(opts.trace_capacity));
+        // Registered up front so the series reads 0, not absent, with
+        // per-request metrics off.
+        registry.counter("p2kvs_slow_requests_total");
         let slow_ns = opts
             .slow_request_threshold
             .as_nanos()
@@ -735,8 +729,7 @@ impl<E: KvsEngine> P2Kvs<E> {
                 worker_queue(s % n),
             )?));
         }
-        let spans = (opts.trace_sample > 0)
-            .then(|| Arc::new(SpanRing::new(opts.trace_span_capacity)));
+        let spans = Arc::new(SpanRing::new(SpanRing::DEFAULT_CAPACITY));
         // Flight recorder: recover the persisted journal (its longest
         // valid prefix — a crash may leave a torn tail), continue the
         // sequence from the recovered maximum, and persist every new
@@ -750,7 +743,7 @@ impl<E: KvsEngine> P2Kvs<E> {
                 recovered_flight = parse_journal(&data);
             }
             let last = recovered_flight.last().map(|r| r.seq).unwrap_or(0);
-            let j = Arc::new(Journal::new(opts.flight_recorder_capacity, last));
+            let j = Arc::new(Journal::new(Journal::DEFAULT_CAPACITY, last));
             j.seed(&recovered_flight);
             let mut file = env.new_writable(&flight_path)?;
             for r in &recovered_flight {
@@ -846,7 +839,7 @@ impl<E: KvsEngine> P2Kvs<E> {
             shard_stats: (0..shards)
                 .map(|_| Arc::new(crate::shard::ShardStats::default()))
                 .collect(),
-            spans,
+            spans: spans.clone(),
             journal,
             cache,
             env: Some(env.clone()),
@@ -856,7 +849,7 @@ impl<E: KvsEngine> P2Kvs<E> {
             queues,
             SpawnSpec {
                 config: crate::worker::WorkerConfig {
-                    batch_max: opts.obm_bound(),
+                    batch_max: opts.batch_max.max(1),
                     queue_capacity: opts.queue_capacity,
                     pin: opts.pin_workers,
                     scan_chunk_entries: opts.scan_chunk_entries,
@@ -869,10 +862,9 @@ impl<E: KvsEngine> P2Kvs<E> {
                 queue_affinity: opts.queue_affinity,
                 lifecycle: {
                     let registry = registry.clone();
-                    let trace = trace.clone();
                     let metrics = opts.metrics;
                     Box::new(move |w| {
-                        metrics.then(|| WorkerLifecycle::new(&registry, w, slow_ns, trace.clone()))
+                        metrics.then(|| WorkerLifecycle::new(&registry, w, slow_ns, spans.clone()))
                     })
                 },
             },
@@ -883,7 +875,6 @@ impl<E: KvsEngine> P2Kvs<E> {
         let opened = Instant::now();
         let obs = Arc::new(ObsShared {
             registry,
-            trace,
             runtime: runtime.clone(),
             pool: pool.clone(),
             opened,
@@ -891,8 +882,8 @@ impl<E: KvsEngine> P2Kvs<E> {
         let reporter = opts.report_interval.map(|interval| {
             let obs = obs.clone();
             PeriodicTask::spawn("p2kvs-reporter", interval, move || {
-                let snapshot = obs.snapshot();
-                eprintln!("{}", obs.summary_line(&snapshot));
+                let stats = obs.read();
+                eprintln!("{}", obs.summary_line(&stats, &obs.render(&stats)));
             })
         });
         let balance = Arc::new(BalanceShared {
@@ -925,19 +916,20 @@ impl<E: KvsEngine> P2Kvs<E> {
             txn,
             opts,
             dir,
-            opened,
             trace_seq: AtomicU64::new(0),
             recovered_flight,
         })
     }
 
-    /// Assigns the next trace context: every `trace_sample`-th
-    /// submission gets a fresh nonzero id, the rest ride untraced.
+    /// Draws the head-sampling decision of one client call: every
+    /// `trace_sample`-th call gets a fresh nonzero id, the rest ride
+    /// untraced. One draw per call — the context travels with whatever
+    /// the call probes and enqueues.
     fn next_trace(&self) -> TraceCtx {
-        if self.runtime.spans.is_none() {
+        let sample = self.opts.trace_sample;
+        if sample == 0 {
             return TraceCtx::NONE;
         }
-        let sample = self.opts.trace_sample.max(1);
         let n = self.trace_seq.fetch_add(1, Ordering::Relaxed);
         if n % sample == 0 {
             TraceCtx { id: n / sample + 1 }
@@ -1043,7 +1035,7 @@ impl<E: KvsEngine> P2Kvs<E> {
         Ok(self.pool.live_count())
     }
 
-    fn submit_to_shard(&self, shard: usize, op: Op) -> Result<Response> {
+    fn submit_to_shard(&self, shard: usize, op: Op, ctx: TraceCtx) -> Result<Response> {
         let (req, done) = Request::sync(op);
         {
             // Pin only across the push: the pin is the epoch fence, and
@@ -1051,17 +1043,14 @@ impl<E: KvsEngine> P2Kvs<E> {
             let pin = self.runtime.map.pin();
             self.runtime
                 .queues
-                .push_to(
-                    pin.owner(shard),
-                    req.on_shard(shard as u64).traced(self.next_trace()),
-                )
+                .push_to(pin.owner(shard), req.on_shard(shard as u64).traced(ctx))
                 .map_err(|_| Error::Closed)?;
         }
         done.wait()
     }
 
     fn submit_to_key(&self, key: &[u8], op: Op) -> Result<Response> {
-        self.submit_to_shard(self.partitioner.shard_of(key), op)
+        self.submit_to_shard(self.partitioner.shard_of(key), op, self.next_trace())
     }
 
     /// Inserts `key -> value` (blocking).
@@ -1115,33 +1104,32 @@ impl<E: KvsEngine> P2Kvs<E> {
     /// allocation beyond the value bytes; only misses are submitted.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let shard = self.partitioner.shard_of(key);
+        // Drawn once, before the probe: a sampled hit records its
+        // `cache_lookup` span under this id, a sampled miss carries the
+        // same id into the queued request. Unsampled hits pay no clock
+        // reads at all.
+        let ctx = self.next_trace();
         if let Some(cache) = &self.runtime.cache {
-            // Decide sampling before the probe so unsampled hits pay no
-            // clock reads at all.
-            let ctx = self.next_trace();
-            if ctx.is_sampled() {
-                if let Some(ring) = &self.runtime.spans {
-                    let start = Instant::now();
-                    if let Some(v) = cache.lookup(shard as u32, key) {
-                        ring.record(SpanRecord {
-                            trace_id: ctx.id,
-                            kind: SpanKind::CacheLookup,
-                            worker: u32::MAX,
-                            shard: shard as u32,
-                            start_us: ring.stamp(start),
-                            dur_us: start.elapsed().as_micros() as u64,
-                            batch_id: 0,
-                            batch_size: 1,
-                            aux: v.len() as u64,
-                        });
-                        return Ok(Some(v));
-                    }
+            let start = ctx.is_sampled().then(Instant::now);
+            if let Some(v) = cache.lookup(shard as u32, key) {
+                if let Some(start) = start {
+                    let ring = &self.runtime.spans;
+                    ring.record(SpanRecord {
+                        trace_id: ctx.id,
+                        kind: SpanKind::CacheLookup,
+                        worker: u32::MAX,
+                        shard: shard as u32,
+                        start_us: ring.stamp(start),
+                        dur_us: start.elapsed().as_micros() as u64,
+                        batch_id: 0,
+                        batch_size: 1,
+                        aux: v.len() as u64,
+                    });
                 }
-            } else if let Some(v) = cache.lookup(shard as u32, key) {
                 return Ok(Some(v));
             }
         }
-        match self.submit_to_shard(shard, Op::Get { key: key.to_vec() })? {
+        match self.submit_to_shard(shard, Op::Get { key: key.to_vec() }, ctx)? {
             Response::Value(v) => Ok(v),
             other => Err(Error::Engine(format!("unexpected response {other:?}"))),
         }
@@ -1164,6 +1152,9 @@ impl<E: KvsEngine> P2Kvs<E> {
         }
 
         let cache = self.runtime.cache.as_deref();
+        // One draw per call: every entry a sampled call enqueues shares
+        // its trace id.
+        let ctx = self.next_trace();
         let mut results: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
         // The missed keys of each shard, with their positions in `keys`.
         let mut misses: Vec<(Vec<usize>, Vec<Vec<u8>>)> = vec![Default::default(); self.shards()];
@@ -1178,7 +1169,7 @@ impl<E: KvsEngine> P2Kvs<E> {
                 }
             }
         }
-        let chunk = self.opts.obm_bound();
+        let chunk = self.opts.batch_max.max(1);
         let entries: usize = misses.iter().map(|(at, _)| at.len().div_ceil(chunk)).sum();
         if entries == 0 {
             return Ok(results);
@@ -1226,7 +1217,7 @@ impl<E: KvsEngine> P2Kvs<E> {
                     }),
                 )
                 .on_shard(shard as u64)
-                .traced(self.next_trace());
+                .traced(ctx);
                 (at, keys) = (rest_at, rest_keys);
                 if closed {
                     req.finish_err(&Error::Closed);
@@ -1259,6 +1250,7 @@ impl<E: KvsEngine> P2Kvs<E> {
         if ops.is_empty() {
             return Ok(());
         }
+        let ctx = self.next_trace();
         let mut per_shard: Vec<Vec<WriteOp>> = (0..self.shards()).map(|_| Vec::new()).collect();
         for op in ops {
             // `partitions() == shards` is validated at open, so this
@@ -1277,6 +1269,7 @@ impl<E: KvsEngine> P2Kvs<E> {
                     ops: std::mem::take(&mut per_shard[s]),
                     gsn: 0,
                 },
+                ctx,
             )? {
                 Response::Done => Ok(()),
                 other => Err(Error::Engine(format!("unexpected response {other:?}"))),
@@ -1292,10 +1285,11 @@ impl<E: KvsEngine> P2Kvs<E> {
                     ops: std::mem::take(&mut per_shard[s]),
                     gsn,
                 });
-                match self.runtime.queues.push_to(
-                    pin.owner(s),
-                    req.on_shard(s as u64).traced(self.next_trace()),
-                ) {
+                match self
+                    .runtime
+                    .queues
+                    .push_to(pin.owner(s), req.on_shard(s as u64).traced(ctx))
+                {
                     Ok(()) => completions.push(done),
                     Err(_) => {
                         push_err = Some(Error::Closed);
@@ -1631,45 +1625,7 @@ impl<E: KvsEngine> P2Kvs<E> {
 
     /// Point-in-time statistics.
     pub fn snapshot(&self) -> StoreSnapshot {
-        let ordering = Ordering::Relaxed;
-        StoreSnapshot {
-            workers: self
-                .pool
-                .slots_view()
-                .into_iter()
-                .enumerate()
-                .map(|(i, (stats, live))| WorkerSnapshot {
-                    ops: stats.ops.load(ordering),
-                    batches: stats.batches.load(ordering),
-                    merged_ops: stats.merged_ops.load(ordering),
-                    scans: stats.scans_opened.load(ordering),
-                    scan_chunks: stats.scan_chunks.load(ordering),
-                    scan_resumes: stats.scan_resumes.load(ordering),
-                    active_scans: stats.scans_active.load(ordering),
-                    shards_owned: stats.shards_owned.load(ordering),
-                    handoffs_out: stats.handoffs_out.load(ordering),
-                    handoffs_in: stats.handoffs_in.load(ordering),
-                    stashed: stats.stashed.load(ordering),
-                    rerouted: stats.rerouted.load(ordering),
-                    busy: stats.busy.busy(),
-                    queue_depth: self.runtime.queues.len_of(i),
-                    live,
-                })
-                .collect(),
-            shards: self
-                .runtime
-                .shard_stats
-                .iter()
-                .map(|s| ShardSnapshot {
-                    ops: s.ops.load(ordering),
-                    busy: Duration::from_nanos(s.busy_ns.load(ordering)),
-                    owner: s.owner.load(ordering),
-                })
-                .collect(),
-            migrations: self.runtime.depot.installed(),
-            uptime: self.opened.elapsed(),
-            mem_usage: self.runtime.engines.iter().map(|e| e.mem_usage()).sum(),
-        }
+        self.obs.read()
     }
 
     /// The metrics registry: counters, gauges, and the queue-wait /
@@ -1684,24 +1640,18 @@ impl<E: KvsEngine> P2Kvs<E> {
     /// [`MetricsSnapshot::render_prometheus`] /
     /// [`MetricsSnapshot::render_json`].
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.obs.snapshot()
+        self.obs.render(&self.obs.read())
     }
 
-    /// The most recent `n` slow-request trace events, oldest first.
-    pub fn recent_slow_requests(&self, n: usize) -> Vec<TraceEvent> {
-        self.obs.trace.recent(n)
-    }
-
-    /// Completed causal-trace spans, sorted by start time. Each sampled
-    /// request contributes a span tree: `queue_wait` →
-    /// `obm_batch`(batch id + merged-run size) → `engine` →
-    /// WAL/MemTable/read phases → `device_io`.
+    /// Completed spans, sorted by start time. Each head-sampled request
+    /// contributes a span tree: `queue_wait` → `obm_batch`(batch id +
+    /// merged-run size) → `engine` → WAL/MemTable/read phases →
+    /// `device_io`. Each slow group (see
+    /// [`P2KvsOptions::slow_request_threshold`]) contributes the
+    /// `queue_wait` + `obm_batch` pair of its slowest request under an
+    /// id of its own, at or above [`TraceCtx::TAIL_BASE`].
     pub fn trace_spans(&self) -> Vec<SpanRecord> {
-        self.runtime
-            .spans
-            .as_ref()
-            .map(|r| r.snapshot())
-            .unwrap_or_default()
+        self.runtime.spans.snapshot()
     }
 
     /// Exports the span ring plus the flight recorder's recent records
@@ -1740,28 +1690,25 @@ impl<E: KvsEngine> P2Kvs<E> {
     /// per-worker shard sets, queue depths and active scans, balancer
     /// state, and device utilization.
     pub fn introspect(&self) -> StoreIntrospection {
-        let ordering = Ordering::Relaxed;
         let pin = self.runtime.map.pin();
-        let shard_owners: Vec<usize> = (0..pin.shards()).map(|s| pin.owner(s)).collect();
-        let workers = self
-            .pool
-            .slots_view()
-            .into_iter()
-            .enumerate()
-            .map(|(i, (stats, live))| WorkerView {
-                worker: i,
-                shards: pin.shards_of(i),
-                queue_depth: self.runtime.queues.len_of(i),
-                active_scans: stats.scans_active.load(ordering),
-                busy: stats.busy.busy(),
-                live,
-            })
-            .collect();
+        let stats = self.obs.read();
         StoreIntrospection {
             map_epoch: pin.epoch(),
-            shard_owners,
-            workers,
-            migrations: self.runtime.depot.installed(),
+            shard_owners: (0..pin.shards()).map(|s| pin.owner(s)).collect(),
+            workers: stats
+                .workers
+                .iter()
+                .enumerate()
+                .map(|(i, w)| WorkerView {
+                    worker: i,
+                    shards: pin.shards_of(i),
+                    queue_depth: w.queue_depth,
+                    active_scans: w.active_scans,
+                    busy: w.busy,
+                    live: w.live,
+                })
+                .collect(),
+            migrations: stats.migrations,
             balancer_active: self.balancer.is_some(),
             balance_policy: self.balance.policy,
             last_sample_busy_ns: self.balance.state.lock().last_busy_ns.clone(),
@@ -1770,19 +1717,14 @@ impl<E: KvsEngine> P2Kvs<E> {
                 .env
                 .as_ref()
                 .and_then(|e| e.device_utilization()),
-            trace_spans_recorded: self
-                .runtime
-                .spans
-                .as_ref()
-                .map(|r| r.total_recorded())
-                .unwrap_or(0),
+            trace_spans_recorded: self.runtime.spans.total_recorded(),
             flight_last_seq: self
                 .runtime
                 .journal
                 .as_ref()
                 .map(|j| j.last_seq())
                 .unwrap_or(0),
-            uptime: self.opened.elapsed(),
+            uptime: stats.uptime,
         }
     }
 
@@ -1969,6 +1911,62 @@ mod tests {
                 batches_after - batches
             );
         }
+    }
+
+    #[test]
+    fn a_cache_miss_get_draws_one_trace_decision() {
+        // Regression: `get` drew a trace decision for the probe and the
+        // submit drew another for the queued request, so a sampled miss
+        // lost its id and the sampling counter ran at twice the call
+        // rate.
+        let mut opts = P2KvsOptions::with_workers(2);
+        opts.pin_workers = false;
+        opts.cache_capacity = 1 << 20;
+        opts.trace_sample = 1;
+        opts.slow_request_threshold = Duration::from_secs(3600);
+        let store = P2Kvs::open(
+            LsmFactory::new(lsmkv::Options::for_test()),
+            "store-draw",
+            opts,
+        )
+        .unwrap();
+        let drawn = |s: &P2Kvs<lsmkv::Db>| s.trace_seq.load(Ordering::Relaxed);
+        store.put(b"k", b"v").unwrap();
+        let before = drawn(&store);
+        assert_eq!(store.get(b"k").unwrap().as_deref(), Some(&b"v"[..])); // a miss
+        assert_eq!(drawn(&store), before + 1, "one draw per get");
+        // At `trace_sample = 1` draw `n` hands out id `n + 1`. The id
+        // drawn before the probe is the one the queued request carries
+        // (the worker records the tree after acking; wait for it).
+        let id = before + 1;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let tree = loop {
+            let spans = store.trace_spans();
+            if spans
+                .iter()
+                .any(|s| s.trace_id == id && s.kind == SpanKind::Engine)
+            {
+                break spans;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "the miss left no span tree under its id"
+            );
+            std::thread::yield_now();
+        };
+        assert!(tree
+            .iter()
+            .any(|s| s.trace_id == id && s.kind == SpanKind::QueueWait));
+        assert!(
+            tree.iter().all(|s| s.trace_id <= id),
+            "no second id was spent"
+        );
+        // A batched lookup is one call, hence one draw, however many
+        // shards its misses fan out to.
+        let keys: Vec<Vec<u8>> = (0..32u32).map(|i| format!("m{i}").into_bytes()).collect();
+        let before = drawn(&store);
+        store.get_many(&keys).unwrap();
+        assert_eq!(drawn(&store), before + 1, "one draw per get_many");
     }
 
     #[test]

@@ -46,7 +46,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use p2kvs_obs::{Journal, JournalKind, SpanKind, SpanRecord, SpanRing, WorkerLifecycle};
+use p2kvs_obs::{
+    GroupStamp, Journal, JournalKind, SpanKind, SpanRecord, SpanRing, WorkerLifecycle,
+};
 use p2kvs_util::timing::BusyClock;
 
 use crate::engine::{EnginePhases, KvsEngine, ScanCursor};
@@ -168,10 +170,9 @@ pub(crate) struct ShardRuntime<E> {
     pub depot: Arc<HandoffDepot>,
     /// Per-shard counters the balancer reads, indexed by shard.
     pub shard_stats: Vec<Arc<ShardStats>>,
-    /// Causal-trace span sink shared by every worker. `None` disables
-    /// tracing entirely (workers skip even the sampling check's
-    /// bookkeeping beyond one branch per batch).
-    pub spans: Option<Arc<SpanRing>>,
+    /// Span sink shared by every worker: head-sampled requests leave
+    /// their span trees here, slow groups their tail-kept pair.
+    pub spans: Arc<SpanRing>,
     /// The store's flight recorder: workers journal handoffs, installs
     /// and scan lifecycle events into it.
     pub journal: Option<Arc<Journal>>,
@@ -218,7 +219,7 @@ impl WorkerHandle {
             map: Arc::new(MapCell::new(ShardMap::initial(1, 1))),
             depot: Arc::new(HandoffDepot::new()),
             shard_stats: vec![Arc::new(ShardStats::default())],
-            spans: None,
+            spans: Arc::new(SpanRing::new(0)),
             journal: None,
             cache: None,
             env: None,
@@ -232,9 +233,9 @@ impl WorkerHandle {
     /// `id` (the pool installs it before spawning) and initially owns
     /// the shards the runtime's map assigns to `id`.
     ///
-    /// When `lifecycle` is present the worker stamps every batch at
-    /// dequeue and completion, publishing queue-wait and service latency
-    /// histograms plus slow-request trace events.
+    /// The worker stamps every group at dequeue and at completion; when
+    /// `lifecycle` is present that pair also feeds the queue-wait and
+    /// service latency histograms and keeps the spans of slow groups.
     pub(crate) fn spawn_in<E: KvsEngine>(
         id: usize,
         runtime: Arc<ShardRuntime<E>>,
@@ -355,9 +356,10 @@ impl WorkerHandle {
                             freeze_shard(windex, &rt, shard, req);
                             continue;
                         }
-                        // Lifecycle stamps: queue wait ends at dequeue,
-                        // service covers dequeue -> completion (requests
-                        // in one OBM batch complete together).
+                        // The first of the group's two clock reads: queue
+                        // wait ends here, service runs from here to
+                        // completion (requests in one OBM batch complete
+                        // together).
                         let dequeued = Instant::now();
                         let class = group[0].op.class();
                         let n = keys_in(&group);
@@ -374,64 +376,71 @@ impl WorkerHandle {
                         }
                         let engine = &rt.engines[shard as usize];
                         let scans = owned.get_mut(&shard).expect("ownership checked above");
-                        // Collect the group's sampled requests. The
-                        // pre-call engine/device clocks are read only
-                        // when a sampled request is actually present,
-                        // so unsampled batches pay one branch.
                         batch_seq += 1;
                         traced.clear();
-                        let mut pre: Option<(EnginePhases, _)> = None;
-                        if let Some(ring) = rt.spans.as_deref() {
-                            for r in group.iter() {
-                                if r.trace.is_sampled() {
-                                    traced.push((r.trace.id, ring.stamp(r.enqueued)));
-                                }
-                            }
-                            if !traced.is_empty() {
-                                pre = Some((
-                                    engine.phase_clocks(),
-                                    rt.env.as_ref().map(|e| e.io_stats()),
-                                ));
-                            }
-                        }
-                        let t_call = Instant::now();
-                        s.busy.time(|| {
-                            execute_batch(
-                                &**engine,
-                                &mut group,
-                                &s,
-                                &mut scratch,
-                                scans,
-                                &config,
-                                rt.journal.as_deref(),
-                                rt.cache.as_deref(),
+                        traced.extend(
+                            group
+                                .iter()
+                                .filter(|r| r.trace.is_sampled())
+                                .map(|r| (r.trace.id, rt.spans.stamp(r.enqueued))),
+                        );
+                        // Only a group carrying a head-sampled request
+                        // reads the clock a third time, and with it the
+                        // engine and device clocks — their "before" values
+                        // cannot be had in hindsight, which is why
+                        // tail-kept groups stop at the batch span.
+                        let pre = (!traced.is_empty()).then(|| {
+                            (
+                                Instant::now(),
+                                engine.phase_clocks(),
+                                rt.env.as_ref().map(|e| e.io_stats()),
                             )
                         });
-                        if let (Some(ring), Some((pre_ph, pre_io))) = (rt.spans.as_deref(), pre) {
-                            let t_end = Instant::now();
-                            let io = pre_io
-                                .map(|p| (p, rt.env.as_ref().expect("pre_io implies env").io_stats()));
+                        execute_batch(
+                            &**engine,
+                            &mut group,
+                            &s,
+                            &mut scratch,
+                            scans,
+                            &config,
+                            rt.journal.as_deref(),
+                            rt.cache.as_deref(),
+                        );
+                        // The second read. Busy time, per-shard load, the
+                        // latency histograms and the spans all come from
+                        // this one pair.
+                        let stamp = GroupStamp {
+                            worker: windex as u32,
+                            shard: shard as u32,
+                            class: class.index(),
+                            batch_id: batch_seq,
+                            keys: n as u32,
+                            dequeued,
+                            completed: Instant::now(),
+                        };
+                        if let Some((t_call, pre_ph, pre_io)) = pre {
+                            let io = pre_io.map(|p| {
+                                (p, rt.env.as_ref().expect("pre_io implies env").io_stats())
+                            });
                             record_batch_spans(
-                                ring,
-                                windex as u32,
-                                shard as u32,
+                                &rt.spans,
+                                &stamp,
                                 &traced,
-                                ring.stamp(dequeued),
-                                ring.stamp(t_call),
-                                ring.stamp(t_end),
-                                batch_seq,
-                                n as u32,
-                                class,
+                                rt.spans.stamp(t_call),
                                 (pre_ph, engine.phase_clocks()),
                                 io,
                             );
                         }
-                        rt.shard_stats[shard as usize].record(n, dequeued.elapsed());
+                        let service = stamp.service();
+                        s.busy.add(service);
+                        rt.shard_stats[shard as usize].record(n, service);
                         if let Some(lc) = &lifecycle {
-                            let service_ns = dequeued.elapsed().as_nanos() as u64;
-                            lc.observe(class.index(), &waits, service_ns);
+                            lc.observe(&stamp, &waits);
                             if scan_active && class != OpClass::Solo {
-                                lc.observe_point_during_scan(waits.len(), service_ns);
+                                lc.observe_point_during_scan(
+                                    waits.len(),
+                                    service.as_nanos() as u64,
+                                );
                             }
                         }
                     }
@@ -1026,33 +1035,25 @@ fn execute_one<E: KvsEngine>(
     }
 }
 
-/// Records the span tree of one traced OBM batch: per sampled request a
-/// `queue_wait` span (enqueue → dequeue), an `obm_batch` span covering
-/// the whole merged call, an `engine` span for the engine call proper,
-/// engine-phase child spans synthesized from the instance's cumulative
-/// WAL/MemTable/read clocks (laid out sequentially from the call start
-/// and clamped into the engine window — the phases really do run in
-/// that order for a write group), and a `device_io` span from the env's
-/// busy/byte deltas.
-#[allow(clippy::too_many_arguments)]
+/// Records the span tree of one head-sampled OBM batch: per sampled
+/// request the `queue_wait` + `obm_batch` pair every kept group leaves,
+/// then an `engine` span for the engine call proper, engine-phase child
+/// spans synthesized from the instance's cumulative WAL/MemTable/read
+/// clocks (laid out sequentially from the call start and clamped into
+/// the engine window — the phases really do run in that order for a
+/// write group), and a `device_io` span from the env's busy/byte deltas.
 fn record_batch_spans(
     ring: &SpanRing,
-    worker: u32,
-    shard: u32,
+    group: &GroupStamp,
     traced: &[(u64, u64)],
-    dequeued_us: u64,
     call_us: u64,
-    end_us: u64,
-    batch_id: u64,
-    batch_size: u32,
-    class: OpClass,
     phases: (EnginePhases, EnginePhases),
     io: Option<(
         p2kvs_storage::IoStatsSnapshot,
         p2kvs_storage::IoStatsSnapshot,
     )>,
 ) {
-    let engine_dur = end_us.saturating_sub(call_us).max(1);
+    let engine_dur = ring.stamp(group.completed).saturating_sub(call_us).max(1);
     let (pre, post) = phases;
     let phase_deltas = [
         (SpanKind::PhaseWal, post.wal_ns.saturating_sub(pre.wal_ns)),
@@ -1069,25 +1070,7 @@ fn record_batch_spans(
         )
     });
     for &(trace_id, enq_us) in traced {
-        let base = SpanRecord {
-            trace_id,
-            kind: SpanKind::QueueWait,
-            worker,
-            shard,
-            start_us: enq_us,
-            dur_us: dequeued_us.saturating_sub(enq_us),
-            batch_id,
-            batch_size,
-            aux: 0,
-        };
-        ring.record(base);
-        ring.record(SpanRecord {
-            kind: SpanKind::Batch,
-            start_us: dequeued_us,
-            dur_us: end_us.saturating_sub(dequeued_us),
-            aux: class.index() as u64,
-            ..base
-        });
+        let base = group.record_spans(ring, trace_id, enq_us);
         ring.record(SpanRecord {
             kind: SpanKind::Engine,
             start_us: call_us,
@@ -1443,12 +1426,12 @@ mod tests {
     #[test]
     fn lifecycle_histograms_fill_and_trace_slow_requests() {
         let registry = p2kvs_obs::MetricsRegistry::new();
-        let ring = Arc::new(p2kvs_obs::TraceRing::new(16));
-        // Threshold 0: every request is "slow", so the ring must fill.
+        let ring = Arc::new(SpanRing::new(256));
+        // Threshold 0: every group is "slow", so each keeps its spans.
         let lc = WorkerLifecycle::new(&registry, 0, 0, ring.clone());
         let factory = LsmFactory::new(lsmkv::Options::for_test());
         let engine = Arc::new(factory.open(Path::new("w-obs"), None).unwrap());
-        let worker = WorkerHandle::spawn(0, engine, test_config(), Some(lc));
+        let mut worker = WorkerHandle::spawn(0, engine, test_config(), Some(lc));
         let mut completions = Vec::new();
         for i in 0..40 {
             let (req, c) = Request::sync(Op::Put {
@@ -1466,6 +1449,8 @@ mod tests {
         for c in completions {
             c.wait().unwrap();
         }
+        // The worker observes a group after acking it; join before reading.
+        worker.shutdown();
         let snap = registry.snapshot();
         let writes = snap
             .histogram("p2kvs_queue_wait_ns{worker=\"0\",class=\"write\"}")
@@ -1479,7 +1464,21 @@ mod tests {
             .histogram("p2kvs_queue_wait_ns{worker=\"0\",class=\"read\"}")
             .unwrap();
         assert_eq!(reads.count, 1);
-        assert!(ring.total_recorded() > 0, "threshold 0 traces every batch");
+        // Threshold 0 keeps every group: a queue_wait + obm_batch pair
+        // per engine call, under tail ids, sized in keys.
+        let groups = worker.stats.batches.load(Ordering::Relaxed);
+        assert_eq!(snap.counter("p2kvs_slow_requests_total"), Some(groups));
+        let spans = ring.snapshot();
+        assert_eq!(spans.len() as u64, 2 * groups);
+        assert!(spans.iter().all(|s| s.tail_kept() && s.batch_size >= 1));
+        let kept = |kind: SpanKind| spans.iter().filter(move |s| s.kind == kind);
+        assert_eq!(kept(SpanKind::QueueWait).count() as u64, groups);
+        assert_eq!(
+            kept(SpanKind::Batch)
+                .map(|s| u64::from(s.batch_size))
+                .sum::<u64>(),
+            41
+        );
     }
 
     #[test]
@@ -1733,7 +1732,7 @@ mod tests {
             map: map.clone(),
             depot: Arc::new(HandoffDepot::new()),
             shard_stats: vec![Arc::new(ShardStats::default())],
-            spans: None,
+            spans: Arc::new(SpanRing::new(0)),
             journal: None,
             cache: None,
             env: None,

@@ -18,6 +18,30 @@ fn open_lsm(workers: usize) -> P2Kvs<lsmkv::Db> {
     P2Kvs::open(lsm_factory(), "p2", opts).unwrap()
 }
 
+/// Waits until the workers have observed `requests` requests. A worker
+/// records a group — busy time, per-shard load, kept spans, then the
+/// lifecycle histograms, in that order — *after* acking it, so once the
+/// histograms count every request the store's counters are at rest.
+fn wait_observed<E: KvsEngine>(store: &P2Kvs<E>, requests: u64) -> MetricsSnapshot {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    loop {
+        let snap = store.metrics_snapshot();
+        let observed: u64 = snap
+            .histograms_of("p2kvs_service_ns")
+            .iter()
+            .map(|(_, h)| h.count)
+            .sum();
+        if observed == requests {
+            return snap;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "workers observed {observed} of {requests} requests"
+        );
+        std::thread::yield_now();
+    }
+}
+
 /// Waits for the fire-and-forget `ScanClose` requests issued when an
 /// iterator drops to be processed by the workers (bounded, not racy).
 fn wait_no_active_scans<E: KvsEngine>(store: &P2Kvs<E>) {
@@ -129,7 +153,7 @@ fn obm_merges_under_concurrency() {
 #[test]
 fn obm_disabled_never_merges() {
     let mut opts = P2KvsOptions::with_workers(2);
-    opts.obm = false;
+    opts.batch_max = 1;
     opts.pin_workers = false;
     let store = P2Kvs::open(lsm_factory(), "p2", opts).unwrap();
     for i in 0..200 {
@@ -748,7 +772,7 @@ fn metrics_snapshot_covers_lifecycle_engines_and_renders() {
     // Prometheus/JSON renders that agree.
     let mut opts = P2KvsOptions::with_workers(4);
     opts.pin_workers = false;
-    // Trace everything so the slow-request ring provably fills.
+    // Every group counts as slow, so tail sampling provably keeps spans.
     opts.slow_request_threshold = std::time::Duration::ZERO;
     let store = P2Kvs::open(lsm_factory(), "p2-obs", opts).unwrap();
     for i in 0..300 {
@@ -760,33 +784,7 @@ fn metrics_snapshot_covers_lifecycle_engines_and_renders() {
         store.get(format!("key{i:04}").as_bytes()).unwrap();
     }
 
-    // Lifecycle histograms are recorded by the worker *after* a request
-    // is acked, so a snapshot taken immediately after the last ack can be
-    // one batch short; poll (bounded) until the counts settle.
-    let snap = {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        loop {
-            let snap = store.metrics_snapshot();
-            let count = |base: &str, class: &str| -> u64 {
-                snap.histograms_of(base)
-                    .iter()
-                    .filter(|(n, _)| n.contains(&format!("class=\"{class}\"")))
-                    .map(|(_, h)| h.count)
-                    .sum()
-            };
-            if ["p2kvs_queue_wait_ns", "p2kvs_service_ns"]
-                .iter()
-                .all(|b| count(b, "write") == 300 && count(b, "read") == 200)
-            {
-                break snap;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "lifecycle histogram counts never settled"
-            );
-            std::thread::yield_now();
-        }
-    };
+    let snap = wait_observed(&store, 500);
 
     // Per-class lifecycle histograms: non-zero counts, ordered tails.
     for base in ["p2kvs_queue_wait_ns", "p2kvs_service_ns"] {
@@ -834,11 +832,15 @@ fn metrics_snapshot_covers_lifecycle_engines_and_renders() {
     assert!(wal > 0.0, "WAL component of the write breakdown must be non-zero");
     assert!(snap.gauge("engine_writes_total{instance=\"0\"}").is_some());
 
-    // With a zero threshold, slow-request tracing captured events.
+    // With a zero threshold, every group was slow and kept its spans.
     assert!(snap.counter("p2kvs_slow_requests_total").unwrap() > 0);
-    let events = store.recent_slow_requests(8);
-    assert!(!events.is_empty());
-    assert!(events.iter().all(|e| e.batch_size >= 1));
+    let kept: Vec<_> = store
+        .trace_spans()
+        .into_iter()
+        .filter(|s| s.tail_kept())
+        .collect();
+    assert!(!kept.is_empty());
+    assert!(kept.iter().all(|s| s.batch_size >= 1));
 
     // The two renders agree on every value they share.
     let prom = MetricsSnapshot::parse_prometheus(&snap.render_prometheus());
@@ -872,6 +874,10 @@ fn metrics_disabled_store_still_snapshots() {
     let mut opts = P2KvsOptions::with_workers(2);
     opts.pin_workers = false;
     opts.metrics = false;
+    // Slow-keeping is gated by `metrics`: even with every group over the
+    // threshold (and head sampling off) nothing is kept or counted.
+    opts.slow_request_threshold = std::time::Duration::ZERO;
+    opts.trace_sample = 0;
     let store = P2Kvs::open(lsm_factory(), "p2-noobs", opts).unwrap();
     store.put(b"k", b"v").unwrap();
     assert_eq!(store.get(b"k").unwrap().unwrap(), b"v");
@@ -879,7 +885,8 @@ fn metrics_disabled_store_still_snapshots() {
     // No lifecycle histograms, but sampled counters/gauges still work.
     assert!(snap.histograms_of("p2kvs_queue_wait_ns").is_empty());
     assert!(snap.counter("p2kvs_worker_ops_total{worker=\"0\"}").is_some());
-    assert!(store.recent_slow_requests(4).is_empty());
+    assert_eq!(snap.counter("p2kvs_slow_requests_total"), Some(0));
+    assert!(store.trace_spans().is_empty());
 }
 
 #[test]
@@ -1167,14 +1174,21 @@ fn trace_spans_form_nested_trees_and_export_chrome_json() {
 
 #[test]
 fn trace_sampling_zero_disables_and_default_is_sparse() {
+    // Head sampling off and a threshold nothing reaches: no spans.
     let mut opts = P2KvsOptions::with_workers(2);
     opts.pin_workers = false;
     opts.trace_sample = 0;
+    opts.slow_request_threshold = std::time::Duration::from_secs(3600);
     let store = P2Kvs::open(lsm_factory(), "p2-trace-off", opts).unwrap();
     for i in 0..100 {
         store.put(format!("o{i}").as_bytes(), b"v").unwrap();
     }
-    assert!(store.trace_spans().is_empty(), "sample=0 disables tracing");
+    let snap = wait_observed(&store, 100);
+    assert!(
+        store.trace_spans().is_empty(),
+        "nothing sampled, nothing slow"
+    );
+    assert_eq!(snap.counter("p2kvs_slow_requests_total"), Some(0));
     // The export still carries flight-recorder instants, but no spans.
     assert!(!store.export_trace().contains("\"ph\":\"X\""));
     store.close();
@@ -1186,10 +1200,157 @@ fn trace_sampling_zero_disables_and_default_is_sparse() {
     for i in 0..640 {
         store.put(format!("d{i}").as_bytes(), b"v").unwrap();
     }
-    let ids: std::collections::HashSet<u64> =
-        store.trace_spans().iter().map(|s| s.trace_id).collect();
+    // Head-sampled ids only: a put that happened to take over a
+    // millisecond is kept too, under a tail id.
+    let ids: std::collections::HashSet<u64> = store
+        .trace_spans()
+        .iter()
+        .filter(|s| !s.tail_kept())
+        .map(|s| s.trace_id)
+        .collect();
     assert!(!ids.is_empty(), "1/64 sampling must trace something in 640 ops");
     assert!(ids.len() <= 640 / 64 + 2, "sampled {} of 640", ids.len());
+    store.close();
+}
+
+#[test]
+fn tail_sampling_keeps_the_spans_of_every_slow_group() {
+    use p2kvs::SpanKind;
+    // Head sampling off, threshold zero: every executed group is slow.
+    let mut opts = P2KvsOptions::with_workers(2);
+    opts.pin_workers = false;
+    opts.cache_capacity = 0;
+    opts.trace_sample = 0;
+    opts.slow_request_threshold = std::time::Duration::ZERO;
+    let store = P2Kvs::open(lsm_factory(), "p2-tail", opts).unwrap();
+    for i in 0..300 {
+        store.put(format!("s{i:03}").as_bytes(), b"v").unwrap();
+    }
+    let keys: Vec<Vec<u8>> = (0..64).map(|i| format!("s{i:03}").into_bytes()).collect();
+    store.get_many(&keys).unwrap();
+    let groups: u64 = store.snapshot().workers.iter().map(|w| w.batches).sum();
+    // 300 blocking puts are 300 groups; the 64 keys add one ring entry
+    // (and at most one group) per shard they touch.
+    assert!(groups > 300);
+    let part = p2kvs::HashPartitioner::new(store.shards());
+    let touched: std::collections::HashSet<usize> = keys
+        .iter()
+        .map(|k| p2kvs::Partitioner::shard_of(&part, k))
+        .collect();
+    let snap = wait_observed(&store, 300 + touched.len() as u64);
+    assert_eq!(snap.counter("p2kvs_slow_requests_total"), Some(groups));
+
+    let spans = store.trace_spans();
+    assert_eq!(
+        spans.len() as u64,
+        2 * groups,
+        "a pair per group, no children"
+    );
+    let mut by_id: std::collections::HashMap<u64, Vec<&p2kvs::SpanRecord>> =
+        std::collections::HashMap::new();
+    for s in &spans {
+        assert!(s.tail_kept(), "tail ids only");
+        by_id.entry(s.trace_id).or_default().push(s);
+    }
+    assert_eq!(by_id.len() as u64, groups, "one id per group");
+    for tree in by_id.values() {
+        let find = |k: SpanKind| tree.iter().find(|s| s.kind == k).expect("the pair");
+        let (qw, batch) = (find(SpanKind::QueueWait), find(SpanKind::Batch));
+        assert_eq!(
+            qw.start_us + qw.dur_us,
+            batch.start_us,
+            "queue_wait ends at dequeue"
+        );
+        assert_eq!(
+            (qw.worker, qw.shard, qw.batch_id),
+            (batch.worker, batch.shard, batch.batch_id)
+        );
+    }
+    // Sized in keys: the puts carry one each, the read groups the 64.
+    let keys_kept: u64 = spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Batch)
+        .map(|s| u64::from(s.batch_size))
+        .sum();
+    assert_eq!(keys_kept, 364);
+    let json = store.export_trace();
+    for needle in ["\"queue_wait\"", "\"obm_batch\"", "\"ph\":\"X\""] {
+        assert!(json.contains(needle), "export missing {needle}");
+    }
+    assert!(
+        !json.contains("\"engine\""),
+        "children stay head-sampled only"
+    );
+    store.close();
+}
+
+#[test]
+fn snapshot_metrics_and_introspection_agree_on_a_quiesced_store() {
+    // One read of the worker and shard atomics, three renderings. With
+    // `batch_max = 1` every group is one request, so the busy clocks
+    // and the service histograms must also add up to the same
+    // nanosecond: all of them come from one pair of stamps per group.
+    let mut opts = P2KvsOptions::with_workers(3);
+    opts.pin_workers = false;
+    opts.cache_capacity = 0;
+    opts.batch_max = 1;
+    let store = P2Kvs::open(lsm_factory(), "p2-agree", opts).unwrap();
+    for i in 0..200 {
+        store.put(format!("a{i:03}").as_bytes(), b"v").unwrap();
+    }
+    for i in 0..100 {
+        store.get(format!("a{i:03}").as_bytes()).unwrap();
+    }
+    wait_observed(&store, 300);
+    let metrics = store.metrics_snapshot();
+    let stats = store.snapshot();
+    let view = store.introspect();
+    assert_eq!(stats.workers.len(), 3);
+    assert_eq!(stats.total_ops(), 300);
+    for (i, w) in stats.workers.iter().enumerate() {
+        let series = |base: &str| format!("{base}{{worker=\"{i}\"}}");
+        assert_eq!(
+            metrics.counter(&series("p2kvs_worker_ops_total")),
+            Some(w.ops)
+        );
+        assert_eq!(
+            metrics.counter(&series("p2kvs_worker_batches_total")),
+            Some(w.batches)
+        );
+        assert_eq!(
+            metrics.gauge(&series("p2kvs_worker_busy_seconds")),
+            Some(w.busy.as_secs_f64())
+        );
+        let v = &view.workers[i];
+        assert_eq!(
+            (v.worker, v.busy, v.queue_depth, v.active_scans, v.live),
+            (i, w.busy, w.queue_depth, w.active_scans, w.live)
+        );
+        assert_eq!(v.shards.len() as u64, w.shards_owned);
+    }
+    for (s, shard) in stats.shards.iter().enumerate() {
+        let series = |base: &str| format!("{base}{{shard=\"{s}\"}}");
+        assert_eq!(
+            metrics.counter(&series("p2kvs_shard_ops_total")),
+            Some(shard.ops)
+        );
+        assert_eq!(
+            metrics.gauge(&series("p2kvs_shard_busy_seconds")),
+            Some(shard.busy.as_secs_f64())
+        );
+        assert_eq!(view.shard_owners[s], shard.owner);
+    }
+    assert_eq!(view.migrations, stats.migrations);
+    let worker_busy: u128 = stats.workers.iter().map(|w| w.busy.as_nanos()).sum();
+    let shard_busy: u128 = stats.shards.iter().map(|s| s.busy.as_nanos()).sum();
+    let service: u128 = metrics
+        .histograms_of("p2kvs_service_ns")
+        .iter()
+        .map(|(_, h)| h.sum)
+        .sum();
+    assert!(worker_busy > 0);
+    assert_eq!(worker_busy, shard_busy);
+    assert_eq!(worker_busy, service);
     store.close();
 }
 

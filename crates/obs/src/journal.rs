@@ -225,6 +225,10 @@ pub struct Journal {
 }
 
 impl Journal {
+    /// Records a store's journal keeps in memory (the persisted log is
+    /// unbounded within the store's lifetime).
+    pub const DEFAULT_CAPACITY: usize = 256;
+
     /// Creates a journal keeping the most recent `cap` records (min 16)
     /// in memory, with the sequence starting after `last_seq` (0 for a
     /// fresh store; the recovered maximum when reopening so numbering

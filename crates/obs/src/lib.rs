@@ -12,15 +12,15 @@
 //! * [`registry`] — [`MetricsRegistry`], get-or-create named metrics;
 //!   handles are resolved once and recorded through afterwards, so the
 //!   registry lock never sits on a hot path.
-//! * [`trace`] — request-lifecycle tracing: [`WorkerLifecycle`] splits
-//!   every request into *queue-wait* and *service* latency per
-//!   `(worker, class)`, and [`TraceRing`] keeps a bounded ring of recent
-//!   slow-request [`TraceEvent`]s for post-hoc inspection.
+//! * [`trace`] — request-lifecycle accounting: from one [`GroupStamp`]
+//!   per executed group, [`WorkerLifecycle`] splits every request into
+//!   *queue-wait* and *service* latency per `(worker, class)` and keeps
+//!   the spans of slow groups for post-hoc inspection.
 //! * [`snapshot`] — [`MetricsSnapshot`] with Prometheus-text and JSON
 //!   renderers (the JSON form is the `repro` per-run artifact).
 //! * [`reporter`] — [`PeriodicTask`], the optional stats-reporter thread.
-//! * [`span`] — causal span tracing: the sampled [`TraceCtx`] that rides
-//!   each request, fixed-capacity [`SpanRing`]s of completed
+//! * [`span`] — causal span tracing: the head-sampled [`TraceCtx`] that
+//!   rides a request, the fixed-capacity [`SpanRing`] of completed
 //!   [`SpanRecord`]s, and the Chrome-trace/Perfetto JSON export.
 //! * [`journal`] — the system flight recorder: a bounded,
 //!   gap-free-sequenced [`Journal`] of control-plane events (handoffs,
@@ -44,4 +44,4 @@ pub use registry::{labeled, MetricsRegistry};
 pub use reporter::PeriodicTask;
 pub use snapshot::{HistogramStats, MetricsSnapshot};
 pub use span::{export_chrome_trace, SpanKind, SpanRecord, SpanRing, TraceCtx};
-pub use trace::{TraceEvent, TraceRing, WorkerLifecycle, CLASS_LABELS};
+pub use trace::{GroupStamp, WorkerLifecycle, CLASS_LABELS};

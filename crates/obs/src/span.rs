@@ -1,12 +1,15 @@
-//! Causal span tracing: sampled request span records, a fixed-capacity
+//! Causal span tracing: request span records, a fixed-capacity
 //! multi-producer ring, and the Chrome-trace (Perfetto) JSON export.
 //!
-//! A sampled request carries a [`TraceCtx`] (one `u64`, `Copy`,
+//! A head-sampled request carries a [`TraceCtx`] (one `u64`, `Copy`,
 //! allocation-free) from submission to completion. The worker that
 //! executes it reconstructs the request's life as a handful of
 //! [`SpanRecord`]s — queue wait, the OBM batch it rode in, the engine
 //! call split into WAL / memtable / read phases, and the device I/O the
-//! call induced — and stores them into a [`SpanRing`]. Recording never
+//! call induced — and stores them into a [`SpanRing`]. Sampling is also
+//! tail-based: a group that turns out slow keeps its queue-wait and
+//! batch spans whether or not anything in it was head-sampled (see
+//! [`crate::trace::WorkerLifecycle`]). Recording never
 //! allocates: the ring's slots are preallocated at store open and a
 //! record is a fixed-size `Copy` struct written under a per-slot mutex
 //! (mirroring the pooled `CompletionSlot` discipline on the submit
@@ -41,6 +44,12 @@ pub struct TraceCtx {
 impl TraceCtx {
     /// The untraced context.
     pub const NONE: TraceCtx = TraceCtx { id: 0 };
+
+    /// Ids at or above this belong to tail-kept groups
+    /// ([`SpanRing::next_tail_id`]); head-sampled ids count up from 1,
+    /// so the two ranges never meet and the exporter can group both by
+    /// id.
+    pub const TAIL_BASE: u64 = 1 << 63;
 
     /// Whether this request is sampled.
     pub fn is_sampled(&self) -> bool {
@@ -115,6 +124,12 @@ pub struct SpanRecord {
 }
 
 impl SpanRecord {
+    /// Whether this span was kept because its group was slow (a tail id)
+    /// rather than because its request was head-sampled.
+    pub fn tail_kept(&self) -> bool {
+        self.trace_id >= TraceCtx::TAIL_BASE
+    }
+
     const EMPTY: SpanRecord = SpanRecord {
         trace_id: 0,
         kind: SpanKind::QueueWait,
@@ -137,10 +152,14 @@ impl SpanRecord {
 pub struct SpanRing {
     slots: Box<[Mutex<SpanRecord>]>,
     next: AtomicU64,
+    tail_ids: AtomicU64,
     epoch: Instant,
 }
 
 impl SpanRing {
+    /// Slots a store's ring holds.
+    pub const DEFAULT_CAPACITY: usize = 4096;
+
     /// Creates a ring with `cap` preallocated slots (min 8).
     pub fn new(cap: usize) -> SpanRing {
         let cap = cap.max(8);
@@ -149,8 +168,15 @@ impl SpanRing {
         SpanRing {
             slots: slots.into_boxed_slice(),
             next: AtomicU64::new(0),
+            tail_ids: AtomicU64::new(0),
             epoch: Instant::now(),
         }
+    }
+
+    /// A fresh trace id for a tail-kept group, from the range starting
+    /// at [`TraceCtx::TAIL_BASE`].
+    pub fn next_tail_id(&self) -> u64 {
+        TraceCtx::TAIL_BASE + self.tail_ids.fetch_add(1, Ordering::Relaxed)
     }
 
     /// The shared time base all spans are stamped against.
@@ -277,6 +303,14 @@ mod tests {
             snap.iter().map(|r| r.trace_id).collect::<Vec<_>>(),
             vec![5, 6, 7, 8, 9, 10, 11, 12]
         );
+    }
+
+    #[test]
+    fn tail_ids_are_unique_and_disjoint_from_head_sampled_ids() {
+        let ring = SpanRing::new(8);
+        let (a, b) = (ring.next_tail_id(), ring.next_tail_id());
+        assert_ne!(a, b);
+        assert!(a >= TraceCtx::TAIL_BASE && b >= TraceCtx::TAIL_BASE);
     }
 
     #[test]

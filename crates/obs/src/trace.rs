@@ -1,124 +1,103 @@
-//! Request-lifecycle tracing: per-request latency split and a bounded
-//! ring of recent slow-request events.
+//! Request-lifecycle accounting: per-request latency split, and the
+//! tail-keeping rule that turns a slow group into spans.
 //!
-//! Every completed request yields two numbers — *queue wait* (enqueue →
-//! dequeue) and *service* (dequeue → completion). [`WorkerLifecycle`]
-//! records both into per-`(worker, class)` histograms, and requests whose
-//! end-to-end latency crosses a threshold leave a [`TraceEvent`] in a
-//! shared ring buffer so a slow tail can be inspected post hoc (which op
-//! class, which worker, how big the OBM batch was, where the time went).
+//! A worker stamps every executed OBM group twice — at dequeue and at
+//! completion ([`GroupStamp`]). Everything observed about the group is
+//! derived from that one pair: *queue wait* (enqueue → dequeue) and
+//! *service* (dequeue → completion) land in per-`(worker, class)`
+//! histograms through [`WorkerLifecycle`], and a group whose slowest
+//! request crosses the slow threshold always leaves its `queue_wait` +
+//! `obm_batch` spans in the [`SpanRing`], head-sampled or not, so a slow
+//! tail can be inspected post hoc (which op class, which worker, how big
+//! the OBM batch was, where the time went).
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use crate::metrics::ConcurrentHistogram;
+use crate::metrics::{ConcurrentHistogram, Counter};
 use crate::registry::{labeled, MetricsRegistry};
+use crate::span::{SpanKind, SpanRecord, SpanRing};
 
 /// Human-readable labels for the three OBM request classes, indexable by
 /// the class' integer id (write = 0, read = 1, solo = 2).
 pub const CLASS_LABELS: [&str; 3] = ["write", "read", "solo"];
 
-/// One slow request, as seen by the worker that executed it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
+/// One executed OBM group, as its worker stamped it. Requests in a group
+/// complete together, so one `dequeued`/`completed` pair times them all.
+#[derive(Debug, Clone, Copy)]
+pub struct GroupStamp {
     /// Executing worker.
-    pub worker: usize,
+    pub worker: u32,
+    /// Virtual shard the group targeted.
+    pub shard: u32,
     /// Request class id (index into [`CLASS_LABELS`]).
     pub class: usize,
-    /// Nanoseconds spent waiting in the worker queue.
-    pub queue_wait_ns: u64,
-    /// Nanoseconds from dequeue to completion.
-    pub service_ns: u64,
-    /// Number of requests in the OBM batch this request rode in.
-    pub batch_size: usize,
+    /// Per-worker group counter.
+    pub batch_id: u64,
+    /// Keys the group carried.
+    pub keys: u32,
+    /// When the worker took the group off its queue.
+    pub dequeued: Instant,
+    /// When the last request of the group was answered.
+    pub completed: Instant,
 }
 
-impl TraceEvent {
-    /// End-to-end latency.
-    pub fn total_ns(&self) -> u64 {
-        self.queue_wait_ns.saturating_add(self.service_ns)
+impl GroupStamp {
+    /// Dequeue → completion.
+    pub fn service(&self) -> Duration {
+        self.completed.saturating_duration_since(self.dequeued)
     }
 
-    /// The class label.
-    pub fn class_label(&self) -> &'static str {
-        CLASS_LABELS.get(self.class).copied().unwrap_or("unknown")
-    }
-}
-
-/// Bounded ring of recent [`TraceEvent`]s; the oldest event is evicted
-/// when full.
-pub struct TraceRing {
-    cap: usize,
-    events: Mutex<VecDeque<TraceEvent>>,
-    recorded: AtomicU64,
-}
-
-impl TraceRing {
-    /// Creates a ring holding at most `cap` events (min 1).
-    pub fn new(cap: usize) -> TraceRing {
-        let cap = cap.max(1);
-        TraceRing {
-            cap,
-            events: Mutex::new(VecDeque::with_capacity(cap)),
-            recorded: AtomicU64::new(0),
-        }
-    }
-
-    /// Appends `event`, evicting the oldest if the ring is full.
-    pub fn push(&self, event: TraceEvent) {
-        let mut events = self.events.lock().expect("trace ring poisoned");
-        if events.len() == self.cap {
-            events.pop_front();
-        }
-        events.push_back(event);
-        self.recorded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The most recent `n` events, oldest first.
-    pub fn recent(&self, n: usize) -> Vec<TraceEvent> {
-        let events = self.events.lock().expect("trace ring poisoned");
-        let skip = events.len().saturating_sub(n);
-        events.iter().skip(skip).cloned().collect()
-    }
-
-    /// Total events ever recorded (including evicted ones).
-    pub fn total_recorded(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
-    }
-
-    /// Events currently held.
-    pub fn len(&self) -> usize {
-        self.events.lock().expect("trace ring poisoned").len()
-    }
-
-    /// Whether the ring holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Records the `queue_wait` + `obm_batch` span pair of one request
+    /// of this group, enqueued at `enqueued_us` on `ring`'s clock.
+    /// Returns the `queue_wait` record as the template for child spans.
+    pub fn record_spans(&self, ring: &SpanRing, trace_id: u64, enqueued_us: u64) -> SpanRecord {
+        let dequeued_us = ring.stamp(self.dequeued);
+        let queue_wait = SpanRecord {
+            trace_id,
+            kind: SpanKind::QueueWait,
+            worker: self.worker,
+            shard: self.shard,
+            start_us: enqueued_us,
+            dur_us: dequeued_us.saturating_sub(enqueued_us),
+            batch_id: self.batch_id,
+            batch_size: self.keys,
+            aux: 0,
+        };
+        ring.record(queue_wait);
+        ring.record(SpanRecord {
+            kind: SpanKind::Batch,
+            start_us: dequeued_us,
+            dur_us: ring.stamp(self.completed).saturating_sub(dequeued_us),
+            aux: self.class as u64,
+            ..queue_wait
+        });
+        queue_wait
     }
 }
 
 /// Per-worker lifecycle recorder: queue-wait and service histograms per
-/// request class, plus the shared slow-request ring.
+/// request class, plus the store-wide slow-group counter and the span
+/// ring slow groups are kept in.
 pub struct WorkerLifecycle {
-    worker: usize,
     queue_wait: [Arc<ConcurrentHistogram>; 3],
     service: [Arc<ConcurrentHistogram>; 3],
     point_during_scan: Arc<ConcurrentHistogram>,
-    trace: Arc<TraceRing>,
+    slow: Arc<Counter>,
+    spans: Arc<SpanRing>,
     slow_ns: u64,
 }
 
 impl WorkerLifecycle {
     /// Creates the recorder for `worker`, registering its histograms as
     /// `p2kvs_queue_wait_ns{worker,class}` / `p2kvs_service_ns{worker,
-    /// class}`. Requests slower end-to-end than `slow_ns` are pushed into
-    /// `trace`.
+    /// class}`. Groups slower end-to-end than `slow_ns` bump
+    /// `p2kvs_slow_requests_total` and keep their spans in `spans`.
     pub fn new(
         registry: &MetricsRegistry,
         worker: usize,
         slow_ns: u64,
-        trace: Arc<TraceRing>,
+        spans: Arc<SpanRing>,
     ) -> WorkerLifecycle {
         let w = worker.to_string();
         let hist = |base: &str, class: &str| {
@@ -132,40 +111,39 @@ impl WorkerLifecycle {
             ]
         };
         WorkerLifecycle {
-            worker,
             queue_wait: per_class("p2kvs_queue_wait_ns"),
             service: per_class("p2kvs_service_ns"),
-            point_during_scan: registry
-                .histogram(&labeled("p2kvs_point_during_scan_service_ns", &[("worker", &w)])),
-            trace,
+            point_during_scan: registry.histogram(&labeled(
+                "p2kvs_point_during_scan_service_ns",
+                &[("worker", &w)],
+            )),
+            slow: registry.counter("p2kvs_slow_requests_total"),
+            spans,
             slow_ns,
         }
     }
 
-    /// Records one executed OBM batch: each request in it waited
-    /// `queue_waits_ns[i]` and the whole batch took `service_ns` from
-    /// dequeue to completion (all requests in a batch complete together).
-    pub fn observe(&self, class: usize, queue_waits_ns: &[u64], service_ns: u64) {
-        if queue_waits_ns.is_empty() {
+    /// Records one executed group: each request in it waited
+    /// `queue_waits_ns[i]` before `group.dequeued`. A group whose slowest
+    /// request (wait + service) reaches the threshold is counted and
+    /// keeps that request's span pair under a tail id.
+    pub fn observe(&self, group: &GroupStamp, queue_waits_ns: &[u64]) {
+        let Some(&slowest) = queue_waits_ns.iter().max() else {
             return;
-        }
-        let class = class.min(CLASS_LABELS.len() - 1);
-        let qh = &self.queue_wait[class];
-        let sh = &self.service[class];
-        let mut slowest = 0u64;
-        for &wait in queue_waits_ns {
-            qh.record(wait);
-            sh.record(service_ns);
-            slowest = slowest.max(wait);
-        }
+        };
+        let class = group.class.min(CLASS_LABELS.len() - 1);
+        let service_ns = group.service().as_nanos() as u64;
         if slowest.saturating_add(service_ns) >= self.slow_ns {
-            self.trace.push(TraceEvent {
-                worker: self.worker,
-                class,
-                queue_wait_ns: slowest,
-                service_ns,
-                batch_size: queue_waits_ns.len(),
-            });
+            self.slow.inc();
+            let ring = &self.spans;
+            let enqueued_us = ring.stamp(group.dequeued).saturating_sub(slowest / 1_000);
+            group.record_spans(ring, ring.next_tail_id(), enqueued_us);
+        }
+        // Last, so a reader that sees every request in the histograms
+        // sees the rest of the group's bookkeeping too.
+        for &wait in queue_waits_ns {
+            self.queue_wait[class].record(wait);
+            self.service[class].record(service_ns);
         }
     }
 
@@ -183,107 +161,48 @@ impl WorkerLifecycle {
 mod tests {
     use super::*;
 
-    #[test]
-    fn ring_evicts_oldest() {
-        let ring = TraceRing::new(3);
-        for i in 0..5u64 {
-            ring.push(TraceEvent {
-                worker: 0,
-                class: 0,
-                queue_wait_ns: i,
-                service_ns: 0,
-                batch_size: 1,
-            });
+    /// A group of `class` on worker 2 / shard 5 that took `service_ns`.
+    fn group(ring: &SpanRing, class: usize, service_ns: u64) -> GroupStamp {
+        let dequeued = ring.epoch() + Duration::from_millis(10);
+        GroupStamp {
+            worker: 2,
+            shard: 5,
+            class,
+            batch_id: 9,
+            keys: 3,
+            dequeued,
+            completed: dequeued + Duration::from_nanos(service_ns),
         }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.total_recorded(), 5);
-        let recent = ring.recent(10);
-        assert_eq!(
-            recent.iter().map(|e| e.queue_wait_ns).collect::<Vec<_>>(),
-            vec![2, 3, 4]
-        );
-        assert_eq!(ring.recent(2).len(), 2);
-    }
-
-    #[test]
-    fn ring_at_capacity_keeps_newest_in_push_order() {
-        // Fill exactly to capacity, then keep pushing: every eviction
-        // must drop the oldest and the survivors stay in push order.
-        let ring = TraceRing::new(4);
-        for i in 0..4u64 {
-            ring.push(TraceEvent {
-                worker: 0,
-                class: 0,
-                queue_wait_ns: i,
-                service_ns: 0,
-                batch_size: 1,
-            });
-        }
-        for i in 4..20u64 {
-            ring.push(TraceEvent {
-                worker: 0,
-                class: 0,
-                queue_wait_ns: i,
-                service_ns: 0,
-                batch_size: 1,
-            });
-            let ids: Vec<u64> = ring.recent(4).iter().map(|e| e.queue_wait_ns).collect();
-            assert_eq!(ids, vec![i - 3, i - 2, i - 1, i], "after push {i}");
-            assert_eq!(ring.len(), 4);
-        }
-        assert_eq!(ring.total_recorded(), 20);
-        // `recent(n)` with n < len returns the newest n, still oldest
-        // first.
-        assert_eq!(
-            ring.recent(2).iter().map(|e| e.queue_wait_ns).collect::<Vec<_>>(),
-            vec![18, 19]
-        );
-    }
-
-    #[test]
-    fn ring_stays_bounded_under_concurrent_pushes() {
-        let ring = Arc::new(TraceRing::new(8));
-        let threads: Vec<_> = (0..4)
-            .map(|t| {
-                let ring = ring.clone();
-                std::thread::spawn(move || {
-                    for i in 0..500u64 {
-                        ring.push(TraceEvent {
-                            worker: t,
-                            class: 0,
-                            queue_wait_ns: i,
-                            service_ns: 0,
-                            batch_size: 1,
-                        });
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(ring.len(), 8);
-        assert_eq!(ring.total_recorded(), 2000);
     }
 
     #[test]
     fn lifecycle_records_per_class_and_traces_slow() {
         let registry = MetricsRegistry::new();
-        let ring = Arc::new(TraceRing::new(8));
-        let lc = WorkerLifecycle::new(&registry, 2, 1_000, ring.clone());
-        // Fast batch of 3 writes: histograms fill, no trace event.
-        lc.observe(0, &[10, 20, 30], 100);
-        assert!(ring.is_empty());
-        // Slow solo read crosses the 1µs threshold.
-        lc.observe(1, &[900], 500);
-        assert_eq!(ring.len(), 1);
-        let ev = &ring.recent(1)[0];
-        assert_eq!(ev.worker, 2);
-        assert_eq!(ev.class_label(), "read");
-        assert_eq!(ev.total_ns(), 1_400);
-        assert_eq!(ev.batch_size, 1);
+        let ring = Arc::new(SpanRing::new(8));
+        let lc = WorkerLifecycle::new(&registry, 2, 1_000_000, ring.clone());
+        // Fast batch of 3 writes: histograms fill, nothing is kept.
+        lc.observe(&group(&ring, 0, 100), &[10, 20, 30]);
+        assert_eq!(ring.total_recorded(), 0);
+        // A slow solo read crosses the 1 ms threshold.
+        lc.observe(&group(&ring, 1, 500_000), &[900_000]);
+        let spans = ring.snapshot();
+        assert_eq!(
+            spans.iter().map(|s| s.kind).collect::<Vec<_>>(),
+            vec![SpanKind::QueueWait, SpanKind::Batch]
+        );
+        let (qw, batch) = (spans[0], spans[1]);
+        assert_eq!(qw.trace_id, batch.trace_id);
+        assert!(qw.tail_kept());
+        assert_eq!(
+            (qw.worker, qw.shard, qw.batch_id, qw.batch_size),
+            (2, 5, 9, 3)
+        );
+        assert_eq!((qw.start_us, qw.dur_us), (9_100, 900), "the slowest wait");
+        assert_eq!((batch.start_us, batch.dur_us), (10_000, 500));
+        assert_eq!(batch.aux, 1, "the batch span names the class");
 
         let snap = registry.snapshot();
+        assert_eq!(snap.counter("p2kvs_slow_requests_total"), Some(1));
         let writes = snap
             .histogram("p2kvs_queue_wait_ns{worker=\"2\",class=\"write\"}")
             .unwrap();
@@ -296,9 +215,27 @@ mod tests {
     }
 
     #[test]
+    fn every_slow_group_gets_its_own_tail_id() {
+        let registry = MetricsRegistry::new();
+        let ring = Arc::new(SpanRing::new(16));
+        let lc = WorkerLifecycle::new(&registry, 0, 0, ring.clone());
+        for _ in 0..3 {
+            lc.observe(&group(&ring, 0, 50), &[5, 7]);
+        }
+        let mut ids: Vec<u64> = ring.snapshot().iter().map(|s| s.trace_id).collect();
+        assert_eq!(ids.len(), 6, "a span pair per group, not per request");
+        ids.dedup();
+        assert_eq!(ids.len(), 3);
+        assert_eq!(
+            registry.snapshot().counter("p2kvs_slow_requests_total"),
+            Some(3)
+        );
+    }
+
+    #[test]
     fn point_during_scan_histogram_counts_per_request() {
         let registry = MetricsRegistry::new();
-        let ring = Arc::new(TraceRing::new(2));
+        let ring = Arc::new(SpanRing::new(8));
         let lc = WorkerLifecycle::new(&registry, 3, u64::MAX, ring);
         lc.observe_point_during_scan(4, 700);
         lc.observe_point_during_scan(0, 9_999);
@@ -313,9 +250,9 @@ mod tests {
     #[test]
     fn empty_batch_records_nothing() {
         let registry = MetricsRegistry::new();
-        let ring = Arc::new(TraceRing::new(2));
+        let ring = Arc::new(SpanRing::new(8));
         let lc = WorkerLifecycle::new(&registry, 0, 0, ring.clone());
-        lc.observe(0, &[], 50);
-        assert!(ring.is_empty(), "no requests, no trace event");
+        lc.observe(&group(&ring, 0, 50), &[]);
+        assert_eq!(ring.total_recorded(), 0, "no requests, no kept spans");
     }
 }

@@ -1,7 +1,7 @@
 //! Observability demo: open a 4-worker store, run a mixed workload, and
 //! inspect it through the metrics layer — queue-wait/service histograms
 //! per request class, live queue depths, engine-internal breakdowns, the
-//! slow-request trace ring, and both text expositions.
+//! tail-kept spans of slow groups, and both text expositions.
 //!
 //! ```text
 //! cargo run -p p2kvs-examples --bin metrics_demo
@@ -12,7 +12,8 @@ use std::time::Duration;
 
 use lsmkv::Options;
 use p2kvs::engine::LsmFactory;
-use p2kvs::{P2Kvs, P2KvsOptions};
+use p2kvs::obs::CLASS_LABELS;
+use p2kvs::{P2Kvs, P2KvsOptions, SpanKind};
 use p2kvs_storage::MemEnv;
 
 fn main() {
@@ -23,7 +24,7 @@ fn main() {
     // Print a one-line stats summary to stderr twice a second while the
     // workload runs (the optional reporter thread).
     opts.report_interval = Some(Duration::from_millis(500));
-    // Trace anything slower than 200µs end-to-end into the ring buffer.
+    // Keep the spans of any group slower than 200µs end-to-end.
     opts.slow_request_threshold = Duration::from_micros(200);
     let store = P2Kvs::open(factory, "metrics-demo-db", opts).expect("open store");
 
@@ -65,17 +66,28 @@ fn main() {
         }
     }
 
-    // --- Recent slow requests --------------------------------------------
-    let slow = store.recent_slow_requests(5);
-    println!("\n===== {} most recent slow requests =====", slow.len());
-    for ev in slow {
+    // --- Recent slow groups ----------------------------------------------
+    // A slow group keeps a `queue_wait` and an `obm_batch` span under one
+    // tail id.
+    let spans = store.trace_spans();
+    let slow: Vec<_> = spans
+        .iter()
+        .filter(|s| s.tail_kept() && s.kind == SpanKind::Batch)
+        .collect();
+    let recent = &slow[slow.len().saturating_sub(5)..];
+    println!("\n===== {} most recent slow groups =====", recent.len());
+    for batch in recent {
+        let queue_wait_us = spans
+            .iter()
+            .find(|s| s.trace_id == batch.trace_id && s.kind == SpanKind::QueueWait)
+            .map_or(0, |s| s.dur_us);
         println!(
-            "worker={} class={} queue_wait={:.1}us service={:.1}us batch={}",
-            ev.worker,
-            ev.class_label(),
-            ev.queue_wait_ns as f64 / 1e3,
-            ev.service_ns as f64 / 1e3,
-            ev.batch_size,
+            "worker={} class={} queue_wait={}us service={}us batch={}",
+            batch.worker,
+            CLASS_LABELS[batch.aux as usize],
+            queue_wait_us,
+            batch.dur_us,
+            batch.batch_size,
         );
     }
 

@@ -46,7 +46,9 @@ fn main() {
     // --- The slowest sampled request, as a span tree ---------------------
     let spans = store.trace_spans();
     let mut traces: BTreeMap<u64, Vec<SpanRecord>> = BTreeMap::new();
-    for s in &spans {
+    // Head-sampled trees only: a slow group's tail-kept pair stops at
+    // the batch span.
+    for s in spans.iter().filter(|s| !s.tail_kept()) {
         traces.entry(s.trace_id).or_default().push(*s);
     }
     let slowest = traces

@@ -246,17 +246,6 @@ pub fn migration_store_options() -> P2KvsOptions {
     o
 }
 
-/// Store options for the cached matrix: the migration layout plus a
-/// live hot-record read cache, so crash points land while cached reads,
-/// fills, write invalidations, and migration-driven cache flushes are
-/// all in flight. The cache is volatile by design — recovery must not
-/// depend on it in any way.
-pub fn cached_store_options() -> P2KvsOptions {
-    let mut o = migration_store_options();
-    o.cache_capacity = 1 << 20;
-    o
-}
-
 fn open_store(env: &EnvRef) -> p2kvs::Result<P2Kvs<lsmkv::Db>> {
     P2Kvs::open(LsmFactory::new(engine_options(env.clone())), "db", store_options())
 }
@@ -433,9 +422,135 @@ pub fn flight_journal_violations(store: &P2Kvs<lsmkv::Db>) -> Vec<String> {
     v
 }
 
-/// Runs the workload with a crash planned at sync point `point`, heals,
-/// recovers through [`P2Kvs::open`], and validates against the oracle.
-pub fn run_crash_point(seed: u64, point: u64) -> CrashPointOutcome {
+/// One crash-matrix variant: the store a run opens (before the crash
+/// and again to recover), what disturbs it at the end of every workload
+/// round, and what the recovered store owes beyond the oracle and
+/// flight-journal checks every variant gets.
+pub struct Scenario {
+    /// Options both the crashed and the recovering store open with.
+    pub options: P2KvsOptions,
+    /// Runs at the end of every round, between acked writes. After the
+    /// crash fires its operations fail like the workload's own — it must
+    /// ignore errors — and it must not touch the RNG, so every variant
+    /// issues the same op sequence.
+    pub disturb: fn(usize, &P2Kvs<lsmkv::Db>),
+    /// Extra violations found in the recovered store.
+    pub post_check: fn(&P2Kvs<lsmkv::Db>) -> Vec<String>,
+}
+
+/// Walks a different shard across the workers each round, so sync
+/// points land before, during, and after epoch-fenced handoffs.
+fn migrate_one_shard(round: usize, store: &P2Kvs<lsmkv::Db>) {
+    let _ = store.migrate_shard(round % store.shards(), (round + 1) % WORKERS);
+}
+
+/// Thrashes the pool around its opening size: even rounds grow to
+/// `WORKERS + 1` (a fresh ring spawns), odd rounds shrink to
+/// `WORKERS - 1` (the two highest live workers drain *every* shard they
+/// own through the handoff, then their rings close and the threads
+/// join), so sync points land between a retiring worker's per-shard
+/// drains, right after a `worker_spawn` journal record, mid-join.
+fn thrash_pool(round: usize, store: &P2Kvs<lsmkv::Db>) {
+    let n = if round % 2 == 0 {
+        WORKERS + 1
+    } else {
+        WORKERS - 1
+    };
+    let _ = store.scale_workers(n);
+}
+
+/// Reads the whole key pool, warming the read cache between rounds.
+fn warm_cache(store: &P2Kvs<lsmkv::Db>) {
+    for i in 0..KEY_POOL {
+        let _ = store.get(&pool_key(i));
+    }
+}
+
+/// The read cache is volatile: a reopen must stamp a fresh cache reset
+/// (`cache_flush` with the sentinel shard) into the live journal,
+/// sequenced after everything recovery brought back — proof a recovered
+/// store never trusts pre-crash cache state.
+fn cache_reset_journaled(store: &P2Kvs<lsmkv::Db>) -> Vec<String> {
+    let recovered_max = store.recovered_flight_records().last().map_or(0, |r| r.seq);
+    let reset = store
+        .flight_records(usize::MAX)
+        .iter()
+        .any(|r| r.kind == JournalKind::CacheFlush && r.a == u64::MAX && r.seq > recovered_max);
+    if reset {
+        Vec::new()
+    } else {
+        vec![format!(
+            "reopen journaled no cache_flush reset record after recovered seq {recovered_max}"
+        )]
+    }
+}
+
+impl Scenario {
+    /// The paper layout, undisturbed.
+    pub fn plain() -> Scenario {
+        Scenario {
+            options: store_options(),
+            disturb: |_, _| {},
+            post_check: |_| Vec::new(),
+        }
+    }
+
+    /// Shards decoupled from workers and a shard migration every round.
+    /// Recovery reopens under a fresh (round-robin) map — durability
+    /// must not depend on which worker owned a shard at the crash.
+    pub fn migration() -> Scenario {
+        Scenario {
+            options: migration_store_options(),
+            disturb: migrate_one_shard,
+            ..Scenario::plain()
+        }
+    }
+
+    /// The migration layout with a `scale_workers` call every round.
+    /// Recovery reopens at the fixed size: durability must not depend on
+    /// how many workers were alive, or which were mid-retirement.
+    pub fn scale() -> Scenario {
+        Scenario {
+            disturb: thrash_pool,
+            ..Scenario::migration()
+        }
+    }
+
+    /// The migration scenario with the read cache on and warmed every
+    /// round, so the crash can land while the cache holds hot entries, a
+    /// write is invalidating, or a handoff is flushing a shard's cached
+    /// set.
+    pub fn cached() -> Scenario {
+        let mut options = migration_store_options();
+        options.cache_capacity = 1 << 20;
+        Scenario {
+            options,
+            disturb: |round, store| {
+                warm_cache(store);
+                migrate_one_shard(round, store);
+            },
+            post_check: cache_reset_journaled,
+        }
+    }
+
+    /// Every disturbance in the same round: warm the cache, hand a shard
+    /// off, then resize the pool under both.
+    pub fn combined() -> Scenario {
+        Scenario {
+            disturb: |round, store| {
+                warm_cache(store);
+                migrate_one_shard(round, store);
+                thrash_pool(round, store);
+            },
+            ..Scenario::cached()
+        }
+    }
+}
+
+/// Runs the workload under `scenario` with a crash planned at sync point
+/// `point`, heals, recovers through [`P2Kvs::open`], and validates
+/// against the oracle.
+pub fn run_crash_scenario(seed: u64, point: u64, scenario: &Scenario) -> CrashPointOutcome {
     let faulty = Arc::new(FaultyEnv::over_mem());
     let env: EnvRef = faulty.clone();
     faulty.set_plan(FaultPlan {
@@ -445,76 +560,25 @@ pub fn run_crash_point(seed: u64, point: u64) -> CrashPointOutcome {
         torn_tail: (point % 17) as usize,
         ..FaultPlan::default()
     });
-    let oracle = match open_store(&env) {
-        // A crash with a small `point` fires during store creation.
-        Err(_) => Oracle::default(),
-        Ok(store) => {
-            let oracle = run_workload(&store, seed);
-            store.close();
-            oracle
-        }
-    };
-    let crashed = faulty.crashed();
-    faulty.heal();
-    let store = match open_store(&env) {
-        Ok(s) => s,
-        Err(e) => {
-            return CrashPointOutcome {
-                point,
-                crashed,
-                violations: vec![format!("recovery failed to reopen the store: {e}")],
-                recovered_flight: 0,
-            }
-        }
-    };
-    let mut violations = oracle.check(|k| store.get(k).expect("post-recovery read"));
-    violations.extend(flight_journal_violations(&store));
-    let recovered_flight = store.recovered_flight_records().len();
-    store.close();
-    CrashPointOutcome { point, crashed, violations, recovered_flight }
-}
-
-/// Crash-matrix variant exercising the epoch-fenced handoff: the store
-/// opens with shards decoupled from workers
-/// ([`migration_store_options`]) and every round ends with a
-/// deterministic shard migration, so sampled sync points land before,
-/// during, and after handoffs. Recovery reopens under a fresh
-/// (round-robin) map — durability must not depend on which worker
-/// happened to own a shard at the crash.
-pub fn run_crash_point_with_migration(seed: u64, point: u64) -> CrashPointOutcome {
-    let faulty = Arc::new(FaultyEnv::over_mem());
-    let env: EnvRef = faulty.clone();
-    faulty.set_plan(FaultPlan {
-        crash_at_sync: Some(point),
-        torn_tail: (point % 17) as usize,
-        ..FaultPlan::default()
-    });
-    let open = |env: &EnvRef| {
+    let open = || {
         P2Kvs::open(
             LsmFactory::new(engine_options(env.clone())),
             "db",
-            migration_store_options(),
+            scenario.options.clone(),
         )
     };
-    let oracle = match open(&env) {
+    let oracle = match open() {
         // A crash with a small `point` fires during store creation.
         Err(_) => Oracle::default(),
         Ok(store) => {
-            let shards = store.shards();
-            let oracle = run_workload_hooked(&store, seed, |round, st| {
-                // Walk a different shard across the workers each round.
-                // After the crash fires the handoff marker push fails —
-                // ignore it, the remaining workload ops fail the same
-                // way.
-                let _ = st.migrate_shard(round % shards, (round + 1) % WORKERS);
-            });
+            let oracle = run_workload_hooked(&store, seed, scenario.disturb);
             store.close();
             oracle
         }
     };
     let crashed = faulty.crashed();
     faulty.heal();
-    let store = match open(&env) {
+    let store = match open() {
         Ok(s) => s,
         Err(e) => {
             return CrashPointOutcome {
@@ -527,144 +591,7 @@ pub fn run_crash_point_with_migration(seed: u64, point: u64) -> CrashPointOutcom
     };
     let mut violations = oracle.check(|k| store.get(k).expect("post-recovery read"));
     violations.extend(flight_journal_violations(&store));
-    let recovered_flight = store.recovered_flight_records().len();
-    store.close();
-    CrashPointOutcome { point, crashed, violations, recovered_flight }
-}
-
-/// Crash-matrix variant exercising the elastic worker pool: the store
-/// opens with the migration layout ([`migration_store_options`]) and
-/// every round ends with a `scale_workers` call thrashing the pool
-/// around its opening size — even rounds grow to `WORKERS + 1` (fresh
-/// rings spawn and take shards from the balancer's next moves), odd
-/// rounds shrink to `WORKERS - 1` (the two highest live workers drain
-/// *every* shard they own through the epoch-fenced handoff, then their
-/// rings close and the threads join). Sampled sync points therefore
-/// land before, during, and after in-flight scale operations — between
-/// a retiring worker's per-shard drains, right after a `worker_spawn`
-/// journal record, mid-join. Recovery reopens with the fixed-size
-/// layout: durability must not depend on how many workers were alive,
-/// or which were mid-retirement, when the power failed.
-pub fn run_crash_point_during_scale(seed: u64, point: u64) -> CrashPointOutcome {
-    let faulty = Arc::new(FaultyEnv::over_mem());
-    let env: EnvRef = faulty.clone();
-    faulty.set_plan(FaultPlan {
-        crash_at_sync: Some(point),
-        torn_tail: (point % 17) as usize,
-        ..FaultPlan::default()
-    });
-    let open = |env: &EnvRef| {
-        P2Kvs::open(
-            LsmFactory::new(engine_options(env.clone())),
-            "db",
-            migration_store_options(),
-        )
-    };
-    let oracle = match open(&env) {
-        // A crash with a small `point` fires during store creation.
-        Err(_) => Oracle::default(),
-        Ok(store) => {
-            let oracle = run_workload_hooked(&store, seed, |round, st| {
-                // After the crash fires the drains and journal appends
-                // hit the dead env; `scale_workers` still completes or
-                // errors (the handoff path is queue redirection, not
-                // I/O) and the remaining workload ops fail the same way.
-                let n = if round % 2 == 0 { WORKERS + 1 } else { WORKERS - 1 };
-                let _ = st.scale_workers(n);
-            });
-            store.close();
-            oracle
-        }
-    };
-    let crashed = faulty.crashed();
-    faulty.heal();
-    let store = match open(&env) {
-        Ok(s) => s,
-        Err(e) => {
-            return CrashPointOutcome {
-                point,
-                crashed,
-                violations: vec![format!("recovery failed to reopen the store: {e}")],
-                recovered_flight: 0,
-            }
-        }
-    };
-    let mut violations = oracle.check(|k| store.get(k).expect("post-recovery read"));
-    violations.extend(flight_journal_violations(&store));
-    let recovered_flight = store.recovered_flight_records().len();
-    store.close();
-    CrashPointOutcome { point, crashed, violations, recovered_flight }
-}
-
-/// Cached crash-matrix variant: the migration layout with the read
-/// cache enabled ([`cached_store_options`]) and the per-round hook
-/// extended with point reads, so the crash can land while the cache
-/// holds hot entries, a write is invalidating, or a handoff is flushing
-/// a shard's cached set. The cache is volatile, so the oracle contract
-/// is unchanged — and on reopen the store must journal its open-time
-/// `cache_flush` reset record *after* every recovered record, proving a
-/// recovered store never trusts pre-crash cache state.
-pub fn run_crash_point_cached(seed: u64, point: u64) -> CrashPointOutcome {
-    let faulty = Arc::new(FaultyEnv::over_mem());
-    let env: EnvRef = faulty.clone();
-    faulty.set_plan(FaultPlan {
-        crash_at_sync: Some(point),
-        torn_tail: (point % 17) as usize,
-        ..FaultPlan::default()
-    });
-    let open = |env: &EnvRef| {
-        P2Kvs::open(
-            LsmFactory::new(engine_options(env.clone())),
-            "db",
-            cached_store_options(),
-        )
-    };
-    let oracle = match open(&env) {
-        // A crash with a small `point` fires during store creation.
-        Err(_) => Oracle::default(),
-        Ok(store) => {
-            let shards = store.shards();
-            let oracle = run_workload_hooked(&store, seed, |round, st| {
-                // Reads warm the cache between rounds (none touch the
-                // RNG, so the op sequence matches the uncached runs);
-                // the migration then flushes the shards it hands off.
-                for i in 0..KEY_POOL {
-                    let _ = st.get(&pool_key(i));
-                }
-                let _ = st.migrate_shard(round % shards, (round + 1) % WORKERS);
-            });
-            store.close();
-            oracle
-        }
-    };
-    let crashed = faulty.crashed();
-    faulty.heal();
-    let store = match open(&env) {
-        Ok(s) => s,
-        Err(e) => {
-            return CrashPointOutcome {
-                point,
-                crashed,
-                violations: vec![format!("recovery failed to reopen the store: {e}")],
-                recovered_flight: 0,
-            }
-        }
-    };
-    let mut violations = oracle.check(|k| store.get(k).expect("post-recovery read"));
-    violations.extend(flight_journal_violations(&store));
-    // The reopen must stamp a fresh cache reset (`cache_flush` with the
-    // sentinel shard) into the live journal, sequenced after everything
-    // recovery brought back.
-    let recovered_max = store.recovered_flight_records().last().map_or(0, |r| r.seq);
-    let live = store.flight_records(usize::MAX);
-    if !live
-        .iter()
-        .any(|r| r.kind == JournalKind::CacheFlush && r.a == u64::MAX && r.seq > recovered_max)
-    {
-        violations.push(format!(
-            "reopen journaled no cache_flush reset record after recovered seq {recovered_max}"
-        ));
-    }
+    violations.extend((scenario.post_check)(&store));
     let recovered_flight = store.recovered_flight_records().len();
     store.close();
     CrashPointOutcome { point, crashed, violations, recovered_flight }
@@ -704,10 +631,9 @@ pub fn dry_run_sync_points_with_backup(seed: u64) -> u64 {
         migration_store_options(),
     )
     .expect("fault-free open");
-    let shards = store.shards();
     let mut handle = None;
     run_workload_with_oracle(&store, seed, |round, st, _| {
-        let _ = st.migrate_shard(round % shards, (round + 1) % WORKERS);
+        migrate_one_shard(round, st);
         if round == BACKUP_ROUND {
             handle = st.backup("backup").ok();
         }
@@ -757,12 +683,11 @@ pub fn run_crash_point_with_backup(seed: u64, point: u64) -> BackupCrashOutcome 
         // A crash with a small `point` fires during store creation.
         Err(_) => Oracle::default(),
         Ok(store) => {
-            let shards = store.shards();
             let oracle = run_workload_with_oracle(&store, seed, |round, st, so_far| {
                 // Keep the handoff pressure of the migration matrix: the
                 // cut must hold across shard ownership changes both
                 // before the freeze and during streaming.
-                let _ = st.migrate_shard(round % shards, (round + 1) % WORKERS);
+                migrate_one_shard(round, st);
                 if round == BACKUP_ROUND {
                     // After the crash the cut may fail outright (marker
                     // pushes or the freeze hit dead queues) — that run
@@ -1228,7 +1153,7 @@ mod tests {
     #[test]
     fn a_few_crash_points_recover_cleanly() {
         for point in [3, 40, 120] {
-            let out = run_crash_point(7, point);
+            let out = run_crash_scenario(7, point, &Scenario::plain());
             assert!(out.crashed, "point {point} did not fire");
             assert!(out.violations.is_empty(), "point {point}: {:?}", out.violations);
             // Once the crash lands past store creation the synced
@@ -1315,7 +1240,7 @@ mod tests {
     #[test]
     fn scale_crash_points_recover_cleanly() {
         for point in [25, 90, 170] {
-            let out = run_crash_point_during_scale(17, point);
+            let out = run_crash_scenario(17, point, &Scenario::scale());
             assert!(out.crashed, "point {point} did not fire");
             assert!(out.violations.is_empty(), "point {point}: {:?}", out.violations);
         }
@@ -1324,7 +1249,7 @@ mod tests {
     #[test]
     fn a_few_crash_points_recover_cleanly_with_cache() {
         for point in [25, 90, 170] {
-            let out = run_crash_point_cached(13, point);
+            let out = run_crash_scenario(13, point, &Scenario::cached());
             assert!(out.crashed, "point {point} did not fire");
             assert!(out.violations.is_empty(), "point {point}: {:?}", out.violations);
         }
@@ -1333,7 +1258,20 @@ mod tests {
     #[test]
     fn migration_crash_points_recover_cleanly() {
         for point in [25, 90, 170] {
-            let out = run_crash_point_with_migration(11, point);
+            let out = run_crash_scenario(11, point, &Scenario::migration());
+            assert!(out.crashed, "point {point} did not fire");
+            assert!(
+                out.violations.is_empty(),
+                "point {point}: {:?}",
+                out.violations
+            );
+        }
+    }
+
+    #[test]
+    fn a_few_crash_points_recover_cleanly_with_every_disturbance_combined() {
+        for point in [25, 90, 170] {
+            let out = run_crash_scenario(19, point, &Scenario::combined());
             assert!(out.crashed, "point {point} did not fire");
             assert!(out.violations.is_empty(), "point {point}: {:?}", out.violations);
         }

@@ -19,9 +19,8 @@
 //! --test crash_matrix`.
 
 use p2kvs_integration_tests::crash::{
-    dry_run_queue_sync_points, dry_run_sync_points, run_crash_point, run_crash_point_cached,
-    run_crash_point_during_scale, run_crash_point_with_migration, run_queue_crash_point,
-    sample_points, unfiltered_partial_txn, QUEUE_MATRIX_QUEUES,
+    dry_run_queue_sync_points, dry_run_sync_points, run_crash_scenario, run_queue_crash_point,
+    sample_points, unfiltered_partial_txn, Scenario, QUEUE_MATRIX_QUEUES,
 };
 
 /// Default seed; override with `P2KVS_CRASH_SEED` to explore.
@@ -32,6 +31,35 @@ fn seed() -> u64 {
         Ok(s) => s.parse().expect("P2KVS_CRASH_SEED must be a u64"),
         Err(_) => DEFAULT_SEED,
     }
+}
+
+/// Crashes `scenario` at every one of `points` and fails on any recovery
+/// violation. Returns how many points actually crashed and how many
+/// recovered flight-recorder records (each already checked gap-free).
+fn run_matrix(label: &str, scenario: &Scenario, points: &[u64]) -> (usize, usize) {
+    let seed = seed();
+    let mut crashed = 0usize;
+    let mut journaled = 0usize;
+    let mut failures = Vec::new();
+    for &point in points {
+        let out = run_crash_scenario(seed, point, scenario);
+        if out.crashed {
+            crashed += 1;
+        }
+        if out.recovered_flight > 0 {
+            journaled += 1;
+        }
+        for v in out.violations {
+            failures.push(format!("seed {seed}, sync point {point} ({label}): {v}"));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} recovery violations ({label}):\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+    (crashed, journaled)
 }
 
 /// The matrix proper: every one of the first 160 sync points plus a
@@ -48,27 +76,7 @@ fn crash_matrix_recovers_at_every_sampled_sync_point() {
     let points = sample_points(total);
     assert!(points.len() >= 200, "only {} points sampled", points.len());
 
-    let mut crashed = 0usize;
-    let mut journaled = 0usize;
-    let mut failures = Vec::new();
-    for &point in &points {
-        let out = run_crash_point(seed, point);
-        if out.crashed {
-            crashed += 1;
-        }
-        if out.recovered_flight > 0 {
-            journaled += 1;
-        }
-        for v in out.violations {
-            failures.push(format!("seed {seed}, sync point {point}: {v}"));
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "{} recovery violations:\n{}",
-        failures.len(),
-        failures.join("\n")
-    );
+    let (crashed, journaled) = run_matrix("plain", &Scenario::plain(), &points);
     // Late points may not fire when a run's engine-internal interleaving
     // merges a few more group commits than the dry run; the bulk must.
     assert!(
@@ -101,27 +109,7 @@ fn crash_matrix_recovers_across_shard_migrations() {
     // numbering shifts relative to the dry run; a stride over the dry
     // run's range still covers creation, handoff, and steady state.
     let points: Vec<u64> = (1..=total).step_by(5).collect();
-    let mut crashed = 0usize;
-    let mut journaled = 0usize;
-    let mut failures = Vec::new();
-    for &point in &points {
-        let out = run_crash_point_with_migration(seed, point);
-        if out.crashed {
-            crashed += 1;
-        }
-        if out.recovered_flight > 0 {
-            journaled += 1;
-        }
-        for v in out.violations {
-            failures.push(format!("seed {seed}, sync point {point} (migration): {v}"));
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "{} recovery violations under migration:\n{}",
-        failures.len(),
-        failures.join("\n")
-    );
+    let (crashed, journaled) = run_matrix("migration", &Scenario::migration(), &points);
     assert!(
         crashed >= points.len() / 2,
         "only {crashed} of {} sampled points actually crashed (seed {seed})",
@@ -156,27 +144,7 @@ fn crash_matrix_recovers_during_scale() {
     // dry run's range still covers creation, in-flight drains, spawns,
     // and steady state.
     let points: Vec<u64> = (1..=total).step_by(5).collect();
-    let mut crashed = 0usize;
-    let mut journaled = 0usize;
-    let mut failures = Vec::new();
-    for &point in &points {
-        let out = run_crash_point_during_scale(seed, point);
-        if out.crashed {
-            crashed += 1;
-        }
-        if out.recovered_flight > 0 {
-            journaled += 1;
-        }
-        for v in out.violations {
-            failures.push(format!("seed {seed}, sync point {point} (scale): {v}"));
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "{} recovery violations during scale:\n{}",
-        failures.len(),
-        failures.join("\n")
-    );
+    let (crashed, journaled) = run_matrix("scale", &Scenario::scale(), &points);
     assert!(
         crashed >= points.len() / 2,
         "only {crashed} of {} sampled points actually crashed (seed {seed})",
@@ -196,8 +164,8 @@ fn crash_matrix_recovers_during_scale() {
 /// while cached entries, write invalidations, and handoff-driven cache
 /// flushes are in flight. The cache is volatile — the oracle contract
 /// is identical — and every recovery must journal a fresh `cache_flush`
-/// reset record sequenced after everything it recovered (asserted
-/// inside `run_crash_point_cached`). Sampled at a stride to bound CI
+/// reset record sequenced after everything it recovered (the cached
+/// scenario's `post_check`). Sampled at a stride to bound CI
 /// time.
 #[test]
 fn crash_matrix_recovers_with_the_read_cache_enabled() {
@@ -209,23 +177,7 @@ fn crash_matrix_recovers_with_the_read_cache_enabled() {
     // over the dry run's range covers creation, warm cache, handoff
     // flushes, and steady state.
     let points: Vec<u64> = (1..=total).step_by(7).collect();
-    let mut crashed = 0usize;
-    let mut failures = Vec::new();
-    for &point in &points {
-        let out = run_crash_point_cached(seed, point);
-        if out.crashed {
-            crashed += 1;
-        }
-        for v in out.violations {
-            failures.push(format!("seed {seed}, sync point {point} (cached): {v}"));
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "{} recovery violations with the cache on:\n{}",
-        failures.len(),
-        failures.join("\n")
-    );
+    let (crashed, _) = run_matrix("cached", &Scenario::cached(), &points);
     assert!(
         crashed >= points.len() / 2,
         "only {crashed} of {} sampled points actually crashed (seed {seed})",
@@ -304,7 +256,7 @@ fn unfiltered_replay_exposes_partial_transactions() {
          the atomicity half of the oracle would be vacuous",
     );
     assert!(present > 0 && present < of);
-    let out = run_crash_point(seed, point);
+    let out = run_crash_scenario(seed, point, &Scenario::plain());
     assert!(
         out.violations.is_empty(),
         "filtered recovery at sync point {point} must hide the partial txn: {:?}",
