@@ -27,7 +27,7 @@ pub struct BalancePolicy {
     /// jitter; 1.0 chases noise.
     pub min_ratio: f64,
     /// Migrations proposed per tick. Handoffs are serialized and cheap
-    /// (no data moves), but each quiesces the submit path once — keep
+    /// (no data moves), but each waits out the submit path once — keep
     /// this small.
     pub max_moves: usize,
 }
@@ -59,7 +59,7 @@ pub struct ScalePolicy {
     pub max_workers: usize,
     /// Ticks to sit out after a scale operation before the next one —
     /// the pool must not thrash on one interval's noise (migration
-    /// costs are small but not free: each drain quiesces the submit
+    /// costs are small but not free: each drain waits out the submit
     /// path once per shard moved).
     pub cooldown: u32,
 }

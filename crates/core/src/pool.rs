@@ -1,28 +1,28 @@
-//! The dynamic worker pool: runtime spawn/retire over a shared queue
-//! table (DESIGN.md §14).
+//! The dynamic worker pool: runtime spawn/retire of workers and their
+//! slots in the routing snapshot (DESIGN.md §14).
 //!
 //! Before this module the worker set was fixed at open: `P2Kvs::open`
 //! spawned `N` threads over a `Vec` of rings and nothing could change
 //! the count afterwards. The pool makes the first dimension of the 2D
 //! framework *elastic*: every component that addresses a worker by index
 //! (submit paths, re-route, handoff installs, scans, backup markers)
-//! goes through the [`QueueTable`], whose slots can be installed and
-//! cleared at runtime, while the pool itself owns the threads and their
-//! lifecycle.
+//! resolves the ring through the routing snapshot
+//! ([`crate::shard::ShardMap`]), whose ring slots the pool installs and
+//! clears by publishing a successor, while the pool itself owns the
+//! threads and their lifecycle.
 //!
-//! Two invariants make resizing safe without a new fence:
+//! Two invariants make resizing safe with the one fence migrations
+//! already use (DESIGN.md §9.2):
 //!
-//! - **A ring is closed only after its worker owns nothing.** Retire
+//! - **A ring is closed only after nothing can push to it.** Retire
 //!   drains the victim by migrating every shard it owns through the
-//!   existing epoch-fenced handoff; each migration's publish+quiesce
-//!   guarantees no submit path can still push to the victim under the
-//!   old map (the store holds its map pin *across* the push). Once the
-//!   last handoff settles, nothing new can target the ring, so closing
-//!   it cannot fail a request.
-//! - **A slot's ring is installed before its thread starts.** Scale-up
-//!   puts a fresh ring in the table first, so by the time the balancer
-//!   publishes a map that points at the new worker, pushes to it
-//!   already land.
+//!   fenced handoff, publishes a snapshot with the slot cleared, and
+//!   calls `epoch::synchronize()`: every push routed under a snapshot
+//!   that still held the ring has finished, so closing it cannot fail
+//!   a request.
+//! - **A slot's ring is published before its thread starts.** By the
+//!   time the balancer publishes a map that points a shard at the new
+//!   worker, the same snapshot already carries its ring.
 //!
 //! Worker ids are *slot* indices and are reused: retiring worker 3 and
 //! scaling back up revives slot 3 with a fresh ring and thread, keeping
@@ -34,78 +34,14 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use p2kvs_obs::{Journal, JournalKind, WorkerLifecycle};
-use parking_lot::{Mutex, RwLock};
+use p2kvs_obs::{JournalKind, WorkerLifecycle};
+use p2kvs_util::epoch;
+use parking_lot::Mutex;
 
 use crate::engine::KvsEngine;
 use crate::error::{Error, Result};
 use crate::queue::RequestQueue;
-use crate::types::Request;
 use crate::worker::{ShardRuntime, WorkerConfig, WorkerHandle, WorkerStats};
-
-/// The live `worker id → request ring` directory. Every path that
-/// pushes to a worker resolves the ring through here, so spawning and
-/// retiring workers is a slot write — no component holds a stale ring
-/// for a worker that no longer exists.
-pub struct QueueTable {
-    slots: RwLock<Vec<Option<Arc<RequestQueue>>>>,
-}
-
-impl QueueTable {
-    /// A table whose slots are the given rings (the standalone-worker
-    /// constructor; the store starts empty and lets the pool install).
-    pub fn new(queues: Vec<Arc<RequestQueue>>) -> QueueTable {
-        QueueTable {
-            slots: RwLock::new(queues.into_iter().map(Some).collect()),
-        }
-    }
-
-    /// The ring of worker `w`, if the slot is live.
-    pub fn get(&self, w: usize) -> Option<Arc<RequestQueue>> {
-        self.slots.read().get(w).and_then(|s| s.clone())
-    }
-
-    /// Pushes to worker `w`'s ring. Hands the request back (like
-    /// [`RequestQueue::push`] on a closed ring) when the slot is
-    /// retired, so callers treat a vanished worker exactly like a
-    /// closed queue. The ring `Arc` is cloned out before the (possibly
-    /// blocking, backpressured) push so a table write never waits on a
-    /// full ring.
-    pub fn push_to(&self, w: usize, req: Request) -> std::result::Result<(), Request> {
-        match self.get(w) {
-            Some(q) => q.push(req),
-            None => Err(req),
-        }
-    }
-
-    /// Queued requests on worker `w`'s ring (0 for retired slots).
-    pub fn len_of(&self, w: usize) -> usize {
-        self.get(w).map(|q| q.len()).unwrap_or(0)
-    }
-
-    /// Number of slots ever provisioned (live + retired).
-    pub fn slot_count(&self) -> usize {
-        self.slots.read().len()
-    }
-
-    /// Installs `queue` as slot `w`'s ring, growing the table if needed.
-    fn install(&self, w: usize, queue: Arc<RequestQueue>) {
-        let mut slots = self.slots.write();
-        if w >= slots.len() {
-            slots.resize(w + 1, None);
-        }
-        slots[w] = Some(queue);
-    }
-
-    /// Clears slot `w` (retire): subsequent pushes hand the request
-    /// back instead of reaching a ring that is about to close.
-    fn clear(&self, w: usize) {
-        let mut slots = self.slots.write();
-        if w < slots.len() {
-            slots[w] = None;
-        }
-    }
-}
 
 /// Everything needed to spawn one more worker after open: the base
 /// config (per-worker `io_queue` is derived, not stored), the device
@@ -142,16 +78,14 @@ enum Slot {
 /// store's migration lock; the pool's own mutex only protects the slot
 /// vector against concurrent metric/introspection readers.
 pub struct WorkerPool {
-    queues: Arc<QueueTable>,
     slots: Mutex<Vec<Slot>>,
     live: AtomicUsize,
     spec: SpawnSpec,
 }
 
 impl WorkerPool {
-    pub fn new(queues: Arc<QueueTable>, spec: SpawnSpec) -> WorkerPool {
+    pub fn new(spec: SpawnSpec) -> WorkerPool {
         WorkerPool {
-            queues,
             slots: Mutex::new(Vec::new()),
             live: AtomicUsize::new(0),
             spec,
@@ -159,10 +93,11 @@ impl WorkerPool {
     }
 
     /// Spawns one worker into `runtime`: picks the lowest retired slot
-    /// (or appends a new one), installs a fresh ring in the queue table
-    /// *before* the thread starts, assigns the home device queue
-    /// `w % queues`, and journals the `worker_spawn` record. Returns
-    /// the worker id.
+    /// (or appends a new one), publishes a routing snapshot with a
+    /// fresh ring installed *before* the thread starts, assigns the
+    /// home device queue `w % queues`, and journals the `worker_spawn`
+    /// record. Returns the worker id. The caller is the sole map writer
+    /// (store open, or the balancer state lock).
     ///
     /// A revived slot inherits the retired incarnation's cumulative
     /// counters: the per-worker metric series stay monotonic across
@@ -177,13 +112,14 @@ impl WorkerPool {
             .position(|s| matches!(s, Slot::Retired(_)))
             .unwrap_or(slots.len());
         let ring = Arc::new(RequestQueue::with_capacity(self.spec.config.queue_capacity));
-        self.queues.install(w, ring);
+        let next = runtime.map.pin().with_ring(w, Some(ring.clone()));
+        runtime.map.publish(next);
         let config = WorkerConfig {
             io_queue: self.spec.io_queue(w),
             ..self.spec.config
         };
         let lifecycle = (self.spec.lifecycle)(w);
-        let handle = WorkerHandle::spawn_in(w, runtime.clone(), config, lifecycle);
+        let handle = WorkerHandle::spawn_in(w, w, runtime.clone(), ring, config, lifecycle);
         if w == slots.len() {
             slots.push(Slot::Live(handle));
         } else {
@@ -200,13 +136,20 @@ impl WorkerPool {
         w
     }
 
-    /// Retires worker `w` after its drain: clears the table slot (new
-    /// pushes bounce), closes the ring, joins the thread, and journals
-    /// the `worker_retire` record with how many shards the drain
-    /// migrated off it. The caller must already have migrated every
-    /// shard away — the pool asserts nothing; an undrained retire would
-    /// fail that worker's queued requests with `Closed` at join.
-    pub fn retire(&self, w: usize, drained: u64, journal: Option<&Journal>) -> Result<()> {
+    /// Retires worker `w` after its drain: publishes a snapshot with
+    /// the slot cleared (new pushes bounce), waits out every push routed
+    /// under an older one, closes the ring, joins the thread, and
+    /// journals the `worker_retire` record with how many shards the
+    /// drain migrated off it. The caller holds the balancer state lock
+    /// and must already have migrated every shard away — the pool
+    /// asserts nothing; an undrained retire would fail that worker's
+    /// queued requests with `Closed` at join.
+    pub(crate) fn retire<E>(
+        &self,
+        w: usize,
+        drained: u64,
+        runtime: &ShardRuntime<E>,
+    ) -> Result<()> {
         let mut slots = self.slots.lock();
         let stats = match slots.get(w) {
             Some(Slot::Live(h)) => h.stats.clone(),
@@ -220,12 +163,14 @@ impl WorkerPool {
         // Joining can execute a drain's worth of requests; don't hold
         // the slot lock (metric readers sample it) across it.
         drop(slots);
-        self.queues.clear(w);
+        let next = runtime.map.pin().with_ring(w, None);
+        runtime.map.publish(next);
+        epoch::synchronize();
         if let Slot::Live(mut h) = old {
             h.shutdown();
         }
         let live = self.live.fetch_sub(1, Ordering::Relaxed) - 1;
-        if let Some(j) = journal {
+        if let Some(j) = runtime.journal.as_deref() {
             j.record(JournalKind::WorkerRetire, w as u64, live as u64, drained, 0);
         }
         Ok(())
@@ -236,11 +181,6 @@ impl WorkerPool {
         self.live.load(Ordering::Relaxed)
     }
 
-    /// Number of slots ever provisioned (live + retired).
-    pub fn slot_count(&self) -> usize {
-        self.slots.lock().len()
-    }
-
     /// Live worker ids, ascending.
     pub fn live_ids(&self) -> Vec<usize> {
         self.slots
@@ -249,11 +189,6 @@ impl WorkerPool {
             .enumerate()
             .filter_map(|(i, s)| matches!(s, Slot::Live(_)).then_some(i))
             .collect()
-    }
-
-    /// Whether slot `w` currently runs a worker.
-    pub fn is_live(&self, w: usize) -> bool {
-        matches!(self.slots.lock().get(w), Some(Slot::Live(_)))
     }
 
     /// Every slot's counters plus liveness, by slot index — the metrics
@@ -267,14 +202,6 @@ impl WorkerPool {
                 Slot::Retired(stats) => (stats.clone(), false),
             })
             .collect()
-    }
-
-    /// Worker `w`'s counters, live or retired.
-    pub fn stats_of(&self, w: usize) -> Option<Arc<WorkerStats>> {
-        self.slots.lock().get(w).map(|s| match s {
-            Slot::Live(h) => h.stats.clone(),
-            Slot::Retired(stats) => stats.clone(),
-        })
     }
 
     /// Store close: shuts every live worker down in slot order (close
@@ -312,35 +239,4 @@ fn carry_counters(old: &WorkerStats, new: &WorkerStats) {
     carry(&old.stashed, &new.stashed);
     carry(&old.rerouted, &new.rerouted);
     new.busy.add(old.busy.busy());
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn queue_table_slots_install_clear_and_grow() {
-        let t = QueueTable::new(vec![Arc::new(RequestQueue::with_capacity(8))]);
-        assert_eq!(t.slot_count(), 1);
-        assert!(t.get(0).is_some());
-        assert!(t.get(1).is_none(), "out of range reads as retired");
-        t.install(3, Arc::new(RequestQueue::with_capacity(8)));
-        assert_eq!(t.slot_count(), 4, "install grows the table");
-        assert!(t.get(1).is_none() && t.get(2).is_none());
-        assert!(t.get(3).is_some());
-        t.clear(3);
-        assert!(t.get(3).is_none());
-        assert_eq!(t.slot_count(), 4, "clear keeps the slot");
-        assert_eq!(t.len_of(3), 0, "retired slot reads depth 0");
-    }
-
-    #[test]
-    fn push_to_a_cleared_slot_hands_the_request_back() {
-        let t = QueueTable::new(vec![Arc::new(RequestQueue::with_capacity(8))]);
-        t.clear(0);
-        let req = Request::asynchronous(crate::types::Op::Get { key: b"k".to_vec() }, Box::new(|_| {}));
-        let back = t.push_to(0, req);
-        assert!(back.is_err(), "cleared slot behaves like a closed ring");
-        back.unwrap_err().finish_err(&Error::Closed);
-    }
 }

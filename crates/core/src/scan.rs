@@ -34,7 +34,6 @@
 use std::collections::VecDeque;
 
 use crate::error::{Error, Result};
-use crate::pool::QueueTable;
 use crate::shard::MapCell;
 use crate::types::{Op, Request, Response};
 
@@ -61,7 +60,6 @@ struct Stream {
 /// [`P2Kvs::iter_from`]: crate::store::P2Kvs::iter_from
 /// [`P2Kvs::iter_range`]: crate::store::P2Kvs::iter_range
 pub struct StoreIter<'a> {
-    queues: &'a QueueTable,
     map: &'a MapCell,
     streams: Vec<Stream>,
     chunk_entries: usize,
@@ -75,7 +73,6 @@ impl<'a> StoreIter<'a> {
     /// opening chunk (the scan-strategy knob); refills use
     /// `chunk_entries`.
     pub(crate) fn open(
-        queues: &'a QueueTable,
         map: &'a MapCell,
         shards: usize,
         start: &[u8],
@@ -86,9 +83,6 @@ impl<'a> StoreIter<'a> {
     ) -> Result<StoreIter<'a>> {
         let mut completions = Vec::with_capacity(shards);
         let mut push_err = None;
-        // Pin once for the whole fan-out: the epoch fence then orders
-        // every open against any concurrent migration.
-        let pin = map.pin();
         for shard in 0..shards {
             let (req, done) = Request::sync(Op::ScanOpen {
                 start: start.to_vec(),
@@ -96,7 +90,7 @@ impl<'a> StoreIter<'a> {
                 limit: first_limit.max(1),
                 max_bytes: chunk_bytes,
             });
-            match queues.push_to(pin.owner(shard), req.on_shard(shard as u64)) {
+            match map.send(shard, req.on_shard(shard as u64)) {
                 Ok(()) => completions.push((shard, done)),
                 Err(_) => {
                     push_err = Some(Error::Closed);
@@ -104,7 +98,6 @@ impl<'a> StoreIter<'a> {
                 }
             }
         }
-        drop(pin);
         // A mid-loop push failure must not abandon the completions that
         // were already enqueued: their pooled slots are still in flight
         // and a fulfilled-but-never-awaited slot would be recycled in a
@@ -124,7 +117,7 @@ impl<'a> StoreIter<'a> {
                     });
                 }
             }
-            close_streams(queues, map, &mut streams);
+            close_streams(map, &mut streams);
             return Err(e);
         }
         let mut streams = Vec::with_capacity(completions.len());
@@ -146,11 +139,10 @@ impl<'a> StoreIter<'a> {
             }
         }
         if let Some(e) = first_err {
-            close_streams(queues, map, &mut streams);
+            close_streams(map, &mut streams);
             return Err(e);
         }
         Ok(StoreIter {
-            queues,
             map,
             streams,
             chunk_entries: chunk_entries.max(1),
@@ -173,17 +165,10 @@ impl<'a> StoreIter<'a> {
                 max_bytes: self.chunk_bytes,
             });
             let stream = &mut self.streams[i];
-            // Resolve the owner *under a pin held across the push*: the
-            // cursor follows its shard across migrations, and the pin
-            // is the epoch fence that keeps a concurrent migration (or
-            // a pool scale-down draining the owner) from retiring the
-            // resolved ring between the read and the push.
-            let pushed = {
-                let pin = self.map.pin();
-                self.queues
-                    .push_to(pin.owner(stream.shard), req.on_shard(stream.shard as u64))
-            };
-            if pushed.is_err() {
+            // Routed per request: the cursor follows its shard across
+            // migrations and pool resizes.
+            let req = req.on_shard(stream.shard as u64);
+            if self.map.send(stream.shard, req).is_err() {
                 // Queue closed: the worker is gone and its cursor table
                 // with it — nothing left to close.
                 stream.cursor = None;
@@ -263,23 +248,20 @@ impl<'a> StoreIter<'a> {
     /// Marks the iterator failed and releases every parked cursor.
     fn poison(&mut self) {
         self.poisoned = true;
-        close_streams(self.queues, self.map, &mut self.streams);
+        close_streams(self.map, &mut self.streams);
     }
 }
 
 /// Fire-and-forget `ScanClose` for every stream that still holds a
 /// cursor. Uses an asynchronous request so neither `Drop` nor an error
 /// path blocks on the worker; a closed queue means the worker (and its
-/// cursor table) is already gone. The pin is held across each push so a
-/// concurrent migration or scale-down cannot retire the resolved ring
-/// mid-send (the close would silently leak the parked cursor).
-fn close_streams(queues: &QueueTable, map: &MapCell, streams: &mut [Stream]) {
+/// cursor table) is already gone.
+fn close_streams(map: &MapCell, streams: &mut [Stream]) {
     for s in streams {
         if let Some(id) = s.cursor.take() {
             let req = Request::asynchronous(Op::ScanClose { cursor: id }, Box::new(|_| {}))
                 .on_shard(s.shard as u64);
-            let pin = map.pin();
-            let _ = queues.push_to(pin.owner(s.shard), req);
+            let _ = map.send(s.shard, req);
         }
     }
 }
@@ -302,6 +284,6 @@ impl Iterator for StoreIter<'_> {
 
 impl Drop for StoreIter<'_> {
     fn drop(&mut self) {
-        close_streams(self.queues, self.map, &mut self.streams);
+        close_streams(self.map, &mut self.streams);
     }
 }

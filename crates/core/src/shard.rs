@@ -8,35 +8,38 @@
 //! * A [`Partitioner`] maps keys onto `S` **virtual shards** — engine
 //!   instances with their own WAL/MemTable, exactly like the paper's
 //!   instances, just more of them than workers (default `4×`).
-//! * A versioned [`ShardMap`] maps shards onto workers. The map is an
-//!   immutable, epoch-stamped snapshot behind a [`MapCell`]; the submit
-//!   path pays one extra indirection (`shard → worker`) and an
-//!   uncontended read-lock/Arc-clone pair, and the balancer republishes
-//!   a whole new map on every ownership migration.
+//! * A versioned [`ShardMap`] maps shards onto workers and workers
+//!   onto their rings. It is one immutable snapshot behind one pointer
+//!   (the [`MapCell`]); the submit path pays an epoch pin and a pointer
+//!   load — no lock, no refcount — and migrations, worker spawns and
+//!   worker retires each republish a whole new snapshot.
 //!
-//! The epoch fence: a submitter *pins* the map (clones the `Arc`) for
-//! exactly the duration of its queue pushes. After publishing a new
-//! map, the migrator waits for the displaced map's pin count to drain
-//! ([`MapCell::quiesce`]) — from then on it is impossible for a request
-//! routed under the old epoch to still be in flight toward a queue, so
-//! a handoff marker pushed *after* quiescence is provably behind every
-//! old-epoch request in the source worker's FIFO ring. That ordering is
-//! what preserves per-key issue order across a migration (DESIGN.md §9);
-//! the worker-side re-route path exists as a defensive backstop, not as
-//! the fence.
+//! The fence: a submitter *pins* the snapshot (`p2kvs_util::epoch`) for
+//! exactly the duration of its ring push ([`MapCell::send`]). After
+//! publishing a successor, the writer calls `epoch::synchronize()` —
+//! from then on no request routed under a displaced snapshot can still
+//! be in flight toward a ring, so a handoff marker pushed *after* it is
+//! provably behind every old-epoch request in the source worker's FIFO
+//! ring, and a retired worker's ring can be closed without failing a
+//! request. That ordering is what preserves per-key issue order across a
+//! migration (DESIGN.md §9); the worker-side re-route path exists as a
+//! defensive backstop, not as the fence.
 //!
 //! With `shards == workers` the initial map is the identity and the
 //! whole machinery reduces to the paper's static layout.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use p2kvs_util::epoch;
 use p2kvs_util::hash::fnv1a64;
+use parking_lot::{Condvar, Mutex};
 
 use crate::error::{Error, Result};
+use crate::queue::RequestQueue;
+use crate::types::Request;
 use crate::worker::ScanTable;
 
 /// Maps keys to shard indices.
@@ -107,31 +110,38 @@ impl Partitioner for RangePartitioner {
 }
 
 // ---------------------------------------------------------------------
-// The versioned shard → worker map
+// The routing snapshot: shard → worker → ring
 // ---------------------------------------------------------------------
 
-/// One immutable, epoch-stamped `shard → worker` assignment. Never
-/// mutated in place: migrations build a successor with
-/// [`ShardMap::with_owner`] and publish it through the [`MapCell`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One immutable routing snapshot: which worker owns each shard, and
+/// which ring each worker drains. A migration, a worker spawn and a
+/// worker retire each build a successor ([`ShardMap::with_owner`],
+/// `with_ring`) and publish it through the [`MapCell`].
+#[derive(Clone)]
 pub struct ShardMap {
+    /// The ownership version: bumps once per migration. Ring installs
+    /// and clears republish under the same epoch — no shard moved.
     epoch: u64,
     owner: Vec<u32>,
+    /// Worker id → its request ring; `None` for a retired (or not yet
+    /// spawned) slot.
+    rings: Vec<Option<Arc<RequestQueue>>>,
 }
 
 impl ShardMap {
     /// The initial round-robin assignment: shard `i` belongs to worker
     /// `i % workers`. With `shards == workers` this is the identity map
-    /// (the paper's static layout).
+    /// (the paper's static layout). Rings arrive as workers spawn.
     pub fn initial(shards: usize, workers: usize) -> ShardMap {
         let workers = workers.max(1) as u32;
         ShardMap {
             epoch: 1,
             owner: (0..shards.max(1) as u32).map(|s| s % workers).collect(),
+            rings: Vec::new(),
         }
     }
 
-    /// The map's version. Strictly increasing across publishes.
+    /// The ownership version. Bumps by one per migration.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -148,12 +158,10 @@ impl ShardMap {
 
     /// A successor map (epoch + 1) with `shard` reassigned to `worker`.
     pub fn with_owner(&self, shard: usize, worker: usize) -> ShardMap {
-        let mut owner = self.owner.clone();
-        owner[shard] = worker as u32;
-        ShardMap {
-            epoch: self.epoch + 1,
-            owner,
-        }
+        let mut next = self.clone();
+        next.owner[shard] = worker as u32;
+        next.epoch += 1;
+        next
     }
 
     /// The shards currently assigned to `worker`.
@@ -162,72 +170,133 @@ impl ShardMap {
             .filter(|s| self.owner[*s] as usize == worker)
             .collect()
     }
+
+    /// A successor map with worker `w`'s slot set to `ring` — installed
+    /// at spawn (growing the table if needed), cleared at retire.
+    pub(crate) fn with_ring(&self, w: usize, ring: Option<Arc<RequestQueue>>) -> ShardMap {
+        let mut next = self.clone();
+        if w >= next.rings.len() {
+            next.rings.resize(w + 1, None);
+        }
+        next.rings[w] = ring;
+        next
+    }
+
+    /// Worker `w`'s ring, if the slot is live.
+    pub(crate) fn ring(&self, w: usize) -> Option<&Arc<RequestQueue>> {
+        self.rings.get(w).and_then(|r| r.as_ref())
+    }
+
+    /// Requests queued on worker `w`'s ring (0 for a retired slot).
+    pub(crate) fn depth_of(&self, w: usize) -> usize {
+        self.ring(w).map_or(0, |q| q.len())
+    }
+
+    /// Number of worker slots ever provisioned (live + retired).
+    pub(crate) fn slot_count(&self) -> usize {
+        self.rings.len()
+    }
+
+    /// Pushes to worker `w`'s ring. A retired slot hands the request
+    /// back exactly like [`RequestQueue::push`] on a closed ring.
+    pub(crate) fn send_to(&self, w: usize, req: Request) -> std::result::Result<(), Request> {
+        match self.ring(w) {
+            Some(q) => q.push(req),
+            None => Err(req),
+        }
+    }
 }
 
-/// The cell the submit path reads the current [`ShardMap`] from.
+/// The one pointer the submit path routes through (DESIGN.md §9.2).
 ///
-/// Readers [`pin`](MapCell::pin) the map — an uncontended read-lock plus
-/// one `Arc` clone — and hold the pin only across their queue pushes.
-/// The pin count doubles as the epoch fence: after
-/// [`publish`](MapCell::publish), [`quiesce`](MapCell::quiesce) waits for
-/// every pin of the displaced map to drop, which proves no push routed
-/// under the old epoch is still in flight. Pins must not be cloned or
-/// parked long-term, or migrations stall (they never deadlock: workers
-/// keep draining regardless).
+/// Readers [`pin`](MapCell::pin) the current snapshot — an epoch pin
+/// (`p2kvs_util::epoch`, the read cache's domain) plus a pointer load —
+/// and hold it only across a ring push; `send` is that whole
+/// sequence. Writers are serialised by the store's balancer state
+/// lock: [`publish`](MapCell::publish) a successor, then
+/// `epoch::synchronize()`, after which no push routed under a displaced
+/// snapshot is still in flight — the fence a handoff marker and a ring
+/// close rely on. A parked pin stalls those writers (never deadlocks
+/// them: workers keep draining), and a writer must not be pinned itself.
 pub struct MapCell {
-    current: RwLock<Arc<ShardMap>>,
+    current: AtomicPtr<ShardMap>,
+}
+
+/// A pinned routing snapshot; dereferences to the [`ShardMap`].
+pub struct MapPin<'a> {
+    map: &'a ShardMap,
+    _guard: epoch::Guard,
+}
+
+impl std::ops::Deref for MapPin<'_> {
+    type Target = ShardMap;
+
+    fn deref(&self) -> &ShardMap {
+        self.map
+    }
 }
 
 impl MapCell {
     /// Wraps the initial map.
     pub fn new(map: ShardMap) -> MapCell {
         MapCell {
-            current: RwLock::new(Arc::new(map)),
+            current: AtomicPtr::new(Box::into_raw(Box::new(map))),
         }
     }
 
-    /// Pins the current map: routing decisions made against the returned
-    /// snapshot stay fenced until it is dropped.
-    pub fn pin(&self) -> Arc<ShardMap> {
-        self.current.read().clone()
+    /// Pins the current snapshot until the pin drops.
+    pub fn pin(&self) -> MapPin<'_> {
+        let guard = epoch::pin();
+        // SAFETY: `current` always holds a live `Box` (set in `new` and
+        // `publish`, freed only by `publish` through `epoch::retire` and
+        // by `drop`). Loaded under `guard`, the snapshot outlives every
+        // use through the returned pin, which carries the guard.
+        let map = unsafe { &*self.current.load(Ordering::SeqCst) };
+        MapPin { map, _guard: guard }
     }
 
     /// The current owner of `shard`, without retaining a pin. Use only
     /// where a stale answer is acceptable (re-route, metrics).
     pub fn owner(&self, shard: usize) -> usize {
-        self.current.read().owner(shard)
+        self.pin().owner(shard)
     }
 
-    /// The current epoch.
+    /// The current ownership epoch.
     pub fn epoch(&self) -> u64 {
-        self.current.read().epoch()
+        self.pin().epoch()
     }
 
-    /// Atomically replaces the map, returning the displaced version for
-    /// [`MapCell::quiesce`].
-    pub fn publish(&self, next: Arc<ShardMap>) -> Arc<ShardMap> {
-        std::mem::replace(&mut *self.current.write(), next)
+    /// Routes `req` to the worker owning `shard`: pin → owner → ring →
+    /// push → unpin.
+    pub(crate) fn send(&self, shard: usize, req: Request) -> std::result::Result<(), Request> {
+        let pin = self.pin();
+        pin.send_to(pin.owner(shard), req)
     }
 
-    /// Blocks until every outstanding pin of `old` has dropped. On
-    /// return, every request routed under `old`'s epoch has finished its
-    /// queue push — the fence a handoff marker relies on.
-    pub fn quiesce(old: Arc<ShardMap>) {
-        // The count can only fall: the cell no longer hands out clones of
-        // `old`, and pins are never cloned. Yield rather than spin — on a
-        // uniprocessor the pinning thread needs the core to finish its
-        // push.
-        let mut rounds = 0u32;
-        while Arc::strong_count(&old) > 1 {
-            rounds += 1;
-            if rounds < 64 {
-                std::thread::yield_now();
-            } else {
-                // A pinner blocked in a full-queue push can hold its pin
-                // for a while; nap instead of burning the core it needs.
-                std::thread::sleep(Duration::from_micros(100));
-            }
-        }
+    /// Pushes `req` to worker `w`'s ring, whoever owns the request's
+    /// shard (handoff markers, re-route).
+    pub(crate) fn send_to(&self, w: usize, req: Request) -> std::result::Result<(), Request> {
+        self.pin().send_to(w, req)
+    }
+
+    /// Replaces the snapshot; the displaced one is reclaimed once no pin
+    /// can still reference it. The *routing* fence is the caller's
+    /// `epoch::synchronize()` afterwards.
+    pub fn publish(&self, next: ShardMap) {
+        let next = Box::into_raw(Box::new(next));
+        let old = self.current.swap(next, Ordering::SeqCst);
+        // SAFETY: `old` came from `Box::into_raw` and the swap removed
+        // the only shared copy of it, so this is its one reclamation;
+        // `retire` defers the drop past every pin that loaded it.
+        epoch::retire(unsafe { Box::from_raw(old) });
+    }
+}
+
+impl Drop for MapCell {
+    fn drop(&mut self) {
+        // SAFETY: the pointer is a live `Box` (see `pin`), and `&mut
+        // self` proves no `MapPin` borrows the cell any more.
+        drop(unsafe { Box::from_raw(*self.current.get_mut()) });
     }
 }
 
@@ -485,25 +554,86 @@ mod tests {
         }
     }
 
+    fn ring() -> Arc<RequestQueue> {
+        Arc::new(RequestQueue::with_capacity(8))
+    }
+
+    fn noop_get() -> Request {
+        let op = crate::types::Op::Get { key: b"k".to_vec() };
+        Request::asynchronous(op, Box::new(|_| {}))
+    }
+
+    /// Pops the one queued request and completes it.
+    fn drain_one(q: &RequestQueue) {
+        let mut batch = q.pop_batch(1).expect("one request is queued");
+        batch.pop().unwrap().finish_err(&Error::Closed);
+    }
+
     #[test]
-    fn map_cell_publish_and_quiesce() {
+    fn ring_slots_install_clear_and_grow() {
+        let m = ShardMap::initial(4, 2);
+        assert_eq!(m.slot_count(), 0, "rings arrive with the workers");
+        let m = m.with_ring(0, Some(ring()));
+        assert_eq!((m.slot_count(), m.epoch()), (1, 1), "no shard moved");
+        assert!(m.ring(0).is_some());
+        assert!(m.ring(1).is_none(), "out of range reads as retired");
+        let m = m.with_ring(3, Some(ring()));
+        assert_eq!(m.slot_count(), 4, "install grows the table");
+        assert!(m.ring(1).is_none() && m.ring(2).is_none());
+        assert!(m.ring(3).is_some());
+        let kept = m.with_owner(0, 1);
+        assert!(kept.ring(0).is_some(), "rings ride along");
+        assert!(kept.ring(3).is_some(), "rings ride along");
+        m.send_to(3, noop_get()).ok().unwrap();
+        assert_eq!(m.depth_of(3), 1);
+        let cleared = m.with_ring(3, None);
+        assert!(cleared.ring(3).is_none());
+        assert_eq!(cleared.slot_count(), 4, "clear keeps the slot");
+        assert_eq!(cleared.depth_of(3), 0, "retired slot reads depth 0");
+        assert_eq!(m.depth_of(3), 1, "the predecessor is untouched");
+        drain_one(m.ring(3).unwrap());
+    }
+
+    #[test]
+    fn send_to_a_cleared_slot_hands_the_request_back() {
+        let q = ring();
+        let cell = MapCell::new(ShardMap::initial(1, 1).with_ring(0, Some(q.clone())));
+        cell.send(0, noop_get()).ok().unwrap();
+        assert_eq!(q.len(), 1, "routed shard 0 → worker 0 → its ring");
+        cell.publish(cell.pin().with_ring(0, None));
+        let back = cell.send(0, noop_get());
+        assert!(back.is_err(), "cleared slot behaves like a closed ring");
+        back.unwrap_err().finish_err(&Error::Closed);
+        q.close();
+        let back = q.push(noop_get());
+        assert!(back.is_err(), "… which hands the request back the same way");
+        back.unwrap_err().finish_err(&Error::Closed);
+        drain_one(&q);
+    }
+
+    #[test]
+    fn map_cell_publish_and_synchronize() {
         let cell = MapCell::new(ShardMap::initial(4, 2));
         let pin = cell.pin();
         assert_eq!(pin.epoch(), 1);
-        let displaced = cell.publish(Arc::new(pin.with_owner(0, 1)));
+        cell.publish(pin.with_owner(0, 1));
         assert_eq!(cell.epoch(), 2);
         assert_eq!(cell.owner(0), 1);
-        // quiesce must block while `pin` is live; release it from a
-        // helper thread and verify quiesce returns.
-        let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let g = gate.clone();
+        assert_eq!(pin.owner(0), 0, "the pinned snapshot stays readable");
+        // synchronize must block while `pin` is live; run it on a helper
+        // (the pin is thread-bound) and release the pin after a beat.
+        let returned = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let r = returned.clone();
         let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            g.store(true, Ordering::SeqCst);
-            drop(pin);
+            epoch::synchronize();
+            r.store(true, Ordering::SeqCst);
         });
-        MapCell::quiesce(displaced);
-        assert!(gate.load(Ordering::SeqCst), "quiesce returned before the pin dropped");
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(
+            !returned.load(Ordering::SeqCst),
+            "synchronize returned before the pin dropped"
+        );
+        drop(pin);
         h.join().unwrap();
     }
 

@@ -19,6 +19,7 @@ use p2kvs_obs::{
     labeled, parse_journal, Journal, JournalKind, JournalRecord, MetricsRegistry, MetricsSnapshot,
     PeriodicTask, SpanKind, SpanRecord, SpanRing, TraceCtx, WorkerLifecycle,
 };
+use p2kvs_util::epoch;
 
 use crate::balance::{plan_moves, BalancePolicy, ScalePolicy};
 use crate::engine::{EngineEvent, EngineFactory, GsnFilter, KvsEngine};
@@ -233,6 +234,8 @@ impl<E: KvsEngine> ObsShared<E> {
     /// counter they share.
     fn read(&self) -> StoreSnapshot {
         let ordering = Ordering::Relaxed;
+        // Copied out, not held: the pool's slot lock is taken below.
+        let map = self.runtime.map.pin().clone();
         StoreSnapshot {
             // Every slot the pool ever provisioned: retired slots keep
             // their final counters, so scraped series end at their true
@@ -259,7 +262,7 @@ impl<E: KvsEngine> ObsShared<E> {
                     // The ring's relaxed atomic counter — sampling never
                     // locks or contends with the data path. A retired
                     // slot reads 0: its ring is gone.
-                    queue_depth: self.runtime.queues.len_of(i),
+                    queue_depth: map.depth_of(i),
                     live,
                 })
                 .collect(),
@@ -416,22 +419,25 @@ impl<E: KvsEngine> ObsShared<E> {
 }
 
 /// State shared between the public migration API and the background
-/// balancer tick. The mutex serializes migrations store-wide — one
-/// epoch fence and one handoff in flight at a time — and guards the
-/// last-sample snapshot the tick differentiates against.
+/// balancer tick. The mutex is the store's one *writer* lock: it
+/// serializes everything that publishes a routing snapshot (migrations,
+/// pool resizes) and the backup freeze against them — one fence and one
+/// handoff in flight at a time.
 struct BalanceShared<E: KvsEngine> {
     runtime: Arc<ShardRuntime<E>>,
     pool: Arc<WorkerPool>,
     policy: BalancePolicy,
     scale: Option<ScalePolicy>,
     state: parking_lot::Mutex<BalanceState>,
+    /// The previous cumulative per-shard busy-time sample, so each tick
+    /// rebalances on the load of the *last interval*, not all of
+    /// history. Written only under `state`; atomics so `introspect`
+    /// reads it without queueing behind a migration.
+    last_busy_ns: Vec<AtomicU64>,
 }
 
-/// The balancer's memory between ticks: the previous cumulative
-/// per-shard busy-time sample, so each tick rebalances on the load of
-/// the *last interval*, not all of history.
+/// The balancer's memory between ticks.
 struct BalanceState {
-    last_busy_ns: Vec<u64>,
     /// When the previous tick ran — the wall interval the scale
     /// decision normalizes busy time against. `None` before the first
     /// tick (which only baselines).
@@ -443,40 +449,40 @@ struct BalanceState {
 /// Migrates ownership of `shard` to `target` through the epoch-fenced
 /// handoff. Caller must hold the [`BalanceShared::state`] lock.
 ///
-/// Protocol (DESIGN.md §9): publish the successor map → quiesce the
-/// displaced epoch's pins (after which no old-epoch push can still be in
+/// Protocol (DESIGN.md §9.2): publish the successor map →
+/// `epoch::synchronize()` (after which no old-epoch push can still be in
 /// flight) → enqueue the `HandoffOut` marker on the source worker
 /// (provably behind every old-epoch request for the shard) → the source
 /// packages the shard's cursors and enqueues `ShardInstall` on the
 /// target → wait for the depot to settle.
 fn migrate_locked<E: KvsEngine>(rt: &ShardRuntime<E>, shard: usize, target: usize) -> Result<()> {
-    let pin = rt.map.pin();
-    if shard >= pin.shards() {
-        return Err(Error::Config(format!(
-            "shard {shard} out of range: the store has {} shards",
-            pin.shards()
-        )));
-    }
-    if rt.queues.get(target).is_none() {
-        return Err(Error::Config(format!(
-            "worker {target} is not live (the pool has {} slots)",
-            rt.queues.slot_count()
-        )));
-    }
-    let source = pin.owner(shard);
-    if source == target {
-        return Ok(());
-    }
+    let (source, next) = {
+        let map = rt.map.pin();
+        if shard >= map.shards() {
+            return Err(Error::Config(format!(
+                "shard {shard} out of range: the store has {} shards",
+                map.shards()
+            )));
+        }
+        if map.ring(target).is_none() {
+            return Err(Error::Config(format!(
+                "worker {target} is not live (the pool has {} slots)",
+                map.slot_count()
+            )));
+        }
+        let source = map.owner(shard);
+        if source == target {
+            return Ok(());
+        }
+        (source, map.with_owner(shard, target))
+    };
     rt.depot.begin(shard as u64)?;
-    let displaced = rt.map.publish(Arc::new(pin.with_owner(shard, target)));
-    // Our own pin references the displaced map; drop it before fencing
-    // or quiesce waits on ourselves.
-    drop(pin);
-    MapCell::quiesce(displaced);
+    rt.map.publish(next);
+    epoch::synchronize();
     let (req, done) = Request::sync(Op::HandoffOut {
         shard: shard as u64,
     });
-    if rt.queues.push_to(source, req.on_shard(shard as u64)).is_err() {
+    if rt.map.send_to(source, req.on_shard(shard as u64)).is_err() {
         // Source queue closed mid-shutdown: settle the depot so nothing
         // waits on a phase that cannot advance.
         rt.depot.abort(shard as u64);
@@ -505,21 +511,18 @@ fn rebalance_tick<E: KvsEngine>(b: &BalanceShared<E>) -> Result<usize> {
         .last_tick
         .map(|t| now.duration_since(t).as_nanos().min(u128::from(u64::MAX)) as u64);
     st.last_tick = Some(now);
-    let busy: Vec<u64> = rt
+    let delta: Vec<u64> = rt
         .shard_stats
         .iter()
-        .map(|s| s.busy_ns.load(Ordering::Relaxed))
+        .zip(&b.last_busy_ns)
+        .map(|(s, last)| {
+            let now = s.busy_ns.load(Ordering::Relaxed);
+            now.saturating_sub(last.swap(now, Ordering::Relaxed))
+        })
         .collect();
-    let delta: Vec<u64> = busy
-        .iter()
-        .zip(&st.last_busy_ns)
-        .map(|(now, last)| now.saturating_sub(*last))
-        .collect();
-    st.last_busy_ns = busy;
     let live = b.pool.live_ids();
-    let pin = rt.map.pin();
-    let moves = plan_moves(&pin, &live, &delta, &b.policy);
-    drop(pin);
+    let map = rt.map.pin().clone();
+    let moves = plan_moves(&map, &live, &delta, &b.policy);
     let mut applied = 0;
     for (shard, target) in moves {
         migrate_locked(rt, shard, target)?;
@@ -561,8 +564,8 @@ fn rebalance_tick<E: KvsEngine>(b: &BalanceShared<E>) -> Result<usize> {
 
 /// Retires the highest-id live worker: migrates every shard it owns to
 /// the survivors round-robin through the epoch-fenced handoff (parked
-/// scan cursors ride along in the depot), then clears its table slot,
-/// closes its ring, and joins the thread. Caller must hold the
+/// scan cursors ride along in the depot), then clears its ring slot,
+/// closes the ring, and joins the thread. Caller must hold the
 /// [`BalanceShared::state`] lock — the same fence migrations and the
 /// backup freeze take — and must leave at least one live worker.
 fn scale_down_locked<E: KvsEngine>(rt: &Arc<ShardRuntime<E>>, pool: &WorkerPool) -> Result<usize> {
@@ -573,26 +576,21 @@ fn scale_down_locked<E: KvsEngine>(rt: &Arc<ShardRuntime<E>>, pool: &WorkerPool)
     if survivors.is_empty() {
         return Err(Error::Config("cannot retire the last live worker".into()));
     }
-    // Collect the victim's shards under a pin that is dropped before
-    // the first migration: `migrate_locked` publishes and quiesces the
-    // displaced epoch, and quiesce would wait forever on our own pin.
-    let shards = {
-        let pin = rt.map.pin();
-        pin.shards_of(victim)
-    };
+    let shards = rt.map.pin().shards_of(victim);
     let mut drained = 0u64;
     for (i, &shard) in shards.iter().enumerate() {
         migrate_locked(rt, shard, survivors[i % survivors.len()])?;
         drained += 1;
     }
-    pool.retire(victim, drained, rt.journal.as_deref())?;
+    pool.retire(victim, drained, rt)?;
     Ok(victim)
 }
 
 /// A live, structured view of the store's control plane — the shard
 /// map, every worker's ownership and load, the balancer's last
 /// interval, and the observability subsystems' own state. Cheap to
-/// take: a map pin plus relaxed counter reads.
+/// take, and never waits behind a migration: a copy of the routing
+/// snapshot plus relaxed counter reads.
 #[derive(Debug, Clone)]
 pub struct StoreIntrospection {
     /// Current shard-map epoch (bumps once per migration).
@@ -828,13 +826,11 @@ impl<E: KvsEngine> P2Kvs<E> {
             // (a = MAX marks a full reset, c = the configured budget).
             j.record(JournalKind::CacheFlush, u64::MAX, 0, c.capacity(), 0);
         }
-        // The queue table starts empty: the pool installs each worker's
-        // ring (before its thread starts) as it spawns them.
-        let queues = Arc::new(crate::pool::QueueTable::new(Vec::new()));
+        // The map starts without rings: the pool publishes each worker's
+        // (before its thread starts) as it spawns them.
         let runtime = Arc::new(ShardRuntime {
             engines,
-            queues: queues.clone(),
-            map: Arc::new(MapCell::new(ShardMap::initial(shards, n))),
+            map: MapCell::new(ShardMap::initial(shards, n)),
             depot: Arc::new(crate::shard::HandoffDepot::new()),
             shard_stats: (0..shards)
                 .map(|_| Arc::new(crate::shard::ShardStats::default()))
@@ -846,7 +842,6 @@ impl<E: KvsEngine> P2Kvs<E> {
             backup: Arc::new(crate::backup::BackupHub::default()),
         });
         let pool = Arc::new(WorkerPool::new(
-            queues,
             SpawnSpec {
                 config: crate::worker::WorkerConfig {
                     batch_max: opts.batch_max.max(1),
@@ -892,10 +887,10 @@ impl<E: KvsEngine> P2Kvs<E> {
             policy: opts.balance,
             scale: opts.scale,
             state: parking_lot::Mutex::new(BalanceState {
-                last_busy_ns: vec![0; shards],
                 last_tick: None,
                 cooldown_left: 0,
             }),
+            last_busy_ns: (0..shards).map(|_| AtomicU64::new(0)).collect(),
         });
         let balancer = opts.balance_interval.map(|interval| {
             let b = balance.clone();
@@ -1005,9 +1000,9 @@ impl<E: KvsEngine> P2Kvs<E> {
     /// drain-retire at a time under the migration fence (DESIGN.md
     /// §14).
     ///
-    /// Scale-up installs each newcomer's ring in the queue table before
-    /// its thread starts and leaves shard placement to the balancer (or
-    /// [`P2Kvs::rebalance_once`] / [`P2Kvs::migrate_shard`]).
+    /// Scale-up publishes each newcomer's ring in the routing snapshot
+    /// before its thread starts and leaves shard placement to the
+    /// balancer (or [`P2Kvs::rebalance_once`] / [`P2Kvs::migrate_shard`]).
     /// Scale-down drains the highest-id live worker by migrating every
     /// shard it owns to the survivors through the epoch-fenced handoff
     /// — parked scan cursors ride along, acked writes survive, and no
@@ -1037,15 +1032,10 @@ impl<E: KvsEngine> P2Kvs<E> {
 
     fn submit_to_shard(&self, shard: usize, op: Op, ctx: TraceCtx) -> Result<Response> {
         let (req, done) = Request::sync(op);
-        {
-            // Pin only across the push: the pin is the epoch fence, and
-            // parking it across `wait` would stall migrations.
-            let pin = self.runtime.map.pin();
-            self.runtime
-                .queues
-                .push_to(pin.owner(shard), req.on_shard(shard as u64).traced(ctx))
-                .map_err(|_| Error::Closed)?;
-        }
+        self.runtime
+            .map
+            .send(shard, req.on_shard(shard as u64).traced(ctx))
+            .map_err(|_| Error::Closed)?;
         done.wait()
     }
 
@@ -1081,13 +1071,9 @@ impl<E: KvsEngine> P2Kvs<E> {
         };
         let shard = self.partitioner.shard_of(key);
         let req = Request::asynchronous(op, Box::new(move |r| cb(r.map(|_| ()))));
-        let pin = self.runtime.map.pin();
         self.runtime
-            .queues
-            .push_to(
-                pin.owner(shard),
-                req.on_shard(shard as u64).traced(self.next_trace()),
-            )
+            .map
+            .send(shard, req.on_shard(shard as u64).traced(self.next_trace()))
             .map_err(|_| Error::Closed)
     }
 
@@ -1138,9 +1124,9 @@ impl<E: KvsEngine> P2Kvs<E> {
     /// Batched lookups with a partial-hit fast path: cached keys are
     /// served immediately on the calling thread, and the misses are
     /// enqueued as one [`Op::MultiGet`] ring entry per shard they touch
-    /// (split at the OBM bound) — all under one map pin, so a concurrent
-    /// migration cannot split the batch across epochs. The caller then
-    /// waits once, for whichever entry is answered last.
+    /// (split at the OBM bound), each routed on its own — entries of
+    /// different shards have no order to keep across a migration. The
+    /// caller then waits once, for whichever entry is answered last.
     pub fn get_many(&self, keys: &[Vec<u8>]) -> Result<Vec<Option<Vec<u8>>>> {
         /// The replies of one call, gathered from the workers.
         struct Gather {
@@ -1158,7 +1144,6 @@ impl<E: KvsEngine> P2Kvs<E> {
         let mut results: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
         // The missed keys of each shard, with their positions in `keys`.
         let mut misses: Vec<(Vec<usize>, Vec<Vec<u8>>)> = vec![Default::default(); self.shards()];
-        let pin = self.runtime.map.pin();
         for (i, key) in keys.iter().enumerate() {
             let shard = self.partitioner.shard_of(key);
             match cache.and_then(|c| c.lookup(shard as u32, key)) {
@@ -1221,15 +1206,12 @@ impl<E: KvsEngine> P2Kvs<E> {
                 (at, keys) = (rest_at, rest_keys);
                 if closed {
                     req.finish_err(&Error::Closed);
-                } else if let Err(req) = self.runtime.queues.push_to(pin.owner(shard), req) {
+                } else if let Err(req) = self.runtime.map.send(shard, req) {
                     closed = true;
                     req.finish_err(&Error::Closed);
                 }
             }
         }
-        // Pinned only across the pushes: the pin is the epoch fence, and
-        // parking it across the wait would stall migrations.
-        drop(pin);
         waiter.wait()?;
         let mut g = gather.lock();
         match g.err.take() {
@@ -1278,23 +1260,16 @@ impl<E: KvsEngine> P2Kvs<E> {
         let gsn = self.txn.begin()?;
         let mut completions = Vec::with_capacity(involved.len());
         let mut push_err = None;
-        {
-            let pin = self.runtime.map.pin();
-            for &s in &involved {
-                let (req, done) = Request::sync(Op::TxnBatch {
-                    ops: std::mem::take(&mut per_shard[s]),
-                    gsn,
-                });
-                match self
-                    .runtime
-                    .queues
-                    .push_to(pin.owner(s), req.on_shard(s as u64).traced(ctx))
-                {
-                    Ok(()) => completions.push(done),
-                    Err(_) => {
-                        push_err = Some(Error::Closed);
-                        break;
-                    }
+        for &s in &involved {
+            let (req, done) = Request::sync(Op::TxnBatch {
+                ops: std::mem::take(&mut per_shard[s]),
+                gsn,
+            });
+            match self.runtime.map.send(s, req.on_shard(s as u64).traced(ctx)) {
+                Ok(()) => completions.push(done),
+                Err(_) => {
+                    push_err = Some(Error::Closed);
+                    break;
                 }
             }
         }
@@ -1361,7 +1336,6 @@ impl<E: KvsEngine> P2Kvs<E> {
     /// Like [`P2Kvs::iter`], starting at the first key `>= start`.
     pub fn iter_from(&self, start: &[u8]) -> Result<StoreIter<'_>> {
         StoreIter::open(
-            &self.runtime.queues,
             &self.runtime.map,
             self.shards(),
             start,
@@ -1375,7 +1349,6 @@ impl<E: KvsEngine> P2Kvs<E> {
     /// Like [`P2Kvs::iter`], bounded to `[begin, end)`.
     pub fn iter_range(&self, begin: &[u8], end: &[u8]) -> Result<StoreIter<'_>> {
         StoreIter::open(
-            &self.runtime.queues,
             &self.runtime.map,
             self.shards(),
             begin,
@@ -1413,7 +1386,6 @@ impl<E: KvsEngine> P2Kvs<E> {
             return Ok(Vec::new());
         }
         let mut iter = StoreIter::open(
-            &self.runtime.queues,
             &self.runtime.map,
             self.shards(),
             start,
@@ -1484,16 +1456,7 @@ impl<E: KvsEngine> P2Kvs<E> {
             let mut push_err = None;
             for s in 0..self.shards() {
                 let (req, done) = Request::sync(Op::BackupFreeze { shard: s as u64 });
-                // The fence pins the map as surely as an epoch pin
-                // would, without holding a pin across a push that may
-                // block on a full ring.
-                let owner = self.runtime.map.owner(s);
-                if self
-                    .runtime
-                    .queues
-                    .push_to(owner, req.on_shard(s as u64))
-                    .is_err()
-                {
+                if self.runtime.map.send(s, req.on_shard(s as u64)).is_err() {
                     push_err = Some(Error::Closed);
                     break;
                 }
@@ -1690,18 +1653,19 @@ impl<E: KvsEngine> P2Kvs<E> {
     /// per-worker shard sets, queue depths and active scans, balancer
     /// state, and device utilization.
     pub fn introspect(&self) -> StoreIntrospection {
-        let pin = self.runtime.map.pin();
+        // Copied out, not held: a routing pin spans nothing but a push.
+        let map = self.runtime.map.pin().clone();
         let stats = self.obs.read();
         StoreIntrospection {
-            map_epoch: pin.epoch(),
-            shard_owners: (0..pin.shards()).map(|s| pin.owner(s)).collect(),
+            map_epoch: map.epoch(),
+            shard_owners: (0..map.shards()).map(|s| map.owner(s)).collect(),
             workers: stats
                 .workers
                 .iter()
                 .enumerate()
                 .map(|(i, w)| WorkerView {
                     worker: i,
-                    shards: pin.shards_of(i),
+                    shards: map.shards_of(i),
                     queue_depth: w.queue_depth,
                     active_scans: w.active_scans,
                     busy: w.busy,
@@ -1711,7 +1675,12 @@ impl<E: KvsEngine> P2Kvs<E> {
             migrations: stats.migrations,
             balancer_active: self.balancer.is_some(),
             balance_policy: self.balance.policy,
-            last_sample_busy_ns: self.balance.state.lock().last_busy_ns.clone(),
+            last_sample_busy_ns: self
+                .balance
+                .last_busy_ns
+                .iter()
+                .map(|ns| ns.load(Ordering::Relaxed))
+                .collect(),
             device_utilization: self
                 .runtime
                 .env
@@ -1832,7 +1801,7 @@ mod tests {
         store.get(&k_cached).unwrap(); // second miss fills the cache
         // Kill worker 1's queue: pushes to it now fail, and its shards
         // become unreachable — the mid-batch failure path.
-        store.runtime.queues.get(1).unwrap().close();
+        store.runtime.map.pin().ring(1).unwrap().close();
         let request = vec![k_cached.clone(), k_live.clone(), k_dead.clone()];
         let err = store.get_many(&request).unwrap_err();
         assert!(matches!(err, Error::Closed), "push failure surfaces as Closed: {err}");

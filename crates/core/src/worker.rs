@@ -86,7 +86,7 @@ pub struct WorkerStats {
     /// Requests held for a shard whose install marker had not yet
     /// arrived, then replayed at install.
     pub stashed: AtomicU64,
-    /// Stale-epoch requests forwarded to the current owner. The quiesce
+    /// Stale-epoch requests forwarded to the current owner. The routing
     /// fence makes this path unreachable from the store's own submit
     /// paths; a nonzero value flags an external caller holding a map pin
     /// across a migration.
@@ -149,22 +149,20 @@ impl Default for WorkerConfig {
 }
 
 /// Shared routing state every worker in a store references: the
-/// per-shard engine directory, every worker's queue, the live shard map,
-/// the handoff side-channel, and per-shard service gauges. Engines are
+/// per-shard engine directory, the live routing snapshot, the handoff
+/// side-channel, and per-shard service gauges. Engines are
 /// reachable from every worker — "ownership" of a shard is the exclusive
 /// right to execute against its engine, tracked by the map and the
 /// workers' owned sets, never by which thread holds the handle.
 pub(crate) struct ShardRuntime<E> {
     /// Engine instances, indexed by shard.
     pub engines: Vec<Arc<E>>,
-    /// Every worker's queue, indexed by worker id (re-route and the
-    /// install half of a handoff need to address peers). A dynamic
-    /// table since the elastic pool (DESIGN.md §14): slots are
-    /// installed at spawn and cleared at retire, so pushes to a
-    /// vanished worker bounce like pushes to a closed ring.
-    pub queues: Arc<crate::pool::QueueTable>,
-    /// The live, versioned `shard → worker` map.
-    pub map: Arc<MapCell>,
+    /// The live routing snapshot, `shard → worker → ring`: the one
+    /// handle every push goes through (submit paths, re-route, the
+    /// install half of a handoff). Ring slots are installed at spawn
+    /// and cleared at retire (DESIGN.md §14), so pushes to a vanished
+    /// worker bounce like pushes to a closed ring.
+    pub map: MapCell,
     /// Ferries non-clonable per-shard state (parked scan cursors)
     /// between the two workers of a handoff.
     pub depot: Arc<HandoffDepot>,
@@ -204,7 +202,7 @@ pub struct WorkerHandle {
 impl WorkerHandle {
     /// Spawns a standalone worker `id` over a single engine — the
     /// one-instance-per-worker special case (a private one-shard
-    /// runtime). The store uses [`WorkerHandle::spawn_in`]; this wrapper
+    /// runtime). The store uses `WorkerHandle::spawn_in`; this wrapper
     /// serves tests and embedders that want one queue over one engine.
     pub fn spawn<E: KvsEngine>(
         id: usize,
@@ -215,8 +213,7 @@ impl WorkerHandle {
         let queue = Arc::new(RequestQueue::with_capacity(config.queue_capacity));
         let runtime = Arc::new(ShardRuntime {
             engines: vec![engine],
-            queues: Arc::new(crate::pool::QueueTable::new(vec![queue.clone()])),
-            map: Arc::new(MapCell::new(ShardMap::initial(1, 1))),
+            map: MapCell::new(ShardMap::initial(1, 1).with_ring(0, Some(queue.clone()))),
             depot: Arc::new(HandoffDepot::new()),
             shard_stats: vec![Arc::new(ShardStats::default())],
             spans: Arc::new(SpanRing::new(0)),
@@ -225,31 +222,19 @@ impl WorkerHandle {
             env: None,
             backup: Arc::new(crate::backup::BackupHub::default()),
         });
-        WorkerHandle::spawn_inner(id, 0, runtime, queue, config, lifecycle)
+        WorkerHandle::spawn_in(id, 0, runtime, queue, config, lifecycle)
     }
 
-    /// Spawns worker `id` inside a shared [`ShardRuntime`]. The worker
-    /// drains the ring installed in the runtime's queue table at slot
-    /// `id` (the pool installs it before spawning) and initially owns
-    /// the shards the runtime's map assigns to `id`.
+    /// Spawns a worker inside a shared [`ShardRuntime`]: thread name and
+    /// core from `name_id`, routing identity `windex` (the store passes
+    /// the same id twice). The worker drains `queue` — the ring already
+    /// published in the runtime's map at slot `windex` — and initially
+    /// owns the shards the map assigns to `windex`.
     ///
     /// The worker stamps every group at dequeue and at completion; when
     /// `lifecycle` is present that pair also feeds the queue-wait and
     /// service latency histograms and keeps the spans of slow groups.
     pub(crate) fn spawn_in<E: KvsEngine>(
-        id: usize,
-        runtime: Arc<ShardRuntime<E>>,
-        config: WorkerConfig,
-        lifecycle: Option<WorkerLifecycle>,
-    ) -> WorkerHandle {
-        let queue = runtime
-            .queues
-            .get(id)
-            .expect("ring installed in the queue table before spawn");
-        WorkerHandle::spawn_inner(id, id, runtime, queue, config, lifecycle)
-    }
-
-    fn spawn_inner<E: KvsEngine>(
         name_id: usize,
         windex: usize,
         rt: Arc<ShardRuntime<E>>,
@@ -535,7 +520,7 @@ fn handoff_out<E: KvsEngine>(
         return;
     }
     let req = Request::asynchronous(Op::ShardInstall { shard }, Box::new(|_| {})).on_shard(shard);
-    if rt.queues.push_to(target, req).is_err() {
+    if rt.map.send_to(target, req).is_err() {
         // Target queue closed or retired (shutdown): drop the parcel —
         // parked cursors release their snapshots — and settle the
         // handoff.
@@ -663,11 +648,12 @@ fn reroute_or_stash<E: KvsEngine>(
         stash.entry(req.shard).or_default().push(req);
     } else {
         // Stale-epoch request — defensive only: the store's submit paths
-        // hold a map pin across their pushes, and the migrator publishes
-        // the HandoffOut marker only after those pins quiesce, so its
-        // own traffic can never land here.
+        // hold a map pin across their pushes, and the migrator pushes
+        // the HandoffOut marker only after `synchronize` has waited
+        // those pins out, so its own traffic can never land here (the
+        // stress suites assert the counter stays 0).
         stats.rerouted.fetch_add(1, Ordering::Relaxed);
-        if let Err(r) = rt.queues.push_to(owner, req) {
+        if let Err(r) = rt.map.send_to(owner, req) {
             r.finish_err(&Error::Closed);
         }
     }
@@ -1725,11 +1711,13 @@ mod tests {
         let queues: Vec<_> = (0..2)
             .map(|_| Arc::new(RequestQueue::with_capacity(DEFAULT_QUEUE_CAPACITY)))
             .collect();
-        let map = Arc::new(MapCell::new(ShardMap::initial(1, 2)));
+        let mut map = ShardMap::initial(1, 2);
+        for (w, q) in queues.iter().enumerate() {
+            map = map.with_ring(w, Some(q.clone()));
+        }
         let rt = Arc::new(ShardRuntime {
             engines: vec![engine.clone()],
-            queues: Arc::new(crate::pool::QueueTable::new(queues.clone())),
-            map: map.clone(),
+            map: MapCell::new(map),
             depot: Arc::new(HandoffDepot::new()),
             shard_stats: vec![Arc::new(ShardStats::default())],
             spans: Arc::new(SpanRing::new(0)),
@@ -1739,7 +1727,8 @@ mod tests {
             backup: Arc::new(crate::backup::BackupHub::default()),
         });
         // Worker 1 owns nothing under the initial map (shard 0 -> worker 0).
-        let mut w1 = WorkerHandle::spawn_in(1, rt.clone(), test_config(), None);
+        let ring = queues[1].clone();
+        let mut w1 = WorkerHandle::spawn_in(1, 1, rt.clone(), ring, test_config(), None);
         // Prove w1 is running under the old map: a request it does not
         // own is rerouted to worker 0's queue, which the test drains by
         // hand (there is no worker 0 thread).
@@ -1766,7 +1755,7 @@ mod tests {
         let id = parked.insert(cursor);
         rt.depot.begin(0).unwrap();
         rt.depot.deposit(0, Parcel { scans: parked });
-        map.publish(Arc::new(map.pin().with_owner(0, 1)));
+        rt.map.publish(rt.map.pin().with_owner(0, 1));
         // w1 stashes the close (the map says w1, but no install arrived)…
         let (req, done) = Request::sync(Op::ScanClose { cursor: id });
         queues[1].push(req.on_shard(0)).ok().unwrap();

@@ -238,6 +238,10 @@ fn concurrent_reads_writes_and_migrations_stay_coherent() {
     let snap = store.metrics_snapshot();
     assert!(snap.counter("p2kvs_cache_invalidations").unwrap() > 0);
     assert!(snap.counter("p2kvs_cache_hits").unwrap() > 0);
+    // The routing fence: no worker ever had to forward a request for a
+    // shard it had already handed away.
+    let rerouted: u64 = store.snapshot().workers.iter().map(|w| w.rerouted).sum();
+    assert_eq!(rerouted, 0, "a request was routed under a displaced map");
 }
 
 // ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@
 //! * **counters are conserved** — retired slots keep their final
 //!   counters (nothing a dead worker did is forgotten) with zeroed
 //!   ownership gauges, and the live slots' `shards_owned` sum to the
-//!   shard count at all times the pool is quiescent.
+//!   shard count at all times the pool is quiescent;
+//! * **the routing fence holds** — no request is ever re-routed by a
+//!   worker that had already handed its shard away.
 //!
 //! CI additionally runs this file under `--release` to shake out
 //! orderings the debug interleavings miss.
@@ -215,4 +217,9 @@ fn pool_thrashing_under_live_traffic_loses_nothing() {
         total_ops >= writes_issued,
         "workers account for {total_ops} ops but {writes_issued} writes were issued"
     );
+    // The routing fence: a request routed under a displaced snapshot is
+    // always executed by the old owner ahead of its handoff marker, so
+    // the workers' defensive re-route path never fires.
+    let rerouted: u64 = snap.workers.iter().map(|w| w.rerouted).sum();
+    assert_eq!(rerouted, 0, "a request was routed under a displaced map");
 }

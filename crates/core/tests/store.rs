@@ -1383,6 +1383,79 @@ fn introspection_reports_map_and_worker_state() {
 }
 
 #[test]
+fn introspect_never_waits_on_a_migration_or_a_resize() {
+    // Regression: `introspect` used to take the balancer state lock
+    // while holding a map pin, and a migration holds that lock while it
+    // waits for every pin to drop — one poller against one migrator
+    // deadlocked the store within a second. A watchdog fails the test
+    // instead of hanging it.
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
+    const ITERS: usize = 1000;
+    const SHARDS: usize = 4;
+    let mut opts = P2KvsOptions::with_workers(2);
+    opts.shards = SHARDS;
+    opts.pin_workers = false;
+    let store = Arc::new(P2Kvs::open(lsm_factory(), "p2-intro-race", opts).unwrap());
+    let stop = Arc::new(AtomicBool::new(false));
+    let (finished, watchdog) = mpsc::channel();
+
+    let poller = {
+        let (store, stop, finished) = (store.clone(), stop.clone(), finished.clone());
+        std::thread::spawn(move || {
+            let mut polls = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                let view = store.introspect();
+                assert_eq!(view.shard_owners.len(), SHARDS);
+                assert_eq!(view.last_sample_busy_ns.len(), SHARDS);
+                polls += 1;
+            }
+            finished.send("poller").unwrap();
+            polls
+        })
+    };
+    let migrator = {
+        let (store, finished) = (store.clone(), finished.clone());
+        std::thread::spawn(move || {
+            for i in 0..ITERS {
+                // Worker 1 comes and goes with the scaler; a move onto a
+                // retired slot is refused, never stuck.
+                let target = i % 2;
+                if let Err(e) = store.migrate_shard(i % SHARDS, target) {
+                    assert_eq!(target, 1, "migration to the permanent worker failed: {e}");
+                }
+            }
+            finished.send("migrator").unwrap();
+        })
+    };
+    let scaler = {
+        let (store, finished) = (store.clone(), finished.clone());
+        std::thread::spawn(move || {
+            for i in 0..ITERS {
+                assert_eq!(store.scale_workers(1 + i % 2).unwrap(), 1 + i % 2);
+            }
+            finished.send("scaler").unwrap();
+        })
+    };
+    for _ in 0..2 {
+        watchdog
+            .recv_timeout(Duration::from_secs(30))
+            .expect("migrate × scale × introspect did not finish in 30 s: deadlock");
+    }
+    stop.store(true, Ordering::Relaxed);
+    watchdog
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the introspect poller is stuck");
+    migrator.join().unwrap();
+    scaler.join().unwrap();
+    assert!(poller.join().unwrap() > 0);
+    let view = store.introspect();
+    assert!(view.migrations > 0, "no migration ever ran");
+    assert!(view.workers.iter().filter(|w| w.live).count() >= 1);
+}
+
+#[test]
 fn flight_recorder_persists_and_recovers_gap_free() {
     use p2kvs::JournalKind;
     let engine_opts = lsmkv::Options::for_test();

@@ -16,6 +16,11 @@
 //!   *after* its CAS. The box is stamped with the current global epoch
 //!   and parked in a limbo list; its destructor runs only once every
 //!   participant that was pinned at (or before) that epoch has unpinned.
+//! * [`synchronize`] — "publish, then act once every thread has moved
+//!   on": advance the epoch and wait until no participant is still
+//!   pinned below it, i.e. until every reader that could have loaded a
+//!   pointer the caller replaced before the call has unpinned
+//!   (`p2kvs::shard`'s migration and retire fence).
 //!
 //! # Safety argument
 //!
@@ -32,6 +37,15 @@
 //! loaded the pointer word *after* the unlink CAS removed it, so it
 //! never saw the freed record. Readers that did see it were pinned with
 //! an epoch `≤ e` and block collection until they unpin.
+//!
+//! [`synchronize`] is the same argument without a limbo item: it bumps
+//! the epoch from `e` to `e + 1` *after* the caller's publish and
+//! returns once every active slot holds `≥ e + 1`. A reader still
+//! pinned at `≤ e` may have loaded the replaced pointer and is waited
+//! for; a reader pinned at `e + 1` observed the bump, hence the publish.
+//! A reader caught between reading `e` and storing it is invisible to
+//! the scan, but its re-read sees `e + 1` and it re-stamps before it
+//! touches any pointer.
 //!
 //! The domain is global and dependency-free: participant slots are
 //! leaked once per peak-concurrent-thread and recycled through a
@@ -178,19 +192,25 @@ impl Drop for Guard {
 /// all shared pointers.
 pub fn retire<T: Send + 'static>(value: Box<T>) {
     let stamp = EPOCH.load(Ordering::SeqCst);
-    let mut limbo = LIMBO.lock().expect("epoch limbo poisoned");
-    limbo.push((stamp, value as Box<dyn Any + Send>));
-    if limbo.len() >= COLLECT_THRESHOLD {
-        collect_locked(&mut limbo);
-    }
+    let freed = {
+        let mut limbo = LIMBO.lock().expect("epoch limbo poisoned");
+        limbo.push((stamp, value as Box<dyn Any + Send>));
+        if limbo.len() >= COLLECT_THRESHOLD {
+            collect_locked(&mut limbo)
+        } else {
+            Vec::new()
+        }
+    };
+    // Destructors run off the lock: a `Drop` may itself pin or retire.
+    drop(freed);
 }
 
 /// Advances the epoch and frees every limbo item no active reader can
 /// still see. Returns how many items were freed. Safe to call from any
 /// thread at any time (e.g. on cache drop).
 pub fn try_collect() -> usize {
-    let mut limbo = LIMBO.lock().expect("epoch limbo poisoned");
-    collect_locked(&mut limbo)
+    let freed = collect_locked(&mut LIMBO.lock().expect("epoch limbo poisoned"));
+    freed.len()
 }
 
 /// Items currently parked in limbo (tests and introspection).
@@ -198,32 +218,77 @@ pub fn pending() -> usize {
     LIMBO.lock().expect("epoch limbo poisoned").len()
 }
 
-fn collect_locked(limbo: &mut Vec<(u64, Box<dyn Any + Send>)>) -> usize {
-    // Advance first: readers pinning from here on stamp an epoch above
-    // every limbo item, so they cannot block this sweep.
-    EPOCH.fetch_add(1, Ordering::SeqCst);
-    let mut min_active = u64::MAX;
+/// Advances the epoch and blocks until no participant is still pinned
+/// below it: every guard taken before the call has dropped on return,
+/// and guards taken after it never delay it. The caller must not be
+/// pinned itself. Yields first, then naps: on a uniprocessor the pinned
+/// thread needs the core, and a backpressured push can hold its pin.
+pub fn synchronize() {
+    debug_assert!(
+        REG.with(|r| r.depth.get()) == 0,
+        "synchronize() called under a pin would wait on itself"
+    );
+    let target = EPOCH.fetch_add(1, Ordering::SeqCst) + 1;
+    let mut rounds = 0u32;
+    while min_active() < target {
+        rounds += 1;
+        if rounds < 64 {
+            std::thread::yield_now();
+        } else {
+            std::thread::sleep(std::time::Duration::from_micros(100));
+        }
+    }
+}
+
+/// The lowest epoch any participant is pinned at (`u64::MAX` if none).
+fn min_active() -> u64 {
+    let mut min = u64::MAX;
     let mut cur = SLOTS.load(Ordering::SeqCst);
     while !cur.is_null() {
+        // SAFETY: slots are leaked, never freed (see `acquire_slot`).
         let slot = unsafe { &*cur };
         let e = slot.active.load(Ordering::SeqCst);
         if e != 0 {
-            min_active = min_active.min(e);
+            min = min.min(e);
         }
         cur = slot.next as *mut Slot;
     }
-    let before = limbo.len();
+    min
+}
+
+/// Sweeps `limbo` and hands the freed items back for the caller to drop
+/// after unlocking: a destructor may retire, pin, or just take long.
+fn collect_locked(limbo: &mut Vec<(u64, Box<dyn Any + Send>)>) -> Vec<Box<dyn Any + Send>> {
+    // Advance first: readers pinning from here on stamp an epoch above
+    // every limbo item, so they cannot block this sweep.
+    EPOCH.fetch_add(1, Ordering::SeqCst);
+    let min_active = min_active();
     // An item stamped `e` is free once every active reader is pinned
     // strictly above `e` (see the module-level safety argument).
-    limbo.retain(|(stamp, _)| *stamp >= min_active);
-    before - limbo.len()
+    let mut freed = Vec::new();
+    let mut i = 0;
+    while i < limbo.len() {
+        if limbo[i].0 < min_active {
+            freed.push(limbo.swap_remove(i).1);
+        } else {
+            i += 1;
+        }
+    }
+    freed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-    use std::sync::Arc;
+    use std::sync::{Arc, MutexGuard};
+
+    /// The domain is process-global: a guard one test holds on purpose
+    /// delays another's reclamation, so the tests run one at a time.
+    fn serial() -> MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     struct DropFlag(Arc<AtomicUsize>);
     impl Drop for DropFlag {
@@ -234,6 +299,7 @@ mod tests {
 
     #[test]
     fn retired_value_outlives_active_pin() {
+        let _serial = serial();
         let drops = Arc::new(AtomicUsize::new(0));
         let guard = pin();
         retire(Box::new(DropFlag(drops.clone())));
@@ -252,6 +318,7 @@ mod tests {
 
     #[test]
     fn nested_pins_count() {
+        let _serial = serial();
         let a = pin();
         let b = pin();
         drop(a);
@@ -266,6 +333,7 @@ mod tests {
 
     #[test]
     fn unpinned_threads_do_not_block_collection() {
+        let _serial = serial();
         let drops = Arc::new(AtomicUsize::new(0));
         let d = drops.clone();
         std::thread::spawn(move || {
@@ -282,7 +350,97 @@ mod tests {
     }
 
     #[test]
+    fn drop_that_retires_is_collected_without_deadlock() {
+        let _serial = serial();
+        // Regression: destructors used to run under the limbo mutex, so
+        // a `Drop` that retired re-entered it and hung.
+        struct Chain(Option<Box<DropFlag>>);
+        impl Drop for Chain {
+            fn drop(&mut self) {
+                retire(self.0.take().expect("dropped once"));
+            }
+        }
+        let drops = Arc::new(AtomicUsize::new(0));
+        retire(Box::new(Chain(Some(Box::new(DropFlag(drops.clone()))))));
+        for _ in 0..8 {
+            try_collect();
+        }
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+    }
+
+    /// Runs `synchronize` on a helper thread, reporting its return.
+    /// Comes back once the helper has bumped the epoch, i.e. is waiting.
+    fn synchronize_elsewhere() -> (std::thread::JoinHandle<()>, Arc<AtomicBool>) {
+        let before = EPOCH.load(Ordering::SeqCst);
+        let returned = Arc::new(AtomicBool::new(false));
+        let r = returned.clone();
+        let h = std::thread::spawn(move || {
+            synchronize();
+            r.store(true, Ordering::SeqCst);
+        });
+        while EPOCH.load(Ordering::SeqCst) == before {
+            std::thread::yield_now();
+        }
+        (h, returned)
+    }
+
+    #[test]
+    fn synchronize_is_a_no_op_without_pins() {
+        let _serial = serial();
+        let before = EPOCH.load(Ordering::SeqCst);
+        synchronize();
+        assert!(EPOCH.load(Ordering::SeqCst) > before, "the epoch advanced");
+    }
+
+    #[test]
+    fn synchronize_waits_for_an_earlier_guard_only() {
+        let _serial = serial();
+        let early = pin();
+        let (h, returned) = synchronize_elsewhere();
+        // The helper is past its bump; give a wrong wait time to end.
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        assert!(
+            !returned.load(Ordering::SeqCst),
+            "returned while a guard taken before the call was alive"
+        );
+        // A guard taken after the bump is pinned above it and must not
+        // delay the call: hold one on a third thread across the release.
+        let late_taken = Arc::new(AtomicBool::new(false));
+        let release_late = Arc::new(AtomicBool::new(false));
+        let (taken, release) = (late_taken.clone(), release_late.clone());
+        let late = std::thread::spawn(move || {
+            let _g = pin();
+            taken.store(true, Ordering::SeqCst);
+            while !release.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+        });
+        while !late_taken.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        drop(early);
+        h.join().unwrap();
+        assert!(returned.load(Ordering::SeqCst));
+        release_late.store(true, Ordering::SeqCst);
+        late.join().unwrap();
+    }
+
+    #[test]
+    fn synchronize_from_two_threads_at_once() {
+        let _serial = serial();
+        let held = pin();
+        let (a, a_done) = synchronize_elsewhere();
+        let (b, b_done) = synchronize_elsewhere();
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        assert!(!a_done.load(Ordering::SeqCst) && !b_done.load(Ordering::SeqCst));
+        drop(held);
+        a.join().unwrap();
+        b.join().unwrap();
+    }
+
+    #[test]
     fn concurrent_pin_retire_smoke() {
+        let _serial = serial();
         let drops = Arc::new(AtomicUsize::new(0));
         let n: usize = 4;
         let per: usize = 200;
