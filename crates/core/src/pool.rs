@@ -5,7 +5,7 @@
 //! spawned `N` threads over a `Vec` of rings and nothing could change
 //! the count afterwards. The pool makes the first dimension of the 2D
 //! framework *elastic*: every component that addresses a worker by index
-//! (submit paths, re-route, handoff installs, scans, backup markers)
+//! (submit paths, re-route, handoff markers, scans, backup markers)
 //! resolves the ring through the routing snapshot
 //! ([`crate::shard::ShardMap`]), whose ring slots the pool installs and
 //! clears by publishing a successor, while the pool itself owns the

@@ -1,12 +1,12 @@
 //! Lazy K-way merge cursor over per-shard scan streams.
 //!
 //! [`StoreIter`] is the store-level half of the streaming scan subsystem
-//! (§4.4): it opens one engine cursor per **shard** (`Op::ScanOpen`),
-//! then merges the per-shard streams on demand. Partitions are disjoint,
-//! so picking the smallest buffered head key yields the globally sorted
-//! order exactly — no heap is needed for the default `S ≤ 32` shards; a
-//! linear min scan over at most `S` heads is cheaper than maintaining
-//! one.
+//! (§4.4): it opens one engine cursor per **shard** (`Op::ScanOpen`,
+//! one scatter), then merges the per-shard streams on demand.
+//! Partitions are disjoint, so picking the smallest buffered head key
+//! yields the globally sorted order exactly — no heap is needed for the
+//! default `S ≤ 32` shards; a linear min scan over at most `S` heads is
+//! cheaper than maintaining one.
 //!
 //! Every request is routed through the live [`MapCell`], so an iterator
 //! keeps working across shard migrations: a chunk request that races a
@@ -16,8 +16,9 @@
 //! The merge is *lazy* in both directions:
 //!
 //! * Only streams whose buffer has drained are refilled
-//!   (`Op::ScanNext`), so a stream holding distant keys is pulled at
-//!   most once per `chunk_entries` consumed from it.
+//!   (`Op::ScanNext`, all of them in one scatter), so a stream holding
+//!   distant keys is pulled at most once per `chunk_entries` consumed
+//!   from it.
 //! * Nothing is fetched beyond what [`StoreIter::next_entry`] /
 //!   [`StoreIter::next_chunk`] demand, so `scan(start, 5)` over a
 //!   million-entry store reads a handful of chunks, not the world.
@@ -32,6 +33,8 @@
 //! blocking the dropping thread.
 
 use std::collections::VecDeque;
+
+use p2kvs_obs::TraceCtx;
 
 use crate::error::{Error, Result};
 use crate::shard::MapCell;
@@ -68,7 +71,7 @@ pub struct StoreIter<'a> {
 }
 
 impl<'a> StoreIter<'a> {
-    /// Fans `ScanOpen` out to every shard's owning worker and assembles
+    /// Scatters `ScanOpen` to every shard's owning worker and assembles
     /// the merge state. `first_limit` is the per-shard quota for the
     /// opening chunk (the scan-strategy knob); refills use
     /// `chunk_entries`.
@@ -81,54 +84,49 @@ impl<'a> StoreIter<'a> {
         chunk_entries: usize,
         chunk_bytes: usize,
     ) -> Result<StoreIter<'a>> {
-        let mut completions = Vec::with_capacity(shards);
-        let mut push_err = None;
-        for shard in 0..shards {
-            let (req, done) = Request::sync(Op::ScanOpen {
-                start: start.to_vec(),
-                end: end.map(|e| e.to_vec()),
-                limit: first_limit.max(1),
-                max_bytes: chunk_bytes,
-            });
-            match map.send(shard, req.on_shard(shard as u64)) {
-                Ok(()) => completions.push((shard, done)),
-                Err(_) => {
-                    push_err = Some(Error::Closed);
-                    break;
-                }
-            }
-        }
-        // A mid-loop push failure must not abandon the completions that
-        // were already enqueued: their pooled slots are still in flight
-        // and a fulfilled-but-never-awaited slot would be recycled in a
-        // dirty state. Drain every pushed completion — closing any
-        // cursor that still came back — before reporting the error.
-        if let Some(e) = push_err {
-            let mut streams = Vec::new();
-            for (shard, done) in completions {
-                if let Ok(Response::Chunk {
-                    cursor: Some(id), ..
-                }) = done.wait()
-                {
-                    streams.push(Stream {
-                        shard,
-                        cursor: Some(id),
-                        buf: VecDeque::new(),
-                    });
-                }
-            }
-            close_streams(map, &mut streams);
-            return Err(e);
-        }
-        let mut streams = Vec::with_capacity(completions.len());
-        let mut first_err: Option<Error> = None;
-        for (shard, done) in completions {
-            match done.wait() {
-                Ok(Response::Chunk { entries, cursor }) => streams.push(Stream {
+        let mut iter = StoreIter {
+            map,
+            streams: (0..shards)
+                .map(|shard| Stream {
                     shard,
-                    cursor,
-                    buf: entries.into(),
-                }),
+                    cursor: None,
+                    buf: VecDeque::new(),
+                })
+                .collect(),
+            chunk_entries: chunk_entries.max(1),
+            chunk_bytes: chunk_bytes.max(1),
+            poisoned: false,
+        };
+        let all: Vec<usize> = (0..shards).collect();
+        // On failure the iterator drops here, closing every cursor that
+        // did open.
+        iter.pull(&all, |_| Op::ScanOpen {
+            start: start.to_vec(),
+            end: end.map(|e| e.to_vec()),
+            limit: first_limit.max(1),
+            max_bytes: chunk_bytes,
+        })?;
+        Ok(iter)
+    }
+
+    /// One scatter: asks the owner of each stream in `which` for a chunk
+    /// and stores what comes back. A failed `ScanNext` leaves its cursor
+    /// id in place: either the request never reached the worker and the
+    /// cursor still needs closing, or the worker dropped the cursor when
+    /// it failed and closing an unknown id is a no-op — the
+    /// close-everything paths need not tell the two apart.
+    fn pull(&mut self, which: &[usize], op: impl Fn(&Stream) -> Op) -> Result<()> {
+        let entries = which
+            .iter()
+            .map(|&i| (self.streams[i].shard, op(&self.streams[i])))
+            .collect();
+        let mut first_err = None;
+        for (&i, reply) in which.iter().zip(self.map.scatter(TraceCtx::NONE, entries)) {
+            match reply {
+                Ok(Response::Chunk { entries, cursor }) => {
+                    self.streams[i].buf = entries.into();
+                    self.streams[i].cursor = cursor;
+                }
                 Ok(other) => {
                     first_err
                         .get_or_insert(Error::Engine(format!("unexpected response {other:?}")));
@@ -138,59 +136,30 @@ impl<'a> StoreIter<'a> {
                 }
             }
         }
-        if let Some(e) = first_err {
-            close_streams(map, &mut streams);
-            return Err(e);
-        }
-        Ok(StoreIter {
-            map,
-            streams,
-            chunk_entries: chunk_entries.max(1),
-            chunk_bytes: chunk_bytes.max(1),
-            poisoned: false,
-        })
+        first_err.map_or(Ok(()), Err)
     }
 
-    /// Pulls the next chunk for stream `i` from its worker. The engine
-    /// contract guarantees progress (a non-final chunk holds at least
-    /// one entry), so the loop terminates.
-    fn refill(&mut self, i: usize) -> Result<()> {
-        while self.streams[i].buf.is_empty() {
-            let Some(id) = self.streams[i].cursor else {
+    /// Refills every drained stream — an empty buffer over a live cursor
+    /// may hold the globally smallest key, so it must be pulled before
+    /// the heads can be compared — all of them in one scatter per round.
+    /// The engine contract guarantees progress (a non-final chunk holds
+    /// at least one entry), so one round is the rule and the loop
+    /// terminates.
+    fn refill(&mut self) -> Result<()> {
+        loop {
+            let drained: Vec<usize> = (0..self.streams.len())
+                .filter(|&i| self.streams[i].buf.is_empty() && self.streams[i].cursor.is_some())
+                .collect();
+            if drained.is_empty() {
                 return Ok(());
-            };
-            let (req, done) = Request::sync(Op::ScanNext {
-                cursor: id,
-                limit: self.chunk_entries,
-                max_bytes: self.chunk_bytes,
-            });
-            let stream = &mut self.streams[i];
-            // Routed per request: the cursor follows its shard across
-            // migrations and pool resizes.
-            let req = req.on_shard(stream.shard as u64);
-            if self.map.send(stream.shard, req).is_err() {
-                // Queue closed: the worker is gone and its cursor table
-                // with it — nothing left to close.
-                stream.cursor = None;
-                return Err(Error::Closed);
             }
-            match done.wait() {
-                Ok(Response::Chunk { entries, cursor }) => {
-                    stream.buf = entries.into();
-                    stream.cursor = cursor;
-                }
-                Ok(other) => {
-                    return Err(Error::Engine(format!("unexpected response {other:?}")));
-                }
-                Err(e) => {
-                    // The worker drops a cursor that failed, so do not
-                    // try to close it again.
-                    stream.cursor = None;
-                    return Err(e);
-                }
-            }
+            let (limit, max_bytes) = (self.chunk_entries, self.chunk_bytes);
+            self.pull(&drained, |s| Op::ScanNext {
+                cursor: s.cursor.expect("drained streams hold a cursor"),
+                limit,
+                max_bytes,
+            })?;
         }
-        Ok(())
     }
 
     /// The next entry in global key order, or `None` when the range is
@@ -201,16 +170,9 @@ impl<'a> StoreIter<'a> {
                 "scan iterator poisoned by a previous error".into(),
             ));
         }
-        // Refill only drained streams: one with an empty buffer and a
-        // live cursor may hold the globally smallest key, so it must be
-        // pulled before the heads can be compared.
-        for i in 0..self.streams.len() {
-            if self.streams[i].buf.is_empty() && self.streams[i].cursor.is_some() {
-                if let Err(e) = self.refill(i) {
-                    self.poison();
-                    return Err(e);
-                }
-            }
+        if let Err(e) = self.refill() {
+            self.poison();
+            return Err(e);
         }
         let mut best: Option<usize> = None;
         for i in 0..self.streams.len() {

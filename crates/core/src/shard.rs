@@ -25,22 +25,24 @@
 //! migration (DESIGN.md §9); the worker-side re-route path exists as a
 //! defensive backstop, not as the fence.
 //!
+//! Multi-shard client calls fan out through `MapCell::scatter`: one
+//! `send` per entry, one completion slot for the caller to park on.
+//!
 //! With `shards == workers` the initial map is the identity and the
 //! whole machinery reduces to the paper's static layout.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use p2kvs_obs::TraceCtx;
 use p2kvs_util::epoch;
 use p2kvs_util::hash::fnv1a64;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::error::{Error, Result};
 use crate::queue::RequestQueue;
-use crate::types::Request;
-use crate::worker::ScanTable;
+use crate::types::{CompletionSlot, Op, Request, Response, SyncWaiter};
 
 /// Maps keys to shard indices.
 ///
@@ -327,120 +329,88 @@ impl ShardStats {
 }
 
 // ---------------------------------------------------------------------
-// Handoff depot
+// Scatter: the one client fan-out
 // ---------------------------------------------------------------------
 
-/// Worker-local state that travels with a shard during a handoff: the
-/// parked streaming-scan cursors. The engine handle itself never moves —
-/// every worker can reach every engine through the shared directory;
-/// ownership is only the *right* to execute against it.
-pub(crate) struct Parcel {
-    pub scans: ScanTable,
+/// The replies of one scatter, gathered from the workers.
+struct Gather {
+    /// One reply per entry, in entry order.
+    replies: Vec<Result<Response>>,
+    /// Entries not answered yet; answering the last wakes the caller.
+    pending: usize,
+    done: Option<Arc<CompletionSlot>>,
 }
 
-/// Phases of one in-flight handoff, in order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum HandoffPhase {
-    /// Map published, fence draining; the source has not yet packaged.
-    Fencing,
-    /// The source deposited the parcel and signalled the target.
-    Deposited,
+/// A scatter whose entries are all on their way: [`Scattered::wait`]
+/// parks until the last of them is answered.
+pub(crate) struct Scattered(Option<(Arc<Mutex<Gather>>, SyncWaiter)>);
+
+impl Scattered {
+    /// Parks **once**, on one pooled completion slot, until every entry
+    /// is answered; returns the replies in entry order.
+    pub(crate) fn wait(self) -> Vec<Result<Response>> {
+        let Some((gather, waiter)) = self.0 else {
+            return Vec::new();
+        };
+        let _ = waiter.wait();
+        let replies = std::mem::take(&mut gather.lock().replies);
+        replies
+    }
 }
 
-#[derive(Default)]
-struct DepotInner {
-    parcels: HashMap<u64, Parcel>,
-    phases: HashMap<u64, HandoffPhase>,
-    /// Handoffs that ended without an install (target queue closed).
-    aborted: u64,
-    /// Completed installs.
-    installed: u64,
-}
+impl MapCell {
+    /// The fan-out every multi-shard client call is built on: routes
+    /// one request per `(shard, op)` entry — each on its own, entries of
+    /// different shards have no mutual order to keep — and gathers the
+    /// replies. `ctx` rides on every entry.
+    pub(crate) fn scatter(
+        &self,
+        ctx: TraceCtx,
+        entries: Vec<(usize, Op)>,
+    ) -> Vec<Result<Response>> {
+        self.scatter_push(ctx, entries).wait()
+    }
 
-/// Side-channel for shard handoffs. The *ordering* of a handoff rides
-/// the worker queues (the `HandoffOut` / `ShardInstall` markers); the
-/// depot only ferries the non-clonable parcel between the two worker
-/// threads and lets the migrator await settlement.
-pub(crate) struct HandoffDepot {
-    inner: Mutex<DepotInner>,
-    cv: Condvar,
-}
-
-impl HandoffDepot {
-    pub fn new() -> HandoffDepot {
-        HandoffDepot {
-            inner: Mutex::new(DepotInner::default()),
-            cv: Condvar::new(),
+    /// The push half of [`MapCell::scatter`], for a caller that must
+    /// not wait where it pushes (the backup freeze pushes under the
+    /// balancer state lock). After the first failed push the remaining
+    /// entries are failed with [`Error::Closed`] without being enqueued,
+    /// through the same completion, so the count still reaches zero and
+    /// everything that was enqueued is still awaited.
+    pub(crate) fn scatter_push(&self, ctx: TraceCtx, entries: Vec<(usize, Op)>) -> Scattered {
+        if entries.is_empty() {
+            return Scattered(None);
         }
-    }
-
-    /// Marks a handoff of `shard` as started. Errors if one is already in
-    /// flight (the migrator serializes, so this is a logic guard).
-    pub fn begin(&self, shard: u64) -> Result<()> {
-        let mut inner = self.inner.lock();
-        if inner.phases.contains_key(&shard) {
-            return Err(Error::Engine(format!(
-                "shard {shard} already has a handoff in flight"
-            )));
-        }
-        inner.phases.insert(shard, HandoffPhase::Fencing);
-        Ok(())
-    }
-
-    /// Source side: parks the parcel for the target to collect.
-    pub fn deposit(&self, shard: u64, parcel: Parcel) {
-        let mut inner = self.inner.lock();
-        inner.parcels.insert(shard, parcel);
-        inner.phases.insert(shard, HandoffPhase::Deposited);
-    }
-
-    /// Target side: collects the parcel (if the source deposited one).
-    pub fn take(&self, shard: u64) -> Option<Parcel> {
-        self.inner.lock().parcels.remove(&shard)
-    }
-
-    /// Target side: the shard is installed; wake the migrator.
-    pub fn complete(&self, shard: u64) {
-        let mut inner = self.inner.lock();
-        inner.phases.remove(&shard);
-        inner.installed += 1;
-        self.cv.notify_all();
-    }
-
-    /// Ends a handoff without an install (target queue closed during
-    /// shutdown). Drops the parcel, releasing any parked cursors.
-    pub fn abort(&self, shard: u64) {
-        let mut inner = self.inner.lock();
-        inner.parcels.remove(&shard);
-        if inner.phases.remove(&shard).is_some() {
-            inner.aborted += 1;
-        }
-        self.cv.notify_all();
-    }
-
-    /// Migrator side: blocks until the handoff of `shard` settles
-    /// (installed or aborted). Returns `false` on timeout.
-    pub fn wait_settled(&self, shard: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut inner = self.inner.lock();
-        while inner.phases.contains_key(&shard) {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
+        let (done, waiter) = SyncWaiter::pair();
+        let gather = Arc::new(Mutex::new(Gather {
+            replies: entries.iter().map(|_| Err(Error::Closed)).collect(),
+            pending: entries.len(),
+            done: Some(done),
+        }));
+        let mut closed = false;
+        for (i, (shard, op)) in entries.into_iter().enumerate() {
+            let g = gather.clone();
+            let answer = Box::new(move |reply| {
+                let mut g = g.lock();
+                g.replies[i] = reply;
+                g.pending -= 1;
+                if g.pending == 0 {
+                    let done = g.done.take().expect("the last answer comes once");
+                    drop(g);
+                    done.fulfill(Ok(Response::Done));
+                }
+            });
+            let req = Request::asynchronous(op, answer)
+                .on_shard(shard as u64)
+                .traced(ctx);
+            if closed {
+                req.finish_err(&Error::Closed);
+            } else if let Err(req) = self.send(shard, req) {
+                closed = true;
+                req.finish_err(&Error::Closed);
             }
-            self.cv.wait_for(&mut inner, deadline - now);
         }
-        true
-    }
-
-    /// Completed installs so far (the migration counter).
-    pub fn installed(&self) -> u64 {
-        self.inner.lock().installed
-    }
-
-    /// Handoffs that ended without an install.
-    pub fn aborted(&self) -> u64 {
-        self.inner.lock().aborted
+        Scattered(Some((gather, waiter)))
     }
 }
 
@@ -637,43 +607,103 @@ mod tests {
         h.join().unwrap();
     }
 
-    #[test]
-    fn depot_roundtrip_and_settlement() {
-        let depot = HandoffDepot::new();
-        depot.begin(3).unwrap();
-        assert!(depot.begin(3).is_err(), "double handoff rejected");
-        depot.deposit(3, Parcel { scans: ScanTable::default() });
-        assert!(depot.take(3).is_some());
-        assert!(depot.take(3).is_none(), "parcel collected once");
-        let waiter = {
-            let depot = Arc::new(depot);
-            let d = depot.clone();
-            let h = std::thread::spawn(move || d.wait_settled(3, Duration::from_secs(5)));
-            std::thread::sleep(Duration::from_millis(10));
-            depot.complete(3);
-            assert_eq!(depot.installed(), 1);
-            h
-        };
-        assert!(waiter.join().unwrap(), "settled, not timed out");
+    /// A map of `n` shards over `n` undrained rings, shard `i` on ring
+    /// `i`: the test plays the workers.
+    fn undrained(n: usize) -> (MapCell, Vec<Arc<RequestQueue>>) {
+        let rings: Vec<_> = (0..n).map(|_| ring()).collect();
+        let map = rings
+            .iter()
+            .enumerate()
+            .fold(ShardMap::initial(n, n), |m, (w, q)| {
+                m.with_ring(w, Some(q.clone()))
+            });
+        (MapCell::new(map), rings)
+    }
+
+    fn get(key: u8) -> Op {
+        Op::Get { key: vec![key] }
+    }
+
+    fn pop(q: &RequestQueue) -> Request {
+        q.pop_batch(1)
+            .expect("one request is queued")
+            .pop()
+            .unwrap()
     }
 
     #[test]
-    fn depot_abort_releases_waiters() {
-        let depot = Arc::new(HandoffDepot::new());
-        depot.begin(1).unwrap();
-        let d = depot.clone();
-        let h = std::thread::spawn(move || d.wait_settled(1, Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(10));
-        depot.abort(1);
-        assert!(h.join().unwrap());
-        assert_eq!(depot.aborted(), 1);
-        assert_eq!(depot.installed(), 0);
+    fn scatter_of_nothing_touches_neither_a_ring_nor_a_slot() {
+        let (cell, rings) = undrained(1);
+        let pooled = crate::types::pooled_slots();
+        assert!(cell.scatter(TraceCtx::NONE, Vec::new()).is_empty());
+        assert_eq!(rings[0].len(), 0);
+        assert_eq!(crate::types::pooled_slots(), pooled);
     }
 
     #[test]
-    fn depot_wait_times_out() {
-        let depot = HandoffDepot::new();
-        depot.begin(9).unwrap();
-        assert!(!depot.wait_settled(9, Duration::from_millis(30)));
+    fn scatter_parks_once_and_gathers_in_entry_order() {
+        let (cell, rings) = undrained(3);
+        // Leave one slot in this thread's pool, to watch it go and return.
+        let (req, waiter) = Request::sync(get(0));
+        req.finish(Ok(Response::Done));
+        waiter.wait().unwrap();
+        let pooled = crate::types::pooled_slots();
+        assert!(pooled >= 1);
+        let ctx = TraceCtx { id: 7 };
+        let scattered = cell.scatter_push(ctx, (0..3).map(|s| (s, get(s as u8))).collect());
+        assert_eq!(
+            crate::types::pooled_slots(),
+            pooled - 1,
+            "three entries, one slot"
+        );
+        // The workers answer in reverse order, and the middle one fails.
+        for w in (0..3).rev() {
+            let req = pop(&rings[w]);
+            assert_eq!(
+                (req.shard, req.trace),
+                (w as u64, ctx),
+                "every entry carries the ctx"
+            );
+            assert!(matches!(&req.op, Op::Get { key } if key == &[w as u8]));
+            req.finish(match w {
+                1 => Err(Error::Engine("boom".into())),
+                _ => Ok(Response::Value(Some(vec![w as u8]))),
+            });
+        }
+        let replies = scattered.wait();
+        assert_eq!(replies.len(), 3);
+        assert!(matches!(&replies[0], Ok(Response::Value(Some(v))) if v == &[0]));
+        assert!(matches!(&replies[1], Err(Error::Engine(e)) if e == "boom"));
+        assert!(
+            matches!(&replies[2], Ok(Response::Value(Some(v))) if v == &[2]),
+            "a sibling's error hides no reply"
+        );
+        assert_eq!(
+            crate::types::pooled_slots(),
+            pooled,
+            "the slot went back clean"
+        );
+    }
+
+    #[test]
+    fn scatter_fails_the_rest_unenqueued_once_a_push_fails() {
+        let (cell, rings) = undrained(3);
+        rings[1].close();
+        let scattered = cell.scatter_push(TraceCtx::NONE, [0, 1, 2, 0].map(|s| (s, get(9))).into());
+        assert_eq!(
+            (rings[0].len(), rings[2].len()),
+            (1, 0),
+            "nothing is enqueued past the failed push"
+        );
+        pop(&rings[0]).finish(Ok(Response::Done));
+        let replies = scattered.wait();
+        assert!(
+            matches!(replies[0], Ok(Response::Done)),
+            "what was enqueued is awaited"
+        );
+        for reply in &replies[1..] {
+            assert!(matches!(reply, Err(Error::Closed)));
+        }
+        assert_eq!(replies.len(), 4);
     }
 }

@@ -28,9 +28,8 @@ pub struct WorkerSnapshot {
     /// Requests held for a shard whose install marker had not yet
     /// arrived, then replayed at install.
     pub stashed: u64,
-    /// Stale-epoch requests forwarded to the current owner (should stay
-    /// zero unless an external caller parks a map pin across a
-    /// migration).
+    /// Stale-epoch requests forwarded to the current owner. The routing
+    /// fence keeps this at zero; the stress suites assert it.
     pub rerouted: u64,
     /// Useful processing time.
     pub busy: Duration,

@@ -29,7 +29,7 @@ use crate::scan::StoreIter;
 use crate::shard::{HashPartitioner, MapCell, Partitioner, ShardMap};
 use crate::stats::{ShardSnapshot, StoreSnapshot, WorkerSnapshot};
 use crate::txn::TxnManager;
-use crate::types::{CompletionSlot, Op, Request, Response, SyncWaiter, WriteOp};
+use crate::types::{Op, Request, Response, WriteOp};
 use crate::worker::ShardRuntime;
 
 /// How SCAN sizes the opening per-shard quota (§4.4).
@@ -51,11 +51,6 @@ pub enum ScanStrategy {
     /// amplification.
     Adaptive,
 }
-
-/// How long a migration waits for the handoff markers to settle before
-/// reporting failure (they ride ordinary worker queues, so this only
-/// fires if a worker is wedged).
-const HANDOFF_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Ops per engine `write_batch` call while loading a restored backup.
 const RESTORE_BATCH: usize = 256;
@@ -96,8 +91,8 @@ pub struct P2KvsOptions {
     pub scan_strategy: ScanStrategy,
     /// Hard per-chunk entry bound enforced by every worker: no scan
     /// occupies a worker for more than this many entries before queued
-    /// point ops get their turn. `usize::MAX` restores the old blocking
-    /// behavior (benchmark baseline).
+    /// point ops get their turn. `usize::MAX` lets one dequeue serve a
+    /// whole scan.
     pub scan_chunk_entries: usize,
     /// Hard per-chunk payload-byte bound (same clamping).
     pub scan_chunk_bytes: usize,
@@ -276,7 +271,7 @@ impl<E: KvsEngine> ObsShared<E> {
                     owner: s.owner.load(ordering),
                 })
                 .collect(),
-            migrations: self.runtime.depot.installed(),
+            migrations: self.runtime.migrations.load(ordering),
             uptime: self.opened.elapsed(),
             mem_usage: self.runtime.engines.iter().map(|e| e.mem_usage()).sum(),
         }
@@ -334,7 +329,7 @@ impl<E: KvsEngine> ObsShared<E> {
         reg.counter("p2kvs_migrations_total")
             .store(stats.migrations);
         reg.counter("p2kvs_handoffs_aborted_total")
-            .store(self.runtime.depot.aborted());
+            .store(self.runtime.handoffs_aborted.load(Ordering::Relaxed));
         reg.set_gauge("p2kvs_uptime_seconds", stats.uptime.as_secs_f64());
         reg.set_gauge("p2kvs_mem_usage_bytes", stats.mem_usage as f64);
         // Device-level counters mirrored from the storage env, so the
@@ -449,13 +444,17 @@ struct BalanceState {
 /// Migrates ownership of `shard` to `target` through the epoch-fenced
 /// handoff. Caller must hold the [`BalanceShared::state`] lock.
 ///
-/// Protocol (DESIGN.md §9.2): publish the successor map →
+/// Protocol (DESIGN.md §9.3): publish the successor map →
 /// `epoch::synchronize()` (after which no old-epoch push can still be in
-/// flight) → enqueue the `HandoffOut` marker on the source worker
-/// (provably behind every old-epoch request for the shard) → the source
-/// packages the shard's cursors and enqueues `ShardInstall` on the
-/// target → wait for the depot to settle.
-fn migrate_locked<E: KvsEngine>(rt: &ShardRuntime<E>, shard: usize, target: usize) -> Result<()> {
+/// flight) → `HandoffOut` to the source worker (provably behind every
+/// old-epoch request for the shard), which leaves the shard's cursors in
+/// the handoff slot → `ShardInstall` to the target, which adopts them and
+/// replays what it stashed. Each marker is awaited like any request.
+pub(crate) fn migrate_locked<E: KvsEngine>(
+    rt: &ShardRuntime<E>,
+    shard: usize,
+    target: usize,
+) -> Result<()> {
     let (source, next) = {
         let map = rt.map.pin();
         if shard >= map.shards() {
@@ -476,26 +475,24 @@ fn migrate_locked<E: KvsEngine>(rt: &ShardRuntime<E>, shard: usize, target: usiz
         }
         (source, map.with_owner(shard, target))
     };
-    rt.depot.begin(shard as u64)?;
     rt.map.publish(next);
     epoch::synchronize();
-    let (req, done) = Request::sync(Op::HandoffOut {
-        shard: shard as u64,
-    });
-    if rt.map.send_to(source, req.on_shard(shard as u64)).is_err() {
-        // Source queue closed mid-shutdown: settle the depot so nothing
-        // waits on a phase that cannot advance.
-        rt.depot.abort(shard as u64);
-        return Err(Error::Closed);
-    }
-    let _ = done.wait();
-    if !rt.depot.wait_settled(shard as u64, HANDOFF_TIMEOUT) {
-        return Err(Error::Engine(format!(
-            "handoff of shard {shard} did not settle within {HANDOFF_TIMEOUT:?}"
-        )));
-    }
-    rt.shard_stats[shard].owner.store(target, Ordering::Relaxed);
-    Ok(())
+    let shard = shard as u64;
+    let marker = |worker: usize, op: Op| {
+        let (req, done) = Request::sync(op);
+        rt.map
+            .send_to(worker, req.on_shard(shard))
+            .map_err(|_| Error::Closed)?;
+        done.wait()
+    };
+    let moved = marker(source, Op::HandoffOut { shard })
+        .and_then(|_| marker(target, Op::ShardInstall { shard }));
+    let outcome = match moved {
+        Ok(_) => &rt.migrations,
+        Err(_) => &rt.handoffs_aborted,
+    };
+    outcome.fetch_add(1, Ordering::Relaxed);
+    moved.map(|_| ())
 }
 
 /// One balancer tick: sample per-shard busy time, difference against the
@@ -564,7 +561,7 @@ fn rebalance_tick<E: KvsEngine>(b: &BalanceShared<E>) -> Result<usize> {
 
 /// Retires the highest-id live worker: migrates every shard it owns to
 /// the survivors round-robin through the epoch-fenced handoff (parked
-/// scan cursors ride along in the depot), then clears its ring slot,
+/// scan cursors ride along), then clears its ring slot,
 /// closes the ring, and joins the thread. Caller must hold the
 /// [`BalanceShared::state`] lock — the same fence migrations and the
 /// backup freeze take — and must leave at least one live worker.
@@ -831,7 +828,9 @@ impl<E: KvsEngine> P2Kvs<E> {
         let runtime = Arc::new(ShardRuntime {
             engines,
             map: MapCell::new(ShardMap::initial(shards, n)),
-            depot: Arc::new(crate::shard::HandoffDepot::new()),
+            parked: (0..shards).map(|_| parking_lot::Mutex::new(None)).collect(),
+            migrations: AtomicU64::new(0),
+            handoffs_aborted: AtomicU64::new(0),
             shard_stats: (0..shards)
                 .map(|_| Arc::new(crate::shard::ShardStats::default()))
                 .collect(),
@@ -975,7 +974,7 @@ impl<E: KvsEngine> P2Kvs<E> {
 
     /// Completed ownership migrations since open.
     pub fn migrations(&self) -> u64 {
-        self.runtime.depot.installed()
+        self.runtime.migrations.load(Ordering::Relaxed)
     }
 
     /// Migrates ownership of `shard` to `target` through the
@@ -1123,20 +1122,10 @@ impl<E: KvsEngine> P2Kvs<E> {
 
     /// Batched lookups with a partial-hit fast path: cached keys are
     /// served immediately on the calling thread, and the misses are
-    /// enqueued as one [`Op::MultiGet`] ring entry per shard they touch
-    /// (split at the OBM bound), each routed on its own — entries of
-    /// different shards have no order to keep across a migration. The
-    /// caller then waits once, for whichever entry is answered last.
+    /// scattered as one [`Op::MultiGet`] ring entry per shard they touch
+    /// (split at the OBM bound). The caller waits once, for whichever
+    /// entry is answered last.
     pub fn get_many(&self, keys: &[Vec<u8>]) -> Result<Vec<Option<Vec<u8>>>> {
-        /// The replies of one call, gathered from the workers.
-        struct Gather {
-            results: Vec<Option<Vec<u8>>>,
-            err: Option<Error>,
-            /// Entries not answered yet; answering the last wakes the caller.
-            pending: usize,
-            done: Option<Arc<CompletionSlot>>,
-        }
-
         let cache = self.runtime.cache.as_deref();
         // One draw per call: every entry a sampled call enqueues shares
         // its trace id.
@@ -1155,69 +1144,32 @@ impl<E: KvsEngine> P2Kvs<E> {
             }
         }
         let chunk = self.opts.batch_max.max(1);
-        let entries: usize = misses.iter().map(|(at, _)| at.len().div_ceil(chunk)).sum();
-        if entries == 0 {
-            return Ok(results);
-        }
-        let (done, waiter) = SyncWaiter::pair();
-        let gather = Arc::new(parking_lot::Mutex::new(Gather {
-            results,
-            err: None,
-            pending: entries,
-            done: Some(done),
-        }));
-        // After a push fails the rest of the call is failed without
-        // being enqueued, through the same callback, so that the count
-        // still reaches zero and what was enqueued is still awaited.
-        let mut closed = false;
+        // Where each entry's values go, in entry order.
+        let mut places: Vec<Vec<usize>> = Vec::new();
+        let mut entries = Vec::new();
         for (shard, (mut at, mut keys)) in misses.into_iter().enumerate() {
             while !at.is_empty() {
                 let rest_at = at.split_off(at.len().min(chunk));
                 let rest_keys = keys.split_off(keys.len().min(chunk));
-                let gather = gather.clone();
-                let req = Request::asynchronous(
-                    Op::MultiGet { keys },
-                    Box::new(move |reply| {
-                        let mut g = gather.lock();
-                        match reply {
-                            Ok(Response::Values(values)) if values.len() == at.len() => {
-                                for (i, v) in at.into_iter().zip(values) {
-                                    g.results[i] = v;
-                                }
-                            }
-                            Ok(other) => {
-                                let e = Error::Engine(format!("unexpected response {other:?}"));
-                                g.err.get_or_insert(e);
-                            }
-                            Err(e) => {
-                                g.err.get_or_insert(e);
-                            }
-                        }
-                        g.pending -= 1;
-                        if g.pending == 0 {
-                            let done = g.done.take().expect("the last answer comes once");
-                            drop(g);
-                            done.fulfill(Ok(Response::Done));
-                        }
-                    }),
-                )
-                .on_shard(shard as u64)
-                .traced(ctx);
+                places.push(at);
+                entries.push((shard, Op::MultiGet { keys }));
                 (at, keys) = (rest_at, rest_keys);
-                if closed {
-                    req.finish_err(&Error::Closed);
-                } else if let Err(req) = self.runtime.map.send(shard, req) {
-                    closed = true;
-                    req.finish_err(&Error::Closed);
-                }
             }
         }
-        waiter.wait()?;
-        let mut g = gather.lock();
-        match g.err.take() {
-            Some(e) => Err(e),
-            None => Ok(std::mem::take(&mut g.results)),
+        for (at, reply) in places
+            .into_iter()
+            .zip(self.runtime.map.scatter(ctx, entries))
+        {
+            match reply? {
+                Response::Values(values) if values.len() == at.len() => {
+                    for (i, v) in at.into_iter().zip(values) {
+                        results[i] = v;
+                    }
+                }
+                other => return Err(Error::Engine(format!("unexpected response {other:?}"))),
+            }
         }
+        Ok(results)
     }
 
     /// Applies `ops` atomically across shards (§4.5).
@@ -1258,51 +1210,27 @@ impl<E: KvsEngine> P2Kvs<E> {
             };
         }
         let gsn = self.txn.begin()?;
-        let mut completions = Vec::with_capacity(involved.len());
-        let mut push_err = None;
-        for &s in &involved {
-            let (req, done) = Request::sync(Op::TxnBatch {
-                ops: std::mem::take(&mut per_shard[s]),
-                gsn,
-            });
-            match self.runtime.map.send(s, req.on_shard(s as u64).traced(ctx)) {
-                Ok(()) => completions.push(done),
-                Err(_) => {
-                    push_err = Some(Error::Closed);
-                    break;
-                }
-            }
-        }
-        if let Some(e) = push_err {
-            // Drain in-flight sub-batches, then fail without writing a
-            // commit record: recovery rolls every sub-batch back. The
+        let entries = involved
+            .iter()
+            .map(|&s| {
+                let ops = std::mem::take(&mut per_shard[s]);
+                (s, Op::TxnBatch { ops, gsn })
+            })
+            .collect();
+        let replies: Result<Vec<Response>> =
+            self.runtime.map.scatter(ctx, entries).into_iter().collect();
+        if let Err(e) = replies {
+            // A sub-batch failed, or was never enqueued: no commit
+            // record, so recovery rolls every sub-batch back. The
             // abandoned GSN still drains the backup freeze gate.
-            for c in completions {
-                let _ = c.wait();
-            }
             self.txn.abandon(gsn);
             return Err(e);
         }
-        let mut first_err = None;
-        for c in completions {
-            if let Err(e) = c.wait() {
-                first_err.get_or_insert(e);
-            }
+        self.txn.commit(gsn)?;
+        if let Some(j) = &self.runtime.journal {
+            j.record(JournalKind::TxnCommit, involved.len() as u64, 0, 0, gsn);
         }
-        match first_err {
-            None => {
-                self.txn.commit(gsn)?;
-                if let Some(j) = &self.runtime.journal {
-                    j.record(JournalKind::TxnCommit, involved.len() as u64, 0, 0, gsn);
-                }
-                Ok(())
-            }
-            // No commit record: recovery rolls every sub-batch back.
-            Some(e) => {
-                self.txn.abandon(gsn);
-                Err(e)
-            }
-        }
+        Ok(())
     }
 
     /// The opening per-shard chunk quota for a `count`-entry scan
@@ -1436,7 +1364,7 @@ impl<E: KvsEngine> P2Kvs<E> {
             self.txn.thaw();
             return Err(e);
         }
-        let (map_epoch, completions, push_err) = {
+        let (map_epoch, frozen) = {
             // The migration lock is the marker-ordering fence: no
             // handoff is mid-flight while markers are pushed, so a
             // marker can never chase its shard onto a queue behind
@@ -1452,36 +1380,25 @@ impl<E: KvsEngine> P2Kvs<E> {
                     horizon,
                 );
             }
-            let mut completions = Vec::with_capacity(self.shards());
-            let mut push_err = None;
-            for s in 0..self.shards() {
-                let (req, done) = Request::sync(Op::BackupFreeze { shard: s as u64 });
-                if self.runtime.map.send(s, req.on_shard(s as u64)).is_err() {
-                    push_err = Some(Error::Closed);
-                    break;
-                }
-                completions.push(done);
-            }
-            (map_epoch, completions, push_err)
+            let markers = (0..self.shards())
+                .map(|s| (s, Op::BackupFreeze { shard: s as u64 }))
+                .collect();
+            (
+                map_epoch,
+                self.runtime.map.scatter_push(TraceCtx::NONE, markers),
+            )
         };
         // Wait off the fence: markers execute (and a concurrent
         // migration may even move a not-yet-frozen shard — the marker
         // travels with it through the stash) while we only hold the
         // GSN gate.
-        let mut first_err = push_err;
-        for done in completions {
-            if let Err(e) = done.wait() {
-                first_err.get_or_insert(e);
-            }
-        }
+        let frozen: Result<Vec<Response>> = frozen.wait().into_iter().collect();
         // Take the session before thawing: every shard's snapshot is
         // deposited (or the backup failed), and only then may a GSN
         // past the horizon reach any shard.
         let session = self.runtime.backup.take_session();
         self.txn.thaw();
-        if let Some(e) = first_err {
-            return Err(e); // dropping the session releases the snapshots
-        }
+        frozen?; // dropping the session releases the snapshots
         let session = session
             .ok_or_else(|| Error::Backup("freeze session disappeared mid-backup".into()))?;
         if session.frozen.len() != self.shards() {
@@ -1740,13 +1657,12 @@ mod tests {
         P2Kvs::open(LsmFactory::new(lsmkv::Options::for_test()), "store-cache", opts).unwrap()
     }
 
-    /// A key routed to a shard whose initial owner is `worker`.
-    fn key_owned_by<E: KvsEngine>(store: &P2Kvs<E>, worker: usize, salt: u32) -> Vec<u8> {
-        let owners = store.shard_owners();
+    /// A key that routes to `shard`.
+    fn key_in_shard<E: KvsEngine>(store: &P2Kvs<E>, shard: usize, salt: u32) -> Vec<u8> {
         (0u32..10_000)
-            .map(|i| format!("owned-{worker}-{salt}-{i}").into_bytes())
-            .find(|k| owners[store.partitioner.shard_of(k)] == worker)
-            .expect("some key routes to the worker")
+            .map(|i| format!("in-{shard}-{salt}-{i}").into_bytes())
+            .find(|k| store.partitioner.shard_of(k) == shard)
+            .expect("some key routes to the shard")
     }
 
     #[test]
@@ -1789,27 +1705,109 @@ mod tests {
     }
 
     #[test]
-    fn get_many_drains_enqueued_misses_when_a_push_fails_mid_batch() {
-        let store = open_cached(2, 1 << 20);
-        let k_cached = key_owned_by(&store, 0, 1);
-        let k_live = key_owned_by(&store, 0, 2);
-        let k_dead = key_owned_by(&store, 1, 3);
-        store.put(&k_cached, b"cached").unwrap();
-        store.put(&k_live, b"live").unwrap();
-        store.put(&k_dead, b"dead").unwrap();
-        store.get(&k_cached).unwrap(); // first miss marks the doorkeeper
-        store.get(&k_cached).unwrap(); // second miss fills the cache
-        // Kill worker 1's queue: pushes to it now fail, and its shards
-        // become unreachable — the mid-batch failure path.
-        store.runtime.map.pin().ring(1).unwrap().close();
-        let request = vec![k_cached.clone(), k_live.clone(), k_dead.clone()];
-        let err = store.get_many(&request).unwrap_err();
-        assert!(matches!(err, Error::Closed), "push failure surfaces as Closed: {err}");
-        // The enqueued miss (worker 0) was drained, not abandoned: the
-        // store still serves traffic on the surviving worker, and the
-        // cached key still hits.
-        assert_eq!(store.get(&k_cached).unwrap().as_deref(), Some(&b"cached"[..]));
-        assert_eq!(store.get(&k_live).unwrap().as_deref(), Some(&b"live"[..]));
+    fn every_fan_out_fails_closed_and_clean_when_a_push_fails_mid_call() {
+        /// Keys of shards 0 and 2 (worker 0, which stays up) and of
+        /// shard 1 (worker 1, whose ring the test closes). Every fan-out
+        /// pushes in shard order, so shard 0's entry is enqueued, shard
+        /// 1's push fails, and the rest is failed unenqueued.
+        struct Keys {
+            cached: Vec<u8>,
+            live: [Vec<u8>; 2],
+            dead: Vec<u8>,
+        }
+        type Call = fn(&P2Kvs<lsmkv::Db>, &Keys) -> Result<()>;
+        fn put(key: &[u8]) -> WriteOp {
+            WriteOp::Put {
+                key: key.to_vec(),
+                value: b"txn".to_vec(),
+            }
+        }
+        let cases: [(&str, Call); 5] = [
+            ("get_many", |s, k| {
+                let keys = [&k.cached, &k.live[0], &k.dead, &k.live[1]];
+                s.get_many(&keys.map(Vec::clone)).map(drop)
+            }),
+            ("write_batch", |s, k| {
+                s.write_batch(vec![put(&k.live[0]), put(&k.dead), put(&k.live[1])])
+            }),
+            ("scan", |s, _| s.scan(b"", 10).map(drop)),
+            ("iter_range", |s, _| s.iter_range(b"a", b"z").map(drop)),
+            ("backup", |s, _| s.backup("fan-backup").map(drop)),
+        ];
+        for (name, call) in cases {
+            // The whole case runs under a watchdog: a fan-out that lost
+            // count of its entries parks forever.
+            let (finished, watchdog) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let mut opts = P2KvsOptions::with_workers(2);
+                opts.pin_workers = false;
+                opts.scan_chunk_entries = 2; // scans park cursors
+                let factory = LsmFactory::new(lsmkv::Options::for_test());
+                let store = P2Kvs::open(factory, "store-fan", opts).unwrap();
+                let keys = Keys {
+                    cached: key_in_shard(&store, 0, 0),
+                    live: [key_in_shard(&store, 0, 1), key_in_shard(&store, 2, 1)],
+                    dead: key_in_shard(&store, 1, 1),
+                };
+                for i in 0..100u32 {
+                    store.put(format!("fan-{i:03}").as_bytes(), b"v").unwrap();
+                }
+                store.put(&keys.cached, b"cached").unwrap();
+                store.get(&keys.cached).unwrap(); // first miss marks the doorkeeper
+                store.get(&keys.cached).unwrap(); // second miss fills the cache
+                                                  // An iterator with cursors parked on both workers.
+                let mut parked = store.iter().unwrap();
+                parked.next_entry().unwrap().unwrap();
+                // Kill worker 1's queue: pushes to it now fail.
+                store.runtime.map.pin().ring(1).unwrap().close();
+
+                let err = call(&store, &keys).expect_err(name);
+                assert!(matches!(err, Error::Closed), "{name}: {err}");
+                // A failed transaction wrote no commit record and gave
+                // its GSN up (a freezer would wait on it forever); a
+                // failed backup thawed the gate it froze.
+                let journal = store.flight_records(usize::MAX);
+                assert!(journal.iter().all(|r| r.kind != JournalKind::TxnCommit));
+                store.txn.freeze();
+                store.txn.thaw();
+                // What was enqueued was awaited: this thread's pooled
+                // completion slot comes back clean, and the surviving
+                // worker still serves blocking calls and transactions.
+                store.put(&keys.live[0], b"after").unwrap();
+                assert_eq!(
+                    store.get(&keys.live[0]).unwrap().as_deref(),
+                    Some(&b"after"[..])
+                );
+                assert_eq!(
+                    store.get(&keys.cached).unwrap().as_deref(),
+                    Some(&b"cached"[..])
+                );
+                store
+                    .write_batch(vec![put(&keys.live[0]), put(&keys.live[1])])
+                    .unwrap();
+                assert_eq!(
+                    store.get(&keys.live[1]).unwrap().as_deref(),
+                    Some(&b"txn"[..])
+                );
+                // The refill of the already open iterator fails the
+                // same way, and every cursor on the surviving worker —
+                // the iterator's and the failed call's — is released.
+                let err = parked.next_chunk(usize::MAX).expect_err("refill");
+                assert!(matches!(err, Error::Closed), "{name}: refill: {err}");
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while store.snapshot().workers[0].active_scans != 0 {
+                    assert!(
+                        Instant::now() < deadline,
+                        "{name}: cursors leaked on worker 0"
+                    );
+                    std::thread::yield_now();
+                }
+                finished.send(()).unwrap();
+            });
+            watchdog
+                .recv_timeout(Duration::from_secs(30))
+                .unwrap_or_else(|e| panic!("{name}: the case hung or panicked ({e})"));
+        }
     }
 
     #[test]
@@ -2244,7 +2242,7 @@ mod tests {
         let head = iter.next_chunk(10).unwrap();
         assert_eq!(head.len(), 10);
         // Drain two workers mid-scan; the parked cursors ride the
-        // handoff depot to the survivor.
+        // handoffs to the survivor.
         store.scale_workers(1).unwrap();
         let rest = iter.next_chunk(usize::MAX).unwrap();
         assert_eq!(

@@ -85,15 +85,17 @@ pub enum Op {
     /// A transaction sub-batch carrying a Global Sequence Number. Never
     /// merged with other requests by OBM.
     TxnBatch { ops: Vec<WriteOp>, gsn: u64 },
-    /// Handoff marker (migration protocol, DESIGN.md §9): tells the
-    /// owning worker to package `shard` — flush what the FIFO guarantees
-    /// is the last old-epoch work, deposit the shard's parked scan
-    /// cursors in the handoff depot, and forward a [`Op::ShardInstall`]
-    /// to the new owner. Internal: never produced by the public API.
+    /// First handoff marker (migration protocol, DESIGN.md §9): tells
+    /// the owning worker to give `shard` up. The FIFO guarantees every
+    /// old-epoch request is ahead of it; the worker leaves the shard's
+    /// parked scan cursors in the shard's handoff slot and acks, or
+    /// replies with an error if it does not own the shard. Internal:
+    /// sent only by the migrator, which waits for the reply.
     HandoffOut { shard: u64 },
-    /// Second half of a handoff: the target worker collects the parcel
-    /// from the depot, installs the shard, and replays any requests it
-    /// stashed while the shard was in flight. Internal.
+    /// Second handoff marker, sent by the migrator to the new owner once
+    /// `HandoffOut` is acked: the worker adopts the cursors from the
+    /// slot, owns the shard, replays any requests it stashed while the
+    /// shard was in flight, and acks. Internal.
     ShardInstall { shard: u64 },
     /// Online-backup freeze marker: the owning worker forks `shard`'s
     /// engine snapshot and deposits it in the backup hub. Unlike the
@@ -431,6 +433,12 @@ impl Request {
     pub fn finish_err(self, err: &Error) {
         self.finish(Err(err.clone()));
     }
+}
+
+#[cfg(test)]
+/// Slots in this thread's freelist (tests count the slots a call takes).
+pub(crate) fn pooled_slots() -> usize {
+    SLOT_POOL.with(|pool| pool.borrow().len())
 }
 
 #[cfg(test)]

@@ -12,17 +12,18 @@
 //! lacks the capability or the group holds a single key. With one shard per
 //! worker this is exactly the paper's layout.
 //!
-//! **Ownership migration** (DESIGN.md §9): two control markers ride the
-//! queues. `Op::HandoffOut` tells the old owner to package a shard —
-//! the epoch fence guarantees every request routed under the old map is
-//! already ahead of the marker in its FIFO, so by the time the marker is
-//! dequeued the shard's old-epoch work has fully executed. The source
-//! deposits the shard's parked scan cursors in the [`HandoffDepot`] and
-//! forwards `Op::ShardInstall` to the new owner, which collects the
-//! parcel, installs the shard, and replays any requests it had *stashed*
-//! (new-epoch requests that arrived before the install marker). The
-//! engine handle itself never moves — only the right to execute against
-//! it does.
+//! **Ownership migration** (DESIGN.md §9): the migrator sends two
+//! control markers, one after the other, and waits on each like any
+//! client waits on a request. `Op::HandoffOut` tells the old owner to
+//! give a shard up — the epoch fence guarantees every request routed
+//! under the old map is already ahead of the marker in its FIFO, so by
+//! the time the marker is dequeued the shard's old-epoch work has fully
+//! executed. The source leaves the shard's parked scan cursors in the
+//! shard's handoff slot (`ShardRuntime::parked`); `Op::ShardInstall`
+//! then tells the new owner to adopt them, own the shard, and replay any
+//! requests it had *stashed* (new-epoch requests that arrived before the
+//! install marker). The engine handle itself never moves — only the
+//! right to execute against it does.
 //!
 //! The steady-state loop performs **no per-iteration heap allocation**:
 //! the batch `Vec`, the lifecycle queue-wait scratch, and the merged-call
@@ -50,11 +51,12 @@ use p2kvs_obs::{
     GroupStamp, Journal, JournalKind, SpanKind, SpanRecord, SpanRing, WorkerLifecycle,
 };
 use p2kvs_util::timing::BusyClock;
+use parking_lot::Mutex;
 
 use crate::engine::{EnginePhases, KvsEngine, ScanCursor};
-use crate::error::Error;
+use crate::error::{Error, Result};
 use crate::queue::{RequestQueue, DEFAULT_QUEUE_CAPACITY};
-use crate::shard::{HandoffDepot, MapCell, Parcel, ShardMap, ShardStats};
+use crate::shard::{MapCell, ShardMap, ShardStats};
 use crate::types::{Op, OpClass, Request, Response, WriteOp};
 
 /// Counters published by one worker.
@@ -87,9 +89,9 @@ pub struct WorkerStats {
     /// arrived, then replayed at install.
     pub stashed: AtomicU64,
     /// Stale-epoch requests forwarded to the current owner. The routing
-    /// fence makes this path unreachable from the store's own submit
-    /// paths; a nonzero value flags an external caller holding a map pin
-    /// across a migration.
+    /// fence makes this path unreachable — every push happens under an
+    /// epoch pin the migrator waits out — so a nonzero value flags a
+    /// broken fence.
     pub rerouted: AtomicU64,
 }
 
@@ -117,8 +119,8 @@ pub struct WorkerConfig {
     pub pin: bool,
     /// Hard cap on entries per scan chunk. Requests asking for more are
     /// clamped, so no single dequeue can head-of-line-block the queue
-    /// behind a long scan. `usize::MAX` restores the old blocking
-    /// behavior (used by the interference benchmark's baseline).
+    /// behind a long scan. `usize::MAX` lets one dequeue serve a whole
+    /// scan (what `bench`'s scan-interference run compares against).
     pub scan_chunk_entries: usize,
     /// Hard cap on payload bytes per scan chunk (same clamping).
     pub scan_chunk_bytes: usize,
@@ -150,7 +152,7 @@ impl Default for WorkerConfig {
 
 /// Shared routing state every worker in a store references: the
 /// per-shard engine directory, the live routing snapshot, the handoff
-/// side-channel, and per-shard service gauges. Engines are
+/// slots, and per-shard service gauges. Engines are
 /// reachable from every worker — "ownership" of a shard is the exclusive
 /// right to execute against its engine, tracked by the map and the
 /// workers' owned sets, never by which thread holds the handle.
@@ -159,13 +161,19 @@ pub(crate) struct ShardRuntime<E> {
     pub engines: Vec<Arc<E>>,
     /// The live routing snapshot, `shard → worker → ring`: the one
     /// handle every push goes through (submit paths, re-route, the
-    /// install half of a handoff). Ring slots are installed at spawn
+    /// migrator's markers). Ring slots are installed at spawn
     /// and cleared at retire (DESIGN.md §14), so pushes to a vanished
     /// worker bounce like pushes to a closed ring.
     pub map: MapCell,
-    /// Ferries non-clonable per-shard state (parked scan cursors)
-    /// between the two workers of a handoff.
-    pub depot: Arc<HandoffDepot>,
+    /// Per-shard handoff slot: between a migration's two markers the
+    /// moving shard's parked scan cursors wait here — left by the old
+    /// owner at `HandoffOut`, adopted by the new one at `ShardInstall`.
+    pub parked: Vec<Mutex<Option<ScanTable>>>,
+    /// Migrations completed (both markers acked), counted by the
+    /// migrator.
+    pub migrations: AtomicU64,
+    /// Migrations that failed after the map was published.
+    pub handoffs_aborted: AtomicU64,
     /// Per-shard counters the balancer reads, indexed by shard.
     pub shard_stats: Vec<Arc<ShardStats>>,
     /// Span sink shared by every worker: head-sampled requests leave
@@ -214,7 +222,9 @@ impl WorkerHandle {
         let runtime = Arc::new(ShardRuntime {
             engines: vec![engine],
             map: MapCell::new(ShardMap::initial(1, 1).with_ring(0, Some(queue.clone()))),
-            depot: Arc::new(HandoffDepot::new()),
+            parked: vec![Mutex::new(None)],
+            migrations: AtomicU64::new(0),
+            handoffs_aborted: AtomicU64::new(0),
             shard_stats: vec![Arc::new(ShardStats::default())],
             spans: Arc::new(SpanRing::new(0)),
             journal: None,
@@ -244,7 +254,12 @@ impl WorkerHandle {
     ) -> WorkerHandle {
         let stats = Arc::new(WorkerStats::default());
         let q = queue.clone();
-        let s = stats.clone();
+        // Built here, not on the new thread: the spawner is the sole map
+        // writer, so the owned set is read before any migration can name
+        // this worker. A thread that started late would otherwise read a
+        // shard migrated to it meanwhile as already its own and serve it
+        // ahead of the old owner's `HandoffOut`, instead of stashing.
+        let mut w = WorkerLoop::new(windex, rt, stats.clone(), config, lifecycle);
         let handle = std::thread::Builder::new()
             .name(format!("p2kvs-worker-{name_id}"))
             .spawn(move || {
@@ -255,47 +270,19 @@ impl WorkerHandle {
                     p2kvs_storage::set_thread_io_queue(config.io_queue);
                 }
                 let max = config.batch_max.max(1);
-                // All loop state is allocated once and reused: the
-                // steady-state iteration touches no allocator.
                 let mut batch: Vec<Request> = Vec::with_capacity(max);
-                let mut group: Vec<Request> = Vec::with_capacity(max);
                 let mut spill: Vec<Request> = Vec::with_capacity(max);
-                let mut waits: Vec<u64> = Vec::with_capacity(max);
-                // Sampled (trace_id, enqueue_us) pairs of the current
-                // group — preallocated so tracing stays off the
-                // allocator in steady state.
-                let mut traced: Vec<(u64, u64)> = Vec::with_capacity(max);
-                let mut batch_seq: u64 = 0;
-                let mut scratch = BatchScratch::default();
-                // Shards this worker owns, each carrying its own parked
-                // scan cursors (the table travels with the shard).
-                let mut owned: HashMap<u64, ScanTable> = rt
-                    .map
-                    .pin()
-                    .shards_of(windex)
-                    .into_iter()
-                    .map(|sh| (sh as u64, ScanTable::default()))
-                    .collect();
-                s.shards_owned.store(owned.len() as u64, Ordering::Relaxed);
-                for sh in owned.keys() {
-                    rt.shard_stats[*sh as usize].owner.store(windex, Ordering::Relaxed);
-                }
-                // New-epoch requests for a shard whose install marker has
-                // not arrived yet, replayed FIFO at install.
-                let mut stash: HashMap<u64, Vec<Request>> = HashMap::new();
                 while q.pop_batch_into(max, &mut batch) {
                     // Control markers are Solo-class: always a batch of 1.
                     match batch[0].op {
                         Op::HandoffOut { shard } => {
-                            let req = batch.pop().expect("solo batch");
-                            handoff_out(windex, &rt, &mut owned, &mut stash, &s, &config, shard);
-                            req.finish(Ok(Response::Done));
+                            let reply = w.handoff_out(shard);
+                            batch.pop().expect("solo batch").finish(reply);
                             continue;
                         }
                         Op::ShardInstall { shard } => {
-                            let req = batch.pop().expect("solo batch");
-                            install_shard(windex, &rt, &mut owned, &mut stash, &s, &config, shard);
-                            req.finish(Ok(Response::Done));
+                            w.install_shard(shard);
+                            batch.pop().expect("solo batch").finish(Ok(Response::Done));
                             continue;
                         }
                         _ => {}
@@ -309,161 +296,35 @@ impl WorkerHandle {
                     // and OBM would degrade to singleton batches.
                     while !batch.is_empty() {
                         let shard = batch[0].shard;
-                        group.clear();
                         if batch.iter().all(|r| r.shard == shard) {
-                            std::mem::swap(&mut group, &mut batch);
+                            std::mem::swap(&mut w.group, &mut batch);
                         } else {
                             spill.clear();
                             for req in batch.drain(..) {
                                 if req.shard == shard {
-                                    group.push(req);
+                                    w.group.push(req);
                                 } else {
                                     spill.push(req);
                                 }
                             }
                             std::mem::swap(&mut batch, &mut spill);
                         }
-                        if !owned.contains_key(&shard) {
-                            // Not ours (anymore / yet): stash or forward.
-                            for req in group.drain(..) {
-                                reroute_or_stash(windex, &rt, &mut stash, &s, req);
-                            }
-                            continue;
-                        }
-                        // The backup freeze marker rides the ordinary
-                        // ownership check above (unlike the handoff
-                        // markers): if the shard migrated, the marker is
-                        // stashed or forwarded like any request and the
-                        // snapshot forks on whichever worker owns the
-                        // shard when it finally executes.
-                        if matches!(group[0].op, Op::BackupFreeze { .. }) {
-                            let req = group.pop().expect("solo batch");
-                            freeze_shard(windex, &rt, shard, req);
-                            continue;
-                        }
-                        // The first of the group's two clock reads: queue
-                        // wait ends here, service runs from here to
-                        // completion (requests in one OBM batch complete
-                        // together).
-                        let dequeued = Instant::now();
-                        let class = group[0].op.class();
-                        let n = keys_in(&group);
-                        // "Scan active" means a parked cursor exists
-                        // *before* this batch: these are the point ops
-                        // whose latency a concurrent scan could have
-                        // wrecked.
-                        let scan_active = owned.values().any(|t| !t.is_empty());
-                        if lifecycle.is_some() {
-                            waits.clear();
-                            waits.extend(group.iter().map(|r| {
-                                dequeued.saturating_duration_since(r.enqueued).as_nanos() as u64
-                            }));
-                        }
-                        let engine = &rt.engines[shard as usize];
-                        let scans = owned.get_mut(&shard).expect("ownership checked above");
-                        batch_seq += 1;
-                        traced.clear();
-                        traced.extend(
-                            group
-                                .iter()
-                                .filter(|r| r.trace.is_sampled())
-                                .map(|r| (r.trace.id, rt.spans.stamp(r.enqueued))),
-                        );
-                        // Only a group carrying a head-sampled request
-                        // reads the clock a third time, and with it the
-                        // engine and device clocks — their "before" values
-                        // cannot be had in hindsight, which is why
-                        // tail-kept groups stop at the batch span.
-                        let pre = (!traced.is_empty()).then(|| {
-                            (
-                                Instant::now(),
-                                engine.phase_clocks(),
-                                rt.env.as_ref().map(|e| e.io_stats()),
-                            )
-                        });
-                        execute_batch(
-                            &**engine,
-                            &mut group,
-                            &s,
-                            &mut scratch,
-                            scans,
-                            &config,
-                            rt.journal.as_deref(),
-                            rt.cache.as_deref(),
-                        );
-                        // The second read. Busy time, per-shard load, the
-                        // latency histograms and the spans all come from
-                        // this one pair.
-                        let stamp = GroupStamp {
-                            worker: windex as u32,
-                            shard: shard as u32,
-                            class: class.index(),
-                            batch_id: batch_seq,
-                            keys: n as u32,
-                            dequeued,
-                            completed: Instant::now(),
-                        };
-                        if let Some((t_call, pre_ph, pre_io)) = pre {
-                            let io = pre_io.map(|p| {
-                                (p, rt.env.as_ref().expect("pre_io implies env").io_stats())
-                            });
-                            record_batch_spans(
-                                &rt.spans,
-                                &stamp,
-                                &traced,
-                                rt.spans.stamp(t_call),
-                                (pre_ph, engine.phase_clocks()),
-                                io,
-                            );
-                        }
-                        let service = stamp.service();
-                        s.busy.add(service);
-                        rt.shard_stats[shard as usize].record(n, service);
-                        if let Some(lc) = &lifecycle {
-                            lc.observe(&stamp, &waits);
-                            if scan_active && class != OpClass::Solo {
-                                lc.observe_point_during_scan(
-                                    waits.len(),
-                                    service.as_nanos() as u64,
-                                );
-                            }
-                        }
+                        w.run_group(shard);
                     }
                 }
                 // Queue closed and drained: an install marker can no
-                // longer arrive. If the parcel is already in the depot,
-                // finish the stashed requests ourselves; otherwise fail
+                // longer arrive. Where the old owner already left the
+                // shard's cursors in the handoff slot, adopt them and
+                // serve the stashed requests after all; otherwise fail
                 // them — their store is shutting down.
-                for (shard, reqs) in stash.drain() {
-                    if let Some(parcel) = rt.depot.take(shard) {
-                        let mut scans = parcel.scans;
-                        // The source debited its scans_active gauge at
-                        // handoff; credit the parked cursors here before
-                        // executing, so a stashed ScanClose decrements a
-                        // gauge that was actually incremented instead of
-                        // underflowing to u64::MAX.
-                        s.scans_active.fetch_add(scans.len() as u64, Ordering::Relaxed);
-                        s.ops.fetch_add(keys_in(&reqs), Ordering::Relaxed);
-                        s.batches.fetch_add(reqs.len() as u64, Ordering::Relaxed);
-                        for req in reqs {
-                            execute_one(
-                                &*rt.engines[shard as usize],
-                                req,
-                                &s,
-                                &mut scans,
-                                &config,
-                                rt.journal.as_deref(),
-                                rt.cache.as_deref(),
-                            );
-                        }
-                        // Whatever is still parked dies with the store.
-                        s.scans_active.fetch_sub(scans.len() as u64, Ordering::Relaxed);
-                        rt.depot.complete(shard);
+                let waiting: Vec<u64> = w.stash.keys().copied().collect();
+                for shard in waiting {
+                    if w.rt.parked[shard as usize].lock().is_some() {
+                        w.install_shard(shard);
                     } else {
-                        for req in reqs {
+                        for req in w.stash.remove(&shard).into_iter().flatten() {
                             req.finish_err(&Error::Closed);
                         }
-                        rt.depot.abort(shard);
                     }
                 }
             })
@@ -484,103 +345,242 @@ impl WorkerHandle {
     }
 }
 
-/// Source half of a migration: package `shard` and signal the target.
-/// Runs when the `HandoffOut` marker is dequeued — the epoch fence
-/// guarantees every old-epoch request for the shard is already executed.
-fn handoff_out<E: KvsEngine>(
+/// One worker thread's state. Everything is allocated once and reused:
+/// the steady-state iteration touches no allocator.
+struct WorkerLoop<E> {
     windex: usize,
-    rt: &ShardRuntime<E>,
-    owned: &mut HashMap<u64, ScanTable>,
-    stash: &mut HashMap<u64, Vec<Request>>,
-    stats: &WorkerStats,
-    config: &WorkerConfig,
-    shard: u64,
-) {
-    let Some(scans) = owned.remove(&shard) else {
-        // Duplicate / stale marker for a shard we no longer own: settle
-        // so the migrator is not left waiting on a phase that will never
-        // advance.
-        rt.depot.abort(shard);
-        return;
-    };
-    stats.handoffs_out.fetch_add(1, Ordering::Relaxed);
-    stats.shards_owned.store(owned.len() as u64, Ordering::Relaxed);
-    stats.scans_active.fetch_sub(scans.len() as u64, Ordering::Relaxed);
-    if let Some(j) = rt.journal.as_deref() {
-        j.record(JournalKind::HandoffOut, shard, windex as u64, scans.len() as u64, 0);
-    }
-    flush_cache_shard(rt, shard);
-    rt.depot.deposit(shard, Parcel { scans });
-    let target = rt.map.owner(shard as usize);
-    if target == windex {
-        // The map points back at us (no-op migration): reinstall locally
-        // instead of a push-to-self, which could deadlock the consumer
-        // against its own full ring.
-        install_shard(windex, rt, owned, stash, stats, config, shard);
-        return;
-    }
-    let req = Request::asynchronous(Op::ShardInstall { shard }, Box::new(|_| {})).on_shard(shard);
-    if rt.map.send_to(target, req).is_err() {
-        // Target queue closed or retired (shutdown): drop the parcel —
-        // parked cursors release their snapshots — and settle the
-        // handoff.
-        rt.depot.abort(shard);
-    }
+    rt: Arc<ShardRuntime<E>>,
+    stats: Arc<WorkerStats>,
+    config: WorkerConfig,
+    lifecycle: Option<WorkerLifecycle>,
+    /// Shards this worker owns, each carrying its own parked scan
+    /// cursors (the table travels with the shard).
+    owned: HashMap<u64, ScanTable>,
+    /// New-epoch requests for a shard whose install marker has not
+    /// arrived yet, replayed FIFO at install.
+    stash: HashMap<u64, Vec<Request>>,
+    /// The requests [`WorkerLoop::run_group`] executes: one class, one
+    /// shard. Empty between calls.
+    group: Vec<Request>,
+    waits: Vec<u64>,
+    /// Sampled (trace_id, enqueue_us) pairs of the current group.
+    traced: Vec<(u64, u64)>,
+    batch_seq: u64,
+    scratch: BatchScratch,
 }
 
-/// Target half of a migration: collect the parcel, own the shard, and
-/// replay stashed requests in arrival order.
-fn install_shard<E: KvsEngine>(
-    windex: usize,
-    rt: &ShardRuntime<E>,
-    owned: &mut HashMap<u64, ScanTable>,
-    stash: &mut HashMap<u64, Vec<Request>>,
-    stats: &WorkerStats,
-    config: &WorkerConfig,
-    shard: u64,
-) {
-    let scans = rt.depot.take(shard).map(|p| p.scans).unwrap_or_default();
-    stats.handoffs_in.fetch_add(1, Ordering::Relaxed);
-    stats.scans_active.fetch_add(scans.len() as u64, Ordering::Relaxed);
-    if let Some(j) = rt.journal.as_deref() {
-        j.record(JournalKind::ShardInstall, shard, windex as u64, scans.len() as u64, 0);
-    }
-    // Flushed on both halves of the migration (belt and braces): any
-    // fill that raced the handoff — on either worker — is dropped
-    // before the new owner serves traffic for the shard.
-    flush_cache_shard(rt, shard);
-    owned.insert(shard, scans);
-    stats.shards_owned.store(owned.len() as u64, Ordering::Relaxed);
-    rt.shard_stats[shard as usize].owner.store(windex, Ordering::Relaxed);
-    rt.depot.complete(shard);
-    if let Some(reqs) = stash.remove(&shard) {
-        let started = Instant::now();
-        let n = keys_in(&reqs);
-        stats.ops.fetch_add(n, Ordering::Relaxed);
+impl<E: KvsEngine> WorkerLoop<E> {
+    fn new(
+        windex: usize,
+        rt: Arc<ShardRuntime<E>>,
+        stats: Arc<WorkerStats>,
+        config: WorkerConfig,
+        lifecycle: Option<WorkerLifecycle>,
+    ) -> WorkerLoop<E> {
+        let max = config.batch_max.max(1);
+        let owned: HashMap<u64, ScanTable> = rt
+            .map
+            .pin()
+            .shards_of(windex)
+            .into_iter()
+            .map(|sh| (sh as u64, ScanTable::default()))
+            .collect();
         stats
-            .batches
-            .fetch_add(reqs.len() as u64, Ordering::Relaxed);
-        let engine = &rt.engines[shard as usize];
-        let scans = owned.get_mut(&shard).expect("just installed");
-        for req in reqs {
-            // A backup freeze marker stashed during the migration forks
-            // its snapshot here, after the replayed writes ahead of it —
-            // arrival order is preserved across the handoff.
-            if matches!(req.op, Op::BackupFreeze { .. }) {
-                freeze_shard(windex, rt, shard, req);
-                continue;
+            .shards_owned
+            .store(owned.len() as u64, Ordering::Relaxed);
+        for sh in owned.keys() {
+            rt.shard_stats[*sh as usize]
+                .owner
+                .store(windex, Ordering::Relaxed);
+        }
+        WorkerLoop {
+            windex,
+            rt,
+            stats,
+            config,
+            lifecycle,
+            owned,
+            stash: HashMap::new(),
+            group: Vec::with_capacity(max),
+            waits: Vec::with_capacity(max),
+            traced: Vec::with_capacity(max),
+            batch_seq: 0,
+            scratch: BatchScratch::default(),
+        }
+    }
+
+    /// Executes `self.group` — one class, all of `shard` — as one engine
+    /// call and accounts for it. Every request a worker serves comes
+    /// through here, the ones replayed from the stash included (as
+    /// groups of one), so busy time, per-shard load, the latency
+    /// histograms and the spans cover them all.
+    fn run_group(&mut self, shard: u64) {
+        let rt = &*self.rt;
+        if !self.owned.contains_key(&shard) {
+            // Not ours (anymore / yet): stash or forward.
+            for req in self.group.drain(..) {
+                reroute_or_stash(self.windex, rt, &mut self.stash, &self.stats, req);
             }
-            execute_one(
-                &**engine,
-                req,
-                stats,
-                scans,
-                config,
-                rt.journal.as_deref(),
-                rt.cache.as_deref(),
+            return;
+        }
+        // The backup freeze marker rides the ordinary ownership check
+        // above (unlike the handoff markers): if the shard migrated, the
+        // marker is stashed or forwarded like any request and the
+        // snapshot forks on whichever worker owns the shard when it
+        // finally executes — after the writes ahead of it.
+        if matches!(self.group[0].op, Op::BackupFreeze { .. }) {
+            let req = self.group.pop().expect("solo batch");
+            freeze_shard(self.windex, rt, shard, req);
+            return;
+        }
+        // "Scan active" means a parked cursor exists *before* this
+        // batch: these are the point ops whose latency a concurrent
+        // scan could have wrecked.
+        let scan_active = self.owned.values().any(|t| !t.is_empty());
+        let scans = self.owned.get_mut(&shard).expect("ownership checked above");
+        // The first of the group's two clock reads: queue wait ends
+        // here, service runs from here to completion (requests in one
+        // OBM batch complete together).
+        let dequeued = Instant::now();
+        let class = self.group[0].op.class();
+        let n = keys_in(&self.group);
+        if self.lifecycle.is_some() {
+            self.waits.clear();
+            self.waits.extend(
+                self.group
+                    .iter()
+                    .map(|r| dequeued.saturating_duration_since(r.enqueued).as_nanos() as u64),
             );
         }
-        rt.shard_stats[shard as usize].record(n, started.elapsed());
+        let engine = &rt.engines[shard as usize];
+        self.batch_seq += 1;
+        self.traced.clear();
+        self.traced.extend(
+            self.group
+                .iter()
+                .filter(|r| r.trace.is_sampled())
+                .map(|r| (r.trace.id, rt.spans.stamp(r.enqueued))),
+        );
+        // Only a group carrying a head-sampled request reads the clock
+        // a third time, and with it the engine and device clocks —
+        // their "before" values cannot be had in hindsight, which is
+        // why tail-kept groups stop at the batch span.
+        let pre = (!self.traced.is_empty()).then(|| {
+            (
+                Instant::now(),
+                engine.phase_clocks(),
+                rt.env.as_ref().map(|e| e.io_stats()),
+            )
+        });
+        execute_batch(
+            &**engine,
+            &mut self.group,
+            &self.stats,
+            &mut self.scratch,
+            scans,
+            &self.config,
+            rt.journal.as_deref(),
+            rt.cache.as_deref(),
+        );
+        // The second read. Busy time, per-shard load, the latency
+        // histograms and the spans all come from this one pair.
+        let stamp = GroupStamp {
+            worker: self.windex as u32,
+            shard: shard as u32,
+            class: class.index(),
+            batch_id: self.batch_seq,
+            keys: n as u32,
+            dequeued,
+            completed: Instant::now(),
+        };
+        if let Some((t_call, pre_ph, pre_io)) = pre {
+            let io = pre_io.map(|p| (p, rt.env.as_ref().expect("pre_io implies env").io_stats()));
+            record_batch_spans(
+                &rt.spans,
+                &stamp,
+                &self.traced,
+                rt.spans.stamp(t_call),
+                (pre_ph, engine.phase_clocks()),
+                io,
+            );
+        }
+        let service = stamp.service();
+        self.stats.busy.add(service);
+        rt.shard_stats[shard as usize].record(n, service);
+        if let Some(lc) = &self.lifecycle {
+            lc.observe(&stamp, &self.waits);
+            if scan_active && class != OpClass::Solo {
+                lc.observe_point_during_scan(self.waits.len(), service.as_nanos() as u64);
+            }
+        }
+    }
+
+    /// Source half of a migration: give `shard` up, leaving its parked
+    /// cursors in the handoff slot. Runs when the `HandoffOut` marker is
+    /// dequeued — the epoch fence guarantees every old-epoch request for
+    /// the shard is already executed.
+    fn handoff_out(&mut self, shard: u64) -> Result<Response> {
+        let Some(scans) = self.owned.remove(&shard) else {
+            return Err(Error::Engine(format!(
+                "worker {} does not own shard {shard}",
+                self.windex
+            )));
+        };
+        let (rt, stats) = (&*self.rt, &*self.stats);
+        stats.handoffs_out.fetch_add(1, Ordering::Relaxed);
+        stats
+            .shards_owned
+            .store(self.owned.len() as u64, Ordering::Relaxed);
+        stats
+            .scans_active
+            .fetch_sub(scans.len() as u64, Ordering::Relaxed);
+        if let Some(j) = rt.journal.as_deref() {
+            j.record(
+                JournalKind::HandoffOut,
+                shard,
+                self.windex as u64,
+                scans.len() as u64,
+                0,
+            );
+        }
+        flush_cache_shard(rt, shard);
+        *rt.parked[shard as usize].lock() = Some(scans);
+        Ok(Response::Done)
+    }
+
+    /// Target half of a migration: adopt the cursors the source left,
+    /// own the shard, and replay stashed requests in arrival order.
+    fn install_shard(&mut self, shard: u64) {
+        let (rt, stats) = (&*self.rt, &*self.stats);
+        let scans = rt.parked[shard as usize].lock().take().unwrap_or_default();
+        stats.handoffs_in.fetch_add(1, Ordering::Relaxed);
+        stats
+            .scans_active
+            .fetch_add(scans.len() as u64, Ordering::Relaxed);
+        if let Some(j) = rt.journal.as_deref() {
+            j.record(
+                JournalKind::ShardInstall,
+                shard,
+                self.windex as u64,
+                scans.len() as u64,
+                0,
+            );
+        }
+        // Flushed on both halves of the migration (belt and braces): any
+        // fill that raced the handoff — on either worker — is dropped
+        // before the new owner serves traffic for the shard.
+        flush_cache_shard(rt, shard);
+        self.owned.insert(shard, scans);
+        stats
+            .shards_owned
+            .store(self.owned.len() as u64, Ordering::Relaxed);
+        rt.shard_stats[shard as usize]
+            .owner
+            .store(self.windex, Ordering::Relaxed);
+        for req in self.stash.remove(&shard).into_iter().flatten() {
+            self.group.push(req);
+            self.run_group(shard);
+        }
     }
 }
 
@@ -1007,10 +1007,8 @@ fn execute_one<E: KvsEngine>(
         }
         // Control markers are intercepted by the worker loop (handoff
         // markers before the routing decision, the backup freeze after
-        // it); reaching this point means either a caller injected one
-        // through a non-worker execution path, or a freeze marker was
-        // still stashed when the store shut down — the backup fails
-        // cleanly instead of forking a snapshot nobody will stream.
+        // it); reaching this point means a caller injected one through
+        // a non-worker execution path.
         Op::HandoffOut { .. } | Op::ShardInstall { .. } | Op::BackupFreeze { .. } => {
             Err(Error::Unsupported("control markers outside a worker loop"))
         }
@@ -1696,36 +1694,129 @@ mod tests {
         }
     }
 
-    #[test]
-    fn shutdown_drain_credits_parcel_cursors_before_executing_stashed_closes() {
-        // Regression (scan-gauge audit): the shutdown drain used to
-        // execute stashed requests against a parcel's cursor table
-        // without crediting scans_active for the parked cursors it had
-        // just taken, so a stashed ScanClose racing a shard handoff
-        // drove the gauge to u64::MAX.
+    /// A runtime of `shards` shards (one shared engine, round-robin
+    /// owners) over two rings. Tests spawn workers on the rings they
+    /// want drained and pop the others by hand.
+    fn two_ring_runtime(
+        dir: &str,
+        shards: usize,
+    ) -> (
+        Arc<ShardRuntime<lsmkv::Db>>,
+        Vec<Arc<RequestQueue>>,
+        Arc<lsmkv::Db>,
+    ) {
         let factory = LsmFactory::new(lsmkv::Options::for_test());
-        let engine = Arc::new(factory.open(Path::new("w-drain-gauge"), None).unwrap());
+        let engine = Arc::new(factory.open(Path::new(dir), None).unwrap());
         for i in 0..8 {
             KvsEngine::put(&*engine, format!("g{i}").as_bytes(), b"v").unwrap();
         }
         let queues: Vec<_> = (0..2)
             .map(|_| Arc::new(RequestQueue::with_capacity(DEFAULT_QUEUE_CAPACITY)))
             .collect();
-        let mut map = ShardMap::initial(1, 2);
+        let mut map = ShardMap::initial(shards, 2);
         for (w, q) in queues.iter().enumerate() {
             map = map.with_ring(w, Some(q.clone()));
         }
         let rt = Arc::new(ShardRuntime {
-            engines: vec![engine.clone()],
+            engines: vec![engine.clone(); shards],
             map: MapCell::new(map),
-            depot: Arc::new(HandoffDepot::new()),
-            shard_stats: vec![Arc::new(ShardStats::default())],
+            parked: (0..shards).map(|_| Mutex::new(None)).collect(),
+            migrations: AtomicU64::new(0),
+            handoffs_aborted: AtomicU64::new(0),
+            shard_stats: (0..shards).map(|_| Arc::default()).collect(),
             spans: Arc::new(SpanRing::new(0)),
             journal: None,
             cache: None,
             env: None,
             backup: Arc::new(crate::backup::BackupHub::default()),
         });
+        (rt, queues, engine)
+    }
+
+    #[test]
+    fn cursors_left_by_the_source_are_adopted_by_the_target_exactly_once() {
+        let (rt, queues, _) = two_ring_runtime("w-adopt", 1);
+        let spawn = |w: usize| {
+            WorkerHandle::spawn_in(w, w, rt.clone(), queues[w].clone(), test_config(), None)
+        };
+        let workers = [spawn(0), spawn(1)];
+        let active = |w: usize| workers[w].stats.scans_active.load(Ordering::Relaxed);
+        // Routed through the map, like a client's chunk request.
+        let chunk = |op: Op| {
+            let (req, done) = Request::sync(op);
+            rt.map.send(0, req).ok().unwrap();
+            match done.wait().unwrap() {
+                Response::Chunk { entries, cursor } => (entries, cursor),
+                other => panic!("unexpected {other:?}"),
+            }
+        };
+        let (first, cursor) = chunk(Op::ScanOpen {
+            start: Vec::new(),
+            end: None,
+            limit: 3,
+            max_bytes: usize::MAX,
+        });
+        let cursor = cursor.expect("five keys remain");
+        assert_eq!((active(0), active(1)), (1, 0));
+        crate::store::migrate_locked(&rt, 0, 1).unwrap();
+        assert!(
+            rt.parked[0].lock().is_none(),
+            "the slot is emptied by the install"
+        );
+        assert_eq!(
+            (active(0), active(1)),
+            (0, 1),
+            "debited once, credited once"
+        );
+        // The cursor resumes on the new owner where it stopped.
+        let (next, cursor) = chunk(Op::ScanNext {
+            cursor,
+            limit: 3,
+            max_bytes: usize::MAX,
+        });
+        assert_eq!(first.len() + next.len(), 6);
+        assert!(first.last().unwrap().0 < next[0].0);
+        // And travels back: nothing was left behind for a second install
+        // to pick up again.
+        crate::store::migrate_locked(&rt, 0, 0).unwrap();
+        assert_eq!((active(0), active(1)), (1, 0));
+        let (rest, end) = chunk(Op::ScanNext {
+            cursor: cursor.expect("two keys remain"),
+            limit: 3,
+            max_bytes: usize::MAX,
+        });
+        assert_eq!((rest.len(), end), (2, None));
+        assert_eq!((active(0), active(1)), (0, 0));
+        assert_eq!(rt.migrations.load(Ordering::Relaxed), 2);
+        assert_eq!(rt.handoffs_aborted.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn handoff_out_for_an_unowned_shard_is_an_error_the_migrator_surfaces() {
+        let (rt, queues, _) = two_ring_runtime("w-unowned", 2);
+        // The map gives shard 1 to worker 1, but ring 1 is drained by a
+        // worker that believes it is worker 0 and so owns shard 0 only:
+        // the map and the worker disagree.
+        let _w = WorkerHandle::spawn_in(1, 0, rt.clone(), queues[1].clone(), test_config(), None);
+        let err = crate::store::migrate_locked(&rt, 1, 0).unwrap_err();
+        assert!(err.to_string().contains("does not own shard 1"), "{err}");
+        assert_eq!(
+            queues[0].len(),
+            0,
+            "no install marker follows a failed handoff"
+        );
+        assert_eq!(rt.migrations.load(Ordering::Relaxed), 0);
+        assert_eq!(rt.handoffs_aborted.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn shutdown_drain_credits_parked_cursors_before_executing_stashed_closes() {
+        // Regression (scan-gauge audit): the shutdown drain used to
+        // execute stashed requests against the handed-off cursor table
+        // without crediting scans_active for the parked cursors it had
+        // just taken, so a stashed ScanClose racing a shard handoff
+        // drove the gauge to u64::MAX.
+        let (rt, queues, engine) = two_ring_runtime("w-drain-gauge", 1);
         // Worker 1 owns nothing under the initial map (shard 0 -> worker 0).
         let ring = queues[1].clone();
         let mut w1 = WorkerHandle::spawn_in(1, 1, rt.clone(), ring, test_config(), None);
@@ -1747,21 +1838,22 @@ mod tests {
             "w1 must reroute under the old map"
         );
         rerouted.remove(0).finish(Ok(Response::Done));
-        // Source half of a migration, by hand: park one cursor, deposit
-        // it, then point the map at worker 1. The install marker is
-        // never sent — exactly the window the shutdown drain covers.
+        // Source half of a migration, by hand: park one cursor in the
+        // handoff slot, then point the map at worker 1. The install
+        // marker is never sent — exactly the window the shutdown drain
+        // covers.
         let mut parked = ScanTable::default();
         let cursor = engine.open_cursor(b"", None).unwrap();
         let id = parked.insert(cursor);
-        rt.depot.begin(0).unwrap();
-        rt.depot.deposit(0, Parcel { scans: parked });
+        *rt.parked[0].lock() = Some(parked);
         rt.map.publish(rt.map.pin().with_owner(0, 1));
         // w1 stashes the close (the map says w1, but no install arrived)…
         let (req, done) = Request::sync(Op::ScanClose { cursor: id });
         queues[1].push(req.on_shard(0)).ok().unwrap();
-        // …and the shutdown drain executes it against the parcel.
+        // …and the shutdown drain executes it against the adopted table.
         w1.shutdown();
         assert_eq!(done.wait().unwrap(), Response::Done);
+        assert_eq!(w1.stats.stashed.load(Ordering::Relaxed), 1);
         assert_eq!(
             w1.stats.scans_active.load(Ordering::Relaxed),
             0,

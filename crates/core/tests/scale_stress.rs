@@ -2,7 +2,7 @@
 //! streaming scanner run flat out while a thrasher cycles
 //! `scale_workers` across the pool's whole range (1 ↔ 4), so every
 //! retirement drains live shards — with parked scan cursors riding the
-//! handoff depot — and every spawn hands a fresh ring shards the next
+//! handoffs — and every spawn hands a fresh ring shards the next
 //! resize takes away again.
 //!
 //! The guarantees pinned down here:
@@ -140,7 +140,7 @@ fn pool_thrashing_under_live_traffic_loses_nothing() {
 
     // The scanner: open a streaming cursor, drain it in small chunks
     // (parking it on workers between pulls — retirements must carry the
-    // parked cursors over in the handoff depot), and demand the full
+    // parked cursors over through the handoff slot), and demand the full
     // sorted key census from every snapshot.
     let scanner = {
         let store = store.clone();

@@ -1549,3 +1549,167 @@ fn scan_gauge_is_conserved_across_migration_and_iterator_drop() {
     wait_no_active_scans(&store);
     store.close();
 }
+
+/// An lsmkv instance whose `put` of the value `b"hold"` parks inside
+/// the engine call until the test releases it: the way to keep a worker
+/// busy, and everything behind the call in its ring waiting, for as long
+/// as a test needs.
+struct GatedDb(lsmkv::Db, Arc<Gate>);
+
+#[derive(Default)]
+struct Gate {
+    /// (a put is inside the gate, the gate is open)
+    state: std::sync::Mutex<(bool, bool)>,
+    changed: std::sync::Condvar,
+}
+
+impl Gate {
+    fn pass(&self) {
+        let mut state = self.state.lock().unwrap();
+        state.0 = true;
+        self.changed.notify_all();
+        let _open = self.changed.wait_while(state, |s| !s.1).unwrap();
+    }
+
+    fn wait_entered(&self) {
+        let state = self.state.lock().unwrap();
+        let _inside = self.changed.wait_while(state, |s| !s.0).unwrap();
+    }
+
+    fn open(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.changed.notify_all();
+    }
+}
+
+impl KvsEngine for GatedDb {
+    fn put(&self, key: &[u8], value: &[u8]) -> p2kvs::Result<()> {
+        if value == b"hold" {
+            self.1.pass();
+        }
+        KvsEngine::put(&self.0, key, value)
+    }
+    fn delete(&self, key: &[u8]) -> p2kvs::Result<()> {
+        KvsEngine::delete(&self.0, key)
+    }
+    fn write_batch(&self, ops: &[WriteOp], gsn: u64) -> p2kvs::Result<()> {
+        KvsEngine::write_batch(&self.0, ops, gsn)
+    }
+    fn get(&self, key: &[u8]) -> p2kvs::Result<Option<Vec<u8>>> {
+        KvsEngine::get(&self.0, key)
+    }
+    fn scan(&self, start: &[u8], count: usize) -> p2kvs::Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        KvsEngine::scan(&self.0, start, count)
+    }
+    fn range(&self, begin: &[u8], end: &[u8]) -> p2kvs::Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        KvsEngine::range(&self.0, begin, end)
+    }
+    fn capabilities(&self) -> Capabilities {
+        KvsEngine::capabilities(&self.0)
+    }
+    fn sync(&self) -> p2kvs::Result<()> {
+        KvsEngine::sync(&self.0)
+    }
+    fn mem_usage(&self) -> usize {
+        KvsEngine::mem_usage(&self.0)
+    }
+}
+
+struct GatedFactory(LsmFactory, Arc<Gate>);
+
+impl EngineFactory for GatedFactory {
+    type Engine = GatedDb;
+
+    fn open(&self, dir: &std::path::Path, filter: Option<GsnFilter>) -> p2kvs::Result<GatedDb> {
+        Ok(GatedDb(self.0.open(dir, filter)?, self.1.clone()))
+    }
+
+    fn env(&self) -> EnvRef {
+        self.0.env()
+    }
+}
+
+#[test]
+fn requests_stashed_during_a_migration_are_observed_like_any_other() {
+    // Regression: the incoming owner replayed its stash through a bare
+    // execute loop, so the requests a migration delayed the most were
+    // missing from the latency histograms (and could never be kept as
+    // slow spans), and their service time reached the shard's busy
+    // clock but not the worker's.
+    use std::time::{Duration, Instant};
+    let gate = Arc::new(Gate::default());
+    let mut opts = P2KvsOptions::paper_layout(2);
+    opts.pin_workers = false;
+    opts.batch_max = 1; // one request per group: busy sums are exact
+    let factory = GatedFactory(lsm_factory(), gate.clone());
+    let store = Arc::new(P2Kvs::open(factory, "p2-stash", opts).unwrap());
+    let shard0 = p2kvs::HashPartitioner::new(2);
+    let keys: Vec<Vec<u8>> = (0..)
+        .map(|i| format!("st{i}").into_bytes())
+        .filter(|k| p2kvs::Partitioner::shard_of(&shard0, k) == 0)
+        .take(8)
+        .collect();
+    let until = |what: &str, done: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::yield_now();
+        }
+    };
+    // Worker 0 parks inside an engine call on shard 0 …
+    let holder = {
+        let (store, key) = (store.clone(), keys[0].clone());
+        std::thread::spawn(move || store.put(&key, b"hold").unwrap())
+    };
+    gate.wait_entered();
+    // … so the migration's HandoffOut waits behind it, the map already
+    // pointing at worker 1 …
+    let migrator = {
+        let store = store.clone();
+        std::thread::spawn(move || store.migrate_shard(0, 1).unwrap())
+    };
+    until("the map was never published", &|| {
+        store.shard_owners()[0] == 1
+    });
+    // … and everything sent to shard 0 now is stashed on worker 1.
+    let (acked, acks) = std::sync::mpsc::channel();
+    for key in &keys[1..] {
+        let acked = acked.clone();
+        store
+            .put_async(key, b"new", move |r| acked.send(r).unwrap())
+            .unwrap();
+    }
+    let reader = {
+        let (store, key) = (store.clone(), keys[1].clone());
+        std::thread::spawn(move || store.get(&key).unwrap())
+    };
+    let stashed = keys.len() as u64; // seven writes and the read
+    until("worker 1 never stashed the new-epoch requests", &|| {
+        store.snapshot().workers[1].stashed == stashed
+    });
+    gate.open();
+    holder.join().unwrap();
+    migrator.join().unwrap();
+    for _ in &keys[1..] {
+        acks.recv_timeout(Duration::from_secs(10)).unwrap().unwrap();
+    }
+    assert_eq!(
+        reader.join().unwrap().as_deref(),
+        Some(&b"new"[..]),
+        "the stash replays in arrival order: the read follows the write"
+    );
+    // Every request was observed, replayed or not …
+    let requests = 1 + stashed;
+    let metrics = wait_observed(&store, requests);
+    let stats = store.snapshot();
+    assert_eq!(stats.total_ops(), requests);
+    assert_eq!(
+        metrics.counter("p2kvs_worker_stashed_total{worker=\"1\"}"),
+        Some(stashed)
+    );
+    // … and charged to its worker as well as to its shard.
+    let worker_busy: u128 = stats.workers.iter().map(|w| w.busy.as_nanos()).sum();
+    let shard_busy: u128 = stats.shards.iter().map(|s| s.busy.as_nanos()).sum();
+    assert_eq!(worker_busy, shard_busy);
+    assert_eq!(stats.migrations, 1);
+}

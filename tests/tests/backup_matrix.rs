@@ -95,11 +95,11 @@ fn backup_matrix_recovers_and_restores_at_every_sampled_sync_point() {
     );
 }
 
-/// Regression: a `scan` whose cursors were parked in the handoff depot
-/// by a migration must neither wedge a subsequent backup freeze nor
-/// lose its place. The scan here holds live cursors on every shard,
-/// every shard then changes owner (cursor state ferried through the
-/// depot), and a backup cuts right behind the replays — the freeze
+/// Regression: a `scan` whose cursors were handed over by a migration
+/// must neither wedge a subsequent backup freeze nor lose its place.
+/// The scan here holds live cursors on every shard, every shard then
+/// changes owner (cursor state crossing in the shard's handoff slot),
+/// and a backup cuts right behind the replays — the freeze
 /// marker forks the engine snapshot without touching the scan table, so
 /// the backup completes and the cursor resumes exactly where it parked.
 #[test]
