@@ -725,7 +725,11 @@ fn execute_batch<E: KvsEngine>(
             // per-request execution below and must not inflate the OBM
             // merge ratio.
             stats.merged_ops.fetch_add(n, Ordering::Relaxed);
-            // Merge the run into one WriteBatch (Fig 10a).
+            // Merge the run into one WriteBatch (Fig 10a). The copies are
+            // deliberate: moving keys and values out of the requests
+            // (`mem::take`, as the read merge below does) was measured on
+            // `fill` and lost about a tenth of its throughput against copying them
+            // (EXPERIMENTS.md, "Background data path").
             scratch.ops.clear();
             scratch.ops.extend(batch.iter().map(|r| match &r.op {
                 Op::Put { key, value } => WriteOp::Put {

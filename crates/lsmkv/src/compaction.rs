@@ -27,7 +27,7 @@ use crate::error::{Error, Result};
 use crate::iterator::{InternalIterator, MergingIterator};
 use crate::memtable::MemTable;
 use crate::options::{CompactionStyle, Options};
-use crate::sst::{TableBuilder, TableConfig};
+use crate::sst::{TableBuilder, TableConfig, TableReader};
 use crate::stats::DbStats;
 use crate::types::{
     file_path, make_internal_key, seq_and_type, user_key, FileKind, SequenceNumber, ValueType,
@@ -35,7 +35,7 @@ use crate::types::{
 };
 use crate::version::edit::FileMetaData;
 use crate::version::table_cache::TableCache;
-use crate::version::{CompactionTask, Version};
+use crate::version::{CompactionTask, LevelFileIterator, Version};
 
 /// Everything a compaction job needs from the engine.
 pub struct JobContext<'a> {
@@ -111,15 +111,31 @@ pub fn run_compaction(
     };
 
     // One merged pass over the task's inputs, bounded to `[lo, hi)` user
-    // keys, writing outputs pinned to `queue`.
+    // keys, writing outputs pinned to `queue`. A sorted level is one merge
+    // input, whatever its file count; only files that may overlap (L0,
+    // every fragmented level) are inputs of their own. All are read
+    // sequentially, past the block cache: they are about to be deleted.
     let run_range = |lo: Option<&[u8]>,
                      hi: Option<&[u8]>,
                      queue: Option<QueueId>|
      -> Result<Vec<FileMetaData>> {
         let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
-        for f in task.inputs.iter().chain(task.next_inputs.iter()) {
-            let reader = ctx.table_cache.get(f.number, f.size)?;
-            children.push(Box::new(reader.iter()));
+        for (level, files) in [
+            (task.level, &task.inputs),
+            (task.output_level, &task.next_inputs),
+        ] {
+            if version.level_overlaps(level) {
+                for f in files {
+                    let table = ctx.table_cache.get(f.number, f.size)?;
+                    children.push(Box::new(table.sequential()));
+                }
+            } else if !files.is_empty() {
+                children.push(Box::new(LevelFileIterator::new(
+                    files.clone(),
+                    ctx.table_cache.clone(),
+                    TableReader::sequential,
+                )));
+            }
         }
         let mut merged = MergingIterator::new(children);
         match lo {
@@ -285,7 +301,9 @@ fn write_sorted_stream(
         let ukey = user_key(ikey);
         let first_occurrence = current_ukey.as_deref() != Some(ukey);
         if first_occurrence {
-            current_ukey = Some(ukey.to_vec());
+            let current = current_ukey.get_or_insert_with(Vec::new);
+            current.clear();
+            current.extend_from_slice(ukey);
             last_seq_for_key = u64::MAX;
         }
 
@@ -575,6 +593,7 @@ mod tests {
         let faulty = Arc::new(FaultyEnv::over_mem());
         let mut opts = Options::for_test();
         opts.env = faulty.clone();
+        opts.target_file_size = 1 << 20;
         let dir = std::path::PathBuf::from("cdb");
         opts.env.create_dir_all(&dir).unwrap();
         let cache = Arc::new(TableCache::new(opts.env.clone(), dir.clone(), None));
@@ -589,20 +608,23 @@ mod tests {
         };
         let alloc = || next.fetch_add(1, Ordering::Relaxed);
 
+        // Each input is larger than one readahead window, so its reader
+        // refills part-way through the merge.
         let build = |tag: u8| {
             let mem = Arc::new(MemTable::new());
-            for i in 0..400u64 {
+            for i in 0..3000u64 {
                 mem.add(
                     i + 1,
                     ValueType::Value,
                     format!("{tag:02x}-key{i:06}").as_bytes(),
-                    &[tag; 64],
+                    &[tag; 100],
                 );
             }
             flush_memtable(&ctx, &mem, &alloc).unwrap().remove(0)
         };
         let f1 = build(1);
         let f2 = build(2);
+        assert!(f1.size > 300 << 10 && f1.size < 512 << 10, "{}", f1.size);
         let input_entries = f1.entries + f2.entries;
         let version = Version::empty(7, CompactionStyle::Leveled);
         let task = CompactionTask {
@@ -611,18 +633,230 @@ mod tests {
             inputs: vec![Arc::new(f1), Arc::new(f2)],
             next_inputs: vec![],
         };
-        // Fail a read somewhere in the middle of the merge.
-        faulty.set_plan(FaultPlan {
-            fail_read: Some(faulty.reads() + 8),
-            ..FaultPlan::default()
-        });
-        let err = run_compaction(&ctx, &task, &version, 100, &alloc)
-            .expect_err("truncated merge must not pass as success");
-        assert!(err.to_string().contains("injected fault"), "{err}");
+        // With both tables open, the merge makes four reads: each input's
+        // first window, then for each the refill that starts at the block
+        // the first window cut off, inside the stretch already read.
+        for f in &task.inputs {
+            cache.get(f.number, f.size).unwrap();
+        }
+        let before = faulty.reads();
+        run_compaction(&ctx, &task, &version, 100, &alloc).unwrap();
+        assert_eq!(faulty.reads() - before, 4);
+        for nth in 1..=4 {
+            faulty.set_plan(FaultPlan {
+                fail_read: Some(faulty.reads() + nth),
+                ..FaultPlan::default()
+            });
+            let err = run_compaction(&ctx, &task, &version, 100, &alloc)
+                .expect_err("truncated merge must not pass as success");
+            assert!(
+                err.to_string().contains("injected fault"),
+                "read {nth}: {err}"
+            );
+        }
         // Retrying after the transient error succeeds and keeps every entry.
         let out = run_compaction(&ctx, &task, &version, 100, &alloc).unwrap();
         let total: u64 = out.files.iter().map(|f| f.entries).sum();
         assert_eq!(total, input_entries);
+    }
+
+    #[test]
+    fn compaction_fails_on_a_flipped_byte_in_any_input_data_block() {
+        use p2kvs_storage::env::{read_all, write_all};
+        let mut fx = Fixture::new();
+        fx.opts.block_size = 1024;
+        let build = |keys: std::ops::Range<u64>| {
+            let mem = Arc::new(MemTable::new());
+            for i in keys {
+                mem.add(
+                    i + 1,
+                    ValueType::Value,
+                    format!("key{i:05}").as_bytes(),
+                    &[7u8; 60],
+                );
+            }
+            flush_memtable(&fx.ctx(), &mem, &|| fx.alloc())
+                .unwrap()
+                .remove(0)
+        };
+        let task = CompactionTask {
+            level: 0,
+            output_level: 1,
+            inputs: vec![Arc::new(build(0..150)), Arc::new(build(150..300))],
+            next_inputs: vec![],
+        };
+        let version = Version::empty(7, CompactionStyle::Leveled);
+        let mut damaged_blocks = 0;
+        for f in &task.inputs {
+            let path = file_path(&fx.dir, f.number, FileKind::Table);
+            let pristine = read_all(&*fx.opts.env, &path).unwrap();
+            // The offset of every data block, from the table's own index.
+            let table = fx.cache.get(f.number, f.size).unwrap();
+            let mut offsets = vec![table.locate(&f.smallest).unwrap().offset];
+            let mut it = table.iter();
+            it.seek_to_first();
+            while it.valid() {
+                let at = table.locate(it.key()).unwrap().offset;
+                if at != *offsets.last().unwrap() {
+                    offsets.push(at);
+                }
+                it.next();
+            }
+            assert!(offsets.len() > 3, "{offsets:?}");
+            for at in offsets {
+                let mut bytes = pristine.clone();
+                bytes[at as usize + 9] ^= 0x10;
+                write_all(&*fx.opts.env, &path, &bytes).unwrap();
+                fx.cache.evict(f.number);
+                let err = run_compaction(&fx.ctx(), &task, &version, 1000, &|| fx.alloc())
+                    .expect_err("a damaged input must fail the job");
+                assert!(matches!(err, Error::Corruption(_)), "block at {at}: {err}");
+                damaged_blocks += 1;
+            }
+            write_all(&*fx.opts.env, &path, &pristine).unwrap();
+            fx.cache.evict(f.number);
+        }
+        assert!(damaged_blocks > 6);
+        let out = run_compaction(&fx.ctx(), &task, &version, 1000, &|| fx.alloc()).unwrap();
+        assert_eq!(out.files.iter().map(|f| f.entries).sum::<u64>(), 300);
+    }
+
+    /// A compaction reads tables it is about to delete: none of their
+    /// blocks may enter the block cache, and none of the blocks readers put
+    /// there may leave it.
+    #[test]
+    fn compaction_leaves_the_block_cache_as_it_found_it() {
+        use crate::sst::BlockCache;
+        let mut fx = Fixture::new();
+        // Room for a few blocks only: one compaction through the cache
+        // would turn it over many times.
+        let blocks = Arc::new(BlockCache::new(64 << 10));
+        fx.cache = Arc::new(TableCache::new(
+            fx.opts.env.clone(),
+            fx.dir.clone(),
+            Some(blocks.clone()),
+        ));
+        let hot = build_l0(&fx, &[("hot", 1, ValueType::Value, "served from memory")]);
+        let lookup = make_internal_key(b"hot", MAX_SEQUENCE, VALUE_TYPE_FOR_SEEK);
+        let hot_table = fx.cache.get(hot.number, hot.size).unwrap();
+        hot_table.get(&lookup, false).unwrap().unwrap();
+        let reads = fx.opts.env.io_stats().read_ops;
+        hot_table.get(&lookup, false).unwrap().unwrap();
+        assert_eq!(
+            fx.opts.env.io_stats().read_ops,
+            reads,
+            "second lookup is a cache hit"
+        );
+
+        let build = |tag: u64| {
+            let mem = Arc::new(MemTable::new());
+            for i in 0..200u64 {
+                mem.add(
+                    tag * 1000 + i,
+                    ValueType::Value,
+                    format!("cold{i:05}").as_bytes(),
+                    &[9u8; 100],
+                );
+            }
+            flush_memtable(&fx.ctx(), &mem, &|| fx.alloc())
+                .unwrap()
+                .remove(0)
+        };
+        let task = CompactionTask {
+            level: 0,
+            output_level: 1,
+            inputs: (1..=4).rev().map(|tag| Arc::new(build(tag))).collect(),
+            next_inputs: vec![],
+        };
+        assert!(task.input_bytes() > 64 << 10);
+        let before = (blocks.stats(), blocks.inserts(), blocks.usage());
+        let version = Version::empty(7, CompactionStyle::Leveled);
+        let out = run_compaction(&fx.ctx(), &task, &version, 10_000, &|| fx.alloc()).unwrap();
+        assert_eq!(out.files.iter().map(|f| f.entries).sum::<u64>(), 200);
+        assert_eq!((blocks.stats(), blocks.inserts(), blocks.usage()), before);
+
+        let reads = fx.opts.env.io_stats().read_ops;
+        hot_table.get(&lookup, false).unwrap().unwrap();
+        assert_eq!(
+            fx.opts.env.io_stats().read_ops,
+            reads,
+            "the hot block is still cached"
+        );
+    }
+
+    /// A leveled compaction below L0 merges two sorted runs, however many
+    /// files the lower one has: the output is each key's newest version,
+    /// and the same whether or not the range is partitioned.
+    #[test]
+    fn leveled_compaction_merges_each_sorted_level_as_one_run() {
+        let mut expect = Vec::new();
+        for subs in [1usize, 3] {
+            let mut fx = Fixture::new();
+            fx.opts.subcompactions = subs;
+            // L2: every key, old, in several disjoint files.
+            let mem = Arc::new(MemTable::new());
+            for i in 0..1500u64 {
+                mem.add(
+                    i + 1,
+                    ValueType::Value,
+                    format!("key{i:05}").as_bytes(),
+                    &[1u8; 80],
+                );
+            }
+            let lower = flush_memtable(&fx.ctx(), &mem, &|| fx.alloc()).unwrap();
+            assert!(lower.len() > 3, "{}", lower.len());
+            // L1: one file rewriting every third key of the middle.
+            let mem = Arc::new(MemTable::new());
+            for i in (300..1200u64).step_by(3) {
+                let kind = if i % 2 == 0 {
+                    ValueType::Value
+                } else {
+                    ValueType::Deletion
+                };
+                mem.add(5000 + i, kind, format!("key{i:05}").as_bytes(), b"new");
+            }
+            fx.opts.target_file_size = 1 << 20;
+            let upper = flush_memtable(&fx.ctx(), &mem, &|| fx.alloc()).unwrap();
+            assert_eq!(upper.len(), 1);
+            fx.opts.target_file_size = 32 << 10;
+            let version = Version::empty(7, CompactionStyle::Leveled).apply(&{
+                let mut e = VersionEdit::default();
+                e.added.extend(upper.iter().map(|f| (1, f.clone())));
+                e.added.extend(lower.iter().map(|f| (2, f.clone())));
+                e
+            });
+            let task = CompactionTask {
+                level: 1,
+                output_level: 2,
+                inputs: version.levels[1].clone(),
+                next_inputs: version.levels[2].clone(),
+            };
+            let out = run_compaction(&fx.ctx(), &task, &version, 100_000, &|| fx.alloc()).unwrap();
+            let got: Vec<_> = entry_stream(&fx, &out.files)
+                .into_iter()
+                .map(|(k, seq, kind, _)| (k, seq, kind))
+                .collect();
+            if expect.is_empty() {
+                // Tombstones drop (nothing deeper), shadowed values drop.
+                for i in 0..1500u64 {
+                    let rewritten = (300..1200).contains(&i) && i % 3 == 0;
+                    match (rewritten, i % 2 == 0) {
+                        (false, _) => expect.push((
+                            format!("key{i:05}").into_bytes(),
+                            i + 1,
+                            ValueType::Value,
+                        )),
+                        (true, true) => expect.push((
+                            format!("key{i:05}").into_bytes(),
+                            5000 + i,
+                            ValueType::Value,
+                        )),
+                        (true, false) => {}
+                    }
+                }
+            }
+            assert_eq!(got, expect, "subcompactions={subs}");
+        }
     }
 
     /// Builds a compaction fixture with overlapping inputs across two

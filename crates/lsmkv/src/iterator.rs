@@ -6,6 +6,8 @@
 //! top in `db::DbIterator`. Iteration is forward-only throughout the
 //! engine: the paper's RANGE/SCAN operations are forward scans.
 
+use std::cmp::Ordering;
+
 use crate::error::Result;
 use crate::types::internal_cmp;
 
@@ -64,10 +66,17 @@ impl InternalIterator for EmptyIterator {
 /// Children yielding equal internal keys (impossible inside one engine, but
 /// tolerated) are emitted in child order. A linear min-scan is used — the
 /// fan-in is small (a handful of memtables and levels), matching LevelDB's
-/// own choice.
+/// own choice — and only when it can change the answer: the scan also
+/// remembers the runner-up, and while the current child's keys stay below
+/// the runner-up's (runs of one level's keys are the common case) the
+/// current child stays current at the cost of one comparison.
 pub struct MergingIterator {
     children: Vec<Box<dyn InternalIterator>>,
     current: Option<usize>,
+    /// The child that comes after `current` in emission order, as of the
+    /// last scan; it and every other child but `current` have not moved
+    /// since. `None` when `current` is the only valid child.
+    runner_up: Option<usize>,
 }
 
 impl MergingIterator {
@@ -76,28 +85,33 @@ impl MergingIterator {
         MergingIterator {
             children,
             current: None,
+            runner_up: None,
+        }
+    }
+
+    /// Whether child `a` is emitted before child `b` (both valid).
+    fn before(&self, a: usize, b: usize) -> bool {
+        match internal_cmp(self.children[a].key(), self.children[b].key()) {
+            Ordering::Less => true,
+            Ordering::Equal => a < b,
+            Ordering::Greater => false,
         }
     }
 
     fn find_smallest(&mut self) {
-        let mut smallest: Option<usize> = None;
-        for (i, child) in self.children.iter().enumerate() {
-            if !child.valid() {
+        let (mut smallest, mut runner_up) = (None, None);
+        for i in 0..self.children.len() {
+            if !self.children[i].valid() {
                 continue;
             }
-            smallest = match smallest {
-                None => Some(i),
-                Some(s) => {
-                    if internal_cmp(child.key(), self.children[s].key()) == std::cmp::Ordering::Less
-                    {
-                        Some(i)
-                    } else {
-                        Some(s)
-                    }
-                }
-            };
+            if smallest.map_or(true, |s| self.before(i, s)) {
+                runner_up = smallest.replace(i);
+            } else if runner_up.map_or(true, |r| self.before(i, r)) {
+                runner_up = Some(i);
+            }
         }
         self.current = smallest;
+        self.runner_up = runner_up;
     }
 }
 
@@ -130,7 +144,11 @@ impl InternalIterator for MergingIterator {
     fn next(&mut self) {
         let cur = self.current.expect("next() on invalid merging iterator");
         self.children[cur].next();
-        self.find_smallest();
+        let still_first =
+            self.children[cur].valid() && self.runner_up.map_or(true, |r| self.before(cur, r));
+        if !still_first {
+            self.find_smallest();
+        }
     }
 
     fn key(&self) -> &[u8] {
@@ -172,7 +190,7 @@ impl InternalIterator for VecIterator {
     fn seek(&mut self, target: &[u8]) {
         self.pos = self
             .entries
-            .partition_point(|(k, _)| internal_cmp(k, target) == std::cmp::Ordering::Less);
+            .partition_point(|(k, _)| internal_cmp(k, target) == Ordering::Less);
     }
 
     fn next(&mut self) {
@@ -252,6 +270,55 @@ mod tests {
         assert!(m.valid());
         assert_eq!(user_key(m.key()), b"banana");
         assert_eq!(drain(&mut m), vec![b"banana".to_vec(), b"melon".to_vec()]);
+    }
+
+    /// The merge rescans its children only when the current one's key
+    /// passes the runner-up's: runs of any length from one child, children
+    /// that run out, and equal keys (child order) must all come out as a
+    /// full sort does.
+    #[test]
+    fn merge_of_long_runs_matches_a_sort() {
+        // Child c holds the keys of every run whose number is c mod 4; run
+        // lengths cycle through 1, 2, 7 and 40. Child 3 runs out early.
+        let mut children: Vec<Vec<(Vec<u8>, Vec<u8>)>> = vec![Vec::new(); 4];
+        let mut n = 0u32;
+        for run in 0..60usize {
+            let child = run % 4;
+            if child == 3 && run > 20 {
+                continue;
+            }
+            for _ in 0..[1, 2, 7, 40][(run / 4) % 4] {
+                children[child].push((ik(format!("k{n:06}").as_bytes(), 1), vec![child as u8]));
+                n += 1;
+            }
+        }
+        // The same internal key in children 0 and 2.
+        for child in [2, 0] {
+            children[child].push((ik(b"k000100x", 1), vec![child as u8]));
+        }
+        let mut expect: Vec<(Vec<u8>, Vec<u8>)> = children.concat();
+        expect.sort_by(|a, b| internal_cmp(&a.0, &b.0).then(a.1.cmp(&b.1)));
+        let mut m = MergingIterator::new(
+            children
+                .into_iter()
+                .map(|c| Box::new(VecIterator::new(c)) as Box<dyn InternalIterator>)
+                .collect(),
+        );
+        for start in [0, 1, 57, 101, expect.len() - 1] {
+            if start == 0 {
+                m.seek_to_first();
+            } else {
+                m.seek(&expect[start].0);
+            }
+            let mut got = Vec::new();
+            while m.valid() {
+                got.push((m.key().to_vec(), m.value().to_vec()));
+                m.next();
+            }
+            // A seek lands on the first of two equal keys.
+            let from = expect.iter().position(|e| e.0 == expect[start].0).unwrap();
+            assert_eq!(got, expect[from..], "from entry {start}");
+        }
     }
 
     #[test]

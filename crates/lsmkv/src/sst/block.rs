@@ -15,6 +15,7 @@
 //! ```
 
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
 
 use p2kvs_util::coding::{get_fixed32, get_varint32, put_fixed32, put_varint32};
@@ -22,7 +23,7 @@ use p2kvs_util::coding::{get_fixed32, get_varint32, put_fixed32, put_varint32};
 use crate::error::{Error, Result};
 use crate::types::internal_cmp;
 
-/// Builds one block.
+/// Builds blocks, one after another, in one reused buffer.
 pub struct BlockBuilder {
     buf: Vec<u8>,
     restarts: Vec<u32>,
@@ -75,13 +76,24 @@ impl BlockBuilder {
         self.entries += 1;
     }
 
-    /// Serializes the block, consuming the builder's buffer.
-    pub fn finish(mut self) -> Vec<u8> {
+    /// Serializes the block into the builder's buffer and returns it; the
+    /// bytes and [`BlockBuilder::last_key`] hold until
+    /// [`BlockBuilder::reset`].
+    pub fn finish(&mut self) -> &[u8] {
         for r in &self.restarts {
             put_fixed32(&mut self.buf, *r);
         }
         put_fixed32(&mut self.buf, self.restarts.len() as u32);
-        self.buf
+        &self.buf
+    }
+
+    /// Starts the next block, keeping the allocations of the last one.
+    pub fn reset(&mut self) {
+        self.buf.clear();
+        self.restarts.truncate(1);
+        self.counter = 0;
+        self.last_key.clear();
+        self.entries = 0;
     }
 
     /// Estimated serialized size so far.
@@ -107,7 +119,11 @@ impl BlockBuilder {
 
 /// A parsed, immutable block.
 pub struct Block {
+    /// The buffer the block lies in: its own, or a readahead window it
+    /// shares with its neighbours.
     data: Arc<Vec<u8>>,
+    /// Offset of the first entry.
+    start: usize,
     /// Offset of the restart array.
     restarts_off: usize,
     num_restarts: usize,
@@ -116,23 +132,32 @@ pub struct Block {
 impl Block {
     /// Parses a serialized block.
     pub fn new(data: Arc<Vec<u8>>) -> Result<Block> {
-        if data.len() < 4 {
+        let len = data.len();
+        Block::within(data, 0..len)
+    }
+
+    /// Parses the serialized block that occupies `range` of `data`.
+    pub fn within(data: Arc<Vec<u8>>, range: Range<usize>) -> Result<Block> {
+        let block = &data[range.clone()];
+        if block.len() < 4 {
             return Err(Error::corruption("block too small"));
         }
-        let num_restarts = get_fixed32(&data[data.len() - 4..]) as usize;
+        let num_restarts = get_fixed32(&block[block.len() - 4..]) as usize;
         let needed = 4 + num_restarts * 4;
-        if data.len() < needed || num_restarts == 0 {
+        if block.len() < needed || num_restarts == 0 {
             return Err(Error::corruption("bad restart array"));
         }
         Ok(Block {
-            restarts_off: data.len() - needed,
+            start: range.start,
+            restarts_off: range.end - needed,
             data,
             num_restarts,
         })
     }
 
+    /// Offset of restart point `i`'s entry.
     fn restart_point(&self, i: usize) -> usize {
-        get_fixed32(&self.data[self.restarts_off + i * 4..]) as usize
+        self.start + get_fixed32(&self.data[self.restarts_off + i * 4..]) as usize
     }
 
     /// An iterator over the block's entries.
@@ -142,13 +167,13 @@ impl Block {
             pos: usize::MAX,
             key: Vec::new(),
             val_range: (0, 0),
-            next_pos: 0,
+            next_pos: self.start,
         }
     }
 
     /// Serialized bytes (for cache charging).
     pub fn size(&self) -> usize {
-        self.data.len()
+        self.restarts_off + 4 + self.num_restarts * 4 - self.start
     }
 }
 
@@ -172,7 +197,7 @@ impl BlockIter {
     /// Positions at the first entry (invalid if block has none).
     pub fn seek_to_first(&mut self) {
         self.key.clear();
-        self.next_pos = 0;
+        self.next_pos = self.block.start;
         self.advance();
     }
 
@@ -183,8 +208,7 @@ impl BlockIter {
         let (mut lo, mut hi) = (0usize, self.block.num_restarts - 1);
         while lo < hi {
             let mid = (lo + hi + 1) / 2;
-            let key = self.restart_key(mid);
-            if internal_cmp(&key, target) == Ordering::Less {
+            if internal_cmp(self.restart_key(mid), target) == Ordering::Less {
                 lo = mid;
             } else {
                 hi = mid - 1;
@@ -199,7 +223,7 @@ impl BlockIter {
     }
 
     /// Full key stored at restart point `i`.
-    fn restart_key(&self, i: usize) -> Vec<u8> {
+    fn restart_key(&self, i: usize) -> &[u8] {
         let mut off = self.block.restart_point(i);
         let data = &self.block.data[..self.block.restarts_off];
         let (_shared, used) = get_varint32(&data[off..]).expect("corrupt restart entry");
@@ -208,7 +232,7 @@ impl BlockIter {
         off += used;
         let (_vlen, used) = get_varint32(&data[off..]).expect("corrupt restart entry");
         off += used;
-        data[off..off + non_shared as usize].to_vec()
+        &data[off..off + non_shared as usize]
     }
 
     /// Decodes the entry at `next_pos` into the cursor state.
@@ -267,7 +291,7 @@ mod tests {
         for (k, v) in entries {
             b.add(k, v);
         }
-        Arc::new(Block::new(Arc::new(b.finish())).unwrap())
+        Arc::new(Block::new(Arc::new(b.finish().to_vec())).unwrap())
     }
 
     fn sample(n: usize) -> Vec<(Vec<u8>, Vec<u8>)> {

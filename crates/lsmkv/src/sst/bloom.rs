@@ -29,16 +29,23 @@ impl BloomPolicy {
         BloomPolicy { bits_per_key, k }
     }
 
-    /// Builds a filter over `keys`, appending it to `dst`. The final byte
-    /// stores the probe count so readers need no out-of-band config.
-    pub fn create_filter(&self, keys: &[&[u8]], dst: &mut Vec<u8>) {
-        let bits = (keys.len() * self.bits_per_key).max(64);
+    /// The hash of `key` a filter is built from and probed with.
+    pub fn hash(key: &[u8]) -> u32 {
+        bloom_hash(key)
+    }
+
+    /// Builds a filter over the keys whose [`BloomPolicy::hash`]es are
+    /// `hashes` (one per key added, repeats included), appending it to
+    /// `dst`. The final byte stores the probe count so readers need no
+    /// out-of-band config.
+    pub fn create_filter(&self, hashes: &[u32], dst: &mut Vec<u8>) {
+        let bits = (hashes.len() * self.bits_per_key).max(64);
         let bytes = bits.div_ceil(8);
         let bits = bytes * 8;
         let start = dst.len();
         dst.resize(start + bytes, 0);
-        for key in keys {
-            let mut h = bloom_hash(key);
+        for &hash in hashes {
+            let mut h = hash;
             let delta = h.rotate_left(15);
             for _ in 0..self.k {
                 let bit = (h as usize) % bits;
@@ -63,7 +70,7 @@ impl BloomPolicy {
         }
         let data = &filter[..filter.len() - 1];
         let bits = data.len() * 8;
-        let mut h = bloom_hash(key);
+        let mut h = Self::hash(key);
         let delta = h.rotate_left(15);
         for _ in 0..k {
             let bit = (h as usize) % bits;
@@ -81,9 +88,53 @@ mod tests {
     use super::*;
 
     fn filter_of(keys: &[&[u8]]) -> Vec<u8> {
+        let hashes: Vec<u32> = keys.iter().map(|k| BloomPolicy::hash(k)).collect();
         let mut f = Vec::new();
-        BloomPolicy::new(10).create_filter(keys, &mut f);
+        BloomPolicy::new(10).create_filter(&hashes, &mut f);
         f
+    }
+
+    /// The filter as it was built before tables kept hashes: straight from
+    /// the keys. The on-disk format is defined by this.
+    fn filter_from_keys(bits_per_key: usize, keys: &[&[u8]]) -> Vec<u8> {
+        let k = ((bits_per_key as f64 * 0.69) as u32).clamp(1, 30);
+        let bytes = (keys.len() * bits_per_key).max(64).div_ceil(8);
+        let bits = bytes * 8;
+        let mut f = vec![0u8; bytes];
+        for key in keys {
+            let mut h = bloom_hash(key);
+            let delta = h.rotate_left(15);
+            for _ in 0..k {
+                let bit = (h as usize) % bits;
+                f[bit / 8] |= 1 << (bit % 8);
+                h = h.wrapping_add(delta);
+            }
+        }
+        f.push(k as u8);
+        f
+    }
+
+    #[test]
+    fn filter_from_hashes_is_bit_identical_to_filter_from_keys() {
+        for (n, bits_per_key) in [(0usize, 10usize), (1, 10), (7, 4), (1000, 10), (5000, 16)] {
+            // Every third key twice in a row, as a table with two versions
+            // of a user key adds it.
+            let keys: Vec<Vec<u8>> = (0..n)
+                .flat_map(|i| {
+                    let key = format!("key{i:07}").into_bytes();
+                    std::iter::repeat(key).take(1 + usize::from(i % 3 == 0))
+                })
+                .collect();
+            let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
+            let hashes: Vec<u32> = refs.iter().map(|k| BloomPolicy::hash(k)).collect();
+            let mut built = Vec::new();
+            BloomPolicy::new(bits_per_key).create_filter(&hashes, &mut built);
+            assert_eq!(
+                built,
+                filter_from_keys(bits_per_key, &refs),
+                "n={n} bits={bits_per_key}"
+            );
+        }
     }
 
     #[test]

@@ -95,6 +95,7 @@ pub struct BlockCache {
     shards: Vec<Mutex<Shard>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    inserts: AtomicU64,
 }
 
 impl BlockCache {
@@ -115,6 +116,7 @@ impl BlockCache {
                 .collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            inserts: AtomicU64::new(0),
         }
     }
 
@@ -136,6 +138,7 @@ impl BlockCache {
 
     /// Inserts a block (possibly evicting older ones).
     pub fn insert(&self, key: CacheKey, block: Arc<Block>) {
+        self.inserts.fetch_add(1, Ordering::Relaxed);
         self.shard(&key).lock().insert(key, block);
     }
 
@@ -150,6 +153,11 @@ impl BlockCache {
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
         )
+    }
+
+    /// Blocks inserted so far.
+    pub fn inserts(&self) -> u64 {
+        self.inserts.load(Ordering::Relaxed)
     }
 }
 
@@ -171,7 +179,7 @@ mod tests {
             b.add(&key, &[0u8; 64]);
             i += 1;
         }
-        Arc::new(Block::new(Arc::new(b.finish())).unwrap())
+        Arc::new(Block::new(Arc::new(b.finish().to_vec())).unwrap())
     }
 
     #[test]

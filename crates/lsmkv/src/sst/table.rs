@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use p2kvs_storage::{RandomAccessFile, WritableFile};
-use p2kvs_util::coding::{get_fixed64, put_fixed64};
+use p2kvs_util::coding::get_fixed64;
 use p2kvs_util::crc32c;
 
 use super::block::{Block, BlockBuilder, BlockIter};
@@ -29,6 +29,8 @@ use crate::types::user_key;
 const MAGIC: u64 = 0x7032_6b76_735f_7373; // "p2kvs_ss"
 const FOOTER_SIZE: usize = 16 + 16 + 8 + 8;
 const BLOCK_TRAILER_SIZE: usize = 5;
+/// Bytes a [`TableReader::sequential`] reader asks the device for at a time.
+const READAHEAD: u64 = 256 << 10;
 
 /// Location of a block within the table file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,9 +42,9 @@ pub struct BlockHandle {
 }
 
 impl BlockHandle {
-    fn encode(&self, dst: &mut Vec<u8>) {
-        put_fixed64(dst, self.offset);
-        put_fixed64(dst, self.size);
+    fn encode(&self, dst: &mut [u8]) {
+        dst[..8].copy_from_slice(&self.offset.to_le_bytes());
+        dst[8..16].copy_from_slice(&self.size.to_le_bytes());
     }
 
     fn decode(src: &[u8]) -> BlockHandle {
@@ -87,18 +89,19 @@ pub struct TableSummary {
     pub entries: u64,
 }
 
-/// Streams sorted entries into an SSTable file.
+/// Streams sorted entries into an SSTable file. Allocates per block and
+/// per table, never per entry.
 pub struct TableBuilder {
     file: Box<dyn WritableFile>,
     config: TableConfig,
     data_block: BlockBuilder,
     index_block: BlockBuilder,
-    /// User keys for the table-wide bloom filter.
-    key_hashes: Vec<Vec<u8>>,
+    /// [`BloomPolicy::hash`] of every entry's user key, for the table-wide
+    /// filter.
+    key_hashes: Vec<u32>,
     offset: u64,
     entries: u64,
     smallest: Option<Vec<u8>>,
-    last_key: Vec<u8>,
 }
 
 impl TableBuilder {
@@ -113,7 +116,6 @@ impl TableBuilder {
             offset: 0,
             entries: 0,
             smallest: None,
-            last_key: Vec::new(),
         }
     }
 
@@ -123,11 +125,9 @@ impl TableBuilder {
             self.smallest = Some(ikey.to_vec());
         }
         if self.config.bloom_bits_per_key > 0 {
-            self.key_hashes.push(user_key(ikey).to_vec());
+            self.key_hashes.push(BloomPolicy::hash(user_key(ikey)));
         }
         self.data_block.add(ikey, value);
-        self.last_key.clear();
-        self.last_key.extend_from_slice(ikey);
         self.entries += 1;
         if self.data_block.size_estimate() >= self.config.block_size {
             self.flush_data_block()?;
@@ -149,60 +149,63 @@ impl TableBuilder {
         if self.data_block.is_empty() {
             return Ok(());
         }
-        let block = std::mem::replace(
-            &mut self.data_block,
-            BlockBuilder::new(self.config.restart_interval),
-        );
-        let last_key = block.last_key().to_vec();
-        let handle = self.write_block(&block.finish())?;
-        let mut handle_enc = Vec::with_capacity(16);
+        let handle =
+            Self::write_block(&mut *self.file, &mut self.offset, self.data_block.finish())?;
+        let mut handle_enc = [0u8; 16];
         handle.encode(&mut handle_enc);
-        self.index_block.add(&last_key, &handle_enc);
+        self.index_block
+            .add(self.data_block.last_key(), &handle_enc);
+        self.data_block.reset();
         Ok(())
     }
 
-    fn write_block(&mut self, contents: &[u8]) -> Result<BlockHandle> {
+    /// Appends `contents` and its trailer at `*offset`, advancing it.
+    fn write_block(
+        file: &mut dyn WritableFile,
+        offset: &mut u64,
+        contents: &[u8],
+    ) -> Result<BlockHandle> {
         let handle = BlockHandle {
-            offset: self.offset,
+            offset: *offset,
             size: contents.len() as u64,
         };
-        self.file.append(contents)?;
+        file.append(contents)?;
         let mut trailer = [0u8; BLOCK_TRAILER_SIZE];
         trailer[0] = 0; // Raw, uncompressed.
         let crc = crc32c::mask(crc32c::extend(crc32c::crc32c(contents), &trailer[..1]));
         trailer[1..].copy_from_slice(&crc.to_le_bytes());
-        self.file.append(&trailer)?;
-        self.offset += contents.len() as u64 + BLOCK_TRAILER_SIZE as u64;
+        file.append(&trailer)?;
+        *offset += contents.len() as u64 + BLOCK_TRAILER_SIZE as u64;
         Ok(handle)
     }
 
     /// Finishes the table: writes filter, index, and footer, then syncs.
     pub fn finish(mut self) -> Result<TableSummary> {
         self.flush_data_block()?;
+        let (file, offset) = (&mut *self.file, &mut self.offset);
         // Filter block.
         let filter_handle = if self.config.bloom_bits_per_key > 0 {
             let mut filter = Vec::new();
-            let keys: Vec<&[u8]> = self.key_hashes.iter().map(|k| k.as_slice()).collect();
-            BloomPolicy::new(self.config.bloom_bits_per_key).create_filter(&keys, &mut filter);
-            self.write_block(&filter)?
+            BloomPolicy::new(self.config.bloom_bits_per_key)
+                .create_filter(&self.key_hashes, &mut filter);
+            Self::write_block(file, offset, &filter)?
         } else {
             BlockHandle { offset: 0, size: 0 }
         };
-        // Index block.
-        let index = std::mem::replace(&mut self.index_block, BlockBuilder::new(1));
-        let index_handle = self.write_block(&index.finish())?;
+        // Index block; its last key is the last key of the last data block.
+        let index_handle = Self::write_block(file, offset, self.index_block.finish())?;
         // Footer.
-        let mut footer = Vec::with_capacity(FOOTER_SIZE);
-        filter_handle.encode(&mut footer);
-        index_handle.encode(&mut footer);
-        put_fixed64(&mut footer, self.entries);
-        put_fixed64(&mut footer, MAGIC);
-        self.file.append(&footer)?;
-        self.file.sync()?;
+        let mut footer = [0u8; FOOTER_SIZE];
+        filter_handle.encode(&mut footer[..16]);
+        index_handle.encode(&mut footer[16..32]);
+        footer[32..40].copy_from_slice(&self.entries.to_le_bytes());
+        footer[40..].copy_from_slice(&MAGIC.to_le_bytes());
+        file.append(&footer)?;
+        file.sync()?;
         Ok(TableSummary {
             file_size: self.offset + FOOTER_SIZE as u64,
             smallest: self.smallest.unwrap_or_default(),
-            largest: self.last_key.clone(),
+            largest: self.index_block.last_key().to_vec(),
             entries: self.entries,
         })
     }
@@ -216,6 +219,8 @@ pub struct TableReader {
     cache: Option<Arc<BlockCache>>,
     index: Arc<Block>,
     filter: Option<Vec<u8>>,
+    /// Offset at which the data blocks end.
+    data_end: u64,
     /// Number of entries recorded in the footer.
     pub entries: u64,
 }
@@ -246,12 +251,18 @@ impl TableReader {
         } else {
             None
         };
+        let data_end = if filter.is_some() {
+            filter_handle.offset
+        } else {
+            index_handle.offset
+        };
         Ok(TableReader {
             file,
             table_id,
             cache,
             index,
             filter,
+            data_end,
             entries,
         })
     }
@@ -263,9 +274,8 @@ impl TableReader {
         Ok(buf)
     }
 
-    /// Checks `buf` (block plus trailer) against its CRC and strips the
-    /// trailer.
-    fn verify(mut buf: Vec<u8>, handle: BlockHandle) -> Result<Vec<u8>> {
+    /// Checks `buf` (the block at `handle` plus its trailer) against its CRC.
+    fn check_crc(buf: &[u8], handle: BlockHandle) -> Result<()> {
         let (contents, trailer) = buf.split_at(handle.size as usize);
         let stored = u32::from_le_bytes(trailer[1..5].try_into().expect("4 bytes"));
         let actual = crc32c::mask(crc32c::extend(crc32c::crc32c(contents), &trailer[..1]));
@@ -275,6 +285,13 @@ impl TableReader {
                 handle.offset
             )));
         }
+        Ok(())
+    }
+
+    /// Checks `buf` (block plus trailer) against its CRC and strips the
+    /// trailer.
+    fn verify(mut buf: Vec<u8>, handle: BlockHandle) -> Result<Vec<u8>> {
+        Self::check_crc(&buf, handle)?;
         buf.truncate(handle.size as usize);
         Ok(buf)
     }
@@ -361,15 +378,60 @@ impl TableReader {
         Ok(Some((it.key().to_vec(), it.value().to_vec())))
     }
 
-    /// Full iterator over the table.
+    /// Full iterator over the table for reads and scans: data blocks come
+    /// from, and go into, the block cache.
     pub fn iter(self: &Arc<Self>) -> TableIterator {
         TableIterator {
             table: self.clone(),
             index_iter: self.index.iter(),
             data_iter: None,
+            window: None,
             status: None,
         }
     }
+
+    /// Full iterator over the table for a compaction, which reads it once,
+    /// front to back, and then deletes it: data blocks come off the device
+    /// a readahead window at a time and never meet the block cache.
+    pub fn sequential(self: &Arc<Self>) -> TableIterator {
+        TableIterator {
+            window: Some(Window::default()),
+            ..self.iter()
+        }
+    }
+
+    /// The data block at `handle` out of `window`, verified. A block that
+    /// is not wholly inside the window moves the window: it then starts at
+    /// that block and runs [`READAHEAD`] bytes on, or to the end of the data
+    /// blocks (or of this block, should it be the larger).
+    fn read_ahead(&self, handle: BlockHandle, window: &mut Window) -> Result<Arc<Block>> {
+        let len = handle.size + BLOCK_TRAILER_SIZE as u64;
+        let inside = handle.offset >= window.offset
+            && handle.offset + len <= window.offset + window.bytes.len() as u64;
+        if !inside {
+            let end = (handle.offset + READAHEAD)
+                .min(self.data_end)
+                .max(handle.offset + len);
+            let mut bytes = vec![0u8; (end - handle.offset) as usize];
+            self.file.read_at(handle.offset, &mut bytes)?;
+            *window = Window {
+                offset: handle.offset,
+                bytes: Arc::new(bytes),
+            };
+        }
+        let start = (handle.offset - window.offset) as usize;
+        Self::check_crc(&window.bytes[start..start + len as usize], handle)?;
+        let block = Block::within(window.bytes.clone(), start..start + handle.size as usize)?;
+        Ok(Arc::new(block))
+    }
+}
+
+/// The stretch of a table file a sequential reader holds in memory.
+#[derive(Default)]
+struct Window {
+    /// File offset of `bytes[0]`.
+    offset: u64,
+    bytes: Arc<Vec<u8>>,
 }
 
 /// Two-level iterator: index block → data blocks.
@@ -377,6 +439,9 @@ pub struct TableIterator {
     table: Arc<TableReader>,
     index_iter: BlockIter,
     data_iter: Option<BlockIter>,
+    /// Where a [`TableReader::sequential`] reader takes its data blocks
+    /// from; `None` takes them from the block cache.
+    window: Option<Window>,
     /// First block-load error; makes the iterator invalid and is reported
     /// through [`InternalIterator::status`] so consumers can tell a read
     /// failure from a clean end of stream.
@@ -390,7 +455,11 @@ impl TableIterator {
             return;
         }
         let handle = BlockHandle::decode(self.index_iter.value());
-        match self.table.read_block(handle, false) {
+        let loaded = match &mut self.window {
+            Some(window) => self.table.read_ahead(handle, window),
+            None => self.table.read_block(handle, false),
+        };
+        match loaded {
             Ok(block) => self.data_iter = Some(block.iter()),
             Err(e) => {
                 if self.status.is_none() {
@@ -692,6 +761,162 @@ mod tests {
         }
         assert_eq!(count, 500);
         it.status().unwrap();
+    }
+
+    /// A table whose data blocks end exactly at `data_end`: small blocks
+    /// until under 4 KiB remain, then one block of one entry whose value
+    /// takes up the rest.
+    fn build_table_ending_at(env: &MemEnv, path: &Path, data_end: u64) -> Arc<TableReader> {
+        let ikey =
+            |i: usize| make_internal_key(format!("key{i:06}").as_bytes(), 1, ValueType::Value);
+        let mut b = TableBuilder::new(env.new_writable(path).unwrap(), config());
+        let mut i = 0;
+        while !b.data_block.is_empty() || b.offset + 4096 < data_end {
+            b.add(&ikey(i), format!("value{i}").as_bytes()).unwrap();
+            i += 1;
+        }
+        // Entry header (shared, non-shared, a two-byte value length), key,
+        // one restart, the restart count, the trailer.
+        let overhead = 1 + 1 + 2 + ikey(i).len() + 4 + 4 + BLOCK_TRAILER_SIZE;
+        let value = vec![b'x'; (data_end - b.offset) as usize - overhead];
+        b.add(&ikey(i), &value).unwrap();
+        let summary = b.finish().unwrap();
+        let file = env.new_random_access(path).unwrap();
+        let reader = Arc::new(TableReader::open(file, summary.file_size, 1, None).unwrap());
+        assert_eq!(reader.data_end, data_end);
+        reader
+    }
+
+    /// Every entry from the iterator's position to its end.
+    fn drain(it: &mut TableIterator) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut out = Vec::new();
+        while it.valid() {
+            out.push((it.key().to_vec(), it.value().to_vec()));
+            it.next();
+        }
+        it.status().unwrap();
+        out
+    }
+
+    #[test]
+    fn sequential_reader_yields_what_the_cached_reader_yields() {
+        for (what, data_end, windows) in [
+            ("under one window", 40 << 10, 1u64),
+            ("exactly one window", READAHEAD, 1),
+            ("a block across the first window's end", READAHEAD + 8000, 2),
+        ] {
+            let env = MemEnv::new();
+            let reader = build_table_ending_at(&env, Path::new("w.sst"), data_end);
+            let mut cached = reader.iter();
+            cached.seek_to_first();
+            let all = drain(&mut cached);
+            let reads = env.io_stats().read_ops;
+            let mut sequential = reader.sequential();
+            sequential.seek_to_first();
+            assert_eq!(drain(&mut sequential), all, "{what}");
+            assert_eq!(env.io_stats().read_ops - reads, windows, "{what}");
+
+            // Seeks: the first key, into the middle, between two keys, the
+            // last key, and the last key of every block that lies across
+            // the first window's end.
+            let mut targets = vec![
+                all[0].0.clone(),
+                all[all.len() / 2].0.clone(),
+                make_internal_key(b"key000010x", u64::MAX >> 8, ValueType::Value),
+                all[all.len() - 1].0.clone(),
+            ];
+            let mut index = reader.index.iter();
+            index.seek_to_first();
+            while index.valid() {
+                let h = BlockHandle::decode(index.value());
+                let end = h.offset + h.size + BLOCK_TRAILER_SIZE as u64;
+                if h.offset < READAHEAD && end > READAHEAD {
+                    targets.push(index.key().to_vec());
+                }
+                index.next();
+            }
+            assert_eq!(targets.len() as u64, 4 + windows - 1, "{what}");
+            for target in &targets {
+                sequential.seek(target);
+                cached.seek(target);
+                assert!(sequential.valid(), "{what}");
+                assert_eq!(drain(&mut sequential), drain(&mut cached), "{what}");
+            }
+            sequential.seek(&make_internal_key(b"zzzz", u64::MAX >> 8, ValueType::Value));
+            assert!(!sequential.valid(), "{what}");
+            sequential.status().unwrap();
+        }
+    }
+
+    #[test]
+    fn sequential_reader_verifies_every_block_and_stays_out_of_the_block_cache() {
+        let env = MemEnv::new();
+        let path = Path::new("s.sst");
+        let (summary, _) = build_table(&env, path, 1000);
+        let cache = Arc::new(BlockCache::new(1 << 20));
+        let open = || {
+            let file = env.new_random_access(path).unwrap();
+            Arc::new(TableReader::open(file, summary.file_size, 7, Some(cache.clone())).unwrap())
+        };
+        let mut it = open().sequential();
+        it.seek_to_first();
+        assert_eq!(drain(&mut it).len(), 1000);
+        assert_eq!(
+            (cache.stats(), cache.inserts(), cache.usage()),
+            ((0, 0), 0, 0)
+        );
+
+        // One flipped bit in a block in the middle of the window: every
+        // entry before that block is served, none after, and the iterator
+        // reports why it stopped.
+        let mut data = p2kvs_storage::env::read_all(&env, path).unwrap();
+        let damaged = open()
+            .locate(&make_internal_key(
+                b"key000500",
+                u64::MAX >> 8,
+                ValueType::Value,
+            ))
+            .unwrap();
+        data[damaged.offset as usize + 7] ^= 0x04;
+        p2kvs_storage::env::write_all(&env, path, &data).unwrap();
+        let mut it = open().sequential();
+        it.seek_to_first();
+        let mut served = 0;
+        while it.valid() {
+            assert!(user_key(it.key()) < b"key000500".as_slice());
+            served += 1;
+            it.next();
+        }
+        assert!(served > 400, "{served}");
+        assert!(matches!(it.status(), Err(Error::Corruption(_))));
+    }
+
+    /// Length and CRC32C of the table below as commit d6b1ec8 built it.
+    const GOLDEN_TABLE: (usize, u32) = (115_213, 0x6dc9_4e2a);
+
+    /// The file a table builder writes is a format other builds of this
+    /// engine read: its bytes for a fixed input, summed up at the commit
+    /// before the builder stopped allocating per entry, must not move.
+    #[test]
+    fn builder_output_is_byte_identical_to_the_recorded_format() {
+        let env = MemEnv::new();
+        let path = Path::new("g.sst");
+        let mut b = TableBuilder::new(env.new_writable(path).unwrap(), config());
+        for i in 0..3000u64 {
+            // Runs of versions of one user key, tombstones, empty values.
+            let kind = if i % 7 == 0 {
+                ValueType::Deletion
+            } else {
+                ValueType::Value
+            };
+            let ikey = make_internal_key(format!("user{:05}", i / 3).as_bytes(), 9000 - i, kind);
+            b.add(&ikey, &vec![b'a' + (i % 26) as u8; (i % 40) as usize])
+                .unwrap();
+        }
+        let summary = b.finish().unwrap();
+        let bytes = p2kvs_storage::env::read_all(&env, path).unwrap();
+        assert_eq!(bytes.len() as u64, summary.file_size);
+        assert_eq!((bytes.len(), crc32c::crc32c(&bytes)), GOLDEN_TABLE);
     }
 
     #[test]

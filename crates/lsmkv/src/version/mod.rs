@@ -341,6 +341,7 @@ impl Version {
                 out.push(Box::new(LevelFileIterator::new(
                     self.levels[level].clone(),
                     cache.clone(),
+                    TableReader::iter,
                 )));
             }
         }
@@ -378,6 +379,9 @@ impl Version {
 pub struct LevelFileIterator {
     files: Vec<FileRef>,
     cache: Arc<TableCache>,
+    /// The reader each file is walked with: [`TableReader::iter`] for
+    /// reads and scans, [`TableReader::sequential`] for compactions.
+    reader: fn(&Arc<TableReader>) -> TableIterator,
     index: usize,
     current: Option<TableIterator>,
     /// First table-open error; reported through `status` so a failed open
@@ -386,11 +390,16 @@ pub struct LevelFileIterator {
 }
 
 impl LevelFileIterator {
-    /// Creates an iterator over `files` (sorted by smallest key).
-    pub fn new(files: Vec<FileRef>, cache: Arc<TableCache>) -> LevelFileIterator {
+    /// Creates an iterator over `files` (sorted by smallest key, disjoint).
+    pub fn new(
+        files: Vec<FileRef>,
+        cache: Arc<TableCache>,
+        reader: fn(&Arc<TableReader>) -> TableIterator,
+    ) -> LevelFileIterator {
         LevelFileIterator {
             files,
             cache,
+            reader,
             index: 0,
             current: None,
             error: None,
@@ -404,8 +413,8 @@ impl LevelFileIterator {
             return false;
         };
         match self.cache.get(f.number, f.size) {
-            Ok(reader) => {
-                self.current = Some(reader.iter());
+            Ok(table) => {
+                self.current = Some((self.reader)(&table));
                 true
             }
             Err(e) => {

@@ -152,7 +152,7 @@ proptest! {
             let ik = make_internal_key(k, 1, ValueType::Value);
             b.add(&ik, format!("v{i}").as_bytes());
         }
-        let block = Arc::new(Block::new(Arc::new(b.finish())).unwrap());
+        let block = Arc::new(Block::new(Arc::new(b.finish().to_vec())).unwrap());
         // Full iteration returns everything in order.
         let mut it = block.iter();
         it.seek_to_first();
