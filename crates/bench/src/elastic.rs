@@ -499,15 +499,19 @@ mod tests {
         assert!(!s.provisioning_within_budget, "1.6x avg must trip the gate");
     }
 
-    /// A miniature end-to-end run: the elastic pool must actually move
+    /// A half-size end-to-end run: the elastic pool must actually move
     /// (grow past one worker under the ramp, end the quiet tail below
     /// the peak), the static pool must stay pinned, and the two must
     /// read back identically. Timing-derived gates are asserted by the
     /// binary, not here — a loaded CI box must not flake this test.
+    /// (The scenario's own key count and half its ops: a worker serves a
+    /// memtable GET in ~2 µs, so with a few hundred ops per client the
+    /// client threads' start-up outweighs the work between two ticks
+    /// and the peak never reads as 60 % of one worker.)
     #[test]
     fn tiny_run_scales_and_reads_identically() {
-        let (el_rows, el_samples, a) = measure("elastic", true, 400, 200, 7);
-        let (st_rows, st_samples, b) = measure("static", false, 400, 200, 7);
+        let (el_rows, el_samples, a) = measure("elastic", true, 10_000, 2_000, 7);
+        let (st_rows, st_samples, b) = measure("static", false, 10_000, 2_000, 7);
         assert_eq!(a, b, "reads must not depend on the pool size");
         assert!(st_samples.iter().all(|&w| w == MAX_WORKERS), "static pool pinned");
         assert!(
@@ -520,7 +524,7 @@ mod tests {
         );
         let s = summarize(el_rows, &el_samples, st_rows, &st_samples, true);
         assert!(s.elastic_avg_workers < s.static_avg_workers);
-        let json = render_json(&s, 400, 200, 7);
+        let json = render_json(&s, 10_000, 2_000, 7);
         let v = crate::artifact::validate_schema(&json);
         assert!(v.is_empty(), "{v:?}");
     }

@@ -1,7 +1,5 @@
 //! §5.6 portability experiments (Figs 22, 23) and the ablation suite.
 
-use std::time::Instant;
-
 use ycsb::micro::MicroKind;
 
 use crate::figures::{drive_micro, preload};
@@ -108,7 +106,9 @@ pub fn fig23() {
 }
 
 /// Ablation suite for the design choices DESIGN.md §5 calls out: OBM batch
-/// bound `M`, scan strategy, and partitioning scheme.
+/// bound `M` and partitioning scheme. (The scan-strategy ablation is
+/// settled — its result stays in EXPERIMENTS.md "Ablations" — and the
+/// strategy it lost to is gone.)
 pub fn ablate() {
     println!("ablate: design-choice ablations");
     // (1) OBM batch bound M.
@@ -139,46 +139,7 @@ pub fn ablate() {
             &rows,
         );
     }
-    // (2) Scan strategy: read amplification vs exactness.
-    {
-        let load = scaled(40_000);
-        let keys = ycsb::generator::KeySpace::ordered();
-        let mut rows = Vec::new();
-        for (name, strategy) in [
-            ("parallel-full", p2kvs::ScanStrategy::ParallelFull),
-            ("adaptive", p2kvs::ScanStrategy::Adaptive),
-        ] {
-            let env = setups::nvme_env();
-            let factory = p2kvs::engine::LsmFactory::new(setups::bench_options(env));
-            let mut opts = p2kvs::P2KvsOptions::with_workers(8);
-            // Cache off: the ablation isolates scan strategies.
-            opts.cache_capacity = 0;
-            opts.scan_strategy = strategy;
-            let store = p2kvs::P2Kvs::open(factory, format!("ab-scan-{name}"), opts).unwrap();
-            for i in 0..load {
-                store.put(&keys.key(i), &keys.value(i, 128)).unwrap();
-            }
-            let ops = scaled(300);
-            let t0 = Instant::now();
-            let mut rng = 7u64;
-            for _ in 0..ops {
-                rng = p2kvs_util::hash::mix64(rng);
-                let s = rng % load.saturating_sub(200).max(1);
-                let got = store.scan(&keys.key(s), 100).unwrap();
-                assert_eq!(got.len(), 100, "scan must stay exact");
-            }
-            rows.push(vec![
-                name.to_string(),
-                format!("{:.0}", ops as f64 / t0.elapsed().as_secs_f64()),
-            ]);
-        }
-        print_table(
-            "Ablation: SCAN strategy (size 100)",
-            &["strategy", "scans/s"],
-            &rows,
-        );
-    }
-    // (3) Partitioning: hash vs skew (zipfian hot keys across workers).
+    // (2) Partitioning: hash vs skew (zipfian hot keys across workers).
     {
         use p2kvs::Partitioner;
         let p = p2kvs::HashPartitioner::new(8);

@@ -95,9 +95,6 @@ pub fn p2kvs_with(opts: Options, dir: &str, workers: usize, obm: bool) -> P2Clie
     if !obm {
         popts.batch_max = 1;
     }
-    // Adaptive SCAN quotas: exact results with far less read amplification
-    // (see the `repro ablate` scan-strategy table).
-    popts.scan_strategy = p2kvs::ScanStrategy::Adaptive;
     P2Client {
         store: P2Kvs::open(factory, dir, popts).expect("open p2kvs"),
     }

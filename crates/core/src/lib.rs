@@ -18,9 +18,10 @@
 //!   layout is reproduced exactly.
 //! * **Vertical (intra-instance) dimension** — an accessing layer separates
 //!   user threads from workers: user threads enqueue requests onto a
-//!   bounded **lock-free MPSC ring** (pooled completion slots, spin-then-
-//!   park wakeups on both sides — see [`queue`] and [`types`]) and sleep;
-//!   each worker drains its queue with the **opportunistic batching
+//!   bounded **lock-free MPSC ring** (pooled completion slots; both sides
+//!   wait yield → park, so only a wait longer than a wake-up costs pays
+//!   for one — see [`queue`] and [`types`]) and sleep; each
+//!   worker drains its queue with the **opportunistic batching
 //!   mechanism** (OBM, Algorithm 1): consecutive same-type requests (bound
 //!   `M`, default 32) merge into one engine `WriteBatch` or one `multiget`
 //!   (§4.3).
@@ -94,7 +95,7 @@ pub use engine::{
 pub use error::{Error, Result};
 pub use scan::StoreIter;
 pub use shard::{HashPartitioner, Partitioner, RangePartitioner, ShardMap};
-pub use store::{P2Kvs, P2KvsOptions, ScanStrategy, StoreIntrospection, WorkerView};
+pub use store::{P2Kvs, P2KvsOptions, StoreIntrospection, WorkerView};
 pub use types::{Op, Response, WriteOp};
 
 // The observability layer (re-exported so store users can consume

@@ -238,5 +238,6 @@ fn carry_counters(old: &WorkerStats, new: &WorkerStats) {
     carry(&old.handoffs_in, &new.handoffs_in);
     carry(&old.stashed, &new.stashed);
     carry(&old.rerouted, &new.rerouted);
+    carry(&old.parks, &new.parks);
     new.busy.add(old.busy.busy());
 }

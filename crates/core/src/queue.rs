@@ -22,11 +22,14 @@
 //! * **The consumer** (the worker — there is exactly one per queue) pops
 //!   with plain loads/stores on `head`; it never contends with producers
 //!   on the same cache line (`head`/`tail` are cache-line padded).
-//! * **Wakeups are spin-then-park**: the consumer spins a bounded number
-//!   of iterations before parking on a per-worker event, and producers
-//!   only pay the unpark (one syscall) when the consumer has actually
-//!   parked. Light load keeps spin-path latency; heavy load never pays a
-//!   notify per push.
+//! * **Waiting is yield → park** ([`wait_until`], shared with the
+//!   completion slots of `crate::types`): the idle consumer re-checks
+//!   between `thread::yield_now()` calls for [`YIELD_BOUND`] and only
+//!   then parks on a per-worker event. Producers pay the unpark (one
+//!   syscall) only when the consumer has actually parked: a closed-loop
+//!   caller back within the bound pays no futex wake, heavy load no
+//!   notify per push, and an idle store sleeps. After a batch that was
+//!   all [`Request::pipelined`] the consumer parks at once (`pop_blocking`).
 //! * **Depth is a relaxed atomic** maintained by push/pop, so monitoring
 //!   ([`RequestQueue::len`]) never touches the data path.
 //!
@@ -61,21 +64,30 @@
 //! interleavings (the parking layer is excluded under loom — loom does
 //! not model `thread::park` — and covered by the stress tests instead).
 
+use std::sync::atomic::{AtomicBool, AtomicU64};
+use std::sync::Arc;
+
 use crate::types::{OpClass, Request};
 
 /// Default bound of a worker's request ring (slots). Must be a power of
 /// two; see [`crate::store::P2KvsOptions::queue_capacity`].
 pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
 
-/// Iterations the consumer spins before parking (about a microsecond of
-/// busy-waiting: cheap against a ~5 µs KV op, long enough that a
-/// saturated producer set virtually never pays an unpark syscall).
-const CONSUMER_SPIN: usize = 256;
+/// How long both wait sites ([`wait_until`]) keep re-checking between
+/// `yield_now()` calls before they park. Chosen as the price of the
+/// alternative: one park + unpark of a halted vCPU measures 40–80 µs on
+/// the reference container (`micro.queue.roundtrip_ns` was 83 µs when a
+/// round trip paid two), and the waits it is there for — a 10–20 µs
+/// engine call, a blocking caller's turnaround — end well inside it. A
+/// longer wait yields for one wake-up's worth, then sleeps as before.
+#[cfg(not(feature = "loom"))]
+pub(crate) const YIELD_BOUND: std::time::Duration = std::time::Duration::from_micros(60);
 
 /// `limit` on a multiprocessor, 0 on a uniprocessor. With one hardware
 /// thread, every spin iteration only delays the peer that would make
-/// progress, so every spin-then-park site degrades to park/yield
-/// immediately. Detected once, cached in a process-wide atomic.
+/// progress, so the sites that spin (the consumer guard, a producer's
+/// backoff on a full ring) yield at once. Detected once, cached in a
+/// process-wide atomic.
 #[cfg(not(feature = "loom"))]
 pub(crate) fn adaptive_spin(limit: usize) -> usize {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -99,6 +111,35 @@ pub(crate) fn adaptive_spin(limit: usize) -> usize {
 #[cfg(feature = "loom")]
 pub(crate) fn adaptive_spin(limit: usize) -> usize {
     limit
+}
+
+/// The wait both blocking sides run before they park: polls `ready`
+/// between `yield_now()` calls until [`YIELD_BOUND`] has passed; `None`
+/// tells the caller to register and park. Every failed poll gives the
+/// CPU to whichever peer is runnable, so the wait is safe with more
+/// threads than cores. It never busy-spins: a `spin_loop` phase ahead of
+/// the yields let a caller and a worker that answer each other inside
+/// it keep both vCPUs of a small host for whole scheduler slices while
+/// every other caller's finished reply waited (p99 ×4 under 8 callers,
+/// EXPERIMENTS.md "Blocking round trip"). A wait that is ready at once
+/// reads no clock.
+pub(crate) fn wait_until<T>(mut ready: impl FnMut() -> Option<T>) -> Option<T> {
+    if let Some(v) = ready() {
+        return Some(v);
+    }
+    // Loom models neither time nor parking: its callers fall back to
+    // their own yield loops.
+    #[cfg(not(feature = "loom"))]
+    {
+        let start = std::time::Instant::now();
+        while start.elapsed() < YIELD_BOUND {
+            std::thread::yield_now();
+            if let Some(v) = ready() {
+                return Some(v);
+            }
+        }
+    }
+    None
 }
 
 // ---------------------------------------------------------------------------
@@ -376,7 +417,7 @@ impl ConsumerEvent {
 // ---------------------------------------------------------------------------
 
 /// A bounded, blocking MPSC queue of [`Request`]s: lock-free producers,
-/// one batching consumer with a spin-then-park idle loop.
+/// one batching consumer with a yield → park idle loop.
 ///
 /// Any number of threads may `push`; batch-popping is serialized
 /// internally (a worker owns its queue, so the serializer is never
@@ -391,6 +432,12 @@ pub struct RequestQueue {
     pop_guard: AtomicUsize,
     #[cfg(not(feature = "loom"))]
     event: ConsumerEvent,
+    /// Times the consumer slept in `thread::park`; the draining worker
+    /// shares it as `WorkerStats::parks`.
+    pub(crate) parks: Arc<AtomicU64>,
+    /// Whether the batch popped last was all [`Request::pipelined`]
+    /// (consumer-only; the guard orders it).
+    pipelined: AtomicBool,
 }
 
 impl Default for RequestQueue {
@@ -414,6 +461,8 @@ impl RequestQueue {
             pop_guard: AtomicUsize::new(0),
             #[cfg(not(feature = "loom"))]
             event: ConsumerEvent::new(),
+            parks: Default::default(),
+            pipelined: AtomicBool::new(false),
         }
     }
 
@@ -482,6 +531,8 @@ impl RequestQueue {
                 batch.push(req);
             }
         }
+        let pipelined = batch.iter().all(|r| r.pipelined);
+        self.pipelined.store(pipelined, Ordering::Relaxed);
         // One gauge update for the whole batch instead of one per pop.
         self.depth.0.fetch_sub(batch.len(), Ordering::Relaxed);
         true
@@ -524,39 +575,34 @@ impl RequestQueue {
         self.len() == 0
     }
 
-    /// Blocks (spin, then park) until a request is available or the queue
-    /// is closed and drained. Must hold the consumer guard. Does NOT
-    /// update the depth gauge — [`RequestQueue::pop_batch_into`] settles
-    /// it once per batch.
+    /// Blocks (yield, then park — [`wait_until`]) until a request
+    /// is available or the queue is closed and drained. Must hold the
+    /// consumer guard. Does NOT update the depth gauge —
+    /// [`RequestQueue::pop_batch_into`] settles it once per batch.
+    ///
+    /// The yield phase is for a sender that waits: the caller just
+    /// answered is a turnaround from its next call. After a batch of
+    /// [`Request::pipelined`] requests nobody is, and the consumer parks
+    /// at once: a yielding thread is runnable, so the next push does not
+    /// wake it and it runs again when the threads it yielded to (flush,
+    /// compaction) are descheduled — `fill` `put_p50_us` +9 %
+    /// (EXPERIMENTS.md "Blocking round trip").
     fn pop_blocking(&self) -> Option<Request> {
-        let spin_limit = adaptive_spin(CONSUMER_SPIN);
         loop {
-            let mut spins = 0;
-            loop {
-                if let Some(r) = self.ring.try_pop() {
-                    return Some(r);
-                }
-                if self.ring.is_closed() {
-                    // Drain the publish window of producers that beat the
-                    // close, then stop.
-                    if self.ring.drained() {
-                        return None;
-                    }
-                    sync::yield_now();
-                    continue;
-                }
-                spins += 1;
-                if spins > spin_limit {
-                    break;
-                }
-                if spins % 32 == 0 {
-                    sync::yield_now();
-                } else {
-                    #[cfg(not(feature = "loom"))]
-                    std::hint::spin_loop();
-                    #[cfg(feature = "loom")]
-                    sync::yield_now();
-                }
+            // `Some(None)` is "closed and drained". A closed ring that is
+            // not drained yet keeps polling: a producer that beat the
+            // close is still inside its publish window.
+            let mut poll = || match self.ring.try_pop() {
+                Some(r) => Some(Some(r)),
+                None => self.ring.drained().then_some(None),
+            };
+            let polled = if self.pipelined.load(Ordering::Relaxed) {
+                poll()
+            } else {
+                wait_until(poll)
+            };
+            if let Some(outcome) = polled {
+                return outcome;
             }
             // Park. Under loom there is no park modeling; fall back to a
             // yield loop (the model tests only use the non-parking paths).
@@ -574,6 +620,7 @@ impl RequestQueue {
                     self.event.cancel_park();
                     continue;
                 }
+                self.parks.fetch_add(1, Ordering::Relaxed);
                 std::thread::park();
                 self.event.cancel_park();
             }
@@ -770,6 +817,59 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(150));
         q.push(put("late")).ok().unwrap();
         assert_eq!(popper.join().unwrap(), Some(1));
+    }
+
+    #[test]
+    fn wait_until_polls_between_yields_and_gives_up_at_the_bound() {
+        // Ready on the third poll: reached after two yields. (Retried: a
+        // thread descheduled for the whole bound between two polls gives
+        // up, as it should.)
+        let from_yield_phase = (0..100).any(|_| {
+            let mut polls = 0;
+            let ready = wait_until(|| {
+                polls += 1;
+                (polls == 3).then_some(polls)
+            });
+            ready == Some(3)
+        });
+        assert!(from_yield_phase);
+        // Never ready: `None` (go park) once the bound has passed.
+        let start = std::time::Instant::now();
+        assert_eq!(wait_until(|| None::<()>), None);
+        assert!(start.elapsed() >= YIELD_BOUND);
+    }
+
+    #[test]
+    fn the_consumer_yields_only_after_a_batch_someone_waits_on() {
+        let pipelined = |k: &str| {
+            let mut r = put(k);
+            r.pipelined = true;
+            r
+        };
+        let parks_at_once = |q: &RequestQueue| q.pipelined.load(Ordering::Relaxed);
+        let q = RequestQueue::new();
+        assert!(!parks_at_once(&q), "a new consumer yields before it parks");
+        q.push(pipelined("1")).ok().unwrap();
+        q.push(pipelined("2")).ok().unwrap();
+        assert_eq!(q.pop_batch(32).unwrap().len(), 2);
+        assert!(parks_at_once(&q), "nobody is a turnaround away");
+        q.push(pipelined("3")).ok().unwrap();
+        q.push(put("4")).ok().unwrap();
+        assert_eq!(q.pop_batch(32).unwrap().len(), 2);
+        assert!(!parks_at_once(&q), "one sender of the batch waits");
+        // Either way an empty ring ends in a park, and a push ends it.
+        for first in [pipelined("5"), put("5")] {
+            let q = std::sync::Arc::new(RequestQueue::new());
+            q.push(first).ok().unwrap();
+            q.pop_batch(32).unwrap();
+            let q2 = q.clone();
+            let popper = std::thread::spawn(move || q2.pop_batch(32).map(|b| b.len()));
+            while q.parks.load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
+            q.push(put("late")).ok().unwrap();
+            assert_eq!(popper.join().unwrap(), Some(1));
+        }
     }
 
     #[test]

@@ -73,8 +73,8 @@ pub struct StoreIter<'a> {
 impl<'a> StoreIter<'a> {
     /// Scatters `ScanOpen` to every shard's owning worker and assembles
     /// the merge state. `first_limit` is the per-shard quota for the
-    /// opening chunk (the scan-strategy knob); refills use
-    /// `chunk_entries`.
+    /// opening chunk (a bounded scan asks for its share, an iterator for
+    /// a whole chunk); refills use `chunk_entries`.
     pub(crate) fn open(
         map: &'a MapCell,
         shards: usize,

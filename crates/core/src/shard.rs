@@ -222,6 +222,9 @@ impl ShardMap {
 /// them: workers keep draining), and a writer must not be pinned itself.
 pub struct MapCell {
     current: AtomicPtr<ShardMap>,
+    /// Blocking calls routed through this cell whose wait outlasted the
+    /// yield bound and parked (`p2kvs_waiter_parks_total`).
+    pub(crate) waiter_parks: AtomicU64,
 }
 
 /// A pinned routing snapshot; dereferences to the [`ShardMap`].
@@ -243,6 +246,7 @@ impl MapCell {
     pub fn new(map: ShardMap) -> MapCell {
         MapCell {
             current: AtomicPtr::new(Box::into_raw(Box::new(map))),
+            waiter_parks: AtomicU64::new(0),
         }
     }
 
@@ -343,16 +347,17 @@ struct Gather {
 
 /// A scatter whose entries are all on their way: [`Scattered::wait`]
 /// parks until the last of them is answered.
-pub(crate) struct Scattered(Option<(Arc<Mutex<Gather>>, SyncWaiter)>);
+/// The second field counts the park ([`MapCell::waiter_parks`]).
+pub(crate) struct Scattered<'a>(Option<(Arc<Mutex<Gather>>, SyncWaiter)>, &'a AtomicU64);
 
-impl Scattered {
+impl Scattered<'_> {
     /// Parks **once**, on one pooled completion slot, until every entry
     /// is answered; returns the replies in entry order.
     pub(crate) fn wait(self) -> Vec<Result<Response>> {
         let Some((gather, waiter)) = self.0 else {
             return Vec::new();
         };
-        let _ = waiter.wait();
+        let _ = waiter.wait_counting(self.1);
         let replies = std::mem::take(&mut gather.lock().replies);
         replies
     }
@@ -377,9 +382,9 @@ impl MapCell {
     /// entries are failed with [`Error::Closed`] without being enqueued,
     /// through the same completion, so the count still reaches zero and
     /// everything that was enqueued is still awaited.
-    pub(crate) fn scatter_push(&self, ctx: TraceCtx, entries: Vec<(usize, Op)>) -> Scattered {
+    pub(crate) fn scatter_push(&self, ctx: TraceCtx, entries: Vec<(usize, Op)>) -> Scattered<'_> {
         if entries.is_empty() {
-            return Scattered(None);
+            return Scattered(None, &self.waiter_parks);
         }
         let (done, waiter) = SyncWaiter::pair();
         let gather = Arc::new(Mutex::new(Gather {
@@ -410,7 +415,7 @@ impl MapCell {
                 req.finish_err(&Error::Closed);
             }
         }
-        Scattered(Some((gather, waiter)))
+        Scattered(Some((gather, waiter)), &self.waiter_parks)
     }
 }
 

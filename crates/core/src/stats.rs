@@ -31,6 +31,9 @@ pub struct WorkerSnapshot {
     /// Stale-epoch requests forwarded to the current owner. The routing
     /// fence keeps this at zero; the stress suites assert it.
     pub rerouted: u64,
+    /// Times the worker found its ring empty (past the yield bound, if
+    /// it ran one) and slept; the request ending each sleep paid a wake-up.
+    pub parks: u64,
     /// Useful processing time.
     pub busy: Duration,
     /// Current queue depth.
@@ -62,6 +65,9 @@ pub struct StoreSnapshot {
     pub shards: Vec<ShardSnapshot>,
     /// Completed shard-ownership migrations since open.
     pub migrations: u64,
+    /// Blocking client calls that parked: they waited for a wake-up on
+    /// top of the engine.
+    pub waiter_parks: u64,
     /// Wall time since open.
     pub uptime: Duration,
     /// Approximate resident memory across engines.
@@ -145,6 +151,7 @@ mod tests {
             handoffs_in: 0,
             stashed: 0,
             rerouted: 0,
+            parks: 0,
             busy,
             queue_depth: 0,
             live: true,
@@ -179,6 +186,7 @@ mod tests {
                 },
             ],
             migrations: 0,
+            waiter_parks: 0,
             uptime: Duration::from_secs(1),
             mem_usage: 1024,
         }
@@ -207,6 +215,7 @@ mod tests {
             workers: vec![],
             shards: vec![],
             migrations: 0,
+            waiter_parks: 0,
             uptime: Duration::from_secs(1),
             mem_usage: 0,
         };

@@ -32,26 +32,6 @@ use crate::txn::TxnManager;
 use crate::types::{Op, Request, Response, WriteOp};
 use crate::worker::ShardRuntime;
 
-/// How SCAN sizes the opening per-shard quota (§4.4).
-///
-/// Both strategies now run over the same streaming cursor machinery
-/// ([`crate::scan::StoreIter`]) and are therefore always exact: the
-/// strategy only decides how much each shard is asked for in the
-/// *first* chunk, trading read amplification (`ParallelFull` reads up to
-/// `S×` the requested entries up front) against extra cursor round trips
-/// (`Adaptive` starts near `count / S` and pulls more chunks only from
-/// the shards that still contribute).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanStrategy {
-    /// Ask every shard for the full scan size in the opening chunk —
-    /// the paper's default parallelizing approach.
-    ParallelFull,
-    /// Ask each shard for `count / S` plus a margin, refilling lazily
-    /// — the ablation variant trading round trips for read
-    /// amplification.
-    Adaptive,
-}
-
 /// Ops per engine `write_batch` call while loading a restored backup.
 const RESTORE_BATCH: usize = 256;
 
@@ -87,8 +67,6 @@ pub struct P2KvsOptions {
     pub queue_capacity: usize,
     /// Pin worker threads to cores.
     pub pin_workers: bool,
-    /// SCAN strategy.
-    pub scan_strategy: ScanStrategy,
     /// Hard per-chunk entry bound enforced by every worker: no scan
     /// occupies a worker for more than this many entries before queued
     /// point ops get their turn. `usize::MAX` lets one dequeue serve a
@@ -163,7 +141,6 @@ impl Default for P2KvsOptions {
             batch_max: 32,
             queue_capacity: crate::queue::DEFAULT_QUEUE_CAPACITY,
             pin_workers: true,
-            scan_strategy: ScanStrategy::ParallelFull,
             scan_chunk_entries: crate::worker::DEFAULT_SCAN_CHUNK_ENTRIES,
             scan_chunk_bytes: crate::worker::DEFAULT_SCAN_CHUNK_BYTES,
             metrics: true,
@@ -199,7 +176,10 @@ impl P2KvsOptions {
 
     /// The paper's static layout: `n` workers, exactly one shard per
     /// worker, balancer off. The shard map is the identity and stays
-    /// that way — byte-for-byte the pre-refactor behavior.
+    /// that way — byte-for-byte the pre-refactor behavior. One departure
+    /// from §4.4: the paper's SCAN asks every instance for all `count`
+    /// entries and filters; here each is asked for its share plus a
+    /// margin and refilled exactly (`P2Kvs::scan`).
     pub fn paper_layout(n: usize) -> P2KvsOptions {
         P2KvsOptions {
             workers: n,
@@ -253,6 +233,7 @@ impl<E: KvsEngine> ObsShared<E> {
                     handoffs_in: stats.handoffs_in.load(ordering),
                     stashed: stats.stashed.load(ordering),
                     rerouted: stats.rerouted.load(ordering),
+                    parks: stats.parks.load(ordering),
                     busy: stats.busy.busy(),
                     // The ring's relaxed atomic counter — sampling never
                     // locks or contends with the data path. A retired
@@ -272,6 +253,7 @@ impl<E: KvsEngine> ObsShared<E> {
                 })
                 .collect(),
             migrations: self.runtime.migrations.load(ordering),
+            waiter_parks: self.runtime.map.waiter_parks.load(ordering),
             uptime: self.opened.elapsed(),
             mem_usage: self.runtime.engines.iter().map(|e| e.mem_usage()).sum(),
         }
@@ -303,6 +285,7 @@ impl<E: KvsEngine> ObsShared<E> {
                 .store(w.stashed);
             reg.counter(&l("p2kvs_worker_rerouted_total"))
                 .store(w.rerouted);
+            reg.counter(&l("p2kvs_worker_parks_total")).store(w.parks);
             reg.set_gauge(&l("p2kvs_active_scans"), w.active_scans as f64);
             reg.set_gauge(&l("p2kvs_shards_owned"), w.shards_owned as f64);
             reg.set_gauge(&l("p2kvs_worker_busy_seconds"), w.busy.as_secs_f64());
@@ -328,6 +311,8 @@ impl<E: KvsEngine> ObsShared<E> {
         reg.set_gauge("p2kvs_map_epoch", self.runtime.map.epoch() as f64);
         reg.counter("p2kvs_migrations_total")
             .store(stats.migrations);
+        reg.counter("p2kvs_waiter_parks_total")
+            .store(stats.waiter_parks);
         reg.counter("p2kvs_handoffs_aborted_total")
             .store(self.runtime.handoffs_aborted.load(Ordering::Relaxed));
         reg.set_gauge("p2kvs_uptime_seconds", stats.uptime.as_secs_f64());
@@ -483,7 +468,7 @@ pub(crate) fn migrate_locked<E: KvsEngine>(
         rt.map
             .send_to(worker, req.on_shard(shard))
             .map_err(|_| Error::Closed)?;
-        done.wait()
+        done.wait_counting(&rt.map.waiter_parks)
     };
     let moved = marker(source, Op::HandoffOut { shard })
         .and_then(|_| marker(target, Op::ShardInstall { shard }));
@@ -598,6 +583,8 @@ pub struct StoreIntrospection {
     pub workers: Vec<WorkerView>,
     /// Completed ownership migrations since open.
     pub migrations: u64,
+    /// Blocking client calls that parked waiting for their reply.
+    pub waiter_parks: u64,
     /// Whether the background balancer is running.
     pub balancer_active: bool,
     /// The balancer's tunables.
@@ -628,6 +615,8 @@ pub struct WorkerView {
     pub active_scans: u64,
     /// Cumulative useful processing time.
     pub busy: Duration,
+    /// Times the worker slept on an empty ring.
+    pub parks: u64,
     /// Whether the slot currently runs a worker thread. Retired slots
     /// stay in the view with their final counters.
     pub live: bool,
@@ -1035,7 +1024,7 @@ impl<E: KvsEngine> P2Kvs<E> {
             .map
             .send(shard, req.on_shard(shard as u64).traced(ctx))
             .map_err(|_| Error::Closed)?;
-        done.wait()
+        done.wait_counting(&self.runtime.map.waiter_parks)
     }
 
     fn submit_to_key(&self, key: &[u8], op: Op) -> Result<Response> {
@@ -1069,7 +1058,8 @@ impl<E: KvsEngine> P2Kvs<E> {
             value: value.to_vec(),
         };
         let shard = self.partitioner.shard_of(key);
-        let req = Request::asynchronous(op, Box::new(move |r| cb(r.map(|_| ()))));
+        let mut req = Request::asynchronous(op, Box::new(move |r| cb(r.map(|_| ()))));
+        req.pipelined = true;
         self.runtime
             .map
             .send(shard, req.on_shard(shard as u64).traced(self.next_trace()))
@@ -1233,17 +1223,14 @@ impl<E: KvsEngine> P2Kvs<E> {
         Ok(())
     }
 
-    /// The opening per-shard chunk quota for a `count`-entry scan
-    /// under the configured [`ScanStrategy`]. Follow-up chunks always
-    /// use `scan_chunk_entries`.
+    /// The opening per-shard chunk quota of a `count`-entry scan: each
+    /// shard's even share plus a margin (half a share and four entries)
+    /// that covers the spread of a hash partition. A shard holding more
+    /// of the range is pulled again, exactly (`StoreIter::refill`); asking
+    /// every shard for all `count` entries reads up to `S×` the result.
     fn first_chunk_quota(&self, count: usize) -> usize {
-        match self.opts.scan_strategy {
-            ScanStrategy::ParallelFull => count,
-            ScanStrategy::Adaptive => {
-                let s = self.shards();
-                (count / s + count / (2 * s).max(1) + 4).min(count)
-            }
-        }
+        let s = self.shards();
+        (count / s + count / (2 * s) + 4).min(count)
     }
 
     /// A streaming, globally sorted iterator over the whole store.
@@ -1304,8 +1291,8 @@ impl<E: KvsEngine> P2Kvs<E> {
 
     /// SCAN: up to `count` entries with keys `>= start`.
     ///
-    /// Always exact: the [`ScanStrategy`] only sizes the opening
-    /// per-shard chunk; if the merge needs more from some shard,
+    /// Always exact: every shard is first asked for its share of
+    /// `count` plus a margin; if the merge needs more from some shard,
     /// its cursor is simply pulled again (no quota-and-retry rounds).
     pub fn scan(&self, start: &[u8], count: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         if count == 0 {
@@ -1586,10 +1573,12 @@ impl<E: KvsEngine> P2Kvs<E> {
                     queue_depth: w.queue_depth,
                     active_scans: w.active_scans,
                     busy: w.busy,
+                    parks: w.parks,
                     live: w.live,
                 })
                 .collect(),
             migrations: stats.migrations,
+            waiter_parks: stats.waiter_parks,
             balancer_active: self.balancer.is_some(),
             balance_policy: self.balance.policy,
             last_sample_busy_ns: self

@@ -8,12 +8,13 @@
 //! a single atomic state word plus a parked-thread cell, **recycled
 //! through a thread-local freelist** — the steady-state submission path
 //! allocates nothing, and fulfilling a request wakes the waiter only if
-//! it actually parked (a spinning waiter costs the worker zero
-//! syscalls).
+//! it actually parked: a waiter still in the yield phase of
+//! `crate::queue::wait_until` — where a round trip through an unloaded
+//! worker finds it — costs the worker zero syscalls.
 
 use std::cell::RefCell;
 use std::cell::UnsafeCell;
-use std::sync::atomic::{fence, AtomicU32, Ordering};
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::Thread;
 
@@ -184,8 +185,8 @@ pub enum Response {
 
 /// How a finished request reports back.
 pub enum Completion {
-    /// A waiting user thread (synchronous interface): it spins briefly
-    /// then parks on the slot until the worker stores the result.
+    /// A waiting user thread (synchronous interface): it yields, then
+    /// parks on the slot until the worker stores the result.
     Sync(Arc<CompletionSlot>),
     /// Fire-and-forget callback (asynchronous interface, §4.1).
     Async(Box<dyn FnOnce(Result<Response>) + Send>),
@@ -195,11 +196,6 @@ pub enum Completion {
 const SLOT_EMPTY: u32 = 0;
 const SLOT_PARKED: u32 = 1;
 const SLOT_DONE: u32 = 2;
-
-/// Iterations a waiter spins before parking. Round-trips through an
-/// unloaded worker complete well inside this budget, so the common case
-/// pays neither park nor unpark.
-const WAITER_SPIN: usize = 512;
 
 /// Bound on the per-thread freelist (slots, ~100 B each).
 const POOL_LIMIT: usize = 64;
@@ -263,30 +259,25 @@ impl CompletionSlot {
         }
     }
 
-    /// Spins briefly (multiprocessors only), then parks until the result
-    /// arrives.
-    fn wait_result(&self) -> Result<Response> {
-        let spin_limit = crate::queue::adaptive_spin(WAITER_SPIN);
-        let mut spins = 0;
-        while self.state.load(Ordering::Acquire) != SLOT_DONE {
-            spins += 1;
-            if spins > spin_limit {
-                // Register for the wakeup. SAFETY: the fulfiller reads
-                // `waiter` only after observing PARKED, which this
-                // release CAS publishes after the write.
-                unsafe { *self.waiter.get() = Some(std::thread::current()) };
-                if self
-                    .state
-                    .compare_exchange(SLOT_EMPTY, SLOT_PARKED, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    while self.state.load(Ordering::Acquire) != SLOT_DONE {
-                        std::thread::park();
-                    }
+    /// Yields (`crate::queue::wait_until`), then parks until the result
+    /// arrives; a wait that registers to be woken counts in `parks`.
+    fn wait_result(&self, parks: &AtomicU64) -> Result<Response> {
+        let done = || (self.state.load(Ordering::Acquire) == SLOT_DONE).then_some(());
+        if crate::queue::wait_until(done).is_none() {
+            // Register for the wakeup. SAFETY: the fulfiller reads
+            // `waiter` only after observing PARKED, which this
+            // release CAS publishes after the write.
+            unsafe { *self.waiter.get() = Some(std::thread::current()) };
+            if self
+                .state
+                .compare_exchange(SLOT_EMPTY, SLOT_PARKED, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                parks.fetch_add(1, Ordering::Relaxed);
+                while self.state.load(Ordering::Acquire) != SLOT_DONE {
+                    std::thread::park();
                 }
-                break;
             }
-            std::hint::spin_loop();
         }
         // SAFETY: state is DONE (Acquire): the fulfiller's write to
         // `result` is visible and it will never touch the cell again.
@@ -323,13 +314,18 @@ impl SyncWaiter {
         (slot.clone(), SyncWaiter { slot })
     }
 
-    /// Blocks (spin, then park) until the worker fulfills the request.
+    /// Blocks (yield, then park) until the worker fulfills the request.
     pub fn wait(self) -> Result<Response> {
+        self.wait_counting(&AtomicU64::new(0))
+    }
+
+    /// [`SyncWaiter::wait`], counting a wait that parked in `parks`.
+    pub(crate) fn wait_counting(self, parks: &AtomicU64) -> Result<Response> {
         let SyncWaiter { slot } = self;
-        let result = slot.wait_result();
+        let result = slot.wait_result(parks);
         // Recycle if the worker has already dropped its reference —
         // `fulfill` drops before unparking, so a parked waiter almost
-        // always recycles; a spin-woken one occasionally races the drop
+        // always recycles; a yielding one occasionally races the drop
         // and simply lets the slot free instead.
         if Arc::strong_count(&slot) == 1 {
             // Pairs with the Release decrement of the fulfiller's Arc
@@ -364,6 +360,11 @@ pub struct Request {
     /// A single `Copy` word, so carrying it keeps the submit and consume
     /// paths allocation-free.
     pub trace: p2kvs_obs::TraceCtx,
+    /// Whether the sender keeps sending without waiting for this answer
+    /// (`put_async`). A blocking call's requests are not — the `ScanClose`
+    /// after a scan included — and the worker that answered one yields
+    /// for the caller's next before it parks (`crate::queue`).
+    pub pipelined: bool,
 }
 
 impl std::fmt::Debug for Request {
@@ -393,6 +394,7 @@ impl Request {
                 shard: 0,
                 enqueued: std::time::Instant::now(),
                 trace: p2kvs_obs::TraceCtx::NONE,
+                pipelined: false,
             },
             waiter,
         )
@@ -406,6 +408,7 @@ impl Request {
             shard: 0,
             enqueued: std::time::Instant::now(),
             trace: p2kvs_obs::TraceCtx::NONE,
+            pipelined: false,
         }
     }
 
@@ -515,8 +518,8 @@ mod tests {
 
     #[test]
     fn sync_completion_parked_waiter_wakes() {
-        // Force the park path: fulfill long after the waiter's spin
-        // budget is exhausted.
+        // Force the park path: fulfill long after the waiter's yield
+        // bound has passed.
         let (req, completion) = Request::sync(Op::Get { key: b"k".to_vec() });
         let waiter = std::thread::spawn(move || completion.wait());
         std::thread::sleep(std::time::Duration::from_millis(150));

@@ -31,7 +31,7 @@
 //! keys and values into the engine's batch type; a merged read moves its
 //! keys into the scratch and allocates only the values the engine
 //! returns). The queue side is a lock-free ring with
-//! a spin-then-park idle loop — see [`crate::queue`].
+//! a yield → park idle loop — see [`crate::queue`].
 //!
 //! **Scans are cooperative**: a worker never runs a scan longer than one
 //! bounded chunk per dequeue. `Op::ScanOpen` opens an engine cursor,
@@ -93,6 +93,10 @@ pub struct WorkerStats {
     /// epoch pin the migrator waits out — so a nonzero value flags a
     /// broken fence.
     pub rerouted: AtomicU64,
+    /// Times the drain loop found its ring empty — past the yield bound,
+    /// if it ran one — and slept (counted by its [`RequestQueue`],
+    /// shared): the next request after each of these paid a wake-up.
+    pub parks: Arc<AtomicU64>,
 }
 
 impl WorkerStats {
@@ -252,7 +256,10 @@ impl WorkerHandle {
         config: WorkerConfig,
         lifecycle: Option<WorkerLifecycle>,
     ) -> WorkerHandle {
-        let stats = Arc::new(WorkerStats::default());
+        let stats = Arc::new(WorkerStats {
+            parks: queue.parks.clone(),
+            ..WorkerStats::default()
+        });
         let q = queue.clone();
         // Built here, not on the new thread: the spawner is the sole map
         // writer, so the owned set is read before any migration can name
@@ -673,14 +680,21 @@ impl Drop for WorkerHandle {
 #[derive(Default)]
 pub(crate) struct ScanTable {
     next_id: u64,
-    cursors: HashMap<u64, ScanCursor>,
+    /// Each cursor with whether the flight journal holds its
+    /// `scan_open` record, written when the cursor is first resumed.
+    cursors: HashMap<u64, (ScanCursor, bool)>,
 }
 
 impl ScanTable {
     fn insert(&mut self, cursor: ScanCursor) -> u64 {
         self.next_id += 1;
-        self.cursors.insert(self.next_id, cursor);
+        self.cursors.insert(self.next_id, (cursor, false));
         self.next_id
+    }
+
+    /// Drops cursor `id`; `Some(journaled)` if it was parked here.
+    fn remove(&mut self, id: u64) -> Option<bool> {
+        self.cursors.remove(&id).map(|(_, journaled)| journaled)
     }
 
     fn is_empty(&self) -> bool {
@@ -844,11 +858,21 @@ fn execute_scan<E: KvsEngine>(
     config: &WorkerConfig,
     journal: Option<&Journal>,
 ) -> crate::error::Result<Response> {
-    // Flight-recorder shorthand: a = shard, b = cursor id.
+    // Flight-recorder shorthand: a = shard, b = cursor id. A cursor is
+    // journaled when first resumed (`scan_open` at its first `ScanNext`,
+    // `scan_close` for those alone): a short scan opens and closes one
+    // per shard unresumed, which drowned every control-plane record.
     let jrec = |kind: JournalKind, id: u64| {
         if let Some(j) = journal {
             j.record(kind, shard, id, 0, 0);
         }
+    };
+    // A parked cursor is gone: journaled if its open was, counted always.
+    let closed = |journaled: bool, id: u64| {
+        if journaled {
+            jrec(JournalKind::ScanClose, id);
+        }
+        stats.scans_active.fetch_sub(1, Ordering::Relaxed);
     };
     let clamp = |limit: usize, max_bytes: usize| {
         (
@@ -872,9 +896,7 @@ fn execute_scan<E: KvsEngine>(
                 None
             } else {
                 stats.scans_active.fetch_add(1, Ordering::Relaxed);
-                let id = scans.insert(cursor);
-                jrec(JournalKind::ScanOpen, id);
-                Some(id)
+                Some(scans.insert(cursor))
             };
             Ok(Response::Chunk {
                 entries: chunk.entries,
@@ -887,39 +909,31 @@ fn execute_scan<E: KvsEngine>(
             max_bytes,
         } => {
             let (limit, max_bytes) = clamp(limit, max_bytes);
-            let cursor = scans
+            let (cursor, journaled) = scans
                 .cursors
                 .get_mut(&id)
                 .ok_or_else(|| crate::error::Error::Engine(format!("unknown scan cursor {id}")))?;
-            match engine.scan_chunk(cursor, limit, max_bytes) {
-                Ok(chunk) => {
-                    stats.scan_chunks.fetch_add(1, Ordering::Relaxed);
-                    stats.scan_resumes.fetch_add(1, Ordering::Relaxed);
-                    let cursor = if chunk.done {
-                        scans.cursors.remove(&id);
-                        stats.scans_active.fetch_sub(1, Ordering::Relaxed);
-                        jrec(JournalKind::ScanClose, id);
-                        None
-                    } else {
-                        Some(id)
-                    };
-                    Ok(Response::Chunk {
-                        entries: chunk.entries,
-                        cursor,
-                    })
-                }
-                Err(e) => {
-                    scans.cursors.remove(&id);
-                    stats.scans_active.fetch_sub(1, Ordering::Relaxed);
-                    jrec(JournalKind::ScanClose, id);
-                    Err(e)
-                }
+            if !std::mem::replace(journaled, true) {
+                jrec(JournalKind::ScanOpen, id);
             }
+            let chunk = engine.scan_chunk(cursor, limit, max_bytes);
+            if !matches!(&chunk, Ok(c) if !c.done) {
+                // Exhausted, or failed: a failed cursor must not leak
+                // its snapshot.
+                scans.remove(id);
+                closed(true, id);
+            }
+            let chunk = chunk?;
+            stats.scan_chunks.fetch_add(1, Ordering::Relaxed);
+            stats.scan_resumes.fetch_add(1, Ordering::Relaxed);
+            Ok(Response::Chunk {
+                entries: chunk.entries,
+                cursor: (!chunk.done).then_some(id),
+            })
         }
         Op::ScanClose { cursor } => {
-            if scans.cursors.remove(&cursor).is_some() {
-                stats.scans_active.fetch_sub(1, Ordering::Relaxed);
-                jrec(JournalKind::ScanClose, cursor);
+            if let Some(journaled) = scans.remove(cursor) {
+                closed(journaled, cursor);
             }
             Ok(Response::Done)
         }

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use p2kvs::engine::{Capabilities, EngineFactory, GsnFilter, KvellFactory, LsmFactory, WtFactory};
-use p2kvs::{KvsEngine, MetricsSnapshot, P2Kvs, P2KvsOptions, ScanStrategy, WriteOp};
+use p2kvs::{KvsEngine, MetricsSnapshot, P2Kvs, P2KvsOptions, WriteOp};
 use p2kvs_storage::{EnvRef, MemEnv};
 
 fn lsm_factory() -> LsmFactory {
@@ -201,28 +201,163 @@ fn range_is_exact_across_partitions() {
     assert!(store.range(b"z", b"zz").unwrap().is_empty());
 }
 
-#[test]
-fn scan_strategies_agree() {
-    for strategy in [ScanStrategy::ParallelFull, ScanStrategy::Adaptive] {
-        let mut opts = P2KvsOptions::with_workers(4);
-        opts.scan_strategy = strategy;
-        opts.pin_workers = false;
-        let store = P2Kvs::open(lsm_factory(), "p2", opts).unwrap();
-        for i in 0..1000 {
-            store
-                .put(format!("key{i:04}").as_bytes(), format!("{i}").as_bytes())
-                .unwrap();
+/// Routes every key that starts with `one` to shard 3 and hashes the
+/// rest: a scan inside the `one…` range finds all of it on one shard.
+struct OneShardRange(p2kvs::shard::HashPartitioner);
+
+impl p2kvs::shard::Partitioner for OneShardRange {
+    fn shard_of(&self, key: &[u8]) -> usize {
+        if key.starts_with(b"one") {
+            3
+        } else {
+            self.0.shard_of(key)
         }
-        for (start, n) in [(b"key0000".as_slice(), 10), (b"key0500", 137), (b"key0990", 50)] {
-            let got = store.scan(start, n).unwrap();
-            // Expected: the n smallest keys >= start.
-            let expect: Vec<Vec<u8>> = (0..1000)
-                .map(|i| format!("key{i:04}").into_bytes())
-                .filter(|k| k.as_slice() >= start)
-                .take(n)
-                .collect();
-            let got_keys: Vec<Vec<u8>> = got.iter().map(|(k, _)| k.clone()).collect();
-            assert_eq!(got_keys, expect, "strategy {strategy:?} start {start:?} n {n}");
+    }
+
+    fn partitions(&self) -> usize {
+        self.0.partitions()
+    }
+}
+
+/// `(scans opened, cursor resumes)` summed over the workers.
+fn scan_counters<E: KvsEngine>(store: &P2Kvs<E>) -> (u64, u64) {
+    let snap = store.snapshot();
+    (
+        snap.workers.iter().map(|w| w.scans).sum(),
+        snap.workers.iter().map(|w| w.scan_resumes).sum(),
+    )
+}
+
+#[test]
+fn scan_matches_the_sorted_model_under_the_share_quota() {
+    const S: usize = 8;
+    // (a) hash partitioning: every shard holds about its share;
+    // (b) the scanned range sits on one shard, which the opening quota
+    // of `count/S + count/2S + 4` cannot cover: the refill has to.
+    for one_shard in [false, true] {
+        let mut opts = P2KvsOptions::with_workers(2);
+        opts.pin_workers = false;
+        opts.shards = S;
+        if one_shard {
+            opts.partitioner = Some(Arc::new(OneShardRange(p2kvs::shard::HashPartitioner::new(
+                S,
+            ))));
+        }
+        let store = P2Kvs::open(lsm_factory(), "p2", opts).unwrap();
+        let mut model = std::collections::BTreeMap::new();
+        let keys = (0..300)
+            .map(|i| format!("aaa{i:04}"))
+            .chain((0..1500).map(|i| format!("one{i:04}")))
+            .chain((0..300).map(|i| format!("zzz{i:04}")));
+        for (i, key) in keys.enumerate() {
+            let value = format!("v{i}").into_bytes();
+            store.put(key.as_bytes(), &value).unwrap();
+            model.insert(key.into_bytes(), value);
+        }
+        for start in [
+            &b""[..],
+            b"aaa0290",
+            b"one0100",
+            b"one1400",
+            b"zzz0290",
+            b"zzzz",
+        ] {
+            for count in [1, S - 1, S, 50, 1_000] {
+                let (_, resumes) = scan_counters(&store);
+                let got = store.scan(start, count).unwrap();
+                let expect: Vec<_> = model
+                    .range(start.to_vec()..)
+                    .take(count)
+                    .map(|(k, v)| (k.clone(), v.clone()))
+                    .collect();
+                assert_eq!(
+                    got, expect,
+                    "one_shard {one_shard} start {start:?} count {count}"
+                );
+                if one_shard && start == b"one0100" && count >= S - 1 {
+                    assert!(
+                        scan_counters(&store).1 > resumes,
+                        "count {count}: one shard holds the whole result, its quota cannot"
+                    );
+                }
+            }
+        }
+        if !one_shard {
+            // The share is the rule, the refill the exception: a
+            // 50-entry scan over hashed keys opens 8 cursors and hardly
+            // ever resumes one (the benchmark measures 1.006 chunks per
+            // cursor).
+            let (scans, resumes) = scan_counters(&store);
+            for i in 0..200 {
+                let got = store
+                    .scan(format!("one{:04}", i * 7).as_bytes(), 50)
+                    .unwrap();
+                assert_eq!(got.len(), 50);
+            }
+            let (scans, resumes) = {
+                let (s, r) = scan_counters(&store);
+                (s - scans, r - resumes)
+            };
+            assert_eq!(scans, 200 * S as u64);
+            let chunks_per_scan = (scans + resumes) as f64 / scans as f64;
+            assert!(
+                chunks_per_scan <= 1.05,
+                "{resumes} resumes over {scans} cursors: {chunks_per_scan:.3} chunks per cursor"
+            );
+        }
+    }
+}
+
+#[test]
+fn the_flight_journal_records_resumed_cursors_only() {
+    use p2kvs::JournalKind;
+    let mut opts = P2KvsOptions::with_workers(2);
+    opts.pin_workers = false;
+    opts.shards = 8;
+    opts.scan_chunk_entries = 8;
+    let store = P2Kvs::open(lsm_factory(), "p2", opts).unwrap();
+    for i in 0..400 {
+        store.put(format!("key{i:04}").as_bytes(), b"v").unwrap();
+    }
+    // The `(shard, cursor)` pairs journaled under `kind` after `seq`.
+    let journaled = |seq: u64, kind: JournalKind| {
+        let mut cursors: Vec<(u64, u64)> = store
+            .flight_records(usize::MAX)
+            .iter()
+            .filter(|r| r.seq > seq && r.kind == kind)
+            .map(|r| (r.a, r.b))
+            .collect();
+        cursors.sort_unstable();
+        cursors
+    };
+    // A one-shot scan: 8 cursors opened, parked, closed — none resumed,
+    // none journaled, all counted.
+    let seq = store.introspect().flight_last_seq;
+    let (scans, _) = scan_counters(&store);
+    assert_eq!(store.scan(b"key0100", 50).unwrap().len(), 50);
+    wait_no_active_scans(&store);
+    assert_eq!(scan_counters(&store).0, scans + 8);
+    assert!(journaled(seq, JournalKind::ScanOpen).is_empty());
+    assert!(journaled(seq, JournalKind::ScanClose).is_empty());
+    // An iterator pulled past its first chunks and dropped, then one
+    // drained to the end: each resumed cursor leaves one open and one
+    // close, whichever way it ended.
+    for pull in [100, usize::MAX] {
+        let seq = store.introspect().flight_last_seq;
+        let (_, resumes) = scan_counters(&store);
+        let pulled = store.iter().unwrap().take(pull).count();
+        assert_eq!(pulled, pull.min(400));
+        wait_no_active_scans(&store);
+        let opened = journaled(seq, JournalKind::ScanOpen);
+        let closed = journaled(seq, JournalKind::ScanClose);
+        assert_eq!(opened, closed, "pull {pull}");
+        assert!(
+            !opened.is_empty() && opened.len() <= 8,
+            "pull {pull}: {opened:?}"
+        );
+        assert!(scan_counters(&store).1 - resumes >= opened.len() as u64);
+        if pull == usize::MAX {
+            assert_eq!(opened.len(), 8, "every shard holds more than one chunk");
         }
     }
 }

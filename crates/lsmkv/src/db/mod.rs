@@ -624,6 +624,20 @@ impl Db {
 }
 
 impl Db {
+    /// Raises `shutdown`, wakes the background threads and joins them.
+    fn stop_background(&self) {
+        self.inner.shutdown.store(true, Ordering::Release);
+        // A background thread that has just read `shutdown` as false
+        // holds the state lock until it waits: passing through the lock
+        // puts the notify after that wait, not in the gap before it
+        // (the thread would sleep forever, and the join with it).
+        drop(self.inner.state.lock());
+        self.inner.bg_cv.notify_all();
+        for h in self.threads.lock().drain(..) {
+            let _ = h.join();
+        }
+    }
+
     /// Simulates a process crash: stops background threads and drops the
     /// handle **without** syncing the WAL or flushing memtables. Unsynced
     /// data survives only as far as the environment's page-cache semantics
@@ -631,11 +645,7 @@ impl Db {
     /// bytes). Intended for crash-consistency tests and the paper's §4.5
     /// kill-during-write experiments.
     pub fn crash(self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.bg_cv.notify_all();
-        for h in self.threads.lock().drain(..) {
-            let _ = h.join();
-        }
+        self.stop_background();
         // `Drop` will run next but finds no threads and an already-set
         // shutdown flag; suppress its WAL sync to preserve crash
         // semantics.
@@ -649,11 +659,7 @@ impl Drop for Db {
         if !self.inner.skip_sync_on_drop.load(Ordering::Acquire) {
             let _ = self.sync_wal();
         }
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.bg_cv.notify_all();
-        for h in self.threads.lock().drain(..) {
-            let _ = h.join();
-        }
+        self.stop_background();
     }
 }
 

@@ -44,7 +44,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use crate::env::{Env, FaultHook, RandomAccessFile, RandomRwFile, SequentialFile, WritableFile};
 use crate::ioqueue::{resolve_queue, QueueId, MAX_QUEUES};
@@ -114,6 +114,14 @@ struct FaultState {
     q_appends: [AtomicU64; MAX_QUEUES],
     q_syncs: [AtomicU64; MAX_QUEUES],
     crashed: AtomicBool,
+    /// Held shared by an append or a sync from its last `crashed` check
+    /// until the inner file has done it, exclusively by a crash while it
+    /// freezes and truncates. Without it an op that passed the check on
+    /// one thread could run behind the truncation done by another: a
+    /// late append left a record *after* a lost one (a hole in the
+    /// recovered image), a late sync returned `Ok` for bytes the crash
+    /// had already dropped (an acked write lost).
+    down: RwLock<()>,
     events: Mutex<Vec<FaultEvent>>,
     hook: Mutex<Option<FaultHook>>,
 }
@@ -128,6 +136,7 @@ impl FaultState {
             q_appends: std::array::from_fn(|_| AtomicU64::new(0)),
             q_syncs: std::array::from_fn(|_| AtomicU64::new(0)),
             crashed: AtomicBool::new(false),
+            down: RwLock::new(()),
             events: Mutex::new(Vec::new()),
             hook: Mutex::new(None),
         }
@@ -197,6 +206,18 @@ impl FaultState {
         Ok(())
     }
 
+    /// The crash itself: freeze first so concurrent ops start failing
+    /// immediately, then tear + truncate to the durable image — with no
+    /// append or sync in flight ([`FaultState::down`]). Returns the bytes
+    /// torn in.
+    fn power_fail(&self, fs: &MemFs, path: &Path, torn_budget: usize) -> usize {
+        let _no_writes = self.down.write();
+        self.crashed.store(true, Ordering::Release);
+        let torn = if torn_budget > 0 { fs.tear(path, torn_budget) } else { 0 };
+        fs.power_failure();
+        torn
+    }
+
     /// Numbers the sync request and decides its fate. Returns the action
     /// the caller must take; the crash truncation itself needs the fs, so
     /// it is done by the caller.
@@ -209,11 +230,7 @@ impl FaultState {
             plan.crash_at_sync = None;
             let torn_budget = plan.torn_tail;
             drop(plan);
-            // Freeze first so concurrent ops start failing immediately,
-            // then tear + truncate to the durable image.
-            self.crashed.store(true, Ordering::Release);
-            let torn = if torn_budget > 0 { fs.tear(path, torn_budget) } else { 0 };
-            fs.power_failure();
+            let torn = self.power_fail(fs, path, torn_budget);
             self.fire(FaultEvent::Crash { n, path: path.to_path_buf(), torn });
             return Err(self.crashed_err());
         }
@@ -221,9 +238,7 @@ impl FaultState {
             plan.crash_at_queue_sync = None;
             let torn_budget = plan.torn_tail;
             drop(plan);
-            self.crashed.store(true, Ordering::Release);
-            let torn = if torn_budget > 0 { fs.tear(path, torn_budget) } else { 0 };
-            fs.power_failure();
+            let torn = self.power_fail(fs, path, torn_budget);
             self.fire(FaultEvent::QueueCrash { q: queue, n: qn, path: path.to_path_buf(), torn });
             return Err(self.crashed_err());
         }
@@ -347,6 +362,10 @@ impl FaultyWritable {
 impl WritableFile for FaultyWritable {
     fn append(&mut self, data: &[u8]) -> io::Result<()> {
         self.state.on_append(&self.path, self.queue())?;
+        // Not across `on_append`: its fault hook may re-enter the env
+        // (and `on_sync` below may be the crash itself).
+        let _live = self.state.down.read();
+        self.state.check_live()?;
         self.inner.append(data)
     }
 
@@ -357,6 +376,8 @@ impl WritableFile for FaultyWritable {
 
     fn sync(&mut self) -> io::Result<()> {
         self.state.on_sync(&self.path, &self.fs, self.queue())?;
+        let _live = self.state.down.read();
+        self.state.check_live()?;
         self.inner.sync()
     }
 
@@ -413,6 +434,8 @@ impl RandomRwFile for FaultyRandomRw {
         // so they count as appends for failure purposes.
         self.state
             .on_append(&self.path, resolve_queue(None, 0, self.queues))?;
+        let _live = self.state.down.read();
+        self.state.check_live()?;
         self.inner.write_at(offset, data)
     }
 

@@ -350,8 +350,8 @@ proptest! {
     /// The whole read-path surface — `scan`, `range`, and the streaming
     /// `iter`/`iter_from`/`iter_range` cursors, consumed per-entry and
     /// paginated — agrees with the BTreeMap model over random histories,
-    /// for both scan strategies, with the chunk size forced tiny so every
-    /// drain exercises many `ScanNext` resumes.
+    /// with the chunk size forced tiny so every drain exercises many
+    /// `ScanNext` resumes.
     #[test]
     fn scan_range_and_iter_match_model(
         steps in proptest::collection::vec(step_strategy(), 1..120),
@@ -361,18 +361,12 @@ proptest! {
         width in 0u8..100,
         page in 1usize..64,
         chunk in 1usize..16,
-        adaptive in any::<bool>(),
     ) {
         let env: p2kvs_storage::EnvRef = Arc::new(p2kvs_storage::MemEnv::new());
         let factory = LsmFactory::new(lsmkv::Options::rocksdb_like(env));
         let mut opts = P2KvsOptions::with_workers(3);
         opts.pin_workers = false;
         opts.scan_chunk_entries = chunk;
-        opts.scan_strategy = if adaptive {
-            p2kvs::ScanStrategy::Adaptive
-        } else {
-            p2kvs::ScanStrategy::ParallelFull
-        };
         let store = P2Kvs::open(factory, "prop-iter", opts).unwrap();
         let mut model = std::collections::BTreeMap::new();
         for step in &steps {
