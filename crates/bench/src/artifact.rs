@@ -9,8 +9,8 @@
 //! depths, and per-instance `engine_*` metrics — enough to audit any
 //! throughput or latency number the run printed.
 //!
-//! The benchmark artifacts (`BENCH_accessing.json`, `BENCH_scan.json`,
-//! `BENCH_skew.json`, `BENCH_trace.json`, `BENCH_cache.json`,
+//! The benchmark artifacts (`BENCH_scan.json`, `BENCH_skew.json`,
+//! `BENCH_trace.json`, `BENCH_cache.json`,
 //! `BENCH_backup.json`) additionally open with a
 //! [`RunMeta`] header — schema version, bench id, timestamp, seed, git
 //! revision when discoverable, and the run's configuration knobs — so
@@ -262,22 +262,6 @@ mod tests {
     /// renderers with synthetic results (no benchmark execution).
     #[test]
     fn all_bench_artifacts_conform_to_schema() {
-        let accessing = crate::accessing::render_json(
-            &[crate::accessing::FanInResult {
-                queue: "ring",
-                mode: "pipelined",
-                window: 16,
-                threads: 8,
-                ops: 1000,
-                elapsed_secs: 0.5,
-                ops_per_sec: 2000.0,
-                avg_batch: 3.5,
-                p50_rt_ns: 900,
-                p99_rt_ns: 4000,
-            }],
-            1000,
-            32,
-        );
         let scan = crate::scaninterf::render_json(
             &[crate::scaninterf::InterfResult {
                 config: "chunked",
@@ -432,7 +416,6 @@ mod tests {
             7,
         );
         for (name, doc) in [
-            ("accessing", &accessing),
             ("scan", &scan),
             ("skew", &skew),
             ("trace", &trace),

@@ -144,8 +144,7 @@ pub fn ablate() {
         use p2kvs::Partitioner;
         let p = p2kvs::HashPartitioner::new(8);
         let zipf = ycsb::generator::ScrambledZipfian::new(1_000_000);
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(11);
+        let mut rng = p2kvs_util::rng::Rng::new(11);
         let mut counts = [0u64; 8];
         let keys = ycsb::generator::KeySpace::hashed();
         for _ in 0..200_000 {

@@ -8,7 +8,6 @@
 //! otherwise, with op counts scaled by the `P2KVS_SCALE` environment
 //! variable (default 1.0 ≈ tens of seconds per figure).
 
-pub mod accessing;
 pub mod artifact;
 pub mod backupload;
 pub mod cachebench;

@@ -31,7 +31,7 @@ use std::thread::JoinHandle;
 use p2kvs_obs::{Journal, JournalKind};
 use p2kvs_storage::EnvRef;
 use p2kvs_util::crc32c;
-use parking_lot::Mutex;
+use p2kvs_util::sync::Mutex;
 
 use crate::engine::{BackupSource, SnapshotFidelity};
 use crate::error::{Error, Result};

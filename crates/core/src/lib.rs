@@ -77,6 +77,7 @@ pub mod engine;
 pub mod error;
 pub mod pool;
 pub mod queue;
+mod ring;
 pub mod scan;
 pub mod shard;
 pub mod stats;

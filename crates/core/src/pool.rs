@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use p2kvs_obs::{JournalKind, WorkerLifecycle};
 use p2kvs_util::epoch;
-use parking_lot::Mutex;
+use p2kvs_util::sync::Mutex;
 
 use crate::engine::KvsEngine;
 use crate::error::{Error, Result};

@@ -38,7 +38,7 @@ use std::time::Duration;
 use p2kvs_obs::TraceCtx;
 use p2kvs_util::epoch;
 use p2kvs_util::hash::fnv1a64;
-use parking_lot::Mutex;
+use p2kvs_util::sync::Mutex;
 
 use crate::error::{Error, Result};
 use crate::queue::RequestQueue;

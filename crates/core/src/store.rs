@@ -408,7 +408,7 @@ struct BalanceShared<E: KvsEngine> {
     pool: Arc<WorkerPool>,
     policy: BalancePolicy,
     scale: Option<ScalePolicy>,
-    state: parking_lot::Mutex<BalanceState>,
+    state: p2kvs_util::sync::Mutex<BalanceState>,
     /// The previous cumulative per-shard busy-time sample, so each tick
     /// rebalances on the load of the *last interval*, not all of
     /// history. Written only under `state`; atomics so `introspect`
@@ -734,7 +734,7 @@ impl<E: KvsEngine> P2Kvs<E> {
                 file.append(r.encode().as_bytes())?;
             }
             file.sync()?;
-            let file = parking_lot::Mutex::new(file);
+            let file = p2kvs_util::sync::Mutex::new(file);
             j.set_sink(Box::new(move |rec, durable| {
                 IN_JOURNAL_SINK.with(|f| f.set(true));
                 {
@@ -817,7 +817,7 @@ impl<E: KvsEngine> P2Kvs<E> {
         let runtime = Arc::new(ShardRuntime {
             engines,
             map: MapCell::new(ShardMap::initial(shards, n)),
-            parked: (0..shards).map(|_| parking_lot::Mutex::new(None)).collect(),
+            parked: (0..shards).map(|_| p2kvs_util::sync::Mutex::new(None)).collect(),
             migrations: AtomicU64::new(0),
             handoffs_aborted: AtomicU64::new(0),
             shard_stats: (0..shards)
@@ -874,7 +874,7 @@ impl<E: KvsEngine> P2Kvs<E> {
             pool: pool.clone(),
             policy: opts.balance,
             scale: opts.scale,
-            state: parking_lot::Mutex::new(BalanceState {
+            state: p2kvs_util::sync::Mutex::new(BalanceState {
                 last_tick: None,
                 cooldown_left: 0,
             }),

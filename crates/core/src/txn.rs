@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use p2kvs_storage::{EnvRef, WritableFile};
 use p2kvs_util::crc32c::crc32c;
-use parking_lot::{Condvar, Mutex};
+use p2kvs_util::sync::{Condvar, Mutex};
 
 const REC_BEGIN: u8 = 1;
 const REC_COMMIT: u8 = 2;

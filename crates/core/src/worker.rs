@@ -51,7 +51,7 @@ use p2kvs_obs::{
     GroupStamp, Journal, JournalKind, SpanKind, SpanRecord, SpanRing, WorkerLifecycle,
 };
 use p2kvs_util::timing::BusyClock;
-use parking_lot::Mutex;
+use p2kvs_util::sync::Mutex;
 
 use crate::engine::{EnginePhases, KvsEngine, ScanCursor};
 use crate::error::{Error, Result};
@@ -1390,7 +1390,7 @@ mod tests {
                 key: format!("k{i}").into_bytes(),
                 value: b"v".to_vec(),
             });
-            worker.queue.push(req);
+            worker.queue.push(req).ok().unwrap();
             waiters.push(w);
         }
         // Bounded wait: a hung waiter must fail the test, not wedge it.
@@ -1407,7 +1407,7 @@ mod tests {
 
         // The fault was one-shot: the worker still serves traffic.
         let (req, w) = Request::sync(Op::Put { key: b"after".to_vec(), value: b"v".to_vec() });
-        worker.queue.push(req);
+        worker.queue.push(req).ok().unwrap();
         assert_eq!(w.wait().unwrap(), Response::Done);
         worker.shutdown();
     }

@@ -25,6 +25,7 @@ use std::thread;
 
 use p2kvs::engine::LsmFactory;
 use p2kvs::{P2Kvs, P2KvsOptions};
+use p2kvs_util::rng::Rng;
 
 // ---------------------------------------------------------------------------
 // Counting allocator (active only on threads that opt in)
@@ -122,12 +123,6 @@ fn cache_hits_allocate_only_the_value() {
 // Coherence under concurrent writers, readers, and migrations
 // ---------------------------------------------------------------------------
 
-/// Tiny deterministic PRNG so the readers need no external crate.
-fn lcg(state: &mut u64) -> u64 {
-    *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-    *state >> 33
-}
-
 /// Writers own disjoint key ranges and bump a per-key version each
 /// round; after every acked `put` the writer immediately re-reads the
 /// key and must see its own write (the ack invalidates the cache before
@@ -198,11 +193,11 @@ fn concurrent_reads_writes_and_migrations_stay_coherent() {
         .map(|r| {
             let store = store.clone();
             thread::spawn(move || {
-                let mut seed = 0x9E3779B9u64.wrapping_mul(r as u64 + 1);
+                let mut rng = Rng::new(0x9E3779B9u64.wrapping_mul(r as u64 + 1));
                 let mut last_seen: HashMap<(usize, usize), u64> = HashMap::new();
                 for _ in 0..READS {
-                    let w = (lcg(&mut seed) as usize) % WRITERS;
-                    let i = (lcg(&mut seed) as usize) % KEYS_PER_WRITER;
+                    let w = rng.below(WRITERS as u64) as usize;
+                    let i = rng.below(KEYS_PER_WRITER as u64) as usize;
                     let v = store.get(&key_of(w, i)).unwrap().unwrap();
                     let version: u64 = std::str::from_utf8(&v).unwrap().parse().unwrap();
                     let floor = last_seen.entry((w, i)).or_insert(0);

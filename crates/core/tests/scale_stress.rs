@@ -29,6 +29,7 @@ use std::thread;
 
 use p2kvs::engine::LsmFactory;
 use p2kvs::{P2Kvs, P2KvsOptions, WriteOp};
+use p2kvs_util::rng::Rng;
 
 const MAX_WORKERS: usize = 4;
 const SHARDS: usize = 8;
@@ -39,12 +40,6 @@ const READS: usize = 2_000;
 
 fn key_of(w: usize, i: usize) -> Vec<u8> {
     format!("w{w}-k{i:03}").into_bytes()
-}
-
-/// Tiny deterministic PRNG so the reader needs no external crate.
-fn lcg(state: &mut u64) -> u64 {
-    *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-    *state >> 33
 }
 
 #[test]
@@ -121,11 +116,11 @@ fn pool_thrashing_under_live_traffic_loses_nothing() {
     let reader = {
         let store = store.clone();
         thread::spawn(move || {
-            let mut seed = 0x9E3779B9u64;
+            let mut rng = Rng::new(0x9E3779B9);
             let mut last_seen: HashMap<(usize, usize), u64> = HashMap::new();
             for _ in 0..READS {
-                let w = (lcg(&mut seed) as usize) % WRITERS;
-                let i = (lcg(&mut seed) as usize) % KEYS_PER_WRITER;
+                let w = rng.below(WRITERS as u64) as usize;
+                let i = rng.below(KEYS_PER_WRITER as u64) as usize;
                 let v = store.get(&key_of(w, i)).unwrap().unwrap();
                 let version: u64 = std::str::from_utf8(&v).unwrap().parse().unwrap();
                 let floor = last_seen.entry((w, i)).or_insert(0);

@@ -143,7 +143,7 @@ fn decode(buf: &[u8]) -> Option<(Vec<u8>, Vec<u8>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p2kvs_storage::{Env, MemEnv};
+    use p2kvs_storage::MemEnv;
     use std::sync::Arc;
 
     fn env() -> EnvRef {

@@ -8,10 +8,10 @@
 
 use std::io;
 use std::path::PathBuf;
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::channel::{unbounded, Sender};
 use p2kvs_util::hash::fnv1a64;
 use p2kvs_util::timing::BusyClock;
 use p2kvs_storage::EnvRef;
@@ -93,7 +93,7 @@ impl KvellDb {
         let mut handles = Vec::with_capacity(workers);
         let mut clocks = Vec::with_capacity(workers);
         for w in 0..workers {
-            let (tx, rx) = unbounded::<Request>();
+            let (tx, rx) = channel::<Request>();
             let shard_dir = dir.join(format!("shard{w}"));
             let mut shard = Shard::open(opts.env.clone(), shard_dir, opts.cache_bytes_per_shard)?;
             let clock = Arc::new(BusyClock::new());
@@ -136,7 +136,7 @@ impl KvellDb {
     }
 
     fn call(&self, worker: usize, op: Op) -> io::Result<Reply> {
-        let (tx, rx) = crossbeam::channel::bounded(1);
+        let (tx, rx) = channel();
         self.senders[worker]
             .send(Request { op, reply: tx })
             .map_err(|_| io::Error::other("kvell worker gone"))?;
@@ -347,6 +347,37 @@ mod tests {
         let db = KvellDb::open(opts, "kv").unwrap();
         assert_eq!(db.len().unwrap(), 100);
         assert_eq!(db.get(b"k42").unwrap().unwrap(), b"v42");
+    }
+
+    /// Both ways a worker can be gone — its receiver dropped before the
+    /// request is sent, or the request dropped unanswered — fail the call
+    /// with the same error instead of blocking the client.
+    #[test]
+    fn a_call_to_a_worker_that_is_gone_fails_instead_of_hanging() {
+        let mut db = db(2);
+        let keys: Vec<Vec<u8>> = (0..64).map(|i| format!("k{i}").into_bytes()).collect();
+        let on =
+            |db: &KvellDb, w: usize| keys.iter().find(|k| db.worker_of(k) == w).unwrap().clone();
+        let (k0, k1) = (on(&db, 0), on(&db, 1));
+
+        let (tx, rx) = channel::<Request>();
+        drop(rx);
+        db.senders[0] = tx;
+        let err = db.put(&k0, b"v").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::Other);
+        assert_eq!(err.to_string(), "kvell worker gone");
+
+        let (tx, rx) = channel::<Request>();
+        let swallow = std::thread::spawn(move || drop(rx.recv().unwrap()));
+        db.senders[0] = tx;
+        let err = db.get(&k0).unwrap_err();
+        assert_eq!(err.to_string(), "kvell worker gone");
+        swallow.join().unwrap();
+
+        // Calls that visit every worker fail too; the live worker still serves.
+        assert_eq!(db.len().unwrap_err().to_string(), "kvell worker gone");
+        db.put(&k1, b"v").unwrap();
+        assert_eq!(db.get(&k1).unwrap().unwrap(), b"v");
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use parking_lot::{Condvar, Mutex};
+use p2kvs_util::sync::{Condvar, Mutex};
 
 use crate::batch::{BatchOp, WriteBatch};
 use crate::compaction::{flush_memtable, run_compaction, JobContext};

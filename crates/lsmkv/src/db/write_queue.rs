@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::{Condvar, Mutex};
+use p2kvs_util::sync::{Condvar, Mutex};
 
 use crate::batch::WriteBatch;
 use crate::memtable::MemTable;

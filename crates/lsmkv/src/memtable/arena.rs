@@ -8,7 +8,7 @@
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use parking_lot::Mutex;
+use p2kvs_util::sync::Mutex;
 
 /// Default chunk size; large allocations get their own chunk.
 const CHUNK_SIZE: usize = 256 * 1024;

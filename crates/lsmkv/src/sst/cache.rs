@@ -9,7 +9,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use p2kvs_util::sync::Mutex;
 
 use super::block::Block;
 

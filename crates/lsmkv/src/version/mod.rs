@@ -16,7 +16,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use p2kvs_util::sync::Mutex;
 use p2kvs_storage::{EnvRef, IoPlug};
 
 use crate::error::{Error, Result};

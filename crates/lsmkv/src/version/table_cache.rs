@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use p2kvs_util::sync::Mutex;
 use p2kvs_storage::EnvRef;
 
 use crate::error::Result;
@@ -68,7 +68,7 @@ mod tests {
     use super::*;
     use crate::sst::{TableBuilder, TableConfig};
     use crate::types::{make_internal_key, ValueType};
-    use p2kvs_storage::{Env, MemEnv};
+    use p2kvs_storage::MemEnv;
 
     #[test]
     fn opens_once_and_caches() {

@@ -166,9 +166,6 @@ fn recovery_after_power_failure_keeps_synced_prefix() {
         for i in 0..50 {
             db.put(&wo(), format!("s{i}").as_bytes(), b"synced").unwrap();
         }
-        // Unsynced writes follow.
-        let mut opts2 = WriteOptions::default();
-        opts2.sync = false;
         db.crash(); // Simulate a crash: no final sync.
     }
     env.fs().power_failure();

@@ -56,7 +56,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use p2kvs_util::sync::Mutex;
 
 use crate::ioqueue::{QueueId, MAX_QUEUES};
 

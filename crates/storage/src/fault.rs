@@ -44,7 +44,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use p2kvs_util::sync::{Mutex, RwLock};
 
 use crate::env::{Env, FaultHook, RandomAccessFile, RandomRwFile, SequentialFile, WritableFile};
 use crate::ioqueue::{resolve_queue, QueueId, MAX_QUEUES};

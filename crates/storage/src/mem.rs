@@ -18,7 +18,7 @@ use std::path::{Component, Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use p2kvs_util::sync::{Mutex, RwLock};
 
 use crate::device::DeviceModel;
 use crate::env::{Env, RandomAccessFile, SequentialFile, WritableFile};

@@ -2,8 +2,8 @@
 //!
 //! p2KVS pins each worker thread to a dedicated CPU core so that workers do
 //! not migrate under OS scheduling (the paper measures a 10–15% win from
-//! pinning alone, Fig 5a). On Linux this uses `sched_setaffinity`; on other
-//! platforms pinning is a no-op and [`pin_to_core`] reports failure.
+//! pinning alone, Fig 5a). On 64-bit Linux this uses `sched_setaffinity`; on
+//! other platforms pinning is a no-op and [`pin_to_core`] reports failure.
 
 /// Number of logical CPUs available to this process.
 pub fn num_cpus() -> usize {
@@ -17,37 +17,13 @@ pub fn num_cpus() -> usize {
 /// Returns `true` on success. Out-of-range cores are wrapped modulo the
 /// available CPU count so callers can pin "worker i" without first sizing
 /// the machine.
-#[cfg(target_os = "linux")]
 pub fn pin_to_core(core: usize) -> bool {
-    let core = core % num_cpus();
-    // SAFETY: `cpu_set_t` is plain-old-data; zeroing it is its documented
-    // empty state, and `CPU_SET`/`sched_setaffinity` only read/write within
-    // the set we pass. Thread id 0 means "the calling thread".
-    unsafe {
-        let mut set: libc::cpu_set_t = std::mem::zeroed();
-        libc::CPU_SET(core, &mut set);
-        libc::sched_setaffinity(0, std::mem::size_of::<libc::cpu_set_t>(), &set) == 0
-    }
-}
-
-/// Pinning is unsupported on this platform; always returns `false`.
-#[cfg(not(target_os = "linux"))]
-pub fn pin_to_core(_core: usize) -> bool {
-    false
+    crate::sys::pin_to_cpu(core % num_cpus())
 }
 
 /// Returns the CPU the calling thread is currently running on, if known.
-#[cfg(target_os = "linux")]
 pub fn current_core() -> Option<usize> {
-    // SAFETY: `sched_getcpu` has no preconditions; it returns -1 on error.
-    let cpu = unsafe { libc::sched_getcpu() };
-    usize::try_from(cpu).ok()
-}
-
-/// Unsupported on this platform.
-#[cfg(not(target_os = "linux"))]
-pub fn current_core() -> Option<usize> {
-    None
+    crate::sys::current_cpu()
 }
 
 #[cfg(test)]

@@ -21,6 +21,10 @@
 //!   used by the latency-vs-intensity experiment (Fig 13).
 //! * [`epoch`] — FASTER-style epoch-based memory reclamation backing the
 //!   lock-free hot-record read cache.
+//! * [`sync`] — `Mutex` / `RwLock` / `Condvar` over `std::sync` that do not
+//!   poison: the locks every other crate takes.
+//! * [`rng`] — the seeded SplitMix64 stream behind every generated
+//!   workload, crash schedule and differential test.
 
 pub mod affinity;
 pub mod coding;
@@ -30,4 +34,7 @@ pub mod hash;
 pub mod histogram;
 pub mod lru;
 pub mod rate;
+pub mod rng;
+pub mod sync;
+mod sys;
 pub mod timing;

@@ -80,26 +80,8 @@ impl BusyClock {
 /// Used by the benchmark harness to report real CPU consumption — on
 /// small machines, per-thread wall-clock "busy" measures include scheduler
 /// wait and overstate usage.
-#[cfg(target_os = "linux")]
 pub fn process_cpu_time() -> Duration {
-    // SAFETY: `getrusage` writes into the zeroed struct we pass; RUSAGE_SELF
-    // is always valid for the calling process.
-    unsafe {
-        let mut usage: libc::rusage = std::mem::zeroed();
-        if libc::getrusage(libc::RUSAGE_SELF, &mut usage) != 0 {
-            return Duration::ZERO;
-        }
-        let tv = |t: libc::timeval| {
-            Duration::from_secs(t.tv_sec as u64) + Duration::from_micros(t.tv_usec as u64)
-        };
-        tv(usage.ru_utime) + tv(usage.ru_stime)
-    }
-}
-
-/// Unsupported platform: always zero.
-#[cfg(not(target_os = "linux"))]
-pub fn process_cpu_time() -> Duration {
-    Duration::ZERO
+    crate::sys::process_cpu_time()
 }
 
 /// A monotone stopwatch that reports elapsed nanoseconds.
@@ -154,6 +136,28 @@ mod tests {
         let start = Instant::now();
         precise_sleep(Duration::ZERO);
         assert!(start.elapsed() < Duration::from_millis(5));
+    }
+
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    #[test]
+    fn process_cpu_time_counts_cpu_burnt_by_any_thread() {
+        let before = process_cpu_time();
+        let burn = Duration::from_millis(30);
+        std::thread::spawn(move || {
+            let start = Instant::now();
+            while start.elapsed() < burn {
+                std::hint::spin_loop();
+            }
+        })
+        .join()
+        .unwrap();
+        let spent = process_cpu_time() - before;
+        // The spinner may be descheduled for part of its wall time, and
+        // other tests' threads add to the count.
+        assert!(
+            spent >= burn / 3,
+            "only {spent:?} of CPU for a {burn:?} spin"
+        );
     }
 
     #[test]

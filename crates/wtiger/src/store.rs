@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::PathBuf;
 
-use parking_lot::{Mutex, RwLock};
+use p2kvs_util::sync::{Mutex, RwLock};
 use p2kvs_storage::{EnvRef, RandomAccessFile, WritableFile};
 use p2kvs_util::coding::{get_fixed64, put_fixed64};
 use p2kvs_util::lru::ByteLru;

@@ -1,7 +1,7 @@
 //! Request-distribution generators (YCSB semantics).
 
 use p2kvs_util::hash::{fnv1a64, mix64};
-use rand::Rng;
+use p2kvs_util::rng::Rng;
 
 /// Default zipfian skew used by YCSB (`θ = 0.99`).
 pub const ZIPFIAN_CONSTANT: f64 = 0.99;
@@ -19,8 +19,8 @@ impl Uniform {
     }
 
     /// Draws the next item.
-    pub fn next(&self, rng: &mut impl Rng) -> u64 {
-        rng.gen_range(0..self.n)
+    pub fn next(&self, rng: &mut Rng) -> u64 {
+        rng.below(self.n)
     }
 }
 
@@ -68,8 +68,8 @@ impl Zipfian {
     }
 
     /// Draws the next rank.
-    pub fn next(&self, rng: &mut impl Rng) -> u64 {
-        let u: f64 = rng.gen();
+    pub fn next(&self, rng: &mut Rng) -> u64 {
+        let u = rng.unit();
         let uz = u * self.zetan;
         if uz < 1.0 {
             return 0;
@@ -107,7 +107,7 @@ impl ScrambledZipfian {
     }
 
     /// Draws the next item.
-    pub fn next(&self, rng: &mut impl Rng) -> u64 {
+    pub fn next(&self, rng: &mut Rng) -> u64 {
         mix64(self.inner.next(rng)) % self.n
     }
 }
@@ -129,7 +129,7 @@ impl Latest {
     }
 
     /// Draws an item given the current newest index `max`.
-    pub fn next(&self, rng: &mut impl Rng, max: u64) -> u64 {
+    pub fn next(&self, rng: &mut Rng, max: u64) -> u64 {
         let off = self.zipf.next(rng);
         max.saturating_sub(off)
     }
@@ -180,13 +180,11 @@ impl KeySpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn uniform_covers_range() {
         let g = Uniform::new(100);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::new(1);
         let mut seen = [false; 100];
         for _ in 0..10_000 {
             seen[g.next(&mut rng) as usize] = true;
@@ -197,7 +195,7 @@ mod tests {
     #[test]
     fn zipfian_is_skewed_and_in_range() {
         let g = Zipfian::ycsb(10_000);
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::new(7);
         let mut counts = vec![0u32; 10_000];
         const N: u32 = 100_000;
         for _ in 0..N {
@@ -217,7 +215,7 @@ mod tests {
     #[test]
     fn scrambled_zipfian_spreads_hot_items() {
         let g = ScrambledZipfian::new(10_000);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::new(3);
         let mut counts = std::collections::HashMap::new();
         for _ in 0..50_000 {
             *counts.entry(g.next(&mut rng)).or_insert(0u32) += 1;
@@ -238,7 +236,7 @@ mod tests {
     #[test]
     fn latest_prefers_recent() {
         let g = Latest::new(100_000);
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut rng = Rng::new(9);
         let max = 50_000u64;
         let mut recent = 0;
         const N: usize = 10_000;

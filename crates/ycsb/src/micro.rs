@@ -4,7 +4,7 @@
 //! `overwrite`, `readseq`, `readrandom` — the exact set Fig 1 runs on the
 //! three device profiles.
 
-use rand::SeedableRng;
+use p2kvs_util::rng::Rng;
 
 use crate::generator::{KeySpace, Uniform};
 use crate::runner::KvClient;
@@ -62,7 +62,7 @@ pub struct MicroGenerator {
     cursor: u64,
     thread: u64,
     value_size: usize,
-    rng: rand::rngs::SmallRng,
+    rng: Rng,
 }
 
 impl MicroGenerator {
@@ -77,7 +77,7 @@ impl MicroGenerator {
             cursor: 0,
             thread,
             value_size,
-            rng: rand::rngs::SmallRng::seed_from_u64(0xabcd ^ thread),
+            rng: Rng::new(0xabcd ^ thread),
         }
     }
 
@@ -213,7 +213,7 @@ pub fn load_hashed<C: KvClient + ?Sized>(client: &C, n: u64, value_size: usize, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
+    use p2kvs_util::sync::Mutex;
     use std::collections::HashMap;
 
     #[derive(Default)]

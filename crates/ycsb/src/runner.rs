@@ -179,7 +179,7 @@ fn execute<C: KvClient + ?Sized>(client: &C, op: OpKind) -> bool {
 mod tests {
     use super::*;
     use crate::workload::WorkloadKind;
-    use parking_lot::Mutex;
+    use p2kvs_util::sync::Mutex;
     use std::collections::HashMap;
 
     /// In-memory reference client.

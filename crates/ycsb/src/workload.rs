@@ -1,6 +1,6 @@
 //! The YCSB core workloads of the paper's Table 1.
 
-use rand::Rng;
+use p2kvs_util::rng::Rng;
 
 use crate::generator::{KeySpace, Latest, ScrambledZipfian, Uniform};
 
@@ -119,12 +119,11 @@ pub struct OpGenerator {
     /// Next insert index (thread-striped so threads never collide).
     insert_cursor: u64,
     thread: u64,
-    rng: rand::rngs::SmallRng,
+    rng: Rng,
 }
 
 impl OpGenerator {
     fn new(spec: Workload, thread: u64) -> OpGenerator {
-        use rand::SeedableRng;
         let n = spec.record_count.max(1);
         OpGenerator {
             keys: KeySpace::hashed(),
@@ -133,7 +132,7 @@ impl OpGenerator {
             latest: Latest::new(n),
             insert_cursor: 0,
             thread,
-            rng: rand::rngs::SmallRng::seed_from_u64(0x9e37 ^ thread),
+            rng: Rng::new(0x9e37 ^ thread),
             spec,
         }
     }
@@ -173,7 +172,7 @@ impl OpGenerator {
                 key: self.existing_key(),
             },
             WorkloadKind::D => {
-                if self.rng.gen::<f64>() < 0.05 {
+                if self.rng.unit() < 0.05 {
                     let (key, i) = self.fresh_key();
                     OpKind::Insert {
                         value: self.keys.value(i, value_size),
@@ -186,14 +185,14 @@ impl OpGenerator {
                 }
             }
             WorkloadKind::E => {
-                if self.rng.gen::<f64>() < 0.05 {
+                if self.rng.unit() < 0.05 {
                     let (key, i) = self.fresh_key();
                     OpKind::Insert {
                         value: self.keys.value(i, value_size),
                         key,
                     }
                 } else {
-                    let len = self.rng.gen_range(1..=self.spec.max_scan_len);
+                    let len = 1 + self.rng.below(self.spec.max_scan_len as u64) as usize;
                     OpKind::Scan {
                         key: self.existing_key(),
                         len,
@@ -201,7 +200,7 @@ impl OpGenerator {
                 }
             }
             WorkloadKind::F => {
-                if self.rng.gen::<f64>() < 0.50 {
+                if self.rng.unit() < 0.50 {
                     let key = self.existing_key();
                     let v = self.keys.value(self.insert_cursor, value_size);
                     OpKind::ReadModifyWrite { key, value: v }
@@ -216,7 +215,7 @@ impl OpGenerator {
 
     /// Write-fraction mix helper (workloads A/B).
     fn mix(&mut self, update_ratio: f64, value_size: usize, _latest: bool) -> OpKind {
-        if self.rng.gen::<f64>() < update_ratio {
+        if self.rng.unit() < update_ratio {
             let key = self.existing_key();
             let v = self.keys.value(self.insert_cursor, value_size);
             self.insert_cursor += 1;

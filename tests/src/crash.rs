@@ -48,7 +48,7 @@ use p2kvs::{HashPartitioner, JournalKind, P2Kvs, P2KvsOptions, Partitioner, Writ
 use p2kvs_storage::{
     DeviceModel, DeviceProfile, EnvRef, FaultPlan, FaultyEnv, MemEnv, MemFs, QueueId,
 };
-use p2kvs_util::hash::mix64;
+use p2kvs_util::rng::Rng;
 
 /// Workers (and therefore engine instances) every matrix store runs.
 pub const WORKERS: usize = 4;
@@ -64,28 +64,6 @@ const BURST_PER_ROUND: usize = 8;
 const TXN_KEYS: usize = 4;
 /// Bound on waiting for an async ack; trips only if a worker wedges.
 const ACK_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Splitmix-style deterministic RNG over [`mix64`] — no external crates,
-/// identical on every platform.
-pub struct Rng(u64);
-
-impl Rng {
-    /// Seeds the stream.
-    pub fn new(seed: u64) -> Rng {
-        Rng(mix64(seed ^ 0x9e37_79b9_7f4a_7c15))
-    }
-
-    /// Next 64 random bits.
-    pub fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        mix64(self.0)
-    }
-
-    /// Uniform draw from `0..n`.
-    pub fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 /// One attempted write to one key, in issue order.
 #[derive(Clone)]
@@ -312,7 +290,7 @@ pub fn run_workload_with_oracle(
                 let acked = store.delete(&key).is_ok();
                 oracle.record(&key, None, acked);
             } else {
-                let value = format!("v-{op_no}-{:08x}", rng.next() as u32).into_bytes();
+                let value = format!("v-{op_no}-{:08x}", rng.next_u64() as u32).into_bytes();
                 let acked = store.put(&key, &value).is_ok();
                 oracle.record(&key, Some(value), acked);
             }
@@ -326,7 +304,7 @@ pub fn run_workload_with_oracle(
         for _ in 0..BURST_PER_ROUND {
             op_no += 1;
             let key = pool_key(rng.below(KEY_POOL));
-            let value = format!("a-{op_no}-{:08x}", rng.next() as u32).into_bytes();
+            let value = format!("a-{op_no}-{:08x}", rng.next_u64() as u32).into_bytes();
             let idx = oracle.record(&key, Some(value.clone()), false);
             let tx = tx.clone();
             let key_for_cb = key.clone();
@@ -350,7 +328,7 @@ pub fn run_workload_with_oracle(
         let mut values = Vec::with_capacity(keys.len());
         for _ in &keys {
             op_no += 1;
-            values.push(format!("t-{op_no}-{:08x}", rng.next() as u32).into_bytes());
+            values.push(format!("t-{op_no}-{:08x}", rng.next_u64() as u32).into_bytes());
         }
         let ops: Vec<WriteOp> = keys
             .iter()
