@@ -61,7 +61,9 @@ pub enum EngineEvent {
     /// A compaction is starting at `level`, reading `bytes`.
     CompactionStart { level: u32, bytes: u64 },
     /// A compaction at `level` finished, producing `bytes` (0 on failure).
-    CompactionFinish { level: u32, bytes: u64 },
+    /// With `moved` the input files changed level without being rewritten
+    /// and `bytes` is their size.
+    CompactionFinish { level: u32, bytes: u64, moved: bool },
 }
 
 /// Observer for [`EngineEvent`]s.
@@ -574,9 +576,11 @@ impl KvsEngine for lsmkv::Db {
                         level,
                         output_bytes,
                         ok,
+                        moved,
                     } => EngineEvent::CompactionFinish {
                         level,
                         bytes: if ok { output_bytes } else { 0 },
+                        moved,
                     },
                 };
                 hook(&mapped);

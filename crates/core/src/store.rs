@@ -594,6 +594,11 @@ pub struct StoreIntrospection {
     pub last_sample_busy_ns: Vec<u64>,
     /// Device service-capacity utilization, when the env models one.
     pub device_utilization: Option<f64>,
+    /// Per shard, the engine's write-amplification ledger: its
+    /// `engine_*_bytes_written_total` series (user, WAL, MANIFEST, flush)
+    /// and the `level`-labeled rows of what each level's compactions took,
+    /// wrote and moved. Empty for an engine that exports none.
+    pub write_ledger: Vec<Vec<(String, f64)>>,
     /// Spans recorded so far (head-sampled trees and tail-kept pairs).
     pub trace_spans_recorded: u64,
     /// Highest flight-recorder sequence number assigned.
@@ -778,22 +783,30 @@ impl<E: KvsEngine> P2Kvs<E> {
                 };
                 jh.record(JournalKind::FaultFired, d, n, torn, q);
             }));
-            // Engine background events: a = instance, b = level, c = bytes.
+            // Engine background events: a = instance, b = level, c = bytes,
+            // fourth slot = 1 for a compaction that moved its files
+            // unrewritten (not a zero-byte compaction).
             for (i, engine) in engines.iter().enumerate() {
                 let jh = j.clone();
                 let inst = i as u64;
                 engine.install_event_hook(Arc::new(move |ev| {
-                    let (kind, level, bytes) = match *ev {
-                        EngineEvent::FlushStart { bytes } => (JournalKind::FlushStart, 0, bytes),
-                        EngineEvent::FlushFinish { bytes } => (JournalKind::FlushFinish, 0, bytes),
+                    let (kind, level, bytes, moved) = match *ev {
+                        EngineEvent::FlushStart { bytes } => {
+                            (JournalKind::FlushStart, 0, bytes, false)
+                        }
+                        EngineEvent::FlushFinish { bytes } => {
+                            (JournalKind::FlushFinish, 0, bytes, false)
+                        }
                         EngineEvent::CompactionStart { level, bytes } => {
-                            (JournalKind::CompactionStart, level as u64, bytes)
+                            (JournalKind::CompactionStart, level as u64, bytes, false)
                         }
-                        EngineEvent::CompactionFinish { level, bytes } => {
-                            (JournalKind::CompactionFinish, level as u64, bytes)
-                        }
+                        EngineEvent::CompactionFinish {
+                            level,
+                            bytes,
+                            moved,
+                        } => (JournalKind::CompactionFinish, level as u64, bytes, moved),
                     };
-                    jh.record(kind, inst, level, bytes, 0);
+                    jh.record(kind, inst, level, bytes, u64::from(moved));
                 }));
             }
             j.record(
@@ -1592,6 +1605,18 @@ impl<E: KvsEngine> P2Kvs<E> {
                 .env
                 .as_ref()
                 .and_then(|e| e.device_utilization()),
+            write_ledger: self
+                .runtime
+                .engines
+                .iter()
+                .map(|e| {
+                    let mut rows = e.engine_metrics();
+                    rows.retain(|(n, _)| {
+                        n.contains("bytes_written_total") || n.contains("{level=")
+                    });
+                    rows
+                })
+                .collect(),
             trace_spans_recorded: self.runtime.spans.total_recorded(),
             flight_last_seq: self
                 .runtime

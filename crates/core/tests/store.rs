@@ -1005,6 +1005,91 @@ fn metrics_snapshot_covers_lifecycle_engines_and_renders() {
 }
 
 #[test]
+fn write_ledger_rows_reach_the_registry_introspection_and_the_journal() {
+    // A tree small enough that every shard compacts through three levels:
+    // multi-file jobs, and moves wherever a level is first filled.
+    let mut engine = lsmkv::Options::for_test();
+    engine.memtable_size = 16 << 10;
+    engine.target_file_size = 4 << 10;
+    engine.base_level_size = 16 << 10;
+    engine.level_multiplier = 4;
+    let mut opts = P2KvsOptions::with_workers(2);
+    opts.pin_workers = false;
+    opts.shards = 4;
+    let store = P2Kvs::open(LsmFactory::new(engine), "p2-ledger", opts).unwrap();
+    for i in 0..12_000u64 {
+        let key = format!("key{:016x}", i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        store.put(key.as_bytes(), &[i as u8; 100]).unwrap();
+    }
+    for e in store.engines() {
+        e.wait_idle().unwrap();
+    }
+
+    let snap = store.metrics_snapshot();
+    let view = store.introspect();
+    assert_eq!(view.write_ledger.len(), 4);
+    let mut moved_bytes = 0.0;
+    for shard in 0..4 {
+        let gauge = |name: &str, level: usize| {
+            snap.gauge(&format!("{name}{{level=\"{level}\",instance=\"{shard}\"}}"))
+                .unwrap_or_else(|| panic!("{name} level {level} shard {shard}"))
+        };
+        // What the levels wrote plus what the flushes wrote is the counter
+        // the benchmark reads as `lsmkv.compaction_mb`.
+        let flushed = snap
+            .gauge(&format!(
+                "engine_flush_bytes_written_total{{instance=\"{shard}\"}}"
+            ))
+            .unwrap();
+        let rewritten: f64 = (0..3)
+            .map(|l| gauge("engine_level_bytes_written_total", l))
+            .sum();
+        assert!(flushed > 0.0 && rewritten > flushed);
+        assert_eq!(
+            snap.gauge(&format!(
+                "engine_compaction_bytes_written_total{{instance=\"{shard}\"}}"
+            )),
+            Some(flushed + rewritten)
+        );
+        assert!(gauge("engine_level_files_in_total", 1) > gauge("engine_level_jobs_total", 1));
+        moved_bytes += (1..3)
+            .map(|l| gauge("engine_level_bytes_moved_total", l))
+            .sum::<f64>();
+        // The same rows, per shard, in the introspection view.
+        let rows = &view.write_ledger[shard];
+        for name in [
+            "engine_user_bytes_written_total",
+            "engine_wal_bytes_written_total",
+            "engine_manifest_bytes_written_total",
+            "engine_flush_bytes_written_total",
+            "engine_level_bytes_written_total{level=\"0\"}",
+            "engine_level_bytes_overlapped_total{level=\"1\"}",
+            "engine_level_files_moved_total{level=\"2\"}",
+        ] {
+            assert!(
+                rows.iter().any(|(n, v)| n == name && *v >= 0.0),
+                "shard {shard}: {name}"
+            );
+        }
+        assert!(
+            rows.iter().all(|(n, _)| !n.ends_with("_us")),
+            "only the ledger's series"
+        );
+    }
+    assert!(moved_bytes > 0.0, "a first fill of L2 and L3 moves files");
+    // A move is journaled as a move, with the bytes it moved.
+    use p2kvs::obs::JournalKind;
+    let moves: Vec<_> = store
+        .flight_records(usize::MAX)
+        .into_iter()
+        .filter(|r| r.kind == JournalKind::CompactionFinish && r.gsn == 1)
+        .collect();
+    assert!(!moves.is_empty());
+    assert!(moves.iter().all(|r| r.b >= 1 && r.c > 0), "{moves:?}");
+    store.close();
+}
+
+#[test]
 fn metrics_disabled_store_still_snapshots() {
     let mut opts = P2KvsOptions::with_workers(2);
     opts.pin_workers = false;

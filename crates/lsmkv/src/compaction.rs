@@ -57,31 +57,38 @@ pub struct CompactionOutput {
     pub bytes_written: u64,
 }
 
-/// Writes the contents of `mem` as one or more L0 tables.
+/// Writes the contents of `mem` as one L0 table (`None` when it is empty).
 ///
 /// Every entry (all sequence numbers, tombstones included) is preserved —
-/// visibility decisions belong to reads and major compactions.
+/// visibility decisions belong to reads and major compactions. The output
+/// is not cut at `target_file_size`: a memtable is one sorted run, and
+/// the L0 triggers (`l0_compaction_trigger` and the two stall triggers)
+/// count runs. Two files per flush would fire the L0→L1 merge — which
+/// rewrites every L1 file the run overlaps — after half as much new data,
+/// and a lookup probes one table per run either way.
 pub fn flush_memtable(
     ctx: &JobContext<'_>,
     mem: &Arc<MemTable>,
     alloc_number: &(dyn Fn() -> u64 + Sync),
-) -> Result<Vec<FileMetaData>> {
+) -> Result<Option<FileMetaData>> {
     let mut iter = mem.iter();
     iter.seek_to_first();
     // Flush output rides the owning shard's queue, like its WAL.
-    let files = write_sorted_stream(
+    let file = write_sorted_stream(
         ctx,
         &mut iter,
         alloc_number,
         None,
-        ctx.opts.target_file_size as u64,
+        u64::MAX,
         None,
         ctx.opts.io_queue,
-    )?;
-    let written: u64 = files.iter().map(|f| f.size).sum();
+    )?
+    .pop();
+    let written = file.as_ref().map_or(0, |f| f.size);
     DbStats::bump(&ctx.stats.flushes, 1);
+    DbStats::bump(&ctx.stats.flush_bytes_written, written);
     DbStats::bump(&ctx.stats.compaction_bytes_written, written);
-    Ok(files)
+    Ok(file)
 }
 
 /// Runs a major compaction task.
@@ -126,8 +133,7 @@ pub fn run_compaction(
         ] {
             if version.level_overlaps(level) {
                 for f in files {
-                    let table = ctx.table_cache.get(f.number, f.size)?;
-                    children.push(Box::new(table.sequential()));
+                    children.push(Box::new(f.reader(ctx.table_cache)?.sequential()));
                 }
             } else if !files.is_empty() {
                 children.push(Box::new(LevelFileIterator::new(
@@ -196,6 +202,13 @@ pub fn run_compaction(
     DbStats::bump(&ctx.stats.compactions, 1);
     DbStats::bump(&ctx.stats.compaction_bytes_read, bytes_read);
     DbStats::bump(&ctx.stats.compaction_bytes_written, bytes_written);
+    let level = &ctx.stats.levels[task.level];
+    let bytes_in: u64 = task.inputs.iter().map(|f| f.size).sum();
+    DbStats::bump(&level.jobs, 1);
+    DbStats::bump(&level.files_in, task.inputs.len() as u64);
+    DbStats::bump(&level.bytes_in, bytes_in);
+    DbStats::bump(&level.bytes_overlapped, bytes_read - bytes_in);
+    DbStats::bump(&level.bytes_written, bytes_written);
     Ok(CompactionOutput {
         files,
         bytes_read,
@@ -408,7 +421,7 @@ mod tests {
             Fixture {
                 dir,
                 cache,
-                stats: DbStats::new(),
+                stats: DbStats::new(7),
                 next: AtomicU64::new(10),
                 opts,
             }
@@ -449,9 +462,10 @@ mod tests {
         mem.add(1, ValueType::Value, b"a", b"v1");
         mem.add(2, ValueType::Value, b"a", b"v2");
         mem.add(3, ValueType::Deletion, b"b", b"");
-        let files = flush_memtable(&fx.ctx(), &mem, &|| fx.alloc()).unwrap();
-        assert_eq!(files.len(), 1);
-        let keys = read_table_keys(&fx, &files[0]);
+        let file = flush_memtable(&fx.ctx(), &mem, &|| fx.alloc())
+            .unwrap()
+            .expect("one table");
+        let keys = read_table_keys(&fx, &file);
         assert_eq!(
             keys,
             vec![
@@ -467,8 +481,8 @@ mod tests {
     fn flush_empty_memtable_produces_nothing() {
         let fx = Fixture::new();
         let mem = Arc::new(MemTable::new());
-        let files = flush_memtable(&fx.ctx(), &mem, &|| fx.alloc()).unwrap();
-        assert!(files.is_empty());
+        let file = flush_memtable(&fx.ctx(), &mem, &|| fx.alloc()).unwrap();
+        assert!(file.is_none());
     }
 
     /// Builds an L0 file from explicit entries via a memtable flush.
@@ -479,7 +493,25 @@ mod tests {
         }
         flush_memtable(&fx.ctx(), &mem, &|| fx.alloc())
             .unwrap()
-            .remove(0)
+            .expect("one table")
+    }
+
+    /// Writes `mem` as one sorted run cut at `target_file_size`: the
+    /// several disjoint files a compaction leaves in a sorted level.
+    fn build_run(fx: &Fixture, mem: &Arc<MemTable>) -> Vec<FileMetaData> {
+        let mut iter = mem.iter();
+        iter.seek_to_first();
+        let split = fx.opts.target_file_size as u64;
+        write_sorted_stream(
+            &fx.ctx(),
+            &mut iter,
+            &|| fx.alloc(),
+            None,
+            split,
+            None,
+            None,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -496,7 +528,7 @@ mod tests {
         let task = CompactionTask {
             level: 0,
             output_level: 1,
-            inputs: vec![Arc::new(f1), Arc::new(f2)],
+            inputs: vec![Arc::new(f1.into()), Arc::new(f2.into())],
             next_inputs: vec![],
         };
         // Everyone can see seq 5: the old version is dead.
@@ -516,7 +548,7 @@ mod tests {
         let task = CompactionTask {
             level: 0,
             output_level: 1,
-            inputs: vec![Arc::new(f1), Arc::new(f2)],
+            inputs: vec![Arc::new(f1.into()), Arc::new(f2.into())],
             next_inputs: vec![],
         };
         // A snapshot at seq 3 still needs the old version.
@@ -533,7 +565,7 @@ mod tests {
         let task = CompactionTask {
             level: 0,
             output_level: 1,
-            inputs: vec![Arc::new(f1)],
+            inputs: vec![Arc::new(f1.into())],
             next_inputs: vec![],
         };
         let out = run_compaction(&fx.ctx(), &task, &version, 100, &|| fx.alloc()).unwrap();
@@ -553,7 +585,7 @@ mod tests {
         let task = CompactionTask {
             level: 0,
             output_level: 1,
-            inputs: vec![Arc::new(f1)],
+            inputs: vec![Arc::new(f1.into())],
             next_inputs: vec![],
         };
         let out = run_compaction(&fx.ctx(), &task, &version, 100, &|| fx.alloc()).unwrap();
@@ -575,7 +607,7 @@ mod tests {
         let task = CompactionTask {
             level: 0,
             output_level: 1,
-            inputs: vec![Arc::new(f1)],
+            inputs: vec![Arc::new(f1.into())],
             next_inputs: vec![],
         };
         let out = run_compaction(&fx.ctx(), &task, &version, 100, &|| fx.alloc()).unwrap();
@@ -597,7 +629,7 @@ mod tests {
         let dir = std::path::PathBuf::from("cdb");
         opts.env.create_dir_all(&dir).unwrap();
         let cache = Arc::new(TableCache::new(opts.env.clone(), dir.clone(), None));
-        let stats = DbStats::new();
+        let stats = DbStats::new(7);
         let next = AtomicU64::new(10);
         let ctx = JobContext {
             env: &opts.env,
@@ -620,7 +652,9 @@ mod tests {
                     &[tag; 100],
                 );
             }
-            flush_memtable(&ctx, &mem, &alloc).unwrap().remove(0)
+            flush_memtable(&ctx, &mem, &alloc)
+                .unwrap()
+                .expect("one table")
         };
         let f1 = build(1);
         let f2 = build(2);
@@ -630,7 +664,7 @@ mod tests {
         let task = CompactionTask {
             level: 0,
             output_level: 1,
-            inputs: vec![Arc::new(f1), Arc::new(f2)],
+            inputs: vec![Arc::new(f1.into()), Arc::new(f2.into())],
             next_inputs: vec![],
         };
         // With both tables open, the merge makes four reads: each input's
@@ -677,12 +711,15 @@ mod tests {
             }
             flush_memtable(&fx.ctx(), &mem, &|| fx.alloc())
                 .unwrap()
-                .remove(0)
+                .expect("one table")
         };
         let task = CompactionTask {
             level: 0,
             output_level: 1,
-            inputs: vec![Arc::new(build(0..150)), Arc::new(build(150..300))],
+            inputs: vec![
+                Arc::new(build(0..150).into()),
+                Arc::new(build(150..300).into()),
+            ],
             next_inputs: vec![],
         };
         let version = Version::empty(7, CompactionStyle::Leveled);
@@ -760,12 +797,15 @@ mod tests {
             }
             flush_memtable(&fx.ctx(), &mem, &|| fx.alloc())
                 .unwrap()
-                .remove(0)
+                .expect("one table")
         };
         let task = CompactionTask {
             level: 0,
             output_level: 1,
-            inputs: (1..=4).rev().map(|tag| Arc::new(build(tag))).collect(),
+            inputs: (1..=4)
+                .rev()
+                .map(|tag| Arc::new(build(tag).into()))
+                .collect(),
             next_inputs: vec![],
         };
         assert!(task.input_bytes() > 64 << 10);
@@ -803,7 +843,7 @@ mod tests {
                     &[1u8; 80],
                 );
             }
-            let lower = flush_memtable(&fx.ctx(), &mem, &|| fx.alloc()).unwrap();
+            let lower = build_run(&fx, &mem);
             assert!(lower.len() > 3, "{}", lower.len());
             // L1: one file rewriting every third key of the middle.
             let mem = Arc::new(MemTable::new());
@@ -815,10 +855,8 @@ mod tests {
                 };
                 mem.add(5000 + i, kind, format!("key{i:05}").as_bytes(), b"new");
             }
-            fx.opts.target_file_size = 1 << 20;
             let upper = flush_memtable(&fx.ctx(), &mem, &|| fx.alloc()).unwrap();
-            assert_eq!(upper.len(), 1);
-            fx.opts.target_file_size = 32 << 10;
+            assert!(upper.is_some());
             let version = Version::empty(7, CompactionStyle::Leveled).apply(&{
                 let mut e = VersionEdit::default();
                 e.added.extend(upper.iter().map(|f| (1, f.clone())));
@@ -879,7 +917,11 @@ mod tests {
                     mem.add(seq - 900, ValueType::Value, key.as_bytes(), b"old");
                 }
             }
-            l0.push(flush_memtable(&fx.ctx(), &mem, &|| fx.alloc()).unwrap().remove(0));
+            l0.push(
+                flush_memtable(&fx.ctx(), &mem, &|| fx.alloc())
+                    .unwrap()
+                    .expect("one table"),
+            );
         }
         // An L1 run the task also rewrites (next_inputs).
         let mem = Arc::new(MemTable::new());
@@ -897,16 +939,14 @@ mod tests {
             for f in &l0 {
                 e.added.push((0, f.clone()));
             }
-            for f in &next {
-                e.added.push((1, f.clone()));
-            }
+            e.added.extend(next.iter().map(|f| (1, f.clone())));
             e
         });
         let task = CompactionTask {
             level: 0,
             output_level: 1,
-            inputs: l0.into_iter().map(Arc::new).collect(),
-            next_inputs: next.into_iter().map(Arc::new).collect(),
+            inputs: l0.into_iter().map(|f| Arc::new(f.into())).collect(),
+            next_inputs: next.into_iter().map(|f| Arc::new(f.into())).collect(),
         };
         (task, version)
     }
@@ -978,7 +1018,11 @@ mod tests {
         let task = CompactionTask {
             level: 0,
             output_level: 1,
-            inputs: vec![Arc::new(f1), Arc::new(f2), Arc::new(f3)],
+            inputs: vec![
+                Arc::new(f1.into()),
+                Arc::new(f2.into()),
+                Arc::new(f3.into()),
+            ],
             next_inputs: vec![],
         };
         assert!(!partition_bounds(&task, fx.opts.subcompactions).is_empty());
@@ -1052,7 +1096,7 @@ mod tests {
         let fx = Fixture {
             dir,
             cache,
-            stats: DbStats::new(),
+            stats: DbStats::new(7),
             next: AtomicU64::new(10),
             opts,
         };
@@ -1073,21 +1117,28 @@ mod tests {
     #[test]
     fn outputs_split_at_target_size() {
         let fx = Fixture::new();
-        // ~32 KiB target file size in test options; write ~200 KiB.
+        // ~32 KiB target file size in test options; write ~400 KiB, two
+        // versions of every key so that any cut could fall inside a chain.
         let mem = Arc::new(MemTable::new());
         for i in 0..2000u64 {
-            mem.add(i + 1, ValueType::Value, format!("key{i:08}").as_bytes(), &[7u8; 90]);
+            let key = format!("key{i:08}");
+            mem.add(i + 1, ValueType::Value, key.as_bytes(), &[7u8; 90]);
+            mem.add(i + 5001, ValueType::Value, key.as_bytes(), &[8u8; 90]);
         }
-        let files = flush_memtable(&fx.ctx(), &mem, &|| fx.alloc()).unwrap();
+        let files = build_run(&fx, &mem);
         assert!(files.len() > 2, "expected several outputs, got {}", files.len());
-        // Ranges must be disjoint and ordered.
+        // Ranges must be disjoint and ordered, and no user key may have
+        // versions on both sides of a cut.
         for pair in files.windows(2) {
-            assert!(
-                crate::types::internal_cmp(&pair[0].largest, &pair[1].smallest)
-                    == std::cmp::Ordering::Less
-            );
+            assert!(user_key(&pair[0].largest) < user_key(&pair[1].smallest));
         }
         let total: u64 = files.iter().map(|f| f.entries).sum();
-        assert_eq!(total, 2000);
+        assert_eq!(total, 4000);
+        // A flush of the same memtable is one run and stays one file.
+        let flushed = flush_memtable(&fx.ctx(), &mem, &|| fx.alloc())
+            .unwrap()
+            .unwrap();
+        assert_eq!(flushed.entries, 4000);
+        assert!(flushed.size > 2 * fx.opts.target_file_size as u64);
     }
 }

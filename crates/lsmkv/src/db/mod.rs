@@ -53,8 +53,15 @@ pub enum DbEvent {
     FlushFinish { bytes: u64, ok: bool },
     /// A compaction is starting at `level`, reading `input_bytes`.
     CompactionStart { level: u32, input_bytes: u64 },
-    /// A compaction at `level` finished, producing `output_bytes`.
-    CompactionFinish { level: u32, output_bytes: u64, ok: bool },
+    /// A compaction at `level` finished, producing `output_bytes`. With
+    /// `moved` the inputs changed level as they were: `output_bytes` is
+    /// their size and no table byte was written.
+    CompactionFinish {
+        level: u32,
+        output_bytes: u64,
+        ok: bool,
+        moved: bool,
+    },
 }
 
 /// Observer for [`DbEvent`]s (the p2KVS flight recorder subscribes here).
@@ -84,6 +91,16 @@ struct DbState {
 impl DbState {
     fn any_compaction_active(&self) -> bool {
         self.compact_busy.iter().any(|&b| b)
+    }
+
+    /// Logs `edit` to the manifest and installs it, keeping `stats`'
+    /// count of MANIFEST bytes current.
+    fn log_and_apply(&mut self, edit: VersionEdit, stats: &DbStats) -> Result<()> {
+        let result = self.versions.log_and_apply(edit);
+        stats
+            .manifest_bytes_written
+            .store(self.versions.manifest_bytes_written(), Ordering::Relaxed);
+        result
     }
 }
 
@@ -150,7 +167,7 @@ impl Db {
         let block_cache = (opts.block_cache_size > 0)
             .then(|| Arc::new(BlockCache::new(opts.block_cache_size)));
         let table_cache = Arc::new(TableCache::new(env.clone(), dir.clone(), block_cache.clone()));
-        let stats = Arc::new(DbStats::new());
+        let stats = Arc::new(DbStats::new(opts.num_levels));
 
         let mut state = DbState {
             mem: Arc::new(MemTable::new()),
@@ -200,17 +217,15 @@ impl Db {
                     max_seq = max_seq.max(end);
                     Self::apply_batch_to_mem(&mem, &batch)?;
                     if mem.approximate_memory_usage() >= opts.memtable_size {
-                        for f in flush_memtable(&ctx, &mem, &alloc)? {
-                            edit.added.push((0, f));
-                        }
+                        edit.added
+                            .extend(flush_memtable(&ctx, &mem, &alloc)?.map(|f| (0, f)));
                         mem = Arc::new(MemTable::new());
                     }
                 }
             }
             if !mem.is_empty() {
-                for f in flush_memtable(&ctx, &mem, &alloc)? {
-                    edit.added.push((0, f));
-                }
+                edit.added
+                    .extend(flush_memtable(&ctx, &mem, &alloc)?.map(|f| (0, f)));
             }
         }
 
@@ -225,7 +240,7 @@ impl Db {
         edit.log_number = Some(new_log);
         edit.last_sequence = Some(max_seq);
         state.versions.last_sequence.store(max_seq, Ordering::Relaxed);
-        state.versions.log_and_apply(edit)?;
+        state.log_and_apply(edit, &stats)?;
 
         let n_bg = opts.compaction_threads.max(1) + 1;
         let inner = Arc::new(DbInner {
@@ -318,43 +333,35 @@ impl Db {
                 slot.set_phase(Phase::Lead);
             }
         }
-        let result = loop {
-            match slot.wait_for_signal() {
-                SignaledPhase::Lead => break self.inner.run_as_leader(&slot),
-                SignaledPhase::Insert { mem, group } => {
-                    let t0 = Instant::now();
-                    let res = {
-                        let b = slot.batch.lock();
-                        Self::apply_batch_to_mem(&mem, &b)
-                    };
-                    let mem_ns = t0.elapsed().as_nanos() as u64;
-                    slot.mem_ns.store(mem_ns, Ordering::Relaxed);
-                    group.complete();
-                    let err = slot.wait_done();
-                    // Breakdown accounting for the concurrent-insert path.
-                    let wal_end = group.wal_end.lock().unwrap_or(slot.enqueued);
-                    let wal_lock = wal_end
-                        .saturating_duration_since(slot.enqueued)
-                        .as_nanos() as u64;
-                    slot.wal_lock_ns.store(wal_lock, Ordering::Relaxed);
-                    let after_wal = Instant::now()
-                        .saturating_duration_since(wal_end)
-                        .as_nanos() as u64;
-                    slot.mem_lock_ns
-                        .store(after_wal.saturating_sub(mem_ns), Ordering::Relaxed);
-                    break match (res, err) {
-                        (Err(e), _) => Err(e),
-                        (Ok(()), Some(msg)) => Err(Error::InvalidState(msg)),
-                        (Ok(()), None) => Ok(()),
-                    };
-                }
-                SignaledPhase::Done(err) => {
-                    break match err {
-                        Some(msg) => Err(Error::InvalidState(msg)),
-                        None => Ok(()),
-                    }
+        let result = match slot.wait_for_signal() {
+            SignaledPhase::Lead => self.inner.run_as_leader(&slot),
+            SignaledPhase::Insert { mem, group } => {
+                let t0 = Instant::now();
+                let res = {
+                    let b = slot.batch.lock();
+                    Self::apply_batch_to_mem(&mem, &b)
+                };
+                let mem_ns = t0.elapsed().as_nanos() as u64;
+                slot.mem_ns.store(mem_ns, Ordering::Relaxed);
+                group.complete();
+                let err = slot.wait_done();
+                // Breakdown accounting for the concurrent-insert path.
+                let wal_end = group.wal_end.lock().unwrap_or(slot.enqueued);
+                let wal_lock = wal_end.saturating_duration_since(slot.enqueued).as_nanos() as u64;
+                slot.wal_lock_ns.store(wal_lock, Ordering::Relaxed);
+                let after_wal = Instant::now().saturating_duration_since(wal_end).as_nanos() as u64;
+                slot.mem_lock_ns
+                    .store(after_wal.saturating_sub(mem_ns), Ordering::Relaxed);
+                match (res, err) {
+                    (Err(e), _) => Err(e),
+                    (Ok(()), Some(msg)) => Err(Error::InvalidState(msg)),
+                    (Ok(()), None) => Ok(()),
                 }
             }
+            SignaledPhase::Done(err) => match err {
+                Some(msg) => Err(Error::InvalidState(msg)),
+                None => Ok(()),
+            },
         };
         // Record the breakdown.
         let total = slot.enqueued.elapsed().as_nanos() as u64;
@@ -594,7 +601,12 @@ impl Db {
 
     /// Number of table files at `level`.
     pub fn num_files_at_level(&self, level: usize) -> usize {
-        self.inner.state.lock().versions.current().levels[level].len()
+        self.files_at_level(level).len()
+    }
+
+    /// The table files at `level`, in the level's search order.
+    pub fn files_at_level(&self, level: usize) -> Vec<crate::version::edit::FileRef> {
+        self.inner.state.lock().versions.current().levels[level].clone()
     }
 
     /// Bytes per level.
@@ -731,8 +743,10 @@ impl DbInner {
             slot.set_phase(Phase::Done(Some(e.to_string())));
             return Err(e);
         }
-        // Capture the memtable the group inserts into; only this leader can
-        // switch it (in make_room above), so it stays current for the group.
+        // Capture the memtable the group inserts into. With pipelined
+        // writes the next leader may switch it out while this group is
+        // still inserting; the flush waits for this group's sequence range
+        // to be published before it reads the table (`wait_published`).
         let mem = self.state.lock().mem.clone();
         let group = {
             let q = self.wal_queue.lock();
@@ -758,6 +772,7 @@ impl DbInner {
         if !slot.disable_wal {
             let mut log = self.log.lock();
             if let Some(w) = log.writer.as_mut() {
+                let logged = w.bytes_written();
                 for s in &group {
                     let b = s.batch.lock();
                     if let Err(e) = w.add_record(b.data()) {
@@ -765,6 +780,7 @@ impl DbInner {
                         break;
                     }
                 }
+                DbStats::bump(&self.stats.wal_bytes_written, w.bytes_written() - logged);
                 if wal_err.is_none() {
                     let sync = slot.sync || self.opts.sync == SyncPolicy::Always;
                     let r = if sync {
@@ -888,6 +904,17 @@ impl DbInner {
         self.publish_cv.notify_all();
     }
 
+    /// Waits until every sequence number up to `seq` is visible. A write
+    /// group publishes its range only after its memtable inserts, in
+    /// sequence order, so after this returns no group that was assigned
+    /// sequences up to `seq` is still inserting.
+    fn wait_published(&self, seq: u64) {
+        let mut guard = self.publish_mutex.lock();
+        while self.visible_seq.load(Ordering::Acquire) < seq {
+            self.publish_cv.wait(&mut guard);
+        }
+    }
+
     /// Pops `group` from the queue front and promotes the next leader.
     fn pop_group_and_promote(&self, group: &[Arc<WriterSlot>]) {
         let mut q = self.wal_queue.lock();
@@ -902,7 +929,8 @@ impl DbInner {
     }
 
     /// Ensures the memtable has room, applying the paper's backpressure
-    /// rules (L0 slowdown/stop, immutable-memtable stall).
+    /// rules (L0 slowdown/stop, immutable-memtable stall). L0 is counted
+    /// in sorted runs: one file per flush.
     fn make_room_for_write(&self) -> Result<()> {
         let mut delayed = false;
         let mut state = self.state.lock();
@@ -1110,21 +1138,25 @@ impl DbInner {
                     inner.fire_event(DbEvent::FlushStart {
                         bytes: mem.approximate_memory_usage() as u64,
                     });
+                    // Groups that captured this memtable before it was
+                    // switched out may still be inserting (their leader
+                    // hands the WAL to the next one first). All of them
+                    // were assigned their sequences before the switch:
+                    // once those are published the table is complete.
+                    inner.wait_published(inner.next_seq.load(Ordering::Acquire));
                     let t_job = Instant::now();
                     let result = flush_memtable(&ctx, &mem, &alloc);
                     inner.stats.bg_busy.record(t_job.elapsed().as_nanos() as u64);
                     let mut finish = DbEvent::FlushFinish { bytes: 0, ok: false };
                     let mut state = inner.state.lock();
                     match result {
-                        Ok(files) => {
+                        Ok(file) => {
                             finish = DbEvent::FlushFinish {
-                                bytes: files.iter().map(|f| f.size).sum(),
+                                bytes: file.as_ref().map_or(0, |f| f.size),
                                 ok: true,
                             };
                             let mut edit = VersionEdit::default();
-                            for f in files {
-                                edit.added.push((0, f));
-                            }
+                            edit.added.extend(file.map(|f| (0, f)));
                             // After this imm is gone, the oldest WAL still
                             // needed is the next imm's (or the live log).
                             let next_needed = state
@@ -1135,7 +1167,7 @@ impl DbInner {
                             edit.log_number = Some(next_needed);
                             edit.last_sequence =
                                 Some(inner.visible_seq.load(Ordering::Acquire));
-                            match state.versions.log_and_apply(edit) {
+                            match state.log_and_apply(edit, &inner.stats) {
                                 Ok(()) => {
                                     debug_assert_eq!(state.imms[0].0, wal_num);
                                     state.imms.remove(0);
@@ -1152,33 +1184,28 @@ impl DbInner {
                     inner.bg_cv.notify_all();
                 }
                 Work::Compact(task, version) => {
-                    let input_bytes: u64 = task
-                        .inputs
-                        .iter()
-                        .chain(task.next_inputs.iter())
-                        .map(|f| f.size)
-                        .sum();
                     inner.fire_event(DbEvent::CompactionStart {
                         level: task.level as u32,
-                        input_bytes,
+                        input_bytes: task.input_bytes(),
                     });
-                    let smallest = inner.smallest_snapshot();
+                    let moved = task.is_trivial_move(&version);
                     let t_job = Instant::now();
-                    let result = run_compaction(&ctx, &task, &version, smallest, &alloc);
-                    inner.stats.bg_busy.record(t_job.elapsed().as_nanos() as u64);
-                    let mut finish = DbEvent::CompactionFinish {
-                        level: task.level as u32,
-                        output_bytes: 0,
-                        ok: false,
+                    let result = if moved {
+                        Ok(task.inputs.iter().map(|f| f.meta().clone()).collect())
+                    } else {
+                        let smallest = inner.smallest_snapshot();
+                        run_compaction(&ctx, &task, &version, smallest, &alloc).map(|out| out.files)
                     };
+                    inner
+                        .stats
+                        .bg_busy
+                        .record(t_job.elapsed().as_nanos() as u64);
+                    // Output bytes, once the edit that installs them is logged.
+                    let mut installed = None;
                     let mut state = inner.state.lock();
                     match result {
-                        Ok(out) => {
-                            finish = DbEvent::CompactionFinish {
-                                level: task.level as u32,
-                                output_bytes: out.files.iter().map(|f| f.size).sum(),
-                                ok: true,
-                            };
+                        Ok(files) => {
+                            let output_bytes: u64 = files.iter().map(|f| f.size).sum();
                             let mut edit = VersionEdit::default();
                             for f in &task.inputs {
                                 edit.deleted.push((task.level, f.number));
@@ -1186,20 +1213,32 @@ impl DbInner {
                             for f in &task.next_inputs {
                                 edit.deleted.push((task.output_level, f.number));
                             }
-                            for f in out.files {
+                            for f in files {
                                 edit.added.push((task.output_level, f));
                             }
-                            if let Some(largest) =
-                                task.inputs.iter().map(|f| f.largest.clone()).max()
-                            {
-                                state.versions.set_compact_pointer(task.level, largest);
+                            if let Some(last) = task.inputs.last() {
+                                state
+                                    .versions
+                                    .set_compact_pointer(task.level, last.largest.clone());
                             }
-                            if let Err(e) = state.versions.log_and_apply(edit) {
-                                state.bg_error = Some(e.to_string());
+                            match state.log_and_apply(edit, &inner.stats) {
+                                Ok(()) => installed = Some(output_bytes),
+                                Err(e) => state.bg_error = Some(e.to_string()),
                             }
                         }
                         Err(e) => state.bg_error = Some(e.to_string()),
                     }
+                    if let Some(bytes) = installed.filter(|_| moved) {
+                        let level = &inner.stats.levels[task.level];
+                        DbStats::bump(&level.files_moved, task.inputs.len() as u64);
+                        DbStats::bump(&level.bytes_moved, bytes);
+                    }
+                    let finish = DbEvent::CompactionFinish {
+                        level: task.level as u32,
+                        output_bytes: installed.unwrap_or(0),
+                        ok: installed.is_some(),
+                        moved,
+                    };
                     state.compact_busy[task.level] = false;
                     state.compact_busy[task.output_level] = false;
                     drop(state);

@@ -49,11 +49,12 @@ pub struct Options {
     pub max_immutable_memtables: usize,
     /// Target file size for SSTs produced by flush/compaction.
     pub target_file_size: usize,
-    /// Number of L0 files that triggers compaction.
+    /// Number of sorted runs in L0 (one per flush) that triggers compaction.
     pub l0_compaction_trigger: usize,
-    /// Number of L0 files at which writers are slowed down.
+    /// Number of sorted runs in L0 at which writers are slowed down.
     pub l0_slowdown_trigger: usize,
-    /// Number of L0 files at which writers stop until compaction catches up.
+    /// Number of sorted runs in L0 at which writers stop until compaction
+    /// catches up. Also the most L0 tables a point lookup can have to probe.
     pub l0_stop_trigger: usize,
     /// Size target of L1 in bytes; each deeper level is ×`level_multiplier`.
     pub base_level_size: u64,

@@ -58,6 +58,13 @@ impl BloomPolicy {
 
     /// Whether `key` may be in the filter (`false` = definitely absent).
     pub fn key_may_match(key: &[u8], filter: &[u8]) -> bool {
+        Self::hash_may_match(Self::hash(key), filter)
+    }
+
+    /// [`BloomPolicy::key_may_match`] for a key whose [`BloomPolicy::hash`]
+    /// the caller already has: a lookup hashes its key once for all the
+    /// tables it probes.
+    pub fn hash_may_match(hash: u32, filter: &[u8]) -> bool {
         #[cfg(test)]
         PROBES.with(|p| p.set(p.get() + 1));
         if filter.len() < 2 {
@@ -69,12 +76,16 @@ impl BloomPolicy {
             return true;
         }
         let data = &filter[..filter.len() - 1];
-        let bits = data.len() * 8;
-        let mut h = Self::hash(key);
+        // 32-bit arithmetic: the hash is 32 bits wide, and a filter of
+        // 2^32 bits or more is not one the builder wrote.
+        let Ok(bits) = u32::try_from(data.len() * 8) else {
+            return true;
+        };
+        let mut h = hash;
         let delta = h.rotate_left(15);
         for _ in 0..k {
-            let bit = (h as usize) % bits;
-            if data[bit / 8] & (1 << (bit % 8)) == 0 {
+            let bit = h % bits;
+            if data[(bit / 8) as usize] & (1 << (bit % 8)) == 0 {
                 return false;
             }
             h = h.wrapping_add(delta);

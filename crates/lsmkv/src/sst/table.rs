@@ -311,10 +311,11 @@ impl TableReader {
         self.admit_block(handle, self.fetch_block(handle)?, skip_cache)
     }
 
-    /// Whether the bloom filter rules out `ukey`.
-    pub fn may_contain(&self, ukey: &[u8]) -> bool {
+    /// Whether the bloom filter admits the user key whose
+    /// [`BloomPolicy::hash`] is `hash` (`false` = the table cannot hold it).
+    pub fn may_contain(&self, hash: u32) -> bool {
         match &self.filter {
-            Some(f) => BloomPolicy::key_may_match(ukey, f),
+            Some(f) => BloomPolicy::hash_may_match(hash, f),
             None => true,
         }
     }
@@ -596,7 +597,7 @@ mod tests {
                 u64::MAX >> 8,
                 ValueType::Value,
             );
-            if !reader.may_contain(user_key(&ikey)) {
+            if !reader.may_contain(BloomPolicy::hash(user_key(&ikey))) {
                 rejected += 1;
             }
         }

@@ -106,6 +106,29 @@ impl WriteBreakdown {
     }
 }
 
+/// What the compactions picked from one level took and wrote: one row of
+/// the write-amplification ledger (DESIGN.md §13.6). A job at level L
+/// merges `bytes_in` of L with `bytes_overlapped` of L+1 into
+/// `bytes_written` at L+1; files that changed level without being
+/// rewritten are counted apart and cost no table bytes.
+#[derive(Default)]
+pub struct LevelStats {
+    /// Compactions that rewrote files of this level.
+    pub jobs: AtomicU64,
+    /// Files those jobs took from this level.
+    pub files_in: AtomicU64,
+    /// Bytes of those files.
+    pub bytes_in: AtomicU64,
+    /// Bytes of the output level the jobs rewrote with them.
+    pub bytes_overlapped: AtomicU64,
+    /// Bytes the jobs wrote to the output level.
+    pub bytes_written: AtomicU64,
+    /// Files moved to the output level by a manifest edit alone.
+    pub files_moved: AtomicU64,
+    /// Bytes of those files.
+    pub bytes_moved: AtomicU64,
+}
+
 /// Cumulative counters for one database instance.
 #[derive(Default)]
 pub struct DbStats {
@@ -133,8 +156,18 @@ pub struct DbStats {
     pub compactions: AtomicU64,
     /// Bytes read by compactions.
     pub compaction_bytes_read: AtomicU64,
-    /// Bytes written by compactions (incl. flushes).
+    /// Table bytes written by flushes *and* compactions: `flush_bytes_written`
+    /// plus every level's `bytes_written`. The benchmark's
+    /// `lsmkv.compaction_mb` reads this sum, so it keeps this meaning.
     pub compaction_bytes_written: AtomicU64,
+    /// Table bytes written by flushes alone.
+    pub flush_bytes_written: AtomicU64,
+    /// WAL bytes appended, record framing included.
+    pub wal_bytes_written: AtomicU64,
+    /// MANIFEST and CURRENT bytes written.
+    pub manifest_bytes_written: AtomicU64,
+    /// Per source level, what its compactions took and wrote.
+    pub levels: Vec<LevelStats>,
     /// Nanoseconds writers spent stalled on L0/imm backpressure.
     pub stall_ns: AtomicU64,
     /// CPU time consumed by background flush/compaction jobs.
@@ -146,9 +179,12 @@ pub struct DbStats {
 }
 
 impl DbStats {
-    /// Creates zeroed stats.
-    pub fn new() -> DbStats {
-        DbStats::default()
+    /// Creates zeroed stats for a tree of `num_levels` levels.
+    pub fn new(num_levels: usize) -> DbStats {
+        DbStats {
+            levels: (0..num_levels).map(|_| LevelStats::default()).collect(),
+            ..DbStats::default()
+        }
     }
 
     /// Every counter and breakdown component as `(name, value)` pairs
@@ -159,7 +195,7 @@ impl DbStats {
     pub fn metrics(&self) -> Vec<(String, f64)> {
         let b = self.breakdown.snapshot();
         let c = |counter: &AtomicU64| counter.load(Ordering::Relaxed) as f64;
-        vec![
+        let mut out = vec![
             ("engine_wal_us".to_string(), b.wal_us),
             ("engine_memtable_us".to_string(), b.memtable_us),
             ("engine_wal_lock_us".to_string(), b.wal_lock_us),
@@ -196,7 +232,110 @@ impl DbStats {
                 "engine_read_ns_total".to_string(),
                 self.read_path.sum_ns() as f64,
             ),
-        ]
+            (
+                "engine_flush_bytes_written_total".to_string(),
+                c(&self.flush_bytes_written),
+            ),
+            (
+                "engine_wal_bytes_written_total".to_string(),
+                c(&self.wal_bytes_written),
+            ),
+            (
+                "engine_manifest_bytes_written_total".to_string(),
+                c(&self.manifest_bytes_written),
+            ),
+        ];
+        // One set of `level`-labeled series per level that has been
+        // compacted from.
+        for (level, l) in self.levels.iter().enumerate() {
+            if c(&l.jobs) + c(&l.files_moved) == 0.0 {
+                continue;
+            }
+            for (name, counter) in [
+                ("jobs", &l.jobs),
+                ("files_in", &l.files_in),
+                ("bytes_in", &l.bytes_in),
+                ("bytes_overlapped", &l.bytes_overlapped),
+                ("bytes_written", &l.bytes_written),
+                ("files_moved", &l.files_moved),
+                ("bytes_moved", &l.bytes_moved),
+            ] {
+                out.push((
+                    format!("engine_level_{name}_total{{level=\"{level}\"}}"),
+                    c(counter),
+                ));
+            }
+        }
+        out
+    }
+
+    /// Every byte the engine has asked the device to write: WAL, MANIFEST,
+    /// flush output and every level's compaction output. The env's own
+    /// `bytes_written` is the check on it.
+    pub fn device_bytes_written(&self) -> u64 {
+        let c = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        c(&self.wal_bytes_written)
+            + c(&self.manifest_bytes_written)
+            + c(&self.flush_bytes_written)
+            + self.levels.iter().map(|l| c(&l.bytes_written)).sum::<u64>()
+    }
+
+    /// The write-amplification ledger as a table: one row per source of
+    /// device writes, each with its bytes per user byte, summing to the
+    /// total. Level rows also show what VAT (arXiv 2003.00103) prices a
+    /// level by — the ratio of output-level bytes to level bytes a job
+    /// actually merged.
+    pub fn write_amp_table(&self) -> String {
+        let c = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let user = c(&self.user_bytes_written).max(1) as f64;
+        let mb = |bytes: u64| bytes as f64 / 1e6;
+        let mut t = format!(
+            "{:<8} {:>5} {:>6} {:>8} {:>10} {:>8} {:>6} {:>10} {:>7}\n",
+            "source",
+            "jobs",
+            "files",
+            "in MB",
+            "overlap MB",
+            "moved MB",
+            "ratio",
+            "written MB",
+            "w-amp"
+        );
+        let mut row = |name: &str, level: Option<&LevelStats>, written: u64| {
+            let detail = level.map_or_else(
+                || " ".repeat(48),
+                |l| {
+                    format!(
+                        "{:>5} {:>6} {:>8.1} {:>10.1} {:>8.1} {:>6.2}",
+                        c(&l.jobs),
+                        c(&l.files_in),
+                        mb(c(&l.bytes_in)),
+                        mb(c(&l.bytes_overlapped)),
+                        mb(c(&l.bytes_moved)),
+                        c(&l.bytes_overlapped) as f64 / c(&l.bytes_in).max(1) as f64,
+                    )
+                },
+            );
+            t.push_str(&format!(
+                "{name:<8} {detail} {:>10.1} {:>7.3}\n",
+                mb(written),
+                written as f64 / user
+            ));
+        };
+        row("WAL", None, c(&self.wal_bytes_written));
+        row("MANIFEST", None, c(&self.manifest_bytes_written));
+        row("flush", None, c(&self.flush_bytes_written));
+        for (level, l) in self.levels.iter().enumerate() {
+            if c(&l.jobs) + c(&l.files_moved) > 0 {
+                row(
+                    &format!("L{level}->L{}", level + 1),
+                    Some(l),
+                    c(&l.bytes_written),
+                );
+            }
+        }
+        row("total", None, self.device_bytes_written());
+        t
     }
 
     /// Adds `d` to the stall-time counter.
@@ -248,7 +387,7 @@ mod tests {
 
     #[test]
     fn metrics_expose_breakdown_and_counters() {
-        let s = DbStats::new();
+        let s = DbStats::new(7);
         s.breakdown.wal.record(2_000);
         s.breakdown.memtable.record(1_000);
         DbStats::bump(&s.writes, 3);
@@ -272,8 +411,42 @@ mod tests {
     }
 
     #[test]
+    fn ledger_rows_are_labeled_by_level_and_sum_to_the_device_bytes() {
+        let s = DbStats::new(4);
+        DbStats::bump(&s.user_bytes_written, 1_000);
+        DbStats::bump(&s.wal_bytes_written, 1_100);
+        DbStats::bump(&s.manifest_bytes_written, 10);
+        DbStats::bump(&s.flush_bytes_written, 1_050);
+        DbStats::bump(&s.levels[0].jobs, 1);
+        DbStats::bump(&s.levels[0].bytes_in, 1_050);
+        DbStats::bump(&s.levels[0].bytes_overlapped, 2_100);
+        DbStats::bump(&s.levels[0].bytes_written, 3_000);
+        DbStats::bump(&s.levels[2].files_moved, 2);
+        DbStats::bump(&s.levels[2].bytes_moved, 500);
+        assert_eq!(s.device_bytes_written(), 1_100 + 10 + 1_050 + 3_000);
+        let metrics = s.metrics();
+        let get = |name: &str| metrics.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+        assert_eq!(
+            get("engine_level_bytes_written_total{level=\"0\"}"),
+            Some(3_000.0)
+        );
+        assert_eq!(
+            get("engine_level_bytes_moved_total{level=\"2\"}"),
+            Some(500.0)
+        );
+        assert_eq!(get("engine_level_jobs_total{level=\"2\"}"), Some(0.0));
+        // A level nothing was compacted from has no row.
+        assert_eq!(get("engine_level_jobs_total{level=\"1\"}"), None);
+        let table = s.write_amp_table();
+        assert_eq!(table.lines().count(), 1 + 3 + 2 + 1, "{table}");
+        let l0 = table.lines().find(|l| l.starts_with("L0->L1")).unwrap();
+        assert!(l0.contains("2.00") && l0.ends_with("3.000"), "{l0}");
+        assert!(table.lines().last().unwrap().ends_with("5.160"), "{table}");
+    }
+
+    #[test]
     fn stall_accumulates() {
-        let s = DbStats::new();
+        let s = DbStats::new(7);
         s.add_stall(Duration::from_micros(5));
         s.add_stall(Duration::from_micros(7));
         assert_eq!(s.stall_ns.load(Ordering::Relaxed), 12_000);

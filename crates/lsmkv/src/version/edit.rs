@@ -5,7 +5,7 @@
 //! counter and last sequence. Edits are appended to the `MANIFEST` using
 //! the WAL record format; recovery replays them in order.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use p2kvs_util::coding::{
     get_length_prefixed, get_varint32, get_varint64, put_length_prefixed, put_varint32,
@@ -13,6 +13,8 @@ use p2kvs_util::coding::{
 };
 
 use crate::error::{Error, Result};
+use crate::sst::TableReader;
+use crate::version::table_cache::TableCache;
 
 /// Metadata of one on-disk table file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,8 +144,57 @@ impl VersionEdit {
     }
 }
 
-/// Shared file metadata handle.
-pub type FileRef = Arc<FileMetaData>;
+/// A table file as a version holds it: its metadata and, once something
+/// has read from it, its open reader. A lookup walks several tables; with
+/// the reader pinned here it reaches each one without the table cache's
+/// lock. The pin lives as long as a version lists the file, which is as
+/// long as the file may be read.
+pub struct TableFile {
+    meta: FileMetaData,
+    reader: OnceLock<Arc<TableReader>>,
+}
+
+impl TableFile {
+    /// The file's metadata.
+    pub fn meta(&self) -> &FileMetaData {
+        &self.meta
+    }
+
+    /// The file's reader, opened through `cache` on first use.
+    pub fn reader(&self, cache: &TableCache) -> Result<&Arc<TableReader>> {
+        if let Some(reader) = self.reader.get() {
+            return Ok(reader);
+        }
+        let opened = cache.get(self.meta.number, self.meta.size)?;
+        Ok(self.reader.get_or_init(|| opened))
+    }
+}
+
+impl From<FileMetaData> for TableFile {
+    fn from(meta: FileMetaData) -> TableFile {
+        TableFile {
+            meta,
+            reader: OnceLock::new(),
+        }
+    }
+}
+
+impl std::ops::Deref for TableFile {
+    type Target = FileMetaData;
+
+    fn deref(&self) -> &FileMetaData {
+        &self.meta
+    }
+}
+
+impl std::fmt::Debug for TableFile {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.meta.fmt(f)
+    }
+}
+
+/// Shared handle to a version's table file.
+pub type FileRef = Arc<TableFile>;
 
 #[cfg(test)]
 mod tests {

@@ -22,7 +22,7 @@ use p2kvs_storage::{EnvRef, IoPlug};
 use crate::error::{Error, Result};
 use crate::iterator::InternalIterator;
 use crate::options::{CompactionStyle, Options};
-use crate::sst::{Block, BlockHandle, TableIterator, TableReader};
+use crate::sst::{Block, BlockHandle, BloomPolicy, TableIterator, TableReader};
 use crate::types::{
     file_path, internal_cmp, seq_and_type, user_key, FileKind, SequenceNumber, ValueType,
     CURRENT_FILE,
@@ -184,10 +184,11 @@ impl Version {
         stats: Option<&crate::stats::DbStats>,
     ) -> Result<GetOutcome> {
         let lookup = crate::types::make_internal_key(ukey, snapshot, ValueType::Value);
+        let hash = BloomPolicy::hash(ukey);
         let mut cursor = CandidateCursor::default();
         while let Some(file) = self.next_candidate(ukey, &mut cursor) {
-            let reader = cache.get(file.number, file.size)?;
-            if !reader.may_contain(ukey) {
+            let reader = file.reader(cache)?;
+            if !reader.may_contain(hash) {
                 if let Some(s) = stats {
                     crate::stats::DbStats::bump(&s.bloom_skips, 1);
                 }
@@ -229,6 +230,8 @@ impl Version {
             /// Position in `ukeys`.
             slot: usize,
             lookup: Vec<u8>,
+            /// The key's bloom hash, computed once for every table probed.
+            hash: u32,
             cursor: CandidateCursor,
         }
         /// One block the current round must read, and who waits for it
@@ -246,6 +249,7 @@ impl Version {
             .map(|(slot, ukey)| Probe {
                 slot,
                 lookup: crate::types::make_internal_key(ukey, snapshot, ValueType::Value),
+                hash: BloomPolicy::hash(ukey),
                 cursor: CandidateCursor::default(),
             })
             .collect();
@@ -255,8 +259,8 @@ impl Version {
             for mut probe in active.drain(..) {
                 let ukey = ukeys[probe.slot];
                 while let Some(file) = self.next_candidate(ukey, &mut probe.cursor) {
-                    let reader = cache.get(file.number, file.size)?;
-                    if !reader.may_contain(ukey) {
+                    let reader = file.reader(cache)?;
+                    if !reader.may_contain(probe.hash) {
                         if let Some(s) = stats {
                             crate::stats::DbStats::bump(&s.bloom_skips, 1);
                         }
@@ -281,10 +285,10 @@ impl Version {
                     }
                     let fetch = fetches
                         .iter()
-                        .position(|f| Arc::ptr_eq(&f.reader, &reader) && f.handle == handle)
+                        .position(|f| Arc::ptr_eq(&f.reader, reader) && f.handle == handle)
                         .unwrap_or_else(|| {
                             fetches.push(Fetch {
-                                reader,
+                                reader: reader.clone(),
                                 handle,
                                 waiters: Vec::new(),
                             });
@@ -334,8 +338,7 @@ impl Version {
         for level in 0..self.levels.len() {
             if self.level_overlaps(level) {
                 for f in &self.levels[level] {
-                    let reader = cache.get(f.number, f.size)?;
-                    out.push(Box::new(reader.iter()));
+                    out.push(Box::new(f.reader(cache)?.iter()));
                 }
             } else if !self.levels[level].is_empty() {
                 out.push(Box::new(LevelFileIterator::new(
@@ -363,7 +366,7 @@ impl Version {
             levels[*level].retain(|f| f.number != *num);
         }
         for (level, meta) in &edit.added {
-            levels[*level].push(Arc::new(meta.clone()));
+            levels[*level].push(Arc::new(meta.clone().into()));
         }
         for (level, files) in levels.iter_mut().enumerate() {
             Self::sort_level(files, level, self.style);
@@ -412,9 +415,9 @@ impl LevelFileIterator {
         let Some(f) = self.files.get(index) else {
             return false;
         };
-        match self.cache.get(f.number, f.size) {
+        match f.reader(&self.cache) {
             Ok(table) => {
-                self.current = Some((self.reader)(&table));
+                self.current = Some((self.reader)(table));
                 true
             }
             Err(e) => {
@@ -539,7 +542,22 @@ impl CompactionTask {
             .map(|f| f.size)
             .sum()
     }
+
+    /// Whether the inputs can change level as they are, by a manifest
+    /// edit alone: files of a sorted level with nothing beneath them in
+    /// the output level. Never L0 or a fragmented level — their files
+    /// overlap one another (and a fragmented task never lists the output
+    /// level's files), so an empty `next_inputs` proves nothing there.
+    pub fn is_trivial_move(&self, version: &Version) -> bool {
+        !version.level_overlaps(self.level) && self.next_inputs.is_empty()
+    }
 }
+
+/// Most bytes a leveled compaction below L0 takes on, in target files:
+/// its inputs plus the output-level files they overlap (RocksDB's
+/// `max_compaction_bytes` default). Bounds how long one job holds its two
+/// levels and how much space its inputs pin.
+const MAX_COMPACTION_FILES: u64 = 25;
 
 /// Owns the current [`Version`] and the manifest.
 pub struct VersionSet {
@@ -564,6 +582,8 @@ pub struct VersionSet {
     pub log_number: u64,
     /// Round-robin compaction cursor per level (largest key compacted).
     compact_pointer: Vec<Vec<u8>>,
+    /// MANIFEST and CURRENT bytes written since open.
+    manifest_bytes: u64,
     /// Weak handles to every version ever installed; readers holding an
     /// `Arc<Version>` keep their files protected from GC (LevelDB's
     /// version refcounting).
@@ -601,6 +621,7 @@ impl VersionSet {
             last_sequence: AtomicU64::new(0),
             log_number: 0,
             compact_pointer: vec![Vec::new(); opts.num_levels],
+            manifest_bytes: 0,
             alive: Mutex::new(Vec::new()),
         };
         set.register_current();
@@ -651,6 +672,7 @@ impl VersionSet {
             last_sequence: AtomicU64::new(last_seq),
             log_number,
             compact_pointer: vec![Vec::new(); opts.num_levels],
+            manifest_bytes: 0,
             alive: Mutex::new(Vec::new()),
         };
         set.register_current();
@@ -674,7 +696,7 @@ impl VersionSet {
         };
         for (level, files) in self.current.levels.iter().enumerate() {
             for f in files {
-                snapshot.added.push((level, (**f).clone()));
+                snapshot.added.push((level, f.meta().clone()));
             }
         }
         writer.add_record(&snapshot.encode())?;
@@ -684,6 +706,7 @@ impl VersionSet {
         let name = format!("MANIFEST-{number:06}\n");
         p2kvs_storage::env::write_all(&*self.env, &tmp, name.as_bytes())?;
         self.env.rename(&tmp, &self.dir.join(CURRENT_FILE))?;
+        self.manifest_bytes += writer.bytes_written() + name.len() as u64;
         self.manifest = Some(writer);
         self.manifest_number = number;
         Ok(())
@@ -723,7 +746,12 @@ impl VersionSet {
             .manifest
             .as_mut()
             .expect("manifest writer always present after open");
-        if let Err(e) = writer.add_record(&edit.encode()).and_then(|()| writer.sync()) {
+        let before = writer.bytes_written();
+        let logged = writer
+            .add_record(&edit.encode())
+            .and_then(|()| writer.sync());
+        self.manifest_bytes += writer.bytes_written() - before;
+        if let Err(e) = logged {
             self.manifest_poisoned = true;
             return Err(e);
         }
@@ -753,6 +781,11 @@ impl VersionSet {
             }
         }
         out
+    }
+
+    /// MANIFEST and CURRENT bytes written since open.
+    pub fn manifest_bytes_written(&self) -> u64 {
+        self.manifest_bytes
     }
 
     /// Updates the round-robin cursor after compacting up to `largest`.
@@ -847,7 +880,14 @@ impl VersionSet {
                 let inputs: Vec<FileRef> = if level == 0 {
                     v.levels[0].clone()
                 } else {
-                    // Round-robin: first file past the compaction cursor.
+                    // Round-robin: the contiguous run of files past the
+                    // compaction cursor (from the front again once the
+                    // cursor is past the last file) that brings the level
+                    // back under its target. Neighbours taken in one job
+                    // share the output-level file on their common boundary
+                    // instead of rewriting it once each. The first file is
+                    // always taken; a further one only while the job stays
+                    // under the byte cap.
                     let files = &v.levels[level];
                     let start = files
                         .iter()
@@ -857,7 +897,29 @@ impl VersionSet {
                                     == std::cmp::Ordering::Greater
                         })
                         .unwrap_or(0);
-                    vec![files[start].clone()]
+                    let excess = v
+                        .level_bytes(level)
+                        .saturating_sub(self.opts.level_target(level));
+                    let cap = MAX_COMPACTION_FILES * self.opts.target_file_size as u64;
+                    let lo = user_key(&files[start].smallest);
+                    let mut inputs = vec![files[start].clone()];
+                    let mut taken = files[start].size;
+                    for f in &files[start + 1..] {
+                        if taken >= excess {
+                            break;
+                        }
+                        let beneath: u64 = v
+                            .overlapping(output_level, Some(lo), Some(user_key(&f.largest)))
+                            .iter()
+                            .map(|o| o.size)
+                            .sum();
+                        if taken + f.size + beneath > cap {
+                            break;
+                        }
+                        taken += f.size;
+                        inputs.push(f.clone());
+                    }
+                    inputs
                 };
                 if inputs.is_empty() {
                     return None;
@@ -1070,6 +1132,50 @@ mod tests {
         );
     }
 
+    #[test]
+    fn a_version_pins_the_reader_of_each_table_it_has_read() {
+        use crate::sst::{TableBuilder, TableConfig};
+        let env: EnvRef = Arc::new(p2kvs_storage::MemEnv::new());
+        let dir = PathBuf::from("db");
+        let config = TableConfig {
+            block_size: 4096,
+            restart_interval: 16,
+            bloom_bits_per_key: 10,
+        };
+        let mut b = TableBuilder::new(
+            env.new_writable(&file_path(&dir, 5, FileKind::Table))
+                .unwrap(),
+            config,
+        );
+        b.add(&make_internal_key(b"k", 1, ValueType::Value), b"v")
+            .unwrap();
+        let t = b.finish().unwrap();
+        let mut edit = VersionEdit::default();
+        edit.added.push((
+            1,
+            FileMetaData {
+                number: 5,
+                size: t.file_size,
+                smallest: t.smallest,
+                largest: t.largest,
+                entries: t.entries,
+            },
+        ));
+        let v = Version::empty(7, CompactionStyle::Leveled).apply(&edit);
+        let cache = TableCache::new(env, dir, None);
+        let get = |v: &Version| v.get(b"k", u64::MAX >> 8, &cache, false, None).unwrap();
+        assert_eq!(get(&v), GetOutcome::Found(b"v".to_vec()));
+        assert_eq!(cache.len(), 1, "opened through the table cache");
+        // The second lookup does not go back to the cache, and neither
+        // does one through a successor version that kept the file.
+        cache.evict(5);
+        assert_eq!(get(&v), GetOutcome::Found(b"v".to_vec()));
+        let mut other = VersionEdit::default();
+        other.added.push((2, meta(9, "x", "z")));
+        assert_eq!(get(&v.apply(&other)), GetOutcome::Found(b"v".to_vec()));
+        assert!(cache.is_empty());
+    }
+
     fn test_opts() -> Options {
         Options::for_test()
     }
@@ -1137,6 +1243,124 @@ mod tests {
         assert_eq!(task.inputs.len(), 1);
         assert_eq!(task.next_inputs.len(), 1);
         assert_eq!(task.next_inputs[0].number, 31);
+    }
+
+    /// File `i` of a sorted level: keys `f{i:03}a ..= f{i:03}z`.
+    fn run_file(num: u64, i: usize, size: u64) -> FileMetaData {
+        FileMetaData {
+            size,
+            ..meta(num, &format!("f{i:03}a"), &format!("f{i:03}z"))
+        }
+    }
+
+    /// A version set whose L1 holds `n` files of one target file size
+    /// each (numbers 100.., in key order), and whatever `lower` adds.
+    fn set_with_l1_run(dir: &str, n: usize, lower: Vec<(usize, FileMetaData)>) -> VersionSet {
+        let opts = test_opts();
+        let mut set = VersionSet::open(opts.env.clone(), Path::new(dir), &opts).unwrap();
+        let mut edit = VersionEdit::default();
+        for i in 0..n {
+            edit.added
+                .push((1, run_file(100 + i as u64, i, opts.target_file_size as u64)));
+        }
+        edit.added.extend(lower);
+        set.log_and_apply(edit).unwrap();
+        set
+    }
+
+    fn numbers(files: &[FileRef]) -> Vec<u64> {
+        files.iter().map(|f| f.number).collect()
+    }
+
+    /// Picks at L1 and moves the cursor as the engine does after the job.
+    fn pick_and_advance(set: &mut VersionSet) -> CompactionTask {
+        let task = set.pick_compaction().expect("L1 over target");
+        assert_eq!((task.level, task.output_level), (1, 2));
+        let last = task.inputs.last().unwrap().largest.clone();
+        set.set_compact_pointer(1, last);
+        task
+    }
+
+    #[test]
+    fn level_pick_is_the_contiguous_run_that_clears_the_excess() {
+        // Test options: 32 KiB files, L1 target 128 KiB. Ten files are
+        // 192 KiB over: six files clear that, five would not.
+        let mut set = set_with_l1_run("run", 10, Vec::new());
+        let task = pick_and_advance(&mut set);
+        assert_eq!(numbers(&task.inputs), (100..106).collect::<Vec<_>>());
+        assert!(task.next_inputs.is_empty());
+        // The level was not changed, so the next pick wants six again: it
+        // starts past the cursor, skips nothing, and ends with the level
+        // rather than reaching round to the front (one job, one key range).
+        let task = pick_and_advance(&mut set);
+        assert_eq!(numbers(&task.inputs), (106..110).collect::<Vec<_>>());
+        // With the cursor past the last file the round starts over.
+        let task = pick_and_advance(&mut set);
+        assert_eq!(numbers(&task.inputs), (100..106).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn level_pick_is_one_file_when_the_excess_is_at_most_one_file() {
+        // Five files: exactly one file over the target.
+        let mut set = set_with_l1_run("one", 5, Vec::new());
+        for expect in [100, 101, 102, 103, 104, 100] {
+            assert_eq!(numbers(&pick_and_advance(&mut set).inputs), vec![expect]);
+        }
+        // Four files: at the target, score 1.0, still one file.
+        let mut set = set_with_l1_run("at", 4, Vec::new());
+        assert_eq!(numbers(&pick_and_advance(&mut set).inputs), vec![100]);
+    }
+
+    #[test]
+    fn level_pick_stops_before_the_byte_cap() {
+        let file = test_opts().target_file_size as u64;
+        // Forty files want 36 taken; nothing beneath them, so the cap of
+        // 25 target files is reached by the inputs alone.
+        let mut set = set_with_l1_run("cap", 40, Vec::new());
+        let task = pick_and_advance(&mut set);
+        assert_eq!(numbers(&task.inputs), (100..125).collect::<Vec<_>>());
+        // The cursor is past file 24: the next run starts at file 25.
+        assert_eq!(pick_and_advance(&mut set).inputs[0].number, 125);
+
+        // The same level over an L2 that puts two files' worth beneath
+        // each L1 file: a job of k inputs weighs 3k files, so k = 8.
+        let lower = (0..40)
+            .map(|i| (2, run_file(200 + i as u64, i, 2 * file)))
+            .collect();
+        let mut set = set_with_l1_run("cap2", 40, lower);
+        let task = pick_and_advance(&mut set);
+        assert_eq!(numbers(&task.inputs), (100..108).collect::<Vec<_>>());
+        assert_eq!(numbers(&task.next_inputs), (200..208).collect::<Vec<_>>());
+        assert!(task.input_bytes() <= MAX_COMPACTION_FILES * file);
+
+        // A first file that is over the cap on its own is still taken:
+        // the level must be able to drain.
+        let mut wide = meta(300, "f000a", "f039z");
+        wide.size = 30 * file;
+        let mut set = set_with_l1_run("cap3", 40, vec![(2, wide)]);
+        let task = pick_and_advance(&mut set);
+        assert_eq!(numbers(&task.inputs), vec![100]);
+        assert_eq!(numbers(&task.next_inputs), vec![300]);
+    }
+
+    #[test]
+    fn only_sorted_levels_with_nothing_beneath_move_trivially() {
+        let task = |level, next_inputs: Vec<FileRef>| CompactionTask {
+            level,
+            output_level: level + 1,
+            inputs: vec![Arc::new(meta(1, "a", "c").into())],
+            next_inputs,
+        };
+        let leveled = Version::empty(7, CompactionStyle::Leveled);
+        assert!(task(1, Vec::new()).is_trivial_move(&leveled));
+        assert!(task(3, Vec::new()).is_trivial_move(&leveled));
+        assert!(!task(1, vec![Arc::new(meta(2, "b", "d").into())]).is_trivial_move(&leveled));
+        // L0 files overlap each other; fragmented levels do too, and a
+        // fragmented task never lists what lies beneath.
+        assert!(!task(0, Vec::new()).is_trivial_move(&leveled));
+        let fragmented = Version::empty(7, CompactionStyle::Fragmented);
+        assert!(!task(1, Vec::new()).is_trivial_move(&fragmented));
+        assert!(!task(0, Vec::new()).is_trivial_move(&fragmented));
     }
 
     #[test]

@@ -33,6 +33,9 @@ pub struct LogWriter {
     file: Box<dyn WritableFile>,
     /// Offset within the current block.
     block_offset: usize,
+    /// Bytes appended through this writer: payloads, fragment headers and
+    /// block padding.
+    written: u64,
 }
 
 impl LogWriter {
@@ -42,6 +45,7 @@ impl LogWriter {
         LogWriter {
             file,
             block_offset: 0,
+            written: 0,
         }
     }
 
@@ -55,6 +59,7 @@ impl LogWriter {
                 // Pad the block trailer with zeros.
                 if leftover > 0 {
                     self.file.append(&[0u8; HEADER_SIZE - 1][..leftover])?;
+                    self.written += leftover as u64;
                 }
                 self.block_offset = 0;
             }
@@ -85,6 +90,7 @@ impl LogWriter {
         self.file.append(&header)?;
         self.file.append(fragment)?;
         self.block_offset += HEADER_SIZE + fragment.len();
+        self.written += (HEADER_SIZE + fragment.len()) as u64;
         Ok(())
     }
 
@@ -98,6 +104,12 @@ impl LogWriter {
     pub fn sync(&mut self) -> Result<()> {
         self.file.sync()?;
         Ok(())
+    }
+
+    /// Bytes this writer has appended (what the log costs the device; no
+    /// lock, unlike [`LogWriter::len`]).
+    pub fn bytes_written(&self) -> u64 {
+        self.written
     }
 
     /// Bytes appended so far.
@@ -251,6 +263,7 @@ mod tests {
             w.add_record(r).unwrap();
         }
         w.sync().unwrap();
+        assert_eq!(w.bytes_written(), w.len(), "headers and padding counted");
         drop(w);
         let mut r = LogReader::new(env.new_sequential(path).unwrap());
         let mut out = Vec::new();

@@ -243,6 +243,47 @@ fn concurrent_writers_all_land() {
     assert!(groups <= writes);
 }
 
+/// A write group's followers insert into the memtable their leader
+/// captured, and with pipelined writes the next leader may already have
+/// switched that memtable out: the flush has to wait for them, or an acked
+/// write is in neither the table nor any memtable.
+#[test]
+fn writes_still_inserting_when_their_memtable_is_switched_out_are_flushed() {
+    for round in 0..30 {
+        let mut opts = small_opts(Arc::new(MemEnv::new()));
+        // A switch every few dozen writes, a group in flight at most of them.
+        opts.memtable_size = 2 << 10;
+        opts.max_immutable_memtables = 8;
+        opts.l0_slowdown_trigger = 1000;
+        opts.l0_stop_trigger = 2000;
+        let db = Arc::new(Db::open(opts, "db").unwrap());
+        let threads: Vec<_> = (0..6u64)
+            .map(|t| {
+                let db = db.clone();
+                std::thread::spawn(move || {
+                    for i in 0..300u64 {
+                        db.put(&wo(), format!("t{t}-{i:04}").as_bytes(), b"acked")
+                            .unwrap();
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        db.flush().unwrap();
+        for t in 0..6u64 {
+            for i in 0..300u64 {
+                let key = format!("t{t}-{i:04}");
+                assert!(
+                    db.get(key.as_bytes()).unwrap().is_some(),
+                    "round {round}: {key} lost"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn concurrent_writers_without_rocksdb_optimizations() {
     // LevelDB mode: no concurrent memtable, no pipelining.
@@ -942,9 +983,9 @@ fn fixture_contents() -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
 
 /// Writes the store fixture with the engine as it is at this commit:
 /// every file of the directory as `name_len: u16 | name | len: u32 | bytes`.
-/// The committed `fixtures/store-d6b1ec8.bin` is this test's output at
-/// commit d6b1ec8; run it with `--ignored` to cut a fixture of a later
-/// format.
+/// The committed `fixtures/store-d6b1ec8.bin` and `store-5574fc9.bin` are
+/// this test's output at those commits; run it with `--ignored` to cut a
+/// fixture of a later format.
 #[test]
 #[ignore]
 fn write_store_fixture() {
@@ -986,12 +1027,9 @@ fn write_store_fixture() {
     println!("fixture written to {}", path.display());
 }
 
-/// On-disk format: a store written by the commit before the background
-/// data path was rebuilt opens under this one, reads back what was
-/// written, and survives having its tables compacted by the new readers.
-#[test]
-fn store_written_by_an_earlier_commit_opens_and_reads_back() {
-    let mut blob: &[u8] = include_bytes!("fixtures/store-d6b1ec8.bin");
+/// Unpacks a store fixture into a fresh env; returns it and the number of
+/// tables it held.
+fn unpack_fixture(mut blob: &[u8]) -> (Arc<MemEnv>, usize) {
     let env = Arc::new(MemEnv::new());
     let dir = std::path::Path::new("db");
     env.create_dir_all(dir).unwrap();
@@ -1006,9 +1044,12 @@ fn store_written_by_an_earlier_commit_opens_and_reads_back() {
         p2kvs_storage::env::write_all(&*env, &dir.join(name), bytes).unwrap();
         blob = rest;
     }
-    assert!(tables >= 3, "{tables}");
+    (env, tables)
+}
 
-    let db = Db::open(fixture_opts(env.clone()), "db").unwrap();
+/// The fixture's contents read back from `db`, and still do after keys
+/// beside the old ones have pushed every old table through a compaction.
+fn assert_fixture_reads_back_and_compacts(db: &Db) {
     let contents = fixture_contents();
     let check = |db: &Db| {
         for (k, v) in &contents {
@@ -1020,8 +1061,7 @@ fn store_written_by_an_earlier_commit_opens_and_reads_back() {
             .collect();
         assert_eq!(db.scan(b"", 10_000).unwrap(), live);
     };
-    check(&db);
-    // Keys beside the old ones push every old table through a compaction.
+    check(db);
     for round in 0..3 {
         for i in 0..700 {
             db.put(
@@ -1048,4 +1088,37 @@ fn store_written_by_an_earlier_commit_opens_and_reads_back() {
     for (k, v) in &contents {
         assert_eq!(&db.get(k).unwrap(), v);
     }
+}
+
+/// On-disk format: a store written by the commit before the background
+/// data path was rebuilt opens under this one, reads back what was
+/// written, and survives having its tables compacted by the new readers.
+#[test]
+fn store_written_by_an_earlier_commit_opens_and_reads_back() {
+    let (env, tables) = unpack_fixture(include_bytes!("fixtures/store-d6b1ec8.bin"));
+    assert!(tables >= 3, "{tables}");
+    let db = Db::open(fixture_opts(env), "db").unwrap();
+    assert_fixture_reads_back_and_compacts(&db);
+}
+
+/// Tree shape: `fixtures/store-5574fc9.bin` is `write_store_fixture`'s
+/// output at the last commit whose flushes were cut at `target_file_size`.
+/// Its L0 holds the two halves of one flush; they are two runs to this
+/// engine's triggers, and they open, read and compact like any others.
+#[test]
+fn store_with_a_two_file_flush_in_l0_opens_and_compacts_to_the_same_contents() {
+    let (env, _) = unpack_fixture(include_bytes!("fixtures/store-5574fc9.bin"));
+    let db = Db::open(fixture_opts(env), "db").unwrap();
+    // Newest first: the WAL tail this open flushed, then the old flush.
+    let l0 = db.files_at_level(0);
+    assert_eq!(l0.len(), 3);
+    let (second, first) = (&l0[1], &l0[2]);
+    assert_eq!(second.number, first.number + 1);
+    assert!(first.largest < second.smallest, "halves of one sorted run");
+    let halves = [first.number, second.number];
+    assert_fixture_reads_back_and_compacts(&db);
+    assert!(db
+        .files_at_level(0)
+        .iter()
+        .all(|f| !halves.contains(&f.number)));
 }

@@ -50,7 +50,9 @@ pub enum JournalKind {
     /// level, `c` = input bytes).
     CompactionStart,
     /// An engine compaction finished (`a` = instance, `b` = source
-    /// level, `c` = output bytes).
+    /// level, `c` = output bytes; the `gsn` slot is 1 when the files
+    /// were moved to the next level as they were — `c` is then their
+    /// size, and nothing was written).
     CompactionFinish,
     /// An injected fault fired (`a` = fault discriminant: 1 append,
     /// 2 sync, 3 read, 4 crash; `b` = the fault's global op number).

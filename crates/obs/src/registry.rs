@@ -14,13 +14,17 @@ use crate::metrics::{ConcurrentHistogram, Counter, Gauge};
 use crate::snapshot::{HistogramStats, MetricsSnapshot};
 
 /// Formats `base{k1="v1",k2="v2"}`; returns `base` alone when `labels` is
-/// empty.
+/// empty. A `base` that already carries labels gets the new ones appended
+/// to its set.
 pub fn labeled(base: &str, labels: &[(&str, &str)]) -> String {
     if labels.is_empty() {
         return base.to_string();
     }
     let body: Vec<String> = labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
-    format!("{base}{{{}}}", body.join(","))
+    match base.strip_suffix('}') {
+        Some(open) => format!("{open},{}}}", body.join(",")),
+        None => format!("{base}{{{}}}", body.join(",")),
+    }
 }
 
 #[derive(Default)]
@@ -110,6 +114,10 @@ mod tests {
         assert_eq!(
             labeled("ops", &[("worker", "3"), ("class", "read")]),
             "ops{worker=\"3\",class=\"read\"}"
+        );
+        assert_eq!(
+            labeled("bytes{level=\"1\"}", &[("instance", "0")]),
+            "bytes{level=\"1\",instance=\"0\"}"
         );
     }
 
