@@ -9,17 +9,17 @@
 //! depths, and per-instance `engine_*` metrics — enough to audit any
 //! throughput or latency number the run printed.
 //!
-//! The benchmark artifacts (`BENCH_scan.json`, `BENCH_skew.json`,
-//! `BENCH_trace.json`, `BENCH_cache.json`,
-//! `BENCH_backup.json`) additionally open with a
-//! [`RunMeta`] header — schema version, bench id, timestamp, seed, git
-//! revision when discoverable, and the run's configuration knobs — so
-//! every artifact is self-describing: a number in CI can always be traced
-//! back to the exact code revision and parameters that produced it.
-//! [`validate_schema`] checks that contract and is unit-tested against
-//! all the artifact renderers.
+//! The gate scenarios ([`crate::SCENARIOS`]) each hand back one
+//! [`Report`]; this module is the only place one is rendered (the
+//! schema-v2 `BENCH_<id>.json`: a header naming the scenario, timestamp,
+//! seed, git revision when discoverable and the run's configuration
+//! knobs, then the summary, then one row per measurement), printed,
+//! written and turned into a verdict ([`run_gate`]) — so a number in CI
+//! can always be traced back to the code revision and parameters that
+//! produced it. [`validate_schema`] checks that contract and is
+//! unit-tested against every scenario.
 
-use std::fmt::Display;
+use std::fmt::{self, Display, Formatter};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -63,63 +63,272 @@ pub fn maybe_write(snapshot: &MetricsSnapshot) -> Option<PathBuf> {
     Some(path)
 }
 
-/// The self-describing header every `BENCH_*.json` artifact opens with.
-///
-/// Built by the bench that owns the artifact, rendered by
-/// [`RunMeta::render`] as the first keys of the top-level JSON object:
-/// `bench`, `schema_version`, `generated_unix`, `seed`, `git_rev`
-/// (`null` when the build is not inside a git checkout), and a `config`
-/// object holding the run's knobs (op counts, thread counts, sample
-/// rates, ...).
-pub struct RunMeta {
-    bench: String,
-    seed: u64,
-    /// Keys paired with pre-rendered JSON value tokens.
-    config: Vec<(String, String)>,
+/// One value of a [`Fields`] list, rendered as its JSON token.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// A count, a size, a latency in nanoseconds.
+    Int(u64),
+    /// A measurement and the decimals it is printed with; gates read the
+    /// unrounded number.
+    Float(f64, usize),
+    /// A verdict or an identity flag.
+    Bool(bool),
+    /// A label (quoted in the JSON).
+    Text(String),
+    /// An array, e.g. per-worker op counts.
+    List(Vec<Value>),
+    /// A nested object.
+    Object(Fields),
 }
 
-impl RunMeta {
-    /// Starts a header for the bench `bench` run with `seed` (0 for
-    /// seedless deterministic workloads).
-    pub fn new(bench: &str, seed: u64) -> RunMeta {
-        RunMeta { bench: bench.to_string(), seed, config: Vec::new() }
+impl From<u64> for Value {
+    fn from(v: u64) -> Value {
+        Value::Int(v)
+    }
+}
+
+impl From<usize> for Value {
+    fn from(v: usize) -> Value {
+        Value::Int(v as u64)
+    }
+}
+
+impl From<bool> for Value {
+    fn from(v: bool) -> Value {
+        Value::Bool(v)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(v: &str) -> Value {
+        Value::Text(v.to_string())
+    }
+}
+
+impl Display for Value {
+    fn fmt(&self, f: &mut Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Int(v) => write!(f, "{v}"),
+            Value::Float(v, decimals) => write!(f, "{v:.decimals$}"),
+            Value::Bool(v) => write!(f, "{v}"),
+            Value::Text(v) => write!(f, "\"{}\"", v.replace('"', "'")),
+            Value::List(items) => {
+                let items: Vec<String> = items.iter().map(Value::to_string).collect();
+                write!(f, "[{}]", items.join(", "))
+            }
+            Value::Object(fields) => write!(f, "{fields}"),
+        }
+    }
+}
+
+/// Ordered `(name, value)` pairs: a report's configuration, its summary,
+/// or one row of its results. Rendered as one JSON object.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Fields(pub Vec<(&'static str, Value)>);
+
+impl Fields {
+    /// An empty list.
+    pub fn new() -> Fields {
+        Fields::default()
     }
 
-    /// Adds a numeric (or boolean — any bare-token) config knob.
-    pub fn num(mut self, key: &str, value: impl Display) -> RunMeta {
-        self.config.push((key.to_string(), value.to_string()));
+    /// Appends `name`.
+    pub fn with(mut self, name: &'static str, value: impl Into<Value>) -> Fields {
+        self.0.push((name, value.into()));
         self
     }
 
-    /// Adds a string config knob (quoted in the JSON).
-    pub fn text(mut self, key: &str, value: &str) -> RunMeta {
-        self.config
-            .push((key.to_string(), format!("\"{}\"", value.replace('"', "'"))));
-        self
+    /// Appends a measurement printed with `decimals` decimals.
+    pub fn float(self, name: &'static str, value: f64, decimals: usize) -> Fields {
+        self.with(name, Value::Float(value, decimals))
     }
 
-    /// Renders the header as the leading lines of a two-space-indented
-    /// JSON object body (trailing comma included — summary keys follow).
-    pub fn render(&self) -> String {
+    /// Appends the `ops`, `wall_secs`, `throughput_ops_sec` triple of a
+    /// measured window.
+    pub fn window(self, ops: u64, wall_secs: f64) -> Fields {
+        self.with("ops", ops)
+            .float("wall_secs", wall_secs, 3)
+            .float("throughput_ops_sec", ops as f64 / wall_secs.max(1e-9), 1)
+    }
+
+    /// The value of `name`. Panics when absent: a scenario reads back only
+    /// what it wrote.
+    pub fn get(&self, name: &str) -> &Value {
+        match self.0.iter().find(|(n, _)| *n == name) {
+            Some((_, v)) => v,
+            None => panic!("no field {name:?} in {self}"),
+        }
+    }
+
+    /// The number under `name`.
+    pub fn num(&self, name: &str) -> f64 {
+        match self.get(name) {
+            Value::Int(v) => *v as f64,
+            Value::Float(v, _) => *v,
+            other => panic!("field {name:?} is not a number: {other}"),
+        }
+    }
+
+    /// The integer under `name`.
+    pub fn int(&self, name: &str) -> u64 {
+        match self.get(name) {
+            Value::Int(v) => *v,
+            other => panic!("field {name:?} is not an integer: {other}"),
+        }
+    }
+
+    /// The flag under `name`.
+    pub fn is(&self, name: &str) -> bool {
+        match self.get(name) {
+            Value::Bool(v) => *v,
+            other => panic!("field {name:?} is not a flag: {other}"),
+        }
+    }
+
+    /// Whether `name` holds the label `text`.
+    pub fn has(&self, name: &str, text: &str) -> bool {
+        matches!(self.get(name), Value::Text(t) if t == text)
+    }
+}
+
+impl Display for Fields {
+    fn fmt(&self, f: &mut Formatter<'_>) -> fmt::Result {
+        let body: Vec<String> = self
+            .0
+            .iter()
+            .map(|(k, v)| format!("\"{k}\": {v}"))
+            .collect();
+        write!(f, "{{{}}}", body.join(", "))
+    }
+}
+
+/// The smallest `field` among the rows whose `name` is `text` (e.g. the
+/// best round of one configuration); `f64::INFINITY` when none match.
+pub fn best_of(rows: &[Fields], name: &str, text: &str, field: &str) -> f64 {
+    rows.iter()
+        .filter(|r| r.has(name, text))
+        .map(|r| r.num(field))
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// What one scenario run hands back: who ran (`bench`, `seed`), with what
+/// (`config`), what it found (`summary`, the fields its gate reads) and
+/// the measurements behind that, one row per configuration or round.
+/// [`Report::render_json`] is the schema-v2 `BENCH_<id>.json` document.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Report {
+    /// The scenario id (`backup_under_load`, ...).
+    pub bench: &'static str,
+    /// The seed the op streams derive from (0 for a seedless workload).
+    pub seed: u64,
+    /// The run's knobs: op counts, thread counts, budgets.
+    pub config: Fields,
+    /// Derived numbers and verdicts.
+    pub summary: Fields,
+    /// The `results` array.
+    pub rows: Vec<Fields>,
+}
+
+impl Report {
+    /// The artifact: the self-describing header (`bench`,
+    /// `schema_version`, `generated_unix`, `seed`, `git_rev` — `null`
+    /// outside a git checkout — and `config`), then the summary fields,
+    /// then `results`.
+    pub fn render_json(&self) -> String {
         let unix = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
             .unwrap_or(0);
         let rev = git_rev().map_or("null".to_string(), |r| format!("\"{r}\""));
-        let config: Vec<String> = self
-            .config
-            .iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect();
-        format!(
-            "  \"bench\": \"{}\",\n  \"schema_version\": {SCHEMA_VERSION},\n  \
+        let mut s = format!(
+            "{{\n  \"bench\": \"{}\",\n  \"schema_version\": {SCHEMA_VERSION},\n  \
              \"generated_unix\": {unix},\n  \"seed\": {},\n  \"git_rev\": {rev},\n  \
-             \"config\": {{{}}},\n",
-            self.bench,
-            self.seed,
-            config.join(", "),
-        )
+             \"config\": {},\n",
+            self.bench, self.seed, self.config,
+        );
+        for (k, v) in &self.summary.0 {
+            s.push_str(&format!("  \"{k}\": {v},\n"));
+        }
+        let rows: Vec<String> = self.rows.iter().map(|r| format!("    {r}")).collect();
+        s.push_str(&format!(
+            "  \"results\": [\n{}\n  ]\n}}\n",
+            rows.join(",\n")
+        ));
+        s
     }
+
+    /// Prints the run as one table under `question`, the configuration
+    /// beside it and the summary below.
+    pub fn print(&self, question: &str) {
+        let header: Vec<&str> = self
+            .rows
+            .first()
+            .map_or(Vec::new(), |r| r.0.iter().map(|(k, _)| *k).collect());
+        let cell = |v: &Value| match v {
+            Value::Text(label) => label.clone(),
+            other => other.to_string(),
+        };
+        let rows: Vec<Vec<String>> = self
+            .rows
+            .iter()
+            .map(|r| r.0.iter().map(|(_, v)| cell(v)).collect())
+            .collect();
+        crate::print_table(question, &header, &rows);
+        println!("\nconfig: seed {} {}", self.seed, self.config);
+        for (k, v) in &self.summary.0 {
+            println!("{k}: {v}");
+        }
+    }
+
+    /// Writes the artifact as `<name>.json` under `$P2KVS_METRICS_DIR`
+    /// when set, the working directory otherwise; returns the path.
+    pub fn write(&self, name: &str) -> std::io::Result<PathBuf> {
+        let dir = std::env::var(METRICS_DIR_ENV)
+            .map(PathBuf::from)
+            .unwrap_or_default();
+        if !dir.as_os_str().is_empty() {
+            std::fs::create_dir_all(&dir)?;
+        }
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, self.render_json())?;
+        Ok(path)
+    }
+}
+
+/// One gate scenario: a question about a feature, the run that measures
+/// it and the gate that turns the run's summary into a verdict.
+pub struct Scenario {
+    /// What `gates -- <id>` selects and the artifact's `bench`.
+    pub id: &'static str,
+    /// The artifact's file stem (`BENCH_backup`).
+    pub artifact: &'static str,
+    /// The question the run answers — its table's title.
+    pub question: &'static str,
+    /// Runs the scenario at `P2KVS_SCALE`, seeded from its
+    /// `P2KVS_*_SEED` variable.
+    pub run: fn() -> Report,
+    /// The reasons `summary` fails the scenario; empty = green. Byte
+    /// identity between configurations is judged at every scale,
+    /// thresholds on timings only when `full_scale` (below it the windows
+    /// are too short to gate).
+    pub gate: fn(summary: &Fields, full_scale: bool) -> Vec<String>,
+}
+
+/// Runs `scenario`, prints its table, writes its artifact and reports
+/// its gate: `Ok(true)` when the gate held.
+pub fn run_gate(scenario: &Scenario) -> std::io::Result<bool> {
+    let report = (scenario.run)();
+    report.print(scenario.question);
+    println!("wrote {}", report.write(scenario.artifact)?.display());
+    let full_scale = crate::scale() >= 1.0;
+    if !full_scale {
+        println!("P2KVS_SCALE < 1: byte identity is gated, timing thresholds are not");
+    }
+    let failed = (scenario.gate)(&report.summary, full_scale);
+    for reason in &failed {
+        eprintln!("GATE FAILED ({}): {reason}", scenario.id);
+    }
+    Ok(failed.is_empty())
 }
 
 /// Best-effort current git revision: walks up from the working directory
@@ -148,8 +357,7 @@ pub fn git_rev() -> Option<String> {
                     }
                 },
             };
-            return (id.len() == 40 && id.bytes().all(|b| b.is_ascii_hexdigit()))
-                .then_some(id);
+            return (id.len() == 40 && id.bytes().all(|b| b.is_ascii_hexdigit())).then_some(id);
         }
         if !dir.pop() {
             return None;
@@ -198,9 +406,7 @@ pub fn validate_schema(json: &str) -> Vec<String> {
     };
     let mut expect = |key: &str, ok: &dyn Fn(char) -> bool, want: &str| match shape_of(key) {
         None => v.push(format!("missing required key \"{key}\"")),
-        Some(c) if !ok(c) => {
-            v.push(format!("key \"{key}\" should be {want}, starts with {c:?}"))
-        }
+        Some(c) if !ok(c) => v.push(format!("key \"{key}\" should be {want}, starts with {c:?}")),
         Some(_) => {}
     };
     expect("bench", &|c| c == '"', "a string");
@@ -210,7 +416,9 @@ pub fn validate_schema(json: &str) -> Vec<String> {
     expect("config", &|c| c == '{', "an object");
     expect("results", &|c| c == '[', "an array");
     if !json.contains(&format!("\"schema_version\": {SCHEMA_VERSION}")) {
-        v.push(format!("missing or stale schema_version (want {SCHEMA_VERSION})"));
+        v.push(format!(
+            "missing or stale schema_version (want {SCHEMA_VERSION})"
+        ));
     }
     v
 }
@@ -218,21 +426,61 @@ pub fn validate_schema(json: &str) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
+    fn unit_report() -> Report {
+        Report {
+            bench: "unit",
+            seed: 42,
+            config: Fields::new()
+                .with("threads", 8usize)
+                .float("budget_x", 2.0, 1)
+                .with("profile", "op\"tane"),
+            summary: Fields::new()
+                .with("identical", true)
+                .float("ratio", 1.23456, 3),
+            rows: vec![
+                Fields::new()
+                    .with("config", "a")
+                    .with("worker_ops", Value::List(vec![1u64.into(), 2u64.into()])),
+                Fields::new()
+                    .with("config", "b")
+                    .with("worker_ops", Value::List(Vec::new())),
+            ],
+        }
+    }
 
     #[test]
     fn run_meta_renders_required_keys_and_validates() {
-        let meta = RunMeta::new("unit", 42)
-            .num("threads", 8)
-            .num("identical", true)
-            .text("profile", "optane");
-        let doc = format!("{{\n{}  \"results\": []\n}}\n", meta.render());
+        let doc = unit_report().render_json();
         assert!(doc.contains("\"bench\": \"unit\""), "{doc}");
         assert!(doc.contains("\"seed\": 42"));
-        assert!(doc.contains("\"threads\": 8"));
-        assert!(doc.contains("\"identical\": true"));
-        assert!(doc.contains("\"profile\": \"optane\""));
+        assert!(doc
+            .contains("\"config\": {\"threads\": 8, \"budget_x\": 2.0, \"profile\": \"op'tane\"}"));
+        assert!(doc.contains("  \"identical\": true,\n  \"ratio\": 1.235,\n"));
+        assert!(doc.contains("    {\"config\": \"a\", \"worker_ops\": [1, 2]},\n"));
         let violations = validate_schema(&doc);
         assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    #[test]
+    fn fields_read_back_what_was_written() {
+        let report = unit_report();
+        assert_eq!(
+            report.summary.num("ratio"),
+            1.23456,
+            "gates read the unrounded number"
+        );
+        assert!(report.summary.is("identical"));
+        assert_eq!(report.config.int("threads"), 8);
+        assert!(report.rows[1].has("config", "b") && !report.rows[1].has("config", "a"));
+        let rows = [
+            Fields::new().with("config", "a").with("p99", 9u64),
+            Fields::new().with("config", "a").with("p99", 7u64),
+            Fields::new().with("config", "b").with("p99", 3u64),
+        ];
+        assert_eq!(best_of(&rows, "config", "a", "p99"), 7.0);
+        assert_eq!(best_of(&rows, "config", "c", "p99"), f64::INFINITY);
     }
 
     #[test]
@@ -243,9 +491,10 @@ mod tests {
         let v = validate_schema("{\"a\": [1, 2}");
         assert!(v.iter().any(|m| m.contains("unbalanced")), "{v:?}");
         // Braces inside string literals must not confuse the scan.
-        let meta = RunMeta::new("b{r[ace", 1).text("k", "}}]]");
-        let doc = format!("{{\n{}  \"results\": []\n}}\n", meta.render());
-        assert!(validate_schema(&doc).is_empty());
+        let mut report = unit_report();
+        report.bench = "b{r[ace";
+        report.config = Fields::new().with("k", "}}]]");
+        assert!(validate_schema(&report.render_json()).is_empty());
     }
 
     #[test]
@@ -258,173 +507,129 @@ mod tests {
         }
     }
 
-    /// The schema contract, checked against the `BENCH_*.json`
-    /// renderers with synthetic results (no benchmark execution).
+    /// The object keys of `json` at brace depth `depth`, inside the
+    /// `results` array (`in_rows`) or outside it.
+    fn keys(json: &str, depth: i64, in_rows: bool) -> BTreeSet<&str> {
+        let mut out = BTreeSet::new();
+        let (mut braces, mut brackets) = (0i64, 0i64);
+        let mut at = 0;
+        while at < json.len() {
+            match json.as_bytes()[at] {
+                b'{' => braces += 1,
+                b'}' => braces -= 1,
+                b'[' => brackets += 1,
+                b']' => brackets -= 1,
+                b'"' => {
+                    // No string of an artifact holds a quote: `Value::Text`
+                    // swaps them out.
+                    let end = at + 1 + json[at + 1..].find('"').expect("closing quote");
+                    let is_key = json[end + 1..].starts_with(':');
+                    if is_key && braces == depth && (brackets == 1) == in_rows {
+                        out.insert(&json[at + 1..end]);
+                    }
+                    at = end;
+                }
+                _ => {}
+            }
+            at += 1;
+        }
+        out
+    }
+
+    const HEADER: &str = "bench schema_version generated_unix seed git_rev config results";
+
+    /// A small run of scenario `id`, and the key sets of its artifact as
+    /// written at `693e08b`, the last commit with one renderer per
+    /// scenario: summary keys (the header is [`HEADER`]), the keys of
+    /// nested objects (`config`, and `skew_recovery` for the cache), the
+    /// keys of a `results` row.
+    fn recorded(id: &str) -> (fn() -> Report, [&'static str; 3]) {
+        match id {
+            "backup_under_load" => (crate::backupload::smoke, [
+                "best_idle_get_p99_ns best_streaming_get_p99_ns best_idle_put_p99_ns \
+                 best_streaming_put_p99_ns degradation_x_get degradation_x_put within_budget",
+                "workers shards clients keys ops_per_round rounds put_percent budget_x",
+                "phase round ops wall_secs throughput_ops_sec p50_get_ns p99_get_ns p50_put_ns \
+                 p99_put_ns cut_at_op backup_entries backup_wall_secs",
+            ]),
+            "scan_interference" => (crate::scaninterf::smoke, [
+                "scan_results_identical p99_point_get_improvement_during_scan",
+                "entries value_bytes",
+                "config chunk_entries p50_get_idle_ns p99_get_idle_ns p50_get_scan_ns \
+                 p99_get_scan_ns gets_during_scan scans_completed scan_entries_per_sec \
+                 scan_chunks scan_resumes",
+            ]),
+            "skew_rebalance" => (crate::skew::smoke, [
+                "reads_identical spread_improvement throughput_improvement",
+                "tenants theta keys_per_tenant",
+                "config workers shards migrations ops wall_secs throughput_ops_sec p50_get_ns \
+                 p99_get_ns worker_ops ops_spread busy_spread",
+            ]),
+            "cache_hitrate" => (crate::cachebench::smoke, [
+                "reads_identical hit_rate_full p50_get_ns_full miss_overhead_pct skew_recovery",
+                "workers keys theta value_len hot_mass hot_set_keys hot_set_bytes static_ops_sec \
+                 balanced_ops_sec balanced_cached_ops_sec cached_over_static reads_identical",
+                "pct_of_hot capacity_bytes ops wall_secs throughput_ops_sec hit_rate p50_get_ns \
+                 p99_get_ns hits misses evictions",
+            ]),
+            "compaction_stall" => (crate::compstall::smoke, [
+                "best_baseline_stall_secs best_parallel_stall_secs stall_improvement_x \
+                 best_baseline_put_p99_ns best_parallel_put_p99_ns put_p99_x read_back_identical \
+                 within_gate",
+                "workers clients keys ops_per_round rounds put_percent value_len min_improvement_x",
+                "config round ops wall_secs throughput_ops_sec p50_put_ns p95_put_ns p99_put_ns \
+                 max_put_ns p50_get_ns p99_get_ns stall_secs compaction_bytes queues_active \
+                 read_back_count read_back_fold",
+            ]),
+            "elastic_scale" => (crate::elastic::smoke, [
+                "reads_identical elastic_avg_workers static_avg_workers elastic_peak_workers \
+                 provisioning_improvement provisioning_within_budget elastic_p99_ns static_p99_ns \
+                 p99_ratio latency_within_budget",
+                "max_workers shards rounds_per_phase keys ops_per_client p99_budget \
+                 provisioning_budget phases",
+                "config phase load_x workers_avg workers_end ops wall_secs throughput_ops_sec \
+                 p50_get_ns p99_get_ns",
+            ]),
+            "trace_overhead" => (crate::traceov::smoke, [
+                "read_checksums_identical best_disabled_ops_sec best_sampled_ops_sec overhead_pct \
+                 budget_pct within_budget",
+                "threads ops_per_thread keys_per_thread rounds default_trace_sample",
+                "config trace_sample round ops wall_secs throughput_ops_sec read_checksum \
+                 spans_recorded",
+            ]),
+            other => panic!("no recorded key set for scenario {other}"),
+        }
+    }
+
+    /// The schema contract and the artifact keys, checked against a small
+    /// run of every scenario of the table.
     #[test]
     fn all_bench_artifacts_conform_to_schema() {
-        let scan = crate::scaninterf::render_json(
-            &[crate::scaninterf::InterfResult {
-                config: "chunked",
-                chunk_entries: 256,
-                p50_get_idle_ns: 800,
-                p99_get_idle_ns: 2000,
-                p50_get_scan_ns: 900,
-                p99_get_scan_ns: 3000,
-                gets_during_scan: 500,
-                scans_completed: 2,
-                scan_entries_per_sec: 1e5,
-                scan_chunks: 40,
-                scan_resumes: 38,
-            }],
-            100_000,
-            100,
-            true,
-        );
-        let skew = crate::skew::render_json(
-            &[crate::skew::SkewResult {
-                config: "balanced",
-                workers: 4,
-                shards: 16,
-                migrations: 3,
-                ops: 1000,
-                wall_secs: 0.5,
-                throughput_ops_sec: 2000.0,
-                p50_get_ns: 900,
-                p99_get_ns: 4000,
-                worker_ops: vec![250, 250, 250, 250],
-                ops_spread: 1.0,
-                busy_spread: 1.1,
-            }],
-            2000,
-            true,
-            7,
-        );
-        let trace = crate::traceov::render_json(
-            &crate::traceov::TraceOvSummary {
-                results: vec![crate::traceov::TraceOvResult {
-                    config: "sampled",
-                    trace_sample: 64,
-                    round: 0,
-                    ops: 1000,
-                    wall_secs: 0.5,
-                    throughput_ops_sec: 2000.0,
-                    read_checksum: 42,
-                    spans_recorded: 9,
-                }],
-                best_disabled: 2040.0,
-                best_sampled: 2000.0,
-                overhead_pct: 1.96,
-                within_budget: true,
-            },
-            4,
-            1000,
-            100,
-            7,
-            true,
-        );
-        let cache = crate::cachebench::render_json(
-            &crate::cachebench::CacheBenchSummary {
-                results: vec![crate::cachebench::HitRateResult {
-                    pct_of_hot: 100,
-                    capacity_bytes: 1 << 20,
-                    ops: 1000,
-                    wall_secs: 0.5,
-                    throughput_ops_sec: 2000.0,
-                    hit_rate: 0.93,
-                    p50_get_ns: 400,
-                    p99_get_ns: 9000,
-                    hits: 930,
-                    misses: 70,
-                    evictions: 12,
-                }],
-                hot_keys: 1200,
-                hot_bytes: 1 << 20,
-                reads_identical: true,
-                miss: crate::cachebench::MissPathResult {
-                    keys_per_round: 1000,
-                    rounds: 3,
-                    off_secs: 0.5,
-                    on_secs: 0.505,
-                    overhead_pct: 1.0,
-                },
-                skew: crate::cachebench::SkewRecovery {
-                    static_ops_sec: 1000.0,
-                    balanced_ops_sec: 1100.0,
-                    balanced_cached_ops_sec: 1500.0,
-                    cached_over_static: 1.5,
-                    reads_identical: true,
-                },
-            },
-            20_000,
-            7,
-        );
-        let backup = crate::backupload::render_json(
-            &crate::backupload::BackupLoadSummary {
-                results: vec![crate::backupload::BackupLoadResult {
-                    phase: "streaming",
-                    round: 0,
-                    ops: 1000,
-                    wall_secs: 0.5,
-                    throughput_ops_sec: 2000.0,
-                    p50_get_ns: 900,
-                    p99_get_ns: 4000,
-                    p50_put_ns: 1100,
-                    p99_put_ns: 6000,
-                    cut_at_op: 125,
-                    backup_entries: 400,
-                    backup_wall_secs: 0.1,
-                }],
-                best_idle_get_p99_ns: 3000,
-                best_streaming_get_p99_ns: 4000,
-                best_idle_put_p99_ns: 5000,
-                best_streaming_put_p99_ns: 6000,
-                degradation_x_get: 1.33,
-                degradation_x_put: 1.2,
-                within_budget: true,
-            },
-            400,
-            1000,
-            7,
-        );
-        let elastic = crate::elastic::render_json(
-            &crate::elastic::ElasticSummary {
-                results: vec![crate::elastic::PhaseResult {
-                    config: "elastic",
-                    phase: 0,
-                    load_x: 1,
-                    workers_avg: 1.5,
-                    workers_end: 2,
-                    ops: 1000,
-                    wall_secs: 0.5,
-                    throughput_ops_sec: 2000.0,
-                    p50_get_ns: 900,
-                    p99_get_ns: 4000,
-                }],
-                elastic_avg_workers: 2.5,
-                static_avg_workers: 8.0,
-                elastic_peak_workers: 6,
-                provisioning_improvement: 3.2,
-                elastic_p99_ns: 4000,
-                static_p99_ns: 3500,
-                p99_ratio: 1.14,
-                latency_within_budget: true,
-                provisioning_within_budget: true,
-                reads_identical: true,
-            },
-            10_000,
-            4_000,
-            7,
-        );
-        for (name, doc) in [
-            ("scan", &scan),
-            ("skew", &skew),
-            ("trace", &trace),
-            ("cache", &cache),
-            ("backup", &backup),
-            ("elastic", &elastic),
-        ] {
-            let v = validate_schema(doc);
-            assert!(v.is_empty(), "BENCH_{name}.json schema: {v:?}\n{doc}");
+        let set = |names: &'static str| names.split_whitespace().collect::<BTreeSet<&str>>();
+        for s in &crate::SCENARIOS {
+            let (smoke, [summary, nested, row]) = recorded(s.id);
+            let report = smoke();
+            assert_eq!(report.bench, s.id);
+            let doc = report.render_json();
+            let v = validate_schema(&doc);
+            assert!(v.is_empty(), "{}.json schema: {v:?}\n{doc}", s.artifact);
+
+            let top: BTreeSet<&str> = set(summary).union(&set(HEADER)).copied().collect();
+            assert_eq!(keys(&doc, 1, false), top, "{}: top-level keys", s.id);
+            assert_eq!(keys(&doc, 2, false), set(nested), "{}: nested keys", s.id);
+            assert_eq!(keys(&doc, 2, true), set(row), "{}: row keys", s.id);
+            for r in &report.rows {
+                assert_eq!(
+                    r.0.len(),
+                    set(row).len(),
+                    "{}: every row has every key once",
+                    s.id
+                );
+            }
+            // A run this small is not held to timing thresholds, but its
+            // configurations must agree byte for byte.
+            let failed = (s.gate)(&report.summary, false);
+            assert!(failed.is_empty(), "{}: {failed:?}", s.id);
         }
     }
 
@@ -443,6 +648,10 @@ mod tests {
             .starts_with("figX-"));
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(body.contains("\"ops_total\": 7"));
+        // A report lands in the same directory under its artifact name.
+        let path = unit_report().write("BENCH_unit").unwrap();
+        assert_eq!(path, dir.join("BENCH_unit.json"));
+        assert!(validate_schema(&std::fs::read_to_string(&path).unwrap()).is_empty());
         std::env::remove_var(METRICS_DIR_ENV);
         assert!(maybe_write(&snap).is_none(), "unset env disables artifacts");
         let _ = std::fs::remove_dir_all(&dir);

@@ -2,8 +2,10 @@
 //! paper.
 //!
 //! The `repro` binary (`cargo run -p p2kvs-bench --release --bin repro --
-//! <id>`) has one subcommand per figure/table; see `DESIGN.md` §4 for the
-//! experiment index and `EXPERIMENTS.md` for recorded results. All
+//! <id>`) has one subcommand per figure/table and the `gates` binary
+//! (`... --bin gates -- <id>|all`) one per feature gate ([`SCENARIOS`]);
+//! see `DESIGN.md` §4 for the experiment index and `EXPERIMENTS.md` for
+//! recorded results. All
 //! experiments run on the simulated Optane NVMe device unless stated
 //! otherwise, with op counts scaled by the `P2KVS_SCALE` environment
 //! variable (default 1.0 ≈ tens of seconds per figure).
@@ -20,14 +22,83 @@ pub mod setups;
 pub mod skew;
 pub mod traceov;
 
-/// Returns `n` scaled by `P2KVS_SCALE` (min 1).
-pub fn scaled(n: u64) -> u64 {
-    let scale = std::env::var("P2KVS_SCALE")
+/// The feature gates, in the order `gates -- all` runs them: one scenario
+/// per feature that still guards behaviour, each answering one question
+/// (see `DESIGN.md` §4 and the module docs).
+pub const SCENARIOS: [artifact::Scenario; 7] = [
+    artifact::Scenario {
+        id: "backup_under_load",
+        artifact: "BENCH_backup",
+        question: "foreground latency: online backup streaming vs idle",
+        run: backupload::run,
+        gate: backupload::gate,
+    },
+    artifact::Scenario {
+        id: "scan_interference",
+        artifact: "BENCH_scan",
+        question: "point-GET latency under a concurrent full-store scan",
+        run: scaninterf::run,
+        gate: scaninterf::gate,
+    },
+    artifact::Scenario {
+        id: "skew_rebalance",
+        artifact: "BENCH_skew",
+        question: "zipfian tenant skew: static map vs skew-aware rebalancing",
+        run: skew::run,
+        gate: skew::gate,
+    },
+    artifact::Scenario {
+        id: "cache_hitrate",
+        artifact: "BENCH_cache",
+        question: "zipfian hot-set read cache: capacity sweep (% of hot-set bytes)",
+        run: cachebench::run,
+        gate: cachebench::gate,
+    },
+    artifact::Scenario {
+        id: "compaction_stall",
+        artifact: "BENCH_compaction",
+        question: "write stalls: serial single-queue vs parallel multi-queue compaction",
+        run: compstall::run,
+        gate: compstall::gate,
+    },
+    artifact::Scenario {
+        id: "elastic_scale",
+        artifact: "BENCH_elastic",
+        question: "diurnal ramp 1x -> 8x -> 1x: auto-scaled pool vs static 8 workers",
+        run: elastic::run,
+        gate: elastic::gate,
+    },
+    artifact::Scenario {
+        id: "trace_overhead",
+        artifact: "BENCH_trace",
+        question: "span tracing overhead: disabled vs default 1/64 sampling",
+        run: traceov::run,
+        gate: traceov::gate,
+    },
+];
+
+/// `P2KVS_SCALE`: the factor every op count is multiplied by (default 1).
+pub fn scale() -> f64 {
+    std::env::var("P2KVS_SCALE")
         .ok()
         .and_then(|s| s.parse::<f64>().ok())
         .unwrap_or(1.0)
-        .clamp(0.001, 1000.0);
-    ((n as f64 * scale) as u64).max(1)
+        .clamp(0.001, 1000.0)
+}
+
+/// Returns `n` scaled by `P2KVS_SCALE` (min 1).
+pub fn scaled(n: u64) -> u64 {
+    ((n as f64 * scale()) as u64).max(1)
+}
+
+/// The seed a scenario's op streams derive from: `var` when it is set
+/// (CI pins it, so a red run names a reproducible schedule), else
+/// `default`.
+pub fn seed_from_env(var: &str, default: u64) -> u64 {
+    std::env::var(var)
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
 }
 
 /// The `p`-quantile (`0.0..=1.0`) of an ascending-sorted sample, by

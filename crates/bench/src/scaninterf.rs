@@ -22,78 +22,30 @@
 //! configuration is the honest unit of measurement; multi-worker stores
 //! experience the same tail on the scanned worker's key slice.
 //!
-//! [`run_default`] runs both configurations over identically loaded
-//! stores, verifies the scan output is byte-identical between them, and
-//! writes the `BENCH_scan.json` artifact consumed by CI and
-//! `EXPERIMENTS.md`.
+//! [`run`] measures both configurations over identically loaded stores and
+//! records whether their scan output is byte-identical; the artifact is
+//! `BENCH_scan.json`.
 
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use p2kvs::engine::LsmFactory;
 use p2kvs::{P2Kvs, P2KvsOptions};
-use p2kvs_storage::{DeviceProfile, SimEnv};
+use p2kvs_util::rng::Rng;
 
-/// One configuration's measurements.
-#[derive(Debug, Clone)]
-pub struct InterfResult {
-    /// `blocking` (old behavior) or `chunked` (streaming default).
-    pub config: &'static str,
-    /// Effective per-chunk entry bound.
-    pub chunk_entries: usize,
-    /// Point-GET p50 with no scan running, nanoseconds.
-    pub p50_get_idle_ns: u64,
-    /// Point-GET p99 with no scan running, nanoseconds.
-    pub p99_get_idle_ns: u64,
-    /// Point-GET p50 while full-store scans drain continuously.
-    pub p50_get_scan_ns: u64,
-    /// Point-GET p99 while full-store scans drain continuously.
-    pub p99_get_scan_ns: u64,
-    /// GETs completed during the interference window.
-    pub gets_during_scan: u64,
-    /// Full-store scans completed during the interference window.
-    pub scans_completed: u64,
-    /// Entries streamed per second by the scanner during the window.
-    pub scan_entries_per_sec: f64,
-    /// Scan chunks served by the workers over the whole run.
-    pub scan_chunks: u64,
-    /// Cursor resumes served by the workers over the whole run.
-    pub scan_resumes: u64,
-}
+use crate::artifact::{Fields, Report, Value};
+use crate::setups;
 
-/// Keys are `key%08d` over a deterministic permutation; values are
-/// `value_bytes` of a key-derived byte. No `rand` dependency: a fixed
-/// LCG keeps runs reproducible.
+const VALUE_BYTES: usize = 100;
+/// Length of each measurement window (idle, then under scan).
+const WINDOW: Duration = Duration::from_secs(3);
+
 fn nth_key(i: u64) -> Vec<u8> {
     format!("key{i:08}").into_bytes()
 }
 
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        // Numerical Recipes LCG constants.
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        self.0 >> 16
-    }
-}
-
-fn open_store(name: &str, workers: usize, chunk_entries: usize) -> P2Kvs<lsmkv::Db> {
-    // The paper's device: simulated NVMe Optane with per-IO latency and
-    // bandwidth accounting. Small memtables and block caches force scans
-    // (and most GETs) through the device, as on a real SSD-resident
-    // dataset — an all-in-memory store serves chunks so fast that worker
-    // occupancy, the thing this benchmark measures, never materializes.
-    let env: p2kvs_storage::EnvRef = Arc::new(SimEnv::with_profile(DeviceProfile::nvme_optane()));
-    let mut lsm = lsmkv::Options::rocksdb_like(env);
-    lsm.memtable_size = 256 << 10;
-    lsm.target_file_size = 1 << 20;
-    lsm.block_cache_size = 256 << 10;
-    let mut opts = P2KvsOptions::with_workers(workers);
-    opts.pin_workers = false;
+fn open_store(name: &str, chunk_entries: usize) -> P2Kvs<lsmkv::Db> {
+    let mut opts = P2KvsOptions::with_workers(1);
     // Cache off: this bench measures GET latency *through the queue*
     // while scans stream — client-side cache hits would bypass exactly
     // the interference under test.
@@ -102,24 +54,17 @@ fn open_store(name: &str, workers: usize, chunk_entries: usize) -> P2Kvs<lsmkv::
     if chunk_entries == usize::MAX {
         opts.scan_chunk_bytes = usize::MAX;
     }
-    P2Kvs::open(LsmFactory::new(lsm), name, opts).unwrap()
-}
-
-fn load(store: &P2Kvs<lsmkv::Db>, entries: u64, value_bytes: usize) {
-    for i in 0..entries {
-        let v = vec![(i % 251) as u8; value_bytes];
-        store.put(&nth_key(i), &v).unwrap();
-    }
+    setups::scenario_store(name, setups::scenario_engine(setups::nvme_env()), opts)
 }
 
 /// Synchronous point GETs of existing keys for `window`, returning the
 /// sorted latency samples.
 fn get_loop(store: &P2Kvs<lsmkv::Db>, entries: u64, window: Duration) -> Vec<u64> {
     let mut lat = Vec::with_capacity(1 << 16);
-    let mut rng = Lcg(0x5ca1ab1e);
+    let mut rng = Rng::new(0x5ca1ab1e);
     let start = Instant::now();
     while start.elapsed() < window {
-        let key = nth_key(rng.next() % entries);
+        let key = nth_key(rng.below(entries));
         let began = Instant::now();
         let got = store.get(&key).unwrap();
         lat.push(began.elapsed().as_nanos() as u64);
@@ -129,171 +74,109 @@ fn get_loop(store: &P2Kvs<lsmkv::Db>, entries: u64, window: Duration) -> Vec<u64
     lat
 }
 
-/// Measures one configuration: idle point-GET latency, then point-GET
-/// latency while a scanner thread drains full-store scans back to back.
-pub fn measure(
+/// Measures one configuration (`blocking`, the old behavior, or `chunked`,
+/// the streaming default): idle point-GET latency, then point-GET latency
+/// while a scanner thread drains full-store scans back to back. Returns
+/// the row and a quiescent full scan for the identity check.
+fn measure(
     config: &'static str,
     chunk_entries: usize,
     entries: u64,
-    value_bytes: usize,
     window: Duration,
-) -> (InterfResult, Vec<(Vec<u8>, Vec<u8>)>) {
-    let store = open_store(config, 1, chunk_entries);
-    load(&store, entries, value_bytes);
+) -> (Fields, Vec<(Vec<u8>, Vec<u8>)>) {
+    let store = open_store(config, chunk_entries);
+    setups::load(&store, (0..entries).map(nth_key), VALUE_BYTES);
 
-    // Quiescent reference drain — also the byte-identity artifact.
     let reference = store.scan(b"", entries as usize + 1).unwrap();
     assert_eq!(reference.len(), entries as usize);
 
-    // Phase 1: no scan running.
     let idle = get_loop(&store, entries, window);
 
-    // Phase 2: continuous full-store scans beside the GET loop.
     let stop = AtomicBool::new(false);
     let scans_done = AtomicU64::new(0);
     let entries_streamed = AtomicU64::new(0);
     let (during, scan_secs) = thread::scope(|s| {
-        let scanner = {
-            let store = &store;
-            let stop = &stop;
-            let scans_done = &scans_done;
-            let entries_streamed = &entries_streamed;
-            s.spawn(move || {
-                let began = Instant::now();
-                while !stop.load(Ordering::Acquire) {
-                    let got = store.scan(b"", entries as usize + 1).unwrap();
-                    entries_streamed.fetch_add(got.len() as u64, Ordering::Relaxed);
-                    scans_done.fetch_add(1, Ordering::Relaxed);
-                }
-                began.elapsed().as_secs_f64()
-            })
-        };
+        let scanner = s.spawn(|| {
+            let began = Instant::now();
+            while !stop.load(Ordering::Acquire) {
+                let got = store.scan(b"", entries as usize + 1).unwrap();
+                entries_streamed.fetch_add(got.len() as u64, Ordering::Relaxed);
+                scans_done.fetch_add(1, Ordering::Relaxed);
+            }
+            began.elapsed().as_secs_f64()
+        });
         let during = get_loop(&store, entries, window);
         stop.store(true, Ordering::Release);
-        let scan_secs = scanner.join().unwrap();
-        (during, scan_secs)
+        (during, scanner.join().unwrap())
     });
 
     let snap = store.snapshot();
-    let result = InterfResult {
-        config,
-        chunk_entries,
-        p50_get_idle_ns: crate::percentile(&idle, 0.50),
-        p99_get_idle_ns: crate::percentile(&idle, 0.99),
-        p50_get_scan_ns: crate::percentile(&during, 0.50),
-        p99_get_scan_ns: crate::percentile(&during, 0.99),
-        gets_during_scan: during.len() as u64,
-        scans_completed: scans_done.load(Ordering::Relaxed),
-        scan_entries_per_sec: entries_streamed.load(Ordering::Relaxed) as f64
-            / scan_secs.max(1e-9),
-        scan_chunks: snap.workers.iter().map(|w| w.scan_chunks).sum(),
-        scan_resumes: snap.workers.iter().map(|w| w.scan_resumes).sum(),
+    let chunk = match chunk_entries {
+        usize::MAX => Value::from("unbounded"),
+        n => n.into(),
     };
-    (result, reference)
+    let row = Fields::new()
+        .with("config", config)
+        .with("chunk_entries", chunk)
+        .with("p50_get_idle_ns", crate::percentile(&idle, 0.50))
+        .with("p99_get_idle_ns", crate::percentile(&idle, 0.99))
+        .with("p50_get_scan_ns", crate::percentile(&during, 0.50))
+        .with("p99_get_scan_ns", crate::percentile(&during, 0.99))
+        .with("gets_during_scan", during.len())
+        .with("scans_completed", scans_done.load(Ordering::Relaxed))
+        .float(
+            "scan_entries_per_sec",
+            entries_streamed.load(Ordering::Relaxed) as f64 / scan_secs.max(1e-9),
+            1,
+        )
+        .with(
+            "scan_chunks",
+            snap.workers.iter().map(|w| w.scan_chunks).sum::<u64>(),
+        )
+        .with(
+            "scan_resumes",
+            snap.workers.iter().map(|w| w.scan_resumes).sum::<u64>(),
+        );
+    (row, reference)
 }
 
-/// p99 point-GET improvement of `chunked` over `blocking` during the
-/// interference window (>1 means chunking helped).
-pub fn p99_improvement(results: &[InterfResult]) -> f64 {
-    let find = |c: &str| {
-        results
-            .iter()
-            .find(|r| r.config == c)
-            .map(|r| r.p99_get_scan_ns)
-    };
-    match (find("blocking"), find("chunked")) {
-        (Some(b), Some(c)) if c > 0 => b as f64 / c as f64,
-        _ => 0.0,
+fn run_sized(entries: u64, window: Duration) -> Report {
+    let (chunked, chunked_ref) = measure("chunked", 256, entries, window);
+    let (blocking, blocking_ref) = measure("blocking", usize::MAX, entries, window);
+    // >1 means chunking helped the point-GET tail during the scan.
+    let improvement = blocking.num("p99_get_scan_ns") / chunked.num("p99_get_scan_ns").max(1.0);
+    Report {
+        bench: "scan_interference",
+        seed: 0,
+        config: Fields::new()
+            .with("entries", entries)
+            .with("value_bytes", VALUE_BYTES),
+        summary: Fields::new()
+            .with("scan_results_identical", chunked_ref == blocking_ref)
+            .float("p99_point_get_improvement_during_scan", improvement, 3),
+        rows: vec![blocking, chunked],
     }
 }
 
-/// Renders the `BENCH_scan.json` artifact.
-pub fn render_json(
-    results: &[InterfResult],
-    entries: u64,
-    value_bytes: usize,
-    identical: bool,
-) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(
-        &crate::artifact::RunMeta::new("scan_interference", 0)
-            .num("entries", entries)
-            .num("value_bytes", value_bytes)
-            .render(),
-    );
-    s.push_str(&format!(
-        "  \"scan_results_identical\": {identical},\n"
-    ));
-    s.push_str(&format!(
-        "  \"p99_point_get_improvement_during_scan\": {:.3},\n",
-        p99_improvement(results)
-    ));
-    s.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let chunk = if r.chunk_entries == usize::MAX {
-            "\"unbounded\"".to_string()
-        } else {
-            r.chunk_entries.to_string()
-        };
-        s.push_str(&format!(
-            "    {{\"config\": \"{}\", \"chunk_entries\": {}, \
-             \"p50_get_idle_ns\": {}, \"p99_get_idle_ns\": {}, \
-             \"p50_get_scan_ns\": {}, \"p99_get_scan_ns\": {}, \
-             \"gets_during_scan\": {}, \"scans_completed\": {}, \
-             \"scan_entries_per_sec\": {:.1}, \"scan_chunks\": {}, \
-             \"scan_resumes\": {}}}{}\n",
-            r.config,
-            chunk,
-            r.p50_get_idle_ns,
-            r.p99_get_idle_ns,
-            r.p50_get_scan_ns,
-            r.p99_get_scan_ns,
-            r.gets_during_scan,
-            r.scans_completed,
-            r.scan_entries_per_sec,
-            r.scan_chunks,
-            r.scan_resumes,
-            if i + 1 == results.len() { "" } else { "," },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+/// Both configurations over 100k entries × 100 B values (scaled by
+/// `P2KVS_SCALE`), 3 s measurement windows.
+pub fn run() -> Report {
+    run_sized(crate::scaled(100_000), WINDOW)
 }
 
-/// Where the artifact goes: `$P2KVS_METRICS_DIR` when set, the working
-/// directory otherwise.
-pub fn artifact_path() -> PathBuf {
-    match std::env::var(crate::artifact::METRICS_DIR_ENV) {
-        Ok(dir) if !dir.is_empty() => PathBuf::from(dir).join("BENCH_scan.json"),
-        _ => PathBuf::from("BENCH_scan.json"),
+/// Chunking must be invisible to scan results; the latency improvement is
+/// reported, not gated.
+pub fn gate(summary: &Fields, _full_scale: bool) -> Vec<String> {
+    if summary.is("scan_results_identical") {
+        return Vec::new();
     }
+    vec!["chunked and blocking scans returned different results".into()]
 }
 
-/// Runs both configurations (100k entries × 100 B values scaled by
-/// `P2KVS_SCALE`, 3 s measurement windows) and writes `BENCH_scan.json`
-/// to `path`. Panics if the two configurations disagree on the scan
-/// content — the refactor must be invisible to scan results.
-pub fn run_default(path: &Path) -> std::io::Result<Vec<InterfResult>> {
-    let entries = crate::scaled(100_000);
-    let value_bytes = 100;
-    let window = Duration::from_secs(3);
-
-    let (chunked, chunked_ref) = measure("chunked", 256, entries, value_bytes, window);
-    let (blocking, blocking_ref) = measure("blocking", usize::MAX, entries, value_bytes, window);
-    let identical = chunked_ref == blocking_ref;
-    assert!(
-        identical,
-        "chunked and blocking scans must return identical results"
-    );
-
-    let results = vec![blocking, chunked];
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, render_json(&results, entries, value_bytes, identical))?;
-    Ok(results)
+/// The scenario at a size a unit test can afford.
+#[cfg(test)]
+pub(crate) fn smoke() -> Report {
+    run_sized(2_000, Duration::from_millis(200))
 }
 
 #[cfg(test)]
@@ -302,23 +185,37 @@ mod tests {
 
     #[test]
     fn measure_reports_and_scans_agree() {
-        let (r, reference) = measure("chunked", 64, 2_000, 32, Duration::from_millis(200));
+        let (r, reference) = measure("chunked", 64, 2_000, Duration::from_millis(200));
         assert_eq!(reference.len(), 2_000);
-        assert!(r.gets_during_scan > 0);
-        assert!(r.scans_completed > 0);
-        assert!(r.p50_get_idle_ns <= r.p99_get_idle_ns);
-        assert!(r.p50_get_scan_ns <= r.p99_get_scan_ns);
-        assert!(r.scan_chunks > 0);
+        assert!(r.int("gets_during_scan") > 0);
+        assert!(r.int("scans_completed") > 0);
+        assert!(r.int("p50_get_idle_ns") <= r.int("p99_get_idle_ns"));
+        assert!(r.int("p50_get_scan_ns") <= r.int("p99_get_scan_ns"));
+        assert!(r.int("scan_chunks") > 0);
     }
 
     #[test]
     fn json_render_is_complete() {
-        let (r, _) = measure("blocking", usize::MAX, 500, 16, Duration::from_millis(100));
-        let json = render_json(&[r], 500, 16, true);
+        let json = run_sized(500, Duration::from_millis(100)).render_json();
         assert!(json.contains("\"bench\": \"scan_interference\""));
         assert!(json.contains("\"config\": \"blocking\""));
         assert!(json.contains("\"chunk_entries\": \"unbounded\""));
         assert!(json.contains("p99_point_get_improvement_during_scan"));
         assert!(json.contains("\"scan_results_identical\": true"));
+    }
+
+    #[test]
+    fn gate_holds_only_identical_scans() {
+        let summary = |identical: bool| {
+            Fields::new()
+                .with("scan_results_identical", identical)
+                .float("p99_point_get_improvement_during_scan", 0.7, 3)
+        };
+        assert!(gate(&summary(true), true).is_empty());
+        assert_eq!(
+            gate(&summary(false), false).len(),
+            1,
+            "identity is gated at every scale"
+        );
     }
 }

@@ -5,11 +5,13 @@
 //! counts; the ratios between levels match the full-size configuration.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use lsmkv::{Db, Options};
 use p2kvs::engine::{LsmFactory, WtFactory};
 use p2kvs::{P2Kvs, P2KvsOptions};
 use p2kvs_storage::{DeviceProfile, EnvRef, SimEnv};
+use p2kvs_util::rng::Rng;
 
 use crate::clients::{KvellClient, LsmClient, MultiLsmClient, P2Client, WtClient};
 
@@ -136,4 +138,124 @@ pub fn kvell(env: Arc<SimEnv>, dir: &str, workers: usize) -> KvellClient {
     KvellClient {
         db: kvell::KvellDb::open(opts, dir).expect("open kvell"),
     }
+}
+
+// ---- The gate scenarios' store, keys, values and client loop ----
+
+/// Engine sizing of the gate scenarios: memtables and a block cache small
+/// enough that scans and most GETs go through the device, as on an
+/// SSD-resident dataset — an all-in-memory store serves requests so fast
+/// that worker occupancy, which most scenarios measure, never
+/// materializes.
+pub fn scenario_engine(env: EnvRef) -> Options {
+    let mut o = Options::rocksdb_like(env);
+    o.memtable_size = 256 << 10;
+    o.target_file_size = 1 << 20;
+    o.block_cache_size = 256 << 10;
+    o
+}
+
+/// Opens a scenario's store over `engine`, workers unpinned (the gates run
+/// on shared CI boxes with fewer cores than workers).
+pub fn scenario_store(name: &str, engine: Options, mut opts: P2KvsOptions) -> P2Kvs<Db> {
+    opts.pin_workers = false;
+    P2Kvs::open(LsmFactory::new(engine), name, opts).expect("open scenario store")
+}
+
+/// `len` bytes derived from `key` alone. Re-puts are therefore idempotent
+/// and a store's final state is the same however client threads
+/// interleave, so two configurations of one scenario must read back
+/// byte-identical — a mismatch can only come from the feature under test.
+pub fn value_of(key: &[u8], len: usize) -> Vec<u8> {
+    let mut h = p2kvs_util::hash::fnv1a64(key);
+    let mut v = Vec::with_capacity(len + 8);
+    while v.len() < len {
+        v.extend_from_slice(&h.to_le_bytes());
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    v.truncate(len);
+    v
+}
+
+/// Puts [`value_of`] under every key of `keys`.
+pub fn load(store: &P2Kvs<Db>, keys: impl Iterator<Item = Vec<u8>>, value_len: usize) {
+    for key in keys {
+        store.put(&key, &value_of(&key, value_len)).expect("load");
+    }
+}
+
+/// Sorted latencies of one client window, in nanoseconds.
+#[derive(Default)]
+pub struct Latencies {
+    /// Every GET of the window.
+    pub gets: Vec<u64>,
+    /// Every PUT of the window.
+    pub puts: Vec<u64>,
+}
+
+/// One closed-loop client window: `clients` threads each issue
+/// `ops_per_client` blocking calls on a key drawn by `pick` — a PUT of
+/// [`value_of`] with probability `put_percent` %, else a GET, which must
+/// find the (preloaded) key. A thread's op stream is a function of
+/// `(seed, thread index)` alone.
+pub fn drive(
+    store: &P2Kvs<Db>,
+    clients: usize,
+    ops_per_client: u64,
+    seed: u64,
+    put_percent: u64,
+    value_len: usize,
+    pick: impl Fn(&mut Rng) -> Vec<u8> + Sync,
+) -> Latencies {
+    let mut all = Latencies::default();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..clients as u64)
+            .map(|c| {
+                let pick = &pick;
+                s.spawn(move || {
+                    let mut rng = Rng::new(seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(c + 1));
+                    let mut lat = Latencies::default();
+                    for _ in 0..ops_per_client {
+                        let key = pick(&mut rng);
+                        if rng.below(100) < put_percent {
+                            let value = value_of(&key, value_len);
+                            let began = Instant::now();
+                            store.put(&key, &value).expect("put");
+                            lat.puts.push(began.elapsed().as_nanos() as u64);
+                        } else {
+                            let began = Instant::now();
+                            let got = store.get(&key).expect("get");
+                            lat.gets.push(began.elapsed().as_nanos() as u64);
+                            assert!(got.is_some(), "preloaded key missing");
+                        }
+                    }
+                    lat
+                })
+            })
+            .collect();
+        for h in handles {
+            let lat = h.join().expect("client thread");
+            all.gets.extend(lat.gets);
+            all.puts.extend(lat.puts);
+        }
+    });
+    all.gets.sort_unstable();
+    all.puts.sort_unstable();
+    all
+}
+
+/// What [`readback`] returns: each sampled key with what the store holds.
+pub type Sample = Vec<(Vec<u8>, Option<Vec<u8>>)>;
+
+/// Reads a fixed sample of 2 000 keys drawn by `pick` — the same sample
+/// for every configuration of a scenario, compared for byte identity.
+pub fn readback(store: &P2Kvs<Db>, pick: impl Fn(&mut Rng) -> Vec<u8>) -> Sample {
+    let mut rng = Rng::new(0x0ddba11);
+    (0..2_000)
+        .map(|_| {
+            let key = pick(&mut rng);
+            let got = store.get(&key).expect("readback");
+            (key, got)
+        })
+        .collect()
 }

@@ -68,8 +68,8 @@ pub use crate::ring::PushError;
 use crate::ring::{CachePadded, Ring};
 use crate::types::{OpClass, Request};
 
-/// Default bound of a worker's request ring (slots). Must be a power of
-/// two; see [`crate::store::P2KvsOptions::queue_capacity`].
+/// Bound of every worker's request ring (slots). Must be a power of
+/// two; see [`crate::worker::WorkerConfig::queue_capacity`].
 pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
 
 /// How long both wait sites ([`wait_until`]) keep re-checking between

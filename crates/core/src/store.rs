@@ -59,12 +59,6 @@ pub struct P2KvsOptions {
     pub balance: BalancePolicy,
     /// OBM batch bound `M` (32 in the paper); 1 switches OBM off.
     pub batch_max: usize,
-    /// Capacity of each worker's request ring, rounded up to a power of
-    /// two (default 1024). A full ring **blocks the pushing user thread**
-    /// (spin → yield → short naps) until the worker frees a slot —
-    /// bounded-memory backpressure rather than unbounded queueing; see
-    /// `crate::queue` for the full policy.
-    pub queue_capacity: usize,
     /// Pin worker threads to cores.
     pub pin_workers: bool,
     /// Hard per-chunk entry bound enforced by every worker: no scan
@@ -83,9 +77,6 @@ pub struct P2KvsOptions {
     /// `obm_batch` spans in the span ring, head-sampled or not, and
     /// counts in `p2kvs_slow_requests_total`.
     pub slow_request_threshold: Duration,
-    /// When set, a background reporter thread logs a one-line metrics
-    /// summary to stderr at this interval.
-    pub report_interval: Option<Duration>,
     /// Head sampling rate: one in `trace_sample` requests carries a
     /// trace id from enqueue through the worker, the engine call, and
     /// device I/O, leaving a completed span tree in the span ring (see
@@ -139,13 +130,11 @@ impl Default for P2KvsOptions {
             balance_interval: None,
             balance: BalancePolicy::default(),
             batch_max: 32,
-            queue_capacity: crate::queue::DEFAULT_QUEUE_CAPACITY,
             pin_workers: true,
             scan_chunk_entries: crate::worker::DEFAULT_SCAN_CHUNK_ENTRIES,
             scan_chunk_bytes: crate::worker::DEFAULT_SCAN_CHUNK_BYTES,
             metrics: true,
             slow_request_threshold: Duration::from_millis(1),
-            report_interval: None,
             trace_sample: 64,
             flight_recorder: true,
             cache_capacity: 16 << 20,
@@ -192,8 +181,7 @@ impl P2KvsOptions {
     }
 }
 
-/// Everything the statistics and metrics exposition needs, shared with
-/// the optional reporter thread.
+/// Everything the statistics and metrics exposition needs.
 struct ObsShared<E: KvsEngine> {
     registry: Arc<MetricsRegistry>,
     runtime: Arc<ShardRuntime<E>>,
@@ -374,27 +362,6 @@ impl<E: KvsEngine> ObsShared<E> {
             reg.set_gauge("p2kvs_cache_bytes", s.bytes as f64);
         }
         reg.snapshot()
-    }
-
-    /// One-line summary for the periodic reporter.
-    fn summary_line(&self, stats: &StoreSnapshot, metrics: &MetricsSnapshot) -> String {
-        let depth: usize = stats.workers.iter().map(|w| w.queue_depth).sum();
-        let write_p99 = metrics
-            .histograms_of("p2kvs_service_ns")
-            .iter()
-            .filter(|(n, _)| n.contains("class=\"write\""))
-            .map(|(_, h)| h.p99)
-            .max()
-            .unwrap_or(0);
-        format!(
-            "[p2kvs-obs] uptime={:.1}s ops={} queue_depth={} migrations={} slow_events={} worst_write_service_p99={:.1}us",
-            stats.uptime.as_secs_f64(),
-            stats.total_ops(),
-            depth,
-            stats.migrations,
-            metrics.counter("p2kvs_slow_requests_total").unwrap_or(0),
-            write_p99 as f64 / 1e3,
-        )
     }
 }
 
@@ -629,9 +596,8 @@ pub struct WorkerView {
 
 /// A p2KVS store over engine type `E`.
 pub struct P2Kvs<E: KvsEngine> {
-    // Declared before `pool` so the background tasks stop before the
-    // workers are joined on drop.
-    reporter: Option<PeriodicTask>,
+    // Declared before `pool` so the balancer stops before the workers
+    // are joined on drop.
     balancer: Option<PeriodicTask>,
     obs: Arc<ObsShared<E>>,
     balance: Arc<BalanceShared<E>>,
@@ -654,7 +620,8 @@ impl<E: KvsEngine> P2Kvs<E> {
     ///
     /// Recovery order (§4.5): read the transaction commit log first, then
     /// reopen every instance with a GSN filter that drops batches of
-    /// transactions that never committed.
+    /// transactions that never committed, then open the log for new
+    /// transactions above every GSN the log or a replayed WAL named.
     ///
     /// Returns [`Error::Config`] when a custom partitioner's
     /// `partitions()` disagrees with the shard count — routing through a
@@ -685,11 +652,19 @@ impl<E: KvsEngine> P2Kvs<E> {
         let dir = dir.into();
         let env = factory.env();
         env.create_dir_all(&dir)?;
-        let recovered = TxnManager::recover(&env, &dir)?;
-        let txn = TxnManager::open(&env, &dir, &recovered)?;
+        let mut recovered = TxnManager::recover(&env, &dir)?;
+        // The filter is asked about every WAL batch an engine replays: it
+        // also notes the highest GSN it sees, so a rolled-back
+        // transaction's number is not handed out again while a WAL still
+        // holds its batches (the commit log has no record of it).
+        let replayed_gsn = Arc::new(AtomicU64::new(0));
         let filter: GsnFilter = {
             let recovered = recovered.clone();
-            Arc::new(move |gsn| recovered.should_replay(gsn))
+            let replayed_gsn = replayed_gsn.clone();
+            Arc::new(move |gsn| {
+                replayed_gsn.fetch_max(gsn, Ordering::Relaxed);
+                recovered.should_replay(gsn)
+            })
         };
         let registry = Arc::new(MetricsRegistry::new());
         // Registered up front so the series reads 0, not absent, with
@@ -718,6 +693,8 @@ impl<E: KvsEngine> P2Kvs<E> {
                 worker_queue(s % n),
             )?));
         }
+        recovered.max_gsn = recovered.max_gsn.max(replayed_gsn.load(Ordering::Relaxed));
+        let txn = TxnManager::open(&env, &dir, &recovered)?;
         let spans = Arc::new(SpanRing::new(SpanRing::DEFAULT_CAPACITY));
         // Flight recorder: recover the persisted journal (its longest
         // valid prefix — a crash may leave a torn tail), continue the
@@ -846,7 +823,7 @@ impl<E: KvsEngine> P2Kvs<E> {
             SpawnSpec {
                 config: crate::worker::WorkerConfig {
                     batch_max: opts.batch_max.max(1),
-                    queue_capacity: opts.queue_capacity,
+                    queue_capacity: crate::queue::DEFAULT_QUEUE_CAPACITY,
                     pin: opts.pin_workers,
                     scan_chunk_entries: opts.scan_chunk_entries,
                     scan_chunk_bytes: opts.scan_chunk_bytes,
@@ -875,13 +852,6 @@ impl<E: KvsEngine> P2Kvs<E> {
             pool: pool.clone(),
             opened,
         });
-        let reporter = opts.report_interval.map(|interval| {
-            let obs = obs.clone();
-            PeriodicTask::spawn("p2kvs-reporter", interval, move || {
-                let stats = obs.read();
-                eprintln!("{}", obs.summary_line(&stats, &obs.render(&stats)));
-            })
-        });
         let balance = Arc::new(BalanceShared {
             runtime: runtime.clone(),
             pool: pool.clone(),
@@ -902,7 +872,6 @@ impl<E: KvsEngine> P2Kvs<E> {
             })
         });
         Ok(P2Kvs {
-            reporter,
             balancer,
             obs,
             balance,
@@ -1633,7 +1602,7 @@ impl<E: KvsEngine> P2Kvs<E> {
         &self.opts
     }
 
-    /// Closes the store: stops the reporter and balancer, drains
+    /// Closes the store: stops the balancer, drains
     /// queues, joins workers, drops engines.
     pub fn close(self) {
         drop(self);
@@ -1642,7 +1611,6 @@ impl<E: KvsEngine> P2Kvs<E> {
 
 impl<E: KvsEngine> Drop for P2Kvs<E> {
     fn drop(&mut self) {
-        self.reporter.take();
         self.balancer.take();
         self.pool.shutdown_all();
         if let Some(j) = &self.runtime.journal {

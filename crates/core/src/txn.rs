@@ -1,15 +1,22 @@
 //! Global Sequence Numbers and the transaction commit log (§4.5).
 //!
-//! Every cross-instance write batch gets a strictly increasing GSN. The
-//! manager persists `begin(gsn)` when a transaction starts and
-//! `commit(gsn)` once every sub-batch has been applied (and, for engines
-//! that honor it, synced). Recovery reads the log, collects the committed
-//! GSN set, and instances are reopened with a filter that drops WAL
-//! batches whose GSN began but never committed — rolling the transaction
-//! back on every shard at once.
+//! Every cross-instance write batch gets a strictly increasing GSN and
+//! tags its sub-batches with it. The manager persists `commit(gsn)` once
+//! every sub-batch has been applied (and, for engines that honor it,
+//! synced) — one device sync per transaction. Recovery reads the log,
+//! collects the committed GSN set, and instances are reopened with a
+//! filter that drops every tagged WAL batch whose GSN has no commit
+//! record — rolling the transaction back on every shard at once.
 //!
-//! Record framing: `type: u8 (1 = begin, 2 = commit) | gsn: fixed64 |
-//! crc32c: fixed32` — 13 bytes, torn tails detected by CRC.
+//! A GSN is never reused while a WAL still holds a batch tagged with it:
+//! the store opens the manager *after* the engines and starts allocating
+//! above both the highest commit record and the highest GSN any engine
+//! replayed (`P2Kvs::open`).
+//!
+//! Record framing: `type: u8 (2 = commit) | gsn: fixed64 | crc32c:
+//! fixed32` — 13 bytes, torn tails detected by CRC. Type 1 is the begin
+//! record logs written before the commit-only format carry; it is read
+//! (it raises `max_gsn`) and never written.
 
 use std::collections::HashSet;
 use std::io;
@@ -46,11 +53,9 @@ pub struct TxnManager {
 /// State recovered from a commit log.
 #[derive(Debug, Default, Clone)]
 pub struct TxnRecovery {
-    /// GSNs with a begin record.
-    pub begun: HashSet<u64>,
     /// GSNs with a commit record.
     pub committed: HashSet<u64>,
-    /// Highest GSN ever allocated.
+    /// Highest GSN in any record; [`TxnManager::open`] allocates above it.
     pub max_gsn: u64,
     /// Trailing bytes ignored because they did not form a CRC-valid
     /// record — a torn tail from a crash mid-append. Zero on a clean log.
@@ -96,9 +101,7 @@ impl TxnManager {
             }
             let gsn = u64::from_le_bytes(rec[1..9].try_into().expect("8 bytes"));
             match rec[0] {
-                REC_BEGIN => {
-                    out.begun.insert(gsn);
-                }
+                REC_BEGIN => {}
                 REC_COMMIT => {
                     out.committed.insert(gsn);
                 }
@@ -112,7 +115,8 @@ impl TxnManager {
     }
 
     /// Opens the manager, appending to any existing log. `recovered` is
-    /// the state returned by [`TxnManager::recover`].
+    /// the state returned by [`TxnManager::recover`], its `max_gsn`
+    /// raised by the caller to the highest GSN the engines replayed.
     pub fn open(env: &EnvRef, dir: &Path, recovered: &TxnRecovery) -> io::Result<TxnManager> {
         env.create_dir_all(dir)?;
         let log = env.new_appendable(&Self::log_path(dir))?;
@@ -125,26 +129,17 @@ impl TxnManager {
         })
     }
 
-    /// Starts a transaction: allocates a GSN and persists the begin
-    /// record. Blocks while a backup freeze holds the gate, so every GSN
-    /// is strictly on one side of any backup horizon.
+    /// Starts a transaction: allocates a GSN without touching the log
+    /// (so it cannot fail; the `io::Result` is what callers were written
+    /// against when it could). Blocks while a backup freeze holds the
+    /// gate, so every GSN is strictly on one side of any backup horizon.
     pub fn begin(&self) -> io::Result<u64> {
-        {
-            let mut gate = self.gate.lock();
-            while gate.frozen {
-                self.gate_cv.wait(&mut gate);
-            }
-            gate.in_flight += 1;
+        let mut gate = self.gate.lock();
+        while gate.frozen {
+            self.gate_cv.wait(&mut gate);
         }
-        let gsn = self.next_gsn.fetch_add(1, Ordering::Relaxed);
-        let rec = encode(REC_BEGIN, gsn);
-        let mut log = self.log.lock();
-        if let Err(e) = log.append(&rec).and_then(|()| log.sync()) {
-            drop(log);
-            self.release_in_flight();
-            return Err(e);
-        }
-        Ok(gsn)
+        gate.in_flight += 1;
+        Ok(self.next_gsn.fetch_add(1, Ordering::Relaxed))
     }
 
     /// Persists the commit record for `gsn` and releases its in-flight
@@ -211,18 +206,15 @@ impl TxnManager {
 
     /// Seeds a fresh commit log under `dir` so the next open allocates
     /// GSNs strictly above `horizon` — a restored store must never reuse
-    /// a GSN that existed on the backed-up one. Writes a synced
-    /// begin/commit pair for `horizon` (committed, so recovery's filter
-    /// keeps every restored batch); a zero horizon needs no log at all.
+    /// a GSN that existed on the backed-up one. Writes a synced commit
+    /// record for `horizon` (committed, so recovery's filter keeps every
+    /// restored batch); a zero horizon needs no log at all.
     pub fn seed(env: &EnvRef, dir: &Path, horizon: u64) -> io::Result<()> {
         if horizon == 0 {
             return Ok(());
         }
         env.create_dir_all(dir)?;
-        let mut data = Vec::with_capacity(2 * REC_LEN);
-        data.extend_from_slice(&encode(REC_BEGIN, horizon));
-        data.extend_from_slice(&encode(REC_COMMIT, horizon));
-        p2kvs_storage::env::write_all(&**env, &Self::log_path(dir), &data)
+        p2kvs_storage::env::write_all(&**env, &Self::log_path(dir), &encode(REC_COMMIT, horizon))
     }
 }
 
@@ -240,7 +232,7 @@ mod tests {
     fn fresh_log_recovers_empty() {
         let env = env();
         let rec = TxnManager::recover(&env, Path::new("t")).unwrap();
-        assert!(rec.begun.is_empty() && rec.committed.is_empty());
+        assert!(rec.committed.is_empty());
         assert!(rec.should_replay(0));
         assert!(!rec.should_replay(5));
     }
@@ -261,10 +253,11 @@ mod tests {
         let rec = TxnManager::recover(&env, dir).unwrap();
         assert!(rec.committed.contains(&1));
         assert!(!rec.committed.contains(&2));
-        assert!(rec.begun.contains(&2));
         assert!(rec.should_replay(1));
         assert!(!rec.should_replay(2));
-        assert_eq!(rec.max_gsn, 2);
+        // g2 left no record: only a WAL batch tagged with it can name it,
+        // and the store raises `max_gsn` from those before it opens.
+        assert_eq!(rec.max_gsn, 1);
     }
 
     #[test]
@@ -306,6 +299,34 @@ mod tests {
         assert!(rec.should_replay(3));
     }
 
+    /// A log in the format written before begin records went: begin and
+    /// commit pairs, interleaved, one transaction left open. It recovers
+    /// the committed set the old reader did, and the begin records still
+    /// hold allocation above every GSN they name.
+    #[test]
+    fn log_with_begin_records_recovers_the_same_committed_set() {
+        let env = env();
+        let dir = Path::new("t");
+        let mut data = Vec::new();
+        for (kind, gsn) in [
+            (REC_BEGIN, 1),
+            (REC_BEGIN, 2),
+            (REC_COMMIT, 2),
+            (REC_BEGIN, 3),
+            (REC_COMMIT, 1),
+        ] {
+            data.extend_from_slice(&encode(kind, gsn));
+        }
+        p2kvs_storage::env::write_all(&*env, &TxnManager::log_path(dir), &data).unwrap();
+        let rec = TxnManager::recover(&env, dir).unwrap();
+        assert_eq!(rec.committed, HashSet::from([1, 2]));
+        assert!(!rec.should_replay(3), "begun, never committed");
+        assert_eq!(rec.max_gsn, 3);
+        assert_eq!(rec.truncated_tail_bytes, 0);
+        let mgr = TxnManager::open(&env, dir, &rec).unwrap();
+        assert_eq!(mgr.begin().unwrap(), 4);
+    }
+
     /// Writes a TXNLOG whose last record is cut to `keep` of its 13
     /// bytes, preceded by a committed transaction (gsn 1) and, when
     /// `tear_commit` is set, a begin for gsn 2 so the torn record is
@@ -339,7 +360,6 @@ mod tests {
                 !rec.should_replay(2),
                 "cut at {keep}: torn begin must not resurrect gsn 2"
             );
-            assert!(!rec.begun.contains(&2), "cut at {keep}: torn begin is dropped");
             assert_eq!(rec.max_gsn, 1, "cut at {keep}");
             // The manager must reopen over the torn log and keep
             // allocating fresh GSNs past everything it saw.
@@ -358,7 +378,6 @@ mod tests {
             let rec = TxnManager::recover(&env, dir).unwrap();
             assert_eq!(rec.truncated_tail_bytes, keep, "cut at {keep}");
             assert!(rec.should_replay(1), "cut at {keep}");
-            assert!(rec.begun.contains(&2), "cut at {keep}: begin record is intact");
             assert!(
                 !rec.should_replay(2),
                 "cut at {keep}: a torn commit is no commit — gsn 2 rolls back"
@@ -408,10 +427,10 @@ mod tests {
         let horizon = mgr.freeze();
         assert_eq!(horizon, g);
         mgr.thaw();
-        // The abandoned GSN rolls back at recovery (begun, not committed).
+        // The abandoned GSN rolls back at recovery (no commit record).
         drop(mgr);
         let rec = TxnManager::recover(&env, Path::new("t")).unwrap();
-        assert!(rec.begun.contains(&g) && !rec.should_replay(g));
+        assert!(!rec.should_replay(g));
     }
 
     #[test]

@@ -768,6 +768,85 @@ fn uncommitted_transaction_rolls_back_at_recovery() {
     }
 }
 
+/// Routes a key by its first byte, so a test chooses the shards a batch
+/// touches.
+struct FirstByte(usize);
+
+impl p2kvs::Partitioner for FirstByte {
+    fn shard_of(&self, key: &[u8]) -> usize {
+        key[0] as usize % self.0
+    }
+    fn partitions(&self) -> usize {
+        self.0
+    }
+}
+
+/// The commit log holds commit records only, so nothing in it names a
+/// transaction that crashed after its sub-batches were synced and before
+/// its commit. The WALs do: recovery rolls the batch back on every shard
+/// and starts allocating above the highest GSN it replayed — again after
+/// a second crash, when the first rolled-back GSN is in no file any more.
+#[test]
+fn a_gsn_rolled_back_at_recovery_is_not_handed_out_again() {
+    use p2kvs::JournalKind;
+    use p2kvs_storage::{FaultEvent, FaultPlan, FaultyEnv};
+
+    let env = Arc::new(FaultyEnv::over_mem());
+    let open = || {
+        let mut o = P2KvsOptions::with_workers(2);
+        o.pin_workers = false;
+        o.shards = 4;
+        o.partitioner = Some(Arc::new(FirstByte(4)));
+        let env: EnvRef = env.clone();
+        P2Kvs::open(LsmFactory::new(lsmkv::Options::rocksdb_like(env)), "p2", o).unwrap()
+    };
+    // One put on shard 0 and one on shard 1, both named `tag`.
+    let batch = |tag: &str| -> Vec<WriteOp> {
+        (0..2u8)
+            .map(|s| WriteOp::Put { key: [&[s][..], tag.as_bytes()].concat(), value: tag.into() })
+            .collect()
+    };
+    let visible = |store: &P2Kvs<lsmkv::Db>, tag: &str| -> Vec<bool> {
+        batch(tag).iter().map(|op| store.get(op.key()).unwrap().is_some()).collect()
+    };
+    let last_committed_gsn = |store: &P2Kvs<lsmkv::Db>| {
+        let journal = store.flight_records(usize::MAX);
+        journal.iter().rev().find(|r| r.kind == JournalKind::TxnCommit).unwrap().gsn
+    };
+    // Power-fails the store at the commit sync of `batch(tag)`: two WAL
+    // syncs (one per shard) come first and survive.
+    let crash_before_commit = |store: P2Kvs<lsmkv::Db>, tag: &str| {
+        env.set_plan(FaultPlan { crash_at_sync: Some(env.sync_points() + 3), ..FaultPlan::default() });
+        store.write_batch(batch(tag)).expect_err("the commit sync crashed");
+        let crashed_on_the_commit_log = env.events().iter().any(
+            |e| matches!(e, FaultEvent::Crash { path, .. } if path.ends_with("TXNLOG")),
+        );
+        assert!(crashed_on_the_commit_log, "{tag}: {:?}", env.events());
+        drop(store);
+        env.heal();
+    };
+
+    let store = open();
+    store.write_batch(batch("a")).unwrap();
+    let g_a = last_committed_gsn(&store);
+    crash_before_commit(store, "b"); // b drew g_a + 1
+
+    let store = open();
+    assert_eq!(visible(&store, "a"), [true, true]);
+    assert_eq!(visible(&store, "b"), [false, false], "rolled back on every shard");
+    store.write_batch(batch("c")).unwrap();
+    assert_eq!(last_committed_gsn(&store), g_a + 2, "b's GSN is not reused");
+    crash_before_commit(store, "d"); // d drew g_a + 3, above every commit record
+
+    let store = open();
+    assert_eq!(visible(&store, "b"), [false, false]);
+    assert_eq!(visible(&store, "c"), [true, true]);
+    assert_eq!(visible(&store, "d"), [false, false], "rolled back on every shard");
+    store.write_batch(batch("e")).unwrap();
+    assert_eq!(last_committed_gsn(&store), g_a + 4, "d's GSN is not reused");
+    assert_eq!(visible(&store, "e"), [true, true]);
+}
+
 #[test]
 fn reopen_preserves_data_and_gsns() {
     let env: EnvRef = Arc::new(MemEnv::new());
@@ -1295,20 +1374,6 @@ fn background_balancer_runs_and_stops() {
         assert_eq!(store.get(format!("bg{i:03}").as_bytes()).unwrap().unwrap(), b"v");
     }
     // Closing must stop the balancer thread promptly (no hang).
-    store.close();
-}
-
-#[test]
-fn reporter_thread_runs_and_stops() {
-    let mut opts = P2KvsOptions::with_workers(2);
-    opts.pin_workers = false;
-    opts.report_interval = Some(std::time::Duration::from_millis(40));
-    let store = P2Kvs::open(lsm_factory(), "p2-reporter", opts).unwrap();
-    for i in 0..50 {
-        store.put(format!("r{i}").as_bytes(), b"v").unwrap();
-    }
-    std::thread::sleep(std::time::Duration::from_millis(120));
-    // Closing must stop the reporter thread promptly (no hang, no panic).
     store.close();
 }
 

@@ -128,8 +128,6 @@ struct DbInner {
     /// Output files of in-flight background jobs: not yet in any version,
     /// but must not be garbage-collected (LevelDB's `pending_outputs_`).
     pending_outputs: Arc<Mutex<std::collections::HashSet<u64>>>,
-    /// Largest GSN tag observed while replaying WALs at open.
-    recovered_max_gsn: AtomicU64,
     /// Set by [`Db::crash`] so `Drop` skips the final WAL sync.
     skip_sync_on_drop: AtomicBool,
     /// Serializes garbage-collection passes.
@@ -180,7 +178,6 @@ impl Db {
 
         // Replay WALs newer than the manifest's log number.
         let mut max_seq = state.versions.last_sequence.load(Ordering::Relaxed);
-        let mut max_gsn = 0u64;
         let mut edit = VersionEdit::default();
         let mut wal_numbers: Vec<u64> = env
             .list_dir(&dir)?
@@ -207,7 +204,6 @@ impl Db {
                 let mut record = Vec::new();
                 while reader.read_record(&mut record)? {
                     let batch = WriteBatch::from_data(&record)?;
-                    max_gsn = max_gsn.max(batch.gsn());
                     if let Some(f) = &filter {
                         if !f(batch.gsn()) {
                             continue;
@@ -262,7 +258,6 @@ impl Db {
             shutdown: AtomicBool::new(false),
             file_counter,
             pending_outputs: Arc::new(Mutex::new(std::collections::HashSet::new())),
-            recovered_max_gsn: AtomicU64::new(max_gsn),
             skip_sync_on_drop: AtomicBool::new(false),
             gc_mutex: Mutex::new(()),
             event_hook: Mutex::new(None),
@@ -618,11 +613,6 @@ impl Db {
     /// Latest sequence visible to reads.
     pub fn visible_sequence(&self) -> SequenceNumber {
         self.inner.visible_seq.load(Ordering::Acquire)
-    }
-
-    /// Largest GSN tag seen while replaying WALs at open.
-    pub fn max_recovered_gsn(&self) -> u64 {
-        self.inner.recovered_max_gsn.load(Ordering::Relaxed)
     }
 
     /// Synchronizes the WAL (durability barrier for all prior writes).

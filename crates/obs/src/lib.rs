@@ -18,7 +18,7 @@
 //!   the spans of slow groups for post-hoc inspection.
 //! * [`snapshot`] — [`MetricsSnapshot`] with Prometheus-text and JSON
 //!   renderers (the JSON form is the `repro` per-run artifact).
-//! * [`reporter`] — [`PeriodicTask`], the optional stats-reporter thread.
+//! * [`reporter`] — [`PeriodicTask`], the thread the balancer ticks on.
 //! * [`span`] — causal span tracing: the head-sampled [`TraceCtx`] that
 //!   rides a request, the fixed-capacity [`SpanRing`] of completed
 //!   [`SpanRecord`]s, and the Chrome-trace/Perfetto JSON export.

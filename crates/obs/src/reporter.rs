@@ -1,5 +1,4 @@
-//! A small periodic background task, used for the optional stats
-//! reporter thread on `P2Kvs`.
+//! A small periodic background task: `P2Kvs` runs its balancer on one.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

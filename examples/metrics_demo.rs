@@ -20,10 +20,8 @@ fn main() {
     let env: p2kvs_storage::EnvRef = Arc::new(MemEnv::new());
     let factory = LsmFactory::new(Options::rocksdb_like(env));
     let mut opts = P2KvsOptions::with_workers(4);
-    opts.pin_workers = false; // Demo-friendly on small machines.
-    // Print a one-line stats summary to stderr twice a second while the
-    // workload runs (the optional reporter thread).
-    opts.report_interval = Some(Duration::from_millis(500));
+    // Demo-friendly on small machines.
+    opts.pin_workers = false;
     // Keep the spans of any group slower than 200µs end-to-end.
     opts.slow_request_threshold = Duration::from_micros(200);
     let store = P2Kvs::open(factory, "metrics-demo-db", opts).expect("open store");
@@ -37,6 +35,16 @@ fn main() {
                 store.get(key.as_bytes()).unwrap();
             }
             _ => store.delete(key.as_bytes()).unwrap(),
+        }
+        // A one-line progress report: a live store answers
+        // `metrics_snapshot()` at any time, no reporter thread needed.
+        if i % 1_000 == 999 {
+            let m = store.metrics_snapshot();
+            eprintln!(
+                "[metrics_demo] ops={} slow_events={}",
+                store.snapshot().total_ops(),
+                m.counter("p2kvs_slow_requests_total").unwrap_or(0),
+            );
         }
     }
     let _ = store.scan(b"user:", 100).unwrap();
