@@ -577,6 +577,25 @@ mod tests {
     }
 
     #[test]
+    fn a_backup_with_an_empty_shard_survives_power_failure() {
+        // A shard that held nothing at the cut streams a zero-byte file;
+        // once the manifest is durable, a crash must not lose it.
+        let mem = Arc::new(MemEnv::new());
+        let env: EnvRef = mem.clone();
+        let mut frozen = HashMap::new();
+        for (s, n) in [(0u32, 5usize), (1, 0)] {
+            let cursor = Box::new(VecCursor::new(entries(n)));
+            let fidelity = SnapshotFidelity::PointInTime;
+            frozen.insert(s, BackupSource { fidelity, cursor });
+        }
+        let session = FreezeSession { horizon: 9, frozen };
+        stream_session(&env, Path::new("store"), Path::new("bk"), session, 1, None).unwrap();
+        mem.fs().power_failure();
+        let (_, shards) = read_backup(&env, Path::new("bk")).unwrap();
+        assert_eq!(shards, vec![entries(5), Vec::new()]);
+    }
+
+    #[test]
     fn stream_session_then_read_backup_roundtrips() {
         let env = env();
         let mut frozen = HashMap::new();

@@ -737,23 +737,20 @@ impl<E: KvsEngine> P2Kvs<E> {
         };
         if let Some(j) = &journal {
             // Fault firings from the (fault-injecting) env land in the
-            // journal: a = discriminant, b = fault point, c = torn
-            // bytes, d = target queue (queue-scoped faults only).
+            // journal: a = discriminant (1 append, 2 sync, 3 read, 4
+            // crash, 7 queue crash; 5 and 6 are retired), b = fault
+            // point, c = torn bytes, fourth slot = a queue crash's queue.
             let jh = j.clone();
             env.install_fault_hook(Arc::new(move |ev| {
                 if IN_JOURNAL_SINK.with(|f| f.get()) {
                     return;
                 }
                 use p2kvs_storage::FaultEvent;
-                // d picks apart queue-targeted firings (q in the fourth
-                // payload slot) from the global counters' firings.
                 let (d, n, torn, q) = match ev {
                     FaultEvent::FailedAppend { n, .. } => (1, *n, 0, 0),
                     FaultEvent::FailedSync { n, .. } => (2, *n, 0, 0),
                     FaultEvent::FailedRead { n, .. } => (3, *n, 0, 0),
                     FaultEvent::Crash { n, torn, .. } => (4, *n, *torn as u64, 0),
-                    FaultEvent::FailedQueueAppend { q, n, .. } => (5, *n, 0, *q as u64),
-                    FaultEvent::FailedQueueSync { q, n, .. } => (6, *n, 0, *q as u64),
                     FaultEvent::QueueCrash { q, n, torn, .. } => {
                         (7, *n, *torn as u64, *q as u64)
                     }

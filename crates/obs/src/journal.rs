@@ -54,8 +54,9 @@ pub enum JournalKind {
     /// were moved to the next level as they were — `c` is then their
     /// size, and nothing was written).
     CompactionFinish,
-    /// An injected fault fired (`a` = fault discriminant: 1 append,
-    /// 2 sync, 3 read, 4 crash; `b` = the fault's global op number).
+    /// An injected fault fired (`a` = 1 append, 2 sync, 3 read, 4 crash,
+    /// 7 queue crash; `b` = its op number, on its queue for 7; `c` = torn
+    /// bytes kept; the `gsn` slot = 7's queue; codes 5, 6 are retired).
     FaultFired,
     /// A streaming scan opened a cursor (`a` = worker, `b` = cursor id,
     /// `c` = shard).

@@ -5,7 +5,7 @@
 //! POSIX page cache:
 //!
 //! * `append` makes data immediately visible to readers (page cache),
-//! * `sync` marks the current length durable,
+//! * `sync` marks the current length (and the file's creation) durable,
 //! * [`MemFs::power_failure`] truncates every file back to its last synced
 //!   length and *removes* files that were never synced at all — real
 //!   filesystems do not guarantee that an unsynced creation survives a
@@ -30,8 +30,8 @@ struct MemFile {
     /// Unique id used by the device model's seek tracking.
     id: u64,
     data: Vec<u8>,
-    /// Bytes guaranteed durable across a power failure.
-    synced: usize,
+    /// Bytes guaranteed durable across a power failure; `None` until a sync.
+    synced: Option<usize>,
 }
 
 type FileRef = Arc<Mutex<MemFile>>;
@@ -92,10 +92,7 @@ impl MemFs {
         let mut files = self.files.write();
         files.retain(|_, file| {
             let mut f = file.lock();
-            if f.synced == 0 {
-                return false;
-            }
-            let synced = f.synced;
+            let Some(synced) = f.synced else { return false };
             f.data.truncate(synced);
             true
         });
@@ -109,8 +106,11 @@ impl MemFs {
         match self.get(path) {
             Some(file) => {
                 let mut f = file.lock();
-                let torn = extra.min(f.data.len() - f.synced);
-                f.synced += torn;
+                let synced = f.synced.unwrap_or(0);
+                let torn = extra.min(f.data.len() - synced);
+                if torn > 0 {
+                    f.synced = Some(synced + torn);
+                }
                 torn
             }
             None => 0,
@@ -137,14 +137,14 @@ impl MemFs {
             if truncate {
                 let mut f = existing.lock();
                 f.data.clear();
-                f.synced = 0;
+                f.synced = None;
             }
             return existing.clone();
         }
         let file = Arc::new(Mutex::new(MemFile {
             id: self.next_id.fetch_add(1, Ordering::Relaxed),
             data: Vec::new(),
-            synced: 0,
+            synced: None,
         }));
         files.insert(path, file.clone());
         file
@@ -212,8 +212,7 @@ impl WritableFile for MemWritable {
         self.writeback();
         let id = {
             let mut f = self.file.lock();
-            let len = f.data.len();
-            f.synced = len;
+            f.synced = Some(f.data.len());
             f.id
         };
         let q = resolve_queue(self.queue_pin, id, self.queues);
@@ -340,7 +339,7 @@ impl crate::env::RandomRwFile for MemRandomRw {
             f.data[offset as usize..end].copy_from_slice(data);
             // In-place writes are durable immediately (slot-commit model).
             let len = f.data.len();
-            f.synced = f.synced.max(len.min(end));
+            f.synced = Some(f.synced.unwrap_or(0).max(len.min(end)));
             f.id
         };
         let q = resolve_queue(None, id, self.queues);
@@ -593,6 +592,18 @@ mod tests {
             !env.exists(unsynced),
             "a file never synced must not survive a crash, not even empty"
         );
+    }
+
+    #[test]
+    fn power_failure_keeps_a_synced_empty_file() {
+        // Syncing a file with nothing in it still makes its creation
+        // durable: an empty backup shard file must survive the crash.
+        let env = MemEnv::new();
+        let path = Path::new("bk/shard-7.snap");
+        env.new_writable(path).unwrap().sync().unwrap();
+        env.fs().power_failure();
+        assert!(env.exists(path), "a synced empty file vanished");
+        assert_eq!(read_all(&env, path).unwrap(), b"");
     }
 
     #[test]

@@ -1,24 +1,25 @@
 //! The crash-point recovery matrix: a seeded workload over a real
-//! [`P2Kvs`] store on a [`FaultyEnv`], an acked-writes oracle, and a
-//! driver that power-fails the store at chosen sync points and validates
-//! what recovery brings back.
+//! [`P2Kvs`] store on a [`FaultyEnv`], an acked-writes oracle, and one
+//! run/recover path that every crash test in this crate goes through.
 //!
 //! # How a matrix run works
 //!
-//! 1. **Dry run** — execute the workload with no fault plan and read
-//!    [`FaultyEnv::sync_points`]: the number of globally numbered sync
-//!    requests (WAL, TXNLOG, MANIFEST, SSTs, ...) the workload issues.
-//!    Crashing *at* sync point N yields the durable state between syncs
-//!    N-1 and N, so those numbers enumerate every distinct durable state.
-//! 2. **Crash runs** — for each sampled point, run the same workload on a
-//!    fresh env with `crash_at_sync = N` (plus a deterministic torn-tail
-//!    budget so part of the crashing file's unsynced bytes survive).
-//!    Operations issued after the crash fail; the driver records every
-//!    ack in an [`Oracle`].
-//! 3. **Recover + validate** — [`FaultyEnv::heal`] the env (power comes
-//!    back), reopen through [`P2Kvs::open`] (TXNLOG recovery + GSN-
-//!    filtered WAL replay), and check the recovered state against the
-//!    oracle.
+//! 1. **Dry run** — [`dry_run`] executes a [`Scenario`] and returns the
+//!    sync requests (WAL, TXNLOG, MANIFEST, SSTs, backup files, ...) it
+//!    issued on each device queue. Crashing *at* sync point N yields the
+//!    durable state between syncs N-1 and N, so those numbers enumerate
+//!    every distinct durable state.
+//! 2. **Run** — [`run`] executes the same workload on a fresh env under
+//!    a [`FaultPlan`]: a power failure at a global ([`crash_at`]) or
+//!    per-queue ([`crash_on_queue`]) sync point with a deterministic
+//!    torn-tail budget, or transient faults. Operations issued after a
+//!    crash fail; the workload records every ack in an [`Oracle`].
+//! 3. **Recover** — [`Run::recover`] heals the env (power comes back),
+//!    reopens through [`P2Kvs::open`] (TXNLOG recovery + GSN-filtered
+//!    WAL replay), and applies every check to every scenario: the
+//!    oracle, the flight journal, the scenario's `post_check`, a read of
+//!    the whole keyspace and, when the scenario cut an online backup,
+//!    the restore checks. [`run_matrix`] does this once per plan.
 //!
 //! # The oracle
 //!
@@ -44,14 +45,17 @@ use std::time::Duration;
 
 use lsmkv::SyncPolicy;
 use p2kvs::engine::LsmFactory;
-use p2kvs::{HashPartitioner, JournalKind, P2Kvs, P2KvsOptions, Partitioner, WriteOp};
-use p2kvs_storage::{
-    DeviceModel, DeviceProfile, EnvRef, FaultPlan, FaultyEnv, MemEnv, MemFs, QueueId,
-};
+use p2kvs::{HashPartitioner, JournalKind, JournalRecord, P2Kvs, P2KvsOptions, Partitioner};
+use p2kvs_storage::{EnvRef, FaultPlan, FaultyEnv, QueueId};
 use p2kvs_util::rng::Rng;
+
+type Store = P2Kvs<lsmkv::Db>;
 
 /// Workers (and therefore engine instances) every matrix store runs.
 pub const WORKERS: usize = 4;
+/// Device submission queues of the multi-queue scenarios: one per
+/// worker, so queue affinity gives every queue a home shard.
+const QUEUES: usize = 4;
 /// Distinct keys the plain/async phases write to.
 const KEY_POOL: u64 = 24;
 /// Rounds of (plain ops, async burst, cross-instance transaction).
@@ -64,6 +68,11 @@ const BURST_PER_ROUND: usize = 8;
 const TXN_KEYS: usize = 4;
 /// Bound on waiting for an async ack; trips only if a worker wedges.
 const ACK_TIMEOUT: Duration = Duration::from_secs(30);
+/// The round whose end cuts a backup scenario's online backup, and the
+/// round whose end reaps its streamer: three rounds of foreground
+/// writes, disturbances and transactions overlap the streaming window.
+const BACKUP_ROUND: usize = 2;
+const BACKUP_WAIT_ROUND: usize = 5;
 
 /// One attempted write to one key, in issue order.
 #[derive(Clone)]
@@ -72,11 +81,6 @@ struct KeyWrite {
     effect: Option<Vec<u8>>,
     /// Whether the store acked it Ok (durable under `SyncPolicy::Always`).
     acked: bool,
-}
-
-#[derive(Default, Clone)]
-struct KeyHistory {
-    writes: Vec<KeyWrite>,
 }
 
 /// A cross-instance transaction the workload attempted.
@@ -91,24 +95,25 @@ pub struct TxnRecord {
 }
 
 /// Everything one workload run attempted and which acks came back.
-/// `Clone` lets the backup matrix freeze a copy at the cut — the acked
-/// state an online backup's restore must reproduce exactly.
+/// `Clone` lets a backup run freeze a copy at the cut — the acked state
+/// an online backup's restore must reproduce exactly.
 #[derive(Default, Clone)]
 pub struct Oracle {
-    keys: HashMap<Vec<u8>, KeyHistory>,
+    /// Per key, every attempted write in issue order.
+    keys: HashMap<Vec<u8>, Vec<KeyWrite>>,
     /// Transactions in issue order.
     pub txns: Vec<TxnRecord>,
 }
 
 impl Oracle {
     fn record(&mut self, key: &[u8], effect: Option<Vec<u8>>, acked: bool) -> usize {
-        let hist = self.keys.entry(key.to_vec()).or_default();
-        hist.writes.push(KeyWrite { effect, acked });
-        hist.writes.len() - 1
+        let writes = self.keys.entry(key.to_vec()).or_default();
+        writes.push(KeyWrite { effect, acked });
+        writes.len() - 1
     }
 
     fn mark_acked(&mut self, key: &[u8], idx: usize) {
-        self.keys.get_mut(key).expect("recorded key").writes[idx].acked = true;
+        self.keys.get_mut(key).expect("recorded key")[idx].acked = true;
     }
 
     /// Checks a recovered state (as a point-lookup function) against the
@@ -134,23 +139,21 @@ impl Oracle {
         unacked_atomicity: bool,
     ) -> Vec<String> {
         let mut violations = Vec::new();
-        for (key, hist) in &self.keys {
+        for (key, writes) in &self.keys {
             let got = get(key);
-            let last_acked = hist.writes.iter().rposition(|w| w.acked);
+            let last_acked = writes.iter().rposition(|w| w.acked);
             if last_acked.is_none() && got.is_none() {
                 continue; // Nothing acked; "never applied" is fine.
             }
             let start = last_acked.unwrap_or(0);
-            let allowed = hist.writes[start..]
-                .iter()
-                .any(|w| w.effect.as_deref() == got.as_deref());
-            if !allowed {
+            if !writes[start..].iter().any(|w| w.effect == got) {
+                let shown = got.as_deref().map(String::from_utf8_lossy);
                 violations.push(format!(
                     "key {}: recovered {} but the last acked write (index {start} \
                      of {}) and everything after it have different effects",
                     String::from_utf8_lossy(key),
-                    got.as_deref().map_or("<absent>".into(), |v| String::from_utf8_lossy(v).into_owned()),
-                    hist.writes.len(),
+                    shown.as_deref().unwrap_or("<absent>"),
+                    writes.len(),
                 ));
             }
         }
@@ -201,31 +204,22 @@ pub fn engine_options(env: EnvRef) -> lsmkv::Options {
     o
 }
 
-/// Store options for the matrix: [`WORKERS`] instances, no core pinning
-/// (CI runners), no metrics sampling overhead. Uses the paper layout
-/// (`shards == workers`, no balancer) so engine dir `instance-{i}`
-/// holds exactly partition `i` of the store's own `HashPartitioner` —
-/// [`unfiltered_partial_txn`] relies on that mapping.
-pub fn store_options() -> P2KvsOptions {
-    let mut o = P2KvsOptions::paper_layout(WORKERS);
-    o.pin_workers = false;
-    o.metrics = false;
+/// [`engine_options`] plus parallel compaction — two background jobs at
+/// disjoint levels and three-way range-partitioned subcompactions, so a
+/// major compaction has several output files in flight on different
+/// queues when the power fails.
+fn parallel_engine_options(env: EnvRef) -> lsmkv::Options {
+    let mut o = engine_options(env);
+    o.compaction_threads = 2;
+    o.subcompactions = 3;
     o
 }
 
-/// Store options for the migration matrix: shards decoupled from
-/// workers (`2×` [`WORKERS`]) so ownership handoffs are meaningful;
-/// balancer off — the driver migrates at deterministic points instead.
-pub fn migration_store_options() -> P2KvsOptions {
-    let mut o = P2KvsOptions::with_workers(WORKERS);
-    o.shards = 2 * WORKERS;
-    o.pin_workers = false;
-    o.metrics = false;
-    o
-}
-
-fn open_store(env: &EnvRef) -> p2kvs::Result<P2Kvs<lsmkv::Db>> {
-    P2Kvs::open(LsmFactory::new(engine_options(env.clone())), "db", store_options())
+/// `options` with no core pinning (CI runners) and no metrics sampling.
+fn quiet(mut options: P2KvsOptions) -> P2KvsOptions {
+    options.pin_workers = false;
+    options.metrics = false;
+    options
 }
 
 fn pool_key(i: u64) -> Vec<u8> {
@@ -250,35 +244,11 @@ fn txn_keys(round: usize) -> Vec<Vec<u8>> {
 }
 
 /// Runs the seeded workload against `store`, recording every attempted
-/// write and every ack. The op sequence depends only on `seed`; after a
+/// write and every ack, and calls `hook(round, store, oracle so far)` at
+/// the end of every round, with nothing in flight. The op sequence
+/// depends only on `seed` (the hook must not touch the RNG); after a
 /// crash fires, the remaining ops simply come back as errors (unacked).
-pub fn run_workload(store: &P2Kvs<lsmkv::Db>, seed: u64) -> Oracle {
-    run_workload_hooked(store, seed, |_, _| {})
-}
-
-/// Like [`run_workload`] but invoking `hook(round, store)` at the end
-/// of every round — the migration matrix uses it to hand shard
-/// ownership between workers in the middle of the stream of acked
-/// writes. The hook does not touch the RNG, so the op sequence stays
-/// identical to the hook-free run.
-pub fn run_workload_hooked(
-    store: &P2Kvs<lsmkv::Db>,
-    seed: u64,
-    mut hook: impl FnMut(usize, &P2Kvs<lsmkv::Db>),
-) -> Oracle {
-    run_workload_with_oracle(store, seed, |round, st, _| hook(round, st))
-}
-
-/// Like [`run_workload_hooked`] but the hook also sees the oracle as
-/// recorded so far. The backup matrix clones it the moment an online
-/// backup's cut lands: with the workload quiesced between rounds, the
-/// clone is exactly the acked state a restore of that backup must
-/// reproduce.
-pub fn run_workload_with_oracle(
-    store: &P2Kvs<lsmkv::Db>,
-    seed: u64,
-    mut hook: impl FnMut(usize, &P2Kvs<lsmkv::Db>, &Oracle),
-) -> Oracle {
+fn run_workload(store: &Store, seed: u64, mut hook: impl FnMut(usize, &Store, &Oracle)) -> Oracle {
     let mut rng = Rng::new(seed);
     let mut oracle = Oracle::default();
     let mut op_no: u64 = 0;
@@ -330,45 +300,27 @@ pub fn run_workload_with_oracle(
             op_no += 1;
             values.push(format!("t-{op_no}-{:08x}", rng.next_u64() as u32).into_bytes());
         }
-        let ops: Vec<WriteOp> = keys
-            .iter()
-            .zip(&values)
-            .map(|(k, v)| WriteOp::Put { key: k.clone(), value: v.clone() })
-            .collect();
-        let acked = store.write_batch(ops).is_ok();
+        let ops = keys.iter().zip(&values).map(|(k, v)| p2kvs::WriteOp::Put {
+            key: k.clone(),
+            value: v.clone(),
+        });
+        let acked = store.write_batch(ops.collect()).is_ok();
         for (k, v) in keys.iter().zip(&values) {
             oracle.record(k, Some(v.clone()), acked);
         }
-        oracle.txns.push(TxnRecord { keys, values, acked });
+        oracle.txns.push(TxnRecord {
+            keys,
+            values,
+            acked,
+        });
         hook(round, store, &oracle);
     }
     oracle
 }
 
-/// Dry-runs the workload and returns the total number of sync points it
-/// exposes — the crash-point space of the matrix.
-pub fn dry_run_sync_points(seed: u64) -> u64 {
-    let faulty = Arc::new(FaultyEnv::over_mem());
-    let env: EnvRef = faulty.clone();
-    let store = open_store(&env).expect("fault-free open");
-    run_workload(&store, seed);
-    store.close();
-    faulty.sync_points()
-}
-
-/// The result of one crash run.
-pub struct CrashPointOutcome {
-    /// The sync point the crash was planned at.
-    pub point: u64,
-    /// Whether the crash actually fired (a run can issue slightly fewer
-    /// syncs than the dry run when group commit merges differently).
-    pub crashed: bool,
-    /// Oracle violations found in the recovered store; empty = pass.
-    pub violations: Vec<String>,
-    /// Flight-recorder records recovery parsed back out of `FLIGHT.log`.
-    /// Usually positive (the creation-time `StoreOpen` is synced); zero
-    /// only when the crash landed inside the journal's own first syncs.
-    pub recovered_flight: usize,
+/// `violations`, each prefixed with the place it was found.
+fn at(place: &str, violations: Vec<String>) -> impl Iterator<Item = String> + '_ {
+    violations.into_iter().map(move |v| format!("{place}: {v}"))
 }
 
 /// Flight-recorder checks for a recovered store: the journal parsed back
@@ -377,48 +329,46 @@ pub struct CrashPointOutcome {
 /// crash may cost unsynced *suffix* records — the torn tail — but must
 /// never punch a hole in the middle or lose the head once later records
 /// survived.
-pub fn flight_journal_violations(store: &P2Kvs<lsmkv::Db>) -> Vec<String> {
-    let mut v = Vec::new();
+pub fn flight_journal_violations(store: &Store) -> Vec<String> {
     let recs = store.recovered_flight_records();
+    let mut v = Vec::new();
     if let Some(gap) = p2kvs::obs::sequence_gap(recs) {
         v.push(format!("flight journal recovered with a hole: {gap}"));
     }
-    if let Some(first) = recs.first() {
-        if first.seq != 1 {
-            v.push(format!(
-                "flight journal lost its head: first recovered seq is {} (want 1)",
-                first.seq
-            ));
-        }
-        if first.kind != JournalKind::StoreOpen {
-            v.push(format!(
-                "flight journal's first record is {}, not store_open",
-                first.kind.name()
-            ));
-        }
+    match recs.first().map(|r| (r.seq, r.kind)) {
+        None | Some((1, JournalKind::StoreOpen)) => {}
+        Some((seq, kind)) => v.push(format!("journal lost its head: {kind:?} #{seq}")),
     }
     v
 }
 
 /// One crash-matrix variant: the store a run opens (before the crash
-/// and again to recover), what disturbs it at the end of every workload
-/// round, and what the recovered store owes beyond the oracle and
-/// flight-journal checks every variant gets.
+/// and again to recover), the device and engine under it, what disturbs
+/// it at the end of every workload round, and what the recovered store
+/// owes beyond the checks every variant gets.
 pub struct Scenario {
     /// Options both the crashed and the recovering store open with.
     pub options: P2KvsOptions,
+    /// Engine options over the run's env.
+    pub engine: fn(EnvRef) -> lsmkv::Options,
+    /// Device submission queues: 1 is [`FaultyEnv::over_mem`], more is
+    /// [`FaultyEnv::over_queues`].
+    pub queues: usize,
+    /// Whether an online backup is cut at the end of round 2 and reaped
+    /// at the end of round 5 (recovery then checks the copy).
+    pub backup: bool,
     /// Runs at the end of every round, between acked writes. After the
     /// crash fires its operations fail like the workload's own — it must
     /// ignore errors — and it must not touch the RNG, so every variant
     /// issues the same op sequence.
-    pub disturb: fn(usize, &P2Kvs<lsmkv::Db>),
+    pub disturb: fn(usize, &Store),
     /// Extra violations found in the recovered store.
-    pub post_check: fn(&P2Kvs<lsmkv::Db>) -> Vec<String>,
+    pub post_check: fn(&Store) -> Vec<String>,
 }
 
 /// Walks a different shard across the workers each round, so sync
 /// points land before, during, and after epoch-fenced handoffs.
-fn migrate_one_shard(round: usize, store: &P2Kvs<lsmkv::Db>) {
+fn migrate_one_shard(round: usize, store: &Store) {
     let _ = store.migrate_shard(round % store.shards(), (round + 1) % WORKERS);
 }
 
@@ -428,17 +378,12 @@ fn migrate_one_shard(round: usize, store: &P2Kvs<lsmkv::Db>) {
 /// own through the handoff, then their rings close and the threads
 /// join), so sync points land between a retiring worker's per-shard
 /// drains, right after a `worker_spawn` journal record, mid-join.
-fn thrash_pool(round: usize, store: &P2Kvs<lsmkv::Db>) {
-    let n = if round % 2 == 0 {
-        WORKERS + 1
-    } else {
-        WORKERS - 1
-    };
-    let _ = store.scale_workers(n);
+fn thrash_pool(round: usize, store: &Store) {
+    let _ = store.scale_workers([WORKERS + 1, WORKERS - 1][round % 2]);
 }
 
 /// Reads the whole key pool, warming the read cache between rounds.
-fn warm_cache(store: &P2Kvs<lsmkv::Db>) {
+fn warm_cache(store: &Store) {
     for i in 0..KEY_POOL {
         let _ = store.get(&pool_key(i));
     }
@@ -448,37 +393,40 @@ fn warm_cache(store: &P2Kvs<lsmkv::Db>) {
 /// (`cache_flush` with the sentinel shard) into the live journal,
 /// sequenced after everything recovery brought back — proof a recovered
 /// store never trusts pre-crash cache state.
-fn cache_reset_journaled(store: &P2Kvs<lsmkv::Db>) -> Vec<String> {
-    let recovered_max = store.recovered_flight_records().last().map_or(0, |r| r.seq);
-    let reset = store
-        .flight_records(usize::MAX)
-        .iter()
-        .any(|r| r.kind == JournalKind::CacheFlush && r.a == u64::MAX && r.seq > recovered_max);
-    if reset {
-        Vec::new()
-    } else {
-        vec![format!(
-            "reopen journaled no cache_flush reset record after recovered seq {recovered_max}"
-        )]
-    }
+fn cache_reset_journaled(store: &Store) -> Vec<String> {
+    let recovered = store.recovered_flight_records().last().map_or(0, |r| r.seq);
+    let live = store.flight_records(usize::MAX);
+    let reset = |r: &JournalRecord| r.kind == JournalKind::CacheFlush && r.a == u64::MAX;
+    let found = live.iter().any(|r| reset(r) && r.seq > recovered);
+    let missing = (!found).then(|| format!("no cache reset journaled after seq {recovered}"));
+    missing.into_iter().collect()
 }
 
 impl Scenario {
-    /// The paper layout, undisturbed.
+    /// The paper layout (`shards == workers`, no balancer, so engine dir
+    /// `instance-{i}` holds exactly partition `i` of the store's own
+    /// `HashPartitioner` — [`unfiltered_partial_txn`] relies on that) on
+    /// a one-queue device, undisturbed.
     pub fn plain() -> Scenario {
         Scenario {
-            options: store_options(),
+            options: quiet(P2KvsOptions::paper_layout(WORKERS)),
+            engine: engine_options,
+            queues: 1,
+            backup: false,
             disturb: |_, _| {},
             post_check: |_| Vec::new(),
         }
     }
 
-    /// Shards decoupled from workers and a shard migration every round.
-    /// Recovery reopens under a fresh (round-robin) map — durability
-    /// must not depend on which worker owned a shard at the crash.
+    /// Shards decoupled from workers (`2×` [`WORKERS`], balancer off) and
+    /// a shard migration every round. Recovery reopens under a fresh
+    /// (round-robin) map — durability must not depend on which worker
+    /// owned a shard at the crash.
     pub fn migration() -> Scenario {
+        let mut options = quiet(P2KvsOptions::with_workers(WORKERS));
+        options.shards = 2 * WORKERS;
         Scenario {
-            options: migration_store_options(),
+            options,
             disturb: migrate_one_shard,
             ..Scenario::plain()
         }
@@ -499,22 +447,48 @@ impl Scenario {
     /// write is invalidating, or a handoff is flushing a shard's cached
     /// set.
     pub fn cached() -> Scenario {
-        let mut options = migration_store_options();
-        options.cache_capacity = 1 << 20;
+        let mut s = Scenario::migration();
+        s.options.cache_capacity = 1 << 20;
+        s.disturb = |round, store| {
+            warm_cache(store);
+            migrate_one_shard(round, store);
+        };
+        s.post_check = cache_reset_journaled;
+        s
+    }
+
+    /// The migration scenario with an online backup cut mid-stream, so
+    /// the power fails before the cut, inside the freeze window,
+    /// mid-stream, on the backup's own syncs, or after its `MANIFEST`
+    /// sync — and the cut must hold across shard ownership changes.
+    pub fn backup() -> Scenario {
         Scenario {
-            options,
-            disturb: |round, store| {
-                warm_cache(store);
-                migrate_one_shard(round, store);
-            },
-            post_check: cache_reset_journaled,
+            backup: true,
+            ..Scenario::migration()
         }
     }
 
-    /// Every disturbance in the same round: warm the cache, hand a shard
-    /// off, then resize the pool under both.
+    /// The paper layout with parallel compaction on a multi-queue
+    /// device. Queue affinity routes shard `s`'s WAL and flushes to
+    /// queue `s`, while subcompaction outputs spread over the queues
+    /// after the instance's home queue, so every queue exposes both WAL
+    /// and compaction-output sync points.
+    pub fn subcompaction() -> Scenario {
+        Scenario {
+            engine: parallel_engine_options,
+            queues: QUEUES,
+            ..Scenario::plain()
+        }
+    }
+
+    /// Every feature at once: the cache warmed, a shard handed off and
+    /// the pool resized every round, an online backup streaming under
+    /// them, parallel compaction on the multi-queue device.
     pub fn combined() -> Scenario {
         Scenario {
+            engine: parallel_engine_options,
+            queues: QUEUES,
+            backup: true,
             disturb: |round, store| {
                 warm_cache(store);
                 migrate_one_shard(round, store);
@@ -523,371 +497,202 @@ impl Scenario {
             ..Scenario::cached()
         }
     }
+
+    /// Opens (or recovers) this scenario's store on `env`.
+    pub fn open(&self, env: &Arc<FaultyEnv>) -> p2kvs::Result<Store> {
+        let factory = LsmFactory::new((self.engine)(env.clone()));
+        P2Kvs::open(factory, "db", self.options.clone())
+    }
 }
 
-/// Runs the workload under `scenario` with a crash planned at sync point
-/// `point`, heals, recovers through [`P2Kvs::open`], and validates
-/// against the oracle.
-pub fn run_crash_scenario(seed: u64, point: u64, scenario: &Scenario) -> CrashPointOutcome {
-    let faulty = Arc::new(FaultyEnv::over_mem());
-    let env: EnvRef = faulty.clone();
-    faulty.set_plan(FaultPlan {
-        crash_at_sync: Some(point),
-        // Vary the torn-write length deterministically with the point so
-        // the matrix also covers partial unsynced tails surviving.
-        torn_tail: (point % 17) as usize,
-        ..FaultPlan::default()
-    });
-    let open = || {
-        P2Kvs::open(
-            LsmFactory::new(engine_options(env.clone())),
-            "db",
-            scenario.options.clone(),
-        )
-    };
-    let oracle = match open() {
-        // A crash with a small `point` fires during store creation.
-        Err(_) => Oracle::default(),
-        Ok(store) => {
-            let oracle = run_workload_hooked(&store, seed, scenario.disturb);
-            store.close();
-            oracle
-        }
-    };
-    let crashed = faulty.crashed();
-    faulty.heal();
-    let store = match open() {
-        Ok(s) => s,
-        Err(e) => {
-            return CrashPointOutcome {
-                point,
-                crashed,
-                violations: vec![format!("recovery failed to reopen the store: {e}")],
-                recovered_flight: 0,
-            }
-        }
-    };
-    let mut violations = oracle.check(|k| store.get(k).expect("post-recovery read"));
-    violations.extend(flight_journal_violations(&store));
-    violations.extend((scenario.post_check)(&store));
-    let recovered_flight = store.recovered_flight_records().len();
-    store.close();
-    CrashPointOutcome { point, crashed, violations, recovered_flight }
-}
-
-/// Which round's hook starts the online backup in the backup matrix.
-const BACKUP_ROUND: usize = 2;
-/// Which round's hook reaps the streamer — three rounds of foreground
-/// writes, migrations, and transactions overlap the streaming window.
-const BACKUP_WAIT_ROUND: usize = 5;
-
-/// The result of one backup-under-crash run.
-pub struct BackupCrashOutcome {
-    /// The sync point the crash was planned at.
-    pub point: u64,
-    /// Whether the crash actually fired.
-    pub crashed: bool,
-    /// Whether the online backup's streamer completed (durable MANIFEST).
-    /// `false` under an early crash — the matrix then asserts the
-    /// partial directory is *rejected* by restore.
-    pub backup_completed: bool,
-    /// Violations across the recovered store and the restored copy.
-    pub violations: Vec<String>,
-}
-
-/// Dry-runs the backup workload (same op stream, plus the online backup
-/// and its streaming syncs) and returns the sync-point space. The
-/// streamer runs concurrently with foreground syncs, so the numbering is
-/// not exactly reproducible run-to-run — the count only sizes the
-/// matrix; every crash run validates against its own observed acks.
-pub fn dry_run_sync_points_with_backup(seed: u64) -> u64 {
-    let faulty = Arc::new(FaultyEnv::over_mem());
-    let env: EnvRef = faulty.clone();
-    let store = P2Kvs::open(
-        LsmFactory::new(engine_options(env.clone())),
-        "db",
-        migration_store_options(),
-    )
-    .expect("fault-free open");
-    let mut handle = None;
-    run_workload_with_oracle(&store, seed, |round, st, _| {
-        migrate_one_shard(round, st);
-        if round == BACKUP_ROUND {
-            handle = st.backup("backup").ok();
-        }
-        if round == BACKUP_WAIT_ROUND {
-            if let Some(h) = handle.take() {
-                h.wait().expect("fault-free backup");
-            }
-        }
-    });
-    store.close();
-    faulty.sync_points()
-}
-
-/// Backup-torture crash run: the migration workload with an online
-/// backup cut at round [`BACKUP_ROUND`] and streamed concurrently with
-/// the next three rounds, power-failed at sync point `point` — which can
-/// land before the cut, inside the freeze window, mid-stream, or after
-/// the `MANIFEST` sync. After healing:
-///
-/// * the primary store must recover per the standard oracle contract
-///   (backup machinery must never weaken crash recovery), and
-/// * a **completed** backup must restore to a store byte-identical to
-///   the cut-time acked state — with nothing from past the cut leaking
-///   in — no matter where the crash landed, while
-/// * an **incomplete** backup directory must be rejected by
-///   [`P2Kvs::restore`] with a clean [`p2kvs::Error::Backup`], never
-///   fabricating a store from partial files.
-pub fn run_crash_point_with_backup(seed: u64, point: u64) -> BackupCrashOutcome {
-    let faulty = Arc::new(FaultyEnv::over_mem());
-    let env: EnvRef = faulty.clone();
-    faulty.set_plan(FaultPlan {
+/// A power failure at global sync point `point`. The torn-write length
+/// varies deterministically with the point, so a matrix also covers
+/// partial unsynced tails surviving.
+pub fn crash_at(point: u64) -> FaultPlan {
+    FaultPlan {
         crash_at_sync: Some(point),
         torn_tail: (point % 17) as usize,
         ..FaultPlan::default()
-    });
-    let open = |env: &EnvRef| {
-        P2Kvs::open(
-            LsmFactory::new(engine_options(env.clone())),
-            "db",
-            migration_store_options(),
-        )
-    };
-    let mut handle: Option<p2kvs::BackupHandle> = None;
-    let mut cut: Option<Oracle> = None;
-    let mut completed = false;
-    let oracle = match open(&env) {
-        // A crash with a small `point` fires during store creation.
-        Err(_) => Oracle::default(),
-        Ok(store) => {
-            let oracle = run_workload_with_oracle(&store, seed, |round, st, so_far| {
-                // Keep the handoff pressure of the migration matrix: the
-                // cut must hold across shard ownership changes both
-                // before the freeze and during streaming.
-                migrate_one_shard(round, st);
-                if round == BACKUP_ROUND {
-                    // After the crash the cut may fail outright (marker
-                    // pushes or the freeze hit dead queues) — that run
-                    // simply has no backup to restore.
-                    if let Ok(h) = st.backup("backup") {
-                        handle = Some(h);
-                        cut = Some(so_far.clone());
-                    }
-                }
-                if round == BACKUP_WAIT_ROUND {
-                    if let Some(h) = handle.take() {
-                        completed = h.wait().is_ok();
-                    }
-                }
-            });
-            store.close();
-            oracle
-        }
-    };
-    if let Some(h) = handle.take() {
-        completed = h.wait().is_ok();
     }
-    let crashed = faulty.crashed();
-    faulty.heal();
-    let mut violations = Vec::new();
-    // 1. The primary store recovers per the standard contract.
-    match open(&env) {
-        Ok(store) => {
-            violations.extend(oracle.check(|k| store.get(k).expect("post-recovery read")));
-            violations.extend(flight_journal_violations(&store));
-            store.close();
-        }
-        Err(e) => violations.push(format!("recovery failed to reopen the store: {e}")),
-    }
-    let restore = |dest: &str| {
-        P2Kvs::restore(
-            LsmFactory::new(engine_options(env.clone())),
-            "backup",
-            dest,
-            migration_store_options(),
-        )
-    };
-    if completed {
-        // 2a. A completed backup restores to the cut, crash or no crash.
-        let cut = cut.as_ref().expect("a completed backup implies a recorded cut");
-        match restore("restored") {
-            Ok(restored) => {
-                violations.extend(
-                    cut.check(|k| restored.get(k).expect("restored-copy read"))
-                        .into_iter()
-                        .map(|v| format!("restored copy: {v}")),
-                );
-                // Nothing leaks past the horizon: transactions issued
-                // after the cut use fresh keys, so every one of them
-                // must be absent from the copy.
-                for (t, txn) in oracle.txns.iter().enumerate().skip(cut.txns.len()) {
-                    for k in &txn.keys {
-                        if restored.get(k).expect("restored-copy read").is_some() {
-                            violations.push(format!(
-                                "restored copy: post-cut txn {t} key {} leaked past the horizon",
-                                String::from_utf8_lossy(k)
-                            ));
-                        }
-                    }
-                }
-                // The copy carried the flight journal: gap-free, rooted
-                // at the source's creation record, with the cut's own
-                // provenance in it.
-                violations.extend(
-                    flight_journal_violations(&restored)
-                        .into_iter()
-                        .map(|v| format!("restored copy: {v}")),
-                );
-                let kinds: Vec<JournalKind> = restored
-                    .recovered_flight_records()
-                    .iter()
-                    .map(|r| r.kind)
-                    .collect();
-                for want in [JournalKind::BackupBegin, JournalKind::BackupComplete] {
-                    if !kinds.contains(&want) {
-                        violations.push(format!(
-                            "restored copy: recovered journal lacks {}",
-                            want.name()
-                        ));
-                    }
-                }
-                restored.close();
-            }
-            Err(e) => violations.push(format!("restore of a completed backup failed: {e}")),
-        }
-    } else if crashed {
-        // 2b. The backup never completed; whatever partial directory the
-        // crash left behind must be rejected cleanly.
-        match restore("restored") {
-            Err(p2kvs::Error::Backup(_)) => {}
-            Err(e) => violations.push(format!(
-                "partial backup rejected with the wrong error kind: {e}"
-            )),
-            Ok(_) => {
-                violations.push("restore opened a store from a partial backup".into())
-            }
-        }
-    }
-    BackupCrashOutcome { point, crashed, backup_completed: completed, violations }
 }
 
-/// Submission queues the queue-targeted subcompaction matrix models.
-pub const QUEUE_MATRIX_QUEUES: usize = 4;
-
-/// Engine options for the subcompaction matrix: the standard crash-
-/// matrix tuning plus parallel compaction — two background jobs at
-/// disjoint levels and three-way range-partitioned subcompactions, so a
-/// major compaction has several output files in flight on different
-/// queues when the power fails.
-pub fn parallel_engine_options(env: EnvRef) -> lsmkv::Options {
-    let mut o = engine_options(env);
-    o.compaction_threads = 2;
-    o.subcompactions = 3;
-    o
-}
-
-/// A [`FaultyEnv`] over an instant-timing multi-queue device: the fault
-/// layer counts appends and syncs **per submission queue** (the same
-/// pin-then-ambient resolution the timing layer uses), so
-/// [`FaultPlan::crash_at_queue_sync`] can target "the Nth sync on queue
-/// q" deterministically even while concurrent compaction threads make
-/// the *global* interleaving nondeterministic.
-pub fn faulty_multi_queue(queues: usize) -> Arc<FaultyEnv> {
-    let fs = Arc::new(MemFs::new());
-    let device = Arc::new(DeviceModel::from_profile(
-        DeviceProfile::instant().with_queues(queues),
-    ));
-    let inner = Arc::new(MemEnv::with_parts(fs.clone(), Some(device)));
-    Arc::new(FaultyEnv::new(inner, fs))
-}
-
-/// Dry-runs the parallel workload on the multi-queue env and returns the
-/// per-queue sync counts — the crash-point space of the queue matrix.
-/// With queue affinity on (`WORKERS` == queues), shard `s`'s WAL and
-/// flushes ride queue `s`, while subcompaction outputs spread over the
-/// queues *after* the instance's home queue; every queue therefore
-/// exposes both WAL and compaction-output sync points. Counts on
-/// off-home queues vary slightly run-to-run (compaction scheduling is
-/// load-dependent); they size the matrix, and every crash run validates
-/// against the acks it observed itself.
-pub fn dry_run_queue_sync_points(seed: u64) -> Vec<u64> {
-    let faulty = faulty_multi_queue(QUEUE_MATRIX_QUEUES);
-    let env: EnvRef = faulty.clone();
-    let store = P2Kvs::open(
-        LsmFactory::new(parallel_engine_options(env.clone())),
-        "db",
-        store_options(),
-    )
-    .expect("fault-free open");
-    run_workload(&store, seed);
-    store.close();
-    (0..QUEUE_MATRIX_QUEUES).map(|q| faulty.sync_points_on(q)).collect()
-}
-
-/// Queue-targeted crash run: the parallel workload power-failed when the
-/// `point`-th sync lands **on queue `queue`** — with subcompactions
-/// spreading output files across queues, points on an instance's
-/// off-home queues land in the middle of multi-threaded compactions,
-/// between one subcompaction's output sync and its siblings'. After
-/// healing, recovery must satisfy the standard oracle contract, and a
-/// full store scan must read every surviving SST end to end: a version
-/// edit that installed a truncated or torn subcompaction output would
-/// surface here as a read error or a lost acked write.
-pub fn run_queue_crash_point(seed: u64, queue: QueueId, point: u64) -> CrashPointOutcome {
-    let faulty = faulty_multi_queue(QUEUE_MATRIX_QUEUES);
-    let env: EnvRef = faulty.clone();
-    faulty.set_plan(FaultPlan {
+/// A power failure when the `point`-th sync lands on queue `queue` —
+/// deterministic even while concurrent compaction threads shuffle the
+/// global order, and landing mid-compaction: after some subcompactions
+/// synced their output and before their siblings did.
+pub fn crash_on_queue(queue: QueueId, point: u64) -> FaultPlan {
+    FaultPlan {
         crash_at_queue_sync: Some((queue, point)),
-        // Deterministic torn-tail budget, varied so the matrix also
-        // covers partially surviving unsynced compaction output.
         torn_tail: ((point + queue as u64) % 17) as usize,
         ..FaultPlan::default()
+    }
+}
+
+/// One workload run under a fault plan, before recovery.
+pub struct Run<'a> {
+    /// The scenario the run executed.
+    scenario: &'a Scenario,
+    /// The env the run wrote through; still down if the crash fired.
+    pub env: Arc<FaultyEnv>,
+    /// Every attempted write and ack; empty when the store never opened.
+    oracle: Oracle,
+    /// Whether the planned crash fired.
+    pub crashed: bool,
+    /// What a run with no planned crash found in the live store.
+    violations: Vec<String>,
+    /// The acked state when the backup cut landed.
+    cut: Option<Oracle>,
+    /// Whether the backup completed (`None`: the scenario takes none).
+    pub backup: Option<bool>,
+}
+
+/// Runs the workload under `scenario` on a fresh env with `plan` armed.
+/// A run with no planned crash (fault-free, or transient faults) also
+/// holds the live store to its acks before closing it.
+pub fn run(seed: u64, scenario: &Scenario, plan: FaultPlan) -> Run<'_> {
+    let env = Arc::new(match scenario.queues {
+        1 => FaultyEnv::over_mem(),
+        n => FaultyEnv::over_queues(n),
     });
-    let open = |env: &EnvRef| {
-        P2Kvs::open(
-            LsmFactory::new(parallel_engine_options(env.clone())),
-            "db",
-            store_options(),
-        )
-    };
-    let oracle = match open(&env) {
-        // A crash with a small `point` fires during store creation.
+    let transient = plan.crash_at_sync.is_none() && plan.crash_at_queue_sync.is_none();
+    env.set_plan(plan);
+    let (mut handle, mut cut, mut completed, mut violations) = (None, None, false, Vec::new());
+    let oracle = match scenario.open(&env) {
+        // A fault at a small sync point fires during store creation.
         Err(_) => Oracle::default(),
         Ok(store) => {
-            let oracle = run_workload(&store, seed);
+            let oracle = run_workload(&store, seed, |round, st, so_far| {
+                (scenario.disturb)(round, st);
+                // After a crash the cut may fail outright (marker pushes
+                // or the freeze hit dead queues): no backup to restore.
+                if scenario.backup && round == BACKUP_ROUND {
+                    handle = st.backup("backup").ok();
+                    cut = handle.as_ref().map(|_| so_far.clone());
+                }
+                if round == BACKUP_WAIT_ROUND {
+                    completed = handle.take().is_some_and(|h| h.wait().is_ok());
+                }
+            });
+            if transient {
+                // Power stays on: disarm what has not fired; the live
+                // store must already hold every acked write.
+                env.heal();
+                let live = oracle.check_acked_only(|k| store.get(k).expect("live read"));
+                violations.extend(at("live store", live));
+            }
             store.close();
             oracle
         }
     };
-    let crashed = faulty.crashed();
-    faulty.heal();
-    let store = match open(&env) {
-        Ok(s) => s,
-        Err(e) => {
-            return CrashPointOutcome {
-                point,
-                crashed,
-                violations: vec![format!("recovery failed to reopen the store: {e}")],
-                recovered_flight: 0,
+    let (crashed, backup) = (env.crashed(), scenario.backup.then_some(completed));
+    Run {
+        scenario,
+        env,
+        oracle,
+        crashed,
+        violations,
+        cut,
+        backup,
+    }
+}
+
+/// What recovering one run found.
+pub struct Outcome {
+    /// Violations found live, in the recovered store, and in the
+    /// restored copy; empty = pass.
+    pub violations: Vec<String>,
+    /// Flight records recovery parsed back out of `FLIGHT.log`: none only
+    /// when the crash landed inside the journal's own first syncs.
+    pub flight: Vec<JournalRecord>,
+}
+
+impl Run<'_> {
+    /// Heals the env, reopens the store through [`P2Kvs::open`], and
+    /// checks it against the oracle, the flight journal, the scenario's
+    /// `post_check` and a read of the whole keyspace; then checks the
+    /// scenario's backup, if it cut one.
+    pub fn recover(&self) -> Outcome {
+        self.env.heal();
+        let mut violations = self.violations.clone();
+        let mut flight = Vec::new();
+        match self.scenario.open(&self.env) {
+            Err(e) => violations.push(format!("recovery failed to reopen the store: {e}")),
+            Ok(store) => {
+                violations.extend(self.oracle.check(|k| store.get(k).expect("recovered read")));
+                violations.extend(flight_journal_violations(&store));
+                violations.extend((self.scenario.post_check)(&store));
+                // The scan touches every SST the recovered version sets
+                // reference: an installed-but-torn compaction output
+                // fails here even when its keys also live in older files.
+                if let Err(e) = store.range(b"", &[0xffu8; 8]) {
+                    violations.push(format!(
+                        "full scan of the recovered store failed — a version set \
+                         references unreadable (truncated?) compaction output: {e}"
+                    ));
+                }
+                flight = store.recovered_flight_records().to_vec();
+                store.close();
             }
         }
-    };
-    let mut violations = oracle.check(|k| store.get(k).expect("post-recovery read"));
-    violations.extend(flight_journal_violations(&store));
-    // Truncated-output check: walk the whole recovered keyspace. The
-    // scan touches every SST the recovered version sets reference — an
-    // installed-but-torn compaction output fails the read here even when
-    // the affected keys also exist in older, still-live files.
-    if let Err(e) = store.range(b"", &[0xffu8; 8]) {
-        violations.push(format!(
-            "full scan of the recovered store failed — a version set references \
-             unreadable (truncated?) compaction output: {e}"
-        ));
+        if let Some(completed) = self.backup {
+            violations.extend(at("restored copy", self.backup_violations(completed)));
+        }
+        Outcome { violations, flight }
     }
-    let recovered_flight = store.recovered_flight_records().len();
-    store.close();
-    CrashPointOutcome { point, crashed, violations, recovered_flight }
+
+    /// A completed backup must restore to exactly the cut-time acked
+    /// state, with nothing from past the cut leaking in, no matter where
+    /// the crash landed. A backup a crash left incomplete must be
+    /// rejected with a clean [`p2kvs::Error::Backup`], never a store
+    /// fabricated from partial files.
+    fn backup_violations(&self, completed: bool) -> Vec<String> {
+        if !completed && !self.crashed {
+            return Vec::new();
+        }
+        let factory = LsmFactory::new((self.scenario.engine)(self.env.clone()));
+        let options = self.scenario.options.clone();
+        let restore = P2Kvs::restore(factory, "backup", "restored", options);
+        let restored = match (completed, restore) {
+            (true, Ok(restored)) => restored,
+            (true, Err(e)) => return vec![format!("restore of a completed backup failed: {e}")],
+            (false, Err(p2kvs::Error::Backup(_))) => return Vec::new(),
+            (false, Err(e)) => return vec![format!("partial backup rejected wrongly: {e}")],
+            (false, Ok(_)) => return vec!["opened from a partial backup".into()],
+        };
+        let cut = self.cut.as_ref().expect("completed, so cut");
+        let mut v = cut.check(|k| restored.get(k).expect("restored read"));
+        // Transactions issued after the cut use fresh keys, so every one
+        // of them must be absent from the copy.
+        for (t, txn) in self.oracle.txns.iter().enumerate().skip(cut.txns.len()) {
+            for k in &txn.keys {
+                if restored.get(k).expect("restored read").is_some() {
+                    let k = String::from_utf8_lossy(k);
+                    v.push(format!("post-cut txn {t} key {k} leaked past the horizon"));
+                }
+            }
+        }
+        // The copy carried the flight journal: gap-free, rooted at the
+        // source's creation record, with the cut's own provenance in it.
+        v.extend(flight_journal_violations(&restored));
+        let recs = restored.recovered_flight_records();
+        for want in [JournalKind::BackupBegin, JournalKind::BackupComplete] {
+            if !recs.iter().any(|r| r.kind == want) {
+                v.push(format!("recovered journal lacks {}", want.name()));
+            }
+        }
+        restored.close();
+        v
+    }
+}
+
+/// The sync points `scenario` exposes on each device queue: a matrix's
+/// crash-point space. The armed crash never fires; it keeps the run on
+/// a crash run's path (no live check). Counts vary slightly run to run.
+pub fn dry_run(seed: u64, scenario: &Scenario) -> Vec<u64> {
+    let r = run(seed, scenario, crash_at(u64::MAX));
+    assert_ne!(r.backup, Some(false), "fault-free backup must complete");
+    let queues = 0..scenario.queues;
+    queues.map(|q| r.env.sync_points_on(q)).collect()
 }
 
 /// The sampled crash points for a space of `total` sync points: every one
@@ -895,18 +700,58 @@ pub fn run_queue_crash_point(seed: u64, queue: QueueId, point: u64) -> CrashPoin
 /// catches creation/metadata crashes; the stride keeps the matrix bounded
 /// while still visiting late flush/compaction states.
 pub fn sample_points(total: u64) -> Vec<u64> {
-    let dense_until = 160.min(total);
-    let mut points: Vec<u64> = (1..=dense_until).collect();
-    if total > dense_until {
-        let rest = total - dense_until;
-        let stride = (rest / 80).max(1);
-        let mut p = dense_until + stride;
-        while p <= total {
-            points.push(p);
-            p += stride;
+    let dense = 160.min(total);
+    let stride = ((total - dense) / 80).max(1);
+    let sparse = (dense + stride..=total).step_by(stride as usize);
+    (1..=dense).chain(sparse).collect()
+}
+
+/// What a matrix saw across its runs.
+#[derive(Default, Debug)]
+pub struct Tally {
+    /// Runs made, one per plan.
+    pub runs: usize,
+    /// Runs whose planned crash fired.
+    pub crashed: usize,
+    /// Runs whose recovery brought flight records back.
+    pub journaled: usize,
+    /// Crashed runs whose backup completed and restored to its cut.
+    pub completed: usize,
+    /// Crashed runs whose partial backup restore rejected.
+    pub rejected: usize,
+}
+
+/// Runs and recovers `scenario` once per plan and fails listing every
+/// violation. The bulk of the runs must crash (a late point may not fire
+/// when group commit merges more syncs than the dry run did) and bring
+/// flight records back (only a crash inside store creation may recover
+/// none); a backup scenario must both restore and reject a backup.
+pub fn run_matrix(
+    seed: u64,
+    label: &str,
+    scenario: &Scenario,
+    plans: impl IntoIterator<Item = FaultPlan>,
+) -> Tally {
+    let mut t = Tally::default();
+    let mut failures = Vec::new();
+    for plan in plans {
+        let r = run(seed, scenario, plan.clone());
+        let out = r.recover();
+        t.runs += 1;
+        t.journaled += usize::from(!out.flight.is_empty());
+        if r.crashed {
+            t.crashed += 1;
+            t.completed += usize::from(r.backup == Some(true));
+            t.rejected += usize::from(r.backup == Some(false));
         }
+        let place = format!("seed {seed}, {label}, {plan:?}");
+        failures.extend(at(&place, out.violations));
     }
-    points
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+    let backups = !scenario.backup || (t.completed >= 1 && t.rejected >= 1);
+    let bulk = t.crashed >= t.runs / 2 && t.journaled >= t.runs / 2;
+    assert!(bulk && backups, "thin {label} matrix at seed {seed}: {t:?}");
+    t
 }
 
 /// Negative control: runs the workload with a crash at `point`, then
@@ -917,31 +762,22 @@ pub fn sample_points(total: u64) -> Vec<u64> {
 /// not fire, no transaction was in flight, or the naked replay happened
 /// to be all-or-nothing at this point.
 pub fn unfiltered_partial_txn(seed: u64, point: u64) -> Option<(usize, usize)> {
-    let faulty = Arc::new(FaultyEnv::over_mem());
-    let env: EnvRef = faulty.clone();
-    faulty.set_plan(FaultPlan {
-        crash_at_sync: Some(point),
-        ..FaultPlan::default()
-    });
-    let store = open_store(&env).ok()?;
-    let oracle = run_workload(&store, seed);
-    store.close();
-    if !faulty.crashed() {
+    let (scenario, mut plan) = (Scenario::plain(), crash_at(point));
+    plan.torn_tail = 0;
+    let r = run(seed, &scenario, plan);
+    if !r.crashed || r.oracle.txns.iter().all(|t| t.acked) {
         return None;
     }
-    faulty.heal();
+    r.env.heal();
     let part = HashPartitioner::new(WORKERS);
     let dbs: Vec<Option<lsmkv::Db>> = (0..WORKERS)
-        .map(|i| lsmkv::Db::open(engine_options(env.clone()), format!("db/instance-{i}")).ok())
+        .map(|i| lsmkv::Db::open(engine_options(r.env.clone()), format!("db/instance-{i}")).ok())
         .collect();
-    for txn in oracle.txns.iter().filter(|t| !t.acked) {
+    for txn in r.oracle.txns.iter().filter(|t| !t.acked) {
         let mut present = 0;
         for (k, v) in txn.keys.iter().zip(&txn.values) {
-            let db = match &dbs[part.shard_of(k)] {
-                Some(db) => db,
-                None => continue,
-            };
-            if db.get(k).ok().flatten().as_deref() == Some(v.as_slice()) {
+            let db = dbs[part.shard_of(k)].as_ref();
+            if db.and_then(|db| db.get(k).ok().flatten()).as_ref() == Some(v) {
                 present += 1;
             }
         }
@@ -952,59 +788,34 @@ pub fn unfiltered_partial_txn(seed: u64, point: u64) -> Option<(usize, usize)> {
     None
 }
 
-/// Differential fault run (no crash): executes the workload on a store
-/// whose env injects a transient sync failure at global sync `fail_sync`
-/// and a transient read failure at global read `fail_read`, then checks
-/// the **live** store and the **reopened** store against the oracle.
-/// Returns the violations found (empty = the faulted history stayed
-/// inside the oracle envelope).
+/// Differential fault run (no crash): the plain scenario with a
+/// transient sync failure at global sync `fail_sync` and a transient
+/// read failure at global read `fail_read`. [`run`] checks the **live**
+/// store; this checks the **reopened** one. Returns the violations
+/// found (empty = the faulted history stayed inside the oracle
+/// envelope).
 pub fn differential_fault_run(
     seed: u64,
     fail_sync: Option<u64>,
     fail_read: Option<u64>,
 ) -> Vec<String> {
-    let faulty = Arc::new(FaultyEnv::over_mem());
-    let env: EnvRef = faulty.clone();
-    faulty.set_plan(FaultPlan {
-        fail_sync,
-        fail_read,
-        ..FaultPlan::default()
-    });
-    let store = match open_store(&env) {
-        Ok(s) => s,
-        // The injected fault hit store creation; a retry must succeed
-        // (transient model) and there is no history to validate.
-        Err(first) => {
-            faulty.heal();
-            match open_store(&env) {
-                Ok(s) => {
-                    s.close();
-                    return Vec::new();
-                }
-                Err(e) => {
-                    return vec![format!(
-                        "transient fault at creation ({first}) wedged the store: reopen failed: {e}"
-                    )]
-                }
-            }
-        }
-    };
-    let oracle = run_workload(&store, seed);
-    faulty.heal();
-    // `check_acked_only`: a transiently failed cross-instance batch has
-    // no undo path, so its applied sub-batches legitimately stay visible
-    // (live, and — via the flush-before-commit window — possibly after
-    // reopen too). Crash runs use the full check instead.
-    let mut violations = oracle.check_acked_only(|k| store.get(k).expect("live read after heal"));
-    store.close();
-    match open_store(&env) {
+    let (scenario, mut plan) = (Scenario::plain(), FaultPlan::default());
+    (plan.fail_sync, plan.fail_read) = (fail_sync, fail_read);
+    let r = run(seed, &scenario, plan);
+    r.env.heal();
+    let mut violations = r.violations;
+    match scenario.open(&r.env) {
+        Err(e) => violations.push(format!("reopen after transient faults failed: {e}")),
+        // The fault hit store creation: the retry succeeded (transient
+        // model) and there is no history to validate.
+        Ok(reopened) if r.oracle.txns.is_empty() => reopened.close(),
         Ok(reopened) => {
-            violations.extend(
-                oracle
-                    .check_acked_only(|k| reopened.get(k).expect("post-reopen read"))
-                    .into_iter()
-                    .map(|v| format!("after reopen: {v}")),
-            );
+            // `check_acked_only`: a transiently failed cross-instance
+            // batch has no undo path, so its applied sub-batches may stay
+            // visible (via the flush-before-commit window, after reopen
+            // too). Crash runs use the full check instead.
+            let get = |k: &[u8]| reopened.get(k).expect("reopened read");
+            violations.extend(at("after reopen", r.oracle.check_acked_only(get)));
             violations.extend(flight_journal_violations(&reopened));
             // No crash happened, so even unsynced journal appends reached
             // the env: the whole history must come back, not a prefix.
@@ -1013,7 +824,6 @@ pub fn differential_fault_run(
             }
             reopened.close();
         }
-        Err(e) => violations.push(format!("reopen after transient faults failed: {e}")),
     }
     violations
 }
@@ -1064,7 +874,11 @@ mod tests {
         for (k, v) in keys.iter().zip(&values) {
             o.record(k, Some(v.clone()), false);
         }
-        o.txns.push(TxnRecord { keys, values, acked: false });
+        o.txns.push(TxnRecord {
+            keys,
+            values,
+            acked: false,
+        });
         let partial: HashMap<Vec<u8>, Vec<u8>> =
             [(b"ta".to_vec(), b"1".to_vec())].into_iter().collect();
         let v = o.check(|k| partial.get(k).cloned());
@@ -1091,7 +905,11 @@ mod tests {
         for (k, v) in keys.iter().zip(&values) {
             o.record(k, Some(v.clone()), true);
         }
-        o.txns.push(TxnRecord { keys, values, acked: true });
+        o.txns.push(TxnRecord {
+            keys,
+            values,
+            acked: true,
+        });
         assert!(!o.check(|_| None).is_empty());
     }
 
@@ -1105,164 +923,129 @@ mod tests {
         }
     }
 
+    /// How many records of `kind` a recovery brought back.
+    fn count(out: &Outcome, kind: JournalKind) -> usize {
+        out.flight.iter().filter(|r| r.kind == kind).count()
+    }
+
+    /// Runs and recovers `scenario` fault-free: every transaction must
+    /// commit and nothing (live, recovered, restored) may be violated.
+    /// Returns the run's sync points per queue and the outcome.
+    fn fault_free(seed: u64, scenario: &Scenario) -> (Vec<u64>, Outcome) {
+        let r = run(seed, scenario, FaultPlan::default());
+        assert!(r.oracle.txns.iter().all(|t| t.acked));
+        let per_queue = (0..scenario.queues)
+            .map(|q| r.env.sync_points_on(q))
+            .collect();
+        let out = r.recover();
+        assert!(
+            !r.crashed && out.violations.is_empty(),
+            "{:?}",
+            out.violations
+        );
+        assert_ne!(r.backup, Some(false), "a fault-free backup must complete");
+        (per_queue, out)
+    }
+
+    /// Crashes `scenario` at each global sync point; every one must fire
+    /// and recover cleanly.
+    fn crash_points(seed: u64, scenario: &Scenario, points: [u64; 3]) -> [Outcome; 3] {
+        points.map(|p| {
+            let r = run(seed, scenario, crash_at(p));
+            let out = r.recover();
+            assert!(r.crashed, "point {p} did not fire");
+            assert!(out.violations.is_empty(), "point {p}: {:?}", out.violations);
+            out
+        })
+    }
+
     #[test]
     fn workload_is_deterministic_and_exposes_enough_sync_points() {
-        let a = dry_run_sync_points(7);
+        let a = dry_run(7, &Scenario::plain())[0];
         assert!(a >= 220, "only {a} sync points — matrix space too small");
     }
 
     #[test]
     fn fault_free_run_has_no_violations() {
-        let faulty = Arc::new(FaultyEnv::over_mem());
-        let env: EnvRef = faulty.clone();
-        let store = open_store(&env).unwrap();
-        let oracle = run_workload(&store, 7);
-        assert!(oracle.txns.iter().all(|t| t.acked));
-        let v = oracle.check(|k| store.get(k).unwrap());
-        assert!(v.is_empty(), "{v:?}");
-        store.close();
-        // And the state survives a clean reopen.
-        let store = open_store(&env).unwrap();
-        let v = oracle.check(|k| store.get(k).unwrap());
-        assert!(v.is_empty(), "{v:?}");
-        store.close();
+        // The live store and a clean reopen both hold every acked write.
+        fault_free(7, &Scenario::plain());
     }
 
     #[test]
     fn a_few_crash_points_recover_cleanly() {
-        for point in [3, 40, 120] {
-            let out = run_crash_scenario(7, point, &Scenario::plain());
-            assert!(out.crashed, "point {point} did not fire");
-            assert!(out.violations.is_empty(), "point {point}: {:?}", out.violations);
-            // Once the crash lands past store creation the synced
-            // creation-time journal prefix must survive recovery.
-            if point >= 40 {
-                assert!(
-                    out.recovered_flight > 0,
-                    "point {point}: no flight records recovered"
-                );
-            }
-        }
+        let outs = crash_points(7, &Scenario::plain(), [3, 40, 120]);
+        // Once the crash lands past store creation the synced
+        // creation-time journal prefix must survive recovery.
+        assert!(!outs[1].flight.is_empty() && !outs[2].flight.is_empty());
     }
 
     #[test]
     fn migration_workload_stays_consistent_without_faults() {
-        let faulty = Arc::new(FaultyEnv::over_mem());
-        let env: EnvRef = faulty.clone();
-        let store = P2Kvs::open(
-            LsmFactory::new(engine_options(env.clone())),
-            "db",
-            migration_store_options(),
-        )
-        .unwrap();
-        let shards = store.shards();
-        let oracle = run_workload_hooked(&store, 7, |round, st| {
-            st.migrate_shard(round % shards, (round + 1) % WORKERS).unwrap();
-        });
-        assert!(store.migrations() >= 1, "at least one real handoff happened");
-        assert!(oracle.txns.iter().all(|t| t.acked));
-        let v = oracle.check(|k| store.get(k).unwrap());
-        assert!(v.is_empty(), "{v:?}");
-        store.close();
-        // The state survives a reopen under a fresh round-robin map.
-        let store = P2Kvs::open(
-            LsmFactory::new(engine_options(env.clone())),
-            "db",
-            migration_store_options(),
-        )
-        .unwrap();
-        let v = oracle.check(|k| store.get(k).unwrap());
-        assert!(v.is_empty(), "{v:?}");
-        store.close();
+        // The state survives a reopen under a fresh round-robin map. Round
+        // r moves shard r from worker r % 4 to (r + 1) % 4, a real
+        // handoff every round: one that failed would be missing here.
+        let (_, out) = fault_free(7, &Scenario::migration());
+        assert_eq!(count(&out, JournalKind::ShardInstall), ROUNDS);
     }
 
     #[test]
     fn scale_workload_stays_consistent_without_faults() {
-        let faulty = Arc::new(FaultyEnv::over_mem());
-        let env: EnvRef = faulty.clone();
-        let store = P2Kvs::open(
-            LsmFactory::new(engine_options(env.clone())),
-            "db",
-            migration_store_options(),
-        )
-        .unwrap();
-        let oracle = run_workload_hooked(&store, 7, |round, st| {
-            let n = if round % 2 == 0 { WORKERS + 1 } else { WORKERS - 1 };
-            st.scale_workers(n).unwrap();
-        });
+        // The state survives a reopen at the fixed size. Every scale
+        // operation succeeded and was journaled durably: beyond the
+        // open-time spawns, round 0 grows 4 → 5, each odd round retires
+        // two workers (5 → 3) and each later even round respawns them.
+        let (_, out) = fault_free(7, &Scenario::scale());
+        assert_eq!(count(&out, JournalKind::WorkerSpawn), WORKERS + 1 + 3 * 2);
+        assert_eq!(count(&out, JournalKind::WorkerRetire), 4 * 2);
         // The last round (7, odd) left the pool at WORKERS - 1.
-        assert_eq!(store.workers(), WORKERS - 1);
-        assert!(oracle.txns.iter().all(|t| t.acked));
-        let v = oracle.check(|k| store.get(k).unwrap());
-        assert!(v.is_empty(), "{v:?}");
-        // Every scale operation is journaled: four grows from the even
-        // rounds plus the regrow after each shrink, and matching drains.
-        let recs = store.flight_records(usize::MAX);
-        let spawns = recs.iter().filter(|r| r.kind == JournalKind::WorkerSpawn).count();
-        let retires = recs.iter().filter(|r| r.kind == JournalKind::WorkerRetire).count();
-        assert!(spawns >= 4, "only {spawns} worker_spawn records");
-        assert!(retires >= 4, "only {retires} worker_retire records");
-        store.close();
-        // The state survives a reopen at the fixed size.
-        let store = P2Kvs::open(
-            LsmFactory::new(engine_options(env.clone())),
-            "db",
-            migration_store_options(),
-        )
-        .unwrap();
-        let v = oracle.check(|k| store.get(k).unwrap());
-        assert!(v.is_empty(), "{v:?}");
-        store.close();
+        let last = out
+            .flight
+            .iter()
+            .rfind(|r| r.kind == JournalKind::WorkerRetire);
+        assert_eq!(last.map(|r| r.b), Some(WORKERS as u64 - 1));
     }
 
     #[test]
     fn scale_crash_points_recover_cleanly() {
-        for point in [25, 90, 170] {
-            let out = run_crash_scenario(17, point, &Scenario::scale());
-            assert!(out.crashed, "point {point} did not fire");
-            assert!(out.violations.is_empty(), "point {point}: {:?}", out.violations);
-        }
+        crash_points(17, &Scenario::scale(), [25, 90, 170]);
     }
 
     #[test]
     fn a_few_crash_points_recover_cleanly_with_cache() {
-        for point in [25, 90, 170] {
-            let out = run_crash_scenario(13, point, &Scenario::cached());
-            assert!(out.crashed, "point {point} did not fire");
-            assert!(out.violations.is_empty(), "point {point}: {:?}", out.violations);
-        }
+        crash_points(13, &Scenario::cached(), [25, 90, 170]);
     }
 
     #[test]
     fn migration_crash_points_recover_cleanly() {
-        for point in [25, 90, 170] {
-            let out = run_crash_scenario(11, point, &Scenario::migration());
-            assert!(out.crashed, "point {point} did not fire");
-            assert!(
-                out.violations.is_empty(),
-                "point {point}: {:?}",
-                out.violations
-            );
-        }
+        crash_points(11, &Scenario::migration(), [25, 90, 170]);
+    }
+
+    #[test]
+    fn combined_workload_exercises_every_feature_without_faults() {
+        // Recovery restored the completed backup and found the cut.
+        let (per_queue, out) = fault_free(7, &Scenario::combined());
+        assert!(count(&out, JournalKind::ShardInstall) >= 1, "no migration");
+        assert!(
+            count(&out, JournalKind::WorkerSpawn) > WORKERS,
+            "no runtime spawn"
+        );
+        assert!(count(&out, JournalKind::WorkerRetire) >= 1, "no retirement");
+        assert!(
+            per_queue.iter().all(|&n| n > 0),
+            "a queue saw no sync: {per_queue:?}"
+        );
     }
 
     #[test]
     fn a_few_crash_points_recover_cleanly_with_every_disturbance_combined() {
-        for point in [25, 90, 170] {
-            let out = run_crash_scenario(19, point, &Scenario::combined());
-            assert!(out.crashed, "point {point} did not fire");
-            assert!(out.violations.is_empty(), "point {point}: {:?}", out.violations);
-        }
+        crash_points(19, &Scenario::combined(), [25, 90, 170]);
     }
 
     #[test]
     fn fault_free_backup_run_restores_the_cut_exactly() {
-        // No crash planned: the online backup completes, the restored
-        // copy matches the cut, and the post-cut rounds stay out of it.
-        let out = run_crash_point_with_backup(7, u64::MAX);
-        assert!(!out.crashed);
-        assert!(out.backup_completed, "fault-free backup must complete");
-        assert!(out.violations.is_empty(), "{:?}", out.violations);
+        // The online backup completes, the restored copy matches the
+        // cut, and the post-cut rounds stay out of it.
+        fault_free(7, &Scenario::backup());
     }
 
     #[test]
@@ -1270,17 +1053,13 @@ mod tests {
         // Point 30 lands inside store creation (before the cut — the
         // partial-directory rejection path); the later points land
         // around the freeze window and the streaming window.
-        for point in [30, 150, 250] {
-            let out = run_crash_point_with_backup(7, point);
-            assert!(out.crashed, "point {point} did not fire");
-            assert!(out.violations.is_empty(), "point {point}: {:?}", out.violations);
-        }
+        crash_points(7, &Scenario::backup(), [30, 150, 250]);
     }
 
     #[test]
     fn queue_workload_exposes_sync_points_on_every_queue() {
-        let per_queue = dry_run_queue_sync_points(7);
-        assert_eq!(per_queue.len(), QUEUE_MATRIX_QUEUES);
+        let per_queue = dry_run(7, &Scenario::subcompaction());
+        assert_eq!(per_queue.len(), QUEUES);
         for (q, &n) in per_queue.iter().enumerate() {
             assert!(
                 n >= 10,
@@ -1292,9 +1071,11 @@ mod tests {
 
     #[test]
     fn a_few_queue_crash_points_recover_cleanly() {
+        let scenario = Scenario::subcompaction();
         for (queue, point) in [(0, 20), (1, 15), (2, 10), (3, 10)] {
-            let out = run_queue_crash_point(7, queue, point);
-            assert!(out.crashed, "queue {queue} point {point} did not fire");
+            let r = run(7, &scenario, crash_on_queue(queue, point));
+            let out = r.recover();
+            assert!(r.crashed, "queue {queue} point {point} did not fire");
             assert!(
                 out.violations.is_empty(),
                 "queue {queue} point {point}: {:?}",

@@ -1,13 +1,14 @@
 //! The backup-torture matrix: GSN-consistent online snapshots under
 //! power failure.
 //!
-//! Drives the migration workload from `p2kvs_integration_tests::crash`
-//! with an **online backup** cut mid-stream (round 2 of 8) and streamed
-//! concurrently with three more rounds of writes, migrations, and
-//! cross-instance transactions, power-failing at sampled globally
-//! numbered sync points. Crash points therefore land before the cut,
-//! inside the freeze window, mid-stream, on the backup's own file
-//! syncs, and after the `MANIFEST` sync. Every run validates:
+//! Drives `Scenario::backup` from `p2kvs_integration_tests::crash` —
+//! the migration workload with an **online backup** cut mid-stream
+//! (round 2 of 8) and streamed concurrently with three more rounds of
+//! writes, migrations, and cross-instance transactions — power-failing
+//! at sampled globally numbered sync points. Crash points therefore
+//! land before the cut, inside the freeze window, mid-stream, on the
+//! backup's own file syncs, and after the `MANIFEST` sync. Every run
+//! validates (`Run::recover`, as for every scenario):
 //!
 //! * the primary store recovers per the standard acked-writes oracle —
 //!   taking a backup must never weaken crash recovery,
@@ -25,10 +26,7 @@
 
 use p2kvs::engine::LsmFactory;
 use p2kvs::{P2Kvs, WriteOp};
-use p2kvs_integration_tests::crash::{
-    dry_run_sync_points_with_backup, migration_store_options, run_crash_point_with_backup,
-    WORKERS,
-};
+use p2kvs_integration_tests::crash::{crash_at, dry_run, run_matrix, Scenario, WORKERS};
 
 /// Default seed; override with `P2KVS_BACKUP_SEED` to explore.
 const DEFAULT_SEED: u64 = 0xBAC_CAB5;
@@ -43,56 +41,16 @@ fn seed() -> u64 {
 /// The matrix proper: a stride over the full sync-point space (the
 /// backup streamer runs concurrently with foreground syncs, so the
 /// numbering shifts run-to-run — each run validates against its own
-/// observed acks and its own backup fate).
+/// observed acks and its own backup fate). Some crashes must leave a
+/// completed backup that restored to the horizon, and some a partial
+/// directory that restore rejected.
 #[test]
 fn backup_matrix_recovers_and_restores_at_every_sampled_sync_point() {
-    let seed = seed();
-    let total = dry_run_sync_points_with_backup(seed);
-    assert!(
-        total >= 220,
-        "workload exposes only {total} sync points — matrix space too small"
-    );
-    let points: Vec<u64> = (1..=total).step_by(5).collect();
-    let mut crashed = 0usize;
-    let mut completed = 0usize;
-    let mut rejected = 0usize;
-    let mut failures = Vec::new();
-    for &point in &points {
-        let out = run_crash_point_with_backup(seed, point);
-        if out.crashed {
-            crashed += 1;
-            if out.backup_completed {
-                completed += 1;
-            } else {
-                rejected += 1;
-            }
-        }
-        for v in out.violations {
-            failures.push(format!("seed {seed}, sync point {point} (backup): {v}"));
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "{} backup-matrix violations:\n{}",
-        failures.len(),
-        failures.join("\n")
-    );
-    assert!(
-        crashed >= points.len() / 2,
-        "only {crashed} of {} sampled points actually crashed (seed {seed})"
-        , points.len()
-    );
-    // The matrix is not vacuous on either side of the cut: some crashes
-    // must leave a completed backup that restored to the horizon, and
-    // some must leave a partial directory that restore rejected.
-    assert!(
-        completed >= 1,
-        "no crashed run completed its backup (seed {seed})"
-    );
-    assert!(
-        rejected >= 1,
-        "no crashed run exercised partial-backup rejection (seed {seed})"
-    );
+    let scenario = Scenario::backup();
+    let total = dry_run(seed(), &scenario)[0];
+    assert!(total >= 220, "workload exposes only {total} sync points");
+    let plans = (1..=total).step_by(5).map(crash_at);
+    run_matrix(seed(), "backup", &scenario, plans);
 }
 
 /// Regression: a `scan` whose cursors were handed over by a migration
@@ -105,25 +63,38 @@ fn backup_matrix_recovers_and_restores_at_every_sampled_sync_point() {
 #[test]
 fn a_scan_parked_by_migration_never_wedges_the_backup() {
     let engine_opts = lsmkv::Options::for_test();
-    let mut opts = migration_store_options();
+    let mut opts = Scenario::migration().options;
     opts.scan_chunk_entries = 32; // many small pulls: cursors stay open
-    let store = P2Kvs::open(LsmFactory::new(engine_opts.clone()), "scan-db", opts.clone())
-        .expect("open");
+    let store = P2Kvs::open(
+        LsmFactory::new(engine_opts.clone()),
+        "scan-db",
+        opts.clone(),
+    )
+    .expect("open");
     let n = 2000u32;
     for i in 0..n {
         store
-            .put(format!("scan-{i:05}").as_bytes(), format!("v{i}").as_bytes())
+            .put(
+                format!("scan-{i:05}").as_bytes(),
+                format!("v{i}").as_bytes(),
+            )
             .expect("put");
     }
     let mut iter = store.iter().expect("open scan");
     let mut got = Vec::new();
     for _ in 0..100 {
-        got.push(iter.next_entry().expect("scan chunk").expect("2000 entries"));
+        got.push(
+            iter.next_entry()
+                .expect("scan chunk")
+                .expect("2000 entries"),
+        );
     }
     // Park the open cursors: every shard changes owner mid-scan.
     let owners = store.shard_owners();
     for (s, &owner) in owners.iter().enumerate() {
-        store.migrate_shard(s, (owner + 1) % WORKERS).expect("migrate");
+        store
+            .migrate_shard(s, (owner + 1) % WORKERS)
+            .expect("migrate");
     }
     // The freeze markers land behind the replayed parcels on the new
     // owners; the backup must complete with the scan still open.
@@ -135,7 +106,10 @@ fn a_scan_parked_by_migration_never_wedges_the_backup() {
     assert_eq!(report.entries, n as u64, "every acked write is in the cut");
     // A write past the cut, while the scan is still parked mid-key-space.
     store
-        .write_batch(vec![WriteOp::Put { key: b"zzz-post".to_vec(), value: b"1".to_vec() }])
+        .write_batch(vec![WriteOp::Put {
+            key: b"zzz-post".to_vec(),
+            value: b"1".to_vec(),
+        }])
         .expect("post-cut write");
     // The parked scan resumes exactly where it left off and sees a
     // consistent ordered view.
@@ -158,10 +132,17 @@ fn a_scan_parked_by_migration_never_wedges_the_backup() {
     .expect("restore");
     for i in (0..n).step_by(97) {
         assert_eq!(
-            restored.get(format!("scan-{i:05}").as_bytes()).expect("read").as_deref(),
+            restored
+                .get(format!("scan-{i:05}").as_bytes())
+                .expect("read")
+                .as_deref(),
             Some(format!("v{i}").as_bytes()),
             "restored copy lost key {i}"
         );
     }
-    assert_eq!(restored.get(b"zzz-post").expect("read"), None, "post-cut write leaked");
+    assert_eq!(
+        restored.get(b"zzz-post").expect("read"),
+        None,
+        "post-cut write leaked"
+    );
 }
