@@ -239,5 +239,6 @@ fn carry_counters(old: &WorkerStats, new: &WorkerStats) {
     carry(&old.stashed, &new.stashed);
     carry(&old.rerouted, &new.rerouted);
     carry(&old.parks, &new.parks);
+    carry(&old.io_overlap_saved_ns, &new.io_overlap_saved_ns);
     new.busy.add(old.busy.busy());
 }

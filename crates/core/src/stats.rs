@@ -36,6 +36,9 @@ pub struct WorkerSnapshot {
     pub parks: u64,
     /// Useful processing time.
     pub busy: Duration,
+    /// Device wait the worker did not pay because the shard groups of a
+    /// drained run overlapped their I/O.
+    pub io_overlap_saved: Duration,
     /// Current queue depth.
     pub queue_depth: usize,
     /// Whether the slot currently runs a worker thread. Retired slots
@@ -153,6 +156,7 @@ mod tests {
             rerouted: 0,
             parks: 0,
             busy,
+            io_overlap_saved: Duration::ZERO,
             queue_depth: 0,
             live: true,
         }

@@ -223,6 +223,9 @@ impl<E: KvsEngine> ObsShared<E> {
                     rerouted: stats.rerouted.load(ordering),
                     parks: stats.parks.load(ordering),
                     busy: stats.busy.busy(),
+                    io_overlap_saved: Duration::from_nanos(
+                        stats.io_overlap_saved_ns.load(ordering),
+                    ),
                     // The ring's relaxed atomic counter — sampling never
                     // locks or contends with the data path. A retired
                     // slot reads 0: its ring is gone.
@@ -277,6 +280,10 @@ impl<E: KvsEngine> ObsShared<E> {
             reg.set_gauge(&l("p2kvs_active_scans"), w.active_scans as f64);
             reg.set_gauge(&l("p2kvs_shards_owned"), w.shards_owned as f64);
             reg.set_gauge(&l("p2kvs_worker_busy_seconds"), w.busy.as_secs_f64());
+            reg.set_gauge(
+                &l("p2kvs_worker_io_overlap_saved_seconds_total"),
+                w.io_overlap_saved.as_secs_f64(),
+            );
             reg.set_gauge(&l("p2kvs_queue_depth"), w.queue_depth as f64);
             reg.set_gauge(&l("p2kvs_worker_live"), if w.live { 1.0 } else { 0.0 });
         }
@@ -587,6 +594,9 @@ pub struct WorkerView {
     pub active_scans: u64,
     /// Cumulative useful processing time.
     pub busy: Duration,
+    /// Device wait the worker did not pay because the shard groups of a
+    /// drained run overlapped their I/O (DESIGN.md §13.5).
+    pub io_overlap_saved: Duration,
     /// Times the worker slept on an empty ring.
     pub parks: u64,
     /// Whether the slot currently runs a worker thread. Retired slots
@@ -1552,6 +1562,7 @@ impl<E: KvsEngine> P2Kvs<E> {
                     queue_depth: w.queue_depth,
                     active_scans: w.active_scans,
                     busy: w.busy,
+                    io_overlap_saved: w.io_overlap_saved,
                     parks: w.parks,
                     live: w.live,
                 })

@@ -12,6 +12,15 @@
 //! lacks the capability or the group holds a single key. With one shard per
 //! worker this is exactly the paper's layout.
 //!
+//! **Overlapped runs** (DESIGN.md §13.5): on a timed device, a run that
+//! peels into two or more groups holds a `p2kvs_storage::IoChains` run
+//! across them — each group is one chain of dependent device I/O — and
+//! pays one device wait, for the chain that ends last, before the next
+//! dequeue. Acks still leave as each group's engine call returns, so in
+//! modelled time an ack can lead its group's device waits by up to the
+//! longest chain's lag (one sync or seek latency or more on the slow
+//! profiles).
+//!
 //! **Ownership migration** (DESIGN.md §9): the migrator sends two
 //! control markers, one after the other, and waits on each like any
 //! client waits on a request. `Op::HandoffOut` tells the old owner to
@@ -45,13 +54,14 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use p2kvs_obs::{
     GroupStamp, Journal, JournalKind, SpanKind, SpanRecord, SpanRing, WorkerLifecycle,
 };
-use p2kvs_util::timing::BusyClock;
+use p2kvs_storage::IoChains;
 use p2kvs_util::sync::Mutex;
+use p2kvs_util::timing::BusyClock;
 
 use crate::engine::{EnginePhases, KvsEngine, ScanCursor};
 use crate::error::{Error, Result};
@@ -97,6 +107,10 @@ pub struct WorkerStats {
     /// if it ran one — and slept (counted by its [`RequestQueue`],
     /// shared): the next request after each of these paid a wake-up.
     pub parks: Arc<AtomicU64>,
+    /// Device wait the worker did not pay, ns: what the shard groups of
+    /// its overlapped runs owed in sum, minus the one wait each run paid
+    /// (DESIGN.md §13.5).
+    pub io_overlap_saved_ns: AtomicU64,
 }
 
 impl WorkerStats {
@@ -301,6 +315,12 @@ impl WorkerHandle {
                     // one engine call. Without the split a worker owning
                     // several shards would see alternating-shard runs
                     // and OBM would degrade to singleton batches.
+                    //
+                    // A run that peels into two or more groups (never a
+                    // Solo one: those are single requests) executes
+                    // each group as one chain of device I/O and pays
+                    // one device wait for all of them (DESIGN.md §13.5).
+                    let mut chains: Option<IoChains> = None;
                     while !batch.is_empty() {
                         let shard = batch[0].shard;
                         if batch.iter().all(|r| r.shard == shard) {
@@ -316,7 +336,18 @@ impl WorkerHandle {
                             }
                             std::mem::swap(&mut batch, &mut spill);
                         }
-                        w.run_group(shard);
+                        if let Some(c) = chains.as_mut() {
+                            c.next_chain();
+                        } else if w.overlap && !batch.is_empty() {
+                            chains = Some(IoChains::enter());
+                        }
+                        let keys = w.run_group(shard);
+                        if chains.is_some() {
+                            w.chained.push((shard, keys));
+                        }
+                    }
+                    if let Some(c) = chains {
+                        w.settle(c);
                     }
                 }
                 // Queue closed and drained: an install marker can no
@@ -374,6 +405,11 @@ struct WorkerLoop<E> {
     traced: Vec<(u64, u64)>,
     batch_seq: u64,
     scratch: BatchScratch,
+    /// Whether the env times a device: only then do the groups of one
+    /// drained run overlap their I/O.
+    overlap: bool,
+    /// `(shard, keys)` of each group of the current overlapped run.
+    chained: Vec<(u64, u64)>,
 }
 
 impl<E: KvsEngine> WorkerLoop<E> {
@@ -400,6 +436,10 @@ impl<E: KvsEngine> WorkerLoop<E> {
                 .owner
                 .store(windex, Ordering::Relaxed);
         }
+        let overlap = rt
+            .env
+            .as_ref()
+            .is_some_and(|e| e.device_utilization().is_some());
         WorkerLoop {
             windex,
             rt,
@@ -413,6 +453,40 @@ impl<E: KvsEngine> WorkerLoop<E> {
             traced: Vec::with_capacity(max),
             batch_seq: 0,
             scratch: BatchScratch::default(),
+            overlap,
+            chained: Vec::with_capacity(max),
+        }
+    }
+
+    /// Closes an overlapped run: pays its one device wait and books the
+    /// time as busy — it stands for the waits the groups would otherwise
+    /// have slept inside their own stamps — to the worker and, split by
+    /// keys, to the run's shards, so the balancer and the pool policy
+    /// still see the device wait the worker pays. A run whose every group
+    /// was stashed or forwarded served no shard and books nothing, so
+    /// worker busy time stays the sum of its shards'.
+    fn settle(&mut self, chains: IoChains) {
+        let t0 = Instant::now();
+        let charge = chains.finish();
+        let paid = t0.elapsed();
+        self.stats
+            .io_overlap_saved_ns
+            .fetch_add(charge.saved_ns, Ordering::Relaxed);
+        let keys: u64 = self.chained.iter().map(|&(_, k)| k).sum();
+        if keys == 0 {
+            self.chained.clear();
+            return;
+        }
+        self.stats.busy.add(paid);
+        let paid_ns = paid.as_nanos() as u64;
+        // Cumulative shares, so the shards' parts add up to `paid` exactly.
+        let (mut done, mut booked) = (0, 0);
+        for (shard, k) in self.chained.drain(..) {
+            done += k;
+            let upto = paid_ns * done / keys;
+            let share = Duration::from_nanos(upto - booked);
+            self.rt.shard_stats[shard as usize].record(0, share);
+            booked = upto;
         }
     }
 
@@ -420,15 +494,16 @@ impl<E: KvsEngine> WorkerLoop<E> {
     /// call and accounts for it. Every request a worker serves comes
     /// through here, the ones replayed from the stash included (as
     /// groups of one), so busy time, per-shard load, the latency
-    /// histograms and the spans cover them all.
-    fn run_group(&mut self, shard: u64) {
+    /// histograms and the spans cover them all. Returns the keys it
+    /// executed.
+    fn run_group(&mut self, shard: u64) -> u64 {
         let rt = &*self.rt;
         if !self.owned.contains_key(&shard) {
             // Not ours (anymore / yet): stash or forward.
             for req in self.group.drain(..) {
                 reroute_or_stash(self.windex, rt, &mut self.stash, &self.stats, req);
             }
-            return;
+            return 0;
         }
         // The backup freeze marker rides the ordinary ownership check
         // above (unlike the handoff markers): if the shard migrated, the
@@ -438,7 +513,7 @@ impl<E: KvsEngine> WorkerLoop<E> {
         if matches!(self.group[0].op, Op::BackupFreeze { .. }) {
             let req = self.group.pop().expect("solo batch");
             freeze_shard(self.windex, rt, shard, req);
-            return;
+            return 0;
         }
         // "Scan active" means a parked cursor exists *before* this
         // batch: these are the point ops whose latency a concurrent
@@ -520,6 +595,7 @@ impl<E: KvsEngine> WorkerLoop<E> {
                 lc.observe_point_during_scan(self.waits.len(), service.as_nanos() as u64);
             }
         }
+        n
     }
 
     /// Source half of a migration: give `shard` up, leaving its parked
@@ -989,7 +1065,12 @@ fn execute_one<E: KvsEngine>(
     journal: Option<&Journal>,
     cache: Option<&crate::cache::ReadCache>,
 ) {
-    let Request { op, completion, shard, .. } = req;
+    let Request {
+        op,
+        completion,
+        shard,
+        ..
+    } = req;
     let result = match op {
         Op::Put { key, value } => {
             let r = engine.put(&key, &value).map(|()| Response::Done);
@@ -1063,7 +1144,10 @@ fn record_batch_spans(
             SpanKind::PhaseMemtable,
             post.memtable_ns.saturating_sub(pre.memtable_ns),
         ),
-        (SpanKind::PhaseRead, post.read_ns.saturating_sub(pre.read_ns)),
+        (
+            SpanKind::PhaseRead,
+            post.read_ns.saturating_sub(pre.read_ns),
+        ),
     ];
     let device = io.as_ref().map(|(pre_io, post_io)| {
         (
@@ -1240,7 +1324,16 @@ mod tests {
         let stats = WorkerStats::default();
         let mut scratch = BatchScratch::default();
         let mut scans = ScanTable::default();
-        execute_batch(&engine, &mut put_batch(8), &stats, &mut scratch, &mut scans, &test_config(), None, None);
+        execute_batch(
+            &engine,
+            &mut put_batch(8),
+            &stats,
+            &mut scratch,
+            &mut scans,
+            &test_config(),
+            None,
+            None,
+        );
         assert_eq!(stats.ops.load(Ordering::Relaxed), 8);
         assert_eq!(stats.batches.load(Ordering::Relaxed), 1);
         assert_eq!(
@@ -1256,7 +1349,16 @@ mod tests {
                 .0
             })
             .collect();
-        execute_batch(&engine, &mut reads, &stats, &mut scratch, &mut scans, &test_config(), None, None);
+        execute_batch(
+            &engine,
+            &mut reads,
+            &stats,
+            &mut scratch,
+            &mut scans,
+            &test_config(),
+            None,
+            None,
+        );
         assert_eq!(stats.merged_ops.load(Ordering::Relaxed), 0);
     }
 
@@ -1267,7 +1369,16 @@ mod tests {
         let stats = WorkerStats::default();
         let mut scratch = BatchScratch::default();
         let mut scans = ScanTable::default();
-        execute_batch(&engine, &mut put_batch(5), &stats, &mut scratch, &mut scans, &test_config(), None, None);
+        execute_batch(
+            &engine,
+            &mut put_batch(5),
+            &stats,
+            &mut scratch,
+            &mut scans,
+            &test_config(),
+            None,
+            None,
+        );
         assert_eq!(stats.ops.load(Ordering::Relaxed), 5);
         assert_eq!(
             stats.merged_ops.load(Ordering::Relaxed),
@@ -1275,7 +1386,16 @@ mod tests {
             "batch-write engine merges the whole run"
         );
         // A single-request batch is never a merge.
-        execute_batch(&engine, &mut put_batch(1), &stats, &mut scratch, &mut scans, &test_config(), None, None);
+        execute_batch(
+            &engine,
+            &mut put_batch(1),
+            &stats,
+            &mut scratch,
+            &mut scans,
+            &test_config(),
+            None,
+            None,
+        );
         assert_eq!(stats.merged_ops.load(Ordering::Relaxed), 5);
     }
 
@@ -1359,13 +1479,31 @@ mod tests {
                 })
             })
             .unzip();
-        execute_batch(&engine, &mut batch, &stats, &mut scratch, &mut scans, &test_config(), None, None);
+        execute_batch(
+            &engine,
+            &mut batch,
+            &stats,
+            &mut scratch,
+            &mut scans,
+            &test_config(),
+            None,
+            None,
+        );
         assert!(batch.is_empty(), "every request was completed");
         for (i, w) in waiters.into_iter().enumerate() {
-            let err = w.wait().expect_err("every merged request must observe the engine error");
-            assert!(err.to_string().contains("injected fault"), "request {i}: {err}");
+            let err = w
+                .wait()
+                .expect_err("every merged request must observe the engine error");
+            assert!(
+                err.to_string().contains("injected fault"),
+                "request {i}: {err}"
+            );
         }
-        assert_eq!(stats.merged_ops.load(Ordering::Relaxed), 8, "the batch was merged");
+        assert_eq!(
+            stats.merged_ops.load(Ordering::Relaxed),
+            8,
+            "the batch was merged"
+        );
     }
 
     #[test]
@@ -1377,8 +1515,15 @@ mod tests {
         let mut opts = lsmkv::Options::for_test();
         opts.env = faulty.clone();
         opts.sync = lsmkv::SyncPolicy::Always;
-        let engine = LsmFactory::new(opts).open(Path::new("w-fault-e2e"), None).unwrap();
-        let mut worker = WorkerHandle::spawn(0, std::sync::Arc::new(engine), WorkerConfig::default(), None);
+        let engine = LsmFactory::new(opts)
+            .open(Path::new("w-fault-e2e"), None)
+            .unwrap();
+        let mut worker = WorkerHandle::spawn(
+            0,
+            std::sync::Arc::new(engine),
+            WorkerConfig::default(),
+            None,
+        );
 
         faulty.set_plan(p2kvs_storage::FaultPlan {
             fail_sync: Some(faulty.sync_points() + 1),
@@ -1403,10 +1548,16 @@ mod tests {
             .recv_timeout(std::time::Duration::from_secs(10))
             .expect("all requests must complete after an engine error");
         let failed = outcomes.iter().filter(|ok| !**ok).count();
-        assert!(failed >= 1, "the injected sync error must fail at least one request");
+        assert!(
+            failed >= 1,
+            "the injected sync error must fail at least one request"
+        );
 
         // The fault was one-shot: the worker still serves traffic.
-        let (req, w) = Request::sync(Op::Put { key: b"after".to_vec(), value: b"v".to_vec() });
+        let (req, w) = Request::sync(Op::Put {
+            key: b"after".to_vec(),
+            value: b"v".to_vec(),
+        });
         worker.queue.push(req).ok().unwrap();
         assert_eq!(w.wait().unwrap(), Response::Done);
         worker.shutdown();
@@ -1420,7 +1571,16 @@ mod tests {
         let mut scans = ScanTable::default();
         let mut batch = put_batch(8);
         let cap_before = batch.capacity();
-        execute_batch(&engine, &mut batch, &stats, &mut scratch, &mut scans, &test_config(), None, None);
+        execute_batch(
+            &engine,
+            &mut batch,
+            &stats,
+            &mut scratch,
+            &mut scans,
+            &test_config(),
+            None,
+            None,
+        );
         assert!(batch.is_empty(), "batch is drained, not consumed");
         assert_eq!(batch.capacity(), cap_before, "allocation is retained");
     }
@@ -1521,9 +1681,11 @@ mod tests {
         assert!(stats.avg_batch_size() >= 1.0);
     }
 
-    /// Drives one chunk through the worker queue, returning the entries
-    /// and the continuation cursor (if any).
-    fn pull_chunk(worker: &WorkerHandle, op: Op) -> (Vec<(Vec<u8>, Vec<u8>)>, Option<u64>) {
+    /// One scan chunk: its entries and the continuation cursor (if any).
+    type Chunk = (Vec<(Vec<u8>, Vec<u8>)>, Option<u64>);
+
+    /// Drives one chunk through the worker queue.
+    fn pull_chunk(worker: &WorkerHandle, op: Op) -> Chunk {
         let (req, c) = Request::sync(op);
         worker.queue.push(req).ok().unwrap();
         match c.wait().unwrap() {
@@ -1559,7 +1721,9 @@ mod tests {
 
         // Point ops are served while the cursor is parked: the scan does
         // not block the queue between chunks.
-        let (req, c) = Request::sync(Op::Get { key: b"k0".to_vec() });
+        let (req, c) = Request::sync(Op::Get {
+            key: b"k0".to_vec(),
+        });
         worker.queue.push(req).ok().unwrap();
         assert_eq!(c.wait().unwrap(), Response::Value(Some(b"0".to_vec())));
 

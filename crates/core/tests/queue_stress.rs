@@ -24,6 +24,7 @@ use std::time::Duration;
 
 use p2kvs::queue::{PushError, RequestQueue};
 use p2kvs::types::{Completion, Op, OpClass, Request, Response};
+use p2kvs_storage::IoChains;
 
 // ---------------------------------------------------------------------------
 // Counting allocator (active only on threads that opt in)
@@ -303,7 +304,8 @@ fn backpressure_bounds_depth() {
 // Zero-allocation steady state
 // ---------------------------------------------------------------------------
 
-/// The consumer loop — blocking batched pop with a reused `Vec` plus
+/// The consumer loop — blocking batched pop with a reused `Vec`, the
+/// overlapped-run guard a worker holds across a multi-shard run, and
 /// request completion — performs no heap allocation at all.
 #[test]
 fn consumer_steady_state_allocates_nothing() {
@@ -331,19 +333,23 @@ fn consumer_steady_state_allocates_nothing() {
     let mut batch: Vec<Request> = Vec::with_capacity(BATCH_MAX);
     // Warm up one iteration (first pop primes nothing today, but keep
     // the measurement honest against future lazy init).
+    let consume = |batch: &mut Vec<Request>| {
+        let mut chains = IoChains::enter();
+        for req in batch.drain(..) {
+            chains.next_chain();
+            req.finish(Ok(Response::Done));
+        }
+        chains.finish();
+    };
     assert!(queue.pop_batch_into(BATCH_MAX, &mut batch));
     let mut drained = batch.len();
-    for req in batch.drain(..) {
-        req.finish(Ok(Response::Done));
-    }
+    consume(&mut batch);
 
     ALLOCS.store(0, Ordering::Relaxed);
     COUNTING.with(|c| c.set(true));
     while queue.pop_batch_into(BATCH_MAX, &mut batch) {
         drained += batch.len();
-        for req in batch.drain(..) {
-            req.finish(Ok(Response::Done));
-        }
+        consume(&mut batch);
     }
     COUNTING.with(|c| c.set(false));
 

@@ -3,6 +3,7 @@
 //! recovery, async interface, and portability (LevelDB mode, WiredTiger).
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use p2kvs::engine::{Capabilities, EngineFactory, GsnFilter, KvellFactory, LsmFactory, WtFactory};
 use p2kvs::{KvsEngine, MetricsSnapshot, P2Kvs, P2KvsOptions, WriteOp};
@@ -1997,4 +1998,218 @@ fn requests_stashed_during_a_migration_are_observed_like_any_other() {
     let shard_busy: u128 = stats.shards.iter().map(|s| s.busy.as_nanos()).sum();
     assert_eq!(worker_busy, shard_busy);
     assert_eq!(stats.migrations, 1);
+}
+
+/// A store over a device whose reads cost `read` each and whose writes
+/// and syncs are free, with no block cache and no read cache: every
+/// `get_many` reads one block per shard it touches.
+fn slow_read_store(
+    dir: &str,
+    mut opts: P2KvsOptions,
+    read: Duration,
+) -> (P2Kvs<lsmkv::Db>, EnvRef) {
+    let mut profile = p2kvs_storage::DeviceProfile::nvme_optane();
+    profile.read_latency = read;
+    profile.read_bw = u64::MAX;
+    profile.write_latency = Duration::ZERO;
+    profile.write_bw = u64::MAX;
+    profile.sync_latency = Duration::ZERO;
+    let env: EnvRef = Arc::new(p2kvs_storage::SimEnv::with_profile(profile));
+    let mut engine = lsmkv::Options::rocksdb_like(env.clone());
+    engine.block_cache_size = 0;
+    opts.pin_workers = false;
+    opts.cache_capacity = 0;
+    let store = P2Kvs::open(LsmFactory::new(engine), dir, opts).unwrap();
+    (store, env)
+}
+
+/// 64 keys (their own values), flushed to one table per shard.
+fn load_flushed(store: &P2Kvs<lsmkv::Db>) -> Vec<Vec<u8>> {
+    let keys: Vec<Vec<u8>> = (0..64).map(|i| format!("ov-{i:02}").into_bytes()).collect();
+    for k in &keys {
+        store.put(k, k).unwrap();
+    }
+    for e in store.engines() {
+        e.flush().unwrap();
+    }
+    keys
+}
+
+fn overlap_saved(store: &P2Kvs<lsmkv::Db>) -> Duration {
+    store
+        .snapshot()
+        .workers
+        .iter()
+        .map(|w| w.io_overlap_saved)
+        .sum()
+}
+
+#[test]
+fn a_worker_overlaps_the_reads_of_the_shards_in_one_drained_run() {
+    // One worker owns four shards. Each `get_many` below (32 keys, one
+    // OBM run) reads one block per shard; the worker runs the four groups
+    // as overlapped chains and pays one read latency per call, not four.
+    const READ: Duration = Duration::from_millis(5);
+    const CALLS: u32 = 4;
+    let mut opts = P2KvsOptions::with_workers(1);
+    opts.shards = 4;
+    let (store, _env) = slow_read_store("p2-overlap", opts, READ);
+    let keys = load_flushed(&store);
+    let (call, want): (&[Vec<u8>], Vec<_>) =
+        (&keys[..32], keys[..32].iter().cloned().map(Some).collect());
+    // Warm-up: opens every table. The single-shard `get` returns only
+    // after the warm-up's wait is paid, and the pause lets the worker
+    // park, so each call's entries drain as one run.
+    assert_eq!(store.get_many(call).unwrap(), want);
+    store.get(&keys[0]).unwrap();
+    std::thread::sleep(Duration::from_millis(1));
+    let before = store.snapshot();
+    let t0 = std::time::Instant::now();
+    for _ in 0..CALLS {
+        assert_eq!(store.get_many(call).unwrap(), want);
+    }
+    // Queued behind the last call's wait, then one read of its own.
+    store.get(&keys[0]).unwrap();
+    let elapsed = t0.elapsed();
+    // The worker books a group's busy time just after its reply leaves;
+    // once it has, worker busy time is exactly the sum of its shards', the
+    // runs' one waits included.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let after = loop {
+        let s = store.snapshot();
+        if s.workers[0].busy == s.shards.iter().map(|sh| sh.busy).sum::<Duration>() {
+            break s;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "worker busy never matched its shards'"
+        );
+        std::thread::yield_now();
+    };
+    assert!(
+        after
+            .shards
+            .iter()
+            .zip(&before.shards)
+            .all(|(a, b)| a.ops > b.ops),
+        "the calls touch every shard"
+    );
+    // CALLS + 1 latencies overlapped; 4 × CALLS + 1 serially.
+    assert!(elapsed < 2 * (CALLS + 1) * READ, "{elapsed:?}");
+    let saved = after.workers[0].io_overlap_saved - before.workers[0].io_overlap_saved;
+    assert!(saved >= CALLS * READ, "saved {saved:?}");
+    // The one wait per run is busy time, on the worker and on the shards:
+    // at least one latency per call (less the sleep credit the device
+    // model carries, at most 2 ms).
+    let busy = after.workers[0].busy - before.workers[0].busy;
+    assert!(busy >= CALLS * READ - READ / 2, "busy {busy:?}");
+    let shard_busy: Duration = after
+        .shards
+        .iter()
+        .zip(&before.shards)
+        .map(|(a, b)| a.busy - b.busy)
+        .sum();
+    assert!(
+        shard_busy >= CALLS * READ - READ / 2,
+        "shard busy {shard_busy:?}"
+    );
+    // The saving is exported and introspectable.
+    let total = after.workers[0].io_overlap_saved;
+    assert_eq!(
+        store
+            .metrics_snapshot()
+            .gauge("p2kvs_worker_io_overlap_saved_seconds_total{worker=\"0\"}"),
+        Some(total.as_secs_f64())
+    );
+    assert_eq!(store.introspect().workers[0].io_overlap_saved, total);
+}
+
+#[test]
+fn under_the_paper_layout_a_get_many_never_overlaps_inside_a_worker() {
+    // One shard per worker: every drained run is one group.
+    let (store, _env) = slow_read_store(
+        "p2-overlap-paper",
+        P2KvsOptions::paper_layout(4),
+        Duration::from_millis(1),
+    );
+    let keys = load_flushed(&store);
+    let want: Vec<_> = keys.iter().cloned().map(Some).collect();
+    for _ in 0..3 {
+        assert_eq!(store.get_many(&keys).unwrap(), want);
+    }
+    store.get(&keys[0]).unwrap();
+    assert_eq!(overlap_saved(&store), Duration::ZERO);
+}
+
+#[test]
+fn scan_txn_and_backup_answer_alike_with_and_without_overlapped_runs() {
+    // The same calls on a store whose worker overlaps multi-shard runs
+    // (timed device) and on one that never does (untimed env). Scans,
+    // cross-shard batches and backup markers are Solo runs: they never
+    // overlap, and they answer byte for byte alike.
+    let layout = || {
+        let mut opts = P2KvsOptions::with_workers(1);
+        opts.shards = 4;
+        opts
+    };
+    let (timed, timed_env) = slow_read_store("p2-solo", layout(), Duration::from_millis(1));
+    let untimed_env: EnvRef = Arc::new(MemEnv::new());
+    let mut engine = lsmkv::Options::rocksdb_like(untimed_env.clone());
+    engine.block_cache_size = 0;
+    let untimed = P2Kvs::open(
+        LsmFactory::new(engine),
+        "p2-solo",
+        P2KvsOptions {
+            pin_workers: false,
+            cache_capacity: 0,
+            ..layout()
+        },
+    )
+    .unwrap();
+    let run = |store: &P2Kvs<lsmkv::Db>, env: &EnvRef| {
+        let keys = load_flushed(store);
+        let scan = store.scan(b"", 100).unwrap();
+        let range = store.range(b"ov-10", b"ov-40").unwrap();
+        store
+            .write_batch(vec![
+                WriteOp::Put {
+                    key: keys[3].clone(),
+                    value: b"three".to_vec(),
+                },
+                WriteOp::Put {
+                    key: keys[40].clone(),
+                    value: b"forty".to_vec(),
+                },
+                WriteOp::Delete {
+                    key: keys[17].clone(),
+                },
+            ])
+            .unwrap();
+        let report = store.backup("p2-solo-bk").unwrap().wait().unwrap();
+        let dir = std::path::Path::new("p2-solo-bk");
+        let snaps: Vec<Vec<u8>> = env
+            .list_dir(dir)
+            .unwrap()
+            .into_iter()
+            .filter(|name| name.to_string_lossy().ends_with(".snap"))
+            .map(|name| p2kvs_storage::env::read_all(&**env, &dir.join(name)).unwrap())
+            .collect();
+        let solo_saved = overlap_saved(store);
+        let reads = store.get_many(&keys).unwrap();
+        (
+            (scan, range, report.entries, report.bytes, snaps, reads),
+            solo_saved,
+        )
+    };
+    let (timed_out, timed_solo_saved) = run(&timed, &timed_env);
+    let (untimed_out, _) = run(&untimed, &untimed_env);
+    assert_eq!(timed_out, untimed_out);
+    assert_eq!(timed_out.0.len(), 64);
+    assert_eq!(timed_out.4.len(), 4);
+    assert_eq!(timed_solo_saved, Duration::ZERO, "a Solo run overlapped");
+    // The final multi-shard read did overlap on the timed store only
+    // (this `get` queues behind the wait that run closes with).
+    timed.get(b"ov-00").unwrap();
+    assert!(overlap_saved(&timed) > Duration::ZERO);
+    assert_eq!(overlap_saved(&untimed), Duration::ZERO);
 }

@@ -47,6 +47,18 @@
 //! by a plugged read is only "on the host" once the guard is dropped:
 //! reads that depend on it belong after the unplug.
 //!
+//! # Overlapped chains
+//!
+//! A caller about to run several *independent sequences* of I/O — a
+//! worker executing one engine call per shard of a drained batch — holds
+//! an [`IoChains`] run across them and starts a new chain before each
+//! sequence. Every op is still reserved on its queue exactly as above, and
+//! within a chain waits add up as they do without the run (an inner
+//! [`IoPlug`] overlaps only its own reads), but a chain's waits are owed
+//! by the chain, not slept: the run charges the thread once, for the chain
+//! that ends last. This is the schedule of a thread that submits every
+//! sequence's I/O before it waits (an io_uring / libaio loop).
+//!
 //! Profiles are calibrated to the paper's testbed (§5.1): HDD ≈ 0.2 GB/s
 //! and ~8 ms seeks; SATA SSD ≈ 0.5 GB/s; Optane 905p ≈ 2.2 GB/s write /
 //! 2.6 GB/s read with ~10 µs access latency.
@@ -207,11 +219,15 @@ thread_local! {
     static PLUG_DEPTH: Cell<u32> = const { Cell::new(0) };
     /// Latest completion among the reads submitted under the current plug.
     static PLUG_DEADLINE: Cell<Option<Instant>> = const { Cell::new(None) };
+    /// Wait owed by the current chain of an [`IoChains`] run, ns; `None`
+    /// when no run is open on this thread.
+    static CHAIN_LAG: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
 /// A thread-scoped submission batch. While one is held, [`DeviceModel::read`]
 /// on this thread submits without waiting; dropping the outermost guard
-/// waits once, for the read that completes last. Guards nest (an inner
+/// waits once, for the read that completes last (under an [`IoChains`]
+/// run, that wait goes to the current chain). Guards nest (an inner
 /// guard neither waits nor resets the batch) and are ambient like
 /// [`crate::QueueScope`]: code between the caller and the device needs no
 /// plumbing. Environments without a device model ignore it.
@@ -244,8 +260,105 @@ impl Drop for IoPlug {
         }
         if let Some(deadline) = PLUG_DEADLINE.with(Cell::take) {
             let wait = deadline.saturating_duration_since(Instant::now());
-            DeviceModel::charge_wait(wait.as_nanos() as i64);
+            DeviceModel::owe(wait.as_nanos() as u64);
         }
+    }
+}
+
+/// A thread-scoped run of independent I/O chains. While one is held, the
+/// wait of every device op on this thread — and of every outermost
+/// [`IoPlug`] dropped — is added to the current chain's lag instead of the
+/// thread's sleep debt; the ops themselves are reserved on their queues
+/// exactly as without the run. [`IoChains::next_chain`] closes the current
+/// chain as ending at `now + lag`; [`IoChains::finish`] (or the drop)
+/// charges the thread once, for the chain that ends last. Runs do not nest.
+/// Environments without a device model ignore it.
+///
+/// A chain must not act on another chain's results: each is one
+/// dependent sequence whose data is "on the host" only at its own end.
+///
+/// Without a run, a wait of 200 µs or more is slept before the
+/// op returns; under one, every wait — syncs and seeks included — is
+/// deferred to the run's end. Whatever a chain's caller does between an
+/// op and the run's end (a worker sends its replies) can therefore lead
+/// the op's modelled completion by up to the longest chain's lag: tens of
+/// µs on the NVMe profile, one sync or seek latency or more (400 µs to
+/// 8 ms) on the SATA and HDD profiles.
+pub struct IoChains {
+    /// Latest end among the closed chains.
+    end: Option<Instant>,
+    /// Sum of the closed chains' lags, ns.
+    lag_ns: u64,
+    /// Tied to the thread whose run it opened.
+    _thread: PhantomData<*const ()>,
+}
+
+/// What closing an [`IoChains`] run charged its thread.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ChainsCharge {
+    /// The one wait charged: latest chain end − now, ns.
+    pub charged_ns: u64,
+    /// Device wait the overlap saved: the chains' summed lags − `charged_ns`.
+    pub saved_ns: u64,
+}
+
+impl IoChains {
+    /// Opens a run on the calling thread; its first chain starts now.
+    pub fn enter() -> IoChains {
+        let outer = CHAIN_LAG.with(|l| l.replace(Some(0)));
+        debug_assert!(outer.is_none(), "IoChains runs do not nest");
+        IoChains {
+            end: None,
+            lag_ns: 0,
+            _thread: PhantomData,
+        }
+    }
+
+    /// Closes the current chain and starts the next one.
+    pub fn next_chain(&mut self) {
+        let lag = CHAIN_LAG.with(|l| l.replace(Some(0))).unwrap_or(0);
+        if lag > 0 {
+            self.close(lag, Instant::now());
+        }
+    }
+
+    /// Closes the run: charges the thread once, for the latest chain end.
+    pub fn finish(mut self) -> ChainsCharge {
+        self.settle()
+    }
+
+    /// Folds a chain that owed `lag` ns, closed at `now`, into the run.
+    fn close(&mut self, lag: u64, now: Instant) {
+        let end = now + Duration::from_nanos(lag);
+        self.end = Some(self.end.map_or(end, |e| e.max(end)));
+        self.lag_ns += lag;
+    }
+
+    fn settle(&mut self) -> ChainsCharge {
+        // `None` once settled: a drop after `finish` charges nothing.
+        let lag = CHAIN_LAG.with(Cell::take).unwrap_or(0);
+        if lag == 0 && self.end.is_none() {
+            return ChainsCharge::default();
+        }
+        let now = Instant::now();
+        if lag > 0 {
+            self.close(lag, now);
+        }
+        let charged = self
+            .end
+            .take()
+            .map_or(0, |e| e.saturating_duration_since(now).as_nanos() as u64);
+        DeviceModel::charge_wait(charged as i64);
+        ChainsCharge {
+            charged_ns: charged,
+            saved_ns: self.lag_ns.saturating_sub(charged),
+        }
+    }
+}
+
+impl Drop for IoChains {
+    fn drop(&mut self) {
+        self.settle();
     }
 }
 
@@ -361,7 +474,7 @@ impl DeviceModel {
             .fetch_add(service.as_nanos() as u64, Ordering::Relaxed);
         // Capacity consumed on this queue's timeline: the queue works on up
         // to `queue_depth` IOs at once.
-        let depth = self.profile.queue_depth.min(64).max(1) as u32;
+        let depth = self.profile.queue_depth.clamp(1, 64) as u32;
         let occupancy_ns = (svc.as_nanos() as u64 / u64::from(depth)).max(1);
         let now_ns = self.epoch.elapsed().as_nanos() as u64;
         // start = max(now, free_at); free_at' = start + occupancy.
@@ -387,9 +500,18 @@ impl DeviceModel {
     /// wait. Returns the model service time (for busy accounting).
     fn occupy(&self, queue: QueueId, service: Duration) -> Duration {
         if let Some((now_ns, completes)) = self.reserve(queue, service) {
-            Self::charge_wait(completes.saturating_sub(now_ns) as i64);
+            Self::owe(completes.saturating_sub(now_ns));
         }
         service
+    }
+
+    /// Charges a wait of `wait_ns`: to the current chain under an
+    /// [`IoChains`] run, else to the thread's sleep debt.
+    fn owe(wait_ns: u64) {
+        let chained = CHAIN_LAG.with(|l| l.get().map(|lag| l.set(Some(lag + wait_ns))));
+        if chained.is_none() {
+            Self::charge_wait(wait_ns as i64);
+        }
     }
 
     /// Adds `wait_ns` to the caller's sleep debt, sleeping it off in
@@ -524,7 +646,10 @@ mod tests {
             (seq, t0.elapsed())
         });
         assert!(rnd > seq, "random {rnd:?} should exceed sequential {seq:?}");
-        assert!(rnd >= Duration::from_millis(25), "4 seeks ≈ 32ms, got {rnd:?}");
+        assert!(
+            rnd >= Duration::from_millis(25),
+            "4 seeks ≈ 32ms, got {rnd:?}"
+        );
     }
 
     #[test]
@@ -564,7 +689,11 @@ mod tests {
         for h in hs {
             h.join().unwrap();
         }
-        assert!(start.elapsed() >= Duration::from_millis(35), "{:?}", start.elapsed());
+        assert!(
+            start.elapsed() >= Duration::from_millis(35),
+            "{:?}",
+            start.elapsed()
+        );
     }
 
     #[test]
@@ -587,7 +716,11 @@ mod tests {
             h.join().unwrap();
         }
         // 8 IOs over 8 channels ≈ 5–10 ms, far less than serialized 40 ms.
-        assert!(start.elapsed() < Duration::from_millis(30), "{:?}", start.elapsed());
+        assert!(
+            start.elapsed() < Duration::from_millis(30),
+            "{:?}",
+            start.elapsed()
+        );
     }
 
     #[test]
@@ -739,6 +872,184 @@ mod tests {
             }
             assert_eq!(DeviceModel::thread_debt_ns(), 0);
             assert_eq!(m.queue_snapshot(0).submitted, 100);
+        })
+        .join()
+        .unwrap();
+    }
+
+    /// 4 KiB on the Optane profile: 9.5 µs of service, 1.19 µs of
+    /// occupancy on the depth-8 queue.
+    const READ_4K_NS: u64 = 9_502;
+    const READ_4K_OCCUPANCY_NS: u64 = READ_4K_NS / 8;
+
+    #[test]
+    fn one_chain_is_never_charged_less_than_its_reads_in_sequence() {
+        let run = |chained: bool| {
+            std::thread::spawn(move || {
+                let m = no_scale(DeviceProfile::nvme_optane());
+                let chains = chained.then(IoChains::enter);
+                for i in 0..4 {
+                    m.read(3, i * 4096, 4096, 0);
+                }
+                if chained {
+                    assert_eq!(DeviceModel::thread_debt_ns(), 0, "charged inside the run");
+                }
+                let charge = chains.map(IoChains::finish);
+                (DeviceModel::thread_debt_ns() as u64, charge)
+            })
+            .join()
+            .unwrap()
+        };
+        let (serial, _) = run(false);
+        let (chained, charge) = run(true);
+        let charge = charge.expect("the run was closed");
+        assert_eq!(
+            charge.charged_ns, chained,
+            "charged once, below the sleep threshold"
+        );
+        assert_eq!(charge.saved_ns, 0, "one chain overlaps nothing");
+        assert!(serial >= 4 * READ_4K_NS, "{serial}");
+        assert!(chained >= 4 * READ_4K_NS, "{chained}");
+        // Both owe the same four waits, up to how much of the queue's
+        // backlog each read found: at most 0 + 1 + 2 + 3 occupancies.
+        assert!(
+            chained + 6 * READ_4K_OCCUPANCY_NS >= serial,
+            "{chained} vs {serial}"
+        );
+    }
+
+    #[test]
+    fn one_read_chains_cost_one_latency_plus_occupancies() {
+        const K: u64 = 8;
+        let run = |chained: bool| {
+            std::thread::spawn(move || {
+                let m = no_scale(DeviceProfile::nvme_optane());
+                let mut chains = chained.then(IoChains::enter);
+                for i in 0..K {
+                    if let Some(c) = chains.as_mut() {
+                        c.next_chain();
+                    }
+                    m.read(3, i * 4096, 4096, 0);
+                }
+                let charge = chains.map(IoChains::finish);
+                (
+                    DeviceModel::thread_debt_ns() as u64,
+                    charge,
+                    m.queue_snapshot(0),
+                )
+            })
+            .join()
+            .unwrap()
+        };
+        let (serial, _, serial_q) = run(false);
+        let (chained, charge, chained_q) = run(true);
+        let charge = charge.expect("the run was closed");
+        assert!(serial >= K * READ_4K_NS, "{serial}");
+        assert_eq!(charge.charged_ns, chained);
+        assert!(chained >= READ_4K_NS, "{chained}");
+        assert!(
+            chained <= READ_4K_NS + (K - 1) * READ_4K_OCCUPANCY_NS,
+            "{chained}"
+        );
+        assert!(charge.saved_ns >= (K - 1) * READ_4K_NS - (K - 1) * READ_4K_OCCUPANCY_NS);
+        assert_eq!(
+            (chained_q.submitted, chained_q.busy_ns),
+            (serial_q.submitted, serial_q.busy_ns)
+        );
+    }
+
+    #[test]
+    fn a_plug_inside_a_chain_advances_only_that_chain() {
+        const SVC_NS: u64 = 1_000_000;
+        // Slack for the clock reads between one op and the next.
+        const SLACK_NS: u64 = 200_000;
+        let mut profile = DeviceProfile::nvme_optane();
+        profile.read_latency = Duration::from_nanos(SVC_NS);
+        profile.read_bw = u64::MAX;
+        profile.queue_depth = 64;
+        // Chain 1: two plugged reads, then one that depends on them.
+        // Chain 2: one independent read.
+        let ops = |m: &DeviceModel, chains: &mut Option<IoChains>| {
+            {
+                let _plug = IoPlug::enter();
+                m.read(1, 0, 64, 0);
+                m.read(1, 64, 64, 0);
+            }
+            m.read(1, 128, 64, 0);
+            if let Some(c) = chains.as_mut() {
+                c.next_chain();
+            }
+            m.read(2, 0, 64, 0);
+        };
+        let serial = std::thread::spawn(move || {
+            let m = no_scale(profile);
+            let t0 = Instant::now();
+            ops(&m, &mut None);
+            // Slept plus still owed: at least every wait charged.
+            t0.elapsed().as_nanos() as i64 + DeviceModel::thread_debt_ns()
+        })
+        .join()
+        .unwrap();
+        assert!(serial as u64 >= 3 * SVC_NS - SLACK_NS, "{serial}");
+        let charge = std::thread::spawn(move || {
+            let m = no_scale(profile);
+            let mut chains = Some(IoChains::enter());
+            ops(&m, &mut chains);
+            assert_eq!(
+                DeviceModel::thread_debt_ns(),
+                0,
+                "the unplug charged the thread"
+            );
+            chains.take().unwrap().finish()
+        })
+        .join()
+        .unwrap();
+        // The dependent read starts after the plug's deadline...
+        assert!(charge.charged_ns >= 2 * SVC_NS - SLACK_NS, "{charge:?}");
+        // ...and chain 2 overlaps chain 1 instead of following it.
+        assert!(charge.charged_ns < 2 * SVC_NS + SVC_NS / 2, "{charge:?}");
+        assert!(charge.saved_ns >= SVC_NS - SLACK_NS, "{charge:?}");
+    }
+
+    #[test]
+    fn a_run_without_device_time_charges_nothing() {
+        std::thread::spawn(|| {
+            let idle = IoChains::enter();
+            assert_eq!(idle.finish(), ChainsCharge::default());
+            let m = no_scale(DeviceProfile::instant());
+            for chained in [false, true] {
+                let mut chains = chained.then(IoChains::enter);
+                for i in 0..4 {
+                    if let Some(c) = chains.as_mut() {
+                        c.next_chain();
+                    }
+                    m.read(1, i * 4096, 4096, 0);
+                    m.write(2, i * 64, 64, 0);
+                    m.sync(0);
+                }
+                let charge = chains.map(IoChains::finish).unwrap_or_default();
+                assert_eq!(charge, ChainsCharge::default());
+                assert_eq!(DeviceModel::thread_debt_ns(), 0);
+            }
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn dropping_a_run_charges_it_like_finishing_it() {
+        std::thread::spawn(|| {
+            let m = no_scale(DeviceProfile::nvme_optane());
+            {
+                let _chains = IoChains::enter();
+                m.read(3, 0, 4096, 0);
+                assert_eq!(DeviceModel::thread_debt_ns(), 0);
+            }
+            assert!(DeviceModel::thread_debt_ns() as u64 >= READ_4K_NS);
+            // The run is closed: the next read is charged on the spot.
+            let before = DeviceModel::thread_debt_ns();
+            m.read(3, 4096, 4096, 0);
+            assert!(DeviceModel::thread_debt_ns() > before);
         })
         .join()
         .unwrap();

@@ -31,7 +31,7 @@ pub mod sim;
 pub mod stats;
 pub mod stdfs;
 
-pub use device::{DeviceModel, DeviceProfile, IoPlug, QueueDepthSnapshot};
+pub use device::{ChainsCharge, DeviceModel, DeviceProfile, IoChains, IoPlug, QueueDepthSnapshot};
 pub use env::{Env, FaultHook, RandomAccessFile, RandomRwFile, SequentialFile, WritableFile};
 pub use fault::{FaultEvent, FaultPlan, FaultyEnv};
 pub use ioqueue::{

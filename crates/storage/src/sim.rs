@@ -72,7 +72,7 @@ impl SimEnv {
     pub fn queue_utilization(&self) -> Vec<f64> {
         let snap = self.io_stats();
         let wall = self.created.elapsed().as_nanos() as f64;
-        let depth = self.profile().queue_depth.min(64).max(1) as f64;
+        let depth = self.profile().queue_depth.clamp(1, 64) as f64;
         (0..self.device.queue_count())
             .map(|q| {
                 if wall == 0.0 {
@@ -276,6 +276,49 @@ mod tests {
         assert_eq!(plugged_io, serial_io);
         assert_eq!(plugged_io.read_ops, 8);
         assert_eq!(plugged_q, serial_q);
+    }
+
+    #[test]
+    fn chained_io_accounts_like_unchained_io() {
+        // Overlapping chains changes when the caller waits, never what the
+        // device or the env counted: reads (plugged and not), appends and
+        // syncs on both queues.
+        let run = |chained: bool| {
+            let env = SimEnv::with_profile(DeviceProfile::nvme_optane().with_queues(2));
+            write_all(&env, Path::new("t.sst"), &[7u8; 64 << 10]).unwrap();
+            let file = env.new_random_access(Path::new("t.sst")).unwrap();
+            let before = env.io_stats();
+            let mut buf = [0u8; 4096];
+            let mut chains = chained.then(crate::IoChains::enter);
+            for chain in 0..4u64 {
+                if let Some(c) = chains.as_mut() {
+                    c.next_chain();
+                }
+                {
+                    let _plug = crate::IoPlug::enter();
+                    file.read_at(chain * 8192, &mut buf).unwrap();
+                    file.read_at(chain * 8192 + 4096, &mut buf).unwrap();
+                }
+                file.read_at(chain * 4096, &mut buf).unwrap();
+                assert_eq!(buf, [7u8; 4096], "chained reads return their data");
+                let mut w = env
+                    .new_writable_on(Path::new(&format!("c{chain}.log")), chain as usize % 2)
+                    .unwrap();
+                w.append(&[1u8; 100]).unwrap();
+                w.sync().unwrap();
+            }
+            drop(chains);
+            let queues = [env.queue_snapshot(0), env.queue_snapshot(1)];
+            (
+                env.io_stats().delta(&before),
+                queues.map(|q| (q.submitted, q.busy_ns)),
+            )
+        };
+        let (serial_io, serial_q) = run(false);
+        let (chained_io, chained_q) = run(true);
+        assert_eq!(chained_io, serial_io);
+        assert_eq!((chained_io.read_ops, chained_io.syncs), (12, 4));
+        assert_eq!(chained_q, serial_q);
     }
 
     #[test]
