@@ -10,7 +10,7 @@
 //! Scale op counts with `P2KVS_SCALE` (e.g. `P2KVS_SCALE=0.2` for a quick
 //! pass).
 
-use p2kvs_bench::{artifact, figures};
+use p2kvs_bench::{artifact, figures, workload};
 
 fn run(id: &str) -> bool {
     let t0 = std::time::Instant::now();
@@ -44,7 +44,14 @@ fn run(id: &str) -> bool {
         }
     }
     println!("[{id} done in {:.1}s]", t0.elapsed().as_secs_f64());
-    true
+    // A table whose rows counted failed calls measured nothing.
+    match workload::take_failed_calls() {
+        0 => true,
+        failed => {
+            eprintln!("{id}: {failed} calls failed");
+            false
+        }
+    }
 }
 
 const ALL: &[&str] = &[

@@ -30,7 +30,8 @@ use p2kvs::{P2Kvs, P2KvsOptions};
 
 use crate::artifact::{Fields, Report, Value};
 use crate::setups::{self, Sample};
-use crate::skew::{self, Zipf};
+use crate::skew;
+use crate::workload::Zipf;
 
 /// Worker threads every configuration runs.
 pub const WORKERS: usize = 4;

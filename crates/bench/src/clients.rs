@@ -1,24 +1,36 @@
-//! [`KvClient`] adapters: the same YCSB bytes drive every system.
+//! [`KvClient`]s beyond the blanket engine one: the same YCSB bytes
+//! drive every system.
 
 use std::sync::Arc;
 
 use lsmkv::{Db, WriteOptions};
 use p2kvs::{KvsEngine, P2Kvs};
 use p2kvs_util::hash::fnv1a64;
-use ycsb::KvClient;
+
+use crate::workload::KvClient;
 
 /// A single shared engine instance accessed directly by user threads —
 /// the paper's "RocksDB" / "LevelDB" / "PebblesDB" baselines.
 pub struct LsmClient {
     /// The instance.
     pub db: Arc<Db>,
+    /// What every insert writes with (Fig 8 drops the WAL or the MemTable).
+    pub wo: WriteOptions,
+}
+
+impl LsmClient {
+    /// `db`, written with default options.
+    pub fn new(db: Db) -> LsmClient {
+        LsmClient {
+            db: Arc::new(db),
+            wo: WriteOptions::default(),
+        }
+    }
 }
 
 impl KvClient for LsmClient {
     fn insert(&self, key: &[u8], value: &[u8]) -> Result<(), String> {
-        self.db
-            .put(&WriteOptions::default(), key, value)
-            .map_err(|e| e.to_string())
+        self.db.put(&self.wo, key, value).map_err(|e| e.to_string())
     }
 
     fn read(&self, key: &[u8]) -> Result<Option<Vec<u8>>, String> {
@@ -40,6 +52,8 @@ impl KvClient for LsmClient {
 pub struct MultiLsmClient {
     /// The instances.
     pub dbs: Vec<Arc<Db>>,
+    /// What every insert writes with.
+    pub wo: WriteOptions,
 }
 
 impl MultiLsmClient {
@@ -51,7 +65,7 @@ impl MultiLsmClient {
 impl KvClient for MultiLsmClient {
     fn insert(&self, key: &[u8], value: &[u8]) -> Result<(), String> {
         self.of(key)
-            .put(&WriteOptions::default(), key, value)
+            .put(&self.wo, key, value)
             .map_err(|e| e.to_string())
     }
 
@@ -102,52 +116,6 @@ impl<E: KvsEngine> KvClient for P2Client<E> {
     }
 }
 
-/// KVell (its own worker architecture; used standalone).
-pub struct KvellClient {
-    /// The store.
-    pub db: kvell::KvellDb,
-}
-
-impl KvClient for KvellClient {
-    fn insert(&self, key: &[u8], value: &[u8]) -> Result<(), String> {
-        self.db.put(key, value).map_err(|e| e.to_string())
-    }
-
-    fn read(&self, key: &[u8]) -> Result<Option<Vec<u8>>, String> {
-        self.db.get(key).map_err(|e| e.to_string())
-    }
-
-    fn scan(&self, key: &[u8], len: usize) -> Result<usize, String> {
-        self.db
-            .scan(key, len)
-            .map(|v| v.len())
-            .map_err(|e| e.to_string())
-    }
-}
-
-/// A single shared WiredTiger instance.
-pub struct WtClient {
-    /// The store.
-    pub db: Arc<wtiger::WtDb>,
-}
-
-impl KvClient for WtClient {
-    fn insert(&self, key: &[u8], value: &[u8]) -> Result<(), String> {
-        self.db.put(key, value).map_err(|e| e.to_string())
-    }
-
-    fn read(&self, key: &[u8]) -> Result<Option<Vec<u8>>, String> {
-        self.db.get(key).map_err(|e| e.to_string())
-    }
-
-    fn scan(&self, key: &[u8], len: usize) -> Result<usize, String> {
-        self.db
-            .scan(key, len)
-            .map(|v| v.len())
-            .map_err(|e| e.to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,6 +148,7 @@ mod tests {
         let wt = setups::wiredtiger_single(env, "c5");
         wt.insert(b"m", b"n").unwrap();
         assert_eq!(wt.read(b"m").unwrap().unwrap(), b"n");
+        assert_eq!(KvClient::scan(&wt, b"a", 10).unwrap(), 1);
     }
 
     #[test]

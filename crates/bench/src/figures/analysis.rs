@@ -6,11 +6,11 @@ use std::time::{Duration, Instant};
 
 use lsmkv::{Db, WriteBatch, WriteOptions};
 use p2kvs_storage::{DeviceProfile, Env as _};
-use ycsb::micro::MicroKind;
-use ycsb::KvClient;
 
-use crate::figures::{drive_micro, preload};
-use crate::setups::{self, bench_options};
+use crate::clients::{LsmClient, MultiLsmClient};
+use crate::setups::{self, bench_options, value_of};
+use crate::workload::MicroKind::{FillRandom, FillSeq, Overwrite, ReadRandom};
+use crate::workload::{drive, hashed_key, load, Micro, Run};
 use crate::{kqps, print_table, scaled};
 
 /// Fig 1: RocksDB throughput on HDD vs SATA SSD vs NVMe SSD, 1 and 8 user
@@ -35,17 +35,17 @@ pub fn fig1() {
             };
             let mut qps = Vec::new();
             // Write workloads on fresh DBs.
-            for kind in [
-                MicroKind::FillSeq,
-                MicroKind::FillRandom,
-                MicroKind::Overwrite,
-            ] {
+            for kind in [FillSeq, FillRandom, Overwrite] {
                 let env = setups::device_env(profile);
                 let client = setups::rocksdb_single(env, &format!("f1-{}-w", profile.name));
                 if kind.needs_load() {
-                    preload(&client, w_ops, 128);
+                    load(&client, w_ops, 128).expect("preload");
                 }
-                let r = drive_micro(&client, kind, w_ops, w_ops, 128, threads, false, 0);
+                let r = drive(
+                    &client,
+                    &Micro::new(kind, w_ops, 128),
+                    Run::new(threads, w_ops, false),
+                );
                 qps.push(r.qps());
             }
             // Read workloads share one loaded DB; a small block cache keeps
@@ -54,10 +54,9 @@ pub fn fig1() {
                 let env = setups::device_env(profile);
                 let mut opts = bench_options(env.clone());
                 opts.block_cache_size = 1 << 20;
-                let client = crate::clients::LsmClient {
-                    db: Arc::new(Db::open(opts, format!("f1-{}-r", profile.name)).unwrap()),
-                };
-                preload(&client, r_load, 128);
+                let client =
+                    LsmClient::new(Db::open(opts, format!("f1-{}-r", profile.name)).unwrap());
+                load(&client, r_load, 128).expect("preload");
                 client.db.flush().unwrap();
                 client.db.wait_idle().unwrap();
                 // readseq: cursor scans in key order (block locality).
@@ -75,15 +74,10 @@ pub fn fig1() {
                     cursor.push(0);
                 }
                 let readseq_qps = seq_entries as f64 / t0.elapsed().as_secs_f64();
-                let r = drive_micro(
+                let r = drive(
                     &client,
-                    MicroKind::ReadRandom,
-                    r_load,
-                    r_ops,
-                    128,
-                    threads,
-                    false,
-                    0,
+                    &Micro::new(ReadRandom, r_load, 128),
+                    Run::new(threads, r_ops, false),
                 );
                 qps.push(readseq_qps);
                 qps.push(r.qps());
@@ -123,10 +117,7 @@ pub fn fig1() {
 pub fn fig4() {
     println!("fig4: single-writer bandwidth/CPU timelines on NVMe");
     for (size, label) in [(128usize, "128B"), (1024, "1KB")] {
-        for (kind, kname) in [
-            (MicroKind::FillRandom, "random"),
-            (MicroKind::FillSeq, "sequential"),
-        ] {
+        for (kind, kname) in [(FillRandom, "random"), (FillSeq, "sequential")] {
             let env = setups::nvme_env();
             let client = setups::rocksdb_single(env.clone(), &format!("f4-{label}-{kname}"));
             let ops = scaled(if size == 128 { 120_000 } else { 40_000 });
@@ -163,7 +154,11 @@ pub fn fig4() {
                     rows
                 })
             };
-            let r = drive_micro(&client, kind, ops, ops, size, 1, false, 0);
+            let r = drive(
+                &client,
+                &Micro::new(kind, ops, size),
+                Run::new(1, ops, false),
+            );
             stop.store(true, Ordering::Relaxed);
             let mut rows = sampler.join().unwrap();
             let max_rows = 8;
@@ -184,7 +179,7 @@ pub fn fig4() {
                 r.ops,
                 kqps(r.qps()),
                 bw_frac * 100.0,
-                r.fg_busy.as_secs_f64() / r.elapsed.as_secs_f64() * 100.0
+                r.fg_busy().as_secs_f64() / r.elapsed.as_secs_f64() * 100.0
             );
         }
     }
@@ -199,6 +194,7 @@ pub fn fig5() {
     println!("fig5: concurrent fillrandom (128B) on NVMe");
     let threads_list = [1usize, 2, 4, 8, 16, 32];
     let ops = scaled(40_000);
+    let fill = Micro::new(FillRandom, ops, 128);
     let mut rows_a = Vec::new();
     let mut rows_b = Vec::new();
     let mut rows_c = Vec::new();
@@ -207,16 +203,7 @@ pub fn fig5() {
         let run_single = |pin: bool| {
             let env = setups::nvme_env();
             let client = setups::rocksdb_single(env.clone(), &format!("f5-s{threads}-{pin}"));
-            let r = drive_micro(
-                &client,
-                MicroKind::FillRandom,
-                ops,
-                ops,
-                128,
-                threads,
-                pin,
-                0,
-            );
+            let r = drive(&client, &fill, Run::new(threads, ops, pin));
             (r, env, client)
         };
         let (r_unpin, _, _) = run_single(false);
@@ -224,16 +211,7 @@ pub fn fig5() {
         // Multi-instance: one instance per thread.
         let env_m = setups::nvme_env();
         let multi = setups::rocksdb_multi(env_m, &format!("f5-m{threads}"), threads);
-        let r_multi = drive_micro(
-            &multi,
-            MicroKind::FillRandom,
-            ops,
-            ops,
-            128,
-            threads,
-            true,
-            0,
-        );
+        let r_multi = drive(&multi, &fill, Run::new(threads, ops, true));
         rows_a.push(vec![
             threads.to_string(),
             kqps(r_unpin.qps()),
@@ -255,7 +233,7 @@ pub fn fig5() {
             ),
         ]);
         // CPU utilizations.
-        let fg_util = r_pin.fg_busy.as_secs_f64() / secs / threads as f64;
+        let fg_util = r_pin.fg_busy().as_secs_f64() / secs / threads as f64;
         let bg_util = client_s.db.stats().bg_busy.sum_ns() as f64 / 1e9 / secs;
         rows_c.push(vec![
             threads.to_string(),
@@ -297,15 +275,10 @@ pub fn fig6() {
     for threads in [1usize, 2, 4, 8, 16, 32] {
         let env = setups::nvme_env();
         let client = setups::rocksdb_single(env, &format!("f6-{threads}"));
-        let _ = drive_micro(
+        drive(
             &client,
-            MicroKind::FillRandom,
-            ops,
-            ops,
-            128,
-            threads,
-            true,
-            0,
+            &Micro::new(FillRandom, ops, 128),
+            Run::new(threads, ops, true),
         );
         let snap = client.db.stats().breakdown.snapshot();
         let p = snap.percentages();
@@ -349,14 +322,14 @@ pub fn fig7() {
         let per_batch = (batch_bytes / 148).max(1); // 128B value + ~20B key
         let total_kvs = scaled(200_000);
         let batches = total_kvs / per_batch as u64;
-        let keys = ycsb::generator::KeySpace::hashed();
         let t0 = Instant::now();
         let mut busy = Duration::ZERO;
         let mut i = 0u64;
         for _ in 0..batches {
             let mut wb = WriteBatch::new();
             for _ in 0..per_batch {
-                wb.put(&keys.key(i), &keys.value(i, 128));
+                let key = hashed_key(i);
+                wb.put(&key, &value_of(&key, 128));
                 i += 1;
             }
             let t = Instant::now();
@@ -389,49 +362,6 @@ pub fn fig7() {
     );
 }
 
-/// A client that writes with custom [`WriteOptions`] (Fig 8 modes).
-struct ModeClient {
-    db: Arc<Db>,
-    wo: WriteOptions,
-}
-
-impl KvClient for ModeClient {
-    fn insert(&self, key: &[u8], value: &[u8]) -> Result<(), String> {
-        self.db.put(&self.wo, key, value).map_err(|e| e.to_string())
-    }
-    fn read(&self, key: &[u8]) -> Result<Option<Vec<u8>>, String> {
-        self.db.get(key).map_err(|e| e.to_string())
-    }
-    fn scan(&self, key: &[u8], len: usize) -> Result<usize, String> {
-        self.db
-            .scan(key, len)
-            .map(|v| v.len())
-            .map_err(|e| e.to_string())
-    }
-}
-
-/// Multi-instance variant of [`ModeClient`].
-struct MultiModeClient {
-    dbs: Vec<Arc<Db>>,
-    wo: WriteOptions,
-}
-
-impl KvClient for MultiModeClient {
-    fn insert(&self, key: &[u8], value: &[u8]) -> Result<(), String> {
-        let i = (p2kvs_util::hash::fnv1a64(key) % self.dbs.len() as u64) as usize;
-        self.dbs[i]
-            .put(&self.wo, key, value)
-            .map_err(|e| e.to_string())
-    }
-    fn read(&self, key: &[u8]) -> Result<Option<Vec<u8>>, String> {
-        let i = (p2kvs_util::hash::fnv1a64(key) % self.dbs.len() as u64) as usize;
-        self.dbs[i].get(key).map_err(|e| e.to_string())
-    }
-    fn scan(&self, _k: &[u8], len: usize) -> Result<usize, String> {
-        Ok(len)
-    }
-}
-
 /// Fig 8: WAL-only and MemTable-only thread scaling, single vs multi
 /// instance.
 ///
@@ -442,6 +372,7 @@ impl KvClient for MultiModeClient {
 pub fn fig8() {
     println!("fig8: WAL-only and MemTable-only scaling (128B)");
     let ops = scaled(40_000);
+    let fill = Micro::new(FillRandom, ops, 128);
     let threads_list = [1usize, 2, 4, 8, 16, 32];
     for (stage, skip_memtable, disable_wal) in [
         ("logging (WAL only)", true, false),
@@ -460,23 +391,19 @@ pub fn fig8() {
                 disable_wal,
                 ..WriteOptions::default()
             };
-            let env_s = setups::nvme_env();
-            let single = ModeClient {
-                db: Arc::new(Db::open(mk_opts(env_s), format!("f8-s-{stage}-{threads}")).unwrap()),
+            let single = LsmClient {
                 wo,
+                ..LsmClient::new(
+                    Db::open(
+                        mk_opts(setups::nvme_env()),
+                        format!("f8-s-{stage}-{threads}"),
+                    )
+                    .unwrap(),
+                )
             };
-            let r_single = drive_micro(
-                &single,
-                MicroKind::FillRandom,
-                ops,
-                ops,
-                128,
-                threads,
-                true,
-                0,
-            );
+            let r_single = drive(&single, &fill, Run::new(threads, ops, true));
             let env_m = setups::nvme_env();
-            let multi = MultiModeClient {
+            let multi = MultiLsmClient {
                 dbs: (0..threads)
                     .map(|i| {
                         Arc::new(
@@ -490,16 +417,7 @@ pub fn fig8() {
                     .collect(),
                 wo,
             };
-            let r_multi = drive_micro(
-                &multi,
-                MicroKind::FillRandom,
-                ops,
-                ops,
-                128,
-                threads,
-                true,
-                0,
-            );
+            let r_multi = drive(&multi, &fill, Run::new(threads, ops, true));
             rows.push(vec![
                 threads.to_string(),
                 kqps(r_single.qps()),

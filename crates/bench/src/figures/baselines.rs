@@ -1,16 +1,11 @@
 //! §5.5 comparison with KVell (Figs 20, 21).
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use p2kvs_storage::Env as _;
-use ycsb::micro::MicroKind;
-use ycsb::runner::{load_table, run_workload, RunConfig};
-use ycsb::workload::{Workload, WorkloadKind};
 
-use crate::figures::drive_micro;
 use crate::setups;
+use crate::workload::{drive, load, KvClient, Micro, MicroKind, Run, Workload, WorkloadKind};
 use crate::{kqps, print_table, scaled};
 
 fn spec(kind: WorkloadKind) -> Workload {
@@ -40,36 +35,18 @@ pub fn fig20() {
                 &format!("f20-k{workers}-{}", kind.name()),
                 workers,
             );
-            if kind != WorkloadKind::Load {
-                load_table(&kv, &s, 8).expect("kvell load");
-            }
-            let kv_qps = run_workload(
-                &kv,
-                &s,
-                &RunConfig {
-                    threads,
-                    rate_limit: 0,
-                },
-            )
-            .qps();
             let p2 = setups::p2kvs(
                 setups::nvme_env(),
                 &format!("f20-p{workers}-{}", kind.name()),
                 workers,
                 true,
             );
-            if kind != WorkloadKind::Load {
-                load_table(&p2, &s, 8).expect("p2 load");
-            }
-            let p2_qps = run_workload(
-                &p2,
-                &s,
-                &RunConfig {
-                    threads,
-                    rate_limit: 0,
-                },
-            )
-            .qps();
+            let [kv_qps, p2_qps] = [&kv as &dyn KvClient, &p2].map(|client| {
+                if kind != WorkloadKind::Load {
+                    load(client, s.record_count, s.value_size).expect("load phase");
+                }
+                drive(client, &s, Run::new(threads, s.op_count, false)).qps()
+            });
             cells.push(kqps(kv_qps));
             cells.push(format!("{} ({:.1}x)", kqps(p2_qps), p2_qps / kv_qps));
         }
@@ -92,35 +69,17 @@ pub fn fig21() {
     println!("fig21: hardware utilization under continuous fillrandom (128B)");
     let ops = scaled(100_000);
     let threads = 16;
+    let fill = Micro::new(MicroKind::FillRandom, ops, 128);
     let mut rows = Vec::new();
     // KVell-8.
     {
         let env = setups::nvme_env();
         let client = setups::kvell(env.clone(), "f21-kvell", 8);
-        let stop = Arc::new(AtomicBool::new(false));
-        let mem_max = {
-            let stop = stop.clone();
-            let db_mem = || client.db.mem_usage().unwrap_or(0);
-            // Sample memory in the driver thread after the run (KvellDb is
-            // not Send-shareable into the sampler easily); record final.
-            let _ = &stop;
-            db_mem
-        };
         let t0 = Instant::now();
-        let r = drive_micro(
-            &client,
-            MicroKind::FillRandom,
-            ops,
-            ops,
-            128,
-            threads,
-            false,
-            0,
-        );
+        let r = drive(&client, &fill, Run::new(threads, ops, false));
         let elapsed = t0.elapsed();
-        stop.store(true, Ordering::Relaxed);
         let io = env.io_stats();
-        let stats = client.db.stats();
+        let stats = client.stats();
         let busy: Duration = stats.worker_busy.iter().sum();
         let per_core = stats
             .worker_busy
@@ -134,7 +93,10 @@ pub fn fig21() {
                 "{:.1}",
                 io.total_bytes() as f64 / elapsed.as_secs_f64() / (1 << 20) as f64
             ),
-            format!("{:.1} MiB", mem_max() as f64 / (1 << 20) as f64),
+            format!(
+                "{:.1} MiB",
+                client.mem_usage().unwrap_or(0) as f64 / (1 << 20) as f64
+            ),
             format!("{:.0}%", busy.as_secs_f64() / elapsed.as_secs_f64() * 100.0),
             format!("{:.0}%", per_core * 100.0),
         ]);
@@ -144,16 +106,7 @@ pub fn fig21() {
         let env = setups::nvme_env();
         let client = setups::p2kvs(env.clone(), "f21-p2", 8, true);
         let t0 = Instant::now();
-        let r = drive_micro(
-            &client,
-            MicroKind::FillRandom,
-            ops,
-            ops,
-            128,
-            threads,
-            false,
-            0,
-        );
+        let r = drive(&client, &fill, Run::new(threads, ops, false));
         let elapsed = t0.elapsed();
         let io = env.io_stats();
         let snap = client.store.snapshot();

@@ -5,18 +5,17 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use p2kvs_storage::Env as _;
-use ycsb::generator::KeySpace;
-use ycsb::micro::MicroKind;
-use ycsb::KvClient;
 
-use crate::figures::{drive_micro, preload, DriveResult};
+use crate::clients::{LsmClient, P2Client};
 use crate::setups;
+use crate::workload::MicroKind::{FillRandom, ReadRandom};
+use crate::workload::{drive, load, ordered_key, KvClient, Micro, Run, RunResult};
 use crate::{kqps, print_table, scaled};
 
 /// One fig12/tab2 system run with resource sampling.
 struct SystemRun {
     name: &'static str,
-    result: DriveResult,
+    result: RunResult,
     io_written: u64,
     user_bytes: u64,
     bw_util: f64,
@@ -54,15 +53,10 @@ fn run_system(
         })
     };
     let cpu0 = p2kvs_util::timing::process_cpu_time();
-    let result = drive_micro(
+    let result = drive(
         client.as_kv(),
-        MicroKind::FillRandom,
-        ops,
-        ops,
-        128,
-        threads,
-        false,
-        0,
+        &Micro::new(FillRandom, ops, 128),
+        Run::new(threads, ops, false),
     );
     let cpu_used = p2kvs_util::timing::process_cpu_time() - cpu0;
     stop.store(true, Ordering::Relaxed);
@@ -72,7 +66,7 @@ fn run_system(
     let secs = result.elapsed.as_secs_f64();
     // Total CPU: engine-side busy plus (baseline systems) the user threads.
     let engine_busy = client.busy().as_secs_f64();
-    let fg_busy = result.fg_busy.as_secs_f64();
+    let fg_busy = result.fg_busy().as_secs_f64();
     let total_busy = if client.engine_side_only() {
         // p2KVS/KVell: user threads sleep; count engine workers + bg.
         engine_busy
@@ -124,7 +118,7 @@ impl MemCpuProbe for LsmProbe {
     }
 }
 
-impl SampledClient for crate::clients::LsmClient {
+impl SampledClient for LsmClient {
     fn as_kv(&self) -> &dyn KvClient {
         self
     }
@@ -161,7 +155,7 @@ impl MemCpuProbe for P2Probe {
     }
 }
 
-impl SampledClient for crate::clients::P2Client<lsmkv::Db> {
+impl SampledClient for P2Client<lsmkv::Db> {
     fn as_kv(&self) -> &dyn KvClient {
         self
     }
@@ -265,20 +259,15 @@ pub fn fig13() {
             )),
         ];
         for client in &clients {
-            let r = drive_micro(
-                &**client,
-                MicroKind::FillRandom,
-                ops,
-                ops,
-                128,
-                16,
-                false,
+            let run = Run {
                 rate,
-            );
+                ..Run::new(16, ops, false)
+            };
+            let r = drive(&**client, &Micro::new(FillRandom, ops, 128), run);
             cells.push(format!(
                 "{:.0}/{:.0}",
-                r.avg_latency.as_micros(),
-                r.p99_latency.as_micros()
+                r.latency.mean() / 1e3,
+                r.latency.percentile(99.0) / 1000
             ));
         }
         rows.push(cells);
@@ -296,8 +285,9 @@ pub fn fig13() {
 /// linearly with workers (multiget + partitioned indexes).
 pub fn fig14() {
     println!("fig14: readrandom (128B) with 32 user threads, cache-missing dataset");
-    let load = scaled(120_000);
+    let items = scaled(120_000);
     let reads = scaled(30_000);
+    let read = Micro::new(ReadRandom, items, 128);
     // Small per-instance block caches so point reads hit the device, as in
     // the paper (dataset >> cache).
     let small_cache = |env: std::sync::Arc<p2kvs_storage::SimEnv>| {
@@ -309,23 +299,11 @@ pub fn fig14() {
     // Baseline RocksDB.
     let base = {
         let env = setups::nvme_env();
-        let client = crate::clients::LsmClient {
-            db: Arc::new(lsmkv::Db::open(small_cache(env), "f14-base").unwrap()),
-        };
-        preload(&client, load, 128);
+        let client = LsmClient::new(lsmkv::Db::open(small_cache(env), "f14-base").unwrap());
+        load(&client, items, 128).expect("preload");
         client.db.flush().unwrap();
         client.db.wait_idle().unwrap();
-        drive_micro(
-            &client,
-            MicroKind::ReadRandom,
-            load,
-            reads,
-            128,
-            32,
-            false,
-            0,
-        )
-        .qps()
+        drive(&client, &read, Run::new(32, reads, false)).qps()
     };
     rows.push(vec!["RocksDB".into(), kqps(base), "1.00x".into()]);
     for workers in [1usize, 2, 4, 8] {
@@ -337,21 +315,12 @@ pub fn fig14() {
                 workers,
                 obm,
             );
-            preload(&client, load, 128);
+            load(&client, items, 128).expect("preload");
             for e in client.store.engines() {
                 e.flush().unwrap();
                 e.wait_idle().unwrap();
             }
-            let r = drive_micro(
-                &client,
-                MicroKind::ReadRandom,
-                load,
-                reads,
-                128,
-                32,
-                false,
-                0,
-            );
+            let r = drive(&client, &read, Run::new(32, reads, false));
             rows.push(vec![
                 format!("p2KVS-{workers}{}", if obm { "+OBM" } else { "" }),
                 kqps(r.qps()),
@@ -371,27 +340,16 @@ pub fn fig14() {
     // what matters, and the paper's ordering emerges even on one core.
     std::env::set_var("P2KVS_SIM_TIME_SCALE", "20");
     let mut rows = Vec::new();
-    let load_slow = load / 4;
+    let items_slow = items / 4;
     let reads_slow = reads / 8;
+    let read_slow = Micro::new(ReadRandom, items_slow, 128);
     let base = {
         let env = setups::nvme_env();
-        let client = crate::clients::LsmClient {
-            db: Arc::new(lsmkv::Db::open(small_cache(env), "f14s-base").unwrap()),
-        };
-        preload(&client, load_slow, 128);
+        let client = LsmClient::new(lsmkv::Db::open(small_cache(env), "f14s-base").unwrap());
+        load(&client, items_slow, 128).expect("preload");
         client.db.flush().unwrap();
         client.db.wait_idle().unwrap();
-        drive_micro(
-            &client,
-            MicroKind::ReadRandom,
-            load_slow,
-            reads_slow,
-            128,
-            32,
-            false,
-            0,
-        )
-        .qps()
+        drive(&client, &read_slow, Run::new(32, reads_slow, false)).qps()
     };
     rows.push(vec!["RocksDB".into(), kqps(base), "1.00x".into()]);
     for (workers, obm) in [(1usize, true), (4, true), (8, false), (8, true)] {
@@ -402,21 +360,12 @@ pub fn fig14() {
             workers,
             obm,
         );
-        preload(&client, load_slow, 128);
+        load(&client, items_slow, 128).expect("preload");
         for e in client.store.engines() {
             e.flush().unwrap();
             e.wait_idle().unwrap();
         }
-        let r = drive_micro(
-            &client,
-            MicroKind::ReadRandom,
-            load_slow,
-            reads_slow,
-            128,
-            32,
-            false,
-            0,
-        );
+        let r = drive(&client, &read_slow, Run::new(32, reads_slow, false));
         rows.push(vec![
             format!("p2KVS-{workers}{}", if obm { "+OBM" } else { "" }),
             kqps(r.qps()),
@@ -439,15 +388,14 @@ pub fn fig14() {
 pub fn fig15() {
     println!("fig15: RANGE/SCAN vs size (single user thread)");
     let load = scaled(80_000);
-    let keys = KeySpace::ordered();
     // Ordered load so ranges map to index windows.
     let env_r = setups::nvme_env();
     let rocks = setups::rocksdb_single(env_r, "f15-rocks");
     let env_p = setups::nvme_env();
     let p2 = setups::p2kvs(env_p, "f15-p2", 8, true);
     for i in 0..load {
-        let k = keys.key(i);
-        let v = keys.value(i, 128);
+        let k = ordered_key(i);
+        let v = setups::value_of(&k, 128);
         rocks.insert(&k, &v).unwrap();
         p2.insert(&k, &v).unwrap();
     }
@@ -473,7 +421,10 @@ pub fn fig15() {
             let list = starts(ops);
             let t0 = Instant::now();
             for s in list {
-                let _ = rocks.db.range(&keys.key(s), &keys.key(s + size)).unwrap();
+                let _ = rocks
+                    .db
+                    .range(&ordered_key(s), &ordered_key(s + size))
+                    .unwrap();
             }
             ops as f64 / t0.elapsed().as_secs_f64()
         };
@@ -481,7 +432,10 @@ pub fn fig15() {
             let list = starts(ops);
             let t0 = Instant::now();
             for s in list {
-                let _ = p2.store.range(&keys.key(s), &keys.key(s + size)).unwrap();
+                let _ = p2
+                    .store
+                    .range(&ordered_key(s), &ordered_key(s + size))
+                    .unwrap();
             }
             ops as f64 / t0.elapsed().as_secs_f64()
         };
@@ -489,7 +443,7 @@ pub fn fig15() {
             let list = starts(ops);
             let t0 = Instant::now();
             for s in list {
-                let _ = rocks.db.scan(&keys.key(s), size as usize).unwrap();
+                let _ = rocks.db.scan(&ordered_key(s), size as usize).unwrap();
             }
             ops as f64 / t0.elapsed().as_secs_f64()
         };
@@ -497,7 +451,7 @@ pub fn fig15() {
             let list = starts(ops);
             let t0 = Instant::now();
             for s in list {
-                let _ = p2.store.scan(&keys.key(s), size as usize).unwrap();
+                let _ = p2.store.scan(&ordered_key(s), size as usize).unwrap();
             }
             ops as f64 / t0.elapsed().as_secs_f64()
         };

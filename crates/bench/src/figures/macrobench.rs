@@ -1,11 +1,8 @@
 //! §5.3–5.4 macro benchmarks and sensitivity studies (Table 1, Figs
 //! 16–19).
 
-use ycsb::runner::{load_table, run_workload, RunConfig};
-use ycsb::workload::{Workload, WorkloadKind};
-use ycsb::KvClient;
-
 use crate::setups;
+use crate::workload::{drive, load, KvClient, Run, Workload, WorkloadKind};
 use crate::{kqps, print_table, scaled};
 
 /// Default scaled YCSB sizes (paper: 670M/120M; see DESIGN.md).
@@ -33,17 +30,9 @@ fn run_one(
     let client = make(tag);
     let spec = spec(kind, value_size);
     if kind != WorkloadKind::Load {
-        load_table(&*client, &spec, 8).expect("load phase");
+        load(&*client, spec.record_count, spec.value_size).expect("load phase");
     }
-    let r = run_workload(
-        &*client,
-        &spec,
-        &RunConfig {
-            threads,
-            rate_limit: 0,
-        },
-    );
-    r.qps()
+    drive(&*client, &spec, Run::new(threads, spec.op_count, false)).qps()
 }
 
 /// Table 1: the workload definitions (sanity display; unit tests verify

@@ -4,115 +4,11 @@
 //! qualitative expectation, and a table of measured rows. Absolute numbers
 //! differ from the paper (simulated device, different CPU), but the shape
 //! — orderings, scaling trends, crossover points — is the claim being
-//! reproduced (see EXPERIMENTS.md).
+//! reproduced (see EXPERIMENTS.md). Every run goes through
+//! [`crate::workload::drive`].
 
 pub mod analysis;
 pub mod baselines;
 pub mod evaluation;
 pub mod macrobench;
 pub mod portability;
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
-
-use ycsb::micro::{MicroGenerator, MicroKind};
-use ycsb::workload::OpKind;
-use ycsb::KvClient;
-
-/// Result of a driven run with foreground-CPU accounting.
-pub struct DriveResult {
-    pub ops: u64,
-    pub elapsed: Duration,
-    /// Sum of time user threads spent inside engine calls.
-    pub fg_busy: Duration,
-    /// Average operation latency.
-    pub avg_latency: Duration,
-    /// 99th percentile latency.
-    pub p99_latency: Duration,
-}
-
-impl DriveResult {
-    pub fn qps(&self) -> f64 {
-        if self.elapsed.is_zero() {
-            0.0
-        } else {
-            self.ops as f64 / self.elapsed.as_secs_f64()
-        }
-    }
-}
-
-/// Drives `ops` micro operations with `threads` user threads, optionally
-/// pinning them to cores `base_core + t`, at an optional offered rate.
-pub fn drive_micro<C: KvClient + ?Sized>(
-    client: &C,
-    kind: MicroKind,
-    existing: u64,
-    ops: u64,
-    value_size: usize,
-    threads: usize,
-    pin: bool,
-    rate: u64,
-) -> DriveResult {
-    let remaining = AtomicU64::new(ops);
-    let limiter = p2kvs_util::rate::RateLimiter::new(rate);
-    let start = Instant::now();
-    let results: Vec<(p2kvs_util::histogram::Histogram, u64)> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads.max(1) {
-            let remaining = &remaining;
-            let limiter = &limiter;
-            let mut gen = MicroGenerator::new(kind, existing, value_size, t as u64);
-            handles.push(scope.spawn(move || {
-                if pin {
-                    // Leave the first cores for workers/background threads.
-                    p2kvs_util::affinity::pin_to_core(16 + t);
-                }
-                let mut hist = p2kvs_util::histogram::Histogram::new();
-                let mut done = 0u64;
-                loop {
-                    if remaining
-                        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1))
-                        .is_err()
-                    {
-                        break;
-                    }
-                    let op = gen.next_op();
-                    limiter.acquire();
-                    let t0 = Instant::now();
-                    let _ = match op {
-                        OpKind::Insert { key, value } => client.insert(&key, &value).is_ok(),
-                        OpKind::Update { key, value } => client.update(&key, &value).is_ok(),
-                        OpKind::Read { key } => client.read(&key).is_ok(),
-                        _ => unreachable!("micro ops only"),
-                    };
-                    hist.record(t0.elapsed().as_nanos() as u64);
-                    done += 1;
-                }
-                (hist, done)
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("driver thread"))
-            .collect()
-    });
-    let elapsed = start.elapsed();
-    let mut hist = p2kvs_util::histogram::Histogram::new();
-    let mut total = 0;
-    for (h, d) in results {
-        hist.merge(&h);
-        total += d;
-    }
-    DriveResult {
-        ops: total,
-        elapsed,
-        fg_busy: Duration::from_nanos((hist.mean() * hist.count() as f64) as u64),
-        avg_latency: Duration::from_nanos(hist.mean() as u64),
-        p99_latency: Duration::from_nanos(hist.percentile(99.0)),
-    }
-}
-
-/// Loads `n` hashed 128-byte records with 8 loader threads.
-pub fn preload<C: KvClient + ?Sized>(client: &C, n: u64, value_size: usize) {
-    ycsb::micro::load_hashed(client, n, value_size, 8);
-}

@@ -1,9 +1,8 @@
 //! §5.6 portability experiments (Figs 22, 23) and the ablation suite.
 
-use ycsb::micro::MicroKind;
-
-use crate::figures::{drive_micro, preload};
 use crate::setups;
+use crate::workload::MicroKind::{FillRandom, ReadRandom};
+use crate::workload::{drive, hashed_key, load, Micro, Run, Zipf};
 use crate::{kqps, print_table, scaled};
 
 /// Fig 22: p2KVS over LevelDB-mode engines vs plain LevelDB.
@@ -14,36 +13,31 @@ use crate::{kqps, print_table, scaled};
 pub fn fig22() {
     println!("fig22: p2KVS over LevelDB (threads = instances)");
     let ops = scaled(30_000);
-    let load = scaled(40_000);
+    let items = scaled(40_000);
+    let (fill, read) = (
+        Micro::new(FillRandom, ops, 128),
+        Micro::new(ReadRandom, items, 128),
+    );
     let mut rows = Vec::new();
     for threads in [1usize, 2, 4, 8, 16] {
+        let run = Run::new(threads, ops, true);
         // Plain LevelDB: one shared instance.
         let ldb = setups::leveldb_single(setups::nvme_env(), &format!("f22-l-{threads}"));
-        let w_l = drive_micro(&ldb, MicroKind::FillRandom, ops, ops, 128, threads, true, 0).qps();
-        preload(&ldb, load, 128);
+        let w_l = drive(&ldb, &fill, run).qps();
+        load(&ldb, items, 128).expect("preload");
         ldb.db.flush().unwrap();
         ldb.db.wait_idle().unwrap();
-        let r_l = drive_micro(
-            &ldb,
-            MicroKind::ReadRandom,
-            load,
-            ops,
-            128,
-            threads,
-            true,
-            0,
-        )
-        .qps();
+        let r_l = drive(&ldb, &read, run).qps();
         // p2KVS over LevelDB-mode instances.
         let p2 =
             setups::p2kvs_over_leveldb(setups::nvme_env(), &format!("f22-p-{threads}"), threads);
-        let w_p = drive_micro(&p2, MicroKind::FillRandom, ops, ops, 128, threads, true, 0).qps();
-        preload(&p2, load, 128);
+        let w_p = drive(&p2, &fill, run).qps();
+        load(&p2, items, 128).expect("preload");
         for e in p2.store.engines() {
             e.flush().unwrap();
             e.wait_idle().unwrap();
         }
-        let r_p = drive_micro(&p2, MicroKind::ReadRandom, load, ops, 128, threads, true, 0).qps();
+        let r_p = drive(&p2, &read, run).qps();
         rows.push(vec![
             threads.to_string(),
             kqps(w_l),
@@ -73,17 +67,22 @@ pub fn fig22() {
 pub fn fig23() {
     println!("fig23: p2KVS over WiredTiger (threads = instances)");
     let ops = scaled(25_000);
-    let load = scaled(30_000);
+    let items = scaled(30_000);
+    let (fill, read) = (
+        Micro::new(FillRandom, ops, 128),
+        Micro::new(ReadRandom, items, 128),
+    );
     let mut rows = Vec::new();
     for threads in [1usize, 2, 4, 8, 16] {
+        let run = Run::new(threads, ops, true);
         let wt = setups::wiredtiger_single(setups::nvme_env(), &format!("f23-w-{threads}"));
-        let w_s = drive_micro(&wt, MicroKind::FillRandom, ops, ops, 128, threads, true, 0).qps();
-        preload(&wt, load, 128);
-        let r_s = drive_micro(&wt, MicroKind::ReadRandom, load, ops, 128, threads, true, 0).qps();
+        let w_s = drive(&wt, &fill, run).qps();
+        load(&wt, items, 128).expect("preload");
+        let r_s = drive(&wt, &read, run).qps();
         let p2 = setups::p2kvs_over_wt(setups::nvme_env(), &format!("f23-p-{threads}"), threads);
-        let w_p = drive_micro(&p2, MicroKind::FillRandom, ops, ops, 128, threads, true, 0).qps();
-        preload(&p2, load, 128);
-        let r_p = drive_micro(&p2, MicroKind::ReadRandom, load, ops, 128, threads, true, 0).qps();
+        let w_p = drive(&p2, &fill, run).qps();
+        load(&p2, items, 128).expect("preload");
+        let r_p = drive(&p2, &read, run).qps();
         rows.push(vec![
             threads.to_string(),
             kqps(w_s),
@@ -124,13 +123,17 @@ pub fn ablate() {
             opts.batch_max = m;
             let store = p2kvs::P2Kvs::open(factory, format!("ab-m{m}"), opts).unwrap();
             let client = crate::clients::P2Client { store };
-            let r = drive_micro(&client, MicroKind::FillRandom, ops, ops, 128, 32, false, 0);
+            let r = drive(
+                &client,
+                &Micro::new(FillRandom, ops, 128),
+                Run::new(32, ops, false),
+            );
             let snap = client.store.snapshot();
             rows.push(vec![
                 m.to_string(),
                 kqps(r.qps()),
                 format!("{:.1}", snap.avg_batch_size()),
-                format!("{:.0}", r.p99_latency.as_micros()),
+                format!("{:.0}", r.latency.percentile(99.0) / 1000),
             ]);
         }
         print_table(
@@ -143,13 +146,14 @@ pub fn ablate() {
     {
         use p2kvs::Partitioner;
         let p = p2kvs::HashPartitioner::new(8);
-        let zipf = ycsb::generator::ScrambledZipfian::new(1_000_000);
+        // YCSB's scrambled zipfian: hot ranks scattered over the items.
+        let n = 1_000_000;
+        let zipf = Zipf::new(n, crate::workload::THETA);
         let mut rng = p2kvs_util::rng::Rng::new(11);
         let mut counts = [0u64; 8];
-        let keys = ycsb::generator::KeySpace::hashed();
         for _ in 0..200_000 {
-            let k = keys.key(zipf.next(&mut rng));
-            counts[p.shard_of(&k)] += 1;
+            let rank = zipf.rank(rng.unit()) as u64;
+            counts[p.shard_of(&hashed_key(p2kvs_util::hash::mix64(rank) % n as u64))] += 1;
         }
         let min = *counts.iter().min().unwrap() as f64;
         let max = *counts.iter().max().unwrap() as f64;

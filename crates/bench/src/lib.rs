@@ -21,6 +21,7 @@ pub mod scaninterf;
 pub mod setups;
 pub mod skew;
 pub mod traceov;
+pub mod workload;
 
 /// The feature gates, in the order `gates -- all` runs them: one scenario
 /// per feature that still guards behaviour, each answering one question

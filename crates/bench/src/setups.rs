@@ -13,7 +13,7 @@ use p2kvs::{P2Kvs, P2KvsOptions};
 use p2kvs_storage::{DeviceProfile, EnvRef, SimEnv};
 use p2kvs_util::rng::Rng;
 
-use crate::clients::{KvellClient, LsmClient, MultiLsmClient, P2Client, WtClient};
+use crate::clients::{LsmClient, MultiLsmClient, P2Client};
 
 /// A simulated environment over the given device profile.
 pub fn device_env(profile: DeviceProfile) -> Arc<SimEnv> {
@@ -42,9 +42,7 @@ pub fn bench_options(env: EnvRef) -> Options {
 
 /// Single-instance RocksDB-mode baseline.
 pub fn rocksdb_single(env: Arc<SimEnv>, dir: &str) -> LsmClient {
-    LsmClient {
-        db: Arc::new(Db::open(bench_options(env), dir).expect("open rocksdb baseline")),
-    }
+    LsmClient::new(Db::open(bench_options(env), dir).expect("open rocksdb baseline"))
 }
 
 /// Single-instance PebblesDB-mode baseline.
@@ -54,9 +52,7 @@ pub fn pebblesdb_single(env: Arc<SimEnv>, dir: &str) -> LsmClient {
     o.concurrent_memtable = false;
     o.pipelined_write = false;
     o.has_multiget = false;
-    LsmClient {
-        db: Arc::new(Db::open(o, dir).expect("open pebblesdb baseline")),
-    }
+    LsmClient::new(Db::open(o, dir).expect("open pebblesdb baseline"))
 }
 
 /// Single-instance LevelDB-mode baseline.
@@ -65,9 +61,7 @@ pub fn leveldb_single(env: Arc<SimEnv>, dir: &str) -> LsmClient {
     o.concurrent_memtable = false;
     o.pipelined_write = false;
     o.has_multiget = false;
-    LsmClient {
-        db: Arc::new(Db::open(o, dir).expect("open leveldb baseline")),
-    }
+    LsmClient::new(Db::open(o, dir).expect("open leveldb baseline"))
 }
 
 /// The §3 multi-instance configuration (`n` independent instances).
@@ -80,7 +74,10 @@ pub fn rocksdb_multi(env: Arc<SimEnv>, dir: &str, n: usize) -> MultiLsmClient {
             )
         })
         .collect();
-    MultiLsmClient { dbs }
+    MultiLsmClient {
+        dbs,
+        wo: lsmkv::WriteOptions::default(),
+    }
 }
 
 /// p2KVS over RocksDB-mode engines.
@@ -125,19 +122,15 @@ pub fn p2kvs_over_wt(env: Arc<SimEnv>, dir: &str, workers: usize) -> P2Client<wt
 }
 
 /// Standalone WiredTiger.
-pub fn wiredtiger_single(env: Arc<SimEnv>, dir: &str) -> WtClient {
-    WtClient {
-        db: Arc::new(wtiger::WtDb::open(wtiger::WtOptions::new(env), dir).expect("open wt")),
-    }
+pub fn wiredtiger_single(env: Arc<SimEnv>, dir: &str) -> wtiger::WtDb {
+    wtiger::WtDb::open(wtiger::WtOptions::new(env), dir).expect("open wt")
 }
 
 /// KVell with `workers` share-nothing workers.
-pub fn kvell(env: Arc<SimEnv>, dir: &str, workers: usize) -> KvellClient {
+pub fn kvell(env: Arc<SimEnv>, dir: &str, workers: usize) -> kvell::KvellDb {
     let mut opts = kvell::KvellOptions::new(env);
     opts.workers = workers;
-    KvellClient {
-        db: kvell::KvellDb::open(opts, dir).expect("open kvell"),
-    }
+    kvell::KvellDb::open(opts, dir).expect("open kvell")
 }
 
 // ---- The gate scenarios' store, keys, values and client loop ----

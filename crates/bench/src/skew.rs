@@ -29,6 +29,7 @@ use p2kvs_util::rng::Rng;
 
 use crate::artifact::{Fields, Report, Value};
 use crate::setups::{self, Sample};
+use crate::workload::Zipf;
 
 /// Worker threads both configurations run.
 pub const WORKERS: usize = 4;
@@ -41,41 +42,6 @@ const PUT_PERCENT: u64 = 5;
 /// Client threads issuing the workload.
 const CLIENTS: usize = 4;
 const VALUE_LEN: usize = 100;
-
-/// Zipfian sampler over `n` ranks via an explicit CDF table — `n` is
-/// small (one rank per tenant), so table lookup beats the usual
-/// rejection method and is exact.
-pub struct Zipf {
-    cdf: Vec<f64>,
-}
-
-impl Zipf {
-    /// Builds the distribution: rank `r` has mass `∝ 1/(r+1)^theta`.
-    pub fn new(n: usize, theta: f64) -> Zipf {
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for r in 0..n {
-            acc += 1.0 / ((r + 1) as f64).powf(theta);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for c in &mut cdf {
-            *c /= total;
-        }
-        Zipf { cdf }
-    }
-
-    /// Maps a uniform draw to a rank.
-    pub fn rank(&self, u: f64) -> usize {
-        self.cdf.partition_point(|c| *c < u).min(self.cdf.len() - 1)
-    }
-
-    /// Smallest count of leading (hottest) ranks whose combined mass
-    /// reaches `mass` — the cache bench's hot-set size.
-    pub fn head_count(&self, mass: f64) -> usize {
-        (self.cdf.partition_point(|c| *c < mass) + 1).min(self.cdf.len())
-    }
-}
 
 /// Routes `t{tt:02}…` keys to one shard per tenant. Tenant ids are
 /// popularity ranks (tenant 00 is the hottest); [`tenant_shard`] is the

@@ -740,7 +740,7 @@ impl DbInner {
         let mem = self.state.lock().mem.clone();
         let group = {
             let q = self.wal_queue.lock();
-            form_group(&q, self.opts.group_commit, self.opts.max_write_group_bytes)
+            form_group(&q)
         };
         // Assign sequence numbers.
         let total: u64 = group

@@ -158,31 +158,27 @@ pub enum SignaledPhase {
     Done(Option<String>),
 }
 
-/// Selects the slots forming the leader's group.
+/// Upper bound on the batch bytes one write group aggregates.
+pub const MAX_WRITE_GROUP_BYTES: usize = 1 << 20;
+
+/// Selects the slots forming the leader's group (RocksDB-style group
+/// commit: one log write for every writer the leader takes along).
 ///
 /// The leader is `queue[0]`. Followers are taken in order while they are
-/// compatible (same WAL/sync settings) and the byte budget holds. Without
-/// group commit the group is just the leader.
-pub fn form_group(
-    queue: &std::collections::VecDeque<Arc<WriterSlot>>,
-    group_commit: bool,
-    max_bytes: usize,
-) -> Vec<Arc<WriterSlot>> {
+/// compatible (same WAL/sync settings) and [`MAX_WRITE_GROUP_BYTES`] holds.
+pub fn form_group(queue: &std::collections::VecDeque<Arc<WriterSlot>>) -> Vec<Arc<WriterSlot>> {
     let leader = queue
         .front()
         .expect("form_group called with empty queue")
         .clone();
     let mut group = vec![leader.clone()];
-    if !group_commit {
-        return group;
-    }
     let mut bytes = leader.batch.lock().size();
     for slot in queue.iter().skip(1) {
         if slot.sync != leader.sync || slot.disable_wal != leader.disable_wal {
             break;
         }
         let b = slot.batch.lock().size();
-        if bytes + b > max_bytes {
+        if bytes + b > MAX_WRITE_GROUP_BYTES {
             break;
         }
         bytes += b;
@@ -226,7 +222,7 @@ mod tests {
         q.push_back(slot_with(1, false, false));
         q.push_back(slot_with(1, true, false)); // sync mismatch stops here
         q.push_back(slot_with(1, false, false));
-        let g = form_group(&q, true, 1 << 20);
+        let g = form_group(&q);
         assert_eq!(g.len(), 2);
     }
 
@@ -234,20 +230,13 @@ mod tests {
     fn form_group_respects_byte_budget() {
         let mut q = VecDeque::new();
         for _ in 0..10 {
-            q.push_back(slot_with(100, false, false));
+            let mut b = WriteBatch::new();
+            b.put(b"k", &vec![0u8; MAX_WRITE_GROUP_BYTES / 3]);
+            q.push_back(WriterSlot::new(b, false, false));
         }
-        let one = q[0].batch.lock().size();
-        let g = form_group(&q, true, one * 3 + 10);
-        assert_eq!(g.len(), 3);
-    }
-
-    #[test]
-    fn no_group_commit_means_leader_only() {
-        let mut q = VecDeque::new();
-        q.push_back(slot_with(1, false, false));
-        q.push_back(slot_with(1, false, false));
-        let g = form_group(&q, false, 1 << 20);
-        assert_eq!(g.len(), 1);
+        // Three slots are just over the budget: the leader takes one along.
+        assert!(3 * q[0].batch.lock().size() > MAX_WRITE_GROUP_BYTES);
+        assert_eq!(form_group(&q).len(), 2);
     }
 
     #[test]
@@ -269,7 +258,7 @@ mod tests {
         let mut q = VecDeque::new();
         q.push_back(slot_with(1, false, true));
         q.push_back(slot_with(1, false, false));
-        let g = form_group(&q, true, 1 << 20);
+        let g = form_group(&q);
         assert_eq!(g.len(), 1);
     }
 }

@@ -68,15 +68,8 @@ pub struct Options {
     pub bloom_bits_per_key: usize,
     /// Capacity of the shared block cache in bytes (0 disables caching).
     pub block_cache_size: usize,
-    /// Restart interval for prefix-compressed blocks.
-    pub block_restart_interval: usize,
     /// WAL durability policy.
     pub sync: SyncPolicy,
-    /// RocksDB-style group commit: concurrent writers are merged into one
-    /// log write led by a leader.
-    pub group_commit: bool,
-    /// Upper bound on bytes aggregated into one write group.
-    pub max_write_group_bytes: usize,
     /// Concurrent MemTable: followers of a write group insert their own
     /// batches in parallel (RocksDB `allow_concurrent_memtable_write`).
     pub concurrent_memtable: bool,
@@ -127,10 +120,7 @@ impl Options {
             block_size: 4 << 10,
             bloom_bits_per_key: 10,
             block_cache_size: 8 << 20,
-            block_restart_interval: 16,
             sync: SyncPolicy::Async,
-            group_commit: true,
-            max_write_group_bytes: 1 << 20,
             concurrent_memtable: true,
             pipelined_write: true,
             compaction_style: CompactionStyle::Leveled,

@@ -66,11 +66,16 @@ pub struct TableConfig {
     pub bloom_bits_per_key: usize,
 }
 
+/// Restart interval of the data blocks a store writes. Readers take the
+/// restart points from each block, so stores written with another
+/// interval still open.
+pub const BLOCK_RESTART_INTERVAL: usize = 16;
+
 impl From<&crate::options::Options> for TableConfig {
     fn from(o: &crate::options::Options) -> Self {
         TableConfig {
             block_size: o.block_size,
-            restart_interval: o.block_restart_interval,
+            restart_interval: BLOCK_RESTART_INTERVAL,
             bloom_bits_per_key: o.bloom_bits_per_key,
         }
     }

@@ -5,32 +5,20 @@ use std::sync::Arc;
 
 use p2kvs::engine::LsmFactory;
 use p2kvs::{P2Kvs, P2KvsOptions};
+use p2kvs_bench::clients::P2Client;
+use p2kvs_bench::workload::{drive, hashed_key, load, ordered_key, Run, Workload, WorkloadKind};
 use p2kvs_storage::{DeviceProfile, Env, SimEnv};
-use ycsb::runner::{load_table, run_workload, KvClient, RunConfig};
-use ycsb::workload::{Workload, WorkloadKind};
 
-struct Client<E: p2kvs::KvsEngine>(P2Kvs<E>);
-
-impl<E: p2kvs::KvsEngine> KvClient for Client<E> {
-    fn insert(&self, key: &[u8], value: &[u8]) -> Result<(), String> {
-        self.0.put(key, value).map_err(|e| e.to_string())
-    }
-    fn read(&self, key: &[u8]) -> Result<Option<Vec<u8>>, String> {
-        self.0.get(key).map_err(|e| e.to_string())
-    }
-    fn scan(&self, key: &[u8], len: usize) -> Result<usize, String> {
-        self.0.scan(key, len).map(|v| v.len()).map_err(|e| e.to_string())
-    }
-}
-
-fn open_store(env: Arc<SimEnv>, workers: usize) -> Client<lsmkv::Db> {
+fn open_store(env: Arc<SimEnv>, workers: usize) -> P2Client<lsmkv::Db> {
     let mut engine_opts = lsmkv::Options::rocksdb_like(env);
     engine_opts.memtable_size = 256 << 10;
     engine_opts.target_file_size = 128 << 10;
     let factory = LsmFactory::new(engine_opts);
     let mut opts = P2KvsOptions::with_workers(workers);
     opts.pin_workers = false;
-    Client(P2Kvs::open(factory, "fullstack", opts).unwrap())
+    P2Client {
+        store: P2Kvs::open(factory, "fullstack", opts).unwrap(),
+    }
 }
 
 #[test]
@@ -38,11 +26,15 @@ fn ycsb_suite_runs_clean_over_p2kvs_on_simulated_nvme() {
     let env = Arc::new(SimEnv::with_profile(DeviceProfile::nvme_optane()));
     let client = open_store(env.clone(), 4);
     for kind in WorkloadKind::all() {
-        let spec = Workload::table1(kind, 2_000, if kind == WorkloadKind::E { 300 } else { 2_000 });
+        let spec = Workload::table1(
+            kind,
+            2_000,
+            if kind == WorkloadKind::E { 300 } else { 2_000 },
+        );
         if kind != WorkloadKind::Load {
-            load_table(&client, &spec, 4).unwrap();
+            load(&client, spec.record_count, spec.value_size).unwrap();
         }
-        let r = run_workload(&client, &spec, &RunConfig { threads: 4, rate_limit: 0 });
+        let r = drive(&client, &spec, Run::new(4, spec.op_count, false));
         assert_eq!(r.errors, 0, "workload {} had errors", kind.name());
         assert_eq!(r.ops, spec.op_count);
     }
@@ -73,12 +65,6 @@ fn workload_survives_power_failure_mid_run() {
                 .put(format!("k{i:05}").as_bytes(), format!("v{i}").as_bytes())
                 .unwrap();
         }
-        // Crash all engines without clean shutdown, then cut power.
-        for e in store.engines() {
-            // Engines are behind Arc; crash is consumed by owner — emulate
-            // by syncing nothing and dropping the store abruptly.
-            let _ = e;
-        }
         store.close();
     }
     env.fs().power_failure();
@@ -96,7 +82,6 @@ fn workload_survives_power_failure_mid_run() {
 fn all_engines_agree_on_the_same_history() {
     // The same deterministic op sequence applied to every engine in the
     // workspace must produce identical read results.
-    let keys = ycsb::generator::KeySpace::hashed();
     let history: Vec<(bool, u64)> = (0..1_500u64)
         .map(|i| {
             let h = p2kvs_util::hash::mix64(i);
@@ -108,16 +93,20 @@ fn all_engines_agree_on_the_same_history() {
     let mut model = std::collections::BTreeMap::new();
     for (i, (is_put, k)) in history.iter().enumerate() {
         if *is_put {
-            model.insert(keys.key(*k), format!("v{i}").into_bytes());
+            model.insert(hashed_key(*k), format!("v{i}").into_bytes());
         } else {
-            model.remove(&keys.key(*k));
+            model.remove(&hashed_key(*k));
         }
     }
 
     let check = |name: &str, get: &dyn Fn(&[u8]) -> Option<Vec<u8>>| {
         for k in 0..300u64 {
-            let key = keys.key(k);
-            assert_eq!(get(&key), model.get(&key).cloned(), "{name} diverges on key {k}");
+            let key = hashed_key(k);
+            assert_eq!(
+                get(&key),
+                model.get(&key).cloned(),
+                "{name} diverges on key {k}"
+            );
         }
     };
 
@@ -127,9 +116,10 @@ fn all_engines_agree_on_the_same_history() {
         let wo = lsmkv::WriteOptions::default();
         for (i, (is_put, k)) in history.iter().enumerate() {
             if *is_put {
-                db.put(&wo, &keys.key(*k), format!("v{i}").as_bytes()).unwrap();
+                db.put(&wo, &hashed_key(*k), format!("v{i}").as_bytes())
+                    .unwrap();
             } else {
-                db.delete(&wo, &keys.key(*k)).unwrap();
+                db.delete(&wo, &hashed_key(*k)).unwrap();
             }
         }
         db.flush().unwrap();
@@ -138,12 +128,14 @@ fn all_engines_agree_on_the_same_history() {
     // p2kvs over lsmkv.
     {
         let env = Arc::new(SimEnv::with_profile(DeviceProfile::instant()));
-        let store = open_store(env, 4).0;
+        let store = &open_store(env, 4).store;
         for (i, (is_put, k)) in history.iter().enumerate() {
             if *is_put {
-                store.put(&keys.key(*k), format!("v{i}").as_bytes()).unwrap();
+                store
+                    .put(&hashed_key(*k), format!("v{i}").as_bytes())
+                    .unwrap();
             } else {
-                store.delete(&keys.key(*k)).unwrap();
+                store.delete(&hashed_key(*k)).unwrap();
             }
         }
         check("p2kvs", &|k| store.get(k).unwrap());
@@ -156,9 +148,9 @@ fn all_engines_agree_on_the_same_history() {
         let db = kvell::KvellDb::open(o, "agree-kv").unwrap();
         for (i, (is_put, k)) in history.iter().enumerate() {
             if *is_put {
-                db.put(&keys.key(*k), format!("v{i}").as_bytes()).unwrap();
+                db.put(&hashed_key(*k), format!("v{i}").as_bytes()).unwrap();
             } else {
-                let _ = db.delete(&keys.key(*k)).unwrap();
+                let _ = db.delete(&hashed_key(*k)).unwrap();
             }
         }
         check("kvell", &|k| db.get(k).unwrap());
@@ -169,9 +161,9 @@ fn all_engines_agree_on_the_same_history() {
         let db = wtiger::WtDb::open(wtiger::WtOptions::new(env), "agree-wt").unwrap();
         for (i, (is_put, k)) in history.iter().enumerate() {
             if *is_put {
-                db.put(&keys.key(*k), format!("v{i}").as_bytes()).unwrap();
+                db.put(&hashed_key(*k), format!("v{i}").as_bytes()).unwrap();
             } else {
-                let _ = db.delete(&keys.key(*k)).unwrap();
+                let _ = db.delete(&hashed_key(*k)).unwrap();
             }
         }
         check("wtiger", &|k| db.get(k).unwrap());
@@ -180,7 +172,6 @@ fn all_engines_agree_on_the_same_history() {
 
 #[test]
 fn scan_results_identical_across_layouts() {
-    let keys = ycsb::generator::KeySpace::ordered();
     let mut stores: Vec<(&str, Box<dyn Fn(&[u8], usize) -> Vec<Vec<u8>>>)> = Vec::new();
 
     // The same data behind 16 shards and behind the paper's 4: the
@@ -194,19 +185,30 @@ fn scan_results_identical_across_layouts() {
         let factory = LsmFactory::new(lsmkv::Options::rocksdb_like(env.clone()));
         let store = P2Kvs::open(factory, format!("sc-{name}"), o).unwrap();
         for i in 0..3_000u64 {
-            store.put(&keys.key(i), b"v").unwrap();
+            store.put(&ordered_key(i), b"v").unwrap();
         }
         stores.push((
             name,
-            Box::new(move |s, n| store.scan(s, n).unwrap().into_iter().map(|(k, _)| k).collect()),
+            Box::new(move |s, n| {
+                store
+                    .scan(s, n)
+                    .unwrap()
+                    .into_iter()
+                    .map(|(k, _)| k)
+                    .collect()
+            }),
         ));
     }
 
     for start in [0u64, 1, 1499, 2990] {
         for n in [1usize, 7, 100, 500] {
-            let expect: Vec<Vec<u8>> = (start..3_000).take(n).map(|i| keys.key(i)).collect();
+            let expect: Vec<Vec<u8>> = (start..3_000).take(n).map(ordered_key).collect();
             for (name, scan) in &stores {
-                assert_eq!(scan(&keys.key(start), n), expect, "{name} start={start} n={n}");
+                assert_eq!(
+                    scan(&ordered_key(start), n),
+                    expect,
+                    "{name} start={start} n={n}"
+                );
             }
         }
     }
