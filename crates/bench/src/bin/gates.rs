@@ -6,12 +6,12 @@
 //! ```
 //!
 //! Ids: backup_under_load scan_interference skew_rebalance cache_hitrate
-//! compaction_stall elastic_scale trace_overhead. Each run prints its
-//! table and writes `BENCH_<name>.json` into `$P2KVS_METRICS_DIR` when
-//! set, the working directory otherwise; op counts scale with
-//! `P2KVS_SCALE` and each scenario's seed comes from its `P2KVS_*_SEED`
-//! variable (default fixed). **Exits 1 when a gate fails**, 2 on an
-//! unknown id.
+//! compaction_stall elastic_scale. Each run prints its table and writes
+//! `BENCH_<name>.json` into `$P2KVS_METRICS_DIR` when set, the working
+//! directory otherwise; op counts scale with `P2KVS_SCALE` and each
+//! scenario's seed comes from its `P2KVS_*_SEED` variable (default
+//! fixed). A gate reads counts and byte identity, never a clock.
+//! **Exits 1 when a gate fails**, 2 on an unknown id.
 
 use p2kvs_bench::{artifact, SCENARIOS};
 

@@ -18,18 +18,15 @@
 //! * `parallel` — four queues with queue affinity on, three compaction
 //!   threads, four-way subcompactions spread across queues.
 //!
-//! The gate: the parallel configuration's write-stall time — seconds
-//! writers spent blocked on L0/immutable backpressure, summed from the
-//! engines' own `engine_stall_ns_total` counters, best (lowest) round
-//! per configuration — must be at least [`MIN_STALL_IMPROVEMENT_X`]×
-//! lower than the baseline's, **and** both configurations must
-//! converge to byte-identical logical state (an order-independent fold
-//! over a full scan) — parallel compaction that drops or duplicates a
-//! key is not an optimization. Foreground PUT percentiles (p50, p95,
-//! p99, max) are recorded in the artifact for the latency view of the
-//! same story; they are reported, not gated, because at device
-//! saturation the put tail mixes in WAL-writeback service time that
-//! both configurations pay identically.
+//! The gate: both configurations converge to byte-identical logical
+//! state (an order-independent fold over a full scan) — parallel
+//! compaction that drops or duplicates a key is not an optimization.
+//! The write-stall time — seconds writers spent blocked on L0/immutable
+//! backpressure, summed from the engines' own `engine_stall_ns_total`
+//! counters, best (lowest) round per configuration — and its
+//! baseline/parallel ratio are reported, not gated: the engines read
+//! them off a wall clock. So are the foreground PUT percentiles (p50,
+//! p95, p99, max), the latency view of the same story.
 //! Values derive from the key alone, so the final state is a function
 //! of the touched key set, which the fixed seed makes deterministic.
 
@@ -42,11 +39,6 @@ use p2kvs_util::hash::fnv1a64;
 use crate::artifact::{best_of, Fields, Report};
 use crate::setups;
 
-/// Gate: the parallel configuration's write-stall seconds (best round)
-/// must be at least this many times lower than the baseline's (1.25 =
-/// 25% less time stalled). Measured headroom is ~1.5–2.0× across
-/// seeds and scales; the margin absorbs host scheduler noise.
-pub const MIN_STALL_IMPROVEMENT_X: f64 = 1.25;
 /// Worker threads (= shards = parallel-config queues: the paper's
 /// square layout, worker *i* pinned to queue *i*).
 pub const WORKERS: usize = 4;
@@ -56,7 +48,7 @@ const CLIENTS: usize = 4;
 const PUT_PERCENT: u64 = 50;
 /// Measured rounds per configuration; the summary compares best-of
 /// (lowest p99), which tames scheduler noise the same way the backup
-/// and trace-overhead figures do.
+/// figure does.
 const ROUNDS: usize = 2;
 /// Value payload size; large enough that the preload plus updates
 /// overflow the tiny memtables many times over.
@@ -231,10 +223,9 @@ fn measure(spec: ConfigSpec, round: usize, keys: u64, ops: u64, seed: u64) -> Fi
         .with("read_back_fold", fold)
 }
 
-/// Folds rounds into the gated summary: best (lowest) stall time and
-/// PUT p99 per configuration (the p99 ratio is reported, not gated — see
-/// the module docs), the improvement ratios, the read-back identity
-/// check, and the gate verdict.
+/// Folds rounds into the summary: best (lowest) stall time and PUT p99
+/// per configuration and their ratios, reported (see the module docs),
+/// and the read-back identity check, gated.
 fn summarize(rows: &[Fields]) -> Fields {
     let stall = |config| best_of(rows, "config", config, "stall_secs").max(1e-9);
     let p99 = |config| best_of(rows, "config", config, "p99_put_ns").max(1.0);
@@ -244,7 +235,7 @@ fn summarize(rows: &[Fields]) -> Fields {
         w[0].get("read_back_count") == w[1].get("read_back_count")
             && w[0].get("read_back_fold") == w[1].get("read_back_fold")
     });
-    let summary = Fields::new()
+    Fields::new()
         .float("best_baseline_stall_secs", stall("baseline"), 3)
         .float("best_parallel_stall_secs", stall("parallel"), 3)
         .float(
@@ -255,9 +246,7 @@ fn summarize(rows: &[Fields]) -> Fields {
         .with("best_baseline_put_p99_ns", p99("baseline") as u64)
         .with("best_parallel_put_p99_ns", p99("parallel") as u64)
         .float("put_p99_x", p99("baseline") / p99("parallel"), 3)
-        .with("read_back_identical", identical);
-    let within_gate = gate(&summary, true).is_empty();
-    summary.with("within_gate", within_gate)
+        .with("read_back_identical", identical)
 }
 
 fn run_sized(rounds: usize, keys: u64, ops: u64, seed: u64) -> Report {
@@ -277,8 +266,7 @@ fn run_sized(rounds: usize, keys: u64, ops: u64, seed: u64) -> Report {
             .with("ops_per_round", ops)
             .with("rounds", rounds)
             .with("put_percent", PUT_PERCENT)
-            .with("value_len", VALUE_LEN)
-            .float("min_improvement_x", MIN_STALL_IMPROVEMENT_X, 2),
+            .with("value_len", VALUE_LEN),
         summary: summarize(&rows),
         rows,
     }
@@ -297,20 +285,11 @@ pub fn run() -> Report {
 
 /// Parallel compaction that drops or duplicates a key is not an
 /// optimization: both configurations must converge to identical state.
-/// At full scale the parallel one must also cut write-stall time by
-/// [`MIN_STALL_IMPROVEMENT_X`].
-pub fn gate(summary: &Fields, full_scale: bool) -> Vec<String> {
-    let mut failed = Vec::new();
-    if !summary.is("read_back_identical") {
-        failed.push("baseline and parallel configurations read back different state".into());
+pub fn gate(summary: &Fields) -> Vec<String> {
+    if summary.is("read_back_identical") {
+        return Vec::new();
     }
-    let improvement = summary.num("stall_improvement_x");
-    if full_scale && improvement < MIN_STALL_IMPROVEMENT_X {
-        failed.push(format!(
-            "stall improvement {improvement:.2}x is under the {MIN_STALL_IMPROVEMENT_X}x gate"
-        ));
-    }
-    failed
+    vec!["baseline and parallel configurations read back different state".into()]
 }
 
 /// The scenario at a size a unit test can afford.
@@ -333,32 +312,28 @@ mod tests {
     }
 
     #[test]
-    fn summary_gates_on_stall_improvement_and_identity() {
+    fn summary_reports_stall_improvement_and_gates_identity() {
         // Half the stall time, identical folds: passes.
         let s = summarize(&[
             synthetic("baseline", 0.8, 300, 42),
             synthetic("parallel", 0.4, 300, 42),
         ]);
         assert!((s.num("stall_improvement_x") - 2.0).abs() < 1e-9);
-        assert!(s.is("read_back_identical") && s.is("within_gate"));
-        assert!(gate(&s, true).is_empty());
-        // Less stalling but the folds disagree: the identity half trips,
-        // at every scale.
-        let s = summarize(&[
-            synthetic("baseline", 0.8, 300, 42),
-            synthetic("parallel", 0.4, 300, 43),
-        ]);
-        assert!(!s.is("read_back_identical") && !s.is("within_gate"));
-        assert_eq!(gate(&s, false).len(), 1);
-        // Identical folds but no stall improvement: the stall half trips,
-        // at full scale only.
+        assert!(s.is("read_back_identical") && gate(&s).is_empty());
+        // No stall improvement is reported, not gated.
         let s = summarize(&[
             synthetic("baseline", 0.4, 300, 42),
             synthetic("parallel", 0.4, 300, 42),
         ]);
-        assert!(s.is("read_back_identical") && !s.is("within_gate"));
-        assert_eq!(gate(&s, true).len(), 1);
-        assert!(gate(&s, false).is_empty());
+        assert!((s.num("stall_improvement_x") - 1.0).abs() < 1e-9);
+        assert!(gate(&s).is_empty());
+        // Less stalling but the folds disagree: the gate trips.
+        let s = summarize(&[
+            synthetic("baseline", 0.8, 300, 42),
+            synthetic("parallel", 0.4, 300, 43),
+        ]);
+        assert!(!s.is("read_back_identical"));
+        assert_eq!(gate(&s).len(), 1);
     }
 
     #[test]

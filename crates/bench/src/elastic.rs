@@ -18,14 +18,12 @@
 //! so the two configurations — which run identical phase schedules —
 //! must return byte-identical reads.
 //!
-//! Two gates ride in the artifact beside that identity:
-//!
-//! * **latency**: the elastic configuration's steady-state GET p99
-//!   (each phase's final round, after the pool has adapted) stays
-//!   within [`P99_BUDGET`]× of the statically over-provisioned p99;
-//! * **provisioning**: the elastic pool's time-averaged live worker
-//!   count is at least [`PROVISIONING_BUDGET`]× lower than the static
-//!   configuration's fixed [`MAX_WORKERS`].
+//! One count is gated beside that identity, **provisioning**: the
+//! elastic pool's live worker count, sampled after every tick and
+//! averaged, is at least [`PROVISIONING_BUDGET`]× lower than the static
+//! configuration's fixed [`MAX_WORKERS`]. Each configuration's
+//! steady-state GET p99 (each phase's final round, after the pool has
+//! adapted) and their ratio are reported, not gated.
 
 use std::time::Instant;
 
@@ -44,11 +42,8 @@ pub const SHARDS: usize = 16;
 pub const PHASES: [usize; 7] = [1, 2, 4, 8, 4, 2, 1];
 /// Rounds per phase; each round ends in one balancer tick, so the
 /// elastic pool gets this many resize opportunities per load level.
-/// The last round of each phase is the steady-state measurement the
-/// latency gate reads.
+/// The last round of each phase is the steady-state latency measurement.
 pub const ROUNDS_PER_PHASE: usize = 3;
-/// Latency gate: elastic steady-state GET p99 ≤ this × static p99.
-pub const P99_BUDGET: f64 = 1.5;
 /// Provisioning gate: static avg workers ≥ this × elastic avg workers.
 pub const PROVISIONING_BUDGET: f64 = 2.0;
 /// Fraction of ops that are writes.
@@ -142,16 +137,8 @@ fn avg(samples: &[usize]) -> f64 {
     samples.iter().sum::<usize>() as f64 / samples.len().max(1) as f64
 }
 
-fn latency_ok(p99_ratio: f64) -> bool {
-    p99_ratio <= P99_BUDGET
-}
-
-fn provisioning_ok(improvement: f64) -> bool {
-    improvement >= PROVISIONING_BUDGET
-}
-
-/// Builds the summary (gate verdicts included) from both configurations'
-/// phase rows and per-tick live-worker samples.
+/// Builds the summary from both configurations' phase rows and per-tick
+/// live-worker samples.
 fn summarize(
     elastic_rows: &[Fields],
     elastic_samples: &[usize],
@@ -159,9 +146,9 @@ fn summarize(
     static_samples: &[usize],
     reads_identical: bool,
 ) -> Fields {
-    // The gate p99 is the worst steady-state phase p99: the elastic
-    // pool must hold latency at every load level once adapted, not just
-    // on average.
+    // The reported p99 is the worst steady-state phase p99: the elastic
+    // pool should hold latency at every load level once adapted, not
+    // just on average.
     let worst = |rows: &[Fields]| rows.iter().map(|r| r.int("p99_get_ns")).max().unwrap_or(0);
     let (elastic_p99, static_p99) = (worst(elastic_rows), worst(static_rows));
     let p99_ratio = elastic_p99 as f64 / (static_p99 as f64).max(1.0);
@@ -175,11 +162,9 @@ fn summarize(
             elastic_samples.iter().copied().max().unwrap_or(0),
         )
         .float("provisioning_improvement", improvement, 3)
-        .with("provisioning_within_budget", provisioning_ok(improvement))
         .with("elastic_p99_ns", elastic_p99)
         .with("static_p99_ns", static_p99)
         .float("p99_ratio", p99_ratio, 3)
-        .with("latency_within_budget", latency_ok(p99_ratio))
 }
 
 fn run_sized(keys: u64, ops_per_client: u64, seed: u64) -> Report {
@@ -195,7 +180,6 @@ fn run_sized(keys: u64, ops_per_client: u64, seed: u64) -> Report {
             .with("rounds_per_phase", ROUNDS_PER_PHASE)
             .with("keys", keys)
             .with("ops_per_client", ops_per_client)
-            .float("p99_budget", P99_BUDGET, 1)
             .float("provisioning_budget", PROVISIONING_BUDGET, 1)
             .with("phases", phases.join(",").as_str()),
         summary: summarize(
@@ -220,25 +204,16 @@ pub fn run() -> Report {
     )
 }
 
-/// Resizing must be invisible to reads; at full scale the elastic pool
-/// must also hold the static pool's steady-state p99 within
-/// [`P99_BUDGET`]× while provisioning [`PROVISIONING_BUDGET`]× fewer
-/// workers on average.
-pub fn gate(summary: &Fields, full_scale: bool) -> Vec<String> {
+/// Resizing must be invisible to reads, and the elastic pool must
+/// provision [`PROVISIONING_BUDGET`]× fewer workers on average. The
+/// second holds trivially when the pool never grows.
+pub fn gate(summary: &Fields) -> Vec<String> {
     let mut failed = Vec::new();
     if !summary.is("reads_identical") {
         failed.push("elastic and static configurations returned different reads".into());
     }
-    let (ratio, improvement) = (
-        summary.num("p99_ratio"),
-        summary.num("provisioning_improvement"),
-    );
-    if full_scale && !latency_ok(ratio) {
-        failed.push(format!(
-            "elastic p99 is {ratio:.2}x static (budget {P99_BUDGET:.1}x)"
-        ));
-    }
-    if full_scale && !provisioning_ok(improvement) {
+    let improvement = summary.num("provisioning_improvement");
+    if improvement < PROVISIONING_BUDGET {
         failed.push(format!(
             "elastic pool only saves {improvement:.2}x workers (budget {PROVISIONING_BUDGET:.1}x)"
         ));
@@ -283,14 +258,12 @@ mod tests {
             &[8, 8, 8, 8],
             true,
         );
-        assert_eq!(s.int("elastic_p99_ns"), 1400, "gate reads the worst phase");
+        assert_eq!(s.int("elastic_p99_ns"), 1400, "the worst phase is reported");
         assert!((s.num("p99_ratio") - 1.4).abs() < 1e-9);
-        assert!(s.is("latency_within_budget"));
         assert_eq!(s.int("elastic_peak_workers"), 3);
         assert!((s.num("elastic_avg_workers") - 2.0).abs() < 1e-9);
         assert!((s.num("provisioning_improvement") - 4.0).abs() < 1e-9);
-        assert!(s.is("provisioning_within_budget"));
-        assert!(gate(&s, true).is_empty());
+        assert!(gate(&s).is_empty());
     }
 
     #[test]
@@ -304,29 +277,17 @@ mod tests {
                 identical,
             )
         };
-        let s = summary(true);
-        assert!(
-            !s.is("latency_within_budget"),
-            "2.0x p99 must trip the gate"
-        );
-        assert!(
-            !s.is("provisioning_within_budget"),
-            "1.6x avg must trip the gate"
-        );
-        assert_eq!(gate(&s, true).len(), 2);
-        assert!(gate(&s, false).is_empty(), "short windows are not gated");
-        assert_eq!(
-            gate(&summary(false), false).len(),
-            1,
-            "identity is, at every scale"
-        );
+        // 2.0x the static p99 is reported; 1.6x fewer workers trips.
+        let failed = gate(&summary(true));
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        assert!(failed[0].contains("saves 1.60x"), "{failed:?}");
+        assert_eq!(gate(&summary(false)).len(), 2, "and so do different reads");
     }
 
     /// A half-size end-to-end run: the elastic pool must actually move
     /// (grow past one worker under the ramp, end the quiet tail below
     /// the peak), the static pool must stay pinned, and the two must
-    /// read back identically. Timing-derived gates are not asserted
-    /// here — a loaded CI box must not flake this test.
+    /// read back identically.
     #[test]
     fn tiny_run_scales_and_reads_identically() {
         let report = smoke();

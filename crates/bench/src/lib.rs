@@ -20,13 +20,12 @@ pub mod figures;
 pub mod scaninterf;
 pub mod setups;
 pub mod skew;
-pub mod traceov;
 pub mod workload;
 
 /// The feature gates, in the order `gates -- all` runs them: one scenario
 /// per feature that still guards behaviour, each answering one question
 /// (see `DESIGN.md` §4 and the module docs).
-pub const SCENARIOS: [artifact::Scenario; 7] = [
+pub const SCENARIOS: [artifact::Scenario; 6] = [
     artifact::Scenario {
         id: "backup_under_load",
         artifact: "BENCH_backup",
@@ -69,22 +68,24 @@ pub const SCENARIOS: [artifact::Scenario; 7] = [
         run: elastic::run,
         gate: elastic::gate,
     },
-    artifact::Scenario {
-        id: "trace_overhead",
-        artifact: "BENCH_trace",
-        question: "span tracing overhead: disabled vs default 1/64 sampling",
-        run: traceov::run,
-        gate: traceov::gate,
-    },
 ];
+
+/// The value of `var` parsed as a `T`, `default` when the variable is
+/// unset. A value that does not parse panics naming the variable: falling
+/// back would replay another schedule, or run at another scale, than the
+/// one the caller asked for.
+fn from_env<T: std::str::FromStr>(var: &str, what: &str, default: T) -> T {
+    match std::env::var(var) {
+        Err(_) => default,
+        Ok(s) => s
+            .parse()
+            .unwrap_or_else(|_| panic!("{var} must be {what}, not {s:?}")),
+    }
+}
 
 /// `P2KVS_SCALE`: the factor every op count is multiplied by (default 1).
 pub fn scale() -> f64 {
-    std::env::var("P2KVS_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(1.0)
-        .clamp(0.001, 1000.0)
+    from_env("P2KVS_SCALE", "a number", 1.0f64).clamp(0.001, 1000.0)
 }
 
 /// Returns `n` scaled by `P2KVS_SCALE` (min 1).
@@ -94,12 +95,9 @@ pub fn scaled(n: u64) -> u64 {
 
 /// The seed a scenario's op streams derive from: `var` when it is set
 /// (CI pins it, so a red run names a reproducible schedule), else
-/// `default`.
+/// `default`. The value is decimal; anything else panics.
 pub fn seed_from_env(var: &str, default: u64) -> u64 {
-    std::env::var(var)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+    from_env(var, "a decimal u64", default)
 }
 
 /// The `p`-quantile (`0.0..=1.0`) of an ascending-sorted sample, by
@@ -156,6 +154,14 @@ mod tests {
     #[test]
     fn scaled_respects_min() {
         assert!(super::scaled(10) >= 1);
+    }
+
+    /// The hex form CI's comments print beside each seed is not a seed.
+    #[test]
+    #[should_panic(expected = "P2KVS_UNPARSABLE_TEST_SEED must be a decimal u64")]
+    fn an_unparsable_seed_panics_naming_its_variable() {
+        std::env::set_var("P2KVS_UNPARSABLE_TEST_SEED", "0xCAC4E5EED");
+        super::seed_from_env("P2KVS_UNPARSABLE_TEST_SEED", 7);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use p2kvs::{P2Kvs, P2KvsOptions, Partitioner};
+use p2kvs::{P2KvsOptions, Partitioner};
 use p2kvs_util::rng::Rng;
 
 use crate::artifact::{Fields, Report, Value};
@@ -106,36 +106,21 @@ fn spread(deltas: &[u64]) -> f64 {
     max / min
 }
 
-/// Total cache hits so far (0 with the cache off). Window deltas count
-/// toward `ops`: hits are completed GETs the workers never see.
-fn cache_hits(store: &P2Kvs<lsmkv::Db>) -> u64 {
-    store
-        .metrics_snapshot()
-        .counter("p2kvs_cache_hits")
-        .unwrap_or(0)
-}
-
 /// Measures one configuration: load, zipfian warmup (which feeds the
 /// per-shard gauges), rebalancing to convergence when `balance`, then a
 /// measured window. Returns the row and the readback sample.
-///
-/// `cache_capacity` is 0 for this scenario's own configurations: hits
-/// served client-side would bypass the very worker imbalance it measures.
-/// The cache scenario layers it back on to show the hot-set cache
-/// recovering throughput the balancer alone leaves on the table —
-/// workload, placement, and seeds are identical, so results stay
-/// byte-comparable across all configurations.
-pub fn measure(
+fn measure(
     config: &'static str,
     balance: bool,
-    cache_capacity: usize,
     keys_per_tenant: u64,
     warmup_ops: u64,
     measure_ops: u64,
     seed: u64,
 ) -> (Fields, Sample) {
     let mut opts = P2KvsOptions::with_workers(WORKERS);
-    opts.cache_capacity = cache_capacity;
+    // Cache off: hits served client-side would bypass the very worker
+    // imbalance the scenario measures.
+    opts.cache_capacity = 0;
     opts.partitioner = Some(Arc::new(TenantPartitioner::new(TENANTS)));
     let store = setups::scenario_store(config, setups::scenario_engine(setups::nvme_env()), opts);
     let keys = (0..TENANTS).flat_map(|t| (0..keys_per_tenant).map(move |i| key_of(t, i)));
@@ -170,7 +155,6 @@ pub fn measure(
     }
 
     let before = store.snapshot();
-    let hits_before = cache_hits(&store);
     let began = Instant::now();
     let lat = drive(measure_ops, seed);
     let wall_secs = began.elapsed().as_secs_f64();
@@ -186,10 +170,7 @@ pub fn measure(
     };
     let worker_ops = deltas(|w| w.ops);
     let worker_busy = deltas(|w| w.busy.as_nanos() as u64);
-    // Cache hits complete on the client thread and never reach a
-    // worker; counting only worker deltas would report the cached
-    // configuration's misses as its whole throughput.
-    let ops = worker_ops.iter().sum::<u64>() + cache_hits(&store).saturating_sub(hits_before);
+    let ops = worker_ops.iter().sum::<u64>();
     let row = Fields::new()
         .with("config", config)
         .with("workers", store.workers())
@@ -213,7 +194,6 @@ fn run_sized(keys_per_tenant: u64, warmup_ops: u64, measure_ops: u64, seed: u64)
     let (stat, stat_sample) = measure(
         "static",
         false,
-        0,
         keys_per_tenant,
         warmup_ops,
         measure_ops,
@@ -222,7 +202,6 @@ fn run_sized(keys_per_tenant: u64, warmup_ops: u64, measure_ops: u64, seed: u64)
     let (bal, bal_sample) = measure(
         "balanced",
         true,
-        0,
         keys_per_tenant,
         warmup_ops,
         measure_ops,
@@ -267,7 +246,7 @@ pub fn run() -> Report {
 
 /// The rebalancer must be invisible to reads; the improvements are
 /// reported, not gated.
-pub fn gate(summary: &Fields, _full_scale: bool) -> Vec<String> {
+pub fn gate(summary: &Fields) -> Vec<String> {
     if summary.is("reads_identical") {
         return Vec::new();
     }
@@ -344,11 +323,7 @@ mod tests {
                 .float("spread_improvement", 0.9, 3)
                 .float("throughput_improvement", 0.9, 3)
         };
-        assert!(gate(&summary(true), true).is_empty());
-        assert_eq!(
-            gate(&summary(false), false).len(),
-            1,
-            "identity is gated at every scale"
-        );
+        assert!(gate(&summary(true)).is_empty());
+        assert_eq!(gate(&summary(false)).len(), 1);
     }
 }

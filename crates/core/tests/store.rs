@@ -1445,6 +1445,39 @@ fn trace_sampling_zero_disables_and_default_is_sparse() {
     assert!(!ids.is_empty(), "1/64 sampling must trace something in 640 ops");
     assert!(ids.len() <= 640 / 64 + 2, "sampled {} of 640", ids.len());
     store.close();
+
+    // Tracing never changes a result: one seeded 3:1 put:get stream reads
+    // back the same values untraced and with every request traced. Cache
+    // off, so every GET takes the traced worker path.
+    let replay = |trace_sample: u64| {
+        let mut opts = P2KvsOptions::with_workers(2);
+        opts.cache_capacity = 0;
+        opts.trace_sample = trace_sample;
+        let store = P2Kvs::open(lsm_factory(), "p2-trace-replay", opts).unwrap();
+        let mut rng = p2kvs_util::rng::Rng::new(11);
+        let reads: Vec<Option<Vec<u8>>> = (0..2_000u64)
+            .filter_map(|i| {
+                let key = format!("r{:03}", rng.below(200));
+                if rng.below(4) == 0 {
+                    return Some(store.get(key.as_bytes()).unwrap());
+                }
+                store
+                    .put(key.as_bytes(), format!("v{i}").as_bytes())
+                    .unwrap();
+                None
+            })
+            .collect();
+        let sampled = store.trace_spans().iter().any(|s| !s.tail_kept());
+        store.close();
+        (reads, sampled)
+    };
+    let ((untraced, none), (traced, all)) = (replay(0), replay(1));
+    assert!(!none && all, "the comparison must be real on both sides");
+    assert!(
+        untraced.iter().any(Option::is_some),
+        "the stream reads real values"
+    );
+    assert_eq!(untraced, traced, "tracing changed a read");
 }
 
 #[test]
