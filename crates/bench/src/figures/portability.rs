@@ -29,8 +29,8 @@ pub fn fig22() {
         ldb.db.wait_idle().unwrap();
         let r_l = drive(&ldb, &read, run).qps();
         // p2KVS over LevelDB-mode instances.
-        let p2 =
-            setups::p2kvs_over_leveldb(setups::nvme_env(), &format!("f22-p-{threads}"), threads);
+        let leveldb = setups::bench_sized(lsmkv::Options::leveldb_like(setups::nvme_env()));
+        let p2 = setups::p2kvs_with(leveldb, &format!("f22-p-{threads}"), threads, true);
         let w_p = drive(&p2, &fill, run).qps();
         load(&p2, items, 128).expect("preload");
         for e in p2.store.engines() {

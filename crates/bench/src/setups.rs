@@ -32,12 +32,18 @@ pub fn instant_env() -> Arc<SimEnv> {
 
 /// Bench-scaled RocksDB-mode options.
 pub fn bench_options(env: EnvRef) -> Options {
-    let mut o = Options::rocksdb_like(env);
-    o.memtable_size = 1 << 20;
-    o.target_file_size = 512 << 10;
-    o.base_level_size = 4 << 20;
-    o.block_cache_size = 8 << 20;
-    o
+    bench_sized(Options::rocksdb_like(env))
+}
+
+/// One of lsmkv's mode presets at the bench's engine sizes.
+pub fn bench_sized(preset: Options) -> Options {
+    Options {
+        memtable_size: 1 << 20,
+        target_file_size: 512 << 10,
+        base_level_size: 4 << 20,
+        block_cache_size: 8 << 20,
+        ..preset
+    }
 }
 
 /// Single-instance RocksDB-mode baseline.
@@ -47,20 +53,13 @@ pub fn rocksdb_single(env: Arc<SimEnv>, dir: &str) -> LsmClient {
 
 /// Single-instance PebblesDB-mode baseline.
 pub fn pebblesdb_single(env: Arc<SimEnv>, dir: &str) -> LsmClient {
-    let mut o = bench_options(env);
-    o.compaction_style = lsmkv::CompactionStyle::Fragmented;
-    o.concurrent_memtable = false;
-    o.pipelined_write = false;
-    o.has_multiget = false;
+    let o = bench_sized(Options::pebblesdb_like(env));
     LsmClient::new(Db::open(o, dir).expect("open pebblesdb baseline"))
 }
 
 /// Single-instance LevelDB-mode baseline.
 pub fn leveldb_single(env: Arc<SimEnv>, dir: &str) -> LsmClient {
-    let mut o = bench_options(env);
-    o.concurrent_memtable = false;
-    o.pipelined_write = false;
-    o.has_multiget = false;
+    let o = bench_sized(Options::leveldb_like(env));
     LsmClient::new(Db::open(o, dir).expect("open leveldb baseline"))
 }
 
@@ -85,7 +84,7 @@ pub fn p2kvs(env: Arc<SimEnv>, dir: &str, workers: usize, obm: bool) -> P2Client
     p2kvs_with(bench_options(env), dir, workers, obm)
 }
 
-/// p2KVS over RocksDB-mode engines with explicit engine options.
+/// p2KVS over engines built from explicit options (any mode).
 pub fn p2kvs_with(opts: Options, dir: &str, workers: usize, obm: bool) -> P2Client<Db> {
     let factory = LsmFactory::new(opts);
     // The paper's static layout: one shard per worker, no balancer —
@@ -96,19 +95,6 @@ pub fn p2kvs_with(opts: Options, dir: &str, workers: usize, obm: bool) -> P2Clie
     }
     P2Client {
         store: P2Kvs::open(factory, dir, popts).expect("open p2kvs"),
-    }
-}
-
-/// p2KVS over LevelDB-mode engines.
-pub fn p2kvs_over_leveldb(env: Arc<SimEnv>, dir: &str, workers: usize) -> P2Client<Db> {
-    let mut o = bench_options(env);
-    o.concurrent_memtable = false;
-    o.pipelined_write = false;
-    o.has_multiget = false;
-    let factory = LsmFactory::new(o);
-    P2Client {
-        store: P2Kvs::open(factory, dir, P2KvsOptions::paper_layout(workers))
-            .expect("open p2kvs/leveldb"),
     }
 }
 

@@ -509,7 +509,7 @@ impl KvsEngine for lsmkv::Db {
     fn capabilities(&self) -> Capabilities {
         Capabilities {
             batch_write: true,
-            multiget: self.options().has_multiget,
+            multiget: self.options().flavor == lsmkv::Flavor::RocksDb,
             native_cursor: true,
         }
     }
@@ -894,10 +894,17 @@ mod tests {
     #[test]
     fn leveldb_mode_reports_no_multiget() {
         let env: p2kvs_storage::EnvRef = Arc::new(MemEnv::new());
-        let factory = LsmFactory::new(lsmkv::Options::leveldb_like(env));
-        let db = factory.open(Path::new("e2"), None).unwrap();
-        assert!(!db.capabilities().multiget);
-        assert!(db.capabilities().batch_write);
+        let presets = [
+            (lsmkv::Options::rocksdb_like(env.clone()), true),
+            (lsmkv::Options::leveldb_like(env.clone()), false),
+            (lsmkv::Options::pebblesdb_like(env), false),
+        ];
+        for (i, (opts, multiget)) in presets.into_iter().enumerate() {
+            let factory = LsmFactory::new(opts);
+            let db = factory.open(Path::new(&format!("e2-{i}")), None).unwrap();
+            assert_eq!(db.capabilities().multiget, multiget, "preset {i}");
+            assert!(db.capabilities().batch_write);
+        }
     }
 
     #[test]
@@ -1131,7 +1138,9 @@ mod tests {
         let env: p2kvs_storage::EnvRef = Arc::new(MemEnv::new());
         let mut opts = kvell::KvellOptions::new(env);
         opts.workers = 2;
-        let db = KvellFactory::new(opts).open(Path::new("bk3"), None).unwrap();
+        let db = KvellFactory::new(opts)
+            .open(Path::new("bk3"), None)
+            .unwrap();
         for i in 0..30 {
             KvsEngine::put(&db, format!("k{i:02}").as_bytes(), b"v").unwrap();
         }
@@ -1144,7 +1153,10 @@ mod tests {
 
     #[test]
     fn fidelity_codes_roundtrip() {
-        for f in [SnapshotFidelity::PointInTime, SnapshotFidelity::Materialized] {
+        for f in [
+            SnapshotFidelity::PointInTime,
+            SnapshotFidelity::Materialized,
+        ] {
             assert_eq!(SnapshotFidelity::from_code(f.code()), Some(f));
         }
         assert_eq!(SnapshotFidelity::from_code(7), None);

@@ -12,9 +12,9 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
+use p2kvs_storage::EnvRef;
 use p2kvs_util::hash::fnv1a64;
 use p2kvs_util::timing::BusyClock;
-use p2kvs_storage::EnvRef;
 
 use crate::shard::Shard;
 
@@ -25,18 +25,15 @@ pub struct KvellOptions {
     pub env: EnvRef,
     /// Number of share-nothing workers.
     pub workers: usize,
-    /// Item cache capacity per shard, in bytes.
-    pub cache_bytes_per_shard: usize,
 }
+
+/// Item cache capacity per shard, in bytes.
+const CACHE_BYTES_PER_SHARD: usize = 4 << 20;
 
 impl KvellOptions {
     /// Defaults over the given env: 4 workers, 4 MiB cache each.
     pub fn new(env: EnvRef) -> KvellOptions {
-        KvellOptions {
-            env,
-            workers: 4,
-            cache_bytes_per_shard: 4 << 20,
-        }
+        KvellOptions { env, workers: 4 }
     }
 }
 
@@ -92,7 +89,7 @@ impl KvellDb {
         for w in 0..workers {
             let (tx, rx) = channel::<Request>();
             let shard_dir = dir.join(format!("shard{w}"));
-            let mut shard = Shard::open(opts.env.clone(), shard_dir, opts.cache_bytes_per_shard)?;
+            let mut shard = Shard::open(opts.env.clone(), shard_dir, CACHE_BYTES_PER_SHARD)?;
             let clock = Arc::new(BusyClock::new());
             let clock2 = clock.clone();
             let handle = std::thread::Builder::new()
@@ -133,7 +130,8 @@ impl KvellDb {
         self.senders[worker]
             .send(Request { op, reply: tx })
             .map_err(|_| io::Error::other("kvell worker gone"))?;
-        rx.recv().map_err(|_| io::Error::other("kvell worker gone"))?
+        rx.recv()
+            .map_err(|_| io::Error::other("kvell worker gone"))?
     }
 
     /// Inserts or updates `key`.
@@ -283,7 +281,10 @@ mod tests {
             db.put(format!("k{i:03}").as_bytes(), b"v").unwrap();
         }
         let got = db.scan(b"k010", 5).unwrap();
-        let keys: Vec<_> = got.iter().map(|(k, _)| String::from_utf8(k.clone()).unwrap()).collect();
+        let keys: Vec<_> = got
+            .iter()
+            .map(|(k, _)| String::from_utf8(k.clone()).unwrap())
+            .collect();
         assert_eq!(keys, vec!["k010", "k011", "k012", "k013", "k014"]);
     }
 

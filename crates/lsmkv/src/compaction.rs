@@ -267,7 +267,11 @@ impl GcPolicy<'_> {
     fn key_survives_elsewhere(&self, ukey: &[u8]) -> bool {
         // Deeper levels always shadow-check.
         for level in self.output_level + 1..self.version.levels.len() {
-            if !self.version.overlapping(level, Some(ukey), Some(ukey)).is_empty() {
+            if !self
+                .version
+                .overlapping(level, Some(ukey), Some(ukey))
+                .is_empty()
+            {
                 return true;
             }
         }
@@ -304,9 +308,8 @@ fn write_sorted_stream(
     // Sequence of the most recent (newest) retained entry for the current
     // user key; MAX means "none seen yet".
     let mut last_seq_for_key = u64::MAX;
-    let in_range = |it: &dyn InternalIterator| {
-        it.valid() && end.map_or(true, |e| user_key(it.key()) < e)
-    };
+    let in_range =
+        |it: &dyn InternalIterator| it.valid() && end.is_none_or(|e| user_key(it.key()) < e);
 
     while in_range(iter) {
         let ikey = iter.key();
@@ -354,7 +357,8 @@ fn write_sorted_stream(
             if full {
                 // Peek whether the next entry starts a new user key.
                 iter.next();
-                let new_key = !iter.valid() || user_key(iter.key()) != current_ukey.as_deref().unwrap_or(b"");
+                let new_key =
+                    !iter.valid() || user_key(iter.key()) != current_ukey.as_deref().unwrap_or(b"");
                 if new_key {
                     let (number, b) = builder.take().expect("builder present");
                     outputs.push(finish_builder(number, b)?);
@@ -375,7 +379,9 @@ fn write_sorted_stream(
             outputs.push(finish_builder(number, b)?);
         } else {
             // Remove the empty placeholder file.
-            let _ = ctx.env.remove_file(&file_path(ctx.dir, number, FileKind::Table));
+            let _ = ctx
+                .env
+                .remove_file(&file_path(ctx.dir, number, FileKind::Table));
         }
     }
     Ok(outputs)
@@ -697,8 +703,9 @@ mod tests {
     #[test]
     fn compaction_fails_on_a_flipped_byte_in_any_input_data_block() {
         use p2kvs_storage::env::{read_all, write_all};
-        let mut fx = Fixture::new();
-        fx.opts.block_size = 1024;
+        let fx = Fixture::new();
+        // Each input holds ~48 KB of entries: about a dozen data blocks at
+        // the engine's block size.
         let build = |keys: std::ops::Range<u64>| {
             let mem = Arc::new(MemTable::new());
             for i in keys {
@@ -717,8 +724,8 @@ mod tests {
             level: 0,
             output_level: 1,
             inputs: vec![
-                Arc::new(build(0..150).into()),
-                Arc::new(build(150..300).into()),
+                Arc::new(build(0..600).into()),
+                Arc::new(build(600..1200).into()),
             ],
             next_inputs: vec![],
         };
@@ -755,7 +762,7 @@ mod tests {
         }
         assert!(damaged_blocks > 6);
         let out = run_compaction(&fx.ctx(), &task, &version, 1000, &|| fx.alloc()).unwrap();
-        assert_eq!(out.files.iter().map(|f| f.entries).sum::<u64>(), 300);
+        assert_eq!(out.files.iter().map(|f| f.entries).sum::<u64>(), 1200);
     }
 
     /// A compaction reads tables it is about to delete: none of their
@@ -910,7 +917,12 @@ mod tests {
                 if i % 17 == 0 {
                     mem.add(seq, ValueType::Deletion, key.as_bytes(), b"");
                 } else {
-                    mem.add(seq, ValueType::Value, key.as_bytes(), format!("v{f}-{i}").as_bytes());
+                    mem.add(
+                        seq,
+                        ValueType::Value,
+                        key.as_bytes(),
+                        format!("v{f}-{i}").as_bytes(),
+                    );
                 }
                 // Older shadowed version of the same key in the same file.
                 if i % 5 == 0 {
@@ -952,7 +964,10 @@ mod tests {
     }
 
     /// Concatenated (user_key, seq, kind, value) stream of output files.
-    fn entry_stream(fx: &Fixture, files: &[FileMetaData]) -> Vec<(Vec<u8>, u64, ValueType, Vec<u8>)> {
+    fn entry_stream(
+        fx: &Fixture,
+        files: &[FileMetaData],
+    ) -> Vec<(Vec<u8>, u64, ValueType, Vec<u8>)> {
         let mut out = Vec::new();
         for meta in files {
             let reader = fx.cache.get(meta.number, meta.size).unwrap();
@@ -1008,8 +1023,20 @@ mod tests {
     fn parallel_compaction_respects_snapshots_and_tombstones() {
         let mut fx = Fixture::new();
         fx.opts.subcompactions = 4;
-        let f1 = build_l0(&fx, &[("a", 5, ValueType::Value, "new"), ("m", 7, ValueType::Deletion, "")]);
-        let f2 = build_l0(&fx, &[("a", 3, ValueType::Value, "old"), ("z", 4, ValueType::Value, "zz")]);
+        let f1 = build_l0(
+            &fx,
+            &[
+                ("a", 5, ValueType::Value, "new"),
+                ("m", 7, ValueType::Deletion, ""),
+            ],
+        );
+        let f2 = build_l0(
+            &fx,
+            &[
+                ("a", 3, ValueType::Value, "old"),
+                ("z", 4, ValueType::Value, "zz"),
+            ],
+        );
         // Third file starting at "z" gives the partitioner a boundary right
         // on a user key whose version chain spans two files: the chain must
         // land whole in the second partition.
@@ -1065,7 +1092,7 @@ mod tests {
         assert!(partition_bounds(&task, 1).is_empty());
         for subs in [2usize, 3, 4, 16] {
             let bounds = partition_bounds(&task, subs);
-            assert!(bounds.len() <= subs - 1, "subs={subs} got {}", bounds.len());
+            assert!(bounds.len() < subs, "subs={subs} got {}", bounds.len());
             for pair in bounds.windows(2) {
                 assert!(pair[0] < pair[1], "bounds must be strictly increasing");
             }
@@ -1085,7 +1112,9 @@ mod tests {
     #[test]
     fn subcompaction_outputs_spread_across_queues() {
         use p2kvs_storage::{DeviceProfile, Env as _, SimEnv};
-        let env = Arc::new(SimEnv::with_profile(DeviceProfile::instant().with_queues(4)));
+        let env = Arc::new(SimEnv::with_profile(
+            DeviceProfile::instant().with_queues(4),
+        ));
         let mut opts = Options::for_test();
         opts.env = env.clone();
         opts.subcompactions = 3;
@@ -1111,7 +1140,10 @@ mod tests {
             spread[2] > 0 && spread[3] > 0 && spread[0] > 0,
             "outputs not spread: {spread:?}"
         );
-        assert_eq!(spread[1], 0, "home queue must not take subcompaction writes: {spread:?}");
+        assert_eq!(
+            spread[1], 0,
+            "home queue must not take subcompaction writes: {spread:?}"
+        );
     }
 
     #[test]
@@ -1126,7 +1158,11 @@ mod tests {
             mem.add(i + 5001, ValueType::Value, key.as_bytes(), &[8u8; 90]);
         }
         let files = build_run(&fx, &mem);
-        assert!(files.len() > 2, "expected several outputs, got {}", files.len());
+        assert!(
+            files.len() > 2,
+            "expected several outputs, got {}",
+            files.len()
+        );
         // Ranges must be disjoint and ordered, and no user key may have
         // versions on both sides of a cut.
         for pair in files.windows(2) {

@@ -25,7 +25,7 @@ use crate::batch::{BatchOp, WriteBatch};
 use crate::compaction::{flush_memtable, run_compaction, JobContext};
 use crate::error::{Error, Result};
 use crate::memtable::{MemGet, MemTable};
-use crate::options::{Options, ReadOptions, SyncPolicy, WriteOptions};
+use crate::options::{Flavor, Options, ReadOptions, SyncPolicy, WriteOptions, NUM_LEVELS};
 use crate::sst::BlockCache;
 use crate::stats::DbStats;
 use crate::types::{file_path, FileKind, SequenceNumber, ValueType};
@@ -162,10 +162,14 @@ impl Db {
         env.create_dir_all(&dir)?;
         let versions = VersionSet::open(env.clone(), &dir, &opts)?;
         let file_counter = versions.file_counter();
-        let block_cache = (opts.block_cache_size > 0)
-            .then(|| Arc::new(BlockCache::new(opts.block_cache_size)));
-        let table_cache = Arc::new(TableCache::new(env.clone(), dir.clone(), block_cache.clone()));
-        let stats = Arc::new(DbStats::new(opts.num_levels));
+        let block_cache =
+            (opts.block_cache_size > 0).then(|| Arc::new(BlockCache::new(opts.block_cache_size)));
+        let table_cache = Arc::new(TableCache::new(
+            env.clone(),
+            dir.clone(),
+            block_cache.clone(),
+        ));
+        let stats = Arc::new(DbStats::new(NUM_LEVELS));
 
         let mut state = DbState {
             mem: Arc::new(MemTable::new()),
@@ -173,7 +177,7 @@ impl Db {
             versions,
             bg_error: None,
             flush_active: false,
-            compact_busy: vec![false; opts.num_levels],
+            compact_busy: vec![false; NUM_LEVELS],
         };
 
         // Replay WALs newer than the manifest's log number.
@@ -235,7 +239,10 @@ impl Db {
         let writer = LogWriter::new(wal_file);
         edit.log_number = Some(new_log);
         edit.last_sequence = Some(max_seq);
-        state.versions.last_sequence.store(max_seq, Ordering::Relaxed);
+        state
+            .versions
+            .last_sequence
+            .store(max_seq, Ordering::Relaxed);
         state.log_and_apply(edit, &stats)?;
 
         let n_bg = opts.compaction_threads.max(1) + 1;
@@ -284,13 +291,11 @@ impl Db {
     /// Applies every update in `batch` to `mem` using the batch's assigned
     /// sequence numbers.
     fn apply_batch_to_mem(mem: &MemTable, batch: &WriteBatch) -> Result<()> {
-        let mut seq = batch.sequence();
-        for op in batch.iter() {
+        for (seq, op) in (batch.sequence()..).zip(batch.iter()) {
             match op? {
                 BatchOp::Put { key, value } => mem.add(seq, ValueType::Value, key, value),
                 BatchOp::Delete { key } => mem.add(seq, ValueType::Deletion, key, b""),
             }
-            seq += 1;
         }
         Ok(())
     }
@@ -425,7 +430,7 @@ impl Db {
         opts: &ReadOptions,
         keys: &[Vec<u8>],
     ) -> Result<Vec<Option<Vec<u8>>>> {
-        if !self.inner.opts.has_multiget {
+        if self.inner.opts.flavor == Flavor::LevelDb {
             // LevelDB mode: engines without multiget run lookups serially.
             return keys.iter().map(|k| self.get_with(opts, k)).collect();
         }
@@ -724,12 +729,10 @@ impl DbInner {
 
     /// Runs one write group with the calling slot as leader.
     fn run_as_leader(self: &Arc<Self>, slot: &Arc<WriterSlot>) -> Result<()> {
-        slot.wal_lock_ns.store(
-            slot.enqueued.elapsed().as_nanos() as u64,
-            Ordering::Relaxed,
-        );
+        slot.wal_lock_ns
+            .store(slot.enqueued.elapsed().as_nanos() as u64, Ordering::Relaxed);
         if let Err(e) = self.make_room_for_write() {
-            self.pop_group_and_promote(&[slot.clone()]);
+            self.pop_group_and_promote(std::slice::from_ref(slot));
             slot.set_phase(Phase::Done(Some(e.to_string())));
             return Err(e);
         }
@@ -810,13 +813,14 @@ impl DbInner {
 
         // Pipelined write: unblock the next group's WAL before our
         // MemTable phase.
-        if self.opts.pipelined_write {
+        if self.opts.flavor == Flavor::RocksDb {
             self.pop_group_and_promote(&group);
         }
 
         // MemTable stage.
-        let concurrent =
-            self.opts.concurrent_memtable && group.len() > 1 && !self.opts.bench_skip_memtable;
+        let concurrent = self.opts.flavor == Flavor::RocksDb
+            && group.len() > 1
+            && !self.opts.bench_skip_memtable;
         let mut insert_err: Option<Error> = None;
         if !self.opts.bench_skip_memtable {
             if concurrent {
@@ -860,7 +864,7 @@ impl DbInner {
         // Publish visibility strictly in sequence order.
         self.publish(start_seq, end_seq);
 
-        if !self.opts.pipelined_write {
+        if self.opts.flavor == Flavor::LevelDb {
             self.pop_group_and_promote(&group);
         }
         let t_done = Instant::now();
@@ -1035,9 +1039,6 @@ impl DbInner {
                 if kind == FileKind::Table {
                     self.table_cache.evict(num);
                 }
-                if std::env::var_os("P2KVS_GC_TRACE").is_some() {
-                    eprintln!("[gc] {} removing {}", self.dir.display(), name_str);
-                }
                 let _ = self.opts.env.remove_file(&self.dir.join(&name));
             }
         }
@@ -1100,8 +1101,9 @@ impl DbInner {
                         let (num, mem) = state.imms[0].clone();
                         break Work::Flush(num, mem);
                     }
-                    if let Some(task) =
-                        state.versions.pick_compaction_excluding(&state.compact_busy)
+                    if let Some(task) = state
+                        .versions
+                        .pick_compaction_excluding(&state.compact_busy)
                     {
                         state.compact_busy[task.level] = true;
                         state.compact_busy[task.output_level] = true;
@@ -1136,8 +1138,14 @@ impl DbInner {
                     inner.wait_published(inner.next_seq.load(Ordering::Acquire));
                     let t_job = Instant::now();
                     let result = flush_memtable(&ctx, &mem, &alloc);
-                    inner.stats.bg_busy.record(t_job.elapsed().as_nanos() as u64);
-                    let mut finish = DbEvent::FlushFinish { bytes: 0, ok: false };
+                    inner
+                        .stats
+                        .bg_busy
+                        .record(t_job.elapsed().as_nanos() as u64);
+                    let mut finish = DbEvent::FlushFinish {
+                        bytes: 0,
+                        ok: false,
+                    };
                     let mut state = inner.state.lock();
                     match result {
                         Ok(file) => {
@@ -1155,8 +1163,7 @@ impl DbInner {
                                 .map(|(n, _)| *n)
                                 .unwrap_or_else(|| inner.log.lock().number);
                             edit.log_number = Some(next_needed);
-                            edit.last_sequence =
-                                Some(inner.visible_seq.load(Ordering::Acquire));
+                            edit.last_sequence = Some(inner.visible_seq.load(Ordering::Acquire));
                             match state.log_and_apply(edit, &inner.stats) {
                                 Ok(()) => {
                                     debug_assert_eq!(state.imms[0].0, wal_num);

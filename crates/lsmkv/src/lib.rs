@@ -16,10 +16,12 @@
 //! assert_eq!(db.get(b"key").unwrap().unwrap(), b"value");
 //! ```
 //!
-//! Engine *modes* reproduce the paper's baselines:
-//! [`Options::rocksdb_like`] (all concurrency optimizations),
-//! [`Options::leveldb_like`] (no concurrent MemTable / pipelining /
-//! multiget) and [`Options::pebblesdb_like`] (fragmented compaction).
+//! Engine *modes* reproduce the paper's baselines. One field,
+//! [`Options::flavor`], switches RocksDB's concurrency optimizations:
+//! [`Options::rocksdb_like`] sets [`Flavor::RocksDb`] (concurrent MemTable,
+//! pipelined write, batched multiget), [`Options::leveldb_like`] sets
+//! [`Flavor::LevelDb`] (none of them) and [`Options::pebblesdb_like`] is
+//! LevelDB mode with fragmented compaction.
 
 pub mod batch;
 pub mod compaction;
@@ -37,5 +39,5 @@ pub mod wal;
 pub use batch::{BatchOp, WriteBatch};
 pub use db::{Db, DbEvent, DbEventHook, DbIterator, Snapshot};
 pub use error::{Error, Result};
-pub use options::{CompactionStyle, Options, ReadOptions, SyncPolicy, WriteOptions};
+pub use options::{CompactionStyle, Flavor, Options, ReadOptions, SyncPolicy, WriteOptions};
 pub use stats::{DbStats, WriteBreakdown};

@@ -2,10 +2,12 @@
 //!
 //! The defaults mimic a small RocksDB tuned for the paper's experiments
 //! (sizes are scaled down so compaction behaviour appears within the
-//! scaled-down op counts; see DESIGN.md). [`Options::leveldb_like`] disables
-//! the RocksDB-only concurrency optimizations to act as the LevelDB
-//! portability target, and [`Options::pebblesdb_like`] switches compaction
-//! to the fragmented (guard-based) policy to act as the PebblesDB baseline.
+//! scaled-down op counts; see DESIGN.md). One field, [`Options::flavor`],
+//! picks the engine mode: [`Options::leveldb_like`] sets [`Flavor::LevelDb`],
+//! which disables the RocksDB-only concurrency optimizations to act as the
+//! LevelDB portability target, and [`Options::pebblesdb_like`] adds the
+//! fragmented (guard-based) compaction policy to act as the PebblesDB
+//! baseline.
 
 use std::sync::Arc;
 
@@ -22,6 +24,27 @@ pub enum CompactionStyle {
     /// without rewriting it, trading read fan-out for write amplification.
     Fragmented,
 }
+
+/// Which engine the instance behaves like: the paper's portability target
+/// is LevelDB, i.e. RocksDB without its concurrency optimizations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flavor {
+    /// Followers of a write group insert their own batches in parallel
+    /// (RocksDB `allow_concurrent_memtable_write`), the WAL of group N+1
+    /// may start while group N is still inserting into the MemTable
+    /// (`enable_pipelined_write`), and `multiget` batches its lookups.
+    RocksDb,
+    /// None of those: the leader inserts the whole group, the next group
+    /// waits for this one's MemTable phase, and `multiget` runs its
+    /// lookups one by one.
+    LevelDb,
+}
+
+/// Number of LSM levels.
+pub const NUM_LEVELS: usize = 7;
+
+/// Fragmented style: fragments per guard that trigger a guard merge.
+pub const FRAGMENT_MERGE_THRESHOLD: usize = 6;
 
 /// When WAL writes become durable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,8 +64,6 @@ pub enum SyncPolicy {
 pub struct Options {
     /// Environment all files are created in.
     pub env: EnvRef,
-    /// Create the database if it does not exist.
-    pub create_if_missing: bool,
     /// MemTable capacity in bytes before it is made immutable.
     pub memtable_size: usize,
     /// Maximum number of immutable memtables before writers stall.
@@ -60,26 +81,16 @@ pub struct Options {
     pub base_level_size: u64,
     /// Growth factor between level size targets.
     pub level_multiplier: u64,
-    /// Number of LSM levels.
-    pub num_levels: usize,
-    /// Data block size inside SSTs.
-    pub block_size: usize,
     /// Bloom filter bits per key (0 disables filters).
     pub bloom_bits_per_key: usize,
     /// Capacity of the shared block cache in bytes (0 disables caching).
     pub block_cache_size: usize,
     /// WAL durability policy.
     pub sync: SyncPolicy,
-    /// Concurrent MemTable: followers of a write group insert their own
-    /// batches in parallel (RocksDB `allow_concurrent_memtable_write`).
-    pub concurrent_memtable: bool,
-    /// Pipelined write: WAL of group N+1 may start while group N is still
-    /// inserting into the MemTable (RocksDB `enable_pipelined_write`).
-    pub pipelined_write: bool,
+    /// Engine mode: RocksDB's concurrency optimizations on or off.
+    pub flavor: Flavor,
     /// Compaction policy.
     pub compaction_style: CompactionStyle,
-    /// Fragmented style: fragments per guard that trigger a guard merge.
-    pub fragment_merge_threshold: usize,
     /// Number of background compaction threads. With more than one thread
     /// the scheduler runs compactions at *different* levels concurrently
     /// (L0→L1 prioritized); a single level is never compacted by two jobs
@@ -94,8 +105,6 @@ pub struct Options {
     /// across queues starting after this one. `None` uses the ambient
     /// thread queue / file-hash placement.
     pub io_queue: Option<usize>,
-    /// Whether the engine exposes `multiget` (RocksDB yes, LevelDB no).
-    pub has_multiget: bool,
     /// Benchmark-only: skip MemTable insertion entirely to isolate the WAL
     /// stage (Figs 7, 8a). Reads are meaningless in this mode.
     pub bench_skip_memtable: bool,
@@ -107,7 +116,6 @@ impl Options {
     pub fn rocksdb_like(env: EnvRef) -> Options {
         Options {
             env,
-            create_if_missing: true,
             memtable_size: 4 << 20,
             max_immutable_memtables: 2,
             target_file_size: 2 << 20,
@@ -116,19 +124,14 @@ impl Options {
             l0_stop_trigger: 12,
             base_level_size: 8 << 20,
             level_multiplier: 10,
-            num_levels: 7,
-            block_size: 4 << 10,
             bloom_bits_per_key: 10,
             block_cache_size: 8 << 20,
             sync: SyncPolicy::Async,
-            concurrent_memtable: true,
-            pipelined_write: true,
+            flavor: Flavor::RocksDb,
             compaction_style: CompactionStyle::Leveled,
-            fragment_merge_threshold: 6,
             compaction_threads: 1,
             subcompactions: 1,
             io_queue: None,
-            has_multiget: true,
             bench_skip_memtable: false,
         }
     }
@@ -137,9 +140,7 @@ impl Options {
     /// extras (no concurrent memtable, no pipelining, no multiget).
     pub fn leveldb_like(env: EnvRef) -> Options {
         Options {
-            concurrent_memtable: false,
-            pipelined_write: false,
-            has_multiget: false,
+            flavor: Flavor::LevelDb,
             ..Options::rocksdb_like(env)
         }
     }
@@ -175,21 +176,12 @@ impl Options {
 }
 
 /// Per-write options.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct WriteOptions {
     /// Force a durability barrier for this write.
     pub sync: bool,
     /// Skip the WAL entirely (used by the Fig 8 MemTable-only experiment).
     pub disable_wal: bool,
-}
-
-impl Default for WriteOptions {
-    fn default() -> Self {
-        WriteOptions {
-            sync: false,
-            disable_wal: false,
-        }
-    }
 }
 
 /// Per-read options.
@@ -217,12 +209,13 @@ mod tests {
     fn mode_presets() {
         let env: EnvRef = Arc::new(p2kvs_storage::MemEnv::new());
         let rocks = Options::rocksdb_like(env.clone());
-        assert!(rocks.concurrent_memtable && rocks.pipelined_write && rocks.has_multiget);
+        assert_eq!(rocks.flavor, Flavor::RocksDb);
+        assert_eq!(rocks.compaction_style, CompactionStyle::Leveled);
         let level = Options::leveldb_like(env.clone());
-        assert!(!level.concurrent_memtable && !level.pipelined_write && !level.has_multiget);
+        assert_eq!(level.flavor, Flavor::LevelDb);
         assert_eq!(level.compaction_style, CompactionStyle::Leveled);
         let pebbles = Options::pebblesdb_like(env);
+        assert_eq!(pebbles.flavor, Flavor::LevelDb);
         assert_eq!(pebbles.compaction_style, CompactionStyle::Fragmented);
-        assert!(!pebbles.concurrent_memtable);
     }
 }

@@ -71,10 +71,15 @@ pub struct TableConfig {
 /// interval still open.
 pub const BLOCK_RESTART_INTERVAL: usize = 16;
 
+/// Target uncompressed size of the data blocks a store writes. Readers
+/// take block boundaries from each table's index, so stores written with
+/// another size still open.
+pub const BLOCK_SIZE: usize = 4 << 10;
+
 impl From<&crate::options::Options> for TableConfig {
     fn from(o: &crate::options::Options) -> Self {
         TableConfig {
-            block_size: o.block_size,
+            block_size: BLOCK_SIZE,
             restart_interval: BLOCK_RESTART_INTERVAL,
             bloom_bits_per_key: o.bloom_bits_per_key,
         }
@@ -498,7 +503,10 @@ impl TableIterator {
 
 impl InternalIterator for TableIterator {
     fn valid(&self) -> bool {
-        self.data_iter.as_ref().map(BlockIter::valid).unwrap_or(false)
+        self.data_iter
+            .as_ref()
+            .map(BlockIter::valid)
+            .unwrap_or(false)
     }
 
     fn status(&self) -> Result<()> {
@@ -566,8 +574,7 @@ mod tests {
         }
         let summary = b.finish().unwrap();
         let file = env.new_random_access(path).unwrap();
-        let reader =
-            Arc::new(TableReader::open(file, summary.file_size, 1, None).unwrap());
+        let reader = Arc::new(TableReader::open(file, summary.file_size, 1, None).unwrap());
         (summary, reader)
     }
 
@@ -651,7 +658,11 @@ mod tests {
         let env = MemEnv::new();
         let (_, reader) = build_table(&env, Path::new("t.sst"), 300);
         let mut it = reader.iter();
-        it.seek(&make_internal_key(b"key000150", u64::MAX >> 8, ValueType::Value));
+        it.seek(&make_internal_key(
+            b"key000150",
+            u64::MAX >> 8,
+            ValueType::Value,
+        ));
         assert!(it.valid());
         assert_eq!(user_key(it.key()), b"key000150");
         it.seek(&make_internal_key(b"zzzz", u64::MAX >> 8, ValueType::Value));
@@ -941,15 +952,12 @@ mod tests {
         )
         .unwrap();
         let ikey = make_internal_key(b"key000000", u64::MAX >> 8, ValueType::Value);
-        assert!(matches!(reader.get(&ikey, false), Err(Error::Corruption(_))));
+        assert!(matches!(
+            reader.get(&ikey, false),
+            Err(Error::Corruption(_))
+        ));
         // Truncated file fails to open.
-        assert!(TableReader::open(
-            env.new_random_access(path).unwrap(),
-            10,
-            5,
-            None
-        )
-        .is_err());
+        assert!(TableReader::open(env.new_random_access(path).unwrap(), 10, 5, None).is_err());
     }
 
     #[test]

@@ -16,12 +16,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use p2kvs_util::sync::Mutex;
 use p2kvs_storage::{EnvRef, IoPlug};
+use p2kvs_util::sync::Mutex;
 
 use crate::error::{Error, Result};
 use crate::iterator::InternalIterator;
-use crate::options::{CompactionStyle, Options};
+use crate::options::{CompactionStyle, Options, FRAGMENT_MERGE_THRESHOLD, NUM_LEVELS};
 use crate::sst::{Block, BlockHandle, BloomPolicy, TableIterator, TableReader};
 use crate::types::{
     file_path, internal_cmp, seq_and_type, user_key, FileKind, SequenceNumber, ValueType,
@@ -97,11 +97,7 @@ impl Version {
 
     /// File numbers referenced by this version.
     pub fn live_files(&self) -> HashSet<u64> {
-        self.levels
-            .iter()
-            .flatten()
-            .map(|f| f.number)
-            .collect()
+        self.levels.iter().flatten().map(|f| f.number).collect()
     }
 
     /// Whether `file`'s key range covers `ukey`.
@@ -120,9 +116,7 @@ impl Version {
         self.levels[level]
             .iter()
             .filter(|f| {
-                let after = begin
-                    .map(|b| user_key(&f.largest) < b)
-                    .unwrap_or(false);
+                let after = begin.map(|b| user_key(&f.largest) < b).unwrap_or(false);
                 let before = end.map(|e| user_key(&f.smallest) > e).unwrap_or(false);
                 !after && !before
             })
@@ -351,9 +345,9 @@ impl Version {
         Ok(out)
     }
 
-    fn sort_level(files: &mut Vec<FileRef>, level: usize, style: CompactionStyle) {
+    fn sort_level(files: &mut [FileRef], level: usize, style: CompactionStyle) {
         if level == 0 || style == CompactionStyle::Fragmented {
-            files.sort_by(|a, b| b.number.cmp(&a.number));
+            files.sort_by_key(|f| std::cmp::Reverse(f.number));
         } else {
             files.sort_by(|a, b| internal_cmp(&a.smallest, &b.smallest));
         }
@@ -430,12 +424,7 @@ impl LevelFileIterator {
     }
 
     fn skip_exhausted(&mut self) {
-        while self
-            .current
-            .as_ref()
-            .map(|it| !it.valid())
-            .unwrap_or(false)
-        {
+        while self.current.as_ref().map(|it| !it.valid()).unwrap_or(false) {
             // A table iterator that died with a read error must not be
             // skipped over as if its file had simply ended.
             if let Some(it) = &self.current {
@@ -596,13 +585,8 @@ impl VersionSet {
         let current_path = dir.join(CURRENT_FILE);
         if env.exists(&current_path) {
             Self::recover(env, dir, opts)
-        } else if opts.create_if_missing {
-            Self::create(env, dir, opts)
         } else {
-            Err(Error::InvalidState(format!(
-                "database missing at {}",
-                dir.display()
-            )))
+            Self::create(env, dir, opts)
         }
     }
 
@@ -613,14 +597,14 @@ impl VersionSet {
             env: env.clone(),
             dir: dir.to_path_buf(),
             opts: opts.clone(),
-            current: Arc::new(Version::empty(opts.num_levels, opts.compaction_style)),
+            current: Arc::new(Version::empty(NUM_LEVELS, opts.compaction_style)),
             manifest: None,
             manifest_poisoned: false,
             manifest_number: 0,
             next_file: Arc::new(AtomicU64::new(2)),
             last_sequence: AtomicU64::new(0),
             log_number: 0,
-            compact_pointer: vec![Vec::new(); opts.num_levels],
+            compact_pointer: vec![Vec::new(); NUM_LEVELS],
             manifest_bytes: 0,
             alive: Mutex::new(Vec::new()),
         };
@@ -631,12 +615,12 @@ impl VersionSet {
 
     fn recover(env: EnvRef, dir: &Path, opts: &Options) -> Result<VersionSet> {
         let current = p2kvs_storage::env::read_all(&*env, &dir.join(CURRENT_FILE))?;
-        let manifest_name = String::from_utf8(current)
-            .map_err(|_| Error::corruption("CURRENT is not utf-8"))?;
+        let manifest_name =
+            String::from_utf8(current).map_err(|_| Error::corruption("CURRENT is not utf-8"))?;
         let manifest_name = manifest_name.trim_end();
         let manifest_path = dir.join(manifest_name);
         let mut reader = LogReader::new(env.new_sequential(&manifest_path)?);
-        let mut version = Version::empty(opts.num_levels, opts.compaction_style);
+        let mut version = Version::empty(NUM_LEVELS, opts.compaction_style);
         let mut next_file = 2u64;
         let mut last_seq = 0u64;
         let mut log_number = 0u64;
@@ -671,7 +655,7 @@ impl VersionSet {
             next_file: Arc::new(AtomicU64::new(next_file.max(manifest_num + 1))),
             last_sequence: AtomicU64::new(last_seq),
             log_number,
-            compact_pointer: vec![Vec::new(); opts.num_levels],
+            compact_pointer: vec![Vec::new(); NUM_LEVELS],
             manifest_bytes: 0,
             alive: Mutex::new(Vec::new()),
         };
@@ -796,31 +780,26 @@ impl VersionSet {
     /// Compaction score of each level; `>= 1.0` means compaction needed.
     pub fn compaction_scores(&self) -> Vec<f64> {
         let v = &self.current;
-        let mut scores = vec![0.0; v.levels.len()];
-        match self.opts.compaction_style {
-            CompactionStyle::Leveled => {
-                scores[0] = v.levels[0].len() as f64 / self.opts.l0_compaction_trigger as f64;
-                for level in 1..v.levels.len() - 1 {
-                    scores[level] =
-                        v.level_bytes(level) as f64 / self.opts.level_target(level) as f64;
+        let last = v.levels.len() - 1;
+        (0..v.levels.len())
+            .map(|level| match self.opts.compaction_style {
+                // The last level never compacts.
+                _ if level == last => 0.0,
+                _ if level == 0 => {
+                    v.levels[0].len() as f64 / self.opts.l0_compaction_trigger as f64
                 }
-            }
-            CompactionStyle::Fragmented => {
+                CompactionStyle::Leveled => {
+                    v.level_bytes(level) as f64 / self.opts.level_target(level) as f64
+                }
                 // PebblesDB-style: a level compacts only when it holds too
                 // many overlapping fragments; size alone never triggers a
                 // rewrite (that is where the write-amplification win
                 // comes from).
-                for level in 0..v.levels.len() - 1 {
-                    let trigger = if level == 0 {
-                        self.opts.l0_compaction_trigger
-                    } else {
-                        self.opts.fragment_merge_threshold
-                    };
-                    scores[level] = v.levels[level].len() as f64 / trigger as f64;
+                CompactionStyle::Fragmented => {
+                    v.levels[level].len() as f64 / FRAGMENT_MERGE_THRESHOLD as f64
                 }
-            }
-        }
-        scores
+            })
+            .collect()
     }
 
     /// Picks the most urgent compaction, if any.
@@ -839,8 +818,7 @@ impl VersionSet {
         let n_levels = self.current.levels.len();
         let free = |level: usize| {
             let out = (level + 1).min(n_levels - 1);
-            !busy.get(level).copied().unwrap_or(false)
-                && !busy.get(out).copied().unwrap_or(false)
+            !busy.get(level).copied().unwrap_or(false) && !busy.get(out).copied().unwrap_or(false)
         };
         let level = if scores[0] >= 1.0 && free(0) {
             0
@@ -867,7 +845,7 @@ impl VersionSet {
                 // already there, and the fragments left behind are newer
                 // than the ones merged away.
                 let files = &v.levels[level];
-                let take = files.len().min(2 * self.opts.fragment_merge_threshold);
+                let take = files.len().min(2 * FRAGMENT_MERGE_THRESHOLD);
                 let inputs: Vec<FileRef> = files.iter().rev().take(take).cloned().collect();
                 Some(CompactionTask {
                     level,
@@ -1201,14 +1179,6 @@ mod tests {
     }
 
     #[test]
-    fn missing_db_without_create_fails() {
-        let mut opts = test_opts();
-        opts.create_if_missing = false;
-        let env = opts.env.clone();
-        assert!(VersionSet::open(env, Path::new("nope"), &opts).is_err());
-    }
-
-    #[test]
     fn compaction_scores_trigger_on_l0_count() {
         let opts = test_opts();
         let env = opts.env.clone();
@@ -1384,10 +1354,12 @@ mod tests {
 
         // With L0→L1 claimed, the picker hands out the L2→L3 job — the two
         // can run concurrently on disjoint level pairs.
-        let mut busy = vec![false; opts.num_levels];
+        let mut busy = vec![false; NUM_LEVELS];
         busy[0] = true;
         busy[1] = true;
-        let task = set.pick_compaction_excluding(&busy).expect("deeper work available");
+        let task = set
+            .pick_compaction_excluding(&busy)
+            .expect("deeper work available");
         assert_eq!(task.level, 2);
         assert_eq!(task.output_level, 3);
 
@@ -1398,7 +1370,7 @@ mod tests {
 
         // A busy *output* level blocks its source level: L1 busy alone
         // blocks L0→L1 but not L2→L3.
-        let mut busy = vec![false; opts.num_levels];
+        let mut busy = vec![false; NUM_LEVELS];
         busy[1] = true;
         let task = set.pick_compaction_excluding(&busy).expect("L2 still free");
         assert_eq!(task.level, 2);
@@ -1450,14 +1422,17 @@ mod tests {
         let env = opts.env.clone();
         let mut set = VersionSet::open(env, Path::new("frag"), &opts).unwrap();
         let mut edit = VersionEdit::default();
-        for i in 0..opts.fragment_merge_threshold as u64 {
+        for i in 0..FRAGMENT_MERGE_THRESHOLD as u64 {
             edit.added.push((1, meta(40 + i, "a", "z")));
         }
         edit.added.push((2, meta(60, "a", "z")));
         set.log_and_apply(edit).unwrap();
         let task = set.pick_compaction().expect("fragments over threshold");
         assert_eq!(task.level, 1);
-        assert_eq!(task.inputs.len(), opts.fragment_merge_threshold);
-        assert!(task.next_inputs.is_empty(), "fragmented never rewrites the target level");
+        assert_eq!(task.inputs.len(), FRAGMENT_MERGE_THRESHOLD);
+        assert!(
+            task.next_inputs.is_empty(),
+            "fragmented never rewrites the target level"
+        );
     }
 }

@@ -6,6 +6,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use lsmkv::options::FRAGMENT_MERGE_THRESHOLD;
 use lsmkv::version::edit::FileMetaData;
 use lsmkv::{CompactionStyle, Db, Options, WriteOptions};
 use p2kvs_storage::{Env, EnvRef, FaultEvent, FaultPlan, FaultyEnv, MemEnv};
@@ -214,12 +215,13 @@ fn an_l0_file_is_rewritten_even_with_nothing_beneath_it() {
 fn fragmented_levels_are_merged_never_moved() {
     let mut o = opts(Arc::new(MemEnv::new()), 16 << 10);
     o.compaction_style = CompactionStyle::Fragmented;
-    o.fragment_merge_threshold = 2;
     let db = Db::open(o, "db").unwrap();
     let wo = WriteOptions::default();
     // Disjoint key ranges per flush: nothing a fragment is appended over
-    // ever overlaps it.
-    for flush in 0..24 {
+    // ever overlaps it. Enough flushes to fill L1 past the merge threshold
+    // several times over.
+    let flushes = 8 * FRAGMENT_MERGE_THRESHOLD;
+    for flush in 0..flushes {
         for i in 0..100 {
             db.put(&wo, &key(flush * 100 + i), &[1u8; 64]).unwrap();
         }
@@ -239,7 +241,7 @@ fn fragmented_levels_are_merged_never_moved() {
             .sum::<u64>(),
         0
     );
-    for i in (0..2400).step_by(7) {
+    for i in (0..flushes * 100).step_by(7) {
         assert_eq!(db.get(&key(i)).unwrap().unwrap(), [1u8; 64]);
     }
 }

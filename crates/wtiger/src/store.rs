@@ -4,10 +4,10 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::PathBuf;
 
-use p2kvs_util::sync::{Mutex, RwLock};
 use p2kvs_storage::{EnvRef, RandomAccessFile, WritableFile};
 use p2kvs_util::coding::{get_fixed64, put_fixed64};
 use p2kvs_util::lru::ByteLru;
+use p2kvs_util::sync::{Mutex, RwLock};
 
 use crate::journal::{decode_at, encode, TYPE_DELETE, TYPE_PUT};
 
@@ -16,8 +16,6 @@ use crate::journal::{decode_at, encode, TYPE_DELETE, TYPE_PUT};
 pub struct WtOptions {
     /// Environment for journal and checkpoint files.
     pub env: EnvRef,
-    /// Create the store if missing.
-    pub create_if_missing: bool,
     /// fsync the journal on every write (WiredTiger `log=(enabled,sync)`).
     pub sync_writes: bool,
     /// Value-cache capacity in bytes.
@@ -32,13 +30,15 @@ impl WtOptions {
     pub fn new(env: EnvRef) -> WtOptions {
         WtOptions {
             env,
-            create_if_missing: true,
             sync_writes: false,
             cache_bytes: 8 << 20,
             checkpoint_every: 16 << 20,
         }
     }
 }
+
+/// A key and its value, as scans return them.
+pub type Entry = (Vec<u8>, Vec<u8>);
 
 /// Location of a value inside the journal.
 #[derive(Debug, Clone, Copy)]
@@ -70,17 +70,11 @@ const JOURNAL_FILE: &str = "journal.wal";
 const CHECKPOINT_FILE: &str = "checkpoint";
 
 impl WtDb {
-    /// Opens (creating if allowed) the store under `dir`.
+    /// Opens the store under `dir`, creating it if missing.
     pub fn open(opts: WtOptions, dir: impl Into<PathBuf>) -> io::Result<WtDb> {
         let dir = dir.into();
         let env = opts.env.clone();
         let journal_path = dir.join(JOURNAL_FILE);
-        if !env.exists(&journal_path) && !opts.create_if_missing {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("no store at {}", dir.display()),
-            ));
-        }
         env.create_dir_all(&dir)?;
         let mut tree = BTreeMap::new();
         let mut replay_from = 0u64;
@@ -176,7 +170,7 @@ impl WtDb {
     }
 
     /// Up to `count` entries with keys `>= start`, in order.
-    pub fn scan(&self, start: &[u8], count: usize) -> io::Result<Vec<(Vec<u8>, Vec<u8>)>> {
+    pub fn scan(&self, start: &[u8], count: usize) -> io::Result<Vec<Entry>> {
         let refs: Vec<(Vec<u8>, ValRef)> = self
             .tree
             .read()
@@ -310,8 +304,7 @@ impl WtDb {
             let tree = self.tree.read();
             let mut j = self.journal.lock();
             j.writer.sync()?;
-            let snap: Vec<(Vec<u8>, ValRef)> =
-                tree.iter().map(|(k, v)| (k.clone(), *v)).collect();
+            let snap: Vec<(Vec<u8>, ValRef)> = tree.iter().map(|(k, v)| (k.clone(), *v)).collect();
             let len = j.len;
             j.last_checkpoint_len = len;
             (snap, len)
@@ -390,11 +383,7 @@ impl WtSnapshot {
     /// `max_bytes` of payload (always at least one entry when any
     /// remain). Returns the entries and whether the snapshot is
     /// exhausted.
-    pub fn next_batch(
-        &mut self,
-        limit: usize,
-        max_bytes: usize,
-    ) -> io::Result<(Vec<(Vec<u8>, Vec<u8>)>, bool)> {
+    pub fn next_batch(&mut self, limit: usize, max_bytes: usize) -> io::Result<(Vec<Entry>, bool)> {
         if self.reader.is_none() && self.pos < self.entries.len() {
             self.reader = Some(self.env.new_random_access(&self.path)?);
         }
@@ -457,8 +446,11 @@ mod tests {
         opts.cache_bytes = 0; // Force journal reads.
         let db = WtDb::open(opts, "wt").unwrap();
         for i in 0..100 {
-            db.put(format!("k{i:03}").as_bytes(), format!("value-{i}").as_bytes())
-                .unwrap();
+            db.put(
+                format!("k{i:03}").as_bytes(),
+                format!("value-{i}").as_bytes(),
+            )
+            .unwrap();
         }
         for i in (0..100).step_by(9) {
             assert_eq!(
@@ -634,7 +626,8 @@ mod tests {
         let db = db();
         let before = db.mem_usage();
         for i in 0..1000 {
-            db.put(format!("key-number-{i:06}").as_bytes(), b"v").unwrap();
+            db.put(format!("key-number-{i:06}").as_bytes(), b"v")
+                .unwrap();
         }
         assert!(db.mem_usage() > before + 1000 * 16);
     }

@@ -4,8 +4,9 @@
 # ROADMAP tracks this as a column; simplicity PRs quote it before and after.
 # `examples/` and `benchmark/` (every `*.rs` under them) are printed below
 # the total and are not part of it: they use the product, they are not it.
-# Last come the field counts of the two option structs a user configures,
-# `P2KvsOptions` and lsmkv's `Options`, which ROADMAP tracks beside the lines.
+# Last come the field counts of the option structs a user configures:
+# `P2KvsOptions`, and the options of the three engines (lsmkv's `Options`,
+# `WtOptions`, `KvellOptions`), which ROADMAP tracks beside the lines.
 #
 # Usage: tools/loc.sh [--files <crate>] [repo-root]
 #   --files <crate>  per-file breakdown of one crate instead of the summary
@@ -54,3 +55,5 @@ for dir in examples benchmark; do
 done
 printf "%6d  fields of P2KvsOptions\n" "$(fields "$root/crates/core/src/store.rs" P2KvsOptions)"
 printf "%6d  fields of lsmkv::Options\n" "$(fields "$root/crates/lsmkv/src/options.rs" Options)"
+printf "%6d  fields of WtOptions\n" "$(fields "$root/crates/wtiger/src/store.rs" WtOptions)"
+printf "%6d  fields of KvellOptions\n" "$(fields "$root/crates/kvell/src/store.rs" KvellOptions)"
