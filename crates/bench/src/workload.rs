@@ -520,8 +520,8 @@ pub fn drive<C: KvClient + ?Sized>(client: &C, stream: &impl Stream, run: Run) -
                         {
                             break;
                         }
-                        limiter.acquire();
-                        let began = Instant::now();
+                        // Open loop: from the call's slot, not its send.
+                        let began = limiter.acquire();
                         errors += u64::from(!execute(client, op));
                         latency.record(began.elapsed().as_nanos() as u64);
                     }
@@ -570,18 +570,22 @@ mod tests {
     use std::collections::{HashMap, HashSet};
 
     /// In-memory reference client; with `fail_every` = k > 0, every k-th
-    /// insert it receives fails.
+    /// insert it receives fails. Its first insert sleeps `stall_first`.
     #[derive(Default)]
     struct MapClient {
         map: Mutex<HashMap<Vec<u8>, Vec<u8>>>,
         inserts: AtomicU64,
         reads: AtomicU64,
         fail_every: u64,
+        stall_first: Duration,
     }
 
     impl KvClient for MapClient {
         fn insert(&self, key: &[u8], value: &[u8]) -> Result<(), String> {
             let n = self.inserts.fetch_add(1, Ordering::Relaxed) + 1;
+            if n == 1 {
+                std::thread::sleep(self.stall_first);
+            }
             if n.is_multiple_of(self.fail_every) {
                 return Err("injected".into());
             }
@@ -873,5 +877,29 @@ mod tests {
             "500 ops at 10k/s should take ≥ 50ms, took {:?}",
             result.elapsed
         );
+    }
+
+    #[test]
+    fn open_loop_calls_queued_behind_a_stall_carry_its_delay() {
+        // At 1 000 calls/s the first of 20 calls stalls for 50 ms, so the
+        // other 19, scheduled within 19 ms, all go out late; measured from
+        // their slots each carries ≥ 31 ms of the stall. A closed loop
+        // times each call from its send.
+        const STALL: Duration = Duration::from_millis(50);
+        let fill = Micro::new(MicroKind::FillRandom, 0, 16);
+        let stalling = || MapClient {
+            stall_first: STALL,
+            ..MapClient::default()
+        };
+        let open = Run {
+            rate: 1_000,
+            ..Run::new(1, 20, false)
+        };
+        let r = drive(&stalling(), &fill, open);
+        let behind = (STALL - Duration::from_millis(20)).as_nanos() as u64;
+        assert!(r.latency.min() >= behind, "{}", r.latency.summary_us());
+        let r = drive(&stalling(), &fill, Run::new(1, 20, false));
+        assert!(r.latency.max() >= STALL.as_nanos() as u64);
+        assert!(r.latency.min() < behind, "{}", r.latency.summary_us());
     }
 }

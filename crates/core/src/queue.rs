@@ -66,7 +66,7 @@ use std::sync::Arc;
 
 pub use crate::ring::PushError;
 use crate::ring::{CachePadded, Ring};
-use crate::types::{OpClass, Request};
+use crate::types::Request;
 
 /// Bound of every worker's request ring (slots). Must be a power of
 /// two.
@@ -281,11 +281,14 @@ impl RequestQueue {
     /// requests into `batch` up to `max` keys in total (Algorithm 1),
     /// reusing `batch`'s allocation. A request weighs its
     /// [`Op::keys`](crate::types::Op::keys); the first is taken whatever
-    /// it weighs. The run may interleave shards — the worker splits it
-    /// into per-shard engine calls after dequeue, so stopping at a shard
-    /// boundary here would only shrink merge windows for workers owning
-    /// several shards. Returns `false` when the queue is closed and fully
-    /// drained (`batch` is left empty).
+    /// it weighs. Every class drains this way, Solo included; a control
+    /// marker ([`Op::is_marker`](crate::types::Op::is_marker)) is the one
+    /// exception: it is always a batch of one and ends a run. The run may
+    /// interleave shards — the worker splits it into per-shard engine
+    /// calls after dequeue, so stopping at a shard boundary here would
+    /// only shrink merge windows for workers owning several shards.
+    /// Returns `false` when the queue is closed and fully drained (`batch`
+    /// is left empty).
     pub fn pop_batch_into(&self, max: usize, batch: &mut Vec<Request>) -> bool {
         batch.clear();
         let _guard = self.consumer_guard();
@@ -295,12 +298,13 @@ impl RequestQueue {
         };
         let class = first.op.class();
         let mut keys = first.op.keys();
+        let marker = first.op.is_marker();
         batch.push(first);
-        if class != OpClass::Solo {
+        if !marker {
             while keys < max {
                 let next = self
                     .ring
-                    .peek(|r| (r.op.class() == class).then(|| r.op.keys()));
+                    .peek(|r| (r.op.class() == class && !r.op.is_marker()).then(|| r.op.keys()));
                 match next {
                     Some(Some(k)) if keys + k <= max => keys += k,
                     _ => break,
@@ -411,7 +415,7 @@ impl RequestQueue {
             .is_err()
         {
             rounds += 1;
-            if rounds % 64 == 0 || adaptive_spin(1) == 0 {
+            if rounds.is_multiple_of(64) || adaptive_spin(1) == 0 {
                 std::thread::yield_now();
             } else {
                 std::hint::spin_loop();
@@ -540,24 +544,36 @@ mod tests {
     }
 
     #[test]
-    fn solo_requests_never_merge() {
-        let q = RequestQueue::new();
-        q.push(scan()).ok().unwrap();
-        q.push(scan()).ok().unwrap();
-        assert_eq!(q.pop_batch(32).unwrap().len(), 1);
-        assert_eq!(q.pop_batch(32).unwrap().len(), 1);
-        // GSN-tagged batches are solo too.
-        q.push(
+    fn solo_requests_drain_as_runs_and_markers_alone() {
+        let txn = || {
             Request::sync(Op::TxnBatch {
                 ops: vec![],
                 gsn: 3,
             })
-            .0,
-        )
-        .ok()
-        .unwrap();
+            .0
+        };
+        let marker = || Request::sync(Op::BackupFreeze { shard: 0 }).0;
+        let q = RequestQueue::new();
+        for _ in 0..3 {
+            q.push(scan()).ok().unwrap();
+            q.push(txn()).ok().unwrap();
+        }
+        // Scans and GSN-tagged batches drain together, up to the bound …
+        assert_eq!(q.pop_batch(4).unwrap().len(), 4);
+        // … and a run never crosses a class.
         q.push(put("x")).ok().unwrap();
+        assert_eq!(q.pop_batch(32).unwrap().len(), 2);
         assert_eq!(q.pop_batch(32).unwrap().len(), 1);
+        // A marker drains alone and ends the run ahead of it.
+        q.push(scan()).ok().unwrap();
+        q.push(marker()).ok().unwrap();
+        q.push(marker()).ok().unwrap();
+        q.push(scan()).ok().unwrap();
+        let markers = |b: Vec<Request>| b.iter().map(|r| r.op.is_marker()).collect::<Vec<_>>();
+        assert_eq!(markers(q.pop_batch(32).unwrap()), vec![false]);
+        assert_eq!(markers(q.pop_batch(32).unwrap()), vec![true]);
+        assert_eq!(markers(q.pop_batch(32).unwrap()), vec![true]);
+        assert_eq!(markers(q.pop_batch(32).unwrap()), vec![false]);
     }
 
     #[test]

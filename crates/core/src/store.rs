@@ -307,10 +307,13 @@ impl<E: KvsEngine> ObsShared<E> {
                 .store(io.bytes_written);
             reg.counter("p2kvs_device_bytes_read_total")
                 .store(io.bytes_read);
-            reg.counter("p2kvs_device_write_ops_total").store(io.write_ops);
-            reg.counter("p2kvs_device_read_ops_total").store(io.read_ops);
+            reg.counter("p2kvs_device_write_ops_total")
+                .store(io.write_ops);
+            reg.counter("p2kvs_device_read_ops_total")
+                .store(io.read_ops);
             reg.counter("p2kvs_device_syncs_total").store(io.syncs);
-            reg.counter("p2kvs_device_wal_bytes_total").store(io.wal_bytes);
+            reg.counter("p2kvs_device_wal_bytes_total")
+                .store(io.wal_bytes);
             reg.counter("p2kvs_device_flush_bytes_total")
                 .store(io.flush_bytes);
             reg.counter("p2kvs_device_compaction_bytes_total")
@@ -351,7 +354,8 @@ impl<E: KvsEngine> ObsShared<E> {
             reg.counter("p2kvs_cache_misses").store(s.misses);
             reg.counter("p2kvs_cache_fills").store(s.fills);
             reg.counter("p2kvs_cache_evictions").store(s.evictions);
-            reg.counter("p2kvs_cache_invalidations").store(s.invalidations);
+            reg.counter("p2kvs_cache_invalidations")
+                .store(s.invalidations);
             reg.set_gauge("p2kvs_cache_bytes", s.bytes as f64);
         }
         reg.snapshot()
@@ -670,9 +674,8 @@ impl<E: KvsEngine> P2Kvs<E> {
         // a worker on another queue; the hint stays put — placement is a
         // throughput lever, never a correctness input.
         let device_queues = env.queue_count();
-        let worker_queue = |w: usize| {
-            (opts.queue_affinity && device_queues > 1).then(|| w % device_queues)
-        };
+        let worker_queue =
+            |w: usize| (opts.queue_affinity && device_queues > 1).then(|| w % device_queues);
         let mut engines = Vec::with_capacity(shards);
         for s in 0..shards {
             let instance_dir = dir.join(format!("instance-{s}"));
@@ -740,9 +743,7 @@ impl<E: KvsEngine> P2Kvs<E> {
                     FaultEvent::FailedSync { n, .. } => (2, *n, 0, 0),
                     FaultEvent::FailedRead { n, .. } => (3, *n, 0, 0),
                     FaultEvent::Crash { n, torn, .. } => (4, *n, *torn as u64, 0),
-                    FaultEvent::QueueCrash { q, n, torn, .. } => {
-                        (7, *n, *torn as u64, *q as u64)
-                    }
+                    FaultEvent::QueueCrash { q, n, torn, .. } => (7, *n, *torn as u64, *q as u64),
                 };
                 jh.record(JournalKind::FaultFired, d, n, torn, q);
             }));
@@ -780,8 +781,12 @@ impl<E: KvsEngine> P2Kvs<E> {
                 0,
             );
         }
-        let cache = (opts.cache_capacity > 0)
-            .then(|| Arc::new(crate::cache::ReadCache::new(opts.cache_capacity as u64, shards)));
+        let cache = (opts.cache_capacity > 0).then(|| {
+            Arc::new(crate::cache::ReadCache::new(
+                opts.cache_capacity as u64,
+                shards,
+            ))
+        });
         if let (Some(j), Some(c)) = (&journal, &cache) {
             // The cache is volatile: every open starts cold. Journal the
             // reset so recovery evidence shows no stale entry survived
@@ -793,7 +798,9 @@ impl<E: KvsEngine> P2Kvs<E> {
         let runtime = Arc::new(ShardRuntime {
             engines,
             map: MapCell::new(ShardMap::initial(shards, n)),
-            parked: (0..shards).map(|_| p2kvs_util::sync::Mutex::new(None)).collect(),
+            parked: (0..shards)
+                .map(|_| p2kvs_util::sync::Mutex::new(None))
+                .collect(),
             migrations: AtomicU64::new(0),
             handoffs_aborted: AtomicU64::new(0),
             shard_stats: (0..shards)
@@ -805,28 +812,27 @@ impl<E: KvsEngine> P2Kvs<E> {
             env: Some(env.clone()),
             backup: Arc::new(crate::backup::BackupHub::default()),
         });
-        let pool = Arc::new(WorkerPool::new(
-            SpawnSpec {
-                config: crate::worker::WorkerConfig {
-                    batch_max: opts.batch_max.max(1),
-                    // Both recomputed per worker id by the pool, so the
-                    // pinned core and the `w % queues` mapping hold as
-                    // the pool resizes.
-                    core: None,
-                    io_queue: None,
-                },
-                ceiling: opts.scale.map_or(n, |p| p.max_workers.max(n)),
-                device_queues,
-                queue_affinity: opts.queue_affinity,
-                lifecycle: {
-                    let registry = registry.clone();
-                    let metrics = opts.metrics;
-                    Box::new(move |w| {
-                        metrics.then(|| WorkerLifecycle::new(&registry, w, SLOW_REQUEST_NS, spans.clone()))
-                    })
-                },
+        let pool = Arc::new(WorkerPool::new(SpawnSpec {
+            config: crate::worker::WorkerConfig {
+                batch_max: opts.batch_max.max(1),
+                // Both recomputed per worker id by the pool, so the
+                // pinned core and the `w % queues` mapping hold as
+                // the pool resizes.
+                core: None,
+                io_queue: None,
             },
-        ));
+            ceiling: opts.scale.map_or(n, |p| p.max_workers.max(n)),
+            device_queues,
+            queue_affinity: opts.queue_affinity,
+            lifecycle: {
+                let registry = registry.clone();
+                let metrics = opts.metrics;
+                Box::new(move |w| {
+                    metrics
+                        .then(|| WorkerLifecycle::new(&registry, w, SLOW_REQUEST_NS, spans.clone()))
+                })
+            },
+        }));
         for _ in 0..n {
             pool.spawn_into(&runtime);
         }
@@ -880,7 +886,7 @@ impl<E: KvsEngine> P2Kvs<E> {
             return TraceCtx::NONE;
         }
         let n = self.trace_seq.fetch_add(1, Ordering::Relaxed);
-        if n % sample == 0 {
+        if n.is_multiple_of(sample) {
             TraceCtx { id: n / sample + 1 }
         } else {
             TraceCtx::NONE
@@ -1346,8 +1352,8 @@ impl<E: KvsEngine> P2Kvs<E> {
         let session = self.runtime.backup.take_session();
         self.txn.thaw();
         frozen?; // dropping the session releases the snapshots
-        let session = session
-            .ok_or_else(|| Error::Backup("freeze session disappeared mid-backup".into()))?;
+        let session =
+            session.ok_or_else(|| Error::Backup("freeze session disappeared mid-backup".into()))?;
         if session.frozen.len() != self.shards() {
             return Err(Error::Backup(format!(
                 "only {} of {} shards deposited a snapshot",
@@ -1417,11 +1423,7 @@ impl<E: KvsEngine> P2Kvs<E> {
         let flight_src = backup_dir.join(crate::backup::FLIGHT_FILE);
         if opts.flight_recorder && env.exists(&flight_src) {
             let data = p2kvs_storage::env::read_all(&*env, &flight_src)?;
-            p2kvs_storage::env::write_all(
-                &*env,
-                &dest.join(crate::backup::FLIGHT_FILE),
-                &data,
-            )?;
+            p2kvs_storage::env::write_all(&*env, &dest.join(crate::backup::FLIGHT_FILE), &data)?;
         }
         // GSN allocation must resume strictly past the horizon: the
         // restored store must never reuse a GSN the source spent.
@@ -1613,7 +1615,12 @@ mod tests {
     fn open_cached(workers: usize, cache_capacity: usize) -> P2Kvs<lsmkv::Db> {
         let mut opts = P2KvsOptions::with_workers(workers);
         opts.cache_capacity = cache_capacity;
-        P2Kvs::open(LsmFactory::new(lsmkv::Options::for_test()), "store-cache", opts).unwrap()
+        P2Kvs::open(
+            LsmFactory::new(lsmkv::Options::for_test()),
+            "store-cache",
+            opts,
+        )
+        .unwrap()
     }
 
     /// A key that routes to `shard`.
@@ -1627,7 +1634,9 @@ mod tests {
     #[test]
     fn get_many_serves_mixed_hits_and_misses() {
         let store = open_cached(2, 1 << 20);
-        let keys: Vec<Vec<u8>> = (0..16u32).map(|i| format!("mix-{i}").into_bytes()).collect();
+        let keys: Vec<Vec<u8>> = (0..16u32)
+            .map(|i| format!("mix-{i}").into_bytes())
+            .collect();
         for (i, k) in keys.iter().enumerate() {
             store.put(k, format!("v{i}").as_bytes()).unwrap();
         }
@@ -1697,7 +1706,7 @@ mod tests {
             // The whole case runs under a watchdog: a fan-out that lost
             // count of its entries parks forever.
             let (finished, watchdog) = std::sync::mpsc::channel();
-            std::thread::spawn(move || {
+            let case = std::thread::spawn(move || {
                 let opts = P2KvsOptions::with_workers(2);
                 let factory = LsmFactory::new(lsmkv::Options::for_test());
                 let store = P2Kvs::open(factory, "store-fan", opts).unwrap();
@@ -1765,6 +1774,9 @@ mod tests {
             watchdog
                 .recv_timeout(Duration::from_secs(30))
                 .unwrap_or_else(|e| panic!("{name}: the case hung or panicked ({e})"));
+            // The store drops on the case's thread: wait for it, so the
+            // process never exits with the store half freed.
+            case.join().unwrap();
         }
     }
 
@@ -1896,8 +1908,14 @@ mod tests {
     #[test]
     fn paper_layout_disables_the_cache() {
         let opts = P2KvsOptions::paper_layout(4);
-        assert_eq!(opts.cache_capacity, 0, "paper layout keeps the paper's request path");
-        assert!(P2KvsOptions::default().cache_capacity > 0, "framework default is cache-on");
+        assert_eq!(
+            opts.cache_capacity, 0,
+            "paper layout keeps the paper's request path"
+        );
+        assert!(
+            P2KvsOptions::default().cache_capacity > 0,
+            "framework default is cache-on"
+        );
     }
 
     #[test]
@@ -1935,16 +1953,31 @@ mod tests {
         .unwrap();
         for i in 0..200u32 {
             store
-                .put(format!("pre-{i:04}").as_bytes(), format!("val-{i}").as_bytes())
+                .put(
+                    format!("pre-{i:04}").as_bytes(),
+                    format!("val-{i}").as_bytes(),
+                )
                 .unwrap();
         }
         // A cross-shard batch rides the GSN path and must land whole.
         store
             .write_batch(vec![
-                WriteOp::Put { key: b"txn-a".to_vec(), value: b"1".to_vec() },
-                WriteOp::Put { key: b"txn-b".to_vec(), value: b"2".to_vec() },
-                WriteOp::Put { key: b"txn-c".to_vec(), value: b"3".to_vec() },
-                WriteOp::Put { key: b"txn-d".to_vec(), value: b"4".to_vec() },
+                WriteOp::Put {
+                    key: b"txn-a".to_vec(),
+                    value: b"1".to_vec(),
+                },
+                WriteOp::Put {
+                    key: b"txn-b".to_vec(),
+                    value: b"2".to_vec(),
+                },
+                WriteOp::Put {
+                    key: b"txn-c".to_vec(),
+                    value: b"3".to_vec(),
+                },
+                WriteOp::Put {
+                    key: b"txn-d".to_vec(),
+                    value: b"4".to_vec(),
+                },
             ])
             .unwrap();
         let handle = store.backup("backup-out").unwrap();
@@ -1952,11 +1985,16 @@ mod tests {
         // issued after `backup` returned are past the cut and must not
         // leak into the copy.
         for i in 0..100u32 {
-            store.put(format!("post-{i:04}").as_bytes(), b"after").unwrap();
+            store
+                .put(format!("post-{i:04}").as_bytes(), b"after")
+                .unwrap();
         }
         let report = handle.wait().unwrap();
         assert_eq!(report.shards as usize, store.shards());
-        assert!(report.entries >= 204, "all pre-cut writes stream: {report:?}");
+        assert!(
+            report.entries >= 204,
+            "all pre-cut writes stream: {report:?}"
+        );
         let restored = P2Kvs::restore(
             LsmFactory::new(engine_opts.clone()),
             "backup-out",
@@ -1964,15 +2002,27 @@ mod tests {
             opts.clone(),
         )
         .unwrap();
-        assert_eq!(restored.shards(), store.shards(), "manifest pins the shard count");
+        assert_eq!(
+            restored.shards(),
+            store.shards(),
+            "manifest pins the shard count"
+        );
         for i in 0..200u32 {
             assert_eq!(
-                restored.get(format!("pre-{i:04}").as_bytes()).unwrap().as_deref(),
+                restored
+                    .get(format!("pre-{i:04}").as_bytes())
+                    .unwrap()
+                    .as_deref(),
                 Some(format!("val-{i}").as_bytes()),
                 "pre-cut key {i}"
             );
         }
-        for (k, v) in [(b"txn-a", b"1"), (b"txn-b", b"2"), (b"txn-c", b"3"), (b"txn-d", b"4")] {
+        for (k, v) in [
+            (b"txn-a", b"1"),
+            (b"txn-b", b"2"),
+            (b"txn-c", b"3"),
+            (b"txn-d", b"4"),
+        ] {
             assert_eq!(restored.get(k).unwrap().as_deref(), Some(&v[..]));
         }
         for i in 0..100u32 {
@@ -1994,7 +2044,10 @@ mod tests {
         assert!(kinds.contains(&JournalKind::BackupComplete), "{kinds:?}");
         // And it keeps serving ordinary traffic past the horizon.
         restored.put(b"fresh", b"write").unwrap();
-        assert_eq!(restored.get(b"fresh").unwrap().as_deref(), Some(&b"write"[..]));
+        assert_eq!(
+            restored.get(b"fresh").unwrap().as_deref(),
+            Some(&b"write"[..])
+        );
     }
 
     #[test]
@@ -2079,7 +2132,10 @@ mod tests {
         let store = open_cached(2, 0);
         assert!(matches!(store.scale_workers(0), Err(Error::Config(_))));
         assert_eq!(store.workers(), 2, "a rejected resize changes nothing");
-        assert!(P2KvsOptions::default().scale.is_none(), "auto-scaling is opt-in");
+        assert!(
+            P2KvsOptions::default().scale.is_none(),
+            "auto-scaling is opt-in"
+        );
         assert!(
             P2KvsOptions::paper_layout(4).scale.is_none(),
             "the paper layout pins the pool"
@@ -2113,14 +2169,20 @@ mod tests {
         assert_eq!(store.live_workers(), vec![0]);
         for i in 0..400u32 {
             assert_eq!(
-                store.get(format!("el-{i:04}").as_bytes()).unwrap().as_deref(),
+                store
+                    .get(format!("el-{i:04}").as_bytes())
+                    .unwrap()
+                    .as_deref(),
                 Some(format!("v{i}").as_bytes()),
                 "key {i} after the resizes"
             );
         }
         // Writes keep landing on the shrunken pool.
         store.put(b"post-scale", b"ok").unwrap();
-        assert_eq!(store.get(b"post-scale").unwrap().as_deref(), Some(&b"ok"[..]));
+        assert_eq!(
+            store.get(b"post-scale").unwrap().as_deref(),
+            Some(&b"ok"[..])
+        );
         // Retired slots are finalized, not stale: the survivor owns
         // every shard and the retired slots read zero ownership, zero
         // parked cursors, zero depth.
@@ -2128,7 +2190,10 @@ mod tests {
         assert_eq!(snap.workers.len(), 4, "retired slots stay visible");
         let live: Vec<_> = snap.workers.iter().filter(|w| w.live).collect();
         assert_eq!(live.len(), 1);
-        assert_eq!(live[0].shards_owned as usize, shards, "survivor owns everything");
+        assert_eq!(
+            live[0].shards_owned as usize, shards,
+            "survivor owns everything"
+        );
         for w in snap.workers.iter().filter(|w| !w.live) {
             assert_eq!(w.shards_owned, 0, "retired slot owns nothing");
             assert_eq!(w.active_scans, 0, "retired slot parks no cursors");
@@ -2136,14 +2201,8 @@ mod tests {
         }
         let metrics = store.metrics_snapshot();
         assert_eq!(metrics.gauge("p2kvs_workers"), Some(1.0));
-        assert_eq!(
-            metrics.gauge("p2kvs_worker_live{worker=\"0\"}"),
-            Some(1.0)
-        );
-        assert_eq!(
-            metrics.gauge("p2kvs_worker_live{worker=\"3\"}"),
-            Some(0.0)
-        );
+        assert_eq!(metrics.gauge("p2kvs_worker_live{worker=\"0\"}"), Some(1.0));
+        assert_eq!(metrics.gauge("p2kvs_worker_live{worker=\"3\"}"), Some(0.0));
         // The flight journal tells the story: 2 spawns at open, 2 more
         // at scale-up, 3 retires on the way down.
         let records = store.flight_records(usize::MAX);
@@ -2246,8 +2305,9 @@ mod tests {
     #[test]
     fn queue_affinity_spreads_device_traffic_and_exports_per_queue_metrics() {
         use p2kvs_storage::{DeviceProfile, SimEnv};
-        let env: p2kvs_storage::EnvRef =
-            Arc::new(SimEnv::with_profile(DeviceProfile::instant().with_queues(4)));
+        let env: p2kvs_storage::EnvRef = Arc::new(SimEnv::with_profile(
+            DeviceProfile::instant().with_queues(4),
+        ));
         let mut engine = lsmkv::Options::rocksdb_like(env);
         engine.memtable_size = 16 << 10;
         engine.target_file_size = 16 << 10;

@@ -66,7 +66,7 @@ pub enum Op {
     /// [`Response::Chunk`]; a `Some(cursor)` in it means more data is
     /// available via [`Op::ScanNext`]. Replaces the old blocking
     /// `Scan`/`Range` ops: a worker never runs a scan longer than one
-    /// chunk per dequeue, so queued point ops interleave between chunks.
+    /// chunk per request, so queued point ops interleave between chunks.
     ScanOpen {
         start: Vec<u8>,
         end: Option<Vec<u8>>,
@@ -114,7 +114,10 @@ pub enum OpClass {
     Write,
     /// Mergeable reads (GET).
     Read,
-    /// Never merged: SCAN/RANGE and GSN-tagged batches.
+    /// Never merged into one engine call: SCAN/RANGE requests, GSN-tagged
+    /// batches and control markers. Consecutive Solo requests drain as one
+    /// run like reads and writes, but a marker ([`Op::is_marker`]) drains
+    /// alone and ends a run.
     Solo,
 }
 
@@ -152,6 +155,14 @@ impl Op {
             | Op::ShardInstall { .. }
             | Op::BackupFreeze { .. } => OpClass::Solo,
         }
+    }
+
+    /// A control marker: the queue drains it as a batch of one.
+    pub fn is_marker(&self) -> bool {
+        matches!(
+            self,
+            Op::HandoffOut { .. } | Op::ShardInstall { .. } | Op::BackupFreeze { .. }
+        )
     }
 
     /// How many keys the request carries. OBM's batch bound and the

@@ -16,10 +16,13 @@
 //! peels into two or more groups holds a `p2kvs_storage::IoChains` run
 //! across them — each group is one chain of dependent device I/O — and
 //! pays one device wait, for the chain that ends last, before the next
-//! dequeue. Acks still leave as each group's engine call returns, so in
-//! modelled time an ack can lead its group's device waits by up to the
-//! longest chain's lag (one sync or seek latency or more on the slow
-//! profiles).
+//! dequeue. Solo runs do too: a scan's `ScanOpen`s or a cross-shard
+//! batch's `TxnBatch`es for the shards one worker owns drain as one run
+//! (a control marker always drains alone). Acks still leave as each
+//! request's engine call returns, so in modelled time an ack — a scan
+//! chunk or a synced `TxnBatch` ack included — can lead its group's
+//! device waits by up to the longest chain's lag (one sync or seek
+//! latency or more on the slow profiles).
 //!
 //! **Ownership migration** (DESIGN.md §9): the migrator sends two
 //! control markers, one after the other, and waits on each like any
@@ -42,13 +45,14 @@
 //! returns). The queue side is a lock-free ring with
 //! a yield → park idle loop — see [`crate::queue`].
 //!
-//! **Scans are cooperative**: a worker never runs a scan longer than one
-//! bounded chunk per dequeue. `Op::ScanOpen` opens an engine cursor,
+//! **Scans are cooperative**: a worker never serves a scan more than one
+//! bounded chunk per request. `Op::ScanOpen` opens an engine cursor,
 //! serves the first chunk and parks the cursor in a worker-local table;
-//! each `Op::ScanNext` serves one more chunk. Because every chunk is a
-//! separate queue round-trip, point ops enqueued while a scan is in
-//! flight are drained (and OBM-merged) between chunks instead of waiting
-//! for the whole scan — the queue itself is the yield point.
+//! each `Op::ScanNext` serves one more chunk. A dequeued Solo run holds
+//! at most `batch_max` such requests, each one chunk, and every chunk of
+//! a scan is a separate queue round-trip, so point ops enqueued while a
+//! scan is in flight are drained (and OBM-merged) between chunks instead
+//! of waiting for the whole scan — the queue itself is the yield point.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -286,16 +290,16 @@ impl WorkerHandle {
                 let mut batch: Vec<Request> = Vec::with_capacity(max);
                 let mut spill: Vec<Request> = Vec::with_capacity(max);
                 while q.pop_batch_into(max, &mut batch) {
-                    // Control markers are Solo-class: always a batch of 1.
+                    // A control marker is always a batch of one.
                     match batch[0].op {
                         Op::HandoffOut { shard } => {
                             let reply = w.handoff_out(shard);
-                            batch.pop().expect("solo batch").finish(reply);
+                            batch.pop().expect("one marker").finish(reply);
                             continue;
                         }
                         Op::ShardInstall { shard } => {
                             w.install_shard(shard);
-                            batch.pop().expect("solo batch").finish(Ok(Response::Done));
+                            batch.pop().expect("one marker").finish(Ok(Response::Done));
                             continue;
                         }
                         _ => {}
@@ -308,10 +312,10 @@ impl WorkerHandle {
                     // several shards would see alternating-shard runs
                     // and OBM would degrade to singleton batches.
                     //
-                    // A run that peels into two or more groups (never a
-                    // Solo one: those are single requests) executes
-                    // each group as one chain of device I/O and pays
-                    // one device wait for all of them (DESIGN.md §13.5).
+                    // A run that peels into two or more groups, Solo
+                    // runs included, executes each group as one chain of
+                    // device I/O and pays one device wait for all of
+                    // them (DESIGN.md §13.5).
                     let mut chains: Option<IoChains> = None;
                     while !batch.is_empty() {
                         let shard = batch[0].shard;
@@ -501,7 +505,7 @@ impl<E: KvsEngine> WorkerLoop<E> {
         // snapshot forks on whichever worker owns the shard when it
         // finally executes — after the writes ahead of it.
         if matches!(self.group[0].op, Op::BackupFreeze { .. }) {
-            let req = self.group.pop().expect("solo batch");
+            let req = self.group.pop().expect("one marker");
             freeze_shard(self.windex, rt, shard, req);
             return 0;
         }

@@ -23,7 +23,7 @@ use std::thread;
 use std::time::Duration;
 
 use p2kvs::queue::{PushError, RequestQueue};
-use p2kvs::types::{Completion, Op, OpClass, Request, Response};
+use p2kvs::types::{Completion, Op, Request, Response};
 use p2kvs_storage::IoChains;
 
 // ---------------------------------------------------------------------------
@@ -67,7 +67,8 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// 8 producers × mixed op classes × `close()` mid-stream: every `Ok`
 /// push completes exactly once, every `Err` push completes zero times,
-/// and no OBM batch ever mixes classes or exceeds the bound.
+/// no OBM batch ever mixes classes or exceeds the bound, and a batch
+/// holding a control marker holds nothing else.
 #[test]
 fn multi_producer_mixed_close_midstream_exactly_once() {
     const PRODUCERS: usize = 8;
@@ -97,8 +98,8 @@ fn multi_producer_mixed_close_midstream_exactly_once() {
             while queue.pop_batch_into(BATCH_MAX, &mut batch) {
                 assert!(!batch.is_empty() && batch.len() <= BATCH_MAX);
                 let class = batch[0].op.class();
-                if class == OpClass::Solo {
-                    assert_eq!(batch.len(), 1, "solo requests are never merged");
+                if batch.iter().any(|r| r.op.is_marker()) {
+                    assert_eq!(batch.len(), 1, "a marker drains alone");
                 }
                 for req in &batch {
                     assert_eq!(req.op.class(), class, "batch crossed a class boundary");
@@ -120,7 +121,7 @@ fn multi_producer_mixed_close_midstream_exactly_once() {
             thread::spawn(move || {
                 for i in 0..PER_PRODUCER {
                     let id = p * PER_PRODUCER + i;
-                    let op = match (p + i) % 4 {
+                    let op = match (p + i) % 5 {
                         0 | 1 => Op::Put {
                             key: format!("k{id}").into_bytes(),
                             value: b"v".to_vec(),
@@ -128,6 +129,7 @@ fn multi_producer_mixed_close_midstream_exactly_once() {
                         2 => Op::Get {
                             key: format!("k{id}").into_bytes(),
                         },
+                        3 => Op::BackupFreeze { shard: 0 },
                         _ => Op::ScanOpen {
                             start: b"k".to_vec(),
                             end: None,
@@ -271,7 +273,10 @@ fn backpressure_bounds_depth() {
         // A push is counted before the ring takes it, so the gauge may
         // read one over the hard ring bound while the producer retries.
         let depth = queue.len();
-        assert!(depth <= CAP + 1, "depth {depth} exceeded backpressure bound");
+        assert!(
+            depth <= CAP + 1,
+            "depth {depth} exceeded backpressure bound"
+        );
         assert!(queue.pop_batch_into(4, &mut batch));
         drained += batch.len();
         for req in batch.drain(..) {

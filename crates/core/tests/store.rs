@@ -48,7 +48,12 @@ fn wait_observed<E: KvsEngine>(store: &P2Kvs<E>, requests: u64) -> MetricsSnapsh
 fn wait_no_active_scans<E: KvsEngine>(store: &P2Kvs<E>) {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     loop {
-        let active: u64 = store.snapshot().workers.iter().map(|w| w.active_scans).sum();
+        let active: u64 = store
+            .snapshot()
+            .workers
+            .iter()
+            .map(|w| w.active_scans)
+            .sum();
         if active == 0 {
             return;
         }
@@ -128,14 +133,10 @@ fn obm_merges_under_concurrency() {
     for i in 0..N {
         let tx = tx.clone();
         store
-            .put_async(
-                format!("k{i:05}").as_bytes(),
-                b"v",
-                move |r| {
-                    r.unwrap();
-                    tx.send(()).unwrap();
-                },
-            )
+            .put_async(format!("k{i:05}").as_bytes(), b"v", move |r| {
+                r.unwrap();
+                tx.send(()).unwrap();
+            })
             .unwrap();
     }
     for _ in 0..N {
@@ -147,7 +148,11 @@ fn obm_merges_under_concurrency() {
         "async flood should batch heavily, got {}",
         snap.merge_ratio()
     );
-    assert!(snap.avg_batch_size() > 2.0, "avg batch {}", snap.avg_batch_size());
+    assert!(
+        snap.avg_batch_size() > 2.0,
+        "avg batch {}",
+        snap.avg_batch_size()
+    );
 }
 
 #[test]
@@ -380,7 +385,12 @@ fn chunked_scan_returns_exactly_the_loaded_data() {
     let store = open_lsm(2);
     let n = 12 * SCAN_CHUNK_ENTRIES;
     let loaded: Vec<(Vec<u8>, Vec<u8>)> = (0..n)
-        .map(|i| (format!("key{i:05}").into_bytes(), format!("value-{i}").into_bytes()))
+        .map(|i| {
+            (
+                format!("key{i:05}").into_bytes(),
+                format!("value-{i}").into_bytes(),
+            )
+        })
         .collect();
     for (k, v) in &loaded {
         store.put(k, v).unwrap();
@@ -392,7 +402,10 @@ fn chunked_scan_returns_exactly_the_loaded_data() {
             "start {start} count {count}"
         );
     }
-    assert_eq!(store.range(&loaded[100].0, &loaded[2900].0).unwrap(), loaded[100..2900]);
+    assert_eq!(
+        store.range(&loaded[100].0, &loaded[2900].0).unwrap(),
+        loaded[100..2900]
+    );
     let streamed: Vec<_> = store.iter().unwrap().map(|r| r.unwrap()).collect();
     assert_eq!(streamed, loaded);
     assert!(scan_counters(&store).1 > 0, "no parked cursor was resumed");
@@ -519,7 +532,11 @@ struct EmulatedCursorFactory(LsmFactory);
 impl EngineFactory for EmulatedCursorFactory {
     type Engine = EmulatedCursorDb;
 
-    fn open(&self, dir: &std::path::Path, filter: Option<GsnFilter>) -> p2kvs::Result<EmulatedCursorDb> {
+    fn open(
+        &self,
+        dir: &std::path::Path,
+        filter: Option<GsnFilter>,
+    ) -> p2kvs::Result<EmulatedCursorDb> {
         Ok(EmulatedCursorDb(self.0.open(dir, filter)?))
     }
 
@@ -639,11 +656,7 @@ fn scan_metrics_surface_in_snapshots() {
                 .unwrap()
         })
         .sum();
-    assert_eq!(
-        scans,
-        store.shards() as u64,
-        "one stream opened per shard"
-    );
+    assert_eq!(scans, store.shards() as u64, "one stream opened per shard");
     assert!(chunks > scans, "more than a chunk per shard needs resumes");
     wait_no_active_scans(&store);
     let snap = store.metrics_snapshot();
@@ -661,8 +674,14 @@ fn write_batch_single_partition_is_atomic() {
     let store = open_lsm(1);
     store
         .write_batch(vec![
-            WriteOp::Put { key: b"a".to_vec(), value: b"1".to_vec() },
-            WriteOp::Put { key: b"b".to_vec(), value: b"2".to_vec() },
+            WriteOp::Put {
+                key: b"a".to_vec(),
+                value: b"1".to_vec(),
+            },
+            WriteOp::Put {
+                key: b"b".to_vec(),
+                value: b"2".to_vec(),
+            },
             WriteOp::Delete { key: b"a".to_vec() },
         ])
         .unwrap();
@@ -775,24 +794,41 @@ fn a_gsn_rolled_back_at_recovery_is_not_handed_out_again() {
     // One put on shard 0 and one on shard 1, both named `tag`.
     let batch = |tag: &str| -> Vec<WriteOp> {
         (0..2u8)
-            .map(|s| WriteOp::Put { key: [&[s][..], tag.as_bytes()].concat(), value: tag.into() })
+            .map(|s| WriteOp::Put {
+                key: [&[s][..], tag.as_bytes()].concat(),
+                value: tag.into(),
+            })
             .collect()
     };
     let visible = |store: &P2Kvs<lsmkv::Db>, tag: &str| -> Vec<bool> {
-        batch(tag).iter().map(|op| store.get(op.key()).unwrap().is_some()).collect()
+        batch(tag)
+            .iter()
+            .map(|op| store.get(op.key()).unwrap().is_some())
+            .collect()
     };
     let last_committed_gsn = |store: &P2Kvs<lsmkv::Db>| {
         let journal = store.flight_records(usize::MAX);
-        journal.iter().rev().find(|r| r.kind == JournalKind::TxnCommit).unwrap().gsn
+        journal
+            .iter()
+            .rev()
+            .find(|r| r.kind == JournalKind::TxnCommit)
+            .unwrap()
+            .gsn
     };
     // Power-fails the store at the commit sync of `batch(tag)`: two WAL
     // syncs (one per shard) come first and survive.
     let crash_before_commit = |store: P2Kvs<lsmkv::Db>, tag: &str| {
-        env.set_plan(FaultPlan { crash_at_sync: Some(env.sync_points() + 3), ..FaultPlan::default() });
-        store.write_batch(batch(tag)).expect_err("the commit sync crashed");
-        let crashed_on_the_commit_log = env.events().iter().any(
-            |e| matches!(e, FaultEvent::Crash { path, .. } if path.ends_with("TXNLOG")),
-        );
+        env.set_plan(FaultPlan {
+            crash_at_sync: Some(env.sync_points() + 3),
+            ..FaultPlan::default()
+        });
+        store
+            .write_batch(batch(tag))
+            .expect_err("the commit sync crashed");
+        let crashed_on_the_commit_log = env
+            .events()
+            .iter()
+            .any(|e| matches!(e, FaultEvent::Crash { path, .. } if path.ends_with("TXNLOG")));
         assert!(crashed_on_the_commit_log, "{tag}: {:?}", env.events());
         drop(store);
         env.heal();
@@ -805,7 +841,11 @@ fn a_gsn_rolled_back_at_recovery_is_not_handed_out_again() {
 
     let store = open();
     assert_eq!(visible(&store, "a"), [true, true]);
-    assert_eq!(visible(&store, "b"), [false, false], "rolled back on every shard");
+    assert_eq!(
+        visible(&store, "b"),
+        [false, false],
+        "rolled back on every shard"
+    );
     store.write_batch(batch("c")).unwrap();
     assert_eq!(last_committed_gsn(&store), g_a + 2, "b's GSN is not reused");
     crash_before_commit(store, "d"); // d drew g_a + 3, above every commit record
@@ -813,7 +853,11 @@ fn a_gsn_rolled_back_at_recovery_is_not_handed_out_again() {
     let store = open();
     assert_eq!(visible(&store, "b"), [false, false]);
     assert_eq!(visible(&store, "c"), [true, true]);
-    assert_eq!(visible(&store, "d"), [false, false], "rolled back on every shard");
+    assert_eq!(
+        visible(&store, "d"),
+        [false, false],
+        "rolled back on every shard"
+    );
     store.write_batch(batch("e")).unwrap();
     assert_eq!(last_committed_gsn(&store), g_a + 4, "d's GSN is not reused");
     assert_eq!(visible(&store, "e"), [true, true]);
@@ -831,8 +875,14 @@ fn reopen_preserves_data_and_gsns() {
         }
         store
             .write_batch(vec![
-                WriteOp::Put { key: b"tx-a".to_vec(), value: b"1".to_vec() },
-                WriteOp::Put { key: b"tx-b".to_vec(), value: b"2".to_vec() },
+                WriteOp::Put {
+                    key: b"tx-a".to_vec(),
+                    value: b"1".to_vec(),
+                },
+                WriteOp::Put {
+                    key: b"tx-b".to_vec(),
+                    value: b"2".to_vec(),
+                },
             ])
             .unwrap();
         store.close();
@@ -845,8 +895,14 @@ fn reopen_preserves_data_and_gsns() {
     // New transactions must get fresh GSNs (no reuse after recovery).
     store
         .write_batch(vec![
-            WriteOp::Put { key: b"tx-c".to_vec(), value: b"3".to_vec() },
-            WriteOp::Put { key: b"tx-d".to_vec(), value: b"4".to_vec() },
+            WriteOp::Put {
+                key: b"tx-c".to_vec(),
+                value: b"3".to_vec(),
+            },
+            WriteOp::Put {
+                key: b"tx-d".to_vec(),
+                value: b"4".to_vec(),
+            },
         ])
         .unwrap();
     assert_eq!(store.get(b"tx-c").unwrap().unwrap(), b"3");
@@ -882,7 +938,10 @@ fn works_over_leveldb_mode() {
         store.put(format!("k{i:03}").as_bytes(), b"v").unwrap();
     }
     for i in (0..300).step_by(11) {
-        assert_eq!(store.get(format!("k{i:03}").as_bytes()).unwrap().unwrap(), b"v");
+        assert_eq!(
+            store.get(format!("k{i:03}").as_bytes()).unwrap().unwrap(),
+            b"v"
+        );
     }
     let scan = store.scan(b"k100", 5).unwrap();
     assert_eq!(scan.len(), 5);
@@ -1004,9 +1063,15 @@ fn metrics_snapshot_covers_lifecycle_engines_and_renders() {
 
     // lsmkv's write breakdown surfaces under engine_* names.
     let wal: f64 = (0..4)
-        .map(|i| snap.gauge(&format!("engine_wal_us{{instance=\"{i}\"}}")).unwrap())
+        .map(|i| {
+            snap.gauge(&format!("engine_wal_us{{instance=\"{i}\"}}"))
+                .unwrap()
+        })
         .sum();
-    assert!(wal > 0.0, "WAL component of the write breakdown must be non-zero");
+    assert!(
+        wal > 0.0,
+        "WAL component of the write breakdown must be non-zero"
+    );
     assert!(snap.gauge("engine_writes_total{instance=\"0\"}").is_some());
 
     // Every group was slow and kept its spans.
@@ -1032,8 +1097,11 @@ fn metrics_snapshot_covers_lifecycle_engines_and_renders() {
     }
     for (name, h) in &snap.histograms {
         let brace = name.find('{').expect("lifecycle histograms are labeled");
-        let count_series =
-            format!("{}_count{{{}}}", &name[..brace], &name[brace + 1..name.len() - 1]);
+        let count_series = format!(
+            "{}_count{{{}}}",
+            &name[..brace],
+            &name[brace + 1..name.len() - 1]
+        );
         assert_eq!(
             prom.iter()
                 .find(|(n, _)| n == &count_series)
@@ -1143,7 +1211,9 @@ fn metrics_disabled_store_still_snapshots() {
     let snap = store.metrics_snapshot();
     // No lifecycle histograms, but sampled counters/gauges still work.
     assert!(snap.histograms_of("p2kvs_queue_wait_ns").is_empty());
-    assert!(snap.counter("p2kvs_worker_ops_total{worker=\"0\"}").is_some());
+    assert!(snap
+        .counter("p2kvs_worker_ops_total{worker=\"0\"}")
+        .is_some());
     assert_eq!(snap.counter("p2kvs_slow_requests_total"), Some(0));
     assert!(store.trace_spans().is_empty());
 }
@@ -1325,7 +1395,10 @@ fn background_balancer_runs_and_stops() {
     }
     std::thread::sleep(std::time::Duration::from_millis(100));
     for i in 0..500 {
-        assert_eq!(store.get(format!("bg{i:03}").as_bytes()).unwrap().unwrap(), b"v");
+        assert_eq!(
+            store.get(format!("bg{i:03}").as_bytes()).unwrap().unwrap(),
+            b"v"
+        );
     }
     // Closing must stop the balancer thread promptly (no hang).
     store.close();
@@ -1372,7 +1445,10 @@ fn trace_spans_form_nested_trees_and_export_chrome_json() {
             batch.start_us,
             "queue_wait must end at dequeue"
         );
-        assert!(batch.start_us <= engine.start_us, "engine starts inside the batch");
+        assert!(
+            batch.start_us <= engine.start_us,
+            "engine starts inside the batch"
+        );
         assert!(
             engine.start_us + engine.dur_us <= batch.start_us + batch.dur_us + 1,
             "engine ends inside the batch (±1us rounding)"
@@ -1403,8 +1479,16 @@ fn trace_spans_form_nested_trees_and_export_chrome_json() {
         "writes must surface a MemTable phase span"
     );
     let json = store.export_trace();
-    assert!(json.starts_with("{\"traceEvents\":["), "chrome-trace envelope");
-    for needle in ["\"queue_wait\"", "\"obm_batch\"", "\"engine\"", "\"ph\":\"X\""] {
+    assert!(
+        json.starts_with("{\"traceEvents\":["),
+        "chrome-trace envelope"
+    );
+    for needle in [
+        "\"queue_wait\"",
+        "\"obm_batch\"",
+        "\"engine\"",
+        "\"ph\":\"X\"",
+    ] {
         assert!(json.contains(needle), "export missing {needle}");
     }
     store.close();
@@ -1442,7 +1526,10 @@ fn trace_sampling_zero_disables_and_default_is_sparse() {
         .filter(|s| !s.tail_kept())
         .map(|s| s.trace_id)
         .collect();
-    assert!(!ids.is_empty(), "1/64 sampling must trace something in 640 ops");
+    assert!(
+        !ids.is_empty(),
+        "1/64 sampling must trace something in 640 ops"
+    );
     assert!(ids.len() <= 640 / 64 + 2, "sampled {} of 640", ids.len());
     store.close();
 
@@ -1635,13 +1722,23 @@ fn introspection_reports_map_and_worker_state() {
     let epoch0 = view.map_epoch;
     store.migrate_shard(0, 1).unwrap();
     let view = store.introspect();
-    assert_eq!(view.shard_owners, vec![1, 1], "the map reflects the migration");
+    assert_eq!(
+        view.shard_owners,
+        vec![1, 1],
+        "the map reflects the migration"
+    );
     assert!(view.map_epoch > epoch0, "migration bumps the epoch");
     assert_eq!(view.workers[0].shards, Vec::<usize>::new());
     assert_eq!(view.workers[1].shards, vec![0, 1]);
     assert_eq!(view.migrations, 1);
-    assert!(view.flight_last_seq > 0, "the flight recorder saw the handoff");
-    assert!(view.trace_spans_recorded > 0, "default sampling recorded spans");
+    assert!(
+        view.flight_last_seq > 0,
+        "the flight recorder saw the handoff"
+    );
+    assert!(
+        view.trace_spans_recorded > 0,
+        "default sampling recorded spans"
+    );
     store.close();
 }
 
@@ -1734,13 +1831,26 @@ fn flight_recorder_persists_and_recovers_gap_free() {
     store.migrate_shard(0, 1).unwrap();
     store
         .write_batch(vec![
-            WriteOp::Put { key: b"a".to_vec(), value: b"1".to_vec() },
-            WriteOp::Put { key: b"zz".to_vec(), value: b"2".to_vec() },
+            WriteOp::Put {
+                key: b"a".to_vec(),
+                value: b"1".to_vec(),
+            },
+            WriteOp::Put {
+                key: b"zz".to_vec(),
+                value: b"2".to_vec(),
+            },
         ])
         .unwrap();
     let live = store.flight_records(usize::MAX);
-    for kind in [JournalKind::StoreOpen, JournalKind::HandoffOut, JournalKind::ShardInstall] {
-        assert!(live.iter().any(|r| r.kind == kind), "live journal missing {kind:?}");
+    for kind in [
+        JournalKind::StoreOpen,
+        JournalKind::HandoffOut,
+        JournalKind::ShardInstall,
+    ] {
+        assert!(
+            live.iter().any(|r| r.kind == kind),
+            "live journal missing {kind:?}"
+        );
     }
     store.close();
 
@@ -1773,14 +1883,27 @@ fn flight_recorder_persists_and_recovers_gap_free() {
         .iter()
         .find(|r| r.kind == JournalKind::StoreOpen && r.seq > last_recovered)
         .expect("the reopen is journaled");
-    assert_eq!(reopen.seq, last_recovered + 1, "sequence continues across restart");
-    assert_eq!(p2kvs::obs::sequence_gap(&all), None, "ring spans the restart seam");
+    assert_eq!(
+        reopen.seq,
+        last_recovered + 1,
+        "sequence continues across restart"
+    );
+    assert_eq!(
+        p2kvs::obs::sequence_gap(&all),
+        None,
+        "ring spans the restart seam"
+    );
     store2.close();
 }
 
 #[test]
 fn scan_gauge_is_conserved_across_migration_and_iterator_drop() {
-    let store = P2Kvs::open(lsm_factory(), "p2-scan-gauge", P2KvsOptions::paper_layout(2)).unwrap();
+    let store = P2Kvs::open(
+        lsm_factory(),
+        "p2-scan-gauge",
+        P2KvsOptions::paper_layout(2),
+    )
+    .unwrap();
     // More than a chunk per shard, so the iterator parks its cursors.
     for i in 0..3 * SCAN_CHUNK_ENTRIES {
         store.put(format!("sg{i:04}").as_bytes(), b"v").unwrap();
@@ -1789,9 +1912,8 @@ fn scan_gauge_is_conserved_across_migration_and_iterator_drop() {
     for _ in 0..3 {
         iter.next_entry().unwrap().unwrap();
     }
-    let active = |s: &P2Kvs<lsmkv::Db>| -> u64 {
-        s.snapshot().workers.iter().map(|w| w.active_scans).sum()
-    };
+    let active =
+        |s: &P2Kvs<lsmkv::Db>| -> u64 { s.snapshot().workers.iter().map(|w| w.active_scans).sum() };
     let parked = active(&store);
     assert!(parked >= 1, "the streaming iterator parks cursors");
     assert!(parked < 1 << 60, "gauge must never underflow");
@@ -1998,26 +2120,47 @@ fn requests_stashed_during_a_migration_are_observed_like_any_other() {
     assert_eq!(stats.migrations, 1);
 }
 
-/// A store over a device whose reads cost `read` each and whose writes
-/// and syncs are free, with no block cache and no read cache: every
-/// `get_many` reads one block per shard it touches.
-fn slow_read_store(
+/// A store over a device whose reads cost `read` each, whose syncs cost
+/// `sync` and whose writes are free, with no block cache and no read
+/// cache: every `get_many` reads one block per shard it touches.
+fn slow_store(
     dir: &str,
-    mut opts: P2KvsOptions,
+    opts: P2KvsOptions,
     read: Duration,
+    sync: Duration,
 ) -> (P2Kvs<lsmkv::Db>, EnvRef) {
     let mut profile = p2kvs_storage::DeviceProfile::nvme_optane();
     profile.read_latency = read;
     profile.read_bw = u64::MAX;
     profile.write_latency = Duration::ZERO;
     profile.write_bw = u64::MAX;
-    profile.sync_latency = Duration::ZERO;
-    let env: EnvRef = Arc::new(p2kvs_storage::SimEnv::with_profile(profile));
+    profile.sync_latency = sync;
+    store_over(
+        Arc::new(p2kvs_storage::SimEnv::with_profile(profile)),
+        dir,
+        opts,
+    )
+}
+
+/// [`slow_store`]'s store over an env without a device model, where no
+/// worker run ever overlaps.
+fn untimed_store(dir: &str, opts: P2KvsOptions) -> (P2Kvs<lsmkv::Db>, EnvRef) {
+    store_over(Arc::new(MemEnv::new()), dir, opts)
+}
+
+fn store_over(env: EnvRef, dir: &str, mut opts: P2KvsOptions) -> (P2Kvs<lsmkv::Db>, EnvRef) {
     let mut engine = lsmkv::Options::rocksdb_like(env.clone());
     engine.block_cache_size = 0;
     opts.cache_capacity = 0;
     let store = P2Kvs::open(LsmFactory::new(engine), dir, opts).unwrap();
     (store, env)
+}
+
+/// One worker that owns four shards.
+fn four_shards_one_worker() -> P2KvsOptions {
+    let mut opts = P2KvsOptions::with_workers(1);
+    opts.shards = 4;
+    opts
 }
 
 /// 64 keys (their own values), flushed to one table per shard.
@@ -2048,9 +2191,7 @@ fn a_worker_overlaps_the_reads_of_the_shards_in_one_drained_run() {
     // as overlapped chains and pays one read latency per call, not four.
     const READ: Duration = Duration::from_millis(5);
     const CALLS: u32 = 4;
-    let mut opts = P2KvsOptions::with_workers(1);
-    opts.shards = 4;
-    let (store, _env) = slow_read_store("p2-overlap", opts, READ);
+    let (store, _env) = slow_store("p2-overlap", four_shards_one_worker(), READ, Duration::ZERO);
     let keys = load_flushed(&store);
     let (call, want): (&[Vec<u8>], Vec<_>) =
         (&keys[..32], keys[..32].iter().cloned().map(Some).collect());
@@ -2124,10 +2265,11 @@ fn a_worker_overlaps_the_reads_of_the_shards_in_one_drained_run() {
 #[test]
 fn under_the_paper_layout_a_get_many_never_overlaps_inside_a_worker() {
     // One shard per worker: every drained run is one group.
-    let (store, _env) = slow_read_store(
+    let (store, _env) = slow_store(
         "p2-overlap-paper",
         P2KvsOptions::paper_layout(4),
         Duration::from_millis(1),
+        Duration::ZERO,
     );
     let keys = load_flushed(&store);
     let want: Vec<_> = keys.iter().cloned().map(Some).collect();
@@ -2139,33 +2281,96 @@ fn under_the_paper_layout_a_get_many_never_overlaps_inside_a_worker() {
 }
 
 #[test]
+fn a_worker_overlaps_the_scan_opens_of_its_shards() {
+    // A scan forks one `ScanOpen` per shard; the four queued on this
+    // worker drain as one Solo run and each reads one block, so the
+    // worker pays one read latency per scan, not four.
+    const READ: Duration = Duration::from_millis(5);
+    let (store, _env) = slow_store(
+        "p2-scan-overlap",
+        four_shards_one_worker(),
+        READ,
+        Duration::ZERO,
+    );
+    let (untimed, _) = untimed_store("p2-scan-overlap", four_shards_one_worker());
+    let keys = load_flushed(&store);
+    load_flushed(&untimed);
+    let want = untimed.scan(b"", 64).unwrap();
+    assert_eq!(want.len(), 64);
+    // Warm-up: opens every table; the `get` queues behind its wait.
+    assert_eq!(store.scan(b"", 64).unwrap(), want);
+    store.get(&keys[0]).unwrap();
+    let before = overlap_saved(&store);
+    for _ in 0..3 {
+        // Let the worker park, so each scan's opens drain as one run.
+        std::thread::sleep(Duration::from_millis(1));
+        assert_eq!(store.scan(b"", 64).unwrap(), want);
+    }
+    store.get(&keys[0]).unwrap();
+    let saved = overlap_saved(&store) - before;
+    assert!(saved > READ, "saved {saved:?}");
+}
+
+#[test]
+fn a_worker_overlaps_the_synced_sub_batches_of_a_cross_shard_batch() {
+    // A cross-shard batch forks one synced `TxnBatch` per shard; the four
+    // queued on this worker drain as one Solo run and pay one sync.
+    const SYNC: Duration = Duration::from_millis(5);
+    let (store, _env) = slow_store(
+        "p2-txn-overlap",
+        four_shards_one_worker(),
+        Duration::ZERO,
+        SYNC,
+    );
+    let (untimed, _) = untimed_store("p2-txn-overlap", four_shards_one_worker());
+    let batch = |round: usize, keys: &[Vec<u8>]| -> Vec<WriteOp> {
+        keys.iter()
+            .map(|k| WriteOp::Put {
+                key: k.clone(),
+                value: format!("{round}").into_bytes(),
+            })
+            .collect()
+    };
+    let keys = load_flushed(&store);
+    load_flushed(&untimed);
+    store.get(&keys[0]).unwrap();
+    let before = overlap_saved(&store);
+    for round in 0..3 {
+        std::thread::sleep(Duration::from_millis(1));
+        store.write_batch(batch(round, &keys)).unwrap();
+        untimed.write_batch(batch(round, &keys)).unwrap();
+    }
+    store.get(&keys[0]).unwrap();
+    let saved = overlap_saved(&store) - before;
+    assert!(saved > SYNC, "saved {saved:?}");
+    let reads = store.get_many(&keys).unwrap();
+    assert_eq!(reads, untimed.get_many(&keys).unwrap());
+    assert!(reads.iter().all(|v| v.as_deref() == Some(&b"2"[..])));
+}
+
+#[test]
 fn scan_txn_and_backup_answer_alike_with_and_without_overlapped_runs() {
     // The same calls on a store whose worker overlaps multi-shard runs
-    // (timed device) and on one that never does (untimed env). Scans,
-    // cross-shard batches and backup markers are Solo runs: they never
-    // overlap, and they answer byte for byte alike.
-    let layout = || {
-        let mut opts = P2KvsOptions::with_workers(1);
-        opts.shards = 4;
-        opts
-    };
-    let (timed, timed_env) = slow_read_store("p2-solo", layout(), Duration::from_millis(1));
-    let untimed_env: EnvRef = Arc::new(MemEnv::new());
-    let mut engine = lsmkv::Options::rocksdb_like(untimed_env.clone());
-    engine.block_cache_size = 0;
-    let untimed = P2Kvs::open(
-        LsmFactory::new(engine),
+    // (timed device) and on one that never does (untimed env). The scans
+    // and the cross-shard batch drain as overlapped Solo runs, the backup
+    // markers each alone, and both stores answer byte for byte alike.
+    let (timed, timed_env) = slow_store(
         "p2-solo",
-        P2KvsOptions {
-            cache_capacity: 0,
-            ..layout()
-        },
-    )
-    .unwrap();
+        four_shards_one_worker(),
+        Duration::from_millis(1),
+        Duration::from_millis(1),
+    );
+    let (untimed, untimed_env) = untimed_store("p2-solo", four_shards_one_worker());
     let run = |store: &P2Kvs<lsmkv::Db>, env: &EnvRef| {
         let keys = load_flushed(store);
+        // Each single-shard `get` queues behind the wait the run ahead
+        // of it closes with, so the saving reads settled.
+        store.get(&keys[0]).unwrap();
+        let loaded = overlap_saved(store);
         let scan = store.scan(b"", 100).unwrap();
         let range = store.range(b"ov-10", b"ov-40").unwrap();
+        store.get(&keys[0]).unwrap();
+        let scanned = overlap_saved(store);
         store
             .write_batch(vec![
                 WriteOp::Put {
@@ -2181,6 +2386,8 @@ fn scan_txn_and_backup_answer_alike_with_and_without_overlapped_runs() {
                 },
             ])
             .unwrap();
+        store.get(&keys[0]).unwrap();
+        let batched = overlap_saved(store);
         let report = store.backup("p2-solo-bk").unwrap().wait().unwrap();
         let dir = std::path::Path::new("p2-solo-bk");
         let snaps: Vec<Vec<u8>> = env
@@ -2190,22 +2397,20 @@ fn scan_txn_and_backup_answer_alike_with_and_without_overlapped_runs() {
             .filter(|name| name.to_string_lossy().ends_with(".snap"))
             .map(|name| p2kvs_storage::env::read_all(&**env, &dir.join(name)).unwrap())
             .collect();
-        let solo_saved = overlap_saved(store);
+        let backed_up = overlap_saved(store);
         let reads = store.get_many(&keys).unwrap();
         (
             (scan, range, report.entries, report.bytes, snaps, reads),
-            solo_saved,
+            [loaded, scanned, batched, backed_up],
         )
     };
-    let (timed_out, timed_solo_saved) = run(&timed, &timed_env);
+    let (timed_out, [loaded, scanned, batched, backed_up]) = run(&timed, &timed_env);
     let (untimed_out, _) = run(&untimed, &untimed_env);
     assert_eq!(timed_out, untimed_out);
     assert_eq!(timed_out.0.len(), 64);
     assert_eq!(timed_out.4.len(), 4);
-    assert_eq!(timed_solo_saved, Duration::ZERO, "a Solo run overlapped");
-    // The final multi-shard read did overlap on the timed store only
-    // (this `get` queues behind the wait that run closes with).
-    timed.get(b"ov-00").unwrap();
-    assert!(overlap_saved(&timed) > Duration::ZERO);
+    assert!(scanned > loaded, "the scans did not overlap");
+    assert!(batched > scanned, "the cross-shard batch did not overlap");
+    assert_eq!(backed_up, batched, "a backup marker overlapped");
     assert_eq!(overlap_saved(&untimed), Duration::ZERO);
 }

@@ -720,13 +720,11 @@ mod tests {
         {
             // The hook re-enters the env (like a flight recorder
             // appending its journal) — must not deadlock, and its
-            // appends simply fail once the env is frozen.
+            // appends simply fail once the env is frozen. It holds the
+            // state it lives in weakly, or the two would never be freed.
             let seen = seen.clone();
-            let hook_env: Arc<dyn Env> = Arc::new(FaultyEnv {
-                inner: env.inner.clone(),
-                fs: env.fs.clone(),
-                state: env.state.clone(),
-            });
+            let (inner, fs) = (env.inner.clone(), env.fs.clone());
+            let state = Arc::downgrade(&env.state);
             env.install_fault_hook(Arc::new(move |e| {
                 let name = match e {
                     FaultEvent::FailedAppend { .. } => "append",
@@ -736,6 +734,11 @@ mod tests {
                     FaultEvent::QueueCrash { .. } => "q-crash",
                 };
                 // Re-entry through the same env's counters.
+                let hook_env = FaultyEnv {
+                    inner: inner.clone(),
+                    fs: fs.clone(),
+                    state: state.upgrade().expect("the env outlives its hook"),
+                };
                 if let Ok(mut f) = hook_env.new_appendable(Path::new("hook.log")) {
                     let _ = f.append(name.as_bytes());
                 }

@@ -37,16 +37,20 @@ impl RateLimiter {
         }
     }
 
-    /// Blocks until one token is available, then consumes it.
-    pub fn acquire(&self) {
+    /// Blocks until one token is available, consumes it and returns the
+    /// instant the schedule gave it (now, when unlimited). A call that
+    /// goes out late still starts its latency there, so the time spent
+    /// queued behind a slow call is counted (no coordinated omission).
+    pub fn acquire(&self) -> Instant {
         if self.per_second == 0 {
-            return;
+            return Instant::now();
         }
         let slot = self.next_ns.fetch_add(self.interval_ns, Ordering::Relaxed);
         let now = self.start.elapsed().as_nanos() as u64;
         if slot > now {
             precise_sleep(Duration::from_nanos(slot - now));
         }
+        self.start + Duration::from_nanos(slot)
     }
 
     /// The configured rate (ops/s); 0 means unlimited.

@@ -522,9 +522,9 @@ mod tests {
             for i in 0..50 {
                 db.put(format!("s{i}").as_bytes(), b"durable").unwrap();
             }
-            std::mem::forget(db);
+            // Power fails with the db open; dropping it writes nothing.
+            mem.fs().power_failure();
         }
-        mem.fs().power_failure();
         let db = WtDb::open(WtOptions::new(env), "wt").unwrap();
         assert_eq!(db.len(), 50);
         assert_eq!(db.get(b"s49").unwrap().unwrap(), b"durable");
@@ -539,9 +539,8 @@ mod tests {
             opts.sync_writes = false;
             let db = WtDb::open(opts, "wt").unwrap();
             db.put(b"lost", b"maybe").unwrap();
-            std::mem::forget(db);
+            mem.fs().power_failure();
         }
-        mem.fs().power_failure();
         let db = WtDb::open(WtOptions::new(env), "wt").unwrap();
         // Unsynced journal bytes vanished: the key must be gone (and the
         // open must not fail on the truncated log).
