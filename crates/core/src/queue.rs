@@ -38,8 +38,9 @@
 //! The ring is bounded (capacity is [`RequestQueue::with_capacity`],
 //! rounded up to a power of two, default
 //! [`DEFAULT_QUEUE_CAPACITY`]). When it is full, [`RequestQueue::push`]
-//! **blocks the producer** — first spinning, then yielding, then sleeping
-//! in short naps — until the consumer frees a slot or the queue closes.
+//! **blocks the producer** on [`Backoff`] — first spinning, then
+//! yielding, then sleeping in short naps — until the consumer frees a
+//! slot or the queue closes.
 //! This is deliberate: the synchronous API's user threads are the source
 //! of load, so stalling them is the only stable response to an
 //! over-driven worker (admission control, not unbounded memory growth).
@@ -64,6 +65,8 @@
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use p2kvs_util::timing::{self, adaptive_spin, Backoff};
+
 pub use crate::ring::PushError;
 use crate::ring::{CachePadded, Ring};
 use crate::types::Request;
@@ -81,27 +84,6 @@ pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
 /// longer wait yields for one wake-up's worth, then sleeps as before.
 pub(crate) const YIELD_BOUND: std::time::Duration = std::time::Duration::from_micros(60);
 
-/// `limit` on a multiprocessor, 0 on a uniprocessor. With one hardware
-/// thread, every spin iteration only delays the peer that would make
-/// progress, so the sites that spin (the consumer guard, a producer's
-/// backoff on a full ring) yield at once. Detected once, cached in a
-/// process-wide atomic.
-pub(crate) fn adaptive_spin(limit: usize) -> usize {
-    static NCPUS: AtomicUsize = AtomicUsize::new(0);
-    let mut n = NCPUS.load(Ordering::Relaxed);
-    if n == 0 {
-        n = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        NCPUS.store(n, Ordering::Relaxed);
-    }
-    if n > 1 {
-        limit
-    } else {
-        0
-    }
-}
-
 /// The wait both blocking sides run before they park: polls `ready`
 /// between `yield_now()` calls until [`YIELD_BOUND`] has passed; `None`
 /// tells the caller to register and park. Every failed poll gives the
@@ -116,9 +98,9 @@ pub(crate) fn wait_until<T>(mut ready: impl FnMut() -> Option<T>) -> Option<T> {
     if let Some(v) = ready() {
         return Some(v);
     }
-    let start = std::time::Instant::now();
-    while start.elapsed() < YIELD_BOUND {
-        std::thread::yield_now();
+    let start = timing::now();
+    while timing::elapsed(start) < YIELD_BOUND {
+        timing::yield_now();
         if let Some(v) = ready() {
             return Some(v);
         }
@@ -245,14 +227,14 @@ impl RequestQueue {
     /// `Err(req)` (completing nothing) iff the queue is closed.
     pub fn push(&self, req: Request) -> Result<(), Request> {
         let mut req = req;
-        let mut full_rounds = 0u32;
+        let mut backoff = Backoff::default();
         loop {
             match self.try_push(req) {
                 Ok(()) => return Ok(()),
                 Err(PushError::Closed(r)) => return Err(r),
                 Err(PushError::Full(r)) => {
                     req = r;
-                    backpressure_backoff(&mut full_rounds);
+                    backoff.snooze();
                 }
             }
         }
@@ -416,7 +398,7 @@ impl RequestQueue {
         {
             rounds += 1;
             if rounds.is_multiple_of(64) || adaptive_spin(1) == 0 {
-                std::thread::yield_now();
+                timing::yield_now();
             } else {
                 std::hint::spin_loop();
             }
@@ -432,19 +414,6 @@ struct ConsumerGuard<'a> {
 impl Drop for ConsumerGuard<'_> {
     fn drop(&mut self) {
         self.queue.pop_guard.store(0, Ordering::Release);
-    }
-}
-
-/// Producer-side backoff while the ring is full: spin briefly (skipped
-/// on uniprocessors), then yield, then sleep in 50 µs naps (the consumer
-/// is the bottleneck at that point; burning a core would only slow it
-/// down).
-fn backpressure_backoff(rounds: &mut u32) {
-    *rounds += 1;
-    match *rounds {
-        0..=16 if adaptive_spin(1) > 0 => std::hint::spin_loop(),
-        0..=64 => std::thread::yield_now(),
-        _ => std::thread::sleep(std::time::Duration::from_micros(50)),
     }
 }
 

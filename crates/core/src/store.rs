@@ -19,7 +19,7 @@ use p2kvs_obs::{
     labeled, parse_journal, Journal, JournalKind, JournalRecord, MetricsRegistry, MetricsSnapshot,
     PeriodicTask, SpanKind, SpanRecord, SpanRing, TraceCtx, WorkerLifecycle,
 };
-use p2kvs_util::epoch;
+use p2kvs_util::{epoch, timing};
 
 use crate::balance::{plan_moves, ScalePolicy, MAX_MOVES, MIN_RATIO};
 use crate::engine::{EngineEvent, EngineFactory, GsnFilter, KvsEngine};
@@ -231,7 +231,7 @@ impl<E: KvsEngine> ObsShared<E> {
                 .collect(),
             migrations: self.runtime.migrations.load(ordering),
             waiter_parks: self.runtime.map.waiter_parks.load(ordering),
-            uptime: self.opened.elapsed(),
+            uptime: timing::elapsed(self.opened),
             mem_usage: self.runtime.engines.iter().map(|e| e.mem_usage()).sum(),
         }
     }
@@ -451,7 +451,7 @@ pub(crate) fn migrate_locked<E: KvsEngine>(
 fn rebalance_tick<E: KvsEngine>(b: &BalanceShared<E>) -> Result<usize> {
     let mut st = b.state.lock();
     let rt = &b.runtime;
-    let now = Instant::now();
+    let now = timing::now();
     let interval_ns = st
         .last_tick
         .map(|t| now.duration_since(t).as_nanos().min(u128::from(u64::MAX)) as u64);
@@ -836,7 +836,7 @@ impl<E: KvsEngine> P2Kvs<E> {
         for _ in 0..n {
             pool.spawn_into(&runtime);
         }
-        let opened = Instant::now();
+        let opened = timing::now();
         let obs = Arc::new(ObsShared {
             registry,
             runtime: runtime.clone(),
@@ -1057,7 +1057,7 @@ impl<E: KvsEngine> P2Kvs<E> {
         // reads at all.
         let ctx = self.next_trace();
         if let Some(cache) = &self.runtime.cache {
-            let start = ctx.is_sampled().then(Instant::now);
+            let start = ctx.is_sampled().then(timing::now);
             if let Some(v) = cache.lookup(shard as u32, key) {
                 if let Some(start) = start {
                     let ring = &self.runtime.spans;
@@ -1067,7 +1067,7 @@ impl<E: KvsEngine> P2Kvs<E> {
                         worker: u32::MAX,
                         shard: shard as u32,
                         start_us: ring.stamp(start),
-                        dur_us: start.elapsed().as_micros() as u64,
+                        dur_us: timing::elapsed(start).as_micros() as u64,
                         batch_id: 0,
                         batch_size: 1,
                         aux: v.len() as u64,

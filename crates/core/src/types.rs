@@ -403,7 +403,7 @@ impl Request {
                 op,
                 completion: Completion::Sync(slot),
                 shard: 0,
-                enqueued: std::time::Instant::now(),
+                enqueued: p2kvs_util::timing::now(),
                 trace: p2kvs_obs::TraceCtx::NONE,
                 pipelined: false,
             },
@@ -417,7 +417,7 @@ impl Request {
             op,
             completion: Completion::Async(cb),
             shard: 0,
-            enqueued: std::time::Instant::now(),
+            enqueued: p2kvs_util::timing::now(),
             trace: p2kvs_obs::TraceCtx::NONE,
             pipelined: false,
         }

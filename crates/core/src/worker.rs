@@ -58,14 +58,14 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use p2kvs_obs::{
     GroupStamp, Journal, JournalKind, SpanKind, SpanRecord, SpanRing, WorkerLifecycle,
 };
 use p2kvs_storage::IoChains;
 use p2kvs_util::sync::Mutex;
-use p2kvs_util::timing::BusyClock;
+use p2kvs_util::timing::{self, BusyClock};
 
 use crate::engine::{EnginePhases, KvsEngine, ScanCursor};
 use crate::error::{Error, Result};
@@ -460,9 +460,9 @@ impl<E: KvsEngine> WorkerLoop<E> {
     /// was stashed or forwarded served no shard and books nothing, so
     /// worker busy time stays the sum of its shards'.
     fn settle(&mut self, chains: IoChains) {
-        let t0 = Instant::now();
+        let t0 = timing::now();
         let charge = chains.finish();
-        let paid = t0.elapsed();
+        let paid = timing::elapsed(t0);
         self.stats
             .io_overlap_saved_ns
             .fetch_add(charge.saved_ns, Ordering::Relaxed);
@@ -517,7 +517,7 @@ impl<E: KvsEngine> WorkerLoop<E> {
         // The first of the group's two clock reads: queue wait ends
         // here, service runs from here to completion (requests in one
         // OBM batch complete together).
-        let dequeued = Instant::now();
+        let dequeued = timing::now();
         let class = self.group[0].op.class();
         let n = keys_in(&self.group);
         if self.lifecycle.is_some() {
@@ -543,7 +543,7 @@ impl<E: KvsEngine> WorkerLoop<E> {
         // why tail-kept groups stop at the batch span.
         let pre = (!self.traced.is_empty()).then(|| {
             (
-                Instant::now(),
+                timing::now(),
                 engine.phase_clocks(),
                 rt.env.as_ref().map(|e| e.io_stats()),
             )
@@ -566,7 +566,7 @@ impl<E: KvsEngine> WorkerLoop<E> {
             batch_id: self.batch_seq,
             keys: n as u32,
             dequeued,
-            completed: Instant::now(),
+            completed: timing::now(),
         };
         if let Some((t_call, pre_ph, pre_io)) = pre {
             let io = pre_io.map(|p| (p, rt.env.as_ref().expect("pre_io implies env").io_stats()));

@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use p2kvs_storage::EnvRef;
 use p2kvs_util::hash::fnv1a64;
-use p2kvs_util::timing::BusyClock;
+use p2kvs_util::timing::{self, BusyClock};
 
 use crate::shard::Shard;
 
@@ -116,7 +116,7 @@ impl KvellDb {
             senders,
             handles,
             clocks,
-            opened: Instant::now(),
+            opened: timing::now(),
             workers,
         })
     }
@@ -224,7 +224,7 @@ impl KvellDb {
     pub fn stats(&self) -> KvellStats {
         KvellStats {
             worker_busy: self.clocks.iter().map(|c| c.busy()).collect(),
-            uptime: self.opened.elapsed(),
+            uptime: timing::elapsed(self.opened),
         }
     }
 

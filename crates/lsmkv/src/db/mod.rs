@@ -17,9 +17,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use p2kvs_util::sync::{Condvar, Mutex};
+use p2kvs_util::timing;
 
 use crate::batch::{BatchOp, WriteBatch};
 use crate::compaction::{flush_memtable, run_compaction, JobContext};
@@ -336,12 +336,12 @@ impl Db {
         let result = match slot.wait_for_signal() {
             SignaledPhase::Lead => self.inner.run_as_leader(&slot),
             SignaledPhase::Insert { mem, group } => {
-                let t0 = Instant::now();
+                let t0 = timing::now();
                 let res = {
                     let b = slot.batch.lock();
                     Self::apply_batch_to_mem(&mem, &b)
                 };
-                let mem_ns = t0.elapsed().as_nanos() as u64;
+                let mem_ns = timing::elapsed(t0).as_nanos() as u64;
                 slot.mem_ns.store(mem_ns, Ordering::Relaxed);
                 group.complete();
                 let err = slot.wait_done();
@@ -349,7 +349,7 @@ impl Db {
                 let wal_end = group.wal_end.lock().unwrap_or(slot.enqueued);
                 let wal_lock = wal_end.saturating_duration_since(slot.enqueued).as_nanos() as u64;
                 slot.wal_lock_ns.store(wal_lock, Ordering::Relaxed);
-                let after_wal = Instant::now().saturating_duration_since(wal_end).as_nanos() as u64;
+                let after_wal = timing::now().saturating_duration_since(wal_end).as_nanos() as u64;
                 slot.mem_lock_ns
                     .store(after_wal.saturating_sub(mem_ns), Ordering::Relaxed);
                 match (res, err) {
@@ -364,7 +364,7 @@ impl Db {
             },
         };
         // Record the breakdown.
-        let total = slot.enqueued.elapsed().as_nanos() as u64;
+        let total = timing::elapsed(slot.enqueued).as_nanos() as u64;
         let wal = slot.wal_ns.load(Ordering::Relaxed);
         let mem = slot.mem_ns.load(Ordering::Relaxed);
         let wal_lock = slot.wal_lock_ns.load(Ordering::Relaxed);
@@ -391,7 +391,7 @@ impl Db {
 
     /// Point lookup honoring `opts` (snapshot, cache bypass).
     pub fn get_with(&self, opts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let t_read = Instant::now();
+        let t_read = timing::now();
         DbStats::bump(&self.inner.stats.gets, 1);
         let snapshot = opts
             .snapshot
@@ -412,7 +412,7 @@ impl Db {
         self.inner
             .stats
             .read_path
-            .record(t_read.elapsed().as_nanos() as u64);
+            .record(timing::elapsed(t_read).as_nanos() as u64);
         result
     }
 
@@ -435,7 +435,7 @@ impl Db {
             return keys.iter().map(|k| self.get_with(opts, k)).collect();
         }
         DbStats::bump(&self.inner.stats.multigets, 1);
-        let t_read = Instant::now();
+        let t_read = timing::now();
         let snapshot = opts
             .snapshot
             .unwrap_or_else(|| self.inner.visible_seq.load(Ordering::Acquire));
@@ -461,7 +461,7 @@ impl Db {
         self.inner
             .stats
             .read_path
-            .record(t_read.elapsed().as_nanos() as u64);
+            .record(timing::elapsed(t_read).as_nanos() as u64);
         for (i, outcome) in below.into_iter().zip(outcomes?) {
             results[i] = outcome.into_value();
         }
@@ -729,8 +729,10 @@ impl DbInner {
 
     /// Runs one write group with the calling slot as leader.
     fn run_as_leader(self: &Arc<Self>, slot: &Arc<WriterSlot>) -> Result<()> {
-        slot.wal_lock_ns
-            .store(slot.enqueued.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        slot.wal_lock_ns.store(
+            timing::elapsed(slot.enqueued).as_nanos() as u64,
+            Ordering::Relaxed,
+        );
         if let Err(e) = self.make_room_for_write() {
             self.pop_group_and_promote(std::slice::from_ref(slot));
             slot.set_phase(Phase::Done(Some(e.to_string())));
@@ -760,7 +762,7 @@ impl DbInner {
         let end_seq = cur - 1;
 
         // WAL stage.
-        let t_wal = Instant::now();
+        let t_wal = timing::now();
         let mut wal_err: Option<Error> = None;
         if !slot.disable_wal {
             let mut log = self.log.lock();
@@ -789,7 +791,7 @@ impl DbInner {
                 }
             }
         }
-        let t_wal_end = Instant::now();
+        let t_wal_end = timing::now();
         slot.wal_ns.store(
             t_wal_end.saturating_duration_since(t_wal).as_nanos() as u64,
             Ordering::Relaxed,
@@ -832,23 +834,23 @@ impl DbInner {
                         group: gs.clone(),
                     });
                 }
-                let t0 = Instant::now();
+                let t0 = timing::now();
                 let r = {
                     let b = slot.batch.lock();
                     Db::apply_batch_to_mem(&mem, &b)
                 };
                 slot.mem_ns
-                    .store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    .store(timing::elapsed(t0).as_nanos() as u64, Ordering::Relaxed);
                 gs.complete();
-                let t_sync = Instant::now();
+                let t_sync = timing::now();
                 gs.wait_all();
                 slot.mem_lock_ns
-                    .store(t_sync.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    .store(timing::elapsed(t_sync).as_nanos() as u64, Ordering::Relaxed);
                 if let Err(e) = r {
                     insert_err = Some(e);
                 }
             } else {
-                let t0 = Instant::now();
+                let t0 = timing::now();
                 for s in &group {
                     let b = s.batch.lock();
                     if let Err(e) = Db::apply_batch_to_mem(&mem, &b) {
@@ -857,7 +859,7 @@ impl DbInner {
                     }
                 }
                 slot.mem_ns
-                    .store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    .store(timing::elapsed(t0).as_nanos() as u64, Ordering::Relaxed);
             }
         }
 
@@ -867,7 +869,7 @@ impl DbInner {
         if self.opts.flavor == Flavor::LevelDb {
             self.pop_group_and_promote(&group);
         }
-        let t_done = Instant::now();
+        let t_done = timing::now();
         let err_msg = insert_err.as_ref().map(|e| e.to_string());
         for f in group.iter().skip(1) {
             if !concurrent {
@@ -936,9 +938,9 @@ impl DbInner {
             if !delayed && l0 >= self.opts.l0_slowdown_trigger && l0 < self.opts.l0_stop_trigger {
                 // Soft backpressure: one 1 ms delay per write.
                 drop(state);
-                let t = Instant::now();
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                self.stats.add_stall(t.elapsed());
+                let t = timing::now();
+                timing::sleep(std::time::Duration::from_millis(1));
+                self.stats.add_stall(timing::elapsed(t));
                 delayed = true;
                 state = self.state.lock();
                 continue;
@@ -950,9 +952,9 @@ impl DbInner {
                 || l0 >= self.opts.l0_stop_trigger
             {
                 // Hard stall: wait for background work to catch up.
-                let t = Instant::now();
+                let t = timing::now();
                 self.bg_cv.wait(&mut state);
-                self.stats.add_stall(t.elapsed());
+                self.stats.add_stall(timing::elapsed(t));
                 continue;
             }
             self.switch_memtable(&mut state)?;
@@ -1136,12 +1138,12 @@ impl DbInner {
                     // were assigned their sequences before the switch:
                     // once those are published the table is complete.
                     inner.wait_published(inner.next_seq.load(Ordering::Acquire));
-                    let t_job = Instant::now();
+                    let t_job = timing::now();
                     let result = flush_memtable(&ctx, &mem, &alloc);
                     inner
                         .stats
                         .bg_busy
-                        .record(t_job.elapsed().as_nanos() as u64);
+                        .record(timing::elapsed(t_job).as_nanos() as u64);
                     let mut finish = DbEvent::FlushFinish {
                         bytes: 0,
                         ok: false,
@@ -1186,7 +1188,7 @@ impl DbInner {
                         input_bytes: task.input_bytes(),
                     });
                     let moved = task.is_trivial_move(&version);
-                    let t_job = Instant::now();
+                    let t_job = timing::now();
                     let result = if moved {
                         Ok(task.inputs.iter().map(|f| f.meta().clone()).collect())
                     } else {
@@ -1196,7 +1198,7 @@ impl DbInner {
                     inner
                         .stats
                         .bg_busy
-                        .record(t_job.elapsed().as_nanos() as u64);
+                        .record(timing::elapsed(t_job).as_nanos() as u64);
                     // Output bytes, once the edit that installs them is logged.
                     let mut installed = None;
                     let mut state = inner.state.lock();

@@ -101,7 +101,7 @@ impl WriterSlot {
             disable_wal,
             phase: Mutex::new(Phase::Queued),
             cv: Condvar::new(),
-            enqueued: Instant::now(),
+            enqueued: p2kvs_util::timing::now(),
             wal_ns: AtomicU64::new(0),
             mem_ns: AtomicU64::new(0),
             wal_lock_ns: AtomicU64::new(0),

@@ -209,7 +209,15 @@ impl JournalRecord {
         if it.next().is_some() {
             return None;
         }
-        Some(JournalRecord { seq, ts_us, kind, a, b, c, gsn })
+        Some(JournalRecord {
+            seq,
+            ts_us,
+            kind,
+            a,
+            b,
+            c,
+            gsn,
+        })
     }
 }
 
@@ -240,7 +248,7 @@ impl Journal {
         Journal {
             cap: cap.max(16),
             seq: AtomicU64::new(last_seq),
-            epoch: Instant::now(),
+            epoch: p2kvs_util::timing::now(),
             recent: Mutex::new(VecDeque::new()),
             sink: Mutex::new(None),
         }
@@ -279,7 +287,7 @@ impl Journal {
         let sink = self.sink.lock().expect("journal sink lock");
         let rec = JournalRecord {
             seq: self.seq.fetch_add(1, Ordering::Relaxed) + 1,
-            ts_us: self.epoch.elapsed().as_micros() as u64,
+            ts_us: p2kvs_util::timing::elapsed(self.epoch).as_micros() as u64,
             kind,
             a,
             b,
@@ -484,7 +492,12 @@ mod tests {
         // The persisted order IS the sequence order — a reordering here
         // would let a crash punch an interior hole in FLIGHT.log.
         for (i, w) in seen.windows(2).enumerate() {
-            assert!(w[0] < w[1], "sink saw seq {} before {} (index {i})", w[0], w[1]);
+            assert!(
+                w[0] < w[1],
+                "sink saw seq {} before {} (index {i})",
+                w[0],
+                w[1]
+            );
         }
     }
 

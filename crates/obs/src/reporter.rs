@@ -3,7 +3,9 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+use p2kvs_util::timing;
 
 /// A background thread running a closure every `interval` until dropped.
 ///
@@ -30,19 +32,20 @@ impl PeriodicTask {
         let handle = std::thread::Builder::new()
             .name(name.to_string())
             .spawn(move || {
-                let mut next = Instant::now() + interval;
+                let mut next = timing::now() + interval;
                 loop {
                     if flag.load(Ordering::Relaxed) {
                         return;
                     }
-                    let now = Instant::now();
+                    let now = timing::now();
                     if now >= next {
                         tick();
                         next = now + interval;
                     }
-                    std::thread::sleep(POLL.min(next.saturating_duration_since(now)).max(
-                        Duration::from_millis(1),
-                    ));
+                    timing::sleep(
+                        POLL.min(next.saturating_duration_since(now))
+                            .max(Duration::from_millis(1)),
+                    );
                 }
             })
             .expect("spawn periodic task");
@@ -71,6 +74,7 @@ impl Drop for PeriodicTask {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::time::Instant;
 
     #[test]
     fn ticks_and_stops() {
@@ -84,7 +88,11 @@ mod tests {
         let after_stop = hits.load(Ordering::Relaxed);
         assert!(after_stop >= 2, "expected a few ticks, got {after_stop}");
         std::thread::sleep(Duration::from_millis(80));
-        assert_eq!(hits.load(Ordering::Relaxed), after_stop, "no ticks after stop");
+        assert_eq!(
+            hits.load(Ordering::Relaxed),
+            after_stop,
+            "no ticks after stop"
+        );
     }
 
     #[test]
@@ -104,7 +112,8 @@ mod tests {
                     let mut i = 0u64;
                     while !stop.load(Ordering::Relaxed) {
                         let w = (i % 17).to_string();
-                        reg.counter(&labeled("rep_ops_total", &[("worker", &w)])).inc();
+                        reg.counter(&labeled("rep_ops_total", &[("worker", &w)]))
+                            .inc();
                         reg.histogram(&labeled("rep_lat_ns", &[("worker", &w)]))
                             .record(t * 1000 + i);
                         reg.set_gauge(&labeled("rep_depth", &[("worker", &w)]), i as f64);
@@ -131,7 +140,10 @@ mod tests {
         stop.store(true, Ordering::Relaxed);
         let recorded: u64 = mutators.into_iter().map(|m| m.join().unwrap()).sum();
         task.stop();
-        assert!(ticks.load(Ordering::Relaxed) >= 3, "reporter ticked while mutated");
+        assert!(
+            ticks.load(Ordering::Relaxed) >= 3,
+            "reporter ticked while mutated"
+        );
         assert!(recorded > 0);
         // Post-quiesce, the registry totals match what the mutators did.
         let snap = registry.snapshot();
@@ -151,6 +163,9 @@ mod tests {
             let _task = PeriodicTask::spawn("t", Duration::from_secs(3600), || {});
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert!(start.elapsed() < Duration::from_secs(2), "drop must not wait an interval");
+        assert!(
+            start.elapsed() < Duration::from_secs(2),
+            "drop must not wait an interval"
+        );
     }
 }

@@ -169,7 +169,7 @@ impl SpanRing {
             slots: slots.into_boxed_slice(),
             next: AtomicU64::new(0),
             tail_ids: AtomicU64::new(0),
-            epoch: Instant::now(),
+            epoch: p2kvs_util::timing::now(),
         }
     }
 

@@ -70,9 +70,10 @@
 use std::cell::Cell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use p2kvs_util::sync::Mutex;
+use p2kvs_util::timing;
 
 use crate::ioqueue::{QueueId, MAX_QUEUES};
 
@@ -221,8 +222,9 @@ thread_local! {
     static SLEEP_DEBT: Cell<i64> = const { Cell::new(0) };
     /// Live [`IoPlug`] guards on this thread.
     static PLUG_DEPTH: Cell<u32> = const { Cell::new(0) };
-    /// Latest completion among the reads submitted under the current plug.
-    static PLUG_DEADLINE: Cell<Option<Instant>> = const { Cell::new(None) };
+    /// Latest completion among the reads submitted under the current
+    /// plug, ns on the clock's base ([`timing::now_ns`]).
+    static PLUG_DEADLINE: Cell<Option<u64>> = const { Cell::new(None) };
     /// Wait owed by the current chain of an [`IoChains`] run, ns; `None`
     /// when no run is open on this thread.
     static CHAIN_LAG: Cell<Option<u64>> = const { Cell::new(None) };
@@ -263,8 +265,7 @@ impl Drop for IoPlug {
             return;
         }
         if let Some(deadline) = PLUG_DEADLINE.with(Cell::take) {
-            let wait = deadline.saturating_duration_since(Instant::now());
-            DeviceModel::owe(wait.as_nanos() as u64);
+            DeviceModel::owe(deadline.saturating_sub(timing::now_ns()));
         }
     }
 }
@@ -289,8 +290,8 @@ impl Drop for IoPlug {
 /// µs on the NVMe profile, one sync or seek latency or more (400 µs to
 /// 8 ms) on the SATA and HDD profiles.
 pub struct IoChains {
-    /// Latest end among the closed chains.
-    end: Option<Instant>,
+    /// Latest end among the closed chains, ns on the clock's base.
+    end: Option<u64>,
     /// Sum of the closed chains' lags, ns.
     lag_ns: u64,
     /// Tied to the thread whose run it opened.
@@ -322,7 +323,7 @@ impl IoChains {
     pub fn next_chain(&mut self) {
         let lag = CHAIN_LAG.with(|l| l.replace(Some(0))).unwrap_or(0);
         if lag > 0 {
-            self.close(lag, Instant::now());
+            self.close(lag, timing::now_ns());
         }
     }
 
@@ -331,9 +332,9 @@ impl IoChains {
         self.settle()
     }
 
-    /// Folds a chain that owed `lag` ns, closed at `now`, into the run.
-    fn close(&mut self, lag: u64, now: Instant) {
-        let end = now + Duration::from_nanos(lag);
+    /// Folds a chain that owed `lag` ns, closed at `now` ns, into the run.
+    fn close(&mut self, lag: u64, now: u64) {
+        let end = now + lag;
         self.end = Some(self.end.map_or(end, |e| e.max(end)));
         self.lag_ns += lag;
     }
@@ -344,14 +345,11 @@ impl IoChains {
         if lag == 0 && self.end.is_none() {
             return ChainsCharge::default();
         }
-        let now = Instant::now();
+        let now = timing::now_ns();
         if lag > 0 {
             self.close(lag, now);
         }
-        let charged = self
-            .end
-            .take()
-            .map_or(0, |e| e.saturating_duration_since(now).as_nanos() as u64);
+        let charged = self.end.take().map_or(0, |e| e.saturating_sub(now));
         DeviceModel::charge_wait(charged as i64);
         ChainsCharge {
             charged_ns: charged,
@@ -378,9 +376,9 @@ const DEBT_CREDIT_CAP_NS: i64 = -2_000_000;
 /// [`DeviceModel::sync`] return.
 pub struct DeviceModel {
     profile: DeviceProfile,
-    /// Per submission queue: its virtual "free at" clock, ns since `epoch`.
+    /// Per submission queue: its virtual "free at" clock, ns on the
+    /// clock's base ([`timing::now_ns`]).
     free_at: Vec<AtomicU64>,
-    epoch: Instant,
     head: Mutex<HeadPos>,
 }
 
@@ -391,7 +389,6 @@ impl DeviceModel {
         DeviceModel {
             profile,
             free_at: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            epoch: Instant::now(),
             head: Mutex::new(HeadPos::default()),
         }
     }
@@ -408,7 +405,7 @@ impl DeviceModel {
 
     /// Reserves `service` worth of work on queue `queue`. Contention is
     /// per-queue: only IOs on the same queue push this one's start time
-    /// out. Returns `(now, completion)` in ns since the model's epoch, or
+    /// out. Returns `(now, completion)` in ns on the clock's base, or
     /// `None` when the service time is zero.
     fn reserve(&self, queue: QueueId, service: Duration) -> Option<(u64, u64)> {
         if service.is_zero() {
@@ -420,7 +417,7 @@ impl DeviceModel {
         // to `queue_depth` IOs at once.
         let depth = self.profile.queue_depth.clamp(1, 64) as u64;
         let occupancy_ns = (svc_ns / depth).max(1);
-        let now_ns = self.epoch.elapsed().as_nanos() as u64;
+        let now_ns = timing::now_ns();
         // start = max(now, free_at); free_at' = start + occupancy.
         let mut start;
         let mut cur = free_at.load(Ordering::Relaxed);
@@ -464,20 +461,15 @@ impl DeviceModel {
         SLEEP_DEBT.with(|debt| {
             let mut d = debt.get() + wait_ns;
             if d >= DEBT_SLEEP_NS {
-                let t0 = Instant::now();
-                std::thread::sleep(Duration::from_nanos(d as u64));
-                d -= t0.elapsed().as_nanos() as i64;
+                let t0 = timing::now();
+                timing::sleep(Duration::from_nanos(d as u64));
+                d -= timing::elapsed(t0).as_nanos() as i64;
                 if d < DEBT_CREDIT_CAP_NS {
                     d = DEBT_CREDIT_CAP_NS;
                 }
             }
             debt.set(d);
         });
-    }
-
-    /// Test hook: the calling thread's current sleep debt in nanoseconds.
-    pub fn thread_debt_ns() -> i64 {
-        SLEEP_DEBT.with(|d| d.get())
     }
 
     /// Seek penalty for accessing (`file`, `offset`), updating the head to
@@ -518,8 +510,7 @@ impl DeviceModel {
         if PLUG_DEPTH.with(Cell::get) == 0 {
             return self.occupy(queue, svc);
         }
-        if let Some((_, completes)) = self.reserve(queue, svc) {
-            let done = self.epoch + Duration::from_nanos(completes);
+        if let Some((_, done)) = self.reserve(queue, svc) {
             PLUG_DEADLINE.with(|d| d.set(Some(d.get().map_or(done, |cur| cur.max(done)))));
         }
         svc
@@ -532,8 +523,19 @@ impl DeviceModel {
 }
 
 #[cfg(test)]
+impl DeviceModel {
+    /// The calling thread's current sleep debt in nanoseconds.
+    fn thread_debt_ns() -> i64 {
+        SLEEP_DEBT.with(|d| d.get())
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    use std::time::Instant;
 
     /// Runs `f` on a fresh thread so per-thread debt starts at zero and is
     /// fully settled (slept) before measuring.
@@ -1000,22 +1002,100 @@ mod tests {
 
     #[test]
     fn bandwidth_caps_throughput() {
-        // 100 MiB at 1 GiB/s aggregate must take ≥ ~90ms of wall time.
-        let wall = on_fresh_thread(|| {
+        // 100 × 1 MiB at 1 GiB/s on one depth-1 queue: 97.66 ms of model
+        // time, up to each transfer's rounding down to whole ns.
+        std::thread::spawn(|| {
             let mut profile = DeviceProfile::nvme_optane();
             profile.write_bw = 1024 * 1024 * 1024;
             profile.write_latency = Duration::ZERO;
             profile.channels = 1;
             profile.queue_depth = 1;
             let m = DeviceModel::from_profile(profile);
-            let t0 = Instant::now();
+            let _clock = timing::Manual::start();
+            let t0 = timing::now();
             for i in 0..100u64 {
                 m.write(1, i << 20, 1 << 20, 0);
             }
-            DeviceModel::charge_wait(DEBT_SLEEP_NS);
-            t0.elapsed()
-        });
-        assert!(wall >= Duration::from_millis(85), "{wall:?}");
+            let model = timing::elapsed(t0).as_nanos() as i64;
+            assert!((model - 97_656_250).abs() <= 100, "{model} ns");
+            assert_eq!(DeviceModel::thread_debt_ns(), 0, "every wait was slept");
+        })
+        .join()
+        .unwrap();
+    }
+
+    /// Drives `reserve` on the manual clock with `k` closed-loop virtual
+    /// submitters per queue, each re-issuing at its previous completion,
+    /// until every queue has issued `IOS` IOs. Returns each queue's IOs per
+    /// second, from the first issue to its last completion.
+    fn closed_loop_iops(m: &DeviceModel, k: usize, service: Duration) -> Vec<f64> {
+        // A power of two, so every `k` of the sweep divides it. The
+        // ramp-up and drain cost at most `queue_depth / IOS` < 0.4 %.
+        const IOS: usize = 2048;
+        let _clock = timing::Manual::start();
+        let t0 = timing::now_ns();
+        let queues = m.queue_count();
+        // (next issue, queue, IOs left) per submitter, earliest first.
+        let mut due: BinaryHeap<Reverse<(u64, usize, usize)>> = (0..queues)
+            .flat_map(|q| (0..k).map(move |_| Reverse((t0, q, IOS / k))))
+            .collect();
+        let mut last = vec![t0; queues];
+        while let Some(Reverse((at, q, left))) = due.pop() {
+            timing::sleep(Duration::from_nanos(at - timing::now_ns()));
+            let (now, done) = m.reserve(q, service).expect("non-zero service");
+            assert_eq!(now, at, "reserve reads the manual clock");
+            last[q] = last[q].max(done);
+            if left > 1 {
+                due.push(Reverse((done, q, left - 1)));
+            }
+        }
+        last.iter()
+            .map(|&end| IOS as f64 * 1e9 / (end - t0) as f64)
+            .collect()
+    }
+
+    #[test]
+    fn closed_loop_throughput_matches_the_closed_form() {
+        // Per queue, `k` outstanding IOs complete min(k, queue_depth) per
+        // service time, service = latency + bytes / bw; queues never
+        // contend with one another.
+        let profiles = [
+            DeviceProfile::hdd(),
+            DeviceProfile::sata_ssd(),
+            DeviceProfile::nvme_optane(),
+        ];
+        for profile in profiles {
+            let shapes = [
+                (profile.read_latency, 4096, profile.read_bw),
+                (profile.write_latency, 64 << 10, profile.write_bw),
+            ];
+            for (latency, bytes, bw) in shapes {
+                let service = latency + DeviceProfile::transfer(bytes, bw);
+                for queues in 1..=4 {
+                    let p = profile.with_queues(queues);
+                    for k in (0..=6).map(|i| 1usize << i) {
+                        let want = k.min(p.queue_depth) as f64 / service.as_secs_f64();
+                        let m = DeviceModel::from_profile(p);
+                        for (q, got) in closed_loop_iops(&m, k, service).into_iter().enumerate() {
+                            assert!(
+                                (got - want).abs() <= 0.01 * want,
+                                "{}, {bytes} B, {queues} queues, k = {k}, queue {q}: \
+                                 {got:.0} IO/s, closed form {want:.0}",
+                                p.name
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // Occupancy is service / queue_depth, so a deep queue of large IOs
+        // moves up to queue_depth × bw: 8 outstanding 64 KiB writes on the
+        // NVMe profile move about 6.6 × `write_bw`.
+        let p = DeviceProfile::nvme_optane();
+        let service = p.write_latency + DeviceProfile::transfer(64 << 10, p.write_bw);
+        let iops = closed_loop_iops(&DeviceModel::from_profile(p), 8, service)[0];
+        let ratio = iops * (64 << 10) as f64 / p.write_bw as f64;
+        assert!((6.5..6.7).contains(&ratio), "{ratio}");
     }
 
     #[test]

@@ -32,7 +32,7 @@ impl SimEnv {
         SimEnv {
             inner: MemEnv::with_parts(fs, Some(device.clone())),
             device,
-            created: Instant::now(),
+            created: p2kvs_util::timing::now(),
         }
     }
 
@@ -55,7 +55,7 @@ impl SimEnv {
     /// creation: `busy_time / (wall_time × aggregate_depth)`, in `[0, 1]`.
     pub fn device_utilization(&self) -> f64 {
         let snap = self.io_stats();
-        let wall = self.created.elapsed().as_nanos() as f64;
+        let wall = p2kvs_util::timing::elapsed(self.created).as_nanos() as f64;
         let depth = self.profile().aggregate_depth().min(64) as f64;
         if wall == 0.0 {
             0.0

@@ -57,6 +57,8 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crate::timing::Backoff;
+
 /// Collect (advance the epoch and sweep the limbo list) once this many
 /// retired items are parked. Bounds limbo memory without putting the
 /// sweep on every retire.
@@ -221,22 +223,18 @@ pub fn pending() -> usize {
 /// Advances the epoch and blocks until no participant is still pinned
 /// below it: every guard taken before the call has dropped on return,
 /// and guards taken after it never delay it. The caller must not be
-/// pinned itself. Yields first, then naps: on a uniprocessor the pinned
-/// thread needs the core, and a backpressured push can hold its pin.
+/// pinned itself. Waits on the [`Backoff`] ladder: on a uniprocessor the
+/// pinned thread needs the core, and a backpressured push can hold its
+/// pin.
 pub fn synchronize() {
     debug_assert!(
         REG.with(|r| r.depth.get()) == 0,
         "synchronize() called under a pin would wait on itself"
     );
     let target = EPOCH.fetch_add(1, Ordering::SeqCst) + 1;
-    let mut rounds = 0u32;
+    let mut backoff = Backoff::default();
     while min_active() < target {
-        rounds += 1;
-        if rounds < 64 {
-            std::thread::yield_now();
-        } else {
-            std::thread::sleep(std::time::Duration::from_micros(100));
-        }
+        backoff.snooze();
     }
 }
 

@@ -13,12 +13,13 @@
 //!   used by every benchmark harness.
 //! * [`lru`] — a byte-capacity LRU used as the item/page cache of the
 //!   non-LSM engines.
-//! * [`timing`] — precise spin-sleep and busy-time accounting used by the
-//!   simulated storage devices and the worker threads.
+//! * [`timing`] — the one clock: every time read, sleep, yield and
+//!   backoff of the product crates, a manual clock for tests, and
+//!   busy-time accounting.
 //! * [`affinity`] — thread-to-core pinning (`sched_setaffinity`), one of the
 //!   paper's explicit design points (§4.1).
-//! * [`rate`] — token-bucket rate limiting and windowed throughput meters
-//!   used by the latency-vs-intensity experiment (Fig 13).
+//! * [`rate`] — token-bucket rate limiting used by the
+//!   latency-vs-intensity experiment (Fig 13).
 //! * [`epoch`] — FASTER-style epoch-based memory reclamation backing the
 //!   lock-free hot-record read cache.
 //! * [`sync`] — `Mutex` / `RwLock` / `Condvar` over `std::sync` that do not

@@ -1,14 +1,12 @@
-//! Request-rate control and measurement.
+//! Request-rate control.
 //!
 //! [`RateLimiter`] is a token bucket used by the latency-vs-intensity
 //! experiment (Fig 13) to drive clients at a fixed offered load.
-//! [`Meter`] accumulates an event count over a window and reports
-//! events-per-second, used for the bandwidth/QPS timelines (Figs 4, 5b).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::timing::precise_sleep;
+use crate::timing;
 
 /// A token-bucket rate limiter shared by any number of threads.
 pub struct RateLimiter {
@@ -33,7 +31,7 @@ impl RateLimiter {
                 1_000_000_000 / per_second.max(1)
             },
             next_ns: AtomicU64::new(0),
-            start: Instant::now(),
+            start: timing::now(),
         }
     }
 
@@ -43,57 +41,27 @@ impl RateLimiter {
     /// queued behind a slow call is counted (no coordinated omission).
     pub fn acquire(&self) -> Instant {
         if self.per_second == 0 {
-            return Instant::now();
+            return timing::now();
         }
         let slot = self.next_ns.fetch_add(self.interval_ns, Ordering::Relaxed);
-        let now = self.start.elapsed().as_nanos() as u64;
-        if slot > now {
-            precise_sleep(Duration::from_nanos(slot - now));
+        let due = self.start + Duration::from_nanos(slot);
+        let wait = due.saturating_duration_since(timing::now());
+        // Below the OS timer floor (tens of µs) the wait yields until the
+        // slot: never a hot spin, which on a single-core CI runner would
+        // starve the threads being waited for.
+        if wait > Duration::from_micros(150) {
+            timing::sleep(wait);
+        } else {
+            while timing::now() < due {
+                timing::yield_now();
+            }
         }
-        self.start + Duration::from_nanos(slot)
+        due
     }
 
     /// The configured rate (ops/s); 0 means unlimited.
     pub fn rate(&self) -> u64 {
         self.per_second
-    }
-}
-
-/// A windowed event meter: count events, then read events/second.
-#[derive(Default)]
-pub struct Meter {
-    events: AtomicU64,
-}
-
-impl Meter {
-    /// Creates a meter with a zero count.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records `n` events.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.events.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current cumulative count.
-    pub fn count(&self) -> u64 {
-        self.events.load(Ordering::Relaxed)
-    }
-
-    /// Resets the count to zero and returns the previous value.
-    pub fn take(&self) -> u64 {
-        self.events.swap(0, Ordering::Relaxed)
-    }
-
-    /// Converts a taken count into a rate over `window`.
-    pub fn rate_over(count: u64, window: Duration) -> f64 {
-        if window.is_zero() {
-            0.0
-        } else {
-            count as f64 / window.as_secs_f64()
-        }
     }
 }
 
@@ -113,21 +81,24 @@ mod tests {
 
     #[test]
     fn limiter_enforces_rate() {
-        // 10k ops/s for 500 tokens should take ~50ms.
-        let rl = RateLimiter::new(10_000);
-        let start = Instant::now();
-        for _ in 0..500 {
-            rl.acquire();
+        // ~50 ms either way: 100 µs slots wait by yielding, 1 ms slots by
+        // sleeping.
+        for (rate, tokens) in [(10_000, 500), (1_000, 50)] {
+            let rl = RateLimiter::new(rate);
+            let start = Instant::now();
+            for _ in 0..tokens {
+                rl.acquire();
+            }
+            let elapsed = start.elapsed();
+            assert!(
+                elapsed >= Duration::from_millis(45),
+                "{rate}/s too fast: {elapsed:?}"
+            );
+            assert!(
+                elapsed < Duration::from_millis(500),
+                "{rate}/s too slow: {elapsed:?}"
+            );
         }
-        let elapsed = start.elapsed();
-        assert!(
-            elapsed >= Duration::from_millis(45),
-            "too fast: {elapsed:?}"
-        );
-        assert!(
-            elapsed < Duration::from_millis(500),
-            "too slow: {elapsed:?}"
-        );
     }
 
     #[test]
@@ -150,16 +121,5 @@ mod tests {
         // 1000 tokens at 20k/s ≈ 50ms total regardless of thread count.
         let elapsed = start.elapsed();
         assert!(elapsed >= Duration::from_millis(40), "{elapsed:?}");
-    }
-
-    #[test]
-    fn meter_take_resets() {
-        let m = Meter::new();
-        m.add(5);
-        m.add(7);
-        assert_eq!(m.count(), 12);
-        assert_eq!(m.take(), 12);
-        assert_eq!(m.count(), 0);
-        assert_eq!(Meter::rate_over(100, Duration::from_millis(500)), 200.0);
     }
 }
