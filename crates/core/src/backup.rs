@@ -259,7 +259,7 @@ fn stream_shard(
 }
 
 /// Decodes a snap file after validating it against its manifest entry.
-fn decode_snap(meta: &ShardFileMeta, data: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+fn decode_snap(meta: &ShardFileMeta, data: &[u8]) -> Result<ShardEntries> {
     let bad = |msg: String| Error::Backup(format!("{}: {msg}", snap_file(meta.shard)));
     if data.len() as u64 != meta.bytes {
         return Err(bad(format!(
@@ -316,9 +316,10 @@ pub(crate) fn stream_session(
     let shards = session.frozen.len() as u32;
     let mut files = Vec::with_capacity(shards as usize);
     for shard in 0..shards {
-        let source = session.frozen.remove(&shard).ok_or_else(|| {
-            Error::Backup(format!("shard {shard} deposited no snapshot"))
-        })?;
+        let source = session
+            .frozen
+            .remove(&shard)
+            .ok_or_else(|| Error::Backup(format!("shard {shard} deposited no snapshot")))?;
         files.push(stream_shard(env, dir, shard, source)?);
     }
     let entries: u64 = files.iter().map(|f| f.entries).sum();
@@ -361,14 +362,14 @@ pub(crate) fn stream_session(
     })
 }
 
+/// One shard's entries as a backup file holds them.
+type ShardEntries = Vec<(Vec<u8>, Vec<u8>)>;
+
 /// Reads and fully validates a backup directory: manifest trailer,
 /// per-file length, CRC, and record counts — all before the caller
 /// touches any destination state. Returns the manifest and each shard's
 /// entries (indexed by shard).
-pub(crate) fn read_backup(
-    env: &EnvRef,
-    dir: &Path,
-) -> Result<(Manifest, Vec<Vec<(Vec<u8>, Vec<u8>)>>)> {
+pub(crate) fn read_backup(env: &EnvRef, dir: &Path) -> Result<(Manifest, Vec<ShardEntries>)> {
     let manifest_path = dir.join(MANIFEST_FILE);
     if !env.exists(&manifest_path) {
         return Err(Error::Backup(format!(

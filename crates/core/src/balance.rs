@@ -215,7 +215,10 @@ mod tests {
         load[4] = 300;
         let moves = plan_moves(&m, &[0, 1, 2, 3], &load, 1.1, 2);
         assert_eq!(moves.len(), 2);
-        assert_ne!(moves[0].1, moves[1].1, "hot shards spread to different workers");
+        assert_ne!(
+            moves[0].1, moves[1].1,
+            "hot shards spread to different workers"
+        );
     }
 
     #[test]

@@ -935,13 +935,15 @@ mod tests {
         );
     }
 
+    type Entries = Vec<(Vec<u8>, Vec<u8>)>;
+
     /// Drains a cursor fully in `limit`-sized chunks, counting chunks.
     fn drain_cursor<E: KvsEngine>(
         engine: &E,
         start: &[u8],
         end: Option<&[u8]>,
         limit: usize,
-    ) -> (Vec<(Vec<u8>, Vec<u8>)>, usize) {
+    ) -> (Entries, usize) {
         let mut cursor = engine.open_cursor(start, end).unwrap();
         let mut out = Vec::new();
         let mut chunks = 0;
@@ -980,7 +982,7 @@ mod tests {
             .open(Path::new("cur2"), None)
             .unwrap();
         for i in 0..10 {
-            KvsEngine::put(&db, format!("k{i}").as_bytes(), &vec![b'x'; 100]).unwrap();
+            KvsEngine::put(&db, format!("k{i}").as_bytes(), &[b'x'; 100]).unwrap();
         }
         let mut cursor = db.open_cursor(b"", None).unwrap();
         // Budget below one entry: each chunk still returns exactly one.
@@ -1035,7 +1037,7 @@ mod tests {
         let factory = LsmFactory::new(lsmkv::Options::for_test());
         let db = factory.open(Path::new("cur4"), None).unwrap();
         for i in 0..200 {
-            KvsEngine::put(&db, format!("k{i:04}").as_bytes(), &vec![b'v'; 64]).unwrap();
+            KvsEngine::put(&db, format!("k{i:04}").as_bytes(), &[b'v'; 64]).unwrap();
         }
         let mut cursor = db.open_cursor(b"", None).unwrap();
         let mut seen = 0;
@@ -1048,7 +1050,7 @@ mod tests {
             }
             // Churn the tree between chunks: overwrites plus a flush.
             for i in 0..50 {
-                KvsEngine::put(&db, format!("k{i:04}").as_bytes(), &vec![b'w'; 64]).unwrap();
+                KvsEngine::put(&db, format!("k{i:04}").as_bytes(), &[b'w'; 64]).unwrap();
             }
             if round == 2 {
                 db.flush().unwrap();
@@ -1173,7 +1175,7 @@ mod tests {
         let sink = seen.clone();
         KvsEngine::install_event_hook(&db, Arc::new(move |ev| sink.lock().unwrap().push(*ev)));
         for i in 0..64 {
-            KvsEngine::put(&db, format!("k{i:03}").as_bytes(), &vec![b'v'; 64]).unwrap();
+            KvsEngine::put(&db, format!("k{i:03}").as_bytes(), &[b'v'; 64]).unwrap();
         }
         db.flush().unwrap();
         KvsEngine::get(&db, b"k000").unwrap();

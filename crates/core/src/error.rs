@@ -81,7 +81,7 @@ mod tests {
     fn display_and_clone() {
         let e = Error::Engine("boom".into());
         assert_eq!(e.to_string(), "engine error: boom");
-        let io_err: Error = io::Error::new(io::ErrorKind::Other, "disk").into();
+        let io_err: Error = io::Error::other("disk").into();
         let cloned = io_err.clone();
         assert!(cloned.to_string().contains("disk"));
         assert_eq!(Error::Closed.to_string(), "store is closed");

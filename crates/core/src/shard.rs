@@ -327,8 +327,10 @@ impl ShardStats {
     /// Records one executed batch.
     pub fn record(&self, ops: u64, busy: Duration) {
         self.ops.fetch_add(ops, Ordering::Relaxed);
-        self.busy_ns
-            .fetch_add(busy.as_nanos().min(u128::from(u64::MAX)) as u64, Ordering::Relaxed);
+        self.busy_ns.fetch_add(
+            busy.as_nanos().min(u128::from(u64::MAX)) as u64,
+            Ordering::Relaxed,
+        );
     }
 }
 

@@ -337,9 +337,9 @@ mod tests {
         data.extend_from_slice(&encode(REC_COMMIT, 1));
         if tear_commit {
             data.extend_from_slice(&encode(REC_BEGIN, 2));
-            data.extend_from_slice(&encode(REC_COMMIT, 2)[..keep].to_vec());
+            data.extend_from_slice(&encode(REC_COMMIT, 2)[..keep]);
         } else {
-            data.extend_from_slice(&encode(REC_BEGIN, 2)[..keep].to_vec());
+            data.extend_from_slice(&encode(REC_BEGIN, 2)[..keep]);
         }
         p2kvs_storage::env::write_all(&**env, &TxnManager::log_path(dir), &data).unwrap();
     }
@@ -420,7 +420,8 @@ mod tests {
     #[test]
     fn abandon_releases_the_gate() {
         let env = env();
-        let mgr = Arc::new(TxnManager::open(&env, Path::new("t"), &TxnRecovery::default()).unwrap());
+        let mgr =
+            Arc::new(TxnManager::open(&env, Path::new("t"), &TxnRecovery::default()).unwrap());
         let g = mgr.begin().unwrap();
         mgr.abandon(g);
         // A freeze must not hang on the abandoned transaction.
@@ -443,7 +444,11 @@ mod tests {
         assert!(rec.should_replay(42), "the horizon itself is committed");
         assert!(!rec.should_replay(43));
         let mgr = TxnManager::open(&env, dir, &rec).unwrap();
-        assert_eq!(mgr.begin().unwrap(), 43, "allocation resumes past the horizon");
+        assert_eq!(
+            mgr.begin().unwrap(),
+            43,
+            "allocation resumes past the horizon"
+        );
         // Zero horizon: no log is needed or written.
         TxnManager::seed(&env, Path::new("r0"), 0).unwrap();
         assert!(!env.exists(Path::new("r0/TXNLOG")));

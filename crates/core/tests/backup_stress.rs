@@ -61,7 +61,12 @@ fn value_is_well_formed(v: &[u8]) -> bool {
 fn repeated_online_backups_under_concurrent_load_restore_cleanly() {
     let engine_opts = lsmkv::Options::for_test();
     let store = Arc::new(
-        P2Kvs::open(LsmFactory::new(engine_opts.clone()), "bstress", store_options()).unwrap(),
+        P2Kvs::open(
+            LsmFactory::new(engine_opts.clone()),
+            "bstress",
+            store_options(),
+        )
+        .unwrap(),
     );
     // Seed every key so restores always have a full key space to check.
     for n in 0..KEYS {
@@ -160,9 +165,15 @@ fn repeated_online_backups_under_concurrent_load_restore_cleanly() {
         // so a stale entry carried over from the source's cache (or from
         // a previous cycle) cannot hide.
         let snapshot = restored.scan(b"", usize::MAX / 4).unwrap();
-        assert!(snapshot.len() >= KEYS as usize, "cycle {cycle}: restore lost keys");
+        assert!(
+            snapshot.len() >= KEYS as usize,
+            "cycle {cycle}: restore lost keys"
+        );
         for (k, v) in &snapshot {
-            assert!(value_is_well_formed(v), "cycle {cycle}: corrupt restored value");
+            assert!(
+                value_is_well_formed(v),
+                "cycle {cycle}: corrupt restored value"
+            );
             for pass in 0..2 {
                 assert_eq!(
                     restored.get(k).unwrap().as_deref(),

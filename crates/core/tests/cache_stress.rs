@@ -255,7 +255,9 @@ fn eviction_under_pressure_preserves_correctness() {
         v
     };
     for i in 0..KEYS {
-        store.put(format!("big{i:04}").as_bytes(), &value_of(i)).unwrap();
+        store
+            .put(format!("big{i:04}").as_bytes(), &value_of(i))
+            .unwrap();
     }
     for pass in 0..2 {
         for i in 0..KEYS {

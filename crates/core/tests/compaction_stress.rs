@@ -66,14 +66,24 @@ fn churn_options(env: EnvRef, threads: usize, subcompactions: usize) -> lsmkv::O
     lsm
 }
 
-fn open_store(name: &str, queues: usize, threads: usize, subcompactions: usize) -> P2Kvs<lsmkv::Db> {
+fn open_store(
+    name: &str,
+    queues: usize,
+    threads: usize,
+    subcompactions: usize,
+) -> P2Kvs<lsmkv::Db> {
     let env: EnvRef = Arc::new(SimEnv::with_profile(
         DeviceProfile::instant().with_queues(queues),
     ));
     let mut opts = P2KvsOptions::with_workers(WRITERS);
     opts.shards = WRITERS;
     opts.cache_capacity = 0;
-    P2Kvs::open(LsmFactory::new(churn_options(env, threads, subcompactions)), name, opts).unwrap()
+    P2Kvs::open(
+        LsmFactory::new(churn_options(env, threads, subcompactions)),
+        name,
+        opts,
+    )
+    .unwrap()
 }
 
 /// Order-independent fold over logical contents (summed per-entry FNV),
@@ -167,7 +177,12 @@ fn parallel_subcompactions_survive_concurrent_churn() {
                     store
                         .get(&key_of(w, KEYS_PER_WRITER - 1))
                         .unwrap()
-                        .map(|v| v.starts_with(format!("v{w}-{:06}-r{ROUNDS_PER_WRITER:03}", KEYS_PER_WRITER - 1).as_bytes()))
+                        .map(|v| {
+                            v.starts_with(
+                                format!("v{w}-{:06}-r{ROUNDS_PER_WRITER:03}", KEYS_PER_WRITER - 1)
+                                    .as_bytes(),
+                            )
+                        })
                         .unwrap_or(false)
                 });
                 if settled {
@@ -183,11 +198,18 @@ fn parallel_subcompactions_survive_concurrent_churn() {
     // Final oracle check: the last round writes every key (no deletes),
     // so all slices must be complete with round-stamped values.
     let entries = store.range(b"", &[0xffu8; 16]).unwrap();
-    assert_eq!(entries.len(), WRITERS * KEYS_PER_WRITER, "scan lost or grew keys");
+    assert_eq!(
+        entries.len(),
+        WRITERS * KEYS_PER_WRITER,
+        "scan lost or grew keys"
+    );
     assert!(entries.windows(2).all(|p| p[0].0 < p[1].0), "scan unsorted");
     for w in 0..WRITERS {
         for i in 0..KEYS_PER_WRITER {
-            let v = store.get(&key_of(w, i)).unwrap().expect("final-round key missing");
+            let v = store
+                .get(&key_of(w, i))
+                .unwrap()
+                .expect("final-round key missing");
             assert_eq!(v, value_of(w, i, ROUNDS_PER_WRITER));
         }
     }
@@ -223,13 +245,13 @@ fn parallel_and_serial_compaction_converge_identically() {
     // logical contents must be byte-identical however the background
     // work was scheduled and placed.
     let mut folds = Vec::new();
-    for (name, queues, threads, subs) in
-        [("conv-par", QUEUES, 3, 4), ("conv-ser", 1, 1, 1)]
-    {
+    for (name, queues, threads, subs) in [("conv-par", QUEUES, 3, 4), ("conv-ser", 1, 1, 1)] {
         let store = open_store(name, queues, threads, subs);
         let mut state = 0x1234_5678_9abc_def0u64;
         let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             state >> 16
         };
         for _ in 0..(WRITERS * KEYS_PER_WRITER * 2) {
@@ -237,7 +259,9 @@ fn parallel_and_serial_compaction_converge_identically() {
             let i = (next() % KEYS_PER_WRITER as u64) as usize;
             match next() % 10 {
                 0 => store.delete(&key_of(w, i)).unwrap(),
-                r => store.put(&key_of(w, i), &value_of(w, i, r as usize)).unwrap(),
+                r => store
+                    .put(&key_of(w, i), &value_of(w, i, r as usize))
+                    .unwrap(),
             }
         }
         let entries = store.range(b"", &[0xffu8; 16]).unwrap();

@@ -49,7 +49,12 @@ fn pool_thrashing_under_live_traffic_loses_nothing() {
     // A small cache keeps retirement-driven cache flushes in the mix.
     opts.cache_capacity = 64 << 10;
     let store = Arc::new(
-        P2Kvs::open(LsmFactory::new(lsmkv::Options::for_test()), "scale-stress", opts).unwrap(),
+        P2Kvs::open(
+            LsmFactory::new(lsmkv::Options::for_test()),
+            "scale-stress",
+            opts,
+        )
+        .unwrap(),
     );
     let stop = Arc::new(AtomicBool::new(false));
 
@@ -192,14 +197,28 @@ fn pool_thrashing_under_live_traffic_loses_nothing() {
     // ownership gauges but kept their counters, and no scan cursor is
     // left parked anywhere.
     let snap = store.snapshot();
-    let live_shards: u64 = snap.workers.iter().filter(|w| w.live).map(|w| w.shards_owned).sum();
-    assert_eq!(live_shards as usize, SHARDS, "shards leaked across retirements");
+    let live_shards: u64 = snap
+        .workers
+        .iter()
+        .filter(|w| w.live)
+        .map(|w| w.shards_owned)
+        .sum();
+    assert_eq!(
+        live_shards as usize, SHARDS,
+        "shards leaked across retirements"
+    );
     let parked: u64 = snap.workers.iter().map(|w| w.active_scans).sum();
-    assert_eq!(parked, 0, "scan cursors left parked after the scanner finished");
+    assert_eq!(
+        parked, 0,
+        "scan cursors left parked after the scanner finished"
+    );
     for (i, w) in snap.workers.iter().enumerate() {
         if !w.live {
             assert_eq!(w.shards_owned, 0, "retired slot {i} still claims shards");
-            assert_eq!(w.queue_depth, 0, "retired slot {i} still claims queued work");
+            assert_eq!(
+                w.queue_depth, 0,
+                "retired slot {i} still claims queued work"
+            );
         }
     }
     // Every put went through exactly one worker; the per-slot counters

@@ -27,13 +27,23 @@ const WRITES_PER_WRITER: usize = if cfg!(debug_assertions) { 1_000 } else { 4_00
 
 fn open_store(workers: usize) -> P2Kvs<lsmkv::Db> {
     let opts = P2KvsOptions::with_workers(workers);
-    P2Kvs::open(LsmFactory::new(lsmkv::Options::for_test()), "scan-stress", opts).unwrap()
+    P2Kvs::open(
+        LsmFactory::new(lsmkv::Options::for_test()),
+        "scan-stress",
+        opts,
+    )
+    .unwrap()
 }
 
 fn wait_no_active_scans<E: KvsEngine>(store: &P2Kvs<E>) {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     loop {
-        let active: u64 = store.snapshot().workers.iter().map(|w| w.active_scans).sum();
+        let active: u64 = store
+            .snapshot()
+            .workers
+            .iter()
+            .map(|w| w.active_scans)
+            .sum();
         if active == 0 {
             return;
         }
@@ -141,7 +151,12 @@ fn scanners_writers_and_point_readers_interleave() {
     wait_no_active_scans(&store);
 
     // Quiescent final drain: exactly the preload plus everything written.
-    let total = store.iter().unwrap().map(|r| r.unwrap()).count();
+    let total = store
+        .iter()
+        .unwrap()
+        .collect::<Result<Vec<_>, _>>()
+        .unwrap()
+        .len();
     assert_eq!(total, PRELOAD + new_written.load(Ordering::Relaxed));
 }
 
@@ -204,7 +219,12 @@ fn dropped_iterators_release_cursors_mid_scan() {
     wait_no_active_scans(&store);
     // The store still works end to end afterwards.
     assert_eq!(
-        store.iter().unwrap().map(|r| r.unwrap()).count(),
+        store
+            .iter()
+            .unwrap()
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap()
+            .len(),
         PRELOAD
     );
 }

@@ -221,8 +221,11 @@ mod tests {
         {
             let mut s = Shard::open(env.clone(), PathBuf::from("sh"), 0).unwrap();
             for i in 0..100 {
-                s.put(format!("key{i:03}").as_bytes(), format!("val{i}").as_bytes())
-                    .unwrap();
+                s.put(
+                    format!("key{i:03}").as_bytes(),
+                    format!("val{i}").as_bytes(),
+                )
+                .unwrap();
             }
             s.delete(b"key050").unwrap();
         }

@@ -199,9 +199,15 @@ mod tests {
         assert_eq!(
             ops,
             vec![
-                BatchOp::Put { key: b"k1", value: b"v1" },
+                BatchOp::Put {
+                    key: b"k1",
+                    value: b"v1"
+                },
                 BatchOp::Delete { key: b"k2" },
-                BatchOp::Put { key: b"k3", value: b"" },
+                BatchOp::Put {
+                    key: b"k3",
+                    value: b""
+                },
             ]
         );
     }

@@ -6,8 +6,9 @@
 //! paper's RANGE/SCAN semantics.
 
 use crate::iterator::{InternalIterator, MergingIterator};
-use crate::types::{make_internal_key, seq_and_type, user_key, SequenceNumber, ValueType,
-    VALUE_TYPE_FOR_SEEK};
+use crate::types::{
+    make_internal_key, seq_and_type, user_key, SequenceNumber, ValueType, VALUE_TYPE_FOR_SEEK,
+};
 
 /// Iterator over live user keys and values.
 pub struct DbIterator {

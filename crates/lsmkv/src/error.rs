@@ -73,7 +73,7 @@ mod tests {
     fn display_formats() {
         let e = Error::corruption("bad block");
         assert_eq!(e.to_string(), "corruption: bad block");
-        let e: Error = io::Error::new(io::ErrorKind::Other, "disk on fire").into();
+        let e: Error = io::Error::other("disk on fire").into();
         assert!(e.to_string().contains("disk on fire"));
     }
 

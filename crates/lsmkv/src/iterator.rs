@@ -104,9 +104,9 @@ impl MergingIterator {
             if !self.children[i].valid() {
                 continue;
             }
-            if smallest.map_or(true, |s| self.before(i, s)) {
+            if smallest.is_none_or(|s| self.before(i, s)) {
                 runner_up = smallest.replace(i);
-            } else if runner_up.map_or(true, |r| self.before(i, r)) {
+            } else if runner_up.is_none_or(|r| self.before(i, r)) {
                 runner_up = Some(i);
             }
         }
@@ -145,7 +145,7 @@ impl InternalIterator for MergingIterator {
         let cur = self.current.expect("next() on invalid merging iterator");
         self.children[cur].next();
         let still_first =
-            self.children[cur].valid() && self.runner_up.map_or(true, |r| self.before(cur, r));
+            self.children[cur].valid() && self.runner_up.is_none_or(|r| self.before(cur, r));
         if !still_first {
             self.find_smallest();
         }
@@ -236,8 +236,14 @@ mod tests {
 
     #[test]
     fn merge_interleaves_sorted_streams() {
-        let a = VecIterator::new(vec![(ik(b"a", 1), b"1".to_vec()), (ik(b"c", 1), b"3".to_vec())]);
-        let b = VecIterator::new(vec![(ik(b"b", 1), b"2".to_vec()), (ik(b"d", 1), b"4".to_vec())]);
+        let a = VecIterator::new(vec![
+            (ik(b"a", 1), b"1".to_vec()),
+            (ik(b"c", 1), b"3".to_vec()),
+        ]);
+        let b = VecIterator::new(vec![
+            (ik(b"b", 1), b"2".to_vec()),
+            (ik(b"d", 1), b"4".to_vec()),
+        ]);
         let mut m = MergingIterator::new(vec![Box::new(a), Box::new(b)]);
         m.seek_to_first();
         assert_eq!(
@@ -329,6 +335,9 @@ mod tests {
             (ik(b"m", 1), vec![]),
         ]);
         v.seek_to_first();
-        assert_eq!(drain(&mut v), vec![b"a".to_vec(), b"m".to_vec(), b"z".to_vec()]);
+        assert_eq!(
+            drain(&mut v),
+            vec![b"a".to_vec(), b"m".to_vec(), b"z".to_vec()]
+        );
     }
 }

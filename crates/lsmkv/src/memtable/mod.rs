@@ -220,10 +220,18 @@ mod tests {
             m.add(i as u64 + 1, ValueType::Value, *k, b"v");
         }
         let mut it = m.iter();
-        it.seek(&make_internal_key(b"bb", u64::MAX >> 8, VALUE_TYPE_FOR_SEEK));
+        it.seek(&make_internal_key(
+            b"bb",
+            u64::MAX >> 8,
+            VALUE_TYPE_FOR_SEEK,
+        ));
         assert!(it.valid());
         assert_eq!(user_key(it.key()), b"bb");
-        it.seek(&make_internal_key(b"zz", u64::MAX >> 8, VALUE_TYPE_FOR_SEEK));
+        it.seek(&make_internal_key(
+            b"zz",
+            u64::MAX >> 8,
+            VALUE_TYPE_FOR_SEEK,
+        ));
         assert!(!it.valid());
     }
 
@@ -243,7 +251,12 @@ mod tests {
         let m = MemTable::new();
         let before = m.approximate_memory_usage();
         for i in 0..100u64 {
-            m.add(i + 1, ValueType::Value, format!("key{i}").as_bytes(), &[0u8; 100]);
+            m.add(
+                i + 1,
+                ValueType::Value,
+                format!("key{i}").as_bytes(),
+                &[0u8; 100],
+            );
         }
         assert!(m.approximate_memory_usage() > before);
         assert_eq!(m.len(), 100);
@@ -258,7 +271,12 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..1000u64 {
                         let seq = t * 1000 + i + 1;
-                        m.add(seq, ValueType::Value, format!("t{t}-{i:05}").as_bytes(), b"v");
+                        m.add(
+                            seq,
+                            ValueType::Value,
+                            format!("t{t}-{i:05}").as_bytes(),
+                            b"v",
+                        );
                     }
                 })
             })

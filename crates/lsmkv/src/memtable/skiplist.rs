@@ -164,7 +164,7 @@ impl SkipList {
         self.seed.store(s, Ordering::Relaxed);
         let mut height = 1;
         let mut v = s as u32;
-        while height < MAX_HEIGHT && v % BRANCHING == 0 {
+        while height < MAX_HEIGHT && v.is_multiple_of(BRANCHING) {
             height += 1;
             v /= BRANCHING;
         }
@@ -199,7 +199,8 @@ impl SkipList {
             // because we only descend within heights we observed.
             let next = unsafe { Node::tower(start, level).load(Ordering::Acquire) };
             // SAFETY: `next` is null or a fully initialized published node.
-            let go_right = !next.is_null() && unsafe { self.cmp_node(next, key) } == CmpOrdering::Less;
+            let go_right =
+                !next.is_null() && unsafe { self.cmp_node(next, key) } == CmpOrdering::Less;
             if go_right {
                 start = next;
             } else {
@@ -364,7 +365,7 @@ impl<'a> SkipIter<'a> {
 mod tests {
     use super::*;
     use crate::types::{make_internal_key, ValueType};
-    use p2kvs_util::coding::{put_varint32};
+    use p2kvs_util::coding::put_varint32;
 
     fn encode_entry(user_key: &[u8], seq: u64, value: &[u8]) -> Vec<u8> {
         let ikey = make_internal_key(user_key, seq, ValueType::Value);
@@ -387,7 +388,9 @@ mod tests {
         let mut it = list.iter();
         it.seek_to_first();
         assert!(!it.valid());
-        assert!(list.seek(&make_internal_key(b"a", 1, ValueType::Value)).is_none());
+        assert!(list
+            .seek(&make_internal_key(b"a", 1, ValueType::Value))
+            .is_none());
     }
 
     #[test]
@@ -398,12 +401,13 @@ mod tests {
         }
         assert_eq!(list.len(), 3);
         let e = list
-            .seek(&make_internal_key(b"apple!", u64::MAX >> 8, ValueType::Value))
+            .seek(&make_internal_key(
+                b"apple!",
+                u64::MAX >> 8,
+                ValueType::Value,
+            ))
             .unwrap();
-        assert_eq!(
-            crate::types::user_key(entry_internal_key(e)),
-            b"apple!"
-        );
+        assert_eq!(crate::types::user_key(entry_internal_key(e)), b"apple!");
         // Seek past everything.
         assert!(list
             .seek(&make_internal_key(b"zzz", 1, ValueType::Value))
@@ -413,7 +417,9 @@ mod tests {
     #[test]
     fn iteration_is_sorted() {
         let list = new_list();
-        let mut keys: Vec<String> = (0..500).map(|i| format!("key{:05}", (i * 7919) % 500)).collect();
+        let mut keys: Vec<String> = (0..500)
+            .map(|i| format!("key{:05}", (i * 7919) % 500))
+            .collect();
         for (i, k) in keys.iter().enumerate() {
             list.insert(&encode_entry(k.as_bytes(), i as u64 + 1, b"x"));
         }

@@ -207,7 +207,7 @@ impl BlockIter {
         // < target.
         let (mut lo, mut hi) = (0usize, self.block.num_restarts - 1);
         while lo < hi {
-            let mid = (lo + hi + 1) / 2;
+            let mid = (lo + hi).div_ceil(2);
             if internal_cmp(self.restart_key(mid), target) == Ordering::Less {
                 lo = mid;
             } else {
@@ -296,7 +296,12 @@ mod tests {
 
     fn sample(n: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
         (0..n)
-            .map(|i| (ik(&format!("key{i:06}"), 1), format!("value{i}").into_bytes()))
+            .map(|i| {
+                (
+                    ik(&format!("key{i:06}"), 1),
+                    format!("value{i}").into_bytes(),
+                )
+            })
             .collect()
     }
 

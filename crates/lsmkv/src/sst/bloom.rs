@@ -133,7 +133,7 @@ mod tests {
             let keys: Vec<Vec<u8>> = (0..n)
                 .flat_map(|i| {
                     let key = format!("key{i:07}").into_bytes();
-                    std::iter::repeat(key).take(1 + usize::from(i % 3 == 0))
+                    std::iter::repeat_n(key, 1 + usize::from(i % 3 == 0))
                 })
                 .collect();
             let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
@@ -157,7 +157,9 @@ mod tests {
 
     #[test]
     fn present_keys_always_match() {
-        let keys: Vec<Vec<u8>> = (0..5000).map(|i| format!("key{i:07}").into_bytes()).collect();
+        let keys: Vec<Vec<u8>> = (0..5000)
+            .map(|i| format!("key{i:07}").into_bytes())
+            .collect();
         let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
         let f = filter_of(&refs);
         for k in &keys {
@@ -167,7 +169,9 @@ mod tests {
 
     #[test]
     fn false_positive_rate_is_low() {
-        let keys: Vec<Vec<u8>> = (0..10_000).map(|i| format!("in{i:07}").into_bytes()).collect();
+        let keys: Vec<Vec<u8>> = (0..10_000)
+            .map(|i| format!("in{i:07}").into_bytes())
+            .collect();
         let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
         let f = filter_of(&refs);
         let mut fp = 0;

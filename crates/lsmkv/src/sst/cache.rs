@@ -50,14 +50,7 @@ impl Shard {
         let charge = block.size();
         let gen = self.next_gen;
         self.next_gen += 1;
-        if let Some(old) = self.map.insert(
-            key,
-            Entry {
-                block,
-                charge,
-                gen,
-            },
-        ) {
+        if let Some(old) = self.map.insert(key, Entry { block, charge, gen }) {
             self.usage -= old.charge;
         }
         self.usage += charge;
@@ -171,11 +164,8 @@ mod tests {
         let mut b = BlockBuilder::new(16);
         let mut i = 0u64;
         while b.size_estimate() < approx {
-            let key = make_internal_key(
-                format!("k{seed:04}-{i:08}").as_bytes(),
-                1,
-                ValueType::Value,
-            );
+            let key =
+                make_internal_key(format!("k{seed:04}-{i:08}").as_bytes(), 1, ValueType::Value);
             b.add(&key, &[0u8; 64]);
             i += 1;
         }

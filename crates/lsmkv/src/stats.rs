@@ -203,15 +203,24 @@ impl DbStats {
             ("engine_other_us".to_string(), b.other_us),
             ("engine_write_us".to_string(), b.total_us()),
             ("engine_writes_total".to_string(), c(&self.writes)),
-            ("engine_write_groups_total".to_string(), c(&self.write_groups)),
-            ("engine_keys_written_total".to_string(), c(&self.keys_written)),
+            (
+                "engine_write_groups_total".to_string(),
+                c(&self.write_groups),
+            ),
+            (
+                "engine_keys_written_total".to_string(),
+                c(&self.keys_written),
+            ),
             (
                 "engine_user_bytes_written_total".to_string(),
                 c(&self.user_bytes_written),
             ),
             ("engine_gets_total".to_string(), c(&self.gets)),
             ("engine_multigets_total".to_string(), c(&self.multigets)),
-            ("engine_memtable_hits_total".to_string(), c(&self.memtable_hits)),
+            (
+                "engine_memtable_hits_total".to_string(),
+                c(&self.memtable_hits),
+            ),
             ("engine_bloom_skips_total".to_string(), c(&self.bloom_skips)),
             ("engine_flushes_total".to_string(), c(&self.flushes)),
             ("engine_compactions_total".to_string(), c(&self.compactions)),
@@ -340,7 +349,8 @@ impl DbStats {
 
     /// Adds `d` to the stall-time counter.
     pub fn add_stall(&self, d: Duration) {
-        self.stall_ns.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
+        self.stall_ns
+            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// Convenience relaxed add.

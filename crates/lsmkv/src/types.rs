@@ -178,15 +178,24 @@ mod tests {
     #[test]
     fn file_names_roundtrip() {
         let dir = Path::new("/db");
-        assert_eq!(file_path(dir, 7, FileKind::Wal), Path::new("/db/000007.log"));
-        assert_eq!(file_path(dir, 12, FileKind::Table), Path::new("/db/000012.sst"));
+        assert_eq!(
+            file_path(dir, 7, FileKind::Wal),
+            Path::new("/db/000007.log")
+        );
+        assert_eq!(
+            file_path(dir, 12, FileKind::Table),
+            Path::new("/db/000012.sst")
+        );
         assert_eq!(
             file_path(dir, 3, FileKind::Manifest),
             Path::new("/db/MANIFEST-000003")
         );
         assert_eq!(parse_file_name("000007.log"), Some((7, FileKind::Wal)));
         assert_eq!(parse_file_name("000012.sst"), Some((12, FileKind::Table)));
-        assert_eq!(parse_file_name("MANIFEST-000003"), Some((3, FileKind::Manifest)));
+        assert_eq!(
+            parse_file_name("MANIFEST-000003"),
+            Some((3, FileKind::Manifest))
+        );
         assert_eq!(parse_file_name("000099.tmp"), Some((99, FileKind::Temp)));
         assert_eq!(parse_file_name("CURRENT"), None);
         assert_eq!(parse_file_name("junk.xyz"), None);

@@ -102,8 +102,8 @@ impl VersionEdit {
             Ok(v)
         }
         fn take_bytes(src: &mut &[u8]) -> Result<Vec<u8>> {
-            let (b, n) =
-                get_length_prefixed(src).ok_or_else(|| Error::corruption("truncated edit bytes"))?;
+            let (b, n) = get_length_prefixed(src)
+                .ok_or_else(|| Error::corruption("truncated edit bytes"))?;
             let out = b.to_vec();
             *src = &src[n..];
             Ok(out)
@@ -218,10 +218,12 @@ mod tests {
 
     #[test]
     fn full_edit_roundtrip() {
-        let mut e = VersionEdit::default();
-        e.log_number = Some(12);
-        e.next_file_number = Some(99);
-        e.last_sequence = Some(123_456_789);
+        let mut e = VersionEdit {
+            log_number: Some(12),
+            next_file_number: Some(99),
+            last_sequence: Some(123_456_789),
+            ..Default::default()
+        };
         e.added.push((0, sample_file(7)));
         e.added.push((3, sample_file(8)));
         e.deleted.push((1, 4));

@@ -4,8 +4,8 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use p2kvs_util::sync::Mutex;
 use p2kvs_storage::EnvRef;
+use p2kvs_util::sync::Mutex;
 
 use crate::error::Result;
 use crate::sst::{BlockCache, TableReader};
@@ -84,7 +84,8 @@ mod tests {
                 bloom_bits_per_key: 10,
             },
         );
-        b.add(&make_internal_key(b"k", 1, ValueType::Value), b"v").unwrap();
+        b.add(&make_internal_key(b"k", 1, ValueType::Value), b"v")
+            .unwrap();
         let summary = b.finish().unwrap();
 
         let cache = TableCache::new(env.clone(), dir, None);

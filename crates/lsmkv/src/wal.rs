@@ -276,7 +276,12 @@ mod tests {
 
     #[test]
     fn small_records_roundtrip() {
-        let records = vec![b"one".to_vec(), b"two".to_vec(), Vec::new(), b"four".to_vec()];
+        let records = vec![
+            b"one".to_vec(),
+            b"two".to_vec(),
+            Vec::new(),
+            b"four".to_vec(),
+        ];
         assert_eq!(roundtrip(&records), records);
     }
 

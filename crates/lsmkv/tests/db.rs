@@ -64,8 +64,12 @@ fn data_survives_memtable_flush() {
     let db = Db::open(small_opts(env), "db").unwrap();
     let n = 2000;
     for i in 0..n {
-        db.put(&wo(), format!("key{i:06}").as_bytes(), format!("value{i}").as_bytes())
-            .unwrap();
+        db.put(
+            &wo(),
+            format!("key{i:06}").as_bytes(),
+            format!("value{i}").as_bytes(),
+        )
+        .unwrap();
     }
     db.flush().unwrap();
     assert!(db.num_files_at_level(0) > 0 || db.level_sizes()[1..].iter().any(|&s| s > 0));
@@ -140,8 +144,12 @@ fn recovery_replays_wal() {
     {
         let db = Db::open(Options::rocksdb_like(env.clone()), "db").unwrap();
         for i in 0..500 {
-            db.put(&wo(), format!("k{i}").as_bytes(), format!("v{i}").as_bytes())
-                .unwrap();
+            db.put(
+                &wo(),
+                format!("k{i}").as_bytes(),
+                format!("v{i}").as_bytes(),
+            )
+            .unwrap();
         }
         // Drop without flush: data only in WAL + memtable.
     }
@@ -164,7 +172,8 @@ fn recovery_after_power_failure_keeps_synced_prefix() {
         opts.sync = SyncPolicy::Always;
         let db = Db::open(opts, "db").unwrap();
         for i in 0..50 {
-            db.put(&wo(), format!("s{i}").as_bytes(), b"synced").unwrap();
+            db.put(&wo(), format!("s{i}").as_bytes(), b"synced")
+                .unwrap();
         }
         db.crash(); // Simulate a crash: no final sync.
     }
@@ -236,7 +245,9 @@ fn concurrent_writers_all_land() {
     }
     // Group commit must actually have grouped some writes.
     let stats = db.stats();
-    let groups = stats.write_groups.load(std::sync::atomic::Ordering::Relaxed);
+    let groups = stats
+        .write_groups
+        .load(std::sync::atomic::Ordering::Relaxed);
     let writes = stats.writes.load(std::sync::atomic::Ordering::Relaxed);
     assert_eq!(writes, (THREADS * PER) as u64);
     assert!(groups <= writes);
@@ -303,7 +314,10 @@ fn concurrent_writers_without_rocksdb_optimizations() {
     }
     for t in 0..4 {
         assert_eq!(db.get(format!("t{t}-0").as_bytes()).unwrap().unwrap(), b"v");
-        assert_eq!(db.get(format!("t{t}-299").as_bytes()).unwrap().unwrap(), b"v");
+        assert_eq!(
+            db.get(format!("t{t}-299").as_bytes()).unwrap().unwrap(),
+            b"v"
+        );
     }
 }
 
@@ -364,7 +378,8 @@ fn snapshot_survives_flush_and_compaction() {
     let snap = db.snapshot();
     // Bury the old version under lots of newer data.
     for i in 0..5000 {
-        db.put(&wo(), format!("fill{i:06}").as_bytes(), &[0u8; 64]).unwrap();
+        db.put(&wo(), format!("fill{i:06}").as_bytes(), &[0u8; 64])
+            .unwrap();
     }
     db.put(&wo(), b"pinned", b"v2").unwrap();
     db.flush().unwrap();
@@ -589,11 +604,13 @@ fn iterator_scans_in_order_across_all_components() {
     let db = Db::open(small_opts(env), "db").unwrap();
     // Data spread across SSTs (flushed) and the live memtable.
     for i in (0..1000).filter(|i| i % 2 == 0) {
-        db.put(&wo(), format!("k{i:05}").as_bytes(), b"disk").unwrap();
+        db.put(&wo(), format!("k{i:05}").as_bytes(), b"disk")
+            .unwrap();
     }
     db.flush().unwrap();
     for i in (0..1000).filter(|i| i % 2 == 1) {
-        db.put(&wo(), format!("k{i:05}").as_bytes(), b"mem").unwrap();
+        db.put(&wo(), format!("k{i:05}").as_bytes(), b"mem")
+            .unwrap();
     }
     let mut it = db.iter().unwrap();
     it.seek_to_first();
@@ -612,8 +629,12 @@ fn iterator_scans_in_order_across_all_components() {
 fn scan_and_range_semantics() {
     let db = Db::open(Options::for_test(), "db").unwrap();
     for i in 0..100 {
-        db.put(&wo(), format!("k{i:03}").as_bytes(), format!("{i}").as_bytes())
-            .unwrap();
+        db.put(
+            &wo(),
+            format!("k{i:03}").as_bytes(),
+            format!("{i}").as_bytes(),
+        )
+        .unwrap();
     }
     let scan = db.scan(b"k010", 5).unwrap();
     assert_eq!(scan.len(), 5);
@@ -669,13 +690,19 @@ fn disable_wal_writes_skip_log() {
     let env: EnvRef = Arc::new(MemEnv::new());
     let db = Db::open(Options::rocksdb_like(env.clone()), "db").unwrap();
     let before = env.io_stats().wal_bytes;
-    let mut opts = WriteOptions::default();
-    opts.disable_wal = true;
+    let opts = WriteOptions {
+        disable_wal: true,
+        ..Default::default()
+    };
     for i in 0..100 {
         db.put(&opts, format!("k{i}").as_bytes(), b"v").unwrap();
     }
     db.sync_wal().unwrap();
-    assert_eq!(env.io_stats().wal_bytes, before, "disable_wal must not touch the log");
+    assert_eq!(
+        env.io_stats().wal_bytes,
+        before,
+        "disable_wal must not touch the log"
+    );
     assert_eq!(db.get(b"k7").unwrap().unwrap(), b"v");
 }
 
@@ -696,7 +723,8 @@ fn memory_usage_reports_sane_values() {
     let db = Db::open(Options::for_test(), "db").unwrap();
     let before = db.approximate_memory_usage();
     for i in 0..500 {
-        db.put(&wo(), format!("k{i:04}").as_bytes(), &[1u8; 128]).unwrap();
+        db.put(&wo(), format!("k{i:04}").as_bytes(), &[1u8; 128])
+            .unwrap();
     }
     assert!(db.approximate_memory_usage() > before);
 }
@@ -707,13 +735,21 @@ fn reopen_after_clean_close_keeps_everything() {
     {
         let db = Db::open(small_opts(env.clone()), "db").unwrap();
         for i in 0..3000 {
-            db.put(&wo(), format!("k{i:05}").as_bytes(), format!("v{i}").as_bytes())
-                .unwrap();
+            db.put(
+                &wo(),
+                format!("k{i:05}").as_bytes(),
+                format!("v{i}").as_bytes(),
+            )
+            .unwrap();
         }
         db.flush().unwrap();
         for i in 3000..3500 {
-            db.put(&wo(), format!("k{i:05}").as_bytes(), format!("v{i}").as_bytes())
-                .unwrap();
+            db.put(
+                &wo(),
+                format!("k{i:05}").as_bytes(),
+                format!("v{i}").as_bytes(),
+            )
+            .unwrap();
         }
         // Drop = clean close (syncs WAL).
     }
@@ -825,7 +861,7 @@ fn parallel_compaction_db_matches_serial_db() {
         for i in 0..6000u64 {
             x = x.wrapping_mul(0xd1342543de82ef95).wrapping_add(1);
             let key = format!("user{:06}", x % 2000);
-            if x % 11 == 0 {
+            if x.is_multiple_of(11) {
                 db.delete(&wo(), key.as_bytes()).unwrap();
             } else {
                 db.put(&wo(), key.as_bytes(), format!("val-{i}-{x:x}").as_bytes())
@@ -840,7 +876,10 @@ fn parallel_compaction_db_matches_serial_db() {
     };
     let (serial, _) = run(1, 1);
     let (parallel, _) = run(3, 4);
-    assert_eq!(serial, parallel, "live contents diverged under parallel compaction");
+    assert_eq!(
+        serial, parallel,
+        "live contents diverged under parallel compaction"
+    );
 }
 
 #[test]
@@ -881,7 +920,12 @@ fn concurrent_level_compactions_keep_db_consistent() {
             );
         }
     }
-    assert!(db.stats().compactions.load(std::sync::atomic::Ordering::Relaxed) > 0);
+    assert!(
+        db.stats()
+            .compactions
+            .load(std::sync::atomic::Ordering::Relaxed)
+            > 0
+    );
 }
 
 #[test]
@@ -890,7 +934,9 @@ fn compaction_spreads_output_over_queues() {
     // load must land flush/WAL bytes on the home queue and compaction
     // bytes on the other queues.
     use p2kvs_storage::{DeviceProfile, SimEnv};
-    let env = Arc::new(SimEnv::with_profile(DeviceProfile::instant().with_queues(4)));
+    let env = Arc::new(SimEnv::with_profile(
+        DeviceProfile::instant().with_queues(4),
+    ));
     let mut opts = small_opts(env.clone());
     opts.compaction_threads = 2;
     opts.subcompactions = 3;
@@ -898,17 +944,24 @@ fn compaction_spreads_output_over_queues() {
     let db = Db::open(opts, "db").unwrap();
     for i in 0..4000u64 {
         let key = format!("user{:06}", i % 1200);
-        db.put(&wo(), key.as_bytes(), vec![b'x'; 100].as_slice()).unwrap();
+        db.put(&wo(), key.as_bytes(), vec![b'x'; 100].as_slice())
+            .unwrap();
     }
     db.flush().unwrap();
     db.wait_idle().unwrap();
     let snap = env.io_stats();
-    assert!(snap.queues[0].bytes_written > 0, "home queue idle: {:?}", snap.queues[0]);
+    assert!(
+        snap.queues[0].bytes_written > 0,
+        "home queue idle: {:?}",
+        snap.queues[0]
+    );
     let off_home: u64 = (1..4).map(|q| snap.queues[q].bytes_written).sum();
     assert!(
         off_home > 0,
         "compaction wrote nothing off the home queue; per-queue: {:?}",
-        (0..4).map(|q| snap.queues[q].bytes_written).collect::<Vec<_>>()
+        (0..4)
+            .map(|q| snap.queues[q].bytes_written)
+            .collect::<Vec<_>>()
     );
 }
 

@@ -103,7 +103,9 @@ impl ConcurrentHistogram {
     /// Creates an empty histogram.
     pub fn new() -> ConcurrentHistogram {
         ConcurrentHistogram {
-            shards: (0..HIST_SHARDS).map(|_| Mutex::new(Histogram::new())).collect(),
+            shards: (0..HIST_SHARDS)
+                .map(|_| Mutex::new(Histogram::new()))
+                .collect(),
         }
     }
 

@@ -62,7 +62,10 @@ pub struct MetricsSnapshot {
 /// the name is unlabeled.
 fn split_name(name: &str) -> (&str, &str) {
     match name.find('{') {
-        Some(i) => (&name[..i], name[i..].trim_start_matches('{').trim_end_matches('}')),
+        Some(i) => (
+            &name[..i],
+            name[i..].trim_start_matches('{').trim_end_matches('}'),
+        ),
         None => (name, ""),
     }
 }
@@ -116,7 +119,10 @@ pub(crate) fn json_escape(s: &str) -> String {
 impl MetricsSnapshot {
     /// Looks up a counter by exact name.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+        self.counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| *v)
     }
 
     /// Looks up a gauge by exact name.
@@ -126,7 +132,10 @@ impl MetricsSnapshot {
 
     /// Looks up a histogram digest by exact name.
     pub fn histogram(&self, name: &str) -> Option<&HistogramStats> {
-        self.histograms.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+        self.histograms
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v)
     }
 
     /// Merges every histogram series sharing `base` (across label sets)

@@ -20,7 +20,11 @@ const fn build_tables() -> [[u32; 256]; 4] {
         let mut crc = i as u32;
         let mut j = 0;
         while j < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ POLY
+            } else {
+                crc >> 1
+            };
             j += 1;
         }
         t[0][i] = crc;

@@ -283,7 +283,11 @@ mod tests {
             x ^= x >> 7;
             x ^= x << 17;
             // Mostly small values with a 1/1000 huge tail.
-            let v = if x % 1000 == 0 { x % 1_000_000_000 } else { x % 10_000 };
+            let v = if x.is_multiple_of(1000) {
+                x % 1_000_000_000
+            } else {
+                x % 10_000
+            };
             h.record(v);
         }
         let p50 = h.percentile(50.0);
@@ -314,7 +318,10 @@ mod tests {
                     err <= 1.0 / 64.0 + 1e-9,
                     "value {v} (2^{shift} boundary) quantized to {q}, err {err}"
                 );
-                assert!(q >= v, "bucket upper bound must not under-report: {q} < {v}");
+                assert!(
+                    q >= v,
+                    "bucket upper bound must not under-report: {q} < {v}"
+                );
             }
         }
     }

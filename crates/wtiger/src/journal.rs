@@ -74,12 +74,18 @@ pub fn decode_at(data: &[u8], offset: usize) -> io::Result<Option<(Record, usize
         return Ok(None); // Torn/corrupt tail: stop replay.
     }
     if body_len < 5 {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "journal body too short"));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "journal body too short",
+        ));
     }
     let kind = body[0];
     let key_len = u32::from_le_bytes(body[1..5].try_into().expect("4 bytes")) as usize;
     if 5 + key_len > body_len {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "journal key overruns body"));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "journal key overruns body",
+        ));
     }
     let key = body[5..5 + key_len].to_vec();
     let value = body[5 + key_len..].to_vec();

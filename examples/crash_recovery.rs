@@ -80,7 +80,10 @@ fn main() {
         for i in 0..10 {
             let src = store.get(format!("acct/src/{i}").as_bytes()).unwrap();
             let dst = store.get(format!("acct/dst/{i}").as_bytes()).unwrap();
-            assert!(src.is_some() && dst.is_some(), "committed transfer {i} lost!");
+            assert!(
+                src.is_some() && dst.is_some(),
+                "committed transfer {i} lost!"
+            );
             committed += 1;
         }
         println!("phase 2 -> all {committed} committed transfers intact");

@@ -26,7 +26,9 @@ fn main() {
     for i in 0..5_000u32 {
         let key = format!("user:{:05}", i % 2_000);
         match i % 10 {
-            0..=5 => store.put(key.as_bytes(), format!("v{i}").as_bytes()).unwrap(),
+            0..=5 => store
+                .put(key.as_bytes(), format!("v{i}").as_bytes())
+                .unwrap(),
             6..=8 => {
                 store.get(key.as_bytes()).unwrap();
             }

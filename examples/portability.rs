@@ -28,7 +28,9 @@ fn workload<E: KvsEngine>(store: &Arc<P2Kvs<E>>) -> (f64, f64) {
             scope.spawn(move || {
                 for i in 0..OPS / 4 {
                     let k = format!("key{:08}", i * 4 + t);
-                    store.put(k.as_bytes(), b"value-128-bytes-.................").unwrap();
+                    store
+                        .put(k.as_bytes(), b"value-128-bytes-.................")
+                        .unwrap();
                 }
             });
         }
@@ -76,19 +78,28 @@ fn main() {
     {
         let env = Arc::new(SimEnv::with_profile(DeviceProfile::nvme_optane()));
         let factory = LsmFactory::new(lsmkv::Options::rocksdb_like(env));
-        report("lsmkv (RocksDB mode)", Arc::new(P2Kvs::open(factory, "port-rocks", opts()).unwrap()));
+        report(
+            "lsmkv (RocksDB mode)",
+            Arc::new(P2Kvs::open(factory, "port-rocks", opts()).unwrap()),
+        );
     }
     // LevelDB mode: WriteBatch but no multiget.
     {
         let env = Arc::new(SimEnv::with_profile(DeviceProfile::nvme_optane()));
         let factory = LsmFactory::new(lsmkv::Options::leveldb_like(env));
-        report("lsmkv (LevelDB mode)", Arc::new(P2Kvs::open(factory, "port-level", opts()).unwrap()));
+        report(
+            "lsmkv (LevelDB mode)",
+            Arc::new(P2Kvs::open(factory, "port-level", opts()).unwrap()),
+        );
     }
     // WiredTiger: neither fast path; OBM degrades to per-request calls.
     {
         let env = Arc::new(SimEnv::with_profile(DeviceProfile::nvme_optane()));
         let factory = WtFactory::new(wtiger::WtOptions::new(env));
-        report("wtiger (WiredTiger)", Arc::new(P2Kvs::open(factory, "port-wt", opts()).unwrap()));
+        report(
+            "wtiger (WiredTiger)",
+            Arc::new(P2Kvs::open(factory, "port-wt", opts()).unwrap()),
+        );
     }
     // Contrast: standalone KVell (its own share-nothing workers).
     {
@@ -103,7 +114,8 @@ fn main() {
                 let db = db.clone();
                 scope.spawn(move || {
                     for i in 0..OPS / 4 {
-                        db.put(format!("key{:08}", i * 4 + t).as_bytes(), b"value").unwrap();
+                        db.put(format!("key{:08}", i * 4 + t).as_bytes(), b"value")
+                            .unwrap();
                     }
                 });
             }

@@ -55,7 +55,10 @@ fn main() {
     let range = store.range(b"event:0010", b"event:0015").unwrap();
     println!(
         "range  -> {:?}",
-        range.iter().map(|(k, _)| String::from_utf8_lossy(k).into_owned()).collect::<Vec<_>>()
+        range
+            .iter()
+            .map(|(k, _)| String::from_utf8_lossy(k).into_owned())
+            .collect::<Vec<_>>()
     );
     assert_eq!(range.len(), 5);
     let scan = store.scan(b"event:0090", 4).unwrap();
@@ -65,8 +68,14 @@ fn main() {
     // --- Cross-instance transaction (§4.5) -------------------------------
     store
         .write_batch(vec![
-            WriteOp::Put { key: b"account:1".to_vec(), value: b"90".to_vec() },
-            WriteOp::Put { key: b"account:2".to_vec(), value: b"110".to_vec() },
+            WriteOp::Put {
+                key: b"account:1".to_vec(),
+                value: b"90".to_vec(),
+            },
+            WriteOp::Put {
+                key: b"account:2".to_vec(),
+                value: b"110".to_vec(),
+            },
         ])
         .unwrap();
     println!(

@@ -31,15 +31,21 @@ fn main() {
     // --- Workload: puts, async burst, gets, a scan, a migration ---------
     for i in 0..2_000u32 {
         let key = format!("item:{:05}", i % 800);
-        store.put(key.as_bytes(), format!("value-{i}").as_bytes()).unwrap();
+        store
+            .put(key.as_bytes(), format!("value-{i}").as_bytes())
+            .unwrap();
     }
     for i in 0..2_000u32 {
-        store.get(format!("item:{:05}", i % 800).as_bytes()).unwrap();
+        store
+            .get(format!("item:{:05}", i % 800).as_bytes())
+            .unwrap();
     }
     let _ = store.scan(b"item:", 200).unwrap();
     store.migrate_shard(0, 1).expect("handoff");
     for i in 0..200u32 {
-        store.put(format!("post:{i:04}").as_bytes(), b"after-migration").unwrap();
+        store
+            .put(format!("post:{i:04}").as_bytes(), b"after-migration")
+            .unwrap();
     }
 
     // --- The slowest sampled request, as a span tree ---------------------
@@ -54,7 +60,10 @@ fn main() {
         .values()
         .max_by_key(|t| t.iter().map(|s| s.dur_us).max().unwrap_or(0))
         .expect("at least one sampled trace");
-    println!("===== Slowest sampled request (trace {}) =====", slowest[0].trace_id);
+    println!(
+        "===== Slowest sampled request (trace {}) =====",
+        slowest[0].trace_id
+    );
     for s in slowest {
         let depth = match s.kind {
             SpanKind::QueueWait | SpanKind::Batch => 0,

@@ -25,8 +25,8 @@
 //! --release --test backup_matrix`.
 
 use p2kvs::engine::LsmFactory;
-use p2kvs::{P2Kvs, WriteOp};
 use p2kvs::worker::SCAN_CHUNK_ENTRIES;
+use p2kvs::{P2Kvs, WriteOp};
 use p2kvs_integration_tests::crash::{crash_at, dry_run, run_matrix, Scenario, WORKERS};
 
 /// Default seed; override with `P2KVS_BACKUP_SEED` to explore.
@@ -84,11 +84,7 @@ fn a_scan_parked_by_migration_never_wedges_the_backup() {
     let mut iter = store.iter().expect("open scan");
     let mut got = Vec::new();
     for _ in 0..100 {
-        got.push(
-            iter.next_entry()
-                .expect("scan chunk")
-                .expect("n entries"),
-        );
+        got.push(iter.next_entry().expect("scan chunk").expect("n entries"));
     }
     // Park the open cursors: every shard changes owner mid-scan.
     let owners = store.shard_owners();
@@ -118,7 +114,12 @@ fn a_scan_parked_by_migration_never_wedges_the_backup() {
         got.push(e);
     }
     drop(iter);
-    let resumes: u64 = store.snapshot().workers.iter().map(|w| w.scan_resumes).sum();
+    let resumes: u64 = store
+        .snapshot()
+        .workers
+        .iter()
+        .map(|w| w.scan_resumes)
+        .sum();
     assert!(resumes > 0, "the scan never resumed a parked cursor");
     assert!(got.len() >= n as usize, "scan lost entries: {}", got.len());
     for (i, (k, v)) in got.iter().take(n as usize).enumerate() {

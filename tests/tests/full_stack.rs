@@ -80,7 +80,7 @@ fn all_engines_agree_on_the_same_history() {
     let history: Vec<(bool, u64)> = (0..1_500u64)
         .map(|i| {
             let h = p2kvs_util::hash::mix64(i);
-            (h % 5 != 0, h % 300) // 80% put / 20% delete over 300 keys
+            (!h.is_multiple_of(5), h % 300) // 80% put / 20% delete over 300 keys
         })
         .collect();
 
@@ -167,7 +167,8 @@ fn all_engines_agree_on_the_same_history() {
 
 #[test]
 fn scan_results_identical_across_layouts() {
-    let mut stores: Vec<(&str, Box<dyn Fn(&[u8], usize) -> Vec<Vec<u8>>>)> = Vec::new();
+    type ScanKeys = Box<dyn Fn(&[u8], usize) -> Vec<Vec<u8>>>;
+    let mut stores: Vec<(&str, ScanKeys)> = Vec::new();
 
     // The same data behind 16 shards and behind the paper's 4: the
     // opening per-shard quota differs, the result may not.

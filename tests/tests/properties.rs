@@ -76,7 +76,12 @@ fn chunky(v: u8) -> Vec<u8> {
 
 /// Cursor resumes the store's workers served so far.
 fn resumes<E: p2kvs::KvsEngine>(store: &P2Kvs<E>) -> u64 {
-    store.snapshot().workers.iter().map(|w| w.scan_resumes).sum()
+    store
+        .snapshot()
+        .workers
+        .iter()
+        .map(|w| w.scan_resumes)
+        .sum()
 }
 
 /// Any history of puts/deletes/transactional batches leaves the p2KVS
