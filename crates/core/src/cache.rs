@@ -456,7 +456,7 @@ impl ReadCache {
         self.capacity
     }
 
-    /// Number of live entries (full scan; tests and introspection).
+    /// Number of live entries (full scan; tests and diagnostics).
     pub fn entries(&self) -> u64 {
         self.slots
             .iter()

@@ -96,7 +96,7 @@ pub use engine::{
 pub use error::{Error, Result};
 pub use scan::StoreIter;
 pub use shard::{HashPartitioner, Partitioner, RangePartitioner, ShardMap};
-pub use store::{P2Kvs, P2KvsOptions, StoreIntrospection, WorkerView};
+pub use store::{P2Kvs, P2KvsOptions};
 pub use types::{Op, Response, WriteOp};
 
 // The observability layer (re-exported so store users can consume

@@ -96,7 +96,7 @@ enum Slot {
 
 /// The dynamic worker pool. All scale operations are serialized by the
 /// store's migration lock; the pool's own mutex only protects the slot
-/// vector against concurrent metric/introspection readers.
+/// vector against concurrent `snapshot()` readers.
 pub struct WorkerPool {
     slots: Mutex<Vec<Slot>>,
     live: AtomicUsize,

@@ -31,7 +31,7 @@
 //! With `shards == workers` the initial map is the identity and the
 //! whole machinery reduces to the paper's static layout.
 
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -312,15 +312,13 @@ impl Drop for MapCell {
 
 /// Counters one shard's executing worker publishes and the balancer
 /// consumes. Lives for the store's lifetime; follows the shard across
-/// migrations (the counters are cumulative, owner is a gauge).
+/// migrations (the counters are cumulative; the owner is the map's).
 #[derive(Default)]
 pub struct ShardStats {
     /// Requests executed against this shard.
     pub ops: AtomicU64,
     /// Nanoseconds of worker service time spent on this shard.
     pub busy_ns: AtomicU64,
-    /// The worker currently owning the shard.
-    pub owner: AtomicUsize,
 }
 
 impl ShardStats {

@@ -55,7 +55,7 @@ pub struct ShardSnapshot {
     pub ops: u64,
     /// Worker service time spent on this shard.
     pub busy: Duration,
-    /// The worker currently owning the shard.
+    /// The worker the shard map assigns the shard to.
     pub owner: usize,
 }
 

@@ -167,201 +167,6 @@ impl P2KvsOptions {
     }
 }
 
-/// Everything the statistics and metrics exposition needs.
-struct ObsShared<E: KvsEngine> {
-    registry: Arc<MetricsRegistry>,
-    runtime: Arc<ShardRuntime<E>>,
-    pool: Arc<WorkerPool>,
-    opened: Instant,
-}
-
-impl<E: KvsEngine> ObsShared<E> {
-    /// The one place the worker and shard atomics are read.
-    /// [`P2Kvs::snapshot`] returns this as is; the registry series
-    /// ([`ObsShared::render`]) and [`P2Kvs::introspect`]'s worker views
-    /// are rendered from it, so the three can never disagree about a
-    /// counter they share.
-    fn read(&self) -> StoreSnapshot {
-        let ordering = Ordering::Relaxed;
-        // Copied out, not held: the pool's slot lock is taken below.
-        let map = self.runtime.map.pin().clone();
-        StoreSnapshot {
-            // Every slot the pool ever provisioned: retired slots keep
-            // their final counters, so scraped series end at their true
-            // values instead of freezing mid-interval or vanishing.
-            workers: self
-                .pool
-                .slots_view()
-                .into_iter()
-                .enumerate()
-                .map(|(i, (stats, live))| WorkerSnapshot {
-                    ops: stats.ops.load(ordering),
-                    batches: stats.batches.load(ordering),
-                    merged_ops: stats.merged_ops.load(ordering),
-                    scans: stats.scans_opened.load(ordering),
-                    scan_chunks: stats.scan_chunks.load(ordering),
-                    scan_resumes: stats.scan_resumes.load(ordering),
-                    active_scans: stats.scans_active.load(ordering),
-                    shards_owned: stats.shards_owned.load(ordering),
-                    handoffs_out: stats.handoffs_out.load(ordering),
-                    handoffs_in: stats.handoffs_in.load(ordering),
-                    stashed: stats.stashed.load(ordering),
-                    rerouted: stats.rerouted.load(ordering),
-                    parks: stats.parks.load(ordering),
-                    busy: stats.busy.busy(),
-                    io_overlap_saved: Duration::from_nanos(
-                        stats.io_overlap_saved_ns.load(ordering),
-                    ),
-                    // The ring's relaxed atomic counter — sampling never
-                    // locks or contends with the data path. A retired
-                    // slot reads 0: its ring is gone.
-                    queue_depth: map.depth_of(i),
-                    live,
-                })
-                .collect(),
-            shards: self
-                .runtime
-                .shard_stats
-                .iter()
-                .map(|s| ShardSnapshot {
-                    ops: s.ops.load(ordering),
-                    busy: Duration::from_nanos(s.busy_ns.load(ordering)),
-                    owner: s.owner.load(ordering),
-                })
-                .collect(),
-            migrations: self.runtime.migrations.load(ordering),
-            waiter_parks: self.runtime.map.waiter_parks.load(ordering),
-            uptime: timing::elapsed(self.opened),
-            mem_usage: self.runtime.engines.iter().map(|e| e.mem_usage()).sum(),
-        }
-    }
-
-    /// Mirrors `stats` and everything else that is not recorded inline —
-    /// engine-internal metrics, device counters, the obs subsystems' own
-    /// state — into the registry, then snapshots it.
-    fn render(&self, stats: &StoreSnapshot) -> MetricsSnapshot {
-        let reg = &self.registry;
-        for (i, w) in stats.workers.iter().enumerate() {
-            let id = i.to_string();
-            let l = |base: &str| labeled(base, &[("worker", &id)]);
-            reg.counter(&l("p2kvs_worker_ops_total")).store(w.ops);
-            reg.counter(&l("p2kvs_worker_batches_total"))
-                .store(w.batches);
-            reg.counter(&l("p2kvs_worker_merged_ops_total"))
-                .store(w.merged_ops);
-            reg.counter(&l("p2kvs_worker_scans_total")).store(w.scans);
-            reg.counter(&l("p2kvs_worker_scan_chunks_total"))
-                .store(w.scan_chunks);
-            reg.counter(&l("p2kvs_worker_scan_resumes_total"))
-                .store(w.scan_resumes);
-            reg.counter(&l("p2kvs_worker_handoffs_out_total"))
-                .store(w.handoffs_out);
-            reg.counter(&l("p2kvs_worker_handoffs_in_total"))
-                .store(w.handoffs_in);
-            reg.counter(&l("p2kvs_worker_stashed_total"))
-                .store(w.stashed);
-            reg.counter(&l("p2kvs_worker_rerouted_total"))
-                .store(w.rerouted);
-            reg.counter(&l("p2kvs_worker_parks_total")).store(w.parks);
-            reg.set_gauge(&l("p2kvs_active_scans"), w.active_scans as f64);
-            reg.set_gauge(&l("p2kvs_shards_owned"), w.shards_owned as f64);
-            reg.set_gauge(&l("p2kvs_worker_busy_seconds"), w.busy.as_secs_f64());
-            reg.set_gauge(
-                &l("p2kvs_worker_io_overlap_saved_seconds_total"),
-                w.io_overlap_saved.as_secs_f64(),
-            );
-            reg.set_gauge(&l("p2kvs_queue_depth"), w.queue_depth as f64);
-            reg.set_gauge(&l("p2kvs_worker_live"), if w.live { 1.0 } else { 0.0 });
-        }
-        for (s, shard) in stats.shards.iter().enumerate() {
-            let sh = s.to_string();
-            let l = |base: &str| labeled(base, &[("shard", &sh)]);
-            reg.counter(&l("p2kvs_shard_ops_total")).store(shard.ops);
-            reg.set_gauge(&l("p2kvs_shard_busy_seconds"), shard.busy.as_secs_f64());
-            reg.set_gauge(&l("p2kvs_shard_owner"), shard.owner as f64);
-        }
-        for (i, engine) in self.runtime.engines.iter().enumerate() {
-            let inst = i.to_string();
-            for (name, value) in engine.engine_metrics() {
-                reg.set_gauge(&labeled(&name, &[("instance", &inst)]), value);
-            }
-        }
-        let live = stats.workers.iter().filter(|w| w.live).count();
-        reg.set_gauge("p2kvs_workers", live as f64);
-        reg.set_gauge("p2kvs_shards", stats.shards.len() as f64);
-        reg.set_gauge("p2kvs_map_epoch", self.runtime.map.epoch() as f64);
-        reg.counter("p2kvs_migrations_total")
-            .store(stats.migrations);
-        reg.counter("p2kvs_waiter_parks_total")
-            .store(stats.waiter_parks);
-        reg.counter("p2kvs_handoffs_aborted_total")
-            .store(self.runtime.handoffs_aborted.load(Ordering::Relaxed));
-        reg.set_gauge("p2kvs_uptime_seconds", stats.uptime.as_secs_f64());
-        reg.set_gauge("p2kvs_mem_usage_bytes", stats.mem_usage as f64);
-        // Device-level counters mirrored from the storage env, so the
-        // whole stack — framework, engines, device — reads out of one
-        // registry (and one Prometheus scrape).
-        if let Some(env) = &self.runtime.env {
-            let io = env.io_stats();
-            reg.counter("p2kvs_device_bytes_written_total")
-                .store(io.bytes_written);
-            reg.counter("p2kvs_device_bytes_read_total")
-                .store(io.bytes_read);
-            reg.counter("p2kvs_device_write_ops_total")
-                .store(io.write_ops);
-            reg.counter("p2kvs_device_read_ops_total")
-                .store(io.read_ops);
-            reg.counter("p2kvs_device_syncs_total").store(io.syncs);
-            reg.counter("p2kvs_device_wal_bytes_total")
-                .store(io.wal_bytes);
-            reg.counter("p2kvs_device_flush_bytes_total")
-                .store(io.flush_bytes);
-            reg.counter("p2kvs_device_compaction_bytes_total")
-                .store(io.compaction_bytes);
-            reg.set_gauge("p2kvs_device_busy_seconds", io.busy_ns as f64 / 1e9);
-            if let Some(u) = env.device_utilization() {
-                reg.set_gauge("p2kvs_device_utilization", u);
-            }
-            // Per-submission-queue breakdown (multi-queue envs only):
-            // `p2kvs_device_q{q}_*` shows whether queue affinity actually
-            // spread WAL/flush/compaction traffic or one queue hogs the
-            // device (DESIGN.md §13).
-            let queues = env.queue_count();
-            if queues > 1 {
-                for (q, qs) in io.queues.iter().enumerate().take(queues) {
-                    reg.counter(&format!("p2kvs_device_q{q}_bytes_written_total"))
-                        .store(qs.bytes_written);
-                    reg.counter(&format!("p2kvs_device_q{q}_bytes_read_total"))
-                        .store(qs.bytes_read);
-                    reg.counter(&format!("p2kvs_device_q{q}_syncs_total"))
-                        .store(qs.syncs);
-                    reg.set_gauge(
-                        &format!("p2kvs_device_q{q}_busy_seconds"),
-                        qs.busy_ns as f64 / 1e9,
-                    );
-                }
-            }
-        }
-        reg.counter("p2kvs_trace_spans_total")
-            .store(self.runtime.spans.total_recorded());
-        if let Some(j) = &self.runtime.journal {
-            reg.counter("p2kvs_flight_records_total")
-                .store(j.last_seq());
-        }
-        if let Some(c) = &self.runtime.cache {
-            let s = c.counters();
-            reg.counter("p2kvs_cache_hits").store(s.hits);
-            reg.counter("p2kvs_cache_misses").store(s.misses);
-            reg.counter("p2kvs_cache_fills").store(s.fills);
-            reg.counter("p2kvs_cache_evictions").store(s.evictions);
-            reg.counter("p2kvs_cache_invalidations")
-                .store(s.invalidations);
-            reg.set_gauge("p2kvs_cache_bytes", s.bytes as f64);
-        }
-        reg.snapshot()
-    }
-}
-
 /// State shared between the public migration API and the background
 /// balancer tick. The mutex is the store's one *writer* lock: it
 /// serializes everything that publishes a routing snapshot (migrations,
@@ -372,11 +177,6 @@ struct BalanceShared<E: KvsEngine> {
     pool: Arc<WorkerPool>,
     scale: Option<ScalePolicy>,
     state: p2kvs_util::sync::Mutex<BalanceState>,
-    /// The previous cumulative per-shard busy-time sample, so each tick
-    /// rebalances on the load of the *last interval*, not all of
-    /// history. Written only under `state`; atomics so `introspect`
-    /// reads it without queueing behind a migration.
-    last_busy_ns: Vec<AtomicU64>,
 }
 
 /// The balancer's memory between ticks.
@@ -387,6 +187,10 @@ struct BalanceState {
     last_tick: Option<Instant>,
     /// Ticks to sit out before the next scale operation may fire.
     cooldown_left: u32,
+    /// The previous cumulative per-shard busy-time sample, so each tick
+    /// rebalances on the load of the *last interval*, not all of
+    /// history.
+    last_busy_ns: Vec<u64>,
 }
 
 /// Migrates ownership of `shard` to `target` through the epoch-fenced
@@ -459,10 +263,10 @@ fn rebalance_tick<E: KvsEngine>(b: &BalanceShared<E>) -> Result<usize> {
     let delta: Vec<u64> = rt
         .shard_stats
         .iter()
-        .zip(&b.last_busy_ns)
+        .zip(&mut st.last_busy_ns)
         .map(|(s, last)| {
             let now = s.busy_ns.load(Ordering::Relaxed);
-            now.saturating_sub(last.swap(now, Ordering::Relaxed))
+            now.saturating_sub(std::mem::replace(last, now))
         })
         .collect();
     let live = b.pool.live_ids();
@@ -531,78 +335,22 @@ fn scale_down_locked<E: KvsEngine>(rt: &Arc<ShardRuntime<E>>, pool: &WorkerPool)
     Ok(victim)
 }
 
-/// A live, structured view of the store's control plane — the shard
-/// map, every worker's ownership and load, the balancer's last
-/// interval, and the observability subsystems' own state. Cheap to
-/// take, and never waits behind a migration: a copy of the routing
-/// snapshot plus relaxed counter reads.
-#[derive(Debug, Clone)]
-pub struct StoreIntrospection {
-    /// Current shard-map epoch (bumps once per migration).
-    pub map_epoch: u64,
-    /// `shard → worker` assignment under the current map.
-    pub shard_owners: Vec<usize>,
-    /// Per-worker live view.
-    pub workers: Vec<WorkerView>,
-    /// Completed ownership migrations since open.
-    pub migrations: u64,
-    /// Blocking client calls that parked waiting for their reply.
-    pub waiter_parks: u64,
-    /// Whether the background balancer is running.
-    pub balancer_active: bool,
-    /// Per-shard busy-ns at the balancer's last sample (its decision
-    /// baseline).
-    pub last_sample_busy_ns: Vec<u64>,
-    /// Device service-capacity utilization, when the env models one.
-    pub device_utilization: Option<f64>,
-    /// Per shard, the engine's write-amplification ledger: its
-    /// `engine_*_bytes_written_total` series (user, WAL, MANIFEST, flush)
-    /// and the `level`-labeled rows of what each level's compactions took,
-    /// wrote and moved. Empty for an engine that exports none.
-    pub write_ledger: Vec<Vec<(String, f64)>>,
-    /// Spans recorded so far (head-sampled trees and tail-kept pairs).
-    pub trace_spans_recorded: u64,
-    /// Highest flight-recorder sequence number assigned.
-    pub flight_last_seq: u64,
-    /// Time since open.
-    pub uptime: Duration,
-}
-
-/// One worker's slice of [`StoreIntrospection`].
-#[derive(Debug, Clone)]
-pub struct WorkerView {
-    /// Worker (slot) index.
-    pub worker: usize,
-    /// Shards the current map assigns to this worker.
-    pub shards: Vec<usize>,
-    /// Requests currently queued.
-    pub queue_depth: usize,
-    /// Scan cursors currently parked on this worker.
-    pub active_scans: u64,
-    /// Cumulative useful processing time.
-    pub busy: Duration,
-    /// Device wait the worker did not pay because the shard groups of a
-    /// drained run overlapped their I/O (DESIGN.md §13.5).
-    pub io_overlap_saved: Duration,
-    /// Times the worker slept on an empty ring.
-    pub parks: u64,
-    /// Whether the slot currently runs a worker thread. Retired slots
-    /// stay in the view with their final counters.
-    pub live: bool,
-}
-
 /// A p2KVS store over engine type `E`.
 pub struct P2Kvs<E: KvsEngine> {
     // Declared before `pool` so the balancer stops before the workers
     // are joined on drop.
     balancer: Option<PeriodicTask>,
-    obs: Arc<ObsShared<E>>,
     balance: Arc<BalanceShared<E>>,
     runtime: Arc<ShardRuntime<E>>,
     pool: Arc<WorkerPool>,
     partitioner: Arc<dyn Partitioner>,
     txn: TxnManager,
     opts: P2KvsOptions,
+    /// Counters, gauges, and the queue-wait / service histograms the
+    /// workers record; [`P2Kvs::metrics_snapshot`] mirrors the rest in.
+    registry: Arc<MetricsRegistry>,
+    /// Where `snapshot().uptime` counts from.
+    opened: Instant,
     /// The store directory (backup streams the flight journal from it).
     dir: PathBuf,
     /// Monotone submission counter driving 1-in-N trace sampling.
@@ -836,13 +584,6 @@ impl<E: KvsEngine> P2Kvs<E> {
         for _ in 0..n {
             pool.spawn_into(&runtime);
         }
-        let opened = timing::now();
-        let obs = Arc::new(ObsShared {
-            registry,
-            runtime: runtime.clone(),
-            pool: pool.clone(),
-            opened,
-        });
         let balance = Arc::new(BalanceShared {
             runtime: runtime.clone(),
             pool: pool.clone(),
@@ -850,8 +591,8 @@ impl<E: KvsEngine> P2Kvs<E> {
             state: p2kvs_util::sync::Mutex::new(BalanceState {
                 last_tick: None,
                 cooldown_left: 0,
+                last_busy_ns: vec![0; shards],
             }),
-            last_busy_ns: (0..shards).map(|_| AtomicU64::new(0)).collect(),
         });
         let balancer = opts.balance_interval.map(|interval| {
             let b = balance.clone();
@@ -863,13 +604,14 @@ impl<E: KvsEngine> P2Kvs<E> {
         });
         Ok(P2Kvs {
             balancer,
-            obs,
             balance,
             runtime,
             pool,
             partitioner,
             txn,
             opts,
+            registry,
+            opened: timing::now(),
             dir,
             trace_seq: AtomicU64::new(0),
             recovered_flight,
@@ -1452,24 +1194,195 @@ impl<E: KvsEngine> P2Kvs<E> {
         Ok(store)
     }
 
-    /// Point-in-time statistics.
+    /// Point-in-time statistics: the one place the worker and shard
+    /// atomics are read. [`P2Kvs::metrics_snapshot`] renders its series
+    /// from this read, so the two never disagree about a counter they
+    /// share. Never waits behind a migration: a copy of the routing
+    /// snapshot plus relaxed counter reads.
     pub fn snapshot(&self) -> StoreSnapshot {
-        self.obs.read()
+        let ordering = Ordering::Relaxed;
+        // Copied out, not held: the pool's slot lock is taken below.
+        let map = self.runtime.map.pin().clone();
+        StoreSnapshot {
+            // Every slot the pool ever provisioned: retired slots keep
+            // their final counters, so scraped series end at their true
+            // values instead of freezing mid-interval or vanishing.
+            workers: self
+                .pool
+                .slots_view()
+                .into_iter()
+                .enumerate()
+                .map(|(i, (stats, live))| WorkerSnapshot {
+                    ops: stats.ops.load(ordering),
+                    batches: stats.batches.load(ordering),
+                    merged_ops: stats.merged_ops.load(ordering),
+                    scans: stats.scans_opened.load(ordering),
+                    scan_chunks: stats.scan_chunks.load(ordering),
+                    scan_resumes: stats.scan_resumes.load(ordering),
+                    active_scans: stats.scans_active.load(ordering),
+                    shards_owned: stats.shards_owned.load(ordering),
+                    handoffs_out: stats.handoffs_out.load(ordering),
+                    handoffs_in: stats.handoffs_in.load(ordering),
+                    stashed: stats.stashed.load(ordering),
+                    rerouted: stats.rerouted.load(ordering),
+                    parks: stats.parks.load(ordering),
+                    busy: stats.busy.busy(),
+                    io_overlap_saved: Duration::from_nanos(
+                        stats.io_overlap_saved_ns.load(ordering),
+                    ),
+                    // The ring's relaxed atomic counter — sampling never
+                    // locks or contends with the data path. A retired
+                    // slot reads 0: its ring is gone.
+                    queue_depth: map.depth_of(i),
+                    live,
+                })
+                .collect(),
+            shards: self
+                .runtime
+                .shard_stats
+                .iter()
+                .enumerate()
+                .map(|(i, s)| ShardSnapshot {
+                    ops: s.ops.load(ordering),
+                    busy: Duration::from_nanos(s.busy_ns.load(ordering)),
+                    owner: map.owner(i),
+                })
+                .collect(),
+            migrations: self.runtime.migrations.load(ordering),
+            waiter_parks: self.runtime.map.waiter_parks.load(ordering),
+            uptime: timing::elapsed(self.opened),
+            mem_usage: self.runtime.engines.iter().map(|e| e.mem_usage()).sum(),
+        }
     }
 
-    /// The metrics registry: counters, gauges, and the queue-wait /
-    /// service latency histograms recorded by the workers.
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.obs.registry
-    }
-
-    /// Full metrics snapshot: framework counters and histograms, live
-    /// queue-depth gauges, per-shard load/ownership gauges, and
-    /// per-instance engine metrics (`engine_*`), ready for
+    /// Full metrics snapshot: [`P2Kvs::snapshot`] mirrored into the
+    /// registry beside the queue-wait / service histograms the workers
+    /// record, plus everything that is not recorded inline —
+    /// per-instance engine metrics (`engine_*`), device counters, the
+    /// obs subsystems' own state — ready for
     /// [`MetricsSnapshot::render_prometheus`] /
     /// [`MetricsSnapshot::render_json`].
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.obs.render(&self.obs.read())
+        let stats = self.snapshot();
+        let reg = &self.registry;
+        for (i, w) in stats.workers.iter().enumerate() {
+            let id = i.to_string();
+            let l = |base: &str| labeled(base, &[("worker", &id)]);
+            reg.counter(&l("p2kvs_worker_ops_total")).store(w.ops);
+            reg.counter(&l("p2kvs_worker_batches_total"))
+                .store(w.batches);
+            reg.counter(&l("p2kvs_worker_merged_ops_total"))
+                .store(w.merged_ops);
+            reg.counter(&l("p2kvs_worker_scans_total")).store(w.scans);
+            reg.counter(&l("p2kvs_worker_scan_chunks_total"))
+                .store(w.scan_chunks);
+            reg.counter(&l("p2kvs_worker_scan_resumes_total"))
+                .store(w.scan_resumes);
+            reg.counter(&l("p2kvs_worker_handoffs_out_total"))
+                .store(w.handoffs_out);
+            reg.counter(&l("p2kvs_worker_handoffs_in_total"))
+                .store(w.handoffs_in);
+            reg.counter(&l("p2kvs_worker_stashed_total"))
+                .store(w.stashed);
+            reg.counter(&l("p2kvs_worker_rerouted_total"))
+                .store(w.rerouted);
+            reg.counter(&l("p2kvs_worker_parks_total")).store(w.parks);
+            reg.set_gauge(&l("p2kvs_active_scans"), w.active_scans as f64);
+            reg.set_gauge(&l("p2kvs_shards_owned"), w.shards_owned as f64);
+            reg.set_gauge(&l("p2kvs_worker_busy_seconds"), w.busy.as_secs_f64());
+            reg.set_gauge(
+                &l("p2kvs_worker_io_overlap_saved_seconds_total"),
+                w.io_overlap_saved.as_secs_f64(),
+            );
+            reg.set_gauge(&l("p2kvs_queue_depth"), w.queue_depth as f64);
+            reg.set_gauge(&l("p2kvs_worker_live"), if w.live { 1.0 } else { 0.0 });
+        }
+        for (s, shard) in stats.shards.iter().enumerate() {
+            let sh = s.to_string();
+            let l = |base: &str| labeled(base, &[("shard", &sh)]);
+            reg.counter(&l("p2kvs_shard_ops_total")).store(shard.ops);
+            reg.set_gauge(&l("p2kvs_shard_busy_seconds"), shard.busy.as_secs_f64());
+            reg.set_gauge(&l("p2kvs_shard_owner"), shard.owner as f64);
+        }
+        for (i, engine) in self.runtime.engines.iter().enumerate() {
+            let inst = i.to_string();
+            for (name, value) in engine.engine_metrics() {
+                reg.set_gauge(&labeled(&name, &[("instance", &inst)]), value);
+            }
+        }
+        let live = stats.workers.iter().filter(|w| w.live).count();
+        reg.set_gauge("p2kvs_workers", live as f64);
+        reg.set_gauge("p2kvs_shards", stats.shards.len() as f64);
+        reg.set_gauge("p2kvs_map_epoch", self.runtime.map.epoch() as f64);
+        reg.counter("p2kvs_migrations_total")
+            .store(stats.migrations);
+        reg.counter("p2kvs_waiter_parks_total")
+            .store(stats.waiter_parks);
+        reg.counter("p2kvs_handoffs_aborted_total")
+            .store(self.runtime.handoffs_aborted.load(Ordering::Relaxed));
+        reg.set_gauge("p2kvs_uptime_seconds", stats.uptime.as_secs_f64());
+        reg.set_gauge("p2kvs_mem_usage_bytes", stats.mem_usage as f64);
+        // Device-level counters mirrored from the storage env, so the
+        // whole stack — framework, engines, device — reads out of one
+        // registry (and one Prometheus scrape).
+        if let Some(env) = &self.runtime.env {
+            let io = env.io_stats();
+            reg.counter("p2kvs_device_bytes_written_total")
+                .store(io.bytes_written);
+            reg.counter("p2kvs_device_bytes_read_total")
+                .store(io.bytes_read);
+            reg.counter("p2kvs_device_write_ops_total")
+                .store(io.write_ops);
+            reg.counter("p2kvs_device_read_ops_total")
+                .store(io.read_ops);
+            reg.counter("p2kvs_device_syncs_total").store(io.syncs);
+            reg.counter("p2kvs_device_wal_bytes_total")
+                .store(io.wal_bytes);
+            reg.counter("p2kvs_device_flush_bytes_total")
+                .store(io.flush_bytes);
+            reg.counter("p2kvs_device_compaction_bytes_total")
+                .store(io.compaction_bytes);
+            reg.set_gauge("p2kvs_device_busy_seconds", io.busy_ns as f64 / 1e9);
+            if let Some(u) = env.device_utilization() {
+                reg.set_gauge("p2kvs_device_utilization", u);
+            }
+            // Per-submission-queue breakdown (multi-queue envs only):
+            // `p2kvs_device_q{q}_*` shows whether queue affinity actually
+            // spread WAL/flush/compaction traffic or one queue hogs the
+            // device (DESIGN.md §13).
+            let queues = env.queue_count();
+            if queues > 1 {
+                for (q, qs) in io.queues.iter().enumerate().take(queues) {
+                    reg.counter(&format!("p2kvs_device_q{q}_bytes_written_total"))
+                        .store(qs.bytes_written);
+                    reg.counter(&format!("p2kvs_device_q{q}_bytes_read_total"))
+                        .store(qs.bytes_read);
+                    reg.counter(&format!("p2kvs_device_q{q}_syncs_total"))
+                        .store(qs.syncs);
+                    reg.set_gauge(
+                        &format!("p2kvs_device_q{q}_busy_seconds"),
+                        qs.busy_ns as f64 / 1e9,
+                    );
+                }
+            }
+        }
+        reg.counter("p2kvs_trace_spans_total")
+            .store(self.runtime.spans.total_recorded());
+        if let Some(j) = &self.runtime.journal {
+            reg.counter("p2kvs_flight_records_total")
+                .store(j.last_seq());
+        }
+        if let Some(c) = &self.runtime.cache {
+            let s = c.counters();
+            reg.counter("p2kvs_cache_hits").store(s.hits);
+            reg.counter("p2kvs_cache_misses").store(s.misses);
+            reg.counter("p2kvs_cache_fills").store(s.fills);
+            reg.counter("p2kvs_cache_evictions").store(s.evictions);
+            reg.counter("p2kvs_cache_invalidations")
+                .store(s.invalidations);
+            reg.set_gauge("p2kvs_cache_bytes", s.bytes as f64);
+        }
+        reg.snapshot()
     }
 
     /// Completed spans, sorted by start time. Each head-sampled request
@@ -1513,68 +1426,6 @@ impl<E: KvsEngine> P2Kvs<E> {
     /// incarnation's journal, surviving crash (minus a torn tail).
     pub fn recovered_flight_records(&self) -> &[JournalRecord] {
         &self.recovered_flight
-    }
-
-    /// A live, structured control-plane view: shard map + epoch,
-    /// per-worker shard sets, queue depths and active scans, balancer
-    /// state, and device utilization.
-    pub fn introspect(&self) -> StoreIntrospection {
-        // Copied out, not held: a routing pin spans nothing but a push.
-        let map = self.runtime.map.pin().clone();
-        let stats = self.obs.read();
-        StoreIntrospection {
-            map_epoch: map.epoch(),
-            shard_owners: (0..map.shards()).map(|s| map.owner(s)).collect(),
-            workers: stats
-                .workers
-                .iter()
-                .enumerate()
-                .map(|(i, w)| WorkerView {
-                    worker: i,
-                    shards: map.shards_of(i),
-                    queue_depth: w.queue_depth,
-                    active_scans: w.active_scans,
-                    busy: w.busy,
-                    io_overlap_saved: w.io_overlap_saved,
-                    parks: w.parks,
-                    live: w.live,
-                })
-                .collect(),
-            migrations: stats.migrations,
-            waiter_parks: stats.waiter_parks,
-            balancer_active: self.balancer.is_some(),
-            last_sample_busy_ns: self
-                .balance
-                .last_busy_ns
-                .iter()
-                .map(|ns| ns.load(Ordering::Relaxed))
-                .collect(),
-            device_utilization: self
-                .runtime
-                .env
-                .as_ref()
-                .and_then(|e| e.device_utilization()),
-            write_ledger: self
-                .runtime
-                .engines
-                .iter()
-                .map(|e| {
-                    let mut rows = e.engine_metrics();
-                    rows.retain(|(n, _)| {
-                        n.contains("bytes_written_total") || n.contains("{level=")
-                    });
-                    rows
-                })
-                .collect(),
-            trace_spans_recorded: self.runtime.spans.total_recorded(),
-            flight_last_seq: self
-                .runtime
-                .journal
-                .as_ref()
-                .map(|j| j.last_seq())
-                .unwrap_or(0),
-            uptime: stats.uptime,
-        }
     }
 
     /// Framework options in effect.
@@ -2293,11 +2144,12 @@ mod tests {
         assert_eq!(store.workers(), 1, "idle pool converges on min_workers");
         assert_eq!(store.get(b"k").unwrap().as_deref(), Some(&b"v"[..]));
         let retired: Vec<_> = store
-            .introspect()
+            .snapshot()
             .workers
             .iter()
-            .filter(|w| !w.live)
-            .map(|w| w.worker)
+            .enumerate()
+            .filter(|(_, w)| !w.live)
+            .map(|(i, _)| i)
             .collect();
         assert_eq!(retired, vec![1, 2], "highest ids retire first");
     }

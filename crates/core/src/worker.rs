@@ -117,18 +117,6 @@ pub struct WorkerStats {
     pub io_overlap_saved_ns: AtomicU64,
 }
 
-impl WorkerStats {
-    /// Mean requests (in keys) per engine call.
-    pub fn avg_batch_size(&self) -> f64 {
-        let b = self.batches.load(Ordering::Relaxed);
-        if b == 0 {
-            0.0
-        } else {
-            self.ops.load(Ordering::Relaxed) as f64 / b as f64
-        }
-    }
-}
-
 /// Per-worker configuration (split out of the spawn signature).
 #[derive(Debug, Clone, Copy)]
 pub struct WorkerConfig {
@@ -426,11 +414,6 @@ impl<E: KvsEngine> WorkerLoop<E> {
         stats
             .shards_owned
             .store(owned.len() as u64, Ordering::Relaxed);
-        for sh in owned.keys() {
-            rt.shard_stats[*sh as usize]
-                .owner
-                .store(windex, Ordering::Relaxed);
-        }
         let overlap = rt
             .env
             .as_ref()
@@ -650,9 +633,6 @@ impl<E: KvsEngine> WorkerLoop<E> {
         stats
             .shards_owned
             .store(self.owned.len() as u64, Ordering::Relaxed);
-        rt.shard_stats[shard as usize]
-            .owner
-            .store(self.windex, Ordering::Relaxed);
         for req in self.stash.remove(&shard).into_iter().flatten() {
             self.group.push(req);
             self.run_group(shard);
@@ -1647,11 +1627,9 @@ mod tests {
         }
         let stats = &worker.stats;
         assert_eq!(stats.ops.load(Ordering::Relaxed), 100);
-        assert!(
-            stats.batches.load(Ordering::Relaxed) <= 100,
-            "some batching expected"
-        );
-        assert!(stats.avg_batch_size() >= 1.0);
+        // At least one request per engine call.
+        let batches = stats.batches.load(Ordering::Relaxed);
+        assert!((1..=100).contains(&batches), "some batching expected");
     }
 
     /// One scan chunk: its entries and the continuation cursor (if any).

@@ -20,27 +20,38 @@ fn open_lsm(workers: usize) -> P2Kvs<lsmkv::Db> {
 }
 
 /// Waits until the workers have observed `requests` requests. A worker
-/// records a group — busy time, per-shard load, kept spans, then the
-/// lifecycle histograms, in that order — *after* acking it, so once the
-/// histograms count every request the store's counters are at rest.
+/// records a group — busy time, per-shard load, kept spans, the slow
+/// counter, then the lifecycle histograms, in that order — *after*
+/// acking it, so once the histograms count every request the store's
+/// counters are at rest. Both families are checked: a snapshot reads
+/// `p2kvs_queue_wait_ns` before `p2kvs_service_ns`, while a worker
+/// records each request's wait before its service. The snapshot that
+/// first counts them all read every other series before its histograms,
+/// so a fresh one is returned.
 fn wait_observed<E: KvsEngine>(store: &P2Kvs<E>, requests: u64) -> MetricsSnapshot {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     loop {
         let snap = store.metrics_snapshot();
-        let observed: u64 = snap
-            .histograms_of("p2kvs_service_ns")
-            .iter()
-            .map(|(_, h)| h.count)
-            .sum();
-        if observed == requests {
-            return snap;
+        let counted =
+            |base: &str| -> u64 { snap.histograms_of(base).iter().map(|(_, h)| h.count).sum() };
+        let (waits, services) = (counted("p2kvs_queue_wait_ns"), counted("p2kvs_service_ns"));
+        if waits == requests && services == requests {
+            return store.metrics_snapshot();
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "workers observed {observed} of {requests} requests"
+            "workers observed {waits} waits and {services} services of {requests} requests"
         );
         std::thread::yield_now();
     }
+}
+
+/// The flight recorder's highest sequence number so far.
+fn flight_seq<E: KvsEngine>(store: &P2Kvs<E>) -> u64 {
+    store
+        .metrics_snapshot()
+        .counter("p2kvs_flight_records_total")
+        .unwrap()
 }
 
 /// Waits for the fire-and-forget `ScanClose` requests issued when an
@@ -335,7 +346,7 @@ fn the_flight_journal_records_resumed_cursors_only() {
     };
     // A one-shot scan: 8 cursors opened, parked, closed — none resumed,
     // none journaled, all counted.
-    let seq = store.introspect().flight_last_seq;
+    let seq = flight_seq(&store);
     let (scans, _) = scan_counters(&store);
     assert_eq!(store.scan(b"key00100", 50).unwrap().len(), 50);
     wait_no_active_scans(&store);
@@ -346,7 +357,7 @@ fn the_flight_journal_records_resumed_cursors_only() {
     // drained to the end: each resumed cursor leaves one open and one
     // close, whichever way it ended.
     for pull in [10 * SCAN_CHUNK_ENTRIES, usize::MAX] {
-        let seq = store.introspect().flight_last_seq;
+        let seq = flight_seq(&store);
         let (_, resumes) = scan_counters(&store);
         let pulled = store.iter().unwrap().take(pull).count();
         assert_eq!(pulled, pull.min(n));
@@ -1115,7 +1126,7 @@ fn metrics_snapshot_covers_lifecycle_engines_and_renders() {
 }
 
 #[test]
-fn write_ledger_rows_reach_the_registry_introspection_and_the_journal() {
+fn write_ledger_rows_reach_the_registry_and_the_journal() {
     // A tree small enough that every shard compacts through three levels:
     // multi-file jobs, and moves wherever a level is first filled.
     let mut engine = lsmkv::Options::for_test();
@@ -1135,8 +1146,6 @@ fn write_ledger_rows_reach_the_registry_introspection_and_the_journal() {
     }
 
     let snap = store.metrics_snapshot();
-    let view = store.introspect();
-    assert_eq!(view.write_ledger.len(), 4);
     let mut moved_bytes = 0.0;
     for shard in 0..4 {
         let gauge = |name: &str, level: usize| {
@@ -1164,26 +1173,19 @@ fn write_ledger_rows_reach_the_registry_introspection_and_the_journal() {
         moved_bytes += (1..3)
             .map(|l| gauge("engine_level_bytes_moved_total", l))
             .sum::<f64>();
-        // The same rows, per shard, in the introspection view.
-        let rows = &view.write_ledger[shard];
+        // Every ledger row, labeled with its shard.
         for name in [
-            "engine_user_bytes_written_total",
-            "engine_wal_bytes_written_total",
-            "engine_manifest_bytes_written_total",
-            "engine_flush_bytes_written_total",
-            "engine_level_bytes_written_total{level=\"0\"}",
-            "engine_level_bytes_overlapped_total{level=\"1\"}",
-            "engine_level_files_moved_total{level=\"2\"}",
+            "engine_user_bytes_written_total{",
+            "engine_wal_bytes_written_total{",
+            "engine_manifest_bytes_written_total{",
+            "engine_flush_bytes_written_total{",
+            "engine_level_bytes_written_total{level=\"0\",",
+            "engine_level_bytes_overlapped_total{level=\"1\",",
+            "engine_level_files_moved_total{level=\"2\",",
         ] {
-            assert!(
-                rows.iter().any(|(n, v)| n == name && *v >= 0.0),
-                "shard {shard}: {name}"
-            );
+            let series = format!("{name}instance=\"{shard}\"}}");
+            assert!(snap.gauge(&series).is_some_and(|v| v >= 0.0), "{series}");
         }
-        assert!(
-            rows.iter().all(|(n, _)| !n.ends_with("_us")),
-            "only the ledger's series"
-        );
     }
     assert!(moved_bytes > 0.0, "a first fill of L2 and L3 moves files");
     // A move is journaled as a move, with the bytes it moved.
@@ -1405,7 +1407,7 @@ fn background_balancer_runs_and_stops() {
 }
 
 // ---------------------------------------------------------------------
-// Causal tracing, the flight recorder, and live introspection
+// Causal tracing, the flight recorder, and the store's live state
 // ---------------------------------------------------------------------
 
 #[test]
@@ -1580,16 +1582,17 @@ fn tail_sampling_keeps_the_spans_of_every_slow_group() {
     }
     let keys: Vec<Vec<u8>> = (0..64).map(|i| format!("s{i:03}").into_bytes()).collect();
     store.get_many(&keys).unwrap();
-    let groups: u64 = store.snapshot().workers.iter().map(|w| w.batches).sum();
-    // 100 blocking puts are 100 groups; the 64 keys add one ring entry
-    // (and at most one group) per shard they touch.
-    assert!(groups > 100);
     let part = p2kvs::HashPartitioner::new(store.shards());
     let touched: std::collections::HashSet<usize> = keys
         .iter()
         .map(|k| p2kvs::Partitioner::shard_of(&part, k))
         .collect();
     let snap = wait_observed(&store, 100 + touched.len() as u64);
+    // Read at rest: a worker finishes a group's bookkeeping after the ack.
+    let groups: u64 = store.snapshot().workers.iter().map(|w| w.batches).sum();
+    // 100 blocking puts are 100 groups; the 64 keys add one ring entry
+    // (and at most one group) per shard they touch.
+    assert!(groups > 100);
     assert_eq!(snap.counter("p2kvs_slow_requests_total"), Some(groups));
 
     let spans = store.trace_spans();
@@ -1637,8 +1640,8 @@ fn tail_sampling_keeps_the_spans_of_every_slow_group() {
 }
 
 #[test]
-fn snapshot_metrics_and_introspection_agree_on_a_quiesced_store() {
-    // One read of the worker and shard atomics, three renderings. With
+fn snapshot_and_metrics_agree_on_a_quiesced_store() {
+    // One read of the worker and shard atomics, two renderings. With
     // `batch_max = 1` every group is one request, so the busy clocks
     // and the service histograms must also add up to the same
     // nanosecond: all of them come from one pair of stamps per group.
@@ -1655,7 +1658,7 @@ fn snapshot_metrics_and_introspection_agree_on_a_quiesced_store() {
     wait_observed(&store, 300);
     let metrics = store.metrics_snapshot();
     let stats = store.snapshot();
-    let view = store.introspect();
+    let owners = store.shard_owners();
     assert_eq!(stats.workers.len(), 3);
     assert_eq!(stats.total_ops(), 300);
     for (i, w) in stats.workers.iter().enumerate() {
@@ -1672,12 +1675,19 @@ fn snapshot_metrics_and_introspection_agree_on_a_quiesced_store() {
             metrics.gauge(&series("p2kvs_worker_busy_seconds")),
             Some(w.busy.as_secs_f64())
         );
-        let v = &view.workers[i];
         assert_eq!(
-            (v.worker, v.busy, v.queue_depth, v.active_scans, v.live),
-            (i, w.busy, w.queue_depth, w.active_scans, w.live)
+            metrics.gauge(&series("p2kvs_queue_depth")),
+            Some(w.queue_depth as f64)
         );
-        assert_eq!(v.shards.len() as u64, w.shards_owned);
+        assert_eq!(
+            metrics.gauge(&series("p2kvs_active_scans")),
+            Some(w.active_scans as f64)
+        );
+        assert_eq!(metrics.gauge(&series("p2kvs_worker_live")), Some(1.0));
+        assert!(w.live);
+        // What the worker says it owns is what the map assigns it.
+        let mapped = owners.iter().filter(|&&o| o == i).count();
+        assert_eq!(mapped as u64, w.shards_owned);
     }
     for (s, shard) in stats.shards.iter().enumerate() {
         let series = |base: &str| format!("{base}{{shard=\"{s}\"}}");
@@ -1689,9 +1699,13 @@ fn snapshot_metrics_and_introspection_agree_on_a_quiesced_store() {
             metrics.gauge(&series("p2kvs_shard_busy_seconds")),
             Some(shard.busy.as_secs_f64())
         );
-        assert_eq!(view.shard_owners[s], shard.owner);
+        assert_eq!(owners[s], shard.owner);
     }
-    assert_eq!(view.migrations, stats.migrations);
+    assert_eq!(store.migrations(), stats.migrations);
+    assert_eq!(
+        metrics.counter("p2kvs_migrations_total"),
+        Some(stats.migrations)
+    );
     let worker_busy: u128 = stats.workers.iter().map(|w| w.busy.as_nanos()).sum();
     let shard_busy: u128 = stats.shards.iter().map(|s| s.busy.as_nanos()).sum();
     let service: u128 = metrics
@@ -1706,49 +1720,57 @@ fn snapshot_metrics_and_introspection_agree_on_a_quiesced_store() {
 }
 
 #[test]
-fn introspection_reports_map_and_worker_state() {
+fn map_snapshot_and_metrics_report_ownership() {
     let opts = P2KvsOptions::paper_layout(2);
     let store = P2Kvs::open(lsm_factory(), "p2-intro", opts).unwrap();
     for i in 0..100 {
         store.put(format!("i{i}").as_bytes(), b"v").unwrap();
     }
-    let view = store.introspect();
-    assert_eq!(view.shard_owners, vec![0, 1]);
-    assert_eq!(view.workers.len(), 2);
-    assert_eq!(view.workers[0].shards, vec![0]);
-    assert_eq!(view.workers[1].shards, vec![1]);
-    assert!(!view.balancer_active);
-    assert_eq!(view.migrations, 0);
-    let epoch0 = view.map_epoch;
+    let owned = |stats: &p2kvs::stats::StoreSnapshot| -> Vec<u64> {
+        stats.workers.iter().map(|w| w.shards_owned).collect()
+    };
+    let owners = |stats: &p2kvs::stats::StoreSnapshot| -> Vec<usize> {
+        stats.shards.iter().map(|s| s.owner).collect()
+    };
+    assert_eq!(store.shard_owners(), vec![0, 1]);
+    let stats = store.snapshot();
+    assert_eq!(stats.workers.len(), 2);
+    assert_eq!(owners(&stats), vec![0, 1]);
+    assert_eq!(owned(&stats), vec![1, 1]);
+    assert!(store.options().balance_interval.is_none());
+    assert_eq!(stats.migrations, 0);
+    let epoch0 = store.map_epoch();
     store.migrate_shard(0, 1).unwrap();
-    let view = store.introspect();
     assert_eq!(
-        view.shard_owners,
+        store.shard_owners(),
         vec![1, 1],
         "the map reflects the migration"
     );
-    assert!(view.map_epoch > epoch0, "migration bumps the epoch");
-    assert_eq!(view.workers[0].shards, Vec::<usize>::new());
-    assert_eq!(view.workers[1].shards, vec![0, 1]);
-    assert_eq!(view.migrations, 1);
+    assert!(store.map_epoch() > epoch0, "migration bumps the epoch");
+    let stats = store.snapshot();
+    assert_eq!(owners(&stats), vec![1, 1]);
+    assert_eq!(owned(&stats), vec![0, 2]);
+    assert_eq!(stats.migrations, 1);
+    let metrics = store.metrics_snapshot();
     assert!(
-        view.flight_last_seq > 0,
+        metrics.counter("p2kvs_flight_records_total").unwrap() > 0,
         "the flight recorder saw the handoff"
     );
     assert!(
-        view.trace_spans_recorded > 0,
+        metrics.counter("p2kvs_trace_spans_total").unwrap() > 0,
         "default sampling recorded spans"
     );
     store.close();
 }
 
 #[test]
-fn introspect_never_waits_on_a_migration_or_a_resize() {
-    // Regression: `introspect` used to take the balancer state lock
+fn snapshot_reads_never_wait_on_a_migration_or_a_resize() {
+    // Regression: a store read used to take the balancer state lock
     // while holding a map pin, and a migration holds that lock while it
     // waits for every pin to drop — one poller against one migrator
-    // deadlocked the store within a second. A watchdog fails the test
-    // instead of hanging it.
+    // deadlocked the store within a second. The poller alternates the
+    // two reads the store offers; a watchdog fails the test instead of
+    // hanging it.
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::mpsc;
     use std::time::Duration;
@@ -1765,9 +1787,12 @@ fn introspect_never_waits_on_a_migration_or_a_resize() {
         std::thread::spawn(move || {
             let mut polls = 0u64;
             while !stop.load(Ordering::Relaxed) {
-                let view = store.introspect();
-                assert_eq!(view.shard_owners.len(), SHARDS);
-                assert_eq!(view.last_sample_busy_ns.len(), SHARDS);
+                if polls.is_multiple_of(2) {
+                    assert_eq!(store.snapshot().shards.len(), SHARDS);
+                } else {
+                    let metrics = store.metrics_snapshot();
+                    assert_eq!(metrics.gauge("p2kvs_shards"), Some(SHARDS as f64));
+                }
                 polls += 1;
             }
             finished.send("poller").unwrap();
@@ -1800,18 +1825,92 @@ fn introspect_never_waits_on_a_migration_or_a_resize() {
     for _ in 0..2 {
         watchdog
             .recv_timeout(Duration::from_secs(30))
-            .expect("migrate × scale × introspect did not finish in 30 s: deadlock");
+            .expect("migrate × scale × read did not finish in 30 s: deadlock");
     }
     stop.store(true, Ordering::Relaxed);
     watchdog
         .recv_timeout(Duration::from_secs(30))
-        .expect("the introspect poller is stuck");
+        .expect("the snapshot poller is stuck");
     migrator.join().unwrap();
     scaler.join().unwrap();
-    assert!(poller.join().unwrap() > 0);
-    let view = store.introspect();
-    assert!(view.migrations > 0, "no migration ever ran");
-    assert!(view.workers.iter().filter(|w| w.live).count() >= 1);
+    assert!(poller.join().unwrap() > 1, "both reads were polled");
+    let stats = store.snapshot();
+    assert!(stats.migrations > 0, "no migration ever ran");
+    assert!(stats.workers.iter().filter(|w| w.live).count() >= 1);
+}
+
+/// A series' documented name: labels stripped, a submission queue's
+/// index folded (`p2kvs_device_q3_syncs_total` → `p2kvs_device_q{q}_syncs_total`).
+fn documented_name(series: &str) -> String {
+    let base = series.split('{').next().unwrap();
+    match base
+        .strip_prefix("p2kvs_device_q")
+        .and_then(|rest| rest.split_once('_'))
+    {
+        Some((q, tail)) if !q.is_empty() && q.bytes().all(|b| b.is_ascii_digit()) => {
+            format!("p2kvs_device_q{{q}}_{tail}")
+        }
+        _ => base.to_string(),
+    }
+}
+
+#[test]
+fn the_readme_metric_table_lists_exactly_the_rendered_series() {
+    use p2kvs_storage::{DeviceProfile, SimEnv};
+    use std::collections::BTreeSet;
+    // Every subsystem that renders series: the read cache, the flight
+    // recorder, a two-queue device, a scan and a migration.
+    let env: EnvRef = Arc::new(SimEnv::with_profile(
+        DeviceProfile::instant().with_queues(2),
+    ));
+    let mut opts = P2KvsOptions::with_workers(2);
+    opts.shards = 4;
+    assert!(opts.cache_capacity > 0 && opts.flight_recorder);
+    let factory = LsmFactory::new(lsmkv::Options::rocksdb_like(env));
+    let store = P2Kvs::open(factory, "p2-catalog", opts).unwrap();
+    for i in 0..200 {
+        store.put(format!("c{i:03}").as_bytes(), b"v").unwrap();
+    }
+    for i in 0..200 {
+        assert!(store.get(format!("c{i:03}").as_bytes()).unwrap().is_some());
+    }
+    assert_eq!(store.scan(b"c", 50).unwrap().len(), 50);
+    store.migrate_shard(0, 1).unwrap();
+    let snap = store.metrics_snapshot();
+    let rendered: BTreeSet<String> = snap
+        .counters
+        .iter()
+        .map(|(n, _)| n)
+        .chain(snap.gauges.iter().map(|(n, _)| n))
+        .chain(snap.histograms.iter().map(|(n, _)| n))
+        .filter(|n| n.starts_with("p2kvs_"))
+        .map(|n| documented_name(n))
+        .collect();
+    // Every `p2kvs_*` name in backticks in the tables of README's
+    // Observability section; a wildcard documents nothing.
+    let readme = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"));
+    let section = readme
+        .split("\n## Observability\n")
+        .nth(1)
+        .expect("README has an Observability section")
+        .split("\n#")
+        .next()
+        .unwrap();
+    let documented: BTreeSet<String> = section
+        .lines()
+        .filter(|l| l.starts_with('|'))
+        .flat_map(|l| l.split('`').skip(1).step_by(2))
+        .filter(|t| t.starts_with("p2kvs_"))
+        .map(str::to_string)
+        .collect();
+    let undocumented: Vec<_> = rendered.difference(&documented).collect();
+    let unrendered: Vec<_> = documented.difference(&rendered).collect();
+    assert!(
+        undocumented.is_empty() && unrendered.is_empty(),
+        "rendered but not in README's table: {undocumented:?}; \
+         in the table but never rendered: {unrendered:?}"
+    );
+    store.close();
 }
 
 #[test]
@@ -2251,7 +2350,7 @@ fn a_worker_overlaps_the_reads_of_the_shards_in_one_drained_run() {
         shard_busy >= CALLS * READ - READ / 2,
         "shard busy {shard_busy:?}"
     );
-    // The saving is exported and introspectable.
+    // The saving is exported, and the snapshot holds it at rest.
     let total = after.workers[0].io_overlap_saved;
     assert_eq!(
         store
@@ -2259,7 +2358,7 @@ fn a_worker_overlaps_the_reads_of_the_shards_in_one_drained_run() {
             .gauge("p2kvs_worker_io_overlap_saved_seconds_total{worker=\"0\"}"),
         Some(total.as_secs_f64())
     );
-    assert_eq!(store.introspect().workers[0].io_overlap_saved, total);
+    assert_eq!(store.snapshot().workers[0].io_overlap_saved, total);
 }
 
 #[test]

@@ -117,15 +117,21 @@ fn quick_calls_park_nobody_and_an_idle_store_sleeps() {
             "{worker_parks} worker parks, {} waiter parks",
             waiters_after - waiters
         );
-        let text = store.metrics_snapshot().render_prometheus();
+        let metrics = store.metrics_snapshot();
+        let text = metrics.render_prometheus();
         assert!(
             text.contains("p2kvs_worker_parks_total{worker=\"0\"}"),
             "{text}"
         );
         assert!(text.contains("p2kvs_waiter_parks_total"), "{text}");
-        let view = store.introspect();
-        assert_eq!(view.waiter_parks, waiters_after);
-        assert_eq!(view.workers[0].parks, workers_after[0]);
+        assert_eq!(
+            metrics.counter("p2kvs_waiter_parks_total"),
+            Some(waiters_after)
+        );
+        assert_eq!(
+            metrics.counter("p2kvs_worker_parks_total{worker=\"0\"}"),
+            Some(workers_after[0])
+        );
 
         // `put_async` is a pipeline: when the ring runs dry nobody is a
         // turnaround away, so the worker parks at once and this caller,

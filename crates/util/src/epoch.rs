@@ -215,7 +215,7 @@ pub fn try_collect() -> usize {
     freed.len()
 }
 
-/// Items currently parked in limbo (tests and introspection).
+/// Items currently parked in limbo (tests and diagnostics).
 pub fn pending() -> usize {
     LIMBO.lock().expect("epoch limbo poisoned").len()
 }

@@ -1,7 +1,7 @@
 //! Causal tracing demo: sample every request, then render the slowest
 //! request's span tree — queue-wait, OBM batch membership, the engine
 //! call with its WAL/memtable/read phases, and simulated device I/O —
-//! alongside the live introspection snapshot and the flight recorder's
+//! alongside the store's live snapshot and the flight recorder's
 //! recent control-plane history. Finishes by writing the whole capture
 //! as Chrome-trace JSON for ui.perfetto.dev.
 //!
@@ -87,17 +87,24 @@ fn main() {
         );
     }
 
-    // --- Live introspection ----------------------------------------------
-    let view = store.introspect();
-    println!("\n===== introspect() =====");
+    // --- Live state: the map, the snapshot, the metrics ------------------
+    let stats = store.snapshot();
+    let metrics = store.metrics_snapshot();
+    let counter = |name: &str| metrics.counter(name).unwrap_or(0);
+    println!("\n===== snapshot() and metrics_snapshot() =====");
     println!(
         "map epoch {} | {} migrations | {} spans recorded | journal seq {}",
-        view.map_epoch, view.migrations, view.trace_spans_recorded, view.flight_last_seq
+        store.map_epoch(),
+        stats.migrations,
+        counter("p2kvs_trace_spans_total"),
+        counter("p2kvs_flight_records_total")
     );
-    for w in &view.workers {
+    let owners = store.shard_owners();
+    for (i, w) in stats.workers.iter().enumerate() {
+        let shards: Vec<usize> = (0..owners.len()).filter(|&s| owners[s] == i).collect();
         println!(
-            "worker {}: shards {:?}, queue depth {}, active scans {}",
-            w.worker, w.shards, w.queue_depth, w.active_scans
+            "worker {i}: shards {shards:?}, queue depth {}, active scans {}",
+            w.queue_depth, w.active_scans
         );
     }
 
