@@ -1084,6 +1084,17 @@ fn metrics_snapshot_covers_lifecycle_engines_and_renders() {
         "WAL component of the write breakdown must be non-zero"
     );
     assert!(snap.gauge("engine_writes_total{instance=\"0\"}").is_some());
+    // And its read side: every key read sits in its shard's memtable, so
+    // no memtable filter ruled one out.
+    let skips: f64 = (0..4)
+        .map(|i| {
+            snap.gauge(&format!(
+                "engine_memtable_filter_skips_total{{instance=\"{i}\"}}"
+            ))
+            .unwrap()
+        })
+        .sum();
+    assert_eq!(skips, 0.0);
 
     // Every group was slow and kept its spans.
     assert!(snap.counter("p2kvs_slow_requests_total").unwrap() > 0);
@@ -2470,21 +2481,29 @@ fn scan_txn_and_backup_answer_alike_with_and_without_overlapped_runs() {
         let range = store.range(b"ov-10", b"ov-40").unwrap();
         store.get(&keys[0]).unwrap();
         let scanned = overlap_saved(store);
-        store
-            .write_batch(vec![
-                WriteOp::Put {
-                    key: keys[3].clone(),
-                    value: b"three".to_vec(),
-                },
-                WriteOp::Put {
-                    key: keys[40].clone(),
-                    value: b"forty".to_vec(),
-                },
-                WriteOp::Delete {
-                    key: keys[17].clone(),
-                },
-            ])
-            .unwrap();
+        // Whether a batch's sub-batches drain as one run depends on the
+        // scheduler: a worker that gets the CPU between two of the
+        // caller's pushes pops the first alone. A scan makes several
+        // scatters, a batch one, so the same batch goes three times (the
+        // repeats change nothing): a run of each is one chance to
+        // overlap, as the scan and range have several.
+        for _ in 0..3 {
+            store
+                .write_batch(vec![
+                    WriteOp::Put {
+                        key: keys[3].clone(),
+                        value: b"three".to_vec(),
+                    },
+                    WriteOp::Put {
+                        key: keys[40].clone(),
+                        value: b"forty".to_vec(),
+                    },
+                    WriteOp::Delete {
+                        key: keys[17].clone(),
+                    },
+                ])
+                .unwrap();
+        }
         store.get(&keys[0]).unwrap();
         let batched = overlap_saved(store);
         let report = store.backup("p2-solo-bk").unwrap().wait().unwrap();

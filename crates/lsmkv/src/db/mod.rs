@@ -26,7 +26,7 @@ use crate::compaction::{flush_memtable, run_compaction, JobContext};
 use crate::error::{Error, Result};
 use crate::memtable::{MemGet, MemTable};
 use crate::options::{Flavor, Options, ReadOptions, SyncPolicy, WriteOptions, NUM_LEVELS};
-use crate::sst::BlockCache;
+use crate::sst::{BlockCache, BloomPolicy};
 use crate::stats::DbStats;
 use crate::types::{file_path, FileKind, SequenceNumber, ValueType};
 use crate::version::edit::VersionEdit;
@@ -172,7 +172,7 @@ impl Db {
         let stats = Arc::new(DbStats::new(NUM_LEVELS));
 
         let mut state = DbState {
-            mem: Arc::new(MemTable::new()),
+            mem: Arc::new(MemTable::with_budget(opts.memtable_size)),
             imms: Vec::new(),
             versions,
             bg_error: None,
@@ -201,7 +201,7 @@ impl Db {
             };
             let counter = file_counter.clone();
             let alloc = move || counter.fetch_add(1, Ordering::Relaxed);
-            let mut mem = Arc::new(MemTable::new());
+            let mut mem = Arc::new(MemTable::with_budget(opts.memtable_size));
             for wal in &wal_numbers {
                 let path = file_path(&dir, *wal, FileKind::Wal);
                 let mut reader = LogReader::new(env.new_sequential(&path)?);
@@ -219,7 +219,7 @@ impl Db {
                     if mem.approximate_memory_usage() >= opts.memtable_size {
                         edit.added
                             .extend(flush_memtable(&ctx, &mem, &alloc)?.map(|f| (0, f)));
-                        mem = Arc::new(MemTable::new());
+                        mem = Arc::new(MemTable::with_budget(opts.memtable_size));
                     }
                 }
             }
@@ -397,11 +397,18 @@ impl Db {
             .snapshot
             .unwrap_or_else(|| self.inner.visible_seq.load(Ordering::Acquire));
         let (mem, imms, version) = self.inner.read_refs();
-        let result = match self.inner.get_in_memtables(&mem, &imms, key, snapshot) {
+        let hash = BloomPolicy::hash(key);
+        let mut filter_skips = 0;
+        let decided =
+            self.inner
+                .get_in_memtables(&mem, &imms, key, hash, snapshot, &mut filter_skips);
+        DbStats::bump(&self.inner.stats.memtable_filter_skips, filter_skips);
+        let result = match decided {
             Some(decided) => Ok(decided),
             None => version
                 .get(
                     key,
+                    hash,
                     snapshot,
                     &self.inner.table_cache,
                     opts.skip_cache,
@@ -441,16 +448,24 @@ impl Db {
             .unwrap_or_else(|| self.inner.visible_seq.load(Ordering::Acquire));
         let (mem, imms, version) = self.inner.read_refs();
         let mut results: Vec<Option<Vec<u8>>> = Vec::with_capacity(keys.len());
-        // Positions of the keys no memtable decides.
-        let mut below: Vec<usize> = Vec::new();
+        // The keys no memtable decides, with their hashes.
+        let mut below: Vec<(usize, u32)> = Vec::new();
+        let mut filter_skips = 0;
         for (i, key) in keys.iter().enumerate() {
-            let decided = self.inner.get_in_memtables(&mem, &imms, key, snapshot);
+            let hash = BloomPolicy::hash(key);
+            let decided =
+                self.inner
+                    .get_in_memtables(&mem, &imms, key, hash, snapshot, &mut filter_skips);
             if decided.is_none() {
-                below.push(i);
+                below.push((i, hash));
             }
             results.push(decided.flatten());
         }
-        let ukeys: Vec<&[u8]> = below.iter().map(|&i| keys[i].as_slice()).collect();
+        DbStats::bump(&self.inner.stats.memtable_filter_skips, filter_skips);
+        let ukeys: Vec<(&[u8], u32)> = below
+            .iter()
+            .map(|&(i, hash)| (keys[i].as_slice(), hash))
+            .collect();
         let outcomes = version.get_many(
             &ukeys,
             snapshot,
@@ -462,7 +477,7 @@ impl Db {
             .stats
             .read_path
             .record(timing::elapsed(t_read).as_nanos() as u64);
-        for (i, outcome) in below.into_iter().zip(outcomes?) {
+        for ((i, _), outcome) in below.into_iter().zip(outcomes?) {
             results[i] = outcome.into_value();
         }
         Ok(results)
@@ -704,18 +719,26 @@ impl DbInner {
         (state.mem.clone(), imms, state.versions.current())
     }
 
-    /// What the memtables say about `key` as of `snapshot`, newest first:
-    /// `Some(answer)` when one of them holds a visible value or tombstone,
-    /// `None` when the tables below decide.
+    /// What the memtables say about `key` (whose [`BloomPolicy::hash`] is
+    /// `hash`) as of `snapshot`, newest first: `Some(answer)` when one of
+    /// them holds a visible value or tombstone, `None` when the tables
+    /// below decide. A memtable whose filter rules the key out is not
+    /// searched; each adds one to `filter_skips`.
     fn get_in_memtables(
         &self,
         mem: &MemTable,
         imms: &[Arc<MemTable>],
         key: &[u8],
+        hash: u32,
         snapshot: SequenceNumber,
+        filter_skips: &mut u64,
     ) -> Option<Option<Vec<u8>>> {
         for table in std::iter::once(mem).chain(imms.iter().map(|m| &**m)) {
-            match table.get(key, snapshot) {
+            if !table.may_contain(hash) {
+                *filter_skips += 1;
+                continue;
+            }
+            match table.search(key, snapshot) {
                 MemGet::Found(v) => {
                     DbStats::bump(&self.stats.memtable_hits, 1);
                     return Some(Some(v));
@@ -981,7 +1004,8 @@ impl DbInner {
         log.writer = Some(LogWriter::new(file));
         log.number = new_num;
         drop(log);
-        let old_mem = std::mem::replace(&mut state.mem, Arc::new(MemTable::new()));
+        let fresh = Arc::new(MemTable::with_budget(self.opts.memtable_size));
+        let old_mem = std::mem::replace(&mut state.mem, fresh);
         state.imms.push((old_num, old_mem));
         Ok(())
     }

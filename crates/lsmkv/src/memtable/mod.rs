@@ -1,10 +1,12 @@
 //! The in-memory write buffer.
 //!
 //! A [`MemTable`] wraps the concurrent skiplist with the engine's entry
-//! encoding, point lookups honoring snapshot sequence numbers, and an
-//! iterator adapter used by flushes and merged reads.
+//! encoding, a whole-key filter that answers most lookups of absent keys
+//! without walking the list, point lookups honoring snapshot sequence
+//! numbers, and an iterator adapter used by flushes and merged reads.
 
 pub mod arena;
+mod filter;
 pub mod skiplist;
 
 use std::sync::Arc;
@@ -12,11 +14,13 @@ use std::sync::Arc;
 use p2kvs_util::coding::put_varint32;
 
 use crate::iterator::InternalIterator;
+use crate::sst::BloomPolicy;
 use crate::types::{
     internal_cmp, make_internal_key, seq_and_type, user_key, SequenceNumber, ValueType,
     VALUE_TYPE_FOR_SEEK,
 };
 use arena::Arena;
+use filter::KeyFilter;
 use skiplist::{entry_internal_key, entry_value, SkipIter, SkipList};
 
 /// Outcome of a MemTable point lookup.
@@ -34,6 +38,8 @@ pub enum MemGet {
 pub struct MemTable {
     list: SkipList,
     arena: Arc<Arena>,
+    /// Every key ever added, tombstones included.
+    filter: KeyFilter,
 }
 
 impl Default for MemTable {
@@ -43,12 +49,20 @@ impl Default for MemTable {
 }
 
 impl MemTable {
-    /// Creates an empty MemTable.
+    /// Creates an empty MemTable whose filter is sized for the
+    /// `rocksdb_like` budget of 4 MiB.
     pub fn new() -> MemTable {
+        Self::with_budget(4 << 20)
+    }
+
+    /// Creates an empty MemTable that will be flushed at about
+    /// `memtable_size` bytes; its filter takes 1/64 of that on top.
+    pub(crate) fn with_budget(memtable_size: usize) -> MemTable {
         let arena = Arc::new(Arena::new());
         MemTable {
             list: SkipList::new(arena.clone()),
             arena,
+            filter: KeyFilter::for_memtable(memtable_size),
         }
     }
 
@@ -58,6 +72,16 @@ impl MemTable {
     /// "concurrent MemTable"); the caller serializes when emulating the
     /// vanilla single-writer MemTable.
     pub fn add(&self, seq: SequenceNumber, kind: ValueType, key: &[u8], value: &[u8]) {
+        // The key's filter bits are set before its entry is linked, so a
+        // visible entry always passes the filter. A reader only asks for
+        // entries at or below a sequence it loaded from `visible_seq` with
+        // Acquire, and a write group stores that sequence with Release
+        // only after every insert of the group has returned (the
+        // concurrent inserters hand over through `GroupSync` first):
+        // these bits happen-before the reader's probe, and since bits are
+        // only ever added, the probe sees them. The same publication lets
+        // a flush read a switched-out memtable (`wait_published`).
+        self.filter.add(BloomPolicy::hash(key));
         let mut entry = Vec::with_capacity(key.len() + value.len() + 16);
         put_varint32(&mut entry, (key.len() + 8) as u32);
         crate::types::append_internal_key(&mut entry, key, seq, kind);
@@ -66,8 +90,24 @@ impl MemTable {
         self.list.insert(&entry);
     }
 
-    /// Looks up `key` as of sequence `snapshot`.
+    /// Whether a key whose [`BloomPolicy::hash`] is `hash` may be in the
+    /// table; `false` means no version of it is.
+    pub(crate) fn may_contain(&self, hash: u32) -> bool {
+        self.filter.may_contain(hash)
+    }
+
+    /// Looks up `key` as of sequence `snapshot`; a key the filter rules
+    /// out is not searched for.
     pub fn get(&self, key: &[u8], snapshot: SequenceNumber) -> MemGet {
+        if !self.may_contain(BloomPolicy::hash(key)) {
+            return MemGet::NotFound;
+        }
+        self.search(key, snapshot)
+    }
+
+    /// [`MemTable::get`] without the filter: walks the skiplist. For
+    /// callers that probed [`MemTable::may_contain`] already.
+    pub(crate) fn search(&self, key: &[u8], snapshot: SequenceNumber) -> MemGet {
         let lookup = make_internal_key(key, snapshot, VALUE_TYPE_FOR_SEEK);
         match self.list.seek(&lookup) {
             None => MemGet::NotFound,
@@ -260,6 +300,74 @@ mod tests {
         }
         assert!(m.approximate_memory_usage() > before);
         assert_eq!(m.len(), 100);
+    }
+
+    /// A key of the benchmark's shape: `user` and 16 hex digits, 20 bytes.
+    fn bench_key(id: u64) -> Vec<u8> {
+        format!("user{:016x}", p2kvs_util::hash::mix64(id)).into_bytes()
+    }
+
+    #[test]
+    fn the_filter_rejects_no_added_key_and_few_absent_ones() {
+        // Fill a 1 MiB memtable with 20 B keys and 128 B values, the
+        // benchmark's records, about a tenth of them tombstones.
+        let m = MemTable::with_budget(1 << 20);
+        let mut added = std::collections::HashSet::new();
+        let mut id = 0u64;
+        while m.approximate_memory_usage() < 1 << 20 {
+            let key = bench_key(id);
+            if id % 10 == 9 {
+                m.add(id + 1, ValueType::Deletion, &key, b"");
+            } else {
+                m.add(id + 1, ValueType::Value, &key, &[7u8; 128]);
+            }
+            added.insert(key);
+            id += 1;
+        }
+        for key in &added {
+            assert!(m.may_contain(BloomPolicy::hash(key)), "{key:?} rejected");
+            assert_ne!(m.get(key, u64::MAX >> 8), MemGet::NotFound);
+        }
+        let mut rng = p2kvs_util::rng::Rng::new(43);
+        let (mut probes, mut passed) = (0, 0);
+        while probes < 100_000 {
+            let key = bench_key(rng.next_u64());
+            if added.contains(&key) {
+                continue;
+            }
+            probes += 1;
+            passed += usize::from(m.may_contain(BloomPolicy::hash(&key)));
+            assert_eq!(m.get(&key, u64::MAX >> 8), MemGet::NotFound);
+        }
+        // Over a million such probes, 0.21 % pass.
+        assert!(
+            passed <= probes / 100,
+            "{passed} of {probes} absent keys passed"
+        );
+    }
+
+    #[test]
+    fn a_search_and_a_filtered_get_agree() {
+        let m = MemTable::with_budget(4 << 10);
+        for i in 0..500u64 {
+            let kind = if i % 3 == 0 {
+                ValueType::Deletion
+            } else {
+                ValueType::Value
+            };
+            m.add(i + 1, kind, &bench_key(i), b"v");
+        }
+        // 500 keys in an 8-word filter: most absent keys pass it.
+        for i in 0..1000u64 {
+            let key = bench_key(i);
+            for snapshot in [1, 250, u64::MAX >> 8] {
+                assert_eq!(
+                    m.get(&key, snapshot),
+                    m.search(&key, snapshot),
+                    "{i}@{snapshot}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -148,6 +148,9 @@ pub struct DbStats {
     pub multigets: AtomicU64,
     /// Gets answered from a MemTable.
     pub memtable_hits: AtomicU64,
+    /// MemTable searches skipped because the memtable's whole-key filter
+    /// ruled the key out (one per key and memtable).
+    pub memtable_filter_skips: AtomicU64,
     /// SST probes skipped thanks to bloom filters.
     pub bloom_skips: AtomicU64,
     /// MemTable flushes (minor compactions).
@@ -220,6 +223,10 @@ impl DbStats {
             (
                 "engine_memtable_hits_total".to_string(),
                 c(&self.memtable_hits),
+            ),
+            (
+                "engine_memtable_filter_skips_total".to_string(),
+                c(&self.memtable_filter_skips),
             ),
             ("engine_bloom_skips_total".to_string(), c(&self.bloom_skips)),
             ("engine_flushes_total".to_string(), c(&self.flushes)),
@@ -402,6 +409,7 @@ mod tests {
         s.breakdown.memtable.record(1_000);
         DbStats::bump(&s.writes, 3);
         DbStats::bump(&s.flushes, 1);
+        DbStats::bump(&s.memtable_filter_skips, 5);
         let metrics = s.metrics();
         let get = |name: &str| {
             metrics
@@ -414,6 +422,7 @@ mod tests {
         assert!((get("engine_memtable_us") - 1.0).abs() < 1e-9);
         assert_eq!(get("engine_writes_total"), 3.0);
         assert_eq!(get("engine_flushes_total"), 1.0);
+        assert_eq!(get("engine_memtable_filter_skips_total"), 5.0);
         assert!(
             metrics.iter().all(|(n, _)| n.starts_with("engine_")),
             "all engine metrics share the engine_ prefix"

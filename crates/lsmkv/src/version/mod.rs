@@ -22,7 +22,7 @@ use p2kvs_util::sync::Mutex;
 use crate::error::{Error, Result};
 use crate::iterator::InternalIterator;
 use crate::options::{CompactionStyle, Options, FRAGMENT_MERGE_THRESHOLD, NUM_LEVELS};
-use crate::sst::{Block, BlockHandle, BloomPolicy, TableIterator, TableReader};
+use crate::sst::{Block, BlockHandle, TableIterator, TableReader};
 use crate::types::{
     file_path, internal_cmp, seq_and_type, user_key, FileKind, SequenceNumber, ValueType,
     CURRENT_FILE,
@@ -168,17 +168,18 @@ impl Version {
         })
     }
 
-    /// Looks up `ukey` as of `snapshot` through all levels.
+    /// Looks up `ukey`, whose [`BloomPolicy::hash`](crate::sst::BloomPolicy::hash)
+    /// is `hash`, as of `snapshot` through all levels.
     pub fn get(
         &self,
         ukey: &[u8],
+        hash: u32,
         snapshot: SequenceNumber,
         cache: &TableCache,
         skip_block_cache: bool,
         stats: Option<&crate::stats::DbStats>,
     ) -> Result<GetOutcome> {
         let lookup = crate::types::make_internal_key(ukey, snapshot, ValueType::Value);
-        let hash = BloomPolicy::hash(ukey);
         let mut cursor = CandidateCursor::default();
         while let Some(file) = self.next_candidate(ukey, &mut cursor) {
             let reader = file.reader(cache)?;
@@ -199,8 +200,9 @@ impl Version {
         Ok(GetOutcome::NotFound)
     }
 
-    /// Looks up every key of `ukeys` as of `snapshot`; outcomes are in key
-    /// order and equal what [`Version::get`] returns for each key alone.
+    /// Looks up every `(key, hash)` of `ukeys` as of `snapshot`; outcomes
+    /// are in key order and equal what [`Version::get`] returns for each
+    /// key alone.
     ///
     /// The lookup runs in rounds. A round walks each unresolved key
     /// through its candidate tables (bloom probe, index seek, block-cache
@@ -213,7 +215,7 @@ impl Version {
     /// the wait for it is paid.
     pub fn get_many(
         &self,
-        ukeys: &[&[u8]],
+        ukeys: &[(&[u8], u32)],
         snapshot: SequenceNumber,
         cache: &TableCache,
         skip_block_cache: bool,
@@ -224,7 +226,7 @@ impl Version {
             /// Position in `ukeys`.
             slot: usize,
             lookup: Vec<u8>,
-            /// The key's bloom hash, computed once for every table probed.
+            /// The key's bloom hash, computed once for every filter probed.
             hash: u32,
             cursor: CandidateCursor,
         }
@@ -240,10 +242,10 @@ impl Version {
         let mut active: Vec<Probe> = ukeys
             .iter()
             .enumerate()
-            .map(|(slot, ukey)| Probe {
+            .map(|(slot, &(ukey, hash))| Probe {
                 slot,
                 lookup: crate::types::make_internal_key(ukey, snapshot, ValueType::Value),
-                hash: BloomPolicy::hash(ukey),
+                hash,
                 cursor: CandidateCursor::default(),
             })
             .collect();
@@ -251,7 +253,7 @@ impl Version {
         let mut fetches: Vec<Fetch> = Vec::new();
         while !active.is_empty() {
             for mut probe in active.drain(..) {
-                let ukey = ukeys[probe.slot];
+                let ukey = ukeys[probe.slot].0;
                 while let Some(file) = self.next_candidate(ukey, &mut probe.cursor) {
                     let reader = file.reader(cache)?;
                     if !reader.may_contain(probe.hash) {
@@ -308,7 +310,7 @@ impl Version {
                 for w in fetch.waiters {
                     let probe = &waiting[w];
                     if let Some(outcome) =
-                        Self::outcome_in_block(&block, &probe.lookup, ukeys[probe.slot])
+                        Self::outcome_in_block(&block, &probe.lookup, ukeys[probe.slot].0)
                     {
                         outcomes[probe.slot] = outcome;
                         answered[w] = true;
@@ -932,6 +934,7 @@ impl VersionSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sst::BloomPolicy;
     use crate::types::make_internal_key;
 
     fn meta(num: u64, small: &str, large: &str) -> FileMetaData {
@@ -1084,14 +1087,22 @@ mod tests {
         ] {
             let got = counted(&|stats| {
                 vec![v
-                    .get(ukey.as_bytes(), snapshot, &cache, false, Some(stats))
+                    .get(
+                        ukey.as_bytes(),
+                        BloomPolicy::hash(ukey.as_bytes()),
+                        snapshot,
+                        &cache,
+                        false,
+                        Some(stats),
+                    )
                     .unwrap()]
             });
             assert_eq!(got, (vec![outcome], probes, skips), "get({ukey})");
         }
         let got = counted(&|stats| {
+            let keys: [&[u8]; 3] = [b"two", b"none", b"a"];
             v.get_many(
-                &[b"two", b"none", b"a"],
+                &keys.map(|k| (k, BloomPolicy::hash(k))),
                 snapshot,
                 &cache,
                 false,
@@ -1141,7 +1152,11 @@ mod tests {
         ));
         let v = Version::empty(7, CompactionStyle::Leveled).apply(&edit);
         let cache = TableCache::new(env, dir, None);
-        let get = |v: &Version| v.get(b"k", u64::MAX >> 8, &cache, false, None).unwrap();
+        let hash = BloomPolicy::hash(b"k");
+        let get = |v: &Version| {
+            v.get(b"k", hash, u64::MAX >> 8, &cache, false, None)
+                .unwrap()
+        };
         assert_eq!(get(&v), GetOutcome::Found(b"v".to_vec()));
         assert_eq!(cache.len(), 1, "opened through the table cache");
         // The second lookup does not go back to the cache, and neither

@@ -295,6 +295,100 @@ fn writes_still_inserting_when_their_memtable_is_switched_out_are_flushed() {
 }
 
 #[test]
+fn acked_writes_pass_the_memtable_filter_under_concurrent_writers() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    const WRITERS: u64 = 4;
+    const KEYS: u64 = 2400;
+    // The concurrent memtable and pipelined writes; a switch every few
+    // hundred keys, so reads span the active memtable, immutable ones
+    // being flushed and tables. Each memtable's filter is 32 words: a key
+    // whose bits were not set reads as absent almost surely.
+    let mut opts = Options::rocksdb_like(Arc::new(MemEnv::new()));
+    opts.memtable_size = 16 << 10;
+    opts.max_immutable_memtables = 4;
+    opts.target_file_size = 16 << 10;
+    opts.base_level_size = 64 << 10;
+    let db = Arc::new(Db::open(opts, "db").unwrap());
+    let key = |t: u64, i: u64| format!("w{t}-{i:05}").into_bytes();
+    let value = |t: u64, i: u64| format!("acked {t} {i}").into_bytes();
+    // Per writer, how many of its keys have been acked.
+    let acked: Arc<Vec<AtomicU64>> = Arc::new((0..WRITERS).map(|_| AtomicU64::new(0)).collect());
+    let done = Arc::new(AtomicBool::new(false));
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|t| {
+            let (db, acked) = (db.clone(), acked.clone());
+            std::thread::spawn(move || {
+                let mut i = 0;
+                while i < KEYS {
+                    // Batches of one to three keys.
+                    let n = (1 + (i + t) % 3).min(KEYS - i);
+                    let mut b = WriteBatch::new();
+                    for j in i..i + n {
+                        b.put(&key(t, j), &value(t, j));
+                    }
+                    db.write(&wo(), b).unwrap();
+                    i += n;
+                    acked[t as usize].store(i, Ordering::Release);
+                }
+            })
+        })
+        .collect();
+    let readers: Vec<_> = (0..2u64)
+        .map(|r| {
+            let (db, acked, done) = (db.clone(), acked.clone(), done.clone());
+            std::thread::spawn(move || {
+                let mut rng = p2kvs_util::rng::Rng::new(r + 1);
+                let mut reads = 0u64;
+                while !done.load(Ordering::Acquire) {
+                    let t = rng.below(WRITERS);
+                    let n = acked[t as usize].load(Ordering::Acquire);
+                    if n == 0 {
+                        std::thread::yield_now();
+                        continue;
+                    }
+                    // The newest acked key, then a random older one.
+                    for i in [n - 1, rng.below(n)] {
+                        let got = db.get(&key(t, i)).unwrap();
+                        assert_eq!(got, Some(value(t, i)), "get of acked {t}/{i}");
+                    }
+                    // The window of up to 32 keys that ends at the newest.
+                    let from = n.saturating_sub(32);
+                    let keys: Vec<Vec<u8>> = (from..n).map(|i| key(t, i)).collect();
+                    let got = db.multiget(&keys).unwrap();
+                    for (i, got) in (from..n).zip(got) {
+                        assert_eq!(got, Some(value(t, i)), "multiget of acked {t}/{i}");
+                    }
+                    reads += 1;
+                }
+                reads
+            })
+        })
+        .collect();
+    for w in writers {
+        w.join().unwrap();
+    }
+    done.store(true, Ordering::Release);
+    let reads: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
+    assert!(reads > 0);
+    let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+    let stats = db.stats();
+    assert!(
+        load(&stats.flushes) >= 10,
+        "{} flushes",
+        load(&stats.flushes)
+    );
+    assert!(
+        load(&stats.memtable_filter_skips) > 0,
+        "the filters skipped nothing"
+    );
+    for t in 0..WRITERS {
+        for i in 0..KEYS {
+            assert_eq!(db.get(&key(t, i)).unwrap(), Some(value(t, i)));
+        }
+    }
+}
+
+#[test]
 fn concurrent_writers_without_rocksdb_optimizations() {
     // LevelDB mode: no concurrent memtable, no pipelining.
     let env: EnvRef = Arc::new(MemEnv::new());

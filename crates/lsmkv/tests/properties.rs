@@ -361,6 +361,83 @@ fn db_matches_model_through_flush_and_reopen() {
     );
 }
 
+/// One step of [`db_reads_match_model_while_versions_span_memtables_and_tables`].
+#[derive(Debug)]
+enum Step {
+    Put(u64, Vec<u8>),
+    Delete(u64),
+    /// `Db::flush`: every memtable so far goes to a table.
+    Flush,
+    /// `get` of one key and `multiget` of the whole key space.
+    Read(u64),
+}
+
+/// Whole-DB property: reads agree with a model at random points of a
+/// history, while the newest version of a key may sit in the active
+/// memtable, an immutable one or a table — the state in which a memtable
+/// filter that lost a key would return an older value or none. Every key
+/// starts with a value in a table, so each delete hides a flushed value.
+#[test]
+fn db_reads_match_model_while_versions_span_memtables_and_tables() {
+    const KEYS: u64 = 48;
+    check(
+        "db_reads_match_model_while_versions_span_memtables_and_tables",
+        16,
+        |rng| {
+            rng.vec_of(100..400, |rng| {
+                let key = rng.below(KEYS + 2);
+                match rng.below(20) {
+                    0 => Step::Flush,
+                    1..=5 => Step::Read(key),
+                    6..=9 => Step::Delete(key),
+                    _ => Step::Put(key, bytes(rng, 0..200)),
+                }
+            })
+        },
+        |steps| {
+            let env: p2kvs_storage::EnvRef = Arc::new(MemEnv::new());
+            let mut opts = lsmkv::Options::rocksdb_like(env);
+            // A switch every hundred or so writes; the filter is 32 words,
+            // sparse enough that a key missing from it reads as absent.
+            opts.memtable_size = 16 << 10;
+            opts.max_immutable_memtables = 4;
+            opts.target_file_size = 8 << 10;
+            opts.base_level_size = 32 << 10;
+            let db = lsmkv::Db::open(opts, "pdb").unwrap();
+            let wo = lsmkv::WriteOptions::default();
+            let key = |k: u64| format!("key-{k:03}").into_bytes();
+            // Keys KEYS and KEYS + 1 are never written before they are
+            // read, unless a step writes them.
+            let all: Vec<Vec<u8>> = (0..KEYS + 2).map(key).collect();
+            let mut model = std::collections::BTreeMap::new();
+            for k in 0..KEYS {
+                db.put(&wo, &key(k), b"base").unwrap();
+                model.insert(key(k), b"base".to_vec());
+            }
+            db.flush().unwrap();
+            for (i, step) in steps.iter().enumerate() {
+                match step {
+                    Step::Put(k, v) => {
+                        db.put(&wo, &key(*k), v).unwrap();
+                        model.insert(key(*k), v.clone());
+                    }
+                    Step::Delete(k) => {
+                        db.delete(&wo, &key(*k)).unwrap();
+                        model.remove(&key(*k));
+                    }
+                    Step::Flush => db.flush().unwrap(),
+                    Step::Read(k) => {
+                        let k = key(*k);
+                        assert_eq!(db.get(&k).unwrap(), model.get(&k).cloned(), "step {i}");
+                        let want: Vec<_> = all.iter().map(|k| model.get(k).cloned()).collect();
+                        assert_eq!(db.multiget(&all).unwrap(), want, "multiget at step {i}");
+                    }
+                }
+            }
+        },
+    );
+}
+
 /// Differential property for the tentpole: for any operation stream
 /// and any subcompaction fan-out, the multi-threaded range-partitioned
 /// compactor leaves level contents byte-identical to the
