@@ -448,8 +448,10 @@ impl Db {
             .unwrap_or_else(|| self.inner.visible_seq.load(Ordering::Acquire));
         let (mem, imms, version) = self.inner.read_refs();
         let mut results: Vec<Option<Vec<u8>>> = Vec::with_capacity(keys.len());
-        // The keys no memtable decides, with their hashes.
-        let mut below: Vec<(usize, u32)> = Vec::new();
+        // Positions of the keys no memtable decides, and those keys with
+        // their hashes.
+        let mut below: Vec<usize> = Vec::new();
+        let mut ukeys: Vec<(&[u8], u32)> = Vec::new();
         let mut filter_skips = 0;
         for (i, key) in keys.iter().enumerate() {
             let hash = BloomPolicy::hash(key);
@@ -457,15 +459,12 @@ impl Db {
                 self.inner
                     .get_in_memtables(&mem, &imms, key, hash, snapshot, &mut filter_skips);
             if decided.is_none() {
-                below.push((i, hash));
+                below.push(i);
+                ukeys.push((key.as_slice(), hash));
             }
             results.push(decided.flatten());
         }
         DbStats::bump(&self.inner.stats.memtable_filter_skips, filter_skips);
-        let ukeys: Vec<(&[u8], u32)> = below
-            .iter()
-            .map(|&(i, hash)| (keys[i].as_slice(), hash))
-            .collect();
         let outcomes = version.get_many(
             &ukeys,
             snapshot,
@@ -477,7 +476,7 @@ impl Db {
             .stats
             .read_path
             .record(timing::elapsed(t_read).as_nanos() as u64);
-        for ((i, _), outcome) in below.into_iter().zip(outcomes?) {
+        for (i, outcome) in below.into_iter().zip(outcomes?) {
             results[i] = outcome.into_value();
         }
         Ok(results)
