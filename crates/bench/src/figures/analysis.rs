@@ -172,8 +172,8 @@ pub fn fig4() {
                 &rows,
             );
             let io = env.io_stats();
-            let bw_frac =
-                io.bytes_written as f64 / (env.profile().write_bw as f64 * r.elapsed.as_secs_f64());
+            let write_bw = env.profile().expect("nvme_env is timed").write_bw;
+            let bw_frac = io.bytes_written as f64 / (write_bw as f64 * r.elapsed.as_secs_f64());
             println!(
                 "   {} ops at {} KQPS; device write-bandwidth utilization {:.1}%; fg util {:.0}%",
                 r.ops,

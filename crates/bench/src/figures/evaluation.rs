@@ -77,7 +77,8 @@ fn run_system(
         name,
         io_written: io.bytes_written,
         user_bytes,
-        bw_util: io.bytes_written as f64 / (env.profile().write_bw as f64 * secs),
+        bw_util: io.bytes_written as f64
+            / (env.profile().expect("nvme_env is timed").write_bw as f64 * secs),
         mem_avg: if mems.is_empty() {
             0
         } else {

@@ -415,27 +415,46 @@ impl<E: KvsEngine> P2Kvs<E> {
         // Registered up front so the series reads 0, not absent, with
         // per-request metrics off.
         registry.counter("p2kvs_slow_requests_total");
+        let spans = Arc::new(SpanRing::new(SpanRing::DEFAULT_CAPACITY));
+        let spec = SpawnSpec {
+            config: crate::worker::WorkerConfig {
+                batch_max: opts.batch_max.max(1),
+                // Both recomputed per worker id by the pool, so the
+                // pinned core and the `w % queues` mapping hold as
+                // the pool resizes.
+                core: None,
+                io_queue: None,
+            },
+            ceiling: opts.scale.map_or(n, |p| p.max_workers.max(n)),
+            device_queues: env.queue_count(),
+            queue_affinity: opts.queue_affinity,
+            lifecycle: {
+                let registry = registry.clone();
+                let spans = spans.clone();
+                let metrics = opts.metrics;
+                Box::new(move |w| {
+                    metrics
+                        .then(|| WorkerLifecycle::new(&registry, w, SLOW_REQUEST_NS, spans.clone()))
+                })
+            },
+        };
         // Queue affinity (DESIGN.md §13): with a multi-queue env, worker
-        // `i` rides queue `i % queues`, and each shard's engine is hinted
+        // `i` rides its home queue, and each shard's engine is hinted
         // onto its *initial* owner's queue so WAL/flush traffic starts on
         // the thread that issues it. Migrations may later move a shard to
         // a worker on another queue; the hint stays put — placement is a
         // throughput lever, never a correctness input.
-        let device_queues = env.queue_count();
-        let worker_queue =
-            |w: usize| (opts.queue_affinity && device_queues > 1).then(|| w % device_queues);
         let mut engines = Vec::with_capacity(shards);
         for s in 0..shards {
             let instance_dir = dir.join(format!("instance-{s}"));
             engines.push(Arc::new(factory.open_on(
                 &instance_dir,
                 Some(filter.clone()),
-                worker_queue(s % n),
+                spec.io_queue(s % n),
             )?));
         }
         recovered.max_gsn = recovered.max_gsn.max(replayed_gsn.load(Ordering::Relaxed));
         let txn = TxnManager::open(&env, &dir, &recovered)?;
-        let spans = Arc::new(SpanRing::new(SpanRing::DEFAULT_CAPACITY));
         // Flight recorder: recover the persisted journal (its longest
         // valid prefix — a crash may leave a torn tail), continue the
         // sequence from the recovered maximum, and persist every new
@@ -557,30 +576,10 @@ impl<E: KvsEngine> P2Kvs<E> {
             spans: spans.clone(),
             journal,
             cache,
-            env: Some(env.clone()),
+            env: env.clone(),
             backup: Arc::new(crate::backup::BackupHub::default()),
         });
-        let pool = Arc::new(WorkerPool::new(SpawnSpec {
-            config: crate::worker::WorkerConfig {
-                batch_max: opts.batch_max.max(1),
-                // Both recomputed per worker id by the pool, so the
-                // pinned core and the `w % queues` mapping hold as
-                // the pool resizes.
-                core: None,
-                io_queue: None,
-            },
-            ceiling: opts.scale.map_or(n, |p| p.max_workers.max(n)),
-            device_queues,
-            queue_affinity: opts.queue_affinity,
-            lifecycle: {
-                let registry = registry.clone();
-                let metrics = opts.metrics;
-                Box::new(move |w| {
-                    metrics
-                        .then(|| WorkerLifecycle::new(&registry, w, SLOW_REQUEST_NS, spans.clone()))
-                })
-            },
-        }));
+        let pool = Arc::new(WorkerPool::new(spec));
         for _ in 0..n {
             pool.spawn_into(&runtime);
         }
@@ -1049,11 +1048,7 @@ impl<E: KvsEngine> P2Kvs<E> {
     /// new writes, which the pinned snapshots do not observe.
     pub fn backup(&self, dir: impl Into<PathBuf>) -> Result<crate::backup::BackupHandle> {
         let dir = dir.into();
-        let env = self
-            .runtime
-            .env
-            .clone()
-            .expect("stores opened through P2Kvs::open always carry an env");
+        let env = self.runtime.env.clone();
         let horizon = self.txn.freeze();
         if let Err(e) = self.runtime.backup.open_session(horizon) {
             self.txn.thaw();
@@ -1325,45 +1320,44 @@ impl<E: KvsEngine> P2Kvs<E> {
         // Device-level counters mirrored from the storage env, so the
         // whole stack — framework, engines, device — reads out of one
         // registry (and one Prometheus scrape).
-        if let Some(env) = &self.runtime.env {
-            let io = env.io_stats();
-            reg.counter("p2kvs_device_bytes_written_total")
-                .store(io.bytes_written);
-            reg.counter("p2kvs_device_bytes_read_total")
-                .store(io.bytes_read);
-            reg.counter("p2kvs_device_write_ops_total")
-                .store(io.write_ops);
-            reg.counter("p2kvs_device_read_ops_total")
-                .store(io.read_ops);
-            reg.counter("p2kvs_device_syncs_total").store(io.syncs);
-            reg.counter("p2kvs_device_wal_bytes_total")
-                .store(io.wal_bytes);
-            reg.counter("p2kvs_device_flush_bytes_total")
-                .store(io.flush_bytes);
-            reg.counter("p2kvs_device_compaction_bytes_total")
-                .store(io.compaction_bytes);
-            reg.set_gauge("p2kvs_device_busy_seconds", io.busy_ns as f64 / 1e9);
-            if let Some(u) = env.device_utilization() {
-                reg.set_gauge("p2kvs_device_utilization", u);
-            }
-            // Per-submission-queue breakdown (multi-queue envs only):
-            // `p2kvs_device_q{q}_*` shows whether queue affinity actually
-            // spread WAL/flush/compaction traffic or one queue hogs the
-            // device (DESIGN.md §13).
-            let queues = env.queue_count();
-            if queues > 1 {
-                for (q, qs) in io.queues.iter().enumerate().take(queues) {
-                    reg.counter(&format!("p2kvs_device_q{q}_bytes_written_total"))
-                        .store(qs.bytes_written);
-                    reg.counter(&format!("p2kvs_device_q{q}_bytes_read_total"))
-                        .store(qs.bytes_read);
-                    reg.counter(&format!("p2kvs_device_q{q}_syncs_total"))
-                        .store(qs.syncs);
-                    reg.set_gauge(
-                        &format!("p2kvs_device_q{q}_busy_seconds"),
-                        qs.busy_ns as f64 / 1e9,
-                    );
-                }
+        let env = &self.runtime.env;
+        let io = env.io_stats();
+        reg.counter("p2kvs_device_bytes_written_total")
+            .store(io.bytes_written);
+        reg.counter("p2kvs_device_bytes_read_total")
+            .store(io.bytes_read);
+        reg.counter("p2kvs_device_write_ops_total")
+            .store(io.write_ops);
+        reg.counter("p2kvs_device_read_ops_total")
+            .store(io.read_ops);
+        reg.counter("p2kvs_device_syncs_total").store(io.syncs);
+        reg.counter("p2kvs_device_wal_bytes_total")
+            .store(io.wal_bytes);
+        reg.counter("p2kvs_device_flush_bytes_total")
+            .store(io.flush_bytes);
+        reg.counter("p2kvs_device_compaction_bytes_total")
+            .store(io.compaction_bytes);
+        reg.set_gauge("p2kvs_device_busy_seconds", io.busy_ns as f64 / 1e9);
+        if let Some(u) = env.device_utilization() {
+            reg.set_gauge("p2kvs_device_utilization", u);
+        }
+        // Per-submission-queue breakdown (multi-queue envs only):
+        // `p2kvs_device_q{q}_*` shows whether queue affinity actually
+        // spread WAL/flush/compaction traffic or one queue hogs the
+        // device (DESIGN.md §13).
+        let queues = env.queue_count();
+        if queues > 1 {
+            for (q, qs) in io.queues.iter().enumerate().take(queues) {
+                reg.counter(&format!("p2kvs_device_q{q}_bytes_written_total"))
+                    .store(qs.bytes_written);
+                reg.counter(&format!("p2kvs_device_q{q}_bytes_read_total"))
+                    .store(qs.bytes_read);
+                reg.counter(&format!("p2kvs_device_q{q}_syncs_total"))
+                    .store(qs.syncs);
+                reg.set_gauge(
+                    &format!("p2kvs_device_q{q}_busy_seconds"),
+                    qs.busy_ns as f64 / 1e9,
+                );
             }
         }
         reg.counter("p2kvs_trace_spans_total")
@@ -1915,7 +1909,7 @@ mod tests {
         store.put(b"k", b"v").unwrap();
         let report = store.backup("guard-backup").unwrap().wait().unwrap();
         assert_eq!(report.shards as usize, store.shards());
-        let env = store.runtime.env.clone().unwrap();
+        let env = store.runtime.env.clone();
         // A backup that never completed has shard files but no MANIFEST.
         env.create_dir_all(Path::new("guard-partial")).unwrap();
         let snap =

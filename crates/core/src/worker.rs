@@ -70,7 +70,7 @@ use p2kvs_util::timing::{self, BusyClock};
 use crate::engine::{EnginePhases, KvsEngine, ScanCursor};
 use crate::error::{Error, Result};
 use crate::queue::RequestQueue;
-use crate::shard::{MapCell, ShardMap, ShardStats};
+use crate::shard::{MapCell, ShardStats};
 use crate::types::{Op, OpClass, Request, Response, WriteOp};
 
 /// Counters published by one worker.
@@ -192,7 +192,7 @@ pub(crate) struct ShardRuntime<E> {
     /// device I/O deltas to traced batches. Device counters are
     /// env-global, so with concurrent workers the delta is an upper
     /// bound on the batch's own I/O — good enough for a flame view.
-    pub env: Option<p2kvs_storage::EnvRef>,
+    pub env: p2kvs_storage::EnvRef,
     /// Rendezvous for online backups: workers deposit forked engine
     /// snapshots here as `Op::BackupFreeze` markers execute
     /// (DESIGN.md §12).
@@ -209,33 +209,6 @@ pub struct WorkerHandle {
 }
 
 impl WorkerHandle {
-    /// Spawns a standalone worker `id` over a single engine — the
-    /// one-instance-per-worker special case (a private one-shard
-    /// runtime). The store uses `WorkerHandle::spawn_in`; this wrapper
-    /// serves tests and embedders that want one queue over one engine.
-    pub fn spawn<E: KvsEngine>(
-        id: usize,
-        engine: Arc<E>,
-        config: WorkerConfig,
-        lifecycle: Option<WorkerLifecycle>,
-    ) -> WorkerHandle {
-        let queue = Arc::new(RequestQueue::new());
-        let runtime = Arc::new(ShardRuntime {
-            engines: vec![engine],
-            map: MapCell::new(ShardMap::initial(1, 1).with_ring(0, Some(queue.clone()))),
-            parked: vec![Mutex::new(None)],
-            migrations: AtomicU64::new(0),
-            handoffs_aborted: AtomicU64::new(0),
-            shard_stats: vec![Arc::new(ShardStats::default())],
-            spans: Arc::new(SpanRing::new(0)),
-            journal: None,
-            cache: None,
-            env: None,
-            backup: Arc::new(crate::backup::BackupHub::default()),
-        });
-        WorkerHandle::spawn_in(id, 0, runtime, queue, config, lifecycle)
-    }
-
     /// Spawns a worker inside a shared [`ShardRuntime`]: thread name
     /// from `name_id`, core from `config.core`, routing identity
     /// `windex` (the store passes the same id twice). The worker drains
@@ -414,10 +387,7 @@ impl<E: KvsEngine> WorkerLoop<E> {
         stats
             .shards_owned
             .store(owned.len() as u64, Ordering::Relaxed);
-        let overlap = rt
-            .env
-            .as_ref()
-            .is_some_and(|e| e.device_utilization().is_some());
+        let overlap = rt.env.device_utilization().is_some();
         WorkerLoop {
             windex,
             rt,
@@ -524,13 +494,8 @@ impl<E: KvsEngine> WorkerLoop<E> {
         // a third time, and with it the engine and device clocks —
         // their "before" values cannot be had in hindsight, which is
         // why tail-kept groups stop at the batch span.
-        let pre = (!self.traced.is_empty()).then(|| {
-            (
-                timing::now(),
-                engine.phase_clocks(),
-                rt.env.as_ref().map(|e| e.io_stats()),
-            )
-        });
+        let pre = (!self.traced.is_empty())
+            .then(|| (timing::now(), engine.phase_clocks(), rt.env.io_stats()));
         execute_batch(
             &**engine,
             &mut self.group,
@@ -552,7 +517,7 @@ impl<E: KvsEngine> WorkerLoop<E> {
             completed: timing::now(),
         };
         if let Some((t_call, pre_ph, pre_io)) = pre {
-            let io = pre_io.map(|p| (p, rt.env.as_ref().expect("pre_io implies env").io_stats()));
+            let io = (pre_io, rt.env.io_stats());
             record_batch_spans(
                 &rt.spans,
                 &stamp,
@@ -1100,10 +1065,10 @@ fn record_batch_spans(
     traced: &[(u64, u64)],
     call_us: u64,
     phases: (EnginePhases, EnginePhases),
-    io: Option<(
+    io: (
         p2kvs_storage::IoStatsSnapshot,
         p2kvs_storage::IoStatsSnapshot,
-    )>,
+    ),
 ) {
     let engine_dur = ring.stamp(group.completed).saturating_sub(call_us).max(1);
     let (pre, post) = phases;
@@ -1118,12 +1083,9 @@ fn record_batch_spans(
             post.read_ns.saturating_sub(pre.read_ns),
         ),
     ];
-    let device = io.as_ref().map(|(pre_io, post_io)| {
-        (
-            post_io.busy_ns.saturating_sub(pre_io.busy_ns),
-            post_io.total_bytes().saturating_sub(pre_io.total_bytes()),
-        )
-    });
+    let (pre_io, post_io) = io;
+    let busy_ns = post_io.busy_ns.saturating_sub(pre_io.busy_ns);
+    let bytes = post_io.total_bytes().saturating_sub(pre_io.total_bytes());
     for &(trace_id, enq_us) in traced {
         let base = group.record_spans(ring, trace_id, enq_us);
         ring.record(SpanRecord {
@@ -1150,16 +1112,14 @@ fn record_batch_spans(
             });
             offset += dur;
         }
-        if let Some((busy_ns, bytes)) = device {
-            if busy_ns > 0 || bytes > 0 {
-                ring.record(SpanRecord {
-                    kind: SpanKind::DeviceIo,
-                    start_us: call_us,
-                    dur_us: (busy_ns / 1_000).clamp(1, engine_dur),
-                    aux: bytes,
-                    ..base
-                });
-            }
+        if busy_ns > 0 || bytes > 0 {
+            ring.record(SpanRecord {
+                kind: SpanKind::DeviceIo,
+                start_us: call_us,
+                dur_us: (busy_ns / 1_000).clamp(1, engine_dur),
+                aux: bytes,
+                ..base
+            });
         }
     }
 }
@@ -1168,15 +1128,52 @@ fn record_batch_spans(
 mod tests {
     use super::*;
     use crate::engine::{EngineFactory, LsmFactory};
+    use crate::shard::ShardMap;
     use std::path::Path;
+
+    /// A runtime of `shards` shards, all served by `engine` and owned
+    /// round-robin, over `rings` rings on an untimed env. Tests spawn
+    /// workers on the rings they want drained and pop the others by hand.
+    fn runtime<E: KvsEngine>(
+        engine: Arc<E>,
+        shards: usize,
+        rings: usize,
+    ) -> (Arc<ShardRuntime<E>>, Vec<Arc<RequestQueue>>) {
+        let queues: Vec<_> = (0..rings).map(|_| Arc::new(RequestQueue::new())).collect();
+        let mut map = ShardMap::initial(shards, rings);
+        for (w, q) in queues.iter().enumerate() {
+            map = map.with_ring(w, Some(q.clone()));
+        }
+        let rt = Arc::new(ShardRuntime {
+            engines: vec![engine; shards],
+            map: MapCell::new(map),
+            parked: (0..shards).map(|_| Mutex::new(None)).collect(),
+            migrations: AtomicU64::new(0),
+            handoffs_aborted: AtomicU64::new(0),
+            shard_stats: (0..shards).map(|_| Arc::default()).collect(),
+            spans: Arc::new(SpanRing::new(0)),
+            journal: None,
+            cache: None,
+            env: Arc::new(p2kvs_storage::MemEnv::new()),
+            backup: Arc::new(crate::backup::BackupHub::default()),
+        });
+        (rt, queues)
+    }
+
+    /// Spawns worker 0 alone over `engine`: one shard, one ring.
+    fn spawn<E: KvsEngine>(
+        engine: Arc<E>,
+        config: WorkerConfig,
+        lifecycle: Option<WorkerLifecycle>,
+    ) -> WorkerHandle {
+        let (rt, queues) = runtime(engine, 1, 1);
+        WorkerHandle::spawn_in(0, 0, rt, queues[0].clone(), config, lifecycle)
+    }
 
     fn worker() -> (WorkerHandle, Arc<lsmkv::Db>) {
         let factory = LsmFactory::new(lsmkv::Options::for_test());
         let engine = Arc::new(factory.open(Path::new("w0"), None).unwrap());
-        (
-            WorkerHandle::spawn(0, engine.clone(), WorkerConfig::default(), None),
-            engine,
-        )
+        (spawn(engine.clone(), WorkerConfig::default(), None), engine)
     }
 
     /// A minimal engine with neither `batch_write` nor `multiget`: OBM
@@ -1472,12 +1469,7 @@ mod tests {
         let engine = LsmFactory::new(opts)
             .open(Path::new("w-fault-e2e"), None)
             .unwrap();
-        let mut worker = WorkerHandle::spawn(
-            0,
-            std::sync::Arc::new(engine),
-            WorkerConfig::default(),
-            None,
-        );
+        let mut worker = spawn(Arc::new(engine), WorkerConfig::default(), None);
 
         faulty.set_plan(p2kvs_storage::FaultPlan {
             fail_sync: Some(faulty.sync_points() + 1),
@@ -1546,7 +1538,7 @@ mod tests {
         let lc = WorkerLifecycle::new(&registry, 0, 0, ring.clone());
         let factory = LsmFactory::new(lsmkv::Options::for_test());
         let engine = Arc::new(factory.open(Path::new("w-obs"), None).unwrap());
-        let mut worker = WorkerHandle::spawn(0, engine, WorkerConfig::default(), Some(lc));
+        let mut worker = spawn(engine, WorkerConfig::default(), Some(lc));
         let mut completions = Vec::new();
         for i in 0..40 {
             let (req, c) = Request::sync(Op::Put {
@@ -1714,7 +1706,7 @@ mod tests {
         for i in 0..8 {
             KvsEngine::put(&*engine, format!("b{i}").as_bytes(), &big).unwrap();
         }
-        let worker = WorkerHandle::spawn(0, engine, WorkerConfig::default(), None);
+        let worker = spawn(engine, WorkerConfig::default(), None);
         // The client asks for everything in one chunk; the worker caps it.
         let open = |start: &[u8]| Op::ScanOpen {
             start: start.to_vec(),
@@ -1833,9 +1825,7 @@ mod tests {
         }
     }
 
-    /// A runtime of `shards` shards (one shared engine, round-robin
-    /// owners) over two rings. Tests spawn workers on the rings they
-    /// want drained and pop the others by hand.
+    /// [`runtime`] over two rings and one engine with a few keys in it.
     fn two_ring_runtime(
         dir: &str,
         shards: usize,
@@ -1849,24 +1839,7 @@ mod tests {
         for i in 0..8 {
             KvsEngine::put(&*engine, format!("g{i}").as_bytes(), b"v").unwrap();
         }
-        let queues: Vec<_> = (0..2).map(|_| Arc::new(RequestQueue::new())).collect();
-        let mut map = ShardMap::initial(shards, 2);
-        for (w, q) in queues.iter().enumerate() {
-            map = map.with_ring(w, Some(q.clone()));
-        }
-        let rt = Arc::new(ShardRuntime {
-            engines: vec![engine.clone(); shards],
-            map: MapCell::new(map),
-            parked: (0..shards).map(|_| Mutex::new(None)).collect(),
-            migrations: AtomicU64::new(0),
-            handoffs_aborted: AtomicU64::new(0),
-            shard_stats: (0..shards).map(|_| Arc::default()).collect(),
-            spans: Arc::new(SpanRing::new(0)),
-            journal: None,
-            cache: None,
-            env: None,
-            backup: Arc::new(crate::backup::BackupHub::default()),
-        });
+        let (rt, queues) = runtime(engine.clone(), shards, 2);
         (rt, queues, engine)
     }
 
@@ -2020,7 +1993,7 @@ mod tests {
             batch_max: 4,
             ..WorkerConfig::default()
         };
-        let worker = WorkerHandle::spawn(0, engine, config, None);
+        let worker = spawn(engine, config, None);
         // Three rings' worth: the producer must wait for free slots.
         let pushes = 3 * worker.queue.capacity();
         let mut completions = Vec::new();

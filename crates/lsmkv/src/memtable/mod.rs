@@ -16,8 +16,7 @@ use p2kvs_util::coding::put_varint32;
 use crate::iterator::InternalIterator;
 use crate::sst::BloomPolicy;
 use crate::types::{
-    internal_cmp, make_internal_key, seq_and_type, user_key, SequenceNumber, ValueType,
-    VALUE_TYPE_FOR_SEEK,
+    make_internal_key, seq_and_type, user_key, SequenceNumber, ValueType, VALUE_TYPE_FOR_SEEK,
 };
 use arena::Arena;
 use filter::KeyFilter;
@@ -191,11 +190,6 @@ impl InternalIterator for MemTableIterator {
     fn value(&self) -> &[u8] {
         entry_value(self.iter.entry())
     }
-}
-
-/// Compares a MemTable iterator key to a raw internal key (test helper).
-pub fn cmp_keys(a: &[u8], b: &[u8]) -> std::cmp::Ordering {
-    internal_cmp(a, b)
 }
 
 #[cfg(test)]

@@ -4,6 +4,10 @@
 //! need: append-only writable files (WAL, SSTs, manifests), positional
 //! random-access reads (SST blocks, slab pages), sequential reads
 //! (recovery), and a handful of namespace operations.
+//!
+//! [`crate::MemEnv`] implements it over memory, timed by a device model or
+//! not, [`crate::StdEnv`] over the real filesystem, and
+//! [`crate::FaultyEnv`] over a `MemEnv` whose files it fails and crashes.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -146,8 +150,9 @@ pub trait Env: Send + Sync {
     fn install_fault_hook(&self, _hook: FaultHook) {}
 
     /// Fraction of the device's aggregate service capacity used since
-    /// creation, when this environment models a device
-    /// ([`crate::SimEnv`]); `None` for unmodeled environments.
+    /// creation, when this environment models a device (a
+    /// [`crate::MemEnv`] built with a profile, or a [`crate::FaultyEnv`]
+    /// over one); `None` for unmodeled environments.
     fn device_utilization(&self) -> Option<f64> {
         None
     }

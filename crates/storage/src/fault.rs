@@ -1,11 +1,12 @@
-//! Deterministic fault injection over any [`Env`].
+//! Deterministic fault injection over a [`MemEnv`].
 //!
-//! [`FaultyEnv`] wraps an inner env (normally a [`MemEnv`]) and applies a
-//! programmable [`FaultPlan`]:
+//! [`FaultyEnv`] wraps a [`MemEnv`] — untimed, or timed by its device
+//! model, which the wrapper leaves in place — and applies a programmable
+//! [`FaultPlan`]:
 //!
 //! * fail the Nth append / sync / read with an injected IO error
 //!   (one-shot: the op errors once, retries succeed),
-//! * crash — power-failure truncation of the backing [`MemFs`] to
+//! * crash — power-failure truncation of the inner env's [`MemFs`] to
 //!   last-synced lengths — when the Nth sync point is requested,
 //!   optionally letting part of the crashing file's unsynced tail
 //!   survive (a torn write inside the sync interval).
@@ -44,7 +45,7 @@ use std::sync::Arc;
 
 use p2kvs_util::sync::{Mutex, RwLock};
 
-use crate::device::{DeviceModel, DeviceProfile};
+use crate::device::DeviceProfile;
 use crate::env::{Env, FaultHook, RandomAccessFile, RandomRwFile, SequentialFile, WritableFile};
 use crate::ioqueue::{resolve_queue, QueueId, MAX_QUEUES};
 use crate::mem::{MemEnv, MemFs};
@@ -258,45 +259,40 @@ impl FaultState {
     }
 }
 
-/// An [`Env`] decorator injecting faults per a [`FaultPlan`].
+/// An [`Env`] decorator injecting faults per a [`FaultPlan`] into the
+/// files of the [`MemEnv`] it wraps.
 pub struct FaultyEnv {
-    inner: Arc<dyn Env>,
-    fs: Arc<MemFs>,
+    inner: MemEnv,
     state: Arc<FaultState>,
 }
 
 impl FaultyEnv {
-    /// Wraps an env whose files live in `fs`. The fs handle is what crash
-    /// injection truncates; it must be the same store `inner` writes to.
-    pub fn new(inner: Arc<dyn Env>, fs: Arc<MemFs>) -> FaultyEnv {
+    /// Wraps `inner`: its store is what crash injection truncates, and
+    /// its device model, if any, keeps timing every IO.
+    pub fn new(inner: MemEnv) -> FaultyEnv {
         FaultyEnv {
             inner,
-            fs,
             state: Arc::new(FaultState::new()),
         }
     }
 
     /// A fresh in-memory env with fault injection and no device timing.
     pub fn over_mem() -> FaultyEnv {
-        let fs = Arc::new(MemFs::new());
-        let inner = Arc::new(MemEnv::with_parts(fs.clone(), None));
-        FaultyEnv::new(inner, fs)
+        FaultyEnv::new(MemEnv::new())
     }
 
     /// A fresh in-memory env with fault injection over an instant-timing
     /// device with `n` submission queues, so per-queue sync numbering has
     /// queues to resolve to.
     pub fn over_queues(n: usize) -> FaultyEnv {
-        let profile = DeviceProfile::instant().with_queues(n);
-        let device = Arc::new(DeviceModel::from_profile(profile));
-        let fs = Arc::new(MemFs::new());
-        let inner = Arc::new(MemEnv::with_parts(fs.clone(), Some(device)));
-        FaultyEnv::new(inner, fs)
+        FaultyEnv::new(MemEnv::with_profile(
+            DeviceProfile::instant().with_queues(n),
+        ))
     }
 
     /// The backing store (for direct power_failure / footprint checks).
     pub fn fs(&self) -> &Arc<MemFs> {
-        &self.fs
+        self.inner.fs()
     }
 
     /// Replaces the fault plan. Counters keep running; plan indices are
@@ -358,7 +354,7 @@ impl FaultyEnv {
         Box::new(FaultyWritable {
             inner,
             state: self.state.clone(),
-            fs: self.fs.clone(),
+            fs: self.inner.fs().clone(),
             path: path.to_path_buf(),
             queue_pin,
             queues: self.inner.queue_count(),
@@ -561,6 +557,10 @@ impl Env for FaultyEnv {
         *self.state.hook.lock() = Some(hook);
     }
 
+    fn device_utilization(&self) -> Option<f64> {
+        self.inner.device_utilization()
+    }
+
     fn queue_count(&self) -> usize {
         self.inner.queue_count()
     }
@@ -626,11 +626,21 @@ mod tests {
     }
 
     #[test]
+    fn device_utilization_is_reported_by_timed_envs_and_through_the_wrapper() {
+        assert_eq!(MemEnv::new().device_utilization(), None);
+        assert_eq!(FaultyEnv::over_mem().device_utilization(), None);
+        let timed = MemEnv::with_profile(DeviceProfile::nvme_optane());
+        let faulty = FaultyEnv::over_queues(2);
+        for env in [&timed as &dyn Env, &faulty] {
+            write_all(env, Path::new("f.sst"), &[0u8; 4096]).unwrap();
+            let u = env.device_utilization();
+            assert!(u.is_some_and(|u| (0.0..=1.0).contains(&u)), "{u:?}");
+        }
+    }
+
+    #[test]
     fn fail_read_keeps_its_number_inside_a_plug() {
-        let sim = Arc::new(crate::SimEnv::with_profile(
-            crate::DeviceProfile::nvme_optane(),
-        ));
-        let env = FaultyEnv::new(sim.clone(), sim.fs().clone());
+        let env = FaultyEnv::new(MemEnv::with_profile(DeviceProfile::nvme_optane()));
         write_all(&env, Path::new("f"), &[1u8; 4096]).unwrap();
         let file = env.new_random_access(Path::new("f")).unwrap();
         let first = env.reads() + 1;
@@ -715,16 +725,15 @@ mod tests {
 
     #[test]
     fn fault_hook_observes_firings_and_tolerates_reentry() {
-        let env = FaultyEnv::over_mem();
+        let env = Arc::new(FaultyEnv::over_mem());
         let seen: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
         {
             // The hook re-enters the env (like a flight recorder
             // appending its journal) — must not deadlock, and its
             // appends simply fail once the env is frozen. It holds the
-            // state it lives in weakly, or the two would never be freed.
+            // env it lives in weakly, or the two would never be freed.
             let seen = seen.clone();
-            let (inner, fs) = (env.inner.clone(), env.fs.clone());
-            let state = Arc::downgrade(&env.state);
+            let hook_env = Arc::downgrade(&env);
             env.install_fault_hook(Arc::new(move |e| {
                 let name = match e {
                     FaultEvent::FailedAppend { .. } => "append",
@@ -733,12 +742,7 @@ mod tests {
                     FaultEvent::Crash { .. } => "crash",
                     FaultEvent::QueueCrash { .. } => "q-crash",
                 };
-                // Re-entry through the same env's counters.
-                let hook_env = FaultyEnv {
-                    inner: inner.clone(),
-                    fs: fs.clone(),
-                    state: state.upgrade().expect("the env outlives its hook"),
-                };
+                let hook_env = hook_env.upgrade().expect("the env outlives its hook");
                 if let Ok(mut f) = hook_env.new_appendable(Path::new("hook.log")) {
                     let _ = f.append(name.as_bytes());
                 }

@@ -4,18 +4,22 @@
 //! SSD, and an Intel Optane 905p NVMe SSD). This reproduction has none of
 //! that hardware, so — per the substitution rule in `DESIGN.md` — every
 //! engine in the workspace performs its file IO through the [`Env`] trait,
-//! which has three implementations:
+//! which has two implementations:
 //!
-//! * [`MemEnv`] — an in-memory filesystem with no timing model; used by unit
-//!   tests that only care about correctness.
-//! * [`SimEnv`] — [`MemEnv`] plus a [`DeviceModel`]: every read/write/sync
-//!   charges a service time computed from per-IO base latency, seek penalty,
-//!   bandwidth, and a bounded number of internal channels. This is what the
-//!   benchmark harness runs on, with profiles calibrated to the paper's
-//!   devices ([`DeviceProfile::hdd`], [`DeviceProfile::sata_ssd`],
+//! * [`MemEnv`] — an in-memory filesystem ([`MemFs`]). [`MemEnv::new`] has
+//!   no timing model and serves unit tests that only care about
+//!   correctness; [`MemEnv::with_profile`] adds a [`DeviceModel`]: every
+//!   read/write/sync charges a service time computed from per-IO base
+//!   latency, seek penalty, bandwidth, and a bounded number of internal
+//!   channels. The timed form is what the benchmark harness runs on
+//!   ([`SimEnv`] names it), with profiles calibrated to the
+//!   paper's devices ([`DeviceProfile::hdd`], [`DeviceProfile::sata_ssd`],
 //!   [`DeviceProfile::nvme_optane`]).
 //! * [`StdEnv`] — passthrough to the real filesystem, for running the stack
 //!   on an actual disk.
+//!
+//! [`FaultyEnv`] wraps a [`MemEnv`] to inject IO errors and power failures
+//! into the very store that env serves.
 //!
 //! All implementations count their IO in one [`IoStats`] ledger: per
 //! submission queue, the bytes written by class, write ops, bytes read,
@@ -30,7 +34,6 @@ pub mod env;
 pub mod fault;
 pub mod ioqueue;
 pub mod mem;
-pub mod sim;
 pub mod stats;
 pub mod stdfs;
 
@@ -41,7 +44,6 @@ pub use ioqueue::{
     resolve_queue, set_thread_io_queue, thread_io_queue, QueueId, QueueScope, MAX_QUEUES,
 };
 pub use mem::{MemEnv, MemFs};
-pub use sim::SimEnv;
 pub use stats::{IoClass, IoStats, IoStatsSnapshot, QueueIoSnapshot};
 pub use stdfs::StdEnv;
 
@@ -50,12 +52,5 @@ use std::sync::Arc;
 /// A shared, dynamically typed environment handle.
 pub type EnvRef = Arc<dyn Env>;
 
-/// Convenience: an in-memory env with no timing model.
-pub fn mem_env() -> EnvRef {
-    Arc::new(MemEnv::new())
-}
-
-/// Convenience: a simulated env over the given device profile.
-pub fn sim_env(profile: DeviceProfile) -> Arc<SimEnv> {
-    Arc::new(SimEnv::new(DeviceModel::from_profile(profile)))
-}
+/// The simulated device: a [`MemEnv`] built with [`MemEnv::with_profile`].
+pub type SimEnv = MemEnv;

@@ -1,8 +1,11 @@
-//! In-memory filesystem with power-failure semantics.
+//! In-memory filesystem with power-failure semantics, and the one `Env`
+//! over it.
 //!
-//! [`MemFs`] is the shared file store used by both [`MemEnv`] (no timing)
-//! and [`crate::SimEnv`] (device timing). Its durability model mirrors a
-//! POSIX page cache:
+//! [`MemEnv`] serves every file from a [`MemFs`] and, when built with
+//! [`MemEnv::with_profile`], times each IO on a [`DeviceModel`]: that is
+//! the simulated device the benchmark harness runs on ([`crate::SimEnv`]
+//! names the same type). The store's durability model mirrors a POSIX
+//! page cache:
 //!
 //! * `append` makes data immediately visible to readers (page cache),
 //! * `sync` marks the current length (and the file's creation) durable,
@@ -17,11 +20,11 @@ use std::io;
 use std::path::{Component, Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use p2kvs_util::sync::{Mutex, RwLock};
 
-use crate::device::DeviceModel;
+use crate::device::{DeviceModel, DeviceProfile};
 use crate::env::{Env, RandomAccessFile, SequentialFile, WritableFile};
 use crate::ioqueue::{resolve_queue, QueueId};
 use crate::stats::{IoClass, IoStats, IoStatsSnapshot};
@@ -357,6 +360,8 @@ impl crate::env::RandomRwFile for MemRandomRw {
 pub struct MemEnv {
     fs: Arc<MemFs>,
     device: Option<Arc<DeviceModel>>,
+    /// When the env was built: the origin of [`Env::device_utilization`].
+    created: Instant,
 }
 
 impl Default for MemEnv {
@@ -371,13 +376,22 @@ impl MemEnv {
         MemEnv {
             fs: Arc::new(MemFs::new()),
             device: None,
+            created: p2kvs_util::timing::now(),
         }
     }
 
-    /// An env over an existing store with an optional device model
-    /// (used by [`crate::SimEnv`]).
-    pub fn with_parts(fs: Arc<MemFs>, device: Option<Arc<DeviceModel>>) -> Self {
-        MemEnv { fs, device }
+    /// An in-memory env whose IOs are timed by a device model of
+    /// `profile`: every read, write and sync charges its service time.
+    pub fn with_profile(profile: DeviceProfile) -> Self {
+        MemEnv {
+            device: Some(Arc::new(DeviceModel::from_profile(profile))),
+            ..MemEnv::new()
+        }
+    }
+
+    /// The profile of the device timing this env; `None` when untimed.
+    pub fn profile(&self) -> Option<&DeviceProfile> {
+        self.device.as_deref().map(DeviceModel::profile)
     }
 
     /// The underlying store (failure injection, footprint checks).
@@ -541,6 +555,18 @@ impl Env for MemEnv {
         self.fs.stats.snapshot()
     }
 
+    /// Busy time over wall time since creation × the device's aggregate
+    /// depth (capped at 64), in `[0, 1]` — the bandwidth-utilization
+    /// figures (Figs 4, 5b, 12c, 21a).
+    fn device_utilization(&self) -> Option<f64> {
+        let depth = self.device.as_ref()?.profile().aggregate_depth().min(64) as f64;
+        let wall = p2kvs_util::timing::elapsed(self.created).as_nanos() as f64;
+        if wall == 0.0 {
+            return Some(0.0);
+        }
+        Some((self.io_stats().busy_ns as f64 / (wall * depth)).min(1.0))
+    }
+
     fn queue_count(&self) -> usize {
         self.queues()
     }
@@ -550,6 +576,7 @@ impl Env for MemEnv {
 mod tests {
     use super::*;
     use crate::env::{read_all, write_all};
+    use std::time::Duration;
 
     #[test]
     fn write_then_read_roundtrip() {
@@ -749,5 +776,146 @@ mod tests {
         let env = MemEnv::new();
         write_all(&env, Path::new("./db/../db/f"), b"x").unwrap();
         assert!(env.exists(Path::new("db/f")));
+    }
+
+    #[test]
+    fn sim_env_charges_time_for_synced_writes() {
+        // HDD sync ≈ 4 ms; three synced writes must take ≥ 12 ms of model
+        // busy time and comparable wall time.
+        let env = MemEnv::with_profile(DeviceProfile::hdd());
+        let start = Instant::now();
+        for i in 0..3 {
+            write_all(&env, Path::new(&format!("f{i}.log")), &[0u8; 128]).unwrap();
+        }
+        let stats = env.io_stats();
+        assert!(stats.busy_ns >= 12_000_000, "busy {}ns", stats.busy_ns);
+        assert!(start.elapsed() >= Duration::from_millis(10));
+    }
+
+    #[test]
+    fn instant_profile_is_fast() {
+        let env = MemEnv::with_profile(DeviceProfile::instant());
+        let start = Instant::now();
+        for i in 0..200 {
+            write_all(&env, Path::new(&format!("f{i}.log")), &[0u8; 64]).unwrap();
+        }
+        assert!(start.elapsed() < Duration::from_millis(500));
+    }
+
+    #[test]
+    fn utilization_is_bounded() {
+        let env = MemEnv::with_profile(DeviceProfile::nvme_optane());
+        write_all(&env, Path::new("a.sst"), &[0u8; 1 << 20]).unwrap();
+        let u = env
+            .device_utilization()
+            .expect("a timed env reports utilization");
+        assert!((0.0..=1.0).contains(&u));
+        assert!(u > 0.0);
+    }
+
+    #[test]
+    fn queue_placement_routes_traffic() {
+        let env = MemEnv::with_profile(DeviceProfile::instant().with_queues(4));
+        assert_eq!(Env::queue_count(&env), 4);
+
+        // Explicit pin: all IO on this handle lands on queue 2.
+        let mut w = env.new_writable_on(Path::new("pinned.sst"), 2).unwrap();
+        w.append(&[0u8; 100]).unwrap();
+        w.sync().unwrap();
+
+        // Ambient thread queue: an un-pinned handle follows the pin set on
+        // the calling thread.
+        {
+            let _g = crate::ioqueue::QueueScope::enter(1);
+            let mut w = env.new_writable(Path::new("ambient.log")).unwrap();
+            w.append(&[0u8; 40]).unwrap();
+            w.sync().unwrap();
+        }
+
+        let snap = env.io_stats();
+        assert_eq!(snap.queues[2].bytes_written, 100);
+        assert_eq!(snap.queues[2].syncs, 1);
+        assert_eq!(snap.queues[1].bytes_written, 40);
+        assert_eq!(snap.queues[1].syncs, 1);
+        // One write op and one sync per queue, nothing elsewhere.
+        assert_eq!((snap.queues[2].write_ops, snap.queues[1].write_ops), (1, 1));
+        assert_eq!((snap.write_ops, snap.syncs), (2, 2));
+    }
+
+    #[test]
+    fn plugged_reads_account_like_unplugged_ones() {
+        // The plug changes when the caller waits, never what the env
+        // counted: bytes, ops and service time, per queue and in total.
+        let run = |plugged: bool| {
+            let env = MemEnv::with_profile(DeviceProfile::nvme_optane().with_queues(2));
+            write_all(&env, Path::new("t.sst"), &[7u8; 64 << 10]).unwrap();
+            let file = env.new_random_access(Path::new("t.sst")).unwrap();
+            let before = env.io_stats();
+            let mut buf = [0u8; 4096];
+            {
+                let _plug = plugged.then(crate::IoPlug::enter);
+                for i in 0..8u64 {
+                    file.read_at(i * 8192, &mut buf).unwrap();
+                    assert_eq!(buf, [7u8; 4096], "plugged reads return their data");
+                }
+            }
+            env.io_stats().delta(&before)
+        };
+        let serial = run(false);
+        let plugged = run(true);
+        assert_eq!(plugged, serial);
+        assert_eq!(plugged.read_ops, 8);
+        assert_eq!(plugged.queues[0].read_ops + plugged.queues[1].read_ops, 8);
+        assert!(plugged.busy_ns > 0);
+    }
+
+    #[test]
+    fn chained_io_accounts_like_unchained_io() {
+        // Overlapping chains changes when the caller waits, never what the
+        // env counted: reads (plugged and not), appends and syncs on both
+        // queues, with their service time.
+        let run = |chained: bool| {
+            let env = MemEnv::with_profile(DeviceProfile::nvme_optane().with_queues(2));
+            write_all(&env, Path::new("t.sst"), &[7u8; 64 << 10]).unwrap();
+            let file = env.new_random_access(Path::new("t.sst")).unwrap();
+            let before = env.io_stats();
+            let mut buf = [0u8; 4096];
+            let mut chains = chained.then(crate::IoChains::enter);
+            for chain in 0..4u64 {
+                if let Some(c) = chains.as_mut() {
+                    c.next_chain();
+                }
+                {
+                    let _plug = crate::IoPlug::enter();
+                    file.read_at(chain * 8192, &mut buf).unwrap();
+                    file.read_at(chain * 8192 + 4096, &mut buf).unwrap();
+                }
+                file.read_at(chain * 4096, &mut buf).unwrap();
+                assert_eq!(buf, [7u8; 4096], "chained reads return their data");
+                let mut w = env
+                    .new_writable_on(Path::new(&format!("c{chain}.log")), chain as usize % 2)
+                    .unwrap();
+                w.append(&[1u8; 100]).unwrap();
+                w.sync().unwrap();
+            }
+            drop(chains);
+            env.io_stats().delta(&before)
+        };
+        let serial = run(false);
+        let chained = run(true);
+        assert_eq!(chained, serial);
+        assert_eq!((chained.read_ops, chained.syncs), (12, 4));
+        assert_eq!((chained.queues[0].syncs, chained.queues[1].syncs), (2, 2));
+    }
+
+    #[test]
+    fn power_failure_applies_through_sim_env() {
+        let env = MemEnv::with_profile(DeviceProfile::instant());
+        let mut w = env.new_writable(Path::new("wal.log")).unwrap();
+        w.append(b"synced").unwrap();
+        w.sync().unwrap();
+        w.append(b"lost").unwrap();
+        env.fs().power_failure();
+        assert_eq!(env.file_size(Path::new("wal.log")).unwrap(), 6);
     }
 }

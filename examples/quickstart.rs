@@ -17,7 +17,7 @@ use p2kvs_storage::MemEnv;
 fn main() {
     // Engines live in an environment; here an in-memory one so the example
     // is self-contained. Swap in `p2kvs_storage::StdEnv` for a real disk or
-    // `SimEnv` for a simulated device.
+    // `MemEnv::with_profile(..)` for a simulated device.
     let env: p2kvs_storage::EnvRef = Arc::new(MemEnv::new());
     let factory = LsmFactory::new(Options::rocksdb_like(env));
     let opts = P2KvsOptions::with_workers(4);
