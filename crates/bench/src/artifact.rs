@@ -315,12 +315,18 @@ pub struct Scenario {
 }
 
 /// Runs `scenario`, prints its table, writes its artifact and reports
-/// its gate: `Ok(true)` when the gate held.
+/// its gate: `Ok(true)` when the gate held and no call of the run's
+/// windows failed — an error, or a GET that did not find a preloaded key
+/// ([`crate::workload::take_failed_calls`]).
 pub fn run_gate(scenario: &Scenario) -> std::io::Result<bool> {
     let report = (scenario.run)();
     report.print(scenario.question);
     println!("wrote {}", report.write(scenario.artifact)?.display());
-    let failed = (scenario.gate)(&report.summary);
+    let mut failed = (scenario.gate)(&report.summary);
+    match crate::workload::take_failed_calls() {
+        0 => {}
+        calls => failed.push(format!("{calls} calls of its windows failed")),
+    }
     for reason in &failed {
         eprintln!("GATE FAILED ({}): {reason}", scenario.id);
     }
@@ -638,6 +644,72 @@ mod tests {
             let failed = (s.gate)(&report.summary);
             assert!(failed.is_empty(), "{}: {failed:?}", s.id);
         }
+    }
+
+    /// A run whose window counted a failed call fails its scenario though
+    /// its gate holds, and the run itself neither panics nor stops early:
+    /// a GET that finds no preloaded key (the negative control deletes
+    /// one), and a call that returns an error.
+    #[test]
+    fn run_gate_fails_a_scenario_whose_windows_counted_a_failed_call() {
+        use crate::workload::{self, GateMix, KvClient, Run};
+        use p2kvs_util::rng::Rng;
+
+        fn window(client: &impl KvClient) -> Report {
+            let gets = GateMix {
+                seed: 7,
+                put_percent: 0,
+                value_len: 16,
+                pick: |rng: &mut Rng| format!("k{}", rng.below(8)).into_bytes(),
+            };
+            let r = workload::drive(client, &gets, Run::new(2, 200, false));
+            assert_eq!(r.ops, 200, "the window ran to its end");
+            Report {
+                bench: "unit",
+                seed: 7,
+                config: Fields::new(),
+                summary: Fields::new(),
+                rows: Vec::new(),
+            }
+        }
+        fn missing_key() -> Report {
+            let engine = crate::setups::scenario_engine(crate::setups::instant_env());
+            let opts = p2kvs::P2KvsOptions::with_workers(1);
+            let client = crate::setups::scenario_store("missing-key", engine, opts);
+            workload::load(&client, 8, |i| format!("k{i}").into_bytes(), 16).unwrap();
+            client.store.delete(b"k3").unwrap();
+            window(&client)
+        }
+        struct Refusing;
+        impl KvClient for Refusing {
+            fn insert(&self, _: &[u8], _: &[u8]) -> Result<(), String> {
+                Err("refused".into())
+            }
+            fn read(&self, _: &[u8]) -> Result<Option<Vec<u8>>, String> {
+                Err("refused".into())
+            }
+            fn scan(&self, _: &[u8], _: usize) -> Result<usize, String> {
+                Err("refused".into())
+            }
+        }
+        fn refused() -> Report {
+            window(&Refusing)
+        }
+
+        let dir = std::env::temp_dir().join("p2kvs-run-gate-test");
+        let artifact = dir.join("BENCH_unit").to_string_lossy().into_owned();
+        std::fs::create_dir_all(&dir).unwrap();
+        for run in [missing_key as fn() -> Report, refused] {
+            let scenario = Scenario {
+                id: "unit",
+                artifact: Box::leak(artifact.clone().into_boxed_str()),
+                question: "a window with a failed call",
+                run,
+                gate: |_| Vec::new(),
+            };
+            assert!(!run_gate(&scenario).unwrap(), "a failed call passed");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

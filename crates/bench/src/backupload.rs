@@ -21,9 +21,11 @@ use std::time::Instant;
 
 use p2kvs::engine::LsmFactory;
 use p2kvs::{P2Kvs, P2KvsOptions};
+use p2kvs_util::rng::Rng;
 
 use crate::artifact::{best_of, Fields, Report};
 use crate::setups;
+use crate::workload::{self, value_of, GateMix, Run};
 
 /// Worker threads the store runs.
 pub const WORKERS: usize = 3;
@@ -60,7 +62,7 @@ fn restores(lsm: lsmkv::Options, name: &str, opts: P2KvsOptions, keys: u64) -> b
     let served = (0..keys)
         .step_by(199)
         .map(key_of)
-        .all(|k| restored.get(&k).ok().flatten() == Some(setups::value_of(&k, VALUE_LEN)));
+        .all(|k| restored.get(&k).ok().flatten() == Some(value_of(&k, VALUE_LEN)));
     restored.close();
     served
 }
@@ -81,15 +83,24 @@ fn measure(phase: &'static str, round: usize, keys: u64, ops: u64, seed: u64) ->
     // stall the freeze window causes — the very thing being measured.
     opts.cache_capacity = 0;
     let name = format!("blr-{phase}-{round}");
-    let store = setups::scenario_store(&name, lsm.clone(), opts.clone());
-    setups::load(&store, (0..keys).map(key_of), VALUE_LEN);
+    let client = setups::scenario_store(&name, lsm.clone(), opts.clone());
+    let store = &client.store;
+    workload::load(&client, keys, key_of, VALUE_LEN).expect("load");
 
-    let per_client = (ops / CLIENTS as u64).max(1);
-    let cut_target = (ops / CUT_AT_DIVISOR).clamp(1, per_client * CLIENTS as u64 - 1);
-    // Ops issued so far (`drive` asks for a key once per op).
+    let cut_target = (ops / CUT_AT_DIVISOR).clamp(1, ops.max(2) - 1);
+    // Ops issued so far (the stream asks for a key once per op).
     let issued = AtomicU64::new(0);
+    let mix = GateMix {
+        seed,
+        put_percent: PUT_PERCENT,
+        value_len: VALUE_LEN,
+        pick: |rng: &mut Rng| {
+            issued.fetch_add(1, Ordering::Relaxed);
+            key_of(rng.below(keys))
+        },
+    };
     let began = Instant::now();
-    let (lat, backup) = std::thread::scope(|s| {
+    let (r, backup) = std::thread::scope(|s| {
         // The cut lands mid-window: the freeze stall, the marker acks,
         // and (held by `wait` here, concurrent with the clients) the
         // whole streamer run all overlap the measured interval.
@@ -108,34 +119,22 @@ fn measure(phase: &'static str, round: usize, keys: u64, ops: u64, seed: u64) ->
                 (cut_at, report.entries, cut_began.elapsed().as_secs_f64())
             })
         });
-        let lat = setups::drive(
-            &store,
-            CLIENTS,
-            per_client,
-            seed,
-            PUT_PERCENT,
-            VALUE_LEN,
-            |rng| {
-                issued.fetch_add(1, Ordering::Relaxed);
-                key_of(rng.below(keys))
-            },
-        );
-        (lat, backup.map(|b| b.join().expect("backup thread")))
+        let r = workload::drive(&client, &mix, Run::new(CLIENTS, ops, false));
+        (r, backup.map(|b| b.join().expect("backup thread")))
     });
     let wall_secs = began.elapsed().as_secs_f64();
 
     let (cut_at_op, backup_entries, backup_wall_secs) = backup.unwrap_or((0, 0, 0.0));
     let verified = backup.is_some() && backup_entries >= keys && restores(lsm, &name, opts, keys);
-    store.close();
 
     Fields::new()
         .with("phase", phase)
         .with("round", round)
-        .window((lat.gets.len() + lat.puts.len()) as u64, wall_secs)
-        .with("p50_get_ns", crate::percentile(&lat.gets, 0.50))
-        .with("p99_get_ns", crate::percentile(&lat.gets, 0.99))
-        .with("p50_put_ns", crate::percentile(&lat.puts, 0.50))
-        .with("p99_put_ns", crate::percentile(&lat.puts, 0.99))
+        .window(r.ops, wall_secs)
+        .with("p50_get_ns", r.reads.quantile(0.50))
+        .with("p99_get_ns", r.reads.quantile(0.99))
+        .with("p50_put_ns", r.writes.quantile(0.50))
+        .with("p99_put_ns", r.writes.quantile(0.99))
         .with("cut_at_op", cut_at_op)
         .with("backup_entries", backup_entries)
         .float("backup_wall_secs", backup_wall_secs, 3)

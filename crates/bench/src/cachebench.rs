@@ -13,13 +13,13 @@
 //! Reads are compared byte for byte across every configuration — a cache
 //! serving stale or corrupt bytes fails the gate, not just the numbers.
 
-use std::time::Instant;
-
-use p2kvs::{P2Kvs, P2KvsOptions};
+use p2kvs::P2KvsOptions;
+use p2kvs_util::rng::Rng;
 
 use crate::artifact::{Fields, Report};
-use crate::setups::{self, Sample};
-use crate::workload::Zipf;
+use crate::clients::P2Client;
+use crate::setups;
+use crate::workload::{self, GateMix, Run, Sample, Zipf};
 
 /// Worker threads every configuration runs.
 pub const WORKERS: usize = 4;
@@ -40,7 +40,7 @@ fn key_of(rank: u64) -> Vec<u8> {
     format!("c{rank:07}").into_bytes()
 }
 
-fn open_store(name: &str, cache_capacity: usize) -> P2Kvs<lsmkv::Db> {
+fn open_store(name: &str, cache_capacity: usize) -> P2Client<lsmkv::Db> {
     let mut opts = P2KvsOptions::with_workers(WORKERS);
     opts.cache_capacity = cache_capacity;
     setups::scenario_store(name, setups::scenario_engine(setups::nvme_env()), opts)
@@ -71,30 +71,27 @@ fn measure_hitrate(
     measure_ops: u64,
     seed: u64,
 ) -> (Fields, Sample) {
-    let store = open_store(
+    let client = open_store(
         &format!("cache-sweep-{pct_of_hot}"),
         capacity_bytes as usize,
     );
-    setups::load(&store, (0..keys).map(key_of), VALUE_LEN);
+    let store = &client.store;
+    workload::load(&client, keys, key_of, VALUE_LEN).expect("load");
     let zipf = Zipf::new(keys as usize, THETA);
-    let pick = |rng: &mut p2kvs_util::rng::Rng| key_of(zipf.rank(rng.unit()) as u64);
-    let drive = |ops: u64, seed: u64| {
-        setups::drive(
-            &store,
-            CLIENTS,
-            ops / CLIENTS as u64,
+    let pick = |rng: &mut Rng| key_of(zipf.rank(rng.unit()) as u64);
+    let gets = |ops: u64, seed: u64| {
+        let mix = GateMix {
             seed,
-            0,
-            VALUE_LEN,
+            put_percent: 0,
+            value_len: VALUE_LEN,
             pick,
-        )
+        };
+        workload::drive(&client, &mix, Run::new(CLIENTS, ops, false))
     };
-    drive(warmup_ops, seed ^ 0xAA55_77EE);
+    gets(warmup_ops, seed ^ 0xAA55_77EE);
 
     let before = store.metrics_snapshot();
-    let began = Instant::now();
-    let lat = drive(measure_ops, seed).gets;
-    let wall_secs = began.elapsed().as_secs_f64();
+    let r = gets(measure_ops, seed);
     let after = store.metrics_snapshot();
 
     let delta = |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
@@ -102,19 +99,18 @@ fn measure_hitrate(
     let row = Fields::new()
         .with("pct_of_hot", pct_of_hot)
         .with("capacity_bytes", capacity_bytes)
-        .window(lat.len() as u64, wall_secs)
+        .window(r.ops, r.elapsed.as_secs_f64())
         .float(
             "hit_rate",
             hits as f64 / ((hits + misses) as f64).max(1.0),
             4,
         )
-        .with("p50_get_ns", crate::percentile(&lat, 0.50))
-        .with("p99_get_ns", crate::percentile(&lat, 0.99))
+        .with("p50_get_ns", r.reads.quantile(0.50))
+        .with("p99_get_ns", r.reads.quantile(0.99))
         .with("hits", hits)
         .with("misses", misses)
         .with("evictions", delta("p2kvs_cache_evictions"));
-    let sample = setups::readback(&store, pick);
-    store.close();
+    let sample = workload::readback(&client, pick);
     (row, sample)
 }
 

@@ -30,14 +30,14 @@
 //! Values derive from the key alone, so the final state is a function
 //! of the touched key set, which the fixed seed makes deterministic.
 
-use std::time::Instant;
-
 use p2kvs::P2KvsOptions;
 use p2kvs_storage::DeviceProfile;
 use p2kvs_util::hash::fnv1a64;
+use p2kvs_util::rng::Rng;
 
 use crate::artifact::{best_of, Fields, Report};
 use crate::setups;
+use crate::workload::{self, GateMix, Run};
 
 /// Worker threads (= shards = parallel-config queues: the paper's
 /// square layout, worker *i* pinned to queue *i*).
@@ -162,21 +162,16 @@ fn measure(spec: ConfigSpec, round: usize, keys: u64, ops: u64, seed: u64) -> Fi
     // stalls being measured.
     opts.cache_capacity = 0;
     let name = format!("cst-{}-{round}", spec.name);
-    let store = setups::scenario_store(&name, engine_options(env, spec), opts);
-    setups::load(&store, (0..keys).map(key_of), VALUE_LEN);
-
-    let per_client = (ops / CLIENTS as u64).max(1);
-    let began = Instant::now();
-    let lat = setups::drive(
-        &store,
-        CLIENTS,
-        per_client,
+    let client = setups::scenario_store(&name, engine_options(env, spec), opts);
+    let store = &client.store;
+    workload::load(&client, keys, key_of, VALUE_LEN).expect("load");
+    let mix = GateMix {
         seed,
-        PUT_PERCENT,
-        VALUE_LEN,
-        |rng| key_of(rng.below(keys)),
-    );
-    let wall_secs = began.elapsed().as_secs_f64();
+        put_percent: PUT_PERCENT,
+        value_len: VALUE_LEN,
+        pick: |rng: &mut Rng| key_of(rng.below(keys)),
+    };
+    let r = workload::drive(&client, &mix, Run::new(CLIENTS, ops, false));
 
     // Counters after the window: stall time proves the workload really
     // was backpressured, queue activity proves affinity spread it.
@@ -200,18 +195,17 @@ fn measure(spec: ConfigSpec, round: usize, keys: u64, ops: u64, seed: u64) -> Fi
     let fold = entries.iter().fold(0u64, |acc, (k, v)| {
         acc.wrapping_add(fnv1a64(&[k.as_slice(), v].concat()))
     });
-    store.close();
 
     Fields::new()
         .with("config", spec.name)
         .with("round", round)
-        .window((lat.gets.len() + lat.puts.len()) as u64, wall_secs)
-        .with("p50_put_ns", crate::percentile(&lat.puts, 0.50))
-        .with("p95_put_ns", crate::percentile(&lat.puts, 0.95))
-        .with("p99_put_ns", crate::percentile(&lat.puts, 0.99))
-        .with("max_put_ns", lat.puts.last().copied().unwrap_or(0))
-        .with("p50_get_ns", crate::percentile(&lat.gets, 0.50))
-        .with("p99_get_ns", crate::percentile(&lat.gets, 0.99))
+        .window(r.ops, r.elapsed.as_secs_f64())
+        .with("p50_put_ns", r.writes.quantile(0.50))
+        .with("p95_put_ns", r.writes.quantile(0.95))
+        .with("p99_put_ns", r.writes.quantile(0.99))
+        .with("max_put_ns", r.writes.max())
+        .with("p50_get_ns", r.reads.quantile(0.50))
+        .with("p99_get_ns", r.reads.quantile(0.99))
         .float("stall_secs", stall_ns / 1e9, 3)
         .with(
             "compaction_bytes",

@@ -8,7 +8,7 @@
 //! seven idle threads for most of the day. The elastic configuration
 //! opens at one worker with a [`p2kvs::ScalePolicy`] and lets the
 //! balancer clock resize the pool: each deterministic
-//! [`P2Kvs::rebalance_once`] tick compares the interval's aggregate
+//! [`p2kvs::P2Kvs::rebalance_once`] tick compares the interval's aggregate
 //! service time against what the live workers should absorb at the
 //! target utilization and spawns or drain-retires one worker.
 //!
@@ -27,10 +27,14 @@
 
 use std::time::Instant;
 
-use p2kvs::{P2Kvs, P2KvsOptions, ScalePolicy};
+use p2kvs::{P2KvsOptions, ScalePolicy};
+use p2kvs_util::histogram::Histogram;
+use p2kvs_util::rng::Rng;
 
 use crate::artifact::{Fields, Report};
-use crate::setups::{self, Sample};
+use crate::clients::P2Client;
+use crate::setups;
+use crate::workload::{self, GateMix, Run, Sample};
 
 /// Peak pool size: the static configuration provisions this many
 /// workers for the whole run; the elastic one may grow up to it.
@@ -54,7 +58,7 @@ fn key_of(i: u64) -> Vec<u8> {
     format!("e{i:08}").into_bytes()
 }
 
-fn open_store(name: &str, elastic: bool) -> P2Kvs<lsmkv::Db> {
+fn open_store(name: &str, elastic: bool) -> P2Client<lsmkv::Db> {
     let mut opts = P2KvsOptions::with_workers(if elastic { 1 } else { MAX_WORKERS });
     opts.shards = SHARDS;
     // No client-side cache: hits served off-worker would hide the very
@@ -85,26 +89,25 @@ fn measure(
     ops_per_client: u64,
     seed: u64,
 ) -> (Vec<Fields>, Vec<usize>, Sample) {
-    let store = open_store(config, config == "elastic");
-    setups::load(&store, (0..keys).map(key_of), VALUE_LEN);
+    let client = open_store(config, config == "elastic");
+    let store = &client.store;
+    workload::load(&client, keys, key_of, VALUE_LEN).expect("load");
+    let pick = |rng: &mut Rng| key_of(rng.below(keys));
     let mut rows = Vec::with_capacity(PHASES.len());
     let mut samples = Vec::new();
     for (phase, &load_x) in PHASES.iter().enumerate() {
         let began = Instant::now();
         let mut phase_workers = 0usize;
-        let mut last_round_lat = Vec::new();
+        let mut last_round_gets = Histogram::new();
         for round in 0..ROUNDS_PER_PHASE {
-            let seed = seed ^ ((phase as u64) << 8) ^ round as u64;
-            last_round_lat = setups::drive(
-                &store,
-                load_x,
-                ops_per_client,
-                seed,
-                PUT_PERCENT,
-                VALUE_LEN,
-                |rng| key_of(rng.below(keys)),
-            )
-            .gets;
+            let mix = GateMix {
+                seed: seed ^ ((phase as u64) << 8) ^ round as u64,
+                put_percent: PUT_PERCENT,
+                value_len: VALUE_LEN,
+                pick,
+            };
+            let run = Run::new(load_x, load_x as u64 * ops_per_client, false);
+            last_round_gets = workload::drive(&client, &mix, run).reads;
             store.rebalance_once().unwrap();
             phase_workers += store.workers();
             samples.push(store.workers());
@@ -124,12 +127,11 @@ fn measure(
                     (load_x * ROUNDS_PER_PHASE) as u64 * ops_per_client,
                     began.elapsed().as_secs_f64(),
                 )
-                .with("p50_get_ns", crate::percentile(&last_round_lat, 0.50))
-                .with("p99_get_ns", crate::percentile(&last_round_lat, 0.99)),
+                .with("p50_get_ns", last_round_gets.quantile(0.50))
+                .with("p99_get_ns", last_round_gets.quantile(0.99)),
         );
     }
-    let sample = setups::readback(&store, |rng| key_of(rng.below(keys)));
-    store.close();
+    let sample = workload::readback(&client, pick);
     (rows, samples, sample)
 }
 
@@ -224,9 +226,13 @@ pub fn gate(summary: &Fields) -> Vec<String> {
 /// The scenario's own key count and half its ops: a worker serves a
 /// memtable GET in ~2 µs, so with a few hundred ops per client the
 /// client threads' start-up outweighs the work between two ticks and the
-/// peak never reads as 60 % of one worker.
+/// peak never reads as 60 % of one worker. One smoke runs at a time: on a
+/// two-core host two at once halve each other's worker, and neither peak
+/// reads as 60 % of one.
 #[cfg(test)]
 pub(crate) fn smoke() -> Report {
+    static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     run_sized(10_000, 2_000, 7)
 }
 

@@ -8,9 +8,9 @@ use lsmkv::{Db, WriteBatch, WriteOptions};
 use p2kvs_storage::{DeviceProfile, Env as _};
 
 use crate::clients::{LsmClient, MultiLsmClient};
-use crate::setups::{self, bench_options, value_of};
+use crate::setups::{self, bench_options};
 use crate::workload::MicroKind::{FillRandom, FillSeq, Overwrite, ReadRandom};
-use crate::workload::{drive, hashed_key, load, Micro, Run};
+use crate::workload::{drive, hashed_key, load, value_of, Micro, Run};
 use crate::{kqps, print_table, scaled};
 
 /// Fig 1: RocksDB throughput on HDD vs SATA SSD vs NVMe SSD, 1 and 8 user
@@ -39,7 +39,7 @@ pub fn fig1() {
                 let env = setups::device_env(profile);
                 let client = setups::rocksdb_single(env, &format!("f1-{}-w", profile.name));
                 if kind.needs_load() {
-                    load(&client, w_ops, 128).expect("preload");
+                    load(&client, w_ops, hashed_key, 128).expect("preload");
                 }
                 let r = drive(
                     &client,
@@ -56,7 +56,7 @@ pub fn fig1() {
                 opts.block_cache_size = 1 << 20;
                 let client =
                     LsmClient::new(Db::open(opts, format!("f1-{}-r", profile.name)).unwrap());
-                load(&client, r_load, 128).expect("preload");
+                load(&client, r_load, hashed_key, 128).expect("preload");
                 client.db.flush().unwrap();
                 client.db.wait_idle().unwrap();
                 // readseq: cursor scans in key order (block locality).

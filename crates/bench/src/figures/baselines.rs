@@ -5,7 +5,9 @@ use std::time::{Duration, Instant};
 use p2kvs_storage::Env as _;
 
 use crate::setups;
-use crate::workload::{drive, load, KvClient, Micro, MicroKind, Run, Workload, WorkloadKind};
+use crate::workload::{
+    drive, hashed_key, load, KvClient, Micro, MicroKind, Run, Workload, WorkloadKind,
+};
 use crate::{kqps, print_table, scaled};
 
 fn spec(kind: WorkloadKind) -> Workload {
@@ -43,7 +45,7 @@ pub fn fig20() {
             );
             let [kv_qps, p2_qps] = [&kv as &dyn KvClient, &p2].map(|client| {
                 if kind != WorkloadKind::Load {
-                    load(client, s.record_count, s.value_size).expect("load phase");
+                    load(client, s.record_count, hashed_key, s.value_size).expect("load phase");
                 }
                 drive(client, &s, Run::new(threads, s.op_count, false)).qps()
             });

@@ -9,7 +9,7 @@ use p2kvs_storage::{DeviceProfile, Env as _};
 use crate::clients::{LsmClient, P2Client};
 use crate::setups;
 use crate::workload::MicroKind::{FillRandom, ReadRandom};
-use crate::workload::{drive, load, ordered_key, KvClient, Micro, Run, RunResult};
+use crate::workload::{drive, hashed_key, load, ordered_key, KvClient, Micro, Run, RunResult};
 use crate::{kqps, print_table, scaled};
 
 /// One fig12/tab2 system run with resource sampling.
@@ -29,7 +29,7 @@ fn run_system(
     name: &'static str,
     threads: usize,
     ops: u64,
-    make: impl FnOnce(Arc<p2kvs_storage::SimEnv>) -> Box<dyn SampledClient>,
+    make: impl FnOnce(Arc<p2kvs_storage::MemEnv>) -> Box<dyn SampledClient>,
 ) -> SystemRun {
     let env = setups::nvme_env();
     let client = make(env.clone());
@@ -269,8 +269,8 @@ pub fn fig13() {
             let r = drive(&**client, &Micro::new(FillRandom, ops, 128), run);
             cells.push(format!(
                 "{:.0}/{:.0} @{:.0}k {:.2}s",
-                r.latency.mean() / 1e3,
-                r.latency.percentile(99.0) / 1000,
+                r.latency().mean() / 1e3,
+                r.latency().percentile(99.0) / 1000,
                 r.qps() / 1e3,
                 r.elapsed.as_secs_f64()
             ));
@@ -295,7 +295,7 @@ pub fn fig14() {
     let read = Micro::new(ReadRandom, items, 128);
     // Small per-instance block caches so point reads hit the device, as in
     // the paper (dataset >> cache).
-    let small_cache = |env: std::sync::Arc<p2kvs_storage::SimEnv>| {
+    let small_cache = |env: std::sync::Arc<p2kvs_storage::MemEnv>| {
         let mut o = setups::bench_options(env);
         o.block_cache_size = 512 << 10;
         o
@@ -305,7 +305,7 @@ pub fn fig14() {
     let base = {
         let env = setups::nvme_env();
         let client = LsmClient::new(lsmkv::Db::open(small_cache(env), "f14-base").unwrap());
-        load(&client, items, 128).expect("preload");
+        load(&client, items, hashed_key, 128).expect("preload");
         client.db.flush().unwrap();
         client.db.wait_idle().unwrap();
         drive(&client, &read, Run::new(32, reads, false)).qps()
@@ -320,7 +320,7 @@ pub fn fig14() {
                 workers,
                 obm,
             );
-            load(&client, items, 128).expect("preload");
+            load(&client, items, hashed_key, 128).expect("preload");
             for e in client.store.engines() {
                 e.flush().unwrap();
                 e.wait_idle().unwrap();
@@ -351,7 +351,7 @@ pub fn fig14() {
     let base = {
         let env = slow_env();
         let client = LsmClient::new(lsmkv::Db::open(small_cache(env), "f14s-base").unwrap());
-        load(&client, items_slow, 128).expect("preload");
+        load(&client, items_slow, hashed_key, 128).expect("preload");
         client.db.flush().unwrap();
         client.db.wait_idle().unwrap();
         drive(&client, &read_slow, Run::new(32, reads_slow, false)).qps()
@@ -365,7 +365,7 @@ pub fn fig14() {
             workers,
             obm,
         );
-        load(&client, items_slow, 128).expect("preload");
+        load(&client, items_slow, hashed_key, 128).expect("preload");
         for e in client.store.engines() {
             e.flush().unwrap();
             e.wait_idle().unwrap();
@@ -413,7 +413,7 @@ pub fn fig15() {
     let p2 = setups::p2kvs(env_p, "f15-p2", 8, true);
     for i in 0..load {
         let k = ordered_key(i);
-        let v = setups::value_of(&k, 128);
+        let v = crate::workload::value_of(&k, 128);
         rocks.insert(&k, &v).unwrap();
         p2.insert(&k, &v).unwrap();
     }

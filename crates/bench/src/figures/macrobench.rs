@@ -2,7 +2,7 @@
 //! 16–19).
 
 use crate::setups;
-use crate::workload::{drive, load, KvClient, Run, Workload, WorkloadKind};
+use crate::workload::{drive, hashed_key, load, KvClient, Run, Workload, WorkloadKind};
 use crate::{kqps, print_table, scaled};
 
 /// Default scaled YCSB sizes (paper: 670M/120M; see DESIGN.md).
@@ -30,7 +30,7 @@ fn run_one(
     let client = make(tag);
     let spec = spec(kind, value_size);
     if kind != WorkloadKind::Load {
-        load(&*client, spec.record_count, spec.value_size).expect("load phase");
+        load(&*client, spec.record_count, hashed_key, spec.value_size).expect("load phase");
     }
     drive(&*client, &spec, Run::new(threads, spec.op_count, false)).qps()
 }

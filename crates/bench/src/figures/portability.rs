@@ -24,7 +24,7 @@ pub fn fig22() {
         // Plain LevelDB: one shared instance.
         let ldb = setups::leveldb_single(setups::nvme_env(), &format!("f22-l-{threads}"));
         let w_l = drive(&ldb, &fill, run).qps();
-        load(&ldb, items, 128).expect("preload");
+        load(&ldb, items, hashed_key, 128).expect("preload");
         ldb.db.flush().unwrap();
         ldb.db.wait_idle().unwrap();
         let r_l = drive(&ldb, &read, run).qps();
@@ -32,7 +32,7 @@ pub fn fig22() {
         let leveldb = setups::bench_sized(lsmkv::Options::leveldb_like(setups::nvme_env()));
         let p2 = setups::p2kvs_with(leveldb, &format!("f22-p-{threads}"), threads, true);
         let w_p = drive(&p2, &fill, run).qps();
-        load(&p2, items, 128).expect("preload");
+        load(&p2, items, hashed_key, 128).expect("preload");
         for e in p2.store.engines() {
             e.flush().unwrap();
             e.wait_idle().unwrap();
@@ -77,11 +77,11 @@ pub fn fig23() {
         let run = Run::new(threads, ops, true);
         let wt = setups::wiredtiger_single(setups::nvme_env(), &format!("f23-w-{threads}"));
         let w_s = drive(&wt, &fill, run).qps();
-        load(&wt, items, 128).expect("preload");
+        load(&wt, items, hashed_key, 128).expect("preload");
         let r_s = drive(&wt, &read, run).qps();
         let p2 = setups::p2kvs_over_wt(setups::nvme_env(), &format!("f23-p-{threads}"), threads);
         let w_p = drive(&p2, &fill, run).qps();
-        load(&p2, items, 128).expect("preload");
+        load(&p2, items, hashed_key, 128).expect("preload");
         let r_p = drive(&p2, &read, run).qps();
         rows.push(vec![
             threads.to_string(),
@@ -133,7 +133,7 @@ pub fn ablate() {
                 m.to_string(),
                 kqps(r.qps()),
                 format!("{:.1}", snap.avg_batch_size()),
-                format!("{:.0}", r.latency.percentile(99.0) / 1000),
+                format!("{:.0}", r.latency().percentile(99.0) / 1000),
             ]);
         }
         print_table(

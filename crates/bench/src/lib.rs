@@ -100,16 +100,6 @@ pub fn seed_from_env(var: &str, default: u64) -> u64 {
     from_env(var, "a decimal u64", default)
 }
 
-/// The `p`-quantile (`0.0..=1.0`) of an ascending-sorted sample, by
-/// nearest rank; 0 for an empty sample.
-pub fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
-
 /// Simple fixed-width table printer used by every figure.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
@@ -162,16 +152,6 @@ mod tests {
     fn an_unparsable_seed_panics_naming_its_variable() {
         std::env::set_var("P2KVS_UNPARSABLE_TEST_SEED", "0xCAC4E5EED");
         super::seed_from_env("P2KVS_UNPARSABLE_TEST_SEED", 7);
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank_and_total() {
-        let sample: Vec<u64> = (1..=100).collect();
-        assert_eq!(super::percentile(&sample, 0.0), 1);
-        assert_eq!(super::percentile(&sample, 0.50), 51);
-        assert_eq!(super::percentile(&sample, 0.99), 99);
-        assert_eq!(super::percentile(&sample, 1.0), 100);
-        assert_eq!(super::percentile(&[], 0.99), 0);
     }
 
     #[test]

@@ -24,24 +24,30 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use p2kvs::worker::SCAN_CHUNK_ENTRIES;
-use p2kvs::{P2Kvs, P2KvsOptions};
+use p2kvs::P2KvsOptions;
 use p2kvs_util::rng::Rng;
 
 use crate::artifact::{Fields, Report};
+use crate::clients::P2Client;
 use crate::setups;
+use crate::workload::{self, value_of, GateMix, Run};
 
 const VALUE_BYTES: usize = 100;
-/// Length of each measurement window (idle, then under scan).
-const WINDOW: Duration = Duration::from_secs(3);
+/// Point GETs per measured window (idle, then under scan), at every
+/// scale: each p99 rests on 100 samples. Under scan a GET waits behind
+/// scan chunks, so the window spans many full scans: on 2 vCPUs, 25 scans
+/// of 100k entries (≈ 2.7 s) at full scale and ~50 of 5 000 entries at
+/// CI's `P2KVS_SCALE=0.05`.
+const GETS: u64 = 10_000;
 
 fn nth_key(i: u64) -> Vec<u8> {
     format!("key{i:08}").into_bytes()
 }
 
-fn open_store(name: &str) -> P2Kvs<lsmkv::Db> {
+fn open_store(name: &str) -> P2Client<lsmkv::Db> {
     let mut opts = P2KvsOptions::with_workers(1);
     // Cache off: this bench measures GET latency *through the queue*
     // while scans stream — client-side cache hits would bypass exactly
@@ -50,38 +56,30 @@ fn open_store(name: &str) -> P2Kvs<lsmkv::Db> {
     setups::scenario_store(name, setups::scenario_engine(setups::nvme_env()), opts)
 }
 
-/// Synchronous point GETs of existing keys for `window`, returning the
-/// sorted latency samples.
-fn get_loop(store: &P2Kvs<lsmkv::Db>, entries: u64, window: Duration) -> Vec<u64> {
-    let mut lat = Vec::with_capacity(1 << 16);
-    let mut rng = Rng::new(0x5ca1ab1e);
-    let start = Instant::now();
-    while start.elapsed() < window {
-        let key = nth_key(rng.below(entries));
-        let began = Instant::now();
-        let got = store.get(&key).unwrap();
-        lat.push(began.elapsed().as_nanos() as u64);
-        assert!(got.is_some(), "preloaded key missing");
-    }
-    lat.sort_unstable();
-    lat
-}
-
 /// Measures idle point-GET latency, then point-GET latency while a
-/// scanner thread drains full-store scans back to back. Returns the row
-/// and whether a quiescent full scan returned exactly the loaded data.
-fn measure(entries: u64, window: Duration) -> (Fields, bool) {
-    let store = open_store("chunked");
-    setups::load(&store, (0..entries).map(nth_key), VALUE_BYTES);
+/// scanner thread drains full-store scans back to back, [`GETS`] each.
+/// Returns the row and whether a quiescent full scan returned exactly the
+/// loaded data.
+fn measure(entries: u64) -> (Fields, bool) {
+    let client = open_store("chunked");
+    let store = &client.store;
+    workload::load(&client, entries, nth_key, VALUE_BYTES).expect("load");
 
-    let loaded = (0..entries).map(|i| (nth_key(i), setups::value_of(&nth_key(i), VALUE_BYTES)));
+    let loaded = (0..entries).map(|i| (nth_key(i), value_of(&nth_key(i), VALUE_BYTES)));
     let identical = store
         .scan(b"", entries as usize + 1)
         .unwrap()
         .into_iter()
         .eq(loaded);
 
-    let idle = get_loop(&store, entries, window);
+    let gets = GateMix {
+        seed: 0x5ca1ab1e,
+        put_percent: 0,
+        value_len: VALUE_BYTES,
+        pick: |rng: &mut Rng| nth_key(rng.below(entries)),
+    };
+    let window = || workload::drive(&client, &gets, Run::new(1, GETS, false));
+    let idle = window();
 
     let stop = AtomicBool::new(false);
     let scans_done = AtomicU64::new(0);
@@ -89,14 +87,17 @@ fn measure(entries: u64, window: Duration) -> (Fields, bool) {
     let (during, scan_secs) = thread::scope(|s| {
         let scanner = s.spawn(|| {
             let began = Instant::now();
-            while !stop.load(Ordering::Acquire) {
+            // At least one scan, however short the GET window.
+            loop {
                 let got = store.scan(b"", entries as usize + 1).unwrap();
                 entries_streamed.fetch_add(got.len() as u64, Ordering::Relaxed);
                 scans_done.fetch_add(1, Ordering::Relaxed);
+                if stop.load(Ordering::Acquire) {
+                    return began.elapsed().as_secs_f64();
+                }
             }
-            began.elapsed().as_secs_f64()
         });
-        let during = get_loop(&store, entries, window);
+        let during = window();
         stop.store(true, Ordering::Release);
         (during, scanner.join().unwrap())
     });
@@ -105,11 +106,11 @@ fn measure(entries: u64, window: Duration) -> (Fields, bool) {
     let row = Fields::new()
         .with("config", "chunked")
         .with("chunk_entries", SCAN_CHUNK_ENTRIES)
-        .with("p50_get_idle_ns", crate::percentile(&idle, 0.50))
-        .with("p99_get_idle_ns", crate::percentile(&idle, 0.99))
-        .with("p50_get_scan_ns", crate::percentile(&during, 0.50))
-        .with("p99_get_scan_ns", crate::percentile(&during, 0.99))
-        .with("gets_during_scan", during.len())
+        .with("p50_get_idle_ns", idle.reads.quantile(0.50))
+        .with("p99_get_idle_ns", idle.reads.quantile(0.99))
+        .with("p50_get_scan_ns", during.reads.quantile(0.50))
+        .with("p99_get_scan_ns", during.reads.quantile(0.99))
+        .with("gets_during_scan", during.ops)
         .with("scans_completed", scans_done.load(Ordering::Relaxed))
         .float(
             "scan_entries_per_sec",
@@ -127,8 +128,8 @@ fn measure(entries: u64, window: Duration) -> (Fields, bool) {
     (row, identical)
 }
 
-fn run_sized(entries: u64, window: Duration) -> Report {
-    let (chunked, identical) = measure(entries, window);
+fn run_sized(entries: u64) -> Report {
+    let (chunked, identical) = measure(entries);
     Report {
         bench: "scan_interference",
         seed: 0,
@@ -140,10 +141,10 @@ fn run_sized(entries: u64, window: Duration) -> Report {
     }
 }
 
-/// 100k entries × 100 B values (scaled by `P2KVS_SCALE`), 3 s measurement
-/// windows.
+/// 100k entries × 100 B values (scaled by `P2KVS_SCALE`), [`GETS`] GETs
+/// per window.
 pub fn run() -> Report {
-    run_sized(crate::scaled(100_000), WINDOW)
+    run_sized(crate::scaled(100_000))
 }
 
 /// Chunking must be invisible to scan results; the latencies are
@@ -158,7 +159,7 @@ pub fn gate(summary: &Fields) -> Vec<String> {
 /// The scenario at a size a unit test can afford.
 #[cfg(test)]
 pub(crate) fn smoke() -> Report {
-    run_sized(2_000, Duration::from_millis(200))
+    run_sized(2_000)
 }
 
 #[cfg(test)]
@@ -167,9 +168,9 @@ mod tests {
 
     #[test]
     fn measure_reports_and_scans_agree() {
-        let (r, identical) = measure(2_000, Duration::from_millis(200));
+        let (r, identical) = measure(2_000);
         assert!(identical);
-        assert!(r.int("gets_during_scan") > 0);
+        assert_eq!(r.int("gets_during_scan"), GETS);
         assert!(r.int("scans_completed") > 0);
         assert!(r.int("p50_get_idle_ns") <= r.int("p99_get_idle_ns"));
         assert!(r.int("p50_get_scan_ns") <= r.int("p99_get_scan_ns"));
@@ -178,7 +179,7 @@ mod tests {
 
     #[test]
     fn json_render_is_complete() {
-        let json = run_sized(500, Duration::from_millis(100)).render_json();
+        let json = run_sized(500).render_json();
         assert!(json.contains("\"bench\": \"scan_interference\""));
         assert!(json.contains("\"config\": \"chunked\""));
         assert!(json.contains("\"scan_results_identical\": true"));

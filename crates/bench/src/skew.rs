@@ -22,14 +22,13 @@
 //! spread, and GET latency percentiles.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use p2kvs::{P2KvsOptions, Partitioner};
 use p2kvs_util::rng::Rng;
 
 use crate::artifact::{Fields, Report, Value};
-use crate::setups::{self, Sample};
-use crate::workload::Zipf;
+use crate::setups;
+use crate::workload::{self, GateMix, Run, Sample, Zipf};
 
 /// Worker threads both configurations run.
 pub const WORKERS: usize = 4;
@@ -122,21 +121,21 @@ fn measure(
     // imbalance the scenario measures.
     opts.cache_capacity = 0;
     opts.partitioner = Some(Arc::new(TenantPartitioner::new(TENANTS)));
-    let store = setups::scenario_store(config, setups::scenario_engine(setups::nvme_env()), opts);
-    let keys = (0..TENANTS).flat_map(|t| (0..keys_per_tenant).map(move |i| key_of(t, i)));
-    setups::load(&store, keys, VALUE_LEN);
+    let client = setups::scenario_store(config, setups::scenario_engine(setups::nvme_env()), opts);
+    let store = &client.store;
+    let key = |i: u64| key_of((i / keys_per_tenant) as usize, i % keys_per_tenant);
+    workload::load(&client, TENANTS as u64 * keys_per_tenant, key, VALUE_LEN).expect("load");
 
     let zipf = Zipf::new(TENANTS, THETA);
+    let pick = |rng: &mut Rng| pick_key(&zipf, keys_per_tenant, rng);
     let drive = |ops: u64, seed: u64| {
-        setups::drive(
-            &store,
-            CLIENTS,
-            ops / CLIENTS as u64,
+        let mix = GateMix {
             seed,
-            PUT_PERCENT,
-            VALUE_LEN,
-            |rng| pick_key(&zipf, keys_per_tenant, rng),
-        )
+            put_percent: PUT_PERCENT,
+            value_len: VALUE_LEN,
+            pick,
+        };
+        workload::drive(&client, &mix, Run::new(CLIENTS, ops, false))
     };
     // Warmup: builds the per-shard service-time signal the balancer
     // differentiates. The static configuration runs it too so both
@@ -155,9 +154,7 @@ fn measure(
     }
 
     let before = store.snapshot();
-    let began = Instant::now();
-    let lat = drive(measure_ops, seed);
-    let wall_secs = began.elapsed().as_secs_f64();
+    let r = drive(measure_ops, seed);
     let after = store.snapshot();
 
     let deltas = |f: fn(&p2kvs::stats::WorkerSnapshot) -> u64| -> Vec<u64> {
@@ -176,17 +173,16 @@ fn measure(
         .with("workers", store.workers())
         .with("shards", store.shards())
         .with("migrations", store.migrations())
-        .window(ops, wall_secs)
-        .with("p50_get_ns", crate::percentile(&lat.gets, 0.50))
-        .with("p99_get_ns", crate::percentile(&lat.gets, 0.99))
+        .window(ops, r.elapsed.as_secs_f64())
+        .with("p50_get_ns", r.reads.quantile(0.50))
+        .with("p99_get_ns", r.reads.quantile(0.99))
         .with(
             "worker_ops",
             Value::List(worker_ops.iter().map(|o| (*o).into()).collect()),
         )
         .float("ops_spread", spread(&worker_ops), 3)
         .float("busy_spread", spread(&worker_busy), 3);
-    let sample = setups::readback(&store, |rng| pick_key(&zipf, keys_per_tenant, rng));
-    store.close();
+    let sample = workload::readback(&client, pick);
     (row, sample)
 }
 

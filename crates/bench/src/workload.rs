@@ -1,8 +1,9 @@
-//! The one client harness every figure runs: the paper's Table-1 YCSB
-//! mixes (LOAD, A–F) and the five `db_bench` micro streams of Figs 1 and
-//! 12–15, the zipfian sampler they draw from, and the one [`load`] and one
-//! [`drive`] that push them through any [`KvClient`] — so the same request
-//! bytes hit RocksDB-mode `lsmkv`, p2KVS, KVell and WiredTiger.
+//! The one client harness every figure and gate scenario runs: the
+//! paper's Table-1 YCSB mixes (LOAD, A–F), the five `db_bench` micro
+//! streams of Figs 1 and 12–15, the gate scenarios' [`GateMix`], the
+//! zipfian sampler they draw from, and the one [`load`] and one [`drive`]
+//! that push them through any [`KvClient`] — so the same request bytes hit
+//! RocksDB-mode `lsmkv`, p2KVS, KVell and WiredTiger.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -13,7 +14,20 @@ use p2kvs_util::histogram::Histogram;
 use p2kvs_util::rate::RateLimiter;
 use p2kvs_util::rng::Rng;
 
-use crate::setups::value_of;
+/// `len` bytes derived from `key` alone. Re-puts are therefore idempotent
+/// and a store's final state is the same however client threads
+/// interleave, so two configurations of one scenario must read back
+/// byte-identical — a mismatch can only come from the feature under test.
+pub fn value_of(key: &[u8], len: usize) -> Vec<u8> {
+    let mut h = fnv1a64(key);
+    let mut v = Vec::with_capacity(len + 8);
+    while v.len() < len {
+        v.extend_from_slice(&h.to_le_bytes());
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    v.truncate(len);
+    v
+}
 
 /// Zipfian skew of YCSB (θ = 0.99), the request skew of Table 1.
 pub const THETA: f64 = 0.99;
@@ -92,6 +106,8 @@ pub enum OpKind {
     Update { key: Vec<u8>, value: Vec<u8> },
     /// GET.
     Read { key: Vec<u8> },
+    /// GET of a key the run preloaded: finding nothing is a failed call.
+    ReadLoaded { key: Vec<u8> },
     /// SCAN from `key` for `len` items.
     Scan { key: Vec<u8>, len: usize },
     /// GET then PUT of the same key (workload F).
@@ -410,10 +426,64 @@ impl Iterator for MicroGenerator {
     }
 }
 
-/// Loads items `0..n` under their [`hashed_key`]s with [`value_of`]
-/// values from 8 threads: the population Table 1's A–F and the read micro
-/// streams run over. Returns the first failed insert.
-pub fn load<C: KvClient + ?Sized>(client: &C, n: u64, value_size: usize) -> Result<(), String> {
+/// The gate scenarios' stream: thread `t` seeds an [`Rng`] from
+/// `(seed, t)` and per op draws a key with `pick`, then a PUT of
+/// [`value_of`] with probability `put_percent` %, else a GET of that key,
+/// which must find it (every gate preloads the keys it picks).
+#[derive(Clone)]
+pub struct GateMix<F> {
+    /// What every thread's stream derives from.
+    pub seed: u64,
+    /// Share of PUTs, in percent.
+    pub put_percent: u64,
+    /// PUT value bytes.
+    pub value_len: usize,
+    /// Draws an op's key.
+    pub pick: F,
+}
+
+impl<F: Fn(&mut Rng) -> Vec<u8> + Clone + Sync> Stream for GateMix<F> {
+    type Ops = GateOps<F>;
+
+    fn thread(&self, t: u64) -> GateOps<F> {
+        GateOps {
+            rng: Rng::new(self.seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(t + 1)),
+            mix: self.clone(),
+        }
+    }
+}
+
+/// One thread's [`GateMix`] stream.
+pub struct GateOps<F> {
+    mix: GateMix<F>,
+    rng: Rng,
+}
+
+impl<F: Fn(&mut Rng) -> Vec<u8>> Iterator for GateOps<F> {
+    type Item = OpKind;
+
+    fn next(&mut self) -> Option<OpKind> {
+        let key = (self.mix.pick)(&mut self.rng);
+        Some(if self.rng.below(100) < self.mix.put_percent {
+            OpKind::Update {
+                value: value_of(&key, self.mix.value_len),
+                key,
+            }
+        } else {
+            OpKind::ReadLoaded { key }
+        })
+    }
+}
+
+/// Loads items `0..n` under their `key(i)`s with [`value_of`] values from
+/// 8 threads: the population Table 1's A–F, the read micro streams and the
+/// gate windows run over. Returns the first failed insert.
+pub fn load<C: KvClient + ?Sized>(
+    client: &C,
+    n: u64,
+    key: impl Fn(u64) -> Vec<u8> + Sync,
+    value_size: usize,
+) -> Result<(), String> {
     let next = AtomicU64::new(0);
     std::thread::scope(|s| {
         let loaders: Vec<_> = (0..8)
@@ -423,7 +493,7 @@ pub fn load<C: KvClient + ?Sized>(client: &C, n: u64, value_size: usize) -> Resu
                     if i >= n {
                         return Ok(());
                     }
-                    let key = hashed_key(i);
+                    let key = key(i);
                     client.insert(&key, &value_of(&key, value_size))?;
                 })
             })
@@ -468,8 +538,11 @@ pub struct RunResult {
     pub errors: u64,
     /// Wall time.
     pub elapsed: Duration,
-    /// Per-call latency, nanoseconds.
-    pub latency: Histogram,
+    /// Latency of the calls that only read (GET, SCAN), nanoseconds.
+    pub reads: Histogram,
+    /// Latency of the calls that write (PUT, read-modify-write),
+    /// nanoseconds.
+    pub writes: Histogram,
 }
 
 impl RunResult {
@@ -482,50 +555,60 @@ impl RunResult {
         }
     }
 
+    /// Per-call latency of every call, nanoseconds.
+    pub fn latency(&self) -> Histogram {
+        let mut all = self.reads.clone();
+        all.merge(&self.writes);
+        all
+    }
+
     /// Time the client threads spent inside calls, summed.
     pub fn fg_busy(&self) -> Duration {
-        Duration::from_nanos(self.latency.sum() as u64)
+        Duration::from_nanos((self.reads.sum() + self.writes.sum()) as u64)
     }
 }
 
 static FAILED_CALLS: AtomicU64 = AtomicU64::new(0);
 
 /// Failed calls every [`drive`] in this process counted since the last
-/// call: `repro` fails a figure that had any.
+/// call: `repro` fails a figure and `run_gate` a scenario that had any.
 pub fn take_failed_calls() -> u64 {
     FAILED_CALLS.swap(0, Ordering::Relaxed)
 }
 
 /// Runs `run.ops` operations of `stream` against `client` from
-/// `run.threads` threads, thread `t` drawing from `stream.thread(t)`.
+/// `run.threads` threads, as YCSB splits its operation count: thread `t`
+/// runs the first `ops / threads` ops of `stream.thread(t)` (one more for
+/// the first `ops % threads` threads), so which ops a run issues is a
+/// function of the stream alone.
 pub fn drive<C: KvClient + ?Sized>(client: &C, stream: &impl Stream, run: Run) -> RunResult {
-    let remaining = AtomicU64::new(run.ops);
+    let n = run.threads.max(1) as u64;
     let limiter = RateLimiter::new(run.rate);
     let start = Instant::now();
-    let threads: Vec<(Histogram, u64)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..run.threads.max(1))
+    let threads: Vec<(Histogram, Histogram, u64)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..n)
             .map(|t| {
-                let (remaining, limiter) = (&remaining, &limiter);
+                let limiter = &limiter;
+                let quota = run.ops / n + u64::from(t < run.ops % n);
                 s.spawn(move || {
                     if run.pin {
-                        p2kvs_util::affinity::pin_to_core(16 + t);
+                        p2kvs_util::affinity::pin_to_core(16 + t as usize);
                     }
-                    let (mut latency, mut errors) = (Histogram::new(), 0);
-                    for op in stream.thread(t as u64) {
-                        if remaining
-                            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                                v.checked_sub(1)
-                            })
-                            .is_err()
-                        {
-                            break;
-                        }
+                    let (mut reads, mut writes, mut errors) =
+                        (Histogram::new(), Histogram::new(), 0);
+                    for op in stream.thread(t).take(quota as usize) {
+                        let latency = match op {
+                            OpKind::Read { .. }
+                            | OpKind::ReadLoaded { .. }
+                            | OpKind::Scan { .. } => &mut reads,
+                            _ => &mut writes,
+                        };
                         // Open loop: from the call's slot, not its send.
                         let began = limiter.acquire();
                         errors += u64::from(!execute(client, op));
                         latency.record(began.elapsed().as_nanos() as u64);
                     }
-                    (latency, errors)
+                    (reads, writes, errors)
                 })
             })
             .collect();
@@ -535,17 +618,19 @@ pub fn drive<C: KvClient + ?Sized>(client: &C, stream: &impl Stream, run: Run) -
             .collect()
     });
     let elapsed = start.elapsed();
-    let (mut latency, mut errors) = (Histogram::new(), 0);
-    for (h, e) in threads {
-        latency.merge(&h);
+    let (mut reads, mut writes, mut errors) = (Histogram::new(), Histogram::new(), 0);
+    for (r, w, e) in threads {
+        reads.merge(&r);
+        writes.merge(&w);
         errors += e;
     }
     FAILED_CALLS.fetch_add(errors, Ordering::Relaxed);
     RunResult {
-        ops: latency.count(),
+        ops: reads.count() + writes.count(),
         errors,
         elapsed,
-        latency,
+        reads,
+        writes,
     }
 }
 
@@ -556,11 +641,28 @@ fn execute<C: KvClient + ?Sized>(client: &C, op: OpKind) -> bool {
             client.insert(&key, &value).is_ok()
         }
         OpKind::Read { key } => client.read(&key).is_ok(),
+        OpKind::ReadLoaded { key } => matches!(client.read(&key), Ok(Some(_))),
         OpKind::Scan { key, len } => client.scan(&key, len).is_ok(),
         OpKind::ReadModifyWrite { key, value } => {
             client.read(&key).is_ok() && client.insert(&key, &value).is_ok()
         }
     }
+}
+
+/// What [`readback`] returns: each sampled key with what the client holds.
+pub type Sample = Vec<(Vec<u8>, Option<Vec<u8>>)>;
+
+/// Reads a fixed sample of 2 000 keys drawn by `pick` — the same sample
+/// for every configuration of a gate scenario, compared for byte identity.
+pub fn readback<C: KvClient + ?Sized>(client: &C, pick: impl Fn(&mut Rng) -> Vec<u8>) -> Sample {
+    let mut rng = Rng::new(0x0ddba11);
+    (0..2_000)
+        .map(|_| {
+            let key = pick(&mut rng);
+            let got = client.read(&key).expect("readback");
+            (key, got)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -610,7 +712,7 @@ mod tests {
             let label = match op {
                 OpKind::Insert { .. } => "insert",
                 OpKind::Update { .. } => "update",
-                OpKind::Read { .. } => "read",
+                OpKind::Read { .. } | OpKind::ReadLoaded { .. } => "read",
                 OpKind::Scan { .. } => "scan",
                 OpKind::ReadModifyWrite { .. } => "rmw",
             };
@@ -695,6 +797,42 @@ mod tests {
         for op in g.take(1000) {
             if let OpKind::Scan { len, .. } = op {
                 assert!((1..=100).contains(&len));
+            }
+        }
+    }
+
+    /// A gate window replays: one seed's thread `t` yields the same ops
+    /// every time, another thread other ops, and the PUT share is `p`
+    /// within 1.5 points (over 20 000 draws that is more than five
+    /// standard deviations of a binomial at p = 0.2).
+    #[test]
+    fn gate_mix_replays_per_thread_and_puts_its_share() {
+        let mix = GateMix {
+            seed: 7,
+            put_percent: 20,
+            value_len: 16,
+            pick: |rng: &mut Rng| format!("k{}", rng.below(1_000)).into_bytes(),
+        };
+        let ops = |t| mix.thread(t).take(20_000).collect::<Vec<_>>();
+        let (a, b) = (ops(0), ops(0));
+        assert_eq!(a, b, "one seed's thread replays");
+        assert_ne!(a, ops(1), "threads draw apart");
+        let puts = a
+            .iter()
+            .filter(|op| matches!(op, OpKind::Update { .. }))
+            .count();
+        assert_eq!(
+            a.len() - puts,
+            a.iter()
+                .filter(|op| matches!(op, OpKind::ReadLoaded { .. }))
+                .count(),
+            "every other op is a GET that must find its key"
+        );
+        let share = puts as f64 / a.len() as f64;
+        assert!((share - 0.20).abs() < 0.015, "PUT share {share}");
+        for op in &a {
+            if let OpKind::Update { key, value } = op {
+                assert_eq!(*value, value_of(key, 16));
             }
         }
     }
@@ -811,13 +949,13 @@ mod tests {
     fn load_then_run_completes_exact_op_count() {
         let client = MapClient::default();
         let spec = Workload::table1(WorkloadKind::A, 1000, 5000);
-        load(&client, spec.record_count, spec.value_size).unwrap();
+        load(&client, spec.record_count, hashed_key, spec.value_size).unwrap();
         assert_eq!(client.map.lock().len(), 1000);
         let result = drive(&client, &spec, Run::new(4, spec.op_count, false));
         assert_eq!(result.ops, 5000);
         assert_eq!(result.errors, 0);
         assert!(result.qps() > 0.0);
-        assert_eq!(result.latency.count(), 5000);
+        assert_eq!(result.latency().count(), 5000);
         // Workload A reads should mostly hit loaded keys.
         assert!(client.reads.load(Ordering::Relaxed) > 2000);
         // Every micro stream runs clean over the same loaded items.
@@ -838,6 +976,23 @@ mod tests {
         assert!(client.map.lock().contains_key(&hashed_key(0)));
     }
 
+    /// Thread `t` runs the first `ops / threads` ops of its own stream,
+    /// the first `ops % threads` threads one more: which ops a run issues
+    /// does not depend on how the threads were scheduled.
+    #[test]
+    fn drive_splits_its_ops_over_threads_as_ycsb_does() {
+        let client = MapClient::default();
+        let fill = Micro::new(MicroKind::FillRandom, 0, 16);
+        drive(&client, &fill, Run::new(3, 10, false));
+        let expected: HashSet<Vec<u8>> = [4, 3, 3]
+            .into_iter()
+            .enumerate()
+            .flat_map(|(t, n)| (0..n).map(move |i| hashed_key(i * 1024 + t as u64)))
+            .collect();
+        let written: HashSet<Vec<u8>> = client.map.lock().keys().cloned().collect();
+        assert_eq!(written, expected);
+    }
+
     #[test]
     fn failed_calls_are_counted_and_not_throughput() {
         let client = MapClient {
@@ -854,7 +1009,7 @@ mod tests {
         let ok_qps = (r.ops - r.errors) as f64 / r.elapsed.as_secs_f64();
         assert!((r.qps() - ok_qps).abs() < 1e-6 * ok_qps);
         assert!(
-            load(&client, 100, 16).is_err(),
+            load(&client, 100, hashed_key, 16).is_err(),
             "a failed insert fails the load"
         );
     }
@@ -863,7 +1018,7 @@ mod tests {
     fn rate_limit_caps_throughput() {
         let client = MapClient::default();
         let spec = Workload::table1(WorkloadKind::C, 100, 500);
-        load(&client, spec.record_count, spec.value_size).unwrap();
+        load(&client, spec.record_count, hashed_key, spec.value_size).unwrap();
         let result = drive(
             &client,
             &spec,
@@ -897,9 +1052,9 @@ mod tests {
         };
         let r = drive(&stalling(), &fill, open);
         let behind = (STALL - Duration::from_millis(20)).as_nanos() as u64;
-        assert!(r.latency.min() >= behind, "{}", r.latency.summary_us());
+        assert!(r.writes.min() >= behind, "{}", r.writes.summary_us());
         let r = drive(&stalling(), &fill, Run::new(1, 20, false));
-        assert!(r.latency.max() >= STALL.as_nanos() as u64);
-        assert!(r.latency.min() < behind, "{}", r.latency.summary_us());
+        assert!(r.writes.max() >= STALL.as_nanos() as u64);
+        assert!(r.writes.min() < behind, "{}", r.writes.summary_us());
     }
 }

@@ -226,6 +226,22 @@ fn apply_byte_budget(entries: &mut Vec<(Vec<u8>, Vec<u8>)>, max_bytes: usize) ->
     false
 }
 
+/// Every entry `cursor` has left, pulled from `engine` in 512-entry
+/// chunks.
+fn drain<E: KvsEngine + ?Sized>(
+    engine: &E,
+    mut cursor: ScanCursor,
+) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+    let mut out = Vec::new();
+    loop {
+        let chunk = engine.scan_chunk(&mut cursor, 512, usize::MAX)?;
+        out.extend(chunk.entries);
+        if chunk.done {
+            return Ok(out);
+        }
+    }
+}
+
 /// A key-value engine instance owned by one worker.
 pub trait KvsEngine: Send + Sync + 'static {
     /// Inserts one pair.
@@ -250,8 +266,11 @@ pub trait KvsEngine: Send + Sync + 'static {
     /// Up to `count` entries with keys `>= start`, in order.
     fn scan(&self, start: &[u8], count: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>>;
 
-    /// Entries in `[begin, end)`, in order.
-    fn range(&self, begin: &[u8], end: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>>;
+    /// Entries in `[begin, end)`, in order: the cursor
+    /// [`KvsEngine::open_cursor`] opens over them, drained.
+    fn range(&self, begin: &[u8], end: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        drain(self, self.open_cursor(begin, Some(end))?)
+    }
 
     /// Opens a streaming cursor over keys in `[start, end)` (open-ended
     /// when `end` is `None`). Engines with
@@ -341,22 +360,12 @@ pub trait KvsEngine: Send + Sync + 'static {
     /// view is consistent either way; the difference is cost. Engines
     /// with real snapshots return a [`SnapshotFidelity::PointInTime`]
     /// source whose fork is O(1) and whose streaming happens later on
-    /// the backup thread. The default copies every entry eagerly through
-    /// [`KvsEngine::scan`] — [`SnapshotFidelity::Materialized`], an
-    /// O(data) pause on the frozen shard.
+    /// the backup thread. The default copies every entry eagerly, draining
+    /// a cursor over the whole key space as [`KvsEngine::range`] does —
+    /// [`SnapshotFidelity::Materialized`], an O(data) pause on the frozen
+    /// shard.
     fn snapshot_for_backup(&self) -> Result<BackupSource> {
-        let mut entries = Vec::new();
-        let mut next: Vec<u8> = Vec::new();
-        loop {
-            let chunk = self.scan(&next, 1024)?;
-            let full = chunk.len() == 1024;
-            entries.extend(chunk);
-            if !full {
-                break;
-            }
-            let (last, _) = entries.last().expect("full chunk is non-empty");
-            next = successor(last);
-        }
+        let entries = drain(self, self.open_cursor(b"", None)?)?;
         Ok(BackupSource {
             fidelity: SnapshotFidelity::Materialized,
             cursor: Box::new(VecCursor::new(entries)),
@@ -485,10 +494,6 @@ impl KvsEngine for lsmkv::Db {
 
     fn scan(&self, start: &[u8], count: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         Ok(lsmkv::Db::scan(self, start, count)?)
-    }
-
-    fn range(&self, begin: &[u8], end: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        Ok(lsmkv::Db::range(self, begin, end)?)
     }
 
     fn open_cursor(&self, start: &[u8], end: Option<&[u8]>) -> Result<ScanCursor> {
@@ -693,20 +698,6 @@ impl KvsEngine for wtiger::WtDb {
         Ok(wtiger::WtDb::scan(self, start, count)?)
     }
 
-    fn range(&self, begin: &[u8], end: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        // No bounded-range API: stream forward in chunks until `end`
-        // instead of materializing the whole tail of the key space.
-        let mut cursor = ScanCursor::emulated(begin, Some(end));
-        let mut out = Vec::new();
-        loop {
-            let chunk = self.scan_chunk(&mut cursor, 512, usize::MAX)?;
-            out.extend(chunk.entries);
-            if chunk.done {
-                return Ok(out);
-            }
-        }
-    }
-
     fn capabilities(&self) -> Capabilities {
         Capabilities {
             batch_write: false,
@@ -816,20 +807,6 @@ impl KvsEngine for kvell::KvellDb {
 
     fn scan(&self, start: &[u8], count: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         Ok(kvell::KvellDb::scan(self, start, count)?)
-    }
-
-    fn range(&self, begin: &[u8], end: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        // No bounded-range API: stream forward in chunks until `end`, so
-        // a narrow range does not read the whole tail of the key space.
-        let mut cursor = ScanCursor::emulated(begin, Some(end));
-        let mut out = Vec::new();
-        loop {
-            let chunk = self.scan_chunk(&mut cursor, 512, usize::MAX)?;
-            out.extend(chunk.entries);
-            if chunk.done {
-                return Ok(out);
-            }
-        }
     }
 
     fn capabilities(&self) -> Capabilities {

@@ -92,7 +92,7 @@ pub struct P2KvsOptions {
     pub cache_capacity: usize,
     /// Map workers and shards onto the env's device submission queues
     /// (DESIGN.md §13). When the env exposes more than one queue
-    /// (`SimEnv` with [`p2kvs_storage::DeviceProfile::with_queues`]),
+    /// (a `MemEnv` timed by [`p2kvs_storage::DeviceProfile::with_queues`]),
     /// worker `i` issues its engine I/O on queue `i % queues` and shard
     /// `s`'s WAL/flush rides its initial owner's queue, so independent
     /// workers stop serializing behind one device timeline. `false` (or
@@ -2150,8 +2150,8 @@ mod tests {
 
     #[test]
     fn queue_affinity_spreads_device_traffic_and_exports_per_queue_metrics() {
-        use p2kvs_storage::{DeviceProfile, SimEnv};
-        let env: p2kvs_storage::EnvRef = Arc::new(SimEnv::with_profile(
+        use p2kvs_storage::{DeviceProfile, MemEnv};
+        let env: p2kvs_storage::EnvRef = Arc::new(MemEnv::with_profile(
             DeviceProfile::instant().with_queues(4),
         ));
         let mut engine = lsmkv::Options::rocksdb_like(env);

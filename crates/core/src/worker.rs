@@ -1233,16 +1233,6 @@ mod tests {
                 .collect())
         }
 
-        fn range(&self, begin: &[u8], end: &[u8]) -> crate::error::Result<Vec<(Vec<u8>, Vec<u8>)>> {
-            Ok(self
-                .map
-                .lock()
-                .unwrap()
-                .range(begin.to_vec()..end.to_vec())
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect())
-        }
-
         fn capabilities(&self) -> crate::engine::Capabilities {
             crate::engine::Capabilities {
                 batch_write: false,

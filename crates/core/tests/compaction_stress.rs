@@ -25,7 +25,7 @@ use std::thread;
 
 use p2kvs::engine::LsmFactory;
 use p2kvs::{P2Kvs, P2KvsOptions};
-use p2kvs_storage::{DeviceProfile, EnvRef, SimEnv};
+use p2kvs_storage::{DeviceProfile, EnvRef, MemEnv};
 
 const KEYS_PER_WRITER: usize = if cfg!(debug_assertions) { 400 } else { 1_500 };
 const ROUNDS_PER_WRITER: usize = if cfg!(debug_assertions) { 4 } else { 10 };
@@ -72,7 +72,7 @@ fn open_store(
     threads: usize,
     subcompactions: usize,
 ) -> P2Kvs<lsmkv::Db> {
-    let env: EnvRef = Arc::new(SimEnv::with_profile(
+    let env: EnvRef = Arc::new(MemEnv::with_profile(
         DeviceProfile::instant().with_queues(queues),
     ));
     let mut opts = P2KvsOptions::with_workers(WRITERS);

@@ -521,9 +521,6 @@ impl KvsEngine for EmulatedCursorDb {
     fn scan(&self, start: &[u8], count: usize) -> p2kvs::Result<Vec<(Vec<u8>, Vec<u8>)>> {
         KvsEngine::scan(&self.0, start, count)
     }
-    fn range(&self, begin: &[u8], end: &[u8]) -> p2kvs::Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        KvsEngine::range(&self.0, begin, end)
-    }
     fn capabilities(&self) -> Capabilities {
         Capabilities {
             native_cursor: false,
@@ -1867,11 +1864,11 @@ fn documented_name(series: &str) -> String {
 
 #[test]
 fn the_readme_metric_table_lists_exactly_the_rendered_series() {
-    use p2kvs_storage::{DeviceProfile, SimEnv};
+    use p2kvs_storage::{DeviceProfile, MemEnv};
     use std::collections::BTreeSet;
     // Every subsystem that renders series: the read cache, the flight
     // recorder, a two-queue device, a scan and a migration.
-    let env: EnvRef = Arc::new(SimEnv::with_profile(
+    let env: EnvRef = Arc::new(MemEnv::with_profile(
         DeviceProfile::instant().with_queues(2),
     ));
     let mut opts = P2KvsOptions::with_workers(2);
@@ -2110,9 +2107,6 @@ impl KvsEngine for GatedDb {
     fn scan(&self, start: &[u8], count: usize) -> p2kvs::Result<Vec<(Vec<u8>, Vec<u8>)>> {
         KvsEngine::scan(&self.0, start, count)
     }
-    fn range(&self, begin: &[u8], end: &[u8]) -> p2kvs::Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        KvsEngine::range(&self.0, begin, end)
-    }
     fn capabilities(&self) -> Capabilities {
         KvsEngine::capabilities(&self.0)
     }
@@ -2246,7 +2240,7 @@ fn slow_store(
     profile.write_bw = u64::MAX;
     profile.sync_latency = sync;
     store_over(
-        Arc::new(p2kvs_storage::SimEnv::with_profile(profile)),
+        Arc::new(p2kvs_storage::MemEnv::with_profile(profile)),
         dir,
         opts,
     )

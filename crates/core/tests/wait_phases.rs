@@ -38,10 +38,6 @@ impl KvsEngine for NullEngine {
         Ok(Vec::new())
     }
 
-    fn range(&self, _begin: &[u8], _end: &[u8]) -> p2kvs::Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        Ok(Vec::new())
-    }
-
     fn capabilities(&self) -> Capabilities {
         Capabilities {
             batch_write: true,

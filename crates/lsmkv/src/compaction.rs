@@ -1111,8 +1111,8 @@ mod tests {
     /// starting one past the instance's home queue.
     #[test]
     fn subcompaction_outputs_spread_across_queues() {
-        use p2kvs_storage::{DeviceProfile, Env as _, SimEnv};
-        let env = Arc::new(SimEnv::with_profile(
+        use p2kvs_storage::{DeviceProfile, Env as _, MemEnv};
+        let env = Arc::new(MemEnv::with_profile(
             DeviceProfile::instant().with_queues(4),
         ));
         let mut opts = Options::for_test();

@@ -1027,8 +1027,8 @@ fn compaction_spreads_output_over_queues() {
     // On a multi-queue device with a pinned home queue, sustained write
     // load must land flush/WAL bytes on the home queue and compaction
     // bytes on the other queues.
-    use p2kvs_storage::{DeviceProfile, SimEnv};
-    let env = Arc::new(SimEnv::with_profile(
+    use p2kvs_storage::{DeviceProfile, MemEnv};
+    let env = Arc::new(MemEnv::with_profile(
         DeviceProfile::instant().with_queues(4),
     ));
     let mut opts = small_opts(env.clone());

@@ -11,8 +11,8 @@
 //!   correctness; [`MemEnv::with_profile`] adds a [`DeviceModel`]: every
 //!   read/write/sync charges a service time computed from per-IO base
 //!   latency, seek penalty, bandwidth, and a bounded number of internal
-//!   channels. The timed form is what the benchmark harness runs on
-//!   ([`SimEnv`] names it), with profiles calibrated to the
+//!   channels. The timed form is what the benchmark harness runs on,
+//!   with profiles calibrated to the
 //!   paper's devices ([`DeviceProfile::hdd`], [`DeviceProfile::sata_ssd`],
 //!   [`DeviceProfile::nvme_optane`]).
 //! * [`StdEnv`] — passthrough to the real filesystem, for running the stack
@@ -52,5 +52,6 @@ use std::sync::Arc;
 /// A shared, dynamically typed environment handle.
 pub type EnvRef = Arc<dyn Env>;
 
-/// The simulated device: a [`MemEnv`] built with [`MemEnv::with_profile`].
+/// A [`MemEnv`] built with [`MemEnv::with_profile`], under the name only
+/// `benchmark/` still spells; the rest of the workspace writes `MemEnv`.
 pub type SimEnv = MemEnv;

@@ -3,9 +3,8 @@
 //!
 //! [`MemEnv`] serves every file from a [`MemFs`] and, when built with
 //! [`MemEnv::with_profile`], times each IO on a [`DeviceModel`]: that is
-//! the simulated device the benchmark harness runs on ([`crate::SimEnv`]
-//! names the same type). The store's durability model mirrors a POSIX
-//! page cache:
+//! the simulated device the benchmark harness runs on. The store's
+//! durability model mirrors a POSIX page cache:
 //!
 //! * `append` makes data immediately visible to readers (page cache),
 //! * `sync` marks the current length (and the file's creation) durable,

@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use p2kvs::engine::LsmFactory;
 use p2kvs::{P2Kvs, P2KvsOptions, WriteOp};
-use p2kvs_storage::{DeviceProfile, SimEnv};
+use p2kvs_storage::{DeviceProfile, MemEnv};
 
 const USERS: u64 = 200;
 const MESSAGES_PER_SENDER: u64 = 60;
@@ -31,7 +31,7 @@ fn mailbox_key(user: u64) -> Vec<u8> {
 }
 
 fn main() {
-    let env = Arc::new(SimEnv::with_profile(DeviceProfile::nvme_optane()));
+    let env = Arc::new(MemEnv::with_profile(DeviceProfile::nvme_optane()));
     let mut engine_opts = lsmkv::Options::rocksdb_like(env.clone());
     engine_opts.memtable_size = 1 << 20;
     let factory = LsmFactory::new(engine_opts);

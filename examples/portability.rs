@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use p2kvs::engine::{LsmFactory, WtFactory};
 use p2kvs::{Capabilities, KvsEngine, P2Kvs, P2KvsOptions};
-use p2kvs_storage::{DeviceProfile, SimEnv};
+use p2kvs_storage::{DeviceProfile, MemEnv};
 
 const OPS: u64 = 5_000;
 
@@ -76,7 +76,7 @@ fn main() {
 
     // RocksDB mode: every fast path available.
     {
-        let env = Arc::new(SimEnv::with_profile(DeviceProfile::nvme_optane()));
+        let env = Arc::new(MemEnv::with_profile(DeviceProfile::nvme_optane()));
         let factory = LsmFactory::new(lsmkv::Options::rocksdb_like(env));
         report(
             "lsmkv (RocksDB mode)",
@@ -85,7 +85,7 @@ fn main() {
     }
     // LevelDB mode: WriteBatch but no multiget.
     {
-        let env = Arc::new(SimEnv::with_profile(DeviceProfile::nvme_optane()));
+        let env = Arc::new(MemEnv::with_profile(DeviceProfile::nvme_optane()));
         let factory = LsmFactory::new(lsmkv::Options::leveldb_like(env));
         report(
             "lsmkv (LevelDB mode)",
@@ -94,7 +94,7 @@ fn main() {
     }
     // WiredTiger: neither fast path; OBM degrades to per-request calls.
     {
-        let env = Arc::new(SimEnv::with_profile(DeviceProfile::nvme_optane()));
+        let env = Arc::new(MemEnv::with_profile(DeviceProfile::nvme_optane()));
         let factory = WtFactory::new(wtiger::WtOptions::new(env));
         report(
             "wtiger (WiredTiger)",
@@ -104,7 +104,7 @@ fn main() {
     // Contrast: standalone KVell (its own share-nothing workers).
     {
         let env: p2kvs_storage::EnvRef =
-            Arc::new(SimEnv::with_profile(DeviceProfile::nvme_optane()));
+            Arc::new(MemEnv::with_profile(DeviceProfile::nvme_optane()));
         let mut kopts = kvell::KvellOptions::new(env);
         kopts.workers = 4;
         let db = Arc::new(kvell::KvellDb::open(kopts, "port-kvell").unwrap());

@@ -14,13 +14,13 @@ use std::sync::Arc;
 
 use p2kvs::engine::LsmFactory;
 use p2kvs::{P2Kvs, P2KvsOptions, SpanKind, SpanRecord};
-use p2kvs_storage::{DeviceProfile, SimEnv};
+use p2kvs_storage::{DeviceProfile, MemEnv};
 
 fn main() {
     // A simulated NVMe device (per-IO latency + bandwidth accounting) so
     // the device_io spans carry real busy time, and shards decoupled
     // from workers so a migration shows up in the flight recorder.
-    let env: p2kvs_storage::EnvRef = Arc::new(SimEnv::with_profile(DeviceProfile::nvme_optane()));
+    let env: p2kvs_storage::EnvRef = Arc::new(MemEnv::with_profile(DeviceProfile::nvme_optane()));
     let mut lsm = lsmkv::Options::rocksdb_like(env);
     lsm.memtable_size = 64 << 10; // Small memtables: flushes get journaled too.
     let mut opts = P2KvsOptions::with_workers(2);

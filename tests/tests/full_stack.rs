@@ -7,9 +7,9 @@ use p2kvs::engine::LsmFactory;
 use p2kvs::{P2Kvs, P2KvsOptions};
 use p2kvs_bench::clients::P2Client;
 use p2kvs_bench::workload::{drive, hashed_key, load, ordered_key, Run, Workload, WorkloadKind};
-use p2kvs_storage::{DeviceProfile, Env, SimEnv};
+use p2kvs_storage::{DeviceProfile, Env, MemEnv};
 
-fn open_store(env: Arc<SimEnv>, workers: usize) -> P2Client<lsmkv::Db> {
+fn open_store(env: Arc<MemEnv>, workers: usize) -> P2Client<lsmkv::Db> {
     let mut engine_opts = lsmkv::Options::rocksdb_like(env);
     engine_opts.memtable_size = 256 << 10;
     engine_opts.target_file_size = 128 << 10;
@@ -22,7 +22,7 @@ fn open_store(env: Arc<SimEnv>, workers: usize) -> P2Client<lsmkv::Db> {
 
 #[test]
 fn ycsb_suite_runs_clean_over_p2kvs_on_simulated_nvme() {
-    let env = Arc::new(SimEnv::with_profile(DeviceProfile::nvme_optane()));
+    let env = Arc::new(MemEnv::with_profile(DeviceProfile::nvme_optane()));
     let client = open_store(env.clone(), 4);
     for kind in WorkloadKind::all() {
         let spec = Workload::table1(
@@ -31,7 +31,7 @@ fn ycsb_suite_runs_clean_over_p2kvs_on_simulated_nvme() {
             if kind == WorkloadKind::E { 300 } else { 2_000 },
         );
         if kind != WorkloadKind::Load {
-            load(&client, spec.record_count, spec.value_size).unwrap();
+            load(&client, spec.record_count, hashed_key, spec.value_size).unwrap();
         }
         let r = drive(&client, &spec, Run::new(4, spec.op_count, false));
         assert_eq!(r.errors, 0, "workload {} had errors", kind.name());
@@ -45,7 +45,7 @@ fn ycsb_suite_runs_clean_over_p2kvs_on_simulated_nvme() {
 
 #[test]
 fn workload_survives_power_failure_mid_run() {
-    let env = Arc::new(SimEnv::with_profile(DeviceProfile::instant()));
+    let env = Arc::new(MemEnv::with_profile(DeviceProfile::instant()));
     let factory = || {
         let mut o = lsmkv::Options::rocksdb_like(env.clone());
         o.memtable_size = 64 << 10;
@@ -122,7 +122,7 @@ fn all_engines_agree_on_the_same_history() {
     }
     // p2kvs over lsmkv.
     {
-        let env = Arc::new(SimEnv::with_profile(DeviceProfile::instant()));
+        let env = Arc::new(MemEnv::with_profile(DeviceProfile::instant()));
         let store = &open_store(env, 4).store;
         for (i, (is_put, k)) in history.iter().enumerate() {
             if *is_put {
@@ -172,7 +172,7 @@ fn scan_results_identical_across_layouts() {
 
     // The same data behind 16 shards and behind the paper's 4: the
     // opening per-shard quota differs, the result may not.
-    let env = Arc::new(SimEnv::with_profile(DeviceProfile::instant()));
+    let env = Arc::new(MemEnv::with_profile(DeviceProfile::instant()));
     for (name, o) in [
         ("default", P2KvsOptions::with_workers(4)),
         ("paper-layout", P2KvsOptions::paper_layout(4)),

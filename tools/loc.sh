@@ -6,7 +6,8 @@
 # the total and are not part of it: they use the product, they are not it.
 # Last come the field counts of the option structs a user configures:
 # `P2KvsOptions`, and the options of the three engines (lsmkv's `Options`,
-# `WtOptions`, `KvellOptions`), which ROADMAP tracks beside the lines.
+# `WtOptions`, `KvellOptions`), which ROADMAP tracks beside the lines, and
+# the method count of `KvsEngine`, the contract an engine implements.
 #
 # Usage: tools/loc.sh [--files <crate>] [repo-root]
 #   --files <crate>  per-file breakdown of one crate instead of the summary
@@ -26,6 +27,17 @@ fields() {
         f && /^}/ { exit }
         f && /^    pub [a-z_0-9]+:/ { n++ }
         END { print n + 0 }' "$1"
+}
+
+# Prints "<required>/<total>" methods of `pub trait $2` in file $1; a
+# method is required when its signature ends in `;`, not in a body.
+methods() {
+    awk -v t="$2" '$0 ~ "^pub trait " t "[ :<{]" { f = 1; next }
+        f && /^}/ { exit }
+        f && /^    fn / { n++; sig = 1 }
+        sig && /;$/ { req++; sig = 0 }
+        sig && /[{]}?$/ { sig = 0 }
+        END { printf "%d/%d", req, n }' "$1"
 }
 
 # Prints "<lines> <path>" for every source file under $1.
@@ -57,3 +69,4 @@ printf "%6d  fields of P2KvsOptions\n" "$(fields "$root/crates/core/src/store.rs
 printf "%6d  fields of lsmkv::Options\n" "$(fields "$root/crates/lsmkv/src/options.rs" Options)"
 printf "%6d  fields of WtOptions\n" "$(fields "$root/crates/wtiger/src/store.rs" WtOptions)"
 printf "%6d  fields of KvellOptions\n" "$(fields "$root/crates/kvell/src/store.rs" KvellOptions)"
+printf "%6s  methods of KvsEngine (required/total)\n" "$(methods "$root/crates/core/src/engine.rs" KvsEngine)"
