@@ -77,8 +77,6 @@ pub enum Value {
     Text(String),
     /// An array, e.g. per-worker op counts.
     List(Vec<Value>),
-    /// A nested object.
-    Object(Fields),
 }
 
 impl From<u64> for Value {
@@ -116,7 +114,6 @@ impl Display for Value {
                 let items: Vec<String> = items.iter().map(Value::to_string).collect();
                 write!(f, "[{}]", items.join(", "))
             }
-            Value::Object(fields) => write!(f, "{fields}"),
         }
     }
 }
@@ -214,7 +211,9 @@ pub fn best_of(rows: &[Fields], name: &str, text: &str, field: &str) -> f64 {
 /// What one scenario run hands back: who ran (`bench`, `seed`), with what
 /// (`config`), what it found (`summary`, the fields its gate reads) and
 /// the measurements behind that, one row per configuration or round.
-/// [`Report::render_json`] is the schema-v2 `BENCH_<id>.json` document.
+/// Every row counts the failed calls of the windows it measured
+/// (`failed_calls`). [`Report::render_json`] is the schema-v2
+/// `BENCH_<id>.json` document.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Report {
     /// The scenario id (`backup_under_load`, ...).
@@ -230,6 +229,12 @@ pub struct Report {
 }
 
 impl Report {
+    /// Failed calls of the run's windows, summed over its rows: an error,
+    /// or a GET that did not find a preloaded key.
+    pub fn failed_calls(&self) -> u64 {
+        self.rows.iter().map(|r| r.int("failed_calls")).sum()
+    }
+
     /// The artifact: the self-describing header (`bench`,
     /// `schema_version`, `generated_unix`, `seed`, `git_rev` — `null`
     /// outside a git checkout — and `config`), then the summary fields,
@@ -314,19 +319,26 @@ pub struct Scenario {
     pub gate: fn(summary: &Fields) -> Vec<String>,
 }
 
+impl Scenario {
+    /// The reasons `report` fails the scenario: its gate's, and any failed
+    /// call of its windows ([`Report::failed_calls`]); empty = green.
+    pub fn verdict(&self, report: &Report) -> Vec<String> {
+        let mut failed = (self.gate)(&report.summary);
+        match report.failed_calls() {
+            0 => {}
+            calls => failed.push(format!("{calls} calls of its windows failed")),
+        }
+        failed
+    }
+}
+
 /// Runs `scenario`, prints its table, writes its artifact and reports
-/// its gate: `Ok(true)` when the gate held and no call of the run's
-/// windows failed — an error, or a GET that did not find a preloaded key
-/// ([`crate::workload::take_failed_calls`]).
+/// its [`Scenario::verdict`]: `Ok(true)` when it is green.
 pub fn run_gate(scenario: &Scenario) -> std::io::Result<bool> {
     let report = (scenario.run)();
     report.print(scenario.question);
     println!("wrote {}", report.write(scenario.artifact)?.display());
-    let mut failed = (scenario.gate)(&report.summary);
-    match crate::workload::take_failed_calls() {
-        0 => {}
-        calls => failed.push(format!("{calls} calls of its windows failed")),
-    }
+    let failed = scenario.verdict(&report);
     for reason in &failed {
         eprintln!("GATE FAILED ({}): {reason}", scenario.id);
     }
@@ -368,9 +380,9 @@ pub fn git_rev() -> Option<String> {
 }
 
 /// Validates the shared `BENCH_*.json` envelope: structurally balanced
-/// JSON (string-aware brace/bracket scan) carrying every required
-/// [`RunMeta`] key with the right value shape, plus a `results` array.
-/// Returns the violations found; empty = conforming.
+/// JSON (string-aware brace/bracket scan) carrying every header key
+/// with the right value shape, plus a `results` array. Returns the
+/// violations found; empty = conforming.
 pub fn validate_schema(json: &str) -> Vec<String> {
     let mut v = Vec::new();
 
@@ -566,7 +578,9 @@ mod tests {
     ///
     /// `backup_under_load` gained `backup_verified` (row) and
     /// `every_backup_verified` (summary): the check its rounds asserted
-    /// is now its gate.
+    /// is now its gate. Every scenario's rows gained `failed_calls`: the
+    /// windows' failed calls, which fail the scenario
+    /// ([`Scenario::verdict`]) where a failed call used to panic.
     fn recorded(id: &str) -> (fn() -> Report, [&'static str; 3]) {
         match id {
             "backup_under_load" => (crate::backupload::smoke, [
@@ -575,26 +589,26 @@ mod tests {
                  every_backup_verified",
                 "workers shards clients keys ops_per_round rounds put_percent",
                 "phase round ops wall_secs throughput_ops_sec p50_get_ns p99_get_ns p50_put_ns \
-                 p99_put_ns cut_at_op backup_entries backup_wall_secs backup_verified",
+                 p99_put_ns failed_calls cut_at_op backup_entries backup_wall_secs backup_verified",
             ]),
             "scan_interference" => (crate::scaninterf::smoke, [
                 "scan_results_identical",
                 "entries value_bytes",
                 "config chunk_entries p50_get_idle_ns p99_get_idle_ns p50_get_scan_ns \
-                 p99_get_scan_ns gets_during_scan scans_completed scan_entries_per_sec \
+                 p99_get_scan_ns gets_during_scan failed_calls scans_completed scan_entries_per_sec \
                  scan_chunks scan_resumes",
             ]),
             "skew_rebalance" => (crate::skew::smoke, [
                 "reads_identical spread_improvement throughput_improvement",
                 "tenants theta keys_per_tenant",
                 "config workers shards migrations ops wall_secs throughput_ops_sec p50_get_ns \
-                 p99_get_ns worker_ops ops_spread busy_spread",
+                 p99_get_ns worker_ops ops_spread busy_spread failed_calls",
             ]),
             "cache_hitrate" => (crate::cachebench::smoke, [
                 "reads_identical hit_rate_full",
                 "workers keys theta value_len hot_mass hot_set_keys hot_set_bytes",
                 "pct_of_hot capacity_bytes ops wall_secs throughput_ops_sec hit_rate p50_get_ns \
-                 p99_get_ns hits misses evictions",
+                 p99_get_ns hits misses evictions failed_calls",
             ]),
             "compaction_stall" => (crate::compstall::smoke, [
                 "best_baseline_stall_secs best_parallel_stall_secs stall_improvement_x \
@@ -602,14 +616,14 @@ mod tests {
                 "workers clients keys ops_per_round rounds put_percent value_len",
                 "config round ops wall_secs throughput_ops_sec p50_put_ns p95_put_ns p99_put_ns \
                  max_put_ns p50_get_ns p99_get_ns stall_secs compaction_bytes queues_active \
-                 read_back_count read_back_fold",
+                 read_back_count read_back_fold failed_calls",
             ]),
             "elastic_scale" => (crate::elastic::smoke, [
                 "reads_identical elastic_avg_workers static_avg_workers elastic_peak_workers \
                  provisioning_improvement elastic_p99_ns static_p99_ns p99_ratio",
                 "max_workers shards rounds_per_phase keys ops_per_client provisioning_budget phases",
                 "config phase load_x workers_avg workers_end ops wall_secs throughput_ops_sec \
-                 p50_get_ns p99_get_ns",
+                 p50_get_ns p99_get_ns failed_calls",
             ]),
             other => panic!("no recorded key set for scenario {other}"),
         }
@@ -640,8 +654,9 @@ mod tests {
                     s.id
                 );
             }
-            // No gate reads a clock, so even a run this small holds it.
-            let failed = (s.gate)(&report.summary);
+            // No gate reads a clock, so even a run this small holds it,
+            // and no call of its windows may fail.
+            let failed = s.verdict(&report);
             assert!(failed.is_empty(), "{}: {failed:?}", s.id);
         }
     }
@@ -669,16 +684,24 @@ mod tests {
                 seed: 7,
                 config: Fields::new(),
                 summary: Fields::new(),
-                rows: Vec::new(),
+                rows: vec![Fields::new().with("failed_calls", r.errors)],
             }
         }
-        fn missing_key() -> Report {
+        fn store(deleted: Option<&[u8]>) -> crate::clients::P2Client<lsmkv::Db> {
             let engine = crate::setups::scenario_engine(crate::setups::instant_env());
             let opts = p2kvs::P2KvsOptions::with_workers(1);
             let client = crate::setups::scenario_store("missing-key", engine, opts);
             workload::load(&client, 8, |i| format!("k{i}").into_bytes(), 16).unwrap();
-            client.store.delete(b"k3").unwrap();
-            window(&client)
+            if let Some(key) = deleted {
+                client.store.delete(key).unwrap();
+            }
+            client
+        }
+        fn loaded() -> Report {
+            window(&store(None))
+        }
+        fn missing_key() -> Report {
+            window(&store(Some(b"k3")))
         }
         struct Refusing;
         impl KvClient for Refusing {
@@ -699,7 +722,11 @@ mod tests {
         let dir = std::env::temp_dir().join("p2kvs-run-gate-test");
         let artifact = dir.join("BENCH_unit").to_string_lossy().into_owned();
         std::fs::create_dir_all(&dir).unwrap();
-        for run in [missing_key as fn() -> Report, refused] {
+        for (run, green) in [
+            (loaded as fn() -> Report, true),
+            (missing_key, false),
+            (refused, false),
+        ] {
             let scenario = Scenario {
                 id: "unit",
                 artifact: Box::leak(artifact.clone().into_boxed_str()),
@@ -707,7 +734,7 @@ mod tests {
                 run,
                 gate: |_| Vec::new(),
             };
-            assert!(!run_gate(&scenario).unwrap(), "a failed call passed");
+            assert_eq!(run_gate(&scenario).unwrap(), green);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

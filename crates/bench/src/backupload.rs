@@ -131,6 +131,7 @@ fn measure(phase: &'static str, round: usize, keys: u64, ops: u64, seed: u64) ->
         .with("phase", phase)
         .with("round", round)
         .window(r.ops, wall_secs)
+        .with("failed_calls", r.errors)
         .with("p50_get_ns", r.reads.quantile(0.50))
         .with("p99_get_ns", r.reads.quantile(0.99))
         .with("p50_put_ns", r.writes.quantile(0.50))
@@ -250,6 +251,7 @@ mod tests {
     #[test]
     fn tiny_run_streams_a_real_backup_and_renders_schema() {
         let report = smoke();
+        assert_eq!(report.failed_calls(), 0, "a call of the windows failed");
         let (idle, streaming) = (&report.rows[0], &report.rows[1]);
         assert!(idle.int("ops") > 0 && streaming.int("ops") > 0);
         assert_eq!(idle.int("backup_entries"), 0);

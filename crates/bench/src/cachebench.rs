@@ -88,7 +88,7 @@ fn measure_hitrate(
         };
         workload::drive(&client, &mix, Run::new(CLIENTS, ops, false))
     };
-    gets(warmup_ops, seed ^ 0xAA55_77EE);
+    let warmup = gets(warmup_ops, seed ^ 0xAA55_77EE);
 
     let before = store.metrics_snapshot();
     let r = gets(measure_ops, seed);
@@ -100,6 +100,7 @@ fn measure_hitrate(
         .with("pct_of_hot", pct_of_hot)
         .with("capacity_bytes", capacity_bytes)
         .window(r.ops, r.elapsed.as_secs_f64())
+        .with("failed_calls", warmup.errors + r.errors)
         .float(
             "hit_rate",
             hits as f64 / ((hits + misses) as f64).max(1.0),
@@ -206,6 +207,7 @@ mod tests {
         let (off, a) = measure_hitrate(0, 0, keys, 2_000, 2_000, 7);
         let (full, b) = measure_hitrate(100, hot_bytes, keys, 2_000, 2_000, 7);
         assert_eq!(a, b, "reads must not depend on the cache");
+        assert_eq!(off.int("failed_calls") + full.int("failed_calls"), 0);
         assert_eq!(off.num("hit_rate"), 0.0);
         assert!(
             full.num("hit_rate") > 0.5,

@@ -200,6 +200,7 @@ fn measure(spec: ConfigSpec, round: usize, keys: u64, ops: u64, seed: u64) -> Fi
         .with("config", spec.name)
         .with("round", round)
         .window(r.ops, r.elapsed.as_secs_f64())
+        .with("failed_calls", r.errors)
         .with("p50_put_ns", r.writes.quantile(0.50))
         .with("p95_put_ns", r.writes.quantile(0.95))
         .with("p99_put_ns", r.writes.quantile(0.99))
@@ -333,6 +334,7 @@ mod tests {
     #[test]
     fn tiny_run_converges_to_identical_state_and_renders_schema() {
         let report = smoke();
+        assert_eq!(report.failed_calls(), 0, "a call of the windows failed");
         let (baseline, parallel) = (&report.rows[0], &report.rows[1]);
         assert!(baseline.int("ops") > 0 && parallel.int("ops") > 0);
         assert_eq!(baseline.int("queues_active"), 1);

@@ -99,6 +99,7 @@ fn measure(
         let began = Instant::now();
         let mut phase_workers = 0usize;
         let mut last_round_gets = Histogram::new();
+        let mut failed_calls = 0;
         for round in 0..ROUNDS_PER_PHASE {
             let mix = GateMix {
                 seed: seed ^ ((phase as u64) << 8) ^ round as u64,
@@ -107,7 +108,9 @@ fn measure(
                 pick,
             };
             let run = Run::new(load_x, load_x as u64 * ops_per_client, false);
-            last_round_gets = workload::drive(&client, &mix, run).reads;
+            let r = workload::drive(&client, &mix, run);
+            failed_calls += r.errors;
+            last_round_gets = r.reads;
             store.rebalance_once().unwrap();
             phase_workers += store.workers();
             samples.push(store.workers());
@@ -127,6 +130,7 @@ fn measure(
                     (load_x * ROUNDS_PER_PHASE) as u64 * ops_per_client,
                     began.elapsed().as_secs_f64(),
                 )
+                .with("failed_calls", failed_calls)
                 .with("p50_get_ns", last_round_gets.quantile(0.50))
                 .with("p99_get_ns", last_round_gets.quantile(0.99)),
         );
@@ -297,6 +301,7 @@ mod tests {
     #[test]
     fn tiny_run_scales_and_reads_identically() {
         let report = smoke();
+        assert_eq!(report.failed_calls(), 0, "a call of the windows failed");
         let (elastic, fixed) = report.rows.split_at(PHASES.len());
         assert!(
             report.summary.is("reads_identical"),

@@ -111,6 +111,7 @@ fn measure(entries: u64) -> (Fields, bool) {
         .with("p50_get_scan_ns", during.reads.quantile(0.50))
         .with("p99_get_scan_ns", during.reads.quantile(0.99))
         .with("gets_during_scan", during.ops)
+        .with("failed_calls", idle.errors + during.errors)
         .with("scans_completed", scans_done.load(Ordering::Relaxed))
         .float(
             "scan_entries_per_sec",
@@ -171,6 +172,7 @@ mod tests {
         let (r, identical) = measure(2_000);
         assert!(identical);
         assert_eq!(r.int("gets_during_scan"), GETS);
+        assert_eq!(r.int("failed_calls"), 0);
         assert!(r.int("scans_completed") > 0);
         assert!(r.int("p50_get_idle_ns") <= r.int("p99_get_idle_ns"));
         assert!(r.int("p50_get_scan_ns") <= r.int("p99_get_scan_ns"));

@@ -146,8 +146,9 @@ fn measure(
     // the delta since the last one, so back-to-back ticks with no
     // traffic in between would plan nothing).
     const WARMUP_ROUNDS: u64 = 4;
+    let mut failed_calls = 0;
     for round in 0..WARMUP_ROUNDS {
-        drive(warmup_ops / WARMUP_ROUNDS, seed ^ 0xAA55_77EE ^ round);
+        failed_calls += drive(warmup_ops / WARMUP_ROUNDS, seed ^ 0xAA55_77EE ^ round).errors;
         if balance {
             store.rebalance_once().unwrap();
         }
@@ -174,6 +175,7 @@ fn measure(
         .with("shards", store.shards())
         .with("migrations", store.migrations())
         .window(ops, r.elapsed.as_secs_f64())
+        .with("failed_calls", failed_calls + r.errors)
         .with("p50_get_ns", r.reads.quantile(0.50))
         .with("p99_get_ns", r.reads.quantile(0.99))
         .with(
@@ -296,6 +298,7 @@ mod tests {
     #[test]
     fn tiny_run_balances_and_reads_identically() {
         let report = smoke();
+        assert_eq!(report.failed_calls(), 0, "a call of the windows failed");
         let (stat, bal) = (&report.rows[0], &report.rows[1]);
         assert!(
             report.summary.is("reads_identical"),

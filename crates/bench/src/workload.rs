@@ -571,7 +571,8 @@ impl RunResult {
 static FAILED_CALLS: AtomicU64 = AtomicU64::new(0);
 
 /// Failed calls every [`drive`] in this process counted since the last
-/// call: `repro` fails a figure and `run_gate` a scenario that had any.
+/// call: `repro` fails a figure that had any. A gate scenario counts its
+/// own from [`RunResult::errors`] ([`crate::artifact::Report::failed_calls`]).
 pub fn take_failed_calls() -> u64 {
     FAILED_CALLS.swap(0, Ordering::Relaxed)
 }
