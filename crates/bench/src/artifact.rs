@@ -1,23 +1,24 @@
-//! Per-run metrics JSON artifacts and the shared run metadata every
-//! `BENCH_*.json` artifact embeds.
+//! The one [`Report`] every scenario of the bench binary hands back, the
+//! one path that runs a scenario ([`run_scenario`]), and the per-store
+//! metrics snapshots a run leaves.
 //!
-//! When `P2KVS_METRICS_DIR` is set, every p2KVS store the harness closes
-//! writes its final [`MetricsSnapshot`] there as
-//! `<experiment>-<seq>.metrics.json` (the `repro` binary defaults the
-//! directory to `repro_metrics/`). The artifact is the JSON render of the
-//! snapshot: framework counters, queue-wait/service histograms, queue
-//! depths, and per-instance `engine_*` metrics — enough to audit any
-//! throughput or latency number the run printed.
+//! Every scenario — a paper figure ([`crate::FIGURES`]) or a feature gate
+//! ([`crate::SCENARIOS`]) — returns one [`Report`]; this module is the
+//! only place one is rendered (the schema-v2 `BENCH_<id>.json`: a header
+//! naming the scenario, timestamp, seed, git revision when discoverable
+//! and the run's configuration knobs, then the summary, then one row per
+//! measurement), printed (one table per `table` value of its rows, the
+//! configuration below), written and turned into a verdict — so a number
+//! in CI can always be traced back to the code revision and parameters
+//! that produced it. [`validate_schema`] checks that contract and is
+//! tested against every scenario.
 //!
-//! The gate scenarios ([`crate::SCENARIOS`]) each hand back one
-//! [`Report`]; this module is the only place one is rendered (the
-//! schema-v2 `BENCH_<id>.json`: a header naming the scenario, timestamp,
-//! seed, git revision when discoverable and the run's configuration
-//! knobs, then the summary, then one row per measurement), printed,
-//! written and turned into a verdict ([`run_gate`]) — so a number in CI
-//! can always be traced back to the code revision and parameters that
-//! produced it. [`validate_schema`] checks that contract and is
-//! unit-tested against every scenario.
+//! When `P2KVS_METRICS_DIR` is set, every p2KVS store a scenario closes
+//! also writes its final [`MetricsSnapshot`] there as
+//! `<scenario id>-<seq>.metrics.json`: framework counters,
+//! queue-wait/service histograms, queue depths, and per-instance
+//! `engine_*` metrics — enough to audit any throughput or latency number
+//! the run reported.
 
 use std::fmt::{self, Display, Formatter};
 use std::path::PathBuf;
@@ -37,8 +38,8 @@ pub const METRICS_DIR_ENV: &str = "P2KVS_METRICS_DIR";
 static EXPERIMENT: Mutex<Option<String>> = Mutex::new(None);
 static SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Labels subsequent artifacts with `id` (the experiment currently
-/// running, e.g. `fig13`).
+/// Labels the metrics snapshots of the stores closed from now on with
+/// `id` (the scenario running, e.g. `fig13`).
 pub fn set_experiment(id: &str) {
     *EXPERIMENT.lock().expect("experiment label poisoned") = Some(id.to_string());
 }
@@ -100,6 +101,12 @@ impl From<bool> for Value {
 impl From<&str> for Value {
     fn from(v: &str) -> Value {
         Value::Text(v.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(v: String) -> Value {
+        Value::Text(v)
     }
 }
 
@@ -186,6 +193,15 @@ impl Fields {
     pub fn has(&self, name: &str, text: &str) -> bool {
         matches!(self.get(name), Value::Text(t) if t == text)
     }
+
+    /// Which of its report's tables the row belongs to: its `table`
+    /// label, "" when the report has one table.
+    pub fn table(&self) -> &str {
+        match self.0.iter().find(|(n, _)| *n == "table") {
+            Some((_, Value::Text(t))) => t,
+            _ => "",
+        }
+    }
 }
 
 impl Display for Fields {
@@ -210,10 +226,10 @@ pub fn best_of(rows: &[Fields], name: &str, text: &str, field: &str) -> f64 {
 
 /// What one scenario run hands back: who ran (`bench`, `seed`), with what
 /// (`config`), what it found (`summary`, the fields its gate reads) and
-/// the measurements behind that, one row per configuration or round.
-/// Every row counts the failed calls of the windows it measured
-/// (`failed_calls`). [`Report::render_json`] is the schema-v2
-/// `BENCH_<id>.json` document.
+/// the measurements behind that, one row per configuration or round. A
+/// report of several tables labels each row with its `table`. Every row
+/// counts the failed calls of the windows it measured (`failed_calls`).
+/// [`Report::render_json`] is the schema-v2 `BENCH_<id>.json` document.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Report {
     /// The scenario id (`backup_under_load`, ...).
@@ -229,6 +245,21 @@ pub struct Report {
 }
 
 impl Report {
+    /// A figure's report: its streams' seeds are fixed (`seed` 0),
+    /// `config` starts with the run's `P2KVS_SCALE`, and the summary is
+    /// empty.
+    pub fn figure(bench: &'static str, config: Fields, rows: Vec<Fields>) -> Report {
+        let mut head = Fields::new().float("scale", crate::scale(), 3);
+        head.0.extend(config.0);
+        Report {
+            bench,
+            seed: 0,
+            config: head,
+            summary: Fields::new(),
+            rows,
+        }
+    }
+
     /// Failed calls of the run's windows, summed over its rows: an error,
     /// or a GET that did not find a preloaded key.
     pub fn failed_calls(&self) -> u64 {
@@ -262,27 +293,35 @@ impl Report {
         s
     }
 
-    /// Prints the run as one table under `question`, the configuration
-    /// beside it and the summary below.
+    /// Prints the run: one table per `table` value of its rows, in the
+    /// order they first appear, each under `question` and its label; then
+    /// the configuration and the summary.
     pub fn print(&self, question: &str) {
-        let header: Vec<&str> = self
-            .rows
-            .first()
-            .map_or(Vec::new(), |r| r.0.iter().map(|(k, _)| *k).collect());
-        let cell = |v: &Value| match v {
-            Value::Text(label) => label.clone(),
-            other => other.to_string(),
-        };
-        let rows: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| r.0.iter().map(|(_, v)| cell(v)).collect())
-            .collect();
-        crate::print_table(question, &header, &rows);
-        println!("\nconfig: seed {} {}", self.seed, self.config);
-        for (k, v) in &self.summary.0 {
-            println!("{k}: {v}");
+        print!("{}", self.render_text(question));
+    }
+
+    /// What [`Report::print`] prints.
+    fn render_text(&self, question: &str) -> String {
+        let mut tables: Vec<&str> = Vec::new();
+        for row in &self.rows {
+            if !tables.contains(&row.table()) {
+                tables.push(row.table());
+            }
         }
+        let mut out = String::new();
+        for table in tables {
+            let title = match table {
+                "" => question.to_string(),
+                label => format!("{question} [{label}]"),
+            };
+            let rows: Vec<&Fields> = self.rows.iter().filter(|r| r.table() == table).collect();
+            out.push_str(&text_table(&title, &rows));
+        }
+        out.push_str(&format!("\nconfig: seed {} {}\n", self.seed, self.config));
+        for (k, v) in &self.summary.0 {
+            out.push_str(&format!("{k}: {v}\n"));
+        }
+        out
     }
 
     /// Writes the artifact as `<name>.json` under `$P2KVS_METRICS_DIR`
@@ -300,17 +339,51 @@ impl Report {
     }
 }
 
-/// One gate scenario: a question about a feature, the run that measures
-/// it and the gate that turns the run's summary into a verdict.
+/// `rows` (one table's, so they share their keys) as a fixed-width
+/// table under `title`: one column per field but `table`, labels
+/// unquoted.
+fn text_table(title: &str, rows: &[&Fields]) -> String {
+    fn columns(r: &Fields) -> impl Iterator<Item = &(&'static str, Value)> {
+        r.0.iter().filter(|(k, _)| *k != "table")
+    }
+    let mut lines: Vec<Vec<String>> = vec![columns(rows[0]).map(|(k, _)| k.to_string()).collect()];
+    lines.extend(rows.iter().map(|r| {
+        columns(r)
+            .map(|(_, v)| match v {
+                Value::Text(label) => label.clone(),
+                other => other.to_string(),
+            })
+            .collect()
+    }));
+    let widths: Vec<usize> = (0..lines[0].len())
+        .map(|i| lines.iter().map(|l| l[i].len()).max().unwrap_or(0))
+        .collect();
+    lines.insert(1, widths.iter().map(|w| "-".repeat(*w)).collect());
+    let mut out = format!("\n== {title} ==\n");
+    for line in lines {
+        let cells: Vec<String> = line
+            .iter()
+            .zip(&widths)
+            .map(|(c, w)| format!("{c:<w$}"))
+            .collect();
+        out.push_str(cells.join("  ").trim_end());
+        out.push('\n');
+    }
+    out
+}
+
+/// One scenario: a question — a figure of the paper or a feature that
+/// still guards behaviour — the run that measures it and the gate that
+/// turns the run's summary into a verdict.
 pub struct Scenario {
-    /// What `gates -- <id>` selects and the artifact's `bench`.
+    /// What `repro -- <id>` selects and the artifact's `bench`.
     pub id: &'static str,
     /// The artifact's file stem (`BENCH_backup`).
     pub artifact: &'static str,
     /// The question the run answers — its table's title.
     pub question: &'static str,
     /// Runs the scenario at `P2KVS_SCALE`, seeded from its
-    /// `P2KVS_*_SEED` variable.
+    /// `P2KVS_*_SEED` variable when it has one.
     pub run: fn() -> Report,
     /// The reasons `summary` fails the scenario; empty = green. A gate
     /// reads counts and byte identity only, never a number derived from a
@@ -332,15 +405,30 @@ impl Scenario {
     }
 }
 
-/// Runs `scenario`, prints its table, writes its artifact and reports
-/// its [`Scenario::verdict`]: `Ok(true)` when it is green.
-pub fn run_gate(scenario: &Scenario) -> std::io::Result<bool> {
+/// The gate of a scenario that only reports: no reason.
+pub fn ungated(_: &Fields) -> Vec<String> {
+    Vec::new()
+}
+
+/// The one way the bench binary runs a scenario: labels the snapshots of
+/// the stores it closes with its id, runs it, prints its tables, writes
+/// its artifact and reports its [`Scenario::verdict`]: `Ok(true)` when it
+/// is green.
+pub fn run_scenario(scenario: &Scenario) -> std::io::Result<bool> {
+    set_experiment(scenario.id);
+    let started = std::time::Instant::now();
     let report = (scenario.run)();
     report.print(scenario.question);
-    println!("wrote {}", report.write(scenario.artifact)?.display());
+    let path = report.write(scenario.artifact)?;
+    println!(
+        "wrote {} ({} ran {:.1} s)",
+        path.display(),
+        scenario.id,
+        started.elapsed().as_secs_f64()
+    );
     let failed = scenario.verdict(&report);
     for reason in &failed {
-        eprintln!("GATE FAILED ({}): {reason}", scenario.id);
+        eprintln!("FAILED ({}): {reason}", scenario.id);
     }
     Ok(failed.is_empty())
 }
@@ -475,6 +563,40 @@ mod tests {
         assert!(doc.contains("    {\"config\": \"a\", \"worker_ops\": [1, 2]},\n"));
         let violations = validate_schema(&doc);
         assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    /// A report of two tables prints each under its own header, with its
+    /// own columns and without the `table` column, and still validates.
+    #[test]
+    fn a_multi_table_report_prints_a_table_per_label_and_validates() {
+        let row = |table: &str| Fields::new().with("table", table).with("threads", 4usize);
+        let report = Report {
+            rows: vec![
+                row("5a").float("kqps", 12.34, 1).with("failed_calls", 0u64),
+                row("5b")
+                    .float("wal_mb_s", 1.5, 1)
+                    .with("failed_calls", 0u64),
+                row("5a").float("kqps", 56.78, 1).with("failed_calls", 0u64),
+            ],
+            ..unit_report()
+        };
+        let text = report.render_text("Fig 5");
+        assert_eq!(text.matches("\n== ").count(), 2, "{text}");
+        let a = text
+            .find("== Fig 5 [5a] ==\nthreads  kqps  failed_calls\n")
+            .expect(&text);
+        let b = text
+            .find("== Fig 5 [5b] ==\nthreads  wal_mb_s  failed_calls\n")
+            .expect(&text);
+        assert!(a < b, "tables print in order of first appearance: {text}");
+        assert!(text[a..b].contains("4        56.8  0"), "{text}");
+        assert!(
+            !text.contains("5a  "),
+            "the label is the header's, not a column"
+        );
+        let doc = report.render_json();
+        assert!(doc.contains("{\"table\": \"5b\", \"threads\": 4, \"wal_mb_s\": 1.5,"));
+        assert!(validate_schema(&doc).is_empty(), "{doc}");
     }
 
     #[test]
@@ -734,7 +856,7 @@ mod tests {
                 run,
                 gate: |_| Vec::new(),
             };
-            assert_eq!(run_gate(&scenario).unwrap(), green);
+            assert_eq!(run_scenario(&scenario).unwrap(), green);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,85 +1,55 @@
-//! `repro`: regenerates the paper's tables and figures.
+//! `repro`: runs the paper's figures and the feature gates.
 //!
 //! ```text
 //! cargo run -p p2kvs-bench --release --bin repro -- <id> [<id> ...]
-//! cargo run -p p2kvs-bench --release --bin repro -- all
+//! cargo run -p p2kvs-bench --release --bin repro -- figures | gates | all
 //! ```
 //!
-//! Ids: fig1 fig4 fig5 fig6 fig7 fig8 tab1 fig12 tab2 fig13 fig14 fig15
-//! fig16 fig17 fig18 fig19 fig20 fig21 fig22 fig23 ablate.
-//! Scale op counts with `P2KVS_SCALE` (e.g. `P2KVS_SCALE=0.2` for a quick
-//! pass).
+//! Ids: the figures fig1 fig4 fig5 fig6 fig7 fig8 tab1 fig12 fig13 fig14
+//! fig15 fig16 fig17 fig18 fig19 fig20 fig21 fig22 fig23 ablate
+//! (`figures`), and the gates backup_under_load scan_interference
+//! skew_rebalance cache_hitrate compaction_stall elastic_scale (`gates`);
+//! `all` is both. Each scenario prints its tables and writes
+//! `BENCH_<name>.json` into `$P2KVS_METRICS_DIR` when set, the working
+//! directory otherwise; with the variable set, every store it closes also
+//! writes its metrics snapshot there. Op counts scale with `P2KVS_SCALE`
+//! and each gate's seed comes from its `P2KVS_*_SEED` variable (default
+//! fixed). **Exits 1 when a scenario fails** (its gate, or any failed
+//! call), 2 on an unknown id.
 
-use p2kvs_bench::{artifact, figures, workload};
-
-fn run(id: &str) -> bool {
-    let t0 = std::time::Instant::now();
-    // Stores closed during this experiment write their final metrics
-    // snapshot as `<id>-<seq>.metrics.json` under P2KVS_METRICS_DIR.
-    artifact::set_experiment(id);
-    match id {
-        "fig1" => figures::analysis::fig1(),
-        "fig4" => figures::analysis::fig4(),
-        "fig5" => figures::analysis::fig5(),
-        "fig6" => figures::analysis::fig6(),
-        "fig7" => figures::analysis::fig7(),
-        "fig8" => figures::analysis::fig8(),
-        "tab1" => figures::macrobench::tab1(),
-        "fig12" | "tab2" => figures::evaluation::fig12_tab2(),
-        "fig13" => figures::evaluation::fig13(),
-        "fig14" => figures::evaluation::fig14(),
-        "fig15" => figures::evaluation::fig15(),
-        "fig16" => figures::macrobench::fig16(),
-        "fig17" => figures::macrobench::fig17(),
-        "fig18" => figures::macrobench::fig18(),
-        "fig19" => figures::macrobench::fig19(),
-        "fig20" => figures::baselines::fig20(),
-        "fig21" => figures::baselines::fig21(),
-        "fig22" => figures::portability::fig22(),
-        "fig23" => figures::portability::fig23(),
-        "ablate" => figures::portability::ablate(),
-        other => {
-            eprintln!("unknown experiment id: {other}");
-            return false;
-        }
-    }
-    println!("[{id} done in {:.1}s]", t0.elapsed().as_secs_f64());
-    // A table whose rows counted failed calls measured nothing.
-    match workload::take_failed_calls() {
-        0 => true,
-        failed => {
-            eprintln!("{id}: {failed} calls failed");
-            false
-        }
-    }
-}
-
-const ALL: &[&str] = &[
-    "fig1", "fig4", "fig5", "fig6", "fig7", "fig8", "tab1", "fig12", "fig13", "fig14", "fig15",
-    "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "fig22", "fig23", "ablate",
-];
+use p2kvs_bench::artifact::{run_scenario, Scenario};
+use p2kvs_bench::{FIGURES, SCENARIOS};
 
 fn main() {
-    // Metrics artifacts default on for repro runs; export
-    // P2KVS_METRICS_DIR="" to disable or point it elsewhere.
-    if std::env::var_os(p2kvs_bench::artifact::METRICS_DIR_ENV).is_none() {
-        std::env::set_var(p2kvs_bench::artifact::METRICS_DIR_ENV, "repro_metrics");
-    }
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        eprintln!("usage: repro <id>... | all   (ids: {})", ALL.join(" "));
+    let every = || FIGURES.iter().chain(&SCENARIOS);
+    let (mut chosen, mut unknown): (Vec<&Scenario>, bool) = (Vec::new(), false);
+    for arg in &args {
+        let group: Vec<&Scenario> = match arg.as_str() {
+            "figures" => FIGURES.iter().collect(),
+            "gates" => SCENARIOS.iter().collect(),
+            "all" => every().collect(),
+            id => every().filter(|s| s.id == id).collect(),
+        };
+        if group.is_empty() {
+            eprintln!("unknown scenario id: {arg}");
+            unknown = true;
+        }
+        chosen.extend(group);
+    }
+    if chosen.is_empty() || unknown {
+        let ids: Vec<&str> = every().map(|s| s.id).collect();
+        eprintln!(
+            "usage: repro <id>... | figures | gates | all   (ids: {})",
+            ids.join(" ")
+        );
         std::process::exit(2);
     }
-    let ids: Vec<&str> = if args.iter().any(|a| a == "all") {
-        ALL.to_vec()
-    } else {
-        args.iter().map(|s| s.as_str()).collect()
-    };
     let mut ok = true;
-    for id in ids {
-        ok &= run(id);
+    for scenario in chosen {
+        ok &= run_scenario(scenario).expect("write the artifact");
     }
     if !ok {
-        std::process::exit(2);
+        std::process::exit(1);
     }
 }

@@ -1,9 +1,10 @@
 //! §5.3–5.4 macro benchmarks and sensitivity studies (Table 1, Figs
 //! 16–19).
 
+use crate::artifact::{Fields, Report};
+use crate::scaled;
 use crate::setups;
-use crate::workload::{drive, hashed_key, load, KvClient, Run, Workload, WorkloadKind};
-use crate::{kqps, print_table, scaled};
+use crate::workload::{drive, hashed_key, load, KvClient, Run, RunResult, Workload, WorkloadKind};
 
 /// Default scaled YCSB sizes (paper: 670M/120M; see DESIGN.md).
 fn spec(kind: WorkloadKind, value_size: usize) -> Workload {
@@ -19,6 +20,24 @@ fn spec(kind: WorkloadKind, value_size: usize) -> Workload {
     }
 }
 
+/// The records and op counts of [`spec`], for a report's `config`.
+fn sizes() -> Fields {
+    Fields::new()
+        .with("records", scaled(40_000))
+        .with("ops", scaled(25_000))
+        .with("ops_e", scaled(3_000))
+}
+
+/// A RocksDB-mode single instance.
+fn rocksdb(tag: &str) -> Box<dyn KvClient> {
+    Box::new(setups::rocksdb_single(setups::nvme_env(), tag))
+}
+
+/// A p2KVS store of `workers` workers, OBM on or off.
+fn p2kvs(workers: usize, obm: bool) -> impl Fn(&str) -> Box<dyn KvClient> {
+    move |tag| Box::new(setups::p2kvs(setups::nvme_env(), tag, workers, obm))
+}
+
 /// Runs one workload against a fresh system built by `make`.
 fn run_one(
     kind: WorkloadKind,
@@ -26,19 +45,19 @@ fn run_one(
     threads: usize,
     make: &dyn Fn(&str) -> Box<dyn KvClient>,
     tag: &str,
-) -> f64 {
+) -> RunResult {
     let client = make(tag);
     let spec = spec(kind, value_size);
     if kind != WorkloadKind::Load {
         load(&*client, spec.record_count, hashed_key, spec.value_size).expect("load phase");
     }
-    drive(&*client, &spec, Run::new(threads, spec.op_count, false)).qps()
+    drive(&*client, &spec, Run::new(threads, spec.op_count, false))
 }
 
 /// Table 1: the workload definitions (sanity display; unit tests verify
 /// the mixes).
-pub fn tab1() {
-    let rows: Vec<Vec<String>> = WorkloadKind::all()
+pub fn tab1() -> Report {
+    let rows = WorkloadKind::all()
         .iter()
         .map(|k| {
             let mix = match k {
@@ -50,192 +69,144 @@ pub fn tab1() {
                 WorkloadKind::E => "5% PUT / 95% SCAN",
                 WorkloadKind::F => "50% RMW / 50% GET",
             };
-            vec![
-                k.name().to_string(),
-                mix.to_string(),
-                format!("{:?}", k.distribution()),
-            ]
+            Fields::new()
+                .with("workload", k.name())
+                .with("mix", mix)
+                .with("distribution", format!("{:?}", k.distribution()))
+                .with("failed_calls", 0u64)
         })
         .collect();
-    print_table(
-        "Table 1: YCSB workloads",
-        &["workload", "mix", "distribution"],
-        &rows,
-    );
+    Report::figure("tab1", Fields::new(), rows)
 }
 
-/// Fig 16: YCSB throughput, RocksDB vs p2KVS-4 vs p2KVS-8 at 8 and 32
-/// user threads.
+/// Fig 16: YCSB throughput, RocksDB vs p2KVS-4 vs p2KVS-8 at 8 (16a) and
+/// 32 (16b) user threads; `_x` is the speedup over RocksDB.
 ///
 /// Expected shape: LOAD gains grow with concurrency (paper: 2.4×→5.2× for
 /// p2KVS-8); read-heavy B/C/D gain 1–2×; E is a wash (read amplification
 /// offsets parallelism); A/F gain 1.5–3.5×.
-pub fn fig16() {
-    println!("fig16: YCSB (128B) — RocksDB vs p2KVS");
-    for threads in [8usize, 32] {
-        let mut rows = Vec::new();
+pub fn fig16() -> Report {
+    let mut rows = Vec::new();
+    for (table, threads) in [("16a", 8usize), ("16b", 32)] {
         for kind in WorkloadKind::all() {
-            let rocks = run_one(
-                kind,
-                128,
-                threads,
-                &|tag| Box::new(setups::rocksdb_single(setups::nvme_env(), tag)),
-                &format!("f16-r-{}-{threads}", kind.name()),
+            let name = kind.name();
+            let tag = |system: &str| format!("f16-{system}-{name}-{threads}");
+            let rocks = run_one(kind, 128, threads, &rocksdb, &tag("r"));
+            let p4 = run_one(kind, 128, threads, &p2kvs(4, true), &tag("p4"));
+            let p8 = run_one(kind, 128, threads, &p2kvs(8, true), &tag("p8"));
+            rows.push(
+                Fields::new()
+                    .with("table", table)
+                    .with("threads", threads)
+                    .with("workload", name)
+                    .float("rocksdb_kqps", rocks.qps() / 1e3, 1)
+                    .float("p2kvs4_kqps", p4.qps() / 1e3, 1)
+                    .float("p2kvs4_x", p4.qps() / rocks.qps(), 1)
+                    .float("p2kvs8_kqps", p8.qps() / 1e3, 1)
+                    .float("p2kvs8_x", p8.qps() / rocks.qps(), 1)
+                    .with("failed_calls", rocks.errors + p4.errors + p8.errors),
             );
-            let p4 = run_one(
-                kind,
-                128,
-                threads,
-                &|tag| Box::new(setups::p2kvs(setups::nvme_env(), tag, 4, true)),
-                &format!("f16-p4-{}-{threads}", kind.name()),
-            );
-            let p8 = run_one(
-                kind,
-                128,
-                threads,
-                &|tag| Box::new(setups::p2kvs(setups::nvme_env(), tag, 8, true)),
-                &format!("f16-p8-{}-{threads}", kind.name()),
-            );
-            rows.push(vec![
-                kind.name().to_string(),
-                kqps(rocks),
-                format!("{} ({:.1}x)", kqps(p4), p4 / rocks),
-                format!("{} ({:.1}x)", kqps(p8), p8 / rocks),
-            ]);
         }
-        print_table(
-            &format!("Fig 16: KQPS with {threads} user threads"),
-            &["workload", "RocksDB", "p2KVS-4", "p2KVS-8"],
-            &rows,
-        );
     }
+    Report::figure("fig16", sizes().with("value_bytes", 128usize), rows)
 }
 
-/// Fig 17: sensitivity to worker count and OBM (LOAD, A, B, C), normalized
-/// to the single-worker no-OBM configuration.
+/// Fig 17: sensitivity to worker count and OBM (LOAD, A, B, C: one table
+/// each), `_x` normalized to the single-worker no-OBM configuration.
 ///
 /// Expected shape: instances alone give ~3×/5× at 4/8 workers; OBM
 /// multiplies writes up to ~2× and reads up to ~5× at low worker counts.
-pub fn fig17() {
-    println!("fig17: workers × OBM sensitivity (32 user threads)");
+pub fn fig17() -> Report {
     let threads = 32;
+    let mut rows = Vec::new();
     for kind in [
         WorkloadKind::Load,
         WorkloadKind::A,
         WorkloadKind::B,
         WorkloadKind::C,
     ] {
+        let name = kind.name();
         let mut base = 0.0f64;
-        let mut rows = Vec::new();
         for workers in [1usize, 2, 4, 8] {
-            let mut cells = vec![workers.to_string()];
-            for obm in [false, true] {
-                let qps = run_one(
-                    kind,
-                    128,
-                    threads,
-                    &|tag| Box::new(setups::p2kvs(setups::nvme_env(), tag, workers, obm)),
-                    &format!("f17-{}-{workers}-{obm}", kind.name()),
-                );
-                if workers == 1 && !obm {
-                    base = qps;
-                }
-                cells.push(format!("{} ({:.1}x)", kqps(qps), qps / base));
+            let [off, on] = [false, true].map(|obm| {
+                let tag = format!("f17-{name}-{workers}-{obm}");
+                run_one(kind, 128, threads, &p2kvs(workers, obm), &tag)
+            });
+            if workers == 1 {
+                base = off.qps();
             }
-            rows.push(cells);
+            rows.push(
+                Fields::new()
+                    .with("table", name)
+                    .with("workers", workers)
+                    .float("obm_off_kqps", off.qps() / 1e3, 1)
+                    .float("obm_off_x", off.qps() / base, 1)
+                    .float("obm_on_kqps", on.qps() / 1e3, 1)
+                    .float("obm_on_x", on.qps() / base, 1)
+                    .with("failed_calls", off.errors + on.errors),
+            );
         }
-        print_table(
-            &format!(
-                "Fig 17 workload {}: KQPS (vs 1 worker, no OBM)",
-                kind.name()
-            ),
-            &["workers", "OBM off", "OBM on"],
-            &rows,
-        );
     }
+    let config = sizes()
+        .with("threads", threads)
+        .with("value_bytes", 128usize);
+    Report::figure("fig17", config, rows)
 }
 
-/// Fig 18: sensitivity to KV size (LOAD, A, C) — p2KVS-8 speedup over
-/// RocksDB, OBM on vs off.
+/// Fig 18: sensitivity to KV size (LOAD, A, C: one table each) — p2KVS-8
+/// speedup over RocksDB, OBM off and on.
 ///
 /// Expected shape: small KVs benefit most from OBM; at 16 KiB the
 /// OBM-write advantage fades (log-merge savings are small) while reads
 /// keep gaining.
-pub fn fig18() {
-    println!("fig18: KV-size sensitivity (32 user threads)");
+pub fn fig18() -> Report {
+    let mut rows = Vec::new();
     for kind in [WorkloadKind::Load, WorkloadKind::A, WorkloadKind::C] {
-        let mut rows = Vec::new();
-        for value_size in [128usize, 1024, 4096, 16384] {
-            let rocks = run_one(
-                kind,
-                value_size,
-                32,
-                &|tag| Box::new(setups::rocksdb_single(setups::nvme_env(), tag)),
-                &format!("f18-r-{}-{value_size}", kind.name()),
+        let name = kind.name();
+        for value_bytes in [128usize, 1024, 4096, 16384] {
+            let run = |make: &dyn Fn(&str) -> Box<dyn KvClient>, system: &str| {
+                let tag = format!("f18-{system}-{name}-{value_bytes}");
+                run_one(kind, value_bytes, 32, make, &tag)
+            };
+            let rocks = run(&rocksdb, "r");
+            let p8_no = run(&p2kvs(8, false), "n");
+            let p8 = run(&p2kvs(8, true), "o");
+            rows.push(
+                Fields::new()
+                    .with("table", name)
+                    .with("value_bytes", value_bytes)
+                    .float("rocksdb_kqps", rocks.qps() / 1e3, 1)
+                    .float("no_obm_x", p8_no.qps() / rocks.qps(), 1)
+                    .float("with_obm_x", p8.qps() / rocks.qps(), 1)
+                    .with("failed_calls", rocks.errors + p8_no.errors + p8.errors),
             );
-            let p8_no = run_one(
-                kind,
-                value_size,
-                32,
-                &|tag| Box::new(setups::p2kvs(setups::nvme_env(), tag, 8, false)),
-                &format!("f18-n-{}-{value_size}", kind.name()),
-            );
-            let p8 = run_one(
-                kind,
-                value_size,
-                32,
-                &|tag| Box::new(setups::p2kvs(setups::nvme_env(), tag, 8, true)),
-                &format!("f18-o-{}-{value_size}", kind.name()),
-            );
-            rows.push(vec![
-                format!("{value_size}B"),
-                kqps(rocks),
-                format!("{:.1}x", p8_no / rocks),
-                format!("{:.1}x", p8 / rocks),
-            ]);
         }
-        print_table(
-            &format!(
-                "Fig 18 workload {}: p2KVS-8 speedup vs RocksDB",
-                kind.name()
-            ),
-            &["KV size", "RocksDB KQPS", "no OBM", "with OBM"],
-            &rows,
-        );
     }
+    Report::figure("fig18", sizes().with("threads", 32usize), rows)
 }
 
-/// Fig 19: the full YCSB suite at 1 KiB values.
+/// Fig 19: the full YCSB suite at 1 KiB values; `_x` is the speedup over
+/// RocksDB.
 ///
 /// Expected shape: same ordering as Fig 16 but smaller speedups (large
 /// values shrink the per-op software overhead OBM amortizes).
-pub fn fig19() {
-    println!("fig19: YCSB at 1KB values (32 user threads)");
+pub fn fig19() -> Report {
     let mut rows = Vec::new();
     for kind in WorkloadKind::all() {
-        let rocks = run_one(
-            kind,
-            1024,
-            32,
-            &|tag| Box::new(setups::rocksdb_single(setups::nvme_env(), tag)),
-            &format!("f19-r-{}", kind.name()),
+        let name = kind.name();
+        let rocks = run_one(kind, 1024, 32, &rocksdb, &format!("f19-r-{name}"));
+        let p8 = run_one(kind, 1024, 32, &p2kvs(8, true), &format!("f19-p8-{name}"));
+        rows.push(
+            Fields::new()
+                .with("workload", name)
+                .float("rocksdb_kqps", rocks.qps() / 1e3, 1)
+                .float("p2kvs8_kqps", p8.qps() / 1e3, 1)
+                .float("p2kvs8_x", p8.qps() / rocks.qps(), 1)
+                .with("failed_calls", rocks.errors + p8.errors),
         );
-        let p8 = run_one(
-            kind,
-            1024,
-            32,
-            &|tag| Box::new(setups::p2kvs(setups::nvme_env(), tag, 8, true)),
-            &format!("f19-p8-{}", kind.name()),
-        );
-        rows.push(vec![
-            kind.name().to_string(),
-            kqps(rocks),
-            format!("{} ({:.1}x)", kqps(p8), p8 / rocks),
-        ]);
     }
-    print_table(
-        "Fig 19: KQPS at 1KB KV",
-        &["workload", "RocksDB", "p2KVS-8"],
-        &rows,
-    );
+    let config = sizes()
+        .with("threads", 32usize)
+        .with("value_bytes", 1024usize);
+    Report::figure("fig19", config, rows)
 }

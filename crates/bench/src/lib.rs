@@ -1,14 +1,16 @@
 //! Benchmark harness regenerating every table and figure of the p2KVS
 //! paper.
 //!
-//! The `repro` binary (`cargo run -p p2kvs-bench --release --bin repro --
-//! <id>`) has one subcommand per figure/table and the `gates` binary
-//! (`... --bin gates -- <id>|all`) one per feature gate ([`SCENARIOS`]);
-//! see `DESIGN.md` §4 for the experiment index and `EXPERIMENTS.md` for
-//! recorded results. All
-//! experiments run on the simulated Optane NVMe device unless stated
-//! otherwise, with op counts scaled by the `P2KVS_SCALE` environment
-//! variable (default 1.0 ≈ tens of seconds per figure).
+//! Every experiment is an [`artifact::Scenario`]: the paper's figures and
+//! tables ([`FIGURES`]) and the feature gates ([`SCENARIOS`]). The one
+//! binary, `repro` (`cargo run -p p2kvs-bench --release --bin repro --
+//! <id>... | figures | gates | all`), runs each through
+//! [`artifact::run_scenario`]: one [`artifact::Report`] printed, written
+//! as `BENCH_<id>.json` and judged. See `DESIGN.md` §4 for the experiment
+//! index and `EXPERIMENTS.md` for recorded results. All experiments run
+//! on the simulated Optane NVMe device unless stated otherwise, with op
+//! counts scaled by the `P2KVS_SCALE` environment variable (default 1.0 ≈
+//! tens of seconds per figure).
 
 pub mod artifact;
 pub mod backupload;
@@ -22,7 +24,9 @@ pub mod setups;
 pub mod skew;
 pub mod workload;
 
-/// The feature gates, in the order `gates -- all` runs them: one scenario
+use figures::{analysis, baselines, evaluation, macrobench, portability};
+
+/// The feature gates, in the order `repro -- gates` runs them: one scenario
 /// per feature that still guards behaviour, each answering one question
 /// (see `DESIGN.md` §4 and the module docs).
 pub const SCENARIOS: [artifact::Scenario; 6] = [
@@ -70,6 +74,149 @@ pub const SCENARIOS: [artifact::Scenario; 6] = [
     },
 ];
 
+/// The paper's figures and tables, in the order `repro -- figures` runs
+/// them. Each reports its measurements; none has a gate yet apart from
+/// Fig 8's count of flushes (see `EXPERIMENTS.md` for the claims).
+pub const FIGURES: [artifact::Scenario; 20] = [
+    figure(
+        "fig1",
+        "BENCH_fig1",
+        "Fig 1: RocksDB single-instance KQPS by device class, 128 B KV (1a: 1 thread, 1b: 8)",
+        analysis::fig1,
+    ),
+    figure(
+        "fig4",
+        "BENCH_fig4",
+        "Fig 4: one writer on NVMe: bandwidth and CPU timeline, and the run's utilization",
+        analysis::fig4,
+    ),
+    figure(
+        "fig5",
+        "BENCH_fig5",
+        "Fig 5: concurrent fillrandom, 128 B: KQPS (5a), single-instance IO (5b) and CPU (5c)",
+        analysis::fig5,
+    ),
+    figure(
+        "fig6",
+        "BENCH_fig6",
+        "Fig 6: single-instance average per-write us by stage (128 B fillrandom)",
+        analysis::fig6,
+    ),
+    figure(
+        "fig7",
+        "BENCH_fig7",
+        "Fig 7: WriteBatch size vs WAL bandwidth and CPU (memtable skipped)",
+        analysis::fig7,
+    ),
+    artifact::Scenario {
+        id: "fig8",
+        artifact: "BENCH_fig8",
+        question: "Fig 8: WAL-only and MemTable-only KQPS, single vs multi instance (128 B)",
+        run: analysis::fig8,
+        gate: analysis::fig8_gate,
+    },
+    figure(
+        "tab1",
+        "BENCH_tab1",
+        "Table 1: YCSB workloads",
+        macrobench::tab1,
+    ),
+    figure(
+        "fig12",
+        "BENCH_fig12",
+        "Fig 12 / Table 2: 16-thread fillrandom (128 B): KQPS, IO amp, bandwidth; memory, CPU",
+        evaluation::fig12,
+    ),
+    figure(
+        "fig13",
+        "BENCH_fig13",
+        "Fig 13: fillrandom latency (us, from each call's slot) vs offered load, 16 threads",
+        evaluation::fig13,
+    ),
+    figure(
+        "fig14",
+        "BENCH_fig14",
+        "Fig 14: point-query KQPS, 32 threads, dataset >> cache (io_bound: device 20x slower)",
+        evaluation::fig14,
+    ),
+    figure(
+        "fig15",
+        "BENCH_fig15",
+        "Fig 15: RANGE and SCAN ops/s by scan size, one user thread",
+        evaluation::fig15,
+    ),
+    figure(
+        "fig16",
+        "BENCH_fig16",
+        "Fig 16: YCSB KQPS (128 B), RocksDB vs p2KVS-4/8 (16a: 8 threads, 16b: 32)",
+        macrobench::fig16,
+    ),
+    figure(
+        "fig17",
+        "BENCH_fig17",
+        "Fig 17: KQPS by workers and OBM, 32 threads (x: vs 1 worker without OBM)",
+        macrobench::fig17,
+    ),
+    figure(
+        "fig18",
+        "BENCH_fig18",
+        "Fig 18: p2KVS-8 speedup over RocksDB by KV size, 32 threads",
+        macrobench::fig18,
+    ),
+    figure(
+        "fig19",
+        "BENCH_fig19",
+        "Fig 19: YCSB KQPS at 1 KB KV, 32 threads",
+        macrobench::fig19,
+    ),
+    figure(
+        "fig20",
+        "BENCH_fig20",
+        "Fig 20: YCSB KQPS, KVell vs p2KVS (128 B, 32 threads)",
+        baselines::fig20,
+    ),
+    figure(
+        "fig21",
+        "BENCH_fig21",
+        "Fig 21: utilization under fillrandom (CPU in % of one core; per-core: busiest worker)",
+        baselines::fig21,
+    ),
+    figure(
+        "fig22",
+        "BENCH_fig22",
+        "Fig 22: LevelDB vs p2KVS over LevelDB, random write/read KQPS (threads = instances)",
+        portability::fig22,
+    ),
+    figure(
+        "fig23",
+        "BENCH_fig23",
+        "Fig 23: WiredTiger vs p2KVS over WiredTiger, write/read KQPS (threads = instances)",
+        portability::fig23,
+    ),
+    figure(
+        "ablate",
+        "BENCH_ablate",
+        "Ablations: OBM batch bound M, 4 workers; hash partitioning under zipfian skew",
+        portability::ablate,
+    ),
+];
+
+/// A figure's scenario: it reports, and only a failed call fails it.
+const fn figure(
+    id: &'static str,
+    artifact: &'static str,
+    question: &'static str,
+    run: fn() -> artifact::Report,
+) -> artifact::Scenario {
+    artifact::Scenario {
+        id,
+        artifact,
+        question,
+        run,
+        gate: artifact::ungated,
+    }
+}
+
 /// The value of `var` parsed as a `T`, `default` when the variable is
 /// unset. A value that does not parse panics naming the variable: falling
 /// back would replay another schedule, or run at another scale, than the
@@ -100,45 +247,6 @@ pub fn seed_from_env(var: &str, default: u64) -> u64 {
     from_env(var, "a decimal u64", default)
 }
 
-/// Simple fixed-width table printer used by every figure.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let line = |cells: Vec<String>| {
-        let mut out = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            out.push_str(&format!(
-                "{:<w$}  ",
-                c,
-                w = widths.get(i).copied().unwrap_or(8)
-            ));
-        }
-        println!("{}", out.trim_end());
-    };
-    line(header.iter().map(|s| s.to_string()).collect());
-    line(widths.iter().map(|w| "-".repeat(*w)).collect());
-    for row in rows {
-        line(row.clone());
-    }
-}
-
-/// Formats a throughput as `K ops/s`.
-pub fn kqps(qps: f64) -> String {
-    format!("{:.1}", qps / 1e3)
-}
-
-/// Formats bytes as MiB.
-pub fn mib(bytes: u64) -> String {
-    format!("{:.1}", bytes as f64 / (1 << 20) as f64)
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
@@ -152,12 +260,5 @@ mod tests {
     fn an_unparsable_seed_panics_naming_its_variable() {
         std::env::set_var("P2KVS_UNPARSABLE_TEST_SEED", "0xCAC4E5EED");
         super::seed_from_env("P2KVS_UNPARSABLE_TEST_SEED", 7);
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(super::kqps(12_345.0), "12.3");
-        assert_eq!(super::mib(3 << 20), "3.0");
-        super::print_table("t", &["a", "b"], &[vec!["1".into(), "2".into()]]);
     }
 }

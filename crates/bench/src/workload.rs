@@ -568,15 +568,6 @@ impl RunResult {
     }
 }
 
-static FAILED_CALLS: AtomicU64 = AtomicU64::new(0);
-
-/// Failed calls every [`drive`] in this process counted since the last
-/// call: `repro` fails a figure that had any. A gate scenario counts its
-/// own from [`RunResult::errors`] ([`crate::artifact::Report::failed_calls`]).
-pub fn take_failed_calls() -> u64 {
-    FAILED_CALLS.swap(0, Ordering::Relaxed)
-}
-
 /// Runs `run.ops` operations of `stream` against `client` from
 /// `run.threads` threads, as YCSB splits its operation count: thread `t`
 /// runs the first `ops / threads` ops of `stream.thread(t)` (one more for
@@ -625,7 +616,6 @@ pub fn drive<C: KvClient + ?Sized>(client: &C, stream: &impl Stream, run: Run) -
         writes.merge(&w);
         errors += e;
     }
-    FAILED_CALLS.fetch_add(errors, Ordering::Relaxed);
     RunResult {
         ops: reads.count() + writes.count(),
         errors,
