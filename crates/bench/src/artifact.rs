@@ -697,7 +697,12 @@ mod tests {
     ///   100 % row's `p50_get_ns`.
     /// * the `trace_overhead` scenario: its throughput budget read a clock
     ///   and its one count (tracing never changes a read) is a store test.
+    /// * the `elastic_scale` scenario: the utilization policy it gated
+    ///   sized the pool from busy time over a wall-clock interval and is
+    ///   gone; `scale_workers(n)` is driven by the store and crash tests.
     ///
+    /// `skew_rebalance`'s rows gained `shard_owners` (the final
+    /// `shard → worker` map, which one seed reproduces exactly).
     /// `backup_under_load` gained `backup_verified` (row) and
     /// `every_backup_verified` (summary): the check its rounds asserted
     /// is now its gate. Every scenario's rows gained `failed_calls`: the
@@ -724,7 +729,7 @@ mod tests {
                 "reads_identical spread_improvement throughput_improvement",
                 "tenants theta keys_per_tenant",
                 "config workers shards migrations ops wall_secs throughput_ops_sec p50_get_ns \
-                 p99_get_ns worker_ops ops_spread busy_spread failed_calls",
+                 p99_get_ns worker_ops ops_spread busy_spread shard_owners failed_calls",
             ]),
             "cache_hitrate" => (crate::cachebench::smoke, [
                 "reads_identical hit_rate_full",
@@ -739,13 +744,6 @@ mod tests {
                 "config round ops wall_secs throughput_ops_sec p50_put_ns p95_put_ns p99_put_ns \
                  max_put_ns p50_get_ns p99_get_ns stall_secs compaction_bytes queues_active \
                  read_back_count read_back_fold failed_calls",
-            ]),
-            "elastic_scale" => (crate::elastic::smoke, [
-                "reads_identical elastic_avg_workers static_avg_workers elastic_peak_workers \
-                 provisioning_improvement elastic_p99_ns static_p99_ns p99_ratio",
-                "max_workers shards rounds_per_phase keys ops_per_client provisioning_budget phases",
-                "config phase load_x workers_avg workers_end ops wall_secs throughput_ops_sec \
-                 p50_get_ns p99_get_ns failed_calls",
             ]),
             other => panic!("no recorded key set for scenario {other}"),
         }

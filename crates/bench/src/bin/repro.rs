@@ -8,7 +8,7 @@
 //! Ids: the figures fig1 fig4 fig5 fig6 fig7 fig8 tab1 fig12 fig13 fig14
 //! fig15 fig16 fig17 fig18 fig19 fig20 fig21 fig22 fig23 ablate
 //! (`figures`), and the gates backup_under_load scan_interference
-//! skew_rebalance cache_hitrate compaction_stall elastic_scale (`gates`);
+//! skew_rebalance cache_hitrate compaction_stall (`gates`);
 //! `all` is both. Each scenario prints its tables and writes
 //! `BENCH_<name>.json` into `$P2KVS_METRICS_DIR` when set, the working
 //! directory otherwise; with the variable set, every store it closes also

@@ -1,6 +1,7 @@
 //! §3 root-cause analysis experiments (Figs 1, 4, 5, 6, 7, 8).
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -119,9 +120,8 @@ pub fn fig4() -> Report {
             let env = setups::nvme_env();
             let client = setups::rocksdb_single(env.clone(), &format!("f4-{value_bytes}-{order}"));
             let ops = scaled(if value_bytes == 128 { 120_000 } else { 40_000 });
-            let stop = Arc::new(AtomicBool::new(false));
+            let (stop, stopped) = mpsc::channel::<()>();
             let sampler = {
-                let stop = stop.clone();
                 let env = env.clone();
                 let db = client.db.clone();
                 std::thread::spawn(move || {
@@ -129,13 +129,16 @@ pub fn fig4() -> Report {
                     let mut last_io = env.io_stats();
                     let mut last_bg = db.stats().bg_busy.sum_ns();
                     let start = Instant::now();
-                    // At least one window, however short the run.
+                    let mut window_start = start;
+                    // One row per window and one for the part window the
+                    // drive ended in: at least one, however short the run.
                     loop {
-                        std::thread::sleep(window);
+                        let tick = stopped.recv_timeout(window);
                         let io = env.io_stats();
                         let bg = db.stats().bg_busy.sum_ns();
                         let d = io.delta(&last_io);
-                        let secs = window.as_secs_f64();
+                        let secs = window_start.elapsed().as_secs_f64().max(1e-9);
+                        window_start = Instant::now();
                         rows.push(
                             Fields::new()
                                 .with("table", "timeline")
@@ -147,14 +150,14 @@ pub fn fig4() -> Report {
                                 .float("compact_mb_s", mb_per_s(d.compaction_bytes, secs), 1)
                                 .float(
                                     "bg_cpu_pct",
-                                    (bg - last_bg) as f64 / window.as_nanos() as f64 * 100.0,
+                                    (bg - last_bg) as f64 / (secs * 1e9) * 100.0,
                                     0,
                                 )
                                 .with("failed_calls", 0u64),
                         );
                         last_io = io;
                         last_bg = bg;
-                        if stop.load(Ordering::Relaxed) {
+                        if tick != Err(RecvTimeoutError::Timeout) {
                             return rows;
                         }
                     }
@@ -165,7 +168,7 @@ pub fn fig4() -> Report {
                 &Micro::new(kind, ops, value_bytes),
                 Run::new(1, ops, false),
             );
-            stop.store(true, Ordering::Relaxed);
+            drop(stop);
             let timeline = sampler.join().unwrap();
             let step = (timeline.len() / 8).max(1);
             rows.extend(timeline.into_iter().step_by(step));

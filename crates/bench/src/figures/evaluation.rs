@@ -1,6 +1,6 @@
 //! §5.2 micro-benchmarks and resource tables (Figs 12–15, Table 2).
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -16,8 +16,8 @@ use crate::workload::{drive, hashed_key, load, ordered_key, KvClient, Micro, Run
 
 /// Runs 16-thread fillrandom against one Fig 12 system and returns its
 /// `fig12` and `tab2` rows. A sampler reads the memory of `engines` every
-/// 200 ms; engine-side CPU is the `workers`' busy time and the engines'
-/// background threads'.
+/// 200 ms and once more when the drive ends; engine-side CPU is the
+/// `workers`' busy time and the engines' background threads'.
 fn run_system(
     system: &str,
     ops: u64,
@@ -26,20 +26,23 @@ fn run_system(
     engines: Vec<Arc<lsmkv::Db>>,
     workers: Vec<Arc<WorkerStats>>,
 ) -> [Fields; 2] {
-    let stop = AtomicBool::new(false);
+    let (stop, stopped) = mpsc::channel::<()>();
     let cpu0 = p2kvs_util::timing::process_cpu_time();
     let (result, mems) = std::thread::scope(|s| {
-        let sampler = s.spawn(|| {
+        let engines = &engines;
+        let sampler = s.spawn(move || {
             let mut mems = Vec::new();
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(200));
+            loop {
+                let tick = stopped.recv_timeout(Duration::from_millis(200));
                 mems.push(engines.iter().map(|e| e.approximate_memory_usage()).sum());
+                if tick != Err(RecvTimeoutError::Timeout) {
+                    return mems;
+                }
             }
-            mems
         });
         let fill = Micro::new(FillRandom, ops, 128);
         let result = drive(client, &fill, Run::new(16, ops, false));
-        stop.store(true, Ordering::Relaxed);
+        drop(stop);
         (result, sampler.join().unwrap())
     });
     let cpu_used = p2kvs_util::timing::process_cpu_time() - cpu0;

@@ -17,7 +17,6 @@ pub mod backupload;
 pub mod cachebench;
 pub mod clients;
 pub mod compstall;
-pub mod elastic;
 pub mod figures;
 pub mod scaninterf;
 pub mod setups;
@@ -29,7 +28,7 @@ use figures::{analysis, baselines, evaluation, macrobench, portability};
 /// The feature gates, in the order `repro -- gates` runs them: one scenario
 /// per feature that still guards behaviour, each answering one question
 /// (see `DESIGN.md` §4 and the module docs).
-pub const SCENARIOS: [artifact::Scenario; 6] = [
+pub const SCENARIOS: [artifact::Scenario; 5] = [
     artifact::Scenario {
         id: "backup_under_load",
         artifact: "BENCH_backup",
@@ -64,13 +63,6 @@ pub const SCENARIOS: [artifact::Scenario; 6] = [
         question: "write stalls: serial single-queue vs parallel multi-queue compaction",
         run: compstall::run,
         gate: compstall::gate,
-    },
-    artifact::Scenario {
-        id: "elastic_scale",
-        artifact: "BENCH_elastic",
-        question: "diurnal ramp 1x -> 8x -> 1x: auto-scaled pool vs static 8 workers",
-        run: elastic::run,
-        gate: elastic::gate,
     },
 ];
 

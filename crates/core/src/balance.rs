@@ -9,13 +9,18 @@
 //! `P2Kvs::rebalance_once` executes via the epoch-fenced handoff.
 //!
 //! The policy is deliberately simple and allocation-light: per tick it
-//! compares the busiest and idlest workers by accumulated per-shard
-//! service time and, when the ratio between them exceeds
+//! compares the busiest and idlest workers by the requests their shards
+//! served since the last tick and, when the ratio between them exceeds
 //! [`MIN_RATIO`], proposes moving the hottest shard whose
 //! transfer strictly reduces the pair's maximum. Proposals that cannot
 //! help (the busiest worker owns a single shard, or its hottest shard is
 //! larger than the gap) are skipped — oscillation is structurally
 //! impossible because every accepted move lowers `max(busiest, idlest)`.
+//!
+//! The load is a count, not a clock reading (DESIGN.md §9.4): the ops a
+//! fixed op stream sends to each shard do not depend on how the host
+//! scheduled the threads that served them, so the same stream always
+//! yields the same plan.
 
 use crate::shard::ShardMap;
 
@@ -29,56 +34,10 @@ pub(crate) const MIN_RATIO: f64 = 1.25;
 /// keep this small.
 pub(crate) const MAX_MOVES: usize = 2;
 
-/// Tunables for utilization-driven pool scaling (DESIGN.md §14). When
-/// [`crate::store::P2KvsOptions::scale`] carries one, each balancer tick
-/// also compares the interval's aggregate busy time against what the
-/// live workers *should* absorb at `target_util`, and scales the pool
-/// one worker per tick toward the derived size — retiring via the
-/// epoch-fenced drain, spawning with fresh rings.
-#[derive(Debug, Clone, Copy)]
-pub struct ScalePolicy {
-    /// Per-worker busy fraction the pool aims for. The desired size is
-    /// `ceil(busy_time / (target_util × interval))`: 0.6 keeps workers
-    /// ~60% busy, leaving headroom for bursts.
-    pub target_util: f64,
-    /// Never retire below this many workers.
-    pub min_workers: usize,
-    /// Never spawn above this many workers.
-    pub max_workers: usize,
-    /// Ticks to sit out after a scale operation before the next one —
-    /// the pool must not thrash on one interval's noise (migration
-    /// costs are small but not free: each drain waits out the submit
-    /// path once per shard moved).
-    pub cooldown: u32,
-}
-
-impl Default for ScalePolicy {
-    fn default() -> Self {
-        ScalePolicy {
-            target_util: 0.6,
-            min_workers: 1,
-            max_workers: 8,
-            cooldown: 2,
-        }
-    }
-}
-
-impl ScalePolicy {
-    /// The pool size that would absorb `busy_ns` of aggregate service
-    /// time over an `interval_ns` window at `target_util` per worker,
-    /// clamped to `[min_workers, max_workers]`.
-    pub fn desired_workers(&self, busy_ns: u64, interval_ns: u64) -> usize {
-        let per_worker = (interval_ns as f64 * self.target_util).max(1.0);
-        let want = (busy_ns as f64 / per_worker).ceil() as usize;
-        let floor = self.min_workers.max(1);
-        want.clamp(floor, self.max_workers.max(floor))
-    }
-}
-
 /// Plans up to `max_moves` ownership migrations given the current map,
-/// the **live** worker ids (the elastic pool may have retired slots), and
+/// the **live** worker ids (`scale_workers` may have retired slots), and
 /// the per-shard load observed since the last tick (`load[s]` in any
-/// consistent unit — the store feeds service-time nanoseconds). A move
+/// consistent unit — the store feeds requests served). A move
 /// is planned only while the busiest live worker carries more than
 /// `min_ratio ×` the idlest one's load (the store passes [`MIN_RATIO`]
 /// and [`MAX_MOVES`]). Returns `(shard, target_worker)` pairs; later
@@ -223,7 +182,7 @@ mod tests {
 
     #[test]
     fn retired_slots_never_receive_moves() {
-        // The elastic pool retired worker 1: the live set is {0, 2}.
+        // A resize retired worker 1: the live set is {0, 2, 3}.
         // Every shard worker 1 used to own has already been drained, so
         // the plan must only ever target live ids.
         let m = map(8, 4);
@@ -243,35 +202,5 @@ mod tests {
         let load = vec![1000u64, 0, 0, 0];
         assert!(plan_moves(&m, &[], &load, MIN_RATIO, MAX_MOVES).is_empty());
         assert!(plan_moves(&m, &[0], &load, MIN_RATIO, MAX_MOVES).is_empty());
-    }
-
-    #[test]
-    fn desired_workers_tracks_aggregate_busy_time() {
-        let p = ScalePolicy {
-            target_util: 0.5,
-            min_workers: 1,
-            max_workers: 8,
-            cooldown: 0,
-        };
-        // 2s busy over a 1s window at 50% target → 4 workers.
-        assert_eq!(p.desired_workers(2_000_000_000, 1_000_000_000), 4);
-        // Idle window collapses to the floor.
-        assert_eq!(p.desired_workers(0, 1_000_000_000), 1);
-        // Saturation clamps at the ceiling.
-        assert_eq!(p.desired_workers(100_000_000_000, 1_000_000_000), 8);
-    }
-
-    #[test]
-    fn desired_workers_respects_min_floor() {
-        let p = ScalePolicy {
-            target_util: 0.6,
-            min_workers: 2,
-            max_workers: 6,
-            cooldown: 1,
-        };
-        assert_eq!(p.desired_workers(0, 1_000_000_000), 2);
-        // Fractional demand rounds up: 0.7s busy at 0.6 target = 1.16…
-        // workers → 2 (already the floor), 1.3s → 3.
-        assert_eq!(p.desired_workers(1_300_000_000, 1_000_000_000), 3);
     }
 }

@@ -87,7 +87,6 @@ pub mod types;
 pub mod worker;
 
 pub use backup::{BackupHandle, BackupReport};
-pub use balance::ScalePolicy;
 pub use cache::{CacheCounters, ReadCache};
 pub use engine::{
     BackupSource, Capabilities, EngineEvent, EngineEventHook, EngineFactory, EnginePhases,

@@ -4,7 +4,7 @@
 //! Before this module the worker set was fixed at open: `P2Kvs::open`
 //! spawned `N` threads over a `Vec` of rings and nothing could change
 //! the count afterwards. The pool makes the first dimension of the 2D
-//! framework *elastic*: every component that addresses a worker by index
+//! framework *resizable*: every component that addresses a worker by index
 //! (submit paths, re-route, handoff markers, scans, backup markers)
 //! resolves the ring through the routing snapshot
 //! ([`crate::shard::ShardMap`]), whose ring slots the pool installs and
@@ -45,16 +45,15 @@ use crate::worker::{ShardRuntime, WorkerConfig, WorkerHandle, WorkerStats};
 
 /// Everything needed to spawn one more worker after open: the base
 /// config (per-worker `core` and `io_queue` are derived, not stored), the
-/// store's worker ceiling for pinning, the device topology for home-queue
+/// store's opening worker count for pinning, the device topology for home-queue
 /// assignment, and the lifecycle factory that wires a new worker's
 /// latency histograms into the shared registry.
 pub struct SpawnSpec {
     /// Base worker config; `core` and `io_queue` are recomputed per
     /// worker id.
     pub config: WorkerConfig,
-    /// The most workers the store runs at once: `workers`, or the scale
-    /// policy's `max_workers` when that is larger.
-    pub ceiling: usize,
+    /// The workers the store opens with (`P2KvsOptions::workers`).
+    pub workers: usize,
     /// Submission queues the env exposes.
     pub device_queues: usize,
     /// Whether workers ride home device queues at all.
@@ -73,7 +72,7 @@ impl SpawnSpec {
 
     /// The core worker `w` pins to, on this host ([`pin_core`]).
     pub fn core(&self, w: usize) -> Option<usize> {
-        pin_core(w, self.ceiling, p2kvs_util::affinity::num_cpus())
+        pin_core(w, self.workers, p2kvs_util::affinity::num_cpus())
     }
 }
 

@@ -21,7 +21,7 @@ use p2kvs_obs::{
 };
 use p2kvs_util::{epoch, timing};
 
-use crate::balance::{plan_moves, ScalePolicy, MAX_MOVES, MIN_RATIO};
+use crate::balance::{plan_moves, MAX_MOVES, MIN_RATIO};
 use crate::engine::{EngineEvent, EngineFactory, GsnFilter, KvsEngine};
 use crate::error::{Error, Result};
 use crate::pool::{SpawnSpec, WorkerPool};
@@ -56,10 +56,10 @@ pub struct P2KvsOptions {
     /// `partitions()` must equal the shard count or `open` rejects the
     /// configuration.
     pub partitioner: Option<Arc<dyn Partitioner>>,
-    /// When set, a background balancer samples per-shard service time at
-    /// this interval and migrates shard ownership off overloaded workers
-    /// (the skew-aware rebalancer, DESIGN.md §9). `None` keeps the
-    /// initial round-robin assignment forever.
+    /// When set, a background balancer counts the requests each shard
+    /// served over this interval and migrates shard ownership off
+    /// overloaded workers (the skew-aware rebalancer, DESIGN.md §9).
+    /// `None` keeps the initial round-robin assignment forever.
     pub balance_interval: Option<Duration>,
     /// OBM batch bound `M` (32 in the paper); 1 switches OBM off.
     pub batch_max: usize,
@@ -98,18 +98,6 @@ pub struct P2KvsOptions {
     /// workers stop serializing behind one device timeline. `false` (or
     /// a single-queue env) keeps file-hash striping.
     pub queue_affinity: bool,
-    /// Utilization-driven elastic scaling (DESIGN.md §14). When set,
-    /// every balancer tick also compares the interval's aggregate
-    /// busy time against the live pool at
-    /// [`ScalePolicy::target_util`] and steps the pool one worker
-    /// toward the derived size — spawning with a fresh ring, or
-    /// draining the highest-id worker through the epoch-fenced handoff
-    /// and joining it. Scaling rides the balancer clock: it needs
-    /// `balance_interval` (or explicit [`P2Kvs::rebalance_once`]
-    /// calls) to tick. `None` (the default, and always the paper
-    /// layout) pins the pool at `workers` forever; manual
-    /// [`P2Kvs::scale_workers`] remains available either way.
-    pub scale: Option<ScalePolicy>,
 }
 
 impl Default for P2KvsOptions {
@@ -125,7 +113,6 @@ impl Default for P2KvsOptions {
             flight_recorder: true,
             cache_capacity: 16 << 20,
             queue_affinity: true,
-            scale: None,
         }
     }
 }
@@ -175,22 +162,15 @@ impl P2KvsOptions {
 struct BalanceShared<E: KvsEngine> {
     runtime: Arc<ShardRuntime<E>>,
     pool: Arc<WorkerPool>,
-    scale: Option<ScalePolicy>,
     state: p2kvs_util::sync::Mutex<BalanceState>,
 }
 
 /// The balancer's memory between ticks.
 struct BalanceState {
-    /// When the previous tick ran — the wall interval the scale
-    /// decision normalizes busy time against. `None` before the first
-    /// tick (which only baselines).
-    last_tick: Option<Instant>,
-    /// Ticks to sit out before the next scale operation may fire.
-    cooldown_left: u32,
-    /// The previous cumulative per-shard busy-time sample, so each tick
+    /// The previous cumulative per-shard op count, so each tick
     /// rebalances on the load of the *last interval*, not all of
     /// history.
-    last_busy_ns: Vec<u64>,
+    last_ops: Vec<u64>,
 }
 
 /// Migrates ownership of `shard` to `target` through the epoch-fenced
@@ -247,36 +227,30 @@ pub(crate) fn migrate_locked<E: KvsEngine>(
     moved.map(|_| ())
 }
 
-/// One balancer tick: sample per-shard busy time, difference against the
-/// previous sample, plan moves, execute them, then (with a
-/// [`ScalePolicy`] configured) step the pool one worker toward the size
-/// the interval's utilization calls for. Returns how many migrations
-/// were applied.
+/// One balancer tick: sample per-shard op counts, difference against the
+/// previous sample, plan moves and execute them. Reads no clock: the
+/// plan is a function of the requests each shard served since the last
+/// tick (DESIGN.md §9.4). Returns how many migrations were applied.
 fn rebalance_tick<E: KvsEngine>(b: &BalanceShared<E>) -> Result<usize> {
     let mut st = b.state.lock();
     let rt = &b.runtime;
-    let now = timing::now();
-    let interval_ns = st
-        .last_tick
-        .map(|t| now.duration_since(t).as_nanos().min(u128::from(u64::MAX)) as u64);
-    st.last_tick = Some(now);
     let delta: Vec<u64> = rt
         .shard_stats
         .iter()
-        .zip(&mut st.last_busy_ns)
+        .zip(&mut st.last_ops)
         .map(|(s, last)| {
-            let now = s.busy_ns.load(Ordering::Relaxed);
+            let now = s.ops.load(Ordering::Relaxed);
             now.saturating_sub(std::mem::replace(last, now))
         })
         .collect();
     let live = b.pool.live_ids();
     let map = rt.map.pin().clone();
     let moves = plan_moves(&map, &live, &delta, MIN_RATIO, MAX_MOVES);
-    let mut applied = 0;
-    for (shard, target) in moves {
+    for &(shard, target) in &moves {
         migrate_locked(rt, shard, target)?;
         if let Some(j) = &rt.journal {
-            // The busy-ns delta is the evidence the decision was made on.
+            // The moved shard's op count is the evidence the decision
+            // was made on.
             j.record(
                 JournalKind::BalanceMove,
                 shard as u64,
@@ -285,30 +259,8 @@ fn rebalance_tick<E: KvsEngine>(b: &BalanceShared<E>) -> Result<usize> {
                 0,
             );
         }
-        applied += 1;
     }
-    // Elastic step (DESIGN.md §14): one spawn or one drain-retire per
-    // tick toward the desired size, separated by the policy's cooldown.
-    // The state lock is already held — exactly the fence every scale
-    // operation requires. The first tick only baselines: without a
-    // previous tick there is no interval to normalize busy time by.
-    if let Some(policy) = b.scale {
-        if st.cooldown_left > 0 {
-            st.cooldown_left -= 1;
-        } else if let Some(interval_ns) = interval_ns.filter(|&ns| ns > 0) {
-            let aggregate: u64 = delta.iter().sum();
-            let desired = policy.desired_workers(aggregate, interval_ns);
-            let live_now = b.pool.live_count();
-            if desired > live_now {
-                b.pool.spawn_into(rt);
-                st.cooldown_left = policy.cooldown;
-            } else if desired < live_now && live_now > 1 {
-                scale_down_locked(rt, &b.pool)?;
-                st.cooldown_left = policy.cooldown;
-            }
-        }
-    }
-    Ok(applied)
+    Ok(moves.len())
 }
 
 /// Retires the highest-id live worker: migrates every shard it owns to
@@ -425,7 +377,7 @@ impl<E: KvsEngine> P2Kvs<E> {
                 core: None,
                 io_queue: None,
             },
-            ceiling: opts.scale.map_or(n, |p| p.max_workers.max(n)),
+            workers: n,
             device_queues: env.queue_count(),
             queue_affinity: opts.queue_affinity,
             lifecycle: {
@@ -586,11 +538,8 @@ impl<E: KvsEngine> P2Kvs<E> {
         let balance = Arc::new(BalanceShared {
             runtime: runtime.clone(),
             pool: pool.clone(),
-            scale: opts.scale,
             state: p2kvs_util::sync::Mutex::new(BalanceState {
-                last_tick: None,
-                cooldown_left: 0,
-                last_busy_ns: vec![0; shards],
+                last_ops: vec![0; shards],
             }),
         });
         let balancer = opts.balance_interval.map(|interval| {
@@ -690,9 +639,9 @@ impl<E: KvsEngine> P2Kvs<E> {
 
     /// Runs one balancer tick right now (regardless of
     /// `balance_interval`), returning how many migrations it applied.
-    /// With a [`ScalePolicy`] configured this also runs the elastic
-    /// step, so tests and benchmarks can drive auto-scaling on their
-    /// own clock.
+    /// The tick plans from the ops each shard served since the previous
+    /// one, so tests and benchmarks that tick between fixed op streams
+    /// get the same moves every run.
     pub fn rebalance_once(&self) -> Result<usize> {
         rebalance_tick(&self.balance)
     }
@@ -1977,14 +1926,41 @@ mod tests {
         let store = open_cached(2, 0);
         assert!(matches!(store.scale_workers(0), Err(Error::Config(_))));
         assert_eq!(store.workers(), 2, "a rejected resize changes nothing");
-        assert!(
-            P2KvsOptions::default().scale.is_none(),
-            "auto-scaling is opt-in"
-        );
-        assert!(
-            P2KvsOptions::paper_layout(4).scale.is_none(),
-            "the paper layout pins the pool"
-        );
+        // Only `scale_workers` resizes: balancer ticks, loaded or idle,
+        // move shards and never spawn or retire a worker.
+        for round in 0..3u32 {
+            for i in 0..50u32 {
+                store
+                    .put(format!("opt-{round}-{i}").as_bytes(), b"v")
+                    .unwrap();
+            }
+            store.rebalance_once().unwrap();
+            store.rebalance_once().unwrap();
+        }
+        assert_eq!(store.live_workers(), vec![0, 1], "ticks never resize");
+    }
+
+    #[test]
+    fn a_balance_move_cites_the_ops_its_shard_served() {
+        // 8 shards round-robin over 2 workers: shards 0 and 2 are worker
+        // 0's. 300 + 200 puts load worker 0 and leave worker 1 idle, so
+        // the tick moves shard 0 (the hottest that fits the gap) and then
+        // stops: 300 on worker 1 against 200 leaves no shard that fits.
+        let store = open_cached(2, 0);
+        for (shard, puts) in [(0, 300u32), (2, 200)] {
+            for i in 0..puts {
+                store.put(&key_in_shard(&store, shard, i), b"v").unwrap();
+            }
+        }
+        assert_eq!(store.rebalance_once().unwrap(), 1);
+        assert_eq!(store.shard_owners()[0], 1);
+        let moves: Vec<_> = store
+            .flight_records(usize::MAX)
+            .into_iter()
+            .filter(|r| r.kind == JournalKind::BalanceMove)
+            .map(|r| (r.a, r.b, r.c))
+            .collect();
+        assert_eq!(moves, vec![(0, 1, 300)], "shard, target, ops served");
     }
 
     #[test]
@@ -2009,7 +1985,10 @@ mod tests {
                 .unwrap();
         }
         // Retire back down to one: every shard drains through the
-        // epoch-fenced handoff and no acked write may be lost.
+        // epoch-fenced handoff and no acked write may be lost. The
+        // highest ids retire first.
+        assert_eq!(store.scale_workers(2).unwrap(), 2);
+        assert_eq!(store.live_workers(), vec![0, 1], "highest ids retire first");
         assert_eq!(store.scale_workers(1).unwrap(), 1);
         assert_eq!(store.live_workers(), vec![0]);
         for i in 0..400u32 {
@@ -2109,43 +2088,6 @@ mod tests {
             300,
             "no entry lost or duplicated across the resize"
         );
-    }
-
-    #[test]
-    fn idle_pool_auto_scales_down_to_the_policy_floor() {
-        let mut opts = P2KvsOptions::with_workers(3);
-        opts.cache_capacity = 0;
-        opts.scale = Some(ScalePolicy {
-            target_util: 0.5,
-            min_workers: 1,
-            max_workers: 4,
-            cooldown: 0,
-        });
-        let store = P2Kvs::open(
-            LsmFactory::new(lsmkv::Options::for_test()),
-            "store-autoscale",
-            opts,
-        )
-        .unwrap();
-        store.put(b"k", b"v").unwrap();
-        // The first tick only baselines (no interval yet); each later
-        // tick sees an idle interval and retires one worker until the
-        // policy floor.
-        for _ in 0..5 {
-            std::thread::sleep(Duration::from_millis(2));
-            store.rebalance_once().unwrap();
-        }
-        assert_eq!(store.workers(), 1, "idle pool converges on min_workers");
-        assert_eq!(store.get(b"k").unwrap().as_deref(), Some(&b"v"[..]));
-        let retired: Vec<_> = store
-            .snapshot()
-            .workers
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| !w.live)
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(retired, vec![1, 2], "highest ids retire first");
     }
 
     #[test]

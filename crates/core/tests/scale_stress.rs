@@ -1,4 +1,4 @@
-//! Stress test for the elastic worker pool: writers, readers, and a
+//! Stress test for the resizable worker pool: writers, readers, and a
 //! streaming scanner run flat out while a thrasher cycles
 //! `scale_workers` across the pool's whole range (1 ↔ 4), so every
 //! retirement drains live shards — with parked scan cursors riding the

@@ -38,8 +38,8 @@ pub enum JournalKind {
     /// worker, `c` = stashed requests replayed).
     ShardInstall,
     /// The balancer decided to move a shard (`a` = shard, `b` = target
-    /// worker, `c` = busiest worker's busy-ns delta over the window —
-    /// the evidence the decision was made on).
+    /// worker, `c` = the requests the moved shard served over the
+    /// window — the evidence the decision was made on).
     BalanceMove,
     /// An engine memtable flush started (`a` = engine instance, `b` =
     /// approximate bytes).

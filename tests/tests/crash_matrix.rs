@@ -77,7 +77,7 @@ fn crash_matrix_recovers_across_shard_migrations() {
     run_matrix(seed(), "migration", &Scenario::migration(), plans);
 }
 
-/// The elastic-pool matrix: every workload round ends with a
+/// The pool-resize matrix: every workload round ends with a
 /// `scale_workers` call thrashing the pool around its opening size —
 /// even rounds grow a worker (fresh ring, journaled `worker_spawn`),
 /// odd rounds retire two (every owned shard drained through the
