@@ -699,7 +699,8 @@ mod tests {
     ///   and its one count (tracing never changes a read) is a store test.
     /// * the `elastic_scale` scenario: the utilization policy it gated
     ///   sized the pool from busy time over a wall-clock interval and is
-    ///   gone; `scale_workers(n)` is driven by the store and crash tests.
+    ///   gone, and so is the resizable pool it drove: the worker set is
+    ///   fixed at open.
     ///
     /// `skew_rebalance`'s rows gained `shard_owners` (the final
     /// `shard → worker` map, which one seed reproduces exactly).

@@ -116,15 +116,16 @@ fn measure_hitrate(
 }
 
 /// The whole scenario, every full-scale op count passed through `sized`:
-/// 20k zipfian keys, 200k warmup and 120k measured GETs per sweep point
-/// (two-touch admission needs a longer warmup than a fill-on-first-miss
-/// cache would: tail keys of the hot set must recur twice to be cached).
-fn run_sized(sized: fn(u64) -> u64, seed: u64) -> Report {
+/// 20k zipfian keys, 200k warmup and 120k measured GETs per point of
+/// `sweep` (two-touch admission needs a longer warmup than a
+/// fill-on-first-miss cache would: tail keys of the hot set must recur
+/// twice to be cached). The scenario sweeps [`SWEEP_PCT`].
+fn run_sized(sized: fn(u64) -> u64, seed: u64, sweep: [u64; 4]) -> Report {
     let keys = sized(20_000);
     let (hot_keys, hot_bytes) = hot_set(keys);
     let mut rows = Vec::new();
     let mut samples = Vec::new();
-    for pct in SWEEP_PCT {
+    for pct in sweep {
         let capacity = hot_bytes * pct / 100;
         let (row, sample) =
             measure_hitrate(pct, capacity, keys, sized(200_000), sized(120_000), seed);
@@ -155,6 +156,7 @@ pub fn run() -> Report {
     run_sized(
         crate::scaled,
         crate::seed_from_env("P2KVS_CACHE_SEED", 0xCAC4_E5EED),
+        SWEEP_PCT,
     )
 }
 
@@ -179,7 +181,7 @@ pub fn gate(summary: &Fields) -> Vec<String> {
 /// The scenario at a size a unit test can afford.
 #[cfg(test)]
 pub(crate) fn smoke() -> Report {
-    run_sized(|n| n / 50, 7)
+    run_sized(|n| n / 50, 7, SWEEP_PCT)
 }
 
 #[cfg(test)]
@@ -222,6 +224,15 @@ mod tests {
         Fields::new()
             .with("reads_identical", identical)
             .float("hit_rate_full", hit_rate, 4)
+    }
+
+    #[test]
+    fn gate_fails_a_store_whose_cache_is_off() {
+        let report = run_sized(|n| n / 50, 7, [0; 4]);
+        assert!(report.rows.iter().all(|r| r.int("capacity_bytes") == 0));
+        let failed = gate(&report.summary);
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        assert!(failed[0].contains("hit rate"), "{failed:?}");
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use p2kvs::worker::WorkerStats;
+use p2kvs::P2Kvs;
 use p2kvs_storage::{DeviceProfile, Env as _, MemEnv};
 
 use crate::artifact::{Fields, Report};
@@ -17,14 +17,15 @@ use crate::workload::{drive, hashed_key, load, ordered_key, KvClient, Micro, Run
 /// Runs 16-thread fillrandom against one Fig 12 system and returns its
 /// `fig12` and `tab2` rows. A sampler reads the memory of `engines` every
 /// 200 ms and once more when the drive ends; engine-side CPU is the
-/// `workers`' busy time and the engines' background threads'.
+/// engines' background threads' busy time plus, for p2KVS (`store`), its
+/// workers' busy time from the store's snapshot after the drive.
 fn run_system(
     system: &str,
     ops: u64,
     env: &MemEnv,
     client: &dyn KvClient,
     engines: Vec<Arc<lsmkv::Db>>,
-    workers: Vec<Arc<WorkerStats>>,
+    store: Option<&P2Kvs<lsmkv::Db>>,
 ) -> [Fields; 2] {
     let (stop, stopped) = mpsc::channel::<()>();
     let cpu0 = p2kvs_util::timing::process_cpu_time();
@@ -50,13 +51,13 @@ fn run_system(
     let written = env.io_stats().bytes_written as f64;
     let write_bw = env.profile().expect("nvme_env is timed").write_bw as f64;
     let bg_ns: u64 = engines.iter().map(|e| e.stats().bg_busy.sum_ns()).sum();
-    let worker_busy: Duration = workers.iter().map(|w| w.busy.busy()).sum();
-    let mut busy = worker_busy.as_secs_f64() + bg_ns as f64 / 1e9;
-    if workers.is_empty() {
+    let engine_threads: Duration = match store {
+        Some(store) => store.snapshot().workers.iter().map(|w| w.busy).sum(),
         // A baseline's user threads run the engine; p2KVS's sleep while
         // its workers do.
-        busy += result.fg_busy().as_secs_f64();
-    }
+        None => result.fg_busy(),
+    };
+    let busy = engine_threads.as_secs_f64() + bg_ns as f64 / 1e9;
     let mib = |bytes: usize| bytes as f64 / (1 << 20) as f64;
     let mem_avg = mems.iter().sum::<usize>() / mems.len().max(1);
     let row = |table: &str| Fields::new().with("table", table).with("system", system);
@@ -93,27 +94,13 @@ pub fn fig12() -> Report {
     let lsm = |system: &str, open: fn(Arc<MemEnv>, &str) -> LsmClient, dir: &str| {
         let env = setups::nvme_env();
         let client = open(env.clone(), dir);
-        run_system(
-            system,
-            ops,
-            &env,
-            &client,
-            vec![client.db.clone()],
-            Vec::new(),
-        )
+        run_system(system, ops, &env, &client, vec![client.db.clone()], None)
     };
     let p2kvs = |system: &str, workers: usize, dir: &str| {
         let env = setups::nvme_env();
         let client = setups::p2kvs(env.clone(), dir, workers, true);
         let engines = client.store.engines().to_vec();
-        run_system(
-            system,
-            ops,
-            &env,
-            &client,
-            engines,
-            client.store.worker_stats(),
-        )
+        run_system(system, ops, &env, &client, engines, Some(&client.store))
     };
     let (fig12, tab2): (Vec<Fields>, Vec<Fields>) = [
         lsm("RocksDB", setups::rocksdb_single, "f12-rocks"),

@@ -35,41 +35,33 @@ pub(crate) const MIN_RATIO: f64 = 1.25;
 pub(crate) const MAX_MOVES: usize = 2;
 
 /// Plans up to `max_moves` ownership migrations given the current map,
-/// the **live** worker ids (`scale_workers` may have retired slots), and
-/// the per-shard load observed since the last tick (`load[s]` in any
-/// consistent unit — the store feeds requests served). A move
-/// is planned only while the busiest live worker carries more than
-/// `min_ratio ×` the idlest one's load (the store passes [`MIN_RATIO`]
-/// and [`MAX_MOVES`]). Returns `(shard, target_worker)` pairs; later
-/// pairs assume earlier ones applied.
+/// the store's `workers` (ids `0..workers`), and the per-shard load
+/// observed since the last tick (`load[s]` in any consistent unit — the
+/// store feeds requests served). A move is planned only while the
+/// busiest worker carries more than `min_ratio ×` the idlest one's load
+/// (the store passes [`MIN_RATIO`] and [`MAX_MOVES`]). Returns
+/// `(shard, target_worker)` pairs; later pairs assume earlier ones
+/// applied.
 pub(crate) fn plan_moves(
     map: &ShardMap,
-    live: &[usize],
+    workers: usize,
     load: &[u64],
     min_ratio: f64,
     max_moves: usize,
 ) -> Vec<(usize, usize)> {
     debug_assert_eq!(load.len(), map.shards());
-    if live.is_empty() {
-        return Vec::new();
-    }
-    let slots = live.iter().max().unwrap() + 1;
     let mut owner: Vec<usize> = (0..map.shards()).map(|s| map.owner(s)).collect();
-    let mut per_worker = vec![0u64; slots];
+    let mut per_worker = vec![0u64; workers];
     for (s, o) in owner.iter().enumerate() {
-        if *o < slots {
-            per_worker[*o] += load[s];
-        }
+        per_worker[*o] += load[s];
     }
     let mut moves = Vec::new();
     for _ in 0..max_moves {
-        let busiest = match live.iter().copied().max_by_key(|w| per_worker[*w]) {
-            Some(w) => w,
-            None => break,
+        let Some(busiest) = (0..workers).max_by_key(|w| per_worker[*w]) else {
+            break;
         };
-        let idlest = match live.iter().copied().min_by_key(|w| per_worker[*w]) {
-            Some(w) => w,
-            None => break,
+        let Some(idlest) = (0..workers).min_by_key(|w| per_worker[*w]) else {
+            break;
         };
         if busiest == idlest {
             break;
@@ -114,7 +106,7 @@ mod tests {
         // 8 shards, 2 workers, uniform load.
         let m = map(8, 2);
         let load = vec![100u64; 8];
-        assert!(plan_moves(&m, &[0, 1], &load, MIN_RATIO, MAX_MOVES).is_empty());
+        assert!(plan_moves(&m, 2, &load, MIN_RATIO, MAX_MOVES).is_empty());
     }
 
     #[test]
@@ -124,7 +116,7 @@ mod tests {
         let mut load = vec![10u64; 8];
         load[0] = 1000;
         load[2] = 400;
-        let moves = plan_moves(&m, &[0, 1], &load, 1.25, 1);
+        let moves = plan_moves(&m, 2, &load, 1.25, 1);
         // Worker 0 carries 1420 vs worker 1's 40; receiving shard 0
         // leaves worker 1 at 1040 < 1420, so the hottest shard itself
         // is movable and the greedy policy takes it.
@@ -139,7 +131,7 @@ mod tests {
         load[0] = 500; // worker 0
         load[4] = 450; // worker 0
         load[1] = 10; // worker 1
-        let moves = plan_moves(&m, &[0, 1, 2, 3], &load, MIN_RATIO, MAX_MOVES);
+        let moves = plan_moves(&m, 4, &load, MIN_RATIO, MAX_MOVES);
         assert!(!moves.is_empty());
         let (shard, target) = moves[0];
         assert!(shard == 0 || shard == 4, "a hot shard moves");
@@ -152,7 +144,7 @@ mod tests {
         // just swap which worker saturates — no move.
         let m = map(2, 2);
         let load = vec![1000u64, 10];
-        assert!(plan_moves(&m, &[0, 1], &load, MIN_RATIO, MAX_MOVES).is_empty());
+        assert!(plan_moves(&m, 2, &load, MIN_RATIO, MAX_MOVES).is_empty());
     }
 
     #[test]
@@ -160,7 +152,7 @@ mod tests {
         let m = map(4, 2);
         // Worker 0: 110, worker 1: 100 — inside the 1.25 dead band.
         let load = vec![60u64, 50, 50, 50];
-        assert!(plan_moves(&m, &[0, 1], &load, MIN_RATIO, MAX_MOVES).is_empty());
+        assert!(plan_moves(&m, 2, &load, MIN_RATIO, MAX_MOVES).is_empty());
     }
 
     #[test]
@@ -172,7 +164,7 @@ mod tests {
         let mut load = vec![1u64; 8];
         load[0] = 300;
         load[4] = 300;
-        let moves = plan_moves(&m, &[0, 1, 2, 3], &load, 1.1, 2);
+        let moves = plan_moves(&m, 4, &load, 1.1, 2);
         assert_eq!(moves.len(), 2);
         assert_ne!(
             moves[0].1, moves[1].1,
@@ -181,26 +173,9 @@ mod tests {
     }
 
     #[test]
-    fn retired_slots_never_receive_moves() {
-        // A resize retired worker 1: the live set is {0, 2, 3}.
-        // Every shard worker 1 used to own has already been drained, so
-        // the plan must only ever target live ids.
-        let m = map(8, 4);
-        let mut load = vec![1u64; 8];
-        load[0] = 500; // worker 0
-        load[4] = 400; // worker 0
-        let moves = plan_moves(&m, &[0, 2, 3], &load, 1.1, 2);
-        assert!(!moves.is_empty());
-        for (_, target) in &moves {
-            assert_ne!(*target, 1, "retired slot 1 must not be a target");
-        }
-    }
-
-    #[test]
-    fn empty_and_single_live_sets_plan_nothing() {
-        let m = map(4, 2);
+    fn a_lone_worker_or_an_idle_store_plans_nothing() {
         let load = vec![1000u64, 0, 0, 0];
-        assert!(plan_moves(&m, &[], &load, MIN_RATIO, MAX_MOVES).is_empty());
-        assert!(plan_moves(&m, &[0], &load, MIN_RATIO, MAX_MOVES).is_empty());
+        assert!(plan_moves(&map(4, 1), 1, &load, MIN_RATIO, MAX_MOVES).is_empty());
+        assert!(plan_moves(&map(4, 2), 2, &[0; 4], MIN_RATIO, MAX_MOVES).is_empty());
     }
 }

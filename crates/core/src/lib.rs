@@ -75,7 +75,6 @@ pub mod balance;
 pub mod cache;
 pub mod engine;
 pub mod error;
-pub mod pool;
 pub mod queue;
 mod ring;
 pub mod scan;

@@ -11,8 +11,9 @@
 //! * A versioned [`ShardMap`] maps shards onto workers and workers
 //!   onto their rings. It is one immutable snapshot behind one pointer
 //!   (the [`MapCell`]); the submit path pays an epoch pin and a pointer
-//!   load — no lock, no refcount — and migrations, worker spawns and
-//!   worker retires each republish a whole new snapshot.
+//!   load — no lock, no refcount — and each migration republishes a
+//!   whole new snapshot. The rings are built once, with the map, and
+//!   ride along unchanged: the worker set is fixed at open.
 //!
 //! The fence: a submitter *pins* the snapshot (`p2kvs_util::epoch`) for
 //! exactly the duration of its ring push ([`MapCell::send`]). After
@@ -20,8 +21,7 @@
 //! from then on no request routed under a displaced snapshot can still
 //! be in flight toward a ring, so a handoff marker pushed *after* it is
 //! provably behind every old-epoch request in the source worker's FIFO
-//! ring, and a retired worker's ring can be closed without failing a
-//! request. That ordering is what preserves per-key issue order across a
+//! ring. That ordering is what preserves per-key issue order across a
 //! migration (DESIGN.md §9); the worker-side re-route path exists as a
 //! defensive backstop, not as the fence.
 //!
@@ -116,31 +116,37 @@ impl Partitioner for RangePartitioner {
 // ---------------------------------------------------------------------
 
 /// One immutable routing snapshot: which worker owns each shard, and
-/// which ring each worker drains. A migration, a worker spawn and a
-/// worker retire each build a successor ([`ShardMap::with_owner`],
-/// `with_ring`) and publish it through the [`MapCell`].
+/// which ring each worker drains. A migration builds a successor
+/// ([`ShardMap::with_owner`]) and publishes it through the [`MapCell`].
 #[derive(Clone)]
 pub struct ShardMap {
-    /// The ownership version: bumps once per migration. Ring installs
-    /// and clears republish under the same epoch — no shard moved.
+    /// The ownership version: bumps once per migration.
     epoch: u64,
     owner: Vec<u32>,
-    /// Worker id → its request ring; `None` for a retired (or not yet
-    /// spawned) slot.
-    rings: Vec<Option<Arc<RequestQueue>>>,
+    /// Worker id → its request ring, one per worker, built with the
+    /// initial map and shared by every successor.
+    rings: Arc<[Arc<RequestQueue>]>,
 }
 
 impl ShardMap {
     /// The initial round-robin assignment: shard `i` belongs to worker
     /// `i % workers`. With `shards == workers` this is the identity map
-    /// (the paper's static layout). Rings arrive as workers spawn.
+    /// (the paper's static layout). Builds one ring per worker: the
+    /// store spawns worker `w` on ring `w`.
     pub fn initial(shards: usize, workers: usize) -> ShardMap {
-        let workers = workers.max(1) as u32;
+        let workers = workers.max(1);
         ShardMap {
             epoch: 1,
-            owner: (0..shards.max(1) as u32).map(|s| s % workers).collect(),
-            rings: Vec::new(),
+            owner: (0..shards.max(1)).map(|s| (s % workers) as u32).collect(),
+            rings: (0..workers)
+                .map(|_| Arc::new(RequestQueue::new()))
+                .collect(),
         }
+    }
+
+    /// Number of workers (one ring each).
+    pub(crate) fn workers(&self) -> usize {
+        self.rings.len()
     }
 
     /// The ownership version. Bumps by one per migration.
@@ -173,39 +179,15 @@ impl ShardMap {
             .collect()
     }
 
-    /// A successor map with worker `w`'s slot set to `ring` — installed
-    /// at spawn (growing the table if needed), cleared at retire.
-    pub(crate) fn with_ring(&self, w: usize, ring: Option<Arc<RequestQueue>>) -> ShardMap {
-        let mut next = self.clone();
-        if w >= next.rings.len() {
-            next.rings.resize(w + 1, None);
-        }
-        next.rings[w] = ring;
-        next
+    /// Worker `w`'s ring.
+    pub(crate) fn ring(&self, w: usize) -> &Arc<RequestQueue> {
+        &self.rings[w]
     }
 
-    /// Worker `w`'s ring, if the slot is live.
-    pub(crate) fn ring(&self, w: usize) -> Option<&Arc<RequestQueue>> {
-        self.rings.get(w).and_then(|r| r.as_ref())
-    }
-
-    /// Requests queued on worker `w`'s ring (0 for a retired slot).
-    pub(crate) fn depth_of(&self, w: usize) -> usize {
-        self.ring(w).map_or(0, |q| q.len())
-    }
-
-    /// Number of worker slots ever provisioned (live + retired).
-    pub(crate) fn slot_count(&self) -> usize {
-        self.rings.len()
-    }
-
-    /// Pushes to worker `w`'s ring. A retired slot hands the request
-    /// back exactly like [`RequestQueue::push`] on a closed ring.
+    /// Pushes to worker `w`'s ring; a closed ring hands the request
+    /// back ([`RequestQueue::push`]).
     pub(crate) fn send_to(&self, w: usize, req: Request) -> std::result::Result<(), Request> {
-        match self.ring(w) {
-            Some(q) => q.push(req),
-            None => Err(req),
-        }
+        self.rings[w].push(req)
     }
 }
 
@@ -217,8 +199,7 @@ impl ShardMap {
 /// sequence. Writers are serialised by the store's balancer state
 /// lock: [`publish`](MapCell::publish) a successor, then
 /// `epoch::synchronize()`, after which no push routed under a displaced
-/// snapshot is still in flight — the fence a handoff marker and a ring
-/// close rely on. A parked pin stalls those writers (never deadlocks
+/// snapshot is still in flight — the fence a handoff marker relies on. A parked pin stalls those writers (never deadlocks
 /// them: workers keep draining), and a writer must not be pinned itself.
 pub struct MapCell {
     current: AtomicPtr<ShardMap>,
@@ -529,10 +510,6 @@ mod tests {
         }
     }
 
-    fn ring() -> Arc<RequestQueue> {
-        Arc::new(RequestQueue::with_capacity(8))
-    }
-
     fn noop_get() -> Request {
         let op = crate::types::Op::Get { key: b"k".to_vec() };
         Request::asynchronous(op, Box::new(|_| {}))
@@ -545,43 +522,29 @@ mod tests {
     }
 
     #[test]
-    fn ring_slots_install_clear_and_grow() {
+    fn rings_are_built_once_and_ride_along() {
         let m = ShardMap::initial(4, 2);
-        assert_eq!(m.slot_count(), 0, "rings arrive with the workers");
-        let m = m.with_ring(0, Some(ring()));
-        assert_eq!((m.slot_count(), m.epoch()), (1, 1), "no shard moved");
-        assert!(m.ring(0).is_some());
-        assert!(m.ring(1).is_none(), "out of range reads as retired");
-        let m = m.with_ring(3, Some(ring()));
-        assert_eq!(m.slot_count(), 4, "install grows the table");
-        assert!(m.ring(1).is_none() && m.ring(2).is_none());
-        assert!(m.ring(3).is_some());
-        let kept = m.with_owner(0, 1);
-        assert!(kept.ring(0).is_some(), "rings ride along");
-        assert!(kept.ring(3).is_some(), "rings ride along");
-        m.send_to(3, noop_get()).ok().unwrap();
-        assert_eq!(m.depth_of(3), 1);
-        let cleared = m.with_ring(3, None);
-        assert!(cleared.ring(3).is_none());
-        assert_eq!(cleared.slot_count(), 4, "clear keeps the slot");
-        assert_eq!(cleared.depth_of(3), 0, "retired slot reads depth 0");
-        assert_eq!(m.depth_of(3), 1, "the predecessor is untouched");
-        drain_one(m.ring(3).unwrap());
+        assert_eq!((m.workers(), m.epoch()), (2, 1), "one ring per worker");
+        assert!(!Arc::ptr_eq(m.ring(0), m.ring(1)));
+        m.send_to(1, noop_get()).ok().unwrap();
+        assert_eq!(m.ring(1).len(), 1);
+        let next = m.with_owner(0, 1);
+        for w in 0..2 {
+            assert!(Arc::ptr_eq(next.ring(w), m.ring(w)), "rings ride along");
+        }
+        assert_eq!(next.ring(1).len(), 1, "a migration moves no queued request");
+        drain_one(m.ring(1));
     }
 
     #[test]
-    fn send_to_a_cleared_slot_hands_the_request_back() {
-        let q = ring();
-        let cell = MapCell::new(ShardMap::initial(1, 1).with_ring(0, Some(q.clone())));
+    fn send_to_a_closed_ring_hands_the_request_back() {
+        let cell = MapCell::new(ShardMap::initial(1, 1));
+        let q = cell.pin().ring(0).clone();
         cell.send(0, noop_get()).ok().unwrap();
         assert_eq!(q.len(), 1, "routed shard 0 → worker 0 → its ring");
-        cell.publish(cell.pin().with_ring(0, None));
-        let back = cell.send(0, noop_get());
-        assert!(back.is_err(), "cleared slot behaves like a closed ring");
-        back.unwrap_err().finish_err(&Error::Closed);
         q.close();
-        let back = q.push(noop_get());
-        assert!(back.is_err(), "… which hands the request back the same way");
+        let back = cell.send(0, noop_get());
+        assert!(back.is_err(), "a closed ring hands the request back");
         back.unwrap_err().finish_err(&Error::Closed);
         drain_one(&q);
     }
@@ -615,13 +578,8 @@ mod tests {
     /// A map of `n` shards over `n` undrained rings, shard `i` on ring
     /// `i`: the test plays the workers.
     fn undrained(n: usize) -> (MapCell, Vec<Arc<RequestQueue>>) {
-        let rings: Vec<_> = (0..n).map(|_| ring()).collect();
-        let map = rings
-            .iter()
-            .enumerate()
-            .fold(ShardMap::initial(n, n), |m, (w, q)| {
-                m.with_ring(w, Some(q.clone()))
-            });
+        let map = ShardMap::initial(n, n);
+        let rings = (0..n).map(|w| map.ring(w).clone()).collect();
         (MapCell::new(map), rings)
     }
 

@@ -41,11 +41,6 @@ pub struct WorkerSnapshot {
     pub io_overlap_saved: Duration,
     /// Current queue depth.
     pub queue_depth: usize,
-    /// Whether the slot currently runs a worker thread. Retired slots
-    /// stay in the snapshot with their final counters (and zero
-    /// `shards_owned`/`active_scans`/`queue_depth` — the drain zeroes
-    /// them before the thread exits).
-    pub live: bool,
 }
 
 /// Snapshot of one shard's cumulative load and current placement.
@@ -158,7 +153,6 @@ mod tests {
             busy,
             io_overlap_saved: Duration::ZERO,
             queue_depth: 0,
-            live: true,
         }
     }
 

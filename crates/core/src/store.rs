@@ -24,13 +24,12 @@ use p2kvs_util::{epoch, timing};
 use crate::balance::{plan_moves, MAX_MOVES, MIN_RATIO};
 use crate::engine::{EngineEvent, EngineFactory, GsnFilter, KvsEngine};
 use crate::error::{Error, Result};
-use crate::pool::{SpawnSpec, WorkerPool};
 use crate::scan::StoreIter;
 use crate::shard::{HashPartitioner, MapCell, Partitioner, ShardMap};
 use crate::stats::{ShardSnapshot, StoreSnapshot, WorkerSnapshot};
 use crate::txn::TxnManager;
 use crate::types::{Op, Request, Response, WriteOp};
-use crate::worker::{ShardRuntime, SCAN_CHUNK_ENTRIES};
+use crate::worker::{pin_core, ShardRuntime, WorkerConfig, WorkerHandle, SCAN_CHUNK_ENTRIES};
 
 /// Ops per engine `write_batch` call while loading a restored backup.
 const RESTORE_BATCH: usize = 256;
@@ -156,12 +155,11 @@ impl P2KvsOptions {
 
 /// State shared between the public migration API and the background
 /// balancer tick. The mutex is the store's one *writer* lock: it
-/// serializes everything that publishes a routing snapshot (migrations,
-/// pool resizes) and the backup freeze against them — one fence and one
-/// handoff in flight at a time.
+/// serializes everything that publishes a routing snapshot (migrations)
+/// and the backup freeze against them — one fence and one handoff in
+/// flight at a time.
 struct BalanceShared<E: KvsEngine> {
     runtime: Arc<ShardRuntime<E>>,
-    pool: Arc<WorkerPool>,
     state: p2kvs_util::sync::Mutex<BalanceState>,
 }
 
@@ -195,10 +193,10 @@ pub(crate) fn migrate_locked<E: KvsEngine>(
                 map.shards()
             )));
         }
-        if map.ring(target).is_none() {
+        if target >= map.workers() {
             return Err(Error::Config(format!(
-                "worker {target} is not live (the pool has {} slots)",
-                map.slot_count()
+                "worker {target} out of range: the store has {} workers",
+                map.workers()
             )));
         }
         let source = map.owner(shard);
@@ -243,9 +241,8 @@ fn rebalance_tick<E: KvsEngine>(b: &BalanceShared<E>) -> Result<usize> {
             now.saturating_sub(std::mem::replace(last, now))
         })
         .collect();
-    let live = b.pool.live_ids();
     let map = rt.map.pin().clone();
-    let moves = plan_moves(&map, &live, &delta, MIN_RATIO, MAX_MOVES);
+    let moves = plan_moves(&map, map.workers(), &delta, MIN_RATIO, MAX_MOVES);
     for &(shard, target) in &moves {
         migrate_locked(rt, shard, target)?;
         if let Some(j) = &rt.journal {
@@ -263,38 +260,15 @@ fn rebalance_tick<E: KvsEngine>(b: &BalanceShared<E>) -> Result<usize> {
     Ok(moves.len())
 }
 
-/// Retires the highest-id live worker: migrates every shard it owns to
-/// the survivors round-robin through the epoch-fenced handoff (parked
-/// scan cursors ride along), then clears its ring slot,
-/// closes the ring, and joins the thread. Caller must hold the
-/// [`BalanceShared::state`] lock — the same fence migrations and the
-/// backup freeze take — and must leave at least one live worker.
-fn scale_down_locked<E: KvsEngine>(rt: &Arc<ShardRuntime<E>>, pool: &WorkerPool) -> Result<usize> {
-    let live = pool.live_ids();
-    let Some((&victim, survivors)) = live.split_last() else {
-        return Err(Error::Config("the pool has no live workers".into()));
-    };
-    if survivors.is_empty() {
-        return Err(Error::Config("cannot retire the last live worker".into()));
-    }
-    let shards = rt.map.pin().shards_of(victim);
-    let mut drained = 0u64;
-    for (i, &shard) in shards.iter().enumerate() {
-        migrate_locked(rt, shard, survivors[i % survivors.len()])?;
-        drained += 1;
-    }
-    pool.retire(victim, drained, rt)?;
-    Ok(victim)
-}
-
 /// A p2KVS store over engine type `E`.
 pub struct P2Kvs<E: KvsEngine> {
-    // Declared before `pool` so the balancer stops before the workers
-    // are joined on drop.
+    // Stopped before the workers are joined on drop.
     balancer: Option<PeriodicTask>,
     balance: Arc<BalanceShared<E>>,
     runtime: Arc<ShardRuntime<E>>,
-    pool: Arc<WorkerPool>,
+    /// The `opts.workers` workers, spawned at open and joined at close;
+    /// worker `w` drains ring `w` of the routing snapshot.
+    workers: Vec<WorkerHandle>,
     partitioner: Arc<dyn Partitioner>,
     txn: TxnManager,
     opts: P2KvsOptions,
@@ -368,41 +342,21 @@ impl<E: KvsEngine> P2Kvs<E> {
         // per-request metrics off.
         registry.counter("p2kvs_slow_requests_total");
         let spans = Arc::new(SpanRing::new(SpanRing::DEFAULT_CAPACITY));
-        let spec = SpawnSpec {
-            config: crate::worker::WorkerConfig {
-                batch_max: opts.batch_max.max(1),
-                // Both recomputed per worker id by the pool, so the
-                // pinned core and the `w % queues` mapping hold as
-                // the pool resizes.
-                core: None,
-                io_queue: None,
-            },
-            workers: n,
-            device_queues: env.queue_count(),
-            queue_affinity: opts.queue_affinity,
-            lifecycle: {
-                let registry = registry.clone();
-                let spans = spans.clone();
-                let metrics = opts.metrics;
-                Box::new(move |w| {
-                    metrics
-                        .then(|| WorkerLifecycle::new(&registry, w, SLOW_REQUEST_NS, spans.clone()))
-                })
-            },
-        };
         // Queue affinity (DESIGN.md §13): with a multi-queue env, worker
-        // `i` rides its home queue, and each shard's engine is hinted
-        // onto its *initial* owner's queue so WAL/flush traffic starts on
-        // the thread that issues it. Migrations may later move a shard to
-        // a worker on another queue; the hint stays put — placement is a
-        // throughput lever, never a correctness input.
+        // `w` rides its home queue `w % queues`, and each shard's engine
+        // is hinted onto its *initial* owner's queue so WAL/flush traffic
+        // starts on the thread that issues it. Migrations may later move
+        // a shard to a worker on another queue; the hint stays put —
+        // placement is a throughput lever, never a correctness input.
+        let queues = env.queue_count();
+        let io_queue = |w: usize| (opts.queue_affinity && queues > 1).then(|| w % queues);
         let mut engines = Vec::with_capacity(shards);
         for s in 0..shards {
             let instance_dir = dir.join(format!("instance-{s}"));
             engines.push(Arc::new(factory.open_on(
                 &instance_dir,
                 Some(filter.clone()),
-                spec.io_queue(s % n),
+                io_queue(s % n),
             )?));
         }
         recovered.max_gsn = recovered.max_gsn.max(replayed_gsn.load(Ordering::Relaxed));
@@ -512,8 +466,8 @@ impl<E: KvsEngine> P2Kvs<E> {
             // (a = MAX marks a full reset, c = the configured budget).
             j.record(JournalKind::CacheFlush, u64::MAX, 0, c.capacity(), 0);
         }
-        // The map starts without rings: the pool publishes each worker's
-        // (before its thread starts) as it spawns them.
+        // The map builds one ring per worker; nothing adds or removes
+        // one until close.
         let runtime = Arc::new(ShardRuntime {
             engines,
             map: MapCell::new(ShardMap::initial(shards, n)),
@@ -531,13 +485,28 @@ impl<E: KvsEngine> P2Kvs<E> {
             env: env.clone(),
             backup: Arc::new(crate::backup::BackupHub::default()),
         });
-        let pool = Arc::new(WorkerPool::new(spec));
-        for _ in 0..n {
-            pool.spawn_into(&runtime);
-        }
+        let cpus = p2kvs_util::affinity::num_cpus();
+        let workers = (0..n)
+            .map(|w| {
+                let config = WorkerConfig {
+                    batch_max: opts.batch_max.max(1),
+                    core: pin_core(w, n, cpus),
+                    io_queue: io_queue(w),
+                };
+                let lifecycle = opts
+                    .metrics
+                    .then(|| WorkerLifecycle::new(&registry, w, SLOW_REQUEST_NS, spans.clone()));
+                let ring = runtime.map.pin().ring(w).clone();
+                let handle = WorkerHandle::spawn_in(w, w, runtime.clone(), ring, config, lifecycle);
+                if let Some(j) = runtime.journal.as_deref() {
+                    let homeq = io_queue(w).map_or(0, |q| q as u64 + 1);
+                    j.record(JournalKind::WorkerSpawn, w as u64, w as u64 + 1, homeq, 0);
+                }
+                handle
+            })
+            .collect();
         let balance = Arc::new(BalanceShared {
             runtime: runtime.clone(),
-            pool: pool.clone(),
             state: p2kvs_util::sync::Mutex::new(BalanceState {
                 last_ops: vec![0; shards],
             }),
@@ -554,7 +523,7 @@ impl<E: KvsEngine> P2Kvs<E> {
             balancer,
             balance,
             runtime,
-            pool,
+            workers,
             partitioner,
             txn,
             opts,
@@ -583,16 +552,9 @@ impl<E: KvsEngine> P2Kvs<E> {
         }
     }
 
-    /// Number of **live** workers (the pool may also hold retired
-    /// slots; see [`P2Kvs::live_workers`]).
+    /// Number of workers (fixed at open).
     pub fn workers(&self) -> usize {
-        self.pool.live_count()
-    }
-
-    /// Live worker ids, ascending. Ids are pool *slot* indices:
-    /// retiring leaves a gap that the next scale-up reuses.
-    pub fn live_workers(&self) -> Vec<usize> {
-        self.pool.live_ids()
+        self.workers.len()
     }
 
     /// Number of shards (engine instances).
@@ -603,12 +565,6 @@ impl<E: KvsEngine> P2Kvs<E> {
     /// The engine instances, indexed by shard (inspection and tests).
     pub fn engines(&self) -> &[Arc<E>] {
         &self.runtime.engines
-    }
-
-    /// Per-slot counters (monitoring and benchmarks), indexed by worker
-    /// id. Retired slots expose their final values.
-    pub fn worker_stats(&self) -> Vec<Arc<crate::worker::WorkerStats>> {
-        self.pool.slots_view().into_iter().map(|(s, _)| s).collect()
     }
 
     /// The current `shard → worker` assignment (a snapshot; migrations
@@ -644,40 +600,6 @@ impl<E: KvsEngine> P2Kvs<E> {
     /// get the same moves every run.
     pub fn rebalance_once(&self) -> Result<usize> {
         rebalance_tick(&self.balance)
-    }
-
-    /// Resizes the pool to exactly `n` live workers, one spawn or
-    /// drain-retire at a time under the migration fence (DESIGN.md
-    /// §14).
-    ///
-    /// Scale-up publishes each newcomer's ring in the routing snapshot
-    /// before its thread starts and leaves shard placement to the
-    /// balancer (or [`P2Kvs::rebalance_once`] / [`P2Kvs::migrate_shard`]).
-    /// Scale-down drains the highest-id live worker by migrating every
-    /// shard it owns to the survivors through the epoch-fenced handoff
-    /// — parked scan cursors ride along, acked writes survive, and no
-    /// request fails merely because the pool resized — then closes its
-    /// ring and joins the thread. Both directions land `worker_spawn` /
-    /// `worker_retire` flight records.
-    ///
-    /// Safe against concurrent [`P2Kvs::backup`]: the freeze fence and
-    /// every scale step take the same lock, so markers always target
-    /// the live worker set. Returns the live count (`n`); `n == 0` is a
-    /// configuration error.
-    pub fn scale_workers(&self, n: usize) -> Result<usize> {
-        if n == 0 {
-            return Err(Error::Config(
-                "a store needs at least one live worker".into(),
-            ));
-        }
-        let _fence = self.balance.state.lock();
-        while self.pool.live_count() < n {
-            self.pool.spawn_into(&self.runtime);
-        }
-        while self.pool.live_count() > n {
-            scale_down_locked(&self.runtime, &self.pool)?;
-        }
-        Ok(self.pool.live_count())
     }
 
     fn submit_to_shard(&self, shard: usize, op: Op, ctx: TraceCtx) -> Result<Response> {
@@ -1145,18 +1067,15 @@ impl<E: KvsEngine> P2Kvs<E> {
     /// snapshot plus relaxed counter reads.
     pub fn snapshot(&self) -> StoreSnapshot {
         let ordering = Ordering::Relaxed;
-        // Copied out, not held: the pool's slot lock is taken below.
+        // Copied out, not held: a pin stalls a migration's fence, and
+        // the engines are asked for their memory below.
         let map = self.runtime.map.pin().clone();
         StoreSnapshot {
-            // Every slot the pool ever provisioned: retired slots keep
-            // their final counters, so scraped series end at their true
-            // values instead of freezing mid-interval or vanishing.
             workers: self
-                .pool
-                .slots_view()
-                .into_iter()
+                .workers
+                .iter()
                 .enumerate()
-                .map(|(i, (stats, live))| WorkerSnapshot {
+                .map(|(i, WorkerHandle { stats, .. })| WorkerSnapshot {
                     ops: stats.ops.load(ordering),
                     batches: stats.batches.load(ordering),
                     merged_ops: stats.merged_ops.load(ordering),
@@ -1175,10 +1094,8 @@ impl<E: KvsEngine> P2Kvs<E> {
                         stats.io_overlap_saved_ns.load(ordering),
                     ),
                     // The ring's relaxed atomic counter — sampling never
-                    // locks or contends with the data path. A retired
-                    // slot reads 0: its ring is gone.
-                    queue_depth: map.depth_of(i),
-                    live,
+                    // locks or contends with the data path.
+                    queue_depth: map.ring(i).len(),
                 })
                 .collect(),
             shards: self
@@ -1239,7 +1156,6 @@ impl<E: KvsEngine> P2Kvs<E> {
                 w.io_overlap_saved.as_secs_f64(),
             );
             reg.set_gauge(&l("p2kvs_queue_depth"), w.queue_depth as f64);
-            reg.set_gauge(&l("p2kvs_worker_live"), if w.live { 1.0 } else { 0.0 });
         }
         for (s, shard) in stats.shards.iter().enumerate() {
             let sh = s.to_string();
@@ -1254,8 +1170,7 @@ impl<E: KvsEngine> P2Kvs<E> {
                 reg.set_gauge(&labeled(&name, &[("instance", &inst)]), value);
             }
         }
-        let live = stats.workers.iter().filter(|w| w.live).count();
-        reg.set_gauge("p2kvs_workers", live as f64);
+        reg.set_gauge("p2kvs_workers", stats.workers.len() as f64);
         reg.set_gauge("p2kvs_shards", stats.shards.len() as f64);
         reg.set_gauge("p2kvs_map_epoch", self.runtime.map.epoch() as f64);
         reg.counter("p2kvs_migrations_total")
@@ -1386,13 +1301,15 @@ impl<E: KvsEngine> P2Kvs<E> {
 impl<E: KvsEngine> Drop for P2Kvs<E> {
     fn drop(&mut self) {
         self.balancer.take();
-        self.pool.shutdown_all();
+        for w in &mut self.workers {
+            w.shutdown();
+        }
         if let Some(j) = &self.runtime.journal {
             // Workers are joined: StoreClose is the journal's last word.
             j.record(
                 JournalKind::StoreClose,
                 self.runtime.engines.len() as u64,
-                self.pool.live_count() as u64,
+                self.workers.len() as u64,
                 0,
                 0,
             );
@@ -1520,7 +1437,7 @@ mod tests {
                 let mut parked = store.iter().unwrap();
                 parked.next_entry().unwrap().unwrap();
                 // Kill worker 1's queue: pushes to it now fail.
-                store.runtime.map.pin().ring(1).unwrap().close();
+                store.runtime.map.pin().ring(1).close();
 
                 let err = call(&store, &keys).expect_err(name);
                 assert!(matches!(err, Error::Closed), "{name}: {err}");
@@ -1922,25 +1839,6 @@ mod tests {
     }
 
     #[test]
-    fn scale_workers_rejects_zero_and_scaling_stays_opt_in() {
-        let store = open_cached(2, 0);
-        assert!(matches!(store.scale_workers(0), Err(Error::Config(_))));
-        assert_eq!(store.workers(), 2, "a rejected resize changes nothing");
-        // Only `scale_workers` resizes: balancer ticks, loaded or idle,
-        // move shards and never spawn or retire a worker.
-        for round in 0..3u32 {
-            for i in 0..50u32 {
-                store
-                    .put(format!("opt-{round}-{i}").as_bytes(), b"v")
-                    .unwrap();
-            }
-            store.rebalance_once().unwrap();
-            store.rebalance_once().unwrap();
-        }
-        assert_eq!(store.live_workers(), vec![0, 1], "ticks never resize");
-    }
-
-    #[test]
     fn a_balance_move_cites_the_ops_its_shard_served() {
         // 8 shards round-robin over 2 workers: shards 0 and 2 are worker
         // 0's. 300 + 200 puts load worker 0 and leave worker 1 idle, so
@@ -1961,133 +1859,6 @@ mod tests {
             .map(|r| (r.a, r.b, r.c))
             .collect();
         assert_eq!(moves, vec![(0, 1, 300)], "shard, target, ops served");
-    }
-
-    #[test]
-    fn scale_up_then_down_keeps_every_write_and_finalizes_metrics() {
-        let store = open_cached(2, 1 << 20);
-        for i in 0..200u32 {
-            store
-                .put(format!("el-{i:04}").as_bytes(), format!("v{i}").as_bytes())
-                .unwrap();
-        }
-        assert_eq!(store.scale_workers(4).unwrap(), 4);
-        assert_eq!(store.workers(), 4);
-        assert_eq!(store.live_workers(), vec![0, 1, 2, 3]);
-        // Spread shards onto the newcomers so they do real work.
-        let shards = store.shards();
-        for s in 0..shards {
-            store.migrate_shard(s, s % 4).unwrap();
-        }
-        for i in 200..400u32 {
-            store
-                .put(format!("el-{i:04}").as_bytes(), format!("v{i}").as_bytes())
-                .unwrap();
-        }
-        // Retire back down to one: every shard drains through the
-        // epoch-fenced handoff and no acked write may be lost. The
-        // highest ids retire first.
-        assert_eq!(store.scale_workers(2).unwrap(), 2);
-        assert_eq!(store.live_workers(), vec![0, 1], "highest ids retire first");
-        assert_eq!(store.scale_workers(1).unwrap(), 1);
-        assert_eq!(store.live_workers(), vec![0]);
-        for i in 0..400u32 {
-            assert_eq!(
-                store
-                    .get(format!("el-{i:04}").as_bytes())
-                    .unwrap()
-                    .as_deref(),
-                Some(format!("v{i}").as_bytes()),
-                "key {i} after the resizes"
-            );
-        }
-        // Writes keep landing on the shrunken pool.
-        store.put(b"post-scale", b"ok").unwrap();
-        assert_eq!(
-            store.get(b"post-scale").unwrap().as_deref(),
-            Some(&b"ok"[..])
-        );
-        // Retired slots are finalized, not stale: the survivor owns
-        // every shard and the retired slots read zero ownership, zero
-        // parked cursors, zero depth.
-        let snap = store.snapshot();
-        assert_eq!(snap.workers.len(), 4, "retired slots stay visible");
-        let live: Vec<_> = snap.workers.iter().filter(|w| w.live).collect();
-        assert_eq!(live.len(), 1);
-        assert_eq!(
-            live[0].shards_owned as usize, shards,
-            "survivor owns everything"
-        );
-        for w in snap.workers.iter().filter(|w| !w.live) {
-            assert_eq!(w.shards_owned, 0, "retired slot owns nothing");
-            assert_eq!(w.active_scans, 0, "retired slot parks no cursors");
-            assert_eq!(w.queue_depth, 0, "retired ring is gone");
-        }
-        let metrics = store.metrics_snapshot();
-        assert_eq!(metrics.gauge("p2kvs_workers"), Some(1.0));
-        assert_eq!(metrics.gauge("p2kvs_worker_live{worker=\"0\"}"), Some(1.0));
-        assert_eq!(metrics.gauge("p2kvs_worker_live{worker=\"3\"}"), Some(0.0));
-        // The flight journal tells the story: 2 spawns at open, 2 more
-        // at scale-up, 3 retires on the way down.
-        let records = store.flight_records(usize::MAX);
-        let spawns = records
-            .iter()
-            .filter(|r| r.kind == JournalKind::WorkerSpawn)
-            .count();
-        let retires = records
-            .iter()
-            .filter(|r| r.kind == JournalKind::WorkerRetire)
-            .count();
-        assert_eq!(spawns, 4);
-        assert_eq!(retires, 3);
-    }
-
-    #[test]
-    fn a_revived_slot_carries_its_retired_counters_forward() {
-        let store = open_cached(2, 0);
-        // Work lands on both workers (round-robin map over 8 shards).
-        for i in 0..120u32 {
-            store.put(format!("cc-{i:04}").as_bytes(), b"v").unwrap();
-        }
-        store.scale_workers(1).unwrap();
-        let retired = store.snapshot().workers[1].clone();
-        assert!(!retired.live);
-        assert!(retired.ops > 0, "worker 1 served writes before retiring");
-        // Reviving slot 1 must not reset its metric series: the new
-        // incarnation starts from the retired incarnation's counters,
-        // so the per-worker sums stay monotonic across the respawn.
-        store.scale_workers(2).unwrap();
-        let revived = store.snapshot().workers[1].clone();
-        assert!(revived.live);
-        assert!(
-            revived.ops >= retired.ops,
-            "slot 1's ops went backwards across the respawn: {} < {}",
-            revived.ops,
-            retired.ops
-        );
-        assert!(revived.busy >= retired.busy, "busy time went backwards");
-        assert_eq!(revived.shards_owned, 0, "gauges start fresh on respawn");
-    }
-
-    #[test]
-    fn open_scans_survive_a_scale_down() {
-        let store = open_cached(3, 0);
-        for i in 0..300u32 {
-            store.put(format!("sc-{i:04}").as_bytes(), b"v").unwrap();
-        }
-        let mut iter = store.iter().unwrap();
-        // Pull a bit so per-shard cursors are parked on their owners.
-        let head = iter.next_chunk(10).unwrap();
-        assert_eq!(head.len(), 10);
-        // Drain two workers mid-scan; the parked cursors ride the
-        // handoffs to the survivor.
-        store.scale_workers(1).unwrap();
-        let rest = iter.next_chunk(usize::MAX).unwrap();
-        assert_eq!(
-            head.len() + rest.len(),
-            300,
-            "no entry lost or duplicated across the resize"
-        );
     }
 
     #[test]

@@ -123,8 +123,8 @@ pub struct WorkerConfig {
     /// OBM batch bound `M`, in keys (1 disables merging).
     pub batch_max: usize,
     /// The core the worker thread binds to, if any. The store derives it
-    /// per worker id ([`crate::pool::pin_core`]) so that no two of its
-    /// workers share a core.
+    /// per worker id ([`pin_core`]) so that no two of its workers share a
+    /// core.
     pub core: Option<usize>,
     /// Device submission queue this worker's engine I/O should ride.
     /// Installed as the thread's ambient queue at spawn (see
@@ -140,6 +140,15 @@ pub struct WorkerConfig {
 pub const SCAN_CHUNK_ENTRIES: usize = 256;
 /// Hard cap on payload bytes per scan chunk (1 MiB, same clamping).
 pub const SCAN_CHUNK_BYTES: usize = 1 << 20;
+
+/// The core worker `w` of a store with `workers` workers pins to on a
+/// host with `cpus` cores: core `w` when every worker has a core of its
+/// own (§4.1, "a dedicated CPU core"), else none. Pinning `w % cpus`
+/// instead would put two workers on one core as soon as there are more
+/// workers than cores.
+pub fn pin_core(w: usize, workers: usize, cpus: usize) -> Option<usize> {
+    (workers <= cpus).then_some(w)
+}
 
 impl Default for WorkerConfig {
     fn default() -> Self {
@@ -162,9 +171,7 @@ pub(crate) struct ShardRuntime<E> {
     pub engines: Vec<Arc<E>>,
     /// The live routing snapshot, `shard → worker → ring`: the one
     /// handle every push goes through (submit paths, re-route, the
-    /// migrator's markers). Ring slots are installed at spawn
-    /// and cleared at retire (DESIGN.md §14), so pushes to a vanished
-    /// worker bounce like pushes to a closed ring.
+    /// migrator's markers). Its rings are built once, at open.
     pub map: MapCell,
     /// Per-shard handoff slot: between a migration's two markers the
     /// moving shard's parked scan cursors wait here — left by the old
@@ -212,9 +219,8 @@ impl WorkerHandle {
     /// Spawns a worker inside a shared [`ShardRuntime`]: thread name
     /// from `name_id`, core from `config.core`, routing identity
     /// `windex` (the store passes the same id twice). The worker drains
-    /// `queue` — the ring already published in the runtime's map at slot
-    /// `windex` — and initially owns the shards the map assigns to
-    /// `windex`.
+    /// `queue` — ring `windex` of the runtime's map — and initially owns
+    /// the shards the map assigns to `windex`.
     ///
     /// The worker stamps every group at dequeue and at completion; when
     /// `lifecycle` is present that pair also feeds the queue-wait and
@@ -232,11 +238,12 @@ impl WorkerHandle {
             ..WorkerStats::default()
         });
         let q = queue.clone();
-        // Built here, not on the new thread: the spawner is the sole map
-        // writer, so the owned set is read before any migration can name
-        // this worker. A thread that started late would otherwise read a
-        // shard migrated to it meanwhile as already its own and serve it
-        // ahead of the old owner's `HandoffOut`, instead of stashing.
+        // Built here, not on the new thread: the store spawns every
+        // worker before `open` returns, so the owned set is read before
+        // any migration can name this worker. A thread that started late
+        // would otherwise read a shard migrated to it meanwhile as
+        // already its own and serve it ahead of the old owner's
+        // `HandoffOut`, instead of stashing.
         let mut w = WorkerLoop::new(windex, rt, stats.clone(), config.batch_max, lifecycle);
         let handle = std::thread::Builder::new()
             .name(format!("p2kvs-worker-{name_id}"))
@@ -408,8 +415,8 @@ impl<E: KvsEngine> WorkerLoop<E> {
     /// Closes an overlapped run: pays its one device wait and books the
     /// time as busy — it stands for the waits the groups would otherwise
     /// have slept inside their own stamps — to the worker and, split by
-    /// keys, to the run's shards, so the balancer and the pool policy
-    /// still see the device wait the worker pays. A run whose every group
+    /// keys, to the run's shards, so the reported busy times still
+    /// include the device wait the worker pays. A run whose every group
     /// was stashed or forwarded served no shard and books nothing, so
     /// worker busy time stays the sum of its shards'.
     fn settle(&mut self, chains: IoChains) {
@@ -1139,11 +1146,8 @@ mod tests {
         shards: usize,
         rings: usize,
     ) -> (Arc<ShardRuntime<E>>, Vec<Arc<RequestQueue>>) {
-        let queues: Vec<_> = (0..rings).map(|_| Arc::new(RequestQueue::new())).collect();
-        let mut map = ShardMap::initial(shards, rings);
-        for (w, q) in queues.iter().enumerate() {
-            map = map.with_ring(w, Some(q.clone()));
-        }
+        let map = ShardMap::initial(shards, rings);
+        let queues = (0..rings).map(|w| map.ring(w).clone()).collect();
         let rt = Arc::new(ShardRuntime {
             engines: vec![engine; shards],
             map: MapCell::new(map),
@@ -1260,6 +1264,31 @@ mod tests {
                 .0
             })
             .collect()
+    }
+
+    #[test]
+    fn pinning_gives_each_worker_its_own_core_or_none() {
+        for cpus in 1..=16 {
+            for workers in 1..=16 {
+                let cores: Vec<Option<usize>> =
+                    (0..workers).map(|w| pin_core(w, workers, cpus)).collect();
+                for (w, core) in cores.iter().enumerate() {
+                    match core {
+                        Some(c) => {
+                            assert!(workers <= cpus, "{workers} workers on {cpus} cores pin");
+                            assert_eq!(*c, w, "worker {w} pins to its own core");
+                            assert!(*c < cpus, "core {c} exists on {cpus} cores");
+                        }
+                        None => assert!(workers > cpus, "worker {w} left unpinned"),
+                    }
+                }
+                let mut pinned: Vec<usize> = cores.iter().flatten().copied().collect();
+                let n = pinned.len();
+                pinned.sort_unstable();
+                pinned.dedup();
+                assert_eq!(pinned.len(), n, "two workers share a core: {cores:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Backup/restore stress: repeated GSN-consistent online snapshots cut
-//! and streamed while writers, a reader, a shard migrator, and a pool
-//! scaler hammer the store — under a deliberately thrashing 16 KiB read
-//! cache, so every cycle interleaves CLOCK evictions, fills, write
-//! invalidations, handoffs, and ring installs/closes with the freeze
-//! markers.
+//! and streamed while writers, a reader and a shard migrator hammer the
+//! store — under a deliberately thrashing 16 KiB read cache, so every
+//! cycle interleaves CLOCK evictions, fills, write invalidations and
+//! handoffs with the freeze markers.
 //!
 //! Each cycle restores the snapshot into a fresh directory and checks:
 //!
@@ -36,9 +35,11 @@ const KEYS: u64 = 512;
 const CYCLES: usize = 5;
 /// Concurrent writer threads.
 const WRITERS: usize = 3;
+/// The store's workers.
+const WORKERS: usize = 3;
 
 fn store_options() -> P2KvsOptions {
-    let mut o = P2KvsOptions::with_workers(3);
+    let mut o = P2KvsOptions::with_workers(WORKERS);
     o.shards = 6;
     o.cache_capacity = 16 << 10; // thrashing by design
     o
@@ -112,29 +113,9 @@ fn repeated_online_backups_under_concurrent_load_restore_cleanly() {
             let shards = store.shards();
             let mut r = 0usize;
             while !stop.load(Ordering::Relaxed) {
-                // Worker 3 comes and goes with the scaler below: a move
-                // onto it while it is retired is refused, nothing else is.
-                let target = (r + 1) % 4;
-                if let Err(e) = store.migrate_shard(r % shards, target) {
-                    assert_eq!(target, 3, "migration to a permanent worker failed: {e}");
-                }
+                store.migrate_shard(r % shards, (r + 1) % WORKERS).unwrap();
                 r += 1;
                 thread::sleep(std::time::Duration::from_millis(2));
-            }
-        }));
-    }
-    {
-        // Scaler: spawns and drain-retires a fourth worker, so freeze
-        // markers race ring installs and closes as well as handoffs.
-        let store = Arc::clone(&store);
-        let stop = Arc::clone(&stop);
-        threads.push(thread::spawn(move || {
-            let mut n = 0usize;
-            while !stop.load(Ordering::Relaxed) {
-                let want = 4 - n % 2;
-                assert_eq!(store.scale_workers(want).unwrap(), want);
-                n += 1;
-                thread::sleep(std::time::Duration::from_millis(3));
             }
         }));
     }
@@ -220,5 +201,5 @@ fn repeated_online_backups_under_concurrent_load_restore_cleanly() {
     let snap = store.snapshot();
     let rerouted: u64 = snap.workers.iter().map(|w| w.rerouted).sum();
     assert_eq!(rerouted, 0, "a request was routed under a displaced map");
-    assert_eq!(snap.workers.len(), 4, "the scaler never spawned worker 3");
+    assert!(snap.migrations > 0, "the migrator never moved a shard");
 }

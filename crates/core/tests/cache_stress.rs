@@ -8,8 +8,9 @@
 //!   counting global allocator, same pattern as `queue_stress`);
 //! * **read-your-writes** holds through the cache under concurrent
 //!   writers, readers, and shard migrations: an acked `put` is visible
-//!   to the writer's next `get`, and readers never observe a per-key
-//!   version going backwards;
+//!   to the writer's next `get`, readers never observe a per-key
+//!   version going backwards, and a streaming scan whose parked cursors
+//!   ride the handoffs still reads every key once, in order;
 //! * the **byte budget** is enforced by CLOCK eviction without ever
 //!   serving a stale or corrupt value.
 //!
@@ -24,7 +25,7 @@ use std::sync::Arc;
 use std::thread;
 
 use p2kvs::engine::LsmFactory;
-use p2kvs::{P2Kvs, P2KvsOptions};
+use p2kvs::{P2Kvs, P2KvsOptions, WriteOp};
 use p2kvs_util::rng::Rng;
 
 // ---------------------------------------------------------------------------
@@ -128,7 +129,9 @@ fn cache_hits_allocate_only_the_value() {
 /// completing). Readers assert per-key versions never go backwards
 /// (a stale cached value would). A migrator thread shuffles shard
 /// ownership the whole time, forcing cache flushes on both halves of
-/// every handoff.
+/// every handoff, while a cross-shard batch per writer round keeps the
+/// GSN commit path in the mix and a scanner drains streaming cursors in
+/// small chunks, so its parked cursors cross in the handoff slot.
 #[test]
 fn concurrent_reads_writes_and_migrations_stay_coherent() {
     const WRITERS: usize = 2;
@@ -183,10 +186,43 @@ fn concurrent_reads_writes_and_migrations_stay_coherent() {
                         let got = store.get(&key).unwrap().unwrap();
                         assert_eq!(got, val, "writer {w} lost its own write to {i}");
                     }
+                    let ops: Vec<WriteOp> = (0..4)
+                        .map(|i| WriteOp::Put {
+                            key: key_of(w, i),
+                            value: format!("{round:08}").into_bytes(),
+                        })
+                        .collect();
+                    store.write_batch(ops).unwrap();
                 }
             })
         })
         .collect();
+
+    let scanner = {
+        let store = store.clone();
+        let stop = stop.clone();
+        thread::spawn(move || {
+            let mut scans = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                let mut it = store.iter().unwrap();
+                let mut entries = Vec::new();
+                loop {
+                    let c = it.next_chunk(7).unwrap();
+                    if c.is_empty() {
+                        break;
+                    }
+                    entries.extend(c);
+                }
+                assert_eq!(entries.len(), WRITERS * KEYS_PER_WRITER, "scan lost keys");
+                assert!(
+                    entries.windows(2).all(|p| p[0].0 < p[1].0),
+                    "scan came back unsorted"
+                );
+                scans += 1;
+            }
+            scans
+        })
+    };
 
     let readers: Vec<_> = (0..READERS)
         .map(|r| {
@@ -219,6 +255,7 @@ fn concurrent_reads_writes_and_migrations_stay_coherent() {
     stop.store(true, Ordering::Relaxed);
     let moves = migrator.join().unwrap();
     assert!(moves > 0, "migrator never migrated — test lost its teeth");
+    assert!(scanner.join().unwrap() >= 1, "no full scan completed");
 
     // Final model: every key holds its last written version, read both
     // through the cache and (after the first read refills) from it.
@@ -232,9 +269,23 @@ fn concurrent_reads_writes_and_migrations_stay_coherent() {
     let snap = store.metrics_snapshot();
     assert!(snap.counter("p2kvs_cache_invalidations").unwrap() > 0);
     assert!(snap.counter("p2kvs_cache_hits").unwrap() > 0);
+    // Conservation: with the migrator stopped the workers own every
+    // shard between them, and no scan cursor is left parked anywhere.
+    let stats = store.snapshot();
+    let owned: u64 = stats.workers.iter().map(|w| w.shards_owned).sum();
+    assert_eq!(
+        owned as usize,
+        store.shards(),
+        "shards leaked across handoffs"
+    );
+    let parked: u64 = stats.workers.iter().map(|w| w.active_scans).sum();
+    assert_eq!(
+        parked, 0,
+        "scan cursors left parked after the scanner finished"
+    );
     // The routing fence: no worker ever had to forward a request for a
     // shard it had already handed away.
-    let rerouted: u64 = store.snapshot().workers.iter().map(|w| w.rerouted).sum();
+    let rerouted: u64 = stats.workers.iter().map(|w| w.rerouted).sum();
     assert_eq!(rerouted, 0, "a request was routed under a displaced map");
 }
 

@@ -1668,6 +1668,7 @@ fn snapshot_and_metrics_agree_on_a_quiesced_store() {
     let stats = store.snapshot();
     let owners = store.shard_owners();
     assert_eq!(stats.workers.len(), 3);
+    assert_eq!(metrics.gauge("p2kvs_workers"), Some(3.0));
     assert_eq!(stats.total_ops(), 300);
     for (i, w) in stats.workers.iter().enumerate() {
         let series = |base: &str| format!("{base}{{worker=\"{i}\"}}");
@@ -1691,8 +1692,6 @@ fn snapshot_and_metrics_agree_on_a_quiesced_store() {
             metrics.gauge(&series("p2kvs_active_scans")),
             Some(w.active_scans as f64)
         );
-        assert_eq!(metrics.gauge(&series("p2kvs_worker_live")), Some(1.0));
-        assert!(w.live);
         // What the worker says it owns is what the map assigns it.
         let mapped = owners.iter().filter(|&&o| o == i).count();
         assert_eq!(mapped as u64, w.shards_owned);
@@ -1772,7 +1771,7 @@ fn map_snapshot_and_metrics_report_ownership() {
 }
 
 #[test]
-fn snapshot_reads_never_wait_on_a_migration_or_a_resize() {
+fn snapshot_reads_never_wait_on_a_migration() {
     // Regression: a store read used to take the balancer state lock
     // while holding a map pin, and a migration holds that lock while it
     // waits for every pin to drop — one poller against one migrator
@@ -1810,41 +1809,25 @@ fn snapshot_reads_never_wait_on_a_migration_or_a_resize() {
     let migrator = {
         let (store, finished) = (store.clone(), finished.clone());
         std::thread::spawn(move || {
+            // Round r gathers every shard on worker (r + 1) % 2.
             for i in 0..ITERS {
-                // Worker 1 comes and goes with the scaler; a move onto a
-                // retired slot is refused, never stuck.
-                let target = i % 2;
-                if let Err(e) = store.migrate_shard(i % SHARDS, target) {
-                    assert_eq!(target, 1, "migration to the permanent worker failed: {e}");
-                }
+                store
+                    .migrate_shard(i % SHARDS, (i / SHARDS + 1) % 2)
+                    .unwrap();
             }
             finished.send("migrator").unwrap();
         })
     };
-    let scaler = {
-        let (store, finished) = (store.clone(), finished.clone());
-        std::thread::spawn(move || {
-            for i in 0..ITERS {
-                assert_eq!(store.scale_workers(1 + i % 2).unwrap(), 1 + i % 2);
-            }
-            finished.send("scaler").unwrap();
-        })
-    };
-    for _ in 0..2 {
-        watchdog
-            .recv_timeout(Duration::from_secs(30))
-            .expect("migrate × scale × read did not finish in 30 s: deadlock");
-    }
+    watchdog
+        .recv_timeout(Duration::from_secs(30))
+        .expect("migrate × read did not finish in 30 s: deadlock");
     stop.store(true, Ordering::Relaxed);
     watchdog
         .recv_timeout(Duration::from_secs(30))
         .expect("the snapshot poller is stuck");
     migrator.join().unwrap();
-    scaler.join().unwrap();
     assert!(poller.join().unwrap() > 1, "both reads were polled");
-    let stats = store.snapshot();
-    assert!(stats.migrations > 0, "no migration ever ran");
-    assert!(stats.workers.iter().filter(|w| w.live).count() >= 1);
+    assert!(store.snapshot().migrations > 0, "no migration ever ran");
 }
 
 /// A series' documented name: labels stripped, a submission queue's

@@ -26,7 +26,7 @@ use std::time::Instant;
 /// meaning of the generic `a`/`b`/`c` payload fields per kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JournalKind {
-    /// Store opened (`a` = workers, `b` = shards, `c` = recovered
+    /// Store opened (`a` = shards, `b` = workers, `c` = recovered
     /// journal records found on disk).
     StoreOpen,
     /// Store closed cleanly.
@@ -83,13 +83,15 @@ pub enum JournalKind {
     /// shards streamed, `b` = total entries, `c` = total payload bytes;
     /// `gsn` = the horizon).
     BackupComplete,
-    /// The pool spawned a worker — at open or a runtime scale-up (`a` =
-    /// worker id, `b` = live workers after the spawn, `c` = home device
-    /// queue + 1, or 0 when affinity is off).
+    /// The store spawned a worker at open (`a` = worker id, `b` =
+    /// workers spawned so far, `c` = home device queue + 1, or 0 when
+    /// affinity is off) — the only record of a worker's home queue.
     WorkerSpawn,
-    /// The pool drained and retired a worker (`a` = worker id, `b` =
-    /// live workers after the retire, `c` = shards migrated off it
-    /// during the drain).
+    /// A worker was drained and retired (`a` = worker id, `b` = workers
+    /// left, `c` = shards migrated off it). No longer written — the
+    /// worker set is fixed at open — but still parsed: a journal stops at
+    /// its first undecodable line, so dropping the name would cut every
+    /// older `FLIGHT.log` short at its first retire.
     WorkerRetire,
 }
 
@@ -399,6 +401,63 @@ mod tests {
         assert!(JournalRecord::decode("3 12 balance_move 1 2 3 0 extra").is_none());
         assert!(JournalRecord::decode("x 12 balance_move 1 2 3 0").is_none());
         assert!(JournalRecord::decode("3 12 not_a_kind 1 2 3 0").is_none());
+    }
+
+    /// Every kind, in declaration order.
+    const KINDS: [JournalKind; 19] = [
+        JournalKind::StoreOpen,
+        JournalKind::StoreClose,
+        JournalKind::HandoffOut,
+        JournalKind::ShardInstall,
+        JournalKind::BalanceMove,
+        JournalKind::FlushStart,
+        JournalKind::FlushFinish,
+        JournalKind::CompactionStart,
+        JournalKind::CompactionFinish,
+        JournalKind::FaultFired,
+        JournalKind::ScanOpen,
+        JournalKind::ScanClose,
+        JournalKind::TxnCommit,
+        JournalKind::CacheFlush,
+        JournalKind::BackupBegin,
+        JournalKind::ShardFrozen,
+        JournalKind::BackupComplete,
+        JournalKind::WorkerSpawn,
+        JournalKind::WorkerRetire,
+    ];
+
+    #[test]
+    fn every_kind_name_parses_back_and_old_journals_read_in_full() {
+        for kind in KINDS {
+            assert_eq!(JournalKind::parse(kind.name()), Some(kind), "{kind:?}");
+        }
+        // A journal an older store wrote: a worker retired mid-history.
+        let kinds = [
+            JournalKind::StoreOpen,
+            JournalKind::WorkerSpawn,
+            JournalKind::WorkerRetire,
+            JournalKind::HandoffOut,
+            JournalKind::StoreClose,
+        ];
+        let img: String = kinds
+            .iter()
+            .zip(1u64..)
+            .map(|(&kind, seq)| {
+                JournalRecord {
+                    seq,
+                    ts_us: seq * 10,
+                    kind,
+                    a: 1,
+                    b: 2,
+                    c: 3,
+                    gsn: 0,
+                }
+                .encode()
+            })
+            .collect();
+        let back = parse_journal(img.as_bytes());
+        let read: Vec<JournalKind> = back.iter().map(|r| r.kind).collect();
+        assert_eq!(read, kinds, "nothing after the retire is dropped");
     }
 
     #[test]

@@ -371,16 +371,6 @@ fn migrate_one_shard(round: usize, store: &Store) {
     let _ = store.migrate_shard(round % store.shards(), (round + 1) % WORKERS);
 }
 
-/// Thrashes the pool around its opening size: even rounds grow to
-/// `WORKERS + 1` (a fresh ring spawns), odd rounds shrink to
-/// `WORKERS - 1` (the two highest live workers drain *every* shard they
-/// own through the handoff, then their rings close and the threads
-/// join), so sync points land between a retiring worker's per-shard
-/// drains, right after a `worker_spawn` journal record, mid-join.
-fn thrash_pool(round: usize, store: &Store) {
-    let _ = store.scale_workers([WORKERS + 1, WORKERS - 1][round % 2]);
-}
-
 /// Reads the whole key pool, warming the read cache between rounds.
 fn warm_cache(store: &Store) {
     for i in 0..KEY_POOL {
@@ -431,16 +421,6 @@ impl Scenario {
         }
     }
 
-    /// The migration layout with a `scale_workers` call every round.
-    /// Recovery reopens at the fixed size: durability must not depend on
-    /// how many workers were alive, or which were mid-retirement.
-    pub fn scale() -> Scenario {
-        Scenario {
-            disturb: thrash_pool,
-            ..Scenario::migration()
-        }
-    }
-
     /// The migration scenario with the read cache on and warmed every
     /// round, so the crash can land while the cache holds hot entries, a
     /// write is invalidating, or a handoff is flushing a shard's cached
@@ -480,19 +460,14 @@ impl Scenario {
         }
     }
 
-    /// Every feature at once: the cache warmed, a shard handed off and
-    /// the pool resized every round, an online backup streaming under
-    /// them, parallel compaction on the multi-queue device.
+    /// Every feature at once: the cache warmed and a shard handed off
+    /// every round, an online backup streaming under them, parallel
+    /// compaction on the multi-queue device.
     pub fn combined() -> Scenario {
         Scenario {
             engine: parallel_engine_options,
             queues: QUEUES,
             backup: true,
-            disturb: |round, store| {
-                warm_cache(store);
-                migrate_one_shard(round, store);
-                thrash_pool(round, store);
-            },
             ..Scenario::cached()
         }
     }
@@ -988,28 +963,6 @@ mod tests {
     }
 
     #[test]
-    fn scale_workload_stays_consistent_without_faults() {
-        // The state survives a reopen at the fixed size. Every scale
-        // operation succeeded and was journaled durably: beyond the
-        // open-time spawns, round 0 grows 4 → 5, each odd round retires
-        // two workers (5 → 3) and each later even round respawns them.
-        let (_, out) = fault_free(7, &Scenario::scale());
-        assert_eq!(count(&out, JournalKind::WorkerSpawn), WORKERS + 1 + 3 * 2);
-        assert_eq!(count(&out, JournalKind::WorkerRetire), 4 * 2);
-        // The last round (7, odd) left the pool at WORKERS - 1.
-        let last = out
-            .flight
-            .iter()
-            .rfind(|r| r.kind == JournalKind::WorkerRetire);
-        assert_eq!(last.map(|r| r.b), Some(WORKERS as u64 - 1));
-    }
-
-    #[test]
-    fn scale_crash_points_recover_cleanly() {
-        crash_points(17, &Scenario::scale(), [25, 90, 170]);
-    }
-
-    #[test]
     fn a_few_crash_points_recover_cleanly_with_cache() {
         crash_points(13, &Scenario::cached(), [25, 90, 170]);
     }
@@ -1024,11 +977,6 @@ mod tests {
         // Recovery restored the completed backup and found the cut.
         let (per_queue, out) = fault_free(7, &Scenario::combined());
         assert!(count(&out, JournalKind::ShardInstall) >= 1, "no migration");
-        assert!(
-            count(&out, JournalKind::WorkerSpawn) > WORKERS,
-            "no runtime spawn"
-        );
-        assert!(count(&out, JournalKind::WorkerRetire) >= 1, "no retirement");
         assert!(
             per_queue.iter().all(|&n| n > 0),
             "a queue saw no sync: {per_queue:?}"

@@ -77,20 +77,6 @@ fn crash_matrix_recovers_across_shard_migrations() {
     run_matrix(seed(), "migration", &Scenario::migration(), plans);
 }
 
-/// The pool-resize matrix: every workload round ends with a
-/// `scale_workers` call thrashing the pool around its opening size —
-/// even rounds grow a worker (fresh ring, journaled `worker_spawn`),
-/// odd rounds retire two (every owned shard drained through the
-/// epoch-fenced handoff, rings closed, threads joined, journaled
-/// `worker_retire`). Recovery reopens at the fixed size: no acked write
-/// may depend on how many workers were alive — or which were mid-drain
-/// — when the power failed.
-#[test]
-fn crash_matrix_recovers_during_scale() {
-    let plans = (1..=plain_total()).step_by(5).map(crash_at);
-    run_matrix(seed(), "scale", &Scenario::scale(), plans);
-}
-
 /// The cached matrix: the migration layout with the hot-record read
 /// cache enabled and per-round reads warming it, so crash points land
 /// while cached entries, write invalidations, and handoff-driven cache
@@ -129,9 +115,9 @@ fn crash_matrix_recovers_mid_subcompaction_on_every_queue() {
     run_matrix(seed(), "queue", &scenario, plans);
 }
 
-/// Every feature crashed in one run: the read cache warmed, a shard
-/// handed off and the pool resized every round, an online backup cut at
-/// round 2 and streaming under them, and parallel compaction spreading
+/// Every feature crashed in one run: the read cache warmed and a shard
+/// handed off every round, an online backup cut at round 2 and
+/// streaming under them, and parallel compaction spreading
 /// output over a four-queue device. Beyond every check above, a
 /// completed backup must restore to its cut and a partial one must be
 /// rejected — and the matrix must see both.

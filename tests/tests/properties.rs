@@ -241,114 +241,6 @@ fn model_holds_while_shards_migrate() {
     );
 }
 
-/// Differential model check while the worker pool resizes beneath
-/// the workload: a store with shards decoupled from workers (8
-/// shards) and the deliberately tiny read cache matches the BTreeMap
-/// model exactly even when every few steps the pool is rescaled —
-/// including thrashing all the way down to one worker and back up to
-/// four, so retirements drain *every* shard a worker owns through
-/// the epoch-fenced handoff while the history keeps writing, and
-/// spawns hand fresh rings shards the very next resize takes away
-/// again. Per-key issue order survives the drains, cross-shard
-/// `write_batch`es stay all-or-nothing, the cache never leaks a
-/// stale value across a retirement's flush, and no operation fails
-/// solely because a resize was in flight (every step unwraps).
-/// Checked live, by full scan, and after a reopen at a fixed size.
-#[test]
-fn model_holds_while_pool_resizes() {
-    check(
-        "model_holds_while_pool_resizes",
-        24,
-        |rng| {
-            let steps = rng.vec_of(1..120, step);
-            let stride = rng.range(1..8) as usize;
-            (
-                steps,
-                stride,
-                rng.vec_of(1..12, |rng| rng.range(1..5) as usize),
-            )
-        },
-        |(steps, stride, targets)| {
-            let env: p2kvs_storage::EnvRef = Arc::new(p2kvs_storage::MemEnv::new());
-            let factory = || LsmFactory::new(lsmkv::Options::rocksdb_like(env.clone()));
-            let opts = || {
-                let mut o = P2KvsOptions::with_workers(2);
-                o.shards = 8;
-                // Small enough that the 256-key space cycles entries through
-                // CLOCK eviction while retirements flush moving shards.
-                o.cache_capacity = 16 << 10;
-                o
-            };
-            let mut model = std::collections::BTreeMap::new();
-            {
-                let store = P2Kvs::open(factory(), "prop-scale", opts()).unwrap();
-                let mut resizes = 0usize;
-                for (i, step) in steps.iter().enumerate() {
-                    match step {
-                        Step::Put(k, v) => {
-                            store.put(&key(*k), &value(*v)).unwrap();
-                            model.insert(key(*k), value(*v));
-                            // Read-your-writes through the cache: fill, then hit.
-                            assert_eq!(store.get(&key(*k)).unwrap(), Some(value(*v)));
-                            assert_eq!(store.get(&key(*k)).unwrap(), Some(value(*v)));
-                        }
-                        Step::Delete(k) => {
-                            store.delete(&key(*k)).unwrap();
-                            model.remove(&key(*k));
-                            assert_eq!(store.get(&key(*k)).unwrap(), None);
-                        }
-                        Step::Batch(kvs) => {
-                            store
-                                .write_batch(
-                                    kvs.iter()
-                                        .map(|(k, v)| WriteOp::Put {
-                                            key: key(*k),
-                                            value: value(*v),
-                                        })
-                                        .collect(),
-                                )
-                                .unwrap();
-                            for (k, v) in kvs {
-                                model.insert(key(*k), value(*v));
-                            }
-                            for (k, _) in kvs {
-                                assert_eq!(
-                                    store.get(&key(*k)).unwrap(),
-                                    model.get(&key(*k)).cloned()
-                                );
-                            }
-                        }
-                    }
-                    if i % stride == 0 {
-                        // Walk the random resize schedule; consecutive 1s and
-                        // 4s in `targets` thrash the pool across its full
-                        // range (a no-op resize to the current size is also
-                        // exercised and must succeed).
-                        let n = targets[resizes % targets.len()];
-                        store.scale_workers(n).unwrap();
-                        assert_eq!(store.workers(), n);
-                        resizes += 1;
-                    }
-                }
-                for k in 0..=255u8 {
-                    assert_eq!(store.get(&key(k)).unwrap(), model.get(&key(k)).cloned());
-                }
-                let scanned = store.scan(b"", usize::MAX / 4).unwrap();
-                let expect: Vec<(Vec<u8>, Vec<u8>)> =
-                    model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-                assert_eq!(&scanned, &expect);
-                store.close();
-            }
-            // Reopen at the fixed opening size: recovery must restore the
-            // same state no matter what size the pool closed at.
-            let store = P2Kvs::open(factory(), "prop-scale", opts()).unwrap();
-            for k in 0..=255u8 {
-                assert_eq!(store.get(&key(k)).unwrap(), model.get(&key(k)).cloned());
-            }
-        },
-    );
-}
-
 /// Range queries over random histories equal the model's range view.
 #[test]
 fn ranges_match_model() {
