@@ -34,9 +34,11 @@
 //!   read; `fill` re-checks it after publishing and self-evicts if any
 //!   invalidation bumped it in between, so a racing write can never
 //!   leave stale data installed.
-//! * **Migration flush** — `HandoffOut`/`ShardInstall` call
-//!   [`ReadCache::flush_shard`], dropping every entry of the moving
-//!   shard and bumping its version (journaled as `cache_flush`).
+//! * **Migration keeps entries** — a shard move changes which worker
+//!   runs the shard's writes and fills, never the engine or the key an
+//!   entry is filed under, and the handoff markers order the old
+//!   owner's last write before the new owner's first (DESIGN.md §11.3),
+//!   so an entry valid before the move stays valid after it.
 //!
 //! Only present values are cached (no negative caching), and the cache
 //! is volatile: recovery always comes up cold.
@@ -387,32 +389,6 @@ impl ReadCache {
         }
     }
 
-    /// Drops every cached entry belonging to `shard` (migration
-    /// handoff/install). Returns `(entries, bytes)` dropped for the
-    /// `cache_flush` journal record.
-    pub fn flush_shard(&self, shard: u32) -> (u64, u64) {
-        self.versions[shard as usize].fetch_add(1, Ordering::SeqCst);
-        let mut entries = 0u64;
-        let mut bytes = 0u64;
-        let _guard = epoch::pin();
-        for idx in 0..self.slots.len() {
-            let word = self.slots[idx].load(Ordering::Acquire);
-            if word == 0 {
-                continue;
-            }
-            let rec = unsafe { &*Self::ptr_of(word) };
-            if rec.shard == shard {
-                let charge = rec.charge;
-                if self.remove_at(idx, word) {
-                    entries += 1;
-                    bytes += charge;
-                    self.invalidations.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        (entries, bytes)
-    }
-
     /// CLOCK/second-chance sweep freeing at least `need` bytes (best
     /// effort, bounded at two full revolutions). Caller holds an epoch
     /// pin.
@@ -525,24 +501,6 @@ mod tests {
         c.fill(0, b"k", b"stale", v);
         assert_eq!(c.lookup(0, b"k"), None);
         assert_eq!(c.counters().bytes, 0);
-    }
-
-    #[test]
-    fn flush_shard_drops_only_that_shard() {
-        let c = cache();
-        for i in 0..16u32 {
-            let key = [i as u8];
-            let shard = i % 2;
-            let v = c.version(shard);
-            c.fill(shard, &key, b"v", v);
-        }
-        let (entries, bytes) = c.flush_shard(0);
-        assert!(entries > 0 && bytes > 0);
-        for i in 0..16u32 {
-            let key = [i as u8];
-            let hit = c.lookup(i % 2, &key).is_some();
-            assert_eq!(hit, i % 2 == 1, "key {i}");
-        }
     }
 
     #[test]

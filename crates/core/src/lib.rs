@@ -39,9 +39,9 @@
 //!   bytes), reclaiming removed records through FASTER-style epochs
 //!   (`p2kvs_util::epoch`). Writes invalidate before acking
 //!   (read-your-writes), fills are version-checked against racing
-//!   writes, migrations flush the moving shard, and a doorkeeper
-//!   admission filter keeps read-once traffic from churning the
-//!   resident hot set (DESIGN.md §11).
+//!   writes, a migration keeps the moving shard's entries, and a
+//!   doorkeeper admission filter keeps read-once traffic from churning
+//!   the resident hot set (DESIGN.md §11).
 //! * **Transactions** — cross-instance WriteBatches share a Global Sequence
 //!   Number persisted in a commit log; recovery rolls back batches whose
 //!   GSN never committed (§4.5).

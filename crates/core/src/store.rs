@@ -86,8 +86,10 @@ pub struct P2KvsOptions {
     /// (DESIGN.md §11). `0` disables the cache entirely —
     /// [`P2KvsOptions::paper_layout`] does so to keep the paper's exact
     /// request path. The cache is volatile (recovery comes up cold) and
-    /// coherent: writes invalidate before they are acked, and shard
-    /// migrations flush the moving shard's entries.
+    /// coherent: writes invalidate before they are acked, and a shard
+    /// migration keeps the moving shard's entries, which stay valid
+    /// because the handoff orders the old owner's writes before the new
+    /// owner's.
     pub cache_capacity: usize,
     /// Map workers and shards onto the env's device submission queues
     /// (DESIGN.md §13). When the env exposes more than one queue
@@ -497,7 +499,7 @@ impl<E: KvsEngine> P2Kvs<E> {
                     .metrics
                     .then(|| WorkerLifecycle::new(&registry, w, SLOW_REQUEST_NS, spans.clone()));
                 let ring = runtime.map.pin().ring(w).clone();
-                let handle = WorkerHandle::spawn_in(w, w, runtime.clone(), ring, config, lifecycle);
+                let handle = WorkerHandle::spawn_in(w, runtime.clone(), ring, config, lifecycle);
                 if let Some(j) = runtime.journal.as_deref() {
                     let homeq = io_queue(w).map_or(0, |q| q as u64 + 1);
                     j.record(JournalKind::WorkerSpawn, w as u64, w as u64 + 1, homeq, 0);
@@ -1836,6 +1838,51 @@ mod tests {
         }
         store.delete(b"ryw").unwrap();
         assert_eq!(store.get(b"ryw").unwrap(), None, "delete invalidates");
+    }
+
+    #[test]
+    fn a_move_keeps_the_shards_cached_entries() {
+        // 8 shards round-robin over 2 workers: shard 0 moves from worker
+        // 0 to worker 1 with its key cached.
+        let store = open_cached(2, 1 << 20);
+        let key = key_in_shard(&store, 0, 0);
+        store.put(&key, b"old").unwrap();
+        // The doorkeeper admits a key on its second miss.
+        for _ in 0..2 {
+            store.get(&key).unwrap();
+        }
+        store.migrate_shard(0, 1).unwrap();
+        let hits = || {
+            store
+                .metrics_snapshot()
+                .counter("p2kvs_cache_hits")
+                .unwrap()
+        };
+        let served = || store.snapshot().workers[1].ops;
+        let (hits_before, served_before) = (hits(), served());
+        assert_eq!(store.get(&key).unwrap().as_deref(), Some(&b"old"[..]));
+        assert_eq!(
+            store.get_many(std::slice::from_ref(&key)).unwrap(),
+            vec![Some(b"old".to_vec())]
+        );
+        assert_eq!(
+            hits(),
+            hits_before + 2,
+            "get and get_many hit after the move"
+        );
+        assert_eq!(served(), served_before, "the new owner served neither read");
+        // A write on the new owner invalidates what the old owner filled.
+        store.put(&key, b"new").unwrap();
+        for _ in 0..2 {
+            assert_eq!(store.get(&key).unwrap().as_deref(), Some(&b"new"[..]));
+        }
+        let flushes: Vec<u64> = store
+            .flight_records(usize::MAX)
+            .into_iter()
+            .filter(|r| r.kind == JournalKind::CacheFlush)
+            .map(|r| r.a)
+            .collect();
+        assert_eq!(flushes, vec![u64::MAX], "only the open-time reset");
     }
 
     #[test]

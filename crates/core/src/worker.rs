@@ -1,4 +1,5 @@
-//! Worker threads: a dynamic set of owned shards each, drained with OBM.
+//! Worker threads: a fixed set of workers, each with a moving set of
+//! shards, drained with OBM.
 //!
 //! A worker is pinned to one core (§4.1) and owns a *set of virtual
 //! shards* — engine instances reached through the shared directory in
@@ -191,9 +192,9 @@ pub(crate) struct ShardRuntime<E> {
     /// and scan lifecycle events into it.
     pub journal: Option<Arc<Journal>>,
     /// The lock-free hot-record read cache, when enabled. Workers keep
-    /// it coherent: writes invalidate before the ack, the read path
-    /// fills with a version check, and migrations flush the moving
-    /// shard (DESIGN.md §11).
+    /// it coherent: writes invalidate before the ack and the read path
+    /// fills with a version check, both on the shard's one owner, so a
+    /// migration keeps the moving shard's entries (DESIGN.md §11.3).
     pub cache: Option<Arc<crate::cache::ReadCache>>,
     /// The storage env backing every engine instance, used to attribute
     /// device I/O deltas to traced batches. Device counters are
@@ -216,17 +217,15 @@ pub struct WorkerHandle {
 }
 
 impl WorkerHandle {
-    /// Spawns a worker inside a shared [`ShardRuntime`]: thread name
-    /// from `name_id`, core from `config.core`, routing identity
-    /// `windex` (the store passes the same id twice). The worker drains
-    /// `queue` — ring `windex` of the runtime's map — and initially owns
-    /// the shards the map assigns to `windex`.
+    /// Spawns worker `windex` inside a shared [`ShardRuntime`]: thread
+    /// `p2kvs-worker-{windex}`, core from `config.core`. The worker
+    /// drains `queue` — ring `windex` of the runtime's map — and
+    /// initially owns the shards the map assigns to `windex`.
     ///
     /// The worker stamps every group at dequeue and at completion; when
     /// `lifecycle` is present that pair also feeds the queue-wait and
     /// service latency histograms and keeps the spans of slow groups.
     pub(crate) fn spawn_in<E: KvsEngine>(
-        name_id: usize,
         windex: usize,
         rt: Arc<ShardRuntime<E>>,
         queue: Arc<RequestQueue>,
@@ -246,7 +245,7 @@ impl WorkerHandle {
         // `HandoffOut`, instead of stashing.
         let mut w = WorkerLoop::new(windex, rt, stats.clone(), config.batch_max, lifecycle);
         let handle = std::thread::Builder::new()
-            .name(format!("p2kvs-worker-{name_id}"))
+            .name(format!("p2kvs-worker-{windex}"))
             .spawn(move || {
                 if let Some(core) = config.core {
                     p2kvs_util::affinity::pin_to_core(core);
@@ -574,7 +573,6 @@ impl<E: KvsEngine> WorkerLoop<E> {
                 0,
             );
         }
-        flush_cache_shard(rt, shard);
         *rt.parked[shard as usize].lock() = Some(scans);
         Ok(Response::Done)
     }
@@ -597,10 +595,6 @@ impl<E: KvsEngine> WorkerLoop<E> {
                 0,
             );
         }
-        // Flushed on both halves of the migration (belt and braces): any
-        // fill that raced the handoff — on either worker — is dropped
-        // before the new owner serves traffic for the shard.
-        flush_cache_shard(rt, shard);
         self.owned.insert(shard, scans);
         stats
             .shards_owned
@@ -642,18 +636,6 @@ fn freeze_shard<E: KvsEngine>(windex: usize, rt: &ShardRuntime<E>, shard: u64, r
             req.finish(Ok(Response::Done));
         }
         Err(e) => req.finish_err(&e),
-    }
-}
-
-/// Drops `shard`'s read-cache entries and journals the flush. Called on
-/// both halves of a migration so cached values can never outlive the
-/// ownership epoch they were filled under.
-fn flush_cache_shard<E>(rt: &ShardRuntime<E>, shard: u64) {
-    if let Some(c) = rt.cache.as_deref() {
-        let (entries, bytes) = c.flush_shard(shard as u32);
-        if let Some(j) = rt.journal.as_deref() {
-            j.record(JournalKind::CacheFlush, shard, entries, bytes, 0);
-        }
     }
 }
 
@@ -1171,7 +1153,7 @@ mod tests {
         lifecycle: Option<WorkerLifecycle>,
     ) -> WorkerHandle {
         let (rt, queues) = runtime(engine, 1, 1);
-        WorkerHandle::spawn_in(0, 0, rt, queues[0].clone(), config, lifecycle)
+        WorkerHandle::spawn_in(0, rt, queues[0].clone(), config, lifecycle)
     }
 
     fn worker() -> (WorkerHandle, Arc<lsmkv::Db>) {
@@ -1868,7 +1850,6 @@ mod tests {
         let spawn = |w: usize| {
             WorkerHandle::spawn_in(
                 w,
-                w,
                 rt.clone(),
                 queues[w].clone(),
                 WorkerConfig::default(),
@@ -1934,7 +1915,6 @@ mod tests {
         // worker that believes it is worker 0 and so owns shard 0 only:
         // the map and the worker disagree.
         let _w = WorkerHandle::spawn_in(
-            1,
             0,
             rt.clone(),
             queues[1].clone(),
@@ -1962,7 +1942,7 @@ mod tests {
         let (rt, queues, engine) = two_ring_runtime("w-drain-gauge", 1);
         // Worker 1 owns nothing under the initial map (shard 0 -> worker 0).
         let ring = queues[1].clone();
-        let mut w1 = WorkerHandle::spawn_in(1, 1, rt.clone(), ring, WorkerConfig::default(), None);
+        let mut w1 = WorkerHandle::spawn_in(1, rt.clone(), ring, WorkerConfig::default(), None);
         // Prove w1 is running under the old map: a request it does not
         // own is rerouted to worker 0's queue, which the test drains by
         // hand (there is no worker 0 thread).

@@ -128,8 +128,9 @@ fn cache_hits_allocate_only_the_value() {
 /// key and must see its own write (the ack invalidates the cache before
 /// completing). Readers assert per-key versions never go backwards
 /// (a stale cached value would). A migrator thread shuffles shard
-/// ownership the whole time, forcing cache flushes on both halves of
-/// every handoff, while a cross-shard batch per writer round keeps the
+/// ownership the whole time, so cached entries cross every handoff and
+/// a write on the new owner must invalidate what the old owner
+/// filled, while a cross-shard batch per writer round keeps the
 /// GSN commit path in the mix and a scanner drains streaming cursors in
 /// small chunks, so its parked cursors cross in the handoff slot.
 #[test]

@@ -67,10 +67,11 @@ pub enum JournalKind {
     /// A cross-shard transaction committed; `gsn` carries its Global
     /// Sequence Number (`a` = shards touched).
     TxnCommit,
-    /// The read cache dropped a shard's entries, or reset cold at open
-    /// (`a` = shard, or `u64::MAX` for a full open-time reset; `b` =
-    /// entries dropped; `c` = bytes dropped, or the configured capacity
-    /// for an open-time reset).
+    /// The read cache reset cold at open (`a` = `u64::MAX`, `b` = 0,
+    /// `c` = the configured capacity). Records with `a` = a shard id
+    /// (`b` = entries and `c` = bytes dropped) are no longer written — a
+    /// shard migration keeps its cached entries — but still parse, so an
+    /// older `FLIGHT.log` reads in full.
     CacheFlush,
     /// An online backup chose its GSN horizon (`a` = shards, `b` = shard
     /// map epoch frozen into the manifest; `gsn` = the horizon).

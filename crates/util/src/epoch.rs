@@ -2,9 +2,9 @@
 //!
 //! The hot-record read cache publishes records through atomic pointer
 //! words that readers dereference without taking any lock. Removal
-//! (invalidation, eviction, migration flush) unlinks the word with a CAS
-//! — but the memory behind it cannot be freed while some reader, pinned
-//! before the unlink, may still be dereferencing it. This module provides
+//! (invalidation, eviction) unlinks the word with a CAS — but the
+//! memory behind it cannot be freed while some reader, pinned before
+//! the unlink, may still be dereferencing it. This module provides
 //! the deferred-free half of that protocol:
 //!
 //! * [`pin`] — a reader enters an epoch before touching any shared
@@ -20,7 +20,7 @@
 //!   on": advance the epoch and wait until no participant is still
 //!   pinned below it, i.e. until every reader that could have loaded a
 //!   pointer the caller replaced before the call has unpinned
-//!   (`p2kvs::shard`'s migration and retire fence).
+//!   (`p2kvs::shard`'s migration fence).
 //!
 //! # Safety argument
 //!

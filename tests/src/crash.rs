@@ -423,8 +423,8 @@ impl Scenario {
 
     /// The migration scenario with the read cache on and warmed every
     /// round, so the crash can land while the cache holds hot entries, a
-    /// write is invalidating, or a handoff is flushing a shard's cached
-    /// set.
+    /// write is invalidating, or a handoff is moving a shard whose
+    /// entries stay cached.
     pub fn cached() -> Scenario {
         let mut s = Scenario::migration();
         s.options.cache_capacity = 1 << 20;

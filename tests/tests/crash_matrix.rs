@@ -79,8 +79,8 @@ fn crash_matrix_recovers_across_shard_migrations() {
 
 /// The cached matrix: the migration layout with the hot-record read
 /// cache enabled and per-round reads warming it, so crash points land
-/// while cached entries, write invalidations, and handoff-driven cache
-/// flushes are in flight. The cache is volatile — the oracle contract
+/// while cached entries, write invalidations, and handoffs of shards
+/// with cached entries are in flight. The cache is volatile — the oracle contract
 /// is identical — and every recovery must journal a fresh `cache_flush`
 /// reset record sequenced after everything it recovered.
 #[test]

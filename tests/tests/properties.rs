@@ -153,11 +153,11 @@ fn p2kvs_matches_model() {
 /// handed to another worker mid-history — per-key issue order
 /// survives the epoch fence, cross-shard `write_batch`es stay
 /// all-or-nothing, and the cache never leaks a stale value across a
-/// write, an eviction, or a handoff flush. Every step is followed by
-/// a read-your-writes probe (the first read may fill the cache, the
-/// second must hit it — both must agree with the model). Checked
-/// live, by full scan, and after a reopen under a fresh round-robin
-/// map.
+/// write, an eviction, or a handoff that keeps the shard's entries.
+/// Every step is followed by a read-your-writes probe (the first read
+/// may fill the cache, the second must hit it — both must agree with
+/// the model). Checked live, by full scan, and after a reopen under a
+/// fresh round-robin map.
 #[test]
 fn model_holds_while_shards_migrate() {
     check(
