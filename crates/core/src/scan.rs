@@ -21,7 +21,8 @@
 //!   consumed from it.
 //! * Nothing is fetched beyond what [`StoreIter::next_entry`] /
 //!   [`StoreIter::next_chunk`] demand, so `scan(start, 5)` over a
-//!   million-entry store reads a handful of chunks, not the world.
+//!   million-entry store reads a handful of chunks, not the world; a
+//!   bounded scan's refills ask for no more than it can still return.
 //!
 //! Because every chunk is a bounded request through the worker queue,
 //! point operations interleave (and OBM-merge) between chunks — the
@@ -67,13 +68,17 @@ pub struct StoreIter<'a> {
     map: &'a MapCell,
     streams: Vec<Stream>,
     poisoned: bool,
+    /// Entries the caller can still take: a bounded scan's `count` less
+    /// what it returned, `usize::MAX` for an iterator.
+    left: usize,
 }
 
 impl<'a> StoreIter<'a> {
     /// Scatters `ScanOpen` to every shard's owning worker and assembles
     /// the merge state. `first_limit` is the per-shard quota for the
     /// opening chunk (a bounded scan asks for its share, an iterator for
-    /// a whole chunk); refills ask for [`SCAN_CHUNK_ENTRIES`].
+    /// a whole chunk); refills ask for [`SCAN_CHUNK_ENTRIES`], or for
+    /// fewer once [`StoreIter::bounded`] caps the iterator.
     pub(crate) fn open(
         map: &'a MapCell,
         shards: usize,
@@ -91,6 +96,7 @@ impl<'a> StoreIter<'a> {
                 })
                 .collect(),
             poisoned: false,
+            left: usize::MAX,
         };
         let all: Vec<usize> = (0..shards).collect();
         // On failure the iterator drops here, closing every cursor that
@@ -102,6 +108,14 @@ impl<'a> StoreIter<'a> {
             max_bytes: SCAN_CHUNK_BYTES,
         })?;
         Ok(iter)
+    }
+
+    /// Ends the iterator after `count` entries, and caps every refill at
+    /// the entries it can still return: a shard that outruns its opening
+    /// quota ships what the scan can use, not a whole chunk.
+    pub(crate) fn bounded(mut self, count: usize) -> StoreIter<'a> {
+        self.left = count;
+        self
     }
 
     /// One scatter: asks the owner of each stream in `which` for a chunk
@@ -141,6 +155,7 @@ impl<'a> StoreIter<'a> {
     /// at least one entry), so one round is the rule and the loop
     /// terminates.
     fn refill(&mut self) -> Result<()> {
+        let limit = SCAN_CHUNK_ENTRIES.min(self.left);
         loop {
             let drained: Vec<usize> = (0..self.streams.len())
                 .filter(|&i| self.streams[i].buf.is_empty() && self.streams[i].cursor.is_some())
@@ -150,19 +165,22 @@ impl<'a> StoreIter<'a> {
             }
             self.pull(&drained, |s| Op::ScanNext {
                 cursor: s.cursor.expect("drained streams hold a cursor"),
-                limit: SCAN_CHUNK_ENTRIES,
+                limit,
                 max_bytes: SCAN_CHUNK_BYTES,
             })?;
         }
     }
 
-    /// The next entry in global key order, or `None` when the range is
-    /// exhausted.
+    /// The next entry in global key order, or `None` when the range (or
+    /// a bounded scan's count) is exhausted.
     pub fn next_entry(&mut self) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
         if self.poisoned {
             return Err(Error::Engine(
                 "scan iterator poisoned by a previous error".into(),
             ));
+        }
+        if self.left == 0 {
+            return Ok(None);
         }
         if let Err(e) = self.refill() {
             self.poison();
@@ -185,7 +203,9 @@ impl<'a> StoreIter<'a> {
                 }
             });
         }
-        Ok(best.and_then(|i| self.streams[i].buf.pop_front()))
+        let entry = best.and_then(|i| self.streams[i].buf.pop_front());
+        self.left -= usize::from(entry.is_some());
+        Ok(entry)
     }
 
     /// Pulls up to `n` entries in global key order (fewer only at the

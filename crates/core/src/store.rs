@@ -814,6 +814,7 @@ impl<E: KvsEngine> P2Kvs<E> {
     /// that covers the spread of a hash partition. A shard holding more
     /// of the range is pulled again, exactly (`StoreIter::refill`); asking
     /// every shard for all `count` entries reads up to `S×` the result.
+    /// A refill asks for no more than the scan can still return.
     fn first_chunk_quota(&self, count: usize) -> usize {
         let s = self.shards();
         (count / s + count / (2 * s) + 4).min(count)
@@ -888,7 +889,8 @@ impl<E: KvsEngine> P2Kvs<E> {
             start,
             None,
             self.first_chunk_quota(count),
-        )?;
+        )?
+        .bounded(count);
         iter.next_chunk(count)
     }
 

@@ -5,7 +5,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use p2kvs::engine::{Capabilities, EngineFactory, GsnFilter, KvellFactory, LsmFactory, WtFactory};
+use p2kvs::engine::{
+    Capabilities, EngineFactory, GsnFilter, KvellFactory, LsmFactory, ScanChunk, ScanCursor,
+    WtFactory,
+};
 use p2kvs::worker::SCAN_CHUNK_ENTRIES;
 use p2kvs::{KvsEngine, MetricsSnapshot, P2Kvs, P2KvsOptions, WriteOp};
 use p2kvs_storage::{EnvRef, MemEnv};
@@ -319,6 +322,120 @@ fn scan_matches_the_sorted_model_under_the_share_quota() {
                 "{resumes} resumes over {scans} cursors: {chunks_per_scan:.3} chunks per cursor"
             );
         }
+    }
+}
+
+/// Chunk requests one engine instance served: `(limit, first key of
+/// the chunk)`, in order.
+type ChunkLog = Arc<std::sync::Mutex<Vec<(usize, Option<Vec<u8>>)>>>;
+
+/// An lsmkv instance that logs every scan chunk it serves.
+struct ChunkLogDb(lsmkv::Db, ChunkLog);
+
+impl KvsEngine for ChunkLogDb {
+    fn put(&self, key: &[u8], value: &[u8]) -> p2kvs::Result<()> {
+        KvsEngine::put(&self.0, key, value)
+    }
+    fn delete(&self, key: &[u8]) -> p2kvs::Result<()> {
+        KvsEngine::delete(&self.0, key)
+    }
+    fn write_batch(&self, ops: &[WriteOp], gsn: u64) -> p2kvs::Result<()> {
+        KvsEngine::write_batch(&self.0, ops, gsn)
+    }
+    fn get(&self, key: &[u8]) -> p2kvs::Result<Option<Vec<u8>>> {
+        KvsEngine::get(&self.0, key)
+    }
+    fn scan(&self, start: &[u8], count: usize) -> p2kvs::Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        KvsEngine::scan(&self.0, start, count)
+    }
+    fn open_cursor(&self, start: &[u8], end: Option<&[u8]>) -> p2kvs::Result<ScanCursor> {
+        KvsEngine::open_cursor(&self.0, start, end)
+    }
+    fn scan_chunk(
+        &self,
+        cursor: &mut ScanCursor,
+        limit: usize,
+        max_bytes: usize,
+    ) -> p2kvs::Result<ScanChunk> {
+        let chunk = KvsEngine::scan_chunk(&self.0, cursor, limit, max_bytes)?;
+        let first = chunk.entries.first().map(|(k, _)| k.clone());
+        self.1.lock().unwrap().push((limit, first));
+        Ok(chunk)
+    }
+    fn capabilities(&self) -> Capabilities {
+        KvsEngine::capabilities(&self.0)
+    }
+    fn sync(&self) -> p2kvs::Result<()> {
+        KvsEngine::sync(&self.0)
+    }
+    fn mem_usage(&self) -> usize {
+        KvsEngine::mem_usage(&self.0)
+    }
+}
+
+struct ChunkLogFactory(LsmFactory, ChunkLog);
+
+impl EngineFactory for ChunkLogFactory {
+    type Engine = ChunkLogDb;
+
+    fn open(&self, dir: &std::path::Path, filter: Option<GsnFilter>) -> p2kvs::Result<ChunkLogDb> {
+        Ok(ChunkLogDb(self.0.open(dir, filter)?, self.1.clone()))
+    }
+
+    fn env(&self) -> EnvRef {
+        self.0.env()
+    }
+}
+
+#[test]
+fn a_bounded_scan_refills_no_more_than_it_can_still_return() {
+    const S: usize = 8;
+    let log = ChunkLog::default();
+    let mut opts = P2KvsOptions::with_workers(2);
+    opts.shards = S;
+    // Every "one…" key on one shard: past its opening quota, that shard
+    // alone serves the scan, so what it ships is what the scan returns.
+    opts.partitioner = Some(Arc::new(OneShardRange(p2kvs::shard::HashPartitioner::new(
+        S,
+    ))));
+    let store = P2Kvs::open(ChunkLogFactory(lsm_factory(), log.clone()), "p2c", opts).unwrap();
+    let mut model = std::collections::BTreeMap::new();
+    let keys = (0..1500)
+        .map(|i| format!("one{i:04}"))
+        .chain((0..300).map(|i| format!("zzz{i:04}")));
+    for (i, key) in keys.enumerate() {
+        let value = format!("v{i}").into_bytes();
+        store.put(key.as_bytes(), &value).unwrap();
+        model.insert(key.into_bytes(), value);
+    }
+    for count in [20, 50, 300, 1_000] {
+        log.lock().unwrap().clear();
+        let got = store.scan(b"one0100", count).unwrap();
+        let expect: Vec<_> = model
+            .range(b"one0100".to_vec()..)
+            .take(count)
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect();
+        assert_eq!(got, expect, "count {count}");
+        let limits: Vec<usize> = log
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|(_, first)| first.as_ref().is_some_and(|k| k.starts_with(b"one")))
+            .map(|&(limit, _)| limit)
+            .collect();
+        // The opening quota, then refills, each chunk full: the range
+        // holds more than `count` entries.
+        assert!(limits.len() > 1, "count {count}: {limits:?}");
+        let mut returned = limits[0];
+        for &limit in &limits[1..] {
+            assert!(
+                limit <= (count - returned).min(SCAN_CHUNK_ENTRIES),
+                "count {count}: asked for {limit} with {returned} returned: {limits:?}"
+            );
+            returned += limit;
+        }
+        assert_eq!(returned, count, "shipped only what the scan returns");
     }
 }
 

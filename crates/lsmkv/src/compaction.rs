@@ -17,6 +17,17 @@
 //! split points move. Each subcompaction pins its outputs to a distinct
 //! device submission queue (starting after `Options::io_queue`), spreading
 //! compaction writes away from the owning shard's WAL queue.
+//!
+//! # Output cuts
+//!
+//! A leveled job below the last level also closes an output where a file
+//! of the level under its output level ends (RocksDB's alignment of
+//! compaction outputs to the next level's files): the first new user key
+//! past such a file's largest key starts a new output, once the current
+//! one holds `target_file_size /` [`ALIGNED_CUT_FLOOR`] bytes. An output
+//! whose range ends inside a next-level file makes the job that later
+//! pushes it down rewrite that file whole, and a neighbouring job rewrite
+//! it again (DESIGN.md §13.6).
 
 use std::path::Path;
 use std::sync::Arc;
@@ -36,6 +47,32 @@ use crate::types::{
 use crate::version::edit::FileMetaData;
 use crate::version::table_cache::TableCache;
 use crate::version::{CompactionTask, LevelFileIterator, Version};
+
+/// An output is closed at a next-level file's end only once it holds a
+/// quarter of its size cut (`Cuts::size / ALIGNED_CUT_FLOOR`): lower, the
+/// cuts leave many small files; higher, most boundaries pass uncut.
+const ALIGNED_CUT_FLOOR: u64 = 4;
+
+/// Where a job cuts its entry stream into tables. A user key's version
+/// chain is never split by either rule.
+struct Cuts<'a> {
+    /// An output closes once it reaches this estimated size.
+    size: u64,
+    /// Largest user keys of the files one level below the output level,
+    /// ascending: the first new user key past one of them closes an
+    /// output holding at least `size / ALIGNED_CUT_FLOOR` bytes.
+    next_level_ends: Vec<&'a [u8]>,
+}
+
+impl Cuts<'_> {
+    /// Cuts at `size` alone.
+    fn by_size(size: u64) -> Cuts<'static> {
+        Cuts {
+            size,
+            next_level_ends: Vec::new(),
+        }
+    }
+}
 
 /// Everything a compaction job needs from the engine.
 pub struct JobContext<'a> {
@@ -79,7 +116,7 @@ pub fn flush_memtable(
         &mut iter,
         alloc_number,
         None,
-        u64::MAX,
+        &Cuts::by_size(u64::MAX),
         None,
         ctx.opts.io_queue,
     )?
@@ -109,12 +146,24 @@ pub fn run_compaction(
         output_level: task.output_level,
         smallest_snapshot,
     };
-    // Fragmented outputs are kept large (PebblesDB guards do not split
-    // aggressively); small fragments would re-trigger the count-based
-    // merge threshold immediately and cascade data down the tree.
-    let split = match ctx.opts.compaction_style {
-        CompactionStyle::Leveled => ctx.opts.target_file_size as u64,
-        CompactionStyle::Fragmented => 8 * ctx.opts.target_file_size as u64,
+    let target = ctx.opts.target_file_size as u64;
+    let cuts = match ctx.opts.compaction_style {
+        // Sorted levels are disjoint: a leveled level's files, in order,
+        // give their largest keys ascending (none below the last level).
+        CompactionStyle::Leveled => Cuts {
+            size: target,
+            next_level_ends: version
+                .levels
+                .get(task.output_level + 1)
+                .into_iter()
+                .flatten()
+                .map(|f| user_key(&f.largest))
+                .collect(),
+        },
+        // Fragmented outputs are kept large (PebblesDB guards do not split
+        // aggressively); small fragments would re-trigger the count-based
+        // merge threshold immediately and cascade data down the tree.
+        CompactionStyle::Fragmented => Cuts::by_size(8 * target),
     };
 
     // One merged pass over the task's inputs, bounded to `[lo, hi)` user
@@ -150,7 +199,7 @@ pub fn run_compaction(
             Some(lo) => merged.seek(&make_internal_key(lo, MAX_SEQUENCE, VALUE_TYPE_FOR_SEEK)),
             None => merged.seek_to_first(),
         }
-        write_sorted_stream(ctx, &mut merged, alloc_number, Some(&gc), split, hi, queue)
+        write_sorted_stream(ctx, &mut merged, alloc_number, Some(&gc), &cuts, hi, queue)
     };
 
     // Compaction outputs spread across submission queues, starting one
@@ -289,7 +338,7 @@ impl GcPolicy<'_> {
     }
 }
 
-/// Consumes a sorted internal-entry stream into size-capped tables,
+/// Consumes a sorted internal-entry stream into tables cut by `cuts`,
 /// applying GC rules when `gc` is provided. Entries with user key `>= end`
 /// are left unconsumed (subcompaction partition boundary); `out_queue`
 /// pins the output files to one device submission queue.
@@ -298,13 +347,16 @@ fn write_sorted_stream(
     iter: &mut dyn InternalIterator,
     alloc_number: &(dyn Fn() -> u64 + Sync),
     gc: Option<&GcPolicy<'_>>,
-    split_size: u64,
+    cuts: &Cuts<'_>,
     end: Option<&[u8]>,
     out_queue: Option<QueueId>,
 ) -> Result<Vec<FileMetaData>> {
     let mut outputs: Vec<FileMetaData> = Vec::new();
     let mut builder: Option<(u64, TableBuilder)> = None;
     let mut current_ukey: Option<Vec<u8>> = None;
+    // `cuts.next_level_ends[next_end..]` are the next-level file ends at
+    // or past the current user key.
+    let mut next_end = 0;
     // Sequence of the most recent (newest) retained entry for the current
     // user key; MAX means "none seen yet".
     let mut last_seq_for_key = u64::MAX;
@@ -317,6 +369,24 @@ fn write_sorted_stream(
         let ukey = user_key(ikey);
         let first_occurrence = current_ukey.as_deref() != Some(ukey);
         if first_occurrence {
+            // The first key past a next-level file's end closes the
+            // output there, unless it is still small.
+            let passed = next_end;
+            while cuts
+                .next_level_ends
+                .get(next_end)
+                .is_some_and(|&e| e < ukey)
+            {
+                next_end += 1;
+            }
+            if next_end > passed
+                && builder
+                    .as_ref()
+                    .is_some_and(|(_, b)| b.estimated_size() >= cuts.size / ALIGNED_CUT_FLOOR)
+            {
+                let (number, b) = builder.take().expect("builder present");
+                outputs.push(finish_builder(number, b)?);
+            }
             let current = current_ukey.get_or_insert_with(Vec::new);
             current.clear();
             current.extend_from_slice(ukey);
@@ -353,7 +423,7 @@ fn write_sorted_stream(
             // Split outputs at the target size, but never inside one user
             // key's version chain (keeps first-occurrence GC sound when the
             // outputs are later compacted again).
-            let full = b.estimated_size() >= split_size;
+            let full = b.estimated_size() >= cuts.size;
             if full {
                 // Peek whether the next entry starts a new user key.
                 iter.next();
@@ -513,7 +583,7 @@ mod tests {
             &mut iter,
             &|| fx.alloc(),
             None,
-            split,
+            &Cuts::by_size(split),
             None,
             None,
         )

@@ -7,6 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use lsmkv::options::FRAGMENT_MERGE_THRESHOLD;
+use lsmkv::types::user_key;
 use lsmkv::version::edit::FileMetaData;
 use lsmkv::{CompactionStyle, Db, Options, WriteOptions};
 use p2kvs_storage::{Env, EnvRef, FaultEvent, FaultPlan, FaultyEnv, MemEnv};
@@ -292,4 +293,62 @@ fn a_power_failure_at_any_sync_of_a_move_leaves_each_file_at_one_level() {
         assert!(moved == 0 || k > 3, "sync {k}: {moved} files in L2");
     }
     assert!(crashed_in_a_move > 1, "{crashed_in_a_move}");
+}
+
+/// An L0→L1 job over an L2 closes an output where an L2 file ends, once
+/// the output holds a quarter of the target size: each L1 file then lies
+/// inside as few L2 files as its data allows, and the L1→L2 job that later
+/// takes it rewrites no L2 file it only grazes.
+#[test]
+fn l1_outputs_end_where_l2_files_end() {
+    let env = Arc::new(MemEnv::new());
+    let wo = WriteOptions::default();
+    let fill = |db: &Db, value_len: usize| {
+        for flush in 0..4 {
+            for i in (flush..1600).step_by(4) {
+                db.put(&wo, &key(i), &vec![b'v'; value_len]).unwrap();
+            }
+            db.flush().unwrap();
+        }
+        db.wait_idle().unwrap();
+    };
+    // L2: an L1 of 4 KiB files over every key, moved down whole under an
+    // L1 target smaller than one file (and an L2 target that holds them).
+    let db = Db::open(opts(env.clone(), 1 << 20), "db").unwrap();
+    fill(&db, 120);
+    drop(db);
+    let mut o = opts(env.clone(), 2 << 10);
+    o.level_multiplier = 1000;
+    let db = Db::open(o, "db").unwrap();
+    db.wait_idle().unwrap();
+    let l2 = files(&db, 2);
+    assert_eq!((db.num_files_at_level(1), db.num_files_at_level(3)), (0, 0));
+    assert!(l2.len() > 40, "{}", l2.len());
+    drop(db);
+
+    // Every key again, a fifth as large: the L0→L1 job finds about a
+    // quarter of a target file's worth of data under each L2 file.
+    let o = opts(env.clone(), 1 << 20);
+    let floor = o.target_file_size as u64 / 4;
+    let db = Db::open(o, "db").unwrap();
+    fill(&db, 24);
+    assert_eq!(files(&db, 2), l2, "L2 is not rewritten");
+    let l1 = files(&db, 1);
+    assert!(l1.len() > 10, "{}", l1.len());
+    let l2_ends: Vec<&[u8]> = l2.iter().map(|f| user_key(&f.largest)).collect();
+    let (last, cut) = l1.split_last().unwrap();
+    assert_eq!(user_key(&last.largest), key(1599));
+    for f in cut.iter().filter(|f| f.size >= floor) {
+        assert!(
+            l2_ends.contains(&user_key(&f.largest)),
+            "L1 file {} ({} B) ends at {:?}, inside an L2 file",
+            f.number,
+            f.size,
+            String::from_utf8_lossy(user_key(&f.largest))
+        );
+    }
+    assert!(cut.iter().filter(|f| f.size >= floor).count() > 20);
+    for i in (0..1600).step_by(7) {
+        assert_eq!(db.get(&key(i)).unwrap().unwrap(), vec![b'v'; 24]);
+    }
 }

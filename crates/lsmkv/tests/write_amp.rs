@@ -104,12 +104,14 @@ fn fill(style: CompactionStyle) -> f64 {
 fn leveled_fill_stays_under_the_ceiling_and_the_ledger_adds_up() {
     let write_amp = fill(CompactionStyle::Leveled);
     println!("leveled write_amp {write_amp:.3}");
-    // 7.69 as measured. The engine before this ledger existed — two L0
-    // files per flush, one file per job below L0, no moves — writes 11.07×
-    // on this stream (commit 5574fc9, device bytes over user bytes), which
-    // is also what it writes on the benchmark's `fill`. The ceiling is a
-    // quarter below that.
-    assert!(write_amp < 8.3, "{write_amp}");
+    // 6.98 as measured; 7.69 while outputs were cut by size alone, whose
+    // L1 files each ended inside an L2 file (L1→L2 3.19 → 2.66). The
+    // engine before this ledger existed — two L0 files per flush, one file
+    // per job below L0, no moves — writes 11.07× on this stream (commit
+    // 5574fc9, device bytes over user bytes), which is also what it writes
+    // on the benchmark's `fill`. The ceiling sits just above the
+    // measurement.
+    assert!(write_amp < 7.3, "{write_amp}");
 }
 
 #[test]

@@ -37,8 +37,13 @@ pub fn get_fixed64(src: &[u8]) -> u64 {
 }
 
 /// Appends `v` as a varint (LEB128) to `dst`.
+#[inline]
 pub fn put_varint32(dst: &mut Vec<u8>, v: u32) {
-    put_varint64(dst, u64::from(v));
+    if v < 0x80 {
+        dst.push(v as u8);
+    } else {
+        put_varint64(dst, u64::from(v));
+    }
 }
 
 /// Appends `v` as a varint (LEB128) to `dst`.
@@ -53,11 +58,26 @@ pub fn put_varint64(dst: &mut Vec<u8>, mut v: u64) {
 /// Decodes a varint from the front of `src`, returning the value and the
 /// number of bytes consumed, or `None` if `src` is truncated or the varint
 /// overflows 64 bits.
+///
+/// Inlined, with the one-byte case (every length below 128) answered
+/// before the loop: block decoding calls this from another crate, and
+/// neither build uses LTO.
+#[inline]
 pub fn get_varint64(src: &[u8]) -> Option<(u64, usize)> {
+    match src.first() {
+        Some(&b) if b < 0x80 => Some((u64::from(b), 1)),
+        _ => get_varint64_multibyte(src),
+    }
+}
+
+/// [`get_varint64`] past its one-byte fast path.
+#[inline]
+fn get_varint64_multibyte(src: &[u8]) -> Option<(u64, usize)> {
     let mut result: u64 = 0;
     let mut shift = 0u32;
     for (i, &b) in src.iter().enumerate() {
-        if shift >= 64 {
+        // The tenth byte holds bit 63 alone.
+        if shift > 63 || (shift == 63 && b > 1) {
             return None;
         }
         result |= u64::from(b & 0x7f) << shift;
@@ -69,7 +89,9 @@ pub fn get_varint64(src: &[u8]) -> Option<(u64, usize)> {
     None
 }
 
-/// Decodes a 32-bit varint from the front of `src`.
+/// Decodes a 32-bit varint from the front of `src` (inlined, with
+/// [`get_varint64`]'s one-byte fast path).
+#[inline]
 pub fn get_varint32(src: &[u8]) -> Option<(u32, usize)> {
     let (v, n) = get_varint64(src)?;
     u32::try_from(v).ok().map(|v| (v, n))
@@ -122,6 +144,50 @@ mod tests {
         put_varint64(&mut buf, u64::MAX);
         assert!(get_varint64(&buf[..buf.len() - 1]).is_none());
         assert!(get_varint64(&[]).is_none());
+    }
+
+    /// Both sides of the one-byte fast path, the widest values, and
+    /// truncated or over-long input, through every entry point.
+    #[test]
+    fn varint_fast_path_boundaries() {
+        for v in [0u32, 0x7f, 0x80, 0x3fff, 0x4000, u32::MAX] {
+            let mut buf = Vec::new();
+            put_varint32(&mut buf, v);
+            let mut wide = Vec::new();
+            put_varint64(&mut wide, u64::from(v));
+            assert_eq!(buf, wide, "{v:#x}");
+            assert_eq!(buf.len() == 1, v <= 0x7f, "{v:#x}");
+            assert_eq!(get_varint32(&buf), Some((v, buf.len())), "{v:#x}");
+            assert_eq!(get_varint64(&buf), Some((u64::from(v), buf.len())));
+            // Trailing bytes are not consumed.
+            buf.push(0x01);
+            assert_eq!(get_varint32(&buf), Some((v, buf.len() - 1)));
+            buf.pop();
+            for cut in 0..buf.len() {
+                assert_eq!(get_varint32(&buf[..cut]), None, "{v:#x} cut at {cut}");
+                assert_eq!(get_varint64(&buf[..cut]), None, "{v:#x} cut at {cut}");
+            }
+        }
+        assert_eq!(get_varint32(&[0x7f]), Some((0x7f, 1)));
+        assert_eq!(get_varint32(&[0x80, 0x01]), Some((0x80, 2)));
+        assert_eq!(get_varint32(&[0x80]), None);
+        let mut max = Vec::new();
+        put_varint64(&mut max, u64::MAX);
+        assert_eq!(max.len(), 10);
+        assert_eq!(get_varint64(&max), Some((u64::MAX, 10)));
+        assert_eq!(get_varint32(&max), None, "wider than 32 bits");
+        for cut in 0..max.len() {
+            assert_eq!(get_varint64(&max[..cut]), None);
+        }
+        // Eleven bytes, continuation set on all but the last: over-long.
+        let mut overlong = [0x80u8; 11];
+        overlong[10] = 0x01;
+        assert_eq!(get_varint64(&overlong), None);
+        assert_eq!(get_varint32(&overlong), None);
+        // Ten bytes whose last carries more than bit 63: past u64::MAX.
+        let mut wide = max.clone();
+        wide[9] = 0x02;
+        assert_eq!(get_varint64(&wide), None);
     }
 
     #[test]
