@@ -385,7 +385,7 @@ fn write_sorted_stream(
                     .is_some_and(|(_, b)| b.estimated_size() >= cuts.size / ALIGNED_CUT_FLOOR)
             {
                 let (number, b) = builder.take().expect("builder present");
-                outputs.push(finish_builder(number, b)?);
+                outputs.push(finish_builder(ctx, number, b)?);
             }
             let current = current_ukey.get_or_insert_with(Vec::new);
             current.clear();
@@ -431,7 +431,7 @@ fn write_sorted_stream(
                     !iter.valid() || user_key(iter.key()) != current_ukey.as_deref().unwrap_or(b"");
                 if new_key {
                     let (number, b) = builder.take().expect("builder present");
-                    outputs.push(finish_builder(number, b)?);
+                    outputs.push(finish_builder(ctx, number, b)?);
                 }
                 continue;
             }
@@ -446,7 +446,7 @@ fn write_sorted_stream(
     iter.status()?;
     if let Some((number, b)) = builder.take() {
         if b.entries() > 0 {
-            outputs.push(finish_builder(number, b)?);
+            outputs.push(finish_builder(ctx, number, b)?);
         } else {
             // Remove the empty placeholder file.
             let _ = ctx
@@ -457,8 +457,14 @@ fn write_sorted_stream(
     Ok(outputs)
 }
 
-fn finish_builder(number: u64, builder: TableBuilder) -> Result<FileMetaData> {
+/// Finishes table `number` and hands its reader to the table cache.
+fn finish_builder(
+    ctx: &JobContext<'_>,
+    number: u64,
+    builder: TableBuilder,
+) -> Result<FileMetaData> {
     let summary = builder.finish()?;
+    ctx.table_cache.insert_built(number, summary.tail)?;
     Ok(FileMetaData {
         number,
         size: summary.file_size,

@@ -135,6 +135,24 @@ impl BlockCache {
         self.shard(&key).lock().insert(key, block);
     }
 
+    /// Drops every block of table `table_id` (a table file being
+    /// deleted): a cached block holds the buffer it was read into, which
+    /// may be the whole file's.
+    pub fn erase_table(&self, table_id: u64) {
+        for shard in &self.shards {
+            let mut shard = shard.lock();
+            let mut freed = 0;
+            shard.map.retain(|key, entry| {
+                let keep = key.0 != table_id;
+                if !keep {
+                    freed += entry.charge;
+                }
+                keep
+            });
+            shard.usage -= freed;
+        }
+    }
+
     /// Approximate resident bytes.
     pub fn usage(&self) -> usize {
         self.shards.iter().map(|s| s.lock().usage).sum()
@@ -217,6 +235,27 @@ mod tests {
         cache.insert((7, 7), block_of_size(2, 8192));
         let after = cache.usage();
         assert!(after <= before + 9000, "charge leaked: {before} -> {after}");
+    }
+
+    #[test]
+    fn erase_table_drops_only_that_tables_blocks() {
+        let cache = BlockCache::new(1 << 20);
+        for offset in 0..20u64 {
+            cache.insert((3, offset * 4096), block_of_size(offset, 2048));
+            cache.insert((4, offset * 4096), block_of_size(offset, 2048));
+        }
+        let before = cache.usage();
+        cache.erase_table(3);
+        assert_eq!(cache.usage(), before / 2);
+        for offset in 0..20u64 {
+            assert!(cache.get(&(3, offset * 4096)).is_none());
+            assert!(cache.get(&(4, offset * 4096)).is_some());
+        }
+        // The erased blocks' recency entries are skipped, not evicted twice.
+        for i in 0..600u64 {
+            cache.insert((5, i), block_of_size(i, 2048));
+        }
+        assert!(cache.usage() <= 1 << 20);
     }
 
     #[test]

@@ -8,4 +8,6 @@ pub mod table;
 pub use block::{Block, BlockBuilder, BlockIter};
 pub use bloom::BloomPolicy;
 pub use cache::BlockCache;
-pub use table::{BlockHandle, TableBuilder, TableConfig, TableIterator, TableReader, TableSummary};
+pub use table::{
+    BlockHandle, TableBuilder, TableConfig, TableIterator, TableReader, TableSummary, TableTail,
+};

@@ -13,6 +13,7 @@
 //! the block bytes plus the type byte. Index entries map the last internal
 //! key of each data block to its [`BlockHandle`].
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use p2kvs_storage::{RandomAccessFile, WritableFile};
@@ -87,7 +88,7 @@ impl From<&crate::options::Options> for TableConfig {
 }
 
 /// Summary of a finished table.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TableSummary {
     /// Final file size in bytes.
     pub file_size: u64,
@@ -97,6 +98,21 @@ pub struct TableSummary {
     pub largest: Vec<u8>,
     /// Number of entries.
     pub entries: u64,
+    /// What a reader of the table keeps in memory, as the builder held it
+    /// ([`TableReader::built`]).
+    pub tail: TableTail,
+}
+
+/// The parts of a table a reader keeps in memory besides its file: what
+/// [`TableReader::open`] reads back through the footer, and what a
+/// builder hands over ([`TableSummary::tail`]) so that the first reader
+/// of a table just written need not read them back.
+#[derive(Debug)]
+pub struct TableTail {
+    index: Vec<u8>,
+    filter: Option<Vec<u8>>,
+    data_end: u64,
+    entries: u64,
 }
 
 /// Streams sorted entries into an SSTable file. Allocates per block and
@@ -193,17 +209,21 @@ impl TableBuilder {
     pub fn finish(mut self) -> Result<TableSummary> {
         self.flush_data_block()?;
         let (file, offset) = (&mut *self.file, &mut self.offset);
+        let data_end = *offset;
         // Filter block.
-        let filter_handle = if self.config.bloom_bits_per_key > 0 {
+        let filter = (self.config.bloom_bits_per_key > 0).then(|| {
             let mut filter = Vec::new();
             BloomPolicy::new(self.config.bloom_bits_per_key)
                 .create_filter(&self.key_hashes, &mut filter);
-            Self::write_block(file, offset, &filter)?
-        } else {
-            BlockHandle { offset: 0, size: 0 }
+            filter
+        });
+        let filter_handle = match &filter {
+            Some(filter) => Self::write_block(file, offset, filter)?,
+            None => BlockHandle { offset: 0, size: 0 },
         };
         // Index block; its last key is the last key of the last data block.
-        let index_handle = Self::write_block(file, offset, self.index_block.finish())?;
+        let index = self.index_block.finish().to_vec();
+        let index_handle = Self::write_block(file, offset, &index)?;
         // Footer.
         let mut footer = [0u8; FOOTER_SIZE];
         filter_handle.encode(&mut footer[..16]);
@@ -217,6 +237,12 @@ impl TableBuilder {
             smallest: self.smallest.unwrap_or_default(),
             largest: self.index_block.last_key().to_vec(),
             entries: self.entries,
+            tail: TableTail {
+                index,
+                filter,
+                data_end,
+                entries: self.entries,
+            },
         })
     }
 }
@@ -228,7 +254,8 @@ pub struct TableReader {
     table_id: u64,
     cache: Option<Arc<BlockCache>>,
     index: Arc<Block>,
-    filter: Option<Vec<u8>>,
+    /// The filter block's contents.
+    filter: Option<Window>,
     /// Offset at which the data blocks end.
     data_end: u64,
     /// Number of entries recorded in the footer.
@@ -254,10 +281,11 @@ impl TableReader {
         let filter_handle = BlockHandle::decode(&footer[..16]);
         let index_handle = BlockHandle::decode(&footer[16..32]);
         let entries = get_fixed64(&footer[32..40]);
-        let index_bytes = Self::read_block_raw(&*file, index_handle)?;
-        let index = Arc::new(Block::new(Arc::new(index_bytes))?);
+        let index = Window::read(&*file, index_handle.offset, index_handle.stored_len())?
+            .block(index_handle)?;
         let filter = if filter_handle.size > 0 {
-            Some(Self::read_block_raw(&*file, filter_handle)?)
+            let window = Window::read(&*file, filter_handle.offset, filter_handle.stored_len())?;
+            Some(window.contents(filter_handle)?)
         } else {
             None
         };
@@ -270,45 +298,30 @@ impl TableReader {
             file,
             table_id,
             cache,
-            index,
+            index: Arc::new(index),
             filter,
             data_end,
             entries,
         })
     }
 
-    /// Reads a block and its trailer off the device, unverified.
-    fn read_unverified(file: &dyn RandomAccessFile, handle: BlockHandle) -> Result<Vec<u8>> {
-        let mut buf = vec![0u8; handle.size as usize + BLOCK_TRAILER_SIZE];
-        file.read_at(handle.offset, &mut buf)?;
-        Ok(buf)
-    }
-
-    /// Checks `buf` (the block at `handle` plus its trailer) against its CRC.
-    fn check_crc(buf: &[u8], handle: BlockHandle) -> Result<()> {
-        let (contents, trailer) = buf.split_at(handle.size as usize);
-        let stored = u32::from_le_bytes(trailer[1..5].try_into().expect("4 bytes"));
-        let actual = crc32c::mask(crc32c::extend(crc32c::crc32c(contents), &trailer[..1]));
-        if stored != actual {
-            return Err(Error::corruption(format!(
-                "block crc mismatch at offset {}",
-                handle.offset
-            )));
-        }
-        Ok(())
-    }
-
-    /// Checks `buf` (block plus trailer) against its CRC and strips the
-    /// trailer.
-    fn verify(mut buf: Vec<u8>, handle: BlockHandle) -> Result<Vec<u8>> {
-        Self::check_crc(&buf, handle)?;
-        buf.truncate(handle.size as usize);
-        Ok(buf)
-    }
-
-    /// Reads and verifies a block's bytes (no cache).
-    fn read_block_raw(file: &dyn RandomAccessFile, handle: BlockHandle) -> Result<Vec<u8>> {
-        Self::verify(Self::read_unverified(file, handle)?, handle)
+    /// A reader of the table whose builder returned `tail`: it reads
+    /// nothing from `file` until a data block is wanted.
+    pub fn built(
+        file: Box<dyn RandomAccessFile>,
+        table_id: u64,
+        cache: Option<Arc<BlockCache>>,
+        tail: TableTail,
+    ) -> Result<TableReader> {
+        Ok(TableReader {
+            file,
+            table_id,
+            cache,
+            index: Arc::new(Block::new(Arc::new(tail.index))?),
+            filter: tail.filter.map(Window::of),
+            data_end: tail.data_end,
+            entries: tail.entries,
+        })
     }
 
     /// Loads the data block at `handle`, via the cache unless `skip_cache`.
@@ -325,7 +338,7 @@ impl TableReader {
     /// [`BloomPolicy::hash`] is `hash` (`false` = the table cannot hold it).
     pub fn may_contain(&self, hash: u32) -> bool {
         match &self.filter {
-            Some(f) => BloomPolicy::hash_may_match(hash, f),
+            Some(f) => BloomPolicy::hash_may_match(hash, f.bytes()),
             None => true,
         }
     }
@@ -350,8 +363,8 @@ impl TableReader {
     /// device, so a batched lookup issues it for many blocks under one
     /// [`p2kvs_storage::IoPlug`] and hands each result to
     /// [`TableReader::admit_block`] after the unplug.
-    pub fn fetch_block(&self, handle: BlockHandle) -> Result<Vec<u8>> {
-        Self::read_unverified(&*self.file, handle)
+    pub fn fetch_block(&self, handle: BlockHandle) -> Result<Window> {
+        Window::read(&*self.file, handle.offset, handle.stored_len())
     }
 
     /// The host half of a data-block load: verifies and parses bytes
@@ -360,10 +373,10 @@ impl TableReader {
     pub fn admit_block(
         &self,
         handle: BlockHandle,
-        fetched: Vec<u8>,
+        fetched: Window,
         skip_cache: bool,
     ) -> Result<Arc<Block>> {
-        let block = Arc::new(Block::new(Arc::new(Self::verify(fetched, handle)?))?);
+        let block = Arc::new(fetched.block(handle)?);
         if !skip_cache {
             if let Some(cache) = &self.cache {
                 cache.insert((self.table_id, handle.offset), block.clone());
@@ -416,33 +429,94 @@ impl TableReader {
     /// that block and runs [`READAHEAD`] bytes on, or to the end of the data
     /// blocks (or of this block, should it be the larger).
     fn read_ahead(&self, handle: BlockHandle, window: &mut Window) -> Result<Arc<Block>> {
-        let len = handle.size + BLOCK_TRAILER_SIZE as u64;
-        let inside = handle.offset >= window.offset
-            && handle.offset + len <= window.offset + window.bytes.len() as u64;
-        if !inside {
+        if !window.holds(handle) {
             let end = (handle.offset + READAHEAD)
                 .min(self.data_end)
-                .max(handle.offset + len);
-            let mut bytes = vec![0u8; (end - handle.offset) as usize];
-            self.file.read_at(handle.offset, &mut bytes)?;
-            *window = Window {
-                offset: handle.offset,
-                bytes: Arc::new(bytes),
-            };
+                .max(handle.offset + handle.stored_len());
+            *window = Window::read(&*self.file, handle.offset, end - handle.offset)?;
         }
-        let start = (handle.offset - window.offset) as usize;
-        Self::check_crc(&window.bytes[start..start + len as usize], handle)?;
-        let block = Block::within(window.bytes.clone(), start..start + handle.size as usize)?;
-        Ok(Arc::new(block))
+        Ok(Arc::new(window.block(handle)?))
     }
 }
 
-/// The stretch of a table file a sequential reader holds in memory.
+impl BlockHandle {
+    /// Bytes the block takes in the file: its contents and its trailer
+    /// (saturating: a handle read from a damaged file may hold anything,
+    /// and a read that long fails).
+    fn stored_len(&self) -> u64 {
+        self.size.saturating_add(BLOCK_TRAILER_SIZE as u64)
+    }
+}
+
+/// A stretch of a table file as the env returned it
+/// ([`RandomAccessFile::read_shared`]): the file's bytes from `offset`
+/// on are `buf[range]`, in a buffer that may be the file's own. Blocks
+/// parsed out of it share the buffer; nothing is copied.
 #[derive(Default)]
-struct Window {
-    /// File offset of `bytes[0]`.
+pub struct Window {
+    /// File offset of `buf[range.start]`.
     offset: u64,
-    bytes: Arc<Vec<u8>>,
+    buf: Arc<Vec<u8>>,
+    range: Range<usize>,
+}
+
+impl Window {
+    /// Reads `len` bytes of `file` at `offset`.
+    fn read(file: &dyn RandomAccessFile, offset: u64, len: u64) -> Result<Window> {
+        let (buf, range) = file.read_shared(offset, len as usize)?;
+        Ok(Window { offset, buf, range })
+    }
+
+    /// A window over bytes held in memory already.
+    fn of(bytes: Vec<u8>) -> Window {
+        Window {
+            offset: 0,
+            range: 0..bytes.len(),
+            buf: Arc::new(bytes),
+        }
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.buf[self.range.clone()]
+    }
+
+    /// Whether the block at `handle` and its trailer lie wholly inside.
+    fn holds(&self, handle: BlockHandle) -> bool {
+        handle.offset >= self.offset
+            && handle.offset.saturating_add(handle.stored_len())
+                <= self.offset + self.range.len() as u64
+    }
+
+    /// The contents of the block at `handle`, which the window holds,
+    /// checked in place against the CRC in its trailer.
+    fn contents(&self, handle: BlockHandle) -> Result<Window> {
+        debug_assert!(self.holds(handle));
+        let start = self.range.start + (handle.offset - self.offset) as usize;
+        let end = start + handle.size as usize;
+        let trailer = &self.buf[end..end + BLOCK_TRAILER_SIZE];
+        let stored = u32::from_le_bytes(trailer[1..5].try_into().expect("4 bytes"));
+        let actual = crc32c::mask(crc32c::extend(
+            crc32c::crc32c(&self.buf[start..end]),
+            &trailer[..1],
+        ));
+        if stored != actual {
+            return Err(Error::corruption(format!(
+                "block crc mismatch at offset {}",
+                handle.offset
+            )));
+        }
+        Ok(Window {
+            offset: handle.offset,
+            buf: self.buf.clone(),
+            range: start..end,
+        })
+    }
+
+    /// The block at `handle`, which the window holds, verified and parsed.
+    fn block(&self, handle: BlockHandle) -> Result<Block> {
+        let contents = self.contents(handle)?;
+        Block::within(contents.buf, contents.range)
+    }
 }
 
 /// Two-level iterator: index block → data blocks.

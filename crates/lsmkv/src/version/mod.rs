@@ -295,7 +295,7 @@ impl Version {
                     break;
                 }
             }
-            let fetched: Vec<Result<Vec<u8>>> = {
+            let fetched: Vec<_> = {
                 let _plug = IoPlug::enter();
                 fetches
                     .iter()

@@ -693,6 +693,71 @@ fn multiget_fails_on_a_read_error_or_a_damaged_block() {
 }
 
 #[test]
+fn a_written_tables_first_get_reads_only_a_data_block() {
+    // A flush hands its table's reader, index and filter included, to the
+    // table cache; only a reopened store reads them back first.
+    let env: EnvRef = Arc::new(MemEnv::new());
+    let reads_of_get = |db: &Db, i: usize| {
+        let before = env.io_stats();
+        assert_eq!(db.get(&key(i)).unwrap().as_deref(), Some(&b"value"[..]));
+        let delta = env.io_stats().delta(&before);
+        (delta.read_ops, delta.bytes_read)
+    };
+    {
+        let db = Db::open(small_opts(env.clone()), "db").unwrap();
+        for i in 0..200 {
+            db.put(&wo(), &key(i), b"value").unwrap();
+        }
+        db.flush().unwrap();
+        db.wait_idle().unwrap();
+        assert_eq!(db.num_files_at_level(0), 1);
+        let (ops, bytes) = reads_of_get(&db, 100);
+        assert_eq!(ops, 1, "one data block, nothing else");
+        assert!(bytes <= 4096 + 256, "{bytes} bytes");
+    }
+    let db = Db::open(small_opts(env.clone()), "db").unwrap();
+    let (ops, _) = reads_of_get(&db, 100);
+    assert_eq!(ops, 4, "footer, index, filter and the data block");
+    assert_eq!(reads_of_get(&db, 100), (0, 0), "the block is cached now");
+}
+
+#[test]
+fn a_flipped_byte_in_a_table_is_corruption_for_get_multiget_and_scan() {
+    let env: EnvRef = Arc::new(MemEnv::new());
+    let mut opts = small_opts(env.clone());
+    opts.memtable_size = 1 << 20;
+    let db = Db::open(opts, "db").unwrap();
+    for i in 0..2000 {
+        db.put(&wo(), &key(i), format!("v{i}").as_bytes()).unwrap();
+    }
+    db.flush().unwrap();
+    db.wait_idle().unwrap();
+    // One byte of the first data block, before any read put it in the
+    // block cache.
+    let dir = std::path::Path::new("db");
+    let tables: Vec<_> = env
+        .list_dir(dir)
+        .unwrap()
+        .into_iter()
+        .filter(|name| name.to_string_lossy().ends_with(".sst"))
+        .collect();
+    assert_eq!(tables.len(), 1);
+    let path = dir.join(&tables[0]);
+    let mut bytes = p2kvs_storage::env::read_all(&*env, &path).unwrap();
+    bytes[10] ^= 0x40;
+    p2kvs_storage::env::write_all(&*env, &path, &bytes).unwrap();
+    let corrupt = |r: lsmkv::Result<()>| matches!(r, Err(lsmkv::Error::Corruption(_)));
+    assert!(corrupt(db.get(&key(0)).map(drop)), "get");
+    assert!(
+        corrupt(db.multiget(&[key(150), key(0)]).map(drop)),
+        "multiget"
+    );
+    assert!(corrupt(db.scan(&key(0), 10).map(drop)), "scan");
+    // Blocks the damage did not reach still read.
+    assert_eq!(db.get(&key(1999)).unwrap().as_deref(), Some(&b"v1999"[..]));
+}
+
+#[test]
 fn iterator_scans_in_order_across_all_components() {
     let env: EnvRef = Arc::new(MemEnv::new());
     let db = Db::open(small_opts(env), "db").unwrap();

@@ -10,6 +10,7 @@
 //! [`crate::FaultyEnv`] over a `MemEnv` whose files it fails and crashes.
 
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -47,6 +48,18 @@ pub trait RandomAccessFile: Send + Sync {
     /// Reads exactly `buf.len()` bytes at `offset`, or fails with
     /// `UnexpectedEof` if the file is shorter.
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<()>;
+
+    /// Reads `len` bytes at `offset` like [`RandomAccessFile::read_at`]
+    /// (the same op, bytes and failures) and returns them as `buf[range]`,
+    /// where `buf` may be shared with the file and with other readers. The
+    /// bytes never change while the caller holds them. The default copies
+    /// into a buffer of its own; an env that holds its files in memory
+    /// lends their buffers instead.
+    fn read_shared(&self, offset: u64, len: usize) -> io::Result<(Arc<Vec<u8>>, Range<usize>)> {
+        let mut buf = vec![0u8; len];
+        self.read_at(offset, &mut buf)?;
+        Ok((Arc::new(buf), 0..len))
+    }
 
     /// File length in bytes.
     fn len(&self) -> u64;

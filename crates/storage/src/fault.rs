@@ -39,6 +39,7 @@
 //! the outage. [`FaultyEnv::heal`] lifts the freeze for recovery.
 
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -422,6 +423,13 @@ impl RandomAccessFile for FaultyRandomAccess {
         self.inner.read_at(offset, buf)
     }
 
+    /// Numbered and failed like [`FaultyRandomAccess::read_at`]; a read
+    /// that passes borrows the inner file's bytes.
+    fn read_shared(&self, offset: u64, len: usize) -> io::Result<(Arc<Vec<u8>>, Range<usize>)> {
+        self.state.on_read(&self.path)?;
+        self.inner.read_shared(offset, len)
+    }
+
     fn len(&self) -> u64 {
         self.inner.len()
     }
@@ -663,6 +671,48 @@ mod tests {
                 path: PathBuf::from("f")
             }]
         );
+    }
+
+    #[test]
+    fn fail_read_fires_on_the_same_read_with_shared_reads_as_with_copies() {
+        let run = |shared: bool| {
+            let env = FaultyEnv::over_mem();
+            write_all(&env, Path::new("f"), &[1u8; 4096]).unwrap();
+            let file = env.new_random_access(Path::new("f")).unwrap();
+            let first = env.reads() + 1;
+            env.set_plan(FaultPlan {
+                fail_read: Some(first + 3),
+                ..Default::default()
+            });
+            let outcomes: Vec<bool> = (0..6)
+                .map(|i| {
+                    if shared {
+                        file.read_shared(i * 512, 512).is_ok()
+                    } else {
+                        file.read_at(i * 512, &mut [0u8; 512]).is_ok()
+                    }
+                })
+                .collect();
+            (outcomes, env.reads() - first, env.events())
+        };
+        let copied = run(false);
+        assert_eq!(run(true), copied);
+        assert_eq!(copied.0, [true, true, true, false, true, true]);
+        assert_eq!(copied.1, 5, "a failed read is numbered too");
+        assert!(matches!(copied.2[..], [FaultEvent::FailedRead { .. }]));
+        // A crashed env fails shared reads like copies.
+        let env = FaultyEnv::over_mem();
+        write_all(&env, Path::new("f"), b"durable").unwrap();
+        let file = env.new_random_access(Path::new("f")).unwrap();
+        env.set_plan(FaultPlan {
+            crash_at_sync: Some(env.sync_points() + 1),
+            ..Default::default()
+        });
+        assert!(env.new_writable(Path::new("g")).unwrap().sync().is_err());
+        assert!(file.read_shared(0, 7).is_err());
+        env.heal();
+        let (buf, range) = file.read_shared(0, 7).unwrap();
+        assert_eq!(&buf[range], b"durable");
     }
 
     #[test]

@@ -16,6 +16,7 @@
 
 use std::collections::HashMap;
 use std::io;
+use std::ops::Range;
 use std::path::{Component, Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -32,9 +33,21 @@ use crate::stats::{IoClass, IoStats, IoStatsSnapshot};
 struct MemFile {
     /// Unique id used by the device model's seek tracking.
     id: u64,
-    data: Vec<u8>,
+    /// The file's bytes. [`RandomAccessFile::read_shared`] lends this
+    /// buffer out, so every change goes through [`MemFile::data_mut`]:
+    /// while a reader holds the buffer, the change is made to a copy and
+    /// the reader keeps the bytes it was given.
+    data: Arc<Vec<u8>>,
     /// Bytes guaranteed durable across a power failure; `None` until a sync.
     synced: Option<usize>,
+}
+
+impl MemFile {
+    /// The bytes, to change: this file's own, copied first if a reader
+    /// holds them.
+    fn data_mut(&mut self) -> &mut Vec<u8> {
+        Arc::make_mut(&mut self.data)
+    }
 }
 
 type FileRef = Arc<Mutex<MemFile>>;
@@ -94,7 +107,9 @@ impl MemFs {
         files.retain(|_, file| {
             let mut f = file.lock();
             let Some(synced) = f.synced else { return false };
-            f.data.truncate(synced);
+            if synced < f.data.len() {
+                f.data_mut().truncate(synced);
+            }
             true
         });
     }
@@ -137,14 +152,14 @@ impl MemFs {
         if let Some(existing) = files.get(&path) {
             if truncate {
                 let mut f = existing.lock();
-                f.data.clear();
+                f.data = Arc::default();
                 f.synced = None;
             }
             return existing.clone();
         }
         let file = Arc::new(Mutex::new(MemFile {
             id: self.next_id.fetch_add(1, Ordering::Relaxed),
-            data: Vec::new(),
+            data: Arc::default(),
             synced: None,
         }));
         files.insert(path, file.clone());
@@ -188,17 +203,22 @@ impl Io {
     }
 }
 
+/// Where `len` bytes at `offset` lie in `f`'s buffer, or an error past EOF
+/// (offsets and lengths come from file contents, so may be anything).
+fn range_at(f: &MemFile, offset: u64, len: usize) -> io::Result<Range<usize>> {
+    let start = usize::try_from(offset).unwrap_or(usize::MAX);
+    match start.checked_add(len) {
+        Some(end) if end <= f.data.len() => Ok(start..end),
+        _ => Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("read of {len} bytes at {offset} past EOF {}", f.data.len()),
+        )),
+    }
+}
+
 /// Copies `buf.len()` bytes at `offset` out of `f`, or fails past EOF.
 fn read_exact_at(f: &MemFile, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-    let start = offset as usize;
-    let end = start + buf.len();
-    if end > f.data.len() {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            format!("read [{start}, {end}) past EOF {}", f.data.len()),
-        ));
-    }
-    buf.copy_from_slice(&f.data[start..end]);
+    buf.copy_from_slice(&f.data[range_at(f, offset, buf.len())?]);
     Ok(())
 }
 
@@ -239,7 +259,7 @@ impl WritableFile for MemWritable {
     fn append(&mut self, data: &[u8]) -> io::Result<()> {
         let pending = {
             let mut f = self.file.lock();
-            f.data.extend_from_slice(data);
+            f.data_mut().extend_from_slice(data);
             f.data.len() as u64 - self.charged
         };
         if pending as usize >= self.writeback_threshold {
@@ -284,6 +304,17 @@ impl RandomAccessFile for MemRandomAccess {
         };
         self.io.read(id, offset, buf.len() as u64);
         Ok(())
+    }
+
+    /// Lends the file's own buffer: no allocation and no copy.
+    fn read_shared(&self, offset: u64, len: usize) -> io::Result<(Arc<Vec<u8>>, Range<usize>)> {
+        let (id, shared) = {
+            let f = self.file.lock();
+            let range = range_at(&f, offset, len)?;
+            (f.id, (f.data.clone(), range))
+        };
+        self.io.read(id, offset, len as u64);
+        Ok(shared)
     }
 
     fn len(&self) -> u64 {
@@ -336,10 +367,11 @@ impl crate::env::RandomRwFile for MemRandomRw {
         let id = {
             let mut f = self.file.lock();
             let end = offset as usize + data.len();
-            if end > f.data.len() {
-                f.data.resize(end, 0);
+            let bytes = f.data_mut();
+            if end > bytes.len() {
+                bytes.resize(end, 0);
             }
-            f.data[offset as usize..end].copy_from_slice(data);
+            bytes[offset as usize..end].copy_from_slice(data);
             // In-place writes are durable immediately (slot-commit model).
             let len = f.data.len();
             f.synced = Some(f.synced.unwrap_or(0).max(len.min(end)));
@@ -705,6 +737,10 @@ mod tests {
         assert!(r.read_at(3, &mut buf).is_err());
         r.read_at(2, &mut buf).unwrap();
         assert_eq!(&buf, b"345");
+        // A length or offset read out of a damaged file fails, whatever it is.
+        assert!(r.read_shared(3, 3).is_err());
+        assert!(r.read_shared(2, usize::MAX).is_err());
+        assert!(r.read_shared(u64::MAX, 1).is_err());
     }
 
     #[test]
@@ -841,44 +877,61 @@ mod tests {
         assert_eq!((snap.write_ops, snap.syncs), (2, 2));
     }
 
+    /// Reads 4 KiB at `offset`, copied into a buffer of the caller's or
+    /// lent by the file.
+    fn read_4k(file: &dyn RandomAccessFile, offset: u64, shared: bool) -> Vec<u8> {
+        if shared {
+            let (buf, range) = file.read_shared(offset, 4096).unwrap();
+            buf[range].to_vec()
+        } else {
+            let mut buf = vec![0u8; 4096];
+            file.read_at(offset, &mut buf).unwrap();
+            buf
+        }
+    }
+
     #[test]
     fn plugged_reads_account_like_unplugged_ones() {
-        // The plug changes when the caller waits, never what the env
-        // counted: bytes, ops and service time, per queue and in total.
-        let run = |plugged: bool| {
+        // The plug changes when the caller waits, and a shared read how
+        // the bytes reach it, never what the env counted: bytes, ops and
+        // service time, per queue and in total.
+        let run = |plugged: bool, shared: bool| {
             let env = MemEnv::with_profile(DeviceProfile::nvme_optane().with_queues(2));
             write_all(&env, Path::new("t.sst"), &[7u8; 64 << 10]).unwrap();
             let file = env.new_random_access(Path::new("t.sst")).unwrap();
             let before = env.io_stats();
-            let mut buf = [0u8; 4096];
             {
                 let _plug = plugged.then(crate::IoPlug::enter);
                 for i in 0..8u64 {
-                    file.read_at(i * 8192, &mut buf).unwrap();
-                    assert_eq!(buf, [7u8; 4096], "plugged reads return their data");
+                    let got = read_4k(&*file, i * 8192, shared);
+                    assert_eq!(got, [7u8; 4096], "plugged reads return their data");
                 }
             }
             env.io_stats().delta(&before)
         };
-        let serial = run(false);
-        let plugged = run(true);
-        assert_eq!(plugged, serial);
-        assert_eq!(plugged.read_ops, 8);
-        assert_eq!(plugged.queues[0].read_ops + plugged.queues[1].read_ops, 8);
-        assert!(plugged.busy_ns > 0);
+        let serial = run(false, false);
+        for (plugged, shared) in [(true, false), (false, true), (true, true)] {
+            assert_eq!(
+                run(plugged, shared),
+                serial,
+                "plugged {plugged}, shared {shared}"
+            );
+        }
+        assert_eq!(serial.read_ops, 8);
+        assert_eq!(serial.queues[0].read_ops + serial.queues[1].read_ops, 8);
+        assert!(serial.busy_ns > 0);
     }
 
     #[test]
     fn chained_io_accounts_like_unchained_io() {
         // Overlapping chains changes when the caller waits, never what the
-        // env counted: reads (plugged and not), appends and syncs on both
-        // queues, with their service time.
-        let run = |chained: bool| {
+        // env counted: reads (plugged and not, copied and shared), appends
+        // and syncs on both queues, with their service time.
+        let run = |chained: bool, shared: bool| {
             let env = MemEnv::with_profile(DeviceProfile::nvme_optane().with_queues(2));
             write_all(&env, Path::new("t.sst"), &[7u8; 64 << 10]).unwrap();
             let file = env.new_random_access(Path::new("t.sst")).unwrap();
             let before = env.io_stats();
-            let mut buf = [0u8; 4096];
             let mut chains = chained.then(crate::IoChains::enter);
             for chain in 0..4u64 {
                 if let Some(c) = chains.as_mut() {
@@ -886,11 +939,11 @@ mod tests {
                 }
                 {
                     let _plug = crate::IoPlug::enter();
-                    file.read_at(chain * 8192, &mut buf).unwrap();
-                    file.read_at(chain * 8192 + 4096, &mut buf).unwrap();
+                    read_4k(&*file, chain * 8192, shared);
+                    read_4k(&*file, chain * 8192 + 4096, shared);
                 }
-                file.read_at(chain * 4096, &mut buf).unwrap();
-                assert_eq!(buf, [7u8; 4096], "chained reads return their data");
+                let got = read_4k(&*file, chain * 4096, shared);
+                assert_eq!(got, [7u8; 4096], "chained reads return their data");
                 let mut w = env
                     .new_writable_on(Path::new(&format!("c{chain}.log")), chain as usize % 2)
                     .unwrap();
@@ -900,11 +953,73 @@ mod tests {
             drop(chains);
             env.io_stats().delta(&before)
         };
-        let serial = run(false);
-        let chained = run(true);
-        assert_eq!(chained, serial);
-        assert_eq!((chained.read_ops, chained.syncs), (12, 4));
-        assert_eq!((chained.queues[0].syncs, chained.queues[1].syncs), (2, 2));
+        let serial = run(false, false);
+        for (chained, shared) in [(true, false), (false, true), (true, true)] {
+            assert_eq!(
+                run(chained, shared),
+                serial,
+                "chained {chained}, shared {shared}"
+            );
+        }
+        assert_eq!((serial.read_ops, serial.syncs), (12, 4));
+        assert_eq!((serial.queues[0].syncs, serial.queues[1].syncs), (2, 2));
+    }
+
+    #[test]
+    fn shared_bytes_never_change_under_their_reader() {
+        let env = MemEnv::new();
+        let path = Path::new("t.sst");
+        let mut w = env.new_writable(path).unwrap();
+        w.append(b"durable").unwrap();
+        w.sync().unwrap();
+        w.append(b"-volatile").unwrap();
+        let file = env.new_random_access(path).unwrap();
+        let held = |offset: u64, len: usize| file.read_shared(offset, len).unwrap();
+        let lent = |(buf, range): &(Arc<Vec<u8>>, Range<usize>)| buf[range.clone()].to_vec();
+
+        // Appended: the holder keeps its bytes, new reads see the append.
+        let before_append = held(0, 16);
+        w.append(b"-more").unwrap();
+        assert_eq!(lent(&before_append), b"durable-volatile");
+        assert_eq!(lent(&held(16, 5)), b"-more");
+        // Torn, then truncated by a power failure.
+        let before_crash = held(0, 21);
+        assert_eq!(env.fs().tear(path, 3), 3);
+        env.fs().power_failure();
+        assert_eq!(lent(&before_crash), b"durable-volatile-more");
+        assert_eq!(file.len(), 10);
+        assert_eq!(lent(&held(0, 10)), b"durable-vo");
+        assert!(file.read_shared(0, 11).is_err(), "past the new end");
+        // Rewritten in place by a new writer of the same path.
+        let before_rewrite = held(0, 10);
+        write_all(&env, path, b"other").unwrap();
+        assert_eq!(lent(&before_rewrite), b"durable-vo");
+        assert_eq!(lent(&held(0, 5)), b"other");
+        // Removed.
+        let before_remove = held(1, 3);
+        env.remove_file(path).unwrap();
+        assert_eq!(lent(&before_remove), b"the");
+        assert_eq!(env.fs().total_resident_bytes(), 0);
+    }
+
+    #[test]
+    fn a_shared_read_lends_the_files_buffer_and_a_change_copies_it() {
+        let env = MemEnv::new();
+        let path = Path::new("t.sst");
+        write_all(&env, path, &[1u8; 4096]).unwrap();
+        let file = env.new_random_access(path).unwrap();
+        let (a, ra) = file.read_shared(0, 100).unwrap();
+        let (b, rb) = file.read_shared(1000, 100).unwrap();
+        assert!(
+            Arc::ptr_eq(&a, &b),
+            "two reads of one file share its buffer"
+        );
+        assert_eq!((ra, rb), (0..100, 1000..1100));
+        let mut w = env.new_appendable(path).unwrap();
+        w.append(&[2u8; 10]).unwrap();
+        let (c, _) = file.read_shared(4096, 10).unwrap();
+        assert!(!Arc::ptr_eq(&a, &c), "an append under a reader copies");
+        assert_eq!((a.len(), c.len()), (4096, 4106));
     }
 
     #[test]

@@ -59,18 +59,19 @@ pub fn put_varint64(dst: &mut Vec<u8>, mut v: u64) {
 /// number of bytes consumed, or `None` if `src` is truncated or the varint
 /// overflows 64 bits.
 ///
-/// Inlined, with the one-byte case (every length below 128) answered
-/// before the loop: block decoding calls this from another crate, and
-/// neither build uses LTO.
+/// Inlined, with the one- and two-byte cases (every length below
+/// 16 384) answered before the loop: block decoding calls this from
+/// another crate, and neither build uses LTO.
 #[inline]
 pub fn get_varint64(src: &[u8]) -> Option<(u64, usize)> {
-    match src.first() {
-        Some(&b) if b < 0x80 => Some((u64::from(b), 1)),
+    match *src {
+        [b, ..] if b < 0x80 => Some((u64::from(b), 1)),
+        [b0, b1, ..] if b1 < 0x80 => Some((u64::from(b0 & 0x7f) | u64::from(b1) << 7, 2)),
         _ => get_varint64_multibyte(src),
     }
 }
 
-/// [`get_varint64`] past its one-byte fast path.
+/// [`get_varint64`] past its one- and two-byte fast paths.
 #[inline]
 fn get_varint64_multibyte(src: &[u8]) -> Option<(u64, usize)> {
     let mut result: u64 = 0;
@@ -171,6 +172,14 @@ mod tests {
         assert_eq!(get_varint32(&[0x7f]), Some((0x7f, 1)));
         assert_eq!(get_varint32(&[0x80, 0x01]), Some((0x80, 2)));
         assert_eq!(get_varint32(&[0x80]), None);
+        // Both sides of the two-byte fast path: 128, 16 383 and 16 384,
+        // and a two-byte input whose second byte asks for a third.
+        assert_eq!(get_varint64(&[0x80, 0x01]), Some((128, 2)));
+        assert_eq!(get_varint64(&[0xff, 0x7f]), Some((16_383, 2)));
+        assert_eq!(get_varint64(&[0xff, 0x7f, 0x05]), Some((16_383, 2)));
+        assert_eq!(get_varint64(&[0x80, 0x80, 0x01]), Some((16_384, 3)));
+        assert_eq!(get_varint64(&[0x80, 0x80]), None);
+        assert_eq!(get_varint32(&[0xff, 0xff]), None);
         let mut max = Vec::new();
         put_varint64(&mut max, u64::MAX);
         assert_eq!(max.len(), 10);
