@@ -529,6 +529,7 @@ pub fn validate_schema(json: &str) -> Vec<String> {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+    use std::sync::OnceLock;
 
     fn unit_report() -> Report {
         Report {
@@ -841,7 +842,9 @@ mod tests {
         }
 
         let dir = std::env::temp_dir().join("p2kvs-run-gate-test");
-        let artifact = dir.join("BENCH_unit").to_string_lossy().into_owned();
+        static ARTIFACT: OnceLock<String> = OnceLock::new();
+        let artifact =
+            ARTIFACT.get_or_init(|| dir.join("BENCH_unit").to_string_lossy().into_owned());
         std::fs::create_dir_all(&dir).unwrap();
         for (run, green) in [
             (loaded as fn() -> Report, true),
@@ -850,7 +853,7 @@ mod tests {
         ] {
             let scenario = Scenario {
                 id: "unit",
-                artifact: Box::leak(artifact.clone().into_boxed_str()),
+                artifact,
                 question: "a window with a failed call",
                 run,
                 gate: |_| Vec::new(),

@@ -424,11 +424,6 @@ impl BackupHandle {
             .join()
             .map_err(|_| Error::Backup("backup streamer panicked".into()))?
     }
-
-    /// Whether the streamer has already finished (non-blocking).
-    pub fn is_done(&self) -> bool {
-        self.thread.is_finished()
-    }
 }
 
 #[cfg(test)]

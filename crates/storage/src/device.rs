@@ -39,29 +39,20 @@
 //! thread — and (b) letting concurrent waits from different threads overlap
 //! in wall time.
 //!
-//! # Plugged submission
-//!
-//! A caller about to issue several *independent* reads holds an
-//! [`IoPlug`] across them (the block layer's plug/unplug): each read still
-//! reserves its queue's timeline exactly as above — same occupancy, same
-//! accounting — but its completion time is recorded instead of charged,
-//! and dropping the outermost guard charges the thread once for the latest
-//! completion. One thread thereby reaches the queue depth that would
-//! otherwise take one blocked thread per outstanding read. Data returned
-//! by a plugged read is only "on the host" once the guard is dropped:
-//! reads that depend on it belong after the unplug.
-//!
 //! # Overlapped chains
 //!
 //! A caller about to run several *independent sequences* of I/O — a
 //! worker executing one engine call per shard of a drained batch — holds
 //! an [`IoChains`] run across them and starts a new chain before each
 //! sequence. Every op is still reserved on its queue exactly as above, and
-//! within a chain waits add up as they do without the run (an inner
-//! [`IoPlug`] overlaps only its own reads), but a chain's waits are owed
-//! by the chain, not slept: the run charges the thread once, for the chain
-//! that ends last. This is the schedule of a thread that submits every
-//! sequence's I/O before it waits (an io_uring / libaio loop).
+//! within a chain waits add up as they do without the run, but a chain's
+//! waits are owed by the chain, not slept: the run charges the thread
+//! once, for the chain that ends last. This is the schedule of a thread
+//! that submits every sequence's I/O before it waits (an io_uring / libaio
+//! loop). A run of one-read chains is the block layer's plug: one thread
+//! reaches the queue depth that would otherwise take one blocked thread
+//! per outstanding read. Runs nest: an inner run's one charge is owed by
+//! the enclosing run's current chain, so it advances only that chain.
 //!
 //! Profiles are calibrated to the paper's testbed (§5.1): HDD ≈ 0.2 GB/s
 //! and ~8 ms seeks; SATA SSD ≈ 0.5 GB/s; Optane 905p ≈ 2.2 GB/s write /
@@ -220,67 +211,27 @@ thread_local! {
     /// Signed per-thread sleep debt in nanoseconds. Positive = owed wait;
     /// negative = credit from oversleeping (OS timers overshoot).
     static SLEEP_DEBT: Cell<i64> = const { Cell::new(0) };
-    /// Live [`IoPlug`] guards on this thread.
-    static PLUG_DEPTH: Cell<u32> = const { Cell::new(0) };
-    /// Latest completion among the reads submitted under the current
-    /// plug, ns on the clock's base ([`timing::now_ns`]).
-    static PLUG_DEADLINE: Cell<Option<u64>> = const { Cell::new(None) };
-    /// Wait owed by the current chain of an [`IoChains`] run, ns; `None`
-    /// when no run is open on this thread.
+    /// Wait owed by the current chain of the innermost [`IoChains`] run,
+    /// ns; `None` when no run is open on this thread.
     static CHAIN_LAG: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
-/// A thread-scoped submission batch. While one is held, [`DeviceModel::read`]
-/// on this thread submits without waiting; dropping the outermost guard
-/// waits once, for the read that completes last (under an [`IoChains`]
-/// run, that wait goes to the current chain). Guards nest (an inner
-/// guard neither waits nor resets the batch) and are ambient like
-/// [`crate::QueueScope`]: code between the caller and the device needs no
-/// plumbing. Environments without a device model ignore it.
-///
-/// Nothing derived from a plugged read may leave the caller before the
-/// guard is dropped, or the wait it models would be skipped.
-pub struct IoPlug {
-    /// Tied to the thread whose batch it opened.
-    _thread: PhantomData<*const ()>,
-}
-
-impl IoPlug {
-    /// Opens (or joins) the calling thread's submission batch.
-    pub fn enter() -> IoPlug {
-        PLUG_DEPTH.with(|d| d.set(d.get() + 1));
-        IoPlug {
-            _thread: PhantomData,
-        }
-    }
-}
-
-impl Drop for IoPlug {
-    fn drop(&mut self) {
-        let depth = PLUG_DEPTH.with(|d| {
-            d.set(d.get() - 1);
-            d.get()
-        });
-        if depth > 0 {
-            return;
-        }
-        if let Some(deadline) = PLUG_DEADLINE.with(Cell::take) {
-            DeviceModel::owe(deadline.saturating_sub(timing::now_ns()));
-        }
-    }
-}
-
 /// A thread-scoped run of independent I/O chains. While one is held, the
-/// wait of every device op on this thread — and of every outermost
-/// [`IoPlug`] dropped — is added to the current chain's lag instead of the
-/// thread's sleep debt; the ops themselves are reserved on their queues
-/// exactly as without the run. [`IoChains::next_chain`] closes the current
-/// chain as ending at `now + lag`; [`IoChains::finish`] (or the drop)
-/// charges the thread once, for the chain that ends last. Runs do not nest.
-/// Environments without a device model ignore it.
+/// wait of every device op on this thread is added to the current
+/// chain's lag instead of the thread's sleep debt; the ops themselves are
+/// reserved on their queues exactly as without the run.
+/// [`IoChains::next_chain`] closes the current chain as ending at
+/// `now + lag`; [`IoChains::finish`] (or the drop) owes one wait, for the
+/// chain that ends last: to the enclosing run's current chain when runs
+/// nest, else to the thread. Environments without a device model ignore
+/// it.
 ///
 /// A chain must not act on another chain's results: each is one
-/// dependent sequence whose data is "on the host" only at its own end.
+/// dependent sequence whose data is "on the host" only at its own end,
+/// and nothing derived from any chain's I/O may leave the caller before
+/// the run settles, or the wait it models would be skipped. An enclosing
+/// run must start a new chain before an inner run that should overlap
+/// the I/O ahead of it.
 ///
 /// Without a run, a wait of 200 µs or more is slept before the
 /// op returns; under one, every wait — syncs and seeks included — is
@@ -290,6 +241,10 @@ impl Drop for IoPlug {
 /// µs on the NVMe profile, one sync or seek latency or more (400 µs to
 /// 8 ms) on the SATA and HDD profiles.
 pub struct IoChains {
+    /// The enclosing run's chain lag, saved at `enter` and restored when
+    /// the run settles; `None` once settled, so a drop after
+    /// [`IoChains::finish`] owes nothing.
+    outer: Option<Option<u64>>,
     /// Latest end among the closed chains, ns on the clock's base.
     end: Option<u64>,
     /// Sum of the closed chains' lags, ns.
@@ -298,21 +253,21 @@ pub struct IoChains {
     _thread: PhantomData<*const ()>,
 }
 
-/// What closing an [`IoChains`] run charged its thread.
+/// What closing an [`IoChains`] run owed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChainsCharge {
-    /// The one wait charged: latest chain end − now, ns.
+    /// The one wait owed: latest chain end − now, ns.
     pub charged_ns: u64,
     /// Device wait the overlap saved: the chains' summed lags − `charged_ns`.
     pub saved_ns: u64,
 }
 
 impl IoChains {
-    /// Opens a run on the calling thread; its first chain starts now.
+    /// Opens a run on the calling thread, inside the current chain of an
+    /// enclosing run if there is one; its first chain starts now.
     pub fn enter() -> IoChains {
-        let outer = CHAIN_LAG.with(|l| l.replace(Some(0)));
-        debug_assert!(outer.is_none(), "IoChains runs do not nest");
         IoChains {
+            outer: Some(CHAIN_LAG.with(|l| l.replace(Some(0)))),
             end: None,
             lag_ns: 0,
             _thread: PhantomData,
@@ -327,7 +282,7 @@ impl IoChains {
         }
     }
 
-    /// Closes the run: charges the thread once, for the latest chain end.
+    /// Closes the run: owes one wait, for the latest chain end.
     pub fn finish(mut self) -> ChainsCharge {
         self.settle()
     }
@@ -340,8 +295,10 @@ impl IoChains {
     }
 
     fn settle(&mut self) -> ChainsCharge {
-        // `None` once settled: a drop after `finish` charges nothing.
-        let lag = CHAIN_LAG.with(Cell::take).unwrap_or(0);
+        let Some(outer) = self.outer.take() else {
+            return ChainsCharge::default();
+        };
+        let lag = CHAIN_LAG.with(|l| l.replace(outer)).unwrap_or(0);
         if lag == 0 && self.end.is_none() {
             return ChainsCharge::default();
         }
@@ -350,7 +307,7 @@ impl IoChains {
             self.close(lag, now);
         }
         let charged = self.end.take().map_or(0, |e| e.saturating_sub(now));
-        DeviceModel::charge_wait(charged as i64);
+        DeviceModel::owe(charged);
         ChainsCharge {
             charged_ns: charged,
             saved_ns: self.lag_ns.saturating_sub(charged),
@@ -502,18 +459,12 @@ impl DeviceModel {
     }
 
     /// Charges a read of `bytes` at (`file`, `offset`) on `queue`; returns
-    /// model time. Under an [`IoPlug`] the wait is deferred to the unplug.
+    /// model time.
     pub fn read(&self, file: u64, offset: u64, bytes: u64, queue: QueueId) -> Duration {
         let svc = self.profile.read_latency
             + DeviceProfile::transfer(bytes, self.profile.read_bw)
             + self.seek_cost(file, offset, bytes);
-        if PLUG_DEPTH.with(Cell::get) == 0 {
-            return self.occupy(queue, svc);
-        }
-        if let Some((_, done)) = self.reserve(queue, svc) {
-            PLUG_DEADLINE.with(|d| d.set(Some(d.get().map_or(done, |cur| cur.max(done)))));
-        }
-        svc
+        self.occupy(queue, svc)
     }
 
     /// Charges a durability barrier on `queue`; returns model time.
@@ -715,79 +666,84 @@ mod tests {
 
     #[test]
     fn plugged_reads_charge_the_latest_completion_once() {
-        // 4 KiB on the Optane profile: 9.5 µs of service, 1.19 µs of
-        // occupancy on the depth-8 queue.
+        // A run of one-read chains is a plug: on the manual clock it owes
+        // exactly the latest completion − its start, once, at its end.
         const N: u64 = 8;
-        const SVC_NS: i64 = 9_502;
-        const OCCUPANCY_NS: i64 = SVC_NS / 8;
         let run = |plugged: bool| {
             std::thread::spawn(move || {
                 let m = DeviceModel::from_profile(DeviceProfile::nvme_optane());
+                let _clock = timing::Manual::start();
+                let mut plug = plugged.then(IoChains::enter);
                 let mut service = Duration::ZERO;
-                {
-                    let _plug = plugged.then(IoPlug::enter);
-                    for i in 0..N {
-                        service += m.read(3, i * 4096, 4096, 0);
+                for i in 0..N {
+                    if let Some(p) = plug.as_mut() {
+                        p.next_chain();
                     }
-                    if plugged {
-                        assert_eq!(
-                            DeviceModel::thread_debt_ns(),
-                            0,
-                            "charged before the unplug"
-                        );
-                    }
+                    service += m.read(3, i * 4096, 4096, 0);
                 }
-                (DeviceModel::thread_debt_ns(), service)
+                if plugged {
+                    assert_eq!(DeviceModel::thread_debt_ns(), 0, "charged inside the run");
+                }
+                let charge = plug.map(IoChains::finish);
+                (DeviceModel::thread_debt_ns() as u64, charge, service)
             })
             .join()
             .unwrap()
         };
-        let (serial_debt, serial_svc) = run(false);
-        let (plugged_debt, plugged_svc) = run(true);
-        // Unplugged, every read owes at least its own service time.
-        assert!(serial_debt >= N as i64 * SVC_NS, "{serial_debt}");
-        // Plugged, the thread owes what is left of the last completion:
-        // at most the queue's backlog plus one service time.
-        assert!(
-            plugged_debt <= SVC_NS + (N as i64 - 1) * OCCUPANCY_NS,
-            "{plugged_debt}"
-        );
+        let (serial_debt, _, serial_svc) = run(false);
+        let (plugged_debt, charge, plugged_svc) = run(true);
+        // Read i starts i occupancies after the first, on the depth-8
+        // queue. Unplugged, each owes its backlog and its service in turn.
+        assert_eq!(serial_debt, N * READ_4K_NS + 28 * READ_4K_OCCUPANCY_NS);
+        // Plugged, the thread owes the last completion, once.
+        let latest = READ_4K_NS + (N - 1) * READ_4K_OCCUPANCY_NS;
+        assert_eq!(plugged_debt, latest);
+        let charge = charge.expect("the run was closed");
+        assert_eq!(charge.charged_ns, latest);
+        assert_eq!(charge.saved_ns, serial_debt - latest);
         // The device did the same work either way.
         assert_eq!(plugged_svc, serial_svc);
-        assert_eq!(plugged_svc, Duration::from_nanos(N * SVC_NS as u64));
+        assert_eq!(plugged_svc, Duration::from_nanos(N * READ_4K_NS));
     }
 
     #[test]
     fn nested_plugs_wait_once_at_the_outermost_drop() {
+        // A run holding a nested run of one-read chains, with no run
+        // around it, charges the thread once: when it settles.
+        const SVC_NS: u64 = 5_000_000;
+        const OCCUPANCY_NS: u64 = SVC_NS / 8;
         let mut profile = DeviceProfile::nvme_optane();
-        profile.read_latency = Duration::from_millis(5);
+        profile.read_latency = Duration::from_nanos(SVC_NS);
         profile.read_bw = u64::MAX;
         std::thread::spawn(move || {
             let m = DeviceModel::from_profile(profile);
-            let t0 = Instant::now();
-            let outer = IoPlug::enter();
+            let _clock = timing::Manual::start();
+            let t0 = timing::now();
+            let mut outer = IoChains::enter();
             m.read(1, 0, 64, 0);
-            {
-                let _inner = IoPlug::enter();
-                m.read(1, 64, 64, 0);
-                m.read(1, 128, 64, 0);
+            // A new chain, so that the inner run overlaps the read above.
+            outer.next_chain();
+            let mut inner = IoChains::enter();
+            for offset in [64, 128] {
+                inner.next_chain();
+                m.read(1, offset, 64, 0);
             }
-            assert_eq!(DeviceModel::thread_debt_ns(), 0, "inner drop must not wait");
-            drop(outer);
-            // 15 ms of service overlapped on the depth-8 queue: one wait
-            // of about one service time, slept off at the unplug.
-            assert!(
-                t0.elapsed() >= Duration::from_micros(4_500),
-                "{:?}",
-                t0.elapsed()
-            );
-            assert!(DeviceModel::thread_debt_ns() < DEBT_SLEEP_NS);
-            // The batch is closed: the next read is charged on the spot.
+            let inner = inner.finish();
+            assert_eq!(inner.charged_ns, SVC_NS + 2 * OCCUPANCY_NS);
+            assert_eq!(DeviceModel::thread_debt_ns(), 0, "inner runs must not wait");
+            assert_eq!(timing::elapsed(t0), Duration::ZERO);
+            // The inner run's charge is the outer run's second chain: the
+            // one that ends last, slept off once.
+            let outer = outer.finish();
+            assert_eq!(outer.charged_ns, inner.charged_ns);
+            assert_eq!(outer.saved_ns, SVC_NS);
+            assert_eq!(timing::elapsed(t0).as_nanos() as u64, inner.charged_ns);
+            assert_eq!(DeviceModel::thread_debt_ns(), 0);
+            // Both runs are closed: the next read is charged on the spot.
             m.read(1, 192, 64, 0);
-            assert!(
-                t0.elapsed() >= Duration::from_micros(9_500),
-                "{:?}",
-                t0.elapsed()
+            assert_eq!(
+                timing::elapsed(t0).as_nanos() as u64,
+                inner.charged_ns + SVC_NS
             );
         })
         .join()
@@ -799,12 +755,17 @@ mod tests {
         std::thread::spawn(|| {
             let m = DeviceModel::from_profile(DeviceProfile::instant());
             let mut service = Duration::ZERO;
-            {
-                let _plug = IoPlug::enter();
+            let mut outer = IoChains::enter();
+            for _ in 0..2 {
+                outer.next_chain();
+                let mut plug = IoChains::enter();
                 for i in 0..100 {
+                    plug.next_chain();
                     service += m.read(1, i * 4096, 4096, 0);
                 }
+                assert_eq!(plug.finish(), ChainsCharge::default());
             }
+            assert_eq!(outer.finish(), ChainsCharge::default());
             assert_eq!(DeviceModel::thread_debt_ns(), 0);
             assert_eq!(service, Duration::ZERO);
         })
@@ -897,13 +858,16 @@ mod tests {
         profile.read_latency = Duration::from_nanos(SVC_NS);
         profile.read_bw = u64::MAX;
         profile.queue_depth = 64;
-        // Chain 1: two plugged reads, then one that depends on them.
+        // Chain 1: a nested run of two one-read chains, then a read that
+        // depends on both.
         // Chain 2: one independent read.
         let ops = |m: &DeviceModel, chains: &mut Option<IoChains>| {
             {
-                let _plug = IoPlug::enter();
-                m.read(1, 0, 64, 0);
-                m.read(1, 64, 64, 0);
+                let mut plug = IoChains::enter();
+                for offset in [0, 64] {
+                    plug.next_chain();
+                    m.read(1, offset, 64, 0);
+                }
             }
             m.read(1, 128, 64, 0);
             if let Some(c) = chains.as_mut() {
@@ -928,13 +892,13 @@ mod tests {
             assert_eq!(
                 DeviceModel::thread_debt_ns(),
                 0,
-                "the unplug charged the thread"
+                "the nested run charged the thread"
             );
             chains.take().unwrap().finish()
         })
         .join()
         .unwrap();
-        // The dependent read starts after the plug's deadline...
+        // The dependent read starts after the nested run's end...
         assert!(charge.charged_ns >= 2 * SVC_NS - SLACK_NS, "{charge:?}");
         // ...and chain 2 overlaps chain 1 instead of following it.
         assert!(charge.charged_ns < 2 * SVC_NS + SVC_NS / 2, "{charge:?}");

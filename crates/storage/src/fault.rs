@@ -657,12 +657,14 @@ mod tests {
             ..Default::default()
         });
         let mut buf = [0u8; 512];
-        let outcomes: Vec<bool> = {
-            let _plug = crate::IoPlug::enter();
-            (0..5)
-                .map(|i| file.read_at(i * 512, &mut buf).is_ok())
-                .collect()
-        };
+        let mut plug = crate::IoChains::enter();
+        let outcomes: Vec<bool> = (0..5)
+            .map(|i| {
+                plug.next_chain();
+                file.read_at(i * 512, &mut buf).is_ok()
+            })
+            .collect();
+        plug.finish();
         assert_eq!(outcomes, [true, true, false, true, true]);
         assert_eq!(
             env.events(),
@@ -862,7 +864,7 @@ mod tests {
                 .map(|q| {
                     let env = env.clone();
                     std::thread::spawn(move || {
-                        let _g = crate::ioqueue::QueueScope::enter(q);
+                        crate::set_thread_io_queue(Some(q));
                         let mut w = env.new_writable(Path::new(&format!("t{q}"))).unwrap();
                         for i in 0..(q + 1) * 3 {
                             w.append(&[i as u8]).unwrap();

@@ -45,35 +45,6 @@ pub fn thread_io_queue() -> Option<QueueId> {
     AMBIENT_QUEUE.with(|q| q.get())
 }
 
-/// RAII scope that pins the ambient queue and restores the previous
-/// value on drop — for code that borrows a queue for one job (a
-/// subcompaction, a flush) on a thread it does not own.
-pub struct QueueScope {
-    prev: Option<QueueId>,
-}
-
-impl QueueScope {
-    /// Enters a scope with the ambient queue set to `queue`.
-    pub fn enter(queue: QueueId) -> QueueScope {
-        QueueScope {
-            prev: set_thread_io_queue(Some(queue)),
-        }
-    }
-
-    /// Enters a scope with the ambient queue set (or cleared) to `queue`.
-    pub fn enter_opt(queue: Option<QueueId>) -> QueueScope {
-        QueueScope {
-            prev: set_thread_io_queue(queue),
-        }
-    }
-}
-
-impl Drop for QueueScope {
-    fn drop(&mut self) {
-        set_thread_io_queue(self.prev);
-    }
-}
-
 /// Resolves the effective queue for one operation on a device with
 /// `queues` submission queues: explicit file pin, then the thread's
 /// ambient queue, then the per-file default. Always in `0..queues`.
@@ -96,29 +67,13 @@ mod tests {
     }
 
     #[test]
-    fn scope_restores_previous_pin() {
-        set_thread_io_queue(Some(1));
-        {
-            let _g = QueueScope::enter(5);
-            assert_eq!(thread_io_queue(), Some(5));
-            {
-                let _g2 = QueueScope::enter_opt(None);
-                assert_eq!(thread_io_queue(), None);
-            }
-            assert_eq!(thread_io_queue(), Some(5));
-        }
-        assert_eq!(thread_io_queue(), Some(1));
-        set_thread_io_queue(None);
-    }
-
-    #[test]
     fn resolution_priority_pin_ambient_default() {
-        let _g = QueueScope::enter(2);
+        set_thread_io_queue(Some(2));
         // Pin wins over ambient.
         assert_eq!(resolve_queue(Some(1), 99, 4), 1);
         // Ambient wins over the per-file default.
         assert_eq!(resolve_queue(None, 99, 4), 2);
-        drop(_g);
+        set_thread_io_queue(None);
         // Default spreads by file id, modulo the queue count.
         assert_eq!(resolve_queue(None, 7, 4), 3);
         assert_eq!(resolve_queue(None, 8, 4), 0);

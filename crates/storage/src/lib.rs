@@ -37,12 +37,10 @@ pub mod mem;
 pub mod stats;
 pub mod stdfs;
 
-pub use device::{ChainsCharge, DeviceModel, DeviceProfile, IoChains, IoPlug};
+pub use device::{ChainsCharge, DeviceModel, DeviceProfile, IoChains};
 pub use env::{Env, FaultHook, RandomAccessFile, RandomRwFile, SequentialFile, WritableFile};
 pub use fault::{FaultEvent, FaultPlan, FaultyEnv};
-pub use ioqueue::{
-    resolve_queue, set_thread_io_queue, thread_io_queue, QueueId, QueueScope, MAX_QUEUES,
-};
+pub use ioqueue::{resolve_queue, set_thread_io_queue, thread_io_queue, QueueId, MAX_QUEUES};
 pub use mem::{MemEnv, MemFs};
 pub use stats::{IoClass, IoStats, IoStatsSnapshot, QueueIoSnapshot};
 pub use stdfs::StdEnv;

@@ -860,12 +860,11 @@ mod tests {
 
         // Ambient thread queue: an un-pinned handle follows the pin set on
         // the calling thread.
-        {
-            let _g = crate::ioqueue::QueueScope::enter(1);
-            let mut w = env.new_writable(Path::new("ambient.log")).unwrap();
-            w.append(&[0u8; 40]).unwrap();
-            w.sync().unwrap();
-        }
+        crate::set_thread_io_queue(Some(1));
+        let mut w = env.new_writable(Path::new("ambient.log")).unwrap();
+        w.append(&[0u8; 40]).unwrap();
+        w.sync().unwrap();
+        crate::set_thread_io_queue(None);
 
         let snap = env.io_stats();
         assert_eq!(snap.queues[2].bytes_written, 100);
@@ -891,56 +890,31 @@ mod tests {
     }
 
     #[test]
-    fn plugged_reads_account_like_unplugged_ones() {
-        // The plug changes when the caller waits, and a shared read how
-        // the bytes reach it, never what the env counted: bytes, ops and
-        // service time, per queue and in total.
-        let run = |plugged: bool, shared: bool| {
-            let env = MemEnv::with_profile(DeviceProfile::nvme_optane().with_queues(2));
-            write_all(&env, Path::new("t.sst"), &[7u8; 64 << 10]).unwrap();
-            let file = env.new_random_access(Path::new("t.sst")).unwrap();
-            let before = env.io_stats();
-            {
-                let _plug = plugged.then(crate::IoPlug::enter);
-                for i in 0..8u64 {
-                    let got = read_4k(&*file, i * 8192, shared);
-                    assert_eq!(got, [7u8; 4096], "plugged reads return their data");
-                }
-            }
-            env.io_stats().delta(&before)
-        };
-        let serial = run(false, false);
-        for (plugged, shared) in [(true, false), (false, true), (true, true)] {
-            assert_eq!(
-                run(plugged, shared),
-                serial,
-                "plugged {plugged}, shared {shared}"
-            );
-        }
-        assert_eq!(serial.read_ops, 8);
-        assert_eq!(serial.queues[0].read_ops + serial.queues[1].read_ops, 8);
-        assert!(serial.busy_ns > 0);
-    }
-
-    #[test]
     fn chained_io_accounts_like_unchained_io() {
-        // Overlapping chains changes when the caller waits, never what the
-        // env counted: reads (plugged and not, copied and shared), appends
-        // and syncs on both queues, with their service time.
-        let run = |chained: bool, shared: bool| {
+        // Runs change when the caller waits, and a shared read how the
+        // bytes reach it, never what the env counted: reads, appends and
+        // syncs on both queues, with their service time. `depth` nests
+        // the runs: 0 holds none, 1 reads each pair of reads as a run of
+        // one-read chains (a plug), 2 also runs the four sequences as
+        // chains of one run, each holding its plug.
+        let run = |depth: u32, shared: bool| {
             let env = MemEnv::with_profile(DeviceProfile::nvme_optane().with_queues(2));
             write_all(&env, Path::new("t.sst"), &[7u8; 64 << 10]).unwrap();
             let file = env.new_random_access(Path::new("t.sst")).unwrap();
             let before = env.io_stats();
-            let mut chains = chained.then(crate::IoChains::enter);
+            let mut chains = (depth >= 2).then(crate::IoChains::enter);
             for chain in 0..4u64 {
                 if let Some(c) = chains.as_mut() {
                     c.next_chain();
                 }
                 {
-                    let _plug = crate::IoPlug::enter();
-                    read_4k(&*file, chain * 8192, shared);
-                    read_4k(&*file, chain * 8192 + 4096, shared);
+                    let mut plug = (depth >= 1).then(crate::IoChains::enter);
+                    for offset in [chain * 8192, chain * 8192 + 4096] {
+                        if let Some(p) = plug.as_mut() {
+                            p.next_chain();
+                        }
+                        assert_eq!(read_4k(&*file, offset, shared), [7u8; 4096]);
+                    }
                 }
                 let got = read_4k(&*file, chain * 4096, shared);
                 assert_eq!(got, [7u8; 4096], "chained reads return their data");
@@ -953,16 +927,15 @@ mod tests {
             drop(chains);
             env.io_stats().delta(&before)
         };
-        let serial = run(false, false);
-        for (chained, shared) in [(true, false), (false, true), (true, true)] {
-            assert_eq!(
-                run(chained, shared),
-                serial,
-                "chained {chained}, shared {shared}"
-            );
+        let serial = run(0, false);
+        for depth in 0..=2 {
+            for shared in [false, true] {
+                assert_eq!(run(depth, shared), serial, "depth {depth}, shared {shared}");
+            }
         }
         assert_eq!((serial.read_ops, serial.syncs), (12, 4));
         assert_eq!((serial.queues[0].syncs, serial.queues[1].syncs), (2, 2));
+        assert!(serial.busy_ns > 0);
     }
 
     #[test]

@@ -142,7 +142,7 @@ impl WtDb {
             len: value.len() as u32,
         };
         self.tree.write().insert(key.to_vec(), vref);
-        self.cache.lock().insert(key, value);
+        self.cache.lock().insert_bytes(key, value);
         self.maybe_checkpoint()?;
         Ok(())
     }
@@ -161,11 +161,11 @@ impl WtDb {
         let Some(vref) = self.tree.read().get(key).copied() else {
             return Ok(None);
         };
-        if let Some(v) = self.cache.lock().get(key) {
+        if let Some(v) = self.cache.lock().get(key).cloned() {
             return Ok(Some(v));
         }
         let value = self.read_value(vref)?;
-        self.cache.lock().insert(key, &value);
+        self.cache.lock().insert_bytes(key, &value);
         Ok(Some(value))
     }
 
@@ -180,12 +180,12 @@ impl WtDb {
             .collect();
         let mut out = Vec::with_capacity(refs.len());
         for (k, vref) in refs {
-            let cached = self.cache.lock().get(&k);
+            let cached = self.cache.lock().get(&k).cloned();
             let v = match cached {
                 Some(v) => v,
                 None => {
                     let v = self.read_value(vref)?;
-                    self.cache.lock().insert(&k, &v);
+                    self.cache.lock().insert_bytes(&k, &v);
                     v
                 }
             };
