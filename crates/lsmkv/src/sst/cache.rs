@@ -120,6 +120,41 @@ mod tests {
     }
 
     #[test]
+    fn eviction_respects_capacity() {
+        let cache = BlockCache::new(64 * 1024);
+        for i in 0..200u64 {
+            cache.insert((i, 0), block_of_size(i, 4096));
+        }
+        // Per-shard capacity is 8 KiB; usage must be bounded near capacity.
+        assert!(cache.usage() <= 96 * 1024, "usage {}", cache.usage());
+        // Recently inserted entries survive.
+        assert!(cache.get(&(199, 0)).is_some() || cache.get(&(198, 0)).is_some());
+    }
+
+    #[test]
+    fn lru_prefers_recent_entries() {
+        // Repeatedly touch one key while inserting others; the touched key
+        // should survive.
+        let cache = BlockCache::new(160 * 1024);
+        cache.insert((42, 0), block_of_size(42, 4096));
+        for i in 0..500u64 {
+            let _ = cache.get(&(42, 0));
+            cache.insert((1000 + i, 0), block_of_size(i, 4096));
+        }
+        assert!(cache.get(&(42, 0)).is_some(), "hot key was evicted");
+    }
+
+    #[test]
+    fn reinsert_replaces_charge() {
+        let cache = BlockCache::new(1 << 20);
+        cache.insert((7, 7), block_of_size(1, 8192));
+        let before = cache.usage();
+        cache.insert((7, 7), block_of_size(2, 8192));
+        let after = cache.usage();
+        assert!(after <= before + 9000, "charge leaked: {before} -> {after}");
+    }
+
+    #[test]
     fn erase_table_drops_only_that_tables_blocks() {
         let cache = BlockCache::new(1 << 20);
         for offset in 0..20u64 {

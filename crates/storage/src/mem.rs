@@ -890,6 +890,41 @@ mod tests {
     }
 
     #[test]
+    fn plugged_reads_account_like_unplugged_ones() {
+        // A plug (a run of one-read chains) changes when the caller waits,
+        // and a shared read how the bytes reach it, never what the env
+        // counted: bytes, ops and service time, per queue and in total.
+        let run = |plugged: bool, shared: bool| {
+            let env = MemEnv::with_profile(DeviceProfile::nvme_optane().with_queues(2));
+            write_all(&env, Path::new("t.sst"), &[7u8; 64 << 10]).unwrap();
+            let file = env.new_random_access(Path::new("t.sst")).unwrap();
+            let before = env.io_stats();
+            {
+                let mut plug = plugged.then(crate::IoChains::enter);
+                for i in 0..8u64 {
+                    if let Some(p) = plug.as_mut() {
+                        p.next_chain();
+                    }
+                    let got = read_4k(&*file, i * 8192, shared);
+                    assert_eq!(got, [7u8; 4096], "plugged reads return their data");
+                }
+            }
+            env.io_stats().delta(&before)
+        };
+        let serial = run(false, false);
+        for (plugged, shared) in [(true, false), (false, true), (true, true)] {
+            assert_eq!(
+                run(plugged, shared),
+                serial,
+                "plugged {plugged}, shared {shared}"
+            );
+        }
+        assert_eq!(serial.read_ops, 8);
+        assert_eq!(serial.queues[0].read_ops + serial.queues[1].read_ops, 8);
+        assert!(serial.busy_ns > 0);
+    }
+
+    #[test]
     fn chained_io_accounts_like_unchained_io() {
         // Runs change when the caller waits, and a shared read how the
         // bytes reach it, never what the env counted: reads, appends and
