@@ -96,26 +96,34 @@ pub struct CompactionOutput {
 
 /// Writes the contents of `mem` as one L0 table (`None` when it is empty).
 ///
-/// Every entry (all sequence numbers, tombstones included) is preserved —
-/// visibility decisions belong to reads and major compactions. The output
-/// is not cut at `target_file_size`: a memtable is one sorted run, and
-/// the L0 triggers (`l0_compaction_trigger` and the two stall triggers)
-/// count runs. Two files per flush would fire the L0→L1 merge — which
-/// rewrites every L1 file the run overlaps — after half as much new data,
-/// and a lookup probes one table per run either way.
+/// Flush applies compaction's first GC rule: a version is dropped when a
+/// newer entry for the same user key has a sequence at or below
+/// `smallest_snapshot`, the lowest sequence any reader may still hold —
+/// no reader can see it again. Every tombstone is kept: the versions it
+/// hides may sit in other L0 files or deeper levels. The output is not
+/// cut at `target_file_size`: a memtable is one sorted run, and the L0
+/// triggers (`l0_compaction_trigger` and the two stall triggers) count
+/// runs. Two files per flush would fire the L0→L1 merge — which rewrites
+/// every L1 file the run overlaps — after half as much new data, and a
+/// lookup probes one table per run either way.
 pub fn flush_memtable(
     ctx: &JobContext<'_>,
     mem: &Arc<MemTable>,
+    smallest_snapshot: SequenceNumber,
     alloc_number: &(dyn Fn() -> u64 + Sync),
 ) -> Result<Option<FileMetaData>> {
     let mut iter = mem.iter();
     iter.seek_to_first();
+    let gc = GcPolicy {
+        smallest_snapshot,
+        below: None,
+    };
     // Flush output rides the owning shard's queue, like its WAL.
     let file = write_sorted_stream(
         ctx,
         &mut iter,
         alloc_number,
-        None,
+        &gc,
         &Cuts::by_size(u64::MAX),
         None,
         ctx.opts.io_queue,
@@ -141,10 +149,12 @@ pub fn run_compaction(
     alloc_number: &(dyn Fn() -> u64 + Sync),
 ) -> Result<CompactionOutput> {
     let gc = GcPolicy {
-        version,
-        style: ctx.opts.compaction_style,
-        output_level: task.output_level,
         smallest_snapshot,
+        below: Some(Below {
+            version,
+            style: ctx.opts.compaction_style,
+            output_level: task.output_level,
+        }),
     };
     let target = ctx.opts.target_file_size as u64;
     let cuts = match ctx.opts.compaction_style {
@@ -199,7 +209,7 @@ pub fn run_compaction(
             Some(lo) => merged.seek(&make_internal_key(lo, MAX_SEQUENCE, VALUE_TYPE_FOR_SEEK)),
             None => merged.seek_to_first(),
         }
-        write_sorted_stream(ctx, &mut merged, alloc_number, Some(&gc), &cuts, hi, queue)
+        write_sorted_stream(ctx, &mut merged, alloc_number, &gc, &cuts, hi, queue)
     };
 
     // Compaction outputs spread across submission queues, starting one
@@ -304,13 +314,22 @@ fn partition_bounds(task: &CompactionTask, subcompactions: usize) -> Vec<Vec<u8>
 
 /// Garbage-collection rules applied while rewriting entries.
 struct GcPolicy<'a> {
+    /// The lowest sequence any live snapshot (or the read head) can
+    /// observe: a version with a newer one at or below it is dead.
+    smallest_snapshot: SequenceNumber,
+    /// What a tombstone at or below `smallest_snapshot` could still hide;
+    /// `None` keeps every tombstone (a flush).
+    below: Option<Below<'a>>,
+}
+
+/// The files a major compaction leaves in place under its output.
+struct Below<'a> {
     version: &'a Version,
     style: CompactionStyle,
     output_level: usize,
-    smallest_snapshot: SequenceNumber,
 }
 
-impl GcPolicy<'_> {
+impl Below<'_> {
     /// Whether `ukey` could exist in any file the compaction does not
     /// rewrite and that a read would consult *after* the output level.
     fn key_survives_elsewhere(&self, ukey: &[u8]) -> bool {
@@ -339,14 +358,14 @@ impl GcPolicy<'_> {
 }
 
 /// Consumes a sorted internal-entry stream into tables cut by `cuts`,
-/// applying GC rules when `gc` is provided. Entries with user key `>= end`
+/// dropping what `gc` rules dead. Entries with user key `>= end`
 /// are left unconsumed (subcompaction partition boundary); `out_queue`
 /// pins the output files to one device submission queue.
 fn write_sorted_stream(
     ctx: &JobContext<'_>,
     iter: &mut dyn InternalIterator,
     alloc_number: &(dyn Fn() -> u64 + Sync),
-    gc: Option<&GcPolicy<'_>>,
+    gc: &GcPolicy<'_>,
     cuts: &Cuts<'_>,
     end: Option<&[u8]>,
     out_queue: Option<QueueId>,
@@ -357,9 +376,9 @@ fn write_sorted_stream(
     // `cuts.next_level_ends[next_end..]` are the next-level file ends at
     // or past the current user key.
     let mut next_end = 0;
-    // Sequence of the most recent (newest) retained entry for the current
-    // user key; MAX means "none seen yet".
-    let mut last_seq_for_key = u64::MAX;
+    // Sequence of the entry just before this one for the current user key
+    // (the next newer version); `None` at a key's newest entry.
+    let mut last_seq_for_key: Option<SequenceNumber> = None;
     let in_range =
         |it: &dyn InternalIterator| it.valid() && end.is_none_or(|e| user_key(it.key()) < e);
 
@@ -390,23 +409,19 @@ fn write_sorted_stream(
             let current = current_ukey.get_or_insert_with(Vec::new);
             current.clear();
             current.extend_from_slice(ukey);
-            last_seq_for_key = u64::MAX;
+            last_seq_for_key = None;
         }
 
-        let drop = if let Some(gc) = gc {
-            if last_seq_for_key <= gc.smallest_snapshot {
-                // A newer entry for this key is visible to every snapshot:
-                // this one can never be read again.
-                true
-            } else {
-                kind == ValueType::Deletion
-                    && seq <= gc.smallest_snapshot
-                    && !gc.key_survives_elsewhere(ukey)
-            }
-        } else {
-            false
-        };
-        last_seq_for_key = seq;
+        // A newer entry for this key visible to every snapshot means this
+        // one can never be read again.
+        let drop = last_seq_for_key.is_some_and(|newer| newer <= gc.smallest_snapshot)
+            || (kind == ValueType::Deletion
+                && seq <= gc.smallest_snapshot
+                && gc
+                    .below
+                    .as_ref()
+                    .is_some_and(|below| !below.key_survives_elsewhere(ukey)));
+        last_seq_for_key = Some(seq);
 
         if !drop {
             if builder.is_none() {
@@ -481,6 +496,13 @@ mod tests {
     use crate::version::edit::VersionEdit;
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    /// A flush bound with no snapshot behind the read head: every shadowed
+    /// version goes.
+    const HEAD: SequenceNumber = MAX_SEQUENCE;
+    /// A snapshot older than every entry: a flush under it keeps each
+    /// version.
+    const OLDEST: SequenceNumber = 0;
+
     struct Fixture {
         opts: Options,
         dir: std::path::PathBuf,
@@ -544,7 +566,8 @@ mod tests {
         mem.add(1, ValueType::Value, b"a", b"v1");
         mem.add(2, ValueType::Value, b"a", b"v2");
         mem.add(3, ValueType::Deletion, b"b", b"");
-        let file = flush_memtable(&fx.ctx(), &mem, &|| fx.alloc())
+        // A snapshot at 1 still reads a@1.
+        let file = flush_memtable(&fx.ctx(), &mem, 1, &|| fx.alloc())
             .unwrap()
             .expect("one table");
         let keys = read_table_keys(&fx, &file);
@@ -563,17 +586,92 @@ mod tests {
     fn flush_empty_memtable_produces_nothing() {
         let fx = Fixture::new();
         let mem = Arc::new(MemTable::new());
-        let file = flush_memtable(&fx.ctx(), &mem, &|| fx.alloc()).unwrap();
+        let file = flush_memtable(&fx.ctx(), &mem, HEAD, &|| fx.alloc()).unwrap();
         assert!(file.is_none());
     }
 
-    /// Builds an L0 file from explicit entries via a memtable flush.
+    /// The entries a flush of `entries` under `smallest_snapshot` writes.
+    fn flushed(
+        entries: &[(&str, u64, ValueType)],
+        smallest_snapshot: SequenceNumber,
+    ) -> Vec<(Vec<u8>, u64, ValueType)> {
+        let fx = Fixture::new();
+        let mem = Arc::new(MemTable::new());
+        for (k, seq, kind) in entries {
+            mem.add(*seq, *kind, k.as_bytes(), b"v");
+        }
+        flush_memtable(&fx.ctx(), &mem, smallest_snapshot, &|| fx.alloc())
+            .unwrap()
+            .map_or_else(Vec::new, |f| read_table_keys(&fx, &f))
+    }
+
+    fn versions(key: &str, seqs: &[u64]) -> Vec<(Vec<u8>, u64, ValueType)> {
+        seqs.iter()
+            .map(|&seq| (key.as_bytes().to_vec(), seq, ValueType::Value))
+            .collect()
+    }
+
+    #[test]
+    fn flush_keeps_only_the_newest_version_no_snapshot_needs() {
+        let k = |seq| ("k", seq, ValueType::Value);
+        let five = [k(1), k(2), k(3), k(4), k(5)];
+        assert_eq!(flushed(&five, 5), versions("k", &[5]));
+        // A snapshot at 3: k@3 is what it reads, and k@4 stays too, since
+        // the rule knows only the smallest snapshot.
+        assert_eq!(flushed(&five, 3), versions("k", &[5, 4, 3]));
+        // Nothing is dropped for a newer version no reader holds yet.
+        assert_eq!(flushed(&five, 0), versions("k", &[5, 4, 3, 2, 1]));
+    }
+
+    /// A bound past every sequence (no snapshot below an unreachable
+    /// head) drops every shadowed version and never a key's newest: "no
+    /// newer version seen" is its own state, not a sequence number.
+    #[test]
+    fn a_bound_past_every_sequence_keeps_each_keys_newest_version() {
+        let entries = [
+            ("a", 1, ValueType::Value),
+            ("a", 2, ValueType::Value),
+            ("b", 3, ValueType::Value),
+            ("c", MAX_SEQUENCE - 1, ValueType::Value),
+            ("c", MAX_SEQUENCE, ValueType::Value),
+        ];
+        let newest = [
+            versions("a", &[2]),
+            versions("b", &[3]),
+            versions("c", &[MAX_SEQUENCE]),
+        ]
+        .concat();
+        for bound in [MAX_SEQUENCE, u64::MAX] {
+            assert_eq!(flushed(&entries, bound), newest, "bound {bound}");
+        }
+    }
+
+    #[test]
+    fn flush_keeps_every_tombstone() {
+        // The value under the tombstone goes; the tombstone stays, since
+        // older versions may sit in other L0 files or deeper levels.
+        let entries = [
+            ("k", 1, ValueType::Value),
+            ("k", 2, ValueType::Deletion),
+            ("lone", 3, ValueType::Deletion),
+        ];
+        assert_eq!(
+            flushed(&entries, HEAD),
+            vec![
+                (b"k".to_vec(), 2, ValueType::Deletion),
+                (b"lone".to_vec(), 3, ValueType::Deletion),
+            ]
+        );
+    }
+
+    /// Builds an L0 file from explicit entries via a memtable flush with
+    /// no snapshot behind the head.
     fn build_l0(fx: &Fixture, entries: &[(&str, u64, ValueType, &str)]) -> FileMetaData {
         let mem = Arc::new(MemTable::new());
         for (k, seq, kind, v) in entries {
             mem.add(*seq, *kind, k.as_bytes(), v.as_bytes());
         }
-        flush_memtable(&fx.ctx(), &mem, &|| fx.alloc())
+        flush_memtable(&fx.ctx(), &mem, HEAD, &|| fx.alloc())
             .unwrap()
             .expect("one table")
     }
@@ -588,7 +686,10 @@ mod tests {
             &fx.ctx(),
             &mut iter,
             &|| fx.alloc(),
-            None,
+            &GcPolicy {
+                smallest_snapshot: OLDEST,
+                below: None,
+            },
             &Cuts::by_size(split),
             None,
             None,
@@ -734,7 +835,7 @@ mod tests {
                     &[tag; 100],
                 );
             }
-            flush_memtable(&ctx, &mem, &alloc)
+            flush_memtable(&ctx, &mem, HEAD, &alloc)
                 .unwrap()
                 .expect("one table")
         };
@@ -792,7 +893,7 @@ mod tests {
                     &[7u8; 60],
                 );
             }
-            flush_memtable(&fx.ctx(), &mem, &|| fx.alloc())
+            flush_memtable(&fx.ctx(), &mem, HEAD, &|| fx.alloc())
                 .unwrap()
                 .expect("one table")
         };
@@ -878,7 +979,7 @@ mod tests {
                     &[9u8; 100],
                 );
             }
-            flush_memtable(&fx.ctx(), &mem, &|| fx.alloc())
+            flush_memtable(&fx.ctx(), &mem, HEAD, &|| fx.alloc())
                 .unwrap()
                 .expect("one table")
         };
@@ -938,7 +1039,7 @@ mod tests {
                 };
                 mem.add(5000 + i, kind, format!("key{i:05}").as_bytes(), b"new");
             }
-            let upper = flush_memtable(&fx.ctx(), &mem, &|| fx.alloc()).unwrap();
+            let upper = flush_memtable(&fx.ctx(), &mem, HEAD, &|| fx.alloc()).unwrap();
             assert!(upper.is_some());
             let version = Version::empty(7, CompactionStyle::Leveled).apply(&{
                 let mut e = VersionEdit::default();
@@ -1005,8 +1106,9 @@ mod tests {
                     mem.add(seq - 900, ValueType::Value, key.as_bytes(), b"old");
                 }
             }
+            // A snapshot keeps the old versions in the file.
             l0.push(
-                flush_memtable(&fx.ctx(), &mem, &|| fx.alloc())
+                flush_memtable(&fx.ctx(), &mem, OLDEST, &|| fx.alloc())
                     .unwrap()
                     .expect("one table"),
             );
@@ -1021,7 +1123,7 @@ mod tests {
                 b"l1-old",
             );
         }
-        let next = flush_memtable(&fx.ctx(), &mem, &|| fx.alloc()).unwrap();
+        let next = flush_memtable(&fx.ctx(), &mem, HEAD, &|| fx.alloc()).unwrap();
         let version = Version::empty(7, CompactionStyle::Leveled).apply(&{
             let mut e = VersionEdit::default();
             for f in &l0 {
@@ -1246,8 +1348,9 @@ mod tests {
         }
         let total: u64 = files.iter().map(|f| f.entries).sum();
         assert_eq!(total, 4000);
-        // A flush of the same memtable is one run and stays one file.
-        let flushed = flush_memtable(&fx.ctx(), &mem, &|| fx.alloc())
+        // A flush of the same memtable under a snapshot that keeps both
+        // versions is one run and stays one file.
+        let flushed = flush_memtable(&fx.ctx(), &mem, OLDEST, &|| fx.alloc())
             .unwrap()
             .unwrap();
         assert_eq!(flushed.entries, 4000);

@@ -216,16 +216,18 @@ impl Db {
                     let end = batch.sequence() + u64::from(batch.count()).saturating_sub(1);
                     max_seq = max_seq.max(end);
                     Self::apply_batch_to_mem(&mem, &batch)?;
+                    // No reader exists yet: the newest replayed version of
+                    // a key shadows the older ones for good.
                     if mem.approximate_memory_usage() >= opts.memtable_size {
                         edit.added
-                            .extend(flush_memtable(&ctx, &mem, &alloc)?.map(|f| (0, f)));
+                            .extend(flush_memtable(&ctx, &mem, max_seq, &alloc)?.map(|f| (0, f)));
                         mem = Arc::new(MemTable::with_budget(opts.memtable_size));
                     }
                 }
             }
             if !mem.is_empty() {
                 edit.added
-                    .extend(flush_memtable(&ctx, &mem, &alloc)?.map(|f| (0, f)));
+                    .extend(flush_memtable(&ctx, &mem, max_seq, &alloc)?.map(|f| (0, f)));
             }
         }
 
@@ -393,10 +395,7 @@ impl Db {
     pub fn get_with(&self, opts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let t_read = timing::now();
         DbStats::bump(&self.inner.stats.gets, 1);
-        let snapshot = opts
-            .snapshot
-            .unwrap_or_else(|| self.inner.visible_seq.load(Ordering::Acquire));
-        let (mem, imms, version) = self.inner.read_refs();
+        let (mem, imms, version, snapshot) = self.inner.read_refs(opts.snapshot);
         let hash = BloomPolicy::hash(key);
         let mut filter_skips = 0;
         let decided =
@@ -443,10 +442,7 @@ impl Db {
         }
         DbStats::bump(&self.inner.stats.multigets, 1);
         let t_read = timing::now();
-        let snapshot = opts
-            .snapshot
-            .unwrap_or_else(|| self.inner.visible_seq.load(Ordering::Acquire));
-        let (mem, imms, version) = self.inner.read_refs();
+        let (mem, imms, version, snapshot) = self.inner.read_refs(opts.snapshot);
         let mut results: Vec<Option<Vec<u8>>> = Vec::with_capacity(keys.len());
         // Positions of the keys no memtable decides, and those keys with
         // their hashes.
@@ -489,10 +485,7 @@ impl Db {
 
     /// A forward iterator honoring `opts`.
     pub fn iter_with(&self, opts: &ReadOptions) -> Result<DbIterator> {
-        let snapshot = opts
-            .snapshot
-            .unwrap_or_else(|| self.inner.visible_seq.load(Ordering::Acquire));
-        let (mem, imms, version) = self.inner.read_refs();
+        let (mem, imms, version, snapshot) = self.inner.read_refs(opts.snapshot);
         let mut children: Vec<Box<dyn crate::iterator::InternalIterator>> = Vec::new();
         children.push(Box::new(mem.iter()));
         for imm in &imms {
@@ -530,8 +523,13 @@ impl Db {
 
     /// Takes a consistent point-in-time snapshot.
     pub fn snapshot(&self) -> Snapshot {
+        // The sequence is read under the lock `smallest_snapshot` reads
+        // it under: a GC bound computed before this registration read
+        // `visible_seq` earlier, so it is at or below `seq`.
+        let mut snaps = self.inner.snapshots.lock();
         let seq = self.inner.visible_seq.load(Ordering::Acquire);
-        *self.inner.snapshots.lock().entry(seq).or_insert(0) += 1;
+        *snaps.entry(seq).or_insert(0) += 1;
+        drop(snaps);
         Snapshot {
             inner: self.inner.clone(),
             seq,
@@ -685,7 +683,7 @@ impl Drop for Db {
 }
 
 /// A registered point-in-time view; keeps versions older than `seq` alive
-/// against compaction GC until dropped.
+/// against flush and compaction GC until dropped.
 pub struct Snapshot {
     inner: Arc<DbInner>,
     seq: SequenceNumber,
@@ -711,11 +709,26 @@ impl Drop for Snapshot {
 }
 
 impl DbInner {
-    /// Clones the references a read needs, under the state lock.
-    fn read_refs(&self) -> (Arc<MemTable>, Vec<Arc<MemTable>>, Arc<Version>) {
+    /// Clones the references a read needs and returns them with the
+    /// sequence it reads at: `snapshot`, or else the latest visible one.
+    /// That sequence is read under the state lock, where flushes and
+    /// compactions install their outputs: a job computed its GC bound
+    /// before its install, so a read that sees the install reads at or
+    /// above the bound, and the versions the job dropped are shadowed for
+    /// it too.
+    fn read_refs(
+        &self,
+        snapshot: Option<SequenceNumber>,
+    ) -> (
+        Arc<MemTable>,
+        Vec<Arc<MemTable>>,
+        Arc<Version>,
+        SequenceNumber,
+    ) {
         let state = self.state.lock();
+        let seq = snapshot.unwrap_or_else(|| self.visible_seq.load(Ordering::Acquire));
         let imms = state.imms.iter().rev().map(|(_, m)| m.clone()).collect();
-        (state.mem.clone(), imms, state.versions.current())
+        (state.mem.clone(), imms, state.versions.current(), seq)
     }
 
     /// What the memtables say about `key` (whose [`BloomPolicy::hash`] is
@@ -760,21 +773,29 @@ impl DbInner {
             slot.set_phase(Phase::Done(Some(e.to_string())));
             return Err(e);
         }
-        // Capture the memtable the group inserts into. With pipelined
-        // writes the next leader may switch it out while this group is
-        // still inserting; the flush waits for this group's sequence range
-        // to be published before it reads the table (`wait_published`).
-        let mem = self.state.lock().mem.clone();
         let group = {
             let q = self.wal_queue.lock();
             form_group(&q)
         };
-        // Assign sequence numbers.
         let total: u64 = group
             .iter()
             .map(|s| u64::from(s.batch.lock().count()))
             .sum();
-        let start_seq = self.next_seq.fetch_add(total, Ordering::Relaxed) + 1;
+        // Capture the memtable the group inserts into and reserve the
+        // group's sequences in one hold of the state lock, where memtables
+        // are switched. With pipelined writes the next leader, or
+        // `Db::flush`, may switch the table out while this group is still
+        // inserting; its flush waits for every sequence reserved before
+        // the switch to be published before it reads the table
+        // (`wait_published`), and so for this group. Reserved after a
+        // capture but outside the lock, a switch in between would let the
+        // flush miss the group's entries.
+        let (mem, start_seq) = {
+            let state = self.state.lock();
+            let start = self.next_seq.fetch_add(total, Ordering::Relaxed) + 1;
+            (state.mem.clone(), start)
+        };
+        // Assign sequence numbers.
         let mut cur = start_seq;
         for s in &group {
             let mut b = s.batch.lock();
@@ -1009,7 +1030,8 @@ impl DbInner {
         Ok(())
     }
 
-    /// Smallest sequence any reader may still need.
+    /// Smallest sequence any reader may still need. `visible_seq` is read
+    /// under the snapshot lock, as [`Db::snapshot`] reads it.
     fn smallest_snapshot(&self) -> SequenceNumber {
         let snaps = self.snapshots.lock();
         let min_snap = snaps.keys().next().copied();
@@ -1162,7 +1184,7 @@ impl DbInner {
                     // once those are published the table is complete.
                     inner.wait_published(inner.next_seq.load(Ordering::Acquire));
                     let t_job = timing::now();
-                    let result = flush_memtable(&ctx, &mem, &alloc);
+                    let result = flush_memtable(&ctx, &mem, inner.smallest_snapshot(), &alloc);
                     inner
                         .stats
                         .bg_busy

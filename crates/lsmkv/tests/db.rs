@@ -486,6 +486,225 @@ fn snapshot_survives_flush_and_compaction() {
     assert_eq!(db.get(b"pinned").unwrap().unwrap(), b"v2");
 }
 
+#[test]
+fn a_cursor_opened_before_overwrites_reads_its_value_after_flush_and_compaction() {
+    let env: EnvRef = Arc::new(MemEnv::new());
+    let db = Db::open(small_opts(env), "db").unwrap();
+    for i in 0..500 {
+        db.put(&wo(), format!("fill{i:06}").as_bytes(), &[1u8; 64])
+            .unwrap();
+    }
+    db.put(&wo(), b"hot", b"v0").unwrap();
+    // A cursor as the p2KVS engine adapter opens one: at a registered
+    // snapshot.
+    let snap = db.snapshot();
+    let at_snap = ReadOptions {
+        snapshot: Some(snap.sequence()),
+        ..ReadOptions::default()
+    };
+    let mut cursor = db.iter_with(&at_snap).unwrap();
+    // The overwrites share the memtable with v0: its flush sees them all.
+    for v in 1..=100 {
+        db.put(&wo(), b"hot", format!("v{v}").as_bytes()).unwrap();
+    }
+    db.flush().unwrap();
+    for i in 0..5000 {
+        db.put(&wo(), format!("fill{i:06}").as_bytes(), &[2u8; 64])
+            .unwrap();
+    }
+    db.flush().unwrap();
+    db.wait_idle().unwrap();
+    assert!(
+        db.stats()
+            .compactions
+            .load(std::sync::atomic::Ordering::Relaxed)
+            > 0
+    );
+    cursor.seek(b"hot");
+    assert!(cursor.valid());
+    assert_eq!((cursor.key(), cursor.value()), (&b"hot"[..], &b"v0"[..]));
+    // A read that starts after the flush, at the cursor's snapshot.
+    assert_eq!(db.get_with(&at_snap, b"hot").unwrap().unwrap(), b"v0");
+    let mut fresh = db.iter_with(&at_snap).unwrap();
+    fresh.seek(b"hot");
+    assert_eq!(fresh.value(), b"v0");
+    assert_eq!(db.get(b"hot").unwrap().unwrap(), b"v100");
+}
+
+/// Flushes and compactions drop versions that no reader can see: this
+/// races readers of every kind against hot-key overwrites, forced
+/// flushes and snapshot churn. A read at the latest sequence returns at
+/// least the version acked before it began, and a read at a snapshot the
+/// same version every time it is repeated; no key ever reads absent.
+#[test]
+fn reads_keep_their_version_while_flushes_drop_shadowed_ones() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    const HOT: u64 = 48;
+    // Under a second in debug; CI runs it in release, twenty times as long.
+    let writes: u64 = if cfg!(debug_assertions) {
+        10_000
+    } else {
+        200_000
+    };
+    let mut opts = Options::rocksdb_like(Arc::new(MemEnv::new()));
+    opts.memtable_size = 16 << 10;
+    opts.max_immutable_memtables = 4;
+    opts.target_file_size = 16 << 10;
+    opts.base_level_size = 64 << 10;
+    let db = Arc::new(Db::open(opts, "db").unwrap());
+    fn key(k: u64) -> Vec<u8> {
+        format!("hot{k:03}").into_bytes()
+    }
+    fn value(k: u64, v: u64) -> Vec<u8> {
+        format!("hot{k:03}={v:010}-{}", "x".repeat(80)).into_bytes()
+    }
+    /// The version `got` holds, checking it is a value of key `k`.
+    fn version(k: u64, got: &[u8]) -> u64 {
+        let text = std::str::from_utf8(got).unwrap();
+        let (name, rest) = text.split_once('=').unwrap();
+        assert_eq!(name.as_bytes(), key(k), "another key's value");
+        rest[..10].parse().unwrap()
+    }
+    // Version 0 of every key sits below L0 before the race starts.
+    for k in 0..HOT {
+        db.put(&wo(), &key(k), &value(k, 0)).unwrap();
+    }
+    db.flush().unwrap();
+    db.wait_idle().unwrap();
+    // Per key, the newest acked version. Writer `w` owns the keys
+    // `k % 2 == w`, so each key's versions rise one at a time.
+    let acked: Arc<Vec<AtomicU64>> = Arc::new((0..HOT).map(|_| AtomicU64::new(0)).collect());
+    let done = Arc::new(AtomicBool::new(false));
+    let writers: Vec<_> = (0..2u64)
+        .map(|w| {
+            let (db, acked) = (db.clone(), acked.clone());
+            std::thread::spawn(move || {
+                let mut rng = p2kvs_util::rng::Rng::new(w + 11);
+                for _ in 0..writes / 2 {
+                    // Skewed towards the low keys: the hottest are
+                    // overwritten many times within one memtable.
+                    let r = rng.below(HOT / 2);
+                    let k = 2 * (r * r / (HOT / 2)) + w;
+                    let v = acked[k as usize].load(Ordering::Relaxed) + 1;
+                    db.put(&wo(), &key(k), &value(k, v)).unwrap();
+                    acked[k as usize].store(v, Ordering::Release);
+                }
+            })
+        })
+        .collect();
+    let flusher = {
+        let (db, done) = (db.clone(), done.clone());
+        std::thread::spawn(move || {
+            let mut flushes = 0u64;
+            while !done.load(Ordering::Acquire) {
+                db.flush().unwrap();
+                flushes += 1;
+                std::thread::sleep(std::time::Duration::from_micros(300));
+            }
+            flushes
+        })
+    };
+    let readers: Vec<_> = (0..3u64)
+        .map(|r| {
+            let (db, acked, done) = (db.clone(), acked.clone(), done.clone());
+            std::thread::spawn(move || {
+                let mut rng = p2kvs_util::rng::Rng::new(r + 101);
+                let mut rounds = 0u64;
+                // Snapshots held across rounds, each with the versions its
+                // first reads saw; they are re-read and dropped at random.
+                let mut held: Vec<(lsmkv::Snapshot, Vec<u64>, Vec<u64>)> = Vec::new();
+                while !done.load(Ordering::Acquire) {
+                    let keys: Vec<u64> = (0..4).map(|_| rng.below(HOT)).collect();
+                    let names: Vec<Vec<u8>> = keys.iter().map(|&k| key(k)).collect();
+                    let floor: Vec<u64> = keys
+                        .iter()
+                        .map(|&k| acked[k as usize].load(Ordering::Acquire))
+                        .collect();
+                    // At the latest sequence: get, multiget and a cursor.
+                    let got = db.get(&names[0]).unwrap().expect("a hot key read absent");
+                    let v = version(keys[0], &got);
+                    assert!(
+                        v >= floor[0],
+                        "get of {} read v{v} after v{} was acked",
+                        keys[0],
+                        floor[0]
+                    );
+                    let many = db.multiget(&names).unwrap();
+                    for ((&k, &lo), got) in keys.iter().zip(&floor).zip(&many) {
+                        let got = got.as_deref().expect("multiget read a hot key absent");
+                        let v = version(k, got);
+                        assert!(v >= lo, "multiget of {k} read v{v} after v{lo} was acked");
+                    }
+                    let mut cursor = db.iter().unwrap();
+                    cursor.seek(&names[1]);
+                    assert!(cursor.valid() && cursor.key() == names[1]);
+                    assert!(
+                        version(keys[1], cursor.value()) >= floor[1],
+                        "cursor went back"
+                    );
+                    // At a snapshot taken now: every read kind agrees.
+                    let snap = db.snapshot();
+                    let at = ReadOptions {
+                        snapshot: Some(snap.sequence()),
+                        ..ReadOptions::default()
+                    };
+                    let seen: Vec<u64> = keys
+                        .iter()
+                        .zip(&names)
+                        .map(|(&k, name)| version(k, &db.get_with(&at, name).unwrap().unwrap()))
+                        .collect();
+                    for (&v, &lo) in seen.iter().zip(&floor) {
+                        assert!(v >= lo, "a snapshot read went back");
+                    }
+                    held.push((snap, keys, seen));
+                    // Re-read one held snapshot, then drop one.
+                    let i = rng.below(held.len() as u64) as usize;
+                    let (snap, keys, seen) = &held[i];
+                    let at = ReadOptions {
+                        snapshot: Some(snap.sequence()),
+                        ..ReadOptions::default()
+                    };
+                    let names: Vec<Vec<u8>> = keys.iter().map(|&k| key(k)).collect();
+                    let many = db.multiget_with(&at, &names).unwrap();
+                    for ((&k, &v), got) in keys.iter().zip(seen).zip(&many) {
+                        let got = got.as_deref().expect("a snapshot lost its version");
+                        assert_eq!(version(k, got), v, "multiget at a held snapshot");
+                    }
+                    let mut cursor = db.iter_with(&at).unwrap();
+                    cursor.seek(&names[2]);
+                    assert!(cursor.valid() && cursor.key() == names[2]);
+                    assert_eq!(
+                        version(keys[2], cursor.value()),
+                        seen[2],
+                        "cursor at a snapshot"
+                    );
+                    if held.len() > 8 || rng.below(2) == 0 {
+                        held.swap_remove(rng.below(held.len() as u64) as usize);
+                    }
+                    rounds += 1;
+                }
+                rounds
+            })
+        })
+        .collect();
+    for w in writers {
+        w.join().unwrap();
+    }
+    done.store(true, Ordering::Release);
+    let flushes = flusher.join().unwrap();
+    let rounds: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
+    assert!(
+        flushes > 10 && rounds > 10,
+        "{flushes} flushes, {rounds} rounds"
+    );
+    db.flush().unwrap();
+    db.wait_idle().unwrap();
+    for k in 0..HOT {
+        let got = db.get(&key(k)).unwrap().unwrap();
+        assert_eq!(version(k, &got), acked[k as usize].load(Ordering::Relaxed));
+    }
+}
+
 /// `multiget` must answer exactly what a `get` of each key answers.
 fn assert_multiget_matches_get(db: &Db, opts: &ReadOptions, keys: &[Vec<u8>]) {
     let batch = db.multiget_with(opts, keys).unwrap();
